@@ -267,12 +267,6 @@ impl SdcEvent {
     pub fn stuck(gpu: usize, iteration: u32, site: SdcSite, index: u64, bits: u64) -> Self {
         Self { gpu, iteration, site, mode: SdcMode::Stuck, index, bits, persistence: u32::MAX }
     }
-
-    /// Overrides how many times the event fires before disarming.
-    pub fn with_persistence(mut self, fires: u32) -> Self {
-        self.persistence = fires.max(1);
-        self
-    }
 }
 
 /// A deterministic, seeded schedule of faults for one run.
@@ -412,20 +406,6 @@ impl FaultPlan {
             factor,
         });
         self
-    }
-
-    /// True if the plan can never perturb anything.
-    pub fn is_benign(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.duplicate_prob == 0.0
-            && self.delay_prob == 0.0
-            && self.fail_stops.is_empty()
-            && self.rejoins.is_empty()
-            && self.stragglers.is_empty()
-            && self.mask_corruptions.is_empty()
-            && self.checkpoint_corruptions.is_empty()
-            && self.nic_degradations.is_empty()
-            && self.sdc_events.is_empty()
     }
 
     /// Generates a random-but-deterministic plan for property tests: mixes
@@ -637,11 +617,6 @@ impl JitteredBackoff {
         Self { seed, channel, base_secs: 0.01, cap_secs: 1.0, jitter: 0.5, max_attempts: 5 }
     }
 
-    /// The channel this schedule was derived for.
-    pub fn channel(&self) -> u64 {
-        self.channel
-    }
-
     /// Overrides the delay envelope.
     pub fn with_envelope(mut self, base_secs: f64, cap_secs: f64, max_attempts: u32) -> Self {
         assert!(base_secs > 0.0 && cap_secs >= base_secs, "envelope must be ordered");
@@ -708,37 +683,17 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Counters of faults injected so far.
     pub fn counters(&self) -> FaultCounters {
         self.counters
     }
 
-    /// Heartbeat check at a superstep boundary: the first scheduled,
-    /// not-yet-fired fail-stop with `iteration <= current` fires and is
-    /// surfaced as [`FaultError::GpuFailed`]. Subsequent heartbeats (e.g.
-    /// after rollback) pass.
-    pub fn heartbeat(&mut self, iteration: u32) -> Result<(), FaultError> {
-        for (i, fs) in self.plan.fail_stops.iter().enumerate() {
-            if !self.fired_fail_stops[i] && fs.iteration <= iteration {
-                self.fired_fail_stops[i] = true;
-                self.counters.fail_stops += 1;
-                return Err(FaultError::GpuFailed { gpu: fs.gpu, iteration });
-            }
-        }
-        Ok(())
-    }
-
     /// Ground-truth heartbeat observations for one superstep boundary:
     /// one [`HeartbeatStatus`] per primary GPU. Fires not-yet-fired
     /// fail-stops with `iteration <= current` (the GPU goes *silent*) and
-    /// rejoins (its heartbeats resume). Unlike the legacy [`Self::heartbeat`]
-    /// this never returns an error — deciding what silence *means* is the
-    /// membership detector's job, not the injector's.
+    /// rejoins (its heartbeats resume). This never returns an error —
+    /// deciding what silence *means* is the membership detector's job, not
+    /// the injector's.
     ///
     /// Idempotent under rollback-and-replay: silence and rejoins are
     /// persistent ground truth, so replaying earlier boundaries reproduces
@@ -904,21 +859,6 @@ impl FaultInjector {
             .map(|d| d.factor)
             .fold(1.0, f64::max)
     }
-
-    /// True if any one-shot event (fail-stop, rejoin, or corruption) is
-    /// still armed.
-    pub fn has_pending_events(&self) -> bool {
-        self.fired_fail_stops.iter().any(|&f| !f)
-            || self.fired_rejoins.iter().any(|&f| !f)
-            || self.fired_corruptions.iter().any(|&f| !f)
-            || self.fired_checkpoint_corruptions.iter().any(|&f| !f)
-            || self
-                .plan
-                .sdc_events
-                .iter()
-                .zip(&self.sdc_fire_counts)
-                .any(|(ev, &c)| c < ev.persistence.min(1))
-    }
 }
 
 /// The single point-in-time survivability predicate shared by the driver
@@ -1012,8 +952,7 @@ mod tests {
     #[test]
     fn benign_plan_does_nothing() {
         let mut inj = FaultInjector::new(FaultPlan::new(7));
-        assert!(inj.plan().is_benign());
-        assert_eq!(inj.heartbeat(0), Ok(()));
+        assert!(inj.heartbeat_arrivals(0, 4).iter().all(|s| *s != HeartbeatStatus::Missing));
         for i in 0..100 {
             assert_eq!(inj.message_fate(0, 0, 0, i), MessageFate::Deliver);
         }
@@ -1058,23 +997,11 @@ mod tests {
     }
 
     #[test]
-    fn fail_stop_fires_once() {
-        let plan = FaultPlan::new(1).with_fail_stop(2, 4);
-        let mut inj = FaultInjector::new(plan);
-        assert_eq!(inj.heartbeat(3), Ok(()));
-        assert_eq!(inj.heartbeat(4), Err(FaultError::GpuFailed { gpu: 2, iteration: 4 }));
-        // After rollback-and-replay the event must not re-fire.
-        assert_eq!(inj.heartbeat(4), Ok(()));
-        assert_eq!(inj.heartbeat(10), Ok(()));
-        assert!(!inj.has_pending_events());
-        assert_eq!(inj.counters().fail_stops, 1);
-    }
-
-    #[test]
     fn late_detection_still_fires() {
-        // A fail-stop scheduled for iteration 2 detected first at 5.
+        // A fail-stop scheduled for iteration 2 first observed at 5.
         let mut inj = FaultInjector::new(FaultPlan::new(1).with_fail_stop(0, 2));
-        assert_eq!(inj.heartbeat(5), Err(FaultError::GpuFailed { gpu: 0, iteration: 5 }));
+        assert_eq!(inj.heartbeat_arrivals(5, 1), vec![HeartbeatStatus::Missing]);
+        assert_eq!(inj.silent_since(0), Some(5));
     }
 
     #[test]
@@ -1176,7 +1103,6 @@ mod tests {
         assert_eq!(inj.heartbeat_arrivals(5, 3), healthy);
         assert_eq!(inj.silent_since(1), None);
         assert_eq!(inj.counters().rejoins, 1);
-        assert!(!inj.has_pending_events());
     }
 
     #[test]
@@ -1219,12 +1145,10 @@ mod tests {
         let plan = FaultPlan::new(0)
             .with_sdc_event(SdcEvent::flip(1, 2, SdcSite::KernelDepth, 5, 0b100))
             .with_sdc_event(SdcEvent::stuck(0, 0, SdcSite::ReducedMask, 3, 1 << 40));
-        assert!(!plan.is_benign());
         let mut inj = FaultInjector::new(plan);
         // Wrong site / too early: nothing fires, events stay armed.
         assert!(inj.sdc_events_where(1, SdcSite::KernelDepth, |_| true).is_empty());
         assert!(inj.sdc_events_where(9, SdcSite::FrontierDrop, |_| true).is_empty());
-        assert!(inj.has_pending_events());
         // The transient flip fires exactly once, even on replay.
         let fired = inj.sdc_events_where(2, SdcSite::KernelDepth, |_| true);
         assert_eq!(fired.len(), 1);
@@ -1235,7 +1159,6 @@ mod tests {
             assert_eq!(inj.sdc_events_where(3, SdcSite::ReducedMask, |_| true).len(), 1);
         }
         assert_eq!(inj.counters().sdc_injected, 6);
-        assert!(!inj.has_pending_events(), "every event has fired at least once");
     }
 
     #[test]
@@ -1246,7 +1169,6 @@ mod tests {
         // The target buffer is empty this superstep: the event stays armed.
         assert!(inj.sdc_events_where(1, SdcSite::FrontierDrop, |_| false).is_empty());
         assert_eq!(inj.counters().sdc_injected, 0);
-        assert!(inj.has_pending_events());
         // A later superstep with a non-empty target gets hit.
         assert_eq!(inj.sdc_events_where(4, SdcSite::FrontierDrop, |_| true).len(), 1);
         assert_eq!(inj.counters().sdc_injected, 1);

@@ -8,11 +8,10 @@
 //! hardware is available here, so this crate *is* the machine:
 //!
 //! * [`topology`] — the `prank × pgpu` device grid and id arithmetic;
-//! * [`fabric`] — a deterministic BSP message fabric between simulated
-//!   GPUs (point-to-point mailboxes), executed with rayon;
 //! * [`collectives`] — MPI-like collectives executed over real data:
 //!   two-phase bit-or allreduce (local GPU→GPU0 reduce, then cross-rank),
-//!   barriers, local all-to-all;
+//!   barriers, local all-to-all. The BSP loop that calls them is
+//!   `gcbfs_core::driver`; this crate holds no superstep engine;
 //! * [`cost`] — the analytic network + device cost model that converts the
 //!   *measured byte volumes and edge workloads* of a run into modeled Ray
 //!   time. All scaling figures in the paper are regenerated against this
@@ -40,7 +39,6 @@
 pub mod clock;
 pub mod collectives;
 pub mod cost;
-pub mod fabric;
 pub mod fault;
 pub mod membership;
 pub mod timing;
@@ -48,7 +46,6 @@ pub mod topology;
 
 pub use clock::{Clock, ModeledClock, WallClock};
 pub use cost::{CostModel, DeviceModel, NetworkModel};
-pub use fabric::{Fabric, FabricError};
 pub use fault::{FaultError, FaultInjector, FaultPlan, JitteredBackoff};
 pub use membership::{HeartbeatStatus, MemberState, Membership, MembershipConfig, MembershipEvent};
 pub use timing::{IterationTiming, Phase, PhaseTimes};

@@ -1,7 +1,7 @@
 //! Length-prefixed socket framing atop the integrity seal.
 //!
 //! The proc backend ships the same [`SealedPayload`]-encoded frontier and
-//! delegate-mask payloads the simulated fabric exchanges, but over real
+//! delegate-mask payloads the simulated exchange models, but over real
 //! Unix-domain sockets — a byte stream with no message boundaries and no
 //! trustworthy peer. This module is the boundary layer: every message is
 //! one *frame*,
@@ -20,9 +20,8 @@
 //! panic and never an allocation larger than [`MAX_FRAME_PAYLOAD`]. The
 //! length prefix is validated *before* any payload allocation, truncation
 //! is reported with exact byte counts, mid-stream garbage fails the magic
-//! check, and a payload that does not match its seal surfaces the same
-//! [`IntegrityError`] the in-process fabric raises for corrupted sealed
-//! payloads.
+//! check, and a payload that does not match its seal surfaces the seal's
+//! own [`IntegrityError`].
 
 use crate::seal::{IntegrityError, SealedPayload};
 use std::io::{Read, Write};

@@ -44,7 +44,7 @@
 //! Determinism: encoding is a pure function of the input bytes, so a
 //! retransmitted message (the fault layer's retry path) re-encodes to the
 //! identical wire image. [`SealedPayload`] adds the FNV-1a checksum the
-//! fabric uses to detect in-transit corruption of compressed payloads.
+//! proc runtime's frames use to detect in-transit corruption of payloads.
 
 pub mod frame;
 mod frontier;

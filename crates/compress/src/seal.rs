@@ -2,7 +2,7 @@
 //!
 //! Compressed bytes are denser than raw ones: a single flipped bit in a
 //! varint stream can silently change *every* subsequent decoded id, where
-//! the same flip in a raw stream perturbs exactly one. The fabric
+//! the same flip in a raw stream perturbs exactly one. The transport
 //! therefore wraps compressed payloads in a [`SealedPayload`] — the
 //! payload plus an FNV-1a checksum — and verifies the seal on delivery,
 //! turning silent corruption into a typed [`IntegrityError`] the fault

@@ -81,7 +81,7 @@ impl From<ProcError> for BackendError {
     }
 }
 
-/// A BFS runtime behind the fabric: takes a graph, a topology, a source
+/// A BFS runtime: takes a graph, a topology, a source
 /// and a config; returns depths (and parents on request).
 pub trait Backend {
     /// Stable lower-case backend name for CLIs and reports.

@@ -1,0 +1,625 @@
+//! The fault layer of the sim superstep loop: everything that exists only
+//! because a [`FaultPlan`] is being injected.
+//!
+//! [`Chaos`] owns the injector, the checkpoint cadence, membership and
+//! re-homing, the transient-fault retries of the two collectives, delayed
+//! message copies, and the SDC re-execute → rollback → typed-error ladder.
+//! The driver holds it as an `Option`: without a plan none of this code
+//! runs and nothing here is allocated. Every charge lands in
+//! [`FaultStats`] and — with the *same* `f64`, at the same site, in the
+//! same order — in the observability sink's fault spans.
+
+use crate::checkpoint::Checkpoint;
+use crate::comm::{reassign_lane_times, ExchangeResult};
+use crate::config::BfsConfig;
+use crate::driver::{DistributedGraph, RunError, Traversal};
+use crate::kernels::{GpuWorker, LocalIterationOutput};
+use crate::recovery::{retry_backoff, Assignment, ElasticMap, HostingPolicy};
+use crate::stats::FaultStats;
+use crate::verify::VerifyState;
+use gcbfs_cluster::collectives::{allreduce_or_compressed, AllreduceOutcome};
+use gcbfs_cluster::fault::{
+    FaultError, FaultInjector, FaultPlan, MessageFate, SdcEvent, SdcMode, SdcSite,
+};
+use gcbfs_cluster::membership::{Membership, MembershipEvent};
+use gcbfs_cluster::timing::PhaseTimes;
+use gcbfs_trace::{FaultKind, SinkMark};
+
+/// Device-side shadow of the mutable superstep inputs, captured before
+/// local computation when online verification is armed. Re-execution of a
+/// superstep that failed verification restores from here without touching
+/// the host checkpoint. The copy itself is modeled as free (device
+/// double-buffering of state the kernels already traverse); only a
+/// *detected* fault charges recovery time.
+struct SdcShadow {
+    workers: Vec<GpuWorker>,
+    delayed: Vec<(u32, usize, u32)>,
+    prev_reduced: Option<Vec<u64>>,
+    verify: VerifyState,
+}
+
+/// The resilience state of one fault-injected run.
+pub(crate) struct Chaos<'a> {
+    dist: &'a DistributedGraph,
+    config: &'a BfsConfig,
+    injector: FaultInjector,
+    fault: FaultStats,
+    checkpoint: Option<Checkpoint>,
+    /// Verification digests as of the checkpoint, restored with it.
+    cp_verify: Option<VerifyState>,
+    /// A rollback rewinds the sink to here: iteration events after this
+    /// mark are vacated, fault spans are kept.
+    sink_mark: Option<SinkMark>,
+    /// The phi-accrual detector interprets heartbeat arrival statistics
+    /// (ground-truth silence comes from the injector) ...
+    membership: Membership,
+    /// ... and the elastic map tracks how each confirmed-dead member's
+    /// partition is re-homed (hot spare, spread, or buddy).
+    elastic: ElasticMap,
+    /// `(dead, hosts)` of every spread/buddy-hosted partition this
+    /// superstep; empty while nobody is degraded.
+    hosted: Vec<(usize, Vec<(usize, f64)>)>,
+    /// Static per-partition edge loads — the weights of the
+    /// edge-balanced spreading plan.
+    loads: Vec<u64>,
+    /// Delegate-mask wire size — what spare absorption and rejoin pay to
+    /// re-replicate visited state.
+    mask_bytes: u64,
+    /// Messages delayed in flight by the injector: `(due_iter, gpu, slot)`.
+    delayed: Vec<(u32, usize, u32)>,
+    shadow: Option<SdcShadow>,
+    /// SDC escalation ladder: failed-verification supersteps re-execute
+    /// from the device shadow up to `max_retries` times (persistent upsets
+    /// refire and fail again), then roll back to the host checkpoint; a
+    /// bounded number of verified rollbacks later the fault is surfaced as
+    /// unrecoverable. Clean supersteps reset the re-execution rung but not
+    /// the rollback rung.
+    sdc_reexec_attempts: u32,
+    sdc_rollbacks: u32,
+}
+
+/// Applies one depth-word SDC event to a GPU's local depth array (kernel
+/// outputs or a restored checkpoint buffer). The strike index wraps into
+/// the buffer and skips delegate-owned slots — those words are vacant by
+/// construction, so an upset there corrupts nothing the algorithm reads.
+fn strike_depths(dist: &DistributedGraph, depths: &mut [u32], ev: &SdcEvent) {
+    let n = depths.len();
+    let gpu = dist.topology.unflat(ev.gpu);
+    let mut idx = (ev.index % n as u64) as usize;
+    for _ in 0..n {
+        if !dist.separation.is_delegate(dist.topology.global_id(gpu, idx as u32)) {
+            depths[idx] = match ev.mode {
+                SdcMode::Flip => depths[idx] ^ ev.bits as u32,
+                SdcMode::Stuck => ev.bits as u32,
+            };
+            return;
+        }
+        idx = (idx + 1) % n;
+    }
+}
+
+impl<'a> Chaos<'a> {
+    pub fn new(
+        dist: &'a DistributedGraph,
+        config: &'a BfsConfig,
+        plan: &FaultPlan,
+        mask_bytes: u64,
+    ) -> Self {
+        let p = dist.topology.num_gpus() as usize;
+        let spares = dist.topology.num_spares() as usize;
+        Self {
+            dist,
+            config,
+            injector: FaultInjector::new(plan.clone()),
+            fault: FaultStats::default(),
+            checkpoint: None,
+            cp_verify: None,
+            sink_mark: None,
+            membership: Membership::new(p, spares, config.recovery.membership),
+            elastic: ElasticMap::new(p),
+            hosted: Vec::new(),
+            loads: dist.subgraphs.iter().map(|sg| sg.num_edges().max(1)).collect(),
+            mask_bytes,
+            delayed: Vec::new(),
+            shadow: None,
+            sdc_reexec_attempts: 0,
+            sdc_rollbacks: 0,
+        }
+    }
+
+    /// Charges `seconds` of recovery work, mirrored as a fault span.
+    fn charge(&mut self, t: &mut Traversal, kind: FaultKind, at: u32, seconds: f64) {
+        self.fault.recovery_seconds += seconds;
+        if let Some(s) = t.sink.as_mut() {
+            s.record_fault(kind, at, seconds);
+        }
+    }
+
+    /// The superstep boundary: checkpoint cadence, then heartbeats and
+    /// membership, then — for deaths confirmed here — one rollback and the
+    /// re-homing of every dead partition. Returns true when the traversal
+    /// was rewound and the loop must re-enter at `t.iter`.
+    pub fn boundary(&mut self, t: &mut Traversal) -> Result<bool, RunError> {
+        self.checkpoint_if_due(t);
+        let confirmed = self.observe_heartbeats(t);
+        if !confirmed.is_empty() {
+            let recovery = self.config.recovery;
+            if !(recovery.enabled && recovery.degraded_mode) {
+                return Err(FaultError::GpuFailed { gpu: confirmed[0], iteration: t.iter }.into());
+            }
+            // One rollback covers every death confirmed at this boundary.
+            let detected_at = t.iter;
+            self.rollback(t, 0.0)?;
+            self.rehome(t, confirmed, detected_at)?;
+            return Ok(true);
+        }
+        // Device shadow for verified re-execution: captured at the last
+        // point the superstep inputs are known-clean.
+        self.shadow = t.verify.as_ref().map(|vs| SdcShadow {
+            workers: t.group.workers.clone(),
+            delayed: self.delayed.clone(),
+            prev_reduced: t.prev_reduced.clone(),
+            verify: vs.clone(),
+        });
+        Ok(false)
+    }
+
+    /// Checkpoint cadence (before the heartbeat, so an iteration-0
+    /// fail-stop always has a rollback target). A re-entered iteration
+    /// after rollback is not re-captured.
+    fn checkpoint_if_due(&mut self, t: &mut Traversal) {
+        let recovery = self.config.recovery;
+        let iter = t.iter;
+        let due = recovery.enabled
+            && (iter == 0
+                || (recovery.checkpoint_interval > 0
+                    && iter.is_multiple_of(recovery.checkpoint_interval)))
+            && self.checkpoint.as_ref().is_none_or(|c| c.iter != iter);
+        if !due {
+            return;
+        }
+        let mut cp = Checkpoint::capture(iter, &t.group.workers, t.records.len());
+        let cp_seconds = cp.modeled_seconds(&self.config.cost);
+        self.fault.checkpoint_seconds += cp_seconds;
+        self.fault.checkpoints_taken += 1;
+        // At-rest tamper hook: flip bits in the snapshot *after* its
+        // integrity seal is taken, so a later rollback's verification
+        // catches the corruption instead of silently replaying poisoned
+        // state.
+        if let Some(cc) = self.injector.checkpoint_corruption(iter) {
+            cp.corrupt_mask_word(cc.gpu, cc.word, cc.xor);
+        }
+        self.checkpoint = Some(cp);
+        self.cp_verify = t.verify.clone();
+        if let Some(s) = t.sink.as_mut() {
+            s.record_fault(FaultKind::Checkpoint, iter, cp_seconds);
+            self.sink_mark = Some(s.mark());
+        }
+    }
+
+    /// Heartbeat + membership: one status per member at the superstep
+    /// boundary (piggybacked on the termination allreduce). The injector
+    /// reports ground-truth silence; the phi-accrual detector decides what
+    /// it *means* — suspicion, confirmed death, or a live rejoin. Returns
+    /// the members confirmed dead at this boundary.
+    fn observe_heartbeats(&mut self, t: &mut Traversal) -> Vec<usize> {
+        let topo = self.dist.topology;
+        let net = self.config.cost.network;
+        let iter = t.iter;
+        let statuses = self.injector.heartbeat_arrivals(iter, topo.num_gpus() as usize);
+        let mut confirmed = Vec::new();
+        for ev in self.membership.observe(iter, &statuses) {
+            match ev {
+                MembershipEvent::Suspected { .. } => {
+                    // Suspicion is not failure: routing continues
+                    // unchanged; only the targeted liveness probe (a tiny
+                    // blocking collective) is charged.
+                    let probe = net.allreduce_time(16, topo.num_ranks(), true);
+                    self.fault.suspicions += 1;
+                    self.charge(t, FaultKind::Suspicion, iter, probe);
+                }
+                MembershipEvent::Cleared { .. } => {}
+                MembershipEvent::ConfirmedDead { gpu, .. } => confirmed.push(gpu),
+                MembershipEvent::Rejoined { gpu, .. } => {
+                    // Live rejoin: the survivors' state is authoritative,
+                    // so no rollback — the member re-syncs from the
+                    // current checkpoint image and the delegate reduction,
+                    // then reclaims its partition (releasing any spare).
+                    let resync = net
+                        .p2p_time(Checkpoint::worker_bytes(&t.group.workers[gpu]), false)
+                        + net.allreduce_time(self.mask_bytes, topo.num_ranks(), true);
+                    self.fault.rejoins += 1;
+                    self.charge(t, FaultKind::Rejoin, iter, resync);
+                    if self.elastic.is_failed(gpu) {
+                        if let Assignment::Spare(slot) =
+                            self.elastic.rejoin(gpu, &self.loads, self.config.recovery.hosting)
+                        {
+                            self.membership.release_spare(slot);
+                        }
+                    }
+                }
+            }
+        }
+        confirmed
+    }
+
+    /// Rolls the traversal back to the checkpoint — the one recipe behind
+    /// both a confirmed fail-stop and rung 2 of the SDC ladder. Charges
+    /// the work wasted since the checkpoint (`aborted` adds the superstep
+    /// in flight, which has no record yet) plus restoring every GPU from
+    /// host memory, and verifies the snapshot seals before replaying
+    /// anything.
+    fn rollback(&mut self, t: &mut Traversal, aborted: f64) -> Result<(), RunError> {
+        let cp = self.checkpoint.as_ref().expect("implicit iteration-0 checkpoint");
+        let wasted: f64 =
+            t.records[cp.records_len..].iter().map(|r| r.timing.elapsed()).sum::<f64>() + aborted;
+        let spent = wasted + cp.modeled_seconds(&self.config.cost);
+        self.fault.rollbacks += 1;
+        t.records.truncate(cp.records_len);
+        if let Err(e) = cp.restore(&mut t.group.workers) {
+            return Err(FaultError::CheckpointCorrupt { iteration: t.iter, gpu: e.gpu }.into());
+        }
+        let resume_at = cp.iter;
+        // Restore-path SDC hook: strike the restored depth buffers *after*
+        // the seal check passed, so online verification (not the seal)
+        // must catch it on replay.
+        self.strike_depth_buffers(t.iter, SdcSite::RestoreBuffer, &mut t.group.workers);
+        t.verify = self.cp_verify.clone();
+        self.fault.recovery_seconds += spent;
+        if let Some(s) = t.sink.as_mut() {
+            if let Some(m) = &self.sink_mark {
+                s.truncate(m);
+            }
+            s.record_fault(FaultKind::Recovery, t.iter, spent);
+        }
+        t.iter = resume_at;
+        // The codec reference mask is ahead of the restored state; drop it
+        // so the next reduction encodes from scratch (the codecs would
+        // fall back to raw anyway).
+        t.prev_reduced = None;
+        // In-flight stragglers are superseded by the restored state
+        // (checkpoints sit at message-free boundaries).
+        self.delayed.clear();
+        Ok(())
+    }
+
+    /// Re-homes each confirmed-dead partition, in preference order: a free
+    /// hot spare absorbs it at full speed; otherwise it is spread across
+    /// the survivors (or buddy-hosted under the legacy policy).
+    /// Survivability is checked against the same predicate
+    /// `plan_is_survivable` replays.
+    fn rehome(
+        &mut self,
+        t: &mut Traversal,
+        confirmed: Vec<usize>,
+        at: u32,
+    ) -> Result<(), RunError> {
+        let topo = self.dist.topology;
+        let net = self.config.cost.network;
+        for gpu in confirmed {
+            let bytes = Checkpoint::worker_bytes(&t.group.workers[gpu]);
+            let same_rank = |host: usize| topo.same_rank(topo.unflat(gpu), topo.unflat(host));
+            if let Some(slot) = self.membership.take_spare() {
+                self.elastic.fail_to_spare(gpu, slot);
+                // The spare reloads the graph partition from host storage,
+                // receives the checkpointed mutable state, and
+                // re-replicates the delegate masks via the usual collective.
+                let absorb = self.dist.subgraphs[gpu].memory_usage().total() as f64
+                    / net.staging_bandwidth
+                    + net.p2p_time(bytes, false)
+                    + net.allreduce_time(self.mask_bytes, topo.num_ranks(), true);
+                self.fault.spare_absorptions += 1;
+                self.charge(t, FaultKind::SpareAbsorb, at, absorb);
+                continue;
+            }
+            if !self.elastic.next_failure_is_survivable(gpu) {
+                // No survivor would remain: unrecoverable.
+                return Err(FaultError::GpuFailed { gpu, iteration: at }.into());
+            }
+            match self.config.recovery.hosting {
+                HostingPolicy::Buddy => {
+                    let host = self.elastic.fail_to_buddy(gpu, &topo);
+                    let ship = net.p2p_time(bytes, same_rank(host));
+                    self.charge(t, FaultKind::Recovery, at, ship);
+                }
+                HostingPolicy::Spread => {
+                    self.elastic.fail_to_spread(gpu, &self.loads);
+                    let Assignment::Hosted(hosts) = self.elastic.assignment(gpu) else {
+                        unreachable!("fail_to_spread must host")
+                    };
+                    let ship: f64 = hosts
+                        .iter()
+                        .map(|&(host, share)| {
+                            net.p2p_time((bytes as f64 * share).ceil() as u64, same_rank(host))
+                        })
+                        .sum();
+                    self.fault.spread_hostings += 1;
+                    self.charge(t, FaultKind::Spread, at, ship);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The NIC slowdown active this superstep (`>= 1`).
+    pub fn bandwidth_factor(&self, iter: u32) -> f64 {
+        self.injector.bandwidth_factor(iter)
+    }
+
+    /// Fires `site`'s armed depth-word events on the GPUs whose depth
+    /// buffer is non-empty (others stay armed for a later step).
+    fn strike_depth_buffers(&mut self, iter: u32, site: SdcSite, workers: &mut [GpuWorker]) {
+        for ev in self.injector.sdc_events_where(iter, site, |ev| {
+            workers.get(ev.gpu).is_some_and(|w| !w.depths_local.is_empty())
+        }) {
+            strike_depths(self.dist, &mut workers[ev.gpu].depths_local, &ev);
+        }
+    }
+
+    /// Compute-SDC hooks: strike kernel-output depth words and the freshly
+    /// built next-frontier lists. The flips land *after* the kernels ran —
+    /// the model's stand-in for an in-kernel upset — and fire regardless
+    /// of the verification tier, which is exactly what makes `Off`
+    /// silently corruptible.
+    pub fn strike_outputs(
+        &mut self,
+        iter: u32,
+        workers: &mut [GpuWorker],
+        outputs: &mut [LocalIterationOutput],
+    ) {
+        self.strike_depth_buffers(iter, SdcSite::KernelDepth, workers);
+        for ev in self.injector.sdc_events_where(iter, SdcSite::FrontierDrop, |ev| {
+            outputs.get(ev.gpu).is_some_and(|o| !o.next_frontier.is_empty())
+        }) {
+            let list = &mut outputs[ev.gpu].next_frontier;
+            // An earlier drop in the same batch can have emptied this
+            // list; with nothing left to drop the upset is masked (the
+            // earlier one already broke conservation).
+            if !list.is_empty() {
+                list.remove((ev.index % list.len() as u64) as usize);
+            }
+        }
+    }
+
+    /// Degraded mode: hosts run their shares of dead members' partitions
+    /// serially after their own, so the dead GPU's computation time moves
+    /// onto its hosts share-weighted — `(p+1)/p` on the critical path
+    /// under spreading, `2×` under buddy hosting. Spare-absorbed
+    /// partitions run at full speed on their standby GPU and shift no
+    /// time at all.
+    pub fn degrade_compute(&mut self, phases: &mut [PhaseTimes]) {
+        self.hosted = if self.elastic.any_failed() {
+            self.elastic.hosted_pairs().map(|(g, h)| (g, h.to_vec())).collect()
+        } else {
+            Vec::new()
+        };
+        if self.hosted.is_empty() {
+            return;
+        }
+        self.fault.degraded_iterations += 1;
+        for (dead, hosts) in &self.hosted {
+            let moved = std::mem::replace(&mut phases[*dead].computation, 0.0);
+            for &(host, share) in hosts {
+                phases[host].computation += moved * share;
+            }
+        }
+    }
+
+    /// Hosts also drive the dead members' communication lanes: their
+    /// exchange time moves with the partition, share-weighted like the
+    /// computation above (and the stage split moves with the lane it
+    /// decomposes).
+    pub fn degrade_exchange(&self, ex: &mut ExchangeResult) {
+        for (dead, hosts) in &self.hosted {
+            reassign_lane_times(&mut ex.local_time, &mut ex.remote_time, *dead, hosts);
+            reassign_lane_times(&mut ex.encode_time, &mut ex.decode_time, *dead, hosts);
+        }
+    }
+
+    /// The delegate-mask reduction under injection. Corrupted mask
+    /// messages fail their checksum and the reduction is re-run (the
+    /// corruption is one-shot, so the retry is clean); each discarded
+    /// attempt plus its backoff is charged to recovery time. Then the
+    /// reduction-SDC hook strikes the *combined* words after the transport
+    /// checksums passed — a silent upset in the OR tree itself, invisible
+    /// to the wire-level seals; only the ABFT cross-check can see it.
+    pub fn reduce(
+        &mut self,
+        t: &mut Traversal,
+        words: &[Vec<u64>],
+        bw: f64,
+    ) -> Result<AllreduceOutcome, RunError> {
+        let (config, iter) = (self.config, t.iter);
+        let recovery = config.recovery;
+        let mut attempt = 0u32;
+        let mut outcome = loop {
+            let mut attempt_words = words.to_vec();
+            let corrupted = self.injector.corrupt_mask_words(iter, &mut attempt_words);
+            let out = allreduce_or_compressed(
+                self.dist.topology,
+                &config.cost,
+                &attempt_words,
+                config.blocking_reduce,
+                config.compression,
+                t.prev_reduced.as_deref(),
+            );
+            let Some(gpu) = corrupted else { break out };
+            if !recovery.enabled || attempt >= recovery.max_retries {
+                return Err(FaultError::MaskChecksumMismatch { iteration: iter, gpu }.into());
+            }
+            self.fault.retries += 1;
+            let spent = out.global_time * bw
+                + out.local_time
+                + retry_backoff(recovery.retry_backoff_seconds, attempt);
+            self.charge(t, FaultKind::Retry, iter, spent);
+            attempt += 1;
+        };
+        // Bits past `d` in the final word are padding the reduction never
+        // materializes: an upset landing only there is provably masked and
+        // does not count as fired.
+        let tail = self.dist.separation.num_delegates() as usize % 64;
+        let last = outcome.reduced.len().saturating_sub(1);
+        let lane_of = |idx: usize| if idx == last && tail != 0 { (1u64 << tail) - 1 } else { !0 };
+        let reduced = &mut outcome.reduced;
+        for ev in self.injector.sdc_events_where(iter, SdcSite::ReducedMask, |ev| {
+            if reduced.is_empty() {
+                return false;
+            }
+            let idx = (ev.index % reduced.len() as u64) as usize;
+            match ev.mode {
+                SdcMode::Flip => ev.bits & lane_of(idx) != 0,
+                SdcMode::Stuck => reduced[idx] != ev.bits & lane_of(idx),
+            }
+        }) {
+            let idx = (ev.index % reduced.len() as u64) as usize;
+            reduced[idx] = match ev.mode {
+                SdcMode::Flip => reduced[idx] ^ (ev.bits & lane_of(idx)),
+                SdcMode::Stuck => ev.bits & lane_of(idx),
+            };
+        }
+        Ok(outcome)
+    }
+
+    /// Perturbs the exchange's delivery with the injector's message fates.
+    /// Drops and delays leave the per-peer ack counts short, so the whole
+    /// exchange is retransmitted (resampling the fault stream); after
+    /// `max_retries` failed attempts the transport escalates to the
+    /// verified reliable path, which always succeeds. Duplicates are
+    /// delivered — the depth update is idempotent — and delayed copies
+    /// surface in a later superstep as no-ops. Each failed attempt's
+    /// transfer time plus its exponential backoff is charged to recovery
+    /// time.
+    pub fn deliver(
+        &mut self,
+        t: &mut Traversal,
+        ex: &ExchangeResult,
+        bw: f64,
+    ) -> Result<Vec<Vec<u32>>, RunError> {
+        let recovery = self.config.recovery;
+        let iter = t.iter;
+        let worst_remote = ex.remote_time.iter().cloned().fold(0.0, f64::max) * bw;
+        let mut attempt = 0u32;
+        loop {
+            if recovery.enabled && attempt >= recovery.max_retries {
+                return Ok(ex.delivered.clone()); // reliable-path escalation
+            }
+            let mut tampered = false;
+            let mut perturbed: Vec<Vec<u32>> = Vec::with_capacity(ex.delivered.len());
+            for (g, list) in ex.delivered.iter().enumerate() {
+                let mut out = Vec::with_capacity(list.len());
+                for (i, &slot) in list.iter().enumerate() {
+                    match self.injector.message_fate(iter, attempt, g as u64, i as u64) {
+                        MessageFate::Deliver => out.push(slot),
+                        MessageFate::Duplicate => {
+                            out.push(slot);
+                            out.push(slot);
+                        }
+                        MessageFate::Drop => tampered = true,
+                        MessageFate::Delay(k) => {
+                            tampered = true;
+                            self.delayed.push((iter + k, g, slot));
+                        }
+                    }
+                }
+                perturbed.push(out);
+            }
+            if !tampered {
+                return Ok(perturbed);
+            }
+            if !recovery.enabled {
+                return Err(FaultError::ExchangeMismatch {
+                    iteration: iter,
+                    attempts: attempt + 1,
+                }
+                .into());
+            }
+            self.fault.retries += 1;
+            let spent = worst_remote + retry_backoff(recovery.retry_backoff_seconds, attempt);
+            self.charge(t, FaultKind::Retry, iter, spent);
+            attempt += 1;
+        }
+    }
+
+    /// Late-arriving copies from failed attempts land now; the accepted
+    /// retransmission already applied every update, so these are
+    /// idempotent no-ops (kept for model fidelity).
+    pub fn drain_delayed(&mut self, iter: u32, workers: &mut [GpuWorker]) {
+        self.delayed.retain(|&(due, g, slot)| {
+            if due > iter {
+                return true;
+            }
+            let w = &mut workers[g];
+            if let Some(s) = w.apply_remote_update(slot, iter + 1) {
+                w.frontier.push(s);
+            }
+            false
+        });
+    }
+
+    /// A verification check fired on the fully formed superstep: vacate
+    /// it (`elapsed` is its wasted modeled time) and climb the ladder. On
+    /// `Ok` the traversal was rewound and the loop re-enters at `t.iter`.
+    pub fn escalate(
+        &mut self,
+        t: &mut Traversal,
+        check: &'static str,
+        elapsed: f64,
+    ) -> Result<(), RunError> {
+        let recovery = self.config.recovery;
+        let iter = t.iter;
+        self.fault.sdc_detections += 1;
+        if let Some(s) = t.sink.as_mut() {
+            // Zero-duration marker: the scan that caught it is already
+            // charged to computation.
+            s.record_fault(FaultKind::SdcDetect, iter, 0.0);
+        }
+        if !recovery.enabled {
+            return Err(FaultError::SdcDetected { iteration: iter, check }.into());
+        }
+        if self.sdc_reexec_attempts < recovery.max_retries {
+            // Rung 1 — re-execute the superstep from the device shadow:
+            // the whole aborted superstep plus a backoff is wasted time. A
+            // transient upset will not refire; a persistent one climbs
+            // the ladder.
+            let spent =
+                elapsed + retry_backoff(recovery.retry_backoff_seconds, self.sdc_reexec_attempts);
+            self.sdc_reexec_attempts += 1;
+            self.fault.sdc_reexecutions += 1;
+            self.charge(t, FaultKind::SdcReexecute, iter, spent);
+            let snap = self.shadow.take().expect("shadow captured when verification is armed");
+            t.group.workers = snap.workers;
+            self.delayed = snap.delayed;
+            t.prev_reduced = snap.prev_reduced;
+            t.verify = Some(snap.verify);
+            return Ok(());
+        }
+        // Rung 2 — roll back to the host checkpoint. Bounded: a fault that
+        // keeps striking through restored checkpoints is not recoverable
+        // by replay.
+        self.sdc_rollbacks += 1;
+        if self.sdc_rollbacks > recovery.max_retries.max(1) {
+            return Err(FaultError::SdcUnrecoverable { iteration: iter, check }.into());
+        }
+        self.rollback(t, elapsed)?;
+        self.sdc_reexec_attempts = 0;
+        Ok(())
+    }
+
+    /// A superstep passed verification: the re-execution rung resets.
+    pub fn superstep_verified(&mut self) {
+        self.sdc_reexec_attempts = 0;
+    }
+
+    /// The run's fault accounting, with the injector's counters folded in.
+    pub fn finish(mut self) -> FaultStats {
+        let c = self.injector.counters();
+        self.fault.injected_drops = c.drops;
+        self.fault.injected_duplicates = c.duplicates;
+        self.fault.injected_delays = c.delays;
+        self.fault.injected_corruptions = c.corruptions;
+        self.fault.fail_stops = c.fail_stops;
+        self.fault.injected_checkpoint_corruptions = c.checkpoint_corruptions;
+        self.fault.injected_sdc = c.sdc_injected;
+        self.fault
+    }
+}

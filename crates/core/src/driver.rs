@@ -1,40 +1,34 @@
 //! The distributed BFS driver: builds the degree-separated distributed
-//! graph and runs (DO)BFS iterations as BSP supersteps over the simulated
-//! cluster.
+//! graph and runs (DO)BFS as BSP supersteps over the simulated cluster.
 //!
-//! Per iteration (Figs. 3–4): every GPU runs its local computation in
-//! parallel; if any GPU updated a delegate bit, the two-phase global mask
-//! reduction runs (§V-A); the `nn` updates go through the binned
-//! point-to-point exchange (§V-B); new frontiers form and the next
-//! iteration begins. Modeled Ray time is accumulated per phase with the
-//! overlap rule of `gcbfs_cluster::timing`.
+//! [`DistributedGraph::traverse`] is the paper's loop (Figs. 3–4), read
+//! top to bottom: boundary → compute → reduce → exchange → commit →
+//! verify → record. The traversal steps themselves live on the
+//! [`HostedGroup`] the proc workers also run ([`crate::superstep`]); the
+//! modeled Ray time of each step comes from [`crate::pricing`]; and three
+//! optional layers ride along, each an `Option` that runs no code when
+//! `None`: the fault layer ([`crate::chaos`]), online verification
+//! ([`VerifyState`]) and observability ([`SpanSink`]).
 
-use crate::checkpoint::Checkpoint;
-use crate::comm::{exchange_normals_with, reassign_lane_times};
+use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
+use crate::chaos::Chaos;
+use crate::comm::exchange_normals_with;
 use crate::config::BfsConfig;
-use crate::direction::{Direction, DirectionState};
 use crate::distributor::{distribute, EdgeClassCounts};
-use crate::kernels::{GpuWorker, KernelWork, LocalIterationOutput};
+use crate::kernels::GpuWorker;
 use crate::masks::DelegateMask;
-use crate::recovery::{retry_backoff, Assignment, ElasticMap, HostingPolicy};
+use crate::pricing::Pricer;
 use crate::separation::Separation;
 use crate::stats::{FaultStats, IterationRecord, RunStats};
 use crate::subgraph::{GpuSubgraphs, MemoryUsage};
+use crate::superstep::HostedGroup;
 use crate::verify::{self, VerifyState};
 use crate::UNREACHED;
-use gcbfs_cluster::collectives::{allreduce_or_compressed, mask_reduce_hops};
-use gcbfs_cluster::cost::KernelKind;
-use gcbfs_cluster::fault::{
-    FaultError, FaultInjector, FaultPlan, MessageFate, SdcEvent, SdcMode, SdcSite,
-};
-use gcbfs_cluster::membership::{Membership, MembershipEvent};
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
+use gcbfs_cluster::collectives::allreduce_or_compressed;
+use gcbfs_cluster::fault::{FaultError, FaultPlan};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::{EdgeList, VertexId};
-use gcbfs_trace::{
-    CollectiveHop, DirTag, FaultKind, KernelEvent, KernelTag, LanePhases, LaneStages, SinkMark,
-    SpanSink, StreamTag, TraceLog,
-};
+use gcbfs_trace::{SpanSink, TraceLog};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -114,43 +108,56 @@ impl From<FaultError> for RunError {
     }
 }
 
-/// Applies one depth-word SDC event to a GPU's local depth array (kernel
-/// outputs or a restored checkpoint buffer). The strike index wraps into
-/// the buffer and skips delegate-owned slots — those words are vacant by
-/// construction, so an upset there corrupts nothing the algorithm reads.
-fn strike_depths(
-    sep: &Separation,
-    topo: &Topology,
-    gpu_flat: usize,
-    depths: &mut [u32],
-    ev: &SdcEvent,
-) {
-    let n = depths.len();
-    let gpu = topo.unflat(gpu_flat);
-    let mut idx = (ev.index % n as u64) as usize;
-    for _ in 0..n {
-        if !sep.is_delegate(topo.global_id(gpu, idx as u32)) {
-            depths[idx] = match ev.mode {
-                SdcMode::Flip => depths[idx] ^ ev.bits as u32,
-                SdcMode::Stuck => ev.bits as u32,
-            };
-            return;
-        }
-        idx = (idx + 1) % n;
-    }
+/// The loop-carried state of one sim traversal: what the superstep loop
+/// advances, and what the fault layer rewinds on re-execution or rollback.
+pub(crate) struct Traversal {
+    /// All `p` GPUs' workers.
+    pub group: HostedGroup,
+    /// The superstep about to run (or running).
+    pub iter: u32,
+    /// Committed supersteps.
+    pub records: Vec<IterationRecord>,
+    /// Previous iteration's *reduced* delegate mask — the shared
+    /// reference the differential sparse-index mask codec encodes against
+    /// (both ends of the collective hold it by construction).
+    pub prev_reduced: Option<Vec<u64>>,
+    /// Online verification's settle digests; `None` when `Off`.
+    pub verify: Option<VerifyState>,
+    /// The observability sink; `None` when `Off`.
+    pub sink: Option<SpanSink>,
 }
 
-/// Device-side shadow of the mutable superstep inputs, captured before
-/// local computation when online verification is armed. Re-execution of a
-/// superstep that failed verification restores from here without touching
-/// the host checkpoint. The copy itself is modeled as free (device
-/// double-buffering of state the kernels already traverse); only a
-/// *detected* fault charges recovery time.
-struct SdcShadow {
-    workers: Vec<GpuWorker>,
-    delayed: Vec<(u32, usize, u32)>,
-    prev_reduced: Option<Vec<u64>>,
-    verify: VerifyState,
+impl Traversal {
+    /// All `p` GPUs built, `source` seeded at depth 0, and the two
+    /// config-armed layers constructed. Verification `Off` keeps no
+    /// state, runs no check and adds no modeled time; the sink only
+    /// *records* the very f64 values the pricing step computes.
+    fn start(
+        dist: &DistributedGraph,
+        source: VertexId,
+        config: &BfsConfig,
+        track_parents: bool,
+    ) -> Self {
+        let topo = dist.topology;
+        let all: Vec<usize> = (0..topo.num_gpus() as usize).collect();
+        let mut group = HostedGroup::new(dist, config, track_parents, &all)
+            .expect("0..p is in range and distinct");
+        group.seed_source(&dist.separation, source);
+        Self {
+            group,
+            iter: 0,
+            records: Vec::new(),
+            prev_reduced: None,
+            verify: config
+                .verification
+                .is_on()
+                .then(|| VerifyState::seeded(&topo, &dist.separation, source)),
+            sink: config
+                .observability
+                .is_on()
+                .then(|| SpanSink::new(topo.num_ranks(), topo.gpus_per_rank())),
+        }
+    }
 }
 
 /// A graph distributed across the simulated cluster, ready to run BFS from
@@ -265,7 +272,7 @@ impl DistributedGraph {
     /// # Errors
     /// Returns [`BuildError::SourceOutOfRange`] for an invalid source.
     pub fn run(&self, source: VertexId, config: &BfsConfig) -> Result<BfsResult, BuildError> {
-        self.run_inner(source, config, false, None).map_err(|e| match e {
+        self.traverse(source, config, false, None).map_err(|e| match e {
             RunError::Build(b) => b,
             RunError::Fault(f) => unreachable!("fault error without a fault plan: {f}"),
         })
@@ -293,7 +300,7 @@ impl DistributedGraph {
         config: &BfsConfig,
         plan: &FaultPlan,
     ) -> Result<BfsResult, RunError> {
-        self.run_inner(source, config, false, Some(plan))
+        self.traverse(source, config, false, Some(plan))
     }
 
     /// Like [`DistributedGraph::run`], additionally producing the Graph500
@@ -306,13 +313,14 @@ impl DistributedGraph {
         source: VertexId,
         config: &BfsConfig,
     ) -> Result<BfsResult, BuildError> {
-        self.run_inner(source, config, true, None).map_err(|e| match e {
+        self.traverse(source, config, true, None).map_err(|e| match e {
             RunError::Build(b) => b,
             RunError::Fault(f) => unreachable!("fault error without a fault plan: {f}"),
         })
     }
 
-    fn run_inner(
+    /// The BFS superstep loop, shared by every `run*` entry point.
+    fn traverse(
         &self,
         source: VertexId,
         config: &BfsConfig,
@@ -320,989 +328,174 @@ impl DistributedGraph {
         plan: Option<&FaultPlan>,
     ) -> Result<BfsResult, RunError> {
         if source >= self.num_vertices {
-            return Err(RunError::Build(BuildError::SourceOutOfRange {
-                source,
-                num_vertices: self.num_vertices,
-            }));
+            return Err(
+                BuildError::SourceOutOfRange { source, num_vertices: self.num_vertices }.into()
+            );
         }
         let start = Instant::now();
         let topo = self.topology;
         let cost = &config.cost;
         let d = self.separation.num_delegates();
-
-        let mut workers: Vec<GpuWorker> = topo
-            .gpus()
-            .enumerate()
-            .map(|(flat, gpu)| {
-                let mut w = GpuWorker::new(
-                    gpu,
-                    Arc::clone(&self.subgraphs[flat]),
-                    DirectionState::new(config.dd_factors, config.direction_optimization),
-                    DirectionState::new(config.dn_factors, config.direction_optimization),
-                    DirectionState::new(config.nd_factors, config.direction_optimization),
-                );
-                w.per_kernel_direction = config.per_kernel_direction;
-                w.kernel_variant = config.kernel_variant;
-                w
-            })
-            .collect();
-        if track_parents {
-            for w in &mut workers {
-                w.enable_parent_tracking();
-            }
-        }
-
-        // Seed the source.
-        if let Some(did) = self.separation.delegate_id(source) {
-            let mut seed = DelegateMask::new(d);
-            seed.set(did);
-            workers.par_iter_mut().for_each(|w| w.consume_reduced_mask(&seed, 0));
-        } else {
-            let owner = topo.vertex_owner(source);
-            let w = &mut workers[topo.flat(owner)];
-            let slot = topo.local_index(source);
-            w.depths_local[slot as usize] = 0;
-            w.frontier.push(slot);
-        }
-
-        // ---- Online verification (inert when Off: no state, no checks,
-        // no extra modeled time — `sync_bytes()` returns the same 8 bytes
-        // the termination allreduce always shipped). ----
         let vmode = config.verification;
-        let mut verify_state: Option<VerifyState> = vmode.is_on().then(|| {
-            let mut vs = VerifyState::new(topo.num_gpus() as usize);
-            if let Some(did) = self.separation.delegate_id(source) {
-                vs.fold_delegate(did, 0);
-            } else {
-                let owner = topo.flat(topo.vertex_owner(source));
-                vs.fold_local(owner, topo.local_index(source), 0);
-            }
-            vs
-        });
 
-        // ---- Observability (inert when Off: the sink only *records* the
-        // very same f64 values the timing fold below computes — it adds,
-        // removes, and reorders no modeled-time arithmetic). ----
-        let mut sink: Option<SpanSink> = config
-            .observability
-            .is_on()
-            .then(|| SpanSink::new(topo.num_ranks(), topo.gpus_per_rank()));
-        let mut sink_mark: Option<SinkMark> = None;
+        let mut t = Traversal::start(self, source, config, track_parents);
+        let pricer = Pricer::new(config, topo, d);
+        let mut chaos = plan.map(|pl| Chaos::new(self, config, pl, pricer.mask_bytes));
 
-        // ---- Resilience state (inert without a fault plan). ----
-        let recovery = config.recovery;
-        let p = topo.num_gpus() as usize;
-        let mut injector: Option<FaultInjector> = plan.map(|pl| FaultInjector::new(pl.clone()));
-        let mut fault = FaultStats::default();
-        let mut checkpoint: Option<Checkpoint> = None;
-        // Elastic membership: the phi-accrual detector interprets heartbeat
-        // arrival statistics (ground-truth silence comes from the
-        // injector), and the elastic map tracks how each confirmed-dead
-        // member's partition is re-homed (hot spare, spread, or buddy).
-        let mut membership = Membership::new(p, topo.num_spares() as usize, recovery.membership);
-        let mut elastic = ElasticMap::new(p);
-        // Static per-partition edge loads — the weights of the
-        // edge-balanced spreading plan.
-        let loads: Vec<u64> = self.subgraphs.iter().map(|sg| sg.num_edges().max(1)).collect();
-        // Delegate-mask wire size (the `d/8` of §V-A, word-rounded) — what
-        // spare absorption and rejoin pay to re-replicate visited state.
-        let mask_bytes = (d as u64).div_ceil(64) * 8;
-        // Messages delayed in flight by the injector: `(due_iter, gpu, slot)`.
-        let mut delayed: Vec<(u32, usize, u32)> = Vec::new();
-        // SDC escalation ladder: failed-verification supersteps re-execute
-        // from the device shadow up to `max_retries` times (persistent
-        // upsets refire and fail again), then roll back to the host
-        // checkpoint; a bounded number of verified rollbacks later the
-        // fault is surfaced as unrecoverable. Clean supersteps reset the
-        // re-execution rung but not the rollback rung.
-        let mut sdc_reexec_attempts: u32 = 0;
-        let mut sdc_rollbacks: u32 = 0;
-        // Verification digests as of the checkpoint, restored with it.
-        let mut cp_verify: Option<VerifyState> = None;
-
-        let mut records: Vec<IterationRecord> = Vec::new();
-        let mut iter: u32 = 0;
-        // Previous iteration's *reduced* delegate mask — the shared
-        // reference the differential sparse-index mask codec encodes
-        // against (both ends of the collective hold it by construction).
-        let mut prev_reduced: Option<Vec<u64>> = None;
         loop {
-            let frontier_len: u64 = workers.iter().map(|w| w.frontier.len() as u64).sum();
-            let new_delegates = workers[0].new_delegates.len() as u64;
-            if frontier_len == 0 && new_delegates == 0 {
+            // ---- Boundary: terminate, or let the fault layer checkpoint,
+            // read heartbeats and (on a confirmed death) rewind. ----
+            let counts = t.group.frontier_counts();
+            if counts == (0, 0) {
                 break;
             }
-
-            // ---- Checkpoint cadence (before the heartbeat, so an
-            // iteration-0 fail-stop always has a rollback target). A
-            // re-entered iteration after rollback is not re-captured. ----
-            if injector.is_some()
-                && recovery.enabled
-                && (iter == 0
-                    || (recovery.checkpoint_interval > 0
-                        && iter.is_multiple_of(recovery.checkpoint_interval)))
-                && checkpoint.as_ref().is_none_or(|c| c.iter != iter)
-            {
-                let mut cp = Checkpoint::capture(iter, &workers, records.len());
-                let cp_seconds = cp.modeled_seconds(cost);
-                fault.checkpoint_seconds += cp_seconds;
-                fault.checkpoints_taken += 1;
-                // At-rest tamper hook: flip bits in the snapshot *after*
-                // its integrity seal is taken, so a later rollback's
-                // verification catches the corruption instead of silently
-                // replaying poisoned state.
-                if let Some(inj) = injector.as_mut() {
-                    if let Some(cc) = inj.checkpoint_corruption(iter) {
-                        cp.corrupt_mask_word(cc.gpu, cc.word, cc.xor);
-                    }
-                }
-                checkpoint = Some(cp);
-                cp_verify = verify_state.clone();
-                if let Some(s) = sink.as_mut() {
-                    s.record_fault(FaultKind::Checkpoint, iter, cp_seconds);
-                    // A rollback rewinds to here: iteration events after
-                    // this mark are vacated, fault spans are kept.
-                    sink_mark = Some(s.mark());
-                }
-            }
-
-            // ---- Heartbeat + membership: one status per member at the
-            // superstep boundary (piggybacked on the termination
-            // allreduce). The injector reports ground-truth silence; the
-            // phi-accrual detector decides what it *means* — suspicion,
-            // confirmed death, or a live rejoin. ----
-            if let Some(inj) = injector.as_mut() {
-                let statuses = inj.heartbeat_arrivals(iter, p);
-                let events = membership.observe(iter, &statuses);
-                let mut confirmed: Vec<usize> = Vec::new();
-                for ev in &events {
-                    match *ev {
-                        MembershipEvent::Suspected { .. } => {
-                            // Suspicion is not failure: routing continues
-                            // unchanged; only the targeted liveness probe
-                            // (a tiny blocking collective) is charged.
-                            let probe = cost.network.allreduce_time(16, topo.num_ranks(), true);
-                            fault.recovery_seconds += probe;
-                            fault.suspicions += 1;
-                            if let Some(s) = sink.as_mut() {
-                                s.record_fault(FaultKind::Suspicion, iter, probe);
-                            }
-                        }
-                        MembershipEvent::Cleared { .. } => {}
-                        MembershipEvent::ConfirmedDead { gpu, .. } => confirmed.push(gpu),
-                        MembershipEvent::Rejoined { gpu, .. } => {
-                            // Live rejoin: the survivors' state is
-                            // authoritative, so no rollback — the member
-                            // re-syncs from the current checkpoint image
-                            // and the delegate reduction, then reclaims
-                            // its partition (releasing any spare).
-                            let resync = cost
-                                .network
-                                .p2p_time(Checkpoint::worker_bytes(&workers[gpu]), false)
-                                + cost.network.allreduce_time(mask_bytes, topo.num_ranks(), true);
-                            fault.recovery_seconds += resync;
-                            fault.rejoins += 1;
-                            if let Some(s) = sink.as_mut() {
-                                s.record_fault(FaultKind::Rejoin, iter, resync);
-                            }
-                            if elastic.is_failed(gpu) {
-                                if let Assignment::Spare(slot) =
-                                    elastic.rejoin(gpu, &loads, recovery.hosting)
-                                {
-                                    membership.release_spare(slot);
-                                }
-                            }
-                        }
-                    }
-                }
-                if !confirmed.is_empty() {
-                    if !(recovery.enabled && recovery.degraded_mode) {
-                        return Err(RunError::Fault(FaultError::GpuFailed {
-                            gpu: confirmed[0],
-                            iteration: iter,
-                        }));
-                    }
-                    // One rollback covers every death confirmed at this
-                    // boundary: charge the work wasted since the
-                    // checkpoint plus restoring every GPU from host
-                    // memory, and verify the snapshot seals before
-                    // replaying anything.
-                    let cp = checkpoint.as_ref().expect("implicit iteration-0 checkpoint");
-                    let wasted: f64 =
-                        records[cp.records_len..].iter().map(|r| r.timing.elapsed()).sum();
-                    let spent = wasted + cp.modeled_seconds(cost);
-                    fault.rollbacks += 1;
-                    records.truncate(cp.records_len);
-                    if let Err(e) = cp.restore(&mut workers) {
-                        return Err(RunError::Fault(FaultError::CheckpointCorrupt {
-                            iteration: iter,
-                            gpu: e.gpu,
-                        }));
-                    }
-                    // Restore-path SDC hook: strike the restored depth
-                    // buffers *after* the seal check passed, so online
-                    // verification (not the seal) must catch it on replay.
-                    for ev in inj.sdc_events_where(iter, SdcSite::RestoreBuffer, |ev| {
-                        ev.gpu < p && !workers[ev.gpu].depths_local.is_empty()
-                    }) {
-                        strike_depths(
-                            &self.separation,
-                            &topo,
-                            ev.gpu,
-                            &mut workers[ev.gpu].depths_local,
-                            &ev,
-                        );
-                    }
-                    verify_state = cp_verify.clone();
-                    fault.recovery_seconds += spent;
-                    if let Some(s) = sink.as_mut() {
-                        if let Some(m) = &sink_mark {
-                            s.truncate(m);
-                        }
-                        s.record_fault(FaultKind::Recovery, iter, spent);
-                    }
-                    // Re-home each confirmed-dead partition, in
-                    // preference order: a free hot spare absorbs it at
-                    // full speed; otherwise it is spread across the
-                    // survivors (or buddy-hosted under the legacy
-                    // policy). Survivability is checked against the same
-                    // predicate `plan_is_survivable` replays.
-                    for gpu in confirmed {
-                        if let Some(slot) = membership.take_spare() {
-                            elastic.fail_to_spare(gpu, slot);
-                            // The spare reloads the graph partition from
-                            // host storage, receives the checkpointed
-                            // mutable state, and re-replicates the
-                            // delegate masks via the usual collective.
-                            let absorb = self.subgraphs[gpu].memory_usage().total() as f64
-                                / cost.network.staging_bandwidth
-                                + cost
-                                    .network
-                                    .p2p_time(Checkpoint::worker_bytes(&workers[gpu]), false)
-                                + cost.network.allreduce_time(mask_bytes, topo.num_ranks(), true);
-                            fault.recovery_seconds += absorb;
-                            fault.spare_absorptions += 1;
-                            if let Some(s) = sink.as_mut() {
-                                s.record_fault(FaultKind::SpareAbsorb, iter, absorb);
-                            }
-                        } else {
-                            if !elastic.next_failure_is_survivable(gpu) {
-                                // No survivor would remain: unrecoverable.
-                                return Err(RunError::Fault(FaultError::GpuFailed {
-                                    gpu,
-                                    iteration: iter,
-                                }));
-                            }
-                            match recovery.hosting {
-                                HostingPolicy::Buddy => {
-                                    let host = elastic.fail_to_buddy(gpu, &topo);
-                                    let ship = cost.network.p2p_time(
-                                        Checkpoint::worker_bytes(&workers[gpu]),
-                                        topo.same_rank(topo.unflat(gpu), topo.unflat(host)),
-                                    );
-                                    fault.recovery_seconds += ship;
-                                    if let Some(s) = sink.as_mut() {
-                                        s.record_fault(FaultKind::Recovery, iter, ship);
-                                    }
-                                }
-                                HostingPolicy::Spread => {
-                                    elastic.fail_to_spread(gpu, &loads);
-                                    let hosts: Vec<(usize, f64)> = match elastic.assignment(gpu) {
-                                        Assignment::Hosted(h) => h.clone(),
-                                        other => {
-                                            unreachable!("fail_to_spread must host: {other:?}")
-                                        }
-                                    };
-                                    let bytes = Checkpoint::worker_bytes(&workers[gpu]);
-                                    let ship: f64 = hosts
-                                        .iter()
-                                        .map(|&(host, share)| {
-                                            cost.network.p2p_time(
-                                                (bytes as f64 * share).ceil() as u64,
-                                                topo.same_rank(topo.unflat(gpu), topo.unflat(host)),
-                                            )
-                                        })
-                                        .sum();
-                                    fault.recovery_seconds += ship;
-                                    fault.spread_hostings += 1;
-                                    if let Some(s) = sink.as_mut() {
-                                        s.record_fault(FaultKind::Spread, iter, ship);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    iter = cp.iter;
-                    // The codec reference mask is ahead of the restored
-                    // state; drop it so the next reduction encodes from
-                    // scratch (the codecs would fall back to raw anyway).
-                    prev_reduced = None;
-                    // In-flight stragglers are superseded by the restored
-                    // state (checkpoints sit at message-free boundaries).
-                    delayed.clear();
+            if let Some(c) = chaos.as_mut() {
+                if c.boundary(&mut t)? {
                     continue;
                 }
             }
-            let bw = injector.as_ref().map_or(1.0, |inj| inj.bandwidth_factor(iter));
+            let iter = t.iter;
+            let next_depth = iter + 1;
+            let bw = chaos.as_ref().map_or(1.0, |c| c.bandwidth_factor(iter));
 
-            // Device shadow for verified re-execution: captured at the
-            // last point the superstep inputs are known-clean.
-            let shadow: Option<SdcShadow> =
-                (injector.is_some() && vmode.is_on()).then(|| SdcShadow {
-                    workers: workers.clone(),
-                    delayed: delayed.clone(),
-                    prev_reduced: prev_reduced.clone(),
-                    verify: verify_state.clone().expect("verification armed"),
-                });
-
-            // ---- Local computation on every GPU, in parallel. ----
-            let mut outputs: Vec<LocalIterationOutput> =
-                workers.par_iter_mut().map(|w| w.run_iteration(iter, &topo)).collect();
-
-            // Compute-SDC hooks: strike kernel-output depth words and the
-            // freshly built next-frontier lists. The flips land *after*
-            // the kernels ran — the model's stand-in for an in-kernel
-            // upset — and fire regardless of the verification tier, which
-            // is exactly what makes `Off` silently corruptible.
-            if let Some(inj) = injector.as_mut() {
-                for ev in inj.sdc_events_where(iter, SdcSite::KernelDepth, |ev| {
-                    ev.gpu < p && !workers[ev.gpu].depths_local.is_empty()
-                }) {
-                    strike_depths(
-                        &self.separation,
-                        &topo,
-                        ev.gpu,
-                        &mut workers[ev.gpu].depths_local,
-                        &ev,
-                    );
-                }
-                for ev in inj.sdc_events_where(iter, SdcSite::FrontierDrop, |ev| {
-                    ev.gpu < p && !outputs[ev.gpu].next_frontier.is_empty()
-                }) {
-                    let list = &mut outputs[ev.gpu].next_frontier;
-                    // An earlier drop in the same batch can have emptied
-                    // this list; with nothing left to drop the upset is
-                    // masked (the earlier one already broke conservation).
-                    if list.is_empty() {
-                        continue;
-                    }
-                    list.remove((ev.index % list.len() as u64) as usize);
-                }
+            // ---- Compute: local kernels on every GPU, in parallel. ----
+            let mut outputs = t.group.compute(iter);
+            if let Some(c) = chaos.as_mut() {
+                c.strike_outputs(iter, &mut t.group.workers, &mut outputs);
+            }
+            let mut price = pricer.compute(&outputs, bw, t.sink.is_some());
+            if let Some(c) = chaos.as_mut() {
+                c.degrade_compute(&mut price.phases);
             }
 
-            // Per-GPU computation time: the two streams run concurrently.
-            // With DO on, each iteration also pays the direction-decision
-            // kernel (workload prediction); on long-tail graphs this is
-            // what makes DOBFS slightly slower than BFS (§VI-D).
-            let do_overhead = if config.direction_optimization {
-                cost.device.kernel_launch_overhead
-            } else {
-                0.0
-            };
-            // One effective device prices every computation-side charge:
-            // the scalar variant runs on a derated device (per-bit probing
-            // wastes word-level bandwidth), the word-parallel default on
-            // the base model — bit-identical to the seed.
-            let vdev = config.kernel_variant.device_model(&cost.device);
-            let mut phases: Vec<PhaseTimes> = outputs
-                .iter()
-                .map(|o| {
-                    let w = &o.work;
-                    let dev = &vdev;
-                    let normal = dev.kernel_time(KernelKind::Previsit, w.normal_previsit_vertices)
-                        + dev.kernel_time(KernelKind::DynamicVisit, w.nn_edges)
-                        + dev.kernel_time(KernelKind::DynamicVisit, w.nd_edges);
-                    let delegate = dev
-                        .kernel_time(KernelKind::Previsit, w.delegate_previsit_vertices)
-                        + dev.kernel_time(KernelKind::MergeVisit, w.dd_edges)
-                        + dev.kernel_time(KernelKind::DynamicVisit, w.dn_edges);
-                    PhaseTimes {
-                        computation: normal.max(delegate) + do_overhead,
-                        ..PhaseTimes::zero()
-                    }
-                })
-                .collect();
-
-            // Typed kernel spans for the trace: built from the same
-            // per-GPU work counters and priced with the same device model
-            // calls as the `phases` fold above, so per-stream span sums
-            // equal the driver's stream times bit-for-bit.
-            let observing = sink.is_some();
-            let mut kernel_events: Vec<Vec<KernelEvent>> = if observing {
-                outputs.iter().map(|o| o.kernel_events(&vdev)).collect()
-            } else {
-                Vec::new()
-            };
-            let mut mask_hops: Vec<CollectiveHop> = Vec::new();
-
-            // Degraded mode: hosts run their shares of dead members'
-            // partitions serially after their own, so the dead GPU's
-            // computation time moves onto its hosts share-weighted —
-            // `(p+1)/p` on the critical path under spreading, `2×` under
-            // buddy hosting. Spare-absorbed partitions run at full speed
-            // on their standby GPU and shift no time at all.
-            let hosted: Vec<(usize, Vec<(usize, f64)>)> = if elastic.any_failed() {
-                elastic.hosted_pairs().map(|(g, h)| (g, h.to_vec())).collect()
-            } else {
-                Vec::new()
-            };
-            if !hosted.is_empty() {
-                fault.degraded_iterations += 1;
-                for (dead, hosts) in &hosted {
-                    let moved = phases[*dead].computation;
-                    phases[*dead].computation = 0.0;
-                    for &(host, share) in hosts {
-                        phases[host].computation += moved * share;
-                    }
-                }
-            }
-
-            // ---- Delegate mask reduction (only when something changed). ----
-            let mask_changed = d > 0
-                && outputs
-                    .iter()
-                    .zip(&workers)
-                    .any(|(o, w)| o.output_mask.differs_from(&w.visited_mask));
-            let mut remote_delegate = 0.0;
-            let mut local_mask_time = 0.0;
-            let mut mask_remote_bytes = 0u64;
-            let mut iter_bytes_saved = 0u64;
-            let mut iter_codec_seconds = 0f64;
-            let mut iter_codec_counts = gcbfs_compress::CodecCounts::default();
-            // First violated online check this superstep (mask-reduction
-            // checks run here; settled-state checks run after frontier
-            // formation). Escalation happens once, at the superstep tail.
-            let mut sdc_check: Option<&'static str> = None;
-            if mask_changed {
+            // ---- Reduce: delegate masks, only when something changed. ----
+            // First violated online check this superstep (the reduction's
+            // checks run here, the settled-state checks after the commit).
+            let mut violation = None;
+            if t.group.mask_changed(&outputs) {
                 let words: Vec<Vec<u64>> =
                     outputs.iter().map(|o| o.output_mask.words().to_vec()).collect();
-                // Corrupted mask messages fail their checksum and the
-                // reduction is re-run (the corruption is one-shot, so the
-                // retry is clean); each discarded attempt plus its backoff
-                // is charged to recovery time.
-                let mut outcome = if let Some(inj) = injector.as_mut() {
-                    let mut attempt = 0u32;
-                    loop {
-                        let mut attempt_words = words.clone();
-                        let corrupted = inj.corrupt_mask_words(iter, &mut attempt_words);
-                        let out = allreduce_or_compressed(
-                            topo,
-                            cost,
-                            &attempt_words,
-                            config.blocking_reduce,
-                            config.compression,
-                            prev_reduced.as_deref(),
-                        );
-                        match corrupted {
-                            None => break out,
-                            Some(gpu) => {
-                                if !recovery.enabled || attempt >= recovery.max_retries {
-                                    return Err(RunError::Fault(
-                                        FaultError::MaskChecksumMismatch { iteration: iter, gpu },
-                                    ));
-                                }
-                                fault.retries += 1;
-                                let spent = out.global_time * bw
-                                    + out.local_time
-                                    + retry_backoff(recovery.retry_backoff_seconds, attempt);
-                                fault.recovery_seconds += spent;
-                                if let Some(s) = sink.as_mut() {
-                                    s.record_fault(FaultKind::Retry, iter, spent);
-                                }
-                                attempt += 1;
-                            }
-                        }
-                    }
-                } else {
-                    allreduce_or_compressed(
+                let outcome = match chaos.as_mut() {
+                    Some(c) => c.reduce(&mut t, &words, bw)?,
+                    None => allreduce_or_compressed(
                         topo,
                         cost,
                         &words,
                         config.blocking_reduce,
                         config.compression,
-                        prev_reduced.as_deref(),
-                    )
+                        t.prev_reduced.as_deref(),
+                    ),
                 };
-                // Reduction-SDC hook: strike the *combined* words after
-                // the transport checksums passed — a silent upset in the
-                // OR tree itself, invisible to the wire-level seals. Only
-                // the ABFT cross-check below can see it.
-                if let Some(inj) = injector.as_mut() {
-                    // Bits past `d` in the final word are padding the
-                    // reduction never materializes: an upset landing only
-                    // there is provably masked and does not count as fired.
-                    let tail = d as usize % 64;
-                    let last = outcome.reduced.len().saturating_sub(1);
-                    let lane_of =
-                        |idx: usize| if idx == last && tail != 0 { (1u64 << tail) - 1 } else { !0 };
-                    let reduced = &outcome.reduced;
-                    for ev in inj.sdc_events_where(iter, SdcSite::ReducedMask, |ev| {
-                        if reduced.is_empty() {
-                            return false;
-                        }
-                        let idx = (ev.index % reduced.len() as u64) as usize;
-                        match ev.mode {
-                            SdcMode::Flip => ev.bits & lane_of(idx) != 0,
-                            SdcMode::Stuck => reduced[idx] != ev.bits & lane_of(idx),
-                        }
-                    }) {
-                        let idx = (ev.index % outcome.reduced.len() as u64) as usize;
-                        outcome.reduced[idx] = match ev.mode {
-                            SdcMode::Flip => outcome.reduced[idx] ^ (ev.bits & lane_of(idx)),
-                            SdcMode::Stuck => ev.bits & lane_of(idx),
-                        };
-                    }
-                }
-                sdc_check = verify::check_mask_reduction(vmode, &words, &outcome.reduced);
-                remote_delegate += outcome.global_time * bw;
-                local_mask_time = outcome.local_time;
-                // Total volume 2·(d/8)·prank (§V-A) — per-message size is
-                // the compressed one when compression is on — zero on a
-                // single rank.
-                if topo.num_ranks() > 1 {
-                    let nranks = topo.num_ranks() as u64;
-                    mask_remote_bytes = 2 * outcome.bytes_per_message * nranks;
-                    iter_bytes_saved += 2 * outcome.bytes_saved_per_message() * nranks;
-                }
-                iter_codec_seconds += outcome.codec_seconds;
-                iter_codec_counts.merge(&outcome.codec_counts);
+                violation = verify::check_mask_reduction(vmode, &words, &outcome.reduced);
+                pricer.mask_reduction(&mut price, &outcome);
                 if config.compression.is_on() {
-                    prev_reduced = Some(outcome.reduced.clone());
-                }
-                if observing {
-                    // Ring hops of the two-phase reduction; their wire sum
-                    // is exactly `mask_remote_bytes` by construction.
-                    mask_hops = mask_reduce_hops(topo.num_ranks(), &outcome);
+                    t.prev_reduced = Some(outcome.reduced.clone());
                 }
                 let reduced = DelegateMask::from_words(d, outcome.reduced);
-                let next_depth = iter + 1;
                 // Shadow the delegate settles the consume below performs.
                 // A spurious reduction bit folds in here too — consistently
                 // with the settle — so the digest stays a check on the
                 // *settle path*, while `mask-exact` above owns the
                 // reduction itself.
-                if let Some(vs) = verify_state.as_mut() {
-                    for id in reduced.new_bits(&workers[0].visited_mask) {
+                if let Some(vs) = t.verify.as_mut() {
+                    for id in reduced.new_bits(&t.group.workers[0].visited_mask) {
                         vs.fold_delegate(id, next_depth);
                     }
                 }
-                workers.par_iter_mut().for_each(|w| w.consume_reduced_mask(&reduced, next_depth));
-                // Mask copy/OR work on the delegate stream.
-                let mask_ops = vdev.kernel_time(KernelKind::MaskOps, reduced.byte_size());
-                for ph in &mut phases {
-                    ph.computation += mask_ops;
-                }
-                if observing {
-                    for evs in &mut kernel_events {
-                        evs.push(KernelEvent {
-                            tag: KernelTag::MaskOps,
-                            dir: DirTag::NotApplicable,
-                            stream: StreamTag::Delegate,
-                            work: reduced.byte_size(),
-                            seconds: mask_ops,
-                        });
-                    }
-                }
+                t.group.consume_reduced(&reduced, next_depth);
             }
-            // Per-iteration synchronization (termination/activity flag): a
-            // tiny blocking allreduce — the "per-iteration overhead of a
-            // few µs" the WDC analysis talks about (§VI-D). Verification
-            // sums ride this same collective: 8 bytes when Off (exactly
-            // the historical width), 24 under Checksums, 40 under Full.
-            remote_delegate +=
-                cost.network.allreduce_time(vmode.sync_bytes(), topo.num_ranks(), true) * bw;
+            pricer.sync(&mut price);
 
-            // ---- Normal vertex exchange. ----
-            let sends = outputs.iter_mut().map(|o| std::mem::take(&mut o.remote_nn)).collect();
+            // ---- Exchange: the `nn` updates, point to point. ----
             let mut ex = exchange_normals_with(
                 &topo,
                 cost,
-                sends,
+                t.group.take_sends(&mut outputs),
                 config.local_all2all,
                 config.uniquify,
                 config.compression,
             );
-            iter_bytes_saved += ex.bytes_saved();
-            iter_codec_seconds += ex.codec_seconds;
-            iter_codec_counts.merge(&ex.codec_counts);
-
-            // Hosts also drive the dead members' communication lanes:
-            // their exchange time moves with the partition, share-weighted
-            // like the computation above.
-            for (dead, hosts) in &hosted {
-                reassign_lane_times(&mut ex.local_time, &mut ex.remote_time, *dead, hosts);
-                // The stage split moves with the lane it decomposes.
-                reassign_lane_times(&mut ex.encode_time, &mut ex.decode_time, *dead, hosts);
-            }
-
-            // Perturb the delivery with the injector's message fates.
-            // Drops and delays leave the per-peer ack counts short, so the
-            // whole exchange is retransmitted (resampling the fault
-            // stream); after `max_retries` failed attempts the transport
-            // escalates to the verified reliable path, which always
-            // succeeds. Duplicates are delivered — the depth update is
-            // idempotent — and delayed copies surface in a later
-            // superstep as no-ops. Each failed attempt's transfer time
-            // plus its exponential backoff is charged to recovery time.
-            let delivered: Vec<Vec<u32>> = if let Some(inj) = injector.as_mut() {
-                let worst_remote = ex.remote_time.iter().cloned().fold(0.0, f64::max) * bw;
-                let mut attempt = 0u32;
-                loop {
-                    if recovery.enabled && attempt >= recovery.max_retries {
-                        break ex.delivered.clone(); // reliable-path escalation
-                    }
-                    let mut tampered = false;
-                    let mut perturbed: Vec<Vec<u32>> = Vec::with_capacity(ex.delivered.len());
-                    for (g, list) in ex.delivered.iter().enumerate() {
-                        let mut out = Vec::with_capacity(list.len());
-                        for (i, &slot) in list.iter().enumerate() {
-                            match inj.message_fate(iter, attempt, g as u64, i as u64) {
-                                MessageFate::Deliver => out.push(slot),
-                                MessageFate::Duplicate => {
-                                    out.push(slot);
-                                    out.push(slot);
-                                }
-                                MessageFate::Drop => tampered = true,
-                                MessageFate::Delay(k) => {
-                                    tampered = true;
-                                    delayed.push((iter + k, g, slot));
-                                }
-                            }
-                        }
-                        perturbed.push(out);
-                    }
-                    if !tampered {
-                        break perturbed;
-                    }
-                    if !recovery.enabled {
-                        return Err(RunError::Fault(FaultError::ExchangeMismatch {
-                            iteration: iter,
-                            attempts: attempt + 1,
-                        }));
-                    }
-                    fault.retries += 1;
-                    let spent =
-                        worst_remote + retry_backoff(recovery.retry_backoff_seconds, attempt);
-                    fault.recovery_seconds += spent;
-                    if let Some(s) = sink.as_mut() {
-                        s.record_fault(FaultKind::Retry, iter, spent);
-                    }
-                    attempt += 1;
+            let delivered = match chaos.as_mut() {
+                Some(c) => {
+                    c.degrade_exchange(&mut ex);
+                    c.deliver(&mut t, &ex, bw)?
                 }
-            } else {
-                std::mem::take(&mut ex.delivered)
+                None => std::mem::take(&mut ex.delivered),
             };
 
-            // Form next frontiers: local discoveries + applied remote updates.
-            let next_depth = iter + 1;
-            for (g, out) in outputs.iter_mut().enumerate() {
-                let w = &mut workers[g];
-                debug_assert!(w.frontier.is_empty());
-                w.frontier = std::mem::take(&mut out.next_frontier);
-                // The reduction is done with this iteration's output mask;
-                // hand its buffer back to the worker for reuse.
-                w.recycle_output_mask(std::mem::replace(
-                    &mut out.output_mask,
-                    DelegateMask::new(0),
-                ));
-                for &slot in &delivered[g] {
-                    if let Some(s) = w.apply_remote_update(slot, next_depth) {
-                        w.frontier.push(s);
-                    }
-                }
-            }
-            // Late-arriving copies from failed attempts land now; the
-            // accepted retransmission already applied every update, so
-            // these are idempotent no-ops (kept for model fidelity).
-            if !delayed.is_empty() {
-                let mut still_pending = Vec::with_capacity(delayed.len());
-                for (due, g, slot) in delayed.drain(..) {
-                    if due <= iter {
-                        let w = &mut workers[g];
-                        if let Some(s) = w.apply_remote_update(slot, next_depth) {
-                            w.frontier.push(s);
-                        }
-                    } else {
-                        still_pending.push((due, g, slot));
-                    }
-                }
-                delayed = still_pending;
+            // ---- Commit: local discoveries + applied remote updates
+            // form the next frontiers. ----
+            t.group.commit(&mut outputs, &delivered, next_depth);
+            if let Some(c) = chaos.as_mut() {
+                c.drain_delayed(iter, &mut t.group.workers);
             }
 
-            // Shadow the normal settles: every path that settled a local
-            // vertex this superstep pushed it onto the owner's frontier
-            // exactly once (local discovery, applied remote update, or a
-            // drained delayed copy), so folding the frontier lists at
-            // `next_depth` mirrors the settled state by construction.
-            if let Some(vs) = verify_state.as_mut() {
-                for (g, w) in workers.iter().enumerate() {
-                    for &slot in &w.frontier {
-                        vs.fold_local(g, slot, next_depth);
-                    }
-                }
+            // ---- Verify: detect on the fully formed superstep (all
+            // settles and frontier lists final); a violation vacates it
+            // before it reaches the records or the trace. ----
+            if let Some(vs) = t.verify.as_mut() {
+                vs.fold_frontiers(&t.group.workers, next_depth);
+                pricer.verify_scan(&mut price, &t.group.workers);
             }
-            // The verification scan itself is charged work: one fused
-            // kernel per GPU at mask-ops bandwidth over everything the
-            // tier touches. `Off` charges nothing and emits nothing.
-            if vmode.is_on() {
-                for (g, w) in workers.iter().enumerate() {
-                    let bytes = verify::scan_bytes(
-                        vmode,
-                        mask_changed,
-                        mask_bytes,
-                        w.depths_local.len(),
-                        d,
-                        w.frontier.len(),
-                    );
-                    let scan = vdev.kernel_time(KernelKind::MaskOps, bytes);
-                    phases[g].computation += scan;
-                    if observing {
-                        kernel_events[g].push(KernelEvent {
-                            tag: KernelTag::MaskOps,
-                            dir: DirTag::NotApplicable,
-                            stream: StreamTag::Delegate,
-                            work: bytes,
-                            seconds: scan,
-                        });
-                    }
-                }
-            }
-
-            // ---- Assemble cluster-wide iteration timing and stats. ----
-            let mut cluster = PhaseTimes::zero();
-            for (g, ph) in phases.iter().enumerate() {
-                let mut p = *ph;
-                p.local_comm = ex.local_time[g] + local_mask_time;
-                p.remote_normal = ex.remote_time[g] * bw;
-                cluster = cluster.max(&p);
-            }
-            cluster.remote_delegate = remote_delegate;
-            let timing = IterationTiming {
-                phases: cluster,
-                blocking_reduce: config.blocking_reduce,
-                overlap: config.overlap,
-            };
-
-            // ---- Online verification: detect, then escalate. The checks
-            // run on the fully formed superstep (all settles and frontier
-            // lists final); a violation vacates the superstep before it is
-            // committed to the records or the trace. ----
-            if vmode.is_on() {
-                let violation = sdc_check.or_else(|| {
-                    verify::check_superstep(
-                        vmode,
-                        verify_state.as_ref().expect("verification armed"),
-                        &workers,
-                        next_depth,
-                    )
-                });
+            let timing = pricer.timing(&mut price, &ex);
+            if let Some(vs) = t.verify.as_ref() {
+                let violation = violation
+                    .or_else(|| verify::check_superstep(vmode, vs, &t.group.workers, next_depth));
                 if let Some(check) = violation {
-                    let Some(inj) = injector.as_mut() else {
-                        // Without an injector there is nothing to corrupt
-                        // state: a failed check is a driver bug, not SDC.
+                    // Without an injector there is nothing to corrupt
+                    // state: a failed check is a driver bug, not SDC.
+                    let Some(c) = chaos.as_mut() else {
                         panic!("verification check `{check}` failed at iteration {iter} with no fault injection");
                     };
-                    fault.sdc_detections += 1;
-                    if let Some(s) = sink.as_mut() {
-                        // Zero-duration marker: the scan that caught it is
-                        // already charged to computation above.
-                        s.record_fault(FaultKind::SdcDetect, iter, 0.0);
-                    }
-                    if !recovery.enabled {
-                        return Err(RunError::Fault(FaultError::SdcDetected {
-                            iteration: iter,
-                            check,
-                        }));
-                    }
-                    if sdc_reexec_attempts < recovery.max_retries {
-                        // Rung 1 — re-execute the superstep from the device
-                        // shadow: the whole aborted superstep plus a backoff
-                        // is wasted time. A transient upset will not refire;
-                        // a persistent one climbs the ladder.
-                        let spent = timing.elapsed()
-                            + retry_backoff(recovery.retry_backoff_seconds, sdc_reexec_attempts);
-                        sdc_reexec_attempts += 1;
-                        fault.sdc_reexecutions += 1;
-                        fault.recovery_seconds += spent;
-                        if let Some(s) = sink.as_mut() {
-                            s.record_fault(FaultKind::SdcReexecute, iter, spent);
-                        }
-                        let snap = shadow.expect("shadow captured when verification is armed");
-                        workers = snap.workers;
-                        delayed = snap.delayed;
-                        prev_reduced = snap.prev_reduced;
-                        verify_state = Some(snap.verify);
-                        continue;
-                    }
-                    // Rung 2 — roll back to the host checkpoint (same
-                    // recipe as a confirmed fail-stop). Bounded: a fault
-                    // that keeps striking through restored checkpoints is
-                    // not recoverable by replay.
-                    sdc_rollbacks += 1;
-                    if sdc_rollbacks > recovery.max_retries.max(1) {
-                        return Err(RunError::Fault(FaultError::SdcUnrecoverable {
-                            iteration: iter,
-                            check,
-                        }));
-                    }
-                    let cp = checkpoint.as_ref().expect("implicit iteration-0 checkpoint");
-                    let wasted: f64 =
-                        records[cp.records_len..].iter().map(|r| r.timing.elapsed()).sum::<f64>()
-                            + timing.elapsed();
-                    let spent = wasted + cp.modeled_seconds(cost);
-                    fault.rollbacks += 1;
-                    records.truncate(cp.records_len);
-                    if let Err(e) = cp.restore(&mut workers) {
-                        return Err(RunError::Fault(FaultError::CheckpointCorrupt {
-                            iteration: iter,
-                            gpu: e.gpu,
-                        }));
-                    }
-                    for ev in inj.sdc_events_where(iter, SdcSite::RestoreBuffer, |ev| {
-                        ev.gpu < p && !workers[ev.gpu].depths_local.is_empty()
-                    }) {
-                        strike_depths(
-                            &self.separation,
-                            &topo,
-                            ev.gpu,
-                            &mut workers[ev.gpu].depths_local,
-                            &ev,
-                        );
-                    }
-                    verify_state = cp_verify.clone();
-                    fault.recovery_seconds += spent;
-                    if let Some(s) = sink.as_mut() {
-                        if let Some(m) = &sink_mark {
-                            s.truncate(m);
-                        }
-                        s.record_fault(FaultKind::Recovery, iter, spent);
-                    }
-                    sdc_reexec_attempts = 0;
-                    iter = cp.iter;
-                    prev_reduced = None;
-                    delayed.clear();
+                    c.escalate(&mut t, check, timing.elapsed())?;
                     continue;
                 }
-                sdc_reexec_attempts = 0;
+                if let Some(c) = chaos.as_mut() {
+                    c.superstep_verified();
+                }
             }
 
-            if let Some(s) = sink.as_mut() {
-                // One lane per GPU, carrying the very values the fold above
-                // combined — the sink re-runs the same fold to place spans.
-                let lanes: Vec<LanePhases> = phases
-                    .iter()
-                    .enumerate()
-                    .map(|(g, ph)| LanePhases {
-                        computation: ph.computation,
-                        local_comm: ex.local_time[g] + local_mask_time,
-                        remote_normal: ex.remote_time[g] * bw,
-                    })
-                    .collect();
-                // Stage split of each lane's local_comm: the local mask
-                // work gates the wire like the encode stage does, so it
-                // rides the encode side; decode is pure codec time.
-                let stages: Vec<LaneStages> = if config.overlap {
-                    (0..phases.len())
-                        .map(|g| LaneStages {
-                            encode: ex.encode_time[g] + local_mask_time,
-                            decode: ex.decode_time[g],
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                s.record_iteration(
-                    iter,
-                    &lanes,
-                    remote_delegate,
-                    config.blocking_reduce,
-                    config.overlap,
-                    &stages,
-                    &kernel_events,
-                    &ex.messages,
-                    &mask_hops,
-                );
+            // ---- Record. ----
+            if let Some(s) = t.sink.as_mut() {
+                pricer.record_spans(&price, s, iter, &ex);
             }
-
-            let work_total = outputs.iter().fold(KernelWork::default(), |mut acc, o| {
-                acc.normal_previsit_vertices += o.work.normal_previsit_vertices;
-                acc.delegate_previsit_vertices += o.work.delegate_previsit_vertices;
-                acc.nn_edges += o.work.nn_edges;
-                acc.nd_edges += o.work.nd_edges;
-                acc.dn_edges += o.work.dn_edges;
-                acc.dd_edges += o.work.dd_edges;
-                acc.normal_launches += o.work.normal_launches;
-                acc.delegate_launches += o.work.delegate_launches;
-                acc
-            });
-            let backward_gpus = outputs.iter().fold((0u32, 0u32, 0u32), |acc, o| {
-                (
-                    acc.0 + (o.directions.dd == Direction::Backward) as u32,
-                    acc.1 + (o.directions.dn == Direction::Backward) as u32,
-                    acc.2 + (o.directions.nd == Direction::Backward) as u32,
-                )
-            });
-            records.push(IterationRecord {
-                iter,
-                frontier_len,
-                new_delegates,
-                work: work_total,
-                backward_gpus,
-                nn_updates_sent: ex.items_sent,
-                remote_bytes: ex.remote_bytes + mask_remote_bytes,
-                bytes_saved: iter_bytes_saved,
-                codec_seconds: iter_codec_seconds,
-                codec_counts: iter_codec_counts,
-                mask_reduced: mask_changed,
-                timing,
-            });
-            iter += 1;
+            t.records.push(pricer.record(price, iter, counts, &outputs, &ex, timing));
+            t.iter += 1;
         }
 
-        // ---- Assemble global depths and (if requested) parents, via the
-        // backend-agnostic assembly the proc coordinator also uses. ----
-        let views: Vec<crate::assemble::GpuStateView<'_>> =
-            workers.iter().map(crate::assemble::GpuStateView::of_worker).collect();
-        let depths =
-            crate::assemble::assemble_depths(&topo, &self.separation, self.num_vertices, &views);
-        let (parents, parent_exchange_seconds) = if track_parents {
-            let (p, log_entries) = crate::assemble::assemble_parents(
-                &topo,
-                &self.separation,
-                source,
-                self.num_vertices,
-                &views,
-                &depths,
-            );
-            // Modeled cost: 16 bytes per proposal (slot + parent + depth),
-            // aggregated per sending GPU over the inter-node fabric.
-            let bytes_per_gpu = 16 * log_entries / topo.num_gpus() as u64;
-            (Some(p), config.cost.network.p2p_time(bytes_per_gpu, false))
-        } else {
-            (None, 0.0)
-        };
-        drop(views);
-
-        // ---- Fault accounting (all zeros on fault-free runs). ----
-        if let Some(inj) = &injector {
-            let c = inj.counters();
-            fault.injected_drops = c.drops;
-            fault.injected_duplicates = c.duplicates;
-            fault.injected_delays = c.delays;
-            fault.injected_corruptions = c.corruptions;
-            fault.fail_stops = c.fail_stops;
-            fault.injected_checkpoint_corruptions = c.checkpoint_corruptions;
-            fault.injected_sdc = c.sdc_injected;
-        }
-
-        let observed = sink.map(SpanSink::finish);
+        let (depths, parents, parent_exchange_seconds) =
+            self.assemble(source, config, track_parents, &t.group.workers);
         let stats = RunStats {
-            records,
+            records: t.records,
             wall_seconds: start.elapsed().as_secs_f64(),
-            fault,
+            fault: chaos.map_or_else(FaultStats::default, Chaos::finish),
             num_gpus: topo.num_gpus(),
         };
+        let observed = t.sink.map(SpanSink::finish);
         Ok(BfsResult { source, depths, parents, parent_exchange_seconds, stats, observed })
+    }
+
+    /// Assembles global depths and (if requested) parents, via the
+    /// backend-agnostic assembly the proc coordinator also uses.
+    fn assemble(
+        &self,
+        source: VertexId,
+        config: &BfsConfig,
+        track_parents: bool,
+        workers: &[GpuWorker],
+    ) -> (Vec<u32>, Option<Vec<u64>>, f64) {
+        let topo = self.topology;
+        let views: Vec<GpuStateView<'_>> = workers.iter().map(GpuStateView::of_worker).collect();
+        let depths = assemble_depths(&topo, &self.separation, self.num_vertices, &views);
+        if !track_parents {
+            return (depths, None, 0.0);
+        }
+        let (parents, log_entries) =
+            assemble_parents(&topo, &self.separation, source, self.num_vertices, &views, &depths);
+        // Modeled cost: 16 bytes per proposal (slot + parent + depth),
+        // aggregated per sending GPU over the inter-node network.
+        let bytes_per_gpu = 16 * log_entries / topo.num_gpus() as u64;
+        (depths, Some(parents), config.cost.network.p2p_time(bytes_per_gpu, false))
     }
 }
 

@@ -15,20 +15,27 @@
 //! * §V communication: two-phase delegate mask reduction and point-to-point
 //!   normal vertex exchange with binning / local-all2all / uniquify →
 //!   [`comm`] (collectives live in `gcbfs-cluster`);
-//! * §VI the driver tying it together, per-iteration statistics, and the
-//!   Graph500 TEPS reporting → [`driver`], [`stats`];
+//! * §IV–V the BSP superstep loop (boundary → compute → reduce → exchange
+//!   → commit → verify → record) → [`driver`], over the traversal steps
+//!   both backends run on the GPUs they host → [`superstep`]; modeled Ray
+//!   time per step → `pricing` (sim only); §VI per-iteration statistics
+//!   and Graph500 TEPS reporting → [`stats`];
 //! * delegate visited bitmasks → [`masks`]; sliding previsit queues →
 //!   [`frontier`]; run options → [`config`];
 //! * resilience: checkpoint/restart → [`checkpoint`], retry and
-//!   degraded-mode policy → [`recovery`] (fault injection itself lives in
+//!   degraded-mode policy → [`recovery`], and the loop's optional fault
+//!   layer that drives both → `chaos` (fault injection itself lives in
 //!   `gcbfs_cluster::fault`);
 //! * correctness armor: tiered online superstep verification and the
-//!   distributed Graph500-style end-of-run validator → [`verify`].
+//!   distributed Graph500-style end-of-run validator → [`verify`];
+//! * the backend seam and the real multi-process runtime → [`backend`],
+//!   [`procrt`].
 
 pub mod assemble;
 pub mod async_bfs;
 pub mod backend;
 pub mod betweenness;
+mod chaos;
 pub mod checkpoint;
 pub mod comm;
 pub mod components;
@@ -43,12 +50,14 @@ pub mod masks;
 pub mod msbfs;
 pub mod mutation;
 pub mod pagerank;
+mod pricing;
 pub mod procrt;
 pub mod recovery;
 pub mod separation;
 pub mod sssp;
 pub mod stats;
 pub mod subgraph;
+pub mod superstep;
 pub mod trace;
 pub mod verify;
 

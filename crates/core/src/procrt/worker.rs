@@ -14,15 +14,13 @@ use super::protocol::{
     PROTO_VERSION,
 };
 use super::transport::{connect_with_backoff, recv_frame, SharedWriter, TransportError};
-use crate::comm::{message_path, prepare_sends, MessagePath};
-use crate::direction::DirectionState;
+use crate::config::BfsConfig;
 use crate::driver::DistributedGraph;
-use crate::kernels::{GpuWorker, LocalIterationOutput};
+use crate::kernels::LocalIterationOutput;
 use crate::masks::DelegateMask;
+use crate::superstep::{Block, HostedGroup};
 use gcbfs_cluster::fault::JitteredBackoff;
 use gcbfs_cluster::topology::Topology;
-use gcbfs_compress::CompressionMode;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,21 +62,18 @@ impl From<ProtocolError> for WorkerError {
 }
 
 struct WorkerState {
-    topo: Topology,
-    config_wire: ConfigWire,
-    compression: CompressionMode,
+    config: BfsConfig,
+    track_parents: bool,
     dist: DistributedGraph,
-    /// Hosted flat GPUs, ascending.
-    flats: Vec<usize>,
-    workers: HashMap<usize, GpuWorker>,
+    /// The hosted GPUs and the traversal steps the sim driver also runs.
+    group: HostedGroup,
     /// Outputs of the superstep currently between `StepGo` and
-    /// `StepRemote`, keyed by flat GPU; `None` outside that window (the
-    /// duplicate-frame guard: a second `StepRemote` finds nothing to do).
-    outputs: Option<(u32, HashMap<usize, LocalIterationOutput>)>,
-    /// Blocks produced locally whose destination this worker hosts,
-    /// keyed `(src_flat, dst_flat)`. Compressed-path blocks are already
-    /// sorted (the value a real decode would yield).
-    local_blocks: HashMap<(usize, usize), Vec<u32>>,
+    /// `StepRemote`, parallel to the hosted flats; `None` outside that
+    /// window (the duplicate-frame guard: a second `StepRemote` finds
+    /// nothing to do).
+    outputs: Option<(u32, Vec<LocalIterationOutput>)>,
+    /// Blocks produced locally whose destination this worker hosts.
+    local_blocks: Vec<Block>,
     /// Local checkpoint history, newest last, pruned to the two most
     /// recent iterations. Two matter: the coordinator only *commits* a
     /// checkpoint once every worker's save arrived, so a rollback may
@@ -88,43 +83,24 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn fresh_worker(&self, flat: usize) -> GpuWorker {
-        let c = self.config_wire.to_config();
-        let mut w = GpuWorker::new(
-            self.topo.unflat(flat),
-            Arc::clone(&self.dist.subgraphs[flat]),
-            DirectionState::new(c.dd_factors, c.direction_optimization),
-            DirectionState::new(c.dn_factors, c.direction_optimization),
-            DirectionState::new(c.nd_factors, c.direction_optimization),
-        );
-        w.per_kernel_direction = c.per_kernel_direction;
-        w.kernel_variant = c.kernel_variant;
-        if self.config_wire.track_parents {
-            w.enable_parent_tracking();
-        }
-        w
-    }
-
-    fn frontier_total(&self) -> u64 {
-        self.flats.iter().map(|f| self.workers[f].frontier.len() as u64).sum()
-    }
-
-    fn new_delegates_len(&self) -> u64 {
-        // Replicated across GPUs after every consume; any hosted copy is
-        // canonical.
-        self.flats.first().map_or(0, |f| self.workers[f].new_delegates.len() as u64)
-    }
-
     fn stats_body(&self, iter: u32) -> Vec<u8> {
+        let (frontier, new_delegates) = self.group.frontier_counts();
         let mut w = WireWriter::new();
         w.u32(iter);
-        w.u64(self.frontier_total());
-        w.u64(self.new_delegates_len());
+        w.u64(frontier);
+        w.u64(new_delegates);
         w.finish()
     }
 
     fn capture_images(&self) -> Vec<GpuStateImage> {
-        self.flats.iter().map(|&f| GpuStateImage::capture(f as u32, &self.workers[&f])).collect()
+        let hosted = self.group.flats().iter().zip(&self.group.workers);
+        hosted.map(|(&f, w)| GpuStateImage::capture(f as u32, w)).collect()
+    }
+
+    /// Vacates any superstep in flight (rollback or adoption raced it).
+    fn vacate_superstep(&mut self) {
+        self.outputs = None;
+        self.local_blocks.clear();
     }
 }
 
@@ -214,46 +190,21 @@ fn worker_body(
     let config = config_wire.to_config();
     let dist = DistributedGraph::build(&graph, topo, &config)
         .map_err(|e| WorkerError::Graph(e.to_string()))?;
-    let p = topo.num_gpus() as usize;
-    if hosted.iter().any(|&f| f >= p) {
-        return Err(ProtocolError::new("hosted flat gpu out of range").into());
-    }
-
+    // Build and seed exactly as the sim driver does; the group constructor
+    // rejects out-of-range and repeated hosted flats.
+    let track_parents = config_wire.track_parents;
+    let mut group = HostedGroup::new(&dist, &config, track_parents, &hosted)?;
+    group.seed_source(&dist.separation, source);
     let mut st = WorkerState {
-        topo,
-        compression: config.compression,
-        config_wire,
+        config,
+        track_parents,
         dist,
-        flats: hosted,
-        workers: HashMap::new(),
+        group,
         outputs: None,
-        local_blocks: HashMap::new(),
+        local_blocks: Vec::new(),
         checkpoints: Vec::new(),
         duplicates_ignored: 0,
     };
-    for &f in &st.flats.clone() {
-        let w = st.fresh_worker(f);
-        st.workers.insert(f, w);
-    }
-
-    // Seed the source exactly as the sim driver does: a delegate source
-    // folds into every hosted GPU's mask; a normal source seeds only its
-    // owner (if hosted here).
-    let d = st.dist.separation.num_delegates();
-    if let Some(did) = st.dist.separation.delegate_id(source) {
-        let mut seed = DelegateMask::new(d);
-        seed.set(did);
-        for f in st.flats.clone() {
-            st.workers.get_mut(&f).unwrap().consume_reduced_mask(&seed, 0);
-        }
-    } else {
-        let owner = topo.flat(topo.vertex_owner(source));
-        if let Some(w) = st.workers.get_mut(&owner) {
-            let slot = topo.local_index(source);
-            w.depths_local[slot as usize] = 0;
-            w.frontier.push(slot);
-        }
-    }
 
     writer.send(kind::READY, st.stats_body(0))?;
 
@@ -334,92 +285,36 @@ fn step_go(
     // Stale state from an aborted superstep (rollback raced a StepGo) is
     // superseded wholesale.
     st.local_blocks.clear();
-    let topo = st.topo;
-    let mut outputs: HashMap<usize, LocalIterationOutput> = HashMap::new();
-    for &f in &st.flats {
-        let out = st.workers.get_mut(&f).unwrap().run_iteration(iter, &topo);
-        outputs.insert(f, out);
-    }
+    let mut outputs = st.group.compute(iter);
 
-    // Delegate-mask contribution: OR over hosted output masks, sent only
-    // when some hosted GPU actually set a new bit (every output mask is
-    // a superset of the shared visited mask, so changed contributions
-    // alone reconstruct the exact global OR).
-    let d = st.dist.separation.num_delegates();
-    let changed = d > 0
-        && st
-            .flats
-            .iter()
-            .any(|f| outputs[f].output_mask.differs_from(&st.workers[f].visited_mask));
-    let mut or_words: Vec<u64> = Vec::new();
-    if changed {
-        or_words = vec![0u64; (d as usize).div_ceil(64)];
-        for f in &st.flats {
-            for (wi, word) in outputs[f].output_mask.words().iter().enumerate() {
-                or_words[wi] |= word;
-            }
-        }
-    }
+    // Delegate-mask contribution: sent only when some hosted GPU actually
+    // set a new bit.
+    let changed = st.group.mask_changed(&outputs);
+    let or_words = if changed { st.group.mask_or(&outputs) } else { Vec::new() };
 
-    // Shared value pipeline: exactly the sim's bin → regroup → uniquify,
-    // with empty lists for foreign GPUs (regrouping never crosses ranks,
-    // and this worker hosts whole ranks).
-    let p = topo.num_gpus() as usize;
-    let mut sends: Vec<Vec<_>> = vec![Vec::new(); p];
-    for &f in &st.flats {
-        sends[f] = std::mem::take(&mut outputs.get_mut(&f).unwrap().remote_nn);
-    }
-    let cfg = &st.config_wire;
-    let prep = prepare_sends(&topo, sends, cfg.local_all2all, cfg.uniquify);
-
-    // Classify each (src, dst) block with the shared routing decision.
-    // Local destinations are applied in-process (compressed-path blocks
-    // sorted — the value a decode of the sorted encoding yields); remote
-    // ones become wire blocks, encoded per the compression mode.
-    let on = st.compression.is_on();
+    // Blocks for hosted destinations are applied in-process at
+    // `StepRemote`; the rest become wire blocks, encoded per the
+    // compression mode.
     let mut out_blocks: Vec<WireBlock> = Vec::new();
-    let mut by_dest: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-    for (g, mut list) in prep.held.into_iter().enumerate() {
-        for (dest, slot) in list.drain(..) {
-            by_dest[topo.flat(dest)].push(slot);
-        }
-        for (dflat, slots) in by_dest.iter_mut().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let hosted_here = st.workers.contains_key(&dflat);
-            match message_path(&topo, g, dflat, on) {
-                MessagePath::SameGpu | MessagePath::Raw { .. } => {
-                    if hosted_here {
-                        st.local_blocks.insert((g, dflat), std::mem::take(slots));
-                    } else {
-                        out_blocks.push(WireBlock::raw(g as u32, dflat as u32, slots));
-                        slots.clear();
-                    }
-                }
-                MessagePath::Compressed => {
-                    slots.sort_unstable();
-                    if hosted_here {
-                        st.local_blocks.insert((g, dflat), std::mem::take(slots));
-                    } else {
-                        let codec = st
-                            .compression
-                            .frontier_codec(slots)
-                            .expect("compressing mode must pick a codec");
-                        let mut payload = Vec::new();
-                        codec
-                            .encode_into(slots, &mut payload)
-                            .expect("sorted input cannot be rejected");
-                        out_blocks.push(WireBlock {
-                            src: g as u32,
-                            dst: dflat as u32,
-                            encoded: true,
-                            payload,
-                        });
-                        slots.clear();
-                    }
-                }
-            }
+    for b in st.group.outgoing_blocks(&mut outputs, &st.config) {
+        if st.group.hosts(b.dst) {
+            st.local_blocks.push(b);
+        } else if b.compressed {
+            let codec = st
+                .config
+                .compression
+                .frontier_codec(&b.slots)
+                .expect("compressing mode must pick a codec");
+            let mut payload = Vec::new();
+            codec.encode_into(&b.slots, &mut payload).expect("sorted input cannot be rejected");
+            out_blocks.push(WireBlock {
+                src: b.src as u32,
+                dst: b.dst as u32,
+                encoded: true,
+                payload,
+            });
+        } else {
+            out_blocks.push(WireBlock::raw(b.src as u32, b.dst as u32, &b.slots));
         }
     }
 
@@ -459,57 +354,32 @@ fn step_remote(
     let mask_changed = r.u8()? != 0;
     let mask_payload = r.bytes()?.to_vec();
     let nblocks = r.u32()? as usize;
-    let mut remote_blocks: HashMap<(usize, usize), WireBlock> = HashMap::new();
+    let mut blocks = std::mem::take(&mut st.local_blocks);
     for _ in 0..nblocks {
         let b = WireBlock::decode(r)?;
-        remote_blocks.insert((b.src as usize, b.dst as usize), b);
+        blocks.push(Block {
+            src: b.src as usize,
+            dst: b.dst as usize,
+            slots: b.slots()?,
+            compressed: b.encoded,
+        });
     }
     r.expect_end()?;
 
     let next_depth = iter + 1;
-    let d = st.dist.separation.num_delegates();
     if mask_changed {
         // The shared visited mask *is* the codec's reference: every GPU
         // copied the previous reduced mask on its last consume, which is
         // exactly what the coordinator encoded against.
-        let prev: Option<Vec<u64>> =
-            st.flats.first().map(|f| st.workers[f].visited_mask.words().to_vec());
+        let prev: Option<&[u64]> = st.group.workers.first().map(|w| w.visited_mask.words());
         let mut words = Vec::new();
-        gcbfs_compress::decode_mask_into(&mask_payload, prev.as_deref(), &mut words)
+        gcbfs_compress::decode_mask_into(&mask_payload, prev, &mut words)
             .map_err(|e| ProtocolError::new(format!("mask decode failed: {e:?}")))?;
-        let reduced = DelegateMask::from_words(d, words);
-        for f in st.flats.clone() {
-            st.workers.get_mut(&f).unwrap().consume_reduced_mask(&reduced, next_depth);
-        }
+        let reduced = DelegateMask::from_words(st.dist.separation.num_delegates(), words);
+        st.group.consume_reduced(&reduced, next_depth);
     }
-
-    // Deliveries per hosted destination, ascending flat source order —
-    // the exact append order of the sim's exchange loop.
-    let p = st.topo.num_gpus() as usize;
-    for &dst in &st.flats.clone() {
-        let mut delivered: Vec<u32> = Vec::new();
-        for src in 0..p {
-            if let Some(slots) = st.local_blocks.remove(&(src, dst)) {
-                delivered.extend_from_slice(&slots);
-            } else if let Some(b) = remote_blocks.remove(&(src, dst)) {
-                delivered.extend_from_slice(&b.slots()?);
-            }
-        }
-        let out = outputs.get_mut(&dst).expect("output for every hosted gpu");
-        let w = st.workers.get_mut(&dst).unwrap();
-        debug_assert!(w.frontier.is_empty());
-        w.frontier = std::mem::take(&mut out.next_frontier);
-        w.recycle_output_mask(std::mem::replace(&mut out.output_mask, DelegateMask::new(0)));
-        for slot in delivered {
-            if let Some(s) = w.apply_remote_update(slot, next_depth) {
-                w.frontier.push(s);
-            }
-        }
-    }
-    if !remote_blocks.is_empty() {
-        return Err(ProtocolError::new("received block for a gpu this worker does not host").into());
-    }
-    st.local_blocks.clear();
+    let delivered = st.group.deliveries(blocks)?;
+    st.group.commit(&mut outputs, &delivered, next_depth);
 
     writer.send(kind::STEP_DONE, st.stats_body(iter))?;
     Ok(())
@@ -532,13 +402,11 @@ fn rollback(
         .into());
     };
     for img in &images {
-        let f = img.gpu_flat as usize;
-        if let Some(w) = st.workers.get_mut(&f) {
+        if let Some(w) = st.group.worker_mut(img.gpu_flat as usize) {
             img.install(w);
         }
     }
-    st.outputs = None;
-    st.local_blocks.clear();
+    st.vacate_superstep();
     writer.send(kind::ROLLBACK_OK, st.stats_body(iter))?;
     Ok(())
 }
@@ -559,17 +427,8 @@ fn adopt(
     }
     r.expect_end()?;
     for img in &images {
-        let f = img.gpu_flat as usize;
-        if f >= st.topo.num_gpus() as usize {
-            return Err(ProtocolError::new("adopt image for out-of-range gpu").into());
-        }
-        if !st.workers.contains_key(&f) {
-            let w = st.fresh_worker(f);
-            st.workers.insert(f, w);
-            st.flats.push(f);
-            st.flats.sort_unstable();
-        }
-        img.install(st.workers.get_mut(&f).unwrap());
+        let flat = img.gpu_flat as usize;
+        img.install(st.group.host(&st.dist, &st.config, st.track_parents, flat)?);
     }
     // Fold the adopted images into the local checkpoint history so a
     // *second* rollback to the same iteration also covers them.
@@ -585,8 +444,7 @@ fn adopt(
             }
         }
     }
-    st.outputs = None;
-    st.local_blocks.clear();
+    st.vacate_superstep();
     writer.send(kind::ADOPT_OK, st.stats_body(iter))?;
     Ok(())
 }

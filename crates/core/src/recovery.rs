@@ -138,113 +138,6 @@ pub fn retry_backoff(base_seconds: f64, attempt: u32) -> f64 {
     base_seconds * 2f64.powi(attempt.min(16) as i32)
 }
 
-/// Which survivor hosts each failed GPU's partition under
-/// [`HostingPolicy::Buddy`].
-///
-/// The map is deterministic: a failed GPU is hosted by the next surviving
-/// GPU of its own rank (its partition is NVLink-reachable from there), or
-/// the next surviving GPU in flat order when the whole rank is gone.
-///
-/// Liveness is tracked in an explicit alive-set, never encoded through
-/// `host_of` — a concurrent (or panic-interrupted) reader can never
-/// observe a GPU "hosted by itself while failed".
-#[derive(Clone, Debug, Default)]
-pub struct DegradedMap {
-    /// `alive[flat]` — the ground truth the survivor scan runs against.
-    alive: Vec<bool>,
-    /// `host_of[flat]` = the survivor hosting this GPU's partition, or
-    /// `None` while the GPU is alive.
-    host_of: Vec<Option<usize>>,
-}
-
-impl DegradedMap {
-    /// An all-alive map over `num_gpus` GPUs.
-    pub fn new(num_gpus: usize) -> Self {
-        Self { alive: vec![true; num_gpus], host_of: vec![None; num_gpus] }
-    }
-
-    /// Marks `gpu` failed and assigns its host. Returns the host's flat
-    /// index.
-    ///
-    /// # Panics
-    /// Panics if no GPU survives (an unrecoverable failure; callers should
-    /// check [`gcbfs_cluster::fault::failure_is_survivable`] /
-    /// [`gcbfs_cluster::fault::plan_is_survivable`] first — the driver
-    /// does, against the same predicate used here).
-    pub fn fail(&mut self, gpu: usize, topology: &Topology) -> usize {
-        let p = self.alive.len();
-        assert!(gpu < p, "failed GPU out of range");
-        assert!(self.alive[gpu], "GPU {gpu} already failed");
-        self.alive[gpu] = false;
-        assert!(
-            failure_is_survivable(&self.alive),
-            "at least one GPU must survive the failure of {gpu}"
-        );
-        let rank_of = |g: usize| topology.unflat(g).rank;
-        // Prefer a survivor in the same rank, scanning from the failed
-        // GPU's slot for determinism.
-        let same_rank =
-            (1..p).map(|d| (gpu + d) % p).find(|&g| self.alive[g] && rank_of(g) == rank_of(gpu));
-        let host = same_rank
-            .or_else(|| (1..p).map(|d| (gpu + d) % p).find(|&g| self.alive[g]))
-            .expect("survivability was checked above");
-        self.host_of[gpu] = Some(host);
-        // Re-home any partition previously hosted by the newly failed GPU.
-        for g in 0..p {
-            if g != gpu && self.host_of[g] == Some(gpu) {
-                self.host_of[g] = Some(host);
-            }
-        }
-        host
-    }
-
-    /// Marks a rejoined `gpu` alive again, reclaiming its partition.
-    pub fn rejoin(&mut self, gpu: usize) {
-        self.alive[gpu] = true;
-        self.host_of[gpu] = None;
-    }
-
-    /// True if `gpu` has failed.
-    pub fn is_failed(&self, gpu: usize) -> bool {
-        !self.alive[gpu]
-    }
-
-    /// Per-GPU alive flags.
-    pub fn alive(&self) -> &[bool] {
-        &self.alive
-    }
-
-    /// The survivor hosting `gpu`'s partition (itself while alive).
-    ///
-    /// # Panics
-    /// Panics if `gpu` is failed but has no host — a state only reachable
-    /// when a prior [`DegradedMap::fail`] panicked on an unsurvivable
-    /// loss. The old encoding answered `gpu` here (the provisional
-    /// self-host hack); lying about a dead GPU's host is now impossible.
-    pub fn host(&self, gpu: usize) -> usize {
-        if self.alive[gpu] {
-            gpu
-        } else {
-            self.host_of[gpu].expect("failed GPU without an assigned host")
-        }
-    }
-
-    /// True if any GPU has failed.
-    pub fn any_failed(&self) -> bool {
-        self.alive.iter().any(|&a| !a)
-    }
-
-    /// Number of failed GPUs.
-    pub fn failed_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| !a).count()
-    }
-
-    /// `(failed, host)` pairs, in flat order.
-    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.host_of.iter().enumerate().filter_map(|(g, h)| h.map(|host| (g, host)))
-    }
-}
-
 /// How one member's partition is currently hosted.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Assignment {
@@ -259,8 +152,7 @@ pub enum Assignment {
 }
 
 /// The elastic ownership map: which compute unit runs each partition and
-/// at what share. Replaces the one-shot [`DegradedMap`] path in the
-/// driver.
+/// at what share.
 #[derive(Clone, Debug)]
 pub struct ElasticMap {
     alive: Vec<bool>,
@@ -316,9 +208,11 @@ impl ElasticMap {
         self.assignment[gpu] = Assignment::Spare(slot);
     }
 
-    /// Marks `gpu` dead, hosted by a single same-rank-preferred buddy
-    /// ([`HostingPolicy::Buddy`]); re-homes partitions the dead member
-    /// was hosting.
+    /// Marks `gpu` dead, hosted by a single buddy
+    /// ([`HostingPolicy::Buddy`]): the next surviving GPU of its own rank
+    /// scanning from the dead slot (its partition is NVLink-reachable from
+    /// there), or the next survivor in flat order when the whole rank is
+    /// gone. Re-homes partitions the dead member was hosting.
     ///
     /// # Panics
     /// Panics if no member survives.
@@ -492,77 +386,68 @@ mod tests {
         assert!(retry_backoff(b, 1000).is_finite());
     }
 
-    #[test]
-    fn buddy_is_same_rank_when_possible() {
-        let topo = Topology::new(2, 2); // flats: 0,1 = rank 0; 2,3 = rank 1
-        let mut map = DegradedMap::new(4);
-        assert!(!map.any_failed());
-        let host = map.fail(2, &topo);
-        assert_eq!(host, 3, "buddy in the same rank");
-        assert!(map.is_failed(2));
-        assert_eq!(map.host(2), 3);
-        assert_eq!(map.host(0), 0, "survivors host themselves");
-        assert_eq!(map.failed_count(), 1);
-        assert_eq!(map.pairs().collect::<Vec<_>>(), vec![(2, 3)]);
-        assert_eq!(map.alive(), &[true, true, false, true]);
+    fn buddy_hosts(map: &ElasticMap) -> Vec<(usize, usize)> {
+        map.hosted_pairs()
+            .map(|(dead, hosts)| {
+                assert_eq!(hosts.len(), 1, "buddy hosting is one host at share 1");
+                assert_eq!(hosts[0].1, 1.0);
+                (dead, hosts[0].0)
+            })
+            .collect()
     }
 
     #[test]
-    fn falls_back_across_ranks_and_rehomes() {
+    fn buddy_is_same_rank_scanning_from_the_dead_slot() {
+        let topo = Topology::new(2, 2); // flats: 0,1 = rank 0; 2,3 = rank 1
+        let mut map = ElasticMap::new(4);
+        assert!(!map.any_failed());
+        assert_eq!(map.fail_to_buddy(2, &topo), 3, "buddy in the same rank");
+        assert!(map.is_failed(2));
+        assert_eq!(map.assignment(0), &Assignment::SelfHosted, "survivors host themselves");
+        assert_eq!(map.failed_count(), 1);
+        assert_eq!(buddy_hosts(&map), vec![(2, 3)]);
+        assert_eq!(map.alive(), &[true, true, false, true]);
+        // The scan starts after the dead slot and wraps: in one rank of
+        // four, GPU 1's buddy is 2 (not 0), and GPU 3's is 0.
+        let wide = Topology::new(1, 4);
+        let mut map = ElasticMap::new(4);
+        assert_eq!(map.fail_to_buddy(1, &wide), 2);
+        assert_eq!(map.fail_to_buddy(3, &wide), 0);
+        assert_eq!(buddy_hosts(&map), vec![(1, 2), (3, 0)]);
+    }
+
+    #[test]
+    fn buddy_falls_back_across_ranks_and_rehomes() {
         let topo = Topology::new(2, 2);
-        let mut map = DegradedMap::new(4);
-        assert_eq!(map.fail(2, &topo), 3);
+        let mut map = ElasticMap::new(4);
+        assert_eq!(map.fail_to_buddy(2, &topo), 3);
         // Now rank 1's other GPU dies too: its host must come from rank 0,
         // and GPU 2's partition must move off the dead host.
-        let host = map.fail(3, &topo);
-        assert_eq!(host, 0);
-        assert_eq!(map.host(2), 0, "re-homed off the dead buddy");
+        assert_eq!(map.fail_to_buddy(3, &topo), 0);
+        assert_eq!(buddy_hosts(&map), vec![(2, 0), (3, 0)], "re-homed off the dead buddy");
         assert_eq!(map.failed_count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "survive")]
-    fn total_loss_is_unrecoverable() {
+    fn buddy_total_loss_is_unrecoverable() {
         let topo = Topology::new(1, 2);
-        let mut map = DegradedMap::new(2);
-        map.fail(0, &topo);
-        map.fail(1, &topo);
+        let mut map = ElasticMap::new(2);
+        map.fail_to_buddy(0, &topo);
+        map.fail_to_buddy(1, &topo);
     }
 
     #[test]
-    fn failed_gpu_is_never_self_hosted_mid_fail() {
-        // The old implementation wrote `host_of[gpu] = Some(gpu)` as a
-        // provisional marker before the survivor scan, so a panic inside
-        // `fail` (or a concurrent `host()` read) could observe a GPU
-        // "hosted by itself while failed". The alive-set encoding makes
-        // that state unrepresentable: verify the unsurvivable panic leaves
-        // no self-hosting behind.
-        let topo = Topology::new(1, 2);
-        let map = std::sync::Mutex::new(DegradedMap::new(2));
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut m = map.lock().unwrap();
-            m.fail(0, &topo);
-            m.fail(1, &topo); // panics: no survivor
-        }));
-        let m = match map.lock() {
-            Ok(m) => m,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        assert!(m.is_failed(1), "liveness was recorded before the panic");
-        assert!(m.pairs().all(|(g, h)| g != h), "no self-hosting pair is representable");
-        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.host(1)));
-        assert!(read.is_err(), "a failed GPU must never read as self-hosted");
-    }
-
-    #[test]
-    fn degraded_map_rejoin_reclaims_partition() {
+    fn buddy_rejoin_reclaims_partition() {
         let topo = Topology::new(2, 2);
-        let mut map = DegradedMap::new(4);
-        map.fail(2, &topo);
-        map.rejoin(2);
+        let mut map = ElasticMap::new(4);
+        map.fail_to_buddy(2, &topo);
+        let old = map.rejoin(2, &[100; 4], HostingPolicy::Buddy);
+        assert_eq!(old, Assignment::Hosted(vec![(3, 1.0)]));
         assert!(!map.is_failed(2));
-        assert_eq!(map.host(2), 2);
+        assert_eq!(map.assignment(2), &Assignment::SelfHosted);
         assert!(!map.any_failed());
+        assert_eq!(buddy_hosts(&map), vec![]);
     }
 
     #[test]
@@ -638,18 +523,6 @@ mod tests {
         assert_eq!(map.failed_count(), 1);
         // Survivability delegation.
         assert!(map.next_failure_is_survivable(0));
-    }
-
-    #[test]
-    fn elastic_buddy_matches_degraded_map() {
-        let topo = Topology::new(2, 2);
-        let mut elastic = ElasticMap::new(4);
-        let mut legacy = DegradedMap::new(4);
-        assert_eq!(elastic.fail_to_buddy(2, &topo), legacy.fail(2, &topo));
-        assert_eq!(elastic.fail_to_buddy(3, &topo), legacy.fail(3, &topo));
-        for (dead, hosts) in elastic.hosted_pairs() {
-            assert_eq!(hosts, &[(legacy.host(dead), 1.0)], "gpu {dead}");
-        }
     }
 
     #[test]

@@ -1,0 +1,334 @@
+//! The BFS superstep's traversal steps over a *hosted subset* of GPUs —
+//! the only copy of them.
+//!
+//! The paper's loop (§IV–V) is: per-GPU visit kernels → delegate-mask
+//! OR-reduce → `nn` exchange → commit into the next frontiers. Everything
+//! in it that touches a [`GpuWorker`] lives here, on a [`HostedGroup`]:
+//! the sim driver ([`crate::driver`]) instantiates one group over all `p`
+//! GPUs and prices the collectives with the cost model; each proc worker
+//! ([`crate::procrt::worker`]) instantiates one over the flats it hosts
+//! and moves the same values over sockets. What differs between the two
+//! is only who carries the reduced mask and the `nn` blocks.
+
+use crate::comm::{message_path, prepare_sends, MessagePath};
+use crate::config::BfsConfig;
+use crate::direction::DirectionState;
+use crate::driver::DistributedGraph;
+use crate::kernels::{GpuWorker, LocalIterationOutput};
+use crate::masks::DelegateMask;
+use crate::procrt::protocol::ProtocolError;
+use crate::separation::Separation;
+use gcbfs_cluster::topology::{GpuId, Topology};
+use gcbfs_graph::VertexId;
+use rayon::prelude::*;
+use std::sync::Arc;
+
+/// One `(source, destination)` batch of `nn` updates on its way between
+/// GPUs, after the shared bin → regroup → uniquify pipeline.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Block {
+    /// Flat index of the sending GPU.
+    pub src: usize,
+    /// Flat index of the receiving GPU.
+    pub dst: usize,
+    /// Destination-local slots. Sorted when `compressed` — the value a
+    /// decode of the sorted encoding yields, so delivery order matches
+    /// the modeled exchange whether or not the block crosses a socket.
+    pub slots: Vec<u32>,
+    /// True when [`message_path`] routes the pair through a frontier codec.
+    pub compressed: bool,
+}
+
+/// The GPUs one process hosts, with the traversal steps over them.
+#[derive(Clone, Debug)]
+pub struct HostedGroup {
+    topo: Topology,
+    num_delegates: u32,
+    /// Hosted flat GPU indices, ascending; `workers[i]` is GPU `flats[i]`.
+    flats: Vec<usize>,
+    /// Per-GPU BFS state, parallel to the hosted flats. A group over all
+    /// `p` GPUs is indexed by flat directly.
+    pub workers: Vec<GpuWorker>,
+}
+
+impl HostedGroup {
+    /// Builds fresh workers for `flats`.
+    ///
+    /// # Errors
+    /// A flat outside the grid or listed twice (a repeated flat would run
+    /// that GPU's kernels twice per superstep and drop one output).
+    pub fn new(
+        dist: &DistributedGraph,
+        config: &BfsConfig,
+        track_parents: bool,
+        flats: &[usize],
+    ) -> Result<Self, ProtocolError> {
+        let mut group = Self {
+            topo: dist.topology,
+            num_delegates: dist.separation.num_delegates(),
+            flats: Vec::with_capacity(flats.len()),
+            workers: Vec::with_capacity(flats.len()),
+        };
+        for &flat in flats {
+            if group.index_of(flat).is_some() {
+                return Err(ProtocolError::new(format!("flat gpu {flat} hosted twice")));
+            }
+            group.host(dist, config, track_parents, flat)?;
+        }
+        Ok(group)
+    }
+
+    /// The worker of `flat`, built fresh if this group does not host it
+    /// yet (a proc worker adopting a dead peer's partition).
+    ///
+    /// # Errors
+    /// `flat` is outside the grid.
+    pub fn host(
+        &mut self,
+        dist: &DistributedGraph,
+        config: &BfsConfig,
+        track_parents: bool,
+        flat: usize,
+    ) -> Result<&mut GpuWorker, ProtocolError> {
+        let p = self.topo.num_gpus() as usize;
+        if flat >= p {
+            return Err(ProtocolError::new(format!("flat gpu {flat} out of range (p = {p})")));
+        }
+        let at = match self.flats.binary_search(&flat) {
+            Ok(at) => at,
+            Err(at) => {
+                let dir = |f| DirectionState::new(f, config.direction_optimization);
+                let mut w = GpuWorker::new(
+                    self.topo.unflat(flat),
+                    Arc::clone(&dist.subgraphs[flat]),
+                    dir(config.dd_factors),
+                    dir(config.dn_factors),
+                    dir(config.nd_factors),
+                );
+                w.per_kernel_direction = config.per_kernel_direction;
+                w.kernel_variant = config.kernel_variant;
+                if track_parents {
+                    w.enable_parent_tracking();
+                }
+                self.flats.insert(at, flat);
+                self.workers.insert(at, w);
+                at
+            }
+        };
+        Ok(&mut self.workers[at])
+    }
+
+    /// Hosted flat GPU indices, ascending.
+    pub fn flats(&self) -> &[usize] {
+        &self.flats
+    }
+
+    fn index_of(&self, flat: usize) -> Option<usize> {
+        self.flats.binary_search(&flat).ok()
+    }
+
+    /// True if this group hosts `flat`.
+    pub fn hosts(&self, flat: usize) -> bool {
+        self.index_of(flat).is_some()
+    }
+
+    /// The worker of `flat`, if hosted here.
+    pub fn worker_mut(&mut self, flat: usize) -> Option<&mut GpuWorker> {
+        self.index_of(flat).map(|i| &mut self.workers[i])
+    }
+
+    /// Seeds `source` at depth 0: a delegate source folds into every
+    /// hosted GPU's mask; a normal source seeds only its owner, if hosted.
+    pub fn seed_source(&mut self, separation: &Separation, source: VertexId) {
+        if let Some(did) = separation.delegate_id(source) {
+            let mut seed = DelegateMask::new(self.num_delegates);
+            seed.set(did);
+            self.consume_reduced(&seed, 0);
+            return;
+        }
+        let topo = self.topo;
+        if let Some(w) = self.worker_mut(topo.flat(topo.vertex_owner(source))) {
+            let slot = topo.local_index(source);
+            w.depths_local[slot as usize] = 0;
+            w.frontier.push(slot);
+        }
+    }
+
+    /// Termination counts entering a superstep: the hosted normal
+    /// frontier total and the (replicated) delegate frontier length.
+    pub fn frontier_counts(&self) -> (u64, u64) {
+        let frontier = self.workers.iter().map(|w| w.frontier.len() as u64).sum();
+        (frontier, self.workers.first().map_or(0, |w| w.new_delegates.len() as u64))
+    }
+
+    /// Local computation on every hosted GPU, in parallel.
+    pub fn compute(&mut self, iter: u32) -> Vec<LocalIterationOutput> {
+        let topo = self.topo;
+        self.workers.par_iter_mut().map(|w| w.run_iteration(iter, &topo)).collect()
+    }
+
+    /// True if some hosted GPU set a delegate bit this superstep — the
+    /// reduction runs only then. Every output mask is a superset of the
+    /// shared visited mask, so changed contributions alone reconstruct
+    /// the exact global OR.
+    pub fn mask_changed(&self, outputs: &[LocalIterationOutput]) -> bool {
+        self.num_delegates > 0
+            && outputs
+                .iter()
+                .zip(&self.workers)
+                .any(|(o, w)| o.output_mask.differs_from(&w.visited_mask))
+    }
+
+    /// This group's contribution to the reduction: the OR of its hosted
+    /// output masks.
+    pub fn mask_or(&self, outputs: &[LocalIterationOutput]) -> Vec<u64> {
+        let mut or = vec![0u64; (self.num_delegates as usize).div_ceil(64)];
+        for o in outputs {
+            for (acc, word) in or.iter_mut().zip(o.output_mask.words()) {
+                *acc |= word;
+            }
+        }
+        or
+    }
+
+    /// Every hosted GPU consumes the globally reduced mask: newly set
+    /// delegates settle at `depth` and form the next delegate frontier.
+    pub fn consume_reduced(&mut self, reduced: &DelegateMask, depth: u32) {
+        self.workers.par_iter_mut().for_each(|w| w.consume_reduced_mask(reduced, depth));
+    }
+
+    /// Takes the hosted GPUs' remote `nn` updates as one send list per
+    /// grid GPU (empty for GPUs hosted elsewhere).
+    pub fn take_sends(&self, outputs: &mut [LocalIterationOutput]) -> Vec<Vec<(GpuId, u32)>> {
+        let mut sends = vec![Vec::new(); self.topo.num_gpus() as usize];
+        for (&flat, out) in self.flats.iter().zip(outputs) {
+            sends[flat] = std::mem::take(&mut out.remote_nn);
+        }
+        sends
+    }
+
+    /// The hosted GPUs' `nn` updates as per-pair blocks: the same bin →
+    /// regroup → uniquify pipeline and routing decision the modeled
+    /// exchange applies (regrouping never crosses ranks, so a group of
+    /// whole ranks sees exactly its share).
+    pub fn outgoing_blocks(
+        &self,
+        outputs: &mut [LocalIterationOutput],
+        config: &BfsConfig,
+    ) -> Vec<Block> {
+        let topo = &self.topo;
+        let sends = self.take_sends(outputs);
+        let prep = prepare_sends(topo, sends, config.local_all2all, config.uniquify);
+        let mut blocks = Vec::new();
+        let mut by_dest: Vec<Vec<u32>> = vec![Vec::new(); topo.num_gpus() as usize];
+        for (src, list) in prep.held.into_iter().enumerate() {
+            for (dest, slot) in list {
+                by_dest[topo.flat(dest)].push(slot);
+            }
+            for (dst, slots) in by_dest.iter_mut().enumerate() {
+                if slots.is_empty() {
+                    continue;
+                }
+                let compressed = message_path(topo, src, dst, config.compression.is_on())
+                    == MessagePath::Compressed;
+                if compressed {
+                    slots.sort_unstable();
+                }
+                blocks.push(Block { src, dst, slots: std::mem::take(slots), compressed });
+            }
+        }
+        blocks
+    }
+
+    /// Orders received blocks into one delivery list per hosted GPU:
+    /// ascending source order, the append order of the modeled exchange.
+    ///
+    /// # Errors
+    /// A block for a GPU this group does not host, or two blocks for one
+    /// `(src, dst)` pair.
+    pub fn deliveries(&self, mut blocks: Vec<Block>) -> Result<Vec<Vec<u32>>, ProtocolError> {
+        blocks.sort_by_key(|b| (b.dst, b.src));
+        if blocks.windows(2).any(|w| (w[0].dst, w[0].src) == (w[1].dst, w[1].src)) {
+            return Err(ProtocolError::new("two blocks for one (src, dst) pair"));
+        }
+        let mut delivered = vec![Vec::new(); self.workers.len()];
+        for b in blocks {
+            let at = self.index_of(b.dst).ok_or_else(|| {
+                ProtocolError::new("received block for a gpu this worker does not host")
+            })?;
+            delivered[at].extend_from_slice(&b.slots);
+        }
+        Ok(delivered)
+    }
+
+    /// Forms the next frontiers: each hosted GPU's local discoveries plus
+    /// the remote updates `delivered` to it (parallel to the hosted
+    /// flats) that settle a vertex at `next_depth`.
+    pub fn commit(
+        &mut self,
+        outputs: &mut [LocalIterationOutput],
+        delivered: &[Vec<u32>],
+        next_depth: u32,
+    ) {
+        for ((w, out), updates) in self.workers.iter_mut().zip(outputs).zip(delivered) {
+            debug_assert!(w.frontier.is_empty());
+            w.frontier = std::mem::take(&mut out.next_frontier);
+            // The reduction is done with this iteration's output mask;
+            // hand its buffer back to the worker for reuse.
+            w.recycle_output_mask(std::mem::replace(&mut out.output_mask, DelegateMask::new(0)));
+            for &slot in updates {
+                if let Some(s) = w.apply_remote_update(slot, next_depth) {
+                    w.frontier.push(s);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gcbfs_graph::builders;
+
+    #[test]
+    fn constructor_rejects_out_of_range_and_repeated_flats() {
+        let config = BfsConfig::new(4);
+        let dist =
+            DistributedGraph::build(&builders::grid(4, 4), Topology::new(2, 2), &config).unwrap();
+        let ok = HostedGroup::new(&dist, &config, false, &[2, 3]).unwrap();
+        assert_eq!(ok.flats(), &[2, 3]);
+        let err = HostedGroup::new(&dist, &config, false, &[0, 4]).unwrap_err();
+        assert!(err.detail.contains("out of range"), "{err}");
+        let err = HostedGroup::new(&dist, &config, false, &[1, 3, 1]).unwrap_err();
+        assert!(err.detail.contains("hosted twice"), "{err}");
+    }
+
+    #[test]
+    fn host_is_idempotent_and_keeps_flats_sorted() {
+        let config = BfsConfig::new(4);
+        let dist =
+            DistributedGraph::build(&builders::grid(4, 4), Topology::new(2, 2), &config).unwrap();
+        let mut group = HostedGroup::new(&dist, &config, true, &[3]).unwrap();
+        group.host(&dist, &config, true, 1).unwrap().frontier.push(7);
+        assert_eq!(group.flats(), &[1, 3]);
+        assert_eq!(group.host(&dist, &config, true, 1).unwrap().frontier, vec![7]);
+        assert!(group.workers.iter().all(|w| w.track_parents));
+        assert!(group.host(&dist, &config, true, 9).is_err());
+    }
+
+    #[test]
+    fn deliveries_order_by_source_and_reject_foreign_or_duplicate_blocks() {
+        let config = BfsConfig::new(4);
+        let dist =
+            DistributedGraph::build(&builders::grid(4, 4), Topology::new(2, 2), &config).unwrap();
+        let group = HostedGroup::new(&dist, &config, false, &[2, 3]).unwrap();
+        let block =
+            |src, dst, slots: &[u32]| Block { src, dst, slots: slots.to_vec(), compressed: false };
+        let got = group
+            .deliveries(vec![block(3, 2, &[9]), block(0, 3, &[4]), block(1, 2, &[5, 6])])
+            .unwrap();
+        assert_eq!(got, vec![vec![5, 6, 9], vec![4]]);
+        assert!(group.deliveries(vec![block(2, 0, &[1])]).is_err());
+        assert!(group.deliveries(vec![block(0, 2, &[1]), block(0, 2, &[2])]).is_err());
+    }
+}

@@ -39,15 +39,17 @@
 //!    OR-reduced across the cluster, mirroring the visited-mask
 //!    collective the traversal itself uses.
 //!
-//! Detection feeds the escalation ladder in `driver.rs`: re-execute the
+//! Detection feeds the escalation ladder in `chaos.rs`: re-execute the
 //! superstep from device-side shadow state, then roll back to the last
 //! checkpoint, then surface [`FaultError::SdcUnrecoverable`]
 //! (`gcbfs_cluster::fault::FaultError`).
 
 use crate::driver::DistributedGraph;
 use crate::kernels::GpuWorker;
+use crate::separation::Separation;
 use crate::UNREACHED;
 use gcbfs_cluster::cost::{CostModel, KernelKind};
+use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::reference::ValidationError;
 use gcbfs_graph::VertexId;
 
@@ -140,6 +142,31 @@ impl VerifyState {
     /// A fresh shadow for `num_gpus` empty partitions.
     pub fn new(num_gpus: usize) -> Self {
         Self { local_digests: vec![0; num_gpus], delegate_digest: 0 }
+    }
+
+    /// A shadow that has seen `source` settle at depth 0.
+    pub fn seeded(topo: &Topology, separation: &Separation, source: VertexId) -> Self {
+        let mut vs = Self::new(topo.num_gpus() as usize);
+        match separation.delegate_id(source) {
+            Some(did) => vs.fold_delegate(did, 0),
+            None => {
+                vs.fold_local(topo.flat(topo.vertex_owner(source)), topo.local_index(source), 0)
+            }
+        }
+        vs
+    }
+
+    /// Folds the normal settles of one superstep: every path that settled
+    /// a local vertex pushed it onto the owner's frontier exactly once
+    /// (local discovery, applied remote update, or a drained delayed
+    /// copy), so folding the next-frontier lists at `depth` mirrors the
+    /// settled state by construction.
+    pub fn fold_frontiers(&mut self, workers: &[GpuWorker], depth: u32) {
+        for (g, w) in workers.iter().enumerate() {
+            for &slot in &w.frontier {
+                self.fold_local(g, slot, depth);
+            }
+        }
     }
 
     /// Folds the settle of normal `slot` on `gpu` at `depth`.

@@ -129,27 +129,6 @@ impl CriticalPath {
         totals
     }
 
-    /// Attributed seconds per gating lane, as `(lane, seconds)` sorted
-    /// by lane; the collective's share is reported under `None` (last).
-    pub fn lane_attribution(&self) -> Vec<(Option<u32>, f64)> {
-        use std::collections::BTreeMap;
-        let mut lanes: BTreeMap<u32, f64> = BTreeMap::new();
-        let mut collective = 0.0f64;
-        for it in &self.iterations {
-            let a = it.attributed();
-            for (seg, secs) in it.segments.iter().zip(a.iter()) {
-                match seg.gpu {
-                    Some(g) => *lanes.entry(g).or_insert(0.0) += secs,
-                    None => collective += secs,
-                }
-            }
-        }
-        let mut out: Vec<(Option<u32>, f64)> =
-            lanes.into_iter().map(|(g, s)| (Some(g), s)).collect();
-        out.push((None, collective));
-        out
-    }
-
     /// Human-readable multi-line summary for CLI output: total, phase
     /// attribution with percentages, resilience overhead, and the most
     /// frequent dominant phase.
@@ -258,20 +237,6 @@ mod tests {
         assert_eq!(cp.total_seconds(), 1.875 + 0.09375);
         let phases = cp.phase_attribution();
         assert_eq!(phases, [1.0, 0.5, 0.25, 0.125]);
-    }
-
-    #[test]
-    fn lane_attribution_sorted_with_collective_last() {
-        let cp = CriticalPath {
-            iterations: vec![iteration(true, 1.0, 0.5, 0.25, 0.125)],
-            ..Default::default()
-        };
-        let lanes = cp.lane_attribution();
-        assert_eq!(lanes.len(), 4);
-        assert_eq!(lanes[0], (Some(0), 1.0));
-        assert_eq!(lanes[1], (Some(1), 0.5));
-        assert_eq!(lanes[2], (Some(2), 0.25));
-        assert_eq!(lanes[3], (None, 0.125));
     }
 
     #[test]

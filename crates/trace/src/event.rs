@@ -163,9 +163,6 @@ pub enum MessageKind {
     NnUpdate,
     /// One hop of the delegate mask reduction (§V-A collective).
     MaskReduce,
-    /// A generic BSP fabric delivery (used by the fabric's own
-    /// observation hook, not by the BFS driver).
-    Fabric,
 }
 
 impl MessageKind {
@@ -174,7 +171,6 @@ impl MessageKind {
         match self {
             MessageKind::NnUpdate => "nn_update",
             MessageKind::MaskReduce => "mask_reduce",
-            MessageKind::Fabric => "fabric",
         }
     }
 }
@@ -396,11 +392,6 @@ impl FaultKind {
             FaultKind::SdcDetect => "sdc_detect",
             FaultKind::SdcReexecute => "sdc_reexecute",
         }
-    }
-
-    /// Which `FaultStats` bucket the span's duration was charged to.
-    pub fn is_checkpoint(self) -> bool {
-        self == FaultKind::Checkpoint
     }
 }
 

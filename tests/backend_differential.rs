@@ -7,13 +7,19 @@
 //! Worker processes are the `gcbfs` binary's hidden `backend-worker`
 //! subcommand, spawned via `CARGO_BIN_EXE_gcbfs`. The small scales run
 //! in every `cargo test`; the RMAT 14–16 matrix and the long chaos runs
-//! are `#[ignore]`d and driven by the CI `backend-acceptance` job.
+//! are `#[ignore]`d and driven by the CI `backend-acceptance` job. The
+//! in-process cell at the bottom checks the same sharing without
+//! spawning anything: the `HostedGroup` steps both backends run, over
+//! one group and over two that trade masks and blocks by hand.
 
 use gpu_cluster_bfs::compress::CompressionMode;
+use gpu_cluster_bfs::core::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use gpu_cluster_bfs::core::backend::{Backend, BackendRun, ProcBackend, SimBackend};
+use gpu_cluster_bfs::core::masks::DelegateMask;
 use gpu_cluster_bfs::core::procrt::{
     ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand,
 };
+use gpu_cluster_bfs::core::superstep::{Block, HostedGroup};
 use gpu_cluster_bfs::graph::builders;
 use gpu_cluster_bfs::prelude::*;
 use std::time::Duration;
@@ -256,4 +262,113 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
     let mut opts = proc_opts(4);
     opts.step_timeout = Duration::from_secs(300);
     assert_backends_agree(&graph, Topology::new(4, 2), 5, &config, opts);
+}
+
+// ---------------------------------------------------------------------------
+// The shared superstep core, in process: the steps `procrt::worker` runs
+// over its hosted flats, driven here the way the coordinator drives them
+// (OR the changed mask contributions, hand each block to the group that
+// hosts its destination), must reproduce the sim driver bit for bit.
+// ---------------------------------------------------------------------------
+
+/// Traverses from `source` with one `HostedGroup` per entry of `hosting`.
+/// Returns depths, parents and the frontier total entering each superstep.
+fn traverse_with_groups(
+    dist: &DistributedGraph,
+    config: &BfsConfig,
+    source: u64,
+    hosting: &[Vec<usize>],
+) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
+    let d = dist.separation().num_delegates();
+    let mut groups: Vec<HostedGroup> =
+        hosting.iter().map(|flats| HostedGroup::new(dist, config, true, flats).unwrap()).collect();
+    for g in &mut groups {
+        g.seed_source(dist.separation(), source);
+    }
+    let mut frontier_totals = Vec::new();
+    for iter in 0u32.. {
+        let frontier: u64 = groups.iter().map(|g| g.frontier_counts().0).sum();
+        if frontier == 0 && groups[0].frontier_counts().1 == 0 {
+            break;
+        }
+        frontier_totals.push(frontier);
+        let mut outputs: Vec<_> = groups.iter_mut().map(|g| g.compute(iter)).collect();
+
+        let mut or_words = vec![0u64; (d as usize).div_ceil(64)];
+        let mut mask_changed = false;
+        for (g, out) in groups.iter().zip(&outputs) {
+            if g.mask_changed(out) {
+                mask_changed = true;
+                for (acc, w) in or_words.iter_mut().zip(g.mask_or(out)) {
+                    *acc |= w;
+                }
+            }
+        }
+        if mask_changed {
+            let reduced = DelegateMask::from_words(d, or_words);
+            for g in &mut groups {
+                g.consume_reduced(&reduced, iter + 1);
+            }
+        }
+
+        let mut inboxes: Vec<Vec<Block>> = vec![Vec::new(); groups.len()];
+        for (g, out) in groups.iter().zip(&mut outputs) {
+            for block in g.outgoing_blocks(out, config) {
+                let host =
+                    groups.iter().position(|h| h.hosts(block.dst)).expect("every flat hosted");
+                inboxes[host].push(block);
+            }
+        }
+        for ((g, out), blocks) in groups.iter_mut().zip(&mut outputs).zip(inboxes) {
+            let delivered = g.deliveries(blocks).unwrap();
+            g.commit(out, &delivered, iter + 1);
+        }
+    }
+
+    let mut workers: Vec<_> =
+        groups.iter().flat_map(|g| g.flats().iter().copied().zip(&g.workers)).collect();
+    workers.sort_by_key(|&(flat, _)| flat);
+    let views: Vec<GpuStateView<'_>> =
+        workers.iter().map(|&(_, w)| GpuStateView::of_worker(w)).collect();
+    let (topo, sep, n) = (dist.topology(), dist.separation(), dist.num_vertices());
+    let depths = assemble_depths(&topo, sep, n, &views);
+    let (parents, _) = assemble_parents(&topo, sep, source, n, &views, &depths);
+    (depths, parents, frontier_totals)
+}
+
+#[test]
+fn hosted_groups_match_the_sim_driver_in_process() {
+    let topo = Topology::new(4, 2);
+    let whole = vec![(0..8).collect::<Vec<usize>>()];
+    let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
+    for scale in 10..=12 {
+        let graph = RmatConfig::graph500(scale).generate();
+        let source =
+            graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        for adaptive in [false, true] {
+            for dobfs in [true, false] {
+                let mut config = BfsConfig::new(16).with_direction_optimization(dobfs);
+                if adaptive {
+                    // The codec-bound shape: regrouping and uniquify feed
+                    // the compressed (sorted) block path.
+                    config = config
+                        .with_compression(CompressionMode::Adaptive)
+                        .with_local_all2all(true)
+                        .with_uniquify(true);
+                }
+                let cell = format!("scale {scale}, adaptive {adaptive}, DO {dobfs}");
+                let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
+                let sim = dist.run_with_parents(source, &config).unwrap();
+                let sim_frontiers: Vec<u64> =
+                    sim.stats.records.iter().map(|r| r.frontier_len).collect();
+                for hosting in [&whole, &rank_halves] {
+                    let (depths, parents, frontiers) =
+                        traverse_with_groups(&dist, &config, source, hosting);
+                    assert_eq!(depths, sim.depths, "depths, {} group(s), {cell}", hosting.len());
+                    assert_eq!(Some(&parents), sim.parents.as_ref(), "parents, {cell}");
+                    assert_eq!(frontiers, sim_frontiers, "frontier totals, {cell}");
+                }
+            }
+        }
+    }
 }

@@ -1,5 +1,5 @@
 //! Property-based tests on the cluster substrate: cost-model sanity
-//! (monotonicity, scaling equivalences) and collective/fabric laws.
+//! (monotonicity, scaling equivalences) and collective laws.
 
 use gpu_cluster_bfs::cluster::collectives::{allreduce_min, allreduce_or, allreduce_sum};
 use gpu_cluster_bfs::cluster::cost::{CostModel, KernelKind, NetworkModel};
