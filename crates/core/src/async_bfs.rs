@@ -25,11 +25,11 @@
 
 use crate::config::BfsConfig;
 use crate::driver::{BuildError, DistributedGraph};
+use crate::propagate::{assemble, check_sources, Superstep};
 use crate::UNREACHED;
-use gcbfs_cluster::cost::{KernelKind, NetworkModel};
+use gcbfs_cluster::cost::NetworkModel;
 use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_graph::VertexId;
-use rayon::prelude::*;
 
 /// Result of an asynchronous BFS run.
 #[derive(Clone, Debug)]
@@ -62,211 +62,91 @@ impl DistributedGraph {
         source: VertexId,
         config: &BfsConfig,
     ) -> Result<AsyncBfsResult, BuildError> {
-        if source >= self.num_vertices {
-            return Err(BuildError::SourceOutOfRange { source, num_vertices: self.num_vertices });
-        }
+        check_sources(&[source], self.num_vertices)?;
         let topo = self.topology;
-        let p = topo.num_gpus() as usize;
-        let d = self.separation.num_delegates() as usize;
+        let d = self.separation.num_delegates();
         let cost = &config.cost;
         let net: &NetworkModel = &cost.network;
 
         // Per-GPU state: owned slot depths; replicated delegate depths.
         let mut depths_local: Vec<Vec<u32>> =
             self.subgraphs.iter().map(|sg| vec![UNREACHED; sg.num_local as usize]).collect();
-        let mut delegate_depths = vec![UNREACHED; d];
-        let mut frontiers: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        let mut new_delegates: Vec<u32> = Vec::new();
+        let mut delegate_depths = vec![UNREACHED; d as usize];
+        // The value is "a wave reached me", combined by or. Only the
+        // engine's walk and delivery are used: an async wave has no
+        // collective, so it prices itself below.
+        let mut eng = Superstep::new(topo, &self.subgraphs, d, false, |a, b| a | b, |hit, ()| hit);
+        eng.inject(&self.separation, source, true);
 
-        if let Some(x) = self.separation.delegate_id(source) {
-            delegate_depths[x as usize] = 0;
-            new_delegates.push(x);
-        } else {
-            let flat = topo.flat(topo.vertex_owner(source));
-            let slot = topo.local_index(source);
-            depths_local[flat][slot as usize] = 0;
-            frontiers[flat].push(slot);
-        }
-
-        let mut phases = PhaseTimes::zero();
-        let mut modeled = 0.0f64;
-        let mut remote_bytes = 0u64;
-        let mut edges_examined = 0u64;
-        let mut waves = 0u32;
-
-        while frontiers.iter().any(|f| !f.is_empty()) || !new_delegates.is_empty() {
-            let next_depth = waves + 1;
-
-            // ---- Wave expansion (same work as the BSP forward kernels). ----
-            struct Out {
-                next_frontier: Vec<u32>,
-                remote: Vec<(usize, u32)>,
-                delegate_bits: Vec<u32>,
-                edges: u64,
-                vertices: u64,
-            }
-            let new_delegates_ref = &new_delegates;
-            let delegate_depths_ref = &delegate_depths;
-            let outs: Vec<Out> = frontiers
-                .par_iter()
-                .zip(depths_local.par_iter_mut())
-                .enumerate()
-                .map(|(flat, (frontier, depths))| {
-                    let sg = &self.subgraphs[flat];
-                    let gpu = topo.unflat(flat);
-                    let mut next_frontier = Vec::new();
-                    let mut remote = Vec::new();
-                    let mut delegate_bits = Vec::new();
-                    let mut edges = 0u64;
-                    let vertices = frontier.len() as u64 + new_delegates_ref.len() as u64;
-                    for &u in frontier {
-                        for &v_global in sg.nn.row(u) {
-                            edges += 1;
-                            let owner = topo.vertex_owner(v_global);
-                            let slot = topo.local_index(v_global);
-                            if owner == gpu {
-                                if depths[slot as usize] == UNREACHED {
-                                    depths[slot as usize] = next_depth;
-                                    next_frontier.push(slot);
-                                }
-                            } else {
-                                remote.push((topo.flat(owner), slot));
-                            }
-                        }
-                        for &x in sg.nd.row(u) {
-                            edges += 1;
-                            if delegate_depths_ref[x as usize] == UNREACHED {
-                                delegate_bits.push(x);
-                            }
-                        }
-                    }
-                    for &x in new_delegates_ref {
-                        for &y in sg.dd.row(x) {
-                            edges += 1;
-                            if delegate_depths_ref[y as usize] == UNREACHED {
-                                delegate_bits.push(y);
-                            }
-                        }
-                        for &u in sg.dn.row(x) {
-                            edges += 1;
-                            if depths[u as usize] == UNREACHED {
-                                depths[u as usize] = next_depth;
-                                next_frontier.push(u);
-                            }
-                        }
-                    }
-                    Out { next_frontier, remote, delegate_bits, edges, vertices }
-                })
-                .collect();
-
-            // Computation: max over GPUs, as in BSP — the kernels are the
-            // same; asynchrony changes communication, not local work.
-            let mut compute = 0.0f64;
-            for out in &outs {
-                let t = cost.device.kernel_time(KernelKind::DynamicVisit, out.edges)
-                    + cost.device.kernel_time(KernelKind::Previsit, out.vertices);
-                compute = compute.max(t);
-            }
-            edges_examined += outs.iter().map(|o| o.edges).sum::<u64>();
-
-            // ---- Asynchronous delegate propagation: each newly visited
-            // delegate is one 8-byte update broadcast down a rank tree
-            // (HavoqGT-style), not a full-mask collective. ----
-            let mut fresh_delegates: Vec<u32> = Vec::new();
-            for out in &outs {
-                for &x in &out.delegate_bits {
-                    if delegate_depths[x as usize] == UNREACHED {
-                        delegate_depths[x as usize] = next_depth;
-                        fresh_delegates.push(x);
+        loop {
+            // ---- Form the next wave: entries a proposal reached for the
+            // first time (stale proposals for vertices visited in earlier
+            // waves are dropped). ----
+            let depth = eng.ledger.steps;
+            eng.deliver(&mut depths_local, &mut delegate_depths, |depths, inbox, next| {
+                for (i, hit) in inbox.touched() {
+                    if hit && depths[i] == UNREACHED {
+                        depths[i] = depth;
+                        next.push((i as u32, true));
                     }
                 }
+            });
+            if !eng.has_frontier() {
+                break;
             }
+
+            // ---- Wave expansion (same work as the BSP forward kernels):
+            // the kernels are the same; asynchrony changes communication,
+            // not local work. ----
+            eng.walk();
+            let compute = eng.kernel_seconds(cost, true);
+            eng.ledger.edges += eng.edges_walked();
+
+            // ---- Asynchronous delegate propagation: the proposals are
+            // merged, but a wave does not pay for a full-mask collective —
+            // each newly visited delegate is one 8-byte update broadcast
+            // down a rank tree (HavoqGT-style). ----
+            eng.allreduce(cost, true);
+            let fresh_delegates = (delegate_depths.iter().zip(&eng.reduced))
+                .filter(|&(&depth, &hit)| hit && depth == UNREACHED)
+                .count();
             let prank = topo.num_ranks();
-            let delegate_update_bytes = 8 * fresh_delegates.len() as u64;
-            let delegate_comm = if prank > 1 && !fresh_delegates.is_empty() {
+            let delegate_update_bytes = 8 * fresh_delegates as u64;
+            let delegate_comm = if prank > 1 && fresh_delegates > 0 {
                 // One aggregated tree broadcast per wave per rank level.
-                remote_bytes += delegate_update_bytes * (prank as u64 - 1);
+                eng.ledger.remote_bytes += delegate_update_bytes * (prank as u64 - 1);
                 NetworkModel::tree_depth(prank) as f64 * net.p2p_time(delegate_update_bytes, false)
             } else {
                 0.0
             };
 
-            // ---- Point-to-point normal updates (identical to BSP). ----
-            let mut delivered: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-            let mut send_bytes = vec![0u64; p];
-            let mut recv_bytes = vec![0u64; p];
-            for out in outs.iter().enumerate() {
-                let (from, out) = out;
-                for &(to, slot) in &out.remote {
-                    send_bytes[from] += 4;
-                    recv_bytes[to] += 4;
-                    delivered[to].push(slot);
-                }
-            }
-            let mut normal_comm = 0.0f64;
-            for flat in 0..p {
-                normal_comm =
-                    normal_comm.max(net.p2p_time(send_bytes[flat].max(recv_bytes[flat]), false));
-            }
-            remote_bytes += send_bytes.iter().sum::<u64>();
+            // ---- Point-to-point normal updates (identical to BSP, but a
+            // bare 4-byte slot: the depth is the wave number). ----
+            let normal_comm = eng.p2p_seconds(net, 4, false);
+            eng.ledger.remote_bytes += 4 * eng.updates_sent();
 
             // ---- Asynchronous timing: communication fully overlaps
             // computation; a wave costs max(compute, comm) plus one
             // pipeline hop of latency. No synchronization term. ----
             let comm = delegate_comm.max(normal_comm);
-            modeled += compute.max(comm) + net.internode_latency;
-            phases.computation += compute;
-            phases.remote_delegate += delegate_comm;
-            phases.remote_normal += normal_comm;
-
-            // ---- Form the next wave: local discoveries plus applied
-            // remote updates (deduplicated; stale proposals for vertices
-            // visited in earlier waves are dropped). ----
-            for ((frontier, out), inbox) in frontiers.iter_mut().zip(outs).zip(delivered) {
-                *frontier = out.next_frontier;
-                frontier.extend(inbox);
-            }
-            for (frontier, depths) in frontiers.iter_mut().zip(depths_local.iter_mut()) {
-                frontier.retain(|&slot| {
-                    let dref = &mut depths[slot as usize];
-                    if *dref == UNREACHED {
-                        *dref = next_depth;
-                        true
-                    } else {
-                        *dref == next_depth
-                    }
-                });
-                frontier.sort_unstable();
-                frontier.dedup();
-            }
-            new_delegates = fresh_delegates;
-            waves += 1;
+            let phases = PhaseTimes {
+                computation: compute,
+                local_comm: 0.0,
+                remote_normal: normal_comm,
+                remote_delegate: delegate_comm,
+            };
+            eng.ledger.record(phases, compute.max(comm) + net.internode_latency);
         }
 
-        // ---- Assemble global depths. ----
-        let mut depths = vec![UNREACHED; self.num_vertices as usize];
-        for (x, &dd) in delegate_depths.iter().enumerate() {
-            if dd != UNREACHED {
-                depths[self.separation.original(x as u32) as usize] = dd;
-            }
-        }
-        for (flat, local) in depths_local.iter().enumerate() {
-            let gpu = topo.unflat(flat);
-            for (slot, &dl) in local.iter().enumerate() {
-                if dl != UNREACHED {
-                    depths[topo.global_id(gpu, slot as u32) as usize] = dl;
-                }
-            }
-        }
-
+        let ledger = eng.ledger;
         Ok(AsyncBfsResult {
             source,
-            depths,
-            waves,
-            edges_examined,
-            modeled_seconds: modeled,
-            phases,
-            remote_bytes,
+            depths: assemble(&topo, &self.separation, &depths_local, &delegate_depths),
+            waves: ledger.steps,
+            edges_examined: ledger.edges,
+            modeled_seconds: ledger.modeled_seconds,
+            phases: ledger.phases,
+            remote_bytes: ledger.remote_bytes,
         })
     }
 }

@@ -15,12 +15,10 @@
 
 use crate::config::BfsConfig;
 use crate::driver::{BuildError, DistributedGraph};
+use crate::propagate::{assemble, check_sources, Inbox, Pricing, Reduce, Superstep};
 use crate::UNREACHED;
-use gcbfs_cluster::collectives::allreduce_sum;
-use gcbfs_cluster::cost::KernelKind;
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
+use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_graph::VertexId;
-use rayon::prelude::*;
 
 /// Result of a distributed betweenness run.
 #[derive(Clone, Debug)]
@@ -42,13 +40,62 @@ pub struct BetweennessResult {
     pub remote_bytes: u64,
 }
 
-/// Per-GPU per-source state.
-struct BcGpu {
+/// Per-source Brandes state of one GPU's owned slots, or of the
+/// replicated delegates.
+struct BcState {
     depth: Vec<u32>,
     sigma: Vec<f64>,
     delta: Vec<f64>,
-    /// Owned slots discovered per level (forward order).
+    /// Entries discovered per level, ascending (forward order).
     levels: Vec<Vec<u32>>,
+}
+
+impl BcState {
+    fn new(len: usize) -> Self {
+        Self {
+            depth: vec![UNREACHED; len],
+            sigma: vec![0f64; len],
+            delta: vec![0f64; len],
+            levels: Vec::new(),
+        }
+    }
+
+    /// Forward: unreached entries that receive a positive path count form
+    /// level `depth` with that σ, and push it on.
+    fn discover(&mut self, inbox: Inbox<'_, f64>, depth: u32, next: &mut Vec<(u32, f64)>) {
+        for (i, sigma) in inbox.touched() {
+            if self.depth[i] == UNREACHED && sigma > 0.0 {
+                self.depth[i] = depth;
+                self.sigma[i] = sigma;
+                next.push((i as u32, sigma));
+            }
+        }
+        self.levels.push(next.iter().map(|entry| entry.0).collect());
+    }
+
+    /// Backward: level `lv` takes δ(v) = σ(v) · Σ shares from the level
+    /// below (the mirror edges also reach vertices off the shortest-path
+    /// DAG, which ignore them), then pushes its own share (1 + δ)/σ up.
+    fn back_propagate(&mut self, inbox: Inbox<'_, f64>, lv: u32, next: &mut Vec<(u32, f64)>) {
+        for (i, shares) in inbox.touched() {
+            if self.depth[i] == lv && shares != 0.0 {
+                self.delta[i] += self.sigma[i] * shares;
+            }
+        }
+        next.extend(self.levels[lv as usize].iter().map(|&w| {
+            let w_us = w as usize;
+            (w, (1.0 + self.delta[w_us]) / self.sigma[w_us])
+        }));
+    }
+
+    /// Adds this source's δ into `bc` (the source itself sits at depth 0).
+    fn accumulate_into(&self, bc: &mut [f64]) {
+        for (i, &dl) in self.delta.iter().enumerate() {
+            if self.depth[i] != UNREACHED && self.depth[i] != 0 {
+                bc[i] += dl;
+            }
+        }
+    }
 }
 
 impl DistributedGraph {
@@ -62,19 +109,19 @@ impl DistributedGraph {
         sources: &[VertexId],
         config: &BfsConfig,
     ) -> Result<BetweennessResult, BuildError> {
-        for &s in sources {
-            if s >= self.num_vertices {
-                return Err(BuildError::SourceOutOfRange {
-                    source: s,
-                    num_vertices: self.num_vertices,
-                });
-            }
-        }
-        let n = self.num_vertices as usize;
+        check_sources(sources, self.num_vertices)?;
+        let topo = self.topology;
+        let d = self.separation.num_delegates();
         let mut bc_normal: Vec<Vec<f64>> =
             self.subgraphs.iter().map(|sg| vec![0f64; sg.num_local as usize]).collect();
-        let d = self.separation.num_delegates() as usize;
-        let mut bc_delegate = vec![0f64; d];
+        let mut bc_delegate = vec![0f64; d as usize];
+
+        // The value is a path count (forward) or a dependency share
+        // (backward); both combine by sum.
+        let mut eng = Superstep::new(topo, &self.subgraphs, d, 0f64, |a, b| a + b, |v, ()| v);
+        let forward = Pricing::bsp(&config.cost, config.blocking_reduce);
+        // The backward sweep replays the stored levels.
+        let backward = Pricing { discovers_frontier: false, ..forward };
 
         let mut phases = PhaseTimes::zero();
         let mut modeled = 0.0f64;
@@ -83,29 +130,52 @@ impl DistributedGraph {
         let mut levels = 0u32;
 
         for &s in sources {
-            let (lv, ed, ph, tm, rb) =
-                self.accumulate_source(s, config, &mut bc_normal, &mut bc_delegate);
-            levels += lv;
-            edges_examined += ed;
-            phases = phases.combine(&ph);
-            modeled += tm;
-            remote_bytes += rb;
-        }
+            let mut gpus: Vec<BcState> =
+                self.subgraphs.iter().map(|sg| BcState::new(sg.num_local as usize)).collect();
+            let mut delegates = BcState::new(d as usize);
 
-        // Assemble global scores.
-        let mut scores = vec![0f64; n];
-        for (flat, local) in bc_normal.iter().enumerate() {
-            let gpu = self.topology.unflat(flat);
-            for (slot, &b) in local.iter().enumerate() {
-                scores[self.topology.global_id(gpu, slot as u32) as usize] = b;
+            // ---- Forward σ-BFS (level-synchronous): every frontier
+            // vertex pushes its σ; unreached receivers form the next
+            // level. The last level recorded is the empty one.
+            eng.inject(&self.separation, s, 1.0);
+            let mut level = 0u32;
+            loop {
+                eng.deliver(&mut gpus, &mut delegates, |side, inbox, next| {
+                    side.discover(inbox, level, next)
+                });
+                if !eng.has_frontier() {
+                    break;
+                }
+                eng.step(&forward, Reduce::EveryStep);
+                level += 1;
             }
-        }
-        for (x, &b) in bc_delegate.iter().enumerate() {
-            scores[self.separation.original(x as u32) as usize] = b;
+
+            // ---- Backward dependency sweep over the mirror edges, from
+            // the deepest occupied level (`level - 1`) up to level 1. What
+            // finally reaches the source is drained: it scores nothing.
+            for lv in (1..level).rev() {
+                eng.deliver(&mut gpus, &mut delegates, |side, inbox, next| {
+                    side.back_propagate(inbox, lv, next)
+                });
+                eng.step(&backward, Reduce::EveryStep);
+            }
+            eng.deliver(&mut gpus, &mut delegates, |_, _, _| {});
+
+            for (g, bc) in gpus.iter().zip(&mut bc_normal) {
+                g.accumulate_into(bc);
+            }
+            delegates.accumulate_into(&mut bc_delegate);
+
+            let ledger = std::mem::take(&mut eng.ledger);
+            levels += level;
+            edges_examined += ledger.edges;
+            phases = phases.combine(&ledger.phases);
+            modeled += ledger.modeled_seconds;
+            remote_bytes += ledger.remote_bytes;
         }
 
         Ok(BetweennessResult {
-            scores,
+            scores: assemble(&topo, &self.separation, &bc_normal, &bc_delegate),
             sources: sources.to_vec(),
             levels,
             edges_examined,
@@ -113,369 +183,6 @@ impl DistributedGraph {
             modeled_seconds: modeled,
             remote_bytes,
         })
-    }
-
-    /// One Brandes source: forward σ-BFS, then reverse dependency sweep.
-    /// Returns (levels, edges, phases, modeled seconds, remote bytes).
-    fn accumulate_source(
-        &self,
-        s: VertexId,
-        config: &BfsConfig,
-        bc_normal: &mut [Vec<f64>],
-        bc_delegate: &mut [f64],
-    ) -> (u32, u64, PhaseTimes, f64, u64) {
-        let topo = self.topology;
-        let p = topo.num_gpus() as usize;
-        let d = self.separation.num_delegates() as usize;
-        let cost = &config.cost;
-
-        let mut gpus: Vec<BcGpu> = self
-            .subgraphs
-            .iter()
-            .map(|sg| {
-                let n_local = sg.num_local as usize;
-                BcGpu {
-                    depth: vec![UNREACHED; n_local],
-                    sigma: vec![0f64; n_local],
-                    delta: vec![0f64; n_local],
-                    levels: Vec::new(),
-                }
-            })
-            .collect();
-        let mut delegate_depth = vec![UNREACHED; d];
-        let mut delegate_sigma = vec![0f64; d];
-        let mut delegate_delta = vec![0f64; d];
-        let mut delegate_levels: Vec<Vec<u32>> = Vec::new();
-
-        // Seed.
-        let mut frontier_delegates: Vec<u32> = Vec::new();
-        if let Some(x) = self.separation.delegate_id(s) {
-            delegate_depth[x as usize] = 0;
-            delegate_sigma[x as usize] = 1.0;
-            frontier_delegates.push(x);
-        } else {
-            let flat = topo.flat(topo.vertex_owner(s));
-            let slot = topo.local_index(s);
-            gpus[flat].depth[slot as usize] = 0;
-            gpus[flat].sigma[slot as usize] = 1.0;
-            gpus[flat].levels.push(vec![slot]);
-        }
-        for (flat, g) in gpus.iter_mut().enumerate() {
-            if g.levels.is_empty() {
-                g.levels.push(Vec::new());
-            }
-            let _ = flat;
-        }
-        delegate_levels.push(frontier_delegates.clone());
-
-        let mut phases = PhaseTimes::zero();
-        let mut modeled = 0.0f64;
-        let mut remote_bytes = 0u64;
-        let mut edges_examined = 0u64;
-        let mut level = 0u32;
-
-        // ---- Forward σ-BFS (level-synchronous). ----
-        loop {
-            let any = gpus.iter().any(|g| !g.levels[level as usize].is_empty())
-                || !delegate_levels[level as usize].is_empty();
-            if !any {
-                // Drop the empty tail level.
-                for g in &mut gpus {
-                    g.levels.pop();
-                }
-                delegate_levels.pop();
-                break;
-            }
-            let next_depth = level + 1;
-
-            struct Out {
-                /// σ contributions to local unvisited slots.
-                local_sigma: Vec<(u32, f64)>,
-                /// σ contributions to delegates (dense, 0.0 = none).
-                delegate_sigma: Vec<f64>,
-                /// Remote σ contributions: (dest flat, slot, σ).
-                remote: Vec<(usize, u32, f64)>,
-                edges: u64,
-                vertices: u64,
-            }
-            let frontier_delegates_ref = &delegate_levels[level as usize];
-            let delegate_sigma_ref = &delegate_sigma;
-            let delegate_depth_ref = &delegate_depth;
-            let outs: Vec<Out> = gpus
-                .par_iter()
-                .enumerate()
-                .map(|(flat, g)| {
-                    let sg = &self.subgraphs[flat];
-                    let gpu = topo.unflat(flat);
-                    let frontier = &g.levels[level as usize];
-                    let mut local_sigma = Vec::new();
-                    let mut dsig = vec![0f64; d];
-                    let mut remote = Vec::new();
-                    let mut edges = 0u64;
-                    let vertices = frontier.len() as u64 + frontier_delegates_ref.len() as u64;
-                    for &u in frontier {
-                        let su = g.sigma[u as usize];
-                        for &v_global in sg.nn.row(u) {
-                            edges += 1;
-                            let owner = topo.vertex_owner(v_global);
-                            let slot = topo.local_index(v_global);
-                            if owner == gpu {
-                                if g.depth[slot as usize] == UNREACHED {
-                                    local_sigma.push((slot, su));
-                                }
-                            } else {
-                                remote.push((topo.flat(owner), slot, su));
-                            }
-                        }
-                        for &x in sg.nd.row(u) {
-                            edges += 1;
-                            if delegate_depth_ref[x as usize] == UNREACHED {
-                                dsig[x as usize] += su;
-                            }
-                        }
-                    }
-                    for &x in frontier_delegates_ref {
-                        let sx = delegate_sigma_ref[x as usize];
-                        for &y in sg.dd.row(x) {
-                            edges += 1;
-                            if delegate_depth_ref[y as usize] == UNREACHED {
-                                dsig[y as usize] += sx;
-                            }
-                        }
-                        for &u in sg.dn.row(x) {
-                            edges += 1;
-                            if g.depth[u as usize] == UNREACHED {
-                                local_sigma.push((u, sx));
-                            }
-                        }
-                    }
-                    Out { local_sigma, delegate_sigma: dsig, remote, edges, vertices }
-                })
-                .collect();
-
-            let mut ph = PhaseTimes::zero();
-            for out in &outs {
-                let t = cost.device.kernel_time(KernelKind::DynamicVisit, out.edges)
-                    + cost.device.kernel_time(KernelKind::Previsit, out.vertices);
-                ph.computation = ph.computation.max(t);
-            }
-            edges_examined += outs.iter().map(|o| o.edges).sum::<u64>();
-
-            // Delegate σ reduce.
-            let mut reduced_sigma = vec![0f64; d];
-            if d > 0 {
-                let words: Vec<Vec<f64>> = outs.iter().map(|o| o.delegate_sigma.clone()).collect();
-                let outcome = allreduce_sum(topo, cost, &words, config.blocking_reduce);
-                ph.local_comm += outcome.local_time;
-                ph.remote_delegate += outcome.global_time;
-                if topo.num_ranks() > 1 {
-                    remote_bytes += 2 * outcome.bytes_per_message * topo.num_ranks() as u64;
-                }
-                reduced_sigma = outcome.reduced;
-            }
-            ph.remote_delegate += cost.network.allreduce_time(8, topo.num_ranks(), true);
-
-            // Remote σ exchange (12 bytes per contribution).
-            let mut delivered: Vec<Vec<(u32, f64)>> = (0..p).map(|_| Vec::new()).collect();
-            let mut send_bytes = vec![0u64; p];
-            let mut recv_bytes = vec![0u64; p];
-            for (from, out) in outs.iter().enumerate() {
-                for &(to, slot, sig) in &out.remote {
-                    send_bytes[from] += 12;
-                    recv_bytes[to] += 12;
-                    delivered[to].push((slot, sig));
-                }
-            }
-            for flat in 0..p {
-                let t = cost.network.p2p_time(send_bytes[flat].max(recv_bytes[flat]), false);
-                ph.remote_normal = ph.remote_normal.max(t);
-            }
-            remote_bytes += send_bytes.iter().sum::<u64>();
-
-            // Apply: discover new vertices, accumulate σ.
-            gpus.par_iter_mut().zip(outs).zip(delivered).for_each(|((g, out), inbox)| {
-                let mut next = Vec::new();
-                for (slot, sig) in out.local_sigma.into_iter().chain(inbox) {
-                    let slot_us = slot as usize;
-                    if g.depth[slot_us] == UNREACHED {
-                        g.depth[slot_us] = next_depth;
-                        next.push(slot);
-                    }
-                    if g.depth[slot_us] == next_depth {
-                        g.sigma[slot_us] += sig;
-                    }
-                }
-                next.sort_unstable();
-                next.dedup();
-                g.levels.push(next);
-            });
-            let mut next_delegates = Vec::new();
-            for x in 0..d {
-                if delegate_depth[x] == UNREACHED && reduced_sigma[x] > 0.0 {
-                    delegate_depth[x] = next_depth;
-                    delegate_sigma[x] = reduced_sigma[x];
-                    next_delegates.push(x as u32);
-                }
-            }
-            delegate_levels.push(next_delegates);
-
-            let timing = IterationTiming {
-                phases: ph,
-                blocking_reduce: config.blocking_reduce,
-                overlap: false,
-            };
-            modeled += timing.elapsed();
-            phases = phases.combine(&ph);
-            level += 1;
-        }
-
-        // ---- Backward dependency sweep: vertices at level L push their
-        // share (1 + δ)/σ to predecessors at L - 1 over mirror edges.
-        // (After the tail pop the deepest occupied level is `level - 1`.)
-        for lv in (1..level).rev() {
-            struct BackOut {
-                local_contrib: Vec<(u32, f64)>,
-                delegate_contrib: Vec<f64>,
-                remote: Vec<(usize, u32, f64)>,
-                edges: u64,
-            }
-            let frontier_delegates_ref = &delegate_levels[lv as usize];
-            let delegate_depth_ref = &delegate_depth;
-            let delegate_sigma_ref = &delegate_sigma;
-            let delegate_delta_ref = &delegate_delta;
-            let outs: Vec<BackOut> = gpus
-                .par_iter()
-                .enumerate()
-                .map(|(flat, g)| {
-                    let sg = &self.subgraphs[flat];
-                    let gpu = topo.unflat(flat);
-                    let mut local_contrib = Vec::new();
-                    let mut dcon = vec![0f64; d];
-                    let mut remote = Vec::new();
-                    let mut edges = 0u64;
-                    for &w in &g.levels[lv as usize] {
-                        let share = (1.0 + g.delta[w as usize]) / g.sigma[w as usize];
-                        for &v_global in sg.nn.row(w) {
-                            edges += 1;
-                            let owner = topo.vertex_owner(v_global);
-                            let slot = topo.local_index(v_global);
-                            if owner == gpu {
-                                if g.depth[slot as usize].wrapping_add(1) == lv {
-                                    local_contrib.push((slot, share));
-                                }
-                            } else {
-                                // The mirror GPU filters by depth.
-                                remote.push((topo.flat(owner), slot, share));
-                            }
-                        }
-                        for &x in sg.nd.row(w) {
-                            edges += 1;
-                            if delegate_depth_ref[x as usize].wrapping_add(1) == lv {
-                                dcon[x as usize] += share;
-                            }
-                        }
-                    }
-                    for &x in frontier_delegates_ref {
-                        let share =
-                            (1.0 + delegate_delta_ref[x as usize]) / delegate_sigma_ref[x as usize];
-                        for &y in sg.dd.row(x) {
-                            edges += 1;
-                            if delegate_depth_ref[y as usize].wrapping_add(1) == lv {
-                                dcon[y as usize] += share;
-                            }
-                        }
-                        for &u in sg.dn.row(x) {
-                            edges += 1;
-                            if g.depth[u as usize].wrapping_add(1) == lv {
-                                local_contrib.push((u, share));
-                            }
-                        }
-                    }
-                    BackOut { local_contrib, delegate_contrib: dcon, remote, edges }
-                })
-                .collect();
-
-            let mut ph = PhaseTimes::zero();
-            for out in &outs {
-                ph.computation = ph
-                    .computation
-                    .max(cost.device.kernel_time(KernelKind::DynamicVisit, out.edges));
-            }
-            edges_examined += outs.iter().map(|o| o.edges).sum::<u64>();
-
-            // Delegate contribution reduce.
-            let mut reduced = vec![0f64; d];
-            if d > 0 {
-                let words: Vec<Vec<f64>> =
-                    outs.iter().map(|o| o.delegate_contrib.clone()).collect();
-                let outcome = allreduce_sum(topo, cost, &words, config.blocking_reduce);
-                ph.local_comm += outcome.local_time;
-                ph.remote_delegate += outcome.global_time;
-                if topo.num_ranks() > 1 {
-                    remote_bytes += 2 * outcome.bytes_per_message * topo.num_ranks() as u64;
-                }
-                reduced = outcome.reduced;
-            }
-
-            // Remote contributions.
-            let mut delivered: Vec<Vec<(u32, f64)>> = (0..p).map(|_| Vec::new()).collect();
-            let mut send_bytes = vec![0u64; p];
-            let mut recv_bytes = vec![0u64; p];
-            for (from, out) in outs.iter().enumerate() {
-                for &(to, slot, c) in &out.remote {
-                    send_bytes[from] += 12;
-                    recv_bytes[to] += 12;
-                    delivered[to].push((slot, c));
-                }
-            }
-            for flat in 0..p {
-                let t = cost.network.p2p_time(send_bytes[flat].max(recv_bytes[flat]), false);
-                ph.remote_normal = ph.remote_normal.max(t);
-            }
-            remote_bytes += send_bytes.iter().sum::<u64>();
-
-            // Apply: δ(v) = σ(v) · Σ shares, for v at level lv - 1.
-            let target = lv - 1;
-            gpus.par_iter_mut().zip(outs).zip(delivered).for_each(|((g, out), inbox)| {
-                for (slot, c) in out.local_contrib.into_iter().chain(inbox) {
-                    if g.depth[slot as usize] == target {
-                        g.delta[slot as usize] += g.sigma[slot as usize] * c;
-                    }
-                }
-            });
-            for x in 0..d {
-                if delegate_depth[x] == target && reduced[x] != 0.0 {
-                    delegate_delta[x] += delegate_sigma[x] * reduced[x];
-                }
-            }
-
-            let timing = IterationTiming {
-                phases: ph,
-                blocking_reduce: config.blocking_reduce,
-                overlap: false,
-            };
-            modeled += timing.elapsed();
-            phases = phases.combine(&ph);
-        }
-
-        // Accumulate δ into bc (skip the source).
-        for (flat, g) in gpus.iter().enumerate() {
-            let gpu = topo.unflat(flat);
-            for (slot, &dl) in g.delta.iter().enumerate() {
-                let v = topo.global_id(gpu, slot as u32);
-                if v != s && g.depth[slot] != UNREACHED && g.depth[slot] != 0 {
-                    bc_normal[flat][slot] += dl;
-                }
-            }
-        }
-        for x in 0..d {
-            let v = self.separation.original(x as u32);
-            if v != s && delegate_depth[x] != UNREACHED && delegate_depth[x] != 0 {
-                bc_delegate[x] += delegate_delta[x];
-            }
-        }
-
-        (level, edges_examined, phases, modeled, remote_bytes)
     }
 }
 

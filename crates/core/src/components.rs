@@ -6,20 +6,18 @@
 //! adopts the minimum label among its neighbors; at convergence each
 //! component carries its smallest member id. On the degree-separated
 //! structure this is a third instantiation of the communication model:
-//! delegate labels are 64-bit values merged by a **min** allreduce
-//! (`gcbfs_cluster::collectives::allreduce_min`), and `nn` updates carry
-//! `(slot, label)` pairs — the "associative values for normal vertices"
-//! of §VI-D.
+//! delegate labels are 64-bit values merged by a **min** allreduce, and
+//! `nn` updates carry `(slot, label)` pairs — the "associative values
+//! for normal vertices" of §VI-D. The loop is the value superstep
+//! (`crate::propagate`) with min as its combine.
 //!
 //! Like BFS (and unlike PageRank), the active set shrinks every sweep:
 //! only vertices whose label changed propagate, so late sweeps are cheap.
 
 use crate::config::BfsConfig;
 use crate::driver::DistributedGraph;
-use gcbfs_cluster::collectives::allreduce_min;
-use gcbfs_cluster::cost::KernelKind;
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
-use rayon::prelude::*;
+use crate::propagate::{assemble, Pricing, Reduce, Superstep};
+use gcbfs_cluster::timing::PhaseTimes;
 
 /// Result of a distributed connected-components run.
 #[derive(Clone, Debug)]
@@ -64,184 +62,48 @@ impl DistributedGraph {
     /// ```
     pub fn connected_components(&self, config: &BfsConfig) -> ComponentsResult {
         let topo = self.topology;
-        let p = topo.num_gpus() as usize;
-        let d = self.separation.num_delegates() as usize;
-        let cost = &config.cost;
+        let d = self.separation.num_delegates();
 
         // Labels: owned slots (delegate-owned slots shadowed by the
         // replicated delegate labels) and replicated delegates.
         let mut labels_local: Vec<Vec<u64>> = topo
             .gpus()
-            .enumerate()
-            .map(|(flat, gpu)| {
-                (0..self.subgraphs[flat].num_local).map(|slot| topo.global_id(gpu, slot)).collect()
-            })
+            .zip(&self.subgraphs)
+            .map(|(gpu, sg)| (0..sg.num_local).map(|slot| topo.global_id(gpu, slot)).collect())
             .collect();
-        let mut delegate_labels: Vec<u64> =
-            (0..d as u32).map(|x| self.separation.original(x)).collect();
-        // Active sets: everything participates in the first sweep.
-        let mut active_local: Vec<Vec<u32>> =
-            self.subgraphs.iter().map(|sg| (0..sg.num_local).collect()).collect();
-        let mut active_delegates: Vec<u32> = (0..d as u32).collect();
+        let mut delegate_labels: Vec<u64> = self.separation.delegates().to_vec();
 
-        let mut phases_total = PhaseTimes::zero();
-        let mut modeled = 0.0f64;
-        let mut remote_bytes = 0u64;
-        let mut edges_examined = 0u64;
-        let mut sweeps = 0u32;
+        // The value is a label, combined by min. Everything participates
+        // in the first sweep.
+        let mut eng =
+            Superstep::new(topo, &self.subgraphs, d, u64::MAX, u64::min, |label, ()| label);
+        for (frontier, labels) in eng.normal_frontier.iter_mut().zip(&labels_local) {
+            frontier.extend((0u32..).zip(labels.iter().copied()));
+        }
+        eng.delegate_frontier.extend((0u32..).zip(delegate_labels.iter().copied()));
 
-        while active_local.iter().any(|a| !a.is_empty()) || !active_delegates.is_empty() {
-            struct Out {
-                /// (slot, proposed label) for local vertices.
-                local_props: Vec<(u32, u64)>,
-                /// Proposed delegate labels (one per delegate, u64::MAX = none).
-                delegate_props: Vec<u64>,
-                /// Remote nn proposals: (dest flat, slot, label).
-                remote: Vec<(usize, u32, u64)>,
-                edges: u64,
-                vertices: u64,
-            }
-            let active_delegates_ref = &active_delegates;
-            let delegate_labels_ref = &delegate_labels;
-            let outs: Vec<Out> = active_local
-                .par_iter()
-                .zip(labels_local.par_iter())
-                .enumerate()
-                .map(|(flat, (active, labels))| {
-                    let sg = &self.subgraphs[flat];
-                    let gpu = topo.unflat(flat);
-                    let mut local_props = Vec::new();
-                    let mut delegate_props = vec![u64::MAX; d];
-                    let mut remote = Vec::new();
-                    let mut edges = 0u64;
-                    let vertices = active.len() as u64 + active_delegates_ref.len() as u64;
-                    for &u in active {
-                        let label = labels[u as usize];
-                        for &v_global in sg.nn.row(u) {
-                            edges += 1;
-                            let owner = topo.vertex_owner(v_global);
-                            let slot = topo.local_index(v_global);
-                            if owner == gpu {
-                                local_props.push((slot, label));
-                            } else {
-                                remote.push((topo.flat(owner), slot, label));
-                            }
-                        }
-                        for &x in sg.nd.row(u) {
-                            edges += 1;
-                            let prop = &mut delegate_props[x as usize];
-                            *prop = (*prop).min(label);
-                        }
+        let pricing = Pricing::bsp(&config.cost, config.blocking_reduce);
+        while eng.has_frontier() {
+            eng.step(&pricing, Reduce::EveryStep);
+            // Adopt smaller labels; changed vertices form the next active set.
+            eng.deliver(&mut labels_local, &mut delegate_labels, |labels, inbox, next| {
+                for (i, prop) in inbox.touched() {
+                    if prop < labels[i] {
+                        labels[i] = prop;
+                        next.push((i as u32, prop));
                     }
-                    for &x in active_delegates_ref {
-                        let label = delegate_labels_ref[x as usize];
-                        for &y in sg.dd.row(x) {
-                            edges += 1;
-                            let prop = &mut delegate_props[y as usize];
-                            *prop = (*prop).min(label);
-                        }
-                        for &u in sg.dn.row(x) {
-                            edges += 1;
-                            local_props.push((u, label));
-                        }
-                    }
-                    Out { local_props, delegate_props, remote, edges, vertices }
-                })
-                .collect();
-
-            let mut phases = PhaseTimes::zero();
-            for out in &outs {
-                let t = cost.device.kernel_time(KernelKind::DynamicVisit, out.edges)
-                    + cost.device.kernel_time(KernelKind::Previsit, out.vertices);
-                phases.computation = phases.computation.max(t);
-            }
-            edges_examined += outs.iter().map(|o| o.edges).sum::<u64>();
-
-            // Delegate label min-reduce (u64::MAX proposals are identities).
-            let mut reduced: Vec<u64> = Vec::new();
-            if d > 0 {
-                let words: Vec<Vec<u64>> = outs.iter().map(|o| o.delegate_props.clone()).collect();
-                let outcome = allreduce_min(topo, cost, &words, config.blocking_reduce);
-                phases.local_comm += outcome.local_time;
-                phases.remote_delegate += outcome.global_time;
-                if topo.num_ranks() > 1 {
-                    remote_bytes += 2 * outcome.bytes_per_message * topo.num_ranks() as u64;
                 }
-                reduced = outcome.reduced;
-            }
-            phases.remote_delegate += cost.network.allreduce_time(8, topo.num_ranks(), true);
-
-            // Remote nn label proposals: 12 bytes per (slot, label).
-            let mut delivered: Vec<Vec<(u32, u64)>> = (0..p).map(|_| Vec::new()).collect();
-            let mut send_bytes = vec![0u64; p];
-            let mut recv_bytes = vec![0u64; p];
-            for (from, out) in outs.iter().enumerate() {
-                for &(to, slot, label) in &out.remote {
-                    send_bytes[from] += 12;
-                    recv_bytes[to] += 12;
-                    delivered[to].push((slot, label));
-                }
-            }
-            for flat in 0..p {
-                let t = cost.network.p2p_time(send_bytes[flat].max(recv_bytes[flat]), false);
-                phases.remote_normal = phases.remote_normal.max(t);
-            }
-            remote_bytes += send_bytes.iter().sum::<u64>();
-
-            // Apply: adopt smaller labels; changed vertices form the next
-            // active set.
-            active_local = labels_local
-                .par_iter_mut()
-                .zip(outs)
-                .zip(delivered)
-                .map(|((labels, out), inbox)| {
-                    let mut next_active = Vec::new();
-                    for (slot, prop) in out.local_props.into_iter().chain(inbox) {
-                        let cur = &mut labels[slot as usize];
-                        if prop < *cur {
-                            *cur = prop;
-                            next_active.push(slot);
-                        }
-                    }
-                    next_active.sort_unstable();
-                    next_active.dedup();
-                    next_active
-                })
-                .collect();
-            active_delegates.clear();
-            for x in 0..d {
-                if reduced.get(x).copied().unwrap_or(u64::MAX) < delegate_labels[x] {
-                    delegate_labels[x] = reduced[x];
-                    active_delegates.push(x as u32);
-                }
-            }
-
-            let timing =
-                IterationTiming { phases, blocking_reduce: config.blocking_reduce, overlap: false };
-            modeled += timing.elapsed();
-            phases_total = phases_total.combine(&phases);
-            sweeps += 1;
+            });
         }
 
-        // Assemble: delegate labels override their owned slots.
-        let mut labels = vec![0u64; self.num_vertices as usize];
-        for (flat, local) in labels_local.iter().enumerate() {
-            let gpu = topo.unflat(flat);
-            for (slot, &l) in local.iter().enumerate() {
-                labels[topo.global_id(gpu, slot as u32) as usize] = l;
-            }
-        }
-        for (x, &l) in delegate_labels.iter().enumerate() {
-            labels[self.separation.original(x as u32) as usize] = l;
-        }
-
+        let ledger = eng.ledger;
         ComponentsResult {
-            labels,
-            sweeps,
-            edges_examined,
-            phases: phases_total,
-            modeled_seconds: modeled,
-            remote_bytes,
+            labels: assemble(&topo, &self.separation, &labels_local, &delegate_labels),
+            sweeps: ledger.steps,
+            edges_examined: ledger.edges,
+            phases: ledger.phases,
+            modeled_seconds: ledger.modeled_seconds,
+            remote_bytes: ledger.remote_bytes,
         }
     }
 }

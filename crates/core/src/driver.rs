@@ -45,6 +45,8 @@ pub enum BuildError {
     DeviceMemoryExceeded { gpu: usize, needed: u64, available: u64 },
     /// The source vertex of a run is out of range.
     SourceOutOfRange { source: VertexId, num_vertices: u64 },
+    /// A multi-source batch must hold 1..=64 sources (one bit lane each).
+    BatchSize { got: usize },
 }
 
 impl std::fmt::Display for BuildError {
@@ -58,6 +60,9 @@ impl std::fmt::Display for BuildError {
             }
             Self::SourceOutOfRange { source, num_vertices } => {
                 write!(f, "source {source} out of range (n = {num_vertices})")
+            }
+            Self::BatchSize { got } => {
+                write!(f, "a multi-source batch holds 1..=64 sources, got {got}")
             }
         }
     }

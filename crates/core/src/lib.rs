@@ -20,6 +20,9 @@
 //!   both backends run on the GPUs they host → [`superstep`]; modeled Ray
 //!   time per step → `pricing` (sim only); §VI per-iteration statistics
 //!   and Graph500 TEPS reporting → [`stats`];
+//! * §VI-D generalization: one value-carrying superstep (`propagate`)
+//!   under [`msbfs`], [`sssp`], [`components`], [`pagerank`],
+//!   [`betweenness`] and [`async_bfs`];
 //! * delegate visited bitmasks → [`masks`]; sliding previsit queues →
 //!   [`frontier`]; run options → [`config`];
 //! * resilience: checkpoint/restart → [`checkpoint`], retry and
@@ -52,6 +55,7 @@ pub mod mutation;
 pub mod pagerank;
 mod pricing;
 pub mod procrt;
+mod propagate;
 pub mod recovery;
 pub mod separation;
 pub mod sssp;

@@ -18,12 +18,10 @@
 
 use crate::config::BfsConfig;
 use crate::driver::{BfsResult, BuildError, DistributedGraph};
+use crate::propagate::{assemble, check_sources, Pricing, Reduce, Superstep};
 use crate::UNREACHED;
-use gcbfs_cluster::collectives::allreduce_or;
-use gcbfs_cluster::cost::KernelKind;
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
+use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_graph::VertexId;
-use rayon::prelude::*;
 
 /// Result of one multi-source batch.
 #[derive(Clone, Debug)]
@@ -76,279 +74,89 @@ impl MsBfsResult {
     }
 }
 
-/// Per-GPU MS-BFS state.
-struct MsGpu {
-    /// Sources that reached each owned slot (cumulative).
+/// Lane state of one GPU's owned slots, or of the replicated delegates.
+struct Lanes {
+    /// Sources that reached each entry (cumulative).
     masks: Vec<u64>,
-    /// Sources that reached each owned slot at the current level.
-    new_bits: Vec<u64>,
-    /// Per-slot per-source depth, row-major `slot * k_count + k`.
-    depths: Vec<u32>,
+    /// `depths[k][i]`: hop distance from source `k` to entry `i`.
+    depths: Vec<Vec<u32>>,
+}
+
+impl Lanes {
+    fn new(len: usize, k_count: usize) -> Self {
+        Self { masks: vec![0; len], depths: vec![vec![UNREACHED; len]; k_count] }
+    }
+
+    /// Admits the lanes of `incoming` that have not reached entry `i` yet
+    /// at `depth`; returns them.
+    fn admit(&mut self, i: usize, incoming: u64, depth: u32) -> u64 {
+        let fresh = incoming & !self.masks[i];
+        self.masks[i] |= fresh;
+        let mut bits = fresh;
+        while bits != 0 {
+            self.depths[bits.trailing_zeros() as usize][i] = depth;
+            bits &= bits - 1;
+        }
+        fresh
+    }
 }
 
 impl DistributedGraph {
     /// Runs up to 64 breadth-first searches simultaneously (forward-only).
     ///
     /// # Errors
-    /// Returns [`BuildError::SourceOutOfRange`] if any source is invalid;
-    /// panics if more than 64 sources are given.
+    /// Returns [`BuildError::BatchSize`] for an empty batch or more than
+    /// 64 sources, and [`BuildError::SourceOutOfRange`] if any source is
+    /// invalid.
     pub fn run_multi_source(
         &self,
         sources: &[VertexId],
         config: &BfsConfig,
     ) -> Result<MsBfsResult, BuildError> {
-        assert!(
-            (1..=64).contains(&sources.len()),
-            "MS-BFS batches 1..=64 sources, got {}",
-            sources.len()
-        );
-        for &s in sources {
-            if s >= self.num_vertices {
-                return Err(BuildError::SourceOutOfRange {
-                    source: s,
-                    num_vertices: self.num_vertices,
-                });
-            }
+        if !(1..=64).contains(&sources.len()) {
+            return Err(BuildError::BatchSize { got: sources.len() });
         }
+        check_sources(sources, self.num_vertices)?;
         let k_count = sources.len();
         let topo = self.topology;
-        let p = topo.num_gpus() as usize;
-        let d = self.separation.num_delegates() as usize;
-        let cost = &config.cost;
+        let d = self.separation.num_delegates();
 
-        let mut gpus: Vec<MsGpu> = self
-            .subgraphs
-            .iter()
-            .map(|sg| {
-                let n_local = sg.num_local as usize;
-                MsGpu {
-                    masks: vec![0u64; n_local],
-                    new_bits: vec![0u64; n_local],
-                    depths: vec![UNREACHED; n_local * k_count],
-                }
-            })
-            .collect();
-        // Delegate state, replicated: cumulative masks, new bits, depths.
-        let mut delegate_masks = vec![0u64; d];
-        let mut delegate_new = vec![0u64; d];
-        let mut delegate_depths = vec![UNREACHED; d * k_count];
-
-        // Seed every source at depth 0.
+        let mut gpus: Vec<Lanes> =
+            self.subgraphs.iter().map(|sg| Lanes::new(sg.num_local as usize, k_count)).collect();
+        let mut delegates = Lanes::new(d as usize, k_count);
+        // The value is the u64 of source lanes, combined by OR.
+        let mut eng = Superstep::new(topo, &self.subgraphs, d, 0u64, |a, b| a | b, |bits, ()| bits);
         for (k, &s) in sources.iter().enumerate() {
-            let bit = 1u64 << k;
-            if let Some(x) = self.separation.delegate_id(s) {
-                delegate_masks[x as usize] |= bit;
-                delegate_new[x as usize] |= bit;
-                delegate_depths[x as usize * k_count + k] = 0;
-            } else {
-                let flat = topo.flat(topo.vertex_owner(s));
-                let slot = topo.local_index(s) as usize;
-                gpus[flat].masks[slot] |= bit;
-                gpus[flat].new_bits[slot] |= bit;
-                gpus[flat].depths[slot * k_count + k] = 0;
-            }
+            eng.inject(&self.separation, s, 1u64 << k);
         }
 
-        let mut phases_total = PhaseTimes::zero();
-        let mut modeled = 0.0f64;
-        let mut level_seconds = Vec::new();
-        let mut remote_bytes = 0u64;
-        let mut edges_examined = 0u64;
-        let mut iter = 0u32;
-
+        let pricing = Pricing::bsp(&config.cost, config.blocking_reduce);
         loop {
-            let any_normal = gpus.iter().any(|g| g.new_bits.iter().any(|&b| b != 0));
-            let any_delegate = delegate_new.iter().any(|&b| b != 0);
-            if !any_normal && !any_delegate {
-                break;
-            }
-            let next_depth = iter + 1;
-
-            // ---- Local expansion on every GPU. ----
-            struct Out {
-                /// Newly proposed bits per owned slot (before dedup).
-                proposals: Vec<u64>,
-                /// Delegate bit proposals from nd/dd edges.
-                delegate_proposals: Vec<u64>,
-                /// Remote nn proposals: (dest flat, dest slot, bits).
-                remote: Vec<(usize, u32, u64)>,
-                edges: u64,
-                vertices: u64,
-            }
-            let delegate_new_ref = &delegate_new;
-            let delegate_masks_ref = &delegate_masks;
-            let outs: Vec<Out> = gpus
-                .par_iter()
-                .enumerate()
-                .map(|(flat, g)| {
-                    let sg = &self.subgraphs[flat];
-                    let gpu = topo.unflat(flat);
-                    let mut proposals = vec![0u64; g.masks.len()];
-                    let mut delegate_proposals = vec![0u64; d];
-                    let mut remote = Vec::new();
-                    let mut edges = 0u64;
-                    let mut vertices = 0u64;
-                    // Normal frontier pushes over nn and nd.
-                    for slot in 0..g.masks.len() as u32 {
-                        let bits = g.new_bits[slot as usize];
-                        if bits == 0 {
-                            continue;
-                        }
-                        vertices += 1;
-                        for &v_global in sg.nn.row(slot) {
-                            edges += 1;
-                            let owner = topo.vertex_owner(v_global);
-                            let vslot = topo.local_index(v_global);
-                            if owner == gpu {
-                                proposals[vslot as usize] |= bits;
-                            } else {
-                                remote.push((topo.flat(owner), vslot, bits));
-                            }
-                        }
-                        for &x in sg.nd.row(slot) {
-                            edges += 1;
-                            delegate_proposals[x as usize] |= bits;
-                        }
-                    }
-                    // Delegate frontier pushes over dd and dn (local
-                    // portions, replicated new bits).
-                    for x in 0..d as u32 {
-                        let bits = delegate_new_ref[x as usize];
-                        if bits == 0 {
-                            continue;
-                        }
-                        vertices += 1;
-                        for &y in sg.dd.row(x) {
-                            edges += 1;
-                            delegate_proposals[y as usize] |= bits;
-                        }
-                        for &u in sg.dn.row(x) {
-                            edges += 1;
-                            proposals[u as usize] |= bits;
-                        }
-                    }
-                    // Drop already-covered delegate bits early (the
-                    // bitmask analogue of the previsit dedup).
-                    for (prop, &have) in delegate_proposals.iter_mut().zip(delegate_masks_ref) {
-                        *prop &= !have;
-                    }
-                    Out { proposals, delegate_proposals, remote, edges, vertices }
-                })
-                .collect();
-
-            let mut phases = PhaseTimes::zero();
-            for out in &outs {
-                let t = cost.device.kernel_time(KernelKind::DynamicVisit, out.edges)
-                    + cost.device.kernel_time(KernelKind::Previsit, out.vertices);
-                phases.computation = phases.computation.max(t);
-            }
-            edges_examined += outs.iter().map(|o| o.edges).sum::<u64>();
-
-            // ---- Delegate bit reduction: d x u64 words, same two-phase
-            // OR collective as single BFS (64x the bytes). ----
-            let mut reduced_new = vec![0u64; d];
-            if d > 0 && outs.iter().any(|o| o.delegate_proposals.iter().any(|&b| b != 0)) {
-                let words: Vec<Vec<u64>> =
-                    outs.iter().map(|o| o.delegate_proposals.clone()).collect();
-                let outcome = allreduce_or(topo, cost, &words, config.blocking_reduce);
-                phases.local_comm += outcome.local_time;
-                phases.remote_delegate += outcome.global_time;
-                if topo.num_ranks() > 1 {
-                    remote_bytes += 2 * outcome.bytes_per_message * topo.num_ranks() as u64;
-                }
-                reduced_new = outcome.reduced;
-                for (nb, &have) in reduced_new.iter_mut().zip(&delegate_masks) {
-                    *nb &= !have;
-                }
-            }
-            phases.remote_delegate += cost.network.allreduce_time(8, topo.num_ranks(), true);
-
-            // ---- Remote nn exchange: 12 bytes per (slot, bits) update. ----
-            let mut delivered: Vec<Vec<(u32, u64)>> = (0..p).map(|_| Vec::new()).collect();
-            let mut send_bytes = vec![0u64; p];
-            let mut recv_bytes = vec![0u64; p];
-            for (from, out) in outs.iter().enumerate() {
-                for &(to, slot, bits) in &out.remote {
-                    send_bytes[from] += 12;
-                    recv_bytes[to] += 12;
-                    delivered[to].push((slot, bits));
-                }
-            }
-            for flat in 0..p {
-                let t = cost.network.p2p_time(send_bytes[flat].max(recv_bytes[flat]), false);
-                phases.remote_normal = phases.remote_normal.max(t);
-            }
-            remote_bytes += send_bytes.iter().sum::<u64>();
-
-            // ---- Apply updates: set depths for newly covered bits. ----
-            gpus.par_iter_mut().zip(outs).zip(delivered).for_each(|((g, out), inbox)| {
-                let mut proposals = out.proposals;
-                for (slot, bits) in inbox {
-                    proposals[slot as usize] |= bits;
-                }
-                #[allow(clippy::needless_range_loop)] // parallel arrays share the index
-                for slot in 0..g.masks.len() {
-                    let fresh = proposals[slot] & !g.masks[slot];
-                    g.new_bits[slot] = fresh;
-                    if fresh == 0 {
-                        continue;
-                    }
-                    g.masks[slot] |= fresh;
-                    let mut bits = fresh;
-                    while bits != 0 {
-                        let k = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        g.depths[slot * k_count + k] = next_depth;
+            // Lanes new to an entry settle at the current level and travel on.
+            let depth = eng.ledger.steps;
+            eng.deliver(&mut gpus, &mut delegates, |lanes, inbox, next| {
+                for (i, bits) in inbox.touched() {
+                    let fresh = lanes.admit(i, bits, depth);
+                    if fresh != 0 {
+                        next.push((i as u32, fresh));
                     }
                 }
             });
-            for x in 0..d {
-                let fresh = reduced_new[x];
-                delegate_new[x] = fresh;
-                if fresh == 0 {
-                    continue;
-                }
-                delegate_masks[x] |= fresh;
-                let mut bits = fresh;
-                while bits != 0 {
-                    let k = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    delegate_depths[x * k_count + k] = next_depth;
-                }
+            if !eng.has_frontier() {
+                break;
             }
-
-            let timing =
-                IterationTiming { phases, blocking_reduce: config.blocking_reduce, overlap: false };
-            modeled += timing.elapsed();
-            level_seconds.push(timing.elapsed());
-            phases_total = phases_total.combine(&phases);
-            iter += 1;
+            // The d x u64 reduce (64x the single-BFS mask) is skipped on
+            // levels where no GPU proposes a lane a delegate lacks.
+            let news = |x: usize, bits: u64| bits & !delegates.masks[x] != 0;
+            eng.step(&pricing, Reduce::SkipIdle(&news));
         }
 
-        // ---- Assemble per-source depth vectors. ----
-        let n = self.num_vertices as usize;
-        let mut depths: Vec<Vec<u32>> = (0..k_count).map(|_| vec![UNREACHED; n]).collect();
-        for x in 0..d {
-            let v = self.separation.original(x as u32) as usize;
-            for (k, dvec) in depths.iter_mut().enumerate() {
-                dvec[v] = delegate_depths[x * k_count + k];
-            }
-        }
-        for (flat, g) in gpus.iter().enumerate() {
-            let gpu = topo.unflat(flat);
-            for slot in 0..g.masks.len() {
-                if g.masks[slot] == 0 {
-                    continue;
-                }
-                let v = topo.global_id(gpu, slot as u32) as usize;
-                for (k, dvec) in depths.iter_mut().enumerate() {
-                    let dv = g.depths[slot * k_count + k];
-                    if dv != UNREACHED {
-                        dvec[v] = dv;
-                    }
-                }
-            }
-        }
+        let depths: Vec<Vec<u32>> = (0..k_count)
+            .map(|k| {
+                let locals = gpus.iter().map(|g| &g.depths[k]);
+                assemble(&topo, &self.separation, locals, &delegates.depths[k])
+            })
+            .collect();
 
         // Per-source termination level: deepest settled depth plus the
         // final empty-yield pass a standalone run would execute. An
@@ -361,18 +169,19 @@ impl DistributedGraph {
                 deepest + 1
             })
             .collect();
-        debug_assert!(source_iterations.iter().all(|&s| s <= iter.max(1)));
+        let ledger = eng.ledger;
+        debug_assert!(source_iterations.iter().all(|&s| s <= ledger.steps.max(1)));
 
         Ok(MsBfsResult {
             sources: sources.to_vec(),
             depths,
-            iterations: iter,
+            iterations: ledger.steps,
             source_iterations,
-            level_seconds,
-            edges_examined,
-            phases: phases_total,
-            modeled_seconds: modeled,
-            remote_bytes,
+            level_seconds: ledger.step_seconds,
+            edges_examined: ledger.edges,
+            phases: ledger.phases,
+            modeled_seconds: ledger.modeled_seconds,
+            remote_bytes: ledger.remote_bytes,
         })
     }
 }
@@ -539,12 +348,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1..=64")]
     fn rejects_oversized_batch() {
         let graph = builders::path(80);
         let config = BfsConfig::new(4);
         let dist = DistributedGraph::build(&graph, Topology::new(1, 1), &config).unwrap();
         let sources: Vec<u64> = (0..65).collect();
-        let _ = dist.run_multi_source(&sources, &config);
+        assert_eq!(
+            dist.run_multi_source(&sources, &config).unwrap_err(),
+            BuildError::BatchSize { got: 65 }
+        );
+        assert_eq!(
+            dist.run_multi_source(&[], &config).unwrap_err(),
+            BuildError::BatchSize { got: 0 }
+        );
     }
 }

@@ -19,10 +19,10 @@
 //! * dangling mass and the convergence delta ride tiny scalar allreduces.
 
 use crate::driver::DistributedGraph;
+use crate::propagate::{assemble, Pricing, Reduce, Superstep};
 use gcbfs_cluster::collectives::allreduce_sum;
-use gcbfs_cluster::cost::{CostModel, KernelKind};
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
-use rayon::prelude::*;
+use gcbfs_cluster::cost::CostModel;
+use gcbfs_cluster::timing::PhaseTimes;
 
 /// Configuration of a distributed PageRank run.
 #[derive(Clone, Copy, Debug)]
@@ -68,14 +68,45 @@ pub struct DistributedPageRankResult {
     pub remote_bytes: u64,
 }
 
-/// Per-GPU PageRank state.
-struct PrGpu {
-    /// Score of each owned local slot (0 for delegate-owned slots).
-    normal_scores: Vec<f64>,
-    /// Out-degree of each owned normal slot (nn + nd edges live here).
-    normal_degrees: Vec<u32>,
-    /// True for slots whose global vertex is a delegate (excluded).
-    is_delegate_slot: Vec<bool>,
+/// PageRank state of one GPU's owned slots, or of the replicated delegates.
+struct PrState {
+    /// Score per entry (0 for the unused slots delegates' ids own).
+    scores: Vec<f64>,
+    /// Out-degree per entry: `nn` + `nd` edges of a normal slot, the
+    /// global `dn` + `dd` total of a delegate.
+    degrees: Vec<u32>,
+    /// True for the unused slots (they keep no score).
+    unused: Vec<bool>,
+    /// Score mass on this side's dangling (degree-0) entries.
+    dangling: f64,
+    /// This side's share of the last iteration's L1 delta.
+    delta: f64,
+}
+
+impl PrState {
+    /// Takes the damped incoming mass as the new scores, then refills
+    /// `frontier` with the share `score / degree` every entry pushes and
+    /// re-sums the dangling mass. Every entry is listed — the
+    /// per-iteration scan covers them all — but unused and dangling ones
+    /// have empty rows, so what they push goes nowhere.
+    fn update(&mut self, next_score: impl Fn(usize) -> f64, frontier: &mut Vec<(u32, f64)>) {
+        self.dangling = 0.0;
+        self.delta = 0.0;
+        for i in 0..self.scores.len() {
+            let mut share = 0.0;
+            if !self.unused[i] {
+                let score = next_score(i);
+                self.delta += (score - self.scores[i]).abs();
+                self.scores[i] = score;
+                if self.degrees[i] == 0 {
+                    self.dangling += score;
+                } else {
+                    share = score / self.degrees[i] as f64;
+                }
+            }
+            frontier.push((i as u32, share));
+        }
+    }
 }
 
 impl DistributedGraph {
@@ -94,32 +125,27 @@ impl DistributedGraph {
     /// ```
     pub fn pagerank(&self, config: &PageRankConfig) -> DistributedPageRankResult {
         let topo = self.topology;
-        let p = topo.num_gpus() as usize;
         let n = self.num_vertices;
-        let d = self.separation.num_delegates() as usize;
+        let d = self.separation.num_delegates();
         let cost = &config.cost;
         let uniform = 1.0 / n as f64;
+        let damping = config.damping;
 
         // ---- Setup: per-GPU state and global delegate out-degrees. ----
-        let mut gpus: Vec<PrGpu> = topo
+        let mut gpus: Vec<PrState> = topo
             .gpus()
-            .enumerate()
-            .map(|(flat, gpu)| {
-                let sg = &self.subgraphs[flat];
-                let num_local = sg.num_local as usize;
-                let mut is_delegate_slot = vec![false; num_local];
-                let mut normal_scores = vec![0f64; num_local];
-                let mut normal_degrees = vec![0u32; num_local];
-                for slot in 0..num_local as u32 {
-                    let v = topo.global_id(gpu, slot);
-                    if self.separation.is_delegate(v) {
-                        is_delegate_slot[slot as usize] = true;
-                    } else {
-                        normal_scores[slot as usize] = uniform;
-                        normal_degrees[slot as usize] = sg.nn.degree(slot) + sg.nd.degree(slot);
-                    }
+            .zip(&self.subgraphs)
+            .map(|(gpu, sg)| {
+                let is_delegate = |slot| self.separation.is_delegate(topo.global_id(gpu, slot));
+                PrState {
+                    scores: vec![0f64; sg.num_local as usize],
+                    degrees: (0..sg.num_local)
+                        .map(|slot| sg.nn.degree(slot) + sg.nd.degree(slot))
+                        .collect(),
+                    unused: (0..sg.num_local).map(is_delegate).collect(),
+                    dangling: 0.0,
+                    delta: 0.0,
                 }
-                PrGpu { normal_scores, normal_degrees, is_delegate_slot }
             })
             .collect();
 
@@ -127,210 +153,58 @@ impl DistributedGraph {
         let degree_partials: Vec<Vec<f64>> = self
             .subgraphs
             .iter()
-            .map(|sg| (0..d as u32).map(|x| (sg.dn.degree(x) + sg.dd.degree(x)) as f64).collect())
+            .map(|sg| (0..d).map(|x| (sg.dn.degree(x) + sg.dd.degree(x)) as f64).collect())
             .collect();
         let delegate_outdeg = if d > 0 {
             allreduce_sum(topo, cost, &degree_partials, config.blocking_reduce).reduced
         } else {
             Vec::new()
         };
-        let mut delegate_scores = vec![uniform; d];
+        let mut delegates = PrState {
+            scores: vec![0f64; d as usize],
+            degrees: delegate_outdeg.iter().map(|&deg| deg as u32).collect(),
+            unused: vec![false; d as usize],
+            dangling: 0.0,
+            delta: 0.0,
+        };
+
+        // The value is a rank share, combined by sum. Every vertex is
+        // active every iteration, starting from the uniform score.
+        let mut eng = Superstep::new(topo, &self.subgraphs, d, 0f64, |a, b| a + b, |s, ()| s);
+        for (g, frontier) in gpus.iter_mut().zip(&mut eng.normal_frontier) {
+            g.update(|_| uniform, frontier);
+        }
+        delegates.update(|_| uniform, &mut eng.delegate_frontier);
+
+        let pricing = Pricing {
+            // A single rank moves its nn contributions over the node fabric.
+            p2p_intra_node: topo.gpus_per_rank() == topo.num_gpus(),
+            // (Its termination allreduce is the global delta check.)
+            ..Pricing::bsp(cost, config.blocking_reduce)
+        };
 
         // ---- Power iterations. ----
-        let mut phases_total = PhaseTimes::zero();
-        let mut modeled = 0.0f64;
-        let mut remote_bytes = 0u64;
-        let mut iterations = 0u32;
         let mut delta = f64::INFINITY;
-
-        while iterations < config.max_iterations && delta > config.tolerance {
-            // Each GPU walks its subgraph edges and produces: local normal
-            // accumulators, delegate partial sums, remote nn contributions,
-            // and its dangling mass.
-            struct GpuOut {
-                local_acc: Vec<f64>,
-                delegate_partial: Vec<f64>,
-                remote: Vec<(usize, u32, f64)>,
-                dangling: f64,
-                edges: u64,
-                vertices: u64,
-            }
-            let delegate_scores_ref = &delegate_scores;
-            let delegate_outdeg_ref = &delegate_outdeg;
-            let outs: Vec<GpuOut> = gpus
-                .par_iter()
-                .enumerate()
-                .map(|(flat, g)| {
-                    let sg = &self.subgraphs[flat];
-                    let gpu = topo.unflat(flat);
-                    let mut local_acc = vec![0f64; g.normal_scores.len()];
-                    let mut delegate_partial = vec![0f64; d];
-                    let mut remote = Vec::new();
-                    let mut dangling = 0f64;
-                    let mut edges = 0u64;
-                    // Normal sources: nn + nd pushes.
-                    for slot in 0..g.normal_scores.len() as u32 {
-                        if g.is_delegate_slot[slot as usize] {
-                            continue;
-                        }
-                        let deg = g.normal_degrees[slot as usize];
-                        let s = g.normal_scores[slot as usize];
-                        if deg == 0 {
-                            dangling += s;
-                            continue;
-                        }
-                        let share = s / deg as f64;
-                        for &v_global in sg.nn.row(slot) {
-                            edges += 1;
-                            let owner = topo.vertex_owner(v_global);
-                            let vslot = topo.local_index(v_global);
-                            if owner == gpu {
-                                local_acc[vslot as usize] += share;
-                            } else {
-                                remote.push((topo.flat(owner), vslot, share));
-                            }
-                        }
-                        for &x in sg.nd.row(slot) {
-                            edges += 1;
-                            delegate_partial[x as usize] += share;
-                        }
-                    }
-                    // Delegate sources: dn + dd pushes over the local
-                    // portions, using the replicated scores and *global*
-                    // out-degrees.
-                    for x in 0..d as u32 {
-                        let deg = delegate_outdeg_ref[x as usize];
-                        if deg == 0.0 {
-                            continue;
-                        }
-                        let share = delegate_scores_ref[x as usize] / deg;
-                        for &u in sg.dn.row(x) {
-                            edges += 1;
-                            local_acc[u as usize] += share;
-                        }
-                        for &y in sg.dd.row(x) {
-                            edges += 1;
-                            delegate_partial[y as usize] += share;
-                        }
-                    }
-                    let vertices = g.normal_scores.len() as u64 + d as u64;
-                    GpuOut { local_acc, delegate_partial, remote, dangling, edges, vertices }
-                })
-                .collect();
-
-            // ---- Phase accounting: computation. ----
-            let mut phases = PhaseTimes::zero();
-            for out in &outs {
-                let t = cost.device.kernel_time(KernelKind::DynamicVisit, out.edges)
-                    + cost.device.kernel_time(KernelKind::Previsit, out.vertices);
-                phases.computation = phases.computation.max(t);
-            }
-
-            // ---- Delegate score reduction (+ dangling rides along). ----
-            let partials: Vec<Vec<f64>> = outs
-                .iter()
-                .map(|o| {
-                    let mut v = o.delegate_partial.clone();
-                    v.push(o.dangling);
-                    v
-                })
-                .collect();
-            let reduce = allreduce_sum(topo, cost, &partials, config.blocking_reduce);
-            phases.local_comm += reduce.local_time;
-            phases.remote_delegate += reduce.global_time;
-            if topo.num_ranks() > 1 {
-                remote_bytes += 2 * reduce.bytes_per_message * topo.num_ranks() as u64;
-            }
-            let dangling: f64 = reduce.reduced[d];
-            let delegate_in = &reduce.reduced[..d];
-
-            // ---- Remote nn contribution exchange: 12 bytes per item. ----
-            let mut send_bytes = vec![0u64; p];
-            let mut recv_bytes = vec![0u64; p];
-            let mut delivered: Vec<Vec<(u32, f64)>> = (0..p).map(|_| Vec::new()).collect();
-            for (from, out) in outs.iter().enumerate() {
-                for &(to, slot, share) in &out.remote {
-                    send_bytes[from] += 12;
-                    recv_bytes[to] += 12;
-                    delivered[to].push((slot, share));
-                }
-            }
-            for flat in 0..p {
-                let from_gpu = topo.unflat(flat);
-                // Approximate per-GPU NIC occupancy with one aggregated
-                // message (contributions to many peers coalesce per §VI-A1).
-                let intra = topo.gpus_per_rank() == topo.num_gpus();
-                let t = cost.network.p2p_time(send_bytes[flat].max(recv_bytes[flat]), intra);
-                phases.remote_normal = phases.remote_normal.max(t);
-                let _ = from_gpu;
-            }
-            remote_bytes += send_bytes.iter().sum::<u64>();
-
-            // ---- Apply updates and compute the L1 delta. ----
-            let base = (1.0 - config.damping) * uniform + config.damping * dangling * uniform;
-            let damping = config.damping;
-            let deltas: Vec<f64> = gpus
-                .par_iter_mut()
-                .zip(outs)
-                .zip(delivered)
-                .map(|((g, out), inbox)| {
-                    let mut acc = out.local_acc;
-                    for (slot, share) in inbox {
-                        acc[slot as usize] += share;
-                    }
-                    let mut local_delta = 0f64;
-                    #[allow(clippy::needless_range_loop)] // parallel arrays share the index
-                    for slot in 0..g.normal_scores.len() {
-                        if g.is_delegate_slot[slot] {
-                            continue;
-                        }
-                        let next = base + damping * acc[slot];
-                        local_delta += (next - g.normal_scores[slot]).abs();
-                        g.normal_scores[slot] = next;
-                    }
-                    local_delta
-                })
-                .collect();
-            let mut new_delegate_scores = Vec::with_capacity(d);
-            let mut delegate_delta = 0f64;
-            for x in 0..d {
-                let next = base + damping * delegate_in[x];
-                delegate_delta += (next - delegate_scores[x]).abs();
-                new_delegate_scores.push(next);
-            }
-            delegate_scores = new_delegate_scores;
-            delta = deltas.iter().sum::<f64>() + delegate_delta;
-            // The global delta check is one more scalar allreduce.
-            phases.remote_delegate += cost.network.allreduce_time(8, topo.num_ranks(), true);
-
-            let timing =
-                IterationTiming { phases, blocking_reduce: config.blocking_reduce, overlap: false };
-            modeled += timing.elapsed();
-            phases_total = phases_total.combine(&phases);
-            iterations += 1;
+        while eng.ledger.steps < config.max_iterations && delta > config.tolerance {
+            // The dangling mass rides along the delegate score reduction.
+            let dangling: Vec<f64> = gpus.iter().map(|g| g.dangling).collect();
+            eng.step(&pricing, Reduce::WithScalar(&dangling));
+            let base = (1.0 - damping) * uniform + damping * eng.reduced[d as usize] * uniform;
+            eng.deliver(&mut gpus, &mut delegates, |side, inbox, next| {
+                side.update(|i| base + damping * inbox.get(i), next);
+            });
+            delta = gpus.iter().map(|g| g.delta).sum::<f64>() + delegates.delta;
         }
 
-        // ---- Assemble global scores. ----
-        let mut scores = vec![0f64; n as usize];
-        for x in 0..d as u32 {
-            scores[self.separation.original(x) as usize] = delegate_scores[x as usize];
-        }
-        for (flat, g) in gpus.iter().enumerate() {
-            let gpu = topo.unflat(flat);
-            for (slot, &s) in g.normal_scores.iter().enumerate() {
-                if !g.is_delegate_slot[slot] {
-                    scores[topo.global_id(gpu, slot as u32) as usize] = s;
-                }
-            }
-        }
-
+        let locals = gpus.iter().map(|g| &g.scores);
+        let ledger = eng.ledger;
         DistributedPageRankResult {
-            scores,
-            iterations,
+            scores: assemble(&topo, &self.separation, locals, &delegates.scores),
+            iterations: ledger.steps,
             delta,
-            phases: phases_total,
-            modeled_seconds: modeled,
-            remote_bytes,
+            phases: ledger.phases,
+            modeled_seconds: ledger.modeled_seconds,
+            remote_bytes: ledger.remote_bytes,
         }
     }
 }

@@ -13,26 +13,25 @@
 use crate::config::BfsConfig;
 use crate::distributor::{classify, owner, EdgeClass};
 use crate::driver::BuildError;
+use crate::propagate::{assemble, check_sources, Pricing, Reduce, Rows, Superstep};
 use crate::separation::Separation;
-use gcbfs_cluster::collectives::allreduce_min;
-use gcbfs_cluster::cost::KernelKind;
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
+use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::weighted::{WeightedEdgeList, UNREACHABLE};
 use gcbfs_graph::VertexId;
-use rayon::prelude::*;
 use std::sync::Arc;
 
-/// A weighted local CSR: rows and columns 32-bit, weights parallel.
-#[derive(Clone, Debug, Default)]
-struct WLocalCsr {
+/// A weighted CSR over 32-bit rows: columns of type `C` (32-bit local ids,
+/// or 64-bit global ids for `nn`) with the weights parallel.
+#[derive(Clone, Debug)]
+struct WCsr<C> {
     offsets: Vec<u32>,
-    cols: Vec<u32>,
+    cols: Vec<C>,
     weights: Vec<u32>,
 }
 
-impl WLocalCsr {
-    fn build(rows: u32, edges: &[(u32, u32, u32)]) -> Self {
+impl<C: Copy + Default> WCsr<C> {
+    fn build(rows: u32, edges: &[(u32, C, u32)]) -> Self {
         let mut offsets = vec![0u32; rows as usize + 1];
         for &(r, _, _) in edges {
             offsets[r as usize + 1] += 1;
@@ -41,7 +40,7 @@ impl WLocalCsr {
             offsets[i + 1] += offsets[i];
         }
         let mut cursor = offsets[..rows as usize].to_vec();
-        let mut cols = vec![0u32; edges.len()];
+        let mut cols = vec![C::default(); edges.len()];
         let mut weights = vec![0u32; edges.len()];
         for &(r, c, w) in edges {
             let pos = &mut cursor[r as usize];
@@ -53,44 +52,7 @@ impl WLocalCsr {
     }
 
     #[inline]
-    fn row(&self, r: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let lo = self.offsets[r as usize] as usize;
-        let hi = self.offsets[r as usize + 1] as usize;
-        self.cols[lo..hi].iter().copied().zip(self.weights[lo..hi].iter().copied())
-    }
-}
-
-/// A weighted `nn` CSR: 64-bit global destinations.
-#[derive(Clone, Debug, Default)]
-struct WNnCsr {
-    offsets: Vec<u32>,
-    cols: Vec<u64>,
-    weights: Vec<u32>,
-}
-
-impl WNnCsr {
-    fn build(rows: u32, edges: &[(u32, u64, u32)]) -> Self {
-        let mut offsets = vec![0u32; rows as usize + 1];
-        for &(r, _, _) in edges {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 0..rows as usize {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets[..rows as usize].to_vec();
-        let mut cols = vec![0u64; edges.len()];
-        let mut weights = vec![0u32; edges.len()];
-        for &(r, c, w) in edges {
-            let pos = &mut cursor[r as usize];
-            cols[*pos as usize] = c;
-            weights[*pos as usize] = w;
-            *pos += 1;
-        }
-        Self { offsets, cols, weights }
-    }
-
-    #[inline]
-    fn row(&self, r: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
+    fn row(&self, r: u32) -> impl Iterator<Item = (C, u32)> + '_ {
         let lo = self.offsets[r as usize] as usize;
         let hi = self.offsets[r as usize + 1] as usize;
         self.cols[lo..hi].iter().copied().zip(self.weights[lo..hi].iter().copied())
@@ -101,10 +63,29 @@ impl WNnCsr {
 #[derive(Clone, Debug)]
 struct WGpuSubgraphs {
     num_local: u32,
-    nn: WNnCsr,
-    nd: WLocalCsr,
-    dn: WLocalCsr,
-    dd: WLocalCsr,
+    nn: WCsr<u64>,
+    nd: WCsr<u32>,
+    dn: WCsr<u32>,
+    dd: WCsr<u32>,
+}
+
+impl Rows for WGpuSubgraphs {
+    type Edge = u32;
+    fn nn(&self, slot: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.nn.row(slot)
+    }
+    fn nd(&self, slot: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.nd.row(slot)
+    }
+    fn dn(&self, x: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.dn.row(x)
+    }
+    fn dd(&self, x: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.dd.row(x)
+    }
+    fn num_local(&self) -> u32 {
+        self.num_local
+    }
 }
 
 /// A weighted graph distributed across the simulated cluster for SSSP.
@@ -172,10 +153,10 @@ impl DistributedSssp {
                 let num_local = topology.owned_count(gpu, graph.num_vertices);
                 Arc::new(WGpuSubgraphs {
                     num_local,
-                    nn: WNnCsr::build(num_local, &nn[flat]),
-                    nd: WLocalCsr::build(num_local, &nd[flat]),
-                    dn: WLocalCsr::build(d, &dn[flat]),
-                    dd: WLocalCsr::build(d, &dd[flat]),
+                    nn: WCsr::build(num_local, &nn[flat]),
+                    nd: WCsr::build(num_local, &nd[flat]),
+                    dn: WCsr::build(d, &dn[flat]),
+                    dd: WCsr::build(d, &dd[flat]),
                 })
             })
             .collect();
@@ -192,190 +173,45 @@ impl DistributedSssp {
     /// # Errors
     /// Returns [`BuildError::SourceOutOfRange`] for an invalid source.
     pub fn run(&self, source: VertexId, config: &BfsConfig) -> Result<SsspResult, BuildError> {
-        if source >= self.num_vertices {
-            return Err(BuildError::SourceOutOfRange { source, num_vertices: self.num_vertices });
-        }
+        check_sources(&[source], self.num_vertices)?;
         let topo = self.topology;
-        let p = topo.num_gpus() as usize;
-        let d = self.separation.num_delegates() as usize;
-        let cost = &config.cost;
+        let d = self.separation.num_delegates();
 
         let mut dist_local: Vec<Vec<u64>> =
             self.subgraphs.iter().map(|sg| vec![UNREACHABLE; sg.num_local as usize]).collect();
-        let mut delegate_dist = vec![UNREACHABLE; d];
-        let mut active_local: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-        let mut active_delegates: Vec<u32> = Vec::new();
+        let mut delegate_dist = vec![UNREACHABLE; d as usize];
+        // The value is a tentative distance, combined by min; crossing an
+        // edge adds its weight.
+        let relax = |dist: u64, w: u32| dist + w as u64;
+        let mut eng = Superstep::new(topo, &self.subgraphs, d, UNREACHABLE, u64::min, relax);
+        eng.inject(&self.separation, source, 0);
 
-        if let Some(x) = self.separation.delegate_id(source) {
-            delegate_dist[x as usize] = 0;
-            active_delegates.push(x);
-        } else {
-            let flat = topo.flat(topo.vertex_owner(source));
-            let slot = topo.local_index(source);
-            dist_local[flat][slot as usize] = 0;
-            active_local[flat].push(slot);
-        }
-
-        let mut phases_total = PhaseTimes::zero();
-        let mut modeled = 0.0f64;
-        let mut remote_bytes = 0u64;
-        let mut edges_relaxed = 0u64;
-        let mut rounds = 0u32;
-
-        while active_local.iter().any(|a| !a.is_empty()) || !active_delegates.is_empty() {
-            struct Out {
-                local_props: Vec<(u32, u64)>,
-                delegate_props: Vec<u64>,
-                remote: Vec<(usize, u32, u64)>,
-                edges: u64,
-                vertices: u64,
-            }
-            let active_delegates_ref = &active_delegates;
-            let delegate_dist_ref = &delegate_dist;
-            let outs: Vec<Out> = active_local
-                .par_iter()
-                .zip(dist_local.par_iter())
-                .enumerate()
-                .map(|(flat, (active, dist))| {
-                    let sg = &self.subgraphs[flat];
-                    let gpu = topo.unflat(flat);
-                    let mut local_props = Vec::new();
-                    let mut delegate_props = vec![UNREACHABLE; d];
-                    let mut remote = Vec::new();
-                    let mut edges = 0u64;
-                    let vertices = active.len() as u64 + active_delegates_ref.len() as u64;
-                    for &u in active {
-                        let du = dist[u as usize];
-                        for (v_global, w) in sg.nn.row(u) {
-                            edges += 1;
-                            let cand = du + w as u64;
-                            let vowner = topo.vertex_owner(v_global);
-                            let slot = topo.local_index(v_global);
-                            if vowner == gpu {
-                                local_props.push((slot, cand));
-                            } else {
-                                remote.push((topo.flat(vowner), slot, cand));
-                            }
-                        }
-                        for (x, w) in sg.nd.row(u) {
-                            edges += 1;
-                            let prop = &mut delegate_props[x as usize];
-                            *prop = (*prop).min(du + w as u64);
-                        }
+        let pricing = Pricing::bsp(&config.cost, config.blocking_reduce);
+        loop {
+            // Vertices whose distance improved relax their out-edges next.
+            eng.deliver(&mut dist_local, &mut delegate_dist, |dist, inbox, next| {
+                for (i, cand) in inbox.touched() {
+                    if cand < dist[i] {
+                        dist[i] = cand;
+                        next.push((i as u32, cand));
                     }
-                    for &x in active_delegates_ref {
-                        let dx = delegate_dist_ref[x as usize];
-                        for (y, w) in sg.dd.row(x) {
-                            edges += 1;
-                            let prop = &mut delegate_props[y as usize];
-                            *prop = (*prop).min(dx + w as u64);
-                        }
-                        for (u, w) in sg.dn.row(x) {
-                            edges += 1;
-                            local_props.push((u, dx + w as u64));
-                        }
-                    }
-                    Out { local_props, delegate_props, remote, edges, vertices }
-                })
-                .collect();
-
-            let mut phases = PhaseTimes::zero();
-            for out in &outs {
-                let t = cost.device.kernel_time(KernelKind::DynamicVisit, out.edges)
-                    + cost.device.kernel_time(KernelKind::Previsit, out.vertices);
-                phases.computation = phases.computation.max(t);
-            }
-            edges_relaxed += outs.iter().map(|o| o.edges).sum::<u64>();
-
-            // Delegate distance min-reduce.
-            let mut reduced = Vec::new();
-            if d > 0 {
-                let words: Vec<Vec<u64>> = outs.iter().map(|o| o.delegate_props.clone()).collect();
-                let outcome = allreduce_min(topo, cost, &words, config.blocking_reduce);
-                phases.local_comm += outcome.local_time;
-                phases.remote_delegate += outcome.global_time;
-                if topo.num_ranks() > 1 {
-                    remote_bytes += 2 * outcome.bytes_per_message * topo.num_ranks() as u64;
                 }
-                reduced = outcome.reduced;
+            });
+            if !eng.has_frontier() {
+                break;
             }
-            phases.remote_delegate += cost.network.allreduce_time(8, topo.num_ranks(), true);
-
-            // Remote relaxations: 12 bytes per (slot, distance).
-            let mut delivered: Vec<Vec<(u32, u64)>> = (0..p).map(|_| Vec::new()).collect();
-            let mut send_bytes = vec![0u64; p];
-            let mut recv_bytes = vec![0u64; p];
-            for (from, out) in outs.iter().enumerate() {
-                for &(to, slot, cand) in &out.remote {
-                    send_bytes[from] += 12;
-                    recv_bytes[to] += 12;
-                    delivered[to].push((slot, cand));
-                }
-            }
-            for flat in 0..p {
-                let t = cost.network.p2p_time(send_bytes[flat].max(recv_bytes[flat]), false);
-                phases.remote_normal = phases.remote_normal.max(t);
-            }
-            remote_bytes += send_bytes.iter().sum::<u64>();
-
-            // Apply improvements.
-            active_local = dist_local
-                .par_iter_mut()
-                .zip(outs)
-                .zip(delivered)
-                .map(|((dist, out), inbox)| {
-                    let mut next = Vec::new();
-                    for (slot, cand) in out.local_props.into_iter().chain(inbox) {
-                        let cur = &mut dist[slot as usize];
-                        if cand < *cur {
-                            *cur = cand;
-                            next.push(slot);
-                        }
-                    }
-                    next.sort_unstable();
-                    next.dedup();
-                    next
-                })
-                .collect();
-            active_delegates.clear();
-            for x in 0..d {
-                if reduced.get(x).copied().unwrap_or(UNREACHABLE) < delegate_dist[x] {
-                    delegate_dist[x] = reduced[x];
-                    active_delegates.push(x as u32);
-                }
-            }
-
-            let timing =
-                IterationTiming { phases, blocking_reduce: config.blocking_reduce, overlap: false };
-            modeled += timing.elapsed();
-            phases_total = phases_total.combine(&phases);
-            rounds += 1;
+            eng.step(&pricing, Reduce::EveryStep);
         }
 
-        // Assemble.
-        let mut distances = vec![UNREACHABLE; self.num_vertices as usize];
-        for (flat, local) in dist_local.iter().enumerate() {
-            let gpu = topo.unflat(flat);
-            for (slot, &dl) in local.iter().enumerate() {
-                if dl != UNREACHABLE {
-                    distances[topo.global_id(gpu, slot as u32) as usize] = dl;
-                }
-            }
-        }
-        for (x, &dx) in delegate_dist.iter().enumerate() {
-            if dx != UNREACHABLE {
-                distances[self.separation.original(x as u32) as usize] = dx;
-            }
-        }
-
+        let ledger = eng.ledger;
         Ok(SsspResult {
             source,
-            distances,
-            rounds,
-            edges_relaxed,
-            phases: phases_total,
-            modeled_seconds: modeled,
-            remote_bytes,
+            distances: assemble(&topo, &self.separation, &dist_local, &delegate_dist),
+            rounds: ledger.steps,
+            edges_relaxed: ledger.edges,
+            phases: ledger.phases,
+            modeled_seconds: ledger.modeled_seconds,
+            remote_bytes: ledger.remote_bytes,
         })
     }
 
