@@ -35,6 +35,7 @@ use gcbfs_cluster::topology::Topology;
 use gcbfs_core::backend::{Backend, BackendRun, ProcBackend, SimBackend};
 use gcbfs_core::config::BfsConfig;
 use gcbfs_core::procrt::{self, ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand};
+use gcbfs_core::recovery::RecoveryConfig;
 use gcbfs_graph::rmat::RmatConfig;
 use gcbfs_graph::EdgeList;
 
@@ -166,18 +167,17 @@ fn main() {
     println!("\nrecovery bill (SIGKILL mid-sweep, phi-accrual confirmation):");
     let mut rec_rows = Vec::new();
     let mut rec_json = Vec::new();
+    let kill_config = config.with_recovery(RecoveryConfig::default().with_checkpoint_interval(2));
     for (label, spares, victim) in [("spare", 1u32, 1u32), ("spread", 0, 0)] {
         let opts = ProcOptions {
             workers: 2,
-            spares,
-            checkpoint_interval: 2,
             chaos: ChaosSpec {
                 kill: Some(KillSpec { worker: victim, iter: 1 }),
                 ..ChaosSpec::default()
             },
             ..ProcOptions::default()
         };
-        let proc = run_proc(&graph, topo, source, &config, opts);
+        let proc = run_proc(&graph, topo.with_spares(spares), source, &kill_config, opts);
         let report = proc.proc.as_ref().expect("proc report");
         let rec = report.recovery.expect("a killed worker must be recovered");
         let expected = if label == "spare" { RecoveryMode::Spare } else { RecoveryMode::Spread };

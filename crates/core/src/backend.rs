@@ -137,7 +137,7 @@ impl Backend for SimBackend {
 pub struct ProcBackend {
     /// How to launch worker processes.
     pub worker_cmd: WorkerCommand,
-    /// Runtime tuning (worker count, spares, timeouts, chaos).
+    /// Runtime tuning (worker count, timeouts, chaos).
     pub opts: ProcOptions,
 }
 

@@ -168,14 +168,8 @@ impl<'a> Chaos<'a> {
     /// fail-stop always has a rollback target). A re-entered iteration
     /// after rollback is not re-captured.
     fn checkpoint_if_due(&mut self, t: &mut Traversal) {
-        let recovery = self.config.recovery;
         let iter = t.iter;
-        let due = recovery.enabled
-            && (iter == 0
-                || (recovery.checkpoint_interval > 0
-                    && iter.is_multiple_of(recovery.checkpoint_interval)))
-            && self.checkpoint.as_ref().is_none_or(|c| c.iter != iter);
-        if !due {
+        if !self.config.recovery.checkpoint_due(iter, self.checkpoint.as_ref().map(|c| c.iter)) {
             return;
         }
         let mut cp = Checkpoint::capture(iter, &t.group.workers, t.records.len());

@@ -107,18 +107,6 @@ impl DelegateMask {
         DelegateMask { num_bits, words }
     }
 
-    /// XORs `xor` into word `word % words.len()` — the checkpoint layer's
-    /// at-rest tamper hook for fault-injection tests. Returns the word
-    /// index actually hit, or `None` on an empty mask or zero `xor`.
-    pub fn xor_word(&mut self, word: usize, xor: u64) -> Option<usize> {
-        if self.words.is_empty() || xor == 0 {
-            return None;
-        }
-        let w = word % self.words.len();
-        self.words[w] ^= xor;
-        Some(w)
-    }
-
     /// Tests bit `i`.
     #[inline]
     pub fn get(&self, i: u32) -> bool {

@@ -6,22 +6,25 @@
 //! Death is decided by the detector, never by a closed socket: a worker
 //! whose connection drops keeps its slot until heartbeat *silence*
 //! accrues past the wall profile's confirmation threshold. Only then does
-//! the recovery ladder engage — reap the child, roll survivors back to
-//! the last *committed* checkpoint, and re-home the dead slot's
-//! partitions onto a freshly spawned spare (same slot, new generation) or
-//! the least-loaded survivor. A checkpoint commits only once every
-//! worker's sealed images for that iteration arrived, so a death racing
-//! the capture can always fall back to the previous committed one.
+//! recovery engage — reap the child, re-home the dead slot's partitions
+//! onto a freshly spawned spare (same slot, new generation) or the
+//! least-loaded survivor, and send every live worker the committed images
+//! of the GPUs it now hosts in one `Restore` round. The coordinator's
+//! committed store is the only checkpoint copy: a checkpoint commits only
+//! once every GPU's sealed image for that iteration arrived, so a death
+//! racing the capture falls back to the previous committed one.
 
 use super::protocol::{
-    kind, ConfigWire, GpuStateImage, ProtocolError, WireBlock, WireReader, WireWriter,
+    kind, read_images, write_images, ConfigWire, ProtocolError, WireBlock, WireReader, WireWriter,
     PROTO_VERSION,
 };
 use super::transport::TransportError;
 use super::{hosted_flats, ProcError, ProcOptions, ProcReport, RecoveryMode, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
+use crate::checkpoint::GpuStateImage;
 use crate::config::BfsConfig;
 use crate::driver::BuildError;
+use crate::recovery::RecoveryConfig;
 use crate::separation::Separation;
 use gcbfs_cluster::clock::{Clock, WallClock};
 use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
@@ -104,6 +107,11 @@ struct Coordinator {
     topo: Topology,
     config_wire: ConfigWire,
     compression: gcbfs_compress::CompressionMode,
+    /// Checkpoint cadence and which recovery paths are allowed.
+    recovery: RecoveryConfig,
+    /// The degree classification every worker computes too; assembly
+    /// reuses it.
+    separation: Separation,
     opts: ProcOptions,
     worker_cmd: WorkerCommand,
     socket_path: PathBuf,
@@ -116,13 +124,13 @@ struct Coordinator {
     clock: WallClock,
     membership: Membership,
     last_tick: Instant,
-    /// Committed checkpoint: iteration + one sealed image per flat GPU.
+    /// Committed checkpoint — the run's only copy: its iteration and one
+    /// sealed image per GPU, indexed by flat.
     cp_iter: Option<u32>,
-    cp_store: HashMap<u32, GpuStateImage>,
+    cp_store: Vec<GpuStateImage>,
     /// Uncommitted saves: iter -> gpu_flat -> image.
     staged: HashMap<u32, HashMap<u32, GpuStateImage>>,
     prev_reduced: Option<Vec<u64>>,
-    num_delegates: u64,
     spares_left: u32,
     kill_fired: bool,
     kill_time: Option<Instant>,
@@ -182,9 +190,7 @@ impl Coordinator {
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
     ) -> Result<Self, ProcError> {
-        let degrees = graph.out_degrees();
-        let separation = Separation::from_degrees(&degrees, config.degree_threshold);
-        let num_delegates = u64::from(separation.num_delegates());
+        let separation = Separation::from_degrees(&graph.out_degrees(), config.degree_threshold);
         let mut graph_bytes = Vec::new();
         gcbfs_graph::io::write_binary(graph, &mut graph_bytes)
             .map_err(|e| ProcError::Spawn(format!("graph serialization failed: {e}")))?;
@@ -224,6 +230,8 @@ impl Coordinator {
             topo,
             config_wire: ConfigWire::from_config(config, track_parents),
             compression: config.compression,
+            recovery: config.recovery,
+            separation,
             opts: opts.clone(),
             worker_cmd: worker_cmd.clone(),
             socket_path,
@@ -236,11 +244,10 @@ impl Coordinator {
             membership,
             last_tick: Instant::now(),
             cp_iter: None,
-            cp_store: HashMap::new(),
+            cp_store: Vec::new(),
             staged: HashMap::new(),
             prev_reduced: None,
-            num_delegates,
-            spares_left: opts.spares,
+            spares_left: topo.num_spares(),
             kill_fired: false,
             kill_time: None,
             graph_bytes,
@@ -482,19 +489,20 @@ impl Coordinator {
     /// Stages one worker's checkpoint images; commits the checkpoint once
     /// every flat GPU's image for that iteration arrived.
     fn stage_checkpoint(&mut self, frame: &Frame) -> Result<(), ProcError> {
+        let p = self.topo.num_gpus() as usize;
         let mut r = WireReader::new(frame.payload());
         let iter = r.u32()?;
-        let n = r.u32()? as usize;
-        let entry = self.staged.entry(iter).or_default();
-        for _ in 0..n {
-            let img = GpuStateImage::decode(&mut r)?;
-            entry.insert(img.gpu_flat, img);
-        }
+        let images = read_images(&mut r, p)?;
         r.expect_end()?;
-        let complete = entry.len() == self.topo.num_gpus() as usize;
+        let entry = self.staged.entry(iter).or_default();
+        entry.extend(images.into_iter().map(|img| (img.gpu_flat, img)));
+        let complete = entry.len() == p;
         let newer = self.cp_iter.is_none_or(|c| iter > c);
         if complete && newer {
-            self.cp_store = self.staged.remove(&iter).expect("staged entry exists");
+            let mut images: Vec<_> =
+                self.staged.remove(&iter).expect("staged entry exists").into_values().collect();
+            images.sort_unstable_by_key(|img| img.gpu_flat);
+            self.cp_store = images;
             self.cp_iter = Some(iter);
             self.staged.retain(|&i, _| i > iter);
             self.report.checkpoints += 1;
@@ -537,9 +545,7 @@ impl Coordinator {
     /// One superstep. `Ok(None)` means it committed; `Ok(Some(i))` means
     /// a death was recovered and the loop must resume at iteration `i`.
     fn superstep(&mut self, iter: u32) -> Result<Option<u32>, ProcError> {
-        let interval = self.opts.checkpoint_interval;
-        let cadence = iter == 0 || (interval > 0 && iter.is_multiple_of(interval));
-        let take_cp = cadence && self.cp_iter != Some(iter);
+        let take_cp = self.recovery.checkpoint_due(iter, self.cp_iter);
         let chaos = self.opts.chaos;
 
         // ---- StepGo broadcast (plus the chaos kill, which fires *after*
@@ -569,7 +575,8 @@ impl Coordinator {
         let deadline = Instant::now() + self.opts.step_timeout;
         let mut pending = self.alive_slots();
         let mut mask_changed = false;
-        let mut or_words: Vec<u64> = vec![0u64; (self.num_delegates as usize).div_ceil(64)];
+        let mut or_words: Vec<u64> =
+            vec![0u64; (self.separation.num_delegates() as usize).div_ceil(64)];
         let mut blocks: Vec<WireBlock> = Vec::new();
         while !pending.is_empty() {
             match self.pump(deadline, iter)? {
@@ -681,11 +688,11 @@ impl Coordinator {
         Ok(None)
     }
 
-    /// The recovery ladder for a confirmed-dead slot: reap the child,
-    /// roll survivors back to the committed checkpoint, re-home the dead
-    /// slot's partitions onto a spare process (same slot, fresh
-    /// generation) or the least-loaded survivor, and report real
-    /// detect/recover timings.
+    /// Recovery of a confirmed-dead slot: reap the child, re-home its
+    /// partitions onto a spare process (same slot, fresh generation) or —
+    /// in degraded mode — the least-loaded survivor, then one `Restore`
+    /// round gives every live worker the committed images of the GPUs it
+    /// hosts from now on. Reports real detect/recover timings.
     fn recover(&mut self, dead: usize, iter: u32) -> Result<u32, ProcError> {
         let confirmed_at = Instant::now();
         let detect_seconds =
@@ -696,59 +703,26 @@ impl Coordinator {
         }
         self.slots[dead].stream = None;
         self.slots[dead].alive = false;
+        let unrecoverable = ProcError::Unrecoverable { worker: dead as u32, iter };
+        // With recovery disabled nothing was ever checkpointed; with it
+        // enabled, iteration 0 always is, so `None` means the death raced
+        // even that first commit.
         let Some(cp_iter) = self.cp_iter else {
-            // Iteration 0 always checkpoints; reaching here means the
-            // death raced even that first commit.
-            return Err(ProcError::Unrecoverable { worker: dead as u32, iter });
+            return Err(unrecoverable);
         };
+        // Saves staged past the commit belong to the aborted timeline; the
+        // replay re-captures them.
+        self.staged.clear();
 
-        // ---- Roll every survivor back to the committed checkpoint. ----
-        let survivors = self.alive_slots();
-        if survivors.is_empty() {
-            return Err(ProcError::Unrecoverable { worker: dead as u32, iter });
-        }
-        for &slot in &survivors {
-            let mut w = WireWriter::new();
-            w.u32(cp_iter);
-            let _ = self.send(slot, kind::ROLLBACK, w.finish());
-        }
-        let deadline = Instant::now() + self.opts.step_timeout;
-        let mut pending = survivors.clone();
-        while !pending.is_empty() {
-            match self.pump(deadline, iter)? {
-                Waited::Dead(second) => {
-                    return Err(ProcError::Unrecoverable { worker: second as u32, iter });
-                }
-                Waited::Data { slot, frame } => {
-                    if frame.kind != kind::ROLLBACK_OK {
-                        continue; // stale frames from the aborted superstep
-                    }
-                    let (_, frontier, nd) = read_stats(&frame)?;
-                    self.slots[slot].frontier = frontier;
-                    self.slots[slot].new_delegates = nd;
-                    pending.retain(|&s| s != slot);
-                }
-            }
-        }
-
-        // ---- Re-home the dead slot's partitions from sealed images. ----
         let orphaned = std::mem::take(&mut self.slots[dead].hosted);
-        let mut adopt = WireWriter::new();
-        adopt.u32(cp_iter);
-        adopt.u32(orphaned.len() as u32);
-        for &f in &orphaned {
-            let img = self.cp_store.get(&(f as u32)).ok_or_else(|| {
-                ProtocolError::new(format!("committed checkpoint missing gpu {f}"))
-            })?;
-            img.encode(&mut adopt);
-        }
-        let adopt_body = adopt.finish();
+        let survivors = self.alive_slots();
         let (target, mode) = if self.spares_left > 0 {
             self.spares_left -= 1;
             // Fresh generation: events from the dead process's reader
             // thread can no longer impersonate the replacement.
             self.slots[dead].gen += 1;
             self.slots[dead].beat_seen = false;
+            self.slots[dead].hosted = orphaned.clone();
             self.spawn_child(dead)?;
             self.accept_workers(vec![dead])?;
             let body = self.setup_body(dead);
@@ -766,9 +740,8 @@ impl Coordinator {
                     Waited::Data { .. } => continue,
                 }
             }
-            self.slots[dead].hosted = orphaned.clone();
             (dead, RecoveryMode::Spare)
-        } else {
+        } else if self.recovery.degraded_mode && !survivors.is_empty() {
             // Water-filling: the least-loaded survivor adopts (ties to
             // the lowest slot for determinism).
             let target = *survivors
@@ -778,24 +751,38 @@ impl Coordinator {
             self.slots[target].hosted.extend(&orphaned);
             self.slots[target].hosted.sort_unstable();
             (target, RecoveryMode::Spread)
+        } else {
+            return Err(unrecoverable);
         };
         for &f in &orphaned {
             self.hosting_of[f] = target;
         }
-        self.send(target, kind::ADOPT, adopt_body).map_err(ProcError::Transport)?;
+
+        // A failed write is left to the detector: a second death here is
+        // confirmed like any other and typed `Unrecoverable` below.
+        let live = self.alive_slots();
+        for &slot in &live {
+            let mut w = WireWriter::new();
+            w.u32(cp_iter);
+            write_images(&mut w, self.slots[slot].hosted.iter().map(|&f| &self.cp_store[f]));
+            let _ = self.send(slot, kind::RESTORE, w.finish());
+        }
         let deadline = Instant::now() + self.opts.step_timeout;
-        loop {
+        let mut pending = live;
+        while !pending.is_empty() {
             match self.pump(deadline, iter)? {
                 Waited::Dead(second) => {
                     return Err(ProcError::Unrecoverable { worker: second as u32, iter });
                 }
-                Waited::Data { slot, frame } if slot == target && frame.kind == kind::ADOPT_OK => {
+                Waited::Data { slot, frame } => {
+                    if frame.kind != kind::RESTORED || !pending.contains(&slot) {
+                        continue; // stale frames from the aborted superstep
+                    }
                     let (_, frontier, nd) = read_stats(&frame)?;
                     self.slots[slot].frontier = frontier;
                     self.slots[slot].new_delegates = nd;
-                    break;
+                    pending.retain(|&s| s != slot);
                 }
-                Waited::Data { .. } => continue,
             }
         }
 
@@ -819,7 +806,7 @@ impl Coordinator {
             let _ = self.send(slot, kind::FINISH, Vec::new());
         }
         let p = self.topo.num_gpus() as usize;
-        let mut images: Vec<Option<GpuStateImage>> = (0..p).map(|_| None).collect();
+        let mut images: Vec<Option<GpuStateImage>> = vec![None; p];
         let deadline = Instant::now() + self.opts.step_timeout;
         let mut pending = self.alive_slots();
         while !pending.is_empty() {
@@ -832,15 +819,8 @@ impl Coordinator {
                         continue;
                     }
                     let mut r = WireReader::new(frame.payload());
-                    let n = r.u32()? as usize;
-                    for _ in 0..n {
-                        let img = GpuStateImage::decode(&mut r)?;
+                    for img in read_images(&mut r, p)? {
                         let f = img.gpu_flat as usize;
-                        if f >= p {
-                            return Err(
-                                ProtocolError::new("final state for out-of-range gpu").into()
-                            );
-                        }
                         images[f] = Some(img);
                     }
                     r.expect_end()?;
@@ -856,12 +836,11 @@ impl Coordinator {
             })
             .collect::<Result<_, _>>()?;
         let views: Vec<GpuStateView<'_>> = images.iter().map(|img| img.view()).collect();
-        let degrees_sep = self.separation_for_assembly(num_vertices);
-        let depths = assemble_depths(&self.topo, &degrees_sep, num_vertices, &views);
+        let depths = assemble_depths(&self.topo, &self.separation, num_vertices, &views);
         let parents = if self.config_wire.track_parents {
             let (parents, _) = assemble_parents(
                 &self.topo,
-                &degrees_sep,
+                &self.separation,
                 self.source,
                 num_vertices,
                 &views,
@@ -872,15 +851,6 @@ impl Coordinator {
             None
         };
         Ok((depths, parents))
-    }
-
-    /// Rebuilds the separation for assembly from the shipped graph bytes
-    /// — the same deterministic classification every worker computed.
-    fn separation_for_assembly(&self, num_vertices: u64) -> Separation {
-        let graph = gcbfs_graph::io::read_binary(self.graph_bytes.as_slice())
-            .expect("coordinator-serialized graph must re-read");
-        debug_assert_eq!(graph.num_vertices, num_vertices);
-        Separation::from_degrees(&graph.out_degrees(), self.config_wire.degree_threshold)
     }
 
     /// Graceful shutdown: ask every live worker to drain, fold its
@@ -913,7 +883,7 @@ impl Coordinator {
 }
 
 /// Parses the shared `(iter, frontier, new_delegates)` statistics body
-/// carried by Ready/StepDone/RollbackOk/AdoptOk.
+/// carried by Ready/StepDone/Restored.
 fn read_stats(frame: &Frame) -> Result<(u32, u64, u64), ProcError> {
     let mut r = WireReader::new(frame.payload());
     let iter = r.u32()?;

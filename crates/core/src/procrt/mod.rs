@@ -19,10 +19,16 @@
 //! [`Membership`](gcbfs_cluster::membership::Membership) detector on a
 //! [`WallClock`](gcbfs_cluster::WallClock), and a SIGKILL'd worker is
 //! *confirmed* dead from heartbeat silence — not from its socket
-//! closing. Recovery rolls survivors back to the last sealed checkpoint
-//! and re-homes the dead worker's partitions onto a freshly spawned
-//! spare process or a surviving worker (water-filling onto the least
-//! loaded), then resumes the superstep loop.
+//! closing. Checkpoints are the sim's sealed
+//! [`GpuStateImage`](crate::checkpoint::GpuStateImage)s: workers ship
+//! them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
+//! cadence and keep no copy, so the coordinator's committed store is the
+//! only one. Recovery re-homes the dead worker's partitions onto a
+//! freshly spawned spare process (the topology's
+//! [`num_spares`](gcbfs_cluster::topology::Topology::num_spares)) or, in
+//! degraded mode, the least-loaded survivor, then sends every live worker
+//! the committed images of the GPUs it now hosts in one `Restore` round
+//! and resumes the superstep loop.
 
 pub mod protocol;
 pub mod transport;
@@ -83,11 +89,6 @@ pub struct ProcOptions {
     /// Worker processes to spawn (clamped to the rank count; ranks are
     /// assigned round-robin, whole ranks per worker).
     pub workers: u32,
-    /// Replacement-process budget for confirmed-dead workers. With zero
-    /// spares, recovery spreads onto survivors instead.
-    pub spares: u32,
-    /// Checkpoint every `k` supersteps (iteration 0 is always captured).
-    pub checkpoint_interval: u32,
     /// Deadline for one superstep's collective message round.
     pub step_timeout: Duration,
     /// Worker heartbeat period (the wall clock's beat unit).
@@ -102,8 +103,6 @@ impl Default for ProcOptions {
     fn default() -> Self {
         Self {
             workers: 2,
-            spares: 0,
-            checkpoint_interval: 4,
             step_timeout: Duration::from_secs(60),
             heartbeat_period: Duration::from_millis(25),
             chaos: ChaosSpec::default(),

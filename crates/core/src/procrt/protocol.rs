@@ -1,25 +1,25 @@
 //! Wire protocol of the proc backend: message kinds, a little-endian
 //! field writer/reader pair, the result-affecting config subset shipped
-//! to workers, and the sealed per-GPU state image used by checkpoints,
-//! adoption, and the final-state collection.
+//! to workers, and the wire form of the sealed
+//! [`GpuStateImage`] that checkpoints, restores and the final-state
+//! collection carry.
 //!
 //! Every message rides one [`Frame`](gcbfs_compress::Frame), so payloads
 //! inherit the frame layer's FNV-1a seal and bounded-allocation decoding.
-//! The state image carries a *second* digest — the same
-//! [`Checkpoint::worker_digest`] fold the in-process checkpoint seals
-//! with — so state at rest is verified with the identical primitive
-//! whether it was snapshotted locally or shipped across a socket.
+//! Each state image carries its own [`GpuStateImage::seal`] as well, so
+//! state is verified with the identical primitive whether it sat in the
+//! coordinator's checkpoint store or crossed a socket.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::GpuStateImage;
 use crate::config::BfsConfig;
 use crate::direction::Direction;
-use crate::kernels::{GpuWorker, KernelVariant};
+use crate::kernels::KernelVariant;
 use gcbfs_cluster::topology::GpuId;
-use gcbfs_compress::{fnv1a, FrontierCodec, MaskCodec};
+use gcbfs_compress::{FrontierCodec, MaskCodec};
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Frame kind bytes. One octet per message type, grouped by phase.
 pub mod kind {
@@ -39,14 +39,11 @@ pub mod kind {
     pub const STEP_DONE: u8 = 0x13;
     /// Worker → coordinator: sealed state images at a checkpoint.
     pub const CHECKPOINT_SAVE: u8 = 0x14;
-    /// Coordinator → worker: restore the local checkpoint at an iteration.
-    pub const ROLLBACK: u8 = 0x20;
-    /// Worker → coordinator: rollback done (recomputed statistics).
-    pub const ROLLBACK_OK: u8 = 0x21;
-    /// Coordinator → worker: install shipped state images (re-homing).
-    pub const ADOPT: u8 = 0x22;
-    /// Worker → coordinator: adoption done (recomputed statistics).
-    pub const ADOPT_OK: u8 = 0x23;
+    /// Coordinator → worker: install the committed images of every GPU
+    /// the worker hosts from now on, and resume at their iteration.
+    pub const RESTORE: u8 = 0x20;
+    /// Worker → coordinator: restore done (recomputed statistics).
+    pub const RESTORED: u8 = 0x21;
     /// Coordinator → worker: traversal finished, ship final state.
     pub const FINISH: u8 = 0x30;
     /// Worker → coordinator: final per-GPU state images.
@@ -408,132 +405,12 @@ fn dir_from(tag: u8) -> Result<Direction, ProtocolError> {
     }
 }
 
-/// A sealed image of one GPU's mutable BFS state — the unit of
-/// checkpointing, adoption, and final-state collection. The digest is the
-/// exact [`Checkpoint::worker_digest`] fold, recomputed and verified on
-/// every decode, so a corrupted image is rejected before installation.
-#[derive(Clone, Debug)]
-pub struct GpuStateImage {
-    /// Flat GPU index in the topology.
-    pub gpu_flat: u32,
-    /// Whether parent arrays are present.
-    pub track_parents: bool,
-    /// Depths of owned normal slots.
-    pub depths_local: Vec<u32>,
-    /// Replicated delegate depths.
-    pub delegate_depths: Vec<u32>,
-    /// Visited-mask bit count.
-    pub visited_bits: u32,
-    /// Visited-mask words.
-    pub visited_words: Vec<u64>,
-    /// Normal frontier (depth == current iteration).
-    pub frontier: Vec<u32>,
-    /// Delegate frontier (depth == current iteration).
-    pub new_delegates: Vec<u32>,
-    /// `dd`/`dn`/`nd` direction-state snapshot.
-    pub directions: [Direction; 3],
-    /// Encoded parents of owned normal slots (empty when untracked).
-    pub parents_local: Vec<u64>,
-    /// Per-delegate parent candidates (empty when untracked).
-    pub delegate_parent_candidate: Vec<u64>,
-    /// Retained remote `nn` parent proposals.
-    pub remote_parent_log: Vec<(GpuId, u32, u64, u32)>,
-    /// The `worker_digest` seal over the fields above.
-    pub digest: u64,
-}
-
 impl GpuStateImage {
-    /// Snapshots an in-process worker.
-    pub fn capture(gpu_flat: u32, w: &GpuWorker) -> Self {
-        let mut img = Self {
-            gpu_flat,
-            track_parents: w.track_parents,
-            depths_local: w.depths_local.clone(),
-            delegate_depths: w.delegate_depths.clone(),
-            visited_bits: w.visited_mask.num_bits(),
-            visited_words: w.visited_mask.words().to_vec(),
-            frontier: w.frontier.clone(),
-            new_delegates: w.new_delegates.clone(),
-            directions: [w.dir_dd.current(), w.dir_dn.current(), w.dir_nd.current()],
-            parents_local: w.parents_local.clone(),
-            delegate_parent_candidate: w.delegate_parent_candidate.clone(),
-            remote_parent_log: w.remote_parent_log.clone(),
-            digest: 0,
-        };
-        img.digest = img.state_digest();
-        debug_assert_eq!(img.digest, Checkpoint::worker_digest(w));
-        img
-    }
-
-    /// Recomputes the seal over the image's own fields — byte-for-byte
-    /// the [`Checkpoint::worker_digest`] serialization order.
-    pub fn state_digest(&self) -> u64 {
-        let mut bytes: Vec<u8> = Vec::new();
-        for &d in &self.depths_local {
-            bytes.extend_from_slice(&d.to_le_bytes());
-        }
-        for &d in &self.delegate_depths {
-            bytes.extend_from_slice(&d.to_le_bytes());
-        }
-        for &word in &self.visited_words {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
-        for &v in &self.frontier {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        for &v in &self.new_delegates {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        if self.track_parents {
-            for &p in &self.parents_local {
-                bytes.extend_from_slice(&p.to_le_bytes());
-            }
-            for &p in &self.delegate_parent_candidate {
-                bytes.extend_from_slice(&p.to_le_bytes());
-            }
-            for &(owner, local, parent, depth) in &self.remote_parent_log {
-                bytes.extend_from_slice(&owner.rank.to_le_bytes());
-                bytes.extend_from_slice(&owner.gpu.to_le_bytes());
-                bytes.extend_from_slice(&local.to_le_bytes());
-                bytes.extend_from_slice(&parent.to_le_bytes());
-                bytes.extend_from_slice(&depth.to_le_bytes());
-            }
-        }
-        fnv1a(&bytes)
-    }
-
-    /// Installs the image into a worker whose subgraphs match its GPU.
-    /// The worker's digest afterwards equals the image seal by
-    /// construction (the decode path already verified it).
-    pub fn install(&self, w: &mut GpuWorker) {
-        w.depths_local = self.depths_local.clone();
-        w.delegate_depths = self.delegate_depths.clone();
-        w.visited_mask =
-            crate::masks::DelegateMask::from_words(self.visited_bits, self.visited_words.clone());
-        w.frontier = self.frontier.clone();
-        w.new_delegates = self.new_delegates.clone();
-        w.dir_dd.restore_current(self.directions[0]);
-        w.dir_dn.restore_current(self.directions[1]);
-        w.dir_nd.restore_current(self.directions[2]);
-        w.track_parents = self.track_parents;
-        w.parents_local = self.parents_local.clone();
-        w.delegate_parent_candidate = self.delegate_parent_candidate.clone();
-        w.remote_parent_log = self.remote_parent_log.clone();
-    }
-
-    /// A borrowing assembly view of this image.
-    pub fn view(&self) -> crate::assemble::GpuStateView<'_> {
-        crate::assemble::GpuStateView {
-            depths_local: &self.depths_local,
-            delegate_depths: &self.delegate_depths,
-            delegate_parent_candidate: &self.delegate_parent_candidate,
-            parents_local: &self.parents_local,
-            remote_parent_log: &self.remote_parent_log,
-        }
-    }
-
-    /// Serializes the image (digest last).
-    pub fn encode(&self, w: &mut WireWriter) {
+    /// Serializes every field but the digest — the bytes
+    /// [`GpuStateImage::seal`] folds. Canonical: [`Self::decode`] accepts
+    /// exactly one encoding per value, so a flipped byte that still parses
+    /// always changes the fold.
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.u32(self.gpu_flat);
         w.u8(self.track_parents as u8);
         w.u32s(&self.depths_local);
@@ -555,6 +432,11 @@ impl GpuStateImage {
             w.u64(parent);
             w.u32(depth);
         }
+    }
+
+    /// Serializes the image (digest last).
+    pub fn encode(&self, w: &mut WireWriter) {
+        self.encode_fields(w);
         w.u64(self.digest);
     }
 
@@ -562,7 +444,11 @@ impl GpuStateImage {
     /// error, never a silent install of corrupted state.
     pub fn decode(r: &mut WireReader<'_>) -> Result<Self, ProtocolError> {
         let gpu_flat = r.u32()?;
-        let track_parents = r.u8()? != 0;
+        let track_parents = match r.u8()? {
+            0 => false,
+            1 => true,
+            t => return Err(ProtocolError::new(format!("parent-tracking flag {t} is not 0 or 1"))),
+        };
         let depths_local = r.u32s()?;
         let delegate_depths = r.u32s()?;
         let visited_bits = r.u32()?;
@@ -600,13 +486,45 @@ impl GpuStateImage {
             remote_parent_log,
             digest,
         };
-        if img.state_digest() != digest {
-            return Err(ProtocolError::new(format!(
-                "state image digest mismatch for gpu {gpu_flat}"
-            )));
-        }
+        img.verify().map_err(|e| ProtocolError::new(e.to_string()))?;
         Ok(img)
     }
+}
+
+/// Appends a count-prefixed list of sealed images: the shared body of
+/// `CheckpointSave`, `Restore` and `FinalState`.
+pub fn write_images<'a, I>(w: &mut WireWriter, images: I)
+where
+    I: IntoIterator<Item = &'a GpuStateImage>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let images = images.into_iter();
+    w.u32(images.len() as u32);
+    for img in images {
+        img.encode(w);
+    }
+}
+
+/// Reads a [`write_images`] list for a grid of `num_gpus` GPUs, verifying
+/// every seal. A GPU outside the grid or listed twice is a typed error.
+pub fn read_images(
+    r: &mut WireReader<'_>,
+    num_gpus: usize,
+) -> Result<Vec<GpuStateImage>, ProtocolError> {
+    let n = r.u32()? as usize;
+    if n > num_gpus {
+        return Err(ProtocolError::new(format!("{n} state images for {num_gpus} gpus")));
+    }
+    let mut images: Vec<GpuStateImage> = Vec::with_capacity(n);
+    for _ in 0..n {
+        let img = GpuStateImage::decode(r)?;
+        let flat = img.gpu_flat;
+        if flat as usize >= num_gpus || images.iter().any(|i| i.gpu_flat == flat) {
+            return Err(ProtocolError::new(format!("state image for gpu {flat} out of place")));
+        }
+        images.push(img);
+    }
+    Ok(images)
 }
 
 /// One routed nn-update block on the wire: `(src flat, dst flat)` plus
@@ -747,7 +665,7 @@ mod tests {
             remote_parent_log: vec![(GpuId { rank: 1, gpu: 0 }, 9, 77, 3)],
             digest: 0,
         };
-        img.digest = img.state_digest();
+        img.digest = img.seal();
         img
     }
 
@@ -758,7 +676,7 @@ mod tests {
         img.encode(&mut w);
         let body = w.finish();
         let back = GpuStateImage::decode(&mut WireReader::new(&body)).unwrap();
-        assert_eq!(back.state_digest(), img.digest);
+        assert_eq!(back.seal(), img.digest);
         assert_eq!(back.depths_local, img.depths_local);
         assert_eq!(back.directions, img.directions);
         assert_eq!(back.remote_parent_log, img.remote_parent_log);
@@ -768,45 +686,31 @@ mod tests {
         // depths_local starts after gpu_flat(4) + flag(1) + len(4).
         tampered[9] ^= 1;
         assert!(GpuStateImage::decode(&mut WireReader::new(&tampered)).is_err());
+        // A non-canonical flag byte would re-encode as 1 and slip past
+        // the seal, so it is rejected outright.
+        let mut flag = body.clone();
+        flag[4] = 3;
+        assert!(GpuStateImage::decode(&mut WireReader::new(&flag)).is_err());
     }
 
     #[test]
-    fn image_matches_checkpoint_digest() {
-        // An image captured from a real worker must carry the exact
-        // Checkpoint::worker_digest seal.
-        use crate::distributor::distribute;
-        use crate::separation::Separation;
-        use crate::subgraph::GpuSubgraphs;
-        use gcbfs_cluster::topology::Topology;
-        use gcbfs_graph::builders;
-        use std::sync::Arc;
-
-        let graph = builders::star(8);
-        let topo = Topology::new(1, 1);
-        let degrees = graph.out_degrees();
-        let sep = Separation::from_degrees(&degrees, 3);
-        let dist = distribute(&graph, &sep, &degrees, &topo);
-        let sg = Arc::new(GpuSubgraphs::build(
-            topo.owned_count(GpuId { rank: 0, gpu: 0 }, graph.num_vertices),
-            sep.num_delegates(),
-            &dist.per_gpu[0],
-        ));
-        let ds =
-            crate::direction::DirectionState::new(crate::config::SwitchFactors::new(0.5), true);
-        let mut w = GpuWorker::new(GpuId { rank: 0, gpu: 0 }, sg, ds, ds, ds);
-        w.depths_local[0] = 0;
-        w.frontier.push(0);
-        let img = GpuStateImage::capture(0, &w);
-        assert_eq!(img.digest, Checkpoint::worker_digest(&w));
-
-        // Install into a fresh worker: state matches, digest matches.
-        let ds2 =
-            crate::direction::DirectionState::new(crate::config::SwitchFactors::new(0.5), true);
-        let mut w2 =
-            GpuWorker::new(GpuId { rank: 0, gpu: 0 }, Arc::clone(&w.subgraphs), ds2, ds2, ds2);
-        img.install(&mut w2);
-        assert_eq!(Checkpoint::worker_digest(&w2), img.digest);
-        assert_eq!(w2.frontier, vec![0]);
+    fn image_lists_reject_foreign_repeated_and_surplus_gpus() {
+        let body = |imgs: &[GpuStateImage]| {
+            let mut w = WireWriter::new();
+            write_images(&mut w, imgs);
+            w.finish()
+        };
+        let mut other = sample_image();
+        other.gpu_flat = 1;
+        other.digest = other.seal();
+        let good = body(&[sample_image(), other]);
+        let back = read_images(&mut WireReader::new(&good), 4).unwrap();
+        assert_eq!(back.iter().map(|i| i.gpu_flat).collect::<Vec<_>>(), vec![3, 1]);
+        // GPU 3 is outside a 2-GPU grid, and 2 images overflow a 1-GPU one.
+        assert!(read_images(&mut WireReader::new(&good), 2).is_err());
+        assert!(read_images(&mut WireReader::new(&good), 1).is_err());
+        let repeated = body(&[sample_image(), sample_image()]);
+        assert!(read_images(&mut WireReader::new(&repeated), 4).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! coordinator's detector and checkpoints own all recovery.
 
 use super::protocol::{
-    kind, ConfigWire, GpuStateImage, ProtocolError, WireBlock, WireReader, WireWriter,
+    kind, read_images, write_images, ConfigWire, ProtocolError, WireBlock, WireReader, WireWriter,
     PROTO_VERSION,
 };
 use super::transport::{connect_with_backoff, recv_frame, SharedWriter, TransportError};
@@ -74,11 +74,6 @@ struct WorkerState {
     outputs: Option<(u32, Vec<LocalIterationOutput>)>,
     /// Blocks produced locally whose destination this worker hosts.
     local_blocks: Vec<Block>,
-    /// Local checkpoint history, newest last, pruned to the two most
-    /// recent iterations. Two matter: the coordinator only *commits* a
-    /// checkpoint once every worker's save arrived, so a rollback may
-    /// target the previous one when a death races the newest.
-    checkpoints: Vec<(u32, Vec<GpuStateImage>)>,
     duplicates_ignored: u64,
 }
 
@@ -90,17 +85,6 @@ impl WorkerState {
         w.u64(frontier);
         w.u64(new_delegates);
         w.finish()
-    }
-
-    fn capture_images(&self) -> Vec<GpuStateImage> {
-        let hosted = self.group.flats().iter().zip(&self.group.workers);
-        hosted.map(|(&f, w)| GpuStateImage::capture(f as u32, w)).collect()
-    }
-
-    /// Vacates any superstep in flight (rollback or adoption raced it).
-    fn vacate_superstep(&mut self) {
-        self.outputs = None;
-        self.local_blocks.clear();
     }
 }
 
@@ -202,7 +186,6 @@ fn worker_body(
         group,
         outputs: None,
         local_blocks: Vec::new(),
-        checkpoints: Vec::new(),
         duplicates_ignored: 0,
     };
 
@@ -229,15 +212,10 @@ fn dispatch_loop(
         match frame.kind {
             kind::STEP_GO => step_go(st, &mut r, writer)?,
             kind::STEP_REMOTE => step_remote(st, &mut r, writer)?,
-            kind::ROLLBACK => rollback(st, &mut r, writer)?,
-            kind::ADOPT => adopt(st, &mut r, writer)?,
+            kind::RESTORE => restore(st, &mut r, writer)?,
             kind::FINISH => {
                 let mut w = WireWriter::new();
-                let images = st.capture_images();
-                w.u32(images.len() as u32);
-                for img in &images {
-                    img.encode(&mut w);
-                }
+                write_images(&mut w, &st.group.capture());
                 writer.send(kind::FINAL_STATE, w.finish())?;
             }
             kind::SHUTDOWN => {
@@ -256,8 +234,9 @@ fn dispatch_loop(
     }
 }
 
-/// `StepGo`: optional checkpoint, local kernels, shared value pipeline,
-/// block classification, `StepLocal` reply.
+/// `StepGo`: optional checkpoint save (the coordinator keeps the only
+/// copy), local kernels, shared value pipeline, block classification,
+/// `StepLocal` reply.
 fn step_go(
     st: &mut WorkerState,
     r: &mut WireReader<'_>,
@@ -267,22 +246,14 @@ fn step_go(
     let take_checkpoint = r.u8()? != 0;
     r.expect_end()?;
 
-    if take_checkpoint && !st.checkpoints.iter().any(|(i, _)| *i == iter) {
-        let images = st.capture_images();
+    if take_checkpoint {
         let mut w = WireWriter::new();
         w.u32(iter);
-        w.u32(images.len() as u32);
-        for img in &images {
-            img.encode(&mut w);
-        }
+        write_images(&mut w, &st.group.capture());
         writer.send(kind::CHECKPOINT_SAVE, w.finish())?;
-        st.checkpoints.push((iter, images));
-        if st.checkpoints.len() > 2 {
-            st.checkpoints.remove(0);
-        }
     }
 
-    // Stale state from an aborted superstep (rollback raced a StepGo) is
+    // Stale state from an aborted superstep (a restore raced a StepGo) is
     // superseded wholesale.
     st.local_blocks.clear();
     let mut outputs = st.group.compute(iter);
@@ -385,66 +356,21 @@ fn step_remote(
     Ok(())
 }
 
-/// `Rollback`: restore every hosted GPU from the local checkpoint copy
-/// and vacate any in-flight superstep state.
-fn rollback(
+/// `Restore`: install the coordinator's committed images of every GPU
+/// this worker hosts from now on — adopted ones built fresh — and vacate
+/// any superstep in flight. Every image is decoded and verified before
+/// any is installed.
+fn restore(
     st: &mut WorkerState,
     r: &mut WireReader<'_>,
     writer: &SharedWriter,
 ) -> Result<(), WorkerError> {
     let iter = r.u32()?;
+    let images = read_images(r, st.dist.topology.num_gpus() as usize)?;
     r.expect_end()?;
-    let Some((_, images)) = st.checkpoints.iter().find(|(i, _)| *i == iter).cloned() else {
-        let have: Vec<u32> = st.checkpoints.iter().map(|(i, _)| *i).collect();
-        return Err(ProtocolError::new(format!(
-            "rollback to iter {iter} but local checkpoints are at {have:?}"
-        ))
-        .into());
-    };
-    for img in &images {
-        if let Some(w) = st.group.worker_mut(img.gpu_flat as usize) {
-            img.install(w);
-        }
-    }
-    st.vacate_superstep();
-    writer.send(kind::ROLLBACK_OK, st.stats_body(iter))?;
-    Ok(())
-}
-
-/// `Adopt`: install shipped sealed images, constructing fresh workers
-/// for newly hosted GPUs (the full graph is already resident — every
-/// worker builds all partitions deterministically).
-fn adopt(
-    st: &mut WorkerState,
-    r: &mut WireReader<'_>,
-    writer: &SharedWriter,
-) -> Result<(), WorkerError> {
-    let iter = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut images = Vec::with_capacity(n);
-    for _ in 0..n {
-        images.push(GpuStateImage::decode(r)?);
-    }
-    r.expect_end()?;
-    for img in &images {
-        let flat = img.gpu_flat as usize;
-        img.install(st.group.host(&st.dist, &st.config, st.track_parents, flat)?);
-    }
-    // Fold the adopted images into the local checkpoint history so a
-    // *second* rollback to the same iteration also covers them.
-    match st.checkpoints.iter_mut().find(|(i, _)| *i == iter) {
-        Some((_, cp_images)) => {
-            cp_images.retain(|i| !images.iter().any(|j| j.gpu_flat == i.gpu_flat));
-            cp_images.extend(images);
-        }
-        None => {
-            st.checkpoints.push((iter, images));
-            if st.checkpoints.len() > 2 {
-                st.checkpoints.remove(0);
-            }
-        }
-    }
-    st.vacate_superstep();
-    writer.send(kind::ADOPT_OK, st.stats_body(iter))?;
+    st.group.restore(&st.dist, &st.config, st.track_parents, &images)?;
+    st.outputs = None;
+    st.local_blocks.clear();
+    writer.send(kind::RESTORED, st.stats_body(iter))?;
     Ok(())
 }

@@ -108,6 +108,17 @@ impl RecoveryConfig {
         self
     }
 
+    /// Whether to checkpoint entering superstep `iter`, given the
+    /// iteration of the last checkpoint taken: never with recovery off;
+    /// always at iteration 0, so a fail-stop always has a rollback
+    /// target; then every `checkpoint_interval`; never twice for one
+    /// iteration (a superstep re-entered after rollback). Both backends
+    /// ask this one predicate.
+    pub fn checkpoint_due(&self, iter: u32, last_cp: Option<u32>) -> bool {
+        let k = self.checkpoint_interval;
+        self.enabled && (iter == 0 || (k > 0 && iter.is_multiple_of(k))) && last_cp != Some(iter)
+    }
+
     /// Sets the retry budget.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;

@@ -10,6 +10,7 @@
 //! and moves the same values over sockets. What differs between the two
 //! is only who carries the reduced mask and the `nn` blocks.
 
+use crate::checkpoint::GpuStateImage;
 use crate::comm::{message_path, prepare_sends, MessagePath};
 use crate::config::BfsConfig;
 use crate::direction::DirectionState;
@@ -132,9 +133,45 @@ impl HostedGroup {
         self.index_of(flat).is_some()
     }
 
-    /// The worker of `flat`, if hosted here.
-    pub fn worker_mut(&mut self, flat: usize) -> Option<&mut GpuWorker> {
-        self.index_of(flat).map(|i| &mut self.workers[i])
+    /// Sealed images of every hosted GPU, in flat order.
+    pub fn capture(&self) -> Vec<GpuStateImage> {
+        self.flats
+            .iter()
+            .zip(&self.workers)
+            .map(|(&f, w)| GpuStateImage::capture(f as u32, w))
+            .collect()
+    }
+
+    /// Installs verified `images` — one for every GPU this group hosts,
+    /// plus any it adopts, which are built fresh first.
+    ///
+    /// # Errors
+    /// A hosted GPU without an image (it would keep state from an aborted
+    /// superstep), or an image for a flat outside the grid. Checked before
+    /// anything is installed.
+    pub fn restore(
+        &mut self,
+        dist: &DistributedGraph,
+        config: &BfsConfig,
+        track_parents: bool,
+        images: &[GpuStateImage],
+    ) -> Result<(), ProtocolError> {
+        let p = self.topo.num_gpus() as usize;
+        if let Some(&flat) =
+            self.flats.iter().find(|&&f| !images.iter().any(|i| i.gpu_flat as usize == f))
+        {
+            return Err(ProtocolError::new(format!("restore is missing hosted gpu {flat}")));
+        }
+        if let Some(img) = images.iter().find(|i| i.gpu_flat as usize >= p) {
+            return Err(ProtocolError::new(format!(
+                "restore image for gpu {} out of range",
+                img.gpu_flat
+            )));
+        }
+        for img in images {
+            img.install(self.host(dist, config, track_parents, img.gpu_flat as usize)?);
+        }
+        Ok(())
     }
 
     /// Seeds `source` at depth 0: a delegate source folds into every
@@ -147,7 +184,8 @@ impl HostedGroup {
             return;
         }
         let topo = self.topo;
-        if let Some(w) = self.worker_mut(topo.flat(topo.vertex_owner(source))) {
+        if let Some(at) = self.index_of(topo.flat(topo.vertex_owner(source))) {
+            let w = &mut self.workers[at];
             let slot = topo.local_index(source);
             w.depths_local[slot as usize] = 0;
             w.frontier.push(slot);

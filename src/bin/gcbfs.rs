@@ -449,13 +449,12 @@ fn bfs_proc(
     if procs == 0 {
         return Err("--procs must be positive".into());
     }
-    let spares: u32 = args.opt("spares", 0)?;
     let mut chaos = ChaosSpec::default();
     if let Some((_, v)) = args.options.iter().find(|(k, _)| *k == "kill") {
         let (w, i) = gpu_at_iter(v, "kill")?;
         chaos.kill = Some(KillSpec { worker: w as u32, iter: i });
     }
-    let opts = ProcOptions { workers: procs, spares, chaos, ..ProcOptions::default() };
+    let opts = ProcOptions { workers: procs, chaos, ..ProcOptions::default() };
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let backend = ProcBackend::new(WorkerCommand::new(exe, vec!["backend-worker".into()]), opts);
     let source = pick_source(graph, args)?;

@@ -8,17 +8,21 @@
 //! subcommand, spawned via `CARGO_BIN_EXE_gcbfs`. The small scales run
 //! in every `cargo test`; the RMAT 14–16 matrix and the long chaos runs
 //! are `#[ignore]`d and driven by the CI `backend-acceptance` job. The
-//! in-process cell at the bottom checks the same sharing without
+//! in-process cells at the bottom check the same sharing without
 //! spawning anything: the `HostedGroup` steps both backends run, over
-//! one group and over two that trade masks and blocks by hand.
+//! one group and over two that trade masks and blocks by hand, and a
+//! checkpoint shipped through the wire codec, restored and replayed.
 
 use gpu_cluster_bfs::compress::CompressionMode;
 use gpu_cluster_bfs::core::assemble::{assemble_depths, assemble_parents, GpuStateView};
-use gpu_cluster_bfs::core::backend::{Backend, BackendRun, ProcBackend, SimBackend};
+use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBackend, SimBackend};
+use gpu_cluster_bfs::core::checkpoint::Checkpoint;
 use gpu_cluster_bfs::core::masks::DelegateMask;
+use gpu_cluster_bfs::core::procrt::protocol::{read_images, write_images, WireReader, WireWriter};
 use gpu_cluster_bfs::core::procrt::{
-    ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand,
+    ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
 };
+use gpu_cluster_bfs::core::recovery::RecoveryConfig;
 use gpu_cluster_bfs::core::superstep::{Block, HostedGroup};
 use gpu_cluster_bfs::graph::builders;
 use gpu_cluster_bfs::prelude::*;
@@ -110,21 +114,25 @@ fn no_direction_optimization_agrees() {
     assert_backends_agree(&graph, Topology::new(2, 2), 1, &config, proc_opts(2));
 }
 
-fn kill_opts(procs: u32, spares: u32, victim: u32, iter: u32) -> ProcOptions {
+fn kill_opts(procs: u32, victim: u32, iter: u32) -> ProcOptions {
     ProcOptions {
         workers: procs,
-        spares,
-        checkpoint_interval: 2,
         chaos: ChaosSpec { kill: Some(KillSpec { worker: victim, iter }), ..ChaosSpec::default() },
         ..ProcOptions::default()
     }
 }
 
+/// Checkpoints every second superstep, so a kill at superstep 1 or 2
+/// rolls back across real work.
+fn kill_config(threshold: u64) -> BfsConfig {
+    BfsConfig::new(threshold).with_recovery(RecoveryConfig::default().with_checkpoint_interval(2))
+}
+
 #[test]
 fn sigkill_mid_sweep_recovers_onto_spare_bit_exact() {
     let graph = RmatConfig::graph500(10).generate();
-    let config = BfsConfig::new(16);
-    let run = assert_backends_agree(&graph, Topology::new(2, 2), 1, &config, kill_opts(2, 1, 1, 1));
+    let topo = Topology::new(2, 2).with_spares(1);
+    let run = assert_backends_agree(&graph, topo, 1, &kill_config(16), kill_opts(2, 1, 1));
     let report = run.proc.unwrap();
     let rec = report.recovery.expect("a SIGKILL'd worker must be recovered");
     assert_eq!(rec.worker, 1);
@@ -139,8 +147,8 @@ fn sigkill_mid_sweep_recovers_onto_spare_bit_exact() {
 #[test]
 fn sigkill_mid_sweep_spreads_onto_survivor_bit_exact() {
     let graph = RmatConfig::graph500(10).generate();
-    let config = BfsConfig::new(16);
-    let run = assert_backends_agree(&graph, Topology::new(2, 2), 1, &config, kill_opts(2, 0, 0, 1));
+    let run =
+        assert_backends_agree(&graph, Topology::new(2, 2), 1, &kill_config(16), kill_opts(2, 0, 1));
     let report = run.proc.unwrap();
     let rec = report.recovery.expect("recovery must run");
     assert_eq!(rec.worker, 0);
@@ -167,22 +175,35 @@ fn duplicated_and_delayed_frames_are_absorbed() {
     );
 }
 
-#[test]
-fn unrecoverable_without_checkpoint_or_capacity_is_typed() {
-    use gpu_cluster_bfs::core::backend::BackendError;
-    use gpu_cluster_bfs::core::procrt::ProcError;
-    // One worker, no spares: the only process dies and nothing can
-    // adopt its partitions — the run must fail with the typed
-    // Unrecoverable error, not hang or panic.
-    let graph = RmatConfig::graph500(9).generate();
-    let opts = kill_opts(1, 0, 0, 1);
+fn assert_unrecoverable(config: &BfsConfig, opts: ProcOptions, graph: &EdgeList) {
     let err = ProcBackend::new(worker_cmd(), opts)
-        .run(&graph, Topology::new(2, 2), 1, &BfsConfig::new(16), false)
+        .run(graph, Topology::new(2, 2), 1, config, false)
         .unwrap_err();
     match err {
         BackendError::Proc(ProcError::Unrecoverable { worker: 0, .. }) => {}
         other => panic!("expected Unrecoverable for worker 0, got {other}"),
     }
+}
+
+#[test]
+fn unrecoverable_without_checkpoint_or_capacity_is_typed() {
+    // One worker, no spares: the only process dies and nothing can
+    // adopt its partitions — the run must fail with the typed
+    // Unrecoverable error, not hang or panic.
+    let graph = RmatConfig::graph500(9).generate();
+    assert_unrecoverable(&kill_config(16), kill_opts(1, 0, 1), &graph);
+}
+
+#[test]
+fn disabled_recovery_takes_no_checkpoints_and_fails_typed() {
+    // Recovery off is honoured, not ignored: a clean run ships no
+    // checkpoint, and a SIGKILL'd worker is fatal even though a survivor
+    // could have adopted its partitions.
+    let graph = RmatConfig::graph500(9).generate();
+    let config = BfsConfig::new(16).with_recovery(RecoveryConfig::disabled());
+    let run = assert_backends_agree(&graph, Topology::new(2, 2), 1, &config, proc_opts(2));
+    assert_eq!(run.proc.unwrap().checkpoints, 0, "recovery off must not checkpoint");
+    assert_unrecoverable(&config, kill_opts(2, 0, 1), &graph);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,10 +266,10 @@ fn acceptance_rmat16_procs_4() {
 #[ignore = "acceptance matrix: run with --release -- --ignored"]
 fn acceptance_rmat14_sigkill_spare_recovery() {
     let graph = RmatConfig::graph500(14).generate();
-    let config = BfsConfig::new(64);
-    let mut opts = kill_opts(4, 1, 2, 2);
+    let mut opts = kill_opts(4, 2, 2);
     opts.step_timeout = Duration::from_secs(300);
-    let run = assert_backends_agree(&graph, Topology::new(4, 2), 5, &config, opts);
+    let topo = Topology::new(4, 2).with_spares(1);
+    let run = assert_backends_agree(&graph, topo, 5, &kill_config(64), opts);
     let rec = run.proc.unwrap().recovery.expect("recovery must run");
     assert_eq!(rec.mode, RecoveryMode::Spare);
     assert_eq!(rec.worker, 2);
@@ -271,60 +292,77 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
 // hosts its destination), must reproduce the sim driver bit for bit.
 // ---------------------------------------------------------------------------
 
-/// Traverses from `source` with one `HostedGroup` per entry of `hosting`.
-/// Returns depths, parents and the frontier total entering each superstep.
-fn traverse_with_groups(
+fn seeded_groups(
     dist: &DistributedGraph,
     config: &BfsConfig,
     source: u64,
     hosting: &[Vec<usize>],
-) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
-    let d = dist.separation().num_delegates();
+) -> Vec<HostedGroup> {
     let mut groups: Vec<HostedGroup> =
         hosting.iter().map(|flats| HostedGroup::new(dist, config, true, flats).unwrap()).collect();
     for g in &mut groups {
         g.seed_source(dist.separation(), source);
     }
+    groups
+}
+
+/// Runs supersteps `iter..` until the frontier drains. Returns the
+/// frontier total entering each.
+fn run_from(
+    dist: &DistributedGraph,
+    config: &BfsConfig,
+    groups: &mut [HostedGroup],
+    iter: u32,
+) -> Vec<u64> {
+    let d = dist.separation().num_delegates();
     let mut frontier_totals = Vec::new();
-    for iter in 0u32.. {
+    for iter in iter.. {
         let frontier: u64 = groups.iter().map(|g| g.frontier_counts().0).sum();
         if frontier == 0 && groups[0].frontier_counts().1 == 0 {
             break;
         }
         frontier_totals.push(frontier);
-        let mut outputs: Vec<_> = groups.iter_mut().map(|g| g.compute(iter)).collect();
+        step(config, d, groups, iter);
+    }
+    frontier_totals
+}
 
-        let mut or_words = vec![0u64; (d as usize).div_ceil(64)];
-        let mut mask_changed = false;
-        for (g, out) in groups.iter().zip(&outputs) {
-            if g.mask_changed(out) {
-                mask_changed = true;
-                for (acc, w) in or_words.iter_mut().zip(g.mask_or(out)) {
-                    *acc |= w;
-                }
-            }
-        }
-        if mask_changed {
-            let reduced = DelegateMask::from_words(d, or_words);
-            for g in &mut groups {
-                g.consume_reduced(&reduced, iter + 1);
-            }
-        }
+/// One superstep over `groups`, driven the way the coordinator drives it.
+fn step(config: &BfsConfig, d: u32, groups: &mut [HostedGroup], iter: u32) {
+    let mut outputs: Vec<_> = groups.iter_mut().map(|g| g.compute(iter)).collect();
 
-        let mut inboxes: Vec<Vec<Block>> = vec![Vec::new(); groups.len()];
-        for (g, out) in groups.iter().zip(&mut outputs) {
-            for block in g.outgoing_blocks(out, config) {
-                let host =
-                    groups.iter().position(|h| h.hosts(block.dst)).expect("every flat hosted");
-                inboxes[host].push(block);
+    let mut or_words = vec![0u64; (d as usize).div_ceil(64)];
+    let mut mask_changed = false;
+    for (g, out) in groups.iter().zip(&outputs) {
+        if g.mask_changed(out) {
+            mask_changed = true;
+            for (acc, w) in or_words.iter_mut().zip(g.mask_or(out)) {
+                *acc |= w;
             }
         }
-        for ((g, out), blocks) in groups.iter_mut().zip(&mut outputs).zip(inboxes) {
-            let delivered = g.deliveries(blocks).unwrap();
-            g.commit(out, &delivered, iter + 1);
+    }
+    if mask_changed {
+        let reduced = DelegateMask::from_words(d, or_words);
+        for g in groups.iter_mut() {
+            g.consume_reduced(&reduced, iter + 1);
         }
     }
 
+    let mut inboxes: Vec<Vec<Block>> = vec![Vec::new(); groups.len()];
+    for (g, out) in groups.iter().zip(&mut outputs) {
+        for block in g.outgoing_blocks(out, config) {
+            let host = groups.iter().position(|h| h.hosts(block.dst)).expect("every flat hosted");
+            inboxes[host].push(block);
+        }
+    }
+    for ((g, out), blocks) in groups.iter_mut().zip(&mut outputs).zip(inboxes) {
+        let delivered = g.deliveries(blocks).unwrap();
+        g.commit(out, &delivered, iter + 1);
+    }
+}
+
+/// Assembles depths and parents from the groups' workers.
+fn assemble(dist: &DistributedGraph, groups: &[HostedGroup], source: u64) -> (Vec<u32>, Vec<u64>) {
     let mut workers: Vec<_> =
         groups.iter().flat_map(|g| g.flats().iter().copied().zip(&g.workers)).collect();
     workers.sort_by_key(|&(flat, _)| flat);
@@ -333,6 +371,20 @@ fn traverse_with_groups(
     let (topo, sep, n) = (dist.topology(), dist.separation(), dist.num_vertices());
     let depths = assemble_depths(&topo, sep, n, &views);
     let (parents, _) = assemble_parents(&topo, sep, source, n, &views, &depths);
+    (depths, parents)
+}
+
+/// Traverses from `source` with one `HostedGroup` per entry of `hosting`.
+/// Returns depths, parents and the frontier total entering each superstep.
+fn traverse_with_groups(
+    dist: &DistributedGraph,
+    config: &BfsConfig,
+    source: u64,
+    hosting: &[Vec<usize>],
+) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
+    let mut groups = seeded_groups(dist, config, source, hosting);
+    let frontier_totals = run_from(dist, config, &mut groups, 0);
+    let (depths, parents) = assemble(dist, &groups, source);
     (depths, parents, frontier_totals)
 }
 
@@ -370,5 +422,82 @@ fn hosted_groups_match_the_sim_driver_in_process() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
+    // What proc recovery does, in process: capture a checkpoint after k
+    // supersteps, ship each group its GPUs' images through the wire
+    // codec, run on to the end, restore — in place (the spare path) or
+    // with group 0 adopting every GPU (the spread path) — and replay.
+    let topo = Topology::new(4, 2);
+    let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
+    let graph = RmatConfig::graph500(9).generate();
+    let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let config = BfsConfig::new(16);
+    let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
+    let (want_depths, want_parents, want_frontiers) =
+        traverse_with_groups(&dist, &config, source, &rank_halves);
+    let k = 2u32;
+    assert!(want_frontiers.len() > k as usize + 1, "the checkpoint must precede real work");
+    let num_gpus = topo.num_gpus() as usize;
+
+    for spread in [false, true] {
+        let mut groups = seeded_groups(&dist, &config, source, &rank_halves);
+        let mut frontiers = Vec::new();
+        for iter in 0..k {
+            frontiers.push(groups.iter().map(|g| g.frontier_counts().0).sum());
+            step(&config, dist.separation().num_delegates(), &mut groups, iter);
+        }
+        let workers: Vec<_> = groups.iter().flat_map(|g| g.workers.iter().cloned()).collect();
+        let cp = Checkpoint::capture(k, &workers, 0);
+        let hosting =
+            if spread { vec![(0..8).collect::<Vec<usize>>()] } else { rank_halves.clone() };
+        let bodies: Vec<Vec<u8>> = hosting
+            .iter()
+            .map(|flats| {
+                let mut w = WireWriter::new();
+                write_images(&mut w, flats.iter().map(|&f| &cp.images()[f]));
+                w.finish()
+            })
+            .collect();
+
+        run_from(&dist, &config, &mut groups, k);
+        let finished: Vec<u64> = groups[0].capture().iter().map(|img| img.digest).collect();
+        // Any one flipped byte of an image list — count, any field, seal —
+        // is a typed decode error, so nothing is installed.
+        let mut w = WireWriter::new();
+        write_images(&mut w, &cp.images()[..1]);
+        let one = w.finish();
+        for at in 0..one.len() {
+            let mut tampered = one.clone();
+            tampered[at] ^= 0x10;
+            let mut r = WireReader::new(&tampered);
+            let decoded =
+                read_images(&mut r, num_gpus).and_then(|imgs| r.expect_end().map(|_| imgs));
+            assert!(decoded.is_err(), "flip at byte {at} of {} went undetected", tampered.len());
+        }
+        // A restore that leaves a hosted GPU uncovered is refused before
+        // any image is installed.
+        let partial = &cp.images()[..3];
+        assert!(groups[0].restore(&dist, &config, true, partial).is_err());
+        let untouched: Vec<u64> = groups[0].capture().iter().map(|img| img.digest).collect();
+        assert_eq!(untouched, finished, "a refused restore installs nothing");
+
+        if spread {
+            groups.truncate(1);
+        }
+        for (g, body) in groups.iter_mut().zip(&bodies) {
+            let mut r = WireReader::new(body);
+            let images = read_images(&mut r, num_gpus).unwrap();
+            r.expect_end().unwrap();
+            g.restore(&dist, &config, true, &images).unwrap();
+        }
+        frontiers.extend(run_from(&dist, &config, &mut groups, k));
+        let (depths, parents) = assemble(&dist, &groups, source);
+        assert_eq!(depths, want_depths, "depths, spread {spread}");
+        assert_eq!(parents, want_parents, "parents, spread {spread}");
+        assert_eq!(frontiers, want_frontiers, "frontier totals, spread {spread}");
     }
 }
