@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gcbfs_cluster::collectives::allreduce_or;
 use gcbfs_cluster::cost::CostModel;
 use gcbfs_cluster::topology::{GpuId, Topology};
-use gcbfs_core::comm::exchange_normals;
+use gcbfs_compress::CompressionMode;
+use gcbfs_core::comm::exchange_normals_with;
 use std::hint::black_box;
 
 fn bench_allreduce(c: &mut Criterion) {
@@ -42,7 +43,16 @@ fn bench_exchange(c: &mut Criterion) {
         [("plain", false, false), ("local_a2a", true, false), ("a2a_uniquify", true, true)]
     {
         grp.bench_function(name, |b| {
-            b.iter(|| black_box(exchange_normals(&topo, &cost, sends.clone(), l, u)))
+            b.iter(|| {
+                black_box(exchange_normals_with(
+                    &topo,
+                    &cost,
+                    sends.clone(),
+                    l,
+                    u,
+                    CompressionMode::Off,
+                ))
+            })
         });
     }
     grp.finish();

@@ -22,7 +22,7 @@ use gcbfs_bench::{env_or, f2, print_table};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_core::config::BfsConfig;
 use gcbfs_core::incremental::EvolvingGraph;
-use gcbfs_core::mutation::{MutationLog, MutationSettings};
+use gcbfs_core::mutation::MutationLog;
 use gcbfs_graph::rmat::RmatConfig;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
     let topo = if gpus >= 2 { Topology::new(gpus / 2, 2) } else { Topology::new(1, 1) };
     let p = topo.num_gpus() as usize;
-    let config = BfsConfig::new(th).with_mutations(MutationSettings::enabled());
+    let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
     let undirected_edges = graph.num_edges() / 2;
     let degrees = graph.out_degrees();

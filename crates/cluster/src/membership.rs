@@ -78,26 +78,6 @@ impl Default for MembershipConfig {
 }
 
 impl MembershipConfig {
-    /// Sets the suspicion and confirmation thresholds.
-    pub fn with_thresholds(mut self, suspect_phi: f64, confirm_phi: f64) -> Self {
-        assert!(suspect_phi > 0.0 && confirm_phi >= suspect_phi, "thresholds must be ordered");
-        self.suspect_phi = suspect_phi;
-        self.confirm_phi = confirm_phi;
-        self
-    }
-
-    /// Sets the minimum consecutive misses before death is confirmable.
-    pub fn with_confirm_misses(mut self, misses: u32) -> Self {
-        self.confirm_misses = misses.max(1);
-        self
-    }
-
-    /// Sets the jitter-stream seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// A profile tuned for *wall-clock* heartbeats (the proc backend):
     /// OS scheduling can stretch a beat by several periods without the
     /// worker being dead, so suspicion needs more evidence and more
@@ -247,16 +227,6 @@ impl Membership {
     /// Per-member alive flags (`true` unless confirmed dead).
     pub fn alive_mask(&self) -> Vec<bool> {
         self.states.iter().map(|s| *s != MemberState::Dead).collect()
-    }
-
-    /// Number of currently Suspected members.
-    pub fn suspected_count(&self) -> usize {
-        self.states.iter().filter(|s| **s == MemberState::Suspected).count()
-    }
-
-    /// Number of confirmed-dead members.
-    pub fn dead_count(&self) -> usize {
-        self.states.iter().filter(|s| **s == MemberState::Dead).count()
     }
 
     /// Total hot-spare slots in the pool (free or promoted).

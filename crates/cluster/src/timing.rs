@@ -155,7 +155,7 @@ impl IterationTiming {
 /// The degraded critical-path bound of edge-balanced multi-survivor
 /// spreading: a dead member's load split evenly across `survivors` live
 /// members inflates the slowest lane by at most `(p+1)/p` (with `p`
-/// survivors), versus `2×` when the whole partition lands on one buddy.
+/// survivors) — `2×` in the degenerate one-survivor case.
 /// This is the factor the elastic membership tier is designed to hit.
 pub fn degraded_bound(survivors: usize) -> f64 {
     assert!(survivors > 0, "need at least one survivor");

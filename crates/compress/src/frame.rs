@@ -24,7 +24,7 @@
 //! own [`IntegrityError`].
 
 use crate::seal::{IntegrityError, SealedPayload};
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// First bytes of every frame; anything else is mid-stream garbage.
 pub const FRAME_MAGIC: [u8; 4] = *b"GCBF";
@@ -174,12 +174,6 @@ impl Frame {
         out.extend_from_slice(&self.payload.checksum().to_le_bytes());
         out.extend_from_slice(self.payload.bytes_unchecked());
         out
-    }
-
-    /// Writes the frame to `w` (one `write_all`: the encode buffer is
-    /// assembled first so a slow sink never observes a torn header).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), FrameError> {
-        w.write_all(&self.encode()).map_err(FrameError::Io)
     }
 
     /// Reads one frame from `r`, validating the header bounds before any

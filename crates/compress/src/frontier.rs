@@ -43,15 +43,6 @@ impl FrontierCodec {
         }
     }
 
-    /// One-character code for the compression trajectory string.
-    pub fn trajectory_char(self) -> char {
-        match self {
-            Self::Raw32 => 'R',
-            Self::VarintDelta => 'V',
-            Self::Bitmap => 'B',
-        }
-    }
-
     /// Encodes `ids`, returning a fresh buffer. See
     /// [`FrontierCodec::encode_into`].
     pub fn encode(self, ids: &[u32]) -> Result<Vec<u8>, EncodeError> {

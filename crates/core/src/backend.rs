@@ -170,9 +170,6 @@ impl Backend for ProcBackend {
         if config.observability.is_on() {
             return Err(BackendError::Unsupported("observability tracing (sim-only)"));
         }
-        if config.mutations.enabled {
-            return Err(BackendError::Unsupported("streaming mutations (sim-only)"));
-        }
         if config.overlap {
             return Err(BackendError::Unsupported("modeled compute/comm overlap (sim-only)"));
         }

@@ -2,8 +2,13 @@
 //! because a [`FaultPlan`] is being injected.
 //!
 //! [`Chaos`] owns the injector, the checkpoint cadence, membership and
-//! re-homing, the transient-fault retries of the two collectives, delayed
-//! message copies, and the SDC re-execute → rollback → typed-error ladder.
+//! re-homing (where a dead partition goes is the shared
+//! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome)
+//! decision the proc coordinator also asks), the transient-fault retries
+//! of the two collectives, delayed message copies, and the SDC
+//! re-execute → rollback → typed-error ladder. Every snapshot it restores
+//! — the SDC shadow and the rollback checkpoint — is a sealed
+//! [`Checkpoint`], installed through the same verified restore.
 //! The driver holds it as an `Option`: without a plan none of this code
 //! runs and nothing here is allocated. Every charge lands in
 //! [`FaultStats`] and — with the *same* `f64`, at the same site, in the
@@ -14,25 +19,26 @@ use crate::comm::{reassign_lane_times, ExchangeResult};
 use crate::config::BfsConfig;
 use crate::driver::{DistributedGraph, RunError, Traversal};
 use crate::kernels::{GpuWorker, LocalIterationOutput};
-use crate::recovery::{retry_backoff, Assignment, ElasticMap, HostingPolicy};
+use crate::recovery::{retry_backoff, Assignment, ElasticMap, RecoveryMode, MAX_RETRIES};
 use crate::stats::FaultStats;
 use crate::verify::VerifyState;
 use gcbfs_cluster::collectives::{allreduce_or_compressed, AllreduceOutcome};
 use gcbfs_cluster::fault::{
     FaultError, FaultInjector, FaultPlan, MessageFate, SdcEvent, SdcMode, SdcSite,
 };
-use gcbfs_cluster::membership::{Membership, MembershipEvent};
+use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
 use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_trace::{FaultKind, SinkMark};
 
 /// Device-side shadow of the mutable superstep inputs, captured before
 /// local computation when online verification is armed. Re-execution of a
 /// superstep that failed verification restores from here without touching
-/// the host checkpoint. The copy itself is modeled as free (device
-/// double-buffering of state the kernels already traverse); only a
-/// *detected* fault charges recovery time.
+/// the host checkpoint. The snapshot is the same sealed image a host
+/// checkpoint holds, but modeled as free (device double-buffering of state
+/// the kernels already traverse); only a *detected* fault charges recovery
+/// time.
 struct SdcShadow {
-    workers: Vec<GpuWorker>,
+    state: Checkpoint,
     delayed: Vec<(u32, usize, u32)>,
     prev_reduced: Option<Vec<u64>>,
     verify: VerifyState,
@@ -54,10 +60,10 @@ pub(crate) struct Chaos<'a> {
     /// (ground-truth silence comes from the injector) ...
     membership: Membership,
     /// ... and the elastic map tracks how each confirmed-dead member's
-    /// partition is re-homed (hot spare, spread, or buddy).
+    /// partition is re-homed (hot spare or spread).
     elastic: ElasticMap,
-    /// `(dead, hosts)` of every spread/buddy-hosted partition this
-    /// superstep; empty while nobody is degraded.
+    /// `(dead, hosts)` of every spread-hosted partition this superstep;
+    /// empty while nobody is degraded.
     hosted: Vec<(usize, Vec<(usize, f64)>)>,
     /// Static per-partition edge loads — the weights of the
     /// edge-balanced spreading plan.
@@ -69,13 +75,20 @@ pub(crate) struct Chaos<'a> {
     delayed: Vec<(u32, usize, u32)>,
     shadow: Option<SdcShadow>,
     /// SDC escalation ladder: failed-verification supersteps re-execute
-    /// from the device shadow up to `max_retries` times (persistent upsets
+    /// from the device shadow up to [`MAX_RETRIES`] times (persistent upsets
     /// refire and fail again), then roll back to the host checkpoint; a
     /// bounded number of verified rollbacks later the fault is surfaced as
     /// unrecoverable. Clean supersteps reset the re-execution rung but not
     /// the rollback rung.
     sdc_reexec_attempts: u32,
     sdc_rollbacks: u32,
+}
+
+/// Verifies `cp`'s seals and installs it into `workers`; a broken seal is
+/// a typed error at `iter` and installs nothing.
+fn restore(cp: &Checkpoint, workers: &mut [GpuWorker], iter: u32) -> Result<(), RunError> {
+    cp.restore(workers)
+        .map_err(|e| FaultError::CheckpointCorrupt { iteration: iter, gpu: e.gpu }.into())
 }
 
 /// Applies one depth-word SDC event to a GPU's local depth array (kernel
@@ -115,7 +128,7 @@ impl<'a> Chaos<'a> {
             checkpoint: None,
             cp_verify: None,
             sink_mark: None,
-            membership: Membership::new(p, spares, config.recovery.membership),
+            membership: Membership::new(p, spares, MembershipConfig::default()),
             elastic: ElasticMap::new(p),
             hosted: Vec::new(),
             loads: dist.subgraphs.iter().map(|sg| sg.num_edges().max(1)).collect(),
@@ -136,27 +149,31 @@ impl<'a> Chaos<'a> {
     }
 
     /// The superstep boundary: checkpoint cadence, then heartbeats and
-    /// membership, then — for deaths confirmed here — one rollback and the
-    /// re-homing of every dead partition. Returns true when the traversal
-    /// was rewound and the loop must re-enter at `t.iter`.
+    /// membership, then — for deaths confirmed here — the re-homing of
+    /// every dead partition and one rollback. Returns true when the
+    /// traversal was rewound and the loop must re-enter at `t.iter`.
     pub fn boundary(&mut self, t: &mut Traversal) -> Result<bool, RunError> {
         self.checkpoint_if_due(t);
         let confirmed = self.observe_heartbeats(t);
         if !confirmed.is_empty() {
-            let recovery = self.config.recovery;
-            if !(recovery.enabled && recovery.degraded_mode) {
-                return Err(FaultError::GpuFailed { gpu: confirmed[0], iteration: t.iter }.into());
-            }
-            // One rollback covers every death confirmed at this boundary.
-            let detected_at = t.iter;
+            // Decide every death first (a fatal one rewinds nothing), then
+            // one rollback covers them all, then each move is billed
+            // against the restored state.
+            let at = t.iter;
+            let homes = confirmed
+                .into_iter()
+                .map(|gpu| self.rehome(gpu, at).map(|home| (gpu, home)))
+                .collect::<Result<Vec<_>, _>>()?;
             self.rollback(t, 0.0)?;
-            self.rehome(t, confirmed, detected_at)?;
+            for (gpu, home) in homes {
+                self.charge_rehome(t, gpu, &home, at);
+            }
             return Ok(true);
         }
         // Device shadow for verified re-execution: captured at the last
         // point the superstep inputs are known-clean.
         self.shadow = t.verify.as_ref().map(|vs| SdcShadow {
-            workers: t.group.workers.clone(),
+            state: Checkpoint::capture(t.iter, &t.group.workers, t.records.len()),
             delayed: self.delayed.clone(),
             prev_reduced: t.prev_reduced.clone(),
             verify: vs.clone(),
@@ -225,9 +242,7 @@ impl<'a> Chaos<'a> {
                     self.fault.rejoins += 1;
                     self.charge(t, FaultKind::Rejoin, iter, resync);
                     if self.elastic.is_failed(gpu) {
-                        if let Assignment::Spare(slot) =
-                            self.elastic.rejoin(gpu, &self.loads, self.config.recovery.hosting)
-                        {
+                        if let Assignment::Spare(slot) = self.elastic.rejoin(gpu, &self.loads) {
                             self.membership.release_spare(slot);
                         }
                     }
@@ -250,9 +265,7 @@ impl<'a> Chaos<'a> {
         let spent = wasted + cp.modeled_seconds(&self.config.cost);
         self.fault.rollbacks += 1;
         t.records.truncate(cp.records_len);
-        if let Err(e) = cp.restore(&mut t.group.workers) {
-            return Err(FaultError::CheckpointCorrupt { iteration: t.iter, gpu: e.gpu }.into());
-        }
+        restore(cp, &mut t.group.workers, t.iter)?;
         let resume_at = cp.iter;
         // Restore-path SDC hook: strike the restored depth buffers *after*
         // the seal check passed, so online verification (not the seal)
@@ -277,62 +290,55 @@ impl<'a> Chaos<'a> {
         Ok(())
     }
 
-    /// Re-homes each confirmed-dead partition, in preference order: a free
-    /// hot spare absorbs it at full speed; otherwise it is spread across
-    /// the survivors (or buddy-hosted under the legacy policy).
-    /// Survivability is checked against the same predicate
-    /// `plan_is_survivable` replays.
-    fn rehome(
-        &mut self,
-        t: &mut Traversal,
-        confirmed: Vec<usize>,
-        at: u32,
-    ) -> Result<(), RunError> {
+    /// Re-homes one confirmed-dead partition where the shared
+    /// [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome)
+    /// decision says, returning its new assignment for billing. "A
+    /// survivor remains" is the same predicate `plan_is_survivable`
+    /// replays.
+    fn rehome(&mut self, gpu: usize, at: u32) -> Result<Assignment, RunError> {
+        let spare_free = self.membership.available_spares() > 0;
+        let survivor = self.elastic.next_failure_is_survivable(gpu);
+        match self.config.recovery.rehome(spare_free, survivor) {
+            Some(RecoveryMode::Spare) => {
+                let slot = self.membership.take_spare().expect("a spare is free");
+                self.elastic.fail_to_spare(gpu, slot);
+            }
+            Some(RecoveryMode::Spread) => self.elastic.fail_to_spread(gpu, &self.loads),
+            None => return Err(FaultError::GpuFailed { gpu, iteration: at }.into()),
+        }
+        Ok(self.elastic.assignment(gpu).clone())
+    }
+
+    /// Bills moving `gpu`'s restored state to its new home. A spare
+    /// reloads the graph partition from host storage, receives the
+    /// checkpointed mutable state, and re-replicates the delegate masks
+    /// via the usual collective; spread hosts each receive their share.
+    fn charge_rehome(&mut self, t: &mut Traversal, gpu: usize, home: &Assignment, at: u32) {
         let topo = self.dist.topology;
         let net = self.config.cost.network;
-        for gpu in confirmed {
-            let bytes = Checkpoint::worker_bytes(&t.group.workers[gpu]);
-            let same_rank = |host: usize| topo.same_rank(topo.unflat(gpu), topo.unflat(host));
-            if let Some(slot) = self.membership.take_spare() {
-                self.elastic.fail_to_spare(gpu, slot);
-                // The spare reloads the graph partition from host storage,
-                // receives the checkpointed mutable state, and
-                // re-replicates the delegate masks via the usual collective.
+        let bytes = Checkpoint::worker_bytes(&t.group.workers[gpu]);
+        match home {
+            Assignment::Spare(_) => {
                 let absorb = self.dist.subgraphs[gpu].memory_usage().total() as f64
                     / net.staging_bandwidth
                     + net.p2p_time(bytes, false)
                     + net.allreduce_time(self.mask_bytes, topo.num_ranks(), true);
                 self.fault.spare_absorptions += 1;
                 self.charge(t, FaultKind::SpareAbsorb, at, absorb);
-                continue;
             }
-            if !self.elastic.next_failure_is_survivable(gpu) {
-                // No survivor would remain: unrecoverable.
-                return Err(FaultError::GpuFailed { gpu, iteration: at }.into());
+            Assignment::Hosted(hosts) => {
+                let same_rank = |host: usize| topo.same_rank(topo.unflat(gpu), topo.unflat(host));
+                let ship: f64 = hosts
+                    .iter()
+                    .map(|&(host, share)| {
+                        net.p2p_time((bytes as f64 * share).ceil() as u64, same_rank(host))
+                    })
+                    .sum();
+                self.fault.spread_hostings += 1;
+                self.charge(t, FaultKind::Spread, at, ship);
             }
-            match self.config.recovery.hosting {
-                HostingPolicy::Buddy => {
-                    let host = self.elastic.fail_to_buddy(gpu, &topo);
-                    let ship = net.p2p_time(bytes, same_rank(host));
-                    self.charge(t, FaultKind::Recovery, at, ship);
-                }
-                HostingPolicy::Spread => {
-                    self.elastic.fail_to_spread(gpu, &self.loads);
-                    let Assignment::Hosted(hosts) = self.elastic.assignment(gpu) else {
-                        unreachable!("fail_to_spread must host")
-                    };
-                    let ship: f64 = hosts
-                        .iter()
-                        .map(|&(host, share)| {
-                            net.p2p_time((bytes as f64 * share).ceil() as u64, same_rank(host))
-                        })
-                        .sum();
-                    self.fault.spread_hostings += 1;
-                    self.charge(t, FaultKind::Spread, at, ship);
-                }
-            }
+            Assignment::SelfHosted => unreachable!("a re-homed partition is hosted elsewhere"),
         }
-        Ok(())
     }
 
     /// The NIC slowdown active this superstep (`>= 1`).
@@ -377,8 +383,8 @@ impl<'a> Chaos<'a> {
 
     /// Degraded mode: hosts run their shares of dead members' partitions
     /// serially after their own, so the dead GPU's computation time moves
-    /// onto its hosts share-weighted — `(p+1)/p` on the critical path
-    /// under spreading, `2×` under buddy hosting. Spare-absorbed
+    /// onto its hosts share-weighted — `(p+1)/p` on the critical path.
+    /// Spare-absorbed
     /// partitions run at full speed on their standby GPU and shift no
     /// time at all.
     pub fn degrade_compute(&mut self, phases: &mut [PhaseTimes]) {
@@ -424,7 +430,6 @@ impl<'a> Chaos<'a> {
         bw: f64,
     ) -> Result<AllreduceOutcome, RunError> {
         let (config, iter) = (self.config, t.iter);
-        let recovery = config.recovery;
         let mut attempt = 0u32;
         let mut outcome = loop {
             let mut attempt_words = words.to_vec();
@@ -438,13 +443,11 @@ impl<'a> Chaos<'a> {
                 t.prev_reduced.as_deref(),
             );
             let Some(gpu) = corrupted else { break out };
-            if !recovery.enabled || attempt >= recovery.max_retries {
+            if !config.recovery.enabled || attempt >= MAX_RETRIES {
                 return Err(FaultError::MaskChecksumMismatch { iteration: iter, gpu }.into());
             }
             self.fault.retries += 1;
-            let spent = out.global_time * bw
-                + out.local_time
-                + retry_backoff(recovery.retry_backoff_seconds, attempt);
+            let spent = out.global_time * bw + out.local_time + retry_backoff(attempt);
             self.charge(t, FaultKind::Retry, iter, spent);
             attempt += 1;
         };
@@ -477,7 +480,7 @@ impl<'a> Chaos<'a> {
     /// Perturbs the exchange's delivery with the injector's message fates.
     /// Drops and delays leave the per-peer ack counts short, so the whole
     /// exchange is retransmitted (resampling the fault stream); after
-    /// `max_retries` failed attempts the transport escalates to the
+    /// [`MAX_RETRIES`] failed attempts the transport escalates to the
     /// verified reliable path, which always succeeds. Duplicates are
     /// delivered — the depth update is idempotent — and delayed copies
     /// surface in a later superstep as no-ops. Each failed attempt's
@@ -489,12 +492,12 @@ impl<'a> Chaos<'a> {
         ex: &ExchangeResult,
         bw: f64,
     ) -> Result<Vec<Vec<u32>>, RunError> {
-        let recovery = self.config.recovery;
+        let enabled = self.config.recovery.enabled;
         let iter = t.iter;
         let worst_remote = ex.remote_time.iter().cloned().fold(0.0, f64::max) * bw;
         let mut attempt = 0u32;
         loop {
-            if recovery.enabled && attempt >= recovery.max_retries {
+            if enabled && attempt >= MAX_RETRIES {
                 return Ok(ex.delivered.clone()); // reliable-path escalation
             }
             let mut tampered = false;
@@ -520,7 +523,7 @@ impl<'a> Chaos<'a> {
             if !tampered {
                 return Ok(perturbed);
             }
-            if !recovery.enabled {
+            if !enabled {
                 return Err(FaultError::ExchangeMismatch {
                     iteration: iter,
                     attempts: attempt + 1,
@@ -528,7 +531,7 @@ impl<'a> Chaos<'a> {
                 .into());
             }
             self.fault.retries += 1;
-            let spent = worst_remote + retry_backoff(recovery.retry_backoff_seconds, attempt);
+            let spent = worst_remote + retry_backoff(attempt);
             self.charge(t, FaultKind::Retry, iter, spent);
             attempt += 1;
         }
@@ -559,7 +562,6 @@ impl<'a> Chaos<'a> {
         check: &'static str,
         elapsed: f64,
     ) -> Result<(), RunError> {
-        let recovery = self.config.recovery;
         let iter = t.iter;
         self.fault.sdc_detections += 1;
         if let Some(s) = t.sink.as_mut() {
@@ -567,21 +569,20 @@ impl<'a> Chaos<'a> {
             // charged to computation.
             s.record_fault(FaultKind::SdcDetect, iter, 0.0);
         }
-        if !recovery.enabled {
+        if !self.config.recovery.enabled {
             return Err(FaultError::SdcDetected { iteration: iter, check }.into());
         }
-        if self.sdc_reexec_attempts < recovery.max_retries {
+        if self.sdc_reexec_attempts < MAX_RETRIES {
             // Rung 1 — re-execute the superstep from the device shadow:
             // the whole aborted superstep plus a backoff is wasted time. A
             // transient upset will not refire; a persistent one climbs
             // the ladder.
-            let spent =
-                elapsed + retry_backoff(recovery.retry_backoff_seconds, self.sdc_reexec_attempts);
+            let spent = elapsed + retry_backoff(self.sdc_reexec_attempts);
             self.sdc_reexec_attempts += 1;
             self.fault.sdc_reexecutions += 1;
             self.charge(t, FaultKind::SdcReexecute, iter, spent);
             let snap = self.shadow.take().expect("shadow captured when verification is armed");
-            t.group.workers = snap.workers;
+            restore(&snap.state, &mut t.group.workers, iter)?;
             self.delayed = snap.delayed;
             t.prev_reduced = snap.prev_reduced;
             t.verify = Some(snap.verify);
@@ -591,7 +592,7 @@ impl<'a> Chaos<'a> {
         // keeps striking through restored checkpoints is not recoverable
         // by replay.
         self.sdc_rollbacks += 1;
-        if self.sdc_rollbacks > recovery.max_retries.max(1) {
+        if self.sdc_rollbacks > MAX_RETRIES {
             return Err(FaultError::SdcUnrecoverable { iteration: iter, check }.into());
         }
         self.rollback(t, elapsed)?;

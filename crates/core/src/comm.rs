@@ -80,8 +80,8 @@ pub struct ExchangeResult {
 /// occupancy, serially after its own; the dead lane is zeroed so the
 /// cluster-wide fold (a per-lane max) never reads a ghost.
 ///
-/// Shares normally sum to 1 (buddy hosting is the single-host special
-/// case), so the total time charged across lanes is conserved.
+/// Shares normally sum to 1, so the total time charged across lanes is
+/// conserved.
 pub fn reassign_lane_times(
     local_time: &mut [f64],
     remote_time: &mut [f64],
@@ -118,20 +118,6 @@ pub fn message_wire_bytes(items: usize, codec: Option<(FrontierCodec, &[u8])>) -
         None => items as u64 * BYTES_PER_UPDATE,
         Some((_, encoded)) => encoded.len() as u64,
     }
-}
-
-/// Performs the exchange for one iteration with the paper's raw wire
-/// format (no compression). Equivalent to [`exchange_normals_with`] under
-/// [`CompressionMode::Off`]; kept as the canonical entry point for
-/// callers that reproduce the paper's exact byte counts.
-pub fn exchange_normals(
-    topo: &Topology,
-    cost: &CostModel,
-    sends: Vec<Vec<(GpuId, u32)>>,
-    use_local_all2all: bool,
-    use_uniquify: bool,
-) -> ExchangeResult {
-    exchange_normals_with(topo, cost, sends, use_local_all2all, use_uniquify, CompressionMode::Off)
 }
 
 /// The *value* half of the exchange pipeline — bin, optional local
@@ -433,7 +419,7 @@ mod tests {
         let mut sends: Vec<Vec<(GpuId, u32)>> = vec![Vec::new(); 4];
         sends[0] = vec![(gid(1, 0), 7), (gid(1, 1), 9)];
         sends[3] = vec![(gid(0, 0), 1)];
-        let ex = exchange_normals(&topo, &cost, sends, false, false);
+        let ex = exchange_normals_with(&topo, &cost, sends, false, false, CompressionMode::Off);
         assert_eq!(ex.delivered[topo.flat(gid(1, 0))], vec![7]);
         assert_eq!(ex.delivered[topo.flat(gid(1, 1))], vec![9]);
         assert_eq!(ex.delivered[0], vec![1]);
@@ -449,7 +435,7 @@ mod tests {
         let cost = CostModel::ray();
         let mut sends: Vec<Vec<(GpuId, u32)>> = vec![Vec::new(); 4];
         sends[0] = vec![(gid(0, 1), 3)];
-        let ex = exchange_normals(&topo, &cost, sends, false, false);
+        let ex = exchange_normals_with(&topo, &cost, sends, false, false, CompressionMode::Off);
         assert_eq!(ex.remote_bytes, 0);
         assert_eq!(ex.local_bytes, BYTES_PER_UPDATE);
         assert_eq!(ex.delivered[1], vec![3]);
@@ -461,14 +447,15 @@ mod tests {
         let cost = CostModel::ray();
         let mut sends: Vec<Vec<(GpuId, u32)>> = vec![Vec::new(); 4];
         sends[0] = vec![(gid(1, 0), 7), (gid(1, 0), 7), (gid(1, 0), 8)];
-        let ex = exchange_normals(&topo, &cost, sends.clone(), false, true);
+        let ex =
+            exchange_normals_with(&topo, &cost, sends.clone(), false, true, CompressionMode::Off);
         assert_eq!(ex.items_before, 3);
         assert_eq!(ex.items_sent, 2);
         let mut got = ex.delivered[topo.flat(gid(1, 0))].clone();
         got.sort_unstable();
         assert_eq!(got, vec![7, 8]);
         // Without uniquify the duplicate flows.
-        let ex2 = exchange_normals(&topo, &cost, sends, false, false);
+        let ex2 = exchange_normals_with(&topo, &cost, sends, false, false, CompressionMode::Off);
         assert_eq!(ex2.items_sent, 3);
     }
 
@@ -480,7 +467,7 @@ mod tests {
         // slot-mismatched pair; with it, the item first hops to (0,1).
         let mut sends: Vec<Vec<(GpuId, u32)>> = vec![Vec::new(); 4];
         sends[0] = vec![(gid(1, 1), 5)];
-        let ex = exchange_normals(&topo, &cost, sends, true, false);
+        let ex = exchange_normals_with(&topo, &cost, sends, true, false, CompressionMode::Off);
         assert_eq!(ex.delivered[topo.flat(gid(1, 1))], vec![5]);
         assert!(ex.local_bytes >= BYTES_PER_UPDATE, "regroup hop must be local");
         assert_eq!(ex.remote_bytes, BYTES_PER_UPDATE);
@@ -493,7 +480,7 @@ mod tests {
         // (0,0) -> (0,1): after regrouping the item sits on (0,1) already.
         let mut sends: Vec<Vec<(GpuId, u32)>> = vec![Vec::new(); 4];
         sends[0] = vec![(gid(0, 1), 4)];
-        let ex = exchange_normals(&topo, &cost, sends, true, false);
+        let ex = exchange_normals_with(&topo, &cost, sends, true, false, CompressionMode::Off);
         assert_eq!(ex.delivered[1], vec![4]);
         assert_eq!(ex.remote_bytes, 0);
     }
@@ -502,7 +489,14 @@ mod tests {
     fn empty_exchange_is_free() {
         let topo = topo22();
         let cost = CostModel::ray();
-        let ex = exchange_normals(&topo, &cost, vec![Vec::new(); 4], true, true);
+        let ex = exchange_normals_with(
+            &topo,
+            &cost,
+            vec![Vec::new(); 4],
+            true,
+            true,
+            CompressionMode::Off,
+        );
         assert_eq!(ex.items_before, 0);
         assert!(ex.delivered.iter().all(Vec::is_empty));
         assert!(ex.remote_time.iter().all(|&t| t == 0.0));
@@ -516,7 +510,7 @@ mod tests {
         let mut sends: Vec<Vec<(GpuId, u32)>> = vec![Vec::new(); 3];
         sends[2] = vec![(gid(0, 0), 20)];
         sends[1] = vec![(gid(0, 0), 10)];
-        let ex = exchange_normals(&topo, &cost, sends, false, false);
+        let ex = exchange_normals_with(&topo, &cost, sends, false, false, CompressionMode::Off);
         assert_eq!(ex.delivered[0], vec![10, 20]);
     }
 
@@ -531,7 +525,14 @@ mod tests {
     fn compressed_exchange_delivers_the_same_multiset() {
         let topo = topo22();
         let cost = CostModel::ray();
-        let reference = exchange_normals(&topo, &cost, dense_sends(500), false, false);
+        let reference = exchange_normals_with(
+            &topo,
+            &cost,
+            dense_sends(500),
+            false,
+            false,
+            CompressionMode::Off,
+        );
         for mode in [
             CompressionMode::Adaptive,
             CompressionMode::Fixed(FrontierCodec::Raw32, gcbfs_compress::MaskCodec::RawMask),
@@ -555,7 +556,14 @@ mod tests {
     fn dense_messages_compress_and_charge_codec_time() {
         let topo = topo22();
         let cost = CostModel::ray();
-        let raw = exchange_normals(&topo, &cost, dense_sends(2000), false, false);
+        let raw = exchange_normals_with(
+            &topo,
+            &cost,
+            dense_sends(2000),
+            false,
+            false,
+            CompressionMode::Off,
+        );
         let ex = exchange_normals_with(
             &topo,
             &cost,
@@ -582,7 +590,14 @@ mod tests {
     fn off_mode_reports_raw_equals_wire() {
         let topo = topo22();
         let cost = CostModel::ray();
-        let ex = exchange_normals(&topo, &cost, dense_sends(100), false, false);
+        let ex = exchange_normals_with(
+            &topo,
+            &cost,
+            dense_sends(100),
+            false,
+            false,
+            CompressionMode::Off,
+        );
         assert_eq!(ex.remote_bytes, ex.raw_remote_bytes);
         assert_eq!(ex.bytes_saved(), 0);
         assert_eq!(ex.codec_seconds, 0.0);
@@ -595,7 +610,8 @@ mod tests {
         let cost = CostModel::ray();
         let mut sends: Vec<Vec<(GpuId, u32)>> = vec![Vec::new(); 4];
         sends[0] = vec![(gid(1, 0), 7)]; // one cross-rank item: 4 raw bytes
-        let raw = exchange_normals(&topo, &cost, sends.clone(), false, false);
+        let raw =
+            exchange_normals_with(&topo, &cost, sends.clone(), false, false, CompressionMode::Off);
         let ex =
             exchange_normals_with(&topo, &cost, sends, false, false, CompressionMode::Adaptive);
         // Encoded is 5-byte header + 4-byte payload: larger than raw but

@@ -9,7 +9,6 @@
 //! `nd` are the defaults here.
 
 use crate::kernels::KernelVariant;
-use crate::mutation::MutationSettings;
 use crate::recovery::RecoveryConfig;
 use crate::verify::VerificationMode;
 use gcbfs_cluster::cost::CostModel;
@@ -75,12 +74,9 @@ pub struct BfsConfig {
     /// the direction-optimization crossover. Compression never changes
     /// BFS results — every payload really roundtrips its codec.
     pub compression: CompressionMode,
-    /// Recovery policy for fault-injected runs: checkpoint cadence, retry
-    /// budget, degraded mode, the spare-less hosting policy
-    /// ([`HostingPolicy`](crate::recovery::HostingPolicy) buddy vs
-    /// edge-balanced spreading), and the phi-accrual failure-detector
-    /// tuning ([`MembershipConfig`](gcbfs_cluster::membership::MembershipConfig)).
-    /// Inert on fault-free runs: no checkpoints are taken, no heartbeats
+    /// Recovery policy for fault-injected runs: on/off, checkpoint cadence,
+    /// and degraded mode (whether a loss with no free spare spreads onto
+    /// the survivors or is fatal). Inert on fault-free runs: no checkpoints are taken, no heartbeats
     /// are interpreted, and no retries happen unless a
     /// [`FaultPlan`](gcbfs_cluster::fault::FaultPlan) is supplied.
     pub recovery: RecoveryConfig,
@@ -116,12 +112,6 @@ pub struct BfsConfig {
     /// re-execute → rollback → typed error (see
     /// [`verify`](crate::verify)).
     pub verification: VerificationMode,
-    /// Streaming-mutation settings for the delta-update path
-    /// ([`EvolvingGraph`](crate::incremental::EvolvingGraph)): overlay
-    /// compaction cadence and automatic delegate reclassification when
-    /// mutated degrees cross `TH`. Disabled (and inert) by default —
-    /// static runs are bit-identical with or without this field.
-    pub mutations: MutationSettings,
 }
 
 impl BfsConfig {
@@ -156,7 +146,6 @@ impl BfsConfig {
             kernel_variant: KernelVariant::default(),
             overlap: false,
             verification: VerificationMode::Off,
-            mutations: MutationSettings::default(),
         }
     }
 
@@ -239,12 +228,6 @@ impl BfsConfig {
     /// Enables/disables pipelined compute/communication overlap.
     pub fn with_overlap(mut self, on: bool) -> Self {
         self.overlap = on;
-        self
-    }
-
-    /// Replaces the streaming-mutation settings (delta-update path).
-    pub fn with_mutations(mut self, mutations: MutationSettings) -> Self {
-        self.mutations = mutations;
         self
     }
 
@@ -341,15 +324,6 @@ mod tests {
         let c = c.with_kernel_variant(KernelVariant::Scalar).with_overlap(true);
         assert_eq!(c.kernel_variant, KernelVariant::Scalar);
         assert!(c.overlap);
-    }
-
-    #[test]
-    fn mutations_default_off_and_flip() {
-        let c = BfsConfig::new(8);
-        assert!(!c.mutations.enabled, "static runs stay on the static path by default");
-        let c = c.with_mutations(MutationSettings::enabled().with_compaction_interval(4));
-        assert!(c.mutations.enabled);
-        assert_eq!(c.mutations.compaction_interval, 4);
     }
 
     #[test]

@@ -288,9 +288,9 @@ impl DistributedGraph {
     ///
     /// With recovery enabled (the default), transient faults are retried
     /// with backoff (escalating to the reliable verified path after
-    /// [`RecoveryConfig::max_retries`](crate::recovery::RecoveryConfig)
-    /// resampled attempts) and fail-stop losses roll back to the latest
-    /// checkpoint and continue in degraded mode — the returned depths are
+    /// [`MAX_RETRIES`](crate::recovery::MAX_RETRIES) resampled attempts)
+    /// and fail-stop losses roll back to the latest checkpoint and
+    /// continue on a spare or in degraded mode — the returned depths are
     /// bit-identical to the fault-free run, with every retry, rollback, and
     /// checkpoint charged to [`RunStats::fault`]. With
     /// [`RecoveryConfig::disabled`](crate::recovery::RecoveryConfig::disabled),

@@ -174,6 +174,9 @@ pub struct EvolvingGraph {
     parents: Vec<u64>,
     batches_applied: u64,
     batches_since_compaction: u32,
+    /// Compact the delta overlay back into the base CSR after this many
+    /// applied batches (`0` = never; the rebuild is charged).
+    compaction_interval: u32,
 }
 
 impl EvolvingGraph {
@@ -196,7 +199,15 @@ impl EvolvingGraph {
             parents: vec![NO_PARENT; n],
             batches_applied: 0,
             batches_since_compaction: 0,
+            compaction_interval: 8,
         }
+    }
+
+    /// Compacts the delta overlay into the base CSR every `every` applied
+    /// batches (default 8; `0` = never).
+    pub fn with_compaction_interval(mut self, every: u32) -> Self {
+        self.compaction_interval = every;
+        self
     }
 
     /// Vertex count `n`.
@@ -350,40 +361,38 @@ impl EvolvingGraph {
         let mut promotions = 0u64;
         let mut demotions = 0u64;
         let mut reclass_seconds = 0.0f64;
-        if self.config.mutations.auto_reclassify {
-            let th = self.config.degree_threshold;
-            let mut promo_bytes = 0u64;
-            for &v in &touched {
-                let now = self.degrees[v as usize] > th;
-                if now == self.delegate[v as usize] {
-                    continue;
-                }
-                self.delegate[v as usize] = now;
-                let adjacency_bytes = 4 * self.degrees[v as usize].max(1);
-                if now {
-                    // Promotion: replicate the adjacency on every GPU.
-                    promotions += 1;
-                    self.num_delegates += 1;
-                    promo_bytes += adjacency_bytes;
-                } else {
-                    // Demotion: ship the adjacency back to the owner.
-                    demotions += 1;
-                    self.num_delegates -= 1;
-                    reclass_seconds += net.p2p_time(adjacency_bytes, false);
-                }
+        let th = self.config.degree_threshold;
+        let mut promo_bytes = 0u64;
+        for &v in &touched {
+            let now = self.degrees[v as usize] > th;
+            if now == self.delegate[v as usize] {
+                continue;
             }
-            if promotions > 0 {
-                // All promoted adjacencies of the batch ride one batched
-                // collective — a cross-rank allreduce over the tree plus
-                // the intra-rank fan-out (the PR 5 re-replication path).
-                reclass_seconds += net.allreduce_time(promo_bytes, topo.num_ranks(), blocking)
-                    + net.local_broadcast_time(promo_bytes, topo.gpus_per_rank());
+            self.delegate[v as usize] = now;
+            let adjacency_bytes = 4 * self.degrees[v as usize].max(1);
+            if now {
+                // Promotion: replicate the adjacency on every GPU.
+                promotions += 1;
+                self.num_delegates += 1;
+                promo_bytes += adjacency_bytes;
+            } else {
+                // Demotion: ship the adjacency back to the owner.
+                demotions += 1;
+                self.num_delegates -= 1;
+                reclass_seconds += net.p2p_time(adjacency_bytes, false);
             }
-            if promotions + demotions > 0 {
-                // One mask-resize pass at the final delegate count.
-                reclass_seconds +=
-                    dev.kernel_time(KernelKind::MaskOps, self.num_delegates.div_ceil(64) * 8);
-            }
+        }
+        if promotions > 0 {
+            // All promoted adjacencies of the batch ride one batched
+            // collective — a cross-rank allreduce over the tree plus
+            // the intra-rank fan-out (the PR 5 re-replication path).
+            reclass_seconds += net.allreduce_time(promo_bytes, topo.num_ranks(), blocking)
+                + net.local_broadcast_time(promo_bytes, topo.gpus_per_rank());
+        }
+        if promotions + demotions > 0 {
+            // One mask-resize pass at the final delegate count.
+            reclass_seconds +=
+                dev.kernel_time(KernelKind::MaskOps, self.num_delegates.div_ceil(64) * 8);
         }
 
         // ---- 3. Phase 1: deletion invalidation, ascending depth. ----
@@ -524,7 +533,7 @@ impl EvolvingGraph {
         // ---- 6. Periodic overlay compaction. ----
         self.batches_applied += 1;
         self.batches_since_compaction += 1;
-        let interval = self.config.mutations.compaction_interval;
+        let interval = self.compaction_interval;
         let mut compaction_seconds = 0.0f64;
         let mut compacted = false;
         if interval > 0 && self.batches_since_compaction >= interval {
@@ -952,10 +961,9 @@ mod tests {
     #[test]
     fn compaction_triggers_on_interval_and_is_charged() {
         let g = builders::grid(6, 6);
-        let config = BfsConfig::new(8).with_mutations(
-            crate::mutation::MutationSettings::enabled().with_compaction_interval(2),
-        );
-        let mut ev = EvolvingGraph::new(&g, Topology::new(2, 1), &config);
+        let config = BfsConfig::new(8);
+        let mut ev =
+            EvolvingGraph::new(&g, Topology::new(2, 1), &config).with_compaction_interval(2);
         ev.initial_run(0).unwrap();
         let mut batch = MutationBatch::new();
         batch.add_undirected(0, 35);

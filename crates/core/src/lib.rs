@@ -69,7 +69,7 @@ pub use checkpoint::Checkpoint;
 pub use config::BfsConfig;
 pub use driver::{BfsResult, BuildError, DistributedGraph, RunError};
 pub use incremental::{EvolvingGraph, RepairReport};
-pub use mutation::{MutationBatch, MutationLog, MutationOp, MutationSettings};
+pub use mutation::{MutationBatch, MutationLog, MutationOp};
 pub use recovery::RecoveryConfig;
 pub use separation::Separation;
 pub use stats::{FaultStats, RunStats};

@@ -195,46 +195,6 @@ impl MutationLog {
     }
 }
 
-/// Per-run settings of the delta-update path, carried on
-/// [`BfsConfig`](crate::config::BfsConfig).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MutationSettings {
-    /// Whether the run expects streaming mutations (the CLI and serving
-    /// layer use this to route queries through the incremental engine).
-    pub enabled: bool,
-    /// Compact the delta overlay back into the base CSR after this many
-    /// applied batches (the rebuild is charged to the cost model).
-    pub compaction_interval: u32,
-    /// Re-classify vertices whose mutated degree crossed the `TH`
-    /// threshold, charging delegate promotion/demotion re-replication.
-    pub auto_reclassify: bool,
-}
-
-impl Default for MutationSettings {
-    fn default() -> Self {
-        Self { enabled: false, compaction_interval: 8, auto_reclassify: true }
-    }
-}
-
-impl MutationSettings {
-    /// Settings with mutations enabled and the default knobs.
-    pub fn enabled() -> Self {
-        Self { enabled: true, ..Self::default() }
-    }
-
-    /// Replaces the compaction interval (0 = never compact).
-    pub fn with_compaction_interval(mut self, every: u32) -> Self {
-        self.compaction_interval = every;
-        self
-    }
-
-    /// Enables/disables automatic `TH` reclassification.
-    pub fn with_auto_reclassify(mut self, on: bool) -> Self {
-        self.auto_reclassify = on;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,13 +307,5 @@ mod tests {
             spread(&local),
             spread(&global)
         );
-    }
-
-    #[test]
-    fn settings_builders() {
-        let s = MutationSettings::default();
-        assert!(!s.enabled && s.auto_reclassify && s.compaction_interval == 8);
-        let s = MutationSettings::enabled().with_compaction_interval(3).with_auto_reclassify(false);
-        assert!(s.enabled && !s.auto_reclassify && s.compaction_interval == 3);
     }
 }

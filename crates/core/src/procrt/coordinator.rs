@@ -7,8 +7,9 @@
 //! whose connection drops keeps its slot until heartbeat *silence*
 //! accrues past the wall profile's confirmation threshold. Only then does
 //! recovery engage — reap the child, re-home the dead slot's partitions
-//! onto a freshly spawned spare (same slot, new generation) or the
-//! least-loaded survivor, and send every live worker the committed images
+//! by the shared [`RecoveryConfig::rehome`] decision onto a freshly
+//! spawned spare (same slot, new generation) or the least-loaded
+//! survivor, and send every live worker the committed images
 //! of the GPUs it now hosts in one `Restore` round. The coordinator's
 //! committed store is the only checkpoint copy: a checkpoint commits only
 //! once every GPU's sealed image for that iteration arrived, so a death
@@ -19,12 +20,12 @@ use super::protocol::{
     PROTO_VERSION,
 };
 use super::transport::TransportError;
-use super::{hosted_flats, ProcError, ProcOptions, ProcReport, RecoveryMode, RecoveryReport};
+use super::{hosted_flats, ProcError, ProcOptions, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use crate::checkpoint::GpuStateImage;
 use crate::config::BfsConfig;
 use crate::driver::BuildError;
-use crate::recovery::RecoveryConfig;
+use crate::recovery::{RecoveryConfig, RecoveryMode};
 use crate::separation::Separation;
 use gcbfs_cluster::clock::{Clock, WallClock};
 use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
@@ -107,7 +108,7 @@ struct Coordinator {
     topo: Topology,
     config_wire: ConfigWire,
     compression: gcbfs_compress::CompressionMode,
-    /// Checkpoint cadence and which recovery paths are allowed.
+    /// Checkpoint cadence and the re-homing decision.
     recovery: RecoveryConfig,
     /// The degree classification every worker computes too; assembly
     /// reuses it.
@@ -689,10 +690,10 @@ impl Coordinator {
     }
 
     /// Recovery of a confirmed-dead slot: reap the child, re-home its
-    /// partitions onto a spare process (same slot, fresh generation) or —
-    /// in degraded mode — the least-loaded survivor, then one `Restore`
-    /// round gives every live worker the committed images of the GPUs it
-    /// hosts from now on. Reports real detect/recover timings.
+    /// partitions where [`RecoveryConfig::rehome`] says — a spare process
+    /// (same slot, fresh generation) or the least-loaded survivor — then
+    /// one `Restore` round gives every live worker the committed images of
+    /// the GPUs it hosts from now on. Reports real detect/recover timings.
     fn recover(&mut self, dead: usize, iter: u32) -> Result<u32, ProcError> {
         let confirmed_at = Instant::now();
         let detect_seconds =
@@ -716,7 +717,10 @@ impl Coordinator {
 
         let orphaned = std::mem::take(&mut self.slots[dead].hosted);
         let survivors = self.alive_slots();
-        let (target, mode) = if self.spares_left > 0 {
+        let Some(mode) = self.recovery.rehome(self.spares_left > 0, !survivors.is_empty()) else {
+            return Err(unrecoverable);
+        };
+        let target = if mode == RecoveryMode::Spare {
             self.spares_left -= 1;
             // Fresh generation: events from the dead process's reader
             // thread can no longer impersonate the replacement.
@@ -740,19 +744,17 @@ impl Coordinator {
                     Waited::Data { .. } => continue,
                 }
             }
-            (dead, RecoveryMode::Spare)
-        } else if self.recovery.degraded_mode && !survivors.is_empty() {
+            dead
+        } else {
             // Water-filling: the least-loaded survivor adopts (ties to
             // the lowest slot for determinism).
             let target = *survivors
                 .iter()
                 .min_by_key(|&&s| (self.slots[s].hosted.len(), s))
-                .expect("at least one survivor");
+                .expect("rehome spreads only onto a survivor");
             self.slots[target].hosted.extend(&orphaned);
             self.slots[target].hosted.sort_unstable();
-            (target, RecoveryMode::Spread)
-        } else {
-            return Err(unrecoverable);
+            target
         };
         for &f in &orphaned {
             self.hosting_of[f] = target;

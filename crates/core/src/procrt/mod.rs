@@ -23,10 +23,12 @@
 //! [`GpuStateImage`](crate::checkpoint::GpuStateImage)s: workers ship
 //! them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
 //! cadence and keep no copy, so the coordinator's committed store is the
-//! only one. Recovery re-homes the dead worker's partitions onto a
-//! freshly spawned spare process (the topology's
+//! only one. Recovery asks the sim's own decision,
+//! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome),
+//! where the dead worker's partitions go — a freshly spawned spare process
+//! (the topology's
 //! [`num_spares`](gcbfs_cluster::topology::Topology::num_spares)) or, in
-//! degraded mode, the least-loaded survivor, then sends every live worker
+//! degraded mode, the least-loaded survivor — then sends every live worker
 //! the committed images of the GPUs it now hosts in one `Restore` round
 //! and resumes the superstep loop.
 
@@ -36,6 +38,7 @@ pub mod worker;
 
 mod coordinator;
 
+pub use crate::recovery::RecoveryMode;
 pub use coordinator::{run_proc, ProcOutcome, WorkerCommand};
 
 use crate::driver::BuildError;
@@ -43,25 +46,6 @@ use protocol::ProtocolError;
 use std::path::PathBuf;
 use std::time::Duration;
 use transport::TransportError;
-
-/// How a dead worker's partitions are re-homed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// A replacement process is spawned into the dead worker's slot.
-    Spare,
-    /// A surviving worker adopts the partitions (degraded mode).
-    Spread,
-}
-
-impl RecoveryMode {
-    /// Stable lower-case label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Spare => "spare",
-            Self::Spread => "spread",
-        }
-    }
-}
 
 /// Kill a worker process mid-sweep (chaos harness).
 #[derive(Clone, Copy, Debug)]

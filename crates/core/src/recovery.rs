@@ -8,28 +8,27 @@
 //! 1. **Transient faults** (dropped/duplicated/delayed updates detected by
 //!    per-peer ack counts; corrupted mask words detected by checksums) are
 //!    handled *within* the iteration: the affected exchange or reduction
-//!    is re-run with exponential backoff, up to
-//!    [`RecoveryConfig::max_retries`] resampled attempts. The transport
-//!    then escalates to a verified reliable path (retransmission with
-//!    per-message acks — the way MPI itself survives link-level loss), so
-//!    a recovering run always makes progress. Every retry's transfer time
-//!    and backoff wait is charged to
+//!    is re-run with exponential backoff, up to [`MAX_RETRIES`] resampled
+//!    attempts. The transport then escalates to a verified reliable path
+//!    (retransmission with per-message acks — the way MPI itself survives
+//!    link-level loss), so a recovering run always makes progress. Every
+//!    retry's transfer time and backoff wait is charged to
 //!    [`FaultStats::recovery_seconds`](crate::stats::FaultStats).
 //! 2. **Suspected members** (late heartbeats scored by the phi-accrual
 //!    detector) are *not* failures: routing continues unchanged and only
 //!    probe time is charged. Suspicion either clears or escalates.
 //! 3. **Confirmed fail-stop losses** roll back to the latest checkpoint
-//!    and re-home the dead GPU's partition, in preference order:
+//!    and re-home the dead GPU's partition. Where it goes is one decision,
+//!    [`RecoveryConfig::rehome`], which both backends call:
+//!    * with recovery off the loss is fatal;
 //!    * a free **hot spare** absorbs the whole partition at full speed
 //!      (graph reload + state ship + mask re-replication, then no
 //!      steady-state penalty);
-//!    * otherwise the partition is **spread** across all survivors by a
-//!      deterministic edge-balanced plan ([`spread_shares`]), bounding
-//!      the degraded critical path near `(p+1)/p`
-//!      ([`gcbfs_cluster::timing::degraded_bound`]);
-//!    * [`HostingPolicy::Buddy`] retains PR 1's single-buddy hosting
-//!      (the whole partition on one survivor, `2×` degraded) for
-//!      comparison sweeps.
+//!    * otherwise, in degraded mode with a survivor left, the partition is
+//!      **spread** across all survivors by a deterministic edge-balanced
+//!      plan ([`spread_shares`]), bounding the degraded critical path near
+//!      `(p+1)/p` ([`gcbfs_cluster::timing::degraded_bound`]);
+//!    * otherwise the loss is fatal.
 //!
 //!    A later **rejoin** re-syncs the member from the current checkpoint
 //!    and reclaims its partition, releasing any spare it was using.
@@ -38,20 +37,33 @@
 //! same deterministic computation, so depths match the fault-free run.
 
 use gcbfs_cluster::fault::failure_is_survivable;
-use gcbfs_cluster::membership::MembershipConfig;
-use gcbfs_cluster::topology::Topology;
 
-/// How a confirmed-dead GPU's partition is hosted when no spare is free.
+/// Resampled retry attempts per detected transient fault (and SDC
+/// re-executions per superstep) before escalating.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Base backoff before the first retry, doubling per attempt; charged as
+/// modeled time to `recovery_seconds`.
+const RETRY_BACKOFF_SECONDS: f64 = 50e-6;
+
+/// Where a confirmed-dead member's partition is re-homed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HostingPolicy {
-    /// PR 1's policy: the whole partition lands on one surviving buddy
-    /// (same rank when possible), which then runs both partitions
-    /// serially — `2×` on the degraded critical path.
-    Buddy,
-    /// Elastic policy: the partition is split across all survivors by a
-    /// deterministic edge-balanced plan — `(p+1)/p` on the degraded
-    /// critical path with `p` survivors.
+pub enum RecoveryMode {
+    /// A hot spare takes the whole partition (the proc backend spawns a
+    /// replacement process into the dead worker's slot).
+    Spare,
+    /// Survivors adopt the partition (degraded mode).
     Spread,
+}
+
+impl RecoveryMode {
+    /// Stable lower-case label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Self::Spare => "spare",
+            Self::Spread => "spread",
+        }
+    }
 }
 
 /// Knobs of the recovery policy; part of [`BfsConfig`](crate::BfsConfig).
@@ -64,35 +76,15 @@ pub struct RecoveryConfig {
     /// iteration-0 checkpoint, which is always captured on fault-injected
     /// runs so rollback is always possible).
     pub checkpoint_interval: u32,
-    /// Resampled retry attempts per detected transient fault before the
-    /// transport escalates to the reliable (verified) path.
-    pub max_retries: u32,
-    /// Base backoff before the first retry; doubles per attempt. Charged
-    /// as modeled time to `recovery_seconds`.
-    pub retry_backoff_seconds: f64,
-    /// Redistribute a failed GPU's partition to survivors and continue
-    /// (true), or surface the loss as a typed error (false).
+    /// Redistribute a failed GPU's partition to survivors when no spare
+    /// is free (true), or surface the loss as a typed error (false).
     pub degraded_mode: bool,
-    /// How spare-less failures are hosted.
-    pub hosting: HostingPolicy,
-    /// Adaptive failure-detector tuning (phi-accrual thresholds, jitter
-    /// seed).
-    pub membership: MembershipConfig,
 }
 
 impl Default for RecoveryConfig {
-    /// Checkpoint every 4 iterations, 3 retries at 50 µs base backoff,
-    /// degraded mode on, edge-balanced spreading, default detector.
+    /// Checkpoint every 4 iterations, degraded mode on.
     fn default() -> Self {
-        Self {
-            enabled: true,
-            checkpoint_interval: 4,
-            max_retries: 3,
-            retry_backoff_seconds: 50e-6,
-            degraded_mode: true,
-            hosting: HostingPolicy::Spread,
-            membership: MembershipConfig::default(),
-        }
+        Self { enabled: true, checkpoint_interval: 4, degraded_mode: true }
     }
 }
 
@@ -119,10 +111,20 @@ impl RecoveryConfig {
         self.enabled && (iter == 0 || (k > 0 && iter.is_multiple_of(k))) && last_cp != Some(iter)
     }
 
-    /// Sets the retry budget.
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = n;
-        self
+    /// Where a confirmed-dead member's partition goes, or `None` when the
+    /// loss is fatal: recovery off → fatal; a free spare → spare, whatever
+    /// `degraded_mode` says; otherwise degraded mode with a survivor left
+    /// → spread; otherwise fatal. Both backends ask this one decision.
+    pub fn rehome(&self, spare_free: bool, survivor_remains: bool) -> Option<RecoveryMode> {
+        if !self.enabled {
+            None
+        } else if spare_free {
+            Some(RecoveryMode::Spare)
+        } else if self.degraded_mode && survivor_remains {
+            Some(RecoveryMode::Spread)
+        } else {
+            None
+        }
     }
 
     /// Enables/disables degraded-mode continuation after fail-stop.
@@ -130,23 +132,12 @@ impl RecoveryConfig {
         self.degraded_mode = on;
         self
     }
-
-    /// Sets the spare-less hosting policy.
-    pub fn with_hosting(mut self, hosting: HostingPolicy) -> Self {
-        self.hosting = hosting;
-        self
-    }
-
-    /// Sets the failure-detector tuning.
-    pub fn with_membership(mut self, membership: MembershipConfig) -> Self {
-        self.membership = membership;
-        self
-    }
 }
 
-/// Exponential backoff before retry `attempt` (0-based): `base * 2^attempt`.
-pub fn retry_backoff(base_seconds: f64, attempt: u32) -> f64 {
-    base_seconds * 2f64.powi(attempt.min(16) as i32)
+/// Exponential backoff before retry `attempt` (0-based): 50 µs
+/// `* 2^attempt`.
+pub fn retry_backoff(attempt: u32) -> f64 {
+    RETRY_BACKOFF_SECONDS * 2f64.powi(attempt.min(16) as i32)
 }
 
 /// How one member's partition is currently hosted.
@@ -157,8 +148,7 @@ pub enum Assignment {
     /// A promoted hot spare runs the whole partition at full speed.
     Spare(usize),
     /// Survivors run shares of the partition: `(host, share)` with shares
-    /// summing to 1. Buddy hosting is the special case of one host with
-    /// share 1.
+    /// summing to 1.
     Hosted(Vec<(usize, f64)>),
 }
 
@@ -174,11 +164,6 @@ impl ElasticMap {
     /// An all-alive map over `num_gpus` members.
     pub fn new(num_gpus: usize) -> Self {
         Self { alive: vec![true; num_gpus], assignment: vec![Assignment::SelfHosted; num_gpus] }
-    }
-
-    /// Per-member alive flags.
-    pub fn alive(&self) -> &[bool] {
-        &self.alive
     }
 
     /// True if `gpu` is confirmed dead (its partition is re-homed).
@@ -219,45 +204,8 @@ impl ElasticMap {
         self.assignment[gpu] = Assignment::Spare(slot);
     }
 
-    /// Marks `gpu` dead, hosted by a single buddy
-    /// ([`HostingPolicy::Buddy`]): the next surviving GPU of its own rank
-    /// scanning from the dead slot (its partition is NVLink-reachable from
-    /// there), or the next survivor in flat order when the whole rank is
-    /// gone. Re-homes partitions the dead member was hosting.
-    ///
-    /// # Panics
-    /// Panics if no member survives.
-    pub fn fail_to_buddy(&mut self, gpu: usize, topology: &Topology) -> usize {
-        let p = self.alive.len();
-        assert!(self.alive[gpu], "GPU {gpu} already failed");
-        self.alive[gpu] = false;
-        assert!(
-            failure_is_survivable(&self.alive),
-            "at least one GPU must survive the failure of {gpu}"
-        );
-        let rank_of = |g: usize| topology.unflat(g).rank;
-        let same_rank =
-            (1..p).map(|d| (gpu + d) % p).find(|&g| self.alive[g] && rank_of(g) == rank_of(gpu));
-        let host = same_rank
-            .or_else(|| (1..p).map(|d| (gpu + d) % p).find(|&g| self.alive[g]))
-            .expect("survivability was checked above");
-        self.assignment[gpu] = Assignment::Hosted(vec![(host, 1.0)]);
-        // Re-home everything the dead member was hosting onto the buddy.
-        for g in 0..p {
-            if g != gpu {
-                if let Assignment::Hosted(hosts) = &self.assignment[g] {
-                    if hosts.iter().any(|&(h, _)| h == gpu) {
-                        self.assignment[g] = Assignment::Hosted(vec![(host, 1.0)]);
-                    }
-                }
-            }
-        }
-        host
-    }
-
     /// Marks `gpu` dead and recomputes the edge-balanced spreading plan
-    /// for *every* spread-hosted partition from scratch
-    /// ([`HostingPolicy::Spread`]). `loads[g]` is the static edge load of
+    /// for *every* spread-hosted partition from scratch. `loads[g]` is the static edge load of
     /// member `g`'s partition. Deterministic: dead members are processed
     /// in flat order against the survivors' running loads.
     ///
@@ -274,18 +222,13 @@ impl ElasticMap {
     }
 
     /// Marks a rejoined `gpu` alive, returning its previous assignment so
-    /// the caller can release a spare slot. Under
-    /// [`HostingPolicy::Spread`] the plans of other dead members are
-    /// recomputed to include the returning member; under
-    /// [`HostingPolicy::Buddy`] existing buddy assignments stand (the
-    /// rejoining member hosted nothing — hosts are always alive).
-    pub fn rejoin(&mut self, gpu: usize, loads: &[u64], hosting: HostingPolicy) -> Assignment {
+    /// the caller can release a spare slot. The plans of other dead
+    /// members are recomputed to include the returning member.
+    pub fn rejoin(&mut self, gpu: usize, loads: &[u64]) -> Assignment {
         assert!(!self.alive[gpu], "GPU {gpu} is not failed");
         self.alive[gpu] = true;
         let old = std::mem::replace(&mut self.assignment[gpu], Assignment::SelfHosted);
-        if hosting == HostingPolicy::Spread {
-            self.respread(loads);
-        }
+        self.respread(loads);
         old
     }
 
@@ -306,8 +249,8 @@ impl ElasticMap {
         }
     }
 
-    /// `(dead, hosts)` pairs for every spread/buddy-hosted partition, in
-    /// flat order.
+    /// `(dead, hosts)` pairs for every spread-hosted partition, in flat
+    /// order.
     pub fn hosted_pairs(&self) -> impl Iterator<Item = (usize, &[(usize, f64)])> + '_ {
         self.assignment.iter().enumerate().filter_map(|(g, a)| match a {
             Assignment::Hosted(hosts) => Some((g, hosts.as_slice())),
@@ -381,84 +324,40 @@ mod tests {
     fn defaults_are_sane() {
         let r = RecoveryConfig::default();
         assert!(r.enabled && r.degraded_mode);
-        assert!(r.checkpoint_interval > 0 && r.max_retries > 0);
-        assert_eq!(r.hosting, HostingPolicy::Spread);
+        assert!(r.checkpoint_interval > 0);
         let off = RecoveryConfig::disabled();
         assert!(!off.enabled && !off.degraded_mode);
     }
 
     #[test]
+    fn rehome_decision_order() {
+        use RecoveryMode::{Spare, Spread};
+        let on = RecoveryConfig::default();
+        let strict = on.with_degraded_mode(false);
+        let off = RecoveryConfig::disabled();
+        // (spare free, survivor remains) -> on / strict / off.
+        for (spare, survivor, want_on, want_strict) in [
+            (true, true, Some(Spare), Some(Spare)),
+            (true, false, Some(Spare), Some(Spare)),
+            (false, true, Some(Spread), None),
+            (false, false, None, None),
+        ] {
+            assert_eq!(on.rehome(spare, survivor), want_on, "on, {spare} {survivor}");
+            assert_eq!(strict.rehome(spare, survivor), want_strict, "strict, {spare} {survivor}");
+            assert_eq!(off.rehome(spare, survivor), None, "off, {spare} {survivor}");
+        }
+        assert_eq!(Spare.label(), "spare");
+        assert_eq!(Spread.label(), "spread");
+    }
+
+    #[test]
     fn backoff_doubles() {
-        let b = 1e-4;
-        assert_eq!(retry_backoff(b, 0), 1e-4);
-        assert_eq!(retry_backoff(b, 1), 2e-4);
-        assert_eq!(retry_backoff(b, 3), 8e-4);
+        let b = RETRY_BACKOFF_SECONDS;
+        assert_eq!(retry_backoff(0), b);
+        assert_eq!(retry_backoff(1), 2.0 * b);
+        assert_eq!(retry_backoff(3), 8.0 * b);
         // Capped exponent keeps the charge finite even for absurd attempts.
-        assert!(retry_backoff(b, 1000).is_finite());
-    }
-
-    fn buddy_hosts(map: &ElasticMap) -> Vec<(usize, usize)> {
-        map.hosted_pairs()
-            .map(|(dead, hosts)| {
-                assert_eq!(hosts.len(), 1, "buddy hosting is one host at share 1");
-                assert_eq!(hosts[0].1, 1.0);
-                (dead, hosts[0].0)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn buddy_is_same_rank_scanning_from_the_dead_slot() {
-        let topo = Topology::new(2, 2); // flats: 0,1 = rank 0; 2,3 = rank 1
-        let mut map = ElasticMap::new(4);
-        assert!(!map.any_failed());
-        assert_eq!(map.fail_to_buddy(2, &topo), 3, "buddy in the same rank");
-        assert!(map.is_failed(2));
-        assert_eq!(map.assignment(0), &Assignment::SelfHosted, "survivors host themselves");
-        assert_eq!(map.failed_count(), 1);
-        assert_eq!(buddy_hosts(&map), vec![(2, 3)]);
-        assert_eq!(map.alive(), &[true, true, false, true]);
-        // The scan starts after the dead slot and wraps: in one rank of
-        // four, GPU 1's buddy is 2 (not 0), and GPU 3's is 0.
-        let wide = Topology::new(1, 4);
-        let mut map = ElasticMap::new(4);
-        assert_eq!(map.fail_to_buddy(1, &wide), 2);
-        assert_eq!(map.fail_to_buddy(3, &wide), 0);
-        assert_eq!(buddy_hosts(&map), vec![(1, 2), (3, 0)]);
-    }
-
-    #[test]
-    fn buddy_falls_back_across_ranks_and_rehomes() {
-        let topo = Topology::new(2, 2);
-        let mut map = ElasticMap::new(4);
-        assert_eq!(map.fail_to_buddy(2, &topo), 3);
-        // Now rank 1's other GPU dies too: its host must come from rank 0,
-        // and GPU 2's partition must move off the dead host.
-        assert_eq!(map.fail_to_buddy(3, &topo), 0);
-        assert_eq!(buddy_hosts(&map), vec![(2, 0), (3, 0)], "re-homed off the dead buddy");
-        assert_eq!(map.failed_count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "survive")]
-    fn buddy_total_loss_is_unrecoverable() {
-        let topo = Topology::new(1, 2);
-        let mut map = ElasticMap::new(2);
-        map.fail_to_buddy(0, &topo);
-        map.fail_to_buddy(1, &topo);
-    }
-
-    #[test]
-    fn buddy_rejoin_reclaims_partition() {
-        let topo = Topology::new(2, 2);
-        let mut map = ElasticMap::new(4);
-        map.fail_to_buddy(2, &topo);
-        let old = map.rejoin(2, &[100; 4], HostingPolicy::Buddy);
-        assert_eq!(old, Assignment::Hosted(vec![(3, 1.0)]));
-        assert!(!map.is_failed(2));
-        assert_eq!(map.assignment(2), &Assignment::SelfHosted);
-        assert!(!map.any_failed());
-        assert_eq!(buddy_hosts(&map), vec![]);
+        assert!(retry_backoff(1000).is_finite());
     }
 
     #[test]
@@ -525,7 +424,7 @@ mod tests {
         }
         // Rejoin of the spare-absorbed member releases the slot and
         // re-spreads the remaining dead partition over 3 survivors.
-        let old = map.rejoin(1, &loads, HostingPolicy::Spread);
+        let old = map.rejoin(1, &loads);
         assert_eq!(old, Assignment::Spare(0));
         match map.assignment(2) {
             Assignment::Hosted(hosts) => assert_eq!(hosts.len(), 3, "{hosts:?}"),

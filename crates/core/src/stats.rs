@@ -85,9 +85,9 @@ pub struct FaultStats {
     /// Modeled seconds of recovery work: retry transfers, backoff waits,
     /// state reloads, and iterations discarded by rollback.
     pub recovery_seconds: f64,
-    /// Iterations executed with at least one partition spread- or
-    /// buddy-hosted by survivors (spare-absorbed partitions run at full
-    /// speed and do not count).
+    /// Iterations executed with at least one partition spread across
+    /// survivors (spare-absorbed partitions run at full speed and do not
+    /// count).
     pub degraded_iterations: u64,
     /// In-device silent-data-corruption events fired by the injector
     /// (kernel-output flips, reduction-word flips, dropped frontier

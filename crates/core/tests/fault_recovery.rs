@@ -7,7 +7,6 @@
 use gcbfs_cluster::fault::{plan_is_survivable, FaultError, FaultPlan};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_core::driver::{DistributedGraph, RunError};
-use gcbfs_core::recovery::{HostingPolicy, RecoveryConfig};
 use gcbfs_core::BfsConfig;
 use gcbfs_graph::reference::bfs_depths;
 use gcbfs_graph::rmat::RmatConfig;
@@ -205,8 +204,7 @@ fn spare_absorption_restores_full_speed() {
 }
 
 /// Rejoin after spreading: the dead GPU's shares are reclaimed from the
-/// survivors, degraded mode ends, and depths stay bit-exact. The same
-/// trajectory under buddy hosting agrees on the answer.
+/// survivors, degraded mode ends, and depths stay bit-exact.
 #[test]
 fn rejoin_after_spread_reclaims_partition() {
     let fx = fixture();
@@ -214,16 +212,11 @@ fn rejoin_after_spread_reclaims_partition() {
     // 1 (two missed heartbeats), the partition is hosted on survivors
     // through the replay, and the rejoin lands on the final superstep.
     let plan = FaultPlan::new(13).with_fail_stop(1, 0).with_rejoin(1, 2);
-    for hosting in [HostingPolicy::Spread, HostingPolicy::Buddy] {
-        let config = fx.config.with_recovery(RecoveryConfig::default().with_hosting(hosting));
-        let r = fx.dist.run_with_faults(fx.source, &config, &plan).unwrap();
-        assert_eq!(&r.depths, &fx.reference, "bit-exact depths under {hosting:?} + rejoin");
-        let f = &r.stats.fault;
-        assert_eq!(f.fail_stops, 1);
-        assert_eq!(f.rejoins, 1, "the scheduled rejoin is detected and applied");
-        assert!(f.degraded_iterations > 0, "the gap between death and rejoin is degraded");
-        if hosting == HostingPolicy::Spread {
-            assert_eq!(f.spread_hostings, 1);
-        }
-    }
+    let r = fx.dist.run_with_faults(fx.source, &fx.config, &plan).unwrap();
+    assert_eq!(&r.depths, &fx.reference, "bit-exact depths under spread + rejoin");
+    let f = &r.stats.fault;
+    assert_eq!(f.fail_stops, 1);
+    assert_eq!(f.rejoins, 1, "the scheduled rejoin is detected and applied");
+    assert!(f.degraded_iterations > 0, "the gap between death and rejoin is degraded");
+    assert_eq!(f.spread_hostings, 1);
 }

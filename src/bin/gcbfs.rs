@@ -38,13 +38,13 @@ const USAGE: &str = "usage:
   gcbfs info FILE
   gcbfs bfs FILE [--ranks R] [--gpus G] [--spares S] [--threshold TH]
             [--source V] [--no-do] [--local-all2all] [--uniquify]
-            [--nonblocking] [--parents] [--validate] [--trace]
-            [--profile OUT.json] [--hosting buddy|spread]
-            [--fail GPU:ITER] [--rejoin GPU:ITER] [--chaos SEED]
-            [--verify off|checksums|full] [--sdc SEED]
+            [--nonblocking] [--parents] [--validate]
+            [--verify off|checksums|full] [--backend sim|proc]
+      sim only: [--trace] [--profile OUT.json]
+            [--fail GPU:ITER] [--rejoin GPU:ITER] [--chaos SEED] [--sdc SEED]
             [--mutate N] [--mutate-ops K] [--mutate-locality F]
             [--mutate-seed S] [--compact-every N]
-            [--backend sim|proc] [--procs N] [--kill WORKER:ITER]
+      proc only: [--procs N] [--kill WORKER:ITER]
   gcbfs pagerank FILE [--ranks R] [--gpus G] [--threshold TH]
             [--damping D] [--iterations N]
   gcbfs components FILE [--ranks R] [--gpus G] [--threshold TH]
@@ -55,6 +55,36 @@ const USAGE: &str = "usage:
             [--arrivals N] [--seed S] [--deadline-ms D] [--batch B]
             [--window-ms W] [--queue L] [--pool K] [--tenants T]
             [--sssp-permille X] [--pagerank-permille Y]";
+
+/// `--ranks`/`--gpus`/`--spares`/`--threshold`: every graph command.
+const GRID: &[&str] = &["ranks", "gpus", "spares", "threshold"];
+/// Options every `bfs` reads beyond [`GRID`], then those only its sim or
+/// proc path reads.
+const BFS: &[&str] = &[
+    "source",
+    "no-do",
+    "local-all2all",
+    "uniquify",
+    "nonblocking",
+    "parents",
+    "validate",
+    "verify",
+    "backend",
+];
+const BFS_SIM: &[&str] = &[
+    "trace",
+    "profile",
+    "fail",
+    "rejoin",
+    "chaos",
+    "sdc",
+    "mutate",
+    "mutate-ops",
+    "mutate-locality",
+    "mutate-seed",
+    "compact-every",
+];
+const BFS_PROC: &[&str] = &["procs", "kill"];
 
 /// Tiny flag parser: `--key value` options and `--flag` switches.
 struct Args<'a> {
@@ -102,6 +132,19 @@ impl<'a> Args<'a> {
     fn switch(&self, name: &str) -> bool {
         self.switches.contains(&name)
     }
+
+    /// Rejects any option or switch outside `known`, so a typo or an
+    /// option the command never reads fails instead of running at the
+    /// default.
+    fn only(&self, command: &str, known: &[&[&str]]) -> Result<(), String> {
+        let given = self.options.iter().map(|&(k, _)| k).chain(self.switches.iter().copied());
+        for name in given {
+            if !known.iter().any(|set| set.contains(&name)) {
+                return Err(format!("{command} does not take --{name}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 fn run(raw: &[String]) -> Result<(), String> {
@@ -143,6 +186,7 @@ fn store(graph: &EdgeList, path: &str) -> Result<(), String> {
 }
 
 fn generate(args: &Args) -> Result<(), String> {
+    args.only("generate", &[&["scale", "seed", "out"]])?;
     let family = *args.positional.get(1).ok_or("generate needs a family (rmat|powerlaw|web)")?;
     let scale: u32 = args.opt("scale", 14)?;
     let seed: u64 = args.opt("seed", 0x5eed)?;
@@ -171,6 +215,7 @@ fn generate(args: &Args) -> Result<(), String> {
 }
 
 fn info(args: &Args) -> Result<(), String> {
+    args.only("info", &[])?;
     let path = args.positional.get(1).ok_or("info needs a file")?;
     let graph = load(path)?;
     let stats = gpu_cluster_bfs::graph::stats::DegreeStats::from_graph(&graph);
@@ -221,6 +266,7 @@ fn pick_source(graph: &EdgeList, args: &Args) -> Result<u64, String> {
 /// The proc-backend worker entry point (hidden subcommand): connect to
 /// the coordinator socket and serve supersteps until told to finish.
 fn backend_worker(args: &Args) -> Result<(), String> {
+    args.only("backend-worker", &[&["socket", "worker"]])?;
     let socket = args.required("socket")?;
     let worker: u32 =
         args.required("worker")?.parse().map_err(|_| "invalid --worker id".to_string())?;
@@ -229,6 +275,13 @@ fn backend_worker(args: &Args) -> Result<(), String> {
 }
 
 fn bfs(args: &Args) -> Result<(), String> {
+    let backend = args.opt::<String>("backend", "sim".into())?;
+    let own = match backend.as_str() {
+        "sim" => BFS_SIM,
+        "proc" => BFS_PROC,
+        other => return Err(format!("--backend wants sim or proc, got {other}")),
+    };
+    args.only(&format!("bfs --backend {backend}"), &[GRID, BFS, own])?;
     let path = args.positional.get(1).ok_or("bfs needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -242,14 +295,6 @@ fn bfs(args: &Args) -> Result<(), String> {
     if profile_out.is_some() {
         config = config.with_observability(gpu_cluster_bfs::obs::ObservabilityConfig::Full);
     }
-    let hosting = match args.opt::<String>("hosting", "spread".into())?.as_str() {
-        "buddy" => gpu_cluster_bfs::core::recovery::HostingPolicy::Buddy,
-        "spread" => gpu_cluster_bfs::core::recovery::HostingPolicy::Spread,
-        other => return Err(format!("--hosting wants buddy or spread, got {other}")),
-    };
-    config = config.with_recovery(
-        gpu_cluster_bfs::core::recovery::RecoveryConfig::default().with_hosting(hosting),
-    );
     let verify = match args.opt::<String>("verify", "off".into())?.as_str() {
         "off" => gpu_cluster_bfs::core::VerificationMode::Off,
         "checksums" => gpu_cluster_bfs::core::VerificationMode::Checksums,
@@ -258,10 +303,8 @@ fn bfs(args: &Args) -> Result<(), String> {
     };
     config = config.with_verification(verify);
 
-    match args.opt::<String>("backend", "sim".into())?.as_str() {
-        "sim" => {}
-        "proc" => return bfs_proc(args, &graph, topo, config, path),
-        other => return Err(format!("--backend wants sim or proc, got {other}")),
+    if backend == "proc" {
+        return bfs_proc(args, &graph, topo, config, path);
     }
 
     // Optional fault injection: a deterministic fail/rejoin pair, or a
@@ -440,11 +483,6 @@ fn bfs_proc(
     use gpu_cluster_bfs::core::procrt::{ChaosSpec, KillSpec, ProcOptions, WorkerCommand};
     use gpu_cluster_bfs::core::UNREACHED;
 
-    for flag in ["fail", "rejoin", "chaos", "sdc", "mutate", "profile"] {
-        if args.options.iter().any(|(k, _)| *k == flag) {
-            return Err(format!("--{flag} is sim-only; drop it or use --backend sim"));
-        }
-    }
     let procs: u32 = args.opt("procs", 2)?;
     if procs == 0 {
         return Err("--procs must be positive".into());
@@ -532,10 +570,9 @@ fn bfs_evolving(
     if !(0.0..=1.0).contains(&locality) {
         return Err("--mutate-locality must be in [0, 1]".into());
     }
-    let config =
-        config.with_mutations(MutationSettings::enabled().with_compaction_interval(compact_every));
 
-    let mut evolving = EvolvingGraph::new(graph, topo, &config);
+    let mut evolving =
+        EvolvingGraph::new(graph, topo, &config).with_compaction_interval(compact_every);
     let source = pick_source(graph, args)?;
     let initial = evolving.initial_run(source).map_err(|e| e.to_string())?;
     println!(
@@ -640,6 +677,7 @@ fn bfs_evolving(
 fn sssp_cmd(args: &Args) -> Result<(), String> {
     use gpu_cluster_bfs::core::sssp::DistributedSssp;
     use gpu_cluster_bfs::graph::weighted::{WeightedEdgeList, UNREACHABLE};
+    args.only("sssp", &[GRID, &["source", "max-weight", "weight-seed"]])?;
     let path = args.positional.get(1).ok_or("sssp needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -669,6 +707,25 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     use gpu_cluster_bfs::graph::weighted::WeightedEdgeList;
     use gpu_cluster_bfs::serve::generate;
 
+    args.only(
+        "serve",
+        &[
+            GRID,
+            &[
+                "qps",
+                "arrivals",
+                "seed",
+                "deadline-ms",
+                "batch",
+                "window-ms",
+                "queue",
+                "pool",
+                "tenants",
+                "sssp-permille",
+                "pagerank-permille",
+            ],
+        ],
+    )?;
     let path = args.positional.get(1).ok_or("serve needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -797,6 +854,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn components_cmd(args: &Args) -> Result<(), String> {
+    args.only("components", &[GRID])?;
     let path = args.positional.get(1).ok_or("components needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -825,6 +883,7 @@ fn components_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn betweenness_cmd(args: &Args) -> Result<(), String> {
+    args.only("betweenness", &[GRID, &["samples"]])?;
     let path = args.positional.get(1).ok_or("betweenness needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -855,6 +914,7 @@ fn betweenness_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn pagerank_cmd(args: &Args) -> Result<(), String> {
+    args.only("pagerank", &[GRID, &["damping", "iterations"]])?;
     let path = args.positional.get(1).ok_or("pagerank needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;

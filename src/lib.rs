@@ -59,7 +59,7 @@ pub mod prelude {
     pub use gcbfs_core::config::BfsConfig;
     pub use gcbfs_core::driver::{BfsResult, DistributedGraph};
     pub use gcbfs_core::incremental::{EvolvingGraph, RepairReport};
-    pub use gcbfs_core::mutation::{MutationBatch, MutationLog, MutationSettings};
+    pub use gcbfs_core::mutation::{MutationBatch, MutationLog};
     pub use gcbfs_core::pagerank::PageRankConfig;
     pub use gcbfs_core::verify::{DistributedValidation, VerificationMode};
     pub use gcbfs_graph::{Csr, EdgeList, PowerLawConfig, RmatConfig, WebGraphConfig};

@@ -13,10 +13,12 @@
 //! one group and over two that trade masks and blocks by hand, and a
 //! checkpoint shipped through the wire codec, restored and replayed.
 
+use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::CompressionMode;
 use gpu_cluster_bfs::core::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBackend, SimBackend};
 use gpu_cluster_bfs::core::checkpoint::Checkpoint;
+use gpu_cluster_bfs::core::driver::RunError;
 use gpu_cluster_bfs::core::masks::DelegateMask;
 use gpu_cluster_bfs::core::procrt::protocol::{read_images, write_images, WireReader, WireWriter};
 use gpu_cluster_bfs::core::procrt::{
@@ -204,6 +206,43 @@ fn disabled_recovery_takes_no_checkpoints_and_fails_typed() {
     let run = assert_backends_agree(&graph, Topology::new(2, 2), 1, &config, proc_opts(2));
     assert_eq!(run.proc.unwrap().checkpoints, 0, "recovery off must not checkpoint");
     assert_unrecoverable(&config, kill_opts(2, 0, 1), &graph);
+}
+
+#[test]
+fn strict_degraded_mode_takes_a_spare_or_fails_on_both_backends() {
+    // One re-homing decision for both backends: degraded mode off forbids
+    // spreading onto survivors, not taking a free spare. The sim loses
+    // GPU 0 to a fail-stop, the proc loses worker 0 (GPUs 0-1) to SIGKILL.
+    let graph = RmatConfig::graph500(9).generate();
+    let config =
+        BfsConfig::new(16).with_recovery(RecoveryConfig::default().with_degraded_mode(false));
+    let plan = FaultPlan::new(0xfa11).with_fail_stop(0, 1);
+    for spares in [1, 0] {
+        let topo = Topology::new(2, 2).with_spares(spares);
+        let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
+        let sim = dist.run_with_faults(1, &config, &plan);
+        let proc =
+            ProcBackend::new(worker_cmd(), kill_opts(2, 0, 1)).run(&graph, topo, 1, &config, false);
+        if spares == 1 {
+            let sim = sim.unwrap_or_else(|e| panic!("sim must take the spare: {e}"));
+            assert_eq!(sim.depths, dist.run(1, &config).unwrap().depths, "sim bit-exact");
+            assert_eq!(sim.stats.fault.spare_absorptions, 1);
+            assert_eq!(sim.stats.fault.spread_hostings, 0);
+            let proc = proc.unwrap_or_else(|e| panic!("proc must take the spare: {e}"));
+            assert_eq!(proc.depths, sim.depths, "depths diverge across backends");
+            let rec = proc.proc.unwrap().recovery.expect("recovery must run");
+            assert_eq!(rec.mode, RecoveryMode::Spare);
+        } else {
+            assert!(
+                matches!(sim, Err(RunError::Fault(FaultError::GpuFailed { gpu: 0, .. }))),
+                "sim: {sim:?}"
+            );
+            assert!(
+                matches!(proc, Err(BackendError::Proc(ProcError::Unrecoverable { worker: 0, .. }))),
+                "proc: {proc:?}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -179,6 +179,31 @@ fn errors_are_reported() {
 }
 
 #[test]
+fn options_a_command_does_not_read_are_rejected() {
+    let file = tmp("unread.bin");
+    let path = file.to_str().unwrap();
+    assert!(gcbfs(&["generate", "rmat", "--scale", "8", "--out", path]).status.success());
+    let rejected = |args: &[&str], name: &str| {
+        let out = gcbfs(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains(&format!("does not take --{name}")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    };
+    // A typo must not silently run at the default TH.
+    rejected(&["bfs", path, "--thresold", "8"], "thresold");
+    // Proc-only options without `--backend proc`.
+    rejected(&["bfs", path, "--kill", "1:1"], "kill");
+    rejected(&["bfs", path, "--procs", "2"], "procs");
+    // Sim-only options on the proc backend.
+    rejected(&["bfs", path, "--backend", "proc", "--fail", "0:1"], "fail");
+    // Single-buddy hosting is gone, flag included.
+    rejected(&["bfs", path, "--hosting", "buddy"], "hosting");
+    rejected(&["pagerank", path, "--source", "3"], "source");
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn deterministic_generation_via_seed() {
     let a = tmp("seed-a.bin");
     let b = tmp("seed-b.bin");

@@ -21,10 +21,6 @@ use gpu_cluster_bfs::graph::{builders, EdgeList};
 use gpu_cluster_bfs::prelude::*;
 use proptest::prelude::*;
 
-fn config(th: u64) -> BfsConfig {
-    BfsConfig::new(th).with_mutations(MutationSettings::enabled())
-}
-
 /// Widths from the ISSUE matrix: total GPUs → (prank, pgpu).
 fn width(gpus: u32) -> Topology {
     match gpus {
@@ -106,7 +102,7 @@ proptest! {
     ) {
         let n = graph.num_vertices;
         let topo = Topology::new(prank, pgpu);
-        let cfg = config(th);
+        let cfg = BfsConfig::new(th);
         let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
         ev.initial_run(source_sel % n).unwrap();
         // Split the op stream into two batches to exercise batch
@@ -144,7 +140,7 @@ proptest! {
     ) {
         let (graph, b1, b2, b3) = input;
         let topo = Topology::new(2, 2);
-        let cfg = config(4);
+        let cfg = BfsConfig::new(4);
         let source = 0;
 
         let mut split = EvolvingGraph::new(&graph, topo, &cfg);
@@ -174,7 +170,7 @@ proptest! {
 fn rmat_cell(scale: u32, gpus: u32, batches: usize, ops: usize, locality: f64) {
     let graph = RmatConfig::graph500(scale).generate();
     let topo = width(gpus);
-    let cfg = config(BfsConfig::suggested_rmat_threshold(scale));
+    let cfg = BfsConfig::new(BfsConfig::suggested_rmat_threshold(scale));
     let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(source).unwrap();
@@ -229,7 +225,7 @@ fn rmat_scale18_width4() {
 fn delete_deepest_tree_edge_on_a_path() {
     let graph = builders::path(64);
     let topo = Topology::new(2, 2);
-    let cfg = config(2);
+    let cfg = BfsConfig::new(2);
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(0).unwrap();
     let mut b = MutationBatch::new();
@@ -255,7 +251,7 @@ fn disconnect_a_component_via_bridge_delete() {
     let mut graph = EdgeList::new(26, edges);
     graph.symmetrize();
     let topo = Topology::new(2, 1);
-    let cfg = config(4);
+    let cfg = BfsConfig::new(4);
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(0).unwrap();
     let before_reached = ev.depths().iter().filter(|&&d| d != u32::MAX).count();
@@ -276,7 +272,7 @@ fn disconnect_a_component_via_bridge_delete() {
 fn delete_then_readd_same_edge_in_one_batch() {
     let graph = builders::grid(8, 8);
     let topo = Topology::new(2, 2);
-    let cfg = config(3);
+    let cfg = BfsConfig::new(3);
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(0).unwrap();
     let before = ev.depths().to_vec();
@@ -298,7 +294,7 @@ fn delete_then_readd_same_edge_in_one_batch() {
 fn degree_crossing_th_both_directions() {
     let graph = builders::star(6);
     let topo = Topology::new(2, 2);
-    let cfg = config(8); // hub degree 6 < TH: everyone starts normal
+    let cfg = BfsConfig::new(8); // hub degree 6 < TH: everyone starts normal
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(0).unwrap();
     assert_eq!(ev.num_delegates(), 0);
@@ -331,7 +327,7 @@ fn degree_crossing_th_both_directions() {
 fn empty_batch_is_charged_but_runs_no_waves() {
     let graph = builders::cycle(32);
     let topo = Topology::new(2, 2);
-    let cfg = config(2);
+    let cfg = BfsConfig::new(2);
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(0).unwrap();
     let before = ev.depths().to_vec();
@@ -349,7 +345,7 @@ fn empty_batch_is_charged_but_runs_no_waves() {
 fn repair_waves_emit_spans_and_balance_bitwise() {
     let graph = RmatConfig::graph500(9).generate();
     let topo = Topology::new(2, 2);
-    let cfg = config(BfsConfig::suggested_rmat_threshold(9))
+    let cfg = BfsConfig::new(BfsConfig::suggested_rmat_threshold(9))
         .with_observability(gpu_cluster_bfs::obs::ObservabilityConfig::Full);
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(0).unwrap();
