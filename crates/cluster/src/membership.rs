@@ -224,16 +224,6 @@ impl Membership {
         self.states[gpu] == MemberState::Dead
     }
 
-    /// Per-member alive flags (`true` unless confirmed dead).
-    pub fn alive_mask(&self) -> Vec<bool> {
-        self.states.iter().map(|s| *s != MemberState::Dead).collect()
-    }
-
-    /// Total hot-spare slots in the pool (free or promoted).
-    pub fn total_spares(&self) -> usize {
-        self.spares_total
-    }
-
     /// Hot-spare slots currently free.
     pub fn available_spares(&self) -> usize {
         self.spares_free.len()
@@ -530,7 +520,7 @@ mod tests {
         let e6 = m.observe(6, &st(true));
         assert_eq!(e6, vec![MembershipEvent::ConfirmedDead { gpu: 1, iteration: 6 }]);
         assert!(m.is_dead(1));
-        assert_eq!(m.alive_mask(), vec![true, false, true]);
+        assert!(!m.is_dead(0) && !m.is_dead(2));
         // Further silence is not news.
         assert!(m.observe(7, &st(true)).is_empty());
     }
@@ -699,7 +689,6 @@ mod tests {
     #[test]
     fn spare_pool_is_deterministic() {
         let mut m = Membership::new(4, 2, MembershipConfig::default());
-        assert_eq!(m.total_spares(), 2);
         assert_eq!(m.available_spares(), 2);
         assert_eq!(m.take_spare(), Some(0));
         assert_eq!(m.take_spare(), Some(1));

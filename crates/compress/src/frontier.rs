@@ -15,8 +15,9 @@ pub enum FrontierCodec {
     /// [`EncodeError::UnsortedInput`].
     VarintDelta,
     /// Dense-frontier bitmap over `[first, last]` of the message's id
-    /// span: one bit per id in the span. Requires strictly increasing
-    /// input (a bitmap is a set); rejects unsorted or duplicated input.
+    /// span: one bit per id in the span. Requires non-decreasing input;
+    /// a bitmap is a set, so a message that repeats an id (like one too
+    /// sparse to win) is stored under the raw fallback.
     Bitmap,
 }
 
@@ -99,11 +100,12 @@ impl FrontierCodec {
                 }
             }
             Self::Bitmap => {
-                if !ids.is_empty() {
-                    if ids.windows(2).any(|w| w[1] <= w[0]) {
-                        out.truncate(header_at);
-                        return Err(EncodeError::UnsortedInput);
-                    }
+                let strict = ids.windows(2).all(|w| w[1] > w[0]);
+                if !strict && ids.windows(2).any(|w| w[1] < w[0]) {
+                    out.truncate(header_at);
+                    return Err(EncodeError::UnsortedInput);
+                }
+                if strict && !ids.is_empty() {
                     let base = ids[0];
                     let span = (ids[ids.len() - 1] - base) as usize + 1;
                     let words = span.div_ceil(64);
@@ -141,20 +143,26 @@ pub fn decode_frontier(bytes: &[u8]) -> Result<(Vec<u32>, FrontierCodec), Decode
     Ok((out, codec))
 }
 
+/// The codec and id count named by one frontier message's header, read
+/// without touching the payload.
+pub fn frontier_header(bytes: &[u8]) -> Result<(FrontierCodec, u32), DecodeError> {
+    let (wire_tag, count, _) = read_header(bytes)?;
+    let codec = FrontierCodec::ALL
+        .into_iter()
+        .find(|c| c.tag() == wire_tag & !tag::FALLBACK)
+        .ok_or(DecodeError::UnknownTag(wire_tag))?;
+    Ok((codec, count))
+}
+
 /// Decodes one frontier message into `out` (appending), returning the
 /// codec named by the wire tag.
 pub fn decode_frontier_into(
     bytes: &[u8],
     out: &mut Vec<u32>,
 ) -> Result<FrontierCodec, DecodeError> {
-    let (wire_tag, count, payload) = read_header(bytes)?;
+    let (codec, count) = frontier_header(bytes)?;
+    let (wire_tag, _, payload) = read_header(bytes)?;
     let n = count as usize;
-    let codec = match wire_tag & !tag::FALLBACK {
-        tag::RAW32 => FrontierCodec::Raw32,
-        tag::VARINT_DELTA => FrontierCodec::VarintDelta,
-        tag::BITMAP => FrontierCodec::Bitmap,
-        _ => return Err(DecodeError::UnknownTag(wire_tag)),
-    };
     // Plausibility before allocation: a claimed count the payload cannot
     // possibly produce must never drive `reserve` — an adversarial header
     // would otherwise allocate gigabytes before the first payload byte is
@@ -284,11 +292,13 @@ mod tests {
     fn unsorted_input_is_rejected() {
         assert_eq!(FrontierCodec::VarintDelta.encode(&[5, 3]), Err(EncodeError::UnsortedInput));
         assert_eq!(FrontierCodec::Bitmap.encode(&[5, 3]), Err(EncodeError::UnsortedInput));
-        // Bitmap is a set codec: duplicates are "unsorted" in the strict
-        // sense; VarintDelta accepts them as zero deltas.
-        assert_eq!(FrontierCodec::Bitmap.encode(&[3, 3]), Err(EncodeError::UnsortedInput));
+        // Repeated ids are sorted input: VarintDelta encodes them as zero
+        // deltas, and Bitmap, a set codec, stores them under its raw
+        // fallback.
         let dup = FrontierCodec::VarintDelta.encode(&[3, 3]).unwrap();
         assert_eq!(decode_frontier(&dup).unwrap().0, vec![3, 3]);
+        let dup = roundtrip(FrontierCodec::Bitmap, &[3, 3, 4]);
+        assert_eq!(dup.len(), HEADER_BYTES + 12, "repeats ship raw");
         // Raw32 accepts anything.
         roundtrip(FrontierCodec::Raw32, &[5, 3, 3]);
     }

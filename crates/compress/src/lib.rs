@@ -56,7 +56,7 @@ mod varint;
 pub use frame::{
     Frame, FrameError, FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_PAYLOAD,
 };
-pub use frontier::{decode_frontier, decode_frontier_into, FrontierCodec};
+pub use frontier::{decode_frontier, decode_frontier_into, frontier_header, FrontierCodec};
 pub use mask::{decode_mask, decode_mask_into, MaskCodec, MAX_UNTRUSTED_WORDS};
 pub use seal::{fnv1a, IntegrityError, SealedPayload};
 pub use select::{select_frontier_codec, select_mask_codec, CodecCounts, CompressionMode};
@@ -76,8 +76,8 @@ pub const MASK_WORD_BYTES: usize = 8;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EncodeError {
     /// The codec requires sorted input and the input was not sorted
-    /// ([`FrontierCodec::VarintDelta`] needs non-decreasing ids,
-    /// [`FrontierCodec::Bitmap`] strictly increasing ones).
+    /// ([`FrontierCodec::VarintDelta`] and [`FrontierCodec::Bitmap`] need
+    /// non-decreasing ids).
     UnsortedInput,
     /// The element count exceeds the 32-bit header field.
     TooManyElements,

@@ -202,11 +202,6 @@ impl CodecCounts {
         [self.raw32, self.varint_delta, self.bitmap].iter().filter(|&&c| c > 0).count()
     }
 
-    /// Number of distinct mask codecs that were ever selected.
-    pub fn distinct_mask_codecs(&self) -> usize {
-        [self.raw_mask, self.rle_mask, self.sparse_index].iter().filter(|&&c| c > 0).count()
-    }
-
     /// One character summarising the iteration's dominant frontier codec
     /// for the compression trajectory: `R`/`V`/`B`, or `-` when no
     /// frontier message was sent.
@@ -287,7 +282,6 @@ mod tests {
         assert_eq!(c.frontier_total(), 3);
         assert_eq!(c.mask_total(), 1);
         assert_eq!(c.distinct_frontier_codecs(), 2);
-        assert_eq!(c.distinct_mask_codecs(), 1);
         assert_eq!(c.dominant_frontier_char(), 'V');
         let mut d = CodecCounts::default();
         d.record_frontier(FrontierCodec::Raw32);

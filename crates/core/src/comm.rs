@@ -1,19 +1,31 @@
-//! Normal-vertex exchange (§V-B, Fig. 4).
+//! Normal-vertex exchange (§V-B, Fig. 4): the one implementation of the
+//! `nn` point-to-point message, for both backends.
 //!
 //! Only `nn` visits produce direct remote normal-vertex updates; everything
 //! else rides the delegate mask reduction or is local by construction. The
 //! exchange pipeline per iteration is: *bin & convert* (group by
 //! destination GPU; ids already 32-bit destination-local) → optional
 //! *local all2all* (regroup inside each rank so cross-rank pairs connect
-//! equal GPU slots) → optional *uniquify* (drop duplicate destinations) →
-//! *remote exchange* (`MPI_Isend`/`Irecv`, here: modeled point-to-point
-//! transfers with exact byte counts).
+//! equal GPU slots) → optional *uniquify* (drop duplicate destinations),
+//! all in [`prepare_sends`] → [`form_blocks`]: one [`Block`] per
+//! `(source, destination)` pair, its body already in wire form (raw slots,
+//! or one frontier-codec encoding on a cross-rank pair under a compressing
+//! mode) → *remote exchange* → [`deliver_blocks`]: decode and concatenate
+//! by ascending source.
+//!
+//! The sim's [`exchange_normals_with`] prices exactly those blocks with the
+//! cost model (`MPI_Isend`/`Irecv` as modeled point-to-point transfers with
+//! exact byte counts); the proc backend's
+//! [`HostedGroup`](crate::superstep::HostedGroup) forms and delivers them
+//! through the same two functions and ships them unchanged, so the bytes
+//! the model charges are the bytes a socket carries.
 
+use crate::procrt::protocol::ProtocolError;
 use gcbfs_cluster::collectives::local_all2all_regroup;
 use gcbfs_cluster::cost::{CostModel, KernelKind};
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::{
-    decode_frontier_into, CodecCounts, CompressionMode, FrontierCodec, HEADER_BYTES,
+    decode_frontier_into, frontier_header, CodecCounts, CompressionMode, HEADER_BYTES,
 };
 use gcbfs_trace::MessageRecord;
 use rayon::prelude::*;
@@ -104,28 +116,11 @@ impl ExchangeResult {
     }
 }
 
-/// Wire bytes for one exchange message: the single source of truth used
-/// for byte accounting and transfer-time charging on every path.
-///
-/// Uncompressed (`codec == None`) this is the paper's `4` bytes per item
-/// with no envelope; compressed it is the actual encoded length of
-/// `encoded` (mode tag + count + payload). The compressed payload
-/// (excluding the [`HEADER_BYTES`] envelope) can never exceed the raw
-/// volume thanks to every codec's raw fallback, which
-/// [`exchange_normals_with`] re-checks with a debug assertion.
-pub fn message_wire_bytes(items: usize, codec: Option<(FrontierCodec, &[u8])>) -> u64 {
-    match codec {
-        None => items as u64 * BYTES_PER_UPDATE,
-        Some((_, encoded)) => encoded.len() as u64,
-    }
-}
-
 /// The *value* half of the exchange pipeline — bin, optional local
 /// all2all regrouping, optional uniquify — with the stage statistics the
-/// cost model charges from. Splitting values from accounting lets the
-/// proc backend's workers run the identical transformations (delivered
-/// content must be bit-exact across backends) while only the modeled
-/// exchange consults the [`CostModel`].
+/// cost model charges from. [`form_blocks`] turns the held lists into the
+/// blocks both backends move; only the modeled exchange consults the
+/// [`CostModel`].
 #[derive(Clone, Debug)]
 pub struct PreparedSends {
     /// Post-pipeline held lists: `held[g]` is what holder `g` transmits.
@@ -182,9 +177,8 @@ pub fn prepare_sends(
     PreparedSends { held, send_lens, moved_items, moved_counts, pre_uniquify_lens }
 }
 
-/// How one (source, destination) exchange message travels — the single
-/// routing decision shared by the modeled exchange and the proc workers,
-/// so both backends compress exactly the same messages.
+/// How one (source, destination) exchange message travels — the routing
+/// decision [`form_blocks`] applies for both backends.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MessagePath {
     /// Source and destination are the same GPU (possible after
@@ -196,7 +190,7 @@ pub enum MessagePath {
         /// True when source and destination share a rank.
         intra: bool,
     },
-    /// Cross-rank under a compressing mode: sort, encode, seal.
+    /// Cross-rank under a compressing mode: sort, encode.
     Compressed,
 }
 
@@ -216,6 +210,129 @@ pub fn message_path(topo: &Topology, src_flat: usize, dst_flat: usize, on: bool)
     }
 }
 
+/// One `(source, destination)` batch of `nn` updates, its body already in
+/// the form it travels in.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Block {
+    /// Flat index of the sending GPU.
+    pub src: usize,
+    /// Flat index of the receiving GPU.
+    pub dst: usize,
+    /// The updates.
+    pub body: BlockBody,
+}
+
+/// The wire form of a [`Block`]'s destination-local slots.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BlockBody {
+    /// The paper's format, 4 bytes per slot, in send order: same-GPU and
+    /// intra-rank pairs, and every pair when compression is off.
+    Raw(Vec<u32>),
+    /// One frontier-codec encoding (header + payload) of the sorted slots:
+    /// a cross-rank pair under a compressing mode.
+    Encoded(Vec<u8>),
+}
+
+impl Block {
+    /// Bytes the body occupies on the wire: what the modeled exchange
+    /// charges and what a socket carries.
+    pub fn wire_bytes(&self) -> u64 {
+        match &self.body {
+            BlockBody::Raw(slots) => slots.len() as u64 * BYTES_PER_UPDATE,
+            BlockBody::Encoded(bytes) => bytes.len() as u64,
+        }
+    }
+}
+
+/// Groups `prep`'s held lists into one [`Block`] per non-empty
+/// `(source, destination)` pair, in (source, destination) order. A pair
+/// [`message_path`] routes through a codec is sorted and encoded with the
+/// codec `mode` picks for it; every other pair keeps its slots raw.
+pub fn form_blocks(topo: &Topology, prep: PreparedSends, mode: CompressionMode) -> Vec<Block> {
+    let p = topo.num_gpus() as usize;
+    // At most one block per item and per (source, destination) pair.
+    let items: usize = prep.held.iter().map(Vec::len).sum();
+    let mut blocks = Vec::with_capacity(items.min(p * p));
+    // Destination buckets, allocated once and reused across senders.
+    let mut by_dest: Vec<Vec<u32>> = vec![Vec::new(); p];
+    for (src, list) in prep.held.into_iter().enumerate() {
+        // Group contiguously by destination (stable: preserves send order).
+        for (dest, slot) in list {
+            by_dest[topo.flat(dest)].push(slot);
+        }
+        for (dst, slots) in by_dest.iter_mut().enumerate() {
+            if slots.is_empty() {
+                continue;
+            }
+            let body = if message_path(topo, src, dst, mode.is_on()) == MessagePath::Compressed {
+                // Delta codecs need sorted ids; the sort rides the encode
+                // kernel charge.
+                slots.sort_unstable();
+                let codec = mode.frontier_codec(slots).expect("a compressing mode picks a codec");
+                BlockBody::Encoded(codec.encode(slots).expect("sorted input cannot be rejected"))
+            } else {
+                BlockBody::Raw(slots.clone())
+            };
+            slots.clear();
+            blocks.push(Block { src, dst, body });
+        }
+    }
+    blocks
+}
+
+/// Delivers `blocks` to the GPUs `hosted` (ascending flat indices): one
+/// list per hosted GPU, the decoded bodies of its blocks concatenated by
+/// ascending source.
+///
+/// # Errors
+/// A block from a GPU outside the grid, for a GPU not hosted, two blocks
+/// for one `(src, dst)` pair, or an encoded body that does not decode.
+pub fn deliver_blocks(
+    topo: &Topology,
+    hosted: &[usize],
+    mut blocks: Vec<Block>,
+) -> Result<Vec<Vec<u32>>, ProtocolError> {
+    let p = topo.num_gpus() as usize;
+    // Formed blocks are already in this order, so on the sim path the
+    // sort is one linear scan.
+    blocks.sort_unstable_by_key(|b| (b.src, b.dst));
+    if blocks.windows(2).any(|w| (w[0].src, w[0].dst) == (w[1].src, w[1].dst)) {
+        return Err(ProtocolError::new("two blocks for one (src, dst) pair"));
+    }
+    // Check every block and size every list before copying any. An
+    // encoded count is capped at 8 ids per payload byte, the densest a
+    // codec decodes, so a hostile header cannot drive the reservation.
+    let mut lens = vec![0; hosted.len()];
+    let mut at = Vec::with_capacity(blocks.len());
+    for b in &blocks {
+        if b.src >= p {
+            return Err(ProtocolError::new(format!("block from gpu {} outside the grid", b.src)));
+        }
+        let i = hosted.binary_search(&b.dst).map_err(|_| {
+            ProtocolError::new(format!("block for gpu {}, which this group does not host", b.dst))
+        })?;
+        lens[i] += match &b.body {
+            BlockBody::Raw(slots) => slots.len(),
+            BlockBody::Encoded(bytes) => {
+                frontier_header(bytes).map_or(0, |(_, items)| (items as usize).min(8 * bytes.len()))
+            }
+        };
+        at.push(i);
+    }
+    let mut delivered: Vec<Vec<u32>> = lens.into_iter().map(Vec::with_capacity).collect();
+    for (Block { src, dst, body }, i) in blocks.into_iter().zip(at) {
+        match body {
+            BlockBody::Raw(slots) => delivered[i].extend_from_slice(&slots),
+            BlockBody::Encoded(bytes) => {
+                decode_frontier_into(&bytes, &mut delivered[i]).map_err(|e| {
+                    ProtocolError::new(format!("block {src} -> {dst} does not decode: {e}"))
+                })?;
+            }
+        }
+    }
+    Ok(delivered)
+}
+
 /// Performs the exchange for one iteration.
 ///
 /// `sends[g]` are the `(destination GPU, destination-local slot)` updates
@@ -223,12 +340,13 @@ pub fn message_path(topo: &Topology, src_flat: usize, dst_flat: usize, on: bool)
 /// expected (local `nn` discoveries are applied in the visit kernel), but
 /// are delivered correctly if present.
 ///
-/// Under a compressing `mode`, each *cross-rank* message is sorted,
-/// encoded with the codec the mode picks for it, charged to the wire at
-/// its encoded size (floored at the transport envelope), and decoded on
-/// the receiving GPU — so delivered content is exactly what survived a
-/// real encode/decode roundtrip, and bit-exactness is enforced by
-/// construction rather than assumed. Intra-rank messages stay raw.
+/// The stages are charged, then [`form_blocks`] builds the blocks and each
+/// transfer is charged at its block's [`Block::wire_bytes`] — an encoded
+/// block floored at the transport envelope, its encode and decode work
+/// charged per raw byte — and [`deliver_blocks`] decodes them at the
+/// receivers. Delivered content is exactly what survived a real
+/// encode/decode roundtrip, so bit-exactness is enforced by construction
+/// rather than assumed.
 pub fn exchange_normals_with(
     topo: &Topology,
     cost: &CostModel,
@@ -283,12 +401,11 @@ pub fn exchange_normals_with(
         }
     }
 
-    let held = prep.held;
-    let items_sent: u64 = held.iter().map(|s| s.len() as u64).sum();
+    let items_sent: u64 = prep.held.iter().map(|s| s.len() as u64).sum();
+    let blocks = form_blocks(topo, prep, mode);
 
-    // Remote exchange: group per (holder, destination GPU), model each
-    // message, deliver deterministically.
-    let mut delivered: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
+    // Remote exchange: one modeled transfer per block, in (source,
+    // destination) order.
     let mut send_time = vec![0f64; p];
     let mut recv_time = vec![0f64; p];
     let mut remote_bytes = 0u64;
@@ -296,92 +413,52 @@ pub fn exchange_normals_with(
     let mut codec_seconds = 0f64;
     let mut codec_counts = CodecCounts::default();
     let mut messages: Vec<MessageRecord> = Vec::new();
-    let mut scratch = Vec::new(); // reused encode buffer
-                                  // Destination buckets, allocated once and reused across senders: the
-                                  // previous version allocated p fresh Vecs per sender (p² per exchange),
-                                  // which dominated the allocator profile at high GPU counts.
-    let mut by_dest: Vec<Vec<u32>> = (0..p).map(|_| Vec::new()).collect();
-    for (g, mut list) in held.into_iter().enumerate() {
-        // Group contiguously by destination (stable: preserves send order).
-        for (dest, slot) in list.drain(..) {
-            by_dest[topo.flat(dest)].push(slot);
+    for b in &blocks {
+        let (g, d) = (b.src, b.dst);
+        if g == d {
+            continue; // already at its destination after regrouping
         }
-        for (dflat, slots) in by_dest.iter_mut().enumerate() {
-            if slots.is_empty() {
-                continue;
-            }
-            let raw_bytes = message_wire_bytes(slots.len(), None);
-            let path = message_path(topo, g, dflat, mode.is_on());
-            if path == MessagePath::SameGpu {
-                // Already at the destination (possible after regrouping):
-                // no transfer to model.
-                delivered[dflat].append(slots);
-                continue;
-            }
-            if let MessagePath::Raw { intra } = path {
+        let wire_bytes = b.wire_bytes();
+        let (raw_bytes, intra, t) = match &b.body {
+            BlockBody::Raw(_) => {
                 // NVLink or uncompressed run: the paper's raw format.
-                let t = cost.network.p2p_time(raw_bytes, intra);
-                send_time[g] += t;
-                recv_time[dflat] += t;
-                if intra {
-                    local_bytes += raw_bytes;
-                } else {
-                    remote_bytes += raw_bytes;
-                    raw_remote_bytes += raw_bytes;
-                }
-                messages.push(MessageRecord {
-                    src: g as u32,
-                    dst: dflat as u32,
-                    raw_bytes,
-                    wire_bytes: raw_bytes,
-                    intra,
-                });
-                delivered[dflat].append(slots);
-                continue;
+                let intra = topo.same_rank(topo.unflat(g), topo.unflat(d));
+                (wire_bytes, intra, cost.network.p2p_time(wire_bytes, intra))
             }
-            // Cross-rank compressed message: sort (delta codecs need it;
-            // the sort rides the encode kernel charge), select, encode,
-            // charge the wire at the encoded size, decode at the receiver.
-            slots.sort_unstable();
-            let codec = mode.frontier_codec(slots).expect("mode.is_on() implies a codec");
-            scratch.clear();
-            codec.encode_into(slots, &mut scratch).expect("sorted input cannot be rejected");
-            let wire_bytes = message_wire_bytes(slots.len(), Some((codec, &scratch)));
-            debug_assert!(
-                wire_bytes - HEADER_BYTES as u64 <= raw_bytes,
-                "codec fallback bound violated: payload {} > raw {raw_bytes}",
-                wire_bytes - HEADER_BYTES as u64,
-            );
-            let t = cost.network.p2p_time_floored(wire_bytes, false);
-            send_time[g] += t;
-            recv_time[dflat] += t;
+            BlockBody::Encoded(bytes) => {
+                let (codec, items) = frontier_header(bytes).expect("a formed block has a header");
+                let raw_bytes = items as u64 * BYTES_PER_UPDATE;
+                debug_assert!(
+                    wire_bytes - HEADER_BYTES as u64 <= raw_bytes,
+                    "codec fallback bound violated: payload {} > raw {raw_bytes}",
+                    wire_bytes - HEADER_BYTES as u64,
+                );
+                // Encode charged to the sender, decode to the receiver,
+                // both per raw byte (the codecs stream the raw image once).
+                let enc = cost.device.kernel_time(KernelKind::Compress, raw_bytes);
+                let dec = cost.device.kernel_time(KernelKind::Decompress, raw_bytes);
+                local_time[g] += enc;
+                local_time[d] += dec;
+                encode_time[g] += enc;
+                decode_time[d] += dec;
+                codec_seconds += enc + dec;
+                codec_counts.record_frontier(codec);
+                (raw_bytes, false, cost.network.p2p_time_floored(wire_bytes, false))
+            }
+        };
+        send_time[g] += t;
+        recv_time[d] += t;
+        if intra {
+            local_bytes += wire_bytes;
+        } else {
             remote_bytes += wire_bytes;
             raw_remote_bytes += raw_bytes;
-            messages.push(MessageRecord {
-                src: g as u32,
-                dst: dflat as u32,
-                raw_bytes,
-                wire_bytes,
-                intra: false,
-            });
-            // Encode charged to the sender, decode to the receiver, both
-            // per raw byte (the codecs stream the raw image once).
-            let enc = cost.device.kernel_time(KernelKind::Compress, raw_bytes);
-            let dec = cost.device.kernel_time(KernelKind::Decompress, raw_bytes);
-            local_time[g] += enc;
-            local_time[dflat] += dec;
-            encode_time[g] += enc;
-            decode_time[dflat] += dec;
-            codec_seconds += enc + dec;
-            codec_counts.record_frontier(codec);
-            let before = delivered[dflat].len();
-            decode_frontier_into(&scratch, &mut delivered[dflat])
-                .expect("self-encoded message must decode");
-            debug_assert_eq!(delivered[dflat].len() - before, slots.len());
-            slots.clear();
         }
+        messages.push(MessageRecord { src: g as u32, dst: d as u32, raw_bytes, wire_bytes, intra });
     }
     let remote_time: Vec<f64> = send_time.iter().zip(&recv_time).map(|(&s, &r)| s.max(r)).collect();
+    let all: Vec<usize> = (0..p).collect();
+    let delivered = deliver_blocks(topo, &all, blocks).expect("formed blocks deliver");
 
     ExchangeResult {
         delivered,
@@ -403,6 +480,7 @@ pub fn exchange_normals_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcbfs_compress::FrontierCodec;
 
     fn topo22() -> Topology {
         Topology::new(2, 2)

@@ -93,11 +93,6 @@ pub struct MutationLog {
 }
 
 impl MutationLog {
-    /// Total directed ops across all batches.
-    pub fn total_ops(&self) -> usize {
-        self.batches.iter().map(MutationBatch::len).sum()
-    }
-
     /// All batches folded into one (op order preserved).
     pub fn merged(&self) -> MutationBatch {
         let mut merged = MutationBatch::new();
@@ -234,7 +229,6 @@ mod tests {
         let g = builders::cycle(32);
         let log = MutationLog::random(7, &g, 3, 4, 0.0);
         let merged = log.merged();
-        assert_eq!(merged.len(), log.total_ops());
         let concat: Vec<_> = log.batches.iter().flat_map(|b| b.ops.iter().copied()).collect();
         assert_eq!(merged.ops, concat);
     }

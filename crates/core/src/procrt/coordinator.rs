@@ -16,13 +16,14 @@
 //! racing the capture falls back to the previous committed one.
 
 use super::protocol::{
-    kind, read_images, write_images, ConfigWire, ProtocolError, WireBlock, WireReader, WireWriter,
+    kind, read_images, write_images, ConfigWire, ProtocolError, WireReader, WireWriter,
     PROTO_VERSION,
 };
 use super::transport::TransportError;
 use super::{hosted_flats, ProcError, ProcOptions, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use crate::checkpoint::GpuStateImage;
+use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::driver::BuildError;
 use crate::recovery::{RecoveryConfig, RecoveryMode};
@@ -578,7 +579,7 @@ impl Coordinator {
         let mut mask_changed = false;
         let mut or_words: Vec<u64> =
             vec![0u64; (self.separation.num_delegates() as usize).div_ceil(64)];
-        let mut blocks: Vec<WireBlock> = Vec::new();
+        let mut blocks: Vec<Block> = Vec::new();
         while !pending.is_empty() {
             match self.pump(deadline, iter)? {
                 Waited::Dead(slot) => return self.recover(slot, iter).map(Some),
@@ -606,7 +607,7 @@ impl Coordinator {
                     }
                     let nblocks = r.u32()? as usize;
                     for _ in 0..nblocks {
-                        blocks.push(WireBlock::decode(&mut r)?);
+                        blocks.push(Block::decode(&mut r, self.hosting_of.len())?);
                     }
                     r.expect_end()?;
                     pending.retain(|&s| s != slot);
@@ -636,13 +637,9 @@ impl Coordinator {
         } else {
             Vec::new()
         };
-        let mut routed: Vec<Vec<WireBlock>> = (0..self.slots.len()).map(|_| Vec::new()).collect();
+        let mut routed: Vec<Vec<Block>> = (0..self.slots.len()).map(|_| Vec::new()).collect();
         for b in blocks {
-            let dst = b.dst as usize;
-            if dst >= self.hosting_of.len() {
-                return Err(ProtocolError::new("block for out-of-range gpu").into());
-            }
-            routed[self.hosting_of[dst]].push(b);
+            routed[self.hosting_of[b.dst]].push(b);
         }
 
         // ---- StepRemote broadcast (chaos: delayed and/or duplicated). ----

@@ -8,11 +8,14 @@
 //! reply `StepLocal` with their delegate-mask OR contribution and the
 //! routed nn-update blocks, the coordinator ORs the masks, routes blocks
 //! to the workers hosting their destinations (`StepRemote`), and the
-//! workers form next frontiers and barrier with `StepDone`. Because the
-//! value pipeline ([`prepare_sends`](crate::comm::prepare_sends) /
-//! [`message_path`](crate::comm::message_path)) and the end-of-run
-//! assembly ([`crate::assemble`]) are shared with the sim, depths and
-//! parents are bit-exact across backends by construction.
+//! workers form next frontiers and barrier with `StepDone`. The `nn`
+//! blocks are the sim's own: [`form_blocks`](crate::comm::form_blocks)
+//! builds them already encoded, workers and coordinator ship them
+//! unchanged, and [`deliver_blocks`](crate::comm::deliver_blocks) decodes
+//! them in source order — so the proc carries exactly the bytes the sim
+//! prices. With the end-of-run assembly ([`crate::assemble`]) shared as
+//! well, depths and parents are bit-exact across backends by
+//! construction.
 //!
 //! Liveness is real: workers heartbeat on a wall-clock period, the
 //! coordinator feeds arrivals and silences into the phi-accrual

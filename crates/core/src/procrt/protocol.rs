@@ -1,8 +1,9 @@
 //! Wire protocol of the proc backend: message kinds, a little-endian
 //! field writer/reader pair, the result-affecting config subset shipped
-//! to workers, and the wire form of the sealed
-//! [`GpuStateImage`] that checkpoints, restores and the final-state
-//! collection carry.
+//! to workers, the wire form of the sealed [`GpuStateImage`] that
+//! checkpoints, restores and the final-state collection carry, and the
+//! frame layout of an `nn` [`Block`] — whose body
+//! [`form_blocks`](crate::comm::form_blocks) already encoded.
 //!
 //! Every message rides one [`Frame`](gcbfs_compress::Frame), so payloads
 //! inherit the frame layer's FNV-1a seal and bounded-allocation decoding.
@@ -11,15 +12,16 @@
 //! coordinator's checkpoint store or crossed a socket.
 
 use crate::checkpoint::GpuStateImage;
+use crate::comm::{Block, BlockBody};
 use crate::config::BfsConfig;
 use crate::direction::Direction;
 use crate::kernels::KernelVariant;
 use gcbfs_cluster::topology::GpuId;
-use gcbfs_compress::{FrontierCodec, MaskCodec};
+use gcbfs_compress::{CompressionMode, FrontierCodec, MaskCodec};
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 2;
+pub const PROTO_VERSION: u32 = 3;
 
 /// Frame kind bytes. One octet per message type, grouped by phase.
 pub mod kind {
@@ -214,40 +216,6 @@ impl<'a> WireReader<'a> {
     }
 }
 
-fn frontier_codec_tag(c: FrontierCodec) -> u8 {
-    match c {
-        FrontierCodec::Raw32 => 0,
-        FrontierCodec::VarintDelta => 1,
-        FrontierCodec::Bitmap => 2,
-    }
-}
-
-fn frontier_codec_from(tag: u8) -> Result<FrontierCodec, ProtocolError> {
-    match tag {
-        0 => Ok(FrontierCodec::Raw32),
-        1 => Ok(FrontierCodec::VarintDelta),
-        2 => Ok(FrontierCodec::Bitmap),
-        t => Err(ProtocolError::new(format!("unknown frontier codec tag {t}"))),
-    }
-}
-
-fn mask_codec_tag(c: MaskCodec) -> u8 {
-    match c {
-        MaskCodec::RawMask => 0,
-        MaskCodec::RleMask => 1,
-        MaskCodec::SparseIndex => 2,
-    }
-}
-
-fn mask_codec_from(tag: u8) -> Result<MaskCodec, ProtocolError> {
-    match tag {
-        0 => Ok(MaskCodec::RawMask),
-        1 => Ok(MaskCodec::RleMask),
-        2 => Ok(MaskCodec::SparseIndex),
-        t => Err(ProtocolError::new(format!("unknown mask codec tag {t}"))),
-    }
-}
-
 /// The result-affecting subset of [`BfsConfig`] a worker needs to compute
 /// bit-identical values to the sim. Cost-model, recovery, observability,
 /// and verification knobs stay coordinator-side: they shape modeled time
@@ -271,7 +239,7 @@ pub struct ConfigWire {
     /// `nd` kernel switch factors.
     pub nd_factors: (f64, f64),
     /// Wire compression mode (affects delivered block ordering).
-    pub compression: gcbfs_compress::CompressionMode,
+    pub compression: CompressionMode,
     /// Kernel implementation variant.
     pub kernel_variant: KernelVariant,
     /// Whether workers record BFS-tree parents.
@@ -338,13 +306,13 @@ impl ConfigWire {
             w.f64(f.1);
         }
         match self.compression {
-            gcbfs_compress::CompressionMode::Off => w.u8(0),
-            gcbfs_compress::CompressionMode::Fixed(fc, mc) => {
+            CompressionMode::Off => w.u8(0),
+            CompressionMode::Fixed(fc, mc) => {
                 w.u8(1);
-                w.u8(frontier_codec_tag(fc));
-                w.u8(mask_codec_tag(mc));
+                w.u8(fc.tag());
+                w.u8(mc.tag());
             }
-            gcbfs_compress::CompressionMode::Adaptive => w.u8(2),
+            CompressionMode::Adaptive => w.u8(2),
         }
         w.u8(match self.kernel_variant {
             KernelVariant::Scalar => 0,
@@ -361,12 +329,17 @@ impl ConfigWire {
             *f = (r.f64()?, r.f64()?);
         }
         let compression = match r.u8()? {
-            0 => gcbfs_compress::CompressionMode::Off,
-            1 => gcbfs_compress::CompressionMode::Fixed(
-                frontier_codec_from(r.u8()?)?,
-                mask_codec_from(r.u8()?)?,
-            ),
-            2 => gcbfs_compress::CompressionMode::Adaptive,
+            0 => CompressionMode::Off,
+            1 => {
+                let (f, m) = (r.u8()?, r.u8()?);
+                let fc = FrontierCodec::ALL.into_iter().find(|c| c.tag() == f);
+                let mc = MaskCodec::ALL.into_iter().find(|c| c.tag() == m);
+                let (Some(fc), Some(mc)) = (fc, mc) else {
+                    return Err(ProtocolError::new(format!("unknown codec tags {f:#x}/{m:#x}")));
+                };
+                CompressionMode::Fixed(fc, mc)
+            }
+            2 => CompressionMode::Adaptive,
             t => return Err(ProtocolError::new(format!("unknown compression tag {t}"))),
         };
         let kernel_variant = match r.u8()? {
@@ -527,66 +500,52 @@ pub fn read_images(
     Ok(images)
 }
 
-/// One routed nn-update block on the wire: `(src flat, dst flat)` plus
-/// either raw little-endian slots or a frontier-codec encoding.
-#[derive(Clone, Debug)]
-pub struct WireBlock {
-    /// Sending flat GPU.
-    pub src: u32,
-    /// Receiving flat GPU.
-    pub dst: u32,
-    /// True when `payload` is a frontier-codec encoding (cross-rank under
-    /// a compressing mode); false for raw 4-byte slots.
-    pub encoded: bool,
-    /// The block bytes.
-    pub payload: Vec<u8>,
-}
-
-impl WireBlock {
-    /// Serializes the block.
+impl Block {
+    /// Serializes the block: source and destination flats (`u32` each), a
+    /// flag byte (1 when the body is a frontier-codec encoding), then the
+    /// body as length-prefixed bytes — raw slots little-endian.
     pub fn encode(&self, w: &mut WireWriter) {
-        w.u32(self.src);
-        w.u32(self.dst);
-        w.u8(self.encoded as u8);
-        w.bytes(&self.payload);
-    }
-
-    /// Deserializes one block.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Self, ProtocolError> {
-        Ok(Self {
-            src: r.u32()?,
-            dst: r.u32()?,
-            encoded: r.u8()? != 0,
-            payload: r.bytes()?.to_vec(),
-        })
-    }
-
-    /// Decodes the payload into destination-local slots.
-    pub fn slots(&self) -> Result<Vec<u32>, ProtocolError> {
-        if self.encoded {
-            let mut out = Vec::new();
-            gcbfs_compress::decode_frontier_into(&self.payload, &mut out)
-                .map_err(|e| ProtocolError::new(format!("block decode failed: {e:?}")))?;
-            Ok(out)
-        } else {
-            if !self.payload.len().is_multiple_of(4) {
-                return Err(ProtocolError::new("raw block length not a multiple of 4"));
+        w.u32(self.src as u32);
+        w.u32(self.dst as u32);
+        match &self.body {
+            BlockBody::Raw(slots) => {
+                w.u8(0);
+                w.u32(self.wire_bytes() as u32);
+                for &slot in slots {
+                    w.u32(slot);
+                }
             }
-            Ok(self
-                .payload
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect())
+            BlockBody::Encoded(bytes) => {
+                w.u8(1);
+                w.bytes(bytes);
+            }
         }
     }
 
-    /// Builds a raw (unencoded) block from slots.
-    pub fn raw(src: u32, dst: u32, slots: &[u32]) -> Self {
-        let mut payload = Vec::with_capacity(slots.len() * 4);
-        for &s in slots {
-            payload.extend_from_slice(&s.to_le_bytes());
+    /// Deserializes one block of a `num_gpus`-GPU grid. An encoded body is
+    /// decoded only on delivery.
+    ///
+    /// # Errors
+    /// Truncation, an endpoint outside the grid, a flag other than 0 or 1,
+    /// or a raw body whose length is not a multiple of 4.
+    pub fn decode(r: &mut WireReader<'_>, num_gpus: usize) -> Result<Self, ProtocolError> {
+        let (src, dst) = (r.u32()? as usize, r.u32()? as usize);
+        if src >= num_gpus || dst >= num_gpus {
+            return Err(ProtocolError::new(format!(
+                "block {src} -> {dst} outside a {num_gpus}-gpu grid"
+            )));
         }
-        Self { src, dst, encoded: false, payload }
+        let flag = r.u8()?;
+        let bytes = r.bytes()?;
+        let body = match flag {
+            0 if bytes.len().is_multiple_of(4) => BlockBody::Raw(
+                bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect(),
+            ),
+            0 => return Err(ProtocolError::new("raw block length not a multiple of 4")),
+            1 => BlockBody::Encoded(bytes.to_vec()),
+            f => return Err(ProtocolError::new(format!("block flag {f} is not 0 or 1"))),
+        };
+        Ok(Self { src, dst, body })
     }
 }
 
@@ -632,21 +591,39 @@ mod tests {
 
     #[test]
     fn config_wire_roundtrips() {
-        let config = BfsConfig::new(42)
-            .with_direction_optimization(false)
-            .with_local_all2all(true)
-            .with_uniquify(true)
-            .with_compression(gcbfs_compress::CompressionMode::Adaptive);
-        let cw = ConfigWire::from_config(&config, true);
-        let mut w = WireWriter::new();
-        cw.encode(&mut w);
-        let body = w.finish();
-        let back = ConfigWire::decode(&mut WireReader::new(&body)).unwrap();
-        assert_eq!(cw, back);
-        let rebuilt = back.to_config();
-        assert_eq!(rebuilt.degree_threshold, 42);
-        assert!(!rebuilt.direction_optimization);
-        assert!(rebuilt.local_all2all && rebuilt.uniquify);
+        let fixed = FrontierCodec::ALL
+            .into_iter()
+            .flat_map(|f| MaskCodec::ALL.map(|m| CompressionMode::Fixed(f, m)));
+        let modes: Vec<_> =
+            [CompressionMode::Off, CompressionMode::Adaptive].into_iter().chain(fixed).collect();
+        assert_eq!(modes.len(), 11);
+        for mode in modes {
+            let config = BfsConfig::new(42)
+                .with_direction_optimization(false)
+                .with_local_all2all(true)
+                .with_uniquify(true)
+                .with_compression(mode);
+            let cw = ConfigWire::from_config(&config, true);
+            let mut w = WireWriter::new();
+            cw.encode(&mut w);
+            let body = w.finish();
+            let back = ConfigWire::decode(&mut WireReader::new(&body)).unwrap();
+            assert_eq!(cw, back, "{mode}");
+            let rebuilt = back.to_config();
+            assert_eq!(rebuilt.degree_threshold, 42);
+            assert!(!rebuilt.direction_optimization);
+            assert!(rebuilt.local_all2all && rebuilt.uniquify);
+            assert_eq!(rebuilt.compression, mode);
+            if let CompressionMode::Fixed(..) = mode {
+                // The mode byte sits after threshold (8), flags (1) and
+                // six factors (48); an unknown codec tag after it is typed.
+                for at in [58, 59] {
+                    let mut bad = body.clone();
+                    bad[at] = 0x7f;
+                    assert!(ConfigWire::decode(&mut WireReader::new(&bad)).is_err());
+                }
+            }
+        }
     }
 
     fn sample_image() -> GpuStateImage {
@@ -713,19 +690,59 @@ mod tests {
         assert!(read_images(&mut WireReader::new(&repeated), 4).is_err());
     }
 
-    #[test]
-    fn wire_block_roundtrip_raw_and_encoded() {
-        let raw = WireBlock::raw(1, 2, &[5, 3, 9]);
+    fn block_body(block: &Block) -> Vec<u8> {
         let mut w = WireWriter::new();
-        raw.encode(&mut w);
-        let body = w.finish();
-        let back = WireBlock::decode(&mut WireReader::new(&body)).unwrap();
-        assert_eq!(back.slots().unwrap(), vec![5, 3, 9]);
+        block.encode(&mut w);
+        w.finish()
+    }
 
-        let sorted = vec![2u32, 4, 4, 10];
-        let codec = FrontierCodec::VarintDelta;
-        let payload = codec.encode(&sorted).unwrap();
-        let enc = WireBlock { src: 0, dst: 3, encoded: true, payload };
-        assert_eq!(enc.slots().unwrap(), sorted);
+    #[test]
+    fn blocks_roundtrip_raw_and_encoded() {
+        let raw = Block { src: 1, dst: 2, body: BlockBody::Raw(vec![5, 3, 9]) };
+        let body = block_body(&raw);
+        assert_eq!(body.len(), 4 + 4 + 1 + 4 + 12);
+        assert_eq!(Block::decode(&mut WireReader::new(&body), 4).unwrap(), raw);
+
+        let sorted = [2u32, 4, 4, 10];
+        let encoded = FrontierCodec::VarintDelta.encode(&sorted).unwrap();
+        let enc = Block { src: 0, dst: 3, body: BlockBody::Encoded(encoded) };
+        let back = Block::decode(&mut WireReader::new(&block_body(&enc)), 4).unwrap();
+        assert_eq!(back, enc);
+    }
+
+    #[test]
+    fn hostile_block_bodies_are_typed_errors() {
+        let topo = gcbfs_cluster::topology::Topology::new(2, 2);
+        let decode = |body: &[u8]| Block::decode(&mut WireReader::new(body), 4);
+        let good = block_body(&Block { src: 1, dst: 2, body: BlockBody::Raw(vec![7]) });
+        // The flag byte (offset 8) is 0 or 1, nothing else.
+        for flag in [2u8, 0x80, 0xff] {
+            let mut bad = good.clone();
+            bad[8] = flag;
+            assert!(decode(&bad).unwrap_err().detail.contains("flag"), "flag {flag}");
+        }
+        // A sender or receiver outside the grid.
+        for at in [0, 4] {
+            let mut bad = good.clone();
+            bad[at] = 4;
+            assert!(decode(&bad).unwrap_err().detail.contains("outside"), "offset {at}");
+        }
+        // A raw body whose length is not a multiple of 4.
+        let mut w = WireWriter::new();
+        w.u32(1);
+        w.u32(2);
+        w.u8(0);
+        w.bytes(&[1, 2, 3]);
+        assert!(decode(&w.finish()).unwrap_err().detail.contains("multiple of 4"));
+        // An encoded body that does not decode passes the frame layout and
+        // is refused on delivery.
+        let garbage = Block { src: 1, dst: 2, body: BlockBody::Encoded(vec![0x7f, 1, 0, 0, 0]) };
+        let back = decode(&block_body(&garbage)).unwrap();
+        let err = crate::comm::deliver_blocks(&topo, &[2], vec![back]).unwrap_err();
+        assert!(err.detail.contains("does not decode"), "{err}");
+        // Every truncation is typed too.
+        for len in 0..good.len() {
+            assert!(decode(&good[..len]).is_err(), "truncated to {len}");
+        }
     }
 }

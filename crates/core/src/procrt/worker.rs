@@ -10,15 +10,16 @@
 //! coordinator's detector and checkpoints own all recovery.
 
 use super::protocol::{
-    kind, read_images, write_images, ConfigWire, ProtocolError, WireBlock, WireReader, WireWriter,
+    kind, read_images, write_images, ConfigWire, ProtocolError, WireReader, WireWriter,
     PROTO_VERSION,
 };
 use super::transport::{connect_with_backoff, recv_frame, SharedWriter, TransportError};
+use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::driver::DistributedGraph;
 use crate::kernels::LocalIterationOutput;
 use crate::masks::DelegateMask;
-use crate::superstep::{Block, HostedGroup};
+use crate::superstep::HostedGroup;
 use gcbfs_cluster::fault::JitteredBackoff;
 use gcbfs_cluster::topology::Topology;
 use std::path::Path;
@@ -235,8 +236,7 @@ fn dispatch_loop(
 }
 
 /// `StepGo`: optional checkpoint save (the coordinator keeps the only
-/// copy), local kernels, shared value pipeline, block classification,
-/// `StepLocal` reply.
+/// copy), local kernels, the shared block formation, `StepLocal` reply.
 fn step_go(
     st: &mut WorkerState,
     r: &mut WireReader<'_>,
@@ -253,9 +253,6 @@ fn step_go(
         writer.send(kind::CHECKPOINT_SAVE, w.finish())?;
     }
 
-    // Stale state from an aborted superstep (a restore raced a StepGo) is
-    // superseded wholesale.
-    st.local_blocks.clear();
     let mut outputs = st.group.compute(iter);
 
     // Delegate-mask contribution: sent only when some hosted GPU actually
@@ -264,30 +261,14 @@ fn step_go(
     let or_words = if changed { st.group.mask_or(&outputs) } else { Vec::new() };
 
     // Blocks for hosted destinations are applied in-process at
-    // `StepRemote`; the rest become wire blocks, encoded per the
-    // compression mode.
-    let mut out_blocks: Vec<WireBlock> = Vec::new();
-    for b in st.group.outgoing_blocks(&mut outputs, &st.config) {
-        if st.group.hosts(b.dst) {
-            st.local_blocks.push(b);
-        } else if b.compressed {
-            let codec = st
-                .config
-                .compression
-                .frontier_codec(&b.slots)
-                .expect("compressing mode must pick a codec");
-            let mut payload = Vec::new();
-            codec.encode_into(&b.slots, &mut payload).expect("sorted input cannot be rejected");
-            out_blocks.push(WireBlock {
-                src: b.src as u32,
-                dst: b.dst as u32,
-                encoded: true,
-                payload,
-            });
-        } else {
-            out_blocks.push(WireBlock::raw(b.src as u32, b.dst as u32, &b.slots));
-        }
-    }
+    // `StepRemote`; the rest ship exactly as formed. Stale local blocks
+    // from an aborted superstep (a restore raced a StepGo) are superseded.
+    let (local, out_blocks): (Vec<Block>, Vec<Block>) = st
+        .group
+        .outgoing_blocks(&mut outputs, &st.config)
+        .into_iter()
+        .partition(|b| st.group.hosts(b.dst));
+    st.local_blocks = local;
 
     let mut w = WireWriter::new();
     w.u32(iter);
@@ -325,15 +306,10 @@ fn step_remote(
     let mask_changed = r.u8()? != 0;
     let mask_payload = r.bytes()?.to_vec();
     let nblocks = r.u32()? as usize;
+    let p = st.dist.topology.num_gpus() as usize;
     let mut blocks = std::mem::take(&mut st.local_blocks);
     for _ in 0..nblocks {
-        let b = WireBlock::decode(r)?;
-        blocks.push(Block {
-            src: b.src as usize,
-            dst: b.dst as usize,
-            slots: b.slots()?,
-            compressed: b.encoded,
-        });
+        blocks.push(Block::decode(r, p)?);
     }
     r.expect_end()?;
 

@@ -171,11 +171,6 @@ impl ElasticMap {
         !self.alive[gpu]
     }
 
-    /// Number of dead members.
-    pub fn failed_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| !a).count()
-    }
-
     /// True if any member is dead.
     pub fn any_failed(&self) -> bool {
         self.alive.iter().any(|&a| !a)
@@ -254,14 +249,6 @@ impl ElasticMap {
     pub fn hosted_pairs(&self) -> impl Iterator<Item = (usize, &[(usize, f64)])> + '_ {
         self.assignment.iter().enumerate().filter_map(|(g, a)| match a {
             Assignment::Hosted(hosts) => Some((g, hosts.as_slice())),
-            _ => None,
-        })
-    }
-
-    /// `(dead, spare_slot)` pairs for every spare-absorbed partition.
-    pub fn spare_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.assignment.iter().enumerate().filter_map(|(g, a)| match a {
-            Assignment::Spare(slot) => Some((g, *slot)),
             _ => None,
         })
     }
@@ -409,7 +396,6 @@ mod tests {
         map.fail_to_spare(1, 0);
         assert!(map.is_failed(1));
         assert_eq!(map.assignment(1), &Assignment::Spare(0));
-        assert_eq!(map.spare_pairs().collect::<Vec<_>>(), vec![(1, 0)]);
         // Then a spread failure across the 2 remaining survivors + nothing
         // of the spare (spares don't take spread shares).
         map.fail_to_spread(2, &loads);
@@ -430,7 +416,7 @@ mod tests {
             Assignment::Hosted(hosts) => assert_eq!(hosts.len(), 3, "{hosts:?}"),
             other => panic!("expected spread hosting, got {other:?}"),
         }
-        assert_eq!(map.failed_count(), 1);
+        assert!(!map.is_failed(1) && map.is_failed(2));
         // Survivability delegation.
         assert!(map.next_failure_is_survivable(0));
     }

@@ -174,11 +174,6 @@ impl RunStats {
         self.records.iter().map(|r| r.remote_bytes).sum()
     }
 
-    /// Total normal-vertex updates transmitted.
-    pub fn total_nn_updates(&self) -> u64 {
-        self.records.iter().map(|r| r.nn_updates_sent).sum()
-    }
-
     /// Total remote bytes saved by compression (0 when off).
     pub fn total_bytes_saved(&self) -> u64 {
         self.records.iter().map(|r| r.bytes_saved).sum()
@@ -313,7 +308,6 @@ mod tests {
         assert_eq!(stats.modeled_elapsed(), (4.0 + 3.0) + (6.0 + 3.0));
         assert_eq!(stats.total_edges_examined(), 10);
         assert_eq!(stats.total_remote_bytes(), 24);
-        assert_eq!(stats.total_nn_updates(), 6);
         assert_eq!(stats.total_bytes_saved(), 8);
         assert_eq!(stats.total_codec_seconds(), 1.0);
         // ratio = (24 + 8) / 24

@@ -8,10 +8,13 @@
 //! GPUs and prices the collectives with the cost model; each proc worker
 //! ([`crate::procrt::worker`]) instantiates one over the flats it hosts
 //! and moves the same values over sockets. What differs between the two
-//! is only who carries the reduced mask and the `nn` blocks.
+//! is only who carries the reduced mask and the `nn` blocks; the blocks
+//! themselves are formed and delivered by [`crate::comm`]'s
+//! [`form_blocks`] and [`deliver_blocks`], the functions the modeled
+//! exchange prices.
 
 use crate::checkpoint::GpuStateImage;
-use crate::comm::{message_path, prepare_sends, MessagePath};
+use crate::comm::{deliver_blocks, form_blocks, prepare_sends, Block};
 use crate::config::BfsConfig;
 use crate::direction::DirectionState;
 use crate::driver::DistributedGraph;
@@ -23,22 +26,6 @@ use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_graph::VertexId;
 use rayon::prelude::*;
 use std::sync::Arc;
-
-/// One `(source, destination)` batch of `nn` updates on its way between
-/// GPUs, after the shared bin → regroup → uniquify pipeline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Block {
-    /// Flat index of the sending GPU.
-    pub src: usize,
-    /// Flat index of the receiving GPU.
-    pub dst: usize,
-    /// Destination-local slots. Sorted when `compressed` — the value a
-    /// decode of the sorted encoding yields, so delivery order matches
-    /// the modeled exchange whether or not the block crosses a socket.
-    pub slots: Vec<u32>,
-    /// True when [`message_path`] routes the pair through a frontier codec.
-    pub compressed: bool,
-}
 
 /// The GPUs one process hosts, with the traversal steps over them.
 #[derive(Clone, Debug)]
@@ -245,58 +232,29 @@ impl HostedGroup {
         sends
     }
 
-    /// The hosted GPUs' `nn` updates as per-pair blocks: the same bin →
-    /// regroup → uniquify pipeline and routing decision the modeled
-    /// exchange applies (regrouping never crosses ranks, so a group of
-    /// whole ranks sees exactly its share).
+    /// The hosted GPUs' `nn` updates as the blocks the modeled exchange
+    /// prices: the shared bin → regroup → uniquify pipeline, then
+    /// [`form_blocks`] (regrouping never crosses ranks, so a group of whole
+    /// ranks forms exactly its share).
     pub fn outgoing_blocks(
         &self,
         outputs: &mut [LocalIterationOutput],
         config: &BfsConfig,
     ) -> Vec<Block> {
-        let topo = &self.topo;
         let sends = self.take_sends(outputs);
-        let prep = prepare_sends(topo, sends, config.local_all2all, config.uniquify);
-        let mut blocks = Vec::new();
-        let mut by_dest: Vec<Vec<u32>> = vec![Vec::new(); topo.num_gpus() as usize];
-        for (src, list) in prep.held.into_iter().enumerate() {
-            for (dest, slot) in list {
-                by_dest[topo.flat(dest)].push(slot);
-            }
-            for (dst, slots) in by_dest.iter_mut().enumerate() {
-                if slots.is_empty() {
-                    continue;
-                }
-                let compressed = message_path(topo, src, dst, config.compression.is_on())
-                    == MessagePath::Compressed;
-                if compressed {
-                    slots.sort_unstable();
-                }
-                blocks.push(Block { src, dst, slots: std::mem::take(slots), compressed });
-            }
-        }
-        blocks
+        let prep = prepare_sends(&self.topo, sends, config.local_all2all, config.uniquify);
+        form_blocks(&self.topo, prep, config.compression)
     }
 
-    /// Orders received blocks into one delivery list per hosted GPU:
-    /// ascending source order, the append order of the modeled exchange.
+    /// Received blocks as one delivery list per hosted GPU, by
+    /// [`deliver_blocks`]: ascending source order, as in the modeled
+    /// exchange.
     ///
     /// # Errors
-    /// A block for a GPU this group does not host, or two blocks for one
-    /// `(src, dst)` pair.
-    pub fn deliveries(&self, mut blocks: Vec<Block>) -> Result<Vec<Vec<u32>>, ProtocolError> {
-        blocks.sort_by_key(|b| (b.dst, b.src));
-        if blocks.windows(2).any(|w| (w[0].dst, w[0].src) == (w[1].dst, w[1].src)) {
-            return Err(ProtocolError::new("two blocks for one (src, dst) pair"));
-        }
-        let mut delivered = vec![Vec::new(); self.workers.len()];
-        for b in blocks {
-            let at = self.index_of(b.dst).ok_or_else(|| {
-                ProtocolError::new("received block for a gpu this worker does not host")
-            })?;
-            delivered[at].extend_from_slice(&b.slots);
-        }
-        Ok(delivered)
+    /// See [`deliver_blocks`]: a foreign or out-of-grid endpoint, two
+    /// blocks for one pair, or a body that does not decode.
+    pub fn deliveries(&self, blocks: Vec<Block>) -> Result<Vec<Vec<u32>>, ProtocolError> {
+        deliver_blocks(&self.topo, &self.flats, blocks)
     }
 
     /// Forms the next frontiers: each hosted GPU's local discoveries plus
@@ -326,6 +284,7 @@ impl HostedGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::BlockBody;
     use gcbfs_graph::builders;
 
     #[test]
@@ -361,12 +320,13 @@ mod tests {
             DistributedGraph::build(&builders::grid(4, 4), Topology::new(2, 2), &config).unwrap();
         let group = HostedGroup::new(&dist, &config, false, &[2, 3]).unwrap();
         let block =
-            |src, dst, slots: &[u32]| Block { src, dst, slots: slots.to_vec(), compressed: false };
+            |src, dst, slots: &[u32]| Block { src, dst, body: BlockBody::Raw(slots.to_vec()) };
         let got = group
             .deliveries(vec![block(3, 2, &[9]), block(0, 3, &[4]), block(1, 2, &[5, 6])])
             .unwrap();
         assert_eq!(got, vec![vec![5, 6, 9], vec![4]]);
         assert!(group.deliveries(vec![block(2, 0, &[1])]).is_err());
         assert!(group.deliveries(vec![block(0, 2, &[1]), block(0, 2, &[2])]).is_err());
+        assert!(group.deliveries(vec![block(4, 2, &[1])]).is_err(), "sender outside the grid");
     }
 }

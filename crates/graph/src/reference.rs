@@ -106,19 +106,6 @@ pub fn validate_parents(
     Ok(())
 }
 
-/// Number of edges a single-processor BFS would traverse: the sum of
-/// out-degrees of reached vertices. This is the `m'` of §IV-B and the
-/// numerator of the Graph500 TEPS metric (halved for doubled graphs by the
-/// caller).
-pub fn traversed_edges(graph: &Csr, depths: &[u32]) -> u64 {
-    depths
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != UNREACHED)
-        .map(|(v, _)| graph.out_degree(v as u64))
-        .sum()
-}
-
 /// Why a depth assignment is not a valid BFS result. Field names are
 /// self-describing; the variant docs state the violated rule.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -262,14 +249,6 @@ mod tests {
         let csr = Csr::from_edge_list(&g);
         let d = bfs_depths(&csr, 0);
         assert_eq!(d, vec![0, 1, UNREACHED, UNREACHED]);
-    }
-
-    #[test]
-    fn traversed_edges_counts_reached_degrees() {
-        let g = builders::star(4); // center 0, leaves 1..=4, doubled
-        let csr = Csr::from_edge_list(&g);
-        let d = bfs_depths(&csr, 0);
-        assert_eq!(traversed_edges(&csr, &d), 8);
     }
 
     #[test]

@@ -56,35 +56,76 @@ const USAGE: &str = "usage:
             [--window-ms W] [--queue L] [--pool K] [--tenants T]
             [--sssp-permille X] [--pagerank-permille Y]";
 
+/// The option names each command reads. A trailing `=` marks an option
+/// that takes a value (`--ranks 4`); a bare name is a switch
+/// (`--validate`).
+///
 /// `--ranks`/`--gpus`/`--spares`/`--threshold`: every graph command.
-const GRID: &[&str] = &["ranks", "gpus", "spares", "threshold"];
+const GRID: &[&str] = &["ranks=", "gpus=", "spares=", "threshold="];
 /// Options every `bfs` reads beyond [`GRID`], then those only its sim or
 /// proc path reads.
 const BFS: &[&str] = &[
-    "source",
+    "source=",
     "no-do",
     "local-all2all",
     "uniquify",
     "nonblocking",
     "parents",
     "validate",
-    "verify",
-    "backend",
+    "verify=",
+    "backend=",
 ];
 const BFS_SIM: &[&str] = &[
     "trace",
-    "profile",
-    "fail",
-    "rejoin",
-    "chaos",
-    "sdc",
-    "mutate",
-    "mutate-ops",
-    "mutate-locality",
-    "mutate-seed",
-    "compact-every",
+    "profile=",
+    "fail=",
+    "rejoin=",
+    "chaos=",
+    "sdc=",
+    "mutate=",
+    "mutate-ops=",
+    "mutate-locality=",
+    "mutate-seed=",
+    "compact-every=",
 ];
-const BFS_PROC: &[&str] = &["procs", "kill"];
+const BFS_PROC: &[&str] = &["procs=", "kill="];
+const SERVE: &[&str] = &[
+    "qps=",
+    "arrivals=",
+    "seed=",
+    "deadline-ms=",
+    "batch=",
+    "window-ms=",
+    "queue=",
+    "pool=",
+    "tenants=",
+    "sssp-permille=",
+    "pagerank-permille=",
+];
+
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every command, the option names it reads, and its entry point.
+const COMMANDS: &[(&str, &[&[&str]], Command)] = &[
+    ("generate", &[&["scale=", "seed=", "out="]], generate),
+    ("info", &[], info),
+    ("bfs", &[GRID, BFS, BFS_SIM, BFS_PROC], bfs),
+    ("pagerank", &[GRID, &["damping=", "iterations="]], pagerank_cmd),
+    ("components", &[GRID], components_cmd),
+    ("betweenness", &[GRID, &["samples="]], betweenness_cmd),
+    ("sssp", &[GRID, &["source=", "max-weight=", "weight-seed="]], sssp_cmd),
+    ("serve", &[GRID, SERVE], serve_cmd),
+    // Hidden: the proc-backend worker entry point. The coordinator
+    // respawns this same binary with `backend-worker --socket PATH
+    // --worker N`; it is not part of the human-facing surface.
+    ("backend-worker", &[&["socket=", "worker="]], backend_worker),
+];
+
+/// Whether `name` takes a value, if one of `tables` lists it.
+fn takes_value(tables: &[&[&str]], name: &str) -> Option<bool> {
+    let mut entries = tables.iter().flat_map(|t| t.iter());
+    entries.find(|k| k.trim_end_matches('=') == name).map(|k| k.ends_with('='))
+}
 
 /// Tiny flag parser: `--key value` options and `--flag` switches.
 struct Args<'a> {
@@ -94,24 +135,30 @@ struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
-    fn parse(args: &'a [String]) -> Result<Self, String> {
-        let mut positional = Vec::new();
-        let mut options = Vec::new();
-        let mut switches = Vec::new();
-        let mut it = args.iter().peekable();
+    /// Parses `raw` for `command` against the names it reads: each name
+    /// must be known, given at most once, and followed by a value exactly
+    /// when its table entry ends in `=`.
+    fn parse(command: &str, raw: &'a [String], known: &[&[&str]]) -> Result<Self, String> {
+        let mut args = Self { positional: Vec::new(), options: Vec::new(), switches: Vec::new() };
+        let mut it = raw.iter().map(String::as_str).peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                match it.peek() {
-                    Some(v) if !v.starts_with("--") => {
-                        options.push((name, it.next().unwrap().as_str()));
-                    }
-                    _ => switches.push(name),
-                }
-            } else {
-                positional.push(a.as_str());
+            let Some(name) = a.strip_prefix("--") else {
+                args.positional.push(a);
+                continue;
+            };
+            let takes = takes_value(known, name)
+                .ok_or_else(|| format!("{command} does not take --{name}"))?;
+            if args.options.iter().any(|&(k, _)| k == name) || args.switches.contains(&name) {
+                return Err(format!("--{name} given more than once"));
+            }
+            match (takes, it.next_if(|v| !v.starts_with("--"))) {
+                (true, Some(v)) => args.options.push((name, v)),
+                (true, None) => return Err(format!("--{name} needs a value")),
+                (false, None) => args.switches.push(name),
+                (false, Some(v)) => return Err(format!("--{name} takes no value, got {v}")),
             }
         }
-        Ok(Self { positional, options, switches })
+        Ok(args)
     }
 
     fn opt<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -133,13 +180,12 @@ impl<'a> Args<'a> {
         self.switches.contains(&name)
     }
 
-    /// Rejects any option or switch outside `known`, so a typo or an
-    /// option the command never reads fails instead of running at the
-    /// default.
+    /// Rejects any name given outside `known`, a subset of what the
+    /// command parsed with (`bfs` narrows to its backend's names).
     fn only(&self, command: &str, known: &[&[&str]]) -> Result<(), String> {
         let given = self.options.iter().map(|&(k, _)| k).chain(self.switches.iter().copied());
         for name in given {
-            if !known.iter().any(|set| set.contains(&name)) {
+            if takes_value(known, name).is_none() {
                 return Err(format!("{command} does not take --{name}"));
             }
         }
@@ -148,23 +194,12 @@ impl<'a> Args<'a> {
 }
 
 fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    match args.positional.first().copied() {
-        Some("generate") => generate(&args),
-        Some("info") => info(&args),
-        Some("bfs") => bfs(&args),
-        Some("pagerank") => pagerank_cmd(&args),
-        Some("components") => components_cmd(&args),
-        Some("betweenness") => betweenness_cmd(&args),
-        Some("sssp") => sssp_cmd(&args),
-        Some("serve") => serve_cmd(&args),
-        // Hidden: the proc-backend worker entry point. The coordinator
-        // respawns this same binary with `backend-worker --socket PATH
-        // --worker N`; it is not part of the human-facing surface.
-        Some("backend-worker") => backend_worker(&args),
-        Some(other) => Err(format!("unknown command: {other}")),
-        None => Err("no command given".into()),
-    }
+    let command = raw.first().ok_or("no command given")?;
+    let &(_, known, entry) = COMMANDS
+        .iter()
+        .find(|(name, ..)| name == command)
+        .ok_or_else(|| format!("unknown command: {command}"))?;
+    entry(&Args::parse(command, raw, known)?)
 }
 
 fn load(path: &str) -> Result<EdgeList, String> {
@@ -186,7 +221,6 @@ fn store(graph: &EdgeList, path: &str) -> Result<(), String> {
 }
 
 fn generate(args: &Args) -> Result<(), String> {
-    args.only("generate", &[&["scale", "seed", "out"]])?;
     let family = *args.positional.get(1).ok_or("generate needs a family (rmat|powerlaw|web)")?;
     let scale: u32 = args.opt("scale", 14)?;
     let seed: u64 = args.opt("seed", 0x5eed)?;
@@ -215,7 +249,6 @@ fn generate(args: &Args) -> Result<(), String> {
 }
 
 fn info(args: &Args) -> Result<(), String> {
-    args.only("info", &[])?;
     let path = args.positional.get(1).ok_or("info needs a file")?;
     let graph = load(path)?;
     let stats = gpu_cluster_bfs::graph::stats::DegreeStats::from_graph(&graph);
@@ -266,7 +299,6 @@ fn pick_source(graph: &EdgeList, args: &Args) -> Result<u64, String> {
 /// The proc-backend worker entry point (hidden subcommand): connect to
 /// the coordinator socket and serve supersteps until told to finish.
 fn backend_worker(args: &Args) -> Result<(), String> {
-    args.only("backend-worker", &[&["socket", "worker"]])?;
     let socket = args.required("socket")?;
     let worker: u32 =
         args.required("worker")?.parse().map_err(|_| "invalid --worker id".to_string())?;
@@ -677,7 +709,6 @@ fn bfs_evolving(
 fn sssp_cmd(args: &Args) -> Result<(), String> {
     use gpu_cluster_bfs::core::sssp::DistributedSssp;
     use gpu_cluster_bfs::graph::weighted::{WeightedEdgeList, UNREACHABLE};
-    args.only("sssp", &[GRID, &["source", "max-weight", "weight-seed"]])?;
     let path = args.positional.get(1).ok_or("sssp needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -707,25 +738,6 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     use gpu_cluster_bfs::graph::weighted::WeightedEdgeList;
     use gpu_cluster_bfs::serve::generate;
 
-    args.only(
-        "serve",
-        &[
-            GRID,
-            &[
-                "qps",
-                "arrivals",
-                "seed",
-                "deadline-ms",
-                "batch",
-                "window-ms",
-                "queue",
-                "pool",
-                "tenants",
-                "sssp-permille",
-                "pagerank-permille",
-            ],
-        ],
-    )?;
     let path = args.positional.get(1).ok_or("serve needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -854,7 +866,6 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn components_cmd(args: &Args) -> Result<(), String> {
-    args.only("components", &[GRID])?;
     let path = args.positional.get(1).ok_or("components needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -883,7 +894,6 @@ fn components_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn betweenness_cmd(args: &Args) -> Result<(), String> {
-    args.only("betweenness", &[GRID, &["samples"]])?;
     let path = args.positional.get(1).ok_or("betweenness needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;
@@ -914,7 +924,6 @@ fn betweenness_cmd(args: &Args) -> Result<(), String> {
 }
 
 fn pagerank_cmd(args: &Args) -> Result<(), String> {
-    args.only("pagerank", &[GRID, &["damping", "iterations"]])?;
     let path = args.positional.get(1).ok_or("pagerank needs a file")?;
     let graph = load(path)?;
     let topo = topology(args)?;

@@ -18,6 +18,7 @@ use gpu_cluster_bfs::compress::CompressionMode;
 use gpu_cluster_bfs::core::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBackend, SimBackend};
 use gpu_cluster_bfs::core::checkpoint::Checkpoint;
+use gpu_cluster_bfs::core::comm::Block;
 use gpu_cluster_bfs::core::driver::RunError;
 use gpu_cluster_bfs::core::masks::DelegateMask;
 use gpu_cluster_bfs::core::procrt::protocol::{read_images, write_images, WireReader, WireWriter};
@@ -25,8 +26,9 @@ use gpu_cluster_bfs::core::procrt::{
     ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
 };
 use gpu_cluster_bfs::core::recovery::RecoveryConfig;
-use gpu_cluster_bfs::core::superstep::{Block, HostedGroup};
+use gpu_cluster_bfs::core::superstep::HostedGroup;
 use gpu_cluster_bfs::graph::builders;
+use gpu_cluster_bfs::obs::{Channel, MessageKind, ObservabilityConfig};
 use gpu_cluster_bfs::prelude::*;
 use std::time::Duration;
 
@@ -327,8 +329,9 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
 // ---------------------------------------------------------------------------
 // The shared superstep core, in process: the steps `procrt::worker` runs
 // over its hosted flats, driven here the way the coordinator drives them
-// (OR the changed mask contributions, hand each block to the group that
-// hosts its destination), must reproduce the sim driver bit for bit.
+// (OR the changed mask contributions, carry each block through the wire
+// codec to the group that hosts its destination), must reproduce the sim
+// driver bit for bit.
 // ---------------------------------------------------------------------------
 
 fn seeded_groups(
@@ -345,29 +348,37 @@ fn seeded_groups(
     groups
 }
 
-/// Runs supersteps `iter..` until the frontier drains. Returns the
-/// frontier total entering each.
+/// Per superstep of a traversal over groups: the frontier total entering
+/// it and the wire bytes of its cross-rank block bodies.
+#[derive(Debug, Default, PartialEq)]
+struct Steps {
+    frontiers: Vec<u64>,
+    cross_rank_bytes: Vec<u64>,
+}
+
+/// Runs supersteps `iter..` until the frontier drains.
 fn run_from(
     dist: &DistributedGraph,
     config: &BfsConfig,
     groups: &mut [HostedGroup],
     iter: u32,
-) -> Vec<u64> {
-    let d = dist.separation().num_delegates();
-    let mut frontier_totals = Vec::new();
+) -> Steps {
+    let mut steps = Steps::default();
     for iter in iter.. {
         let frontier: u64 = groups.iter().map(|g| g.frontier_counts().0).sum();
         if frontier == 0 && groups[0].frontier_counts().1 == 0 {
             break;
         }
-        frontier_totals.push(frontier);
-        step(config, d, groups, iter);
+        steps.frontiers.push(frontier);
+        steps.cross_rank_bytes.push(step(dist, config, groups, iter));
     }
-    frontier_totals
+    steps
 }
 
 /// One superstep over `groups`, driven the way the coordinator drives it.
-fn step(config: &BfsConfig, d: u32, groups: &mut [HostedGroup], iter: u32) {
+/// Returns the wire bytes of the cross-rank blocks' bodies.
+fn step(dist: &DistributedGraph, config: &BfsConfig, groups: &mut [HostedGroup], iter: u32) -> u64 {
+    let (topo, d) = (dist.topology(), dist.separation().num_delegates());
     let mut outputs: Vec<_> = groups.iter_mut().map(|g| g.compute(iter)).collect();
 
     let mut or_words = vec![0u64; (d as usize).div_ceil(64)];
@@ -388,16 +399,28 @@ fn step(config: &BfsConfig, d: u32, groups: &mut [HostedGroup], iter: u32) {
     }
 
     let mut inboxes: Vec<Vec<Block>> = vec![Vec::new(); groups.len()];
+    let mut cross_rank_bytes = 0;
     for (g, out) in groups.iter().zip(&mut outputs) {
         for block in g.outgoing_blocks(out, config) {
+            if !topo.same_rank(topo.unflat(block.src), topo.unflat(block.dst)) {
+                cross_rank_bytes += block.wire_bytes();
+            }
+            let mut w = WireWriter::new();
+            block.encode(&mut w);
+            let body = w.finish();
+            let mut r = WireReader::new(&body);
+            let shipped = Block::decode(&mut r, topo.num_gpus() as usize).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(shipped, block, "the block codec is lossless");
             let host = groups.iter().position(|h| h.hosts(block.dst)).expect("every flat hosted");
-            inboxes[host].push(block);
+            inboxes[host].push(shipped);
         }
     }
     for ((g, out), blocks) in groups.iter_mut().zip(&mut outputs).zip(inboxes) {
         let delivered = g.deliveries(blocks).unwrap();
         g.commit(out, &delivered, iter + 1);
     }
+    cross_rank_bytes
 }
 
 /// Assembles depths and parents from the groups' workers.
@@ -414,17 +437,17 @@ fn assemble(dist: &DistributedGraph, groups: &[HostedGroup], source: u64) -> (Ve
 }
 
 /// Traverses from `source` with one `HostedGroup` per entry of `hosting`.
-/// Returns depths, parents and the frontier total entering each superstep.
+/// Returns depths, parents and the per-superstep record.
 fn traverse_with_groups(
     dist: &DistributedGraph,
     config: &BfsConfig,
     source: u64,
     hosting: &[Vec<usize>],
-) -> (Vec<u32>, Vec<u64>, Vec<u64>) {
+) -> (Vec<u32>, Vec<u64>, Steps) {
     let mut groups = seeded_groups(dist, config, source, hosting);
-    let frontier_totals = run_from(dist, config, &mut groups, 0);
+    let steps = run_from(dist, config, &mut groups, 0);
     let (depths, parents) = assemble(dist, &groups, source);
-    (depths, parents, frontier_totals)
+    (depths, parents, steps)
 }
 
 #[test]
@@ -452,12 +475,31 @@ fn hosted_groups_match_the_sim_driver_in_process() {
                 let sim = dist.run_with_parents(source, &config).unwrap();
                 let sim_frontiers: Vec<u64> =
                     sim.stats.records.iter().map(|r| r.frontier_len).collect();
+                // The nn wire bytes the sim charges per superstep, read off
+                // its cross-rank message records.
+                let observed = config.with_observability(ObservabilityConfig::Full);
+                let log = dist.run(source, &observed).unwrap().observed.unwrap();
+                let sim_nn_bytes: Vec<u64> = (0..sim.iterations())
+                    .map(|i| {
+                        log.messages
+                            .iter()
+                            .filter(|m| m.iter == i && m.kind == MessageKind::NnUpdate)
+                            .filter(|m| m.channel == Channel::CrossRank)
+                            .map(|m| m.wire_bytes)
+                            .sum()
+                    })
+                    .collect();
                 for hosting in [&whole, &rank_halves] {
-                    let (depths, parents, frontiers) =
+                    let groups = hosting.len();
+                    let (depths, parents, steps) =
                         traverse_with_groups(&dist, &config, source, hosting);
-                    assert_eq!(depths, sim.depths, "depths, {} group(s), {cell}", hosting.len());
+                    assert_eq!(depths, sim.depths, "depths, {groups} group(s), {cell}");
                     assert_eq!(Some(&parents), sim.parents.as_ref(), "parents, {cell}");
-                    assert_eq!(frontiers, sim_frontiers, "frontier totals, {cell}");
+                    assert_eq!(steps.frontiers, sim_frontiers, "frontier totals, {cell}");
+                    assert_eq!(
+                        steps.cross_rank_bytes, sim_nn_bytes,
+                        "shipped vs priced nn bytes, {groups} group(s), {cell}"
+                    );
                 }
             }
         }
@@ -476,10 +518,10 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
     let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
     let config = BfsConfig::new(16);
     let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
-    let (want_depths, want_parents, want_frontiers) =
+    let (want_depths, want_parents, want) =
         traverse_with_groups(&dist, &config, source, &rank_halves);
     let k = 2u32;
-    assert!(want_frontiers.len() > k as usize + 1, "the checkpoint must precede real work");
+    assert!(want.frontiers.len() > k as usize + 1, "the checkpoint must precede real work");
     let num_gpus = topo.num_gpus() as usize;
 
     for spread in [false, true] {
@@ -487,7 +529,7 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
         let mut frontiers = Vec::new();
         for iter in 0..k {
             frontiers.push(groups.iter().map(|g| g.frontier_counts().0).sum());
-            step(&config, dist.separation().num_delegates(), &mut groups, iter);
+            step(&dist, &config, &mut groups, iter);
         }
         let workers: Vec<_> = groups.iter().flat_map(|g| g.workers.iter().cloned()).collect();
         let cp = Checkpoint::capture(k, &workers, 0);
@@ -533,10 +575,10 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
             r.expect_end().unwrap();
             g.restore(&dist, &config, true, &images).unwrap();
         }
-        frontiers.extend(run_from(&dist, &config, &mut groups, k));
+        frontiers.extend(run_from(&dist, &config, &mut groups, k).frontiers);
         let (depths, parents) = assemble(&dist, &groups, source);
         assert_eq!(depths, want_depths, "depths, spread {spread}");
         assert_eq!(parents, want_parents, "parents, spread {spread}");
-        assert_eq!(frontiers, want_frontiers, "frontier totals, spread {spread}");
+        assert_eq!(frontiers, want.frontiers, "frontier totals, spread {spread}");
     }
 }

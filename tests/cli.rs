@@ -204,6 +204,29 @@ fn options_a_command_does_not_read_are_rejected() {
 }
 
 #[test]
+fn malformed_options_are_rejected() {
+    let file = tmp("malformed.bin");
+    let path = file.to_str().unwrap();
+    assert!(gcbfs(&["generate", "rmat", "--scale", "8", "--out", path]).status.success());
+    let rejected = |args: &[&str], why: &str| {
+        let out = gcbfs(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+    };
+    // A switch given a value must not run without validating.
+    rejected(&["bfs", path, "--validate", "1"], "--validate takes no value, got 1");
+    // An option given no value must not run at its default.
+    rejected(&["bfs", path, "--threshold"], "--threshold needs a value");
+    rejected(&["bfs", path, "--threshold", "--validate"], "--threshold needs a value");
+    // A repeated name is ambiguous, whichever occurrence would win.
+    rejected(&["bfs", path, "--threshold", "4", "--threshold", "100"], "--threshold given more");
+    rejected(&["bfs", path, "--parents", "--parents"], "--parents given more");
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn deterministic_generation_via_seed() {
     let a = tmp("seed-a.bin");
     let b = tmp("seed-b.bin");

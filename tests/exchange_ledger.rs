@@ -28,8 +28,8 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-fn row(graph: &EdgeList, source: u64, topo: Topology, config: &BfsConfig, name: &str) -> String {
-    let config = config.clone().with_observability(ObservabilityConfig::Full);
+fn row(graph: &EdgeList, source: u64, topo: Topology, config: BfsConfig, name: &str) -> String {
+    let config = config.with_observability(ObservabilityConfig::Full);
     let dist = DistributedGraph::build(graph, topo, &config).unwrap();
     let r = dist.run(source, &config).unwrap();
     let c = r.stats.codec_totals();
@@ -67,22 +67,13 @@ fn ledger() -> String {
     for (ranks, gpus) in [(2, 2), (4, 2)] {
         for (label, mode) in modes {
             for lu in [false, true] {
-                if label == "bitmap+rle" && !lu {
-                    // Panics: without uniquify a message can repeat a
-                    // slot, and the bitmap codec rejects repeats.
-                    continue;
-                }
                 let config = BfsConfig::new(32)
                     .with_compression(mode)
                     .with_local_all2all(lu)
                     .with_uniquify(lu);
                 let name = format!("{ranks}x{gpus} {label} {}", if lu { "L+U" } else { "plain" });
-                writeln!(
-                    out,
-                    "{}",
-                    row(&graph, source, Topology::new(ranks, gpus), &config, &name)
-                )
-                .unwrap();
+                writeln!(out, "{}", row(&graph, source, Topology::new(ranks, gpus), config, &name))
+                    .unwrap();
             }
         }
     }
@@ -91,7 +82,7 @@ fn ledger() -> String {
         .with_local_all2all(true)
         .with_uniquify(true)
         .with_overlap(true);
-    writeln!(out, "{}", row(&graph, source, Topology::new(4, 2), &overlap, "4x2 adaptive L+U+O"))
+    writeln!(out, "{}", row(&graph, source, Topology::new(4, 2), overlap, "4x2 adaptive L+U+O"))
         .unwrap();
     out
 }
