@@ -9,6 +9,12 @@
 //! time of both phases separately (they land in different phases of the
 //! Fig. 8/10 breakdown).
 //!
+//! Its global phase is built from one [`MaskContribution`] per rank:
+//! [`rank_contributions`] forms them in wire form and
+//! [`reduce_contributions`] decodes and ORs them. Proc workers call the
+//! same two functions and the coordinator relays the contributions
+//! unopened, so the sim prices exactly the mask bytes the proc ships.
+//!
 //! [`local_all2all_regroup`] implements the *Local All2all* optimization of
 //! §V-B: regroup traffic inside each rank so that vertices bound for GPU `x`
 //! of any rank are all held by the local GPU `x`, cutting the number of
@@ -16,7 +22,9 @@
 
 use crate::cost::{CostModel, KernelKind};
 use crate::topology::{GpuId, Topology};
-use gcbfs_compress::{decode_mask, CodecCounts, CompressionMode};
+use gcbfs_compress::{
+    decode_mask_into, mask_header, CodecCounts, CompressionMode, DecodeError, WireBody,
+};
 use gcbfs_trace::CollectiveHop;
 use rayon::prelude::*;
 
@@ -103,101 +111,57 @@ pub fn allreduce_or(
 
 /// [`allreduce_or`] with an optional compression mode on the global
 /// (InfiniBand) phase — the §V-A `d/8`-byte messages are this simulator's
-/// second remote-byte producer.
+/// second remote-byte producer. The *local* NVLink phase always moves raw
+/// masks.
 ///
-/// `prev_reduced` is the previous iteration's reduced mask, which every
-/// rank already holds after consuming the last collective; the
-/// differential [`gcbfs_compress::MaskCodec::SparseIndex`] codec encodes
-/// only the bits newly set since then (the visited mask is monotone, so
-/// the delta is tiny on most iterations). The *local* NVLink phase always
-/// moves raw masks.
-///
-/// Under a compressing mode every rank's global-phase contribution is
-/// really encoded and decoded, and the returned `reduced` is the OR of
-/// the *decoded* masks — bit-exactness survives the roundtrip by
-/// construction. Per-message wire cost is the largest encoded
-/// contribution (a tree round waits for its slowest edge), floored at
-/// the transport envelope.
+/// The global phase is the one the proc backend ships: the
+/// [`rank_contributions`] encoded against `reference`, reduced by
+/// [`reduce_contributions`]. Per-message wire cost is the largest
+/// contribution's (a tree round waits for its slowest edge), an encoded
+/// one floored at the transport envelope.
 ///
 /// # Panics
 /// Panics if mask lengths differ, the GPU count does not match the
-/// topology, or `prev_reduced` has a different width than the masks.
+/// topology, or `reference` has a different width than the masks.
 pub fn allreduce_or_compressed(
     topology: Topology,
     cost: &CostModel,
     masks: &[Vec<u64>],
     blocking: bool,
     mode: CompressionMode,
-    prev_reduced: Option<&[u64]>,
+    reference: Option<&[u64]>,
 ) -> AllreduceOutcome {
     let p = topology.num_gpus() as usize;
     assert_eq!(masks.len(), p, "one mask per GPU required");
     let words = masks.first().map(Vec::len).unwrap_or(0);
     assert!(masks.iter().all(|m| m.len() == words), "mask lengths must agree");
-    if let Some(prev) = prev_reduced {
-        assert_eq!(prev.len(), words, "prev_reduced width must match the masks");
-    }
 
-    let pgpu = topology.gpus_per_rank() as usize;
-    // Local phase: OR within each rank (conceptually: peers push to GPU0).
-    let per_rank: Vec<Vec<u64>> = masks
-        .par_chunks(pgpu)
-        .map(|rank_masks| {
-            let mut acc = rank_masks[0].clone();
-            for m in &rank_masks[1..] {
-                for (a, &b) in acc.iter_mut().zip(m) {
-                    *a |= b;
-                }
-            }
-            acc
-        })
-        .collect();
-
+    let flats: Vec<usize> = (0..p).collect();
+    let contributions = rank_contributions(topology, mode, reference, &flats, masks);
     let raw_bytes = (words * 8) as u64;
     let local_time = cost.network.local_reduce_time(raw_bytes, topology.gpus_per_rank())
         + cost.network.local_broadcast_time(raw_bytes, topology.gpus_per_rank());
     let nranks = topology.num_ranks();
-
-    let compressing = mode.is_on() && nranks > 1 && words > 0;
+    let bytes_per_message =
+        contributions.iter().map(MaskContribution::wire_bytes).max().unwrap_or(0);
     let mut codec_counts = CodecCounts::default();
-    let mut codec_seconds = 0f64;
-    let mut reduced = vec![0u64; words];
-    let bytes_per_message;
-    let mut global_time;
-    if compressing {
-        // Each rank encodes its contribution against the shared previous
-        // reduction, the wire carries the encoded image, and the reduce
-        // consumes what decodes on the other side.
-        let mut max_wire = 0u64;
-        for rank_mask in &per_rank {
-            let codec = mode.mask_codec(prev_reduced, rank_mask).expect("mode.is_on()");
-            let encoded = codec.encode(prev_reduced, rank_mask).expect("mask encode cannot fail");
-            max_wire = max_wire.max(encoded.len() as u64);
-            codec_counts.record_mask(codec);
-            let (decoded, _) =
-                decode_mask(&encoded, prev_reduced).expect("self-encoded mask must decode");
-            debug_assert_eq!(&decoded, rank_mask, "mask roundtrip must be bit-exact");
-            for (a, &b) in reduced.iter_mut().zip(&decoded) {
-                *a |= b;
-            }
+    for c in &contributions {
+        if let WireBody::Encoded(bytes) = &c.body {
+            codec_counts.record_mask(mask_header(bytes).expect("an own encoding has a header").0);
         }
-        bytes_per_message = max_wire;
-        global_time = cost.network.allreduce_time_floored(max_wire, nranks, blocking);
+    }
+    let (global_time, codec_seconds) = if codec_counts.mask_total() > 0 {
         // One encode + one decode of the full mask sits on the critical
         // path; ranks codec their contributions in parallel.
-        codec_seconds = cost.device.kernel_time(KernelKind::Compress, raw_bytes)
+        let codec_seconds = cost.device.kernel_time(KernelKind::Compress, raw_bytes)
             + cost.device.kernel_time(KernelKind::Decompress, raw_bytes);
-        global_time += codec_seconds;
+        let wire = cost.network.allreduce_time_floored(bytes_per_message, nranks, blocking);
+        (wire + codec_seconds, codec_seconds)
     } else {
-        for rank_mask in &per_rank {
-            for (a, &b) in reduced.iter_mut().zip(rank_mask) {
-                *a |= b;
-            }
-        }
-        bytes_per_message = raw_bytes;
-        global_time = cost.network.allreduce_time(raw_bytes, nranks, blocking);
-    }
-
+        (cost.network.allreduce_time(raw_bytes, nranks, blocking), 0.0)
+    };
+    let reduced = reduce_contributions(nranks, words, reference, &contributions)
+        .expect("own contributions reduce");
     AllreduceOutcome {
         reduced,
         local_time,
@@ -207,6 +171,128 @@ pub fn allreduce_or_compressed(
         codec_seconds,
         codec_counts,
     }
+}
+
+/// One rank's share of the global mask reduction: the OR of its GPUs'
+/// masks, already in wire form.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MaskContribution {
+    /// The contributing rank.
+    pub rank: u32,
+    /// Raw words, or one mask-codec encoding against the shared reference.
+    pub body: WireBody<u64>,
+}
+
+impl MaskContribution {
+    /// Bytes the body occupies on the wire.
+    pub fn wire_bytes(&self) -> u64 {
+        self.body.wire_bytes()
+    }
+}
+
+/// `rank`'s contribution of `words`: raw when `mode` is off, otherwise
+/// encoded against `reference` with the codec `mode` picks — the only
+/// place a mask codec is chosen and run.
+pub fn contribute(
+    mode: CompressionMode,
+    reference: Option<&[u64]>,
+    rank: u32,
+    words: Vec<u64>,
+) -> MaskContribution {
+    let body = match mode.mask_codec(reference, &words) {
+        Some(c) => WireBody::Encoded(c.encode(reference, &words).expect("mask encode cannot fail")),
+        None => WireBody::Raw(words),
+    };
+    MaskContribution { rank, body }
+}
+
+/// One [`contribute`]d mask per rank of `flats` (ascending GPU flats;
+/// `masks[i]` is GPU `flats[i]`'s): the OR of the rank's GPU masks — the
+/// local phase. A single-rank grid never compresses, since its reduction
+/// never leaves the rank.
+pub fn rank_contributions<M: AsRef<[u64]> + Sync>(
+    topology: Topology,
+    mode: CompressionMode,
+    reference: Option<&[u64]>,
+    flats: &[usize],
+    masks: &[M],
+) -> Vec<MaskContribution> {
+    let pgpu = topology.gpus_per_rank() as usize;
+    let wide = masks.first().is_some_and(|m| !m.as_ref().is_empty());
+    let mode = if topology.num_ranks() > 1 && wide { mode } else { CompressionMode::Off };
+    let mut rest = masks;
+    let ranks: Vec<(u32, &[M])> = flats
+        .chunk_by(|a, b| a / pgpu == b / pgpu)
+        .map(|run| {
+            let (head, tail) = rest.split_at(run.len());
+            rest = tail;
+            ((run[0] / pgpu) as u32, head)
+        })
+        .collect();
+    ranks
+        .into_par_iter()
+        .map(|(rank, rank_masks)| {
+            let mut acc = rank_masks[0].as_ref().to_vec();
+            for m in &rank_masks[1..] {
+                acc.iter_mut().zip(m.as_ref()).for_each(|(a, &b)| *a |= b);
+            }
+            contribute(mode, reference, rank, acc)
+        })
+        .collect()
+}
+
+/// Why a list of mask contributions does not reduce, naming the rank.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReduceError {
+    /// A rank outside the grid.
+    RankOutOfRange(u32),
+    /// A second contribution from one rank.
+    RepeatedRank(u32),
+    /// A body (or an encoded body's header) of another width than the mask.
+    WrongWidth(u32),
+    /// An encoded body that does not decode.
+    Undecodable(u32, DecodeError),
+}
+
+/// The OR of `contributions`, `width` words wide, encoded bodies decoded
+/// against `reference`.
+///
+/// # Errors
+/// A rank outside a `num_ranks`-rank grid, a repeated rank, a body of the
+/// wrong width (an encoded one's header is checked before it can drive an
+/// allocation), or an encoded body that does not decode.
+pub fn reduce_contributions(
+    num_ranks: u32,
+    width: usize,
+    reference: Option<&[u64]>,
+    contributions: &[MaskContribution],
+) -> Result<Vec<u64>, ReduceError> {
+    let mut seen = vec![false; num_ranks as usize];
+    let mut reduced = vec![0u64; width];
+    let mut decoded = Vec::new();
+    for &MaskContribution { rank, ref body } in contributions {
+        let seen = seen.get_mut(rank as usize).ok_or(ReduceError::RankOutOfRange(rank))?;
+        if std::mem::replace(seen, true) {
+            return Err(ReduceError::RepeatedRank(rank));
+        }
+        let words = match body {
+            WireBody::Raw(words) => words,
+            WireBody::Encoded(bytes) => {
+                let undecodable = |e| ReduceError::Undecodable(rank, e);
+                if mask_header(bytes).map_err(undecodable)?.1 as usize != width {
+                    return Err(ReduceError::WrongWidth(rank));
+                }
+                decoded.clear();
+                decode_mask_into(bytes, reference, &mut decoded).map_err(undecodable)?;
+                &decoded
+            }
+        };
+        if words.len() != width {
+            return Err(ReduceError::WrongWidth(rank));
+        }
+        reduced.iter_mut().zip(words).for_each(|(a, &b)| *a |= b);
+    }
+    Ok(reduced)
 }
 
 /// Generic two-phase element-wise allreduce: intra-rank reduce (NVLink, to
@@ -534,6 +620,66 @@ mod tests {
         assert_eq!(out.global_time, base.global_time);
         assert_eq!(out.bytes_per_message, base.bytes_per_message);
         assert_eq!(out.codec_seconds, 0.0);
+    }
+
+    fn raw(rank: u32, words: &[u64]) -> MaskContribution {
+        MaskContribution { rank, body: WireBody::Raw(words.to_vec()) }
+    }
+
+    #[test]
+    fn contributions_reduce_to_the_or_under_every_mode() {
+        let reference = [0b0011u64, 0];
+        let words = [[0b0111u64, 1], [0b1011, 0], [0b0011, 1 << 63]];
+        for mode in [CompressionMode::Off, CompressionMode::Adaptive] {
+            for reference in [None, Some(&reference[..])] {
+                let cs: Vec<_> = (0..3)
+                    .map(|r| contribute(mode, reference, r as u32, words[r].to_vec()))
+                    .collect();
+                assert_eq!(cs.iter().all(|c| matches!(c.body, WireBody::Raw(_))), !mode.is_on());
+                let reduced = reduce_contributions(3, 2, reference, &cs).unwrap();
+                assert_eq!(reduced, vec![0b1111, 1 | 1 << 63], "{mode}");
+            }
+        }
+        assert_eq!(reduce_contributions(3, 2, None, &[]).unwrap(), vec![0, 0]);
+    }
+
+    #[test]
+    fn hostile_contribution_lists_are_typed_errors() {
+        use ReduceError::*;
+        let reduce = |cs: &[MaskContribution]| reduce_contributions(2, 2, None, cs).unwrap_err();
+        assert_eq!(reduce(&[raw(2, &[0, 0])]), RankOutOfRange(2));
+        assert_eq!(reduce(&[raw(1, &[0, 0]), raw(1, &[1, 0])]), RepeatedRank(1));
+        assert_eq!(reduce(&[raw(0, &[0])]), WrongWidth(0));
+        // An encoded body whose header claims another width is refused
+        // before its (hostile) count drives any allocation.
+        let wide = contribute(CompressionMode::Adaptive, None, 0, vec![0; 3]);
+        assert_eq!(reduce(&[wide]), WrongWidth(0));
+        let huge = WireBody::Encoded(vec![0x12, 0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(reduce(&[MaskContribution { rank: 1, body: huge }]), WrongWidth(1));
+        let good = contribute(CompressionMode::Adaptive, None, 1, vec![1, 1 << 40]);
+        let WireBody::Encoded(bytes) = &good.body else { panic!("adaptive encodes") };
+        let mut tagged = bytes.clone();
+        tagged[0] = 0x7f;
+        let bad_tag = MaskContribution { rank: 1, body: WireBody::Encoded(tagged) };
+        assert_eq!(reduce(&[bad_tag]), Undecodable(1, DecodeError::UnknownTag(0x7f)));
+        for len in 0..bytes.len() {
+            let cut = MaskContribution { rank: 1, body: WireBody::Encoded(bytes[..len].to_vec()) };
+            assert!(matches!(reduce(&[cut]), Undecodable(1, _)), "truncated to {len}");
+        }
+        assert_eq!(reduce(&[good.clone(), good]), RepeatedRank(1));
+    }
+
+    #[test]
+    fn rank_contributions_or_within_each_hosted_rank() {
+        let topo = Topology::new(4, 2);
+        let masks = [vec![1u64], vec![2], vec![4], vec![8]];
+        // Ranks 1 and 3 of a round-robin host: flats 2, 3, 6, 7.
+        let cs = rank_contributions(topo, CompressionMode::Off, None, &[2, 3, 6, 7], &masks);
+        assert_eq!(cs, vec![raw(1, &[3]), raw(3, &[12])]);
+        // A single-rank grid reduces locally and never encodes.
+        let one = Topology::new(1, 2);
+        let cs = rank_contributions(one, CompressionMode::Adaptive, None, &[0, 1], &masks[..2]);
+        assert_eq!(cs, vec![raw(0, &[3])]);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use frame::{
     Frame, FrameError, FRAME_HEADER_BYTES, FRAME_MAGIC, FRAME_VERSION, MAX_FRAME_PAYLOAD,
 };
 pub use frontier::{decode_frontier, decode_frontier_into, frontier_header, FrontierCodec};
-pub use mask::{decode_mask, decode_mask_into, MaskCodec, MAX_UNTRUSTED_WORDS};
+pub use mask::{decode_mask, decode_mask_into, mask_header, MaskCodec, MAX_UNTRUSTED_WORDS};
 pub use seal::{fnv1a, IntegrityError, SealedPayload};
 pub use select::{select_frontier_codec, select_mask_codec, CodecCounts, CompressionMode};
 
@@ -71,6 +71,29 @@ pub const FRONTIER_ITEM_BYTES: usize = 4;
 
 /// Bytes per raw mask word (one `u64` of delegate visited bits, §V-A).
 pub const MASK_WORD_BYTES: usize = 8;
+
+/// A message body in the form it travels in: the raw elements (the
+/// paper's format) or one codec encoding. Both remote-byte producers ship
+/// one — an `nn` block over `u32` slots, a delegate-mask contribution over
+/// `u64` words.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum WireBody<T> {
+    /// Raw elements, `size_of::<T>()` bytes each on the wire.
+    Raw(Vec<T>),
+    /// One codec encoding (header + payload).
+    Encoded(Vec<u8>),
+}
+
+impl<T> WireBody<T> {
+    /// Bytes the body occupies on the wire: what the model charges and
+    /// what a socket carries.
+    pub fn wire_bytes(&self) -> u64 {
+        match self {
+            Self::Raw(items) => (items.len() * std::mem::size_of::<T>()) as u64,
+            Self::Encoded(bytes) => bytes.len() as u64,
+        }
+    }
+}
 
 /// Why a payload could not be encoded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -179,6 +179,20 @@ pub fn decode_mask(
     Ok((out, codec))
 }
 
+/// Reads one mask message's header: the codec named by its wire tag and
+/// its width in words, without touching the payload.
+pub fn mask_header(bytes: &[u8]) -> Result<(MaskCodec, u32), DecodeError> {
+    let (wire_tag, count, _) = read_header(bytes)?;
+    Ok((codec_of(wire_tag)?, count))
+}
+
+fn codec_of(wire_tag: u8) -> Result<MaskCodec, DecodeError> {
+    MaskCodec::ALL
+        .into_iter()
+        .find(|c| c.tag() == wire_tag & !tag::FALLBACK)
+        .ok_or(DecodeError::UnknownTag(wire_tag))
+}
+
 /// Decodes one mask message into `out` (appending `count` words).
 pub fn decode_mask_into(
     bytes: &[u8],
@@ -186,13 +200,8 @@ pub fn decode_mask_into(
     out: &mut Vec<u64>,
 ) -> Result<MaskCodec, DecodeError> {
     let (wire_tag, count, payload) = read_header(bytes)?;
+    let codec = codec_of(wire_tag)?;
     let n = count as usize;
-    let codec = match wire_tag & !tag::FALLBACK {
-        tag::RAW_MASK => MaskCodec::RawMask,
-        tag::RLE_MASK => MaskCodec::RleMask,
-        tag::SPARSE_INDEX => MaskCodec::SparseIndex,
-        _ => return Err(DecodeError::UnknownTag(wire_tag)),
-    };
     if let Some(p) = prev {
         if p.len() != n {
             return Err(DecodeError::Corrupt);
@@ -295,6 +304,19 @@ mod tests {
             roundtrip(codec, None, &[0]);
             roundtrip(codec, None, &[u64::MAX]);
         }
+    }
+
+    #[test]
+    fn mask_header_names_the_codec_and_width_of_fallbacks_too() {
+        let dense: Vec<u64> = (0..4).map(|w| 0x9e37_79b9_7f4a_7c15u64.rotate_left(w)).collect();
+        for codec in MaskCodec::ALL {
+            for cur in [vec![0u64; 7], dense.clone()] {
+                let enc = codec.encode(None, &cur).unwrap();
+                assert_eq!(mask_header(&enc), Ok((codec, cur.len() as u32)));
+            }
+        }
+        assert_eq!(mask_header(&[0x7f, 0, 0, 0, 0]), Err(DecodeError::UnknownTag(0x7f)));
+        assert_eq!(mask_header(&[0x11, 0, 0]), Err(DecodeError::Truncated));
     }
 
     #[test]

@@ -40,7 +40,7 @@ use gcbfs_trace::{FaultKind, SinkMark};
 struct SdcShadow {
     state: Checkpoint,
     delayed: Vec<(u32, usize, u32)>,
-    prev_reduced: Option<Vec<u64>>,
+    reference_held: bool,
     verify: VerifyState,
 }
 
@@ -175,7 +175,7 @@ impl<'a> Chaos<'a> {
         self.shadow = t.verify.as_ref().map(|vs| SdcShadow {
             state: Checkpoint::capture(t.iter, &t.group.workers, t.records.len()),
             delayed: self.delayed.clone(),
-            prev_reduced: t.prev_reduced.clone(),
+            reference_held: t.group.reference_held,
             verify: vs.clone(),
         });
         Ok(false)
@@ -280,10 +280,10 @@ impl<'a> Chaos<'a> {
             s.record_fault(FaultKind::Recovery, t.iter, spent);
         }
         t.iter = resume_at;
-        // The codec reference mask is ahead of the restored state; drop it
-        // so the next reduction encodes from scratch (the codecs would
-        // fall back to raw anyway).
-        t.prev_reduced = None;
+        // The codec reference is ahead of the restored state; drop it so
+        // the next reduction encodes from scratch, as a restored proc
+        // worker does.
+        t.group.reference_held = false;
         // In-flight stragglers are superseded by the restored state
         // (checkpoints sit at message-free boundaries).
         self.delayed.clear();
@@ -440,7 +440,7 @@ impl<'a> Chaos<'a> {
                 &attempt_words,
                 config.blocking_reduce,
                 config.compression,
-                t.prev_reduced.as_deref(),
+                t.group.mask_reference(config.compression),
             );
             let Some(gpu) = corrupted else { break out };
             if !config.recovery.enabled || attempt >= MAX_RETRIES {
@@ -584,7 +584,7 @@ impl<'a> Chaos<'a> {
             let snap = self.shadow.take().expect("shadow captured when verification is armed");
             restore(&snap.state, &mut t.group.workers, iter)?;
             self.delayed = snap.delayed;
-            t.prev_reduced = snap.prev_reduced;
+            t.group.reference_held = snap.reference_held;
             t.verify = Some(snap.verify);
             return Ok(());
         }

@@ -25,7 +25,7 @@ use gcbfs_cluster::collectives::local_all2all_regroup;
 use gcbfs_cluster::cost::{CostModel, KernelKind};
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::{
-    decode_frontier_into, frontier_header, CodecCounts, CompressionMode, HEADER_BYTES,
+    decode_frontier_into, frontier_header, CodecCounts, CompressionMode, WireBody, HEADER_BYTES,
 };
 use gcbfs_trace::MessageRecord;
 use rayon::prelude::*;
@@ -222,25 +222,17 @@ pub struct Block {
     pub body: BlockBody,
 }
 
-/// The wire form of a [`Block`]'s destination-local slots.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BlockBody {
-    /// The paper's format, 4 bytes per slot, in send order: same-GPU and
-    /// intra-rank pairs, and every pair when compression is off.
-    Raw(Vec<u32>),
-    /// One frontier-codec encoding (header + payload) of the sorted slots:
-    /// a cross-rank pair under a compressing mode.
-    Encoded(Vec<u8>),
-}
+/// The wire form of a [`Block`]'s destination-local slots: raw, 4 bytes
+/// per slot in send order (same-GPU and intra-rank pairs, and every pair
+/// when compression is off), or one frontier-codec encoding of the sorted
+/// slots (a cross-rank pair under a compressing mode).
+pub type BlockBody = WireBody<u32>;
 
 impl Block {
     /// Bytes the body occupies on the wire: what the modeled exchange
     /// charges and what a socket carries.
     pub fn wire_bytes(&self) -> u64 {
-        match &self.body {
-            BlockBody::Raw(slots) => slots.len() as u64 * BYTES_PER_UPDATE,
-            BlockBody::Encoded(bytes) => bytes.len() as u64,
-        }
+        self.body.wire_bytes()
     }
 }
 

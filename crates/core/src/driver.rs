@@ -122,10 +122,6 @@ pub(crate) struct Traversal {
     pub iter: u32,
     /// Committed supersteps.
     pub records: Vec<IterationRecord>,
-    /// Previous iteration's *reduced* delegate mask — the shared
-    /// reference the differential sparse-index mask codec encodes against
-    /// (both ends of the collective hold it by construction).
-    pub prev_reduced: Option<Vec<u64>>,
     /// Online verification's settle digests; `None` when `Off`.
     pub verify: Option<VerifyState>,
     /// The observability sink; `None` when `Off`.
@@ -152,7 +148,6 @@ impl Traversal {
             group,
             iter: 0,
             records: Vec::new(),
-            prev_reduced: None,
             verify: config
                 .verification
                 .is_on()
@@ -388,14 +383,11 @@ impl DistributedGraph {
                         &words,
                         config.blocking_reduce,
                         config.compression,
-                        t.prev_reduced.as_deref(),
+                        t.group.mask_reference(config.compression),
                     ),
                 };
                 violation = verify::check_mask_reduction(vmode, &words, &outcome.reduced);
                 pricer.mask_reduction(&mut price, &outcome);
-                if config.compression.is_on() {
-                    t.prev_reduced = Some(outcome.reduced.clone());
-                }
                 let reduced = DelegateMask::from_words(d, outcome.reduced);
                 // Shadow the delegate settles the consume below performs.
                 // A spurious reduction bit folds in here too — consistently

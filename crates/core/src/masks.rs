@@ -46,12 +46,6 @@ impl DelegateMask {
         self.words[wi]
     }
 
-    /// Iterates `(word_index, word)` over the non-zero words — the sparse
-    /// word-level view the word-parallel kernels scan.
-    pub fn iter_set_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.words.iter().enumerate().filter(|&(_, &w)| w != 0).map(|(wi, &w)| (wi, w))
-    }
-
     /// Iterates `(word_index, self & !other)` over the non-zero result
     /// words: the unvisited-candidate view of the bottom-up kernels.
     pub fn andnot_words<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = (usize, u64)> + 'a {
@@ -83,18 +77,7 @@ impl DelegateMask {
         })
     }
 
-    /// Replaces the backing words (consuming a reduced mask).
-    ///
-    /// # Panics
-    /// Panics if the word count changes.
-    pub fn set_words(&mut self, words: Vec<u64>) {
-        assert_eq!(words.len(), self.words.len(), "mask width must not change");
-        self.words = words;
-    }
-
-    /// Wraps an already-populated word vector (consuming a reduced mask)
-    /// without the intermediate zero-fill `new` + [`Self::set_words`]
-    /// would pay.
+    /// Wraps an already-populated word vector (consuming a reduced mask).
     ///
     /// # Panics
     /// Panics if `words` is not exactly the width `num_bits` requires.
@@ -223,18 +206,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "width")]
-    fn set_words_rejects_resize() {
-        let mut m = DelegateMask::new(64);
-        m.set_words(vec![0, 0]);
-    }
-
-    #[test]
-    fn from_words_equals_new_plus_set_words() {
-        let words = vec![0b1011u64, 1 << 63];
-        let direct = DelegateMask::from_words(100, words.clone());
+    fn from_words_wraps_the_words_as_set_bits() {
+        let direct = DelegateMask::from_words(100, vec![0b1011u64, 1 << 35]);
         let mut staged = DelegateMask::new(100);
-        staged.set_words(words);
+        for i in [0, 1, 3, 99] {
+            staged.set(i);
+        }
         assert_eq!(direct, staged);
         assert_eq!(direct.count_ones(), 4);
     }
@@ -263,10 +240,6 @@ mod tests {
             a.andnot_words(&b).flat_map(|(wi, w)| DelegateMask::word_bits(wi, w)).collect();
         let expected: Vec<u32> = (0..300).filter(|&i| a.get(i) && !b.get(i)).collect();
         assert_eq!(via_words, expected);
-        // iter_set_words covers every set bit and skips zero words.
-        let total: u32 = a.iter_set_words().map(|(_, w)| w.count_ones()).sum();
-        assert_eq!(total, a.count_ones());
-        assert!(a.iter_set_words().all(|(_, w)| w != 0));
         assert_eq!(a.num_words(), 5);
         assert_eq!(a.word(0) & 1, 1);
     }

@@ -16,8 +16,8 @@
 //! racing the capture falls back to the previous committed one.
 
 use super::protocol::{
-    kind, read_images, write_images, ConfigWire, ProtocolError, WireReader, WireWriter,
-    PROTO_VERSION,
+    kind, read_contributions, read_images, write_contributions, write_images, ConfigWire,
+    ProtocolError, WireReader, WireWriter, PROTO_VERSION,
 };
 use super::transport::TransportError;
 use super::{hosted_flats, ProcError, ProcOptions, ProcReport, RecoveryReport};
@@ -29,9 +29,10 @@ use crate::driver::BuildError;
 use crate::recovery::{RecoveryConfig, RecoveryMode};
 use crate::separation::Separation;
 use gcbfs_cluster::clock::{Clock, WallClock};
+use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
 use gcbfs_cluster::topology::Topology;
-use gcbfs_compress::{Frame, MaskCodec};
+use gcbfs_compress::Frame;
 use gcbfs_graph::{EdgeList, VertexId};
 use std::collections::HashMap;
 use std::io::Write;
@@ -108,7 +109,6 @@ struct Slot {
 struct Coordinator {
     topo: Topology,
     config_wire: ConfigWire,
-    compression: gcbfs_compress::CompressionMode,
     /// Checkpoint cadence and the re-homing decision.
     recovery: RecoveryConfig,
     /// The degree classification every worker computes too; assembly
@@ -132,7 +132,6 @@ struct Coordinator {
     cp_store: Vec<GpuStateImage>,
     /// Uncommitted saves: iter -> gpu_flat -> image.
     staged: HashMap<u32, HashMap<u32, GpuStateImage>>,
-    prev_reduced: Option<Vec<u64>>,
     spares_left: u32,
     kill_fired: bool,
     kill_time: Option<Instant>,
@@ -231,7 +230,6 @@ impl Coordinator {
         Ok(Self {
             topo,
             config_wire: ConfigWire::from_config(config, track_parents),
-            compression: config.compression,
             recovery: config.recovery,
             separation,
             opts: opts.clone(),
@@ -248,7 +246,6 @@ impl Coordinator {
             cp_iter: None,
             cp_store: Vec::new(),
             staged: HashMap::new(),
-            prev_reduced: None,
             spares_left: topo.num_spares(),
             kill_fired: false,
             kill_time: None,
@@ -576,9 +573,7 @@ impl Coordinator {
         // ---- Collect StepLocal from every live slot. ----
         let deadline = Instant::now() + self.opts.step_timeout;
         let mut pending = self.alive_slots();
-        let mut mask_changed = false;
-        let mut or_words: Vec<u64> =
-            vec![0u64; (self.separation.num_delegates() as usize).div_ceil(64)];
+        let mut contributions: Vec<Vec<MaskContribution>> = vec![Vec::new(); self.slots.len()];
         let mut blocks: Vec<Block> = Vec::new();
         while !pending.is_empty() {
             match self.pump(deadline, iter)? {
@@ -592,19 +587,7 @@ impl Coordinator {
                     if fiter != iter || !pending.contains(&slot) {
                         continue;
                     }
-                    let changed = r.u8()? != 0;
-                    let words = r.u64s()?;
-                    if changed {
-                        mask_changed = true;
-                        if words.len() != or_words.len() {
-                            return Err(
-                                ProtocolError::new("mask contribution width mismatch").into()
-                            );
-                        }
-                        for (acc, w) in or_words.iter_mut().zip(&words) {
-                            *acc |= w;
-                        }
-                    }
+                    contributions[slot] = read_contributions(&mut r, self.topo.num_ranks())?;
                     let nblocks = r.u32()? as usize;
                     for _ in 0..nblocks {
                         blocks.push(Block::decode(&mut r, self.hosting_of.len())?);
@@ -615,28 +598,8 @@ impl Coordinator {
             }
         }
 
-        // ---- Reduce + encode the delegate mask, route the blocks. ----
-        let mask_payload = if mask_changed {
-            // The codec reference is the previous reduced mask; each
-            // worker's shared visited mask equals it after its last
-            // consume, so both ends of the differential codec agree.
-            // After a recovery `prev_reduced` is None and the delta
-            // degrades to all set bits — which the receivers' OR-decode
-            // absorbs exactly (the mask is monotone).
-            let codec = self
-                .compression
-                .mask_codec(self.prev_reduced.as_deref(), &or_words)
-                .unwrap_or(MaskCodec::RawMask);
-            let payload = codec
-                .encode(self.prev_reduced.as_deref(), &or_words)
-                .map_err(|e| ProtocolError::new(format!("mask encode failed: {e:?}")))?;
-            if self.compression.is_on() {
-                self.prev_reduced = Some(or_words.clone());
-            }
-            payload
-        } else {
-            Vec::new()
-        };
+        // ---- Route the blocks; every worker gets every other worker's
+        // mask contributions, unopened, and reduces them with its own. ----
         let mut routed: Vec<Vec<Block>> = (0..self.slots.len()).map(|_| Vec::new()).collect();
         for b in blocks {
             routed[self.hosting_of[b.dst]].push(b);
@@ -649,8 +612,13 @@ impl Coordinator {
         for slot in self.alive_slots() {
             let mut w = WireWriter::new();
             w.u32(iter);
-            w.u8(mask_changed as u8);
-            w.bytes(&mask_payload);
+            let relayed: Vec<MaskContribution> = contributions
+                .iter()
+                .enumerate()
+                .filter(|&(from, _)| from != slot)
+                .flat_map(|(_, cs)| cs.iter().cloned())
+                .collect();
+            write_contributions(&mut w, &relayed);
             let slot_blocks = std::mem::take(&mut routed[slot]);
             w.u32(slot_blocks.len() as u32);
             for b in &slot_blocks {
@@ -785,9 +753,6 @@ impl Coordinator {
             }
         }
 
-        // The differential mask codec's shared reference died with the
-        // aborted superstep; encode the next reduction from scratch.
-        self.prev_reduced = None;
         self.report.recovery = Some(RecoveryReport {
             worker: dead as u32,
             mode,

@@ -5,17 +5,17 @@
 //! The BSP structure is the sim driver's, verbatim — per superstep the
 //! coordinator broadcasts `StepGo`, workers run the *same*
 //! [`GpuWorker::run_iteration`](crate::kernels::GpuWorker) kernels,
-//! reply `StepLocal` with their delegate-mask OR contribution and the
-//! routed nn-update blocks, the coordinator ORs the masks, routes blocks
-//! to the workers hosting their destinations (`StepRemote`), and the
-//! workers form next frontiers and barrier with `StepDone`. The `nn`
-//! blocks are the sim's own: [`form_blocks`](crate::comm::form_blocks)
-//! builds them already encoded, workers and coordinator ship them
-//! unchanged, and [`deliver_blocks`](crate::comm::deliver_blocks) decodes
-//! them in source order — so the proc carries exactly the bytes the sim
-//! prices. With the end-of-run assembly ([`crate::assemble`]) shared as
-//! well, depths and parents are bit-exact across backends by
-//! construction.
+//! reply `StepLocal` with their ranks' delegate-mask contributions and
+//! the routed nn-update blocks, the coordinator relays the contributions
+//! unopened to every other worker and routes blocks to the workers
+//! hosting their destinations (`StepRemote`), and the workers reduce the
+//! masks, form next frontiers and barrier with `StepDone`. Both payloads
+//! are the sim's own, formed already encoded — the masks by
+//! [`collectives`](gcbfs_cluster::collectives), the blocks by
+//! [`form_blocks`](crate::comm::form_blocks) — so the proc carries
+//! exactly the bytes the sim prices. With the end-of-run assembly
+//! ([`crate::assemble`]) shared as well, depths and parents are
+//! bit-exact across backends by construction.
 //!
 //! Liveness is real: workers heartbeat on a wall-clock period, the
 //! coordinator feeds arrivals and silences into the phi-accrual

@@ -2,8 +2,11 @@
 //! field writer/reader pair, the result-affecting config subset shipped
 //! to workers, the wire form of the sealed [`GpuStateImage`] that
 //! checkpoints, restores and the final-state collection carry, and the
-//! frame layout of an `nn` [`Block`] — whose body
-//! [`form_blocks`](crate::comm::form_blocks) already encoded.
+//! frame layouts of an `nn` [`Block`] and of a delegate-mask
+//! [`MaskContribution`] — whose bodies
+//! [`form_blocks`](crate::comm::form_blocks) and
+//! [`rank_contributions`](gcbfs_cluster::collectives::rank_contributions)
+//! already encoded.
 //!
 //! Every message rides one [`Frame`](gcbfs_compress::Frame), so payloads
 //! inherit the frame layer's FNV-1a seal and bounded-allocation decoding.
@@ -12,16 +15,17 @@
 //! coordinator's checkpoint store or crossed a socket.
 
 use crate::checkpoint::GpuStateImage;
-use crate::comm::{Block, BlockBody};
+use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::direction::Direction;
 use crate::kernels::KernelVariant;
+use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::topology::GpuId;
-use gcbfs_compress::{CompressionMode, FrontierCodec, MaskCodec};
+use gcbfs_compress::{CompressionMode, FrontierCodec, MaskCodec, WireBody};
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 3;
+pub const PROTO_VERSION: u32 = 4;
 
 /// Frame kind bytes. One octet per message type, grouped by phase.
 pub mod kind {
@@ -33,9 +37,12 @@ pub mod kind {
     pub const READY: u8 = 0x03;
     /// Coordinator → worker: run local computation for one superstep.
     pub const STEP_GO: u8 = 0x10;
-    /// Worker → coordinator: local results (mask OR + outgoing blocks).
+    /// Worker → coordinator: local results — the hosted ranks' mask
+    /// contributions (none when no hosted bit changed) and the outgoing
+    /// blocks.
     pub const STEP_LOCAL: u8 = 0x11;
-    /// Coordinator → worker: reduced mask + routed incoming blocks.
+    /// Coordinator → worker: the other workers' mask contributions,
+    /// relayed unopened, and the routed incoming blocks.
     pub const STEP_REMOTE: u8 = 0x12;
     /// Worker → coordinator: superstep barrier (frontier statistics).
     pub const STEP_DONE: u8 = 0x13;
@@ -500,34 +507,91 @@ pub fn read_images(
     Ok(images)
 }
 
+/// Appends a [`WireBody`]: a flag byte (1 when encoded), then the body as
+/// length-prefixed bytes — raw elements little-endian, `N` bytes each.
+fn write_body<T: Copy, const N: usize>(
+    w: &mut WireWriter,
+    body: &WireBody<T>,
+    le: fn(T) -> [u8; N],
+) {
+    match body {
+        WireBody::Raw(items) => {
+            w.u8(0);
+            w.u32(body.wire_bytes() as u32);
+            items.iter().for_each(|&x| w.buf.extend_from_slice(&le(x)));
+        }
+        WireBody::Encoded(bytes) => {
+            w.u8(1);
+            w.bytes(bytes);
+        }
+    }
+}
+
+/// Reads a [`write_body`] body; an encoded one is decoded only by its
+/// consumer. A flag other than 0 or 1, or a raw length that is not a
+/// multiple of `N`, is a typed error.
+fn read_body<T, const N: usize>(
+    r: &mut WireReader<'_>,
+    from_le: fn([u8; N]) -> T,
+) -> Result<WireBody<T>, ProtocolError> {
+    let flag = r.u8()?;
+    let bytes = r.bytes()?;
+    match flag {
+        0 if bytes.len().is_multiple_of(N) => Ok(WireBody::Raw(
+            bytes
+                .chunks_exact(N)
+                .map(|c| from_le(c.try_into().expect("an N-byte chunk")))
+                .collect(),
+        )),
+        0 => Err(ProtocolError::new(format!("raw body length not a multiple of {N}"))),
+        1 => Ok(WireBody::Encoded(bytes.to_vec())),
+        f => Err(ProtocolError::new(format!("body flag {f} is not 0 or 1"))),
+    }
+}
+
+/// Appends a count-prefixed list of mask contributions: per entry the
+/// rank (`u32`), then the body ([`write_body`]).
+pub fn write_contributions(w: &mut WireWriter, contributions: &[MaskContribution]) {
+    w.u32(contributions.len() as u32);
+    for c in contributions {
+        w.u32(c.rank);
+        write_body(w, &c.body, u64::to_le_bytes);
+    }
+}
+
+/// Reads a [`write_contributions`] list of a `num_ranks`-rank grid. The
+/// ranks and encoded bodies are checked by the reduction.
+///
+/// # Errors
+/// Truncation, more entries than ranks, or a malformed body
+/// ([`read_body`]).
+pub fn read_contributions(
+    r: &mut WireReader<'_>,
+    num_ranks: u32,
+) -> Result<Vec<MaskContribution>, ProtocolError> {
+    let n = r.u32()?;
+    if n > num_ranks {
+        return Err(ProtocolError::new(format!("{n} mask contributions for {num_ranks} ranks")));
+    }
+    (0..n)
+        .map(|_| Ok(MaskContribution { rank: r.u32()?, body: read_body(r, u64::from_le_bytes)? }))
+        .collect()
+}
+
 impl Block {
-    /// Serializes the block: source and destination flats (`u32` each), a
-    /// flag byte (1 when the body is a frontier-codec encoding), then the
-    /// body as length-prefixed bytes — raw slots little-endian.
+    /// Serializes the block: source and destination flats (`u32` each),
+    /// then the body ([`write_body`]).
     pub fn encode(&self, w: &mut WireWriter) {
         w.u32(self.src as u32);
         w.u32(self.dst as u32);
-        match &self.body {
-            BlockBody::Raw(slots) => {
-                w.u8(0);
-                w.u32(self.wire_bytes() as u32);
-                for &slot in slots {
-                    w.u32(slot);
-                }
-            }
-            BlockBody::Encoded(bytes) => {
-                w.u8(1);
-                w.bytes(bytes);
-            }
-        }
+        write_body(w, &self.body, u32::to_le_bytes);
     }
 
-    /// Deserializes one block of a `num_gpus`-GPU grid. An encoded body is
-    /// decoded only on delivery.
+    /// Deserializes one block of a `num_gpus`-GPU grid.
     ///
     /// # Errors
-    /// Truncation, an endpoint outside the grid, a flag other than 0 or 1,
-    /// or a raw body whose length is not a multiple of 4.
+    /// Truncation, an endpoint outside the grid, or a malformed body
+    /// ([`read_body`]).
     pub fn decode(r: &mut WireReader<'_>, num_gpus: usize) -> Result<Self, ProtocolError> {
         let (src, dst) = (r.u32()? as usize, r.u32()? as usize);
         if src >= num_gpus || dst >= num_gpus {
@@ -535,17 +599,7 @@ impl Block {
                 "block {src} -> {dst} outside a {num_gpus}-gpu grid"
             )));
         }
-        let flag = r.u8()?;
-        let bytes = r.bytes()?;
-        let body = match flag {
-            0 if bytes.len().is_multiple_of(4) => BlockBody::Raw(
-                bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect(),
-            ),
-            0 => return Err(ProtocolError::new("raw block length not a multiple of 4")),
-            1 => BlockBody::Encoded(bytes.to_vec()),
-            f => return Err(ProtocolError::new(format!("block flag {f} is not 0 or 1"))),
-        };
-        Ok(Self { src, dst, body })
+        Ok(Self { src, dst, body: read_body(r, u32::from_le_bytes)? })
     }
 }
 
@@ -698,23 +752,72 @@ mod tests {
 
     #[test]
     fn blocks_roundtrip_raw_and_encoded() {
-        let raw = Block { src: 1, dst: 2, body: BlockBody::Raw(vec![5, 3, 9]) };
+        let raw = Block { src: 1, dst: 2, body: WireBody::Raw(vec![5, 3, 9]) };
         let body = block_body(&raw);
         assert_eq!(body.len(), 4 + 4 + 1 + 4 + 12);
         assert_eq!(Block::decode(&mut WireReader::new(&body), 4).unwrap(), raw);
 
         let sorted = [2u32, 4, 4, 10];
         let encoded = FrontierCodec::VarintDelta.encode(&sorted).unwrap();
-        let enc = Block { src: 0, dst: 3, body: BlockBody::Encoded(encoded) };
+        let enc = Block { src: 0, dst: 3, body: WireBody::Encoded(encoded) };
         let back = Block::decode(&mut WireReader::new(&block_body(&enc)), 4).unwrap();
         assert_eq!(back, enc);
+    }
+
+    #[test]
+    fn hostile_contribution_frames_are_typed_errors() {
+        use gcbfs_cluster::collectives::{contribute, reduce_contributions, ReduceError};
+        // The contribution list a `StepLocal` or `StepRemote` frame carries,
+        // on a 2-rank grid.
+        let frame = |cs: &[MaskContribution]| {
+            let mut w = WireWriter::new();
+            write_contributions(&mut w, cs);
+            w.finish()
+        };
+        let read = |body: &[u8]| read_contributions(&mut WireReader::new(body), 2);
+        let raw = MaskContribution { rank: 1, body: WireBody::Raw(vec![7, 1 << 63]) };
+        let enc = contribute(CompressionMode::Adaptive, None, 0, vec![3, 0]);
+        let both = vec![raw.clone(), enc];
+        assert_eq!(read(&frame(&both)).unwrap(), both);
+        let good = frame(&[raw]);
+        // The flag (offset 8) is 0 or 1.
+        for flag in [2u8, 0x80, 0xff] {
+            let mut bad = good.clone();
+            bad[8] = flag;
+            assert!(read(&bad).unwrap_err().detail.contains("flag"), "flag {flag}");
+        }
+        // More entries than ranks is refused before anything is read.
+        let mut bad = good.clone();
+        bad[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read(&bad).unwrap_err().detail.contains("for 2 ranks"));
+        // A raw body whose length is not a multiple of 8.
+        let mut w = WireWriter::new();
+        w.u32(1);
+        w.u32(0);
+        w.u8(0);
+        w.bytes(&[1, 2, 3]);
+        assert!(read(&w.finish()).unwrap_err().detail.contains("multiple of 8"));
+        // A rank outside the grid and an encoded body that does not decode
+        // pass the frame layout and are refused by the reduction.
+        let mut foreign = good.clone();
+        foreign[4] = 2;
+        let back = read(&foreign).unwrap();
+        assert_eq!(reduce_contributions(2, 2, None, &back), Err(ReduceError::RankOutOfRange(2)));
+        let garbage = MaskContribution { rank: 0, body: WireBody::Encoded(vec![0x7f, 2, 0, 0, 0]) };
+        let back = read(&frame(&[garbage])).unwrap();
+        let err = reduce_contributions(2, 2, None, &back).unwrap_err();
+        assert!(matches!(err, ReduceError::Undecodable(0, _)), "{err:?}");
+        // Every truncation is typed too.
+        for len in 0..good.len() {
+            assert!(read(&good[..len]).is_err(), "truncated to {len}");
+        }
     }
 
     #[test]
     fn hostile_block_bodies_are_typed_errors() {
         let topo = gcbfs_cluster::topology::Topology::new(2, 2);
         let decode = |body: &[u8]| Block::decode(&mut WireReader::new(body), 4);
-        let good = block_body(&Block { src: 1, dst: 2, body: BlockBody::Raw(vec![7]) });
+        let good = block_body(&Block { src: 1, dst: 2, body: WireBody::Raw(vec![7]) });
         // The flag byte (offset 8) is 0 or 1, nothing else.
         for flag in [2u8, 0x80, 0xff] {
             let mut bad = good.clone();
@@ -736,7 +839,7 @@ mod tests {
         assert!(decode(&w.finish()).unwrap_err().detail.contains("multiple of 4"));
         // An encoded body that does not decode passes the frame layout and
         // is refused on delivery.
-        let garbage = Block { src: 1, dst: 2, body: BlockBody::Encoded(vec![0x7f, 1, 0, 0, 0]) };
+        let garbage = Block { src: 1, dst: 2, body: WireBody::Encoded(vec![0x7f, 1, 0, 0, 0]) };
         let back = decode(&block_body(&garbage)).unwrap();
         let err = crate::comm::deliver_blocks(&topo, &[2], vec![back]).unwrap_err();
         assert!(err.detail.contains("does not decode"), "{err}");

@@ -10,16 +10,16 @@
 //! coordinator's detector and checkpoints own all recovery.
 
 use super::protocol::{
-    kind, read_images, write_images, ConfigWire, ProtocolError, WireReader, WireWriter,
-    PROTO_VERSION,
+    kind, read_contributions, read_images, write_contributions, write_images, ConfigWire,
+    ProtocolError, WireReader, WireWriter, PROTO_VERSION,
 };
 use super::transport::{connect_with_backoff, recv_frame, SharedWriter, TransportError};
 use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::driver::DistributedGraph;
 use crate::kernels::LocalIterationOutput;
-use crate::masks::DelegateMask;
 use crate::superstep::HostedGroup;
+use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::fault::JitteredBackoff;
 use gcbfs_cluster::topology::Topology;
 use std::path::Path;
@@ -62,19 +62,20 @@ impl From<ProtocolError> for WorkerError {
     }
 }
 
+/// A superstep between `StepGo` and `StepRemote`: its iteration, outputs
+/// (parallel to the hosted flats), the blocks for hosted destinations and
+/// this worker's own mask contributions.
+type InFlight = (u32, Vec<LocalIterationOutput>, Vec<Block>, Vec<MaskContribution>);
+
 struct WorkerState {
     config: BfsConfig,
     track_parents: bool,
     dist: DistributedGraph,
     /// The hosted GPUs and the traversal steps the sim driver also runs.
     group: HostedGroup,
-    /// Outputs of the superstep currently between `StepGo` and
-    /// `StepRemote`, parallel to the hosted flats; `None` outside that
-    /// window (the duplicate-frame guard: a second `StepRemote` finds
-    /// nothing to do).
-    outputs: Option<(u32, Vec<LocalIterationOutput>)>,
-    /// Blocks produced locally whose destination this worker hosts.
-    local_blocks: Vec<Block>,
+    /// `None` outside a superstep (the duplicate-frame guard: a second
+    /// `StepRemote` finds nothing to do).
+    in_flight: Option<InFlight>,
     duplicates_ignored: u64,
 }
 
@@ -180,15 +181,8 @@ fn worker_body(
     let track_parents = config_wire.track_parents;
     let mut group = HostedGroup::new(&dist, &config, track_parents, &hosted)?;
     group.seed_source(&dist.separation, source);
-    let mut st = WorkerState {
-        config,
-        track_parents,
-        dist,
-        group,
-        outputs: None,
-        local_blocks: Vec::new(),
-        duplicates_ignored: 0,
-    };
+    let mut st =
+        WorkerState { config, track_parents, dist, group, in_flight: None, duplicates_ignored: 0 };
 
     writer.send(kind::READY, st.stats_body(0))?;
 
@@ -255,76 +249,57 @@ fn step_go(
 
     let mut outputs = st.group.compute(iter);
 
-    // Delegate-mask contribution: sent only when some hosted GPU actually
-    // set a new bit.
-    let changed = st.group.mask_changed(&outputs);
-    let or_words = if changed { st.group.mask_or(&outputs) } else { Vec::new() };
-
-    // Blocks for hosted destinations are applied in-process at
-    // `StepRemote`; the rest ship exactly as formed. Stale local blocks
-    // from an aborted superstep (a restore raced a StepGo) are superseded.
+    // Mask contributions and blocks ship exactly as formed; the worker
+    // keeps its own contributions and the blocks for hosted destinations
+    // for `StepRemote`. Stale ones from an aborted superstep (a restore
+    // raced a StepGo) are superseded.
+    let contributions = st.group.mask_contributions(&outputs, st.config.compression);
     let (local, out_blocks): (Vec<Block>, Vec<Block>) = st
         .group
         .outgoing_blocks(&mut outputs, &st.config)
         .into_iter()
         .partition(|b| st.group.hosts(b.dst));
-    st.local_blocks = local;
 
     let mut w = WireWriter::new();
     w.u32(iter);
-    w.u8(changed as u8);
-    w.u64s(&or_words);
+    write_contributions(&mut w, &contributions);
     w.u32(out_blocks.len() as u32);
     for b in &out_blocks {
         b.encode(&mut w);
     }
     writer.send(kind::STEP_LOCAL, w.finish())?;
-    st.outputs = Some((iter, outputs));
+    st.in_flight = Some((iter, outputs, local, contributions));
     Ok(())
 }
 
-/// `StepRemote`: consume the reduced mask, assemble deliveries in flat
-/// source order, form next frontiers, barrier with `StepDone`.
+/// `StepRemote`: reduce and consume every rank's mask contribution,
+/// assemble deliveries in flat source order, form next frontiers, barrier
+/// with `StepDone`.
 fn step_remote(
     st: &mut WorkerState,
     r: &mut WireReader<'_>,
     writer: &SharedWriter,
 ) -> Result<(), WorkerError> {
     let iter = r.u32()?;
-    let Some((go_iter, _)) = st.outputs else {
+    let Some((_, mut outputs, mut blocks, mut contributions)) =
+        st.in_flight.take_if(|f| f.0 == iter)
+    else {
         // No superstep in flight: a duplicated or stale frame. Tolerated
         // and counted — the socket layer may legitimately replay.
         st.duplicates_ignored += 1;
         return Ok(());
     };
-    if go_iter != iter {
-        st.duplicates_ignored += 1;
-        return Ok(());
-    }
-    let (_, mut outputs) = st.outputs.take().unwrap();
 
-    let mask_changed = r.u8()? != 0;
-    let mask_payload = r.bytes()?.to_vec();
+    let topo = st.dist.topology;
+    contributions.extend(read_contributions(r, topo.num_ranks())?);
     let nblocks = r.u32()? as usize;
-    let p = st.dist.topology.num_gpus() as usize;
-    let mut blocks = std::mem::take(&mut st.local_blocks);
     for _ in 0..nblocks {
-        blocks.push(Block::decode(r, p)?);
+        blocks.push(Block::decode(r, topo.num_gpus() as usize)?);
     }
     r.expect_end()?;
 
     let next_depth = iter + 1;
-    if mask_changed {
-        // The shared visited mask *is* the codec's reference: every GPU
-        // copied the previous reduced mask on its last consume, which is
-        // exactly what the coordinator encoded against.
-        let prev: Option<&[u64]> = st.group.workers.first().map(|w| w.visited_mask.words());
-        let mut words = Vec::new();
-        gcbfs_compress::decode_mask_into(&mask_payload, prev, &mut words)
-            .map_err(|e| ProtocolError::new(format!("mask decode failed: {e:?}")))?;
-        let reduced = DelegateMask::from_words(st.dist.separation.num_delegates(), words);
-        st.group.consume_reduced(&reduced, next_depth);
-    }
+    st.group.consume_contributions(&contributions, st.config.compression, next_depth)?;
     let delivered = st.group.deliveries(blocks)?;
     st.group.commit(&mut outputs, &delivered, next_depth);
 
@@ -345,8 +320,7 @@ fn restore(
     let images = read_images(r, st.dist.topology.num_gpus() as usize)?;
     r.expect_end()?;
     st.group.restore(&st.dist, &st.config, st.track_parents, &images)?;
-    st.outputs = None;
-    st.local_blocks.clear();
+    st.in_flight = None;
     writer.send(kind::RESTORED, st.stats_body(iter))?;
     Ok(())
 }

@@ -8,10 +8,10 @@
 //! GPUs and prices the collectives with the cost model; each proc worker
 //! ([`crate::procrt::worker`]) instantiates one over the flats it hosts
 //! and moves the same values over sockets. What differs between the two
-//! is only who carries the reduced mask and the `nn` blocks; the blocks
-//! themselves are formed and delivered by [`crate::comm`]'s
-//! [`form_blocks`] and [`deliver_blocks`], the functions the modeled
-//! exchange prices.
+//! is only who carries the mask contributions and the `nn` blocks; both
+//! are formed and consumed by the functions the model prices
+//! ([`rank_contributions`] / [`reduce_contributions`], [`form_blocks`] /
+//! [`deliver_blocks`]).
 
 use crate::checkpoint::GpuStateImage;
 use crate::comm::{deliver_blocks, form_blocks, prepare_sends, Block};
@@ -22,7 +22,9 @@ use crate::kernels::{GpuWorker, LocalIterationOutput};
 use crate::masks::DelegateMask;
 use crate::procrt::protocol::ProtocolError;
 use crate::separation::Separation;
+use gcbfs_cluster::collectives::{rank_contributions, reduce_contributions, MaskContribution};
 use gcbfs_cluster::topology::{GpuId, Topology};
+use gcbfs_compress::CompressionMode;
 use gcbfs_graph::VertexId;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -37,6 +39,10 @@ pub struct HostedGroup {
     /// Per-GPU BFS state, parallel to the hosted flats. A group over all
     /// `p` GPUs is indexed by flat directly.
     pub workers: Vec<GpuWorker>,
+    /// True once a reduction was consumed since the traversal started or
+    /// was last restored: from then on every visited mask equals the last
+    /// reduced mask, which every rank holds — the mask codec's reference.
+    pub(crate) reference_held: bool,
 }
 
 impl HostedGroup {
@@ -56,6 +62,7 @@ impl HostedGroup {
             num_delegates: dist.separation.num_delegates(),
             flats: Vec::with_capacity(flats.len()),
             workers: Vec::with_capacity(flats.len()),
+            reference_held: false,
         };
         for &flat in flats {
             if group.index_of(flat).is_some() {
@@ -158,6 +165,7 @@ impl HostedGroup {
         for img in images {
             img.install(self.host(dist, config, track_parents, img.gpu_flat as usize)?);
         }
+        self.reference_held = false;
         Ok(())
     }
 
@@ -167,7 +175,7 @@ impl HostedGroup {
         if let Some(did) = separation.delegate_id(source) {
             let mut seed = DelegateMask::new(self.num_delegates);
             seed.set(did);
-            self.consume_reduced(&seed, 0);
+            self.workers.par_iter_mut().for_each(|w| w.consume_reduced_mask(&seed, 0));
             return;
         }
         let topo = self.topo;
@@ -204,22 +212,54 @@ impl HostedGroup {
                 .any(|(o, w)| o.output_mask.differs_from(&w.visited_mask))
     }
 
-    /// This group's contribution to the reduction: the OR of its hosted
-    /// output masks.
-    pub fn mask_or(&self, outputs: &[LocalIterationOutput]) -> Vec<u64> {
-        let mut or = vec![0u64; (self.num_delegates as usize).div_ceil(64)];
-        for o in outputs {
-            for (acc, word) in or.iter_mut().zip(o.output_mask.words()) {
-                *acc |= word;
-            }
+    /// The mask codec's reference under `mode`: the shared visited mask,
+    /// once [`Self::reference_held`] and only if compression is on.
+    pub fn mask_reference(&self, mode: CompressionMode) -> Option<&[u64]> {
+        let held = mode.is_on() && self.reference_held;
+        self.workers.first().filter(|_| held).map(|w| w.visited_mask.words())
+    }
+
+    /// The hosted ranks' [`rank_contributions`] to the reduction, or none
+    /// when no hosted GPU set a new bit.
+    pub fn mask_contributions(
+        &self,
+        outputs: &[LocalIterationOutput],
+        mode: CompressionMode,
+    ) -> Vec<MaskContribution> {
+        if !self.mask_changed(outputs) {
+            return Vec::new();
         }
-        or
+        let masks: Vec<&[u64]> = outputs.iter().map(|o| o.output_mask.words()).collect();
+        rank_contributions(self.topo, mode, self.mask_reference(mode), &self.flats, &masks)
+    }
+
+    /// Reduces every rank's `contributions` ([`reduce_contributions`]) and
+    /// consumes the result at `depth`; none means no reduction ran.
+    ///
+    /// # Errors
+    /// A foreign or repeated rank, a body of the wrong width, or one that
+    /// does not decode.
+    pub fn consume_contributions(
+        &mut self,
+        contributions: &[MaskContribution],
+        mode: CompressionMode,
+        depth: u32,
+    ) -> Result<(), ProtocolError> {
+        if contributions.is_empty() {
+            return Ok(());
+        }
+        let (ranks, width) = (self.topo.num_ranks(), (self.num_delegates as usize).div_ceil(64));
+        let words = reduce_contributions(ranks, width, self.mask_reference(mode), contributions)
+            .map_err(|e| ProtocolError::new(format!("mask contributions: {e:?}")))?;
+        self.consume_reduced(&DelegateMask::from_words(self.num_delegates, words), depth);
+        Ok(())
     }
 
     /// Every hosted GPU consumes the globally reduced mask: newly set
     /// delegates settle at `depth` and form the next delegate frontier.
     pub fn consume_reduced(&mut self, reduced: &DelegateMask, depth: u32) {
         self.workers.par_iter_mut().for_each(|w| w.consume_reduced_mask(reduced, depth));
+        self.reference_held = true;
     }
 
     /// Takes the hosted GPUs' remote `nn` updates as one send list per

@@ -10,8 +10,9 @@
 //! are `#[ignore]`d and driven by the CI `backend-acceptance` job. The
 //! in-process cells at the bottom check the same sharing without
 //! spawning anything: the `HostedGroup` steps both backends run, over
-//! one group and over two that trade masks and blocks by hand, and a
-//! checkpoint shipped through the wire codec, restored and replayed.
+//! one group and over two that trade mask contributions and blocks by
+//! hand, and a checkpoint shipped through the wire codec, restored and
+//! replayed.
 
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::CompressionMode;
@@ -20,8 +21,9 @@ use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBack
 use gpu_cluster_bfs::core::checkpoint::Checkpoint;
 use gpu_cluster_bfs::core::comm::Block;
 use gpu_cluster_bfs::core::driver::RunError;
-use gpu_cluster_bfs::core::masks::DelegateMask;
-use gpu_cluster_bfs::core::procrt::protocol::{read_images, write_images, WireReader, WireWriter};
+use gpu_cluster_bfs::core::procrt::protocol::{
+    read_contributions, read_images, write_contributions, write_images, WireReader, WireWriter,
+};
 use gpu_cluster_bfs::core::procrt::{
     ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
 };
@@ -102,10 +104,10 @@ fn rmat_scale10_wider_topology() {
 
 #[test]
 fn rmat_scale10_with_adaptive_compression() {
-    // Adaptive compression arms the differential mask codec: workers
-    // decode SparseIndex deltas against their own visited reference
-    // while the coordinator encodes against its reduced history — the
-    // monotone-OR equivalence must hold across the process boundary.
+    // Adaptive compression arms the differential mask codec: every worker
+    // encodes its ranks' contributions against its visited mask and
+    // decodes the relayed ones against the same mask, which every worker
+    // holds once a reduction was consumed.
     let graph = RmatConfig::graph500(10).generate();
     let config = BfsConfig::new(16).with_compression(CompressionMode::Adaptive);
     assert_backends_agree(&graph, Topology::new(2, 2), 3, &config, proc_opts(2));
@@ -157,6 +159,21 @@ fn sigkill_mid_sweep_spreads_onto_survivor_bit_exact() {
     let rec = report.recovery.expect("recovery must run");
     assert_eq!(rec.worker, 0);
     assert_eq!(rec.mode, RecoveryMode::Spread);
+}
+
+#[test]
+fn sigkill_with_adaptive_compression_resets_the_mask_reference() {
+    // The spare starts with no codec reference, so the survivor must drop
+    // its own on restore: after the rollback both encode and decode the
+    // next reduction without one. The kill lands past the iteration-2
+    // checkpoint, whose visited mask is no longer empty.
+    let graph = RmatConfig::graph500(10).generate();
+    let topo = Topology::new(2, 2).with_spares(1);
+    let config = kill_config(16).with_compression(CompressionMode::Adaptive);
+    let run = assert_backends_agree(&graph, topo, 1, &config, kill_opts(2, 1, 3));
+    let rec = run.proc.unwrap().recovery.expect("a SIGKILL'd worker must be recovered");
+    assert_eq!(rec.mode, RecoveryMode::Spare);
+    assert_eq!(rec.resumed_iter, 2);
 }
 
 #[test]
@@ -329,9 +346,9 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
 // ---------------------------------------------------------------------------
 // The shared superstep core, in process: the steps `procrt::worker` runs
 // over its hosted flats, driven here the way the coordinator drives them
-// (OR the changed mask contributions, carry each block through the wire
-// codec to the group that hosts its destination), must reproduce the sim
-// driver bit for bit.
+// (carry every mask contribution through the wire codec to every group,
+// and each block to the group that hosts its destination), must
+// reproduce the sim driver bit for bit.
 // ---------------------------------------------------------------------------
 
 fn seeded_groups(
@@ -349,11 +366,13 @@ fn seeded_groups(
 }
 
 /// Per superstep of a traversal over groups: the frontier total entering
-/// it and the wire bytes of its cross-rank block bodies.
+/// it, the wire bytes of its cross-rank block bodies, and those of its
+/// largest mask contribution (0 when no reduction ran).
 #[derive(Debug, Default, PartialEq)]
 struct Steps {
     frontiers: Vec<u64>,
     cross_rank_bytes: Vec<u64>,
+    mask_bytes: Vec<u64>,
 }
 
 /// Runs supersteps `iter..` until the frontier drains.
@@ -370,32 +389,41 @@ fn run_from(
             break;
         }
         steps.frontiers.push(frontier);
-        steps.cross_rank_bytes.push(step(dist, config, groups, iter));
+        let (cross_rank_bytes, mask_bytes) = step(dist, config, groups, iter);
+        steps.cross_rank_bytes.push(cross_rank_bytes);
+        steps.mask_bytes.push(mask_bytes);
     }
     steps
 }
 
 /// One superstep over `groups`, driven the way the coordinator drives it.
-/// Returns the wire bytes of the cross-rank blocks' bodies.
-fn step(dist: &DistributedGraph, config: &BfsConfig, groups: &mut [HostedGroup], iter: u32) -> u64 {
-    let (topo, d) = (dist.topology(), dist.separation().num_delegates());
+/// Returns the wire bytes of the cross-rank blocks' bodies and of the
+/// largest mask contribution.
+fn step(
+    dist: &DistributedGraph,
+    config: &BfsConfig,
+    groups: &mut [HostedGroup],
+    iter: u32,
+) -> (u64, u64) {
+    let topo = dist.topology();
+    let mode = config.compression;
     let mut outputs: Vec<_> = groups.iter_mut().map(|g| g.compute(iter)).collect();
 
-    let mut or_words = vec![0u64; (d as usize).div_ceil(64)];
-    let mut mask_changed = false;
+    let mut contributions = Vec::new();
     for (g, out) in groups.iter().zip(&outputs) {
-        if g.mask_changed(out) {
-            mask_changed = true;
-            for (acc, w) in or_words.iter_mut().zip(g.mask_or(out)) {
-                *acc |= w;
-            }
-        }
+        let own = g.mask_contributions(out, mode);
+        let mut w = WireWriter::new();
+        write_contributions(&mut w, &own);
+        let body = w.finish();
+        let mut r = WireReader::new(&body);
+        let shipped = read_contributions(&mut r, topo.num_ranks()).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(shipped, own, "the contribution codec is lossless");
+        contributions.extend(shipped);
     }
-    if mask_changed {
-        let reduced = DelegateMask::from_words(d, or_words);
-        for g in groups.iter_mut() {
-            g.consume_reduced(&reduced, iter + 1);
-        }
+    let mask_bytes = contributions.iter().map(|c| c.wire_bytes()).max().unwrap_or(0);
+    for g in groups.iter_mut() {
+        g.consume_contributions(&contributions, mode, iter + 1).unwrap();
     }
 
     let mut inboxes: Vec<Vec<Block>> = vec![Vec::new(); groups.len()];
@@ -420,7 +448,7 @@ fn step(dist: &DistributedGraph, config: &BfsConfig, groups: &mut [HostedGroup],
         let delivered = g.deliveries(blocks).unwrap();
         g.commit(out, &delivered, iter + 1);
     }
-    cross_rank_bytes
+    (cross_rank_bytes, mask_bytes)
 }
 
 /// Assembles depths and parents from the groups' workers.
@@ -479,15 +507,18 @@ fn hosted_groups_match_the_sim_driver_in_process() {
                 // its cross-rank message records.
                 let observed = config.with_observability(ObservabilityConfig::Full);
                 let log = dist.run(source, &observed).unwrap().observed.unwrap();
-                let sim_nn_bytes: Vec<u64> = (0..sim.iterations())
-                    .map(|i| {
-                        log.messages
-                            .iter()
-                            .filter(|m| m.iter == i && m.kind == MessageKind::NnUpdate)
-                            .filter(|m| m.channel == Channel::CrossRank)
-                            .map(|m| m.wire_bytes)
-                            .sum()
+                let priced = |i, kind| {
+                    log.messages.iter().filter(move |m| {
+                        m.iter == i && m.kind == kind && m.channel == Channel::CrossRank
                     })
+                };
+                let sim_nn_bytes: Vec<u64> = (0..sim.iterations())
+                    .map(|i| priced(i, MessageKind::NnUpdate).map(|m| m.wire_bytes).sum())
+                    .collect();
+                // The priced wire bytes of each superstep's MaskReduce hop.
+                let sim_mask_bytes: Vec<u64> = (0..sim.iterations())
+                    .map(|i| priced(i, MessageKind::MaskReduce).map(|m| m.wire_bytes).max())
+                    .map(Option::unwrap_or_default)
                     .collect();
                 for hosting in [&whole, &rank_halves] {
                     let groups = hosting.len();
@@ -500,6 +531,12 @@ fn hosted_groups_match_the_sim_driver_in_process() {
                         steps.cross_rank_bytes, sim_nn_bytes,
                         "shipped vs priced nn bytes, {groups} group(s), {cell}"
                     );
+                    if groups == 1 {
+                        assert_eq!(
+                            steps.mask_bytes, sim_mask_bytes,
+                            "shipped vs priced mask bytes, {cell}"
+                        );
+                    }
                 }
             }
         }
@@ -508,15 +545,24 @@ fn hosted_groups_match_the_sim_driver_in_process() {
 
 #[test]
 fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
-    // What proc recovery does, in process: capture a checkpoint after k
-    // supersteps, ship each group its GPUs' images through the wire
-    // codec, run on to the end, restore — in place (the spare path) or
-    // with group 0 adopting every GPU (the spread path) — and replay.
+    for mode in [CompressionMode::Off, CompressionMode::Adaptive] {
+        checkpoint_through_the_wire(mode);
+    }
+}
+
+/// What proc recovery does, in process: capture a checkpoint after k
+/// supersteps, ship each group its GPUs' images through the wire codec,
+/// run on to the end, restore — group 1 onto a freshly built group (the
+/// spare path) or group 0 adopting every GPU (the spread path) — and
+/// replay. Under a compressing `mode` the replay only reduces if every
+/// group dropped its mask-codec reference on restore, as the fresh one
+/// never had it.
+fn checkpoint_through_the_wire(mode: CompressionMode) {
     let topo = Topology::new(4, 2);
     let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
     let graph = RmatConfig::graph500(9).generate();
     let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
-    let config = BfsConfig::new(16);
+    let config = BfsConfig::new(16).with_compression(mode);
     let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
     let (want_depths, want_parents, want) =
         traverse_with_groups(&dist, &config, source, &rank_halves);
@@ -545,6 +591,7 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
             .collect();
 
         run_from(&dist, &config, &mut groups, k);
+        assert_eq!(groups[0].mask_reference(mode).is_some(), mode.is_on(), "{mode}");
         let finished: Vec<u64> = groups[0].capture().iter().map(|img| img.digest).collect();
         // Any one flipped byte of an image list — count, any field, seal —
         // is a typed decode error, so nothing is installed.
@@ -568,6 +615,8 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
 
         if spread {
             groups.truncate(1);
+        } else {
+            groups[1] = seeded_groups(&dist, &config, source, &rank_halves[1..]).remove(0);
         }
         for (g, body) in groups.iter_mut().zip(&bodies) {
             let mut r = WireReader::new(body);
@@ -575,10 +624,12 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
             r.expect_end().unwrap();
             g.restore(&dist, &config, true, &images).unwrap();
         }
+        // Every group restarts without a codec reference, as the spare.
+        assert!(groups.iter().all(|g| g.mask_reference(mode).is_none()), "{mode}");
         frontiers.extend(run_from(&dist, &config, &mut groups, k).frontiers);
         let (depths, parents) = assemble(&dist, &groups, source);
-        assert_eq!(depths, want_depths, "depths, spread {spread}");
-        assert_eq!(parents, want_parents, "parents, spread {spread}");
-        assert_eq!(frontiers, want.frontiers, "frontier totals, spread {spread}");
+        assert_eq!(depths, want_depths, "depths, spread {spread}, {mode}");
+        assert_eq!(parents, want_parents, "parents, spread {spread}, {mode}");
+        assert_eq!(frontiers, want.frontiers, "frontier totals, spread {spread}, {mode}");
     }
 }
