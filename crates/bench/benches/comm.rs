@@ -6,7 +6,9 @@ use gcbfs_cluster::collectives::allreduce_or;
 use gcbfs_cluster::cost::CostModel;
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::CompressionMode;
-use gcbfs_core::comm::exchange_normals_with;
+use gcbfs_core::comm::{exchange_normals_with, prepare_sends};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_allreduce(c: &mut Criterion) {
@@ -58,5 +60,27 @@ fn bench_exchange(c: &mut Criterion) {
     grp.finish();
 }
 
-criterion_group!(benches, bench_allreduce, bench_exchange);
+/// The uniquify stage at `rmat17_topdown_codec`'s shape: 4×4 GPUs, ~90k
+/// `nn` updates per GPU, local all2all on. Slots are drawn uniformly from
+/// 4,500 per destination, so each post-regroup bucket of ~22.5k updates
+/// keeps ~20 % of them (the workload's `comm.uniquify_kept_share`).
+fn bench_uniquify(c: &mut Criterion) {
+    let topo = Topology::new(4, 4);
+    let mut rng = StdRng::seed_from_u64(17);
+    let sends: Vec<Vec<(GpuId, u32)>> = (0..16)
+        .map(|_| {
+            (0..90_000)
+                .map(|_| (topo.unflat(rng.random_range(0..16)), rng.random_range(0..4_500)))
+                .collect()
+        })
+        .collect();
+    let mut grp = c.benchmark_group("uniquify");
+    grp.sample_size(20);
+    grp.bench_function("prepare_rmat17_shape", |b| {
+        b.iter(|| black_box(prepare_sends(&topo, sends.clone(), true, true)))
+    });
+    grp.finish();
+}
+
+criterion_group!(benches, bench_allreduce, bench_exchange, bench_uniquify);
 criterion_main!(benches);

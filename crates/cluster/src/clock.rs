@@ -1,63 +1,20 @@
-//! Time sources for the failure detector: modeled vs wall.
+//! Time source for the failure detector on wall time.
 //!
 //! The phi-accrual detector in [`membership`](crate::membership) reasons
 //! about *inter-arrival intervals* in heartbeat-period units ("beats").
 //! Under the simulator a beat is one superstep and arrivals are computed
 //! from the iteration counter; under the proc backend a beat is a real
-//! heartbeat period and arrivals are wall-clock instants. This module is
-//! the seam that lets both feed the same detector code path: a [`Clock`]
+//! heartbeat period and arrivals are wall-clock instants. A [`Clock`]
 //! yields "now" in beats, and the membership primitives
 //! (`record_arrival` / `record_silence`) take beat-valued times instead
 //! of assuming evaluation happens exactly at superstep boundaries.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A monotone time source measured in heartbeat-period units.
 pub trait Clock: Send + Sync {
     /// Current time in beats. Monotone non-decreasing.
     fn now(&self) -> f64;
-}
-
-/// The simulator's clock: time advances only when the driver says so
-/// (superstep boundaries), making every detector decision a pure function
-/// of the iteration counter — the determinism the golden tests rely on.
-#[derive(Debug, Default)]
-pub struct ModeledClock {
-    /// Current modeled time, stored as `f64` bits for lock-free interior
-    /// mutability (`Clock::now` takes `&self`).
-    bits: AtomicU64,
-}
-
-impl ModeledClock {
-    /// A modeled clock starting at beat 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances modeled time to `t` beats. Regressions are ignored — a
-    /// rollback replays observations but never rewinds the clock, exactly
-    /// like the replay guard in the detector itself.
-    pub fn advance_to(&self, t: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        while f64::from_bits(cur) < t {
-            match self.bits.compare_exchange_weak(
-                cur,
-                t.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-impl Clock for ModeledClock {
-    fn now(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
 }
 
 /// The proc backend's clock: wall time since an origin instant, scaled by
@@ -95,18 +52,6 @@ impl Clock for WallClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn modeled_clock_is_monotone() {
-        let c = ModeledClock::new();
-        assert_eq!(c.now(), 0.0);
-        c.advance_to(3.5);
-        assert_eq!(c.now(), 3.5);
-        c.advance_to(2.0); // rollback replay: no rewind
-        assert_eq!(c.now(), 3.5);
-        c.advance_to(4.0);
-        assert_eq!(c.now(), 4.0);
-    }
 
     #[test]
     fn wall_clock_scales_by_period() {

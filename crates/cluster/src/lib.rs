@@ -44,7 +44,7 @@ pub mod membership;
 pub mod timing;
 pub mod topology;
 
-pub use clock::{Clock, ModeledClock, WallClock};
+pub use clock::{Clock, WallClock};
 pub use cost::{CostModel, DeviceModel, NetworkModel};
 pub use fault::{FaultError, FaultInjector, FaultPlan, JitteredBackoff};
 pub use membership::{HeartbeatStatus, MemberState, Membership, MembershipConfig, MembershipEvent};

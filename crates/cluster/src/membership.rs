@@ -219,11 +219,6 @@ impl Membership {
         self.phi[gpu]
     }
 
-    /// True if member `gpu` is confirmed dead.
-    pub fn is_dead(&self, gpu: usize) -> bool {
-        self.states[gpu] == MemberState::Dead
-    }
-
     /// Hot-spare slots currently free.
     pub fn available_spares(&self) -> usize {
         self.spares_free.len()
@@ -519,8 +514,8 @@ mod tests {
         // Second consecutive miss: confirmed dead.
         let e6 = m.observe(6, &st(true));
         assert_eq!(e6, vec![MembershipEvent::ConfirmedDead { gpu: 1, iteration: 6 }]);
-        assert!(m.is_dead(1));
-        assert!(!m.is_dead(0) && !m.is_dead(2));
+        assert_eq!(m.state(1), MemberState::Dead);
+        assert!(m.state(0) != MemberState::Dead && m.state(2) != MemberState::Dead);
         // Further silence is not news.
         assert!(m.observe(7, &st(true)).is_empty());
     }
@@ -544,7 +539,7 @@ mod tests {
         let dead = [HeartbeatStatus::Arrived { slowdown: 1.0 }, HeartbeatStatus::Missing];
         m.observe(4, &dead);
         m.observe(5, &dead);
-        assert!(m.is_dead(1));
+        assert_eq!(m.state(1), MemberState::Dead);
         // Long silence, then it comes back.
         for iter in 6..10 {
             assert!(m.observe(iter, &dead).is_empty());

@@ -57,13 +57,6 @@ impl Topology {
         self.spares
     }
 
-    /// The MPI rank a promoted spare slot is attached to (spares are
-    /// distributed round-robin across ranks), which prices the one-time
-    /// state ship when a spare absorbs a partition.
-    pub fn spare_rank(&self, slot: usize) -> u32 {
-        (slot as u32) % self.prank
-    }
-
     /// Parses the paper's `nodes×rpn×gpr` notation into a topology
     /// (`prank = nodes · rpn`).
     pub fn from_paper_notation(nodes: u32, ranks_per_node: u32, gpus_per_rank: u32) -> Self {
@@ -233,8 +226,5 @@ mod tests {
             assert_eq!(spared.vertex_owner(v), base.vertex_owner(v));
             assert_eq!(spared.local_index(v), base.local_index(v));
         }
-        assert_eq!(spared.spare_rank(0), 0);
-        assert_eq!(spared.spare_rank(1), 1);
-        assert_eq!(spared.spare_rank(2), 0, "round-robin across ranks");
     }
 }

@@ -13,6 +13,12 @@
 //! mode) → *remote exchange* → [`deliver_blocks`]: decode and concatenate
 //! by ascending source.
 //!
+//! The model prices uniquify as the GPU's sort-unique: one more binning
+//! pass over the held items. The host instead bins by destination and
+//! dedups each bucket through a slot bitmap (see [`prepare_sends`]); its
+//! held lists are exactly what a tuple sort + dedup leaves, so the blocks,
+//! and every priced byte, are the same.
+//!
 //! The sim's [`exchange_normals_with`] prices exactly those blocks with the
 //! cost model (`MPI_Isend`/`Irecv` as modeled point-to-point transfers with
 //! exact byte counts); the proc backend's
@@ -21,7 +27,7 @@
 //! the model charges are the bytes a socket carries.
 
 use crate::procrt::protocol::ProtocolError;
-use gcbfs_cluster::collectives::local_all2all_regroup;
+use gcbfs_cluster::collectives::{local_all2all_regroup, regroup_holder};
 use gcbfs_cluster::cost::{CostModel, KernelKind};
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::{
@@ -133,8 +139,9 @@ pub struct PreparedSends {
     /// Per (holder, peer) regrouping move counts (empty without local
     /// all2all): the per-peer NVLink message volumes.
     pub moved_counts: Vec<Vec<u64>>,
-    /// Held-list length per holder *before* uniquify (its sort+dedup
-    /// workload; equals the final length when uniquify is off).
+    /// Held-list length per holder *before* uniquify: the workload the
+    /// model charges for the GPU's sort-unique. Equals the final length
+    /// when uniquify is off.
     pub pre_uniquify_lens: Vec<u64>,
 }
 
@@ -142,6 +149,11 @@ pub struct PreparedSends {
 /// model. `sends[g]` may be empty for GPUs a caller does not host (the
 /// proc backend prepares only its own ranks; regrouping never crosses
 /// ranks, so foreign empties stay empty).
+///
+/// With uniquify on, the regroup is folded into it: each group of senders
+/// that share holders (a whole rank under local all2all, else one GPU) is
+/// one `unique_group` task on the host pool, and the regrouped lists are
+/// never materialised. The results are identical at any thread count.
 pub fn prepare_sends(
     topo: &Topology,
     sends: Vec<Vec<(GpuId, u32)>>,
@@ -152,29 +164,133 @@ pub fn prepare_sends(
     assert_eq!(sends.len(), p, "one send list per GPU required");
     let send_lens: Vec<u64> = sends.iter().map(|s| s.len() as u64).collect();
 
-    // Local all2all: regroup within ranks; moved items ride NVLink.
-    let mut held: Vec<Vec<(GpuId, u32)>> = sends;
-    let mut moved_items = 0u64;
-    let mut moved_counts = Vec::new();
-    if use_local_all2all {
-        let regrouped = local_all2all_regroup(*topo, held);
-        held = regrouped.items;
-        moved_items = regrouped.moved_items;
-        moved_counts = regrouped.moved_counts;
-    }
-
-    // Uniquify: drop duplicate (destination, slot) pairs per holder. Each
-    // holder is independent, so this fans out across the host pool (the
-    // per-GPU results are identical at any thread count).
-    let pre_uniquify_lens: Vec<u64> = held.iter().map(|l| l.len() as u64).collect();
     if use_uniquify {
-        held.par_iter_mut().for_each(|list| {
-            list.sort_unstable_by_key(|&(dest, slot)| (topo.flat(dest), slot));
-            list.dedup();
-        });
+        let width = if use_local_all2all { topo.gpus_per_rank() as usize } else { 1 };
+        let groups: Vec<UniqueGroup> = sends
+            .par_chunks(width)
+            .enumerate()
+            .map(|(i, senders)| unique_group(topo, i * width, senders, use_local_all2all))
+            .collect();
+        let mut held = Vec::with_capacity(p);
+        let mut moved_counts = Vec::new();
+        let mut pre_uniquify_lens = Vec::with_capacity(p);
+        for group in groups {
+            held.extend(group.held);
+            moved_counts.extend(group.moved_counts);
+            pre_uniquify_lens.extend(group.pre_uniquify_lens);
+        }
+        let moved_items = moved_counts.iter().flatten().sum();
+        return PreparedSends { held, send_lens, moved_items, moved_counts, pre_uniquify_lens };
     }
 
+    // Local all2all: regroup within ranks; moved items ride NVLink.
+    let (held, moved_items, moved_counts) = if use_local_all2all {
+        let regrouped = local_all2all_regroup(*topo, sends);
+        (regrouped.items, regrouped.moved_items, regrouped.moved_counts)
+    } else {
+        (sends, 0, Vec::new())
+    };
+    let pre_uniquify_lens = held.iter().map(|l| l.len() as u64).collect();
     PreparedSends { held, send_lens, moved_items, moved_counts, pre_uniquify_lens }
+}
+
+/// A bucket whose slot range needs at most this many bitmap words per
+/// item it holds is deduplicated through a bitmap; sparser buckets sort.
+const DENSE_WORDS_PER_ITEM: usize = 4;
+
+/// One sender group's share of [`PreparedSends`]: rows for the group's
+/// GPUs, in flat order.
+struct UniqueGroup {
+    held: Vec<Vec<(GpuId, u32)>>,
+    moved_counts: Vec<Vec<u64>>,
+    pre_uniquify_lens: Vec<u64>,
+}
+
+/// Uniquifies the items of `senders` (flat GPUs `first..`), regrouping
+/// them first when `regroup`. The result equals regrouping, then a tuple
+/// sort by (flat destination, slot) + `dedup` per holder.
+///
+/// A counting pass sizes one bucket per destination. A dense bucket gets a
+/// bitmap and emits its set bits word by word; a sparse one — few slots
+/// over a wide range — gets its raw slots, sorted and deduplicated, so no
+/// bitmap outgrows its bucket. Buckets are emitted to their holders in
+/// ascending destination order.
+fn unique_group(
+    topo: &Topology,
+    first: usize,
+    senders: &[Vec<(GpuId, u32)>],
+    regroup: bool,
+) -> UniqueGroup {
+    let p = topo.num_gpus() as usize;
+    // Destination `d`'s holder, as an index into the group.
+    let sender = topo.unflat(first);
+    let holder: Vec<usize> = (0..p)
+        .map(
+            |d| if regroup { topo.flat(regroup_holder(sender, topo.unflat(d))) - first } else { 0 },
+        )
+        .collect();
+
+    let mut lens = vec![0usize; p];
+    let mut max = vec![0u32; p];
+    let mut moved_counts = vec![vec![0u64; p]; if regroup { senders.len() } else { 0 }];
+    let mut pre_uniquify_lens = vec![0u64; senders.len()];
+    for (s, list) in senders.iter().enumerate() {
+        for &(dest, slot) in list {
+            let d = topo.flat(dest);
+            lens[d] += 1;
+            max[d] = max[d].max(slot);
+            let h = holder[d];
+            pre_uniquify_lens[h] += 1;
+            if h != s {
+                moved_counts[s][first + h] += 1;
+            }
+        }
+    }
+
+    let words = |d: usize| max[d] as usize / 64 + 1;
+    let dense: Vec<bool> = (0..p).map(|d| words(d) <= DENSE_WORDS_PER_ITEM * lens[d]).collect();
+    let mut at = vec![0usize; p];
+    let (mut bit_len, mut slot_len) = (0, 0);
+    for d in (0..p).filter(|&d| lens[d] > 0) {
+        if dense[d] {
+            at[d] = bit_len;
+            bit_len += words(d);
+        } else {
+            at[d] = slot_len;
+            slot_len += lens[d];
+        }
+    }
+    let mut bits = vec![0u64; bit_len];
+    let mut slots = vec![0u32; slot_len];
+    let mut next = at.clone();
+    for &(dest, slot) in senders.iter().flatten() {
+        let d = topo.flat(dest);
+        if dense[d] {
+            bits[at[d] + slot as usize / 64] |= 1 << (slot % 64);
+        } else {
+            slots[next[d]] = slot;
+            next[d] += 1;
+        }
+    }
+
+    let mut held = vec![Vec::new(); senders.len()];
+    for d in (0..p).filter(|&d| lens[d] > 0) {
+        let (dest, out) = (topo.unflat(d), &mut held[holder[d]]);
+        if dense[d] {
+            for (w, &word) in bits[at[d]..at[d] + words(d)].iter().enumerate() {
+                let mut set = word;
+                while set != 0 {
+                    out.push((dest, (w * 64) as u32 + set.trailing_zeros()));
+                    set &= set - 1;
+                }
+            }
+        } else {
+            let bucket = &mut slots[at[d]..next[d]];
+            bucket.sort_unstable();
+            out.extend(bucket.chunk_by(|a, b| a == b).map(|run| (dest, run[0])));
+        }
+    }
+    UniqueGroup { held, moved_counts, pre_uniquify_lens }
 }
 
 /// How one (source, destination) exchange message travels — the routing
@@ -385,7 +501,8 @@ pub fn exchange_normals_with(
     }
 
     if use_uniquify {
-        // Sort + dedup charged as another binning pass.
+        // The GPU's sort-unique, charged as another binning pass over the
+        // held items (the host's bin + bitmap computes the same lists).
         for (g, &n) in prep.pre_uniquify_lens.iter().enumerate() {
             let t = cost.device.kernel_time(KernelKind::Binning, n);
             local_time[g] += t;

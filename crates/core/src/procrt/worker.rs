@@ -112,7 +112,9 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     // confirmed dead by the phi-accrual detector before it ever sent
     // Ready. The period is provisional (the configured one arrives in
     // Setup and is stored into the atomic below); the mutex-serialized
-    // writer keeps beat frames from tearing data frames.
+    // writer keeps beat frames from tearing data frames. The thread parks
+    // between beats rather than sleeping, so the unpark on stop ends it at
+    // once and the worker's exit does not wait out a beat period.
     let stop = Arc::new(AtomicBool::new(false));
     let hb_period_ms = Arc::new(AtomicU64::new(25));
     let hb = {
@@ -129,7 +131,7 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
                     break; // coordinator gone; main loop will notice too
                 }
                 seq += 1;
-                std::thread::sleep(Duration::from_millis(
+                std::thread::park_timeout(Duration::from_millis(
                     hb_period_ms.load(Ordering::Relaxed).max(1),
                 ));
             }
@@ -137,6 +139,7 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     };
     let result = worker_body(&mut reader, &writer, &hb_period_ms);
     stop.store(true, Ordering::Relaxed);
+    hb.thread().unpark();
     let _ = hb.join();
     result
 }

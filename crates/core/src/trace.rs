@@ -148,11 +148,6 @@ pub enum Kernel {
     Nd,
 }
 
-/// Number of direction changes in a trajectory string.
-pub fn direction_switches(trajectory: &str) -> usize {
-    trajectory.as_bytes().windows(2).filter(|w| w[0] != w[1]).count()
-}
-
 /// True when a trajectory follows the paper's RMAT pattern: forward for
 /// zero or more iterations, optionally mixed while the GPUs cross over at
 /// different iterations, then backward for the rest — `F* m* B*`, one
@@ -250,10 +245,6 @@ mod tests {
 
     #[test]
     fn switch_counting() {
-        assert_eq!(direction_switches("FFBB"), 1);
-        assert_eq!(direction_switches("FBFB"), 3);
-        assert_eq!(direction_switches("FFFF"), 0);
-        assert_eq!(direction_switches(""), 0);
         assert!(is_single_switch("FFB"));
         assert!(is_single_switch("FFFF"));
         assert!(is_single_switch("BBB"));

@@ -120,6 +120,28 @@ fn no_direction_optimization_agrees() {
     assert_backends_agree(&graph, Topology::new(2, 2), 1, &config, proc_opts(2));
 }
 
+#[test]
+fn worker_exit_does_not_wait_out_a_heartbeat_period() {
+    // The heartbeat thread is woken on stop, so a run ends when its work
+    // does rather than on the next beat after it. Delayed supersteps keep
+    // the run past the provisional beat workers send before Setup.
+    let period = Duration::from_secs(2);
+    let opts = ProcOptions {
+        workers: 2,
+        heartbeat_period: period,
+        chaos: ChaosSpec { delay_step_remote: Duration::from_millis(20), ..ChaosSpec::default() },
+        ..ProcOptions::default()
+    };
+    let graph = RmatConfig::graph500(9).generate();
+    let start = std::time::Instant::now();
+    let run = ProcBackend::new(worker_cmd(), opts)
+        .run(&graph, Topology::new(2, 2), 1, &BfsConfig::new(16), false)
+        .unwrap_or_else(|e| panic!("proc backend: {e}"));
+    assert!(run.proc.expect("proc report").iterations >= 3);
+    let elapsed = start.elapsed();
+    assert!(elapsed < period / 2, "run took {elapsed:?} at a {period:?} heartbeat");
+}
+
 fn kill_opts(procs: u32, victim: u32, iter: u32) -> ProcOptions {
     ProcOptions {
         workers: procs,
