@@ -5,7 +5,11 @@
 //! `rayon` cannot be vendored. This shim keeps every call site unchanged
 //! (`par_iter`, `par_chunks`, `into_par_iter`, `ThreadPoolBuilder`, ...)
 //! while executing **genuinely in parallel** on a persistent work-stealing
-//! worker pool built on `std::thread` + atomics (see [`pool`]).
+//! worker pool built on `std::thread` + atomics (see [`pool`]). It carries
+//! only the operators the workspace calls: adapters `zip`, `enumerate`,
+//! `map`, `filter` and `flat_map_iter`; terminals `for_each` and `collect`;
+//! and the slice methods `par_iter`, `par_chunks`, `par_iter_mut` and
+//! `par_sort_unstable`.
 //!
 //! # Determinism by construction
 //!
@@ -16,12 +20,15 @@
 //! * **Fixed chunk boundaries.** Every parallel operation splits its input
 //!   into chunks whose boundaries depend *only on the input length* (never on
 //!   the thread count) — see [`chunk_ends`].
-//! * **Ordered reduction.** Per-chunk partial results are merged strictly in
+//! * **Ordered `collect`.** Per-chunk outputs are concatenated strictly in
 //!   chunk-index order on the calling thread. Thread scheduling decides
-//!   *when* a chunk runs, never *how* results combine.
-//! * **Identical structure at width 1.** A single-threaded pool executes the
-//!   exact same chunked plan inline, so even non-associative folds (`f64`
-//!   reductions, sort tie-breaks) are bit-identical at any width.
+//!   *when* a chunk runs, never where its items land.
+//! * **Deterministic merge sort.** `par_sort_unstable` sorts the same
+//!   length-only runs and merges them pairwise, ties going to the left run,
+//!   so equal keys land in the same order at every width.
+//!
+//! The shim has no parallel fold: any floating-point accumulation happens in
+//! the caller, over a `collect`ed vector, in source order.
 //!
 //! The worker count comes from `ThreadPoolBuilder::num_threads`, the
 //! `GCBFS_THREADS` environment variable, or the machine's available
@@ -32,9 +39,7 @@ use std::cell::UnsafeCell;
 use std::cmp::Ordering as CmpOrdering;
 use std::marker::PhantomData;
 use std::mem::{ManuallyDrop, MaybeUninit};
-use std::ops::ControlFlow;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 mod pool;
 
@@ -154,36 +159,6 @@ unsafe impl<'a, T: Sync> ParSource for ChunksSource<'a, T> {
     }
 }
 
-/// Exclusive chunked-slice source (`par_chunks_mut`).
-pub struct ChunksMutSource<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    size: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-unsafe impl<T: Send> Send for ChunksMutSource<'_, T> {}
-unsafe impl<T: Send> Sync for ChunksMutSource<'_, T> {}
-
-unsafe impl<'a, T: Send> ParSource for ChunksMutSource<'a, T> {
-    type Item = &'a mut [T];
-
-    fn len(&self) -> usize {
-        self.len.div_ceil(self.size)
-    }
-
-    unsafe fn make_iter(&self, start: usize, end: usize) -> impl Iterator<Item = Self::Item> + '_ {
-        let (ptr, len, size) = (self.ptr, self.len, self.size);
-        (start..end).map(move |i| {
-            let lo = i * size;
-            let hi = (lo + size).min(len);
-            // SAFETY: chunk index ranges are disjoint, so the produced
-            // mutable sub-slices never alias.
-            unsafe { std::slice::from_raw_parts_mut(ptr.add(lo), hi - lo) }
-        })
-    }
-}
-
 /// Owning source over a `Vec` (`into_par_iter`). Items are moved out of the
 /// buffer by `ptr::read`; the buffer itself is freed without dropping
 /// elements, so each element is dropped exactly once by whoever consumed it.
@@ -197,8 +172,8 @@ unsafe impl<T: Send> Sync for VecSource<T> {}
 impl<T> Drop for VecSource<T> {
     fn drop(&mut self) {
         // SAFETY: elements were either moved out by `make_iter` consumers or
-        // are intentionally leaked (only reachable on panic / early-exit
-        // paths); setting len to 0 frees the allocation without dropping.
+        // are intentionally leaked (only reachable when a chunk panics);
+        // setting len to 0 frees the allocation without dropping.
         unsafe {
             let mut v = ManuallyDrop::take(&mut self.vec);
             v.set_len(0);
@@ -242,7 +217,7 @@ macro_rules! par_index {
     )*};
 }
 
-par_index!(usize, u64, u32, u16, i64, i32);
+par_index!(usize, u64);
 
 /// Range source (`(a..b).into_par_iter()`).
 pub struct RangeSource<A> {
@@ -306,14 +281,13 @@ unsafe impl<S: ParSource> ParSource for EnumSource<S> {
 // Composable per-item operation chains
 // ---------------------------------------------------------------------------
 
-/// A stack of item transformations applied via internal iteration. The sink
-/// returns [`ControlFlow::Break`] to stop early (`any` / `all` / `find_any`).
+/// A stack of item transformations applied via internal iteration.
 pub trait OpChain<In>: Sync {
     /// Output item type after every transformation in the chain.
     type Out: Send;
 
     /// Push `x` through the chain, handing each produced item to `sink`.
-    fn feed<K: FnMut(Self::Out) -> ControlFlow<()>>(&self, x: In, sink: &mut K) -> ControlFlow<()>;
+    fn feed<K: FnMut(Self::Out)>(&self, x: In, sink: &mut K);
 }
 
 /// The empty chain: items pass through untouched.
@@ -322,7 +296,7 @@ pub struct NoOps;
 impl<In: Send> OpChain<In> for NoOps {
     type Out = In;
 
-    fn feed<K: FnMut(In) -> ControlFlow<()>>(&self, x: In, sink: &mut K) -> ControlFlow<()> {
+    fn feed<K: FnMut(In)>(&self, x: In, sink: &mut K) {
         sink(x)
     }
 }
@@ -341,7 +315,7 @@ where
 {
     type Out = T;
 
-    fn feed<K: FnMut(T) -> ControlFlow<()>>(&self, x: In, sink: &mut K) -> ControlFlow<()> {
+    fn feed<K: FnMut(T)>(&self, x: In, sink: &mut K) {
         self.prev.feed(x, &mut |y| sink((self.f)(y)))
     }
 }
@@ -359,34 +333,16 @@ where
 {
     type Out = P::Out;
 
-    fn feed<K: FnMut(P::Out) -> ControlFlow<()>>(&self, x: In, sink: &mut K) -> ControlFlow<()> {
-        self.prev.feed(x, &mut |y| if (self.f)(&y) { sink(y) } else { ControlFlow::Continue(()) })
-    }
-}
-
-/// `filter_map` stage.
-pub struct FilterMapOp<P, F> {
-    prev: P,
-    f: F,
-}
-
-impl<In, P, T, F> OpChain<In> for FilterMapOp<P, F>
-where
-    P: OpChain<In>,
-    T: Send,
-    F: Fn(P::Out) -> Option<T> + Sync,
-{
-    type Out = T;
-
-    fn feed<K: FnMut(T) -> ControlFlow<()>>(&self, x: In, sink: &mut K) -> ControlFlow<()> {
-        self.prev.feed(x, &mut |y| match (self.f)(y) {
-            Some(z) => sink(z),
-            None => ControlFlow::Continue(()),
+    fn feed<K: FnMut(P::Out)>(&self, x: In, sink: &mut K) {
+        self.prev.feed(x, &mut |y| {
+            if (self.f)(&y) {
+                sink(y)
+            }
         })
     }
 }
 
-/// `flat_map` / `flat_map_iter` stage.
+/// `flat_map_iter` stage.
 pub struct FlatMapOp<P, F> {
     prev: P,
     f: F,
@@ -401,12 +357,11 @@ where
 {
     type Out = U::Item;
 
-    fn feed<K: FnMut(U::Item) -> ControlFlow<()>>(&self, x: In, sink: &mut K) -> ControlFlow<()> {
+    fn feed<K: FnMut(U::Item)>(&self, x: In, sink: &mut K) {
         self.prev.feed(x, &mut |y| {
             for z in (self.f)(y) {
-                sink(z)?;
+                sink(z);
             }
-            ControlFlow::Continue(())
         })
     }
 }
@@ -503,15 +458,6 @@ impl<S: ParSource, O: OpChain<S::Item>> ParIter<S, O> {
         ParIter { source: self.source, ops: FilterOp { prev: self.ops, f } }
     }
 
-    /// Filter + map in one pass.
-    pub fn filter_map<T, F>(self, f: F) -> ParIter<S, FilterMapOp<O, F>>
-    where
-        T: Send,
-        F: Fn(O::Out) -> Option<T> + Sync,
-    {
-        ParIter { source: self.source, ops: FilterMapOp { prev: self.ops, f } }
-    }
-
     /// Maps each item to a serial iterator and flattens (rayon's
     /// `flat_map_iter`).
     pub fn flat_map_iter<U, F>(self, f: F) -> ParIter<S, FlatMapOp<O, F>>
@@ -523,17 +469,6 @@ impl<S: ParSource, O: OpChain<S::Item>> ParIter<S, O> {
         ParIter { source: self.source, ops: FlatMapOp { prev: self.ops, f } }
     }
 
-    /// Maps each item to an iterable and flattens (alias of
-    /// [`ParIter::flat_map_iter`] in the shim).
-    pub fn flat_map<U, F>(self, f: F) -> ParIter<S, FlatMapOp<O, F>>
-    where
-        U: IntoIterator,
-        U::Item: Send,
-        F: Fn(O::Out) -> U + Sync,
-    {
-        self.flat_map_iter(f)
-    }
-
     /// Consumes the iterator, applying `f` to each item in parallel.
     pub fn for_each<F>(self, f: F)
     where
@@ -542,12 +477,8 @@ impl<S: ParSource, O: OpChain<S::Item>> ParIter<S, O> {
         let ParIter { source, ops } = self;
         run_chunked(&source, &|src: &S, s, e| {
             // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |y| {
-                    f(y);
-                    ControlFlow::Continue(())
-                });
+            for x in unsafe { src.make_iter(s, e) } {
+                ops.feed(x, &mut |y| f(y));
             }
         });
     }
@@ -558,271 +489,12 @@ impl<S: ParSource, O: OpChain<S::Item>> ParIter<S, O> {
         let chunks = run_chunked(&source, &|src: &S, s, e| {
             let mut out = Vec::new();
             // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |y| {
-                    out.push(y);
-                    ControlFlow::Continue(())
-                });
+            for x in unsafe { src.make_iter(s, e) } {
+                ops.feed(x, &mut |y| out.push(y));
             }
             out
         });
         chunks.into_iter().flatten().collect()
-    }
-
-    /// Splits an iterator of pairs into two collections, preserving order.
-    pub fn unzip<A, B, FromA, FromB>(self) -> (FromA, FromB)
-    where
-        O: OpChain<S::Item, Out = (A, B)>,
-        A: Send,
-        B: Send,
-        FromA: Default + Extend<A>,
-        FromB: Default + Extend<B>,
-    {
-        let ParIter { source, ops } = self;
-        let chunks = run_chunked(&source, &|src: &S, s, e| {
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |(a, b)| {
-                    left.push(a);
-                    right.push(b);
-                    ControlFlow::Continue(())
-                });
-            }
-            (left, right)
-        });
-        let mut out_a = FromA::default();
-        let mut out_b = FromB::default();
-        for (l, r) in chunks {
-            out_a.extend(l);
-            out_b.extend(r);
-        }
-        (out_a, out_b)
-    }
-
-    /// Rayon-style reduction: per-chunk fold from `identity()`, then an
-    /// ordered fold of the chunk partials. The chunk plan is fixed by input
-    /// length, so the association is identical at every thread count.
-    pub fn reduce<ID, OP>(self, identity: ID, op: OP) -> O::Out
-    where
-        ID: Fn() -> O::Out + Sync,
-        OP: Fn(O::Out, O::Out) -> O::Out + Sync,
-    {
-        let ParIter { source, ops } = self;
-        let partials = run_chunked(&source, &|src: &S, s, e| {
-            let mut acc = Some(identity());
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |y| {
-                    acc = Some(op(acc.take().expect("reduce accumulator"), y));
-                    ControlFlow::Continue(())
-                });
-            }
-            acc.expect("reduce accumulator")
-        });
-        let mut total = identity();
-        for p in partials {
-            total = op(total, p);
-        }
-        total
-    }
-
-    /// Sums the items (per-chunk sums merged in chunk order).
-    pub fn sum<Sm>(self) -> Sm
-    where
-        Sm: std::iter::Sum<O::Out> + std::iter::Sum<Sm> + Send,
-    {
-        let ParIter { source, ops } = self;
-        let partials = run_chunked(&source, &|src: &S, s, e| {
-            let mut buf = Vec::new();
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |y| {
-                    buf.push(y);
-                    ControlFlow::Continue(())
-                });
-            }
-            buf.into_iter().sum::<Sm>()
-        });
-        partials.into_iter().sum()
-    }
-
-    /// Counts the items.
-    pub fn count(self) -> usize {
-        let ParIter { source, ops } = self;
-        let partials = run_chunked(&source, &|src: &S, s, e| {
-            let mut n = 0usize;
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |_| {
-                    n += 1;
-                    ControlFlow::Continue(())
-                });
-            }
-            n
-        });
-        partials.into_iter().sum()
-    }
-
-    /// Minimum item (first minimum in source order, matching `Iterator::min`).
-    pub fn min(self) -> Option<O::Out>
-    where
-        O::Out: Ord,
-    {
-        let ParIter { source, ops } = self;
-        let partials = run_chunked(&source, &|src: &S, s, e| {
-            let mut best: Option<O::Out> = None;
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |y| {
-                    best = match best.take() {
-                        // Strict `<` keeps the first of equal minima.
-                        Some(b) => Some(if y < b { y } else { b }),
-                        None => Some(y),
-                    };
-                    ControlFlow::Continue(())
-                });
-            }
-            best
-        });
-        partials.into_iter().flatten().reduce(|a, b| if b < a { b } else { a })
-    }
-
-    /// Maximum item (last maximum in source order, matching `Iterator::max`).
-    pub fn max(self) -> Option<O::Out>
-    where
-        O::Out: Ord,
-    {
-        let ParIter { source, ops } = self;
-        let partials = run_chunked(&source, &|src: &S, s, e| {
-            let mut best: Option<O::Out> = None;
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let _ = ops.feed(x, &mut |y| {
-                    best = match best.take() {
-                        // `>=` keeps the last of equal maxima.
-                        Some(b) => Some(if y >= b { y } else { b }),
-                        None => Some(y),
-                    };
-                    ControlFlow::Continue(())
-                });
-            }
-            best
-        });
-        partials.into_iter().flatten().reduce(|a, b| if b >= a { b } else { a })
-    }
-
-    /// Whether any item satisfies `f`. Chunks short-circuit once a match is
-    /// found anywhere; the boolean result is schedule-independent.
-    pub fn any<F>(self, f: F) -> bool
-    where
-        F: Fn(O::Out) -> bool + Sync,
-    {
-        let ParIter { source, ops } = self;
-        let found = AtomicBool::new(false);
-        run_chunked(&source, &|src: &S, s, e| {
-            if found.load(Ordering::Relaxed) {
-                return;
-            }
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let cf = ops.feed(x, &mut |y| {
-                    if f(y) {
-                        found.store(true, Ordering::Relaxed);
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                if cf.is_break() || found.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-        });
-        found.load(Ordering::Relaxed)
-    }
-
-    /// Whether all items satisfy `f`.
-    pub fn all<F>(self, f: F) -> bool
-    where
-        F: Fn(O::Out) -> bool + Sync,
-    {
-        let ParIter { source, ops } = self;
-        let failed = AtomicBool::new(false);
-        run_chunked(&source, &|src: &S, s, e| {
-            if failed.load(Ordering::Relaxed) {
-                return;
-            }
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let cf = ops.feed(x, &mut |y| {
-                    if f(y) {
-                        ControlFlow::Continue(())
-                    } else {
-                        failed.store(true, Ordering::Relaxed);
-                        ControlFlow::Break(())
-                    }
-                });
-                if cf.is_break() || failed.load(Ordering::Relaxed) {
-                    break;
-                }
-            }
-        });
-        !failed.load(Ordering::Relaxed)
-    }
-
-    /// Finds a matching item. Unlike rayon (whose `find_any` is
-    /// schedule-dependent), the shim deterministically returns the **first**
-    /// match in source order — a valid (and stronger) implementation of the
-    /// `find_any` contract.
-    pub fn find_any<F>(self, f: F) -> Option<O::Out>
-    where
-        F: Fn(&O::Out) -> bool + Sync,
-    {
-        let ParIter { source, ops } = self;
-        // Lowest chunk index with a match so far; later chunks abort early.
-        let best_chunk = AtomicUsize::new(usize::MAX);
-        let ends = chunk_ends(source.len());
-        let hits = run_chunked(&source, &|src: &S, s, e| {
-            let my_chunk = ends.partition_point(|&end| end <= s);
-            if best_chunk.load(Ordering::Relaxed) < my_chunk {
-                return None;
-            }
-            let mut hit: Option<O::Out> = None;
-            // SAFETY: chunk ranges are disjoint by construction.
-            let iter = unsafe { src.make_iter(s, e) };
-            for x in iter {
-                let cf = ops.feed(x, &mut |y| {
-                    if f(&y) {
-                        hit = Some(y);
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                if cf.is_break() {
-                    break;
-                }
-                if best_chunk.load(Ordering::Relaxed) < my_chunk {
-                    return None;
-                }
-            }
-            if hit.is_some() {
-                best_chunk.fetch_min(my_chunk, Ordering::Relaxed);
-            }
-            hit
-        });
-        hits.into_iter().flatten().next()
     }
 }
 
@@ -902,20 +574,15 @@ impl<T: Sync> ParallelSlice<T> for [T] {
     }
 }
 
-/// Mutable slice operations (`par_iter_mut`, `par_chunks_mut`, parallel
-/// sorts).
+/// Mutable slice operations (`par_iter_mut`, `par_sort_unstable`).
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel exclusive iteration.
     fn par_iter_mut(&mut self) -> ParIter<SliceMutSource<'_, T>, NoOps>;
-    /// Parallel chunked exclusive iteration.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutSource<'_, T>, NoOps>;
     /// Parallel unstable sort. Deterministic: the chunk/merge plan depends
     /// only on the slice length, and merges break ties by chunk order.
     fn par_sort_unstable(&mut self)
     where
         T: Ord;
-    /// Parallel unstable sort by key.
-    fn par_sort_unstable_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, f: F);
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
@@ -927,25 +594,11 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         })
     }
 
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutSource<'_, T>, NoOps> {
-        assert!(chunk_size > 0, "chunk size must be non-zero");
-        ParIter::from_source(ChunksMutSource {
-            ptr: self.as_mut_ptr(),
-            len: self.len(),
-            size: chunk_size,
-            _marker: PhantomData,
-        })
-    }
-
     fn par_sort_unstable(&mut self)
     where
         T: Ord,
     {
-        par_sort_impl(self, &|a: &T, b: &T| a.cmp(b));
-    }
-
-    fn par_sort_unstable_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, f: F) {
-        par_sort_impl(self, &|a: &T, b: &T| f(a).cmp(&f(b)));
+        par_sort_impl(self);
     }
 }
 
@@ -978,15 +631,11 @@ unsafe impl<T> Sync for SendPtr<T> {}
 /// `src[a..c]` must be initialized; `dst[a..c]` must be valid for writes and
 /// disjoint from `src[a..c]`. `T` must not need drop (elements are
 /// bit-copied; on a comparator panic both buffers may hold copies).
-unsafe fn merge_runs<T, C>(src: *const T, a: usize, b: usize, c: usize, dst: *mut T, cmp: &C)
-where
-    C: Fn(&T, &T) -> CmpOrdering,
-{
+unsafe fn merge_runs<T: Ord>(src: *const T, a: usize, b: usize, c: usize, dst: *mut T) {
     let (mut i, mut j, mut o) = (a, b, a);
     unsafe {
         while i < b && j < c {
-            let take_left = cmp(&*src.add(i), &*src.add(j)) != CmpOrdering::Greater;
-            if take_left {
+            if (*src.add(i)).cmp(&*src.add(j)) != CmpOrdering::Greater {
                 std::ptr::copy_nonoverlapping(src.add(i), dst.add(o), 1);
                 i += 1;
             } else {
@@ -1010,10 +659,10 @@ where
 /// buffer. Falls back to the sequential std sort for short inputs and for
 /// types with drop glue (bit-copy merging would be unsound to unwind there;
 /// no workspace call site sorts such types).
-fn par_sort_impl<T: Send, C: Fn(&T, &T) -> CmpOrdering + Sync>(v: &mut [T], cmp: &C) {
+fn par_sort_impl<T: Send + Ord>(v: &mut [T]) {
     let len = v.len();
     if len <= SORT_SEQ_CUTOFF || std::mem::needs_drop::<T>() || pool::effective_width() <= 1 {
-        v.sort_unstable_by(|a, b| cmp(a, b));
+        v.sort_unstable();
         return;
     }
 
@@ -1032,7 +681,7 @@ fn par_sort_impl<T: Send, C: Fn(&T, &T) -> CmpOrdering + Sync>(v: &mut [T], cmp:
             let (s, e) = (bounds_ref[i], bounds_ref[i + 1]);
             // SAFETY: run ranges are disjoint sub-slices of `v`.
             let chunk = unsafe { std::slice::from_raw_parts_mut(base_ref.0.add(s), e - s) };
-            chunk.sort_unstable_by(|a, b| cmp(a, b));
+            chunk.sort_unstable();
         });
     }
 
@@ -1058,7 +707,7 @@ fn par_sort_impl<T: Send, C: Fn(&T, &T) -> CmpOrdering + Sync>(v: &mut [T], cmp:
                     // SAFETY: src[a..c] initialized (previous round), dst is
                     // the other buffer, ranges disjoint per pair; T: !Drop
                     // checked at entry.
-                    unsafe { merge_runs(src_ref.0, a, b, c, dst_ref.0, cmp) };
+                    unsafe { merge_runs(src_ref.0, a, b, c, dst_ref.0) };
                 } else {
                     // Odd tail run: copy through unchanged.
                     let (a, c) =
@@ -1091,51 +740,8 @@ fn par_sort_impl<T: Send, C: Fn(&T, &T) -> CmpOrdering + Sync>(v: &mut [T], cmp:
 }
 
 // ---------------------------------------------------------------------------
-// join / thread pool handles
+// Thread pool handles
 // ---------------------------------------------------------------------------
-
-/// One-shot closure slot claimed by exactly one pool task.
-struct OnceSlot<T>(UnsafeCell<Option<T>>);
-
-unsafe impl<T: Send> Sync for OnceSlot<T> {}
-
-/// Runs two closures, potentially in parallel, and returns both results;
-/// mirrors `rayon::join`. Nested joins (from inside pool work) run inline.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if pool::effective_width() < 2 || pool::in_task() {
-        return (a(), b());
-    }
-    let fa = OnceSlot(UnsafeCell::new(Some(a)));
-    let fb = OnceSlot(UnsafeCell::new(Some(b)));
-    let ra = OnceSlot(UnsafeCell::new(None));
-    let rb = OnceSlot(UnsafeCell::new(None));
-    // Capture the `Sync` wrappers by reference (edition 2021 would otherwise
-    // capture the raw `UnsafeCell` fields and lose the wrapper's Sync impl).
-    let (fa_ref, fb_ref, ra_ref, rb_ref) = (&fa, &fb, &ra, &rb);
-    pool::run(2, &|i: usize| {
-        // SAFETY: the pool executes each index exactly once, so each slot is
-        // taken/written by a single thread; the submitter reads only after
-        // completion.
-        unsafe {
-            if i == 0 {
-                let f = (*fa_ref.0.get()).take().expect("join closure A");
-                *ra_ref.0.get() = Some(f());
-            } else {
-                let f = (*fb_ref.0.get()).take().expect("join closure B");
-                *rb_ref.0.get() = Some(f());
-            }
-        }
-    });
-    let ra = ra.0.into_inner().expect("join result A");
-    let rb = rb.0.into_inner().expect("join result B");
-    (ra, rb)
-}
 
 /// Number of worker threads the current scope would use for a parallel
 /// operation (honors `ThreadPool::install` overrides and `GCBFS_THREADS`).
@@ -1173,14 +779,6 @@ impl ThreadPoolBuilder {
 #[derive(Debug)]
 pub struct ThreadPoolBuildError;
 
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
 /// A width-scoped handle onto the shared worker pool; mirrors
 /// `rayon::ThreadPool`.
 pub struct ThreadPool {
@@ -1192,11 +790,6 @@ impl ThreadPool {
     /// thread: parallel operations inside `f` use `self`'s width.
     pub fn install<R, F: FnOnce() -> R>(&self, f: F) -> R {
         pool::with_width_override(self.width, f)
-    }
-
-    /// The width this handle installs.
-    pub fn current_num_threads(&self) -> usize {
-        self.width
     }
 }
 
@@ -1216,27 +809,16 @@ mod tests {
 
     #[test]
     fn map_collect_roundtrip() {
-        let v: Vec<u32> = (0u32..5).into_par_iter().map(|x| x * 2).collect();
+        let v: Vec<u64> = (0u64..5).into_par_iter().map(|x| x * 2).collect();
         assert_eq!(v, vec![0, 2, 4, 6, 8]);
     }
 
     #[test]
-    fn chunked_reduce_matches_serial() {
-        let data: Vec<u64> = (0..100).collect();
-        let total: u64 =
-            data.par_chunks(7).map(|c| c.iter().sum::<u64>()).reduce(|| 0, |a, b| a + b);
-        assert_eq!(total, data.iter().sum::<u64>());
-    }
-
-    #[test]
-    fn zip_and_unzip() {
+    fn zip_with_par_iter_mut() {
         let a = [1, 2, 3];
         let mut b = [10, 20, 30];
         a.par_iter().zip(b.par_iter_mut()).for_each(|(x, y)| *y += x);
         assert_eq!(b, [11, 22, 33]);
-        let (l, r): (Vec<i32>, Vec<i32>) = a.par_iter().map(|&x| (x, -x)).unzip();
-        assert_eq!(l, vec![1, 2, 3]);
-        assert_eq!(r, vec![-1, -2, -3]);
     }
 
     #[test]
@@ -1289,17 +871,20 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         let out: Vec<u32> = empty.par_iter().map(|&x| x).collect();
         assert!(out.is_empty());
-        assert_eq!(empty.par_iter().count(), 0);
-        assert_eq!(Vec::<u64>::new().into_par_iter().sum::<u64>(), 0);
+        let hits = AtomicUsize::new(0);
+        Vec::<u64>::new().into_par_iter().for_each(|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 0);
         // len < threads
         pool(8).install(|| {
-            let v: Vec<u32> = (0u32..3).into_par_iter().map(|x| x + 1).collect();
+            let v: Vec<u64> = (0u64..3).into_par_iter().map(|x| x + 1).collect();
             assert_eq!(v, vec![1, 2, 3]);
         });
         // len % chunks != 0
         let data: Vec<u64> = (0..131).collect();
-        let s: u64 = data.par_iter().map(|&x| x).sum();
-        assert_eq!(s, 131 * 130 / 2);
+        let out: Vec<u64> = data.par_iter().map(|&x| x).collect();
+        assert_eq!(out, data);
     }
 
     #[test]
@@ -1307,17 +892,22 @@ mod tests {
         let data: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
         let run = || {
             let mapped: Vec<f64> = data.par_iter().map(|&x| x * 1.5 - 0.25).collect();
-            let total = mapped.par_iter().map(|&x| x).reduce(|| 0.0, |a, b| a + b);
+            let spread: Vec<u64> = (0..500u64)
+                .into_par_iter()
+                .flat_map_iter(|i| (0..i % 7).map(move |j| i * 8 + j))
+                .collect();
+            let kept: Vec<usize> =
+                data.par_iter().enumerate().filter(|(_, x)| **x > 0.5).map(|(i, _)| i).collect();
+            let sums: Vec<u64> =
+                data.par_chunks(37).map(|c| c.iter().map(|x| x.to_bits() >> 40).sum()).collect();
             let mut keys: Vec<(u64, u64)> =
                 data.par_iter().enumerate().map(|(i, &x)| (x.to_bits() >> 32, i as u64)).collect();
             keys.par_sort_unstable();
-            (mapped, total.to_bits(), keys)
+            (mapped, spread, kept, sums, keys)
         };
         let reference = pool(1).install(run);
         for n in [2usize, 3, 4, 8] {
-            let got = pool(n).install(run);
-            assert_eq!(got.1, reference.1, "f64 reduction must be bit-identical at width {n}");
-            assert_eq!(got, reference, "width {n} diverged");
+            assert_eq!(pool(n).install(run), reference, "width {n} diverged");
         }
     }
 
@@ -1359,40 +949,28 @@ mod tests {
     }
 
     #[test]
-    fn nested_join_and_nested_par_iter() {
-        let (a, b) = crate::join(
-            || {
-                let (x, y) = crate::join(|| 1 + 1, || 2 + 2);
-                x + y
-            },
-            || (0..100u64).into_par_iter().map(|x| x * x).sum::<u64>(),
-        );
-        assert_eq!(a, 6);
-        assert_eq!(b, (0..100u64).map(|x| x * x).sum::<u64>());
-        // Nested par_iter inside a par_iter task runs inline and stays exact.
-        let v: Vec<u64> =
-            (0..8u64).into_par_iter().map(|i| (0..i).into_par_iter().sum::<u64>()).collect();
-        assert_eq!(v, (0..8u64).map(|i| i * (i.max(1) - 1) / 2).collect::<Vec<_>>());
+    fn nested_par_iter_runs_inline_and_stays_exact() {
+        let nested = || -> Vec<Vec<u64>> {
+            (0..8u64)
+                .into_par_iter()
+                .map(|i| (0..i).into_par_iter().map(|j| j * i).collect())
+                .collect()
+        };
+        let expected: Vec<Vec<u64>> = (0..8u64).map(|i| (0..i).map(|j| j * i).collect()).collect();
+        for n in [1usize, 4] {
+            assert_eq!(pool(n).install(nested), expected, "width {n}");
+        }
     }
 
     #[test]
-    fn filter_flat_map_min_max_any_all_find() {
-        let data: Vec<u32> = (0..1000).collect();
-        let evens: Vec<u32> = data.par_iter().filter(|&&x| x % 2 == 0).map(|&x| x).collect();
-        assert_eq!(evens.len(), 500);
-        let fm: Vec<u32> =
-            (0u32..10).into_par_iter().flat_map_iter(|x| (0..x).map(move |y| x * 10 + y)).collect();
-        let expected: Vec<u32> = (0u32..10).flat_map(|x| (0..x).map(move |y| x * 10 + y)).collect();
+    fn filter_and_flat_map_iter_keep_source_order() {
+        let data: Vec<u64> = (0..1000).collect();
+        let evens: Vec<u64> = data.par_iter().filter(|&&x| x % 2 == 0).map(|&x| x).collect();
+        assert_eq!(evens, (0..1000).step_by(2).collect::<Vec<_>>());
+        let fm: Vec<u64> =
+            (0u64..10).into_par_iter().flat_map_iter(|x| (0..x).map(move |y| x * 10 + y)).collect();
+        let expected: Vec<u64> = (0u64..10).flat_map(|x| (0..x).map(move |y| x * 10 + y)).collect();
         assert_eq!(fm, expected);
-        assert_eq!(data.par_iter().map(|&x| x).min(), Some(0));
-        assert_eq!(data.par_iter().map(|&x| x).max(), Some(999));
-        assert!(data.par_iter().any(|&x| x == 777));
-        assert!(!data.par_iter().any(|&x| x == 7777));
-        assert!(data.par_iter().all(|&x| x < 1000));
-        assert_eq!(data.par_iter().find_any(|&&x| x % 313 == 312), Some(&312));
-        let fmapped: Vec<u32> =
-            data.par_iter().filter_map(|&x| (x % 100 == 0).then_some(x / 100)).collect();
-        assert_eq!(fmapped, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1402,13 +980,5 @@ mod tests {
             pool(4).install(|| strings.clone().into_par_iter().map(|s| s.len()).collect());
         let expected: Vec<usize> = strings.iter().map(String::len).collect();
         assert_eq!(lens, expected);
-    }
-
-    #[test]
-    fn gcbfs_threads_env_is_honored_shape() {
-        // Can't mutate the cached env in-process; just check the clamp logic
-        // via explicit pools.
-        assert_eq!(pool(0).current_num_threads(), crate::current_num_threads().clamp(1, 256));
-        assert_eq!(pool(3).current_num_threads(), 3);
     }
 }

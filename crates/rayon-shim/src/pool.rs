@@ -16,10 +16,10 @@
 //!    *finished* executing (`completed == total`) before returning, so the
 //!    borrow outlives all worker accesses.
 //!
-//! Nested parallelism (a `par_iter` inside a worker closure, or nested
-//! `join`) runs inline on the current thread: a thread-local `IN_TASK` flag
-//! collapses the effective width to 1. This prevents pool-starvation
-//! deadlocks and keeps the evaluation structure identical at every width.
+//! Nested parallelism (a `par_iter` inside a worker closure) runs inline on
+//! the current thread: a thread-local `IN_TASK` flag collapses the effective
+//! width to 1. This prevents pool-starvation deadlocks and keeps the
+//! evaluation structure identical at every width.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -42,18 +42,36 @@ fn clamp_width(n: usize) -> usize {
 
 /// Global default width: `GCBFS_THREADS` env override, else the number of
 /// available hardware threads. Resolved once per process.
+///
+/// # Panics
+/// If `GCBFS_THREADS` is set to something other than a thread count, so a
+/// run meant to be pinned never runs unpinned.
 pub(crate) fn default_width() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
-        if let Ok(raw) = std::env::var("GCBFS_THREADS") {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    return clamp_width(n);
-                }
+        let raw = std::env::var_os("GCBFS_THREADS").map(|v| v.to_string_lossy().into_owned());
+        match parse_threads(raw.as_deref()) {
+            Ok(Some(n)) => clamp_width(n),
+            Ok(None) => {
+                std::thread::available_parallelism().map(|n| clamp_width(n.get())).unwrap_or(1)
             }
+            Err(msg) => panic!("{msg}"),
         }
-        std::thread::available_parallelism().map(|n| clamp_width(n.get())).unwrap_or(1)
     })
+}
+
+/// Parses a `GCBFS_THREADS` value. Unset or `0` selects the default width
+/// (`None`); a positive integer pins it; anything else is an error that
+/// names the value.
+fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.trim().parse::<usize>() {
+        Ok(0) => Ok(None),
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(format!(
+            "GCBFS_THREADS={raw:?} is not a thread count (use a positive integer, or 0 or unset for every core)"
+        )),
+    }
 }
 
 /// Width in effect for a parallel operation started on this thread.
@@ -325,24 +343,21 @@ fn worker_loop() {
 
 /// Execute `task(i)` for every `i in 0..total`, potentially in parallel.
 ///
-/// Every index is executed exactly once. Panics from `task` are propagated to
-/// the caller (first panic payload wins) after *all* indices have finished.
+/// Every index is executed exactly once unless `task` panics. At width > 1 a
+/// panic is caught, every other index still runs, and the first payload
+/// caught (in time, not index order) is rethrown on the caller. The inline
+/// width-1 path stops at the first panic and unwinds straight through.
 pub(crate) fn run(total: usize, task: &(dyn Fn(usize) + Sync)) {
     if total == 0 {
         return;
     }
     let width = effective_width().min(total);
-    if width <= 1 || IN_TASK.with(|f| f.get()) {
-        // Inline sequential execution — identical index order, same
-        // evaluation structure (the caller's chunking already fixed the
-        // merge order), no pool involvement.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for i in 0..total {
-                task(i);
-            }
-        }));
-        if let Err(payload) = result {
-            std::panic::resume_unwind(payload);
+    if width <= 1 {
+        // Inline sequential execution (also every nested op, whose
+        // effective width is 1): identical index order, same evaluation
+        // structure, no pool involvement.
+        for i in 0..total {
+            task(i);
         }
         return;
     }
@@ -378,7 +393,19 @@ pub(crate) fn run(total: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// True when called from inside pool work (used by `join` to nest inline).
-pub(crate) fn in_task() -> bool {
-    IN_TASK.with(|f| f.get())
+#[cfg(test)]
+mod tests {
+    use super::parse_threads;
+
+    #[test]
+    fn gcbfs_threads_parse_pins_defaults_and_rejects() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("0")), Ok(None));
+        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(Some(" 1\n")), Ok(Some(1)));
+        for bad in ["four", "1.5", "-2", ""] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err} must name {bad:?}");
+        }
+    }
 }
