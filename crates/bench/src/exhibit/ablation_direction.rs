@@ -7,23 +7,19 @@
 //! kernel too late or drags `dd` backward too early. Expected ordering:
 //! per-kernel ≥ global > off, with the gap widening at thresholds where
 //! the subgraph mix is lopsided.
+//!
+//! Usage: `gcbfs-bench ablation_direction`. Environment knobs:
+//! `GCBFS_SCALE` (default 16), `GCBFS_SOURCES`.
 
-use gcbfs_bench::{
-    env_or, f2, num_sources, per_gpu_scale, pick_sources, print_table, ray_factor, run_many,
-};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let scale = env_or("GCBFS_SCALE", 16) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let scale = k.scale.unwrap_or(16);
     let cfg = RmatConfig::graph500(scale);
     println!("Ablation: per-kernel vs global direction decisions (RMAT scale {scale}, 16 GPUs)");
     let graph = cfg.generate();
     let topo = Topology::new(8, 2);
-    let sources = pick_sources(&graph, num_sources(), 0xab1);
+    let sources = pick_sources(&graph, k.sources, 0xab1);
     let factor = ray_factor(per_gpu_scale(scale, topo.num_gpus()));
     let cost = CostModel::ray_scaled(factor);
 

@@ -21,60 +21,17 @@
 //! process (and, separately, spread onto survivors); the real
 //! detect/re-home/total times are reported.
 //!
-//! Environment knobs: `GCBFS_SCALE` (default 12; `--smoke` 10),
-//! `GCBFS_TH`. `GCBFS_JSON_OUT=/path.json` writes the measurements as
-//! JSON (`results/BENCH_backend.json` in CI).
+//! Usage: `gcbfs-bench backend_sweep [--smoke]`. Environment knobs:
+//! `GCBFS_SCALE` (default 12; `--smoke` 10), `GCBFS_JSON_OUT=/path.json`
+//! (writes the measurements; `results/BENCH_backend.json` in CI).
 //!
-//! Usage: `cargo run --release --bin backend_sweep [--smoke]`
-//!
-//! The binary is its own worker executable: the coordinator respawns it
-//! as `backend_sweep worker --socket PATH --worker N` (hidden mode).
+//! The coordinator spawns the workers from this same binary, through its
+//! hidden `worker --socket PATH --worker N` entry.
 
-use gcbfs_bench::{env_or, f2, print_table};
-use gcbfs_cluster::topology::Topology;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::backend::{Backend, BackendRun, ProcBackend, SimBackend};
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::procrt::{self, ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand};
+use gcbfs_core::procrt::{ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand};
 use gcbfs_core::recovery::RecoveryConfig;
-use gcbfs_graph::rmat::RmatConfig;
-use gcbfs_graph::EdgeList;
-
-fn ms(s: f64) -> f64 {
-    s * 1e3
-}
-
-/// Hidden worker mode: `backend_sweep worker --socket PATH --worker N`.
-fn worker_mode(args: &[String]) -> ! {
-    let mut socket = None;
-    let mut worker = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = it.next().cloned(),
-            "--worker" => worker = it.next().and_then(|v| v.parse::<u32>().ok()),
-            _ => {}
-        }
-    }
-    let (socket, worker) = match (socket, worker) {
-        (Some(s), Some(w)) => (s, w),
-        _ => {
-            eprintln!("worker mode needs --socket PATH --worker N");
-            std::process::exit(2);
-        }
-    };
-    match procrt::worker::run_worker(std::path::Path::new(&socket), worker) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("worker {worker}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn worker_cmd() -> WorkerCommand {
-    let exe = std::env::current_exe().expect("own path");
-    WorkerCommand::new(exe, vec!["worker".to_string()])
-}
 
 fn run_proc(
     graph: &EdgeList,
@@ -83,24 +40,20 @@ fn run_proc(
     config: &BfsConfig,
     opts: ProcOptions,
 ) -> BackendRun {
-    ProcBackend::new(worker_cmd(), opts)
+    let exe = std::env::current_exe().expect("own path");
+    ProcBackend::new(WorkerCommand::new(exe, vec!["worker".to_string()]), opts)
         .run(graph, topo, source, config, true)
         .expect("proc backend run")
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("worker") {
-        worker_mode(&args[2..]);
-    }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale = env_or("GCBFS_SCALE", if smoke { 10 } else { 12 }) as u32;
-    let th = env_or("GCBFS_TH", 32);
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let scale = k.scale.unwrap_or(if smoke { 10 } else { 12 });
+    let th = 32;
     let topo = Topology::new(4, 2);
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
     let g500_edges = graph.num_edges() / 2;
     println!(
         "Backend sweep: RMAT scale {scale}, TH {th}, {} GPUs ({}x{}), source {source}\n",
@@ -217,19 +170,14 @@ fn main() {
         &rec_rows,
     );
 
-    let doc = format!(
+    k.emit_json(&format!(
         "{{\"bench\":\"backend\",\"scale\":{scale},\"gpus\":{},\"th\":{th},\
          \"sim_gteps\":{sim_gteps},\"modeled_bytes\":{modeled_bytes},\
          \"widths\":[{}],\"recovery\":[{}],\"bit_exact\":{all_bit_exact}}}",
         topo.num_gpus(),
         width_json.join(","),
         rec_json.join(",")
-    );
-    println!("\n{doc}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &doc).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
     assert!(all_bit_exact, "a proc-backend run diverged from the simulator");
     if smoke {
         println!("\nsmoke: all widths and both recovery paths bit-exact against the sim");

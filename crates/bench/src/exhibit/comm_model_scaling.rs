@@ -7,18 +7,15 @@
 //! as `log(prank)`. Here all three run the *same* per-GPU-sized workload
 //! at increasing `p` and we report measured communication per edge plus
 //! the modeled communication seconds.
+//!
+//! Usage: `gcbfs-bench comm_model_scaling`. Environment knob:
+//! `GCBFS_SCALE` (per-processor scale, default 11).
 
 use gcbfs_baseline::{OneDBfs, TwoDBfs};
-use gcbfs_bench::{env_or, f2, print_table, ray_factor};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
-use gcbfs_graph::Csr;
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let per_gpu_scale = env_or("GCBFS_SCALE", 11) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let per_gpu_scale = k.scale.unwrap_or(11);
     println!(
         "§II-B/§V reproduction: communication growth under weak scaling \
          (scale-{per_gpu_scale} RMAT per processor)"
@@ -32,7 +29,7 @@ fn main() {
         let graph = cfg.generate();
         let csr = Csr::from_edge_list(&graph);
         let m = graph.num_edges();
-        let src = gcbfs_bench::pick_sources(&graph, 1, 0xc0)[0];
+        let src = pick_sources(&graph, 1, 0xc0)[0];
 
         // All three strategies charged to the same workload-scaled machine.
         let cost = CostModel::ray_scaled(ray_factor(per_gpu_scale));

@@ -19,19 +19,13 @@
 //! `adaptive` than under the raw32 envelope while paying nonzero codec
 //! time — compression is modeled as work, not as a free discount.
 //!
-//! Environment knobs: `GCBFS_SCALES` (comma list, default `14,17,20`),
-//! `GCBFS_TH` (overrides the per-scale suggested threshold).
-//!
-//! Usage: `cargo run --release --bin compression_sweep [-- --smoke]`
-//! (`--smoke` shrinks to scales 10,12 for CI).
+//! Usage: `gcbfs-bench compression_sweep [--smoke]` — RMAT scales 14, 17
+//! and 20 at each scale's suggested threshold; `--smoke` shrinks to
+//! scales 10 and 12 for CI.
 
-use gcbfs_bench::{env_or, f2, print_table};
-use gcbfs_cluster::topology::Topology;
+use gcbfs_bench::prelude::*;
 use gcbfs_compress::{CompressionMode, FrontierCodec, MaskCodec};
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::{BfsResult, DistributedGraph};
 use gcbfs_core::trace::compression_trajectory;
-use gcbfs_graph::rmat::RmatConfig;
 
 fn modes() -> Vec<CompressionMode> {
     vec![
@@ -58,12 +52,11 @@ fn dense_iteration(reference: &BfsResult) -> usize {
 }
 
 fn sweep_scale(scale: u32) -> (u64, u64) {
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
     let topo = Topology::new(2, 2);
     let base = BfsConfig::new(th).with_local_all2all(true).with_uniquify(true);
     let graph = RmatConfig::graph500(scale).generate();
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
     let dist = DistributedGraph::build(&graph, topo, &base).expect("build");
 
     let reference = dist.run(source, &base).expect("off-mode run");
@@ -131,17 +124,9 @@ fn sweep_scale(scale: u32) -> (u64, u64) {
     (adaptive_saved, adaptive_wire)
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scales: Vec<u32> = if smoke {
-        vec![10, 12]
-    } else {
-        std::env::var("GCBFS_SCALES")
-            .unwrap_or_else(|_| "14,17,20".into())
-            .split(',')
-            .map(|s| s.trim().parse().expect("GCBFS_SCALES entries are u32 scales"))
-            .collect()
-    };
+pub fn run(_: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let scales: &[u32] = if smoke { &[10, 12] } else { &[14, 17, 20] };
     println!(
         "Compression sweep{}: RMAT scales {scales:?}, modes off / raw32 / varint / bitmap / \
          adaptive",
@@ -149,7 +134,7 @@ fn main() {
     );
     let mut total_saved = 0u64;
     let mut total_wire = 0u64;
-    for &scale in &scales {
+    for &scale in scales {
         let (saved, wire) = sweep_scale(scale);
         total_saved += saved;
         total_wire += wire;

@@ -10,18 +10,15 @@
 //! We run the same forward BFS under both execution models on a dense
 //! RMAT graph (few levels, heavy frontiers) and on the long-tail web-like
 //! graph (hundreds of near-empty levels), and report modeled times.
+//!
+//! Usage: `gcbfs-bench ext_async_comparison`. Environment knobs:
+//! `GCBFS_SCALE` (default 14), `GCBFS_SOURCES`.
 
-use gcbfs_bench::{env_or, f2, num_sources, per_gpu_scale, pick_sources, print_table, ray_factor};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::stats::geometric_mean;
-use gcbfs_graph::rmat::RmatConfig;
-use gcbfs_graph::WebGraphConfig;
 
-fn main() {
-    let scale = env_or("GCBFS_SCALE", 14) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let scale = k.scale.unwrap_or(14);
     println!("Extension: BSP vs asynchronous execution (paper §VI-D)");
     let topo = Topology::from_paper_notation(4, 2, 2);
 
@@ -42,7 +39,7 @@ fn main() {
     {
         let config = BfsConfig::new(th).with_direction_optimization(false).with_cost_model(cost);
         let dist = DistributedGraph::build(graph, topo, &config).expect("build");
-        let sources = pick_sources(graph, num_sources(), 0xa57c);
+        let sources = pick_sources(graph, k.sources, 0xa57c);
         let mut bsp_ms = Vec::new();
         let mut async_ms = Vec::new();
         let mut iters = 0.0;

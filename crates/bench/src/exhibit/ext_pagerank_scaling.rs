@@ -9,18 +9,16 @@
 //! Fig. 9 and report modeled time per iteration, the computation and
 //! communication shares, and the per-iteration remote volume relative to
 //! BFS's.
+//!
+//! Usage: `gcbfs-bench ext_pagerank_scaling`. Environment knobs:
+//! `GCBFS_SCALE` (per-GPU scale, default 12), `GCBFS_MAX_GPUS` (default 64).
 
-use gcbfs_bench::{env_or, f2, print_table, ray_factor};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::pagerank::PageRankConfig;
-use gcbfs_graph::rmat::RmatConfig;
 
-fn main() {
-    let per_gpu_scale = env_or("GCBFS_SCALE", 12) as u32;
-    let max_gpus = env_or("GCBFS_MAX_GPUS", 64) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let per_gpu_scale = k.scale.unwrap_or(12);
+    let max_gpus = k.max_gpus.unwrap_or(64);
     println!(
         "Extension: PageRank weak scaling, scale-{per_gpu_scale} RMAT per GPU \
          (the §VI-D generalization claim)"

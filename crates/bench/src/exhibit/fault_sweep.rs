@@ -17,38 +17,32 @@
 //!    given mean-time-to-failure (in iterations); reports the surviving
 //!    GTEPS, recovery bill, and availability fraction.
 //!
-//! Environment knobs: `GCBFS_SCALE` (default 13), `GCBFS_TH`,
-//! `GCBFS_SEEDS` (random plans in sweep 3, default 10).
+//! Usage: `gcbfs-bench fault_sweep [--smoke [all|spread|spare|rejoin|sdc]]`.
+//! The full run takes `GCBFS_SCALE` (default 13) and ten random plans
+//! in sweep 3.
 //!
-//! Usage: `cargo run --release --bin fault_sweep`
-//!
-//! `--smoke [spread|spare|rejoin|all]` instead runs the elastic
-//! membership acceptance checks at scale `GCBFS_SCALE` (default 20) on a
-//! 16-GPU grid: spare absorption must keep the post-recovery
-//! per-iteration time within 5% of fault-free, and spreading must keep
-//! the degraded per-iteration time within the analytic `(p+1)/p` bound
-//! (plus 10% for the comm-lane reassignment).
-//! `--smoke sdc` instead runs the correctness-armor acceptance gate:
-//! seeded random silent-data-corruption plans (`GCBFS_SEEDS`, default 10)
-//! at scale `GCBFS_SCALE` (default 18) on the same 16-GPU grid, under
-//! `Full` online verification — every plan whose events fire must be
-//! detected and recover to bit-exact fault-free depths.
+//! `--smoke [spread|spare|rejoin|all]` (bare `--smoke`: `all`) instead
+//! runs the elastic membership acceptance checks at scale `GCBFS_SCALE`
+//! (default 20) on a 16-GPU grid: spare absorption must keep the
+//! post-recovery per-iteration time within 5% of fault-free, and
+//! spreading must keep the degraded per-iteration time within the
+//! analytic `(p+1)/p` bound (plus 10% for the comm-lane reassignment).
+//! `--smoke sdc` instead runs the correctness-armor acceptance gate: ten
+//! seeded random silent-data-corruption plans at scale `GCBFS_SCALE`
+//! (default 18) on the same 16-GPU grid, under `Full` online
+//! verification — every plan whose events fire must be detected and
+//! recover to bit-exact fault-free depths.
 //! `GCBFS_JSON_OUT=/path.json` writes the smoke measurements as JSON.
 
-use gcbfs_bench::{env_or, f2, pct, print_table};
+use gcbfs_bench::prelude::*;
 use gcbfs_cluster::fault::FaultPlan;
 use gcbfs_cluster::timing::degraded_bound;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::{BfsResult, DistributedGraph};
 use gcbfs_core::recovery::RecoveryConfig;
 use gcbfs_core::stats::FaultStats;
 use gcbfs_core::verify::VerificationMode;
-use gcbfs_graph::rmat::RmatConfig;
 
-fn ms(s: f64) -> f64 {
-    s * 1e3
-}
+/// Seeded plans in sweeps 3 and `--smoke sdc`.
+const SEEDS: u64 = 10;
 
 /// Mean modeled per-iteration time over a run's final (post-replay)
 /// iteration records.
@@ -59,14 +53,13 @@ fn per_iteration_seconds(r: &BfsResult) -> f64 {
 
 /// The `--smoke` mode: elastic-membership acceptance checks on a 16-GPU
 /// grid, one recovery trajectory per invocation (or `all`).
-fn smoke(mode: &str) {
-    let scale = env_or("GCBFS_SCALE", 20) as u32;
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
+fn smoke(k: &Knobs, mode: &str) {
+    let scale = k.scale.unwrap_or(20);
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
     let topo = Topology::new(8, 2);
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
     println!(
         "Elastic membership smoke [{mode}]: RMAT scale {scale}, TH {th}, {} GPUs, source {source}",
         topo.num_gpus()
@@ -164,16 +157,11 @@ fn smoke(mode: &str) {
         ],
         &rows,
     );
-    let doc = format!(
+    k.emit_json(&format!(
         "{{\"scale\":{scale},\"gpus\":{p},\"clean_per_iter_ms\":{},\"modes\":[{}]}}",
         ms(clean_iter_s),
         json.join(",")
-    );
-    println!("\n{doc}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &doc).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
     println!("\nall membership trajectories recovered to bit-exact depths");
 }
 
@@ -181,17 +169,15 @@ fn smoke(mode: &str) {
 /// random silent-data-corruption plans run under `Full` online
 /// verification on a 16-GPU grid; every plan whose events fire must be
 /// detected (100% detection) and recover to bit-exact fault-free depths.
-fn smoke_sdc() {
-    let scale = env_or("GCBFS_SCALE", 18) as u32;
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
-    let seeds = env_or("GCBFS_SEEDS", 10) as u64;
+fn smoke_sdc(k: &Knobs) {
+    let scale = k.scale.unwrap_or(18);
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
     let topo = Topology::new(8, 2);
     let p = topo.num_gpus() as usize;
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
-    println!("SDC smoke: RMAT scale {scale}, TH {th}, {p} GPUs, {seeds} seeded plans");
+    let source = hub_source(&graph);
+    println!("SDC smoke: RMAT scale {scale}, TH {th}, {p} GPUs, {SEEDS} seeded plans");
 
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
     let clean = dist.run(source, &config).expect("fault-free run");
@@ -202,7 +188,7 @@ fn smoke_sdc() {
     let mut rows = Vec::new();
     let mut fired_plans = 0u64;
     let (mut injected, mut detected, mut reexecs, mut rollbacks) = (0u64, 0u64, 0u64, 0u64);
-    for seed in 0..seeds {
+    for seed in 0..SEEDS {
         let plan = FaultPlan::random_sdc(seed, p, horizon);
         let r = dist.run_with_faults(source, &full, &plan).expect("verified recovery");
         assert_eq!(r.depths, clean.depths, "seed {seed}: recovered depths must be bit-exact");
@@ -233,46 +219,26 @@ fn smoke_sdc() {
         &["seed", "injected", "detected", "reexec", "rollbacks", "rec ms", "depths"],
         &rows,
     );
-    let doc = format!(
-        "{{\"scale\":{scale},\"gpus\":{p},\"plans\":{seeds},\"fired_plans\":{fired_plans},\
+    k.emit_json(&format!(
+        "{{\"scale\":{scale},\"gpus\":{p},\"plans\":{SEEDS},\"fired_plans\":{fired_plans},\
          \"injected\":{injected},\"detected\":{detected},\"reexecutions\":{reexecs},\
          \"rollbacks\":{rollbacks},\"detection_rate\":1.0}}"
-    );
-    println!("\n{doc}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &doc).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
     println!("\nall fired SDC plans detected under Full and recovered to bit-exact depths");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        let mode = args
-            .iter()
-            .position(|a| a == "--smoke")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| "all".into());
-        assert!(
-            ["spread", "spare", "rejoin", "all", "sdc"].contains(&mode.as_str()),
-            "unknown smoke mode {mode:?}"
-        );
-        if mode == "sdc" {
-            smoke_sdc();
-        } else {
-            smoke(&mode);
-        }
-        return;
+pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
+    match smoke_mode {
+        Some("sdc") => return smoke_sdc(k),
+        Some(mode) => return smoke(k, mode),
+        None => {}
     }
-    let scale = env_or("GCBFS_SCALE", 13) as u32;
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
+    let scale = k.scale.unwrap_or(13);
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
     let topo = Topology::new(2, 2);
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
 
     println!("Fault sweep: RMAT scale {scale}, TH {th}, {} GPUs, source {source}", topo.num_gpus());
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
@@ -337,9 +303,8 @@ fn main() {
     );
 
     // ---- Sweep 3: random chaos plans. ----
-    let seeds = env_or("GCBFS_SEEDS", 10);
     let mut rows = Vec::new();
-    for seed in 0..seeds {
+    for seed in 0..SEEDS {
         let plan = FaultPlan::random(seed, topo.num_gpus() as usize, clean.iterations());
         let r = dist.run_with_faults(source, &config, &plan).expect("recovered");
         assert_eq!(r.depths, clean.depths, "recovery must be bit-exact");
@@ -372,7 +337,7 @@ fn main() {
     // the same depths as the raw one — while still saving bytes.
     let cfg = config.with_compression(gcbfs_compress::CompressionMode::Adaptive);
     let mut rows = Vec::new();
-    for seed in 0..seeds.min(5) {
+    for seed in 0..SEEDS.min(5) {
         let plan = FaultPlan::random(seed, topo.num_gpus() as usize, clean.iterations());
         let r = dist.run_with_faults(source, &cfg, &plan).expect("recovered");
         assert_eq!(r.depths, clean.depths, "compressed recovery must be bit-exact");

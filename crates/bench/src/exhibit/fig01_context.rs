@@ -9,15 +9,11 @@
 //! weak-scaling point for comparison of the *shape*: `[T]` sits lower-right
 //! on the left plot (larger graphs with fewer processors) and upper-right
 //! on the right plot (high per-processor throughput at cluster scale).
+//!
+//! Usage: `gcbfs-bench fig01_context`. Environment knob: `GCBFS_SOURCES`.
 
-use gcbfs_bench::{
-    f2, num_sources, per_gpu_scale, pick_sources, print_table, ray_factor, run_many,
-};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
+use super::table2_comparison::repro_gteps;
+use gcbfs_bench::prelude::*;
 
 struct Point {
     label: &'static str,
@@ -117,7 +113,7 @@ const SURVEY: &[Point] = &[
     },
 ];
 
-fn main() {
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
     println!("Fig. 1 reproduction: survey data (paper-reported) + this reproduction's point");
 
     let rows: Vec<Vec<String>> = SURVEY
@@ -140,23 +136,12 @@ fn main() {
     );
 
     // Our measured point at the reproduction's weak-scaling end.
-    let scale = 18u32;
-    let gpus = 64u32;
-    let cfg = RmatConfig::graph500(scale);
-    let graph = cfg.generate();
-    let th = BfsConfig::suggested_rmat_threshold(scale + 15).max(8);
-    let factor = ray_factor(per_gpu_scale(scale, gpus));
-    let config = BfsConfig::new(th)
-        .with_blocking_reduce(true)
-        .with_cost_model(CostModel::ray_scaled(factor));
-    let dist = DistributedGraph::build(&graph, Topology::new(gpus / 2, 2), &config).expect("build");
-    let sources = pick_sources(&graph, num_sources(), 0xf01);
-    let s = run_many(&dist, &config, &sources, cfg.graph500_edges());
+    let (scale, gpus) = (18, 64);
+    let gteps = repro_gteps(scale, gpus, k.sources, 0xf01);
     println!(
-        "\n[repro] scale {scale} on {gpus} simulated GPUs: {:.2} Ray-equivalent GTEPS, \
+        "\n[repro] scale {scale} on {gpus} simulated GPUs: {gteps:.2} Ray-equivalent GTEPS, \
          {:.3} GTEPS/GPU",
-        s.gteps * factor,
-        s.gteps * factor / gpus as f64
+        gteps / gpus as f64
     );
     println!(
         "Shape check: like [T], the repro point combines cluster-scale processor counts \

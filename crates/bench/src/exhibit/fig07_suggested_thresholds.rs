@@ -5,18 +5,18 @@
 //! and the nn-edge share under ~10%; the suggested `TH` then grows by
 //! about √2 per scale. We sweep scaled-down weak-scaling points (paper:
 //! scales 25–33; default here: 13–20 with a scale-12 graph per GPU).
+//!
+//! Usage: `gcbfs-bench fig07_suggested_thresholds`. Environment knobs:
+//! `GCBFS_SCALE` (smallest scale, default 13), `GCBFS_MAX_GPUS` (default 128).
 
-use gcbfs_bench::{env_or, pct, print_table};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::distributor::{distribute, EdgeClass};
 use gcbfs_core::separation::Separation;
-use gcbfs_graph::rmat::RmatConfig;
 
-fn main() {
-    let base = env_or("GCBFS_SCALE", 13) as u32; // smallest scale (1 GPU)
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let base = k.scale.unwrap_or(13); // smallest scale (1 GPU)
     let per_gpu_scale = base - 1;
-    let max_gpus = env_or("GCBFS_MAX_GPUS", 128) as u32;
+    let max_gpus = k.max_gpus.unwrap_or(128);
     println!(
         "Fig. 7 reproduction: scales {base}..{} with a scale-{per_gpu_scale} graph per GPU \
          (paper: scales 25-33, scale-26 per GPU)",

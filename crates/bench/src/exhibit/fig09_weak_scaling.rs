@@ -1,28 +1,55 @@
 //! Figure 9: weak scaling with a fixed-scale RMAT graph per GPU
 //! (paper: scale 26 per GPU, 1–124 GPUs, peaking at 259.8 GTEPS;
-//! default here: scale 12 per GPU, 1–64 GPUs; override with
-//! `GCBFS_SCALE` / `GCBFS_MAX_GPUS`).
+//! default here: scale 12 per GPU, 1–64 GPUs).
 //!
 //! Expected shape (paper): close-to-linear growth in GTEPS for both
 //! topologies, DOBFS several times above BFS; the paper switches IR→BR
 //! above 16 GPUs, which we mirror.
 //!
-//! `--smoke` shrinks to scale 10 per GPU, ≤8 GPUs, 2 sources — the
-//! fixed workload EXPERIMENTS.md uses for wall-clock before/after
-//! comparisons of the simulator itself.
+//! Usage: `gcbfs-bench fig09_weak_scaling [--smoke]`. Environment knobs:
+//! `GCBFS_SCALE` (per-GPU scale, default 12), `GCBFS_MAX_GPUS` (default
+//! 64), `GCBFS_SOURCES`. `--smoke` ignores them and shrinks to scale 10
+//! per GPU, ≤8 GPUs, 2 sources — the fixed workload EXPERIMENTS.md uses
+//! for wall-clock before/after comparisons of the simulator itself.
 
-use gcbfs_bench::{env_or, f2, num_sources, pick_sources, print_table, ray_factor, run_many};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let per_gpu_scale = if smoke { 10 } else { env_or("GCBFS_SCALE", 12) as u32 };
-    let max_gpus = if smoke { 8 } else { env_or("GCBFS_MAX_GPUS", 64) as u32 };
-    let sources_per_point = if smoke { 2 } else { num_sources() };
+/// BFS then DOBFS Ray-equivalent GTEPS of `graph` on each of two
+/// topologies (`-` for a GPU count with no such shape), on the Ray model
+/// scaled down by `factor` (Figs. 9 and 11). Paper: IR below 32 GPUs,
+/// BR from 32 up.
+pub fn topology_cells(
+    graph: &EdgeList,
+    topos: [Option<Topology>; 2],
+    th: u64,
+    factor: f64,
+    sources: &[u64],
+    g500_edges: u64,
+) -> Vec<String> {
+    let mut cells = Vec::new();
+    for topo in topos {
+        let Some(t) = topo else {
+            cells.extend(["-".to_string(), "-".to_string()]);
+            continue;
+        };
+        for use_do in [false, true] {
+            let config = BfsConfig::new(th)
+                .with_direction_optimization(use_do)
+                .with_blocking_reduce(t.num_gpus() >= 32)
+                .with_cost_model(CostModel::ray_scaled(factor));
+            let dist = DistributedGraph::build(graph, t, &config).expect("build");
+            let s = run_many(&dist, &config, sources, g500_edges);
+            cells.push(f2(s.gteps * factor));
+        }
+    }
+    cells
+}
+
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let per_gpu_scale = if smoke { 10 } else { k.scale.unwrap_or(12) };
+    let max_gpus = if smoke { 8 } else { k.max_gpus.unwrap_or(64) };
+    let sources_per_point = if smoke { 2 } else { k.sources };
     println!(
         "Fig. 9 reproduction{}: weak scaling, scale-{per_gpu_scale} RMAT per GPU \
          (paper: scale-26 per GPU up to 124 GPUs)",
@@ -38,31 +65,10 @@ fn main() {
         let graph = cfg.generate();
         let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
         let sources = pick_sources(&graph, sources_per_point, 0xf19 + gpus as u64);
-        // Paper: IR below 32 GPUs, BR from 32 up.
-        let blocking = gpus >= 32;
+        let topos = [topology_2x2(gpus), topology_1x4(gpus)];
         let factor = ray_factor(per_gpu_scale);
-        let cost = CostModel::ray_scaled(factor);
-
         let mut row = vec![gpus.to_string(), scale.to_string(), th.to_string()];
-        for topo in [topology_2x2(gpus), topology_1x4(gpus)] {
-            match topo {
-                Some(t) => {
-                    for use_do in [false, true] {
-                        let config = BfsConfig::new(th)
-                            .with_direction_optimization(use_do)
-                            .with_blocking_reduce(blocking)
-                            .with_cost_model(cost);
-                        let dist = DistributedGraph::build(&graph, t, &config).expect("build");
-                        let s = run_many(&dist, &config, &sources, cfg.graph500_edges());
-                        row.push(f2(s.gteps * factor));
-                    }
-                }
-                None => {
-                    row.push("-".into());
-                    row.push("-".into());
-                }
-            }
-        }
+        row.extend(topology_cells(&graph, topos, th, factor, &sources, cfg.graph500_edges()));
         rows.push(row);
         gpus *= 2;
     }

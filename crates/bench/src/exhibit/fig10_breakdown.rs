@@ -8,17 +8,16 @@
 //! parts exceeds elapsed because of overlap (~10%). The pipeline runs
 //! with compute/comm overlap on, so the `hidden` column shows how much
 //! wire time disappears behind compute at each point on the curve.
+//!
+//! Usage: `gcbfs-bench fig10_breakdown`. Environment knobs: `GCBFS_SCALE`
+//! (per-GPU scale, default 12), `GCBFS_MAX_GPUS` (default 64),
+//! `GCBFS_SOURCES`.
 
-use gcbfs_bench::{env_or, f2, num_sources, pct, pick_sources, print_table, ray_factor, run_many};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let per_gpu_scale = env_or("GCBFS_SCALE", 12) as u32;
-    let max_gpus = env_or("GCBFS_MAX_GPUS", 64) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let per_gpu_scale = k.scale.unwrap_or(12);
+    let max_gpus = k.max_gpus.unwrap_or(64);
     println!(
         "Fig. 10 reproduction: breakdown along weak scaling, *x2x2, scale-{per_gpu_scale} per GPU \
          (paper: scales 26-33)"
@@ -42,7 +41,7 @@ fn main() {
                 .with_overlap(true)
                 .with_cost_model(CostModel::ray_scaled(ray_factor(per_gpu_scale)));
             let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
-            let sources = pick_sources(&graph, num_sources(), 0xf10 + gpus as u64);
+            let sources = pick_sources(&graph, k.sources, 0xf10 + gpus as u64);
             let s = run_many(&dist, &config, &sources, cfg.graph500_edges());
             let hidden = s.phases_ms.sum() - s.elapsed_ms;
             let comm = s.phases_ms.sum() - s.phases_ms.computation;

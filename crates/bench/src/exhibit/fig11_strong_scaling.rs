@@ -5,24 +5,22 @@
 //! *drops* once communication dominates and GPUs are under-utilized;
 //! plain BFS strong-scales better because it has more computation to
 //! amortize.
+//!
+//! Usage: `gcbfs-bench fig11_strong_scaling`. Environment knobs:
+//! `GCBFS_SCALE` (default 16), `GCBFS_MAX_GPUS` (default 64),
+//! `GCBFS_SOURCES`.
 
-use gcbfs_bench::{
-    env_or, f2, num_sources, per_gpu_scale, pick_sources, print_table, ray_factor, run_many,
-};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
+use super::fig09_weak_scaling::topology_cells;
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let scale = env_or("GCBFS_SCALE", 16) as u32;
-    let max_gpus = env_or("GCBFS_MAX_GPUS", 64) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let scale = k.scale.unwrap_or(16);
+    let max_gpus = k.max_gpus.unwrap_or(64);
     let cfg = RmatConfig::graph500(scale);
     println!("Fig. 11 reproduction: strong scaling, RMAT scale {scale} (paper: scale 30)");
     let graph = cfg.generate();
     let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
-    let sources = pick_sources(&graph, num_sources(), 0xf11);
+    let sources = pick_sources(&graph, k.sources, 0xf11);
 
     let mut rows = Vec::new();
     let mut gpus = 4u32;
@@ -30,21 +28,10 @@ fn main() {
     // by the *smallest* configuration's per-GPU share; larger GPU counts
     // then genuinely have less work per GPU, exactly as on Ray.
     let factor = ray_factor(per_gpu_scale(scale, 4));
-    let cost = CostModel::ray_scaled(factor);
     while gpus <= max_gpus {
-        let blocking = gpus >= 32;
+        let topos = [Some(Topology::new(gpus / 2, 2)), Some(Topology::new(gpus / 4, 4))];
         let mut row = vec![gpus.to_string()];
-        for topo in [Topology::new(gpus / 2, 2), Topology::new(gpus / 4, 4)] {
-            for use_do in [false, true] {
-                let config = BfsConfig::new(th)
-                    .with_direction_optimization(use_do)
-                    .with_blocking_reduce(blocking)
-                    .with_cost_model(cost);
-                let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
-                let s = run_many(&dist, &config, &sources, cfg.graph500_edges());
-                row.push(f2(s.gteps * factor));
-            }
-        }
+        row.extend(topology_cells(&graph, topos, th, factor, &sources, cfg.graph500_edges()));
         rows.push(row);
         gpus *= 2;
     }

@@ -5,46 +5,30 @@
 //!
 //! Expected shape (paper): the same qualitative curves as Fig. 5, with a
 //! wide band of suitable thresholds ([16, 128] there).
+//!
+//! Usage: `gcbfs-bench fig12_friendster_distribution`. Environment knob:
+//! `GCBFS_SCALE` (default 18).
 
-use gcbfs_bench::{env_or, pct, print_table};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::distributor::{distribute, EdgeClass};
-use gcbfs_core::separation::Separation;
-use gcbfs_graph::PowerLawConfig;
+use super::fig05_edge_distribution::{distribution_rows, HEADERS};
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let scale = env_or("GCBFS_SCALE", 18) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let scale = k.scale.unwrap_or(18);
     println!(
         "Fig. 12 reproduction: Friendster-like Chung-Lu graph, 2^{scale} vertices \
          (paper: Friendster, 134M vertices, half isolated)"
     );
     let graph = PowerLawConfig::friendster_like(scale).generate();
-    let degrees = graph.out_degrees();
     println!(
         "graph: n = {}, m = {}, isolated = {:.1}%",
         graph.num_vertices,
         graph.num_edges(),
         100.0 * graph.count_zero_degree() as f64 / graph.num_vertices as f64
     );
-    let topo = Topology::new(2, 2);
-
-    let mut rows = Vec::new();
-    for th in [8u64, 16, 32, 64, 128, 256, 512] {
-        let sep = Separation::from_degrees(&degrees, th);
-        let dist = distribute(&graph, &sep, &degrees, &topo);
-        let c = dist.class_counts;
-        rows.push(vec![
-            th.to_string(),
-            pct(c.percentage(EdgeClass::Dd)),
-            pct(c.percentage(EdgeClass::Dn) + c.percentage(EdgeClass::Nd)),
-            pct(c.percentage(EdgeClass::Nn)),
-            pct(100.0 * sep.delegate_fraction()),
-        ]);
-    }
     print_table(
         "Fig. 12 — edge/delegate distribution vs TH (Friendster-like)",
-        &["TH", "dd edges", "dn/nd edges", "nn edges", "delegates"],
-        &rows,
+        HEADERS,
+        &distribution_rows(&graph, Topology::new(2, 2), &[8, 16, 32, 64, 128, 256, 512]),
     );
     println!("\nShape check: same qualitative behaviour as Fig. 5, wide suitable-TH band.");
 }

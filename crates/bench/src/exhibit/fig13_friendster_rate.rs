@@ -3,16 +3,15 @@
 //!
 //! Expected shape (paper): a wide range of TH values ([32, 91] there)
 //! gives close-to-best performance; DOBFS above BFS.
+//!
+//! Usage: `gcbfs-bench fig13_friendster_rate`. Environment knobs:
+//! `GCBFS_SCALE` (default 16), `GCBFS_SOURCES`.
 
-use gcbfs_bench::{env_or, f2, num_sources, pick_sources, print_table, run_many};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::PowerLawConfig;
+use super::fig06_threshold_sweep::{threshold_rows, HEADERS};
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let scale = env_or("GCBFS_SCALE", 16) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let scale = k.scale.unwrap_or(16);
     println!(
         "Fig. 13 reproduction: Friendster-like graph, 1x2x2 GPUs (paper: Friendster on 4 GPUs)"
     );
@@ -20,26 +19,15 @@ fn main() {
     // Graph500-style TEPS denominator: undirected edge count.
     let g500_edges = graph.num_edges() / 2;
     let topo = Topology::from_paper_notation(1, 2, 2);
-    let sources = pick_sources(&graph, num_sources(), 0xf13);
+    let sources = pick_sources(&graph, k.sources, 0xf13);
     // Friendster on 4 GPUs is ~1.3 G directed edges per GPU; ours is the
     // same graph shrunk, so scale the machine by the edge ratio.
     let paper_edges_per_gpu = 10.34e9 / 4.0; // doubled Friendster edges / 4
     let factor = (paper_edges_per_gpu / (graph.num_edges() as f64 / 4.0)).max(1.0);
-    let cost = CostModel::ray_scaled(factor);
-
-    let mut rows = Vec::new();
-    for th in [8u64, 16, 32, 64, 128, 256] {
-        let bfs_cfg = BfsConfig::new(th).with_direction_optimization(false).with_cost_model(cost);
-        let do_cfg = BfsConfig::new(th).with_cost_model(cost);
-        let dist = DistributedGraph::build(&graph, topo, &bfs_cfg).expect("build");
-        let bfs = run_many(&dist, &bfs_cfg, &sources, g500_edges);
-        let dobfs = run_many(&dist, &do_cfg, &sources, g500_edges);
-        rows.push(vec![th.to_string(), f2(bfs.gteps * factor), f2(dobfs.gteps * factor)]);
-    }
     print_table(
         "Fig. 13 — Ray-equivalent GTEPS vs TH (Friendster-like, 4 GPUs)",
-        &["TH", "BFS GTEPS", "DOBFS GTEPS"],
-        &rows,
+        HEADERS,
+        &threshold_rows(&graph, topo, factor, &sources, g500_edges, &[8, 16, 32, 64, 128, 256]),
     );
     println!("\nShape check: wide near-optimal TH band; DOBFS above BFS.");
 }

@@ -3,21 +3,16 @@
 //! from 64 random sources, validate every result, and report the TEPS
 //! statistics the list requires.
 //!
-//! `GCBFS_SCALE` (default 15), `GCBFS_GPUS` (default 16).
+//! Usage: `gcbfs-bench graph500_run` — 16 simulated GPUs. Environment
+//! knob: `GCBFS_SCALE` (default 15).
 
-use gcbfs_bench::{env_or, f2, per_gpu_scale, pick_sources, print_table, ray_factor};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::stats::geometric_mean;
 use gcbfs_graph::reference::{validate_depths, validate_parents};
-use gcbfs_graph::rmat::RmatConfig;
-use gcbfs_graph::Csr;
 
-fn main() {
-    let scale = env_or("GCBFS_SCALE", 15) as u32;
-    let gpus = env_or("GCBFS_GPUS", 16) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let scale = k.scale.unwrap_or(15);
+    let gpus = 16;
     let cfg = RmatConfig::graph500(scale);
     println!("Graph500 protocol run: scale {scale}, edge factor 16, {gpus} simulated GPUs");
 
@@ -27,10 +22,11 @@ fn main() {
     let gen_secs = t0.elapsed().as_secs_f64();
     let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
     let factor = ray_factor(per_gpu_scale(scale, gpus));
+    // Paper: IR below 32 GPUs.
     let config = BfsConfig::new(th)
-        .with_blocking_reduce(gpus >= 32)
+        .with_blocking_reduce(false)
         .with_cost_model(CostModel::ray_scaled(factor));
-    let topo = if gpus >= 2 { Topology::new(gpus / 2, 2) } else { Topology::new(1, 1) };
+    let topo = Topology::new(gpus / 2, 2);
     let t1 = std::time::Instant::now();
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
     let build_secs = t1.elapsed().as_secs_f64();

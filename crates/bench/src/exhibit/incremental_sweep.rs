@@ -8,35 +8,29 @@
 //! depths are bit-exact either way. Emits the `BENCH_incremental.json`
 //! trajectory future PRs regress against.
 //!
-//! Environment knobs: `GCBFS_SCALE` (default 20), `GCBFS_GPUS` (default
-//! 16), `GCBFS_TH`. `GCBFS_JSON_OUT=/path.json` writes the JSON
-//! document to a file.
+//! Usage: `gcbfs-bench incremental_sweep [--smoke]` — 16 GPUs at the
+//! scale's suggested threshold. Environment knobs: `GCBFS_SCALE`
+//! (default 20), `GCBFS_JSON_OUT=/path.json` (writes the JSON document
+//! to a file).
 //!
 //! `--smoke` additionally asserts the acceptance gates: every cell
 //! bit-exact, and repair at least 3x cheaper than recompute on every
 //! batch at or below 1% of the edges.
-//!
-//! Usage: `cargo run --release --bin incremental_sweep [-- --smoke]`
 
-use gcbfs_bench::{env_or, f2, print_table};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::incremental::EvolvingGraph;
 use gcbfs_core::mutation::MutationLog;
-use gcbfs_graph::rmat::RmatConfig;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = env_or("GCBFS_SCALE", 20) as u32;
-    let gpus = env_or("GCBFS_GPUS", 16) as u32;
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
-    let topo = if gpus >= 2 { Topology::new(gpus / 2, 2) } else { Topology::new(1, 1) };
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let scale = k.scale.unwrap_or(20);
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
+    let topo = Topology::new(8, 2);
     let p = topo.num_gpus() as usize;
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
     let undirected_edges = graph.num_edges() / 2;
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
     println!("Incremental sweep: RMAT scale {scale}, TH {th}, {p} GPUs, source {source}");
 
     let mut base = EvolvingGraph::new(&graph, topo, &config);
@@ -116,18 +110,13 @@ fn main() {
         f2(small_batch_speedup)
     );
 
-    let doc = format!(
+    k.emit_json(&format!(
         "{{\"bench\":\"incremental\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\
          \"full_recompute_ms\":{},\"cells\":[{}],\
          \"small_batch_speedup\":{small_batch_speedup},\"bit_exact\":{all_bit_exact}}}",
         full_seconds * 1e3,
         cell_json.join(",")
-    );
-    println!("\n{doc}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &doc).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
     if smoke {
         assert!(all_bit_exact, "a repaired cell diverged from its recompute");
         assert!(

@@ -7,38 +7,30 @@
 //! scalar variant prices per-bit mask probing on a derated device; the
 //! word-parallel default is the seed's charge model bit-for-bit.
 //!
-//! Environment knobs: `GCBFS_SCALE` (default 20), `GCBFS_GPUS` (default
-//! 16), `GCBFS_TH`. `GCBFS_JSON_OUT=/path.json` writes the JSON
-//! document to a file.
+//! Usage: `gcbfs-bench kernel_sweep [--smoke]` — 16 GPUs at the scale's
+//! suggested threshold. Environment knobs: `GCBFS_SCALE` (default 20),
+//! `GCBFS_JSON_OUT=/path.json` (writes the JSON document to a file).
 //!
 //! `--smoke` additionally asserts the acceptance gates: word-parallel
 //! must be at least 1.5x the scalar GTEPS, the overlap pipeline must
 //! hide at least half of the nn-exchange wire seconds on a
 //! direction-switching run, and depths must be bit-exact across the
 //! whole matrix.
-//!
-//! Usage: `cargo run --release --bin kernel_sweep [-- --smoke]`
 
-use gcbfs_bench::{env_or, f2, pct, print_table};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::kernels::KernelVariant;
 use gcbfs_core::trace::{direction_trajectory, is_single_switch, Kernel};
-use gcbfs_graph::rmat::RmatConfig;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = env_or("GCBFS_SCALE", 20) as u32;
-    let gpus = env_or("GCBFS_GPUS", 16) as u32;
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
-    let topo = if gpus >= 2 { Topology::new(gpus / 2, 2) } else { Topology::new(1, 1) };
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let scale = k.scale.unwrap_or(20);
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
+    let topo = Topology::new(8, 2);
     let p = topo.num_gpus() as usize;
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
     let m_half = graph.num_edges() / 2;
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
     println!("Kernel sweep: RMAT scale {scale}, TH {th}, {p} GPUs, source {source}");
 
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
@@ -103,18 +95,13 @@ fn main() {
         f2(word_wire_seconds * 1e3)
     );
 
-    let doc = format!(
+    k.emit_json(&format!(
         "{{\"bench\":\"kernels\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\
          \"cells\":[{}],\"word_speedup\":{speedup},\"wire_seconds\":{word_wire_seconds},\
          \"wire_hidden_frac\":{hidden_frac},\"dd_trajectory\":\"{trajectory}\",\
          \"depths_bit_exact\":true}}",
         cell_json.join(",")
-    );
-    println!("\n{doc}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &doc).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
     if smoke {
         assert!(
             speedup >= 1.5,

@@ -1,14 +1,16 @@
 //! §VI-A1 network microbenchmark: effective bandwidth vs message size.
 //!
 //! The paper swept MPI message sizes from 128 kB to 16 MB between 32 nodes
-//! and found ~4 MB optimal for data larger than 2 MB. This binary sweeps
+//! and found ~4 MB optimal for data larger than 2 MB. This exhibit sweeps
 //! the same range against the network model and reports the effective
 //! per-message throughput, confirming the model reproduces that optimum.
+//!
+//! Usage: `gcbfs-bench net_sweep`.
 
-use gcbfs_bench::{f2, print_table};
+use gcbfs_bench::prelude::*;
 use gcbfs_cluster::cost::NetworkModel;
 
-fn main() {
+pub fn run(_: &Knobs, _smoke: Option<&str>) {
     let net = NetworkModel::ray();
     println!("§VI-A1 reproduction: message-size sweep (modeled Ray InfiniBand + staging)");
 

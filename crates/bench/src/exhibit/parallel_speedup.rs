@@ -7,7 +7,7 @@
 //! 1. **Determinism**: for every (scale, source) the depth vector is
 //!    bit-identical at every thread count. The pool's fixed length-only
 //!    chunking and ordered chunk-index merges make this hold by
-//!    construction (DESIGN.md §5d); this binary re-checks it end to end
+//!    construction (DESIGN.md §5d); this exhibit re-checks it end to end
 //!    through graph generation, edge distribution, and the BFS driver.
 //! 2. **Self-speedup**: the same workload gets genuinely faster with more
 //!    worker threads. The headline claim is ≥2× at 4 threads vs 1 on the
@@ -20,22 +20,15 @@
 //! stdout (machine-readable results for CI trend tracking). Set
 //! `GCBFS_JSON_OUT=/path.json` to also write the JSON to a file.
 //!
-//! Environment knobs: `GCBFS_SCALES` (comma list, default `18,20`),
-//! `GCBFS_PS_THREADS` (comma list, default `1,2,4,8`), `GCBFS_REPS`
-//! (timing repetitions, best-of, default 3).
-//!
-//! Usage: `cargo run --release --bin parallel_speedup [-- --smoke]`
-//! (`--smoke` shrinks to scale 12, threads 1,2,4, one rep, for CI).
+//! Usage: `gcbfs-bench parallel_speedup [--smoke]` — scales 18 and 20 at
+//! 1, 2, 4 and 8 threads, best of 3 repetitions; `--smoke` shrinks to
+//! scale 12, threads 1, 2 and 4, one repetition, for CI.
 
+use gcbfs_bench::prelude::*;
 use std::time::Instant;
 
-use gcbfs_bench::{env_or, f2, pick_sources, print_table};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
-
-/// One measured cell of the sweep.
+/// One measured cell of the sweep; its depths are asserted bit-exact
+/// against every other cell of its scale.
 struct Cell {
     scale: u32,
     threads: usize,
@@ -45,7 +38,6 @@ struct Cell {
     /// from the modeled-GPU GTEPS kernel_sweep tracks).
     gteps: f64,
     speedup: f64,
-    depths_ok: bool,
 }
 
 /// Builds the distributed graph and runs BFS from every source, returning
@@ -53,7 +45,7 @@ struct Cell {
 /// wall-clock seconds of the whole pipeline (generation is excluded: it
 /// runs once outside, so each thread count times the same bytes).
 fn run_pipeline(
-    graph: &gcbfs_graph::EdgeList,
+    graph: &EdgeList,
     topo: Topology,
     config: &BfsConfig,
     sources: &[u64],
@@ -96,54 +88,26 @@ fn sweep_scale(scale: u32, threads: &[usize], reps: usize) -> Vec<Cell> {
         }
         let wall_ms = best * 1e3;
         let gteps = (m_half * sources.len() as u64) as f64 / best / 1e9;
-        let depths_ok = match &reference {
+        match &reference {
             None => {
                 reference = Some(depths);
                 base_ms = wall_ms;
-                true
             }
-            Some(reference) => {
-                assert_eq!(
-                    &depths, reference,
-                    "scale {scale}: depth vector differs at {t} threads vs {} threads",
-                    threads[0],
-                );
-                true
-            }
-        };
-        cells.push(Cell {
-            scale,
-            threads: t,
-            wall_ms,
-            gteps,
-            speedup: base_ms / wall_ms,
-            depths_ok,
-        });
+            Some(reference) => assert_eq!(
+                &depths, reference,
+                "scale {scale}: depth vector differs at {t} threads vs {} threads",
+                threads[0],
+            ),
+        }
+        cells.push(Cell { scale, threads: t, wall_ms, gteps, speedup: base_ms / wall_ms });
     }
     cells
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scales: Vec<u32> = if smoke {
-        vec![12]
-    } else {
-        std::env::var("GCBFS_SCALES")
-            .unwrap_or_else(|_| "18,20".into())
-            .split(',')
-            .map(|s| s.trim().parse().expect("GCBFS_SCALES entries are u32 scales"))
-            .collect()
-    };
-    let threads: Vec<usize> = if smoke {
-        vec![1, 2, 4]
-    } else {
-        std::env::var("GCBFS_PS_THREADS")
-            .unwrap_or_else(|_| "1,2,4,8".into())
-            .split(',')
-            .map(|s| s.trim().parse().expect("GCBFS_PS_THREADS entries are thread counts"))
-            .collect()
-    };
-    let reps = if smoke { 1 } else { env_or("GCBFS_REPS", 3) as usize };
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let (scales, threads, reps): (&[u32], &[usize], usize) =
+        if smoke { (&[12], &[1, 2, 4], 1) } else { (&[18, 20], &[1, 2, 4, 8], 3) };
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!(
         "Parallel self-speedup{}: RMAT scales {scales:?}, 16 GPUs, threads {threads:?}, \
@@ -152,8 +116,8 @@ fn main() {
     );
 
     let mut all = Vec::new();
-    for &scale in &scales {
-        let cells = sweep_scale(scale, &threads, reps);
+    for &scale in scales {
+        let cells = sweep_scale(scale, threads, reps);
         let rows: Vec<Vec<String>> = cells
             .iter()
             .map(|c| {
@@ -162,7 +126,7 @@ fn main() {
                     f2(c.wall_ms),
                     f2(c.gteps),
                     f2(c.speedup),
-                    if c.depths_ok { "bit-exact" } else { "DRIFT" }.into(),
+                    "bit-exact".into(),
                 ]
             })
             .collect();
@@ -204,19 +168,14 @@ fn main() {
         .map(|c| {
             format!(
                 "{{\"scale\":{},\"threads\":{},\"wall_ms\":{:.3},\"gteps\":{:.3},\
-                 \"speedup\":{:.3},\"depths_bit_exact\":{}}}",
-                c.scale, c.threads, c.wall_ms, c.gteps, c.speedup, c.depths_ok,
+                 \"speedup\":{:.3},\"depths_bit_exact\":true}}",
+                c.scale, c.threads, c.wall_ms, c.gteps, c.speedup,
             )
         })
         .collect();
-    let json = format!(
+    k.emit_json(&format!(
         "{{\"bench\":\"parallel_speedup\",\"smoke\":{smoke},\"host_cores\":{cores},\
          \"gpus\":16,\"reps\":{reps},\"results\":[{}]}}",
         cells_json.join(","),
-    );
-    println!("\n{json}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &json).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
 }

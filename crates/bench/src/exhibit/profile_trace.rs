@@ -13,20 +13,15 @@
 //! * the Chrome `trace_event` export passes the in-tree schema validator
 //!   and the JSON-lines export parses back to the same totals.
 //!
-//! Environment knobs: `GCBFS_PROFILE_OUT=/path.json` writes the fault-free
-//! compressed run's Chrome trace to a file (the CI smoke artifact);
+//! Usage: `gcbfs-bench profile_trace [--smoke]` — scale 14; `--smoke`
+//! shrinks to scale 10 for CI. Environment knobs:
+//! `GCBFS_PROFILE_OUT=/path.json` writes the fault-free compressed run's
+//! Chrome trace to a file (the CI smoke artifact);
 //! `GCBFS_JSONL_OUT=/path.jsonl` writes its JSON-lines document.
-//!
-//! Usage: `cargo run --release --bin profile_trace [-- --smoke]`
-//! (`--smoke` shrinks to scale 10 for CI).
 
-use gcbfs_bench::{f2, print_table};
+use gcbfs_bench::prelude::*;
 use gcbfs_cluster::fault::FaultPlan;
-use gcbfs_cluster::topology::Topology;
 use gcbfs_compress::CompressionMode;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::{BfsResult, DistributedGraph};
-use gcbfs_graph::rmat::RmatConfig;
 use gcbfs_trace::{chrome, json, jsonl, ObservabilityConfig, PhaseTag, TraceLog};
 
 struct Case {
@@ -101,14 +96,12 @@ fn row(label: &str, r: &BfsResult) -> Vec<String> {
     ]
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = if smoke { 10 } else { 14 };
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let scale = if smoke.is_some() { 10 } else { 14 };
     let topo = Topology::new(2, 2);
     let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
     let graph = RmatConfig::graph500(scale).generate();
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
 
     let mut rows = Vec::new();
     let mut artifact: Option<(String, String)> = None;
@@ -137,12 +130,12 @@ fn main() {
     );
 
     let (chrome_json, lines) = artifact.expect("adaptive case ran");
-    if let Ok(path) = std::env::var("GCBFS_PROFILE_OUT") {
-        std::fs::write(&path, &chrome_json).expect("write GCBFS_PROFILE_OUT");
+    if let Some(path) = &k.profile_out {
+        std::fs::write(path, &chrome_json).expect("write GCBFS_PROFILE_OUT");
         println!("wrote chrome trace: {path} ({} bytes)", chrome_json.len());
     }
-    if let Ok(path) = std::env::var("GCBFS_JSONL_OUT") {
-        std::fs::write(&path, &lines).expect("write GCBFS_JSONL_OUT");
+    if let Some(path) = &k.jsonl_out {
+        std::fs::write(path, &lines).expect("write GCBFS_JSONL_OUT");
         println!("wrote jsonl trace: {path} ({} bytes)", lines.len());
     }
 }

@@ -11,24 +11,20 @@
 //! completions per modeled second), shed rate and sharing factor, and
 //! emits the `results/BENCH_serve.json` trajectory document.
 //!
-//! Environment knobs: `GCBFS_SCALE` (default 20), `GCBFS_GPUS` (16),
-//! `GCBFS_TH`, `GCBFS_SEED` (42), `GCBFS_ARRIVALS` (256 per QPS point),
-//! `GCBFS_POOL` (64 distinct sources), `GCBFS_QUEUE` (admission queue
-//! bound, 96), `GCBFS_JSON_OUT=/path.json`.
+//! Usage: `gcbfs-bench serve_sweep [--smoke]` — 16 GPUs at the scale's
+//! suggested threshold, seed 42, 256 arrivals per QPS point, a pool of 64
+//! distinct sources, an admission queue bound of 96. Environment knobs:
+//! `GCBFS_SCALE` (default 20), `GCBFS_JSON_OUT=/path.json`.
 //!
 //! `--smoke` additionally asserts the acceptance gates: sharing factor
 //! at least 8x at the saturated batch-64 point, batched peak goodput at
 //! least 4x the batch-1 peak, p99 monotone non-decreasing in offered
 //! load, and bit-identical reports on a repeated run.
-//!
-//! Usage: `cargo run --release --bin serve_sweep [-- --smoke]`
 
-use gcbfs_bench::{env_or, f2, pct, pick_sources, print_table};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
-use gcbfs_serve::{generate, BatchPolicy, ServeReport, TenantSpec, TraversalService, WorkloadSpec};
+use gcbfs_bench::prelude::*;
+use gcbfs_serve::{
+    generate, BatchPolicy, QueryRequest, ServeReport, TenantSpec, TraversalService, WorkloadSpec,
+};
 
 /// One measured point of the ramp.
 struct Point {
@@ -46,18 +42,19 @@ struct Ramp<'a> {
     tenants: &'a [TenantSpec],
 }
 
+impl Ramp<'_> {
+    /// The seeded arrivals of one offered-load point.
+    fn workload(&self, qps: f64) -> Vec<QueryRequest> {
+        let spec = WorkloadSpec::bfs_only(qps, self.arrivals, self.seed, self.pool.to_vec())
+            .with_deadline(self.deadline)
+            .with_tenant_shares(vec![4.0, 2.0, 1.0, 1.0]);
+        generate(&spec, self.tenants)
+    }
+}
+
 fn run_ramp(svc: &mut TraversalService<'_>, policy: BatchPolicy, ramp: &Ramp<'_>) -> Vec<Point> {
     svc.set_policy(policy);
-    ramp.qps_list
-        .iter()
-        .map(|&qps| {
-            let spec = WorkloadSpec::bfs_only(qps, ramp.arrivals, ramp.seed, ramp.pool.to_vec())
-                .with_deadline(ramp.deadline)
-                .with_tenant_shares(vec![4.0, 2.0, 1.0, 1.0]);
-            let workload = generate(&spec, ramp.tenants);
-            Point { qps, report: svc.run(&workload) }
-        })
-        .collect()
+    ramp.qps_list.iter().map(|&qps| Point { qps, report: svc.run(&ramp.workload(qps)) }).collect()
 }
 
 fn point_json(p: &Point) -> String {
@@ -115,19 +112,18 @@ fn print_ramp(title: &str, points: &[Point]) {
     );
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = env_or("GCBFS_SCALE", 20) as u32;
-    let gpus = env_or("GCBFS_GPUS", 16) as u32;
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
-    let seed = env_or("GCBFS_SEED", 42);
-    let arrivals = env_or("GCBFS_ARRIVALS", 256) as usize;
-    let pool_size = env_or("GCBFS_POOL", 64) as usize;
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let scale = k.scale.unwrap_or(20);
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
+    let seed = 42;
+    let arrivals = 256;
+    let pool_size = 64;
     // A bounded queue makes backpressure visible: past the knee the
     // open-loop backlog exceeds the limit and excess load is shed with
     // typed rejections instead of queueing without bound.
-    let queue_limit = env_or("GCBFS_QUEUE", 96) as usize;
-    let topo = if gpus >= 2 { Topology::new(gpus / 2, 2) } else { Topology::new(1, 1) };
+    let queue_limit = 96;
+    let topo = Topology::new(8, 2);
     let p = topo.num_gpus() as usize;
     // MS-BFS is forward-only; direction optimization does not compose
     // with source batching, so both modes serve forward sweeps.
@@ -185,11 +181,11 @@ fn main() {
     let batched_peak = peak(&batched);
     let baseline_peak = peak(&baseline);
     let ratio = batched_peak / baseline_peak.max(f64::MIN_POSITIVE);
-    let knee_qps = batched
+    let knee_point = batched
         .iter()
         .max_by(|a, b| a.report.goodput_qps.total_cmp(&b.report.goodput_qps))
-        .map(|p| p.qps)
-        .unwrap_or(0.0);
+        .expect("non-empty ramp");
+    let knee_qps = knee_point.qps;
     let saturated = batched.last().expect("non-empty ramp");
     println!(
         "\npeak goodput: batched {batched_peak:.2} QPS vs baseline {baseline_peak:.2} QPS \
@@ -199,10 +195,6 @@ fn main() {
     );
 
     // Fairness at the knee: per-tenant p99 under the batched scheduler.
-    let knee_point = batched
-        .iter()
-        .max_by(|a, b| a.report.goodput_qps.total_cmp(&b.report.goodput_qps))
-        .expect("non-empty");
     let tenant_rows: Vec<Vec<String>> = knee_point
         .report
         .tenants
@@ -237,7 +229,7 @@ fn main() {
             )
         })
         .collect();
-    let doc = format!(
+    k.emit_json(&format!(
         "{{\"bench\":\"serve\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\"seed\":{seed},\
          \"arrivals\":{arrivals},\"pool\":{},\"queue_limit\":{queue_limit},\
          \"deadline_ms\":{:.4},\"window_ms\":{:.4},\
@@ -252,12 +244,7 @@ fn main() {
         baseline.iter().map(point_json).collect::<Vec<_>>().join(","),
         saturated.report.sharing_factor,
         tenant_json.join(",")
-    );
-    println!("\n{doc}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &doc).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
 
     if smoke {
         assert!(
@@ -279,11 +266,7 @@ fn main() {
         }
         // Bit-reproducibility: repeat the saturated point and compare.
         svc.set_policy(BatchPolicy::new(64, window).with_queue_limit(queue_limit));
-        let spec = WorkloadSpec::bfs_only(saturated.qps, arrivals, seed, pool.clone())
-            .with_deadline(deadline)
-            .with_tenant_shares(vec![4.0, 2.0, 1.0, 1.0]);
-        let workload = generate(&spec, &tenants);
-        let again = svc.run(&workload);
+        let again = svc.run(&ramp.workload(saturated.qps));
         assert_eq!(
             again.latency.p99.to_bits(),
             saturated.report.latency.p99.to_bits(),

@@ -5,17 +5,15 @@
 //! storage `8n + 8d·p + 4m + 4|Enn|` is about **one third** of the
 //! 16-bytes-per-edge edge list and a little more than **half** of plain
 //! CSR (`8n + 8m`).
+//!
+//! Usage: `gcbfs-bench table1_memory`. Environment knob: `GCBFS_SCALE`
+//! (smallest scale, default 14).
 
-use gcbfs_bench::{env_or, f2, print_table};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
+use gcbfs_bench::prelude::*;
 use gcbfs_core::subgraph::paper_total_bytes;
-use gcbfs_graph::rmat::RmatConfig;
-use gcbfs_graph::Csr;
 
-fn main() {
-    let base = env_or("GCBFS_SCALE", 14) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let base = k.scale.unwrap_or(14);
     println!("Table I reproduction: RMAT scales {base}..={}", base + 4);
     let topo = Topology::new(4, 4);
 

@@ -5,15 +5,11 @@
 //! the reproduction's scaled-down operating point and reports modeled
 //! GTEPS plus the per-GPU ratio structure the paper highlights
 //! (e.g. ~10× per-GPU advantage over Bernaschi et al.).
+//!
+//! Usage: `gcbfs-bench table2_comparison`. Environment knob:
+//! `GCBFS_SOURCES`.
 
-use gcbfs_bench::{
-    f2, num_sources, per_gpu_scale, pick_sources, print_table, ray_factor, run_many,
-};
-use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::rmat::RmatConfig;
+use gcbfs_bench::prelude::*;
 
 /// One paper-reported comparison row.
 struct PriorWork {
@@ -76,7 +72,24 @@ const PRIOR: &[PriorWork] = &[
     },
 ];
 
-fn main() {
+/// Ray-equivalent GTEPS of this reproduction on a scale-`scale` RMAT graph
+/// over `gpus` simulated GPUs, from `count` sources picked with `seed`
+/// (Table II's repro rows and Fig. 1's repro point).
+pub fn repro_gteps(scale: u32, gpus: u32, count: usize, seed: u64) -> f64 {
+    let cfg = RmatConfig::graph500(scale);
+    let graph = cfg.generate();
+    let th = BfsConfig::suggested_rmat_threshold(scale + 15).max(8);
+    let topo = if gpus >= 4 { Topology::new(gpus / 2, 2) } else { Topology::new(1, gpus) };
+    let factor = ray_factor(per_gpu_scale(scale, gpus));
+    let config = BfsConfig::new(th)
+        .with_blocking_reduce(gpus >= 32)
+        .with_cost_model(CostModel::ray_scaled(factor));
+    let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
+    let sources = pick_sources(&graph, count, seed);
+    run_many(&dist, &config, &sources, cfg.graph500_edges()).gteps * factor
+}
+
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
     println!("Table II reproduction: prior work (paper-reported) vs this reproduction (modeled)");
 
     let mut rows: Vec<Vec<String>> = PRIOR
@@ -97,18 +110,7 @@ fn main() {
     for (label, gpus, scale) in
         [("repro (1 GPU)", 1u32, 12u32), ("repro (4 GPUs)", 4, 14), ("repro (64 GPUs)", 64, 18)]
     {
-        let cfg = RmatConfig::graph500(scale);
-        let graph = cfg.generate();
-        let th = BfsConfig::suggested_rmat_threshold(scale + 15).max(8);
-        let topo = if gpus >= 4 { Topology::new(gpus / 2, 2) } else { Topology::new(1, gpus) };
-        let factor = ray_factor(per_gpu_scale(scale, gpus));
-        let config = BfsConfig::new(th)
-            .with_blocking_reduce(gpus >= 32)
-            .with_cost_model(CostModel::ray_scaled(factor));
-        let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
-        let sources = pick_sources(&graph, num_sources(), 0x7a2);
-        let s = run_many(&dist, &config, &sources, cfg.graph500_edges());
-        let gteps = s.gteps * factor;
+        let gteps = repro_gteps(scale, gpus, k.sources, 0x7a2);
         rows.push(vec![
             label.to_string(),
             scale.to_string(),

@@ -6,36 +6,29 @@
 //! detection counts — the `BENCH_verify.json` trajectory future PRs
 //! regress against.
 //!
-//! Environment knobs: `GCBFS_SCALE` (default 20), `GCBFS_GPUS` (default
-//! 16), `GCBFS_SEEDS` (SDC plans, default 5), `GCBFS_TH`.
-//! `GCBFS_JSON_OUT=/path.json` writes the JSON document to a file.
+//! Usage: `gcbfs-bench verify_sweep [--smoke]` — 16 GPUs at the scale's
+//! suggested threshold, five SDC plans. Environment knobs: `GCBFS_SCALE`
+//! (default 20), `GCBFS_JSON_OUT=/path.json` (writes the JSON document
+//! to a file).
 //!
 //! `--smoke` additionally asserts the acceptance bound: `Full`-tier
 //! overhead must stay within 10% of the `Off`-tier modeled elapsed.
-//!
-//! Usage: `cargo run --release --bin verify_sweep [-- --smoke]`
 
-use gcbfs_bench::{env_or, f2, pct, print_table};
+use gcbfs_bench::prelude::*;
 use gcbfs_cluster::fault::FaultPlan;
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
 use gcbfs_core::verify::VerificationMode;
-use gcbfs_graph::rmat::RmatConfig;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = env_or("GCBFS_SCALE", 20) as u32;
-    let gpus = env_or("GCBFS_GPUS", 16) as u32;
-    let seeds = env_or("GCBFS_SEEDS", 5) as u64;
-    let th = env_or("GCBFS_TH", BfsConfig::suggested_rmat_threshold(scale + 13).max(8));
-    let topo = if gpus >= 2 { Topology::new(gpus / 2, 2) } else { Topology::new(1, 1) };
+pub fn run(k: &Knobs, smoke: Option<&str>) {
+    let smoke = smoke.is_some();
+    let scale = k.scale.unwrap_or(20);
+    let seeds = 5u64;
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
+    let topo = Topology::new(8, 2);
     let p = topo.num_gpus() as usize;
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
     let m_half = graph.num_edges() / 2;
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = hub_source(&graph);
     println!("Verification sweep: RMAT scale {scale}, TH {th}, {p} GPUs, source {source}");
 
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
@@ -96,19 +89,14 @@ fn main() {
          {reexecs} re-execution(s), all depths bit-exact"
     );
 
-    let doc = format!(
+    k.emit_json(&format!(
         "{{\"bench\":\"verify\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\
          \"tiers\":[{}],\"full_overhead_pct\":{},\
          \"sdc\":{{\"plans\":{seeds},\"injected\":{injected},\"detected\":{detected},\
          \"reexecutions\":{reexecs},\"recovered_bit_exact\":true}}}}",
         tier_json.join(","),
         overhead * 100.0
-    );
-    println!("\n{doc}");
-    if let Ok(path) = std::env::var("GCBFS_JSON_OUT") {
-        std::fs::write(&path, &doc).expect("write GCBFS_JSON_OUT");
-        println!("json written to {path}");
-    }
+    ));
     if smoke {
         assert!(
             overhead <= 0.10,

@@ -5,17 +5,16 @@
 //! Expected result (paper): ~330 iterations on average, per-iteration time
 //! close to the per-iteration overhead, and DOBFS *slightly slower* than
 //! BFS because the direction-decision work exceeds the traversal savings.
+//!
+//! Usage: `gcbfs-bench wdc_longtail` — 300-vertex chains. Environment
+//! knobs: `GCBFS_SCALE` (core scale, default 14), `GCBFS_SOURCES`.
 
-use gcbfs_bench::{env_or, f2, num_sources, pick_sources, print_table, run_many};
-use gcbfs_cluster::topology::Topology;
-use gcbfs_core::config::BfsConfig;
-use gcbfs_core::driver::DistributedGraph;
-use gcbfs_graph::WebGraphConfig;
+use gcbfs_bench::prelude::*;
 
-fn main() {
-    let core_scale = env_or("GCBFS_SCALE", 14) as u32;
+pub fn run(k: &Knobs, _smoke: Option<&str>) {
+    let core_scale = k.scale.unwrap_or(14);
     let mut gen = WebGraphConfig::wdc_like(core_scale);
-    gen.chain_length = env_or("GCBFS_CHAIN", 300);
+    gen.chain_length = 300;
     println!(
         "§VI-D reproduction: long-tail web-like graph, core scale {core_scale}, \
          {} chains x {} (paper: WDC 2012, 4.29G vertices, ~330 iterations)",
@@ -25,7 +24,7 @@ fn main() {
     let g500_edges = graph.num_edges() / 2;
     let topo = Topology::from_paper_notation(4, 2, 2);
     let th = 256;
-    let sources = pick_sources(&graph, num_sources(), 0x3dc);
+    let sources = pick_sources(&graph, k.sources, 0x3dc);
 
     let mut rows = Vec::new();
     let mut results = Vec::new();

@@ -1,18 +1,22 @@
 #![warn(missing_docs)]
 
-//! Shared harness for the figure/table reproduction binaries.
+//! Shared harness for `gcbfs-bench`, the one binary that regenerates
+//! every table and figure of the paper plus the repo's acceptance sweeps
+//! (`gcbfs-bench <exhibit>`; see `src/exhibit/` and DESIGN.md's
+//! per-experiment index). Exhibits share this harness: the `GCBFS_*`
+//! knobs parsed once, deterministic source selection, the
+//! geometric-mean-over-sources protocol of §VI-A3, and plain-text table
+//! and JSON output.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index). They share this harness:
-//! deterministic source selection, the geometric-mean-over-sources
-//! protocol of §VI-A3, scaled-down defaults (overridable via environment
-//! variables), and plain-text table output.
-//!
-//! Environment knobs (all optional):
+//! Environment knobs (all optional; one that is set but does not parse
+//! is an error naming it, never a silent default):
 //!
 //! * `GCBFS_SOURCES` — BFS sources per data point (default 8; paper: 140);
-//! * `GCBFS_SCALE` — base RMAT scale override for the per-figure defaults;
-//! * `GCBFS_MAX_GPUS` — cap on simulated GPUs in scaling sweeps.
+//! * `GCBFS_SCALE` — base RMAT scale override for the per-exhibit defaults;
+//! * `GCBFS_MAX_GPUS` — cap on simulated GPUs in scaling sweeps;
+//! * `GCBFS_JSON_OUT` — file a sweep's JSON document is also written to;
+//! * `GCBFS_PROFILE_OUT` / `GCBFS_JSONL_OUT` — files `profile_trace`
+//!   writes its Chrome trace / JSON-lines trace to.
 
 use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_core::config::BfsConfig;
@@ -21,9 +25,76 @@ use gcbfs_core::stats::geometric_mean;
 use gcbfs_graph::permute::splitmix64;
 use gcbfs_graph::EdgeList;
 
-/// Reads an environment knob with a default.
-pub fn env_or(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// What every exhibit imports: this harness and the workspace types the
+/// exhibits have in common.
+pub mod prelude {
+    pub use crate::{
+        f2, hub_source, ms, pct, per_gpu_scale, pick_sources, print_table, ray_factor, run_many,
+        Knobs,
+    };
+    pub use gcbfs_cluster::cost::CostModel;
+    pub use gcbfs_cluster::topology::Topology;
+    pub use gcbfs_core::config::BfsConfig;
+    pub use gcbfs_core::driver::{BfsResult, DistributedGraph};
+    pub use gcbfs_graph::{rmat::RmatConfig, Csr, EdgeList, PowerLawConfig, WebGraphConfig};
+}
+
+/// The `GCBFS_*` environment knobs, parsed once per run.
+#[derive(Debug)]
+pub struct Knobs {
+    /// `GCBFS_SOURCES`: BFS sources per data point (default 8).
+    pub sources: usize,
+    /// `GCBFS_SCALE`: replaces each exhibit's default scale.
+    pub scale: Option<u32>,
+    /// `GCBFS_MAX_GPUS`: replaces each scaling sweep's largest GPU count.
+    pub max_gpus: Option<u32>,
+    /// `GCBFS_JSON_OUT`: where [`Knobs::emit_json`] also writes.
+    pub json_out: Option<String>,
+    /// `GCBFS_PROFILE_OUT`: where `profile_trace` writes its Chrome trace.
+    pub profile_out: Option<String>,
+    /// `GCBFS_JSONL_OUT`: where `profile_trace` writes its JSON-lines trace.
+    pub jsonl_out: Option<String>,
+}
+
+impl Knobs {
+    /// Reads the knobs from the process environment.
+    pub fn from_env() -> Result<Self, String> {
+        Self::parse(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// Reads the knobs through `var`, which returns a variable's value if
+    /// it is set. An unset knob keeps its default; a numeric knob that is
+    /// set but does not parse is an error naming the variable and value.
+    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        Ok(Self {
+            sources: knob(&var, "GCBFS_SOURCES")?.unwrap_or(8),
+            scale: knob(&var, "GCBFS_SCALE")?,
+            max_gpus: knob(&var, "GCBFS_MAX_GPUS")?,
+            json_out: var("GCBFS_JSON_OUT"),
+            profile_out: var("GCBFS_PROFILE_OUT"),
+            jsonl_out: var("GCBFS_JSONL_OUT"),
+        })
+    }
+
+    /// Prints a sweep's JSON document after a blank line and, when
+    /// `GCBFS_JSON_OUT` is set, writes it to that file too.
+    pub fn emit_json(&self, doc: &str) {
+        println!("\n{doc}");
+        if let Some(path) = &self.json_out {
+            std::fs::write(path, doc).expect("write GCBFS_JSON_OUT");
+            println!("json written to {path}");
+        }
+    }
+}
+
+/// Parses the numeric knob `name`, if `var` has it set.
+fn knob<T: std::str::FromStr>(
+    var: &impl Fn(&str) -> Option<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    var(name)
+        .map(|v| v.parse().map_err(|_| format!("{name} must be a non-negative integer, got {v:?}")))
+        .transpose()
 }
 
 /// The paper's per-GPU RMAT scale on Ray.
@@ -42,9 +113,11 @@ pub fn per_gpu_scale(total_scale: u32, gpus: u32) -> u32 {
     total_scale.saturating_sub(gpus.ilog2())
 }
 
-/// Number of sources per data point (`GCBFS_SOURCES`, default 8).
-pub fn num_sources() -> usize {
-    env_or("GCBFS_SOURCES", 8) as usize
+/// The highest-out-degree vertex (the last one on ties): the one source
+/// of the sweeps that compare configurations on a single traversal.
+pub fn hub_source(graph: &EdgeList) -> u64 {
+    let degrees = graph.out_degrees();
+    degrees.iter().enumerate().max_by_key(|&(_, d)| d).expect("graph has vertices").0 as u64
 }
 
 /// Deterministically picks `count` distinct non-isolated source vertices,
@@ -79,10 +152,6 @@ pub struct RunSummary {
     pub phases_ms: PhaseTimes,
     /// Mean iteration count `S`.
     pub iterations: f64,
-    /// Mean iterations with a mask reduction `S'`.
-    pub mask_reductions: f64,
-    /// Mean wall-clock seconds per run of the Rust simulation itself.
-    pub wall_seconds: f64,
 }
 
 /// Runs BFS from each source and aggregates per the paper's protocol.
@@ -97,8 +166,6 @@ pub fn run_many(
     let mut elapsed = 0.0;
     let mut phases = PhaseTimes::zero();
     let mut iterations = 0.0;
-    let mut masks = 0.0;
-    let mut wall = 0.0;
     let mut used = 0usize;
     for &s in sources {
         let r = dist.run(s, config).expect("valid source");
@@ -110,8 +177,6 @@ pub fn run_many(
         elapsed += r.modeled_seconds() * 1e3;
         phases = phases.combine(&r.stats.phase_totals());
         iterations += r.iterations() as f64;
-        masks += r.stats.mask_reductions() as f64;
-        wall += r.stats.wall_seconds;
         used += 1;
     }
     assert!(used > 0, "every source finished in one iteration; pick better sources");
@@ -126,8 +191,6 @@ pub fn run_many(
             remote_delegate: phases.remote_delegate * 1e3 / k,
         },
         iterations: iterations / k,
-        mask_reductions: masks / k,
-        wall_seconds: wall / k,
     }
 }
 
@@ -148,14 +211,14 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Converts seconds to milliseconds.
+pub fn ms(seconds: f64) -> f64 {
+    seconds * 1e3
+}
+
 /// Formats a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
-}
-
-/// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
 }
 
 /// Formats a percentage with 2 decimals.
@@ -195,8 +258,45 @@ mod tests {
         assert!(summary.elapsed_ms > 0.0);
     }
 
+    fn parse(vars: &[(&str, &str)]) -> Result<Knobs, String> {
+        Knobs::parse(|name| vars.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string()))
+    }
+
     #[test]
-    fn env_default() {
-        assert_eq!(env_or("GCBFS_DOES_NOT_EXIST_XYZ", 17), 17);
+    fn unset_knobs_keep_their_defaults() {
+        let k = parse(&[]).unwrap();
+        assert_eq!((k.sources, k.scale, k.max_gpus), (8, None, None));
+        assert_eq!((k.json_out, k.profile_out, k.jsonl_out), (None, None, None));
+    }
+
+    #[test]
+    fn set_knobs_are_read() {
+        let k = parse(&[
+            ("GCBFS_SOURCES", "6"),
+            ("GCBFS_SCALE", "12"),
+            ("GCBFS_MAX_GPUS", "128"),
+            ("GCBFS_JSON_OUT", "out.json"),
+            ("GCBFS_PROFILE_OUT", "p.json"),
+            ("GCBFS_JSONL_OUT", "t.jsonl"),
+        ])
+        .unwrap();
+        assert_eq!((k.sources, k.scale, k.max_gpus), (6, Some(12), Some(128)));
+        assert_eq!(k.json_out.as_deref(), Some("out.json"));
+        assert_eq!(k.profile_out.as_deref(), Some("p.json"));
+        assert_eq!(k.jsonl_out.as_deref(), Some("t.jsonl"));
+    }
+
+    #[test]
+    fn a_set_knob_that_does_not_parse_is_an_error_naming_it() {
+        for (name, value) in [
+            ("GCBFS_SCALE", "abc"),
+            ("GCBFS_SOURCES", "2.5"),
+            ("GCBFS_SOURCES", ""),
+            ("GCBFS_MAX_GPUS", "-4"),
+            ("GCBFS_SCALE", "4294967296"),
+        ] {
+            let err = parse(&[(name, value)]).unwrap_err();
+            assert!(err.contains(name) && err.contains(&format!("{value:?}")), "{err}");
+        }
     }
 }
