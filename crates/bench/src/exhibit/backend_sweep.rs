@@ -3,18 +3,22 @@
 //! Not a paper figure — the paper runs on a real GPU cluster — but the
 //! repo's closest analogue: the same traversal executed (a) in the
 //! deterministic modeled-time simulator and (b) in real worker OS
-//! processes exchanging sealed frames over Unix-domain sockets. Three
-//! measurements per worker width:
+//! processes exchanging sealed frames over Unix-domain sockets. Each
+//! worker width runs on one backend: a cold run from the hub source, which
+//! spawns the pool and ships it the graph, then [`WARM_RUNS`] warm runs
+//! from other sources on the same workers. Three measurements per width:
 //!
 //! 1. **Agreement**: depths and parents must be bit-exact across
-//!    backends (the whole point of the shared-kernel design).
+//!    backends (the whole point of the shared-kernel design), and no
+//!    warm run may spawn a process.
 //! 2. **Throughput**: the sim's modeled GTEPS next to the proc
-//!    backend's wall-clock GTEPS (host-CPU kernels; expect orders of
-//!    magnitude below modeled Ray numbers — the column exists to track
-//!    runtime overhead, not to flatter).
+//!    backend's wall-clock GTEPS, cold and warm (host-CPU kernels; expect
+//!    orders of magnitude below modeled Ray numbers — the columns exist to
+//!    track runtime overhead, not to flatter).
 //! 3. **Traffic**: bytes the sim *models* crossing rank boundaries vs
 //!    bytes the proc runtime *actually shipped* over sockets (frames,
-//!    headers, seals, heartbeats included).
+//!    headers, seals, heartbeats included), cold (with the graph's
+//!    shipping) and warm.
 //!
 //! Plus the recovery bill: a worker is SIGKILL'd mid-sweep, confirmed
 //! dead by phi-accrual heartbeat silence, and recovered onto a spare
@@ -33,17 +37,27 @@ use gcbfs_core::backend::{Backend, BackendRun, ProcBackend, SimBackend};
 use gcbfs_core::procrt::{ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand};
 use gcbfs_core::recovery::RecoveryConfig;
 
-fn run_proc(
-    graph: &EdgeList,
-    topo: Topology,
-    source: u64,
-    config: &BfsConfig,
-    opts: ProcOptions,
-) -> BackendRun {
+/// Runs per width on the pool the cold run spawned, each from another
+/// source.
+const WARM_RUNS: usize = 4;
+
+fn proc_backend(opts: ProcOptions) -> ProcBackend {
     let exe = std::env::current_exe().expect("own path");
     ProcBackend::new(WorkerCommand::new(exe, vec!["worker".to_string()]), opts)
-        .run(graph, topo, source, config, true)
-        .expect("proc backend run")
+}
+
+fn agrees(proc: &BackendRun, sim: &BackendRun) -> bool {
+    proc.depths == sim.depths && proc.parents == sim.parents
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
 }
 
 pub fn run(k: &Knobs, smoke: Option<&str>) {
@@ -54,61 +68,103 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
     let source = hub_source(&graph);
+    let warm_sources: Vec<u64> = pick_sources(&graph, WARM_RUNS + 1, 7)
+        .into_iter()
+        .filter(|&s| s != source)
+        .take(WARM_RUNS)
+        .collect();
     let g500_edges = graph.num_edges() / 2;
     println!(
-        "Backend sweep: RMAT scale {scale}, TH {th}, {} GPUs ({}x{}), source {source}\n",
+        "Backend sweep: RMAT scale {scale}, TH {th}, {} GPUs ({}x{}), cold source {source}, \
+         warm sources {warm_sources:?}\n",
         topo.num_gpus(),
         topo.num_ranks(),
         topo.gpus_per_rank()
     );
 
-    let sim = SimBackend.run(&graph, topo, source, &config, true).expect("sim run");
+    let sim_run = |s| SimBackend.run(&graph, topo, s, &config, true).expect("sim run");
+    let sim = sim_run(source);
     let sim_result = sim.sim.as_ref().expect("sim result");
     let sim_gteps = sim_result.gteps(g500_edges);
     let modeled_bytes = sim_result.stats.total_remote_bytes();
+    let warm_sims: Vec<BackendRun> = warm_sources.iter().map(|&s| sim_run(s)).collect();
+    let warm_modeled_bytes = warm_sims
+        .iter()
+        .map(|r| r.sim.as_ref().expect("sim result").stats.total_remote_bytes())
+        .sum::<u64>() as f64
+        / WARM_RUNS as f64;
 
     let mut rows = Vec::new();
     let mut width_json = Vec::new();
     let mut all_bit_exact = true;
+    let mut warm_spawned_total = 0;
     for procs in [1u32, 2, 4] {
-        let opts = ProcOptions { workers: procs, ..ProcOptions::default() };
-        let proc = run_proc(&graph, topo, source, &config, opts);
-        let report = proc.proc.as_ref().expect("proc report");
-        let bit_exact = proc.depths == sim.depths && proc.parents == sim.parents;
+        let backend = proc_backend(ProcOptions { workers: procs, ..ProcOptions::default() });
+        let run = |s| backend.run(&graph, topo, s, &config, true).expect("proc backend run");
+        let cold = run(source);
+        let report = cold.proc.as_ref().expect("proc report");
+        let mut bit_exact = agrees(&cold, &sim);
+        let mut warm_ms = Vec::new();
+        let (mut warm_wire, mut warm_spawned) = (0u64, 0u32);
+        for (&s, want) in warm_sources.iter().zip(&warm_sims) {
+            let warm = run(s);
+            bit_exact &= agrees(&warm, want);
+            let r = warm.proc.as_ref().expect("proc report");
+            warm_ms.push(ms(r.wall_seconds));
+            warm_wire += r.wire_bytes;
+            warm_spawned += r.spawned;
+        }
         all_bit_exact &= bit_exact;
-        let proc_gteps = g500_edges as f64 / report.wall_seconds.max(1e-12) / 1e9;
+        warm_spawned_total += warm_spawned;
+        let gteps = |wall_ms: f64| g500_edges as f64 / (wall_ms / 1e3).max(1e-12) / 1e9;
+        let cold_ms = ms(report.wall_seconds);
+        let warm_wall_ms = median(warm_ms);
+        let warm_wire = warm_wire as f64 / WARM_RUNS as f64;
         rows.push(vec![
             format!("{procs}"),
             format!("{}", report.iterations),
             format!("{:.4}", sim_gteps),
-            format!("{:.6}", proc_gteps),
-            f2(ms(report.wall_seconds)),
+            f2(cold_ms),
+            f2(warm_wall_ms),
+            format!("{:.6}", gteps(cold_ms)),
+            format!("{:.6}", gteps(warm_wall_ms)),
             format!("{modeled_bytes}"),
             format!("{}", report.wire_bytes),
-            f2(report.wire_bytes as f64 / modeled_bytes.max(1) as f64),
+            format!("{warm_wire:.0}"),
+            f2(warm_wire / warm_modeled_bytes.max(1.0)),
+            format!("{warm_spawned}"),
             if bit_exact { "yes".into() } else { "NO".into() },
         ]);
         width_json.push(format!(
             "{{\"procs\":{procs},\"iterations\":{},\"sim_gteps\":{sim_gteps},\
-             \"proc_gteps\":{proc_gteps},\"wall_ms\":{},\"modeled_bytes\":{modeled_bytes},\
-             \"wire_bytes\":{},\"heartbeats\":{},\"bit_exact\":{bit_exact}}}",
+             \"proc_gteps\":{},\"wall_ms\":{cold_ms},\"modeled_bytes\":{modeled_bytes},\
+             \"wire_bytes\":{},\"heartbeats\":{},\"spawned\":{},\"warm_runs\":{WARM_RUNS},\
+             \"warm_wall_ms\":{warm_wall_ms},\"warm_proc_gteps\":{},\
+             \"warm_wire_bytes\":{warm_wire},\"warm_modeled_bytes\":{warm_modeled_bytes},\
+             \"warm_spawned\":{warm_spawned},\"bit_exact\":{bit_exact}}}",
             report.iterations,
-            ms(report.wall_seconds),
+            gteps(cold_ms),
             report.wire_bytes,
-            report.heartbeats
+            report.heartbeats,
+            report.spawned,
+            gteps(warm_wall_ms),
         ));
     }
     print_table(
-        "sim vs proc backend (bit-exact required)",
+        "sim vs proc backend: 1 cold run, then warm runs on its pool (bit-exact required)",
         &[
             "procs",
             "iters",
             "sim GTEPS",
-            "proc GTEPS",
-            "wall ms",
+            "cold ms",
+            "warm ms",
+            "cold GTEPS",
+            "warm GTEPS",
             "modeled B",
-            "wire B",
-            "wire/modeled",
+            "cold wire B",
+            "warm wire B",
+            "warm wire/modeled",
+            "warm spawned",
             "bit-exact",
         ],
         &rows,
@@ -130,12 +186,14 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             },
             ..ProcOptions::default()
         };
-        let proc = run_proc(&graph, topo.with_spares(spares), source, &kill_config, opts);
+        let proc = proc_backend(opts)
+            .run(&graph, topo.with_spares(spares), source, &kill_config, true)
+            .expect("proc backend run");
         let report = proc.proc.as_ref().expect("proc report");
         let rec = report.recovery.expect("a killed worker must be recovered");
         let expected = if label == "spare" { RecoveryMode::Spare } else { RecoveryMode::Spread };
         assert_eq!(rec.mode, expected, "recovery took the wrong path");
-        let bit_exact = proc.depths == sim.depths && proc.parents == sim.parents;
+        let bit_exact = agrees(&proc, &sim);
         all_bit_exact &= bit_exact;
         rec_rows.push(vec![
             label.to_string(),
@@ -179,7 +237,11 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         rec_json.join(",")
     ));
     assert!(all_bit_exact, "a proc-backend run diverged from the simulator");
+    assert_eq!(warm_spawned_total, 0, "a warm run spawned a process instead of using the pool");
     if smoke {
-        println!("\nsmoke: all widths and both recovery paths bit-exact against the sim");
+        println!(
+            "\nsmoke: all widths (cold and warm) and both recovery paths bit-exact against the \
+             sim; no warm run spawned"
+        );
     }
 }

@@ -8,6 +8,11 @@
 //! end-of-run assembly are shared code, and the proc wire protocol
 //! replicates the sim's delivery order exactly.
 //!
+//! [`ProcBackend`] keeps its worker processes between runs: a run on the
+//! graph, topology and worker-side config the pool already holds costs
+//! only its supersteps (see [`procrt`](crate::procrt) for the pool's key
+//! and teardown rules).
+//!
 //! The seam is deliberately narrow — graph in, depths/parents out —
 //! because everything *modeled* (device cost, fault plans, SDC
 //! injection, observability spans, online verification) is sim-only by
@@ -17,10 +22,11 @@
 
 use crate::config::BfsConfig;
 use crate::driver::{BfsResult, BuildError, DistributedGraph};
-use crate::procrt::{run_proc, ProcError, ProcOptions, ProcReport, WorkerCommand};
+use crate::procrt::{ProcError, ProcOptions, ProcPool, ProcReport, WorkerCommand};
 use crate::verify::VerificationMode;
 use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::{EdgeList, VertexId};
+use std::sync::{Mutex, PoisonError};
 
 /// What any backend returns: the values, plus whichever runtime telemetry
 /// that backend produces.
@@ -131,20 +137,35 @@ impl Backend for SimBackend {
     }
 }
 
-/// The multi-process backend: real worker processes behind the
-/// [`procrt`](crate::procrt) coordinator.
-#[derive(Clone, Debug)]
+/// The multi-process backend: a pool of real worker processes behind the
+/// [`procrt`](crate::procrt) coordinator, kept between runs.
+///
+/// The first run spawns the workers and ships them the graph. A later run
+/// on the same graph, topology, worker-side config, `worker_cmd` and
+/// `opts` (chaos aside) is served by the same processes; one that needs
+/// anything else, or follows a run that erred or recovered, replaces the
+/// pool. Dropping the backend shuts every worker down and reaps it;
+/// cloning yields a backend with no pool.
+#[derive(Debug)]
 pub struct ProcBackend {
     /// How to launch worker processes.
     pub worker_cmd: WorkerCommand,
     /// Runtime tuning (worker count, timeouts, chaos).
     pub opts: ProcOptions,
+    pool: Mutex<ProcPool>,
 }
 
 impl ProcBackend {
-    /// A proc backend launching workers via `worker_cmd` with `opts`.
+    /// A proc backend launching workers via `worker_cmd` with `opts`. It
+    /// spawns nothing until its first run.
     pub fn new(worker_cmd: WorkerCommand, opts: ProcOptions) -> Self {
-        Self { worker_cmd, opts }
+        Self { worker_cmd, opts, pool: Mutex::default() }
+    }
+}
+
+impl Clone for ProcBackend {
+    fn clone(&self) -> Self {
+        Self::new(self.worker_cmd.clone(), self.opts.clone())
     }
 }
 
@@ -173,8 +194,9 @@ impl Backend for ProcBackend {
         if config.overlap {
             return Err(BackendError::Unsupported("modeled compute/comm overlap (sim-only)"));
         }
+        let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
         let outcome =
-            run_proc(graph, topo, source, config, track_parents, &self.worker_cmd, &self.opts)?;
+            pool.run(graph, topo, source, config, track_parents, &self.worker_cmd, &self.opts)?;
         Ok(BackendRun {
             source,
             depths: outcome.depths,
@@ -218,5 +240,27 @@ mod tests {
             b.run(&graph, Topology::new(1, 1), 0, &cfg, false),
             Err(BackendError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn proc_backend_refuses_options_before_spawning() {
+        // `/bin/false` never says Hello: reaching the spawn would fail the
+        // handshake instead of naming the field.
+        let graph = builders::cycle(8);
+        let cmd = WorkerCommand::new("/bin/false", vec![]);
+        let zero = std::time::Duration::ZERO;
+        for (field, opts) in [
+            ("workers", ProcOptions { workers: 0, ..ProcOptions::default() }),
+            ("step_timeout", ProcOptions { step_timeout: zero, ..ProcOptions::default() }),
+            ("heartbeat_period", ProcOptions { heartbeat_period: zero, ..ProcOptions::default() }),
+        ] {
+            let b = ProcBackend::new(cmd.clone(), opts);
+            match b.run(&graph, Topology::new(2, 1), 0, &BfsConfig::new(8), false) {
+                Err(BackendError::Proc(ProcError::InvalidOption { field: f, .. })) => {
+                    assert_eq!(f, field)
+                }
+                other => panic!("{field}: expected InvalidOption, got {other:?}"),
+            }
+        }
     }
 }

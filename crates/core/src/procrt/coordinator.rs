@@ -1,7 +1,15 @@
-//! The coordinator side of the proc backend: spawns one OS process per
-//! worker slot, drives the BSP superstep protocol over Unix-domain
-//! sockets, feeds real heartbeat arrivals into the phi-accrual detector,
-//! and recovers confirmed-dead workers from sealed checkpoints.
+//! The coordinator side of the proc backend: a pool of worker OS
+//! processes, one per worker slot, kept between runs. It drives the BSP
+//! superstep protocol over Unix-domain sockets, feeds real heartbeat
+//! arrivals into the phi-accrual detector, and recovers confirmed-dead
+//! workers from sealed checkpoints.
+//!
+//! A run on a pool whose workers hold its graph, topology and worker-side
+//! config, under the same command and options, is `Begin{source}`, its
+//! supersteps and the final state. Any other run spawns the pool first —
+//! bind, spawn, `Hello`, `Setup` — and then takes the same path. The pool
+//! is torn down when a run errs or recovers, when a run needs another
+//! key, and when it is dropped.
 //!
 //! Death is decided by the detector, never by a closed socket: a worker
 //! whose connection drops keeps its slot until heartbeat *silence*
@@ -20,7 +28,7 @@ use super::protocol::{
     ProtocolError, WireReader, WireWriter, PROTO_VERSION,
 };
 use super::transport::TransportError;
-use super::{hosted_flats, ProcError, ProcOptions, ProcReport, RecoveryReport};
+use super::{hosted_flats, ChaosSpec, ProcError, ProcOptions, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use crate::checkpoint::GpuStateImage;
 use crate::comm::Block;
@@ -45,7 +53,7 @@ use std::time::{Duration, Instant};
 
 /// How to launch a worker process. The coordinator appends
 /// `--socket <path> --worker <slot>` to `args`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorkerCommand {
     /// Executable to spawn (typically `std::env::current_exe()` plus a
     /// hidden subcommand in `args`).
@@ -63,7 +71,7 @@ impl WorkerCommand {
 
 /// The assembled result of a proc-backend run.
 #[derive(Clone, Debug)]
-pub struct ProcOutcome {
+pub(crate) struct ProcOutcome {
     /// Global BFS depths, bit-exact with the sim backend.
     pub depths: Vec<u32>,
     /// The Graph500 parent tree, when requested.
@@ -74,6 +82,10 @@ pub struct ProcOutcome {
 
 /// Monotone discriminator for socket filenames within this process.
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// How long a torn-down pool waits for its workers' `Bye` before it
+/// kills the ones that did not answer.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// Messages from per-connection reader threads to the coordinator's
 /// event pump. `gen` guards against a stale reader (pre-recovery
@@ -106,23 +118,87 @@ struct Slot {
     beat_seen: bool,
 }
 
-struct Coordinator {
-    topo: Topology,
-    config_wire: ConfigWire,
+/// A pool of worker processes and the coordinator driving them, kept
+/// between runs. Empty until the first run; dropping it tears the pool
+/// down.
+#[derive(Default)]
+pub(crate) struct ProcPool(Option<Coordinator>);
+
+impl std::fmt::Debug for ProcPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let workers = self.0.as_ref().map(|co| co.slots.len());
+        f.debug_struct("ProcPool").field("workers", &workers).finish()
+    }
+}
+
+impl ProcPool {
+    /// Runs BFS from `source`: on the pool's workers when they hold this
+    /// graph, topology and worker-side config under the same command and
+    /// options (chaos aside), else on a freshly spawned pool. Assembles
+    /// depths (and parents) from the workers' final state. The pool is
+    /// kept for the next run unless this one erred or recovered.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
+        &mut self,
+        graph: &EdgeList,
+        topo: Topology,
+        source: VertexId,
+        config: &BfsConfig,
+        track_parents: bool,
+        worker_cmd: &WorkerCommand,
+        opts: &ProcOptions,
+    ) -> Result<ProcOutcome, ProcError> {
+        opts.validate()?;
+        if source >= graph.num_vertices {
+            return Err(
+                BuildError::SourceOutOfRange { source, num_vertices: graph.num_vertices }.into()
+            );
+        }
+        let started = Instant::now();
+        let config_wire = ConfigWire::from_config(config, track_parents);
+        // A matching pool resumes unless a worker left while it idled; one
+        // that cannot begin is torn down, and the run goes cold — once.
+        let warm =
+            self.0.take().filter(|co| co.serves(graph, topo, &config_wire, worker_cmd, opts));
+        let warm = warm.and_then(|mut co| {
+            let ready = co.resume(source, config.recovery, opts.chaos) && co.begin().is_ok();
+            ready.then_some(co)
+        });
+        let mut co = match warm {
+            Some(co) => co,
+            None => {
+                let mut co = Coordinator::spawn(
+                    graph,
+                    topo,
+                    config_wire,
+                    worker_cmd,
+                    opts,
+                    RunState::new(source, config.recovery, opts, &topo),
+                )?;
+                co.begin()?;
+                co
+            }
+        };
+        let iterations = co.superstep_loop()?;
+        let (depths, parents) = co.finish()?;
+        let mut report = std::mem::take(&mut co.report);
+        report.iterations = iterations;
+        report.wall_seconds = started.elapsed().as_secs_f64();
+        // A recovery changed who hosts what: that pool no longer matches.
+        if report.recovery.is_none() {
+            self.0 = Some(co);
+        }
+        Ok(ProcOutcome { depths, parents, report })
+    }
+}
+
+/// What every run starts afresh: its source, the detector and its clock,
+/// the checkpoint store, the spare budget and the chaos.
+struct RunState {
+    source: VertexId,
     /// Checkpoint cadence and the re-homing decision.
     recovery: RecoveryConfig,
-    /// The degree classification every worker computes too; assembly
-    /// reuses it.
-    separation: Separation,
-    opts: ProcOptions,
-    worker_cmd: WorkerCommand,
-    socket_path: PathBuf,
-    listener: UnixListener,
-    slots: Vec<Slot>,
-    /// Flat GPU -> hosting slot.
-    hosting_of: Vec<usize>,
-    tx: Sender<Event>,
-    rx: Receiver<Event>,
+    chaos: ChaosSpec,
     clock: WallClock,
     membership: Membership,
     last_tick: Instant,
@@ -135,16 +211,98 @@ struct Coordinator {
     spares_left: u32,
     kill_fired: bool,
     kill_time: Option<Instant>,
+}
+
+impl RunState {
+    fn new(
+        source: VertexId,
+        recovery: RecoveryConfig,
+        opts: &ProcOptions,
+        topo: &Topology,
+    ) -> Self {
+        let nslots = opts.workers.min(topo.num_ranks()) as usize;
+        Self {
+            source,
+            recovery,
+            chaos: opts.chaos,
+            clock: WallClock::new(opts.heartbeat_period.as_secs_f64()),
+            membership: Membership::new(nslots, 0, MembershipConfig::wall_defaults()),
+            last_tick: Instant::now(),
+            cp_iter: None,
+            cp_store: Vec::new(),
+            staged: HashMap::new(),
+            spares_left: topo.num_spares(),
+            kill_fired: false,
+            kill_time: None,
+        }
+    }
+}
+
+struct Coordinator {
+    // ---- What the pool holds, from spawn to teardown. ----
+    topo: Topology,
+    config_wire: ConfigWire,
+    /// The degree classification every worker computes too; assembly
+    /// reuses it.
+    separation: Separation,
+    /// The options the pool was spawned with (their `chaos` is unused:
+    /// each run brings its own).
+    opts: ProcOptions,
+    worker_cmd: WorkerCommand,
+    /// The graph in its serialised `Setup` form: the pool's only copy,
+    /// what a later run's graph is compared against, and what a spare's
+    /// `Setup` ships.
     graph_bytes: Vec<u8>,
-    source: VertexId,
+    num_vertices: u64,
+    socket_path: PathBuf,
+    listener: UnixListener,
+    slots: Vec<Slot>,
+    /// Flat GPU -> hosting slot.
+    hosting_of: Vec<usize>,
+    tx: Sender<Event>,
+    rx: Receiver<Event>,
+    // ---- The current run's. ----
+    run: RunState,
+    /// Taken when the run ends, so the next one counts from zero.
     report: ProcReport,
 }
 
 impl Drop for Coordinator {
+    /// Tears the pool down: `Shutdown` to every connected worker, a
+    /// bounded wait for each `Bye`, SIGKILL for any that did not answer,
+    /// every child reaped and the socket file removed.
     fn drop(&mut self) {
-        for slot in &mut self.slots {
+        let mut waiting = Vec::new();
+        for slot in 0..self.slots.len() {
+            if self.slots[slot].child.is_some()
+                && self.send(slot, kind::SHUTDOWN, Vec::new()).is_ok()
+            {
+                waiting.push(slot);
+            }
+        }
+        let mut said_bye = vec![false; self.slots.len()];
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        while !waiting.is_empty() {
+            let Some(left) = deadline.checked_duration_since(Instant::now()) else { break };
+            let (slot, gen, bye) = match self.rx.recv_timeout(left) {
+                Ok(Event::Frame { slot, gen, frame }) if frame.kind == kind::BYE => {
+                    (slot, gen, true)
+                }
+                // Gone without a word: nothing left to wait for.
+                Ok(Event::Closed { slot, gen }) => (slot, gen, false),
+                Ok(Event::Frame { .. }) => continue,
+                Err(_) => break,
+            };
+            if gen == self.slots[slot].gen {
+                said_bye[slot] = bye;
+                waiting.retain(|&s| s != slot);
+            }
+        }
+        for (slot, bye) in self.slots.iter_mut().zip(said_bye) {
             if let Some(mut child) = slot.child.take() {
-                let _ = child.kill();
+                if !bye {
+                    let _ = child.kill();
+                }
                 let _ = child.wait();
             }
         }
@@ -152,46 +310,40 @@ impl Drop for Coordinator {
     }
 }
 
-/// Runs BFS on the multi-process runtime: spawn workers, handshake, run
-/// the superstep protocol (recovering confirmed-dead workers), assemble
-/// depths/parents from the shipped final state.
-pub fn run_proc(
-    graph: &EdgeList,
-    topo: Topology,
-    source: VertexId,
-    config: &BfsConfig,
-    track_parents: bool,
-    worker_cmd: &WorkerCommand,
-    opts: &ProcOptions,
-) -> Result<ProcOutcome, ProcError> {
-    if source >= graph.num_vertices {
-        return Err(
-            BuildError::SourceOutOfRange { source, num_vertices: graph.num_vertices }.into()
-        );
-    }
-    let started = Instant::now();
-    let mut co = Coordinator::bind(graph, topo, source, config, track_parents, worker_cmd, opts)?;
-    co.spawn_and_handshake()?;
-    let iterations = co.superstep_loop()?;
-    let (depths, parents) = co.finish(graph.num_vertices)?;
-    co.shutdown();
-    let mut report = co.report.clone();
-    report.iterations = iterations;
-    report.wall_seconds = started.elapsed().as_secs_f64();
-    Ok(ProcOutcome { depths, parents, report })
-}
-
 impl Coordinator {
+    /// The pool's cold start: bind the socket, spawn one worker per slot,
+    /// take each one's `Hello` and ship it its `Setup`. Everything counts
+    /// into `run`'s report.
+    fn spawn(
+        graph: &EdgeList,
+        topo: Topology,
+        config_wire: ConfigWire,
+        worker_cmd: &WorkerCommand,
+        opts: &ProcOptions,
+        run: RunState,
+    ) -> Result<Self, ProcError> {
+        let mut co = Self::bind(graph, topo, config_wire, worker_cmd, opts, run)?;
+        let nslots = co.slots.len();
+        for slot in 0..nslots {
+            co.spawn_child(slot)?;
+        }
+        co.accept_workers((0..nslots).collect())?;
+        for slot in 0..nslots {
+            co.send_setup(slot)?;
+        }
+        Ok(co)
+    }
+
     fn bind(
         graph: &EdgeList,
         topo: Topology,
-        source: VertexId,
-        config: &BfsConfig,
-        track_parents: bool,
+        config_wire: ConfigWire,
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
+        run: RunState,
     ) -> Result<Self, ProcError> {
-        let separation = Separation::from_degrees(&graph.out_degrees(), config.degree_threshold);
+        let separation =
+            Separation::from_degrees(&graph.out_degrees(), config_wire.degree_threshold);
         let mut graph_bytes = Vec::new();
         gcbfs_graph::io::write_binary(graph, &mut graph_bytes)
             .map_err(|e| ProcError::Spawn(format!("graph serialization failed: {e}")))?;
@@ -205,7 +357,6 @@ impl Coordinator {
         listener.set_nonblocking(true).map_err(TransportError::Io)?;
 
         let hosted = hosted_flats(&topo, opts.workers);
-        let nslots = hosted.len();
         let mut hosting_of = vec![0usize; topo.num_gpus() as usize];
         for (slot, flats) in hosted.iter().enumerate() {
             for &f in flats {
@@ -226,33 +377,64 @@ impl Coordinator {
             })
             .collect();
         let (tx, rx) = std::sync::mpsc::channel();
-        let membership = Membership::new(nslots, 0, MembershipConfig::wall_defaults());
         Ok(Self {
             topo,
-            config_wire: ConfigWire::from_config(config, track_parents),
-            recovery: config.recovery,
+            config_wire,
             separation,
             opts: opts.clone(),
             worker_cmd: worker_cmd.clone(),
+            graph_bytes,
+            num_vertices: graph.num_vertices,
             socket_path,
             listener,
             slots,
             hosting_of,
             tx,
             rx,
-            clock: WallClock::new(opts.heartbeat_period.as_secs_f64().max(1e-6)),
-            membership,
-            last_tick: Instant::now(),
-            cp_iter: None,
-            cp_store: Vec::new(),
-            staged: HashMap::new(),
-            spares_left: topo.num_spares(),
-            kill_fired: false,
-            kill_time: None,
-            graph_bytes,
-            source,
+            run,
             report: ProcReport::default(),
         })
+    }
+
+    /// True when this pool's workers hold exactly what a run with these
+    /// arguments needs: the same graph (compared edge for edge against the
+    /// retained `Setup` bytes), topology, worker-side config and command,
+    /// and the same options apart from the per-run chaos.
+    fn serves(
+        &self,
+        graph: &EdgeList,
+        topo: Topology,
+        config_wire: &ConfigWire,
+        worker_cmd: &WorkerCommand,
+        opts: &ProcOptions,
+    ) -> bool {
+        self.topo == topo
+            && self.config_wire == *config_wire
+            && self.worker_cmd == *worker_cmd
+            && ProcOptions { chaos: self.opts.chaos, ..opts.clone() } == self.opts
+            && gcbfs_graph::io::matches_binary(graph, &self.graph_bytes)
+    }
+
+    /// Readies an idle pool for the next run. What queued while it idled
+    /// is dropped — beats uncounted, so no idle silence or arrival reaches
+    /// the run's fresh detector — and the run state starts afresh. False
+    /// when a worker left while the pool idled.
+    fn resume(&mut self, source: VertexId, recovery: RecoveryConfig, chaos: ChaosSpec) -> bool {
+        while let Ok(event) = self.rx.try_recv() {
+            if let Event::Closed { slot, gen } = event {
+                if gen == self.slots[slot].gen {
+                    return false;
+                }
+            }
+        }
+        let exited =
+            |s: &mut Slot| s.child.as_mut().is_none_or(|c| !matches!(c.try_wait(), Ok(None)));
+        if self.slots.iter_mut().any(exited) {
+            return false;
+        }
+        let opts = ProcOptions { chaos, ..self.opts.clone() };
+        self.run = RunState::new(source, recovery, &opts, &self.topo);
+        true
     }
 
     fn spawn_child(&mut self, slot: usize) -> Result<(), ProcError> {
@@ -267,6 +449,7 @@ impl Coordinator {
             .spawn()
             .map_err(|e| ProcError::Spawn(format!("slot {slot}: {e}")))?;
         self.slots[slot].child = Some(child);
+        self.report.spawned += 1;
         Ok(())
     }
 
@@ -341,19 +524,20 @@ impl Coordinator {
         Ok(())
     }
 
-    fn setup_body(&self, slot: usize) -> Vec<u8> {
+    /// Ships `slot` what it keeps until `Shutdown`: topology, worker-side
+    /// config, timing, its hosted flats and the graph.
+    fn send_setup(&mut self, slot: usize) -> Result<(), ProcError> {
         let mut w = WireWriter::new();
         w.u32(self.topo.num_ranks());
         w.u32(self.topo.gpus_per_rank());
         w.u32(self.topo.num_spares());
         self.config_wire.encode(&mut w);
-        w.u64(self.source);
-        w.u64(self.opts.heartbeat_period.as_millis().max(1) as u64);
+        w.u64(self.opts.heartbeat_period.as_millis() as u64);
         w.u64(self.opts.step_timeout.as_millis() as u64);
         let hosted: Vec<u32> = self.slots[slot].hosted.iter().map(|&f| f as u32).collect();
         w.u32s(&hosted);
         w.bytes(&self.graph_bytes);
-        w.finish()
+        Ok(self.send(slot, kind::SETUP, w.finish())?)
     }
 
     /// Sends one frame to a slot, counting wire traffic. A write failure
@@ -375,43 +559,49 @@ impl Coordinator {
         }
     }
 
-    fn spawn_and_handshake(&mut self) -> Result<(), ProcError> {
-        let nslots = self.slots.len();
-        self.report.workers = nslots as u32;
-        for slot in 0..nslots {
-            self.spawn_child(slot)?;
+    /// Starts the run's traversal on every worker.
+    fn begin(&mut self) -> Result<(), ProcError> {
+        self.report.workers = self.slots.len() as u32;
+        for slot in &mut self.slots {
+            slot.beat_seen = false;
         }
-        self.accept_workers((0..nslots).collect())?;
-        for slot in 0..nslots {
-            let body = self.setup_body(slot);
-            self.send(slot, kind::SETUP, body)?;
+        match self.begin_on((0..self.slots.len()).collect(), 0)? {
+            None => Ok(()),
+            Some(slot) => Err(ProcError::Handshake {
+                worker: slot as u32,
+                detail: "died before Ready".into(),
+            }),
         }
-        // Ready carries the seeded frontier statistics.
-        let mut pending: Vec<usize> = (0..nslots).collect();
+    }
+
+    /// Sends `Begin{source}` to `slots` and waits for each one's `Ready`,
+    /// recording its seeded frontier statistics. Other frames are stale (a
+    /// survivor's, from the superstep a recovery aborted) and skipped.
+    /// Returns the first slot the detector confirmed dead instead, if any.
+    fn begin_on(&mut self, slots: Vec<usize>, iter: u32) -> Result<Option<usize>, ProcError> {
+        let mut w = WireWriter::new();
+        w.u64(self.run.source);
+        let body = w.finish();
+        for &slot in &slots {
+            self.send(slot, kind::BEGIN, body.clone())?;
+        }
+        let deadline = Instant::now() + self.opts.step_timeout;
+        let mut pending = slots;
         while !pending.is_empty() {
-            match self.pump(Instant::now() + self.opts.step_timeout, 0)? {
-                Waited::Data { slot, frame } if frame.kind == kind::READY => {
+            match self.pump(deadline, iter)? {
+                Waited::Dead(slot) => return Ok(Some(slot)),
+                Waited::Data { slot, frame }
+                    if frame.kind == kind::READY && pending.contains(&slot) =>
+                {
                     let (_, frontier, nd) = read_stats(&frame)?;
                     self.slots[slot].frontier = frontier;
                     self.slots[slot].new_delegates = nd;
                     pending.retain(|&s| s != slot);
                 }
-                Waited::Data { slot, frame } => {
-                    return Err(ProtocolError::new(format!(
-                        "slot {slot}: expected Ready, got kind {:#x}",
-                        frame.kind
-                    ))
-                    .into());
-                }
-                Waited::Dead(slot) => {
-                    return Err(ProcError::Handshake {
-                        worker: slot as u32,
-                        detail: "died before Ready".into(),
-                    });
-                }
+                Waited::Data { .. } => {}
             }
         }
-        Ok(())
+        Ok(None)
     }
 
     /// Blocks until a data frame arrives from a current-generation
@@ -425,14 +615,14 @@ impl Coordinator {
                 return Err(ProcError::StepTimeout { iter });
             }
             // Silence ticks: one per heartbeat period per quiet slot.
-            if self.last_tick.elapsed() >= self.opts.heartbeat_period {
-                self.last_tick = Instant::now();
-                let t = self.clock.now();
+            if self.run.last_tick.elapsed() >= self.opts.heartbeat_period {
+                self.run.last_tick = Instant::now();
+                let t = self.run.clock.now();
                 for slot in 0..self.slots.len() {
                     if !self.slots[slot].alive || std::mem::take(&mut self.slots[slot].beat_seen) {
                         continue;
                     }
-                    match self.membership.record_silence(slot, t, iter) {
+                    match self.run.membership.record_silence(slot, t, iter) {
                         Some(MembershipEvent::Suspected { .. }) => self.report.suspicions += 1,
                         Some(MembershipEvent::ConfirmedDead { .. }) => {
                             return Ok(Waited::Dead(slot));
@@ -453,9 +643,9 @@ impl Coordinator {
                         kind::HEARTBEAT => {
                             self.report.heartbeats += 1;
                             self.slots[slot].beat_seen = true;
-                            let t = self.clock.now();
+                            let t = self.run.clock.now();
                             if let Some(MembershipEvent::Suspected { .. }) =
-                                self.membership.record_arrival(slot, t, iter)
+                                self.run.membership.record_arrival(slot, t, iter)
                             {
                                 self.report.suspicions += 1;
                             }
@@ -493,17 +683,18 @@ impl Coordinator {
         let iter = r.u32()?;
         let images = read_images(&mut r, p)?;
         r.expect_end()?;
-        let entry = self.staged.entry(iter).or_default();
+        let run = &mut self.run;
+        let entry = run.staged.entry(iter).or_default();
         entry.extend(images.into_iter().map(|img| (img.gpu_flat, img)));
         let complete = entry.len() == p;
-        let newer = self.cp_iter.is_none_or(|c| iter > c);
+        let newer = run.cp_iter.is_none_or(|c| iter > c);
         if complete && newer {
             let mut images: Vec<_> =
-                self.staged.remove(&iter).expect("staged entry exists").into_values().collect();
+                run.staged.remove(&iter).expect("staged entry exists").into_values().collect();
             images.sort_unstable_by_key(|img| img.gpu_flat);
-            self.cp_store = images;
-            self.cp_iter = Some(iter);
-            self.staged.retain(|&i, _| i > iter);
+            run.cp_store = images;
+            run.cp_iter = Some(iter);
+            run.staged.retain(|&i, _| i > iter);
             self.report.checkpoints += 1;
         }
         Ok(())
@@ -544,8 +735,8 @@ impl Coordinator {
     /// One superstep. `Ok(None)` means it committed; `Ok(Some(i))` means
     /// a death was recovered and the loop must resume at iteration `i`.
     fn superstep(&mut self, iter: u32) -> Result<Option<u32>, ProcError> {
-        let take_cp = self.recovery.checkpoint_due(iter, self.cp_iter);
-        let chaos = self.opts.chaos;
+        let take_cp = self.run.recovery.checkpoint_due(iter, self.run.cp_iter);
+        let chaos = self.run.chaos;
 
         // ---- StepGo broadcast (plus the chaos kill, which fires *after*
         // the victim was told to work — mid-sweep, as real deaths do). ----
@@ -557,13 +748,13 @@ impl Coordinator {
         }
         if let Some(kill) = chaos.kill {
             let victim = kill.worker as usize;
-            if !self.kill_fired
+            if !self.run.kill_fired
                 && kill.iter == iter
                 && victim < self.slots.len()
                 && self.slots[victim].alive
             {
-                self.kill_fired = true;
-                self.kill_time = Some(Instant::now());
+                self.run.kill_fired = true;
+                self.run.kill_time = Some(Instant::now());
                 if let Some(child) = self.slots[victim].child.as_mut() {
                     let _ = child.kill(); // SIGKILL: no cleanup, no goodbye
                 }
@@ -662,7 +853,7 @@ impl Coordinator {
     fn recover(&mut self, dead: usize, iter: u32) -> Result<u32, ProcError> {
         let confirmed_at = Instant::now();
         let detect_seconds =
-            self.kill_time.map(|t| confirmed_at.duration_since(t).as_secs_f64()).unwrap_or(0.0);
+            self.run.kill_time.map(|t| confirmed_at.duration_since(t).as_secs_f64()).unwrap_or(0.0);
         if let Some(mut child) = self.slots[dead].child.take() {
             let _ = child.kill();
             let _ = child.wait();
@@ -673,20 +864,21 @@ impl Coordinator {
         // With recovery disabled nothing was ever checkpointed; with it
         // enabled, iteration 0 always is, so `None` means the death raced
         // even that first commit.
-        let Some(cp_iter) = self.cp_iter else {
+        let Some(cp_iter) = self.run.cp_iter else {
             return Err(unrecoverable);
         };
         // Saves staged past the commit belong to the aborted timeline; the
         // replay re-captures them.
-        self.staged.clear();
+        self.run.staged.clear();
 
         let orphaned = std::mem::take(&mut self.slots[dead].hosted);
         let survivors = self.alive_slots();
-        let Some(mode) = self.recovery.rehome(self.spares_left > 0, !survivors.is_empty()) else {
+        let Some(mode) = self.run.recovery.rehome(self.run.spares_left > 0, !survivors.is_empty())
+        else {
             return Err(unrecoverable);
         };
         let target = if mode == RecoveryMode::Spare {
-            self.spares_left -= 1;
+            self.run.spares_left -= 1;
             // Fresh generation: events from the dead process's reader
             // thread can no longer impersonate the replacement.
             self.slots[dead].gen += 1;
@@ -694,20 +886,10 @@ impl Coordinator {
             self.slots[dead].hosted = orphaned.clone();
             self.spawn_child(dead)?;
             self.accept_workers(vec![dead])?;
-            let body = self.setup_body(dead);
-            self.send(dead, kind::SETUP, body).map_err(ProcError::Transport)?;
+            self.send_setup(dead)?;
             self.slots[dead].alive = true;
-            let deadline = Instant::now() + self.opts.step_timeout;
-            loop {
-                match self.pump(deadline, iter)? {
-                    Waited::Dead(second) => {
-                        return Err(ProcError::Unrecoverable { worker: second as u32, iter });
-                    }
-                    Waited::Data { slot, frame } if slot == dead && frame.kind == kind::READY => {
-                        break;
-                    }
-                    Waited::Data { .. } => continue,
-                }
+            if let Some(second) = self.begin_on(vec![dead], iter)? {
+                return Err(ProcError::Unrecoverable { worker: second as u32, iter });
             }
             dead
         } else {
@@ -731,7 +913,7 @@ impl Coordinator {
         for &slot in &live {
             let mut w = WireWriter::new();
             w.u32(cp_iter);
-            write_images(&mut w, self.slots[slot].hosted.iter().map(|&f| &self.cp_store[f]));
+            write_images(&mut w, self.slots[slot].hosted.iter().map(|&f| &self.run.cp_store[f]));
             let _ = self.send(slot, kind::RESTORE, w.finish());
         }
         let deadline = Instant::now() + self.opts.step_timeout;
@@ -763,9 +945,10 @@ impl Coordinator {
         Ok(cp_iter)
     }
 
-    /// Collects final state from every live slot and assembles global
-    /// depths (and parents, when tracked).
-    fn finish(&mut self, num_vertices: u64) -> Result<(Vec<u32>, Option<Vec<u64>>), ProcError> {
+    /// Collects final state from every live slot — each ends its traversal
+    /// there and waits for the next `Begin` — and assembles global depths
+    /// (and parents, when tracked).
+    fn finish(&mut self) -> Result<(Vec<u32>, Option<Vec<u64>>), ProcError> {
         for slot in self.alive_slots() {
             let _ = self.send(slot, kind::FINISH, Vec::new());
         }
@@ -783,6 +966,7 @@ impl Coordinator {
                         continue;
                     }
                     let mut r = WireReader::new(frame.payload());
+                    self.report.duplicate_frames_ignored += r.u64()?;
                     for img in read_images(&mut r, p)? {
                         let f = img.gpu_flat as usize;
                         images[f] = Some(img);
@@ -800,49 +984,17 @@ impl Coordinator {
             })
             .collect::<Result<_, _>>()?;
         let views: Vec<GpuStateView<'_>> = images.iter().map(|img| img.view()).collect();
-        let depths = assemble_depths(&self.topo, &self.separation, num_vertices, &views);
+        let n = self.num_vertices;
+        let depths = assemble_depths(&self.topo, &self.separation, n, &views);
         let parents = if self.config_wire.track_parents {
-            let (parents, _) = assemble_parents(
-                &self.topo,
-                &self.separation,
-                self.source,
-                num_vertices,
-                &views,
-                &depths,
-            );
+            let source = self.run.source;
+            let (parents, _) =
+                assemble_parents(&self.topo, &self.separation, source, n, &views, &depths);
             Some(parents)
         } else {
             None
         };
         Ok((depths, parents))
-    }
-
-    /// Graceful shutdown: ask every live worker to drain, fold its
-    /// duplicate-frame count into the report, and reap every child.
-    fn shutdown(&mut self) {
-        for slot in self.alive_slots() {
-            let _ = self.send(slot, kind::SHUTDOWN, Vec::new());
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut pending = self.alive_slots();
-        while !pending.is_empty() {
-            match self.pump(deadline, u32::MAX) {
-                Ok(Waited::Data { slot, frame }) if frame.kind == kind::BYE => {
-                    let mut r = WireReader::new(frame.payload());
-                    if let Ok(dups) = r.u64() {
-                        self.report.duplicate_frames_ignored += dups;
-                    }
-                    pending.retain(|&s| s != slot);
-                }
-                Ok(_) => continue,
-                Err(_) => break, // best-effort: the Drop reaper finishes
-            }
-        }
-        for slot in &mut self.slots {
-            if let Some(mut child) = slot.child.take() {
-                let _ = child.wait();
-            }
-        }
     }
 }
 

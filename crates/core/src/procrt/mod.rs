@@ -1,6 +1,19 @@
 //! The multi-process runtime behind the [`Backend`](crate::backend)
-//! seam: a coordinator process orchestrating one worker OS process per
-//! hosted rank group over Unix-domain sockets.
+//! seam: a coordinator orchestrating a pool of worker OS processes, one
+//! per hosted rank group, over Unix-domain sockets.
+//!
+//! The pool outlives a run. The first run spawns the workers, handshakes
+//! (`Hello`) and ships each one its `Setup` — topology, worker-side
+//! config, hosted ranks and the graph — from which it builds the
+//! [`DistributedGraph`](crate::driver::DistributedGraph) once and keeps
+//! it. Every run, that first one included, then starts with `Begin{source}`:
+//! each worker seeds a fresh hosted group on the graph it kept and answers
+//! `Ready`, and the run ends when its `FinalState` is in. A later run whose
+//! graph, topology, worker-side config, worker command and
+//! [`ProcOptions`] (chaos aside) all match is served by the same
+//! processes and pays only its supersteps. A run that needs anything
+//! else, a run that errs and a run that recovers tear the pool down
+//! (`Shutdown`, `Bye`, reap) and the next run spawns afresh.
 //!
 //! The BSP structure is the sim driver's, verbatim — per superstep the
 //! coordinator broadcasts `StepGo`, workers run the *same*
@@ -20,11 +33,13 @@
 //! Liveness is real: workers heartbeat on a wall-clock period, the
 //! coordinator feeds arrivals and silences into the phi-accrual
 //! [`Membership`](gcbfs_cluster::membership::Membership) detector on a
-//! [`WallClock`](gcbfs_cluster::WallClock), and a SIGKILL'd worker is
-//! *confirmed* dead from heartbeat silence — not from its socket
-//! closing. Checkpoints are the sim's sealed
-//! [`GpuStateImage`](crate::checkpoint::GpuStateImage)s: workers ship
-//! them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
+//! [`WallClock`](gcbfs_cluster::WallClock) started afresh by every run,
+//! and a SIGKILL'd worker is *confirmed* dead from heartbeat silence —
+//! not from its socket closing. Beats that queued while the pool idled
+//! are dropped uncounted; a worker that left while idle is found when the
+//! next run starts, which then runs on a fresh pool. Checkpoints are the
+//! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s:
+//! workers ship them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
 //! cadence and keep no copy, so the coordinator's committed store is the
 //! only one. Recovery asks the sim's own decision,
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome),
@@ -42,7 +57,8 @@ pub mod worker;
 mod coordinator;
 
 pub use crate::recovery::RecoveryMode;
-pub use coordinator::{run_proc, ProcOutcome, WorkerCommand};
+pub(crate) use coordinator::ProcPool;
+pub use coordinator::WorkerCommand;
 
 use crate::driver::BuildError;
 use protocol::ProtocolError;
@@ -51,7 +67,7 @@ use std::time::Duration;
 use transport::TransportError;
 
 /// Kill a worker process mid-sweep (chaos harness).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KillSpec {
     /// Worker slot to SIGKILL.
     pub worker: u32,
@@ -59,8 +75,9 @@ pub struct KillSpec {
     pub iter: u32,
 }
 
-/// Real-process fault modes for the chaos harness.
-#[derive(Clone, Copy, Debug, Default)]
+/// Real-process fault modes for the chaos harness. They apply per run:
+/// a pool serves runs with different chaos alike.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaosSpec {
     /// SIGKILL one worker at one superstep.
     pub kill: Option<KillSpec>,
@@ -71,19 +88,41 @@ pub struct ChaosSpec {
 }
 
 /// Tuning of the multi-process runtime.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ProcOptions {
-    /// Worker processes to spawn (clamped to the rank count; ranks are
-    /// assigned round-robin, whole ranks per worker).
+    /// Worker processes in the pool, at least 1 (clamped to the rank
+    /// count; ranks are assigned round-robin, whole ranks per worker).
     pub workers: u32,
-    /// Deadline for one superstep's collective message round.
+    /// Deadline for one superstep's collective message round; positive.
     pub step_timeout: Duration,
-    /// Worker heartbeat period (the wall clock's beat unit).
+    /// Worker heartbeat period (the wall clock's beat unit); at least
+    /// 1 ms, the unit `Setup` ships it in.
     pub heartbeat_period: Duration,
     /// Fault-mode switches.
     pub chaos: ChaosSpec,
     /// Directory for the coordinator socket (default: the OS temp dir).
     pub socket_dir: Option<PathBuf>,
+}
+
+impl ProcOptions {
+    /// Refuses a field the runtime would silently change or that would
+    /// fail every run, naming it. Checked before anything spawns.
+    ///
+    /// # Errors
+    /// [`ProcError::InvalidOption`] for `workers == 0`, a zero
+    /// `step_timeout`, or a `heartbeat_period` under 1 ms.
+    pub fn validate(&self) -> Result<(), ProcError> {
+        let (field, requirement) = if self.workers == 0 {
+            ("workers", "at least one worker process")
+        } else if self.step_timeout.is_zero() {
+            ("step_timeout", "a positive deadline")
+        } else if self.heartbeat_period < Duration::from_millis(1) {
+            ("heartbeat_period", "at least 1 ms")
+        } else {
+            return Ok(());
+        };
+        Err(ProcError::InvalidOption { field, requirement })
+    }
 }
 
 impl Default for ProcOptions {
@@ -113,14 +152,23 @@ pub struct RecoveryReport {
     pub resumed_iter: u32,
 }
 
-/// Runtime telemetry of one proc-backend run.
+/// Runtime telemetry of one proc-backend run. Traffic counts are this
+/// run's only: on a run that spawned the pool they include the handshake
+/// and `Setup`; on a run the pool's workers served they run from `Begin`
+/// to `FinalState`, and nothing the pool did while idle is in them.
 #[derive(Clone, Debug, Default)]
 pub struct ProcReport {
-    /// Worker processes spawned initially.
+    /// Worker processes serving the run: the pool's width.
     pub workers: u32,
+    /// Worker processes this run started: the pool's width on a run that
+    /// spawned it, 0 on a run its existing workers served, plus one per
+    /// spare taken in recovery.
+    pub spawned: u32,
     /// Supersteps executed (committed, excluding rolled-back work).
     pub iterations: u32,
-    /// Wall-clock seconds from spawn to assembled result.
+    /// Wall-clock seconds from the call to the assembled result; on a run
+    /// that spawned the pool, spawn, handshake and the graph's shipping
+    /// are inside.
     pub wall_seconds: f64,
     /// Frame bytes actually shipped over sockets, both directions
     /// (headers + sealed payloads; heartbeats included).
@@ -129,7 +177,7 @@ pub struct ProcReport {
     pub frames_sent: u64,
     /// Data frames the coordinator received.
     pub frames_received: u64,
-    /// Heartbeat frames received.
+    /// Heartbeat frames received during the run.
     pub heartbeats: u64,
     /// Duplicate frames workers ignored (chaos duplicate mode).
     pub duplicate_frames_ignored: u64,
@@ -145,6 +193,13 @@ pub struct ProcReport {
 /// the typed chain; none of these panic paths.
 #[derive(Debug)]
 pub enum ProcError {
+    /// A [`ProcOptions`] field was refused before any process spawned.
+    InvalidOption {
+        /// The field, as named in [`ProcOptions`].
+        field: &'static str,
+        /// What it must hold instead.
+        requirement: &'static str,
+    },
     /// Building the distributed graph failed before any process spawned.
     Build(BuildError),
     /// Spawning or reaping a worker process failed.
@@ -177,6 +232,9 @@ pub enum ProcError {
 impl std::fmt::Display for ProcError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Self::InvalidOption { field, requirement } => {
+                write!(f, "invalid ProcOptions::{field}: needs {requirement}")
+            }
             Self::Build(e) => write!(f, "{e}"),
             Self::Spawn(e) => write!(f, "worker spawn failed: {e}"),
             Self::Transport(e) => write!(f, "{e}"),
@@ -223,9 +281,11 @@ impl From<ProtocolError> for ProcError {
 
 /// Assigns ranks to worker slots round-robin and expands each slot's
 /// hosted set to flat GPU indices (whole ranks per worker, so intra-rank
-/// regrouping never crosses a process boundary).
+/// regrouping never crosses a process boundary). `workers` is at least 1
+/// ([`ProcOptions::validate`]) and clamped to the rank count.
 pub fn hosted_flats(topo: &gcbfs_cluster::topology::Topology, workers: u32) -> Vec<Vec<usize>> {
-    let w = workers.min(topo.num_ranks()).max(1) as usize;
+    assert!(workers > 0, "hosted_flats needs at least one worker");
+    let w = workers.min(topo.num_ranks()) as usize;
     let gpr = topo.gpus_per_rank() as usize;
     let mut hosted = vec![Vec::new(); w];
     for rank in 0..topo.num_ranks() as usize {
@@ -249,5 +309,38 @@ mod tests {
         let hosted = hosted_flats(&topo, 9);
         assert_eq!(hosted.len(), 4);
         assert_eq!(hosted[3], vec![6, 7]);
+    }
+
+    #[test]
+    fn options_that_would_be_silently_changed_are_refused_by_name() {
+        assert!(ProcOptions::default().validate().is_ok());
+        let cases = [
+            ("workers", ProcOptions { workers: 0, ..ProcOptions::default() }),
+            (
+                "step_timeout",
+                ProcOptions { step_timeout: Duration::ZERO, ..ProcOptions::default() },
+            ),
+            (
+                "heartbeat_period",
+                ProcOptions { heartbeat_period: Duration::ZERO, ..ProcOptions::default() },
+            ),
+            (
+                "heartbeat_period",
+                ProcOptions {
+                    heartbeat_period: Duration::from_micros(500),
+                    ..ProcOptions::default()
+                },
+            ),
+        ];
+        for (name, opts) in cases {
+            let err = opts.validate().unwrap_err();
+            assert!(
+                matches!(err, ProcError::InvalidOption { field, .. } if field == name),
+                "{err}"
+            );
+            assert!(err.to_string().contains(name), "{err}");
+        }
+        // Above the rank count is clamped, as documented, not refused.
+        assert!(ProcOptions { workers: 64, ..ProcOptions::default() }.validate().is_ok());
     }
 }

@@ -25,16 +25,20 @@ use gcbfs_compress::{CompressionMode, FrontierCodec, MaskCodec, WireBody};
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 4;
+pub const PROTO_VERSION: u32 = 5;
 
 /// Frame kind bytes. One octet per message type, grouped by phase.
 pub mod kind {
     /// Worker → coordinator: first frame on a fresh connection.
     pub const HELLO: u8 = 0x01;
-    /// Coordinator → worker: topology, config, graph bytes, hosted set.
+    /// Coordinator → worker: topology, config, graph bytes, hosted set —
+    /// what the worker keeps for every traversal until `Shutdown`.
     pub const SETUP: u8 = 0x02;
-    /// Worker → coordinator: graph built and seeded.
+    /// Worker → coordinator: traversal seeded (frontier statistics).
     pub const READY: u8 = 0x03;
+    /// Coordinator → worker: start a traversal from a source, on a fresh
+    /// hosted group over the graph kept since `Setup`.
+    pub const BEGIN: u8 = 0x04;
     /// Coordinator → worker: run local computation for one superstep.
     pub const STEP_GO: u8 = 0x10;
     /// Worker → coordinator: local results — the hosted ranks' mask
@@ -55,7 +59,9 @@ pub mod kind {
     pub const RESTORED: u8 = 0x21;
     /// Coordinator → worker: traversal finished, ship final state.
     pub const FINISH: u8 = 0x30;
-    /// Worker → coordinator: final per-GPU state images.
+    /// Worker → coordinator: the duplicate frames this traversal ignored,
+    /// then the final per-GPU state images. The worker then waits for the
+    /// next `Begin` or for `Shutdown`.
     pub const FINAL_STATE: u8 = 0x31;
     /// Worker → coordinator: liveness beat (feeds the phi detector).
     pub const HEARTBEAT: u8 = 0x40;

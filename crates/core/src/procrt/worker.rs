@@ -1,13 +1,17 @@
 //! The worker-process side of the proc backend.
 //!
-//! One worker hosts a set of whole ranks (their flat GPUs), rebuilds the
-//! distributed graph deterministically from the shipped edge list, and
-//! runs the same per-GPU kernels as the sim driver, superstep by
-//! superstep, under the coordinator's `StepGo`/`StepRemote` cadence. A
-//! background thread heartbeats on the configured wall-clock period; the
-//! main thread is a pure frame dispatcher, so a worker killed with
-//! SIGKILL at *any* point leaves no protocol state behind — the
-//! coordinator's detector and checkpoints own all recovery.
+//! One worker hosts a set of whole ranks (their flat GPUs). It rebuilds
+//! the distributed graph deterministically from the edge list its `Setup`
+//! ships — once: the worker keeps it for as long as the coordinator keeps
+//! the pool. Each `Begin{source}` seeds a fresh hosted group on that graph
+//! and runs the same per-GPU kernels as the sim driver, superstep by
+//! superstep, under the coordinator's `StepGo`/`StepRemote` cadence, until
+//! `Finish` ships the final state; the worker then waits for the next
+//! `Begin` or for `Shutdown`. A background thread heartbeats on the
+//! configured wall-clock period; the main thread is a pure frame
+//! dispatcher, so a worker killed with SIGKILL at *any* point leaves no
+//! protocol state behind — the coordinator's detector and checkpoints own
+//! all recovery.
 
 use super::protocol::{
     kind, read_contributions, read_images, write_contributions, write_images, ConfigWire,
@@ -67,10 +71,17 @@ impl From<ProtocolError> for WorkerError {
 /// this worker's own mask contributions.
 type InFlight = (u32, Vec<LocalIterationOutput>, Vec<Block>, Vec<MaskContribution>);
 
-struct WorkerState {
+/// What a worker keeps from `Setup` to `Shutdown`.
+struct Hosting {
     config: BfsConfig,
     track_parents: bool,
     dist: DistributedGraph,
+    /// The flats `Setup` assigned; every `Begin` hosts exactly these.
+    flats: Vec<usize>,
+}
+
+/// One traversal, from `Begin` to `Finish`.
+struct Traversal {
     /// The hosted GPUs and the traversal steps the sim driver also runs.
     group: HostedGroup,
     /// `None` outside a superstep (the duplicate-frame guard: a second
@@ -79,7 +90,7 @@ struct WorkerState {
     duplicates_ignored: u64,
 }
 
-impl WorkerState {
+impl Traversal {
     fn stats_body(&self, iter: u32) -> Vec<u8> {
         let (frontier, new_delegates) = self.group.frontier_counts();
         let mut w = WireWriter::new();
@@ -92,8 +103,9 @@ impl WorkerState {
 
 /// Runs the worker protocol to completion. `socket` is the coordinator's
 /// listening path, `worker_id` this process's slot. Returns when the
-/// coordinator sends `Shutdown` (or fails with a typed error when the
-/// coordinator vanishes — the orphan path).
+/// coordinator sends `Shutdown` or leaves an idle worker past its read
+/// deadline (or fails with a typed error when the coordinator vanishes
+/// mid-traversal — the orphan path).
 pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     let backoff = JitteredBackoff::new(0x70726f63, worker_id as u64).with_envelope(0.005, 0.25, 12);
     let stream = connect_with_backoff(socket, &backoff)?;
@@ -144,15 +156,14 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     result
 }
 
-/// Everything after Hello: setup, the seeded frontier, and the dispatch
-/// loop. Split out so `run_worker` can stop the heartbeat thread on any
-/// exit path.
+/// Everything after Hello: setup and the dispatch loop. Split out so
+/// `run_worker` can stop the heartbeat thread on any exit path.
 fn worker_body(
     reader: &mut std::os::unix::net::UnixStream,
     writer: &SharedWriter,
     hb_period_ms: &AtomicU64,
 ) -> Result<(), WorkerError> {
-    // Setup: topology, config, graph, hosted set, source, timing knobs.
+    // Setup: topology, config, timing knobs, hosted set, graph.
     reader.set_read_timeout(Some(Duration::from_secs(120))).map_err(TransportError::from)?;
     let setup = recv_frame(reader)?;
     if setup.kind != kind::SETUP {
@@ -166,11 +177,10 @@ fn worker_body(
     let spares = r.u32()?;
     let topo = Topology::new(prank, pgpu).with_spares(spares);
     let config_wire = ConfigWire::decode(&mut r)?;
-    let source = r.u64()?;
     let heartbeat_ms = r.u64()?;
     hb_period_ms.store(heartbeat_ms.max(1), Ordering::Relaxed);
     let step_timeout_ms = r.u64()?;
-    let hosted: Vec<usize> = r.u32s()?.into_iter().map(|f| f as usize).collect();
+    let flats: Vec<usize> = r.u32s()?.into_iter().map(|f| f as usize).collect();
     let graph_bytes = r.bytes()?;
     let graph =
         gcbfs_graph::io::read_binary(graph_bytes).map_err(|e| WorkerError::Graph(e.to_string()))?;
@@ -179,15 +189,8 @@ fn worker_body(
     let config = config_wire.to_config();
     let dist = DistributedGraph::build(&graph, topo, &config)
         .map_err(|e| WorkerError::Graph(e.to_string()))?;
-    // Build and seed exactly as the sim driver does; the group constructor
-    // rejects out-of-range and repeated hosted flats.
-    let track_parents = config_wire.track_parents;
-    let mut group = HostedGroup::new(&dist, &config, track_parents, &hosted)?;
-    group.seed_source(&dist.separation, source);
-    let mut st =
-        WorkerState { config, track_parents, dist, group, in_flight: None, duplicates_ignored: 0 };
-
-    writer.send(kind::READY, st.stats_body(0))?;
+    drop(graph);
+    let hosting = Hosting { config, track_parents: config_wire.track_parents, dist, flats };
 
     // From here the worker is a dispatcher. The read deadline doubles
     // the step timeout: a coordinator silent for that long is dead, and
@@ -195,34 +198,41 @@ fn worker_body(
     reader
         .set_read_timeout(Some(Duration::from_millis((step_timeout_ms * 2).max(10_000))))
         .map_err(TransportError::from)?;
-    dispatch_loop(&mut st, reader, writer)
+    dispatch_loop(&hosting, reader, writer)
 }
 
 fn dispatch_loop(
-    st: &mut WorkerState,
+    h: &Hosting,
     reader: &mut std::os::unix::net::UnixStream,
     writer: &SharedWriter,
 ) -> Result<(), WorkerError> {
+    let mut run: Option<Traversal> = None;
     loop {
-        let frame = recv_frame(reader)?;
+        let frame = match recv_frame(reader) {
+            Ok(frame) => frame,
+            // Idle past the deadline: the coordinator let the pool go.
+            Err(TransportError::Timeout) if run.is_none() => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
         let payload = frame.payload().to_vec();
         let mut r = WireReader::new(&payload);
-        match frame.kind {
-            kind::STEP_GO => step_go(st, &mut r, writer)?,
-            kind::STEP_REMOTE => step_remote(st, &mut r, writer)?,
-            kind::RESTORE => restore(st, &mut r, writer)?,
-            kind::FINISH => {
+        match (frame.kind, run.as_mut()) {
+            (kind::BEGIN, _) => run = Some(begin(h, &mut r, writer)?),
+            (kind::STEP_GO, Some(t)) => step_go(h, t, &mut r, writer)?,
+            (kind::STEP_REMOTE, Some(t)) => step_remote(h, t, &mut r, writer)?,
+            (kind::RESTORE, Some(t)) => restore(h, t, &mut r, writer)?,
+            (kind::FINISH, Some(t)) => {
                 let mut w = WireWriter::new();
-                write_images(&mut w, &st.group.capture());
+                w.u64(t.duplicates_ignored);
+                write_images(&mut w, &t.group.capture());
                 writer.send(kind::FINAL_STATE, w.finish())?;
+                run = None;
             }
-            kind::SHUTDOWN => {
-                let mut w = WireWriter::new();
-                w.u64(st.duplicates_ignored);
-                writer.send(kind::BYE, w.finish())?;
+            (kind::SHUTDOWN, _) => {
+                writer.send(kind::BYE, Vec::new())?;
                 return Ok(());
             }
-            k => {
+            (k, _) => {
                 return Err(ProtocolError::new(format!(
                     "unexpected frame kind {k:#x} from coordinator"
                 ))
@@ -232,10 +242,32 @@ fn dispatch_loop(
     }
 }
 
+/// `Begin`: a fresh traversal from the source on the graph kept since
+/// `Setup`, built and seeded exactly as the sim driver does; `Ready`
+/// carries its frontier statistics.
+fn begin(
+    h: &Hosting,
+    r: &mut WireReader<'_>,
+    writer: &SharedWriter,
+) -> Result<Traversal, WorkerError> {
+    let source = r.u64()?;
+    r.expect_end()?;
+    if source >= h.dist.num_vertices() {
+        return Err(ProtocolError::new(format!("source {source} out of range")).into());
+    }
+    // The group constructor rejects out-of-range and repeated hosted flats.
+    let mut group = HostedGroup::new(&h.dist, &h.config, h.track_parents, &h.flats)?;
+    group.seed_source(&h.dist.separation, source);
+    let t = Traversal { group, in_flight: None, duplicates_ignored: 0 };
+    writer.send(kind::READY, t.stats_body(0))?;
+    Ok(t)
+}
+
 /// `StepGo`: optional checkpoint save (the coordinator keeps the only
 /// copy), local kernels, the shared block formation, `StepLocal` reply.
 fn step_go(
-    st: &mut WorkerState,
+    h: &Hosting,
+    t: &mut Traversal,
     r: &mut WireReader<'_>,
     writer: &SharedWriter,
 ) -> Result<(), WorkerError> {
@@ -246,22 +278,22 @@ fn step_go(
     if take_checkpoint {
         let mut w = WireWriter::new();
         w.u32(iter);
-        write_images(&mut w, &st.group.capture());
+        write_images(&mut w, &t.group.capture());
         writer.send(kind::CHECKPOINT_SAVE, w.finish())?;
     }
 
-    let mut outputs = st.group.compute(iter);
+    let mut outputs = t.group.compute(iter);
 
     // Mask contributions and blocks ship exactly as formed; the worker
     // keeps its own contributions and the blocks for hosted destinations
     // for `StepRemote`. Stale ones from an aborted superstep (a restore
     // raced a StepGo) are superseded.
-    let contributions = st.group.mask_contributions(&outputs, st.config.compression);
-    let (local, out_blocks): (Vec<Block>, Vec<Block>) = st
+    let contributions = t.group.mask_contributions(&outputs, h.config.compression);
+    let (local, out_blocks): (Vec<Block>, Vec<Block>) = t
         .group
-        .outgoing_blocks(&mut outputs, &st.config)
+        .outgoing_blocks(&mut outputs, &h.config)
         .into_iter()
-        .partition(|b| st.group.hosts(b.dst));
+        .partition(|b| t.group.hosts(b.dst));
 
     let mut w = WireWriter::new();
     w.u32(iter);
@@ -271,7 +303,7 @@ fn step_go(
         b.encode(&mut w);
     }
     writer.send(kind::STEP_LOCAL, w.finish())?;
-    st.in_flight = Some((iter, outputs, local, contributions));
+    t.in_flight = Some((iter, outputs, local, contributions));
     Ok(())
 }
 
@@ -279,21 +311,22 @@ fn step_go(
 /// assemble deliveries in flat source order, form next frontiers, barrier
 /// with `StepDone`.
 fn step_remote(
-    st: &mut WorkerState,
+    h: &Hosting,
+    t: &mut Traversal,
     r: &mut WireReader<'_>,
     writer: &SharedWriter,
 ) -> Result<(), WorkerError> {
     let iter = r.u32()?;
     let Some((_, mut outputs, mut blocks, mut contributions)) =
-        st.in_flight.take_if(|f| f.0 == iter)
+        t.in_flight.take_if(|f| f.0 == iter)
     else {
         // No superstep in flight: a duplicated or stale frame. Tolerated
         // and counted — the socket layer may legitimately replay.
-        st.duplicates_ignored += 1;
+        t.duplicates_ignored += 1;
         return Ok(());
     };
 
-    let topo = st.dist.topology;
+    let topo = h.dist.topology;
     contributions.extend(read_contributions(r, topo.num_ranks())?);
     let nblocks = r.u32()? as usize;
     for _ in 0..nblocks {
@@ -302,11 +335,11 @@ fn step_remote(
     r.expect_end()?;
 
     let next_depth = iter + 1;
-    st.group.consume_contributions(&contributions, st.config.compression, next_depth)?;
-    let delivered = st.group.deliveries(blocks)?;
-    st.group.commit(&mut outputs, &delivered, next_depth);
+    t.group.consume_contributions(&contributions, h.config.compression, next_depth)?;
+    let delivered = t.group.deliveries(blocks)?;
+    t.group.commit(&mut outputs, &delivered, next_depth);
 
-    writer.send(kind::STEP_DONE, st.stats_body(iter))?;
+    writer.send(kind::STEP_DONE, t.stats_body(iter))?;
     Ok(())
 }
 
@@ -315,15 +348,16 @@ fn step_remote(
 /// any superstep in flight. Every image is decoded and verified before
 /// any is installed.
 fn restore(
-    st: &mut WorkerState,
+    h: &Hosting,
+    t: &mut Traversal,
     r: &mut WireReader<'_>,
     writer: &SharedWriter,
 ) -> Result<(), WorkerError> {
     let iter = r.u32()?;
-    let images = read_images(r, st.dist.topology.num_gpus() as usize)?;
+    let images = read_images(r, h.dist.topology.num_gpus() as usize)?;
     r.expect_end()?;
-    st.group.restore(&st.dist, &st.config, st.track_parents, &images)?;
-    st.in_flight = None;
-    writer.send(kind::RESTORED, st.stats_body(iter))?;
+    t.group.restore(&h.dist, &h.config, h.track_parents, &images)?;
+    t.in_flight = None;
+    writer.send(kind::RESTORED, t.stats_body(iter))?;
     Ok(())
 }

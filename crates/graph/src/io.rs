@@ -80,6 +80,21 @@ pub fn write_binary<W: Write>(graph: &EdgeList, writer: W) -> io::Result<()> {
     w.flush()
 }
 
+/// True when `bytes` is exactly [`write_binary`]'s encoding of `graph`:
+/// the same vertex count and the same edges in the same order. Compares
+/// in place, without decoding or allocating.
+pub fn matches_binary(graph: &EdgeList, bytes: &[u8]) -> bool {
+    let Some((header, edges)) = bytes.split_at_checked(24) else { return false };
+    header[..8] == MAGIC[..]
+        && header[8..16] == graph.num_vertices.to_le_bytes()
+        && header[16..] == graph.num_edges().to_le_bytes()
+        && edges.len() == graph.edges.len() * 16
+        && edges
+            .chunks_exact(16)
+            .zip(&graph.edges)
+            .all(|(e, &(u, v))| e[..8] == u.to_le_bytes() && e[8..] == v.to_le_bytes())
+}
+
 /// Reads the binary edge-list format.
 pub fn read_binary<R: Read>(mut reader: R) -> io::Result<EdgeList> {
     let mut magic = [0u8; 8];
@@ -152,6 +167,27 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         let back = read_binary(&buf[..]).unwrap();
         assert_eq!(back, g);
+    }
+
+    #[test]
+    fn binary_match_is_exact() {
+        let g = RmatConfig::graph500(7).generate();
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        assert!(matches_binary(&g, &buf));
+        // One endpoint changed, same length.
+        let mut other = g.clone();
+        other.edges[17].1 = (other.edges[17].1 + 1) % other.num_vertices;
+        assert!(!matches_binary(&other, &buf));
+        // An isolated vertex more, an edge fewer, a truncated encoding.
+        let mut wider = g.clone();
+        wider.num_vertices += 1;
+        assert!(!matches_binary(&wider, &buf));
+        let mut shorter = g.clone();
+        shorter.edges.pop();
+        assert!(!matches_binary(&shorter, &buf));
+        assert!(!matches_binary(&g, &buf[..buf.len() - 1]));
+        assert!(!matches_binary(&g, &buf[..10]));
     }
 
     #[test]

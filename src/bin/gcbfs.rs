@@ -536,13 +536,14 @@ fn bfs_proc(
     let reached = run.depths.iter().filter(|&&d| d != UNREACHED).count();
     let max_depth = run.depths.iter().filter(|&&d| d != UNREACHED).max().copied().unwrap_or(0);
     println!(
-        "graph {path}: n = {}, m = {}, {} GPUs ({}x{}) across {} worker process(es)",
+        "graph {path}: n = {}, m = {}, {} GPUs ({}x{}) across {} worker process(es), {} spawned",
         graph.num_vertices,
         graph.num_edges(),
         topo.num_gpus(),
         topo.num_ranks(),
         topo.gpus_per_rank(),
-        report.workers
+        report.workers,
+        report.spawned
     );
     println!(
         "BFS from {source} (proc backend): {} iterations, {reached} reached, max depth {max_depth}",

@@ -5,7 +5,10 @@
 //! order. Any divergence is a protocol bug, not an accuracy tradeoff.
 //!
 //! Worker processes are the `gcbfs` binary's hidden `backend-worker`
-//! subcommand, spawned via `CARGO_BIN_EXE_gcbfs`. The small scales run
+//! subcommand, spawned via `CARGO_BIN_EXE_gcbfs`. One backend keeps its
+//! pool between runs; the pool cells check that it serves many sources
+//! bit-exact, respawns exactly when a run needs another key, survives a
+//! kill and an idle spell. The small scales run
 //! in every `cargo test`; the RMAT 14–16 matrix and the long chaos runs
 //! are `#[ignore]`d and driven by the CI `backend-acceptance` job. The
 //! in-process cells at the bottom check the same sharing without
@@ -123,8 +126,9 @@ fn no_direction_optimization_agrees() {
 #[test]
 fn worker_exit_does_not_wait_out_a_heartbeat_period() {
     // The heartbeat thread is woken on stop, so a run ends when its work
-    // does rather than on the next beat after it. Delayed supersteps keep
-    // the run past the provisional beat workers send before Setup.
+    // does rather than on the next beat after it — and so does tearing
+    // the pool down. Delayed supersteps keep the run past the provisional
+    // beat workers send before Setup.
     let period = Duration::from_secs(2);
     let opts = ProcOptions {
         workers: 2,
@@ -134,12 +138,154 @@ fn worker_exit_does_not_wait_out_a_heartbeat_period() {
     };
     let graph = RmatConfig::graph500(9).generate();
     let start = std::time::Instant::now();
-    let run = ProcBackend::new(worker_cmd(), opts)
+    let backend = ProcBackend::new(worker_cmd(), opts);
+    let run = backend
         .run(&graph, Topology::new(2, 2), 1, &BfsConfig::new(16), false)
         .unwrap_or_else(|e| panic!("proc backend: {e}"));
     assert!(run.proc.expect("proc report").iterations >= 3);
+    drop(backend);
     let elapsed = start.elapsed();
-    assert!(elapsed < period / 2, "run took {elapsed:?} at a {period:?} heartbeat");
+    assert!(elapsed < period / 2, "run and teardown took {elapsed:?} at a {period:?} heartbeat");
+}
+
+// ---------------------------------------------------------------------------
+// The pool: one backend keeps its workers between runs, and respawns only
+// when a run needs something they do not hold.
+// ---------------------------------------------------------------------------
+
+/// `count` sources with at least one edge, spread over the id range.
+fn spread_sources(graph: &EdgeList, count: usize) -> Vec<u64> {
+    let degrees = graph.out_degrees();
+    let picked: Vec<u64> = (0..graph.num_vertices)
+        .filter(|&v| degrees[v as usize] > 0)
+        .step_by(97)
+        .take(count)
+        .collect();
+    assert_eq!(picked.len(), count, "the graph has enough connected vertices");
+    picked
+}
+
+/// Asserts a proc run equals the sim's on depths, parents and supersteps.
+fn assert_matches_sim(run: &BackendRun, sim: &BackendRun, cell: &str) {
+    assert_eq!(run.depths, sim.depths, "depths, {cell}");
+    assert_eq!(run.parents, sim.parents, "parents, {cell}");
+    let iterations = sim.sim.as_ref().expect("sim result").iterations();
+    assert_eq!(run.proc.as_ref().expect("proc report").iterations, iterations, "{cell}");
+}
+
+#[test]
+fn one_pool_serves_many_sources_bit_exact() {
+    let graph = RmatConfig::graph500(10).generate();
+    let topo = Topology::new(2, 2);
+    let sources = spread_sources(&graph, 8);
+    for mode in [CompressionMode::Off, CompressionMode::Adaptive] {
+        let config = BfsConfig::new(16).with_compression(mode);
+        let sims: Vec<BackendRun> = sources
+            .iter()
+            .map(|&s| SimBackend.run(&graph, topo, s, &config, true).unwrap())
+            .collect();
+        let backend = ProcBackend::new(worker_cmd(), proc_opts(2));
+        let mut cold_wire = 0;
+        for round in 0..2 {
+            for (k, (&source, sim)) in sources.iter().zip(&sims).enumerate() {
+                let cell = format!("{mode}, round {round}, source {source}");
+                let run = backend
+                    .run(&graph, topo, source, &config, true)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                assert_matches_sim(&run, sim, &cell);
+                let report = run.proc.unwrap();
+                assert_eq!(report.workers, 2, "{cell}");
+                if round == 0 && k == 0 {
+                    assert_eq!(report.spawned, 2, "the first run spawns the pool, {cell}");
+                    cold_wire = report.wire_bytes;
+                } else {
+                    assert_eq!(report.spawned, 0, "the pool serves {cell}");
+                    assert!(
+                        report.wire_bytes * 10 < cold_wire,
+                        "{cell}: {} wire bytes vs {cold_wire} on the cold run",
+                        report.wire_bytes
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_pool_respawns_for_another_graph_topology_threshold_or_parent_tracking() {
+    let graph = RmatConfig::graph500(9).generate();
+    // Same length, one endpoint different.
+    let mut other = graph.clone();
+    let last = other.edges.len() - 1;
+    other.edges[last].1 = (other.edges[last].1 + 1) % other.num_vertices;
+    let wide = Topology::new(4, 1);
+    // (what changed, graph, topology, source, TH, parents, respawns)
+    let cells = [
+        ("first run", &graph, Topology::new(2, 2), 1, 16, true, true),
+        ("source", &graph, Topology::new(2, 2), 2, 16, true, false),
+        ("one edge", &other, Topology::new(2, 2), 2, 16, true, true),
+        ("topology", &other, wide, 2, 16, true, true),
+        ("spares", &other, wide.with_spares(1), 2, 16, true, true),
+        ("threshold", &other, wide.with_spares(1), 2, 8, true, true),
+        ("parent tracking", &other, wide.with_spares(1), 2, 8, false, true),
+        ("source again", &other, wide.with_spares(1), 5, 8, false, false),
+    ];
+    let backend = ProcBackend::new(worker_cmd(), proc_opts(2));
+    for (what, g, topo, source, th, parents, respawns) in cells {
+        let config = BfsConfig::new(th);
+        let sim = SimBackend.run(g, topo, source, &config, parents).unwrap();
+        let run = backend
+            .run(g, topo, source, &config, parents)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_matches_sim(&run, &sim, what);
+        let spawned = run.proc.unwrap().spawned;
+        assert_eq!(spawned > 0, respawns, "{what}: {spawned} spawned");
+    }
+}
+
+#[test]
+fn sigkill_on_a_warm_pool_recovers_then_the_next_run_is_cold() {
+    let graph = RmatConfig::graph500(10).generate();
+    let topo = Topology::new(2, 2).with_spares(1);
+    let config = kill_config(16);
+    let sim = SimBackend.run(&graph, topo, 1, &config, true).unwrap();
+    let mut backend = ProcBackend::new(worker_cmd(), proc_opts(2));
+    let run = |backend: &ProcBackend, cell: &str| {
+        let run = backend.run(&graph, topo, 1, &config, true).unwrap_or_else(|e| panic!("{e}"));
+        assert_matches_sim(&run, &sim, cell);
+        run.proc.unwrap()
+    };
+    assert_eq!(run(&backend, "warm-up").spawned, 2);
+    // Chaos is per run: the warm pool serves the killed run.
+    backend.opts.chaos.kill = Some(KillSpec { worker: 1, iter: 1 });
+    let killed = run(&backend, "killed");
+    let rec = killed.recovery.expect("a SIGKILL'd pooled worker must be recovered");
+    assert_eq!((rec.worker, rec.mode), (1, RecoveryMode::Spare));
+    assert_eq!(killed.spawned, 1, "only the spare is new");
+    // The recovery changed who hosts what, so the next run is cold.
+    backend.opts.chaos = ChaosSpec::default();
+    let after = run(&backend, "after recovery");
+    assert_eq!(after.spawned, 2);
+    assert!(after.recovery.is_none());
+}
+
+#[test]
+fn an_idle_pool_is_not_held_to_its_silence() {
+    let graph = RmatConfig::graph500(9).generate();
+    let topo = Topology::new(2, 2);
+    let config = BfsConfig::new(16);
+    let sim = SimBackend.run(&graph, topo, 1, &config, true).unwrap();
+    let backend = ProcBackend::new(worker_cmd(), proc_opts(2));
+    backend.run(&graph, topo, 3, &config, true).unwrap_or_else(|e| panic!("warm-up: {e}"));
+    // Well past the wall detector's confirmation window (8 missed beats of
+    // 25 ms): without a fresh detector per run, this silence would count.
+    std::thread::sleep(Duration::from_millis(600));
+    let run = backend.run(&graph, topo, 1, &config, true).unwrap_or_else(|e| panic!("{e}"));
+    assert_matches_sim(&run, &sim, "after idling");
+    let report = run.proc.unwrap();
+    assert_eq!(report.suspicions, 0);
+    assert!(report.recovery.is_none());
+    assert_eq!(report.spawned, 0);
 }
 
 fn kill_opts(procs: u32, victim: u32, iter: u32) -> ProcOptions {
