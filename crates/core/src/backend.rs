@@ -194,6 +194,8 @@ impl Backend for ProcBackend {
         if config.overlap {
             return Err(BackendError::Unsupported("modeled compute/comm overlap (sim-only)"));
         }
+        // A run holds the coordinator outside the pool until it succeeds,
+        // so a run that panicked left the pool empty, never half-updated.
         let mut pool = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
         let outcome =
             pool.run(graph, topo, source, config, track_parents, &self.worker_cmd, &self.opts)?;

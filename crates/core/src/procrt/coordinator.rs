@@ -173,7 +173,8 @@ impl ProcPool {
                     config_wire,
                     worker_cmd,
                     opts,
-                    RunState::new(source, config.recovery, opts, &topo),
+                    source,
+                    config.recovery,
                 )?;
                 co.begin()?;
                 co
@@ -217,21 +218,22 @@ impl RunState {
     fn new(
         source: VertexId,
         recovery: RecoveryConfig,
-        opts: &ProcOptions,
-        topo: &Topology,
+        chaos: ChaosSpec,
+        heartbeat_period: Duration,
+        nslots: usize,
+        spares: u32,
     ) -> Self {
-        let nslots = opts.workers.min(topo.num_ranks()) as usize;
         Self {
             source,
             recovery,
-            chaos: opts.chaos,
-            clock: WallClock::new(opts.heartbeat_period.as_secs_f64()),
+            chaos,
+            clock: WallClock::new(heartbeat_period.as_secs_f64()),
             membership: Membership::new(nslots, 0, MembershipConfig::wall_defaults()),
             last_tick: Instant::now(),
             cp_iter: None,
             cp_store: Vec::new(),
             staged: HashMap::new(),
-            spares_left: topo.num_spares(),
+            spares_left: spares,
             kill_fired: false,
             kill_time: None,
         }
@@ -293,7 +295,7 @@ impl Drop for Coordinator {
                 Ok(Event::Frame { .. }) => continue,
                 Err(_) => break,
             };
-            if gen == self.slots[slot].gen {
+            if gen == self.slots[slot].gen && waiting.contains(&slot) {
                 said_bye[slot] = bye;
                 waiting.retain(|&s| s != slot);
             }
@@ -311,18 +313,19 @@ impl Drop for Coordinator {
 }
 
 impl Coordinator {
-    /// The pool's cold start: bind the socket, spawn one worker per slot,
-    /// take each one's `Hello` and ship it its `Setup`. Everything counts
-    /// into `run`'s report.
+    /// The pool's cold start, for a first run from `source`: bind the
+    /// socket, spawn one worker per slot, take each one's `Hello` and ship
+    /// it its `Setup`. Everything counts into that run's report.
     fn spawn(
         graph: &EdgeList,
         topo: Topology,
         config_wire: ConfigWire,
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
-        run: RunState,
+        source: VertexId,
+        recovery: RecoveryConfig,
     ) -> Result<Self, ProcError> {
-        let mut co = Self::bind(graph, topo, config_wire, worker_cmd, opts, run)?;
+        let mut co = Self::bind(graph, topo, config_wire, worker_cmd, opts, source, recovery)?;
         let nslots = co.slots.len();
         for slot in 0..nslots {
             co.spawn_child(slot)?;
@@ -340,7 +343,8 @@ impl Coordinator {
         config_wire: ConfigWire,
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
-        run: RunState,
+        source: VertexId,
+        recovery: RecoveryConfig,
     ) -> Result<Self, ProcError> {
         let separation =
             Separation::from_degrees(&graph.out_degrees(), config_wire.degree_threshold);
@@ -357,6 +361,14 @@ impl Coordinator {
         listener.set_nonblocking(true).map_err(TransportError::Io)?;
 
         let hosted = hosted_flats(&topo, opts.workers);
+        let run = RunState::new(
+            source,
+            recovery,
+            opts.chaos,
+            opts.heartbeat_period,
+            hosted.len(),
+            topo.num_spares(),
+        );
         let mut hosting_of = vec![0usize; topo.num_gpus() as usize];
         for (slot, flats) in hosted.iter().enumerate() {
             for &f in flats {
@@ -432,8 +444,14 @@ impl Coordinator {
         if self.slots.iter_mut().any(exited) {
             return false;
         }
-        let opts = ProcOptions { chaos, ..self.opts.clone() };
-        self.run = RunState::new(source, recovery, &opts, &self.topo);
+        self.run = RunState::new(
+            source,
+            recovery,
+            chaos,
+            self.opts.heartbeat_period,
+            self.slots.len(),
+            self.topo.num_spares(),
+        );
         true
     }
 

@@ -189,6 +189,8 @@ fn worker_body(
     let config = config_wire.to_config();
     let dist = DistributedGraph::build(&graph, topo, &config)
         .map_err(|e| WorkerError::Graph(e.to_string()))?;
+    // The pool keeps this process between runs; only the distributed form
+    // is needed from here on.
     drop(graph);
     let hosting = Hosting { config, track_parents: config_wire.track_parents, dist, flats };
 
