@@ -142,10 +142,11 @@ impl Backend for SimBackend {
 ///
 /// The first run spawns the workers and ships them the graph. A later run
 /// on the same graph, topology, worker-side config, `worker_cmd` and
-/// `opts` (chaos aside) is served by the same processes; one that needs
-/// anything else, or follows a run that erred or recovered, replaces the
-/// pool. Dropping the backend shuts every worker down and reaps it;
-/// cloning yields a backend with no pool.
+/// `opts` (chaos aside) is served by the same processes, however long the
+/// backend idled in between; one that needs anything else, or follows a
+/// run that erred or recovered, replaces the pool. Dropping the backend
+/// shuts every worker down and reaps it; cloning yields a backend with no
+/// pool.
 #[derive(Debug)]
 pub struct ProcBackend {
     /// How to launch worker processes.

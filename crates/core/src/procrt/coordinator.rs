@@ -156,26 +156,18 @@ impl ProcPool {
         }
         let started = Instant::now();
         let config_wire = ConfigWire::from_config(config, track_parents);
+        // Every run, warm or cold, starts from the same fresh state.
+        let fresh = || RunState::new(source, config.recovery, topo, opts);
         // A matching pool resumes unless a worker left while it idled; one
         // that cannot begin is torn down, and the run goes cold — once.
         let warm =
             self.0.take().filter(|co| co.serves(graph, topo, &config_wire, worker_cmd, opts));
-        let warm = warm.and_then(|mut co| {
-            let ready = co.resume(source, config.recovery, opts.chaos) && co.begin().is_ok();
-            ready.then_some(co)
-        });
+        let warm = warm.and_then(|mut co| (co.resume(fresh()) && co.begin().is_ok()).then_some(co));
         let mut co = match warm {
             Some(co) => co,
             None => {
-                let mut co = Coordinator::spawn(
-                    graph,
-                    topo,
-                    config_wire,
-                    worker_cmd,
-                    opts,
-                    source,
-                    config.recovery,
-                )?;
+                let mut co =
+                    Coordinator::spawn(graph, topo, config_wire, worker_cmd, opts, fresh())?;
                 co.begin()?;
                 co
             }
@@ -215,25 +207,21 @@ struct RunState {
 }
 
 impl RunState {
-    fn new(
-        source: VertexId,
-        recovery: RecoveryConfig,
-        chaos: ChaosSpec,
-        heartbeat_period: Duration,
-        nslots: usize,
-        spares: u32,
-    ) -> Self {
+    /// The state a run from `source` starts with on a pool of `topo` under
+    /// `opts`, whether the pool is fresh or kept.
+    fn new(source: VertexId, recovery: RecoveryConfig, topo: Topology, opts: &ProcOptions) -> Self {
+        let nslots = hosted_flats(&topo, opts.workers).len();
         Self {
             source,
             recovery,
-            chaos,
-            clock: WallClock::new(heartbeat_period.as_secs_f64()),
+            chaos: opts.chaos,
+            clock: WallClock::new(opts.heartbeat_period.as_secs_f64()),
             membership: Membership::new(nslots, 0, MembershipConfig::wall_defaults()),
             last_tick: Instant::now(),
             cp_iter: None,
             cp_store: Vec::new(),
             staged: HashMap::new(),
-            spares_left: spares,
+            spares_left: topo.num_spares(),
             kill_fired: false,
             kill_time: None,
         }
@@ -313,19 +301,18 @@ impl Drop for Coordinator {
 }
 
 impl Coordinator {
-    /// The pool's cold start, for a first run from `source`: bind the
-    /// socket, spawn one worker per slot, take each one's `Hello` and ship
-    /// it its `Setup`. Everything counts into that run's report.
+    /// The pool's cold start, for the first run it serves (`run`): bind
+    /// the socket, spawn one worker per slot, take each one's `Hello` and
+    /// ship it its `Setup`. Everything counts into that run's report.
     fn spawn(
         graph: &EdgeList,
         topo: Topology,
         config_wire: ConfigWire,
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
-        source: VertexId,
-        recovery: RecoveryConfig,
+        run: RunState,
     ) -> Result<Self, ProcError> {
-        let mut co = Self::bind(graph, topo, config_wire, worker_cmd, opts, source, recovery)?;
+        let mut co = Self::bind(graph, topo, config_wire, worker_cmd, opts, run)?;
         let nslots = co.slots.len();
         for slot in 0..nslots {
             co.spawn_child(slot)?;
@@ -343,8 +330,7 @@ impl Coordinator {
         config_wire: ConfigWire,
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
-        source: VertexId,
-        recovery: RecoveryConfig,
+        run: RunState,
     ) -> Result<Self, ProcError> {
         let separation =
             Separation::from_degrees(&graph.out_degrees(), config_wire.degree_threshold);
@@ -361,14 +347,6 @@ impl Coordinator {
         listener.set_nonblocking(true).map_err(TransportError::Io)?;
 
         let hosted = hosted_flats(&topo, opts.workers);
-        let run = RunState::new(
-            source,
-            recovery,
-            opts.chaos,
-            opts.heartbeat_period,
-            hosted.len(),
-            topo.num_spares(),
-        );
         let mut hosting_of = vec![0usize; topo.num_gpus() as usize];
         for (slot, flats) in hosted.iter().enumerate() {
             for &f in flats {
@@ -427,11 +405,11 @@ impl Coordinator {
             && gcbfs_graph::io::matches_binary(graph, &self.graph_bytes)
     }
 
-    /// Readies an idle pool for the next run. What queued while it idled
-    /// is dropped — beats uncounted, so no idle silence or arrival reaches
-    /// the run's fresh detector — and the run state starts afresh. False
-    /// when a worker left while the pool idled.
-    fn resume(&mut self, source: VertexId, recovery: RecoveryConfig, chaos: ChaosSpec) -> bool {
+    /// Readies an idle pool for the next run, which starts from `run`.
+    /// What queued while it idled (a beat that raced the last run's end)
+    /// is dropped uncounted, so no idle arrival reaches the run's fresh
+    /// detector. False when a worker left while the pool idled.
+    fn resume(&mut self, run: RunState) -> bool {
         while let Ok(event) = self.rx.try_recv() {
             if let Event::Closed { slot, gen } = event {
                 if gen == self.slots[slot].gen {
@@ -444,14 +422,7 @@ impl Coordinator {
         if self.slots.iter_mut().any(exited) {
             return false;
         }
-        self.run = RunState::new(
-            source,
-            recovery,
-            chaos,
-            self.opts.heartbeat_period,
-            self.slots.len(),
-            self.topo.num_spares(),
-        );
+        self.run = run;
         true
     }
 

@@ -35,8 +35,10 @@
 //! [`Membership`](gcbfs_cluster::membership::Membership) detector on a
 //! [`WallClock`](gcbfs_cluster::WallClock) started afresh by every run,
 //! and a SIGKILL'd worker is *confirmed* dead from heartbeat silence —
-//! not from its socket closing. Beats that queued while the pool idled
-//! are dropped uncounted; a worker that left while idle is found when the
+//! not from its socket closing. A worker beats only from `Hello` to the
+//! end of each traversal and waits between runs without a deadline, so a
+//! pool stays warm however long it idles; a beat that raced a run's end is
+//! dropped uncounted, and a worker that left while idle is found when the
 //! next run starts, which then runs on a fresh pool. Checkpoints are the
 //! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s:
 //! workers ship them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)

@@ -7,8 +7,10 @@
 //! and runs the same per-GPU kernels as the sim driver, superstep by
 //! superstep, under the coordinator's `StepGo`/`StepRemote` cadence, until
 //! `Finish` ships the final state; the worker then waits for the next
-//! `Begin` or for `Shutdown`. A background thread heartbeats on the
-//! configured wall-clock period; the main thread is a pure frame
+//! `Begin` or for `Shutdown`, with no deadline and no heartbeat, for as
+//! long as the pool is kept. A background thread heartbeats on the
+//! configured wall-clock period from `Hello` to the end of each
+//! traversal; the main thread is a pure frame
 //! dispatcher, so a worker killed with SIGKILL at *any* point leaves no
 //! protocol state behind — the coordinator's detector and checkpoints own
 //! all recovery.
@@ -101,11 +103,21 @@ impl Traversal {
     }
 }
 
+/// The background heartbeat's controls. It beats from `Hello` to the end
+/// of each traversal and is quiet while the worker idles between runs:
+/// nobody listens then, and every run starts a fresh detector anyway.
+struct Heartbeat {
+    /// Provisional until `Setup` ships the configured period.
+    period_ms: AtomicU64,
+    quiet: AtomicBool,
+    stop: AtomicBool,
+}
+
 /// Runs the worker protocol to completion. `socket` is the coordinator's
 /// listening path, `worker_id` this process's slot. Returns when the
-/// coordinator sends `Shutdown` or leaves an idle worker past its read
-/// deadline (or fails with a typed error when the coordinator vanishes
-/// mid-traversal — the orphan path).
+/// coordinator sends `Shutdown`, or fails with a typed error when the
+/// coordinator vanishes — its socket closing ends an idle wait, and a
+/// read deadline ends a traversal it abandoned (the orphan path).
 pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     let backoff = JitteredBackoff::new(0x70726f63, worker_id as u64).with_envelope(0.005, 0.25, 12);
     let stream = connect_with_backoff(socket, &backoff)?;
@@ -122,20 +134,26 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     // Heartbeats start NOW, before setup: decoding and building a large
     // graph takes real wall-clock time, and a silent worker would be
     // confirmed dead by the phi-accrual detector before it ever sent
-    // Ready. The period is provisional (the configured one arrives in
-    // Setup and is stored into the atomic below); the mutex-serialized
-    // writer keeps beat frames from tearing data frames. The thread parks
-    // between beats rather than sleeping, so the unpark on stop ends it at
-    // once and the worker's exit does not wait out a beat period.
-    let stop = Arc::new(AtomicBool::new(false));
-    let hb_period_ms = Arc::new(AtomicU64::new(25));
+    // Ready. The mutex-serialized writer keeps beat frames from tearing
+    // data frames. The thread parks between beats rather than sleeping,
+    // so an unpark makes it beat (or stop) at once: a `Begin` is heard
+    // from without a period's delay, and the worker's exit does not wait
+    // out a beat period.
+    let beat = Arc::new(Heartbeat {
+        period_ms: AtomicU64::new(25),
+        quiet: AtomicBool::new(false),
+        stop: AtomicBool::new(false),
+    });
     let hb = {
         let hb_writer = writer.clone();
-        let hb_stop = Arc::clone(&stop);
-        let hb_period_ms = Arc::clone(&hb_period_ms);
+        let beat = Arc::clone(&beat);
         std::thread::spawn(move || {
             let mut seq = 0u64;
-            while !hb_stop.load(Ordering::Relaxed) {
+            while !beat.stop.load(Ordering::Relaxed) {
+                if beat.quiet.load(Ordering::Relaxed) {
+                    std::thread::park(); // until a `Begin` or the stop
+                    continue;
+                }
                 let mut b = WireWriter::new();
                 b.u32(worker_id);
                 b.u64(seq);
@@ -144,13 +162,13 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
                 }
                 seq += 1;
                 std::thread::park_timeout(Duration::from_millis(
-                    hb_period_ms.load(Ordering::Relaxed).max(1),
+                    beat.period_ms.load(Ordering::Relaxed).max(1),
                 ));
             }
         })
     };
-    let result = worker_body(&mut reader, &writer, &hb_period_ms);
-    stop.store(true, Ordering::Relaxed);
+    let result = worker_body(&mut reader, &writer, &beat, hb.thread());
+    beat.stop.store(true, Ordering::Relaxed);
     hb.thread().unpark();
     let _ = hb.join();
     result
@@ -161,7 +179,8 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
 fn worker_body(
     reader: &mut std::os::unix::net::UnixStream,
     writer: &SharedWriter,
-    hb_period_ms: &AtomicU64,
+    beat: &Heartbeat,
+    beat_thread: &std::thread::Thread,
 ) -> Result<(), WorkerError> {
     // Setup: topology, config, timing knobs, hosted set, graph.
     reader.set_read_timeout(Some(Duration::from_secs(120))).map_err(TransportError::from)?;
@@ -178,7 +197,7 @@ fn worker_body(
     let topo = Topology::new(prank, pgpu).with_spares(spares);
     let config_wire = ConfigWire::decode(&mut r)?;
     let heartbeat_ms = r.u64()?;
-    hb_period_ms.store(heartbeat_ms.max(1), Ordering::Relaxed);
+    beat.period_ms.store(heartbeat_ms.max(1), Ordering::Relaxed);
     let step_timeout_ms = r.u64()?;
     let flats: Vec<usize> = r.u32s()?.into_iter().map(|f| f as usize).collect();
     let graph_bytes = r.bytes()?;
@@ -194,40 +213,35 @@ fn worker_body(
     drop(graph);
     let hosting = Hosting { config, track_parents: config_wire.track_parents, dist, flats };
 
-    // From here the worker is a dispatcher. The read deadline doubles
-    // the step timeout: a coordinator silent for that long is dead, and
-    // the worker exits instead of lingering as an orphan.
-    reader
-        .set_read_timeout(Some(Duration::from_millis((step_timeout_ms * 2).max(10_000))))
-        .map_err(TransportError::from)?;
-    dispatch_loop(&hosting, reader, writer)
-}
-
-fn dispatch_loop(
-    h: &Hosting,
-    reader: &mut std::os::unix::net::UnixStream,
-    writer: &SharedWriter,
-) -> Result<(), WorkerError> {
+    // From here the worker is a dispatcher. A traversal reads under a
+    // deadline of twice the step timeout: a coordinator silent for that
+    // long mid-run is dead, and the worker exits instead of lingering as
+    // an orphan. Between runs it waits without one, for as long as the
+    // pool is kept.
+    let in_flight = Some(Duration::from_millis((step_timeout_ms * 2).max(10_000)));
+    reader.set_read_timeout(None).map_err(TransportError::from)?;
     let mut run: Option<Traversal> = None;
     loop {
-        let frame = match recv_frame(reader) {
-            Ok(frame) => frame,
-            // Idle past the deadline: the coordinator let the pool go.
-            Err(TransportError::Timeout) if run.is_none() => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
+        let frame = recv_frame(reader)?;
         let payload = frame.payload().to_vec();
         let mut r = WireReader::new(&payload);
         match (frame.kind, run.as_mut()) {
-            (kind::BEGIN, _) => run = Some(begin(h, &mut r, writer)?),
-            (kind::STEP_GO, Some(t)) => step_go(h, t, &mut r, writer)?,
-            (kind::STEP_REMOTE, Some(t)) => step_remote(h, t, &mut r, writer)?,
-            (kind::RESTORE, Some(t)) => restore(h, t, &mut r, writer)?,
+            (kind::BEGIN, _) => {
+                reader.set_read_timeout(in_flight).map_err(TransportError::from)?;
+                beat.quiet.store(false, Ordering::Relaxed);
+                beat_thread.unpark();
+                run = Some(begin(&hosting, &mut r, writer)?);
+            }
+            (kind::STEP_GO, Some(t)) => step_go(&hosting, t, &mut r, writer)?,
+            (kind::STEP_REMOTE, Some(t)) => step_remote(&hosting, t, &mut r, writer)?,
+            (kind::RESTORE, Some(t)) => restore(&hosting, t, &mut r, writer)?,
             (kind::FINISH, Some(t)) => {
                 let mut w = WireWriter::new();
                 w.u64(t.duplicates_ignored);
                 write_images(&mut w, &t.group.capture());
                 writer.send(kind::FINAL_STATE, w.finish())?;
+                reader.set_read_timeout(None).map_err(TransportError::from)?;
+                beat.quiet.store(true, Ordering::Relaxed);
                 run = None;
             }
             (kind::SHUTDOWN, _) => {

@@ -288,6 +288,27 @@ fn an_idle_pool_is_not_held_to_its_silence() {
     assert_eq!(report.spawned, 0);
 }
 
+#[test]
+#[ignore = "idles 11 s: run with --release -- --ignored"]
+fn an_idle_pool_outlasts_the_traversal_read_deadline() {
+    // A traversal reads under max(2 × step_timeout, 10 s); an idle worker
+    // waits without a deadline, so a pool idle for longer is still warm.
+    let graph = RmatConfig::graph500(9).generate();
+    let topo = Topology::new(2, 2);
+    let config = BfsConfig::new(16);
+    let sim = SimBackend.run(&graph, topo, 1, &config, true).unwrap();
+    let opts = ProcOptions { step_timeout: Duration::from_secs(1), ..proc_opts(2) };
+    let backend = ProcBackend::new(worker_cmd(), opts);
+    backend.run(&graph, topo, 3, &config, true).unwrap_or_else(|e| panic!("warm-up: {e}"));
+    std::thread::sleep(Duration::from_secs(11));
+    let run = backend.run(&graph, topo, 1, &config, true).unwrap_or_else(|e| panic!("{e}"));
+    assert_matches_sim(&run, &sim, "after idling past the read deadline");
+    let report = run.proc.unwrap();
+    assert_eq!(report.spawned, 0, "the idle workers must still serve");
+    assert_eq!(report.suspicions, 0);
+    assert!(report.recovery.is_none());
+}
+
 fn kill_opts(procs: u32, victim: u32, iter: u32) -> ProcOptions {
     ProcOptions {
         workers: procs,
