@@ -1,6 +1,6 @@
 //! Single-processor BFS and direction-optimizing BFS (Beamer et al.).
 //!
-//! This is the algorithm of reference [4] in the paper: start top-down
+//! This is the algorithm of reference \[4\] in the paper: start top-down
 //! (forward push), switch to bottom-up (backward pull) when the frontier's
 //! out-edge count exceeds a fraction of the unexplored edges, and switch
 //! back when the frontier shrinks again. The measured edges-examined count

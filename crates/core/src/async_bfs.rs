@@ -9,7 +9,7 @@
 //!
 //! This module implements that alternative on the same degree-separated
 //! distribution, in the style of the vertex-delegates HavoqGT work the
-//! paper builds on (its reference [8]): no global barriers and no
+//! paper builds on (its reference \[8\]): no global barriers and no
 //! collective mask reductions — newly visited delegates propagate as
 //! *update messages* through an asynchronous broadcast tree, and normal
 //! updates flow point-to-point, all overlapped with computation.

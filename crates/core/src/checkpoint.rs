@@ -64,7 +64,7 @@ impl std::error::Error for CheckpointCorrupt {}
 
 /// A sealed image of one GPU's mutable BFS state — the unit of
 /// checkpointing, restore and final-state collection in both backends.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuStateImage {
     /// Flat GPU index in the topology.
     pub gpu_flat: u32,
@@ -119,9 +119,9 @@ impl GpuStateImage {
     /// FNV-1a over the image's canonical wire encoding (every field but
     /// the digest), so any byte flipped at rest or on a socket changes it.
     pub fn seal(&self) -> u64 {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::default();
         self.encode_fields(&mut w);
-        fnv1a(&w.finish())
+        fnv1a(&w.buf)
     }
 
     /// Recomputes the seal and compares it with the capture-time digest.

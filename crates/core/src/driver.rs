@@ -1,13 +1,13 @@
 //! The distributed BFS driver: builds the degree-separated distributed
 //! graph and runs (DO)BFS as BSP supersteps over the simulated cluster.
 //!
-//! [`DistributedGraph::traverse`] is the paper's loop (Figs. 3–4), read
+//! `DistributedGraph::traverse` is the paper's loop (Figs. 3–4), read
 //! top to bottom: boundary → compute → reduce → exchange → commit →
 //! verify → record. The traversal steps themselves live on the
 //! [`HostedGroup`] the proc workers also run ([`crate::superstep`]); the
-//! modeled Ray time of each step comes from [`crate::pricing`]; and three
+//! modeled Ray time of each step comes from `crate::pricing`; and three
 //! optional layers ride along, each an `Option` that runs no code when
-//! `None`: the fault layer ([`crate::chaos`]), online verification
+//! `None`: the fault layer (`crate::chaos`), online verification
 //! ([`VerifyState`]) and observability ([`SpanSink`]).
 
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};

@@ -2,7 +2,7 @@
 //!
 //! [`EvolvingGraph`] holds a [`CsrDelta`] adjacency plus the last
 //! traversal's depths and parents, and repairs them under streaming
-//! [`MutationBatch`](crate::mutation::MutationBatch)es instead of
+//! [`MutationBatch`]es instead of
 //! recomputing from scratch. Repair runs in two exact phases:
 //!
 //! 1. **Invalidation** (deletions): the children of deleted tree edges

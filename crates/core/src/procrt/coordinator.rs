@@ -5,11 +5,12 @@
 //! workers from sealed checkpoints.
 //!
 //! A run on a pool whose workers hold its graph, topology and worker-side
-//! config, under the same command and options, is `Begin{source}`, its
-//! supersteps and the final state. Any other run spawns the pool first —
-//! bind, spawn, `Hello`, `Setup` — and then takes the same path. The pool
-//! is torn down when a run errs or recovers, when a run needs another
-//! key, and when it is dropped.
+//! config, under the same command and options, is the run sequence of the
+//! frame table in [`super::protocol`]. Any other run binds, spawns and
+//! opens the pool first (`Hello`, `Setup`). Every frame is collected by
+//! one loop, `gather`; the `StepLocal` → `StepRemote` relay is [`route`].
+//! The pool is torn down when a run errs or recovers, when a run needs
+//! another key, and when it is dropped.
 //!
 //! Death is decided by the detector, never by a closed socket: a worker
 //! whose connection drops keeps its slot until heartbeat *silence*
@@ -24,24 +25,22 @@
 //! racing the capture falls back to the previous committed one.
 
 use super::protocol::{
-    kind, read_contributions, read_images, write_contributions, write_images, ConfigWire,
-    ProtocolError, WireReader, WireWriter, PROTO_VERSION,
+    encode_worker_config, kind, Exchange, Images, Msg, ProtocolError, Setup, Stats, PROTO_VERSION,
 };
 use super::transport::TransportError;
 use super::{hosted_flats, ChaosSpec, ProcError, ProcOptions, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use crate::checkpoint::GpuStateImage;
-use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::driver::BuildError;
 use crate::recovery::{RecoveryConfig, RecoveryMode};
 use crate::separation::Separation;
 use gcbfs_cluster::clock::{Clock, WallClock};
-use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
-use gcbfs_cluster::topology::Topology;
+use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::Frame;
 use gcbfs_graph::{EdgeList, VertexId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -88,7 +87,7 @@ static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// Messages from per-connection reader threads to the coordinator's
-/// event pump. `gen` guards against a stale reader (pre-recovery
+/// collection loop. `gen` guards against a stale reader (pre-recovery
 /// connection) speaking for a replacement worker in the same slot.
 enum Event {
     /// A complete frame arrived on slot `slot`'s connection.
@@ -97,14 +96,7 @@ enum Event {
     Closed { slot: usize, gen: u32 },
 }
 
-/// What the event pump yielded to a collection loop.
-enum Waited {
-    /// A data frame from a live, current-generation connection.
-    Data { slot: usize, frame: Frame },
-    /// The detector confirmed this slot dead.
-    Dead(usize),
-}
-
+#[derive(Default)]
 struct Slot {
     child: Option<Child>,
     stream: Option<UnixStream>,
@@ -112,8 +104,9 @@ struct Slot {
     /// Participating in the protocol (false once reaped/recovered-away).
     alive: bool,
     hosted: Vec<usize>,
-    frontier: u64,
-    new_delegates: u64,
+    /// The termination counts of its last `Ready`, `StepDone` or
+    /// `Restored`.
+    stats: Stats,
     /// A heartbeat arrived since the last silence tick.
     beat_seen: bool,
 }
@@ -155,25 +148,26 @@ impl ProcPool {
             );
         }
         let started = Instant::now();
-        let config_wire = ConfigWire::from_config(config, track_parents);
+        let worker_config = encode_worker_config(config, track_parents);
         // Every run, warm or cold, starts from the same fresh state.
         let fresh = || RunState::new(source, config.recovery, topo, opts);
         // A matching pool resumes unless a worker left while it idled; one
         // that cannot begin is torn down, and the run goes cold — once.
         let warm =
-            self.0.take().filter(|co| co.serves(graph, topo, &config_wire, worker_cmd, opts));
+            self.0.take().filter(|co| co.serves(graph, topo, &worker_config, worker_cmd, opts));
         let warm = warm.and_then(|mut co| (co.resume(fresh()) && co.begin().is_ok()).then_some(co));
         let mut co = match warm {
             Some(co) => co,
             None => {
+                let th = config.degree_threshold;
                 let mut co =
-                    Coordinator::spawn(graph, topo, config_wire, worker_cmd, opts, fresh())?;
+                    Coordinator::spawn(graph, topo, th, worker_config, worker_cmd, opts, fresh())?;
                 co.begin()?;
                 co
             }
         };
         let iterations = co.superstep_loop()?;
-        let (depths, parents) = co.finish()?;
+        let (depths, parents) = co.finish(track_parents)?;
         let mut report = std::mem::take(&mut co.report);
         report.iterations = iterations;
         report.wall_seconds = started.elapsed().as_secs_f64();
@@ -189,6 +183,9 @@ impl ProcPool {
 /// the checkpoint store, the spare budget and the chaos.
 struct RunState {
     source: VertexId,
+    /// The superstep in progress, which a stall or a death is reported at;
+    /// the last one while the final state is collected.
+    iter: u32,
     /// Checkpoint cadence and the re-homing decision.
     recovery: RecoveryConfig,
     chaos: ChaosSpec,
@@ -213,6 +210,7 @@ impl RunState {
         let nslots = hosted_flats(&topo, opts.workers).len();
         Self {
             source,
+            iter: 0,
             recovery,
             chaos: opts.chaos,
             clock: WallClock::new(opts.heartbeat_period.as_secs_f64()),
@@ -231,7 +229,8 @@ impl RunState {
 struct Coordinator {
     // ---- What the pool holds, from spawn to teardown. ----
     topo: Topology,
-    config_wire: ConfigWire,
+    /// The worker-side config as `Setup` ships it; the pool's key.
+    worker_config: Vec<u8>,
     /// The degree classification every worker computes too; assembly
     /// reuses it.
     separation: Separation,
@@ -262,11 +261,10 @@ impl Drop for Coordinator {
     /// bounded wait for each `Bye`, SIGKILL for any that did not answer,
     /// every child reaped and the socket file removed.
     fn drop(&mut self) {
+        let shutdown = Msg::Shutdown.frame();
         let mut waiting = Vec::new();
         for slot in 0..self.slots.len() {
-            if self.slots[slot].child.is_some()
-                && self.send(slot, kind::SHUTDOWN, Vec::new()).is_ok()
-            {
+            if self.slots[slot].child.is_some() && self.send(slot, &shutdown).is_ok() {
                 waiting.push(slot);
             }
         }
@@ -307,33 +305,13 @@ impl Coordinator {
     fn spawn(
         graph: &EdgeList,
         topo: Topology,
-        config_wire: ConfigWire,
+        degree_threshold: u64,
+        worker_config: Vec<u8>,
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
         run: RunState,
     ) -> Result<Self, ProcError> {
-        let mut co = Self::bind(graph, topo, config_wire, worker_cmd, opts, run)?;
-        let nslots = co.slots.len();
-        for slot in 0..nslots {
-            co.spawn_child(slot)?;
-        }
-        co.accept_workers((0..nslots).collect())?;
-        for slot in 0..nslots {
-            co.send_setup(slot)?;
-        }
-        Ok(co)
-    }
-
-    fn bind(
-        graph: &EdgeList,
-        topo: Topology,
-        config_wire: ConfigWire,
-        worker_cmd: &WorkerCommand,
-        opts: &ProcOptions,
-        run: RunState,
-    ) -> Result<Self, ProcError> {
-        let separation =
-            Separation::from_degrees(&graph.out_degrees(), config_wire.degree_threshold);
+        let separation = Separation::from_degrees(&graph.out_degrees(), degree_threshold);
         let mut graph_bytes = Vec::new();
         gcbfs_graph::io::write_binary(graph, &mut graph_bytes)
             .map_err(|e| ProcError::Spawn(format!("graph serialization failed: {e}")))?;
@@ -353,23 +331,12 @@ impl Coordinator {
                 hosting_of[f] = slot;
             }
         }
-        let slots = hosted
-            .into_iter()
-            .map(|flats| Slot {
-                child: None,
-                stream: None,
-                gen: 0,
-                alive: true,
-                hosted: flats,
-                frontier: 0,
-                new_delegates: 0,
-                beat_seen: false,
-            })
-            .collect();
+        let slots =
+            hosted.into_iter().map(|hosted| Slot { alive: true, hosted, ..Slot::default() });
         let (tx, rx) = std::sync::mpsc::channel();
-        Ok(Self {
+        let mut co = Self {
             topo,
-            config_wire,
+            worker_config,
             separation,
             opts: opts.clone(),
             worker_cmd: worker_cmd.clone(),
@@ -377,13 +344,22 @@ impl Coordinator {
             num_vertices: graph.num_vertices,
             socket_path,
             listener,
-            slots,
+            slots: slots.collect(),
             hosting_of,
             tx,
             rx,
             run,
             report: ProcReport::default(),
-        })
+        };
+        let nslots = co.slots.len();
+        for slot in 0..nslots {
+            co.spawn_child(slot)?;
+        }
+        co.accept_workers((0..nslots).collect())?;
+        for slot in 0..nslots {
+            co.send_setup(slot)?;
+        }
+        Ok(co)
     }
 
     /// True when this pool's workers hold exactly what a run with these
@@ -394,12 +370,12 @@ impl Coordinator {
         &self,
         graph: &EdgeList,
         topo: Topology,
-        config_wire: &ConfigWire,
+        worker_config: &[u8],
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
     ) -> bool {
         self.topo == topo
-            && self.config_wire == *config_wire
+            && self.worker_config == worker_config
             && self.worker_cmd == *worker_cmd
             && ProcOptions { chaos: self.opts.chaos, ..opts.clone() } == self.opts
             && gcbfs_graph::io::matches_binary(graph, &self.graph_bytes)
@@ -450,7 +426,7 @@ impl Coordinator {
         while let Some(&waiting) = expected.first() {
             if Instant::now() >= deadline {
                 return Err(ProcError::Handshake {
-                    worker: waiting as u32,
+                    worker: Some(waiting as u32),
                     detail: "accept deadline elapsed".into(),
                 });
             }
@@ -464,25 +440,22 @@ impl Coordinator {
             };
             stream.set_read_timeout(Some(Duration::from_secs(10))).map_err(TransportError::Io)?;
             let hello = Frame::read_from(&mut stream).map_err(TransportError::from)?;
-            if hello.kind != kind::HELLO {
+            let Msg::Hello { version, slot } = Msg::decode(&hello, Some(&self.topo))? else {
                 return Err(ProcError::Handshake {
-                    worker: u32::MAX,
+                    worker: None,
                     detail: format!("first frame was kind {:#x}, not Hello", hello.kind),
                 });
-            }
-            let mut r = WireReader::new(hello.payload());
-            let version = r.u32()?;
-            let slot = r.u32()? as usize;
-            r.expect_end()?;
+            };
             if version != PROTO_VERSION {
                 return Err(ProcError::Handshake {
-                    worker: slot as u32,
+                    worker: Some(slot),
                     detail: format!("protocol version {version} != {PROTO_VERSION}"),
                 });
             }
+            let slot = slot as usize;
             let Some(at) = expected.iter().position(|&s| s == slot) else {
                 return Err(ProcError::Handshake {
-                    worker: slot as u32,
+                    worker: Some(slot as u32),
                     detail: "unexpected slot in Hello".into(),
                 });
             };
@@ -516,36 +489,30 @@ impl Coordinator {
     /// Ships `slot` what it keeps until `Shutdown`: topology, worker-side
     /// config, timing, its hosted flats and the graph.
     fn send_setup(&mut self, slot: usize) -> Result<(), ProcError> {
-        let mut w = WireWriter::new();
-        w.u32(self.topo.num_ranks());
-        w.u32(self.topo.gpus_per_rank());
-        w.u32(self.topo.num_spares());
-        self.config_wire.encode(&mut w);
-        w.u64(self.opts.heartbeat_period.as_millis() as u64);
-        w.u64(self.opts.step_timeout.as_millis() as u64);
-        let hosted: Vec<u32> = self.slots[slot].hosted.iter().map(|&f| f as u32).collect();
-        w.u32s(&hosted);
-        w.bytes(&self.graph_bytes);
-        Ok(self.send(slot, kind::SETUP, w.finish())?)
+        let setup = Msg::Setup(Setup {
+            topo: self.topo,
+            config: &self.worker_config,
+            heartbeat_ms: self.opts.heartbeat_period.as_millis() as u64,
+            step_timeout_ms: self.opts.step_timeout.as_millis() as u64,
+            hosted: self.slots[slot].hosted.clone(),
+            graph: &self.graph_bytes,
+        })
+        .frame();
+        Ok(self.send(slot, &setup)?)
     }
 
     /// Sends one frame to a slot, counting wire traffic. A write failure
     /// (e.g. EPIPE after a SIGKILL) is not fatal here — the detector owns
     /// the death verdict; the caller just stops hearing from the slot.
-    fn send(&mut self, slot: usize, kind: u8, body: Vec<u8>) -> Result<(), TransportError> {
-        let frame = Frame::new(kind, body);
+    fn send(&mut self, slot: usize, frame: &Frame) -> Result<(), TransportError> {
         let bytes = frame.encode();
         let Some(stream) = self.slots[slot].stream.as_mut() else {
             return Err(TransportError::Io(std::io::Error::other("no connection")));
         };
-        match stream.write_all(&bytes) {
-            Ok(()) => {
-                self.report.frames_sent += 1;
-                self.report.wire_bytes += bytes.len() as u64;
-                Ok(())
-            }
-            Err(e) => Err(TransportError::from(e)),
-        }
+        stream.write_all(&bytes)?;
+        self.report.frames_sent += 1;
+        self.report.wire_bytes += bytes.len() as u64;
+        Ok(())
     }
 
     /// Starts the run's traversal on every worker.
@@ -554,54 +521,49 @@ impl Coordinator {
         for slot in &mut self.slots {
             slot.beat_seen = false;
         }
-        match self.begin_on((0..self.slots.len()).collect(), 0)? {
+        match self.begin_on((0..self.slots.len()).collect())? {
             None => Ok(()),
             Some(slot) => Err(ProcError::Handshake {
-                worker: slot as u32,
+                worker: Some(slot as u32),
                 detail: "died before Ready".into(),
             }),
         }
     }
 
-    /// Sends `Begin{source}` to `slots` and waits for each one's `Ready`,
-    /// recording its seeded frontier statistics. Other frames are stale (a
-    /// survivor's, from the superstep a recovery aborted) and skipped.
+    /// Sends `Begin{source}` to `slots` and gathers each one's `Ready`.
     /// Returns the first slot the detector confirmed dead instead, if any.
-    fn begin_on(&mut self, slots: Vec<usize>, iter: u32) -> Result<Option<usize>, ProcError> {
-        let mut w = WireWriter::new();
-        w.u64(self.run.source);
-        let body = w.finish();
+    fn begin_on(&mut self, slots: Vec<usize>) -> Result<Option<usize>, ProcError> {
+        let begin = Msg::Begin { source: self.run.source }.frame();
         for &slot in &slots {
-            self.send(slot, kind::BEGIN, body.clone())?;
+            self.send(slot, &begin)?;
         }
-        let deadline = Instant::now() + self.opts.step_timeout;
-        let mut pending = slots;
-        while !pending.is_empty() {
-            match self.pump(deadline, iter)? {
-                Waited::Dead(slot) => return Ok(Some(slot)),
-                Waited::Data { slot, frame }
-                    if frame.kind == kind::READY && pending.contains(&slot) =>
-                {
-                    let (_, frontier, nd) = read_stats(&frame)?;
-                    self.slots[slot].frontier = frontier;
-                    self.slots[slot].new_delegates = nd;
-                    pending.retain(|&s| s != slot);
-                }
-                Waited::Data { .. } => {}
-            }
-        }
-        Ok(None)
+        self.gather(slots, kind::READY, 0, Self::record_stats)
     }
 
-    /// Blocks until a data frame arrives from a current-generation
-    /// connection or the detector confirms a death; heartbeats and
-    /// checkpoint saves are absorbed here so collection loops never see
-    /// them. Errs with `StepTimeout` at `deadline`.
-    fn pump(&mut self, deadline: Instant, iter: u32) -> Result<Waited, ProcError> {
-        loop {
+    /// The one collection loop: waits until every slot in `pending` sent
+    /// one `accept`-kind frame of iteration `iter` (or of none, for a kind
+    /// that carries none) and hands each to `on`, within one step timeout.
+    /// On the way it feeds heartbeat arrivals and silences to the detector
+    /// and stages checkpoint saves; any other frame is stale — a
+    /// survivor's, from a superstep a recovery aborted — and skipped.
+    /// Returns the first slot the detector confirmed dead instead, if any.
+    ///
+    /// # Errors
+    /// `StepTimeout` at the deadline, at the run's superstep; a malformed
+    /// or out-of-contract frame; what `on` returns.
+    fn gather(
+        &mut self,
+        mut pending: Vec<usize>,
+        accept: u8,
+        iter: u32,
+        mut on: impl FnMut(&mut Self, usize, Msg<'_>) -> Result<(), ProcError>,
+    ) -> Result<Option<usize>, ProcError> {
+        let deadline = Instant::now() + self.opts.step_timeout;
+        let at = self.run.iter;
+        while !pending.is_empty() {
             let now = Instant::now();
             if now >= deadline {
-                return Err(ProcError::StepTimeout { iter });
+                return Err(ProcError::StepTimeout { iter: at });
             }
             // Silence ticks: one per heartbeat period per quiet slot.
             if self.run.last_tick.elapsed() >= self.opts.heartbeat_period {
@@ -611,79 +573,91 @@ impl Coordinator {
                     if !self.slots[slot].alive || std::mem::take(&mut self.slots[slot].beat_seen) {
                         continue;
                     }
-                    match self.run.membership.record_silence(slot, t, iter) {
+                    match self.run.membership.record_silence(slot, t, at) {
                         Some(MembershipEvent::Suspected { .. }) => self.report.suspicions += 1,
-                        Some(MembershipEvent::ConfirmedDead { .. }) => {
-                            return Ok(Waited::Dead(slot));
-                        }
+                        Some(MembershipEvent::ConfirmedDead { .. }) => return Ok(Some(slot)),
                         _ => {}
                     }
                 }
             }
             let wait =
                 self.opts.heartbeat_period.min(deadline - now).min(Duration::from_millis(20));
-            match self.rx.recv_timeout(wait) {
-                Ok(Event::Frame { slot, gen, frame }) => {
-                    if gen != self.slots[slot].gen {
-                        continue; // stale pre-recovery connection
-                    }
-                    self.report.wire_bytes += frame.encoded_len() as u64;
-                    match frame.kind {
-                        kind::HEARTBEAT => {
-                            self.report.heartbeats += 1;
-                            self.slots[slot].beat_seen = true;
-                            let t = self.run.clock.now();
-                            if let Some(MembershipEvent::Suspected { .. }) =
-                                self.run.membership.record_arrival(slot, t, iter)
-                            {
-                                self.report.suspicions += 1;
-                            }
-                        }
-                        kind::CHECKPOINT_SAVE => {
-                            self.report.frames_received += 1;
-                            self.stage_checkpoint(&frame)?;
-                        }
-                        _ => {
-                            self.report.frames_received += 1;
-                            return Ok(Waited::Data { slot, frame });
-                        }
-                    }
+            let (slot, frame) = match self.rx.recv_timeout(wait) {
+                Ok(Event::Frame { slot, gen, frame }) if gen == self.slots[slot].gen => {
+                    (slot, frame)
                 }
+                // Nothing yet, or a stale pre-recovery connection's frame.
+                Ok(Event::Frame { .. }) | Err(RecvTimeoutError::Timeout) => continue,
                 Ok(Event::Closed { slot, gen }) => {
                     // A closed socket is evidence only; the phi detector
                     // confirms death from heartbeat silence.
                     if gen == self.slots[slot].gen {
                         self.slots[slot].stream = None;
                     }
+                    continue;
                 }
-                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     unreachable!("coordinator holds a sender endpoint")
                 }
+            };
+            self.report.wire_bytes += frame.encoded_len() as u64;
+            if frame.kind == kind::HEARTBEAT {
+                self.report.heartbeats += 1;
+                self.slots[slot].beat_seen = true;
+                let t = self.run.clock.now();
+                if let Some(MembershipEvent::Suspected { .. }) =
+                    self.run.membership.record_arrival(slot, t, at)
+                {
+                    self.report.suspicions += 1;
+                }
+                continue;
+            }
+            self.report.frames_received += 1;
+            match Msg::decode(&frame, Some(&self.topo))? {
+                Msg::CheckpointSave(save) => self.stage_checkpoint(slot, save)?,
+                msg if frame.kind == accept
+                    && msg.iter().is_none_or(|i| i == iter)
+                    && pending.contains(&slot) =>
+                {
+                    pending.retain(|&s| s != slot);
+                    on(self, slot, msg)?;
+                }
+                _ => {}
             }
         }
+        Ok(None)
+    }
+
+    /// Records a slot's frontier statistics (`Ready`, `StepDone`,
+    /// `Restored`).
+    fn record_stats(&mut self, slot: usize, msg: Msg<'_>) -> Result<(), ProcError> {
+        if let Msg::Ready(s) | Msg::StepDone(s) | Msg::Restored(s) = msg {
+            self.slots[slot].stats = s;
+        }
+        Ok(())
     }
 
     /// Stages one worker's checkpoint images; commits the checkpoint once
-    /// every flat GPU's image for that iteration arrived.
-    fn stage_checkpoint(&mut self, frame: &Frame) -> Result<(), ProcError> {
+    /// every flat GPU's image for that iteration arrived. A stale save
+    /// from an aborted superstep covers a subset of the sender's GPUs.
+    ///
+    /// # Errors
+    /// An image of a GPU the sender does not host.
+    fn stage_checkpoint(&mut self, slot: usize, save: Images) -> Result<(), ProcError> {
+        check_hosts(&self.hosting_of, slot, &save.images, "saved")?;
         let p = self.topo.num_gpus() as usize;
-        let mut r = WireReader::new(frame.payload());
-        let iter = r.u32()?;
-        let images = read_images(&mut r, p)?;
-        r.expect_end()?;
         let run = &mut self.run;
-        let entry = run.staged.entry(iter).or_default();
-        entry.extend(images.into_iter().map(|img| (img.gpu_flat, img)));
+        let entry = run.staged.entry(save.iter).or_default();
+        entry.extend(save.images.into_iter().map(|img| (img.gpu_flat, img)));
         let complete = entry.len() == p;
-        let newer = run.cp_iter.is_none_or(|c| iter > c);
+        let newer = run.cp_iter.is_none_or(|c| save.iter > c);
         if complete && newer {
             let mut images: Vec<_> =
-                run.staged.remove(&iter).expect("staged entry exists").into_values().collect();
+                run.staged.remove(&save.iter).expect("staged entry exists").into_values().collect();
             images.sort_unstable_by_key(|img| img.gpu_flat);
             run.cp_store = images;
-            run.cp_iter = Some(iter);
-            run.staged.retain(|&i, _| i > iter);
+            run.cp_iter = Some(save.iter);
+            run.staged.retain(|&i, _| i > save.iter);
             self.report.checkpoints += 1;
         }
         Ok(())
@@ -698,22 +672,13 @@ impl Coordinator {
     fn superstep_loop(&mut self) -> Result<u32, ProcError> {
         let mut iter = 0u32;
         loop {
-            let frontier: u64 = self
-                .slots
-                .iter()
-                .filter(|s| s.alive && !s.hosted.is_empty())
-                .map(|s| s.frontier)
-                .sum();
-            let new_delegates = self
-                .slots
-                .iter()
-                .filter(|s| s.alive && !s.hosted.is_empty())
-                .map(|s| s.new_delegates)
-                .max()
-                .unwrap_or(0);
+            let hosting = || self.slots.iter().filter(|s| s.alive && !s.hosted.is_empty());
+            let frontier: u64 = hosting().map(|s| s.stats.frontier).sum();
+            let new_delegates = hosting().map(|s| s.stats.new_delegates).max().unwrap_or(0);
             if frontier == 0 && new_delegates == 0 {
                 return Ok(iter);
             }
+            self.run.iter = iter;
             match self.superstep(iter)? {
                 Some(resumed) => iter = resumed,
                 None => iter += 1,
@@ -729,11 +694,9 @@ impl Coordinator {
 
         // ---- StepGo broadcast (plus the chaos kill, which fires *after*
         // the victim was told to work — mid-sweep, as real deaths do). ----
+        let go = Msg::StepGo { iter, checkpoint: take_cp }.frame();
         for slot in self.alive_slots() {
-            let mut w = WireWriter::new();
-            w.u32(iter);
-            w.u8(take_cp as u8);
-            let _ = self.send(slot, kind::STEP_GO, w.finish());
+            let _ = self.send(slot, &go);
         }
         if let Some(kill) = chaos.kill {
             let victim = kill.worker as usize;
@@ -750,88 +713,36 @@ impl Coordinator {
             }
         }
 
-        // ---- Collect StepLocal from every live slot. ----
-        let deadline = Instant::now() + self.opts.step_timeout;
-        let mut pending = self.alive_slots();
-        let mut contributions: Vec<Vec<MaskContribution>> = vec![Vec::new(); self.slots.len()];
-        let mut blocks: Vec<Block> = Vec::new();
-        while !pending.is_empty() {
-            match self.pump(deadline, iter)? {
-                Waited::Dead(slot) => return self.recover(slot, iter).map(Some),
-                Waited::Data { slot, frame } => {
-                    if frame.kind != kind::STEP_LOCAL {
-                        continue; // stale frame from an aborted superstep
-                    }
-                    let mut r = WireReader::new(frame.payload());
-                    let fiter = r.u32()?;
-                    if fiter != iter || !pending.contains(&slot) {
-                        continue;
-                    }
-                    contributions[slot] = read_contributions(&mut r, self.topo.num_ranks())?;
-                    let nblocks = r.u32()? as usize;
-                    for _ in 0..nblocks {
-                        blocks.push(Block::decode(&mut r, self.hosting_of.len())?);
-                    }
-                    r.expect_end()?;
-                    pending.retain(|&s| s != slot);
-                }
+        let mut locals = vec![None; self.slots.len()];
+        let dead = self.gather(self.alive_slots(), kind::STEP_LOCAL, iter, |_, slot, msg| {
+            if let Msg::StepLocal(x) = msg {
+                let contributions = Cow::Owned(x.contributions.into_owned());
+                locals[slot] = Some(Exchange { iter, contributions, blocks: x.blocks });
             }
-        }
-
-        // ---- Route the blocks; every worker gets every other worker's
-        // mask contributions, unopened, and reduces them with its own. ----
-        let mut routed: Vec<Vec<Block>> = (0..self.slots.len()).map(|_| Vec::new()).collect();
-        for b in blocks {
-            routed[self.hosting_of[b.dst]].push(b);
+            Ok(())
+        })?;
+        if let Some(dead) = dead {
+            return self.recover(dead, iter).map(Some);
         }
 
         // ---- StepRemote broadcast (chaos: delayed and/or duplicated). ----
+        let remotes = route(&self.topo, &self.hosting_of, iter, locals)?;
         if !chaos.delay_step_remote.is_zero() {
             std::thread::sleep(chaos.delay_step_remote);
         }
-        for slot in self.alive_slots() {
-            let mut w = WireWriter::new();
-            w.u32(iter);
-            let relayed: Vec<MaskContribution> = contributions
-                .iter()
-                .enumerate()
-                .filter(|&(from, _)| from != slot)
-                .flat_map(|(_, cs)| cs.iter().cloned())
-                .collect();
-            write_contributions(&mut w, &relayed);
-            let slot_blocks = std::mem::take(&mut routed[slot]);
-            w.u32(slot_blocks.len() as u32);
-            for b in &slot_blocks {
-                b.encode(&mut w);
-            }
-            let body = w.finish();
+        for (slot, remote) in remotes.into_iter().enumerate() {
+            let Some(remote) = remote else { continue };
+            let frame = Msg::StepRemote(remote).frame();
             if chaos.duplicate_step_remote {
-                let _ = self.send(slot, kind::STEP_REMOTE, body.clone());
+                let _ = self.send(slot, &frame);
             }
-            let _ = self.send(slot, kind::STEP_REMOTE, body);
+            let _ = self.send(slot, &frame);
         }
 
-        // ---- Collect the StepDone barrier. ----
-        let deadline = Instant::now() + self.opts.step_timeout;
-        let mut pending = self.alive_slots();
-        while !pending.is_empty() {
-            match self.pump(deadline, iter)? {
-                Waited::Dead(slot) => return self.recover(slot, iter).map(Some),
-                Waited::Data { slot, frame } => {
-                    if frame.kind != kind::STEP_DONE {
-                        continue;
-                    }
-                    let (fiter, frontier, nd) = read_stats(&frame)?;
-                    if fiter != iter || !pending.contains(&slot) {
-                        continue;
-                    }
-                    self.slots[slot].frontier = frontier;
-                    self.slots[slot].new_delegates = nd;
-                    pending.retain(|&s| s != slot);
-                }
-            }
+        match self.gather(self.alive_slots(), kind::STEP_DONE, iter, Self::record_stats)? {
+            Some(dead) => self.recover(dead, iter).map(Some),
+            None => Ok(None),
         }
-        Ok(None)
     }
 
     /// Recovery of a confirmed-dead slot: reap the child, re-home its
@@ -877,7 +788,7 @@ impl Coordinator {
             self.accept_workers(vec![dead])?;
             self.send_setup(dead)?;
             self.slots[dead].alive = true;
-            if let Some(second) = self.begin_on(vec![dead], iter)? {
+            if let Some(second) = self.begin_on(vec![dead])? {
                 return Err(ProcError::Unrecoverable { worker: second as u32, iter });
             }
             dead
@@ -900,28 +811,12 @@ impl Coordinator {
         // confirmed like any other and typed `Unrecoverable` below.
         let live = self.alive_slots();
         for &slot in &live {
-            let mut w = WireWriter::new();
-            w.u32(cp_iter);
-            write_images(&mut w, self.slots[slot].hosted.iter().map(|&f| &self.run.cp_store[f]));
-            let _ = self.send(slot, kind::RESTORE, w.finish());
+            let images = self.slots[slot].hosted.iter().map(|&f| self.run.cp_store[f].clone());
+            let restore = Msg::Restore(Images { iter: cp_iter, images: images.collect() });
+            let _ = self.send(slot, &restore.frame());
         }
-        let deadline = Instant::now() + self.opts.step_timeout;
-        let mut pending = live;
-        while !pending.is_empty() {
-            match self.pump(deadline, iter)? {
-                Waited::Dead(second) => {
-                    return Err(ProcError::Unrecoverable { worker: second as u32, iter });
-                }
-                Waited::Data { slot, frame } => {
-                    if frame.kind != kind::RESTORED || !pending.contains(&slot) {
-                        continue; // stale frames from the aborted superstep
-                    }
-                    let (_, frontier, nd) = read_stats(&frame)?;
-                    self.slots[slot].frontier = frontier;
-                    self.slots[slot].new_delegates = nd;
-                    pending.retain(|&s| s != slot);
-                }
-            }
+        if let Some(second) = self.gather(live, kind::RESTORED, cp_iter, Self::record_stats)? {
+            return Err(ProcError::Unrecoverable { worker: second as u32, iter });
         }
 
         self.report.recovery = Some(RecoveryReport {
@@ -937,33 +832,25 @@ impl Coordinator {
     /// Collects final state from every live slot — each ends its traversal
     /// there and waits for the next `Begin` — and assembles global depths
     /// (and parents, when tracked).
-    fn finish(&mut self) -> Result<(Vec<u32>, Option<Vec<u64>>), ProcError> {
+    fn finish(&mut self, track_parents: bool) -> Result<(Vec<u32>, Option<Vec<u64>>), ProcError> {
+        let finish = Msg::Finish.frame();
         for slot in self.alive_slots() {
-            let _ = self.send(slot, kind::FINISH, Vec::new());
+            let _ = self.send(slot, &finish);
         }
-        let p = self.topo.num_gpus() as usize;
-        let mut images: Vec<Option<GpuStateImage>> = vec![None; p];
-        let deadline = Instant::now() + self.opts.step_timeout;
-        let mut pending = self.alive_slots();
-        while !pending.is_empty() {
-            match self.pump(deadline, u32::MAX)? {
-                Waited::Dead(slot) => {
-                    return Err(ProcError::Unrecoverable { worker: slot as u32, iter: u32::MAX });
-                }
-                Waited::Data { slot, frame } => {
-                    if frame.kind != kind::FINAL_STATE {
-                        continue;
-                    }
-                    let mut r = WireReader::new(frame.payload());
-                    self.report.duplicate_frames_ignored += r.u64()?;
-                    for img in read_images(&mut r, p)? {
-                        let f = img.gpu_flat as usize;
-                        images[f] = Some(img);
-                    }
-                    r.expect_end()?;
-                    pending.retain(|&s| s != slot);
+        let mut images: Vec<Option<GpuStateImage>> = vec![None; self.topo.num_gpus() as usize];
+        let dead = self.gather(self.alive_slots(), kind::FINAL_STATE, 0, |co, slot, msg| {
+            if let Msg::FinalState { duplicates_ignored, images: finals } = msg {
+                check_hosts(&co.hosting_of, slot, &finals, "sent the final state of")?;
+                co.report.duplicate_frames_ignored += duplicates_ignored;
+                for img in finals {
+                    let f = img.gpu_flat as usize;
+                    images[f] = Some(img);
                 }
             }
+            Ok(())
+        })?;
+        if let Some(slot) = dead {
+            return Err(ProcError::Unrecoverable { worker: slot as u32, iter: self.run.iter });
         }
         let images: Vec<GpuStateImage> = images
             .into_iter()
@@ -975,7 +862,7 @@ impl Coordinator {
         let views: Vec<GpuStateView<'_>> = images.iter().map(|img| img.view()).collect();
         let n = self.num_vertices;
         let depths = assemble_depths(&self.topo, &self.separation, n, &views);
-        let parents = if self.config_wire.track_parents {
+        let parents = if track_parents {
             let source = self.run.source;
             let (parents, _) =
                 assemble_parents(&self.topo, &self.separation, source, n, &views, &depths);
@@ -987,13 +874,138 @@ impl Coordinator {
     }
 }
 
-/// Parses the shared `(iter, frontier, new_delegates)` statistics body
-/// carried by Ready/StepDone/Restored.
-fn read_stats(frame: &Frame) -> Result<(u32, u64, u64), ProcError> {
-    let mut r = WireReader::new(frame.payload());
-    let iter = r.u32()?;
-    let frontier = r.u64()?;
-    let nd = r.u64()?;
-    r.expect_end()?;
-    Ok((iter, frontier, nd))
+/// Refuses images from `slot` (`what` it did with them) of a GPU that
+/// `hosting_of` does not map to it.
+fn check_hosts(
+    hosting_of: &[usize],
+    slot: usize,
+    images: &[GpuStateImage],
+    what: &str,
+) -> Result<(), ProtocolError> {
+    match images.iter().find(|img| hosting_of.get(img.gpu_flat as usize) != Some(&slot)) {
+        Some(img) => Err(ProtocolError::new(format!(
+            "worker {slot} {what} gpu {}, which it does not host",
+            img.gpu_flat
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The coordinator's relay: routes one superstep's `StepLocal` exchanges —
+/// `locals[s]` from slot `s`, `None` for a slot not in the round — into
+/// each slot's `StepRemote`. A slot gets every other slot's mask
+/// contributions, unopened, and the blocks whose destination it hosts,
+/// both in sender order. `hosting_of` maps each flat GPU to its slot, which
+/// is in the round.
+///
+/// # Errors
+/// A mask contribution for a rank, or a block from a GPU, that its sender
+/// does not host.
+pub fn route(
+    topo: &Topology,
+    hosting_of: &[usize],
+    iter: u32,
+    locals: Vec<Option<Exchange<'_>>>,
+) -> Result<Vec<Option<Exchange<'static>>>, ProtocolError> {
+    let empty = Exchange { iter, contributions: Cow::Owned(Vec::new()), blocks: Vec::new() };
+    let mut remotes: Vec<_> = locals.iter().map(|x| x.as_ref().map(|_| empty.clone())).collect();
+    let host = |flat: usize| hosting_of.get(flat).copied();
+    let rank_host = |rank| (rank < topo.num_ranks()).then(|| topo.flat(GpuId { rank, gpu: 0 }));
+    for (from, x) in locals.into_iter().enumerate() {
+        let Some(x) = x else { continue };
+        let foreign =
+            |what| ProtocolError::new(format!("worker {from} sent {what} it does not host"));
+        if let Some(c) =
+            x.contributions.iter().find(|c| rank_host(c.rank).and_then(host) != Some(from))
+        {
+            return Err(foreign(format!("a mask contribution for rank {}, which", c.rank)));
+        }
+        if let Some(b) = x.blocks.iter().find(|b| host(b.src) != Some(from)) {
+            return Err(foreign(format!("a block from gpu {}, which", b.src)));
+        }
+        for (to, remote) in remotes.iter_mut().enumerate() {
+            if let Some(remote) = remote.as_mut().filter(|_| to != from) {
+                remote.contributions.to_mut().extend(x.contributions.iter().cloned());
+            }
+        }
+        for b in x.blocks {
+            let to = remotes[hosting_of[b.dst]].as_mut();
+            to.expect("every destination's host is in the round").blocks.push(b);
+        }
+    }
+    Ok(remotes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::comm::Block;
+    use gcbfs_cluster::collectives::MaskContribution;
+    use gcbfs_compress::WireBody;
+
+    /// 2 × 2 grid, one rank per slot.
+    const HOSTING_OF: [usize; 4] = [0, 0, 1, 1];
+
+    fn local(rank: u32, src: usize, dst: usize) -> Option<Exchange<'static>> {
+        let contribution = MaskContribution { rank, body: WireBody::Raw(vec![1 << rank]) };
+        let block = Block { src, dst, body: WireBody::Raw(vec![src as u32]) };
+        Some(Exchange {
+            iter: 5,
+            contributions: Cow::Owned(vec![contribution]),
+            blocks: vec![block],
+        })
+    }
+
+    fn routed(locals: Vec<Option<Exchange<'_>>>) -> Result<Vec<Option<Exchange<'static>>>, String> {
+        route(&Topology::new(2, 2), &HOSTING_OF, 5, locals).map_err(|e| e.detail)
+    }
+
+    #[test]
+    fn route_relays_the_other_slots_contributions_and_delivers_blocks_to_their_host() {
+        let remotes = routed(vec![local(0, 1, 2), local(1, 3, 0), None]).unwrap();
+        let [Some(to0), Some(to1), None] = &remotes[..] else { panic!("{remotes:?}") };
+        for (remote, rank, src) in [(to0, 1, 3), (to1, 0, 1)] {
+            assert_eq!(remote.iter, 5);
+            assert_eq!(remote.contributions.iter().map(|c| c.rank).collect::<Vec<_>>(), [rank]);
+            assert_eq!(remote.blocks.iter().map(|b| b.src).collect::<Vec<_>>(), [src]);
+        }
+    }
+
+    #[test]
+    fn route_refuses_what_the_sender_does_not_host() {
+        // Slot 0 hosts rank 0 (GPUs 0-1): a contribution for rank 1 — whose
+        // host sent none — or for a rank outside the grid, and a block from
+        // GPU 2, are forged.
+        for (forged, names) in
+            [(local(1, 1, 2), "rank 1"), (local(7, 1, 2), "rank 7"), (local(0, 2, 0), "gpu 2")]
+        {
+            let err = routed(vec![forged, local(1, 3, 0)]).unwrap_err();
+            assert!(err.contains("worker 0 sent") && err.contains(names), "{err}");
+        }
+    }
+
+    #[test]
+    fn images_of_a_gpu_the_sender_does_not_host_are_refused() {
+        let image = |gpu_flat| GpuStateImage {
+            gpu_flat,
+            track_parents: false,
+            depths_local: Vec::new(),
+            delegate_depths: Vec::new(),
+            visited_bits: 0,
+            visited_words: Vec::new(),
+            frontier: Vec::new(),
+            new_delegates: Vec::new(),
+            directions: [crate::direction::Direction::Forward; 3],
+            parents_local: Vec::new(),
+            delegate_parent_candidate: Vec::new(),
+            remote_parent_log: Vec::new(),
+            digest: 0,
+        };
+        // A stale save from an aborted superstep covers a subset.
+        assert!(check_hosts(&HOSTING_OF, 1, &[image(3)], "saved").is_ok());
+        for what in ["saved", "sent the final state of"] {
+            let err = check_hosts(&HOSTING_OF, 1, &[image(2), image(1)], what).unwrap_err();
+            assert_eq!(err.detail, format!("worker 1 {what} gpu 1, which it does not host"));
+        }
+    }
 }

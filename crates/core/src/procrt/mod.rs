@@ -2,28 +2,23 @@
 //! seam: a coordinator orchestrating a pool of worker OS processes, one
 //! per hosted rank group, over Unix-domain sockets.
 //!
-//! The pool outlives a run. The first run spawns the workers, handshakes
-//! (`Hello`) and ships each one its `Setup` — topology, worker-side
-//! config, hosted ranks and the graph — from which it builds the
+//! The messages, who sends each and who consumes it are the frame table
+//! in [`protocol`], the one owner of every frame body. The pool outlives
+//! a run: the first run spawns the workers and ships each one its `Setup`,
+//! from which it builds the
 //! [`DistributedGraph`](crate::driver::DistributedGraph) once and keeps
-//! it. Every run, that first one included, then starts with `Begin{source}`:
-//! each worker seeds a fresh hosted group on the graph it kept and answers
-//! `Ready`, and the run ends when its `FinalState` is in. A later run whose
-//! graph, topology, worker-side config, worker command and
-//! [`ProcOptions`] (chaos aside) all match is served by the same
-//! processes and pays only its supersteps. A run that needs anything
-//! else, a run that errs and a run that recovers tear the pool down
-//! (`Shutdown`, `Bye`, reap) and the next run spawns afresh.
+//! it. A later run whose graph, topology, worker-side config, worker
+//! command and [`ProcOptions`] (chaos aside) all match is served by the
+//! same processes and pays only its supersteps. A run that needs anything
+//! else, a run that errs and a run that recovers tear the pool down, and
+//! the next run spawns afresh.
 //!
-//! The BSP structure is the sim driver's, verbatim — per superstep the
-//! coordinator broadcasts `StepGo`, workers run the *same*
-//! [`GpuWorker::run_iteration`](crate::kernels::GpuWorker) kernels,
-//! reply `StepLocal` with their ranks' delegate-mask contributions and
-//! the routed nn-update blocks, the coordinator relays the contributions
-//! unopened to every other worker and routes blocks to the workers
-//! hosting their destinations (`StepRemote`), and the workers reduce the
-//! masks, form next frontiers and barrier with `StepDone`. Both payloads
-//! are the sim's own, formed already encoded — the masks by
+//! The BSP superstep is the sim driver's, verbatim: each worker's round
+//! ([`worker::WorkerRound`]) runs the *same*
+//! [`GpuWorker::run_iteration`](crate::kernels::GpuWorker) kernels on a
+//! hosted group, and the coordinator relays the mask contributions
+//! unopened and routes the blocks ([`route`]). Both payloads are the sim's
+//! own, formed already encoded — the masks by
 //! [`collectives`](gcbfs_cluster::collectives), the blocks by
 //! [`form_blocks`](crate::comm::form_blocks) — so the proc carries
 //! exactly the bytes the sim prices. With the end-of-run assembly
@@ -60,7 +55,7 @@ mod coordinator;
 
 pub use crate::recovery::RecoveryMode;
 pub(crate) use coordinator::ProcPool;
-pub use coordinator::WorkerCommand;
+pub use coordinator::{route, WorkerCommand};
 
 use crate::driver::BuildError;
 use protocol::ProtocolError;
@@ -212,8 +207,9 @@ pub enum ProcError {
     Protocol(ProtocolError),
     /// Version or identity mismatch during the handshake.
     Handshake {
-        /// Worker slot (or claimed slot).
-        worker: u32,
+        /// Worker slot (or claimed slot); `None` when the first frame
+        /// named none.
+        worker: Option<u32>,
         /// What did not match.
         detail: String,
     },
@@ -241,9 +237,10 @@ impl std::fmt::Display for ProcError {
             Self::Spawn(e) => write!(f, "worker spawn failed: {e}"),
             Self::Transport(e) => write!(f, "{e}"),
             Self::Protocol(e) => write!(f, "{e}"),
-            Self::Handshake { worker, detail } => {
+            Self::Handshake { worker: Some(worker), detail } => {
                 write!(f, "handshake with worker {worker} failed: {detail}")
             }
+            Self::Handshake { worker: None, detail } => write!(f, "handshake failed: {detail}"),
             Self::StepTimeout { iter } => write!(f, "superstep {iter} deadline elapsed"),
             Self::Unrecoverable { worker, iter } => {
                 write!(f, "worker {worker} lost at superstep {iter} with no recovery path")
@@ -344,5 +341,22 @@ mod tests {
         }
         // Above the rank count is clamped, as documented, not refused.
         assert!(ProcOptions { workers: 64, ..ProcOptions::default() }.validate().is_ok());
+    }
+
+    #[test]
+    fn errors_name_no_sentinel_worker_or_superstep() {
+        // A first frame that is not `Hello` names no worker.
+        let detail = "first frame was kind 0x3, not Hello".to_string();
+        let err = ProcError::Handshake { worker: None, detail };
+        assert_eq!(err.to_string(), "handshake failed: first frame was kind 0x3, not Hello");
+        let err = ProcError::Handshake { worker: Some(1), detail: "died before Ready".into() };
+        assert_eq!(err.to_string(), "handshake with worker 1 failed: died before Ready");
+        // A stall or death while the final state is collected names the
+        // run's last superstep.
+        assert_eq!(ProcError::StepTimeout { iter: 4 }.to_string(), "superstep 4 deadline elapsed");
+        assert_eq!(
+            ProcError::Unrecoverable { worker: 1, iter: 4 }.to_string(),
+            "worker 1 lost at superstep 4 with no recovery path"
+        );
     }
 }

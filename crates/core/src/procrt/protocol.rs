@@ -1,18 +1,62 @@
-//! Wire protocol of the proc backend: message kinds, a little-endian
-//! field writer/reader pair, the result-affecting config subset shipped
-//! to workers, the wire form of the sealed [`GpuStateImage`] that
-//! checkpoints, restores and the final-state collection carry, and the
-//! frame layouts of an `nn` [`Block`] and of a delegate-mask
-//! [`MaskContribution`] — whose bodies
-//! [`form_blocks`](crate::comm::form_blocks) and
-//! [`rank_contributions`](gcbfs_cluster::collectives::rank_contributions)
-//! already encoded.
+//! Wire protocol of the proc backend: one typed [`Msg`] per frame kind,
+//! and the only code that writes or reads a frame body.
 //!
-//! Every message rides one [`Frame`](gcbfs_compress::Frame), so payloads
-//! inherit the frame layer's FNV-1a seal and bounded-allocation decoding.
-//! Each state image carries its own [`GpuStateImage::seal`] as well, so
-//! state is verified with the identical primitive whether it sat in the
-//! coordinator's checkpoint store or crossed a socket.
+//! Every message rides one [`Frame`], so payloads inherit the frame
+//! layer's FNV-1a seal and bounded-allocation decoding. Each state image
+//! carries its own [`GpuStateImage::seal`] as well, so state is verified
+//! with the identical primitive whether it sat in the coordinator's
+//! checkpoint store or crossed a socket.
+//!
+//! # Frames
+//!
+//! C is the coordinator, W a worker ([`super::worker`]). All integers are
+//! little-endian.
+//!
+//! | kind | message | direction | body | consumer |
+//! |------|---------|-----------|------|----------|
+//! | `0x01` | [`Msg::Hello`] | W → C | version `u32`, slot `u32` | coordinator handshake |
+//! | `0x02` | [`Msg::Setup`] | C → W | ranks, GPUs per rank, spares (`u32` each); worker config; heartbeat and step-timeout ms (`u64` each); hosted flats (`u32` list); graph (byte string) | worker process, before its round |
+//! | `0x04` | [`Msg::Begin`] | C → W | source `u64` | [`WorkerRound`](super::worker::WorkerRound) |
+//! | `0x03` | [`Msg::Ready`] | W → C | stats | coordinator `begin_on` |
+//! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
+//! | `0x14` | [`Msg::CheckpointSave`] | W → C | image list | coordinator `gather` (staged) |
+//! | `0x11` | [`Msg::StepLocal`] | W → C | exchange | [`route`](super::route) |
+//! | `0x12` | [`Msg::StepRemote`] | C → W | exchange | `WorkerRound` |
+//! | `0x13` | [`Msg::StepDone`] | W → C | stats | coordinator superstep barrier |
+//! | `0x20` | [`Msg::Restore`] | C → W | image list | `WorkerRound` |
+//! | `0x21` | [`Msg::Restored`] | W → C | stats | coordinator `recover` |
+//! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
+//! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, images | coordinator `finish` |
+//! | `0x40` | [`Msg::Heartbeat`] | W → C | slot `u32`, sequence `u64` | coordinator detector |
+//! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process |
+//! | `0x42` | [`Msg::Bye`] | W → C | empty | coordinator teardown |
+//!
+//! A run is `Begin` → `Ready`, then per superstep `StepGo` →
+//! (`CheckpointSave`, on the checkpoint cadence) `StepLocal` →
+//! `StepRemote` → `StepDone`, then `Finish` → `FinalState`. A recovery is
+//! `Restore` → `Restored` (a spare gets `Hello`, `Setup`, `Begin` first).
+//! A cold pool opens with `Hello` and `Setup`; teardown is `Shutdown` →
+//! `Bye`. Heartbeats run from `Hello` to the end of each traversal.
+//!
+//! The shared bodies:
+//! - **stats**: iteration `u32`, hosted frontier `u64`, delegate frontier
+//!   `u64` ([`Stats`]).
+//! - **exchange**: iteration `u32`; the mask contributions (count `u32`,
+//!   then per entry rank `u32` and a wire body); the `nn` blocks (count
+//!   `u32`, then per block source and destination flats, `u32` each, and a
+//!   wire body) ([`Exchange`]).
+//! - **wire body**: a flag `u8` (0 raw, 1 encoded), then a byte string —
+//!   raw elements little-endian, or the codec's bytes, decoded only by
+//!   their consumer.
+//! - **images**: count `u32`, then per image its fields and seal; the
+//!   **image list** is iteration `u32`, then images ([`Images`]).
+//! - **worker config**: `TH` `u64`; a flag byte (DO, local all2all,
+//!   uniquify, per-kernel direction, parents — bits 0–4); the `dd`, `dn`
+//!   and `nd` switch-factor pairs (`f64` each); compression (0 off, 1 fixed
+//!   plus the frontier and mask codec tags, 2 adaptive); the kernel variant
+//!   (0 scalar, 1 word-parallel).
+//!
+//! A byte string and a list are a `u32` count, then the items.
 
 use crate::checkpoint::GpuStateImage;
 use crate::comm::Block;
@@ -20,54 +64,48 @@ use crate::config::BfsConfig;
 use crate::direction::Direction;
 use crate::kernels::KernelVariant;
 use gcbfs_cluster::collectives::MaskContribution;
-use gcbfs_cluster::topology::GpuId;
-use gcbfs_compress::{CompressionMode, FrontierCodec, MaskCodec, WireBody};
+use gcbfs_cluster::topology::{GpuId, Topology};
+use gcbfs_compress::{CompressionMode, Frame, FrontierCodec, MaskCodec, WireBody};
+use gcbfs_graph::VertexId;
+use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
 pub const PROTO_VERSION: u32 = 5;
 
-/// Frame kind bytes. One octet per message type, grouped by phase.
+/// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
-    /// Worker → coordinator: first frame on a fresh connection.
+    /// [`Msg::Hello`](super::Msg::Hello).
     pub const HELLO: u8 = 0x01;
-    /// Coordinator → worker: topology, config, graph bytes, hosted set —
-    /// what the worker keeps for every traversal until `Shutdown`.
+    /// [`Msg::Setup`](super::Msg::Setup).
     pub const SETUP: u8 = 0x02;
-    /// Worker → coordinator: traversal seeded (frontier statistics).
+    /// [`Msg::Ready`](super::Msg::Ready).
     pub const READY: u8 = 0x03;
-    /// Coordinator → worker: start a traversal from a source, on a fresh
-    /// hosted group over the graph kept since `Setup`.
+    /// [`Msg::Begin`](super::Msg::Begin).
     pub const BEGIN: u8 = 0x04;
-    /// Coordinator → worker: run local computation for one superstep.
+    /// [`Msg::StepGo`](super::Msg::StepGo).
     pub const STEP_GO: u8 = 0x10;
-    /// Worker → coordinator: local results — the hosted ranks' mask
-    /// contributions (none when no hosted bit changed) and the outgoing
-    /// blocks.
+    /// [`Msg::StepLocal`](super::Msg::StepLocal).
     pub const STEP_LOCAL: u8 = 0x11;
-    /// Coordinator → worker: the other workers' mask contributions,
-    /// relayed unopened, and the routed incoming blocks.
+    /// [`Msg::StepRemote`](super::Msg::StepRemote).
     pub const STEP_REMOTE: u8 = 0x12;
-    /// Worker → coordinator: superstep barrier (frontier statistics).
+    /// [`Msg::StepDone`](super::Msg::StepDone).
     pub const STEP_DONE: u8 = 0x13;
-    /// Worker → coordinator: sealed state images at a checkpoint.
+    /// [`Msg::CheckpointSave`](super::Msg::CheckpointSave).
     pub const CHECKPOINT_SAVE: u8 = 0x14;
-    /// Coordinator → worker: install the committed images of every GPU
-    /// the worker hosts from now on, and resume at their iteration.
+    /// [`Msg::Restore`](super::Msg::Restore).
     pub const RESTORE: u8 = 0x20;
-    /// Worker → coordinator: restore done (recomputed statistics).
+    /// [`Msg::Restored`](super::Msg::Restored).
     pub const RESTORED: u8 = 0x21;
-    /// Coordinator → worker: traversal finished, ship final state.
+    /// [`Msg::Finish`](super::Msg::Finish).
     pub const FINISH: u8 = 0x30;
-    /// Worker → coordinator: the duplicate frames this traversal ignored,
-    /// then the final per-GPU state images. The worker then waits for the
-    /// next `Begin` or for `Shutdown`.
+    /// [`Msg::FinalState`](super::Msg::FinalState).
     pub const FINAL_STATE: u8 = 0x31;
-    /// Worker → coordinator: liveness beat (feeds the phi detector).
+    /// [`Msg::Heartbeat`](super::Msg::Heartbeat).
     pub const HEARTBEAT: u8 = 0x40;
-    /// Coordinator → worker: drain and exit.
+    /// [`Msg::Shutdown`](super::Msg::Shutdown).
     pub const SHUTDOWN: u8 = 0x41;
-    /// Worker → coordinator: acknowledged shutdown, about to exit.
+    /// [`Msg::Bye`](super::Msg::Bye).
     pub const BYE: u8 = 0x42;
 }
 
@@ -93,79 +131,431 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Little-endian message body writer.
+/// One protocol message: a frame kind and its typed body. The module's
+/// frame table gives each one's kind byte, direction, body and consumer.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Msg<'a> {
+    /// First frame on a fresh connection.
+    Hello {
+        /// The worker's [`PROTO_VERSION`].
+        version: u32,
+        /// The slot the worker claims.
+        slot: u32,
+    },
+    /// What a worker keeps until `Shutdown`.
+    Setup(Setup<'a>),
+    /// A traversal was seeded (its frontier statistics, iteration 0).
+    Ready(Stats),
+    /// Start a traversal from `source`, on a fresh hosted group over the
+    /// graph kept since `Setup`.
+    Begin {
+        /// The BFS source.
+        source: VertexId,
+    },
+    /// Run one superstep's local computation.
+    StepGo {
+        /// The superstep.
+        iter: u32,
+        /// Save the hosted GPUs' state first (`CheckpointSave`).
+        checkpoint: bool,
+    },
+    /// The hosted ranks' mask contributions (none when no hosted bit
+    /// changed) and the blocks for GPUs the worker does not host.
+    StepLocal(Exchange<'a>),
+    /// The other workers' mask contributions, relayed unopened, and the
+    /// blocks for the worker's GPUs.
+    StepRemote(Exchange<'a>),
+    /// The superstep barrier (the next frontier's statistics).
+    StepDone(Stats),
+    /// Sealed state images at a checkpoint.
+    CheckpointSave(Images),
+    /// Install the committed images of every GPU the worker hosts from now
+    /// on, and resume at their iteration.
+    Restore(Images),
+    /// Restore done (recomputed statistics).
+    Restored(Stats),
+    /// The traversal finished: ship the final state.
+    Finish,
+    /// The end of a traversal; the worker then waits for the next `Begin`
+    /// or for `Shutdown`.
+    FinalState {
+        /// Duplicate `StepRemote` frames this traversal ignored.
+        duplicates_ignored: u64,
+        /// The final sealed image of every hosted GPU.
+        images: Vec<GpuStateImage>,
+    },
+    /// Liveness beat (feeds the phi detector).
+    Heartbeat {
+        /// The beating worker's slot.
+        slot: u32,
+        /// Beats sent before this one.
+        seq: u64,
+    },
+    /// Drain and exit.
+    Shutdown,
+    /// Acknowledged shutdown, about to exit.
+    Bye,
+}
+
+/// The body of [`Msg::Setup`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Setup<'a> {
+    /// The grid, spares included.
+    pub topo: Topology,
+    /// The worker-side config bytes: the result-affecting subset of
+    /// [`BfsConfig`] and the parent flag, laid out as the module docs say.
+    pub config: &'a [u8],
+    /// Heartbeat period in milliseconds.
+    pub heartbeat_ms: u64,
+    /// Superstep deadline in milliseconds.
+    pub step_timeout_ms: u64,
+    /// The flat GPUs the worker hosts.
+    pub hosted: Vec<usize>,
+    /// The graph, as `gcbfs_graph::io::write_binary` wrote it.
+    pub graph: &'a [u8],
+}
+
+/// The body of `Ready`, `StepDone` and `Restored`: termination counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Stats {
+    /// The superstep the counts enter (0 for `Ready`, the checkpoint's for
+    /// `Restored`).
+    pub iter: u32,
+    /// The hosted normal frontier total.
+    pub frontier: u64,
+    /// The (replicated) delegate frontier length.
+    pub new_delegates: u64,
+}
+
+/// The body of `StepLocal` and `StepRemote`. Both payloads are already in
+/// wire form: the masks by
+/// [`rank_contributions`](gcbfs_cluster::collectives::rank_contributions),
+/// the blocks by [`form_blocks`](crate::comm::form_blocks).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Exchange<'a> {
+    /// The superstep.
+    pub iter: u32,
+    /// Delegate-mask contributions, one per rank at most. Borrowed by a
+    /// worker that keeps its own for the reduction.
+    pub contributions: Cow<'a, [MaskContribution]>,
+    /// `nn` update blocks.
+    pub blocks: Vec<Block>,
+}
+
+/// The body of `CheckpointSave` and `Restore`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Images {
+    /// The superstep the images enter.
+    pub iter: u32,
+    /// One sealed image per GPU, none repeated.
+    pub images: Vec<GpuStateImage>,
+}
+
+impl Msg<'_> {
+    /// The frame kind byte ([`kind`]).
+    pub fn kind(&self) -> u8 {
+        match self {
+            Self::Hello { .. } => kind::HELLO,
+            Self::Setup(_) => kind::SETUP,
+            Self::Ready(_) => kind::READY,
+            Self::Begin { .. } => kind::BEGIN,
+            Self::StepGo { .. } => kind::STEP_GO,
+            Self::StepLocal(_) => kind::STEP_LOCAL,
+            Self::StepRemote(_) => kind::STEP_REMOTE,
+            Self::StepDone(_) => kind::STEP_DONE,
+            Self::CheckpointSave(_) => kind::CHECKPOINT_SAVE,
+            Self::Restore(_) => kind::RESTORE,
+            Self::Restored(_) => kind::RESTORED,
+            Self::Finish => kind::FINISH,
+            Self::FinalState { .. } => kind::FINAL_STATE,
+            Self::Heartbeat { .. } => kind::HEARTBEAT,
+            Self::Shutdown => kind::SHUTDOWN,
+            Self::Bye => kind::BYE,
+        }
+    }
+
+    /// The superstep a message belongs to, for the kinds that carry one.
+    pub fn iter(&self) -> Option<u32> {
+        match self {
+            Self::StepGo { iter, .. } => Some(*iter),
+            Self::Ready(s) | Self::StepDone(s) | Self::Restored(s) => Some(s.iter),
+            Self::StepLocal(x) | Self::StepRemote(x) => Some(x.iter),
+            Self::CheckpointSave(l) | Self::Restore(l) => Some(l.iter),
+            _ => None,
+        }
+    }
+
+    /// Seals the message into its frame.
+    pub fn frame(&self) -> Frame {
+        let mut w = WireWriter::default();
+        match self {
+            Self::Hello { version, slot } => {
+                w.u32(*version);
+                w.u32(*slot);
+            }
+            Self::Setup(s) => {
+                w.u32(s.topo.num_ranks());
+                w.u32(s.topo.gpus_per_rank());
+                w.u32(s.topo.num_spares());
+                w.buf.extend_from_slice(s.config);
+                w.u64(s.heartbeat_ms);
+                w.u64(s.step_timeout_ms);
+                w.u32(s.hosted.len() as u32);
+                s.hosted.iter().for_each(|&f| w.u32(f as u32));
+                w.bytes(s.graph);
+            }
+            Self::Begin { source } => w.u64(*source),
+            Self::StepGo { iter, checkpoint } => {
+                w.u32(*iter);
+                w.u8(*checkpoint as u8);
+            }
+            Self::Ready(s) | Self::StepDone(s) | Self::Restored(s) => {
+                w.u32(s.iter);
+                w.u64(s.frontier);
+                w.u64(s.new_delegates);
+            }
+            Self::StepLocal(x) | Self::StepRemote(x) => {
+                w.u32(x.iter);
+                w.u32(x.contributions.len() as u32);
+                for c in x.contributions.iter() {
+                    w.u32(c.rank);
+                    w.body(&c.body, u64::to_le_bytes);
+                }
+                w.u32(x.blocks.len() as u32);
+                for b in &x.blocks {
+                    w.u32(b.src as u32);
+                    w.u32(b.dst as u32);
+                    w.body(&b.body, u32::to_le_bytes);
+                }
+            }
+            Self::CheckpointSave(l) | Self::Restore(l) => {
+                w.u32(l.iter);
+                w.images(&l.images);
+            }
+            Self::FinalState { duplicates_ignored, images } => {
+                w.u64(*duplicates_ignored);
+                w.images(images);
+            }
+            Self::Heartbeat { slot, seq } => {
+                w.u32(*slot);
+                w.u64(*seq);
+            }
+            Self::Finish | Self::Shutdown | Self::Bye => {}
+        }
+        Frame::new(self.kind(), w.buf)
+    }
+}
+
+impl<'a> Msg<'a> {
+    /// Reads a frame's message. `topo` bounds the bodies that name GPUs or
+    /// ranks; it is `None` only on a worker before its `Setup`, where such
+    /// a body is an error.
+    ///
+    /// # Errors
+    /// An unknown kind; a truncated body or trailing bytes; a list longer
+    /// than the grid allows; a block endpoint outside the grid; a wire-body
+    /// flag other than 0 or 1 or a raw body that is not whole elements; an
+    /// image that fails its seal, or one outside the grid or repeated; an
+    /// unknown tag in a worker config.
+    pub fn decode(frame: &'a Frame, topo: Option<&Topology>) -> Result<Self, ProtocolError> {
+        let mut r = WireReader { bytes: frame.payload(), at: 0 };
+        let grid = || {
+            topo.ok_or_else(|| ProtocolError::new(format!("kind {:#x} before Setup", frame.kind)))
+        };
+        let msg = match frame.kind {
+            kind::HELLO => Self::Hello { version: r.u32()?, slot: r.u32()? },
+            kind::SETUP => {
+                let topo = Topology::new(r.u32()?, r.u32()?).with_spares(r.u32()?);
+                let start = r.at;
+                read_worker_config(&mut r)?;
+                Self::Setup(Setup {
+                    topo,
+                    config: &r.bytes[start..r.at],
+                    heartbeat_ms: r.u64()?,
+                    step_timeout_ms: r.u64()?,
+                    hosted: r.u32s()?.into_iter().map(|f| f as usize).collect(),
+                    graph: r.bytes()?,
+                })
+            }
+            kind::READY => Self::Ready(r.stats()?),
+            kind::BEGIN => Self::Begin { source: r.u64()? },
+            kind::STEP_GO => Self::StepGo { iter: r.u32()?, checkpoint: r.flag()? },
+            kind::STEP_LOCAL => Self::StepLocal(r.exchange(grid()?)?),
+            kind::STEP_REMOTE => Self::StepRemote(r.exchange(grid()?)?),
+            kind::STEP_DONE => Self::StepDone(r.stats()?),
+            kind::CHECKPOINT_SAVE => Self::CheckpointSave(r.image_list(grid()?)?),
+            kind::RESTORE => Self::Restore(r.image_list(grid()?)?),
+            kind::RESTORED => Self::Restored(r.stats()?),
+            kind::FINISH => Self::Finish,
+            kind::FINAL_STATE => {
+                let duplicates_ignored = r.u64()?;
+                Self::FinalState { duplicates_ignored, images: r.images(grid()?)? }
+            }
+            kind::HEARTBEAT => Self::Heartbeat { slot: r.u32()?, seq: r.u64()? },
+            kind::SHUTDOWN => Self::Shutdown,
+            kind::BYE => Self::Bye,
+            k => return Err(ProtocolError::new(format!("unknown frame kind {k:#x}"))),
+        };
+        r.expect_end()?;
+        Ok(msg)
+    }
+}
+
+/// The worker-side config: the result-affecting subset of [`BfsConfig`]
+/// that makes a worker compute bit-identical values to the sim, and
+/// whether it records parents. Cost-model, recovery, observability and
+/// verification knobs stay with the coordinator: they shape modeled time
+/// and policy, never depths or parents. `Setup` carries these bytes, and
+/// a pool serves a run whose bytes equal its own.
+pub(crate) fn encode_worker_config(config: &BfsConfig, track_parents: bool) -> Vec<u8> {
+    let mut w = WireWriter::default();
+    w.u64(config.degree_threshold);
+    w.u8((config.direction_optimization as u8)
+        | (config.local_all2all as u8) << 1
+        | (config.uniquify as u8) << 2
+        | (config.per_kernel_direction as u8) << 3
+        | (track_parents as u8) << 4);
+    for f in [config.dd_factors, config.dn_factors, config.nd_factors] {
+        w.f64(f.forward_to_backward);
+        w.f64(f.backward_to_forward);
+    }
+    match config.compression {
+        CompressionMode::Off => w.u8(0),
+        CompressionMode::Fixed(fc, mc) => {
+            w.u8(1);
+            w.u8(fc.tag());
+            w.u8(mc.tag());
+        }
+        CompressionMode::Adaptive => w.u8(2),
+    }
+    w.u8(match config.kernel_variant {
+        KernelVariant::Scalar => 0,
+        KernelVariant::WordParallel => 1,
+    });
+    w.buf
+}
+
+/// Reads [`encode_worker_config`] bytes into a worker's [`BfsConfig`]
+/// (defaults for every field they do not carry) and its parent flag.
+///
+/// # Errors
+/// Truncation, trailing bytes, or an unknown flag bit or tag.
+pub(crate) fn decode_worker_config(bytes: &[u8]) -> Result<(BfsConfig, bool), ProtocolError> {
+    let mut r = WireReader { bytes, at: 0 };
+    let config = read_worker_config(&mut r)?;
+    r.expect_end()?;
+    Ok(config)
+}
+
+fn read_worker_config(r: &mut WireReader<'_>) -> Result<(BfsConfig, bool), ProtocolError> {
+    let mut c = BfsConfig::new(r.u64()?);
+    let flags = r.u8()?;
+    if flags >> 5 != 0 {
+        return Err(ProtocolError::new(format!("unknown config flags {flags:#x}")));
+    }
+    c.direction_optimization = flags & 1 != 0;
+    c.local_all2all = flags & 2 != 0;
+    c.uniquify = flags & 4 != 0;
+    c.per_kernel_direction = flags & 8 != 0;
+    for f in [&mut c.dd_factors, &mut c.dn_factors, &mut c.nd_factors] {
+        f.forward_to_backward = r.f64()?;
+        f.backward_to_forward = r.f64()?;
+    }
+    c.compression = match r.u8()? {
+        0 => CompressionMode::Off,
+        1 => {
+            let (f, m) = (r.u8()?, r.u8()?);
+            let fc = FrontierCodec::ALL.into_iter().find(|c| c.tag() == f);
+            let mc = MaskCodec::ALL.into_iter().find(|c| c.tag() == m);
+            let (Some(fc), Some(mc)) = (fc, mc) else {
+                return Err(ProtocolError::new(format!("unknown codec tags {f:#x}/{m:#x}")));
+            };
+            CompressionMode::Fixed(fc, mc)
+        }
+        2 => CompressionMode::Adaptive,
+        t => return Err(ProtocolError::new(format!("unknown compression tag {t}"))),
+    };
+    c.kernel_variant = match r.u8()? {
+        0 => KernelVariant::Scalar,
+        1 => KernelVariant::WordParallel,
+        t => return Err(ProtocolError::new(format!("unknown kernel variant tag {t}"))),
+    };
+    Ok((c, flags & 16 != 0))
+}
+
+/// Little-endian body writer. The image seal is its one user outside the
+/// message codec.
 #[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
+pub(crate) struct WireWriter {
+    pub(crate) buf: Vec<u8>,
 }
 
 impl WireWriter {
-    /// Empty body.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the writer, yielding the body bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
+    fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
+    fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` by bit pattern.
-    pub fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
-    /// Appends a length-prefixed byte slice.
-    pub fn bytes(&mut self, v: &[u8]) {
+    fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }
 
-    /// Appends a length-prefixed `u32` slice.
-    pub fn u32s(&mut self, v: &[u32]) {
+    fn u32s(&mut self, v: &[u32]) {
         self.u32(v.len() as u32);
-        for &x in v {
-            self.u32(x);
+        v.iter().for_each(|&x| self.u32(x));
+    }
+
+    fn u64s(&mut self, v: &[u64]) {
+        self.u32(v.len() as u32);
+        v.iter().for_each(|&x| self.u64(x));
+    }
+
+    /// A [`WireBody`]: the flag, then the body as a byte string — raw
+    /// elements little-endian, `N` bytes each.
+    fn body<T: Copy, const N: usize>(&mut self, body: &WireBody<T>, le: fn(T) -> [u8; N]) {
+        match body {
+            WireBody::Raw(items) => {
+                self.u8(0);
+                self.u32(body.wire_bytes() as u32);
+                items.iter().for_each(|&x| self.buf.extend_from_slice(&le(x)));
+            }
+            WireBody::Encoded(bytes) => {
+                self.u8(1);
+                self.bytes(bytes);
+            }
         }
     }
 
-    /// Appends a length-prefixed `u64` slice.
-    pub fn u64s(&mut self, v: &[u64]) {
-        self.u32(v.len() as u32);
-        for &x in v {
-            self.u64(x);
+    fn images(&mut self, images: &[GpuStateImage]) {
+        self.u32(images.len() as u32);
+        for img in images {
+            img.encode_fields(self);
+            self.u64(img.digest);
         }
     }
 }
 
-/// Bounds-checked little-endian message body reader.
+/// Bounds-checked little-endian body reader: every length is checked
+/// against the rest of the body before anything is allocated for it.
 #[derive(Debug)]
-pub struct WireReader<'a> {
+struct WireReader<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> WireReader<'a> {
-    /// Reads from the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
         let end =
             self.at.checked_add(n).filter(|&e| e <= self.bytes.len()).ok_or_else(|| {
@@ -176,288 +566,161 @@ impl<'a> WireReader<'a> {
         Ok(s)
     }
 
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, ProtocolError> {
+    fn u8(&mut self) -> Result<u8, ProtocolError> {
         Ok(self.take(1)?[0])
     }
 
-    /// A `u32`.
-    pub fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn u32(&mut self) -> Result<u32, ProtocolError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("a 4-byte slice")))
     }
 
-    /// A `u64`.
-    pub fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    fn u64(&mut self) -> Result<u64, ProtocolError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("an 8-byte slice")))
     }
 
-    /// An `f64` by bit pattern.
-    pub fn f64(&mut self) -> Result<f64, ProtocolError> {
+    fn f64(&mut self) -> Result<f64, ProtocolError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A length-prefixed byte slice. The prefix is validated against the
-    /// remaining body before any allocation.
-    pub fn bytes(&mut self) -> Result<&'a [u8], ProtocolError> {
+    /// A 0/1 byte; anything else would re-encode differently.
+    fn flag(&mut self) -> Result<bool, ProtocolError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(ProtocolError::new(format!("flag byte {t} is not 0 or 1"))),
+        }
+    }
+
+    fn bytes(&mut self) -> Result<&'a [u8], ProtocolError> {
         let n = self.u32()? as usize;
         self.take(n)
     }
 
-    /// A length-prefixed `u32` slice.
-    pub fn u32s(&mut self) -> Result<Vec<u32>, ProtocolError> {
+    fn u32s(&mut self) -> Result<Vec<u32>, ProtocolError> {
         let n = self.u32()? as usize;
         let raw =
             self.take(n.checked_mul(4).ok_or_else(|| ProtocolError::new("u32s overflow"))?)?;
         Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
-    /// A length-prefixed `u64` slice.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, ProtocolError> {
+    fn u64s(&mut self) -> Result<Vec<u64>, ProtocolError> {
         let n = self.u32()? as usize;
         let raw =
             self.take(n.checked_mul(8).ok_or_else(|| ProtocolError::new("u64s overflow"))?)?;
         Ok(raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
-    /// Asserts the whole body was consumed.
-    pub fn expect_end(&self) -> Result<(), ProtocolError> {
+    fn expect_end(&self) -> Result<(), ProtocolError> {
         if self.at == self.bytes.len() {
             Ok(())
         } else {
             Err(ProtocolError::new(format!("{} trailing bytes", self.bytes.len() - self.at)))
         }
     }
-}
 
-/// The result-affecting subset of [`BfsConfig`] a worker needs to compute
-/// bit-identical values to the sim. Cost-model, recovery, observability,
-/// and verification knobs stay coordinator-side: they shape modeled time
-/// and policy, never depths or parents.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConfigWire {
-    /// Degree-separation threshold `TH`.
-    pub degree_threshold: u64,
-    /// Direction optimization on/off.
-    pub direction_optimization: bool,
-    /// Intra-rank regrouping of nn updates.
-    pub local_all2all: bool,
-    /// Sort + dedup of held nn updates.
-    pub uniquify: bool,
-    /// Per-kernel (vs global) direction decisions.
-    pub per_kernel_direction: bool,
-    /// `dd` kernel switch factors.
-    pub dd_factors: (f64, f64),
-    /// `dn` kernel switch factors.
-    pub dn_factors: (f64, f64),
-    /// `nd` kernel switch factors.
-    pub nd_factors: (f64, f64),
-    /// Wire compression mode (affects delivered block ordering).
-    pub compression: CompressionMode,
-    /// Kernel implementation variant.
-    pub kernel_variant: KernelVariant,
-    /// Whether workers record BFS-tree parents.
-    pub track_parents: bool,
-}
+    fn stats(&mut self) -> Result<Stats, ProtocolError> {
+        Ok(Stats { iter: self.u32()?, frontier: self.u64()?, new_delegates: self.u64()? })
+    }
 
-impl ConfigWire {
-    /// Extracts the wire subset from a full config.
-    pub fn from_config(config: &BfsConfig, track_parents: bool) -> Self {
-        Self {
-            degree_threshold: config.degree_threshold,
-            direction_optimization: config.direction_optimization,
-            local_all2all: config.local_all2all,
-            uniquify: config.uniquify,
-            per_kernel_direction: config.per_kernel_direction,
-            dd_factors: (
-                config.dd_factors.forward_to_backward,
-                config.dd_factors.backward_to_forward,
-            ),
-            dn_factors: (
-                config.dn_factors.forward_to_backward,
-                config.dn_factors.backward_to_forward,
-            ),
-            nd_factors: (
-                config.nd_factors.forward_to_backward,
-                config.nd_factors.backward_to_forward,
-            ),
-            compression: config.compression,
-            kernel_variant: config.kernel_variant,
-            track_parents,
+    /// A [`WireWriter::body`]; an encoded one is decoded only by its
+    /// consumer. A flag other than 0 or 1, or a raw length that is not a
+    /// multiple of `N`, is a typed error.
+    fn body<T, const N: usize>(
+        &mut self,
+        from_le: fn([u8; N]) -> T,
+    ) -> Result<WireBody<T>, ProtocolError> {
+        let flag = self.u8()?;
+        let bytes = self.bytes()?;
+        match flag {
+            0 if bytes.len().is_multiple_of(N) => Ok(WireBody::Raw(
+                bytes
+                    .chunks_exact(N)
+                    .map(|c| from_le(c.try_into().expect("an N-byte chunk")))
+                    .collect(),
+            )),
+            0 => Err(ProtocolError::new(format!("raw body length not a multiple of {N}"))),
+            1 => Ok(WireBody::Encoded(bytes.to_vec())),
+            f => Err(ProtocolError::new(format!("body flag {f} is not 0 or 1"))),
         }
     }
 
-    /// Reconstructs a worker-side [`BfsConfig`] (defaults for the
-    /// non-result-affecting fields).
-    pub fn to_config(&self) -> BfsConfig {
-        let mut c = BfsConfig::new(self.degree_threshold)
-            .with_direction_optimization(self.direction_optimization)
-            .with_local_all2all(self.local_all2all)
-            .with_uniquify(self.uniquify)
-            .with_per_kernel_direction(self.per_kernel_direction)
-            .with_compression(self.compression)
-            .with_kernel_variant(self.kernel_variant);
-        c.dd_factors.forward_to_backward = self.dd_factors.0;
-        c.dd_factors.backward_to_forward = self.dd_factors.1;
-        c.dn_factors.forward_to_backward = self.dn_factors.0;
-        c.dn_factors.backward_to_forward = self.dn_factors.1;
-        c.nd_factors.forward_to_backward = self.nd_factors.0;
-        c.nd_factors.backward_to_forward = self.nd_factors.1;
-        c
-    }
-
-    /// Serializes into a message body.
-    pub fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.degree_threshold);
-        let flags = (self.direction_optimization as u8)
-            | (self.local_all2all as u8) << 1
-            | (self.uniquify as u8) << 2
-            | (self.per_kernel_direction as u8) << 3
-            | (self.track_parents as u8) << 4;
-        w.u8(flags);
-        for f in [self.dd_factors, self.dn_factors, self.nd_factors] {
-            w.f64(f.0);
-            w.f64(f.1);
+    /// An exchange on `topo`: at most one contribution per rank, every
+    /// block endpoint inside the grid. The contributions' ranks and
+    /// encoded bodies are checked by the reduction.
+    fn exchange(&mut self, topo: &Topology) -> Result<Exchange<'static>, ProtocolError> {
+        let iter = self.u32()?;
+        let (ranks, p) = (topo.num_ranks(), topo.num_gpus() as usize);
+        let n = self.u32()?;
+        if n > ranks {
+            return Err(ProtocolError::new(format!("{n} mask contributions for {ranks} ranks")));
         }
-        match self.compression {
-            CompressionMode::Off => w.u8(0),
-            CompressionMode::Fixed(fc, mc) => {
-                w.u8(1);
-                w.u8(fc.tag());
-                w.u8(mc.tag());
+        let contributions = (0..n)
+            .map(|_| {
+                Ok(MaskContribution { rank: self.u32()?, body: self.body(u64::from_le_bytes)? })
+            })
+            .collect::<Result<Vec<_>, ProtocolError>>()?;
+        let n = self.u32()? as usize;
+        let mut blocks = Vec::with_capacity(n.min(p * p));
+        for _ in 0..n {
+            let (src, dst) = (self.u32()? as usize, self.u32()? as usize);
+            if src >= p || dst >= p {
+                return Err(ProtocolError::new(format!(
+                    "block {src} -> {dst} outside a {p}-gpu grid"
+                )));
             }
-            CompressionMode::Adaptive => w.u8(2),
+            blocks.push(Block { src, dst, body: self.body(u32::from_le_bytes)? });
         }
-        w.u8(match self.kernel_variant {
-            KernelVariant::Scalar => 0,
-            KernelVariant::WordParallel => 1,
-        });
+        Ok(Exchange { iter, contributions: Cow::Owned(contributions), blocks })
     }
 
-    /// Deserializes from a message body.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Self, ProtocolError> {
-        let degree_threshold = r.u64()?;
-        let flags = r.u8()?;
-        let mut factors = [(0.0, 0.0); 3];
-        for f in &mut factors {
-            *f = (r.f64()?, r.f64()?);
+    fn image_list(&mut self, topo: &Topology) -> Result<Images, ProtocolError> {
+        Ok(Images { iter: self.u32()?, images: self.images(topo)? })
+    }
+
+    /// Images for a grid of `topo`'s GPUs, every seal verified. A GPU
+    /// outside the grid or listed twice is a typed error.
+    fn images(&mut self, topo: &Topology) -> Result<Vec<GpuStateImage>, ProtocolError> {
+        let p = topo.num_gpus() as usize;
+        let n = self.u32()? as usize;
+        if n > p {
+            return Err(ProtocolError::new(format!("{n} state images for {p} gpus")));
         }
-        let compression = match r.u8()? {
-            0 => CompressionMode::Off,
-            1 => {
-                let (f, m) = (r.u8()?, r.u8()?);
-                let fc = FrontierCodec::ALL.into_iter().find(|c| c.tag() == f);
-                let mc = MaskCodec::ALL.into_iter().find(|c| c.tag() == m);
-                let (Some(fc), Some(mc)) = (fc, mc) else {
-                    return Err(ProtocolError::new(format!("unknown codec tags {f:#x}/{m:#x}")));
-                };
-                CompressionMode::Fixed(fc, mc)
+        let mut images: Vec<GpuStateImage> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let img = self.image()?;
+            let flat = img.gpu_flat;
+            if flat as usize >= p || images.iter().any(|i| i.gpu_flat == flat) {
+                return Err(ProtocolError::new(format!("state image for gpu {flat} out of place")));
             }
-            2 => CompressionMode::Adaptive,
-            t => return Err(ProtocolError::new(format!("unknown compression tag {t}"))),
-        };
-        let kernel_variant = match r.u8()? {
-            0 => KernelVariant::Scalar,
-            1 => KernelVariant::WordParallel,
-            t => return Err(ProtocolError::new(format!("unknown kernel variant tag {t}"))),
-        };
-        Ok(Self {
-            degree_threshold,
-            direction_optimization: flags & 1 != 0,
-            local_all2all: flags & 2 != 0,
-            uniquify: flags & 4 != 0,
-            per_kernel_direction: flags & 8 != 0,
-            dd_factors: factors[0],
-            dn_factors: factors[1],
-            nd_factors: factors[2],
-            compression,
-            kernel_variant,
-            track_parents: flags & 16 != 0,
-        })
-    }
-}
-
-fn dir_tag(d: Direction) -> u8 {
-    match d {
-        Direction::Forward => 0,
-        Direction::Backward => 1,
-    }
-}
-
-fn dir_from(tag: u8) -> Result<Direction, ProtocolError> {
-    match tag {
-        0 => Ok(Direction::Forward),
-        1 => Ok(Direction::Backward),
-        t => Err(ProtocolError::new(format!("unknown direction tag {t}"))),
-    }
-}
-
-impl GpuStateImage {
-    /// Serializes every field but the digest — the bytes
-    /// [`GpuStateImage::seal`] folds. Canonical: [`Self::decode`] accepts
-    /// exactly one encoding per value, so a flipped byte that still parses
-    /// always changes the fold.
-    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
-        w.u32(self.gpu_flat);
-        w.u8(self.track_parents as u8);
-        w.u32s(&self.depths_local);
-        w.u32s(&self.delegate_depths);
-        w.u32(self.visited_bits);
-        w.u64s(&self.visited_words);
-        w.u32s(&self.frontier);
-        w.u32s(&self.new_delegates);
-        for d in self.directions {
-            w.u8(dir_tag(d));
+            images.push(img);
         }
-        w.u64s(&self.parents_local);
-        w.u64s(&self.delegate_parent_candidate);
-        w.u32(self.remote_parent_log.len() as u32);
-        for &(owner, local, parent, depth) in &self.remote_parent_log {
-            w.u32(owner.rank);
-            w.u32(owner.gpu);
-            w.u32(local);
-            w.u64(parent);
-            w.u32(depth);
-        }
+        Ok(images)
     }
 
-    /// Serializes the image (digest last).
-    pub fn encode(&self, w: &mut WireWriter) {
-        self.encode_fields(w);
-        w.u64(self.digest);
-    }
-
-    /// Deserializes and verifies the seal; a digest mismatch is a typed
-    /// error, never a silent install of corrupted state.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Self, ProtocolError> {
-        let gpu_flat = r.u32()?;
-        let track_parents = match r.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(ProtocolError::new(format!("parent-tracking flag {t} is not 0 or 1"))),
-        };
-        let depths_local = r.u32s()?;
-        let delegate_depths = r.u32s()?;
-        let visited_bits = r.u32()?;
-        let visited_words = r.u64s()?;
+    /// One image; a digest mismatch is a typed error, never a silent
+    /// install of corrupted state.
+    fn image(&mut self) -> Result<GpuStateImage, ProtocolError> {
+        let gpu_flat = self.u32()?;
+        let track_parents = self.flag()?;
+        let depths_local = self.u32s()?;
+        let delegate_depths = self.u32s()?;
+        let visited_bits = self.u32()?;
+        let visited_words = self.u64s()?;
         if visited_words.len() != (visited_bits as usize).div_ceil(64) {
             return Err(ProtocolError::new("visited mask word count mismatch"));
         }
-        let frontier = r.u32s()?;
-        let new_delegates = r.u32s()?;
-        let directions = [dir_from(r.u8()?)?, dir_from(r.u8()?)?, dir_from(r.u8()?)?];
-        let parents_local = r.u64s()?;
-        let delegate_parent_candidate = r.u64s()?;
-        let n = r.u32()? as usize;
+        let frontier = self.u32s()?;
+        let new_delegates = self.u32s()?;
+        let directions = [self.direction()?, self.direction()?, self.direction()?];
+        let parents_local = self.u64s()?;
+        let delegate_parent_candidate = self.u64s()?;
+        let n = self.u32()? as usize;
         let mut remote_parent_log = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let owner = GpuId { rank: r.u32()?, gpu: r.u32()? };
-            let local = r.u32()?;
-            let parent = r.u64()?;
-            let depth = r.u32()?;
-            remote_parent_log.push((owner, local, parent, depth));
+            let owner = GpuId { rank: self.u32()?, gpu: self.u32()? };
+            remote_parent_log.push((owner, self.u32()?, self.u64()?, self.u32()?));
         }
-        let digest = r.u64()?;
-        let img = Self {
+        let img = GpuStateImage {
             gpu_flat,
             track_parents,
             depths_local,
@@ -470,225 +733,62 @@ impl GpuStateImage {
             parents_local,
             delegate_parent_candidate,
             remote_parent_log,
-            digest,
+            digest: self.u64()?,
         };
         img.verify().map_err(|e| ProtocolError::new(e.to_string()))?;
         Ok(img)
     }
-}
 
-/// Appends a count-prefixed list of sealed images: the shared body of
-/// `CheckpointSave`, `Restore` and `FinalState`.
-pub fn write_images<'a, I>(w: &mut WireWriter, images: I)
-where
-    I: IntoIterator<Item = &'a GpuStateImage>,
-    I::IntoIter: ExactSizeIterator,
-{
-    let images = images.into_iter();
-    w.u32(images.len() as u32);
-    for img in images {
-        img.encode(w);
-    }
-}
-
-/// Reads a [`write_images`] list for a grid of `num_gpus` GPUs, verifying
-/// every seal. A GPU outside the grid or listed twice is a typed error.
-pub fn read_images(
-    r: &mut WireReader<'_>,
-    num_gpus: usize,
-) -> Result<Vec<GpuStateImage>, ProtocolError> {
-    let n = r.u32()? as usize;
-    if n > num_gpus {
-        return Err(ProtocolError::new(format!("{n} state images for {num_gpus} gpus")));
-    }
-    let mut images: Vec<GpuStateImage> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let img = GpuStateImage::decode(r)?;
-        let flat = img.gpu_flat;
-        if flat as usize >= num_gpus || images.iter().any(|i| i.gpu_flat == flat) {
-            return Err(ProtocolError::new(format!("state image for gpu {flat} out of place")));
-        }
-        images.push(img);
-    }
-    Ok(images)
-}
-
-/// Appends a [`WireBody`]: a flag byte (1 when encoded), then the body as
-/// length-prefixed bytes — raw elements little-endian, `N` bytes each.
-fn write_body<T: Copy, const N: usize>(
-    w: &mut WireWriter,
-    body: &WireBody<T>,
-    le: fn(T) -> [u8; N],
-) {
-    match body {
-        WireBody::Raw(items) => {
-            w.u8(0);
-            w.u32(body.wire_bytes() as u32);
-            items.iter().for_each(|&x| w.buf.extend_from_slice(&le(x)));
-        }
-        WireBody::Encoded(bytes) => {
-            w.u8(1);
-            w.bytes(bytes);
+    fn direction(&mut self) -> Result<Direction, ProtocolError> {
+        match self.u8()? {
+            0 => Ok(Direction::Forward),
+            1 => Ok(Direction::Backward),
+            t => Err(ProtocolError::new(format!("unknown direction tag {t}"))),
         }
     }
 }
 
-/// Reads a [`write_body`] body; an encoded one is decoded only by its
-/// consumer. A flag other than 0 or 1, or a raw length that is not a
-/// multiple of `N`, is a typed error.
-fn read_body<T, const N: usize>(
-    r: &mut WireReader<'_>,
-    from_le: fn([u8; N]) -> T,
-) -> Result<WireBody<T>, ProtocolError> {
-    let flag = r.u8()?;
-    let bytes = r.bytes()?;
-    match flag {
-        0 if bytes.len().is_multiple_of(N) => Ok(WireBody::Raw(
-            bytes
-                .chunks_exact(N)
-                .map(|c| from_le(c.try_into().expect("an N-byte chunk")))
-                .collect(),
-        )),
-        0 => Err(ProtocolError::new(format!("raw body length not a multiple of {N}"))),
-        1 => Ok(WireBody::Encoded(bytes.to_vec())),
-        f => Err(ProtocolError::new(format!("body flag {f} is not 0 or 1"))),
-    }
-}
-
-/// Appends a count-prefixed list of mask contributions: per entry the
-/// rank (`u32`), then the body ([`write_body`]).
-pub fn write_contributions(w: &mut WireWriter, contributions: &[MaskContribution]) {
-    w.u32(contributions.len() as u32);
-    for c in contributions {
-        w.u32(c.rank);
-        write_body(w, &c.body, u64::to_le_bytes);
-    }
-}
-
-/// Reads a [`write_contributions`] list of a `num_ranks`-rank grid. The
-/// ranks and encoded bodies are checked by the reduction.
-///
-/// # Errors
-/// Truncation, more entries than ranks, or a malformed body
-/// ([`read_body`]).
-pub fn read_contributions(
-    r: &mut WireReader<'_>,
-    num_ranks: u32,
-) -> Result<Vec<MaskContribution>, ProtocolError> {
-    let n = r.u32()?;
-    if n > num_ranks {
-        return Err(ProtocolError::new(format!("{n} mask contributions for {num_ranks} ranks")));
-    }
-    (0..n)
-        .map(|_| Ok(MaskContribution { rank: r.u32()?, body: read_body(r, u64::from_le_bytes)? }))
-        .collect()
-}
-
-impl Block {
-    /// Serializes the block: source and destination flats (`u32` each),
-    /// then the body ([`write_body`]).
-    pub fn encode(&self, w: &mut WireWriter) {
-        w.u32(self.src as u32);
-        w.u32(self.dst as u32);
-        write_body(w, &self.body, u32::to_le_bytes);
-    }
-
-    /// Deserializes one block of a `num_gpus`-GPU grid.
-    ///
-    /// # Errors
-    /// Truncation, an endpoint outside the grid, or a malformed body
-    /// ([`read_body`]).
-    pub fn decode(r: &mut WireReader<'_>, num_gpus: usize) -> Result<Self, ProtocolError> {
-        let (src, dst) = (r.u32()? as usize, r.u32()? as usize);
-        if src >= num_gpus || dst >= num_gpus {
-            return Err(ProtocolError::new(format!(
-                "block {src} -> {dst} outside a {num_gpus}-gpu grid"
-            )));
+impl GpuStateImage {
+    /// Writes every field but the digest — the bytes
+    /// [`GpuStateImage::seal`] folds. Canonical: the image decoder accepts
+    /// exactly one encoding per value, so a flipped byte that still parses
+    /// always changes the fold.
+    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
+        w.u32(self.gpu_flat);
+        w.u8(self.track_parents as u8);
+        w.u32s(&self.depths_local);
+        w.u32s(&self.delegate_depths);
+        w.u32(self.visited_bits);
+        w.u64s(&self.visited_words);
+        w.u32s(&self.frontier);
+        w.u32s(&self.new_delegates);
+        for d in self.directions {
+            w.u8(match d {
+                Direction::Forward => 0,
+                Direction::Backward => 1,
+            });
         }
-        Ok(Self { src, dst, body: read_body(r, u32::from_le_bytes)? })
+        w.u64s(&self.parents_local);
+        w.u64s(&self.delegate_parent_candidate);
+        w.u32(self.remote_parent_log.len() as u32);
+        for &(owner, local, parent, depth) in &self.remote_parent_log {
+            w.u32(owner.rank);
+            w.u32(owner.gpu);
+            w.u32(local);
+            w.u64(parent);
+            w.u32(depth);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcbfs_cluster::collectives::{contribute, reduce_contributions, ReduceError};
 
-    #[test]
-    fn wire_writer_reader_roundtrip() {
-        let mut w = WireWriter::new();
-        w.u8(7);
-        w.u32(0xdead_beef);
-        w.u64(u64::MAX - 1);
-        w.f64(1.5);
-        w.bytes(b"abc");
-        w.u32s(&[1, 2, 3]);
-        w.u64s(&[9, 10]);
-        let body = w.finish();
-        let mut r = WireReader::new(&body);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.f64().unwrap(), 1.5);
-        assert_eq!(r.bytes().unwrap(), b"abc");
-        assert_eq!(r.u32s().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.u64s().unwrap(), vec![9, 10]);
-        r.expect_end().unwrap();
-    }
-
-    #[test]
-    fn truncated_bodies_are_typed_errors() {
-        let mut w = WireWriter::new();
-        w.u32s(&[1, 2, 3, 4]);
-        let mut body = w.finish();
-        body.truncate(body.len() - 3);
-        let mut r = WireReader::new(&body);
-        assert!(r.u32s().is_err());
-        // A hostile length prefix larger than the body fails before any
-        // large allocation.
-        let mut r = WireReader::new(&[0xff, 0xff, 0xff, 0xff]);
-        assert!(r.bytes().is_err());
-    }
-
-    #[test]
-    fn config_wire_roundtrips() {
-        let fixed = FrontierCodec::ALL
-            .into_iter()
-            .flat_map(|f| MaskCodec::ALL.map(|m| CompressionMode::Fixed(f, m)));
-        let modes: Vec<_> =
-            [CompressionMode::Off, CompressionMode::Adaptive].into_iter().chain(fixed).collect();
-        assert_eq!(modes.len(), 11);
-        for mode in modes {
-            let config = BfsConfig::new(42)
-                .with_direction_optimization(false)
-                .with_local_all2all(true)
-                .with_uniquify(true)
-                .with_compression(mode);
-            let cw = ConfigWire::from_config(&config, true);
-            let mut w = WireWriter::new();
-            cw.encode(&mut w);
-            let body = w.finish();
-            let back = ConfigWire::decode(&mut WireReader::new(&body)).unwrap();
-            assert_eq!(cw, back, "{mode}");
-            let rebuilt = back.to_config();
-            assert_eq!(rebuilt.degree_threshold, 42);
-            assert!(!rebuilt.direction_optimization);
-            assert!(rebuilt.local_all2all && rebuilt.uniquify);
-            assert_eq!(rebuilt.compression, mode);
-            if let CompressionMode::Fixed(..) = mode {
-                // The mode byte sits after threshold (8), flags (1) and
-                // six factors (48); an unknown codec tag after it is typed.
-                for at in [58, 59] {
-                    let mut bad = body.clone();
-                    bad[at] = 0x7f;
-                    assert!(ConfigWire::decode(&mut WireReader::new(&bad)).is_err());
-                }
-            }
-        }
-    }
-
-    fn sample_image() -> GpuStateImage {
+    fn sample_image(gpu_flat: u32) -> GpuStateImage {
         let mut img = GpuStateImage {
-            gpu_flat: 3,
+            gpu_flat,
             track_parents: true,
             depths_local: vec![0, 7, u32::MAX],
             delegate_depths: vec![1, u32::MAX],
@@ -706,152 +806,251 @@ mod tests {
         img
     }
 
-    #[test]
-    fn state_image_roundtrips_and_seals() {
-        let img = sample_image();
-        let mut w = WireWriter::new();
-        img.encode(&mut w);
-        let body = w.finish();
-        let back = GpuStateImage::decode(&mut WireReader::new(&body)).unwrap();
-        assert_eq!(back.seal(), img.digest);
-        assert_eq!(back.depths_local, img.depths_local);
-        assert_eq!(back.directions, img.directions);
-        assert_eq!(back.remote_parent_log, img.remote_parent_log);
+    /// One message of every kind, on a 2 × 2 grid.
+    fn one_of_each<'a>(config: &'a [u8], graph: &'a [u8]) -> Vec<Msg<'a>> {
+        let stats = Stats { iter: 3, frontier: 17, new_delegates: 2 };
+        let varint = FrontierCodec::VarintDelta.encode(&[2, 4, 4, 10]).unwrap();
+        let exchange = Exchange {
+            iter: 3,
+            contributions: Cow::Owned(vec![
+                MaskContribution { rank: 1, body: WireBody::Raw(vec![7, 1 << 63]) },
+                contribute(CompressionMode::Adaptive, None, 0, vec![3, 0]),
+            ]),
+            blocks: vec![
+                Block { src: 1, dst: 2, body: WireBody::Raw(vec![5, 3, 9]) },
+                Block { src: 0, dst: 3, body: WireBody::Encoded(varint) },
+            ],
+        };
+        let images = Images { iter: 2, images: vec![sample_image(3), sample_image(1)] };
+        vec![
+            Msg::Hello { version: PROTO_VERSION, slot: 1 },
+            Msg::Setup(Setup {
+                topo: Topology::new(2, 2).with_spares(1),
+                config,
+                heartbeat_ms: 25,
+                step_timeout_ms: 60_000,
+                hosted: vec![2, 3],
+                graph,
+            }),
+            Msg::Ready(Stats { iter: 0, ..stats }),
+            Msg::Begin { source: 42 },
+            Msg::StepGo { iter: 3, checkpoint: true },
+            Msg::StepLocal(exchange.clone()),
+            Msg::StepRemote(Exchange { contributions: Cow::Owned(Vec::new()), ..exchange }),
+            Msg::StepDone(stats),
+            Msg::CheckpointSave(images.clone()),
+            Msg::Restore(images),
+            Msg::Restored(stats),
+            Msg::Finish,
+            Msg::FinalState { duplicates_ignored: 2, images: vec![sample_image(0)] },
+            Msg::Heartbeat { slot: 1, seq: 9 },
+            Msg::Shutdown,
+            Msg::Bye,
+        ]
+    }
 
-        // Flip one depth bit: the seal check must reject the image.
+    #[test]
+    fn every_kind_round_trips_and_every_truncation_or_trailing_byte_is_typed() {
+        let topo = Topology::new(2, 2);
+        let config = encode_worker_config(&BfsConfig::new(16), true);
+        let msgs = one_of_each(&config, b"graph bytes");
+        let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(Msg::kind).collect();
+        assert_eq!(kinds.len(), 16, "one message of every kind");
+        for msg in &msgs {
+            let frame = msg.frame();
+            assert_eq!(frame.kind, msg.kind());
+            assert_eq!(&Msg::decode(&frame, Some(&topo)).unwrap(), msg);
+            let body = frame.payload();
+            for len in 0..body.len() {
+                let cut = Frame::new(frame.kind, body[..len].to_vec());
+                assert!(Msg::decode(&cut, Some(&topo)).is_err(), "{msg:?} cut to {len}");
+            }
+            let long = Frame::new(frame.kind, [body, &[0]].concat());
+            let err = Msg::decode(&long, Some(&topo)).unwrap_err();
+            assert!(err.detail.contains("1 trailing bytes"), "{msg:?}: {err}");
+            // A body that names GPUs or ranks needs the grid.
+            let needs_grid = matches!(
+                msg,
+                Msg::StepLocal(_)
+                    | Msg::StepRemote(_)
+                    | Msg::CheckpointSave(_)
+                    | Msg::Restore(_)
+                    | Msg::FinalState { .. }
+            );
+            assert_eq!(Msg::decode(&frame, None).is_err(), needs_grid, "{msg:?}");
+        }
+        let unknown = Frame::new(0x7f, Vec::new());
+        assert!(Msg::decode(&unknown, Some(&topo)).unwrap_err().detail.contains("unknown"));
+    }
+
+    #[test]
+    fn worker_config_roundtrips_and_refuses_unknown_tags() {
+        let fixed = FrontierCodec::ALL
+            .into_iter()
+            .flat_map(|f| MaskCodec::ALL.map(|m| CompressionMode::Fixed(f, m)));
+        let modes: Vec<_> =
+            [CompressionMode::Off, CompressionMode::Adaptive].into_iter().chain(fixed).collect();
+        assert_eq!(modes.len(), 11);
+        for mode in modes {
+            let config = BfsConfig::new(42)
+                .with_direction_optimization(false)
+                .with_local_all2all(true)
+                .with_uniquify(true)
+                .with_compression(mode);
+            let bytes = encode_worker_config(&config, true);
+            let (back, parents) = decode_worker_config(&bytes).unwrap();
+            assert!(parents);
+            assert_eq!(back.degree_threshold, 42);
+            assert!(!back.direction_optimization);
+            assert!(back.local_all2all && back.uniquify);
+            assert_eq!(back.compression, mode);
+            assert_eq!(encode_worker_config(&back, parents), bytes, "{mode}");
+            // The flag byte sits after the threshold; bits 5-7 are unused.
+            let mut bad = bytes.clone();
+            bad[8] |= 1 << 5;
+            assert!(decode_worker_config(&bad).is_err());
+            if let CompressionMode::Fixed(..) = mode {
+                // The mode byte sits after threshold (8), flags (1) and
+                // six factors (48); an unknown codec tag after it is typed.
+                for at in [58, 59] {
+                    let mut bad = bytes.clone();
+                    bad[at] = 0x7f;
+                    assert!(decode_worker_config(&bad).is_err());
+                }
+            }
+        }
+    }
+
+    /// `images`' body in a `FinalState`, past its leading count of
+    /// duplicates.
+    fn image_list(images: &[GpuStateImage]) -> Vec<u8> {
+        let frame = Msg::FinalState { duplicates_ignored: 0, images: images.to_vec() }.frame();
+        frame.payload()[8..].to_vec()
+    }
+
+    fn read_images(body: &[u8], gpus: u32) -> Result<Vec<GpuStateImage>, ProtocolError> {
+        let mut r = WireReader { bytes: body, at: 0 };
+        let images = r.images(&Topology::new(1, gpus))?;
+        r.expect_end()?;
+        Ok(images)
+    }
+
+    #[test]
+    fn state_images_are_sealed_and_canonical() {
+        let body = image_list(&[sample_image(3)]);
+        assert_eq!(read_images(&body, 4).unwrap(), vec![sample_image(3)]);
+        // Flip one depth bit: the seal check must reject the image. The
+        // depths start after count (4), gpu_flat (4), flag (1), length (4).
         let mut tampered = body.clone();
-        // depths_local starts after gpu_flat(4) + flag(1) + len(4).
-        tampered[9] ^= 1;
-        assert!(GpuStateImage::decode(&mut WireReader::new(&tampered)).is_err());
+        tampered[13] ^= 1;
+        assert!(read_images(&tampered, 4).unwrap_err().detail.contains("seal"));
         // A non-canonical flag byte would re-encode as 1 and slip past
         // the seal, so it is rejected outright.
         let mut flag = body.clone();
-        flag[4] = 3;
-        assert!(GpuStateImage::decode(&mut WireReader::new(&flag)).is_err());
+        flag[8] = 3;
+        assert!(read_images(&flag, 4).is_err());
     }
 
     #[test]
     fn image_lists_reject_foreign_repeated_and_surplus_gpus() {
-        let body = |imgs: &[GpuStateImage]| {
-            let mut w = WireWriter::new();
-            write_images(&mut w, imgs);
-            w.finish()
-        };
-        let mut other = sample_image();
-        other.gpu_flat = 1;
-        other.digest = other.seal();
-        let good = body(&[sample_image(), other]);
-        let back = read_images(&mut WireReader::new(&good), 4).unwrap();
+        let good = image_list(&[sample_image(3), sample_image(1)]);
+        let back = read_images(&good, 4).unwrap();
         assert_eq!(back.iter().map(|i| i.gpu_flat).collect::<Vec<_>>(), vec![3, 1]);
         // GPU 3 is outside a 2-GPU grid, and 2 images overflow a 1-GPU one.
-        assert!(read_images(&mut WireReader::new(&good), 2).is_err());
-        assert!(read_images(&mut WireReader::new(&good), 1).is_err());
-        let repeated = body(&[sample_image(), sample_image()]);
-        assert!(read_images(&mut WireReader::new(&repeated), 4).is_err());
+        assert!(read_images(&good, 2).is_err());
+        assert!(read_images(&good, 1).is_err());
+        let repeated = image_list(&[sample_image(3), sample_image(3)]);
+        assert!(read_images(&repeated, 4).is_err());
     }
 
-    fn block_body(block: &Block) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        block.encode(&mut w);
-        w.finish()
+    /// A `StepLocal` body on a 2 × 2 grid and its decode.
+    fn exchange(x: Exchange<'_>) -> Vec<u8> {
+        Msg::StepLocal(x).frame().payload().to_vec()
     }
 
-    #[test]
-    fn blocks_roundtrip_raw_and_encoded() {
-        let raw = Block { src: 1, dst: 2, body: WireBody::Raw(vec![5, 3, 9]) };
-        let body = block_body(&raw);
-        assert_eq!(body.len(), 4 + 4 + 1 + 4 + 12);
-        assert_eq!(Block::decode(&mut WireReader::new(&body), 4).unwrap(), raw);
-
-        let sorted = [2u32, 4, 4, 10];
-        let encoded = FrontierCodec::VarintDelta.encode(&sorted).unwrap();
-        let enc = Block { src: 0, dst: 3, body: WireBody::Encoded(encoded) };
-        let back = Block::decode(&mut WireReader::new(&block_body(&enc)), 4).unwrap();
-        assert_eq!(back, enc);
+    fn read_exchange(body: &[u8]) -> Result<Msg<'static>, ProtocolError> {
+        let frame = Frame::new(kind::STEP_LOCAL, body.to_vec());
+        Msg::decode(&frame, Some(&Topology::new(2, 2))).map(|m| match m {
+            Msg::StepLocal(x) => {
+                let contributions = Cow::Owned(x.contributions.into_owned());
+                Msg::StepLocal(Exchange { iter: x.iter, contributions, blocks: x.blocks })
+            }
+            _ => unreachable!("a StepLocal frame"),
+        })
     }
 
     #[test]
-    fn hostile_contribution_frames_are_typed_errors() {
-        use gcbfs_cluster::collectives::{contribute, reduce_contributions, ReduceError};
-        // The contribution list a `StepLocal` or `StepRemote` frame carries,
-        // on a 2-rank grid.
-        let frame = |cs: &[MaskContribution]| {
-            let mut w = WireWriter::new();
-            write_contributions(&mut w, cs);
-            w.finish()
+    fn hostile_contributions_are_typed_errors() {
+        let with = |cs: Vec<MaskContribution>| {
+            exchange(Exchange { iter: 0, contributions: Cow::Owned(cs), blocks: Vec::new() })
         };
-        let read = |body: &[u8]| read_contributions(&mut WireReader::new(body), 2);
         let raw = MaskContribution { rank: 1, body: WireBody::Raw(vec![7, 1 << 63]) };
-        let enc = contribute(CompressionMode::Adaptive, None, 0, vec![3, 0]);
-        let both = vec![raw.clone(), enc];
-        assert_eq!(read(&frame(&both)).unwrap(), both);
-        let good = frame(&[raw]);
-        // The flag (offset 8) is 0 or 1.
+        let good = with(vec![raw]);
+        // After the iteration (4), the count (4) and the rank (4), the flag
+        // is 0 or 1.
         for flag in [2u8, 0x80, 0xff] {
             let mut bad = good.clone();
-            bad[8] = flag;
-            assert!(read(&bad).unwrap_err().detail.contains("flag"), "flag {flag}");
+            bad[12] = flag;
+            assert!(read_exchange(&bad).unwrap_err().detail.contains("flag"), "flag {flag}");
         }
         // More entries than ranks is refused before anything is read.
         let mut bad = good.clone();
-        bad[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read(&bad).unwrap_err().detail.contains("for 2 ranks"));
+        bad[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read_exchange(&bad).unwrap_err().detail.contains("for 2 ranks"));
         // A raw body whose length is not a multiple of 8.
-        let mut w = WireWriter::new();
-        w.u32(1);
-        w.u32(0);
-        w.u8(0);
-        w.bytes(&[1, 2, 3]);
-        assert!(read(&w.finish()).unwrap_err().detail.contains("multiple of 8"));
+        let mut bad = good.clone();
+        bad[13..17].copy_from_slice(&15u32.to_le_bytes());
+        assert!(read_exchange(&bad).unwrap_err().detail.contains("multiple of 8"));
         // A rank outside the grid and an encoded body that does not decode
         // pass the frame layout and are refused by the reduction.
         let mut foreign = good.clone();
-        foreign[4] = 2;
-        let back = read(&foreign).unwrap();
-        assert_eq!(reduce_contributions(2, 2, None, &back), Err(ReduceError::RankOutOfRange(2)));
+        foreign[8] = 2;
+        let Msg::StepLocal(back) = read_exchange(&foreign).unwrap() else { unreachable!() };
+        assert_eq!(
+            reduce_contributions(2, 2, None, &back.contributions),
+            Err(ReduceError::RankOutOfRange(2))
+        );
         let garbage = MaskContribution { rank: 0, body: WireBody::Encoded(vec![0x7f, 2, 0, 0, 0]) };
-        let back = read(&frame(&[garbage])).unwrap();
-        let err = reduce_contributions(2, 2, None, &back).unwrap_err();
+        let Msg::StepLocal(back) = read_exchange(&with(vec![garbage])).unwrap() else {
+            unreachable!()
+        };
+        let err = reduce_contributions(2, 2, None, &back.contributions).unwrap_err();
         assert!(matches!(err, ReduceError::Undecodable(0, _)), "{err:?}");
-        // Every truncation is typed too.
-        for len in 0..good.len() {
-            assert!(read(&good[..len]).is_err(), "truncated to {len}");
-        }
     }
 
     #[test]
-    fn hostile_block_bodies_are_typed_errors() {
-        let topo = gcbfs_cluster::topology::Topology::new(2, 2);
-        let decode = |body: &[u8]| Block::decode(&mut WireReader::new(body), 4);
-        let good = block_body(&Block { src: 1, dst: 2, body: WireBody::Raw(vec![7]) });
-        // The flag byte (offset 8) is 0 or 1, nothing else.
+    fn hostile_blocks_are_typed_errors() {
+        let topo = Topology::new(2, 2);
+        let block = Block { src: 1, dst: 2, body: WireBody::Raw(vec![7]) };
+        let with = |b: Block| {
+            exchange(Exchange { iter: 0, contributions: Cow::Owned(Vec::new()), blocks: vec![b] })
+        };
+        // The block starts after the iteration and both counts (12).
+        let good = with(block);
+        // The flag byte is 0 or 1, nothing else.
         for flag in [2u8, 0x80, 0xff] {
             let mut bad = good.clone();
-            bad[8] = flag;
-            assert!(decode(&bad).unwrap_err().detail.contains("flag"), "flag {flag}");
+            bad[20] = flag;
+            assert!(read_exchange(&bad).unwrap_err().detail.contains("flag"), "flag {flag}");
         }
         // A sender or receiver outside the grid.
-        for at in [0, 4] {
+        for at in [12, 16] {
             let mut bad = good.clone();
             bad[at] = 4;
-            assert!(decode(&bad).unwrap_err().detail.contains("outside"), "offset {at}");
+            assert!(read_exchange(&bad).unwrap_err().detail.contains("outside"), "offset {at}");
         }
-        // A raw body whose length is not a multiple of 4.
-        let mut w = WireWriter::new();
-        w.u32(1);
-        w.u32(2);
-        w.u8(0);
-        w.bytes(&[1, 2, 3]);
-        assert!(decode(&w.finish()).unwrap_err().detail.contains("multiple of 4"));
+        // A raw body whose length is not a multiple of 4, and a hostile
+        // length, which fails before anything is allocated for it.
+        for len in [3, u32::MAX] {
+            let mut bad = good.clone();
+            bad[21..25].copy_from_slice(&len.to_le_bytes());
+            assert!(read_exchange(&bad).is_err(), "length {len}");
+        }
         // An encoded body that does not decode passes the frame layout and
         // is refused on delivery.
         let garbage = Block { src: 1, dst: 2, body: WireBody::Encoded(vec![0x7f, 1, 0, 0, 0]) };
-        let back = decode(&block_body(&garbage)).unwrap();
-        let err = crate::comm::deliver_blocks(&topo, &[2], vec![back]).unwrap_err();
+        let Msg::StepLocal(back) = read_exchange(&with(garbage)).unwrap() else { unreachable!() };
+        let err = crate::comm::deliver_blocks(&topo, &[2], back.blocks).unwrap_err();
         assert!(err.detail.contains("does not decode"), "{err}");
-        // Every truncation is typed too.
-        for len in 0..good.len() {
-            assert!(decode(&good[..len]).is_err(), "truncated to {len}");
-        }
     }
 }

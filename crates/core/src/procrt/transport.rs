@@ -7,6 +7,7 @@
 //! ([`JitteredBackoff`]); established sockets carry read/write deadlines
 //! so a dead peer surfaces as a typed timeout instead of a hang.
 
+use super::protocol::Msg;
 use gcbfs_cluster::fault::JitteredBackoff;
 use gcbfs_compress::{Frame, FrameError};
 use std::io::Write;
@@ -121,13 +122,11 @@ impl SharedWriter {
         Ok(self.stream.lock().expect("writer lock poisoned").set_write_timeout(d)?)
     }
 
-    /// Seals `body` into a frame of `kind` and writes it atomically.
-    pub fn send(&self, kind: u8, body: Vec<u8>) -> Result<usize, TransportError> {
-        let frame = Frame::new(kind, body);
-        let bytes = frame.encode();
+    /// Seals `msg` into its frame and writes it atomically.
+    pub fn send(&self, msg: &Msg<'_>) -> Result<(), TransportError> {
+        let bytes = msg.frame().encode();
         let mut s = self.stream.lock().expect("writer lock poisoned");
-        s.write_all(&bytes)?;
-        Ok(bytes.len())
+        Ok(s.write_all(&bytes)?)
     }
 }
 
@@ -140,16 +139,16 @@ pub fn recv_frame(stream: &mut UnixStream) -> Result<Frame, TransportError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::procrt::protocol::kind;
+    use crate::procrt::protocol::{kind, Stats};
 
     #[test]
     fn send_recv_over_socketpair() {
         let (a, mut b) = UnixStream::pair().unwrap();
         let w = SharedWriter::new(a);
-        w.send(kind::HEARTBEAT, vec![1, 2, 3]).unwrap();
+        let beat = Msg::Heartbeat { slot: 1, seq: 2 };
+        w.send(&beat).unwrap();
         let f = recv_frame(&mut b).unwrap();
-        assert_eq!(f.kind, kind::HEARTBEAT);
-        assert_eq!(f.payload(), &[1, 2, 3]);
+        assert_eq!(Msg::decode(&f, None).unwrap(), beat);
     }
 
     #[test]
@@ -158,12 +157,12 @@ mod tests {
         let w = SharedWriter::new(a);
         let w2 = w.clone();
         let t = std::thread::spawn(move || {
-            for i in 0..50u32 {
-                w2.send(kind::HEARTBEAT, i.to_le_bytes().to_vec()).unwrap();
+            for i in 0..50u64 {
+                w2.send(&Msg::Heartbeat { slot: 0, seq: i }).unwrap();
             }
         });
         for i in 0..50u32 {
-            w.send(kind::STEP_DONE, (1000 + i).to_le_bytes().to_vec()).unwrap();
+            w.send(&Msg::StepDone(Stats { iter: i, ..Stats::default() })).unwrap();
         }
         t.join().unwrap();
         drop(w);

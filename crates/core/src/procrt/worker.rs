@@ -3,21 +3,19 @@
 //! One worker hosts a set of whole ranks (their flat GPUs). It rebuilds
 //! the distributed graph deterministically from the edge list its `Setup`
 //! ships — once: the worker keeps it for as long as the coordinator keeps
-//! the pool. Each `Begin{source}` seeds a fresh hosted group on that graph
-//! and runs the same per-GPU kernels as the sim driver, superstep by
-//! superstep, under the coordinator's `StepGo`/`StepRemote` cadence, until
-//! `Finish` ships the final state; the worker then waits for the next
-//! `Begin` or for `Shutdown`, with no deadline and no heartbeat, for as
-//! long as the pool is kept. A background thread heartbeats on the
-//! configured wall-clock period from `Hello` to the end of each
-//! traversal; the main thread is a pure frame
-//! dispatcher, so a worker killed with SIGKILL at *any* point leaves no
-//! protocol state behind — the coordinator's detector and checkpoints own
-//! all recovery.
+//! the pool. The superstep round is [`WorkerRound`]: it takes each
+//! decoded coordinator message and hands back the replies (the frame table
+//! in [`super::protocol`] says which answers which), running the same per-GPU
+//! kernels as the sim driver on a [`HostedGroup`]. The process around it
+//! ([`run_worker`]) only reads and writes frames. Between traversals it
+//! waits with no deadline and no heartbeat, for as long as the pool is
+//! kept; a background thread heartbeats on the configured wall-clock
+//! period from `Hello` to the end of each traversal. A worker killed with
+//! SIGKILL at *any* point leaves no protocol state behind — the
+//! coordinator's detector and checkpoints own all recovery.
 
 use super::protocol::{
-    kind, read_contributions, read_images, write_contributions, write_images, ConfigWire,
-    ProtocolError, WireReader, WireWriter, PROTO_VERSION,
+    decode_worker_config, Exchange, Images, Msg, ProtocolError, Stats, PROTO_VERSION,
 };
 use super::transport::{connect_with_backoff, recv_frame, SharedWriter, TransportError};
 use crate::comm::Block;
@@ -27,7 +25,7 @@ use crate::kernels::LocalIterationOutput;
 use crate::superstep::HostedGroup;
 use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::fault::JitteredBackoff;
-use gcbfs_cluster::topology::Topology;
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,18 +66,19 @@ impl From<ProtocolError> for WorkerError {
     }
 }
 
-/// A superstep between `StepGo` and `StepRemote`: its iteration, outputs
-/// (parallel to the hosted flats), the blocks for hosted destinations and
-/// this worker's own mask contributions.
-type InFlight = (u32, Vec<LocalIterationOutput>, Vec<Block>, Vec<MaskContribution>);
-
-/// What a worker keeps from `Setup` to `Shutdown`.
-struct Hosting {
+/// One worker's side of the superstep round, without sockets: what its
+/// `Setup` left it — the graph, the worker-side config and the hosted
+/// flats — and the traversal in flight. [`Self::handle`] takes each
+/// coordinator message and hands back the replies, so the process's
+/// dispatcher only reads and writes frames, and the in-process tests drive
+/// this same round.
+pub struct WorkerRound<'g> {
+    dist: &'g DistributedGraph,
     config: BfsConfig,
     track_parents: bool,
-    dist: DistributedGraph,
     /// The flats `Setup` assigned; every `Begin` hosts exactly these.
     flats: Vec<usize>,
+    run: Option<Traversal>,
 }
 
 /// One traversal, from `Begin` to `Finish`.
@@ -92,14 +91,132 @@ struct Traversal {
     duplicates_ignored: u64,
 }
 
+/// A superstep between `StepGo` and `StepRemote`.
+struct InFlight {
+    iter: u32,
+    /// Parallel to the hosted flats.
+    outputs: Vec<LocalIterationOutput>,
+    /// The blocks for hosted destinations, which never leave the worker.
+    held: Vec<Block>,
+    /// This worker's own mask contributions, shipped in `StepLocal` too.
+    contributions: Vec<MaskContribution>,
+}
+
 impl Traversal {
-    fn stats_body(&self, iter: u32) -> Vec<u8> {
+    fn stats(&self, iter: u32) -> Stats {
         let (frontier, new_delegates) = self.group.frontier_counts();
-        let mut w = WireWriter::new();
-        w.u32(iter);
-        w.u64(frontier);
-        w.u64(new_delegates);
-        w.finish()
+        Stats { iter, frontier, new_delegates }
+    }
+}
+
+impl<'g> WorkerRound<'g> {
+    /// A worker hosting `flats` of `dist` under the worker-side `config`,
+    /// with no traversal yet.
+    pub fn new(
+        dist: &'g DistributedGraph,
+        config: BfsConfig,
+        track_parents: bool,
+        flats: Vec<usize>,
+    ) -> Self {
+        Self { dist, config, track_parents, flats, run: None }
+    }
+
+    /// Handles one coordinator message, handing each reply to `reply` as
+    /// soon as it is formed:
+    /// - `Begin` → `Ready`: a fresh traversal from the source, built and
+    ///   seeded exactly as the sim driver does.
+    /// - `StepGo` → (`CheckpointSave`, when asked, before the kernels run;
+    ///   the coordinator keeps the only copy) `StepLocal`: the local
+    ///   kernels and the shared block formation. A stale superstep in
+    ///   flight (a restore raced a `StepGo`) is superseded.
+    /// - `StepRemote` → `StepDone`: reduce and consume every rank's mask
+    ///   contribution, assemble deliveries in flat source order, form the
+    ///   next frontiers. One with no superstep in flight — a duplicated or
+    ///   stale frame — is counted and answers nothing.
+    /// - `Restore` → `Restored`: install the committed images of every GPU
+    ///   hosted from now on, adopted ones built fresh, and vacate any
+    ///   superstep in flight.
+    /// - `Finish` → `FinalState`, which ends the traversal.
+    ///
+    /// # Errors
+    /// What `reply` returns; a source outside the graph; a message the
+    /// round does not expect (anything but `Begin` outside a traversal);
+    /// and the hosted group's refusals: a restore that leaves a hosted GPU
+    /// uncovered, a mask contribution or block that does not reduce or
+    /// deliver.
+    pub fn handle<E: From<ProtocolError>>(
+        &mut self,
+        msg: Msg<'_>,
+        mut reply: impl FnMut(Msg<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let kind = msg.kind();
+        let unexpected =
+            || ProtocolError::new(format!("unexpected frame kind {kind:#x} from coordinator"));
+        if let Msg::Begin { source } = msg {
+            if source >= self.dist.num_vertices() {
+                return Err(ProtocolError::new(format!("source {source} out of range")).into());
+            }
+            // The constructor rejects out-of-range and repeated flats.
+            let mut group =
+                HostedGroup::new(self.dist, &self.config, self.track_parents, &self.flats)?;
+            group.seed_source(&self.dist.separation, source);
+            let t = self.run.insert(Traversal { group, in_flight: None, duplicates_ignored: 0 });
+            return reply(Msg::Ready(t.stats(0)));
+        }
+        let Some(t) = self.run.as_mut() else { return Err(unexpected().into()) };
+        let mode = self.config.compression;
+        match msg {
+            Msg::StepGo { iter, checkpoint } => {
+                if checkpoint {
+                    reply(Msg::CheckpointSave(Images { iter, images: t.group.capture() }))?;
+                }
+                let mut outputs = t.group.compute(iter);
+                let contributions = t.group.mask_contributions(&outputs, mode);
+                let (held, blocks): (Vec<Block>, Vec<Block>) = t
+                    .group
+                    .outgoing_blocks(&mut outputs, &self.config)
+                    .into_iter()
+                    .partition(|b| t.group.hosts(b.dst));
+                let f = t.in_flight.insert(InFlight { iter, outputs, held, contributions });
+                let contributions = Cow::Borrowed(&f.contributions[..]);
+                reply(Msg::StepLocal(Exchange { iter, contributions, blocks }))
+            }
+            Msg::StepRemote(x) => {
+                let Some(mut f) = t.in_flight.take_if(|f| f.iter == x.iter) else {
+                    t.duplicates_ignored += 1;
+                    return Ok(());
+                };
+                f.contributions.extend(x.contributions.into_owned());
+                f.held.extend(x.blocks);
+                let next_depth = x.iter + 1;
+                t.group.consume_contributions(&f.contributions, mode, next_depth)?;
+                let delivered = t.group.deliveries(f.held)?;
+                t.group.commit(&mut f.outputs, &delivered, next_depth);
+                reply(Msg::StepDone(t.stats(x.iter)))
+            }
+            Msg::Restore(l) => {
+                t.group.restore(self.dist, &self.config, self.track_parents, &l.images)?;
+                t.in_flight = None;
+                reply(Msg::Restored(t.stats(l.iter)))
+            }
+            Msg::Finish => {
+                let t = self.run.take().expect("a traversal is in flight");
+                let images = t.group.capture();
+                reply(Msg::FinalState { duplicates_ignored: t.duplicates_ignored, images })
+            }
+            _ => Err(unexpected().into()),
+        }
+    }
+
+    /// The traversal's hosted group, between `Begin` and `Finish`.
+    pub fn group(&self) -> Option<&HostedGroup> {
+        self.run.as_ref().map(|t| &t.group)
+    }
+
+    /// The blocks the superstep in flight formed for GPUs this worker
+    /// hosts: they never cross the wire (empty outside a superstep).
+    pub fn held_blocks(&self) -> &[Block] {
+        self.run.as_ref().and_then(|t| t.in_flight.as_ref()).map_or(&[], |f| &f.held)
     }
 }
 
@@ -125,11 +242,7 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     let writer = SharedWriter::new(stream);
     writer.set_write_deadline(Some(Duration::from_secs(30)))?;
 
-    // Hello: version + identity, first frame on the wire.
-    let mut hello = WireWriter::new();
-    hello.u32(PROTO_VERSION);
-    hello.u32(worker_id);
-    writer.send(kind::HELLO, hello.finish())?;
+    writer.send(&Msg::Hello { version: PROTO_VERSION, slot: worker_id })?;
 
     // Heartbeats start NOW, before setup: decoding and building a large
     // graph takes real wall-clock time, and a silent worker would be
@@ -154,10 +267,7 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
                     std::thread::park(); // until a `Begin` or the stop
                     continue;
                 }
-                let mut b = WireWriter::new();
-                b.u32(worker_id);
-                b.u64(seq);
-                if hb_writer.send(kind::HEARTBEAT, b.finish()).is_err() {
+                if hb_writer.send(&Msg::Heartbeat { slot: worker_id, seq }).is_err() {
                     break; // coordinator gone; main loop will notice too
                 }
                 seq += 1;
@@ -174,7 +284,8 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     result
 }
 
-/// Everything after Hello: setup and the dispatch loop. Split out so
+/// Everything after Hello: setup, then the dispatcher that feeds the
+/// [`WorkerRound`] decoded frames and writes back its replies. Split out so
 /// `run_worker` can stop the heartbeat thread on any exit path.
 fn worker_body(
     reader: &mut std::os::unix::net::UnixStream,
@@ -182,198 +293,50 @@ fn worker_body(
     beat: &Heartbeat,
     beat_thread: &std::thread::Thread,
 ) -> Result<(), WorkerError> {
-    // Setup: topology, config, timing knobs, hosted set, graph.
     reader.set_read_timeout(Some(Duration::from_secs(120))).map_err(TransportError::from)?;
-    let setup = recv_frame(reader)?;
-    if setup.kind != kind::SETUP {
+    let frame = recv_frame(reader)?;
+    let Msg::Setup(setup) = Msg::decode(&frame, None)? else {
         return Err(
-            ProtocolError::new(format!("expected Setup, got kind {:#x}", setup.kind)).into()
+            ProtocolError::new(format!("expected Setup, got kind {:#x}", frame.kind)).into()
         );
-    }
-    let mut r = WireReader::new(setup.payload());
-    let prank = r.u32()?;
-    let pgpu = r.u32()?;
-    let spares = r.u32()?;
-    let topo = Topology::new(prank, pgpu).with_spares(spares);
-    let config_wire = ConfigWire::decode(&mut r)?;
-    let heartbeat_ms = r.u64()?;
-    beat.period_ms.store(heartbeat_ms.max(1), Ordering::Relaxed);
-    let step_timeout_ms = r.u64()?;
-    let flats: Vec<usize> = r.u32s()?.into_iter().map(|f| f as usize).collect();
-    let graph_bytes = r.bytes()?;
+    };
+    beat.period_ms.store(setup.heartbeat_ms.max(1), Ordering::Relaxed);
+    let (config, track_parents) = decode_worker_config(setup.config)?;
     let graph =
-        gcbfs_graph::io::read_binary(graph_bytes).map_err(|e| WorkerError::Graph(e.to_string()))?;
-    r.expect_end()?;
-
-    let config = config_wire.to_config();
-    let dist = DistributedGraph::build(&graph, topo, &config)
+        gcbfs_graph::io::read_binary(setup.graph).map_err(|e| WorkerError::Graph(e.to_string()))?;
+    let dist = DistributedGraph::build(&graph, setup.topo, &config)
         .map_err(|e| WorkerError::Graph(e.to_string()))?;
     // The pool keeps this process between runs; only the distributed form
     // is needed from here on.
     drop(graph);
-    let hosting = Hosting { config, track_parents: config_wire.track_parents, dist, flats };
+    let mut round = WorkerRound::new(&dist, config, track_parents, setup.hosted);
 
-    // From here the worker is a dispatcher. A traversal reads under a
-    // deadline of twice the step timeout: a coordinator silent for that
-    // long mid-run is dead, and the worker exits instead of lingering as
-    // an orphan. Between runs it waits without one, for as long as the
-    // pool is kept.
-    let in_flight = Some(Duration::from_millis((step_timeout_ms * 2).max(10_000)));
+    // A traversal reads under a deadline of twice the step timeout: a
+    // coordinator silent for that long mid-run is dead, and the worker
+    // exits instead of lingering as an orphan. Between runs it waits
+    // without one, for as long as the pool is kept.
+    let in_flight = Some(Duration::from_millis((setup.step_timeout_ms * 2).max(10_000)));
     reader.set_read_timeout(None).map_err(TransportError::from)?;
-    let mut run: Option<Traversal> = None;
     loop {
         let frame = recv_frame(reader)?;
-        let payload = frame.payload().to_vec();
-        let mut r = WireReader::new(&payload);
-        match (frame.kind, run.as_mut()) {
-            (kind::BEGIN, _) => {
+        let msg = Msg::decode(&frame, Some(&dist.topology))?;
+        let finish = matches!(msg, Msg::Finish);
+        match msg {
+            Msg::Shutdown => {
+                writer.send(&Msg::Bye)?;
+                return Ok(());
+            }
+            Msg::Begin { .. } => {
                 reader.set_read_timeout(in_flight).map_err(TransportError::from)?;
                 beat.quiet.store(false, Ordering::Relaxed);
                 beat_thread.unpark();
-                run = Some(begin(&hosting, &mut r, writer)?);
             }
-            (kind::STEP_GO, Some(t)) => step_go(&hosting, t, &mut r, writer)?,
-            (kind::STEP_REMOTE, Some(t)) => step_remote(&hosting, t, &mut r, writer)?,
-            (kind::RESTORE, Some(t)) => restore(&hosting, t, &mut r, writer)?,
-            (kind::FINISH, Some(t)) => {
-                let mut w = WireWriter::new();
-                w.u64(t.duplicates_ignored);
-                write_images(&mut w, &t.group.capture());
-                writer.send(kind::FINAL_STATE, w.finish())?;
-                reader.set_read_timeout(None).map_err(TransportError::from)?;
-                beat.quiet.store(true, Ordering::Relaxed);
-                run = None;
-            }
-            (kind::SHUTDOWN, _) => {
-                writer.send(kind::BYE, Vec::new())?;
-                return Ok(());
-            }
-            (k, _) => {
-                return Err(ProtocolError::new(format!(
-                    "unexpected frame kind {k:#x} from coordinator"
-                ))
-                .into())
-            }
+            _ => {}
+        }
+        round.handle(msg, |reply| writer.send(&reply).map_err(WorkerError::from))?;
+        if finish {
+            reader.set_read_timeout(None).map_err(TransportError::from)?;
+            beat.quiet.store(true, Ordering::Relaxed);
         }
     }
-}
-
-/// `Begin`: a fresh traversal from the source on the graph kept since
-/// `Setup`, built and seeded exactly as the sim driver does; `Ready`
-/// carries its frontier statistics.
-fn begin(
-    h: &Hosting,
-    r: &mut WireReader<'_>,
-    writer: &SharedWriter,
-) -> Result<Traversal, WorkerError> {
-    let source = r.u64()?;
-    r.expect_end()?;
-    if source >= h.dist.num_vertices() {
-        return Err(ProtocolError::new(format!("source {source} out of range")).into());
-    }
-    // The group constructor rejects out-of-range and repeated hosted flats.
-    let mut group = HostedGroup::new(&h.dist, &h.config, h.track_parents, &h.flats)?;
-    group.seed_source(&h.dist.separation, source);
-    let t = Traversal { group, in_flight: None, duplicates_ignored: 0 };
-    writer.send(kind::READY, t.stats_body(0))?;
-    Ok(t)
-}
-
-/// `StepGo`: optional checkpoint save (the coordinator keeps the only
-/// copy), local kernels, the shared block formation, `StepLocal` reply.
-fn step_go(
-    h: &Hosting,
-    t: &mut Traversal,
-    r: &mut WireReader<'_>,
-    writer: &SharedWriter,
-) -> Result<(), WorkerError> {
-    let iter = r.u32()?;
-    let take_checkpoint = r.u8()? != 0;
-    r.expect_end()?;
-
-    if take_checkpoint {
-        let mut w = WireWriter::new();
-        w.u32(iter);
-        write_images(&mut w, &t.group.capture());
-        writer.send(kind::CHECKPOINT_SAVE, w.finish())?;
-    }
-
-    let mut outputs = t.group.compute(iter);
-
-    // Mask contributions and blocks ship exactly as formed; the worker
-    // keeps its own contributions and the blocks for hosted destinations
-    // for `StepRemote`. Stale ones from an aborted superstep (a restore
-    // raced a StepGo) are superseded.
-    let contributions = t.group.mask_contributions(&outputs, h.config.compression);
-    let (local, out_blocks): (Vec<Block>, Vec<Block>) = t
-        .group
-        .outgoing_blocks(&mut outputs, &h.config)
-        .into_iter()
-        .partition(|b| t.group.hosts(b.dst));
-
-    let mut w = WireWriter::new();
-    w.u32(iter);
-    write_contributions(&mut w, &contributions);
-    w.u32(out_blocks.len() as u32);
-    for b in &out_blocks {
-        b.encode(&mut w);
-    }
-    writer.send(kind::STEP_LOCAL, w.finish())?;
-    t.in_flight = Some((iter, outputs, local, contributions));
-    Ok(())
-}
-
-/// `StepRemote`: reduce and consume every rank's mask contribution,
-/// assemble deliveries in flat source order, form next frontiers, barrier
-/// with `StepDone`.
-fn step_remote(
-    h: &Hosting,
-    t: &mut Traversal,
-    r: &mut WireReader<'_>,
-    writer: &SharedWriter,
-) -> Result<(), WorkerError> {
-    let iter = r.u32()?;
-    let Some((_, mut outputs, mut blocks, mut contributions)) =
-        t.in_flight.take_if(|f| f.0 == iter)
-    else {
-        // No superstep in flight: a duplicated or stale frame. Tolerated
-        // and counted — the socket layer may legitimately replay.
-        t.duplicates_ignored += 1;
-        return Ok(());
-    };
-
-    let topo = h.dist.topology;
-    contributions.extend(read_contributions(r, topo.num_ranks())?);
-    let nblocks = r.u32()? as usize;
-    for _ in 0..nblocks {
-        blocks.push(Block::decode(r, topo.num_gpus() as usize)?);
-    }
-    r.expect_end()?;
-
-    let next_depth = iter + 1;
-    t.group.consume_contributions(&contributions, h.config.compression, next_depth)?;
-    let delivered = t.group.deliveries(blocks)?;
-    t.group.commit(&mut outputs, &delivered, next_depth);
-
-    writer.send(kind::STEP_DONE, t.stats_body(iter))?;
-    Ok(())
-}
-
-/// `Restore`: install the coordinator's committed images of every GPU
-/// this worker hosts from now on — adopted ones built fresh — and vacate
-/// any superstep in flight. Every image is decoded and verified before
-/// any is installed.
-fn restore(
-    h: &Hosting,
-    t: &mut Traversal,
-    r: &mut WireReader<'_>,
-    writer: &SharedWriter,
-) -> Result<(), WorkerError> {
-    let iter = r.u32()?;
-    let images = read_images(r, h.dist.topology.num_gpus() as usize)?;
-    r.expect_end()?;
-    t.group.restore(&h.dist, &h.config, h.track_parents, &images)?;
-    t.in_flight = None;
-    writer.send(kind::RESTORED, t.stats_body(iter))?;
-    Ok(())
 }

@@ -213,7 +213,7 @@ impl HostedGroup {
     }
 
     /// The mask codec's reference under `mode`: the shared visited mask,
-    /// once [`Self::reference_held`] and only if compression is on.
+    /// once `reference_held` and only if compression is on.
     pub fn mask_reference(&self, mode: CompressionMode) -> Option<&[u64]> {
         let held = mode.is_on() && self.reference_held;
         self.workers.first().filter(|_| held).map(|w| w.visited_mask.words())

@@ -41,8 +41,8 @@
 //!
 //! Detection feeds the escalation ladder in `chaos.rs`: re-execute the
 //! superstep from device-side shadow state, then roll back to the last
-//! checkpoint, then surface [`FaultError::SdcUnrecoverable`]
-//! (`gcbfs_cluster::fault::FaultError`).
+//! checkpoint, then surface
+//! [`FaultError::SdcUnrecoverable`](gcbfs_cluster::fault::FaultError::SdcUnrecoverable).
 
 use crate::driver::DistributedGraph;
 use crate::kernels::GpuWorker;

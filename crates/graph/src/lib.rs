@@ -13,7 +13,7 @@
 //!   Friendster social graph (Figs. 12–13);
 //! * [`webgraph`] — a long-tail web-like generator standing in for the
 //!   WDC 2012 hyperlink graph (§VI-D);
-//! * [`reference`] — a sequential reference BFS and a Graph500-style
+//! * [`reference`](mod@reference) — a sequential reference BFS and a Graph500-style
 //!   validator used as ground truth by every test in the workspace;
 //! * [`builders`] — small deterministic graphs (paths, stars, grids, …) for
 //!   unit tests;

@@ -5,7 +5,7 @@
 //! `rayon` cannot be vendored. This shim keeps every call site unchanged
 //! (`par_iter`, `par_chunks`, `into_par_iter`, `ThreadPoolBuilder`, ...)
 //! while executing **genuinely in parallel** on a persistent work-stealing
-//! worker pool built on `std::thread` + atomics (see [`pool`]). It carries
+//! worker pool built on `std::thread` + atomics (see `pool`). It carries
 //! only the operators the workspace calls: adapters `zip`, `enumerate`,
 //! `map`, `filter` and `flat_map_iter`; terminals `for_each` and `collect`;
 //! and the slice methods `par_iter`, `par_chunks`, `par_iter_mut` and
@@ -19,7 +19,7 @@
 //!
 //! * **Fixed chunk boundaries.** Every parallel operation splits its input
 //!   into chunks whose boundaries depend *only on the input length* (never on
-//!   the thread count) — see [`chunk_ends`].
+//!   the thread count) — see `chunk_ends`.
 //! * **Ordered `collect`.** Per-chunk outputs are concatenated strictly in
 //!   chunk-index order on the calling thread. Thread scheduling decides
 //!   *when* a chunk runs, never where its items land.

@@ -12,26 +12,24 @@
 //! in every `cargo test`; the RMAT 14–16 matrix and the long chaos runs
 //! are `#[ignore]`d and driven by the CI `backend-acceptance` job. The
 //! in-process cells at the bottom check the same sharing without
-//! spawning anything: the `HostedGroup` steps both backends run, over
-//! one group and over two that trade mask contributions and blocks by
-//! hand, and a checkpoint shipped through the wire codec, restored and
-//! replayed.
+//! spawning anything: the worker round every process runs
+//! (`WorkerRound`), over one worker and over two, its messages through
+//! the frame codec and routed by the coordinator's `route`, and a
+//! checkpoint saved, restored and replayed through it.
 
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
-use gpu_cluster_bfs::compress::CompressionMode;
+use gpu_cluster_bfs::compress::{CompressionMode, Frame};
 use gpu_cluster_bfs::core::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBackend, SimBackend};
-use gpu_cluster_bfs::core::checkpoint::Checkpoint;
+use gpu_cluster_bfs::core::checkpoint::GpuStateImage;
 use gpu_cluster_bfs::core::comm::Block;
 use gpu_cluster_bfs::core::driver::RunError;
-use gpu_cluster_bfs::core::procrt::protocol::{
-    read_contributions, read_images, write_contributions, write_images, WireReader, WireWriter,
-};
+use gpu_cluster_bfs::core::procrt::protocol::{Images, Msg, ProtocolError, Stats};
+use gpu_cluster_bfs::core::procrt::worker::WorkerRound;
 use gpu_cluster_bfs::core::procrt::{
-    ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
+    route, ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
 };
 use gpu_cluster_bfs::core::recovery::RecoveryConfig;
-use gpu_cluster_bfs::core::superstep::HostedGroup;
 use gpu_cluster_bfs::graph::builders;
 use gpu_cluster_bfs::obs::{Channel, MessageKind, ObservabilityConfig};
 use gpu_cluster_bfs::prelude::*;
@@ -208,6 +206,44 @@ fn one_pool_serves_many_sources_bit_exact() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn pool_traffic_is_pinned_frame_for_frame() {
+    // Every data frame's size and count is a function of the graph, the
+    // topology and the config; heartbeats are the only timing-dependent
+    // traffic, and each one is an 18-byte frame header plus a 12-byte body.
+    // (compression, parents, run) -> (wire bytes bar heartbeats, frames
+    // sent, frames received).
+    let pinned = [
+        (CompressionMode::Off, true, "cold", (1197978, 26, 30)),
+        (CompressionMode::Off, true, "warm", (153588, 24, 28)),
+        (CompressionMode::Off, false, "cold", (1097874, 26, 30)),
+        (CompressionMode::Off, false, "warm", (53484, 24, 28)),
+        (CompressionMode::Adaptive, true, "cold", (1198104, 26, 30)),
+        (CompressionMode::Adaptive, true, "warm", (153714, 24, 28)),
+        (CompressionMode::Adaptive, false, "cold", (1098000, 26, 30)),
+        (CompressionMode::Adaptive, false, "warm", (53610, 24, 28)),
+    ];
+    let graph = RmatConfig::graph500(10).generate();
+    let topo = Topology::new(4, 2);
+    let backend = ProcBackend::new(worker_cmd(), proc_opts(2));
+    for (mode, parents, run, want) in pinned {
+        let config = BfsConfig::new(16).with_compression(mode);
+        let cell = format!("{mode}, parents {parents}, {run}");
+        let report = backend
+            .run(&graph, topo, 2, &config, parents)
+            .unwrap_or_else(|e| panic!("{cell}: {e}"))
+            .proc
+            .expect("proc report");
+        assert_eq!(report.spawned > 0, run == "cold", "{cell}");
+        let got = (
+            report.wire_bytes - 30 * report.heartbeats,
+            report.frames_sent,
+            report.frames_received,
+        );
+        assert_eq!(got, want, "{cell}");
     }
 }
 
@@ -533,30 +569,123 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
 }
 
 // ---------------------------------------------------------------------------
-// The shared superstep core, in process: the steps `procrt::worker` runs
-// over its hosted flats, driven here the way the coordinator drives them
-// (carry every mask contribution through the wire codec to every group,
-// and each block to the group that hosts its destination), must
+// The round in process: the `WorkerRound` every worker process runs over
+// its hosted flats, driven the way the coordinator drives it — every
+// message through the frame codec, every superstep's `StepLocal` replies
+// relayed and routed by the coordinator's own `procrt::route` — must
 // reproduce the sim driver bit for bit.
 // ---------------------------------------------------------------------------
 
-fn seeded_groups(
-    dist: &DistributedGraph,
+/// The message `frame` carries, decoded on `topo` as a socket's reader
+/// does.
+fn decoded<'f>(frame: &'f Frame, topo: &Topology) -> Msg<'f> {
+    Msg::decode(frame, Some(topo)).unwrap_or_else(|e| panic!("kind {:#x}: {e}", frame.kind))
+}
+
+/// The frames `w` sends in reply to `msg`, in order.
+fn replies(w: &mut WorkerRound<'_>, msg: Msg<'_>) -> Vec<Frame> {
+    let mut frames = Vec::new();
+    let sent = w.handle(msg, |reply| {
+        frames.push(reply.frame());
+        Ok::<_, ProtocolError>(())
+    });
+    sent.unwrap_or_else(|e| panic!("{e}"));
+    frames
+}
+
+/// The statistics of a reply that carries them (`Ready`, `StepDone`,
+/// `Restored`).
+fn stats_of(topo: &Topology, replies: Vec<Frame>) -> Stats {
+    let [reply] = &replies[..] else { panic!("{} replies, not one", replies.len()) };
+    match decoded(reply, topo) {
+        Msg::Ready(s) | Msg::StepDone(s) | Msg::Restored(s) => s,
+        other => panic!("not a statistics reply: {other:?}"),
+    }
+}
+
+/// One worker per entry of `hosting`, each with the traversal from
+/// `source` begun, and their `Ready` statistics.
+fn begun<'g>(
+    dist: &'g DistributedGraph,
     config: &BfsConfig,
     source: u64,
     hosting: &[Vec<usize>],
-) -> Vec<HostedGroup> {
-    let mut groups: Vec<HostedGroup> =
-        hosting.iter().map(|flats| HostedGroup::new(dist, config, true, flats).unwrap()).collect();
-    for g in &mut groups {
-        g.seed_source(dist.separation(), source);
-    }
-    groups
+) -> (Vec<WorkerRound<'g>>, Vec<Stats>) {
+    hosting
+        .iter()
+        .map(|flats| {
+            let mut w = WorkerRound::new(dist, *config, true, flats.clone());
+            let stats = stats_of(&dist.topology(), replies(&mut w, Msg::Begin { source }));
+            (w, stats)
+        })
+        .unzip()
 }
 
-/// Per superstep of a traversal over groups: the frontier total entering
-/// it, the wire bytes of its cross-rank block bodies, and those of its
-/// largest mask contribution (0 when no reduction ran).
+/// What one superstep put on the wire: the bytes of its cross-rank block
+/// bodies (those a worker holds for itself included), of its largest mask
+/// contribution (0 when no reduction ran), and the images a checkpointing
+/// `StepGo` saved.
+#[derive(Default)]
+struct Shipped {
+    cross_rank_bytes: u64,
+    mask_bytes: u64,
+    saved: Vec<GpuStateImage>,
+}
+
+/// One superstep over `workers`: `StepGo` to each, their `StepLocal`
+/// replies routed by `route`, each worker's `StepRemote`. Returns the
+/// `StepDone` statistics and what the superstep shipped.
+fn step(
+    topo: Topology,
+    workers: &mut [WorkerRound<'_>],
+    iter: u32,
+    checkpoint: bool,
+) -> (Vec<Stats>, Shipped) {
+    let mut shipped = Shipped::default();
+    let cross_rank = |blocks: &[Block]| -> u64 {
+        let crosses = |b: &&Block| !topo.same_rank(topo.unflat(b.src), topo.unflat(b.dst));
+        blocks.iter().filter(crosses).map(|b| b.wire_bytes()).sum()
+    };
+    let mut sent = Vec::new();
+    for w in workers.iter_mut() {
+        sent.push(replies(w, Msg::StepGo { iter, checkpoint }));
+        shipped.cross_rank_bytes += cross_rank(w.held_blocks());
+    }
+    let mut locals = Vec::new();
+    for frames in &sent {
+        let (local, saves) = frames.split_last().expect("StepLocal comes last");
+        for save in saves {
+            let Msg::CheckpointSave(save) = decoded(save, &topo) else { panic!("not a save") };
+            assert_eq!(save.iter, iter);
+            shipped.saved.extend(save.images);
+        }
+        let Msg::StepLocal(local) = decoded(local, &topo) else { panic!("not a StepLocal") };
+        shipped.cross_rank_bytes += cross_rank(&local.blocks);
+        let largest = local.contributions.iter().map(|c| c.wire_bytes()).max();
+        shipped.mask_bytes = shipped.mask_bytes.max(largest.unwrap_or(0));
+        locals.push(Some(local));
+    }
+    let mut hosting_of = vec![usize::MAX; topo.num_gpus() as usize];
+    for (slot, w) in workers.iter().enumerate() {
+        for &flat in w.group().expect("a traversal in flight").flats() {
+            hosting_of[flat] = slot;
+        }
+    }
+    let remotes = route(&topo, &hosting_of, iter, locals).unwrap();
+    let done = workers
+        .iter_mut()
+        .zip(remotes)
+        .map(|(w, remote)| {
+            let frame = Msg::StepRemote(remote.expect("every worker is in the round")).frame();
+            stats_of(&topo, replies(w, decoded(&frame, &topo)))
+        })
+        .collect();
+    (done, shipped)
+}
+
+/// Per superstep of a traversal: the frontier total entering it, the wire
+/// bytes of its cross-rank block bodies, and those of its largest mask
+/// contribution (0 when no reduction ran).
 #[derive(Debug, Default, PartialEq)]
 struct Steps {
     frontiers: Vec<u64>,
@@ -564,106 +693,64 @@ struct Steps {
     mask_bytes: Vec<u64>,
 }
 
-/// Runs supersteps `iter..` until the frontier drains.
+/// Runs supersteps `iter..` from each worker's latest statistics until the
+/// frontier drains.
 fn run_from(
-    dist: &DistributedGraph,
-    config: &BfsConfig,
-    groups: &mut [HostedGroup],
+    topo: Topology,
+    workers: &mut [WorkerRound<'_>],
+    mut stats: Vec<Stats>,
     iter: u32,
 ) -> Steps {
     let mut steps = Steps::default();
     for iter in iter.. {
-        let frontier: u64 = groups.iter().map(|g| g.frontier_counts().0).sum();
-        if frontier == 0 && groups[0].frontier_counts().1 == 0 {
+        let frontier: u64 = stats.iter().map(|s| s.frontier).sum();
+        if frontier == 0 && stats[0].new_delegates == 0 {
             break;
         }
         steps.frontiers.push(frontier);
-        let (cross_rank_bytes, mask_bytes) = step(dist, config, groups, iter);
-        steps.cross_rank_bytes.push(cross_rank_bytes);
-        steps.mask_bytes.push(mask_bytes);
+        let (next, shipped) = step(topo, workers, iter, false);
+        steps.cross_rank_bytes.push(shipped.cross_rank_bytes);
+        steps.mask_bytes.push(shipped.mask_bytes);
+        stats = next;
     }
     steps
 }
 
-/// One superstep over `groups`, driven the way the coordinator drives it.
-/// Returns the wire bytes of the cross-rank blocks' bodies and of the
-/// largest mask contribution.
-fn step(
+/// Ends every worker's traversal (`Finish`) and assembles depths and
+/// parents from the `FinalState` images, as the coordinator does.
+fn finish(
     dist: &DistributedGraph,
-    config: &BfsConfig,
-    groups: &mut [HostedGroup],
-    iter: u32,
-) -> (u64, u64) {
-    let topo = dist.topology();
-    let mode = config.compression;
-    let mut outputs: Vec<_> = groups.iter_mut().map(|g| g.compute(iter)).collect();
-
-    let mut contributions = Vec::new();
-    for (g, out) in groups.iter().zip(&outputs) {
-        let own = g.mask_contributions(out, mode);
-        let mut w = WireWriter::new();
-        write_contributions(&mut w, &own);
-        let body = w.finish();
-        let mut r = WireReader::new(&body);
-        let shipped = read_contributions(&mut r, topo.num_ranks()).unwrap();
-        r.expect_end().unwrap();
-        assert_eq!(shipped, own, "the contribution codec is lossless");
-        contributions.extend(shipped);
-    }
-    let mask_bytes = contributions.iter().map(|c| c.wire_bytes()).max().unwrap_or(0);
-    for g in groups.iter_mut() {
-        g.consume_contributions(&contributions, mode, iter + 1).unwrap();
-    }
-
-    let mut inboxes: Vec<Vec<Block>> = vec![Vec::new(); groups.len()];
-    let mut cross_rank_bytes = 0;
-    for (g, out) in groups.iter().zip(&mut outputs) {
-        for block in g.outgoing_blocks(out, config) {
-            if !topo.same_rank(topo.unflat(block.src), topo.unflat(block.dst)) {
-                cross_rank_bytes += block.wire_bytes();
-            }
-            let mut w = WireWriter::new();
-            block.encode(&mut w);
-            let body = w.finish();
-            let mut r = WireReader::new(&body);
-            let shipped = Block::decode(&mut r, topo.num_gpus() as usize).unwrap();
-            r.expect_end().unwrap();
-            assert_eq!(shipped, block, "the block codec is lossless");
-            let host = groups.iter().position(|h| h.hosts(block.dst)).expect("every flat hosted");
-            inboxes[host].push(shipped);
-        }
-    }
-    for ((g, out), blocks) in groups.iter_mut().zip(&mut outputs).zip(inboxes) {
-        let delivered = g.deliveries(blocks).unwrap();
-        g.commit(out, &delivered, iter + 1);
-    }
-    (cross_rank_bytes, mask_bytes)
-}
-
-/// Assembles depths and parents from the groups' workers.
-fn assemble(dist: &DistributedGraph, groups: &[HostedGroup], source: u64) -> (Vec<u32>, Vec<u64>) {
-    let mut workers: Vec<_> =
-        groups.iter().flat_map(|g| g.flats().iter().copied().zip(&g.workers)).collect();
-    workers.sort_by_key(|&(flat, _)| flat);
-    let views: Vec<GpuStateView<'_>> =
-        workers.iter().map(|&(_, w)| GpuStateView::of_worker(w)).collect();
+    workers: &mut [WorkerRound<'_>],
+    source: u64,
+) -> (Vec<u32>, Vec<u64>) {
     let (topo, sep, n) = (dist.topology(), dist.separation(), dist.num_vertices());
+    let mut images = Vec::new();
+    for w in workers {
+        let frames = replies(w, Msg::Finish);
+        let [frame] = &frames[..] else { panic!("one FinalState") };
+        let Msg::FinalState { images: finals, .. } = decoded(frame, &topo) else {
+            panic!("not a FinalState")
+        };
+        images.extend(finals);
+    }
+    images.sort_by_key(|img| img.gpu_flat);
+    let views: Vec<GpuStateView<'_>> = images.iter().map(|img| img.view()).collect();
     let depths = assemble_depths(&topo, sep, n, &views);
     let (parents, _) = assemble_parents(&topo, sep, source, n, &views, &depths);
     (depths, parents)
 }
 
-/// Traverses from `source` with one `HostedGroup` per entry of `hosting`.
+/// Traverses from `source` with one worker per entry of `hosting`.
 /// Returns depths, parents and the per-superstep record.
-fn traverse_with_groups(
+fn traverse(
     dist: &DistributedGraph,
     config: &BfsConfig,
     source: u64,
     hosting: &[Vec<usize>],
 ) -> (Vec<u32>, Vec<u64>, Steps) {
-    let mut groups = seeded_groups(dist, config, source, hosting);
-    let steps = run_from(dist, config, &mut groups, 0);
-    let (depths, parents) = assemble(dist, &groups, source);
+    let (mut workers, stats) = begun(dist, config, source, hosting);
+    let steps = run_from(dist.topology(), &mut workers, stats, 0);
+    let (depths, parents) = finish(dist, &mut workers, source);
     (depths, parents, steps)
 }
 
@@ -711,8 +798,7 @@ fn hosted_groups_match_the_sim_driver_in_process() {
                     .collect();
                 for hosting in [&whole, &rank_halves] {
                     let groups = hosting.len();
-                    let (depths, parents, steps) =
-                        traverse_with_groups(&dist, &config, source, hosting);
+                    let (depths, parents, steps) = traverse(&dist, &config, source, hosting);
                     assert_eq!(depths, sim.depths, "depths, {groups} group(s), {cell}");
                     assert_eq!(Some(&parents), sim.parents.as_ref(), "parents, {cell}");
                     assert_eq!(steps.frontiers, sim_frontiers, "frontier totals, {cell}");
@@ -739,12 +825,12 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
     }
 }
 
-/// What proc recovery does, in process: capture a checkpoint after k
-/// supersteps, ship each group its GPUs' images through the wire codec,
-/// run on to the end, restore — group 1 onto a freshly built group (the
-/// spare path) or group 0 adopting every GPU (the spread path) — and
-/// replay. Under a compressing `mode` the replay only reduces if every
-/// group dropped its mask-codec reference on restore, as the fresh one
+/// What proc recovery does, in process: save a checkpoint at superstep k
+/// (`StepGo` with the flag), run on to the end, restore — worker 1 onto a
+/// freshly begun one (the spare path) or worker 0 adopting every GPU (the
+/// spread path), each sent the committed images of the GPUs it now hosts —
+/// and replay. Under a compressing `mode` the replay only reduces if every
+/// worker dropped its mask-codec reference on restore, as the fresh one
 /// never had it.
 fn checkpoint_through_the_wire(mode: CompressionMode) {
     let topo = Topology::new(4, 2);
@@ -753,70 +839,68 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
     let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
     let config = BfsConfig::new(16).with_compression(mode);
     let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
-    let (want_depths, want_parents, want) =
-        traverse_with_groups(&dist, &config, source, &rank_halves);
+    let (want_depths, want_parents, want) = traverse(&dist, &config, source, &rank_halves);
     let k = 2u32;
     assert!(want.frontiers.len() > k as usize + 1, "the checkpoint must precede real work");
-    let num_gpus = topo.num_gpus() as usize;
+    let digests = |w: &WorkerRound<'_>| -> Vec<u64> {
+        w.group().unwrap().capture().iter().map(|img| img.digest).collect()
+    };
 
     for spread in [false, true] {
-        let mut groups = seeded_groups(&dist, &config, source, &rank_halves);
+        let (mut workers, mut stats) = begun(&dist, &config, source, &rank_halves);
         let mut frontiers = Vec::new();
         for iter in 0..k {
-            frontiers.push(groups.iter().map(|g| g.frontier_counts().0).sum());
-            step(&dist, &config, &mut groups, iter);
+            frontiers.push(stats.iter().map(|s| s.frontier).sum());
+            stats = step(topo, &mut workers, iter, false).0;
         }
-        let workers: Vec<_> = groups.iter().flat_map(|g| g.workers.iter().cloned()).collect();
-        let cp = Checkpoint::capture(k, &workers, 0);
-        let hosting =
-            if spread { vec![(0..8).collect::<Vec<usize>>()] } else { rank_halves.clone() };
-        let bodies: Vec<Vec<u8>> = hosting
-            .iter()
-            .map(|flats| {
-                let mut w = WireWriter::new();
-                write_images(&mut w, flats.iter().map(|&f| &cp.images()[f]));
-                w.finish()
-            })
-            .collect();
+        let (stats, shipped) = step(topo, &mut workers, k, true);
+        let mut cp = shipped.saved;
+        cp.sort_by_key(|img| img.gpu_flat);
+        assert_eq!(
+            cp.iter().map(|img| img.gpu_flat).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
 
-        run_from(&dist, &config, &mut groups, k);
-        assert_eq!(groups[0].mask_reference(mode).is_some(), mode.is_on(), "{mode}");
-        let finished: Vec<u64> = groups[0].capture().iter().map(|img| img.digest).collect();
+        run_from(topo, &mut workers, stats, k + 1);
+        assert_eq!(workers[0].group().unwrap().mask_reference(mode).is_some(), mode.is_on());
+        let finished = digests(&workers[0]);
         // Any one flipped byte of an image list — count, any field, seal —
-        // is a typed decode error, so nothing is installed.
-        let mut w = WireWriter::new();
-        write_images(&mut w, &cp.images()[..1]);
-        let one = w.finish();
-        for at in 0..one.len() {
-            let mut tampered = one.clone();
+        // is a typed decode error, so nothing is installed. (The leading
+        // iteration takes any value.)
+        let one = Msg::Restore(Images { iter: k, images: cp[..1].to_vec() }).frame();
+        for at in 4..one.payload_len() {
+            let mut tampered = one.payload().to_vec();
             tampered[at] ^= 0x10;
-            let mut r = WireReader::new(&tampered);
-            let decoded =
-                read_images(&mut r, num_gpus).and_then(|imgs| r.expect_end().map(|_| imgs));
-            assert!(decoded.is_err(), "flip at byte {at} of {} went undetected", tampered.len());
+            let tampered = Frame::new(one.kind, tampered);
+            let decoded = Msg::decode(&tampered, Some(&topo));
+            assert!(decoded.is_err(), "flip at byte {at} of {} went undetected", one.payload_len());
         }
         // A restore that leaves a hosted GPU uncovered is refused before
         // any image is installed.
-        let partial = &cp.images()[..3];
-        assert!(groups[0].restore(&dist, &config, true, partial).is_err());
-        let untouched: Vec<u64> = groups[0].capture().iter().map(|img| img.digest).collect();
-        assert_eq!(untouched, finished, "a refused restore installs nothing");
+        let partial = Msg::Restore(Images { iter: k, images: cp[..3].to_vec() });
+        assert!(workers[0].handle(partial, |_| Ok::<_, ProtocolError>(())).is_err());
+        assert_eq!(digests(&workers[0]), finished, "a refused restore installs nothing");
 
+        let hosting =
+            if spread { vec![(0..8).collect::<Vec<usize>>()] } else { rank_halves.clone() };
         if spread {
-            groups.truncate(1);
+            workers.truncate(1);
         } else {
-            groups[1] = seeded_groups(&dist, &config, source, &rank_halves[1..]).remove(0);
+            workers[1] = begun(&dist, &config, source, &rank_halves[1..]).0.remove(0);
         }
-        for (g, body) in groups.iter_mut().zip(&bodies) {
-            let mut r = WireReader::new(body);
-            let images = read_images(&mut r, num_gpus).unwrap();
-            r.expect_end().unwrap();
-            g.restore(&dist, &config, true, &images).unwrap();
-        }
-        // Every group restarts without a codec reference, as the spare.
-        assert!(groups.iter().all(|g| g.mask_reference(mode).is_none()), "{mode}");
-        frontiers.extend(run_from(&dist, &config, &mut groups, k).frontiers);
-        let (depths, parents) = assemble(&dist, &groups, source);
+        let stats: Vec<Stats> = workers
+            .iter_mut()
+            .zip(&hosting)
+            .map(|(w, flats)| {
+                let images = flats.iter().map(|&f| cp[f].clone()).collect();
+                let frame = Msg::Restore(Images { iter: k, images }).frame();
+                stats_of(&topo, replies(w, decoded(&frame, &topo)))
+            })
+            .collect();
+        // Every worker restarts without a codec reference, as the spare.
+        assert!(workers.iter().all(|w| w.group().unwrap().mask_reference(mode).is_none()));
+        frontiers.extend(run_from(topo, &mut workers, stats, k).frontiers);
+        let (depths, parents) = finish(&dist, &mut workers, source);
         assert_eq!(depths, want_depths, "depths, spread {spread}, {mode}");
         assert_eq!(parents, want_parents, "parents, spread {spread}, {mode}");
         assert_eq!(frontiers, want.frontiers, "frontier totals, spread {spread}, {mode}");
