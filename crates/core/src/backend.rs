@@ -266,4 +266,28 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn proc_backend_refuses_a_kill_of_a_slot_the_run_does_not_have() {
+        // The run has min(workers, ranks) slots: 2 of 2 workers on 4 ranks,
+        // and 1 of 2 workers on 1 rank.
+        let graph = builders::cycle(8);
+        let cmd = WorkerCommand::new("/bin/false", vec![]);
+        for (ranks, worker) in [(4, 3), (4, 2), (1, 1)] {
+            let kill = Some(crate::procrt::KillSpec { worker, iter: 1 });
+            let chaos = crate::procrt::ChaosSpec { kill, ..Default::default() };
+            let b = ProcBackend::new(cmd.clone(), ProcOptions { chaos, ..ProcOptions::default() });
+            let err = b.run(&graph, Topology::new(ranks, 1), 0, &BfsConfig::new(8), false);
+            match err {
+                Err(BackendError::Proc(
+                    e @ ProcError::InvalidOption { field: "chaos.kill", .. },
+                )) => {
+                    assert!(e.to_string().contains("chaos.kill"), "{e}")
+                }
+                other => {
+                    panic!("kill {worker} on {ranks} ranks: expected InvalidOption, got {other:?}")
+                }
+            }
+        }
+    }
 }

@@ -88,13 +88,13 @@ pub struct BfsConfig {
     /// bit-identical — no modeled-time arithmetic is added, removed or
     /// reordered by observation.
     pub observability: ObservabilityConfig,
-    /// Kernel implementation the workers run:
-    /// [`WordParallel`](KernelVariant::WordParallel) (the default)
-    /// intersects visited/candidate bitmask words 64 delegates at a time;
-    /// [`Scalar`](KernelVariant::Scalar) is the bit-serial pre-overhaul
-    /// reference, kept as the regression baseline the `kernel_sweep`
-    /// bench prices honestly (per-bit probe charges on a derated device).
-    /// Both produce bit-identical depths and parents.
+    /// How the workers' kernels are priced. Both variants run the same
+    /// word-parallel traversal (bitmask words 64 delegates at a time), so
+    /// depths and parents are bit-identical;
+    /// [`WordParallel`](KernelVariant::WordParallel) (the default) charges
+    /// per word, [`Scalar`](KernelVariant::Scalar) prices the bit-serial
+    /// pre-overhaul reference the `kernel_sweep` bench keeps as its
+    /// regression baseline (per-bit probe charges on a derated device).
     pub kernel_variant: KernelVariant,
     /// Pipelined compute/communication overlap: when on, each superstep
     /// charges `max(kernel_time, encode + transfer + decode)` instead of

@@ -39,21 +39,20 @@ pub const SCALAR_DERATE: f64 = 0.2;
 
 /// Which bottom-up / previsit kernel implementation a worker runs.
 ///
-/// Both variants produce bit-identical depths, parents, and *edge*
-/// counters; they differ in how delegate-mask state is probed and in the
-/// honest cost of doing so:
+/// Both variants run one traversal — backward pulls intersect whole u64
+/// words (`candidates & !visited`, trailing-zeros iteration), which probes
+/// the same delegates in the same order as a bit-serial scan — so depths,
+/// parents and *edge* counters are bit-identical. The variant is pricing:
 ///
-/// * [`Scalar`](Self::Scalar) is the pre-overhaul reference — backward
-///   pulls test one delegate bit at a time, and direction-optimization
-///   scans touch every delegate individually. Its probe work is charged
-///   per *bit* and its visit kernels run on a
-///   [`derated`](DeviceModel::derated) device.
-/// * [`WordParallel`](Self::WordParallel) (default) intersects whole u64
-///   words (`candidates & !visited`, trailing-zeros iteration), so probe
-///   work is charged per *word* and the full device rates apply.
+/// * [`Scalar`](Self::Scalar) prices the pre-overhaul bit-serial
+///   reference: backward pulls and direction-optimization scans charge
+///   one previsit probe per delegate *bit*, and its visit kernels run on
+///   a [`derated`](DeviceModel::derated) device.
+/// * [`WordParallel`](Self::WordParallel) (default) charges one probe per
+///   64-delegate *word*, and the full device rates apply.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelVariant {
-    /// Bit-serial reference kernels (regression baseline).
+    /// Priced as the bit-serial reference kernels (regression baseline).
     Scalar,
     /// Word-at-a-time bitmap intersection kernels.
     #[default]
@@ -503,48 +502,26 @@ impl GpuWorker {
                 // With no newly visited normals there are no parents to
                 // find and the kernel does not launch.
                 work.normal_launches += 1;
-                match self.kernel_variant {
-                    KernelVariant::WordParallel => {
-                        // Candidate words: sources not yet in the output
-                        // mask, one intersection per 64 delegates. A hit
-                        // only ever sets the candidate's *own* bit, so the
-                        // per-word snapshot probes exactly the same
-                        // delegates, in the same order, as the bit-serial
-                        // scan.
-                        for wi in 0..output_mask.num_words() {
-                            let cand = sg.dn_source_mask.word(wi) & !output_mask.word(wi);
-                            for x in DelegateMask::word_bits(wi, cand) {
-                                for &u in sg.dn.row(x) {
-                                    work.nd_edges += 1;
-                                    if self.depths_local[u as usize] == iter {
-                                        if output_mask.set(x) && self.track_parents {
-                                            self.delegate_parent_candidate[x as usize] =
-                                                topo.global_id(self.gpu, u);
-                                        }
-                                        break;
-                                    }
+                // The scalar pricing charges a per-bit probe of every delegate.
+                if self.kernel_variant == KernelVariant::Scalar {
+                    work.normal_previsit_vertices += sg.num_delegates as u64;
+                }
+                // Candidate words: sources not yet in the output mask, one
+                // intersection per 64 delegates. A hit only ever sets the
+                // candidate's *own* bit, so the per-word snapshot probes
+                // exactly the same delegates, in the same order, as the
+                // bit-serial scan the scalar pricing charges for.
+                for wi in 0..output_mask.num_words() {
+                    let cand = sg.dn_source_mask.word(wi) & !output_mask.word(wi);
+                    for x in DelegateMask::word_bits(wi, cand) {
+                        for &u in sg.dn.row(x) {
+                            work.nd_edges += 1;
+                            if self.depths_local[u as usize] == iter {
+                                if output_mask.set(x) && self.track_parents {
+                                    self.delegate_parent_candidate[x as usize] =
+                                        topo.global_id(self.gpu, u);
                                 }
-                            }
-                        }
-                    }
-                    KernelVariant::Scalar => {
-                        // Bit-serial reference: probe every delegate's
-                        // source/visited bits individually, and charge that
-                        // scan as previsit work.
-                        work.normal_previsit_vertices += sg.num_delegates as u64;
-                        for x in 0..sg.num_delegates {
-                            if !sg.dn_source_mask.get(x) || output_mask.get(x) {
-                                continue;
-                            }
-                            for &u in sg.dn.row(x) {
-                                work.nd_edges += 1;
-                                if self.depths_local[u as usize] == iter {
-                                    if output_mask.set(x) && self.track_parents {
-                                        self.delegate_parent_candidate[x as usize] =
-                                            topo.global_id(self.gpu, u);
-                                    }
-                                    break;
-                                }
+                                break;
                             }
                         }
                     }
@@ -574,41 +551,22 @@ impl GpuWorker {
             }
             Direction::Backward if q_del > 0 => {
                 work.delegate_launches += 1;
-                match self.kernel_variant {
-                    KernelVariant::WordParallel => {
-                        // Same word-at-a-time snapshot argument as the nd
-                        // pull: a hit sets only the candidate's own bit.
-                        for wi in 0..output_mask.num_words() {
-                            let cand = sg.dd_source_mask.word(wi) & !output_mask.word(wi);
-                            for y in DelegateMask::word_bits(wi, cand) {
-                                for &x in sg.dd.row(y) {
-                                    work.dd_edges += 1;
-                                    if self.delegate_depths[x as usize] == iter {
-                                        if output_mask.set(y) && self.track_parents {
-                                            self.delegate_parent_candidate[y as usize] =
-                                                DELEGATE_PARENT_TAG | x as u64;
-                                        }
-                                        break;
-                                    }
+                if self.kernel_variant == KernelVariant::Scalar {
+                    work.delegate_previsit_vertices += sg.num_delegates as u64;
+                }
+                // Same word-at-a-time snapshot argument as the nd pull: a
+                // hit sets only the candidate's own bit.
+                for wi in 0..output_mask.num_words() {
+                    let cand = sg.dd_source_mask.word(wi) & !output_mask.word(wi);
+                    for y in DelegateMask::word_bits(wi, cand) {
+                        for &x in sg.dd.row(y) {
+                            work.dd_edges += 1;
+                            if self.delegate_depths[x as usize] == iter {
+                                if output_mask.set(y) && self.track_parents {
+                                    self.delegate_parent_candidate[y as usize] =
+                                        DELEGATE_PARENT_TAG | x as u64;
                                 }
-                            }
-                        }
-                    }
-                    KernelVariant::Scalar => {
-                        work.delegate_previsit_vertices += sg.num_delegates as u64;
-                        for y in 0..sg.num_delegates {
-                            if !sg.dd_source_mask.get(y) || output_mask.get(y) {
-                                continue;
-                            }
-                            for &x in sg.dd.row(y) {
-                                work.dd_edges += 1;
-                                if self.delegate_depths[x as usize] == iter {
-                                    if output_mask.set(y) && self.track_parents {
-                                        self.delegate_parent_candidate[y as usize] =
-                                            DELEGATE_PARENT_TAG | x as u64;
-                                    }
-                                    break;
-                                }
+                                break;
                             }
                         }
                     }

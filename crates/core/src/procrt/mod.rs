@@ -2,10 +2,19 @@
 //! seam: a coordinator orchestrating a pool of worker OS processes, one
 //! per hosted rank group, over Unix-domain sockets.
 //!
-//! The messages, who sends each and who consumes it are the frame table
-//! in [`protocol`], the one owner of every frame body. The pool outlives
-//! a run: the first run spawns the workers and ships each one its `Setup`,
-//! from which it builds the
+//! The coordinator is two halves along one line. The [`round`] makes every
+//! protocol decision of a run without sockets — supersteps, checkpoints,
+//! recovery, assembly — and reaches the workers only through a
+//! [`Link`](round::Link). The process pool (`coordinator.rs`) is the link
+//! of a real run: processes, sockets, heartbeats and the death detector,
+//! chaos and traffic counts. A worker's half, [`worker::WorkerRound`], is
+//! socket-free too, so a test drives the real round over in-process
+//! workers under any schedule. The messages, who sends each and who
+//! consumes it are the frame table in [`protocol`], the one owner of every
+//! frame body.
+//!
+//! The pool outlives a run: the first run spawns the workers and ships
+//! each one its `Setup`, from which it builds the
 //! [`DistributedGraph`](crate::driver::DistributedGraph) once and keeps
 //! it. A later run whose graph, topology, worker-side config, worker
 //! command and [`ProcOptions`] (chaos aside) all match is served by the
@@ -14,19 +23,18 @@
 //! the next run spawns afresh.
 //!
 //! The BSP superstep is the sim driver's, verbatim: each worker's round
-//! ([`worker::WorkerRound`]) runs the *same*
-//! [`GpuWorker::run_iteration`](crate::kernels::GpuWorker) kernels on a
-//! hosted group, and the coordinator relays the mask contributions
-//! unopened and routes the blocks ([`route`]). Both payloads are the sim's
-//! own, formed already encoded — the masks by
+//! runs the *same* [`GpuWorker::run_iteration`](crate::kernels::GpuWorker)
+//! kernels on a hosted group, and the coordinator's round relays the mask
+//! contributions unopened and routes the blocks. Both payloads are the
+//! sim's own, formed already encoded — the masks by
 //! [`collectives`](gcbfs_cluster::collectives), the blocks by
 //! [`form_blocks`](crate::comm::form_blocks) — so the proc carries
 //! exactly the bytes the sim prices. With the end-of-run assembly
 //! ([`crate::assemble`]) shared as well, depths and parents are
 //! bit-exact across backends by construction.
 //!
-//! Liveness is real: workers heartbeat on a wall-clock period, the
-//! coordinator feeds arrivals and silences into the phi-accrual
+//! Liveness is real: workers heartbeat on a wall-clock period, the pool
+//! feeds arrivals and silences into the phi-accrual
 //! [`Membership`](gcbfs_cluster::membership::Membership) detector on a
 //! [`WallClock`](gcbfs_cluster::WallClock) started afresh by every run,
 //! and a SIGKILL'd worker is *confirmed* dead from heartbeat silence —
@@ -37,8 +45,8 @@
 //! next run starts, which then runs on a fresh pool. Checkpoints are the
 //! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s:
 //! workers ship them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
-//! cadence and keep no copy, so the coordinator's committed store is the
-//! only one. Recovery asks the sim's own decision,
+//! cadence and keep no copy, so the round's committed store is the only
+//! one. Recovery asks the sim's own decision,
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome),
 //! where the dead worker's partitions go — a freshly spawned spare process
 //! (the topology's
@@ -48,6 +56,7 @@
 //! and resumes the superstep loop.
 
 pub mod protocol;
+pub mod round;
 pub mod transport;
 pub mod worker;
 
@@ -55,7 +64,7 @@ mod coordinator;
 
 pub use crate::recovery::RecoveryMode;
 pub(crate) use coordinator::ProcPool;
-pub use coordinator::{route, WorkerCommand};
+pub use coordinator::WorkerCommand;
 
 use crate::driver::BuildError;
 use protocol::ProtocolError;
@@ -66,7 +75,8 @@ use transport::TransportError;
 /// Kill a worker process mid-sweep (chaos harness).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KillSpec {
-    /// Worker slot to SIGKILL.
+    /// Worker slot to SIGKILL: below `min(workers, ranks)`, the slots a
+    /// run has; a run refuses any other before it spawns.
     pub worker: u32,
     /// Superstep at which the kill fires (right after its `StepGo`).
     pub iter: u32,

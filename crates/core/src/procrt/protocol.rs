@@ -9,32 +9,35 @@
 //!
 //! # Frames
 //!
-//! C is the coordinator, W a worker ([`super::worker`]). All integers are
-//! little-endian.
+//! C is the coordinator — its socket-free [`Round`](super::round::Round),
+//! or the process pool that carries it — and W a worker
+//! ([`super::worker`]). All integers are little-endian.
 //!
 //! | kind | message | direction | body | consumer |
 //! |------|---------|-----------|------|----------|
-//! | `0x01` | [`Msg::Hello`] | W → C | version `u32`, slot `u32` | coordinator handshake |
+//! | `0x01` | [`Msg::Hello`] | W → C | version `u32`, slot `u32` | pool handshake |
 //! | `0x02` | [`Msg::Setup`] | C → W | ranks, GPUs per rank, spares (`u32` each); worker config; heartbeat and step-timeout ms (`u64` each); hosted flats (`u32` list); graph (byte string) | worker process, before its round |
 //! | `0x04` | [`Msg::Begin`] | C → W | source `u64` | [`WorkerRound`](super::worker::WorkerRound) |
-//! | `0x03` | [`Msg::Ready`] | W → C | stats | coordinator `begin_on` |
+//! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin` |
 //! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
-//! | `0x14` | [`Msg::CheckpointSave`] | W → C | image list | coordinator `gather` (staged) |
-//! | `0x11` | [`Msg::StepLocal`] | W → C | exchange | [`route`](super::route) |
+//! | `0x14` | [`Msg::CheckpointSave`] | W → C | image list | round `gather` (staged) |
+//! | `0x11` | [`Msg::StepLocal`] | W → C | exchange | round `route` |
 //! | `0x12` | [`Msg::StepRemote`] | C → W | exchange | `WorkerRound` |
-//! | `0x13` | [`Msg::StepDone`] | W → C | stats | coordinator superstep barrier |
+//! | `0x13` | [`Msg::StepDone`] | W → C | stats | round superstep barrier |
 //! | `0x20` | [`Msg::Restore`] | C → W | image list | `WorkerRound` |
-//! | `0x21` | [`Msg::Restored`] | W → C | stats | coordinator `recover` |
+//! | `0x21` | [`Msg::Restored`] | W → C | stats | round `recover` |
 //! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
-//! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, images | coordinator `finish` |
-//! | `0x40` | [`Msg::Heartbeat`] | W → C | slot `u32`, sequence `u64` | coordinator detector |
+//! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, images | round `finish` |
+//! | `0x40` | [`Msg::Heartbeat`] | W → C | slot `u32`, sequence `u64` | pool detector |
 //! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process |
-//! | `0x42` | [`Msg::Bye`] | W → C | empty | coordinator teardown |
+//! | `0x42` | [`Msg::Bye`] | W → C | empty | none: teardown waits for the exit |
 //!
 //! A run is `Begin` → `Ready`, then per superstep `StepGo` →
 //! (`CheckpointSave`, on the checkpoint cadence) `StepLocal` →
 //! `StepRemote` → `StepDone`, then `Finish` → `FinalState`. A recovery is
-//! `Restore` → `Restored` (a spare gets `Hello`, `Setup`, `Begin` first).
+//! `Restore` → `Restored` (a spare gets `Hello`, `Setup`, `Begin` first);
+//! before the first checkpoint commit it is `Begin` → `Ready` on every
+//! worker, a spare among them.
 //! A cold pool opens with `Hello` and `Setup`; teardown is `Shutdown` →
 //! `Bye`. Heartbeats run from `Hello` to the end of each traversal.
 //!
@@ -373,7 +376,7 @@ impl<'a> Msg<'a> {
                     config: &r.bytes[start..r.at],
                     heartbeat_ms: r.u64()?,
                     step_timeout_ms: r.u64()?,
-                    hosted: r.u32s()?.into_iter().map(|f| f as usize).collect(),
+                    hosted: r.list(u32::from_le_bytes)?.into_iter().map(|f| f as usize).collect(),
                     graph: r.bytes()?,
                 })
             }
@@ -512,14 +515,10 @@ impl WireWriter {
         self.buf.extend_from_slice(v);
     }
 
-    fn u32s(&mut self, v: &[u32]) {
+    /// A list of `N`-byte little-endian elements.
+    fn list<T: Copy, const N: usize>(&mut self, v: &[T], le: fn(T) -> [u8; N]) {
         self.u32(v.len() as u32);
-        v.iter().for_each(|&x| self.u32(x));
-    }
-
-    fn u64s(&mut self, v: &[u64]) {
-        self.u32(v.len() as u32);
-        v.iter().for_each(|&x| self.u64(x));
+        v.iter().for_each(|&x| self.buf.extend_from_slice(&le(x)));
     }
 
     /// A [`WireBody`]: the flag, then the body as a byte string — raw
@@ -596,18 +595,15 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
-    fn u32s(&mut self) -> Result<Vec<u32>, ProtocolError> {
+    /// A [`WireWriter::list`].
+    fn list<T, const N: usize>(
+        &mut self,
+        from_le: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ProtocolError> {
         let n = self.u32()? as usize;
         let raw =
-            self.take(n.checked_mul(4).ok_or_else(|| ProtocolError::new("u32s overflow"))?)?;
-        Ok(raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect())
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, ProtocolError> {
-        let n = self.u32()? as usize;
-        let raw =
-            self.take(n.checked_mul(8).ok_or_else(|| ProtocolError::new("u64s overflow"))?)?;
-        Ok(raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
+            self.take(n.checked_mul(N).ok_or_else(|| ProtocolError::new("list overflow"))?)?;
+        Ok(raw.chunks_exact(N).map(|c| from_le(c.try_into().expect("an N-byte chunk"))).collect())
     }
 
     fn expect_end(&self) -> Result<(), ProtocolError> {
@@ -702,18 +698,18 @@ impl<'a> WireReader<'a> {
     fn image(&mut self) -> Result<GpuStateImage, ProtocolError> {
         let gpu_flat = self.u32()?;
         let track_parents = self.flag()?;
-        let depths_local = self.u32s()?;
-        let delegate_depths = self.u32s()?;
+        let depths_local = self.list(u32::from_le_bytes)?;
+        let delegate_depths = self.list(u32::from_le_bytes)?;
         let visited_bits = self.u32()?;
-        let visited_words = self.u64s()?;
+        let visited_words = self.list(u64::from_le_bytes)?;
         if visited_words.len() != (visited_bits as usize).div_ceil(64) {
             return Err(ProtocolError::new("visited mask word count mismatch"));
         }
-        let frontier = self.u32s()?;
-        let new_delegates = self.u32s()?;
+        let frontier = self.list(u32::from_le_bytes)?;
+        let new_delegates = self.list(u32::from_le_bytes)?;
         let directions = [self.direction()?, self.direction()?, self.direction()?];
-        let parents_local = self.u64s()?;
-        let delegate_parent_candidate = self.u64s()?;
+        let parents_local = self.list(u64::from_le_bytes)?;
+        let delegate_parent_candidate = self.list(u64::from_le_bytes)?;
         let n = self.u32()? as usize;
         let mut remote_parent_log = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -756,20 +752,20 @@ impl GpuStateImage {
     pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
         w.u32(self.gpu_flat);
         w.u8(self.track_parents as u8);
-        w.u32s(&self.depths_local);
-        w.u32s(&self.delegate_depths);
+        w.list(&self.depths_local, u32::to_le_bytes);
+        w.list(&self.delegate_depths, u32::to_le_bytes);
         w.u32(self.visited_bits);
-        w.u64s(&self.visited_words);
-        w.u32s(&self.frontier);
-        w.u32s(&self.new_delegates);
+        w.list(&self.visited_words, u64::to_le_bytes);
+        w.list(&self.frontier, u32::to_le_bytes);
+        w.list(&self.new_delegates, u32::to_le_bytes);
         for d in self.directions {
             w.u8(match d {
                 Direction::Forward => 0,
                 Direction::Backward => 1,
             });
         }
-        w.u64s(&self.parents_local);
-        w.u64s(&self.delegate_parent_candidate);
+        w.list(&self.parents_local, u64::to_le_bytes);
+        w.list(&self.delegate_parent_candidate, u64::to_le_bytes);
         w.u32(self.remote_parent_log.len() as u32);
         for &(owner, local, parent, depth) in &self.remote_parent_log {
             w.u32(owner.rank);

@@ -85,22 +85,17 @@ pub fn connect_with_backoff(
     path: &Path,
     backoff: &JitteredBackoff,
 ) -> Result<UnixStream, TransportError> {
-    let mut attempt = 0u32;
-    loop {
-        match UnixStream::connect(path) {
+    for attempt in 0.. {
+        let last = match UnixStream::connect(path) {
             Ok(s) => return Ok(s),
-            Err(e) => match backoff.delay_secs(attempt) {
-                Some(delay) => {
-                    std::thread::sleep(Duration::from_secs_f64(delay));
-                    attempt += 1;
-                    let _ = e;
-                }
-                None => {
-                    return Err(TransportError::Connect { attempts: attempt, last: e.to_string() })
-                }
-            },
-        }
+            Err(e) => e.to_string(),
+        };
+        let Some(delay) = backoff.delay_secs(attempt) else {
+            return Err(TransportError::Connect { attempts: attempt, last });
+        };
+        std::thread::sleep(Duration::from_secs_f64(delay));
     }
+    unreachable!("the backoff gives out first")
 }
 
 /// A mutex-shared frame writer over one socket. Both the worker's main

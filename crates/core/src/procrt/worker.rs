@@ -70,8 +70,9 @@ impl From<ProtocolError> for WorkerError {
 /// `Setup` left it — the graph, the worker-side config and the hosted
 /// flats — and the traversal in flight. [`Self::handle`] takes each
 /// coordinator message and hands back the replies, so the process's
-/// dispatcher only reads and writes frames, and the in-process tests drive
-/// this same round.
+/// dispatcher only reads and writes frames, and a test's in-process link
+/// runs this same round under the coordinator's
+/// [`Round`](super::round::Round).
 pub struct WorkerRound<'g> {
     dist: &'g DistributedGraph,
     config: BfsConfig,

@@ -11,29 +11,33 @@
 //! kill and an idle spell. The small scales run
 //! in every `cargo test`; the RMAT 14–16 matrix and the long chaos runs
 //! are `#[ignore]`d and driven by the CI `backend-acceptance` job. The
-//! in-process cells at the bottom check the same sharing without
-//! spawning anything: the worker round every process runs
-//! (`WorkerRound`), over one worker and over two, its messages through
-//! the frame codec and routed by the coordinator's `route`, and a
-//! checkpoint saved, restored and replayed through it.
+//! in-process cells at the bottom spawn nothing: the coordinator's own
+//! `Round` drives the worker round every process runs (`WorkerRound`)
+//! through a link in this file, every message through the frame codec.
+//! They check the sharing over one worker and over two, a checkpoint
+//! saved, restored and replayed, a death of each slot at each superstep,
+//! and 32 seeded delivery schedules.
 
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::{CompressionMode, Frame};
-use gpu_cluster_bfs::core::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBackend, SimBackend};
 use gpu_cluster_bfs::core::checkpoint::GpuStateImage;
 use gpu_cluster_bfs::core::comm::Block;
 use gpu_cluster_bfs::core::driver::RunError;
-use gpu_cluster_bfs::core::procrt::protocol::{Images, Msg, ProtocolError, Stats};
+use gpu_cluster_bfs::core::procrt::protocol::{kind, Images, Msg, ProtocolError};
+use gpu_cluster_bfs::core::procrt::round::{Death, Heard, Link, ProcOutcome, Round};
 use gpu_cluster_bfs::core::procrt::worker::WorkerRound;
 use gpu_cluster_bfs::core::procrt::{
-    route, ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
+    hosted_flats, ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
 };
 use gpu_cluster_bfs::core::recovery::RecoveryConfig;
 use gpu_cluster_bfs::graph::builders;
+use gpu_cluster_bfs::graph::permute::splitmix64;
 use gpu_cluster_bfs::obs::{Channel, MessageKind, ObservabilityConfig};
 use gpu_cluster_bfs::prelude::*;
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn worker_cmd() -> WorkerCommand {
     WorkerCommand::new(env!("CARGO_BIN_EXE_gcbfs"), vec!["backend-worker".to_string()])
@@ -569,123 +573,40 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
 }
 
 // ---------------------------------------------------------------------------
-// The round in process: the `WorkerRound` every worker process runs over
-// its hosted flats, driven the way the coordinator drives it — every
-// message through the frame codec, every superstep's `StepLocal` replies
-// relayed and routed by the coordinator's own `procrt::route` — must
-// reproduce the sim driver bit for bit.
+// The round in process: the coordinator's own `Round` over a link whose
+// workers are the `WorkerRound` every worker process runs, every message
+// through the frame codec. It must reproduce the sim driver bit for bit,
+// recover every death its policy allows, and stay bit-exact under any
+// delivery schedule.
 // ---------------------------------------------------------------------------
 
-/// The message `frame` carries, decoded on `topo` as a socket's reader
-/// does.
-fn decoded<'f>(frame: &'f Frame, topo: &Topology) -> Msg<'f> {
-    Msg::decode(frame, Some(topo)).unwrap_or_else(|e| panic!("kind {:#x}: {e}", frame.kind))
+/// A death the in-process link inflicts: `slot`'s worker dies on the first
+/// message of `kind` (of iteration `iter`, when given) it handles, in the
+/// middle of it — a `CheckpointSave` it formed first has left, its answer
+/// has not.
+#[derive(Clone, Copy, Debug)]
+struct Kill {
+    slot: usize,
+    kind: u8,
+    iter: Option<u32>,
 }
 
-/// The frames `w` sends in reply to `msg`, in order.
-fn replies(w: &mut WorkerRound<'_>, msg: Msg<'_>) -> Vec<Frame> {
-    let mut frames = Vec::new();
-    let sent = w.handle(msg, |reply| {
-        frames.push(reply.frame());
-        Ok::<_, ProtocolError>(())
-    });
-    sent.unwrap_or_else(|e| panic!("{e}"));
-    frames
+/// What a `Restore` found on the worker it reached, and did there.
+struct RestoreSeen {
+    slot: usize,
+    frame: Frame,
+    /// The worker held a mask-codec reference before it.
+    reference_before: bool,
+    /// A copy short of one image was refused, with nothing installed.
+    partial_refused: bool,
+    /// The worker holds none after it.
+    reference_after: bool,
 }
 
-/// The statistics of a reply that carries them (`Ready`, `StepDone`,
-/// `Restored`).
-fn stats_of(topo: &Topology, replies: Vec<Frame>) -> Stats {
-    let [reply] = &replies[..] else { panic!("{} replies, not one", replies.len()) };
-    match decoded(reply, topo) {
-        Msg::Ready(s) | Msg::StepDone(s) | Msg::Restored(s) => s,
-        other => panic!("not a statistics reply: {other:?}"),
-    }
-}
-
-/// One worker per entry of `hosting`, each with the traversal from
-/// `source` begun, and their `Ready` statistics.
-fn begun<'g>(
-    dist: &'g DistributedGraph,
-    config: &BfsConfig,
-    source: u64,
-    hosting: &[Vec<usize>],
-) -> (Vec<WorkerRound<'g>>, Vec<Stats>) {
-    hosting
-        .iter()
-        .map(|flats| {
-            let mut w = WorkerRound::new(dist, *config, true, flats.clone());
-            let stats = stats_of(&dist.topology(), replies(&mut w, Msg::Begin { source }));
-            (w, stats)
-        })
-        .unzip()
-}
-
-/// What one superstep put on the wire: the bytes of its cross-rank block
-/// bodies (those a worker holds for itself included), of its largest mask
-/// contribution (0 when no reduction ran), and the images a checkpointing
-/// `StepGo` saved.
-#[derive(Default)]
-struct Shipped {
-    cross_rank_bytes: u64,
-    mask_bytes: u64,
-    saved: Vec<GpuStateImage>,
-}
-
-/// One superstep over `workers`: `StepGo` to each, their `StepLocal`
-/// replies routed by `route`, each worker's `StepRemote`. Returns the
-/// `StepDone` statistics and what the superstep shipped.
-fn step(
-    topo: Topology,
-    workers: &mut [WorkerRound<'_>],
-    iter: u32,
-    checkpoint: bool,
-) -> (Vec<Stats>, Shipped) {
-    let mut shipped = Shipped::default();
-    let cross_rank = |blocks: &[Block]| -> u64 {
-        let crosses = |b: &&Block| !topo.same_rank(topo.unflat(b.src), topo.unflat(b.dst));
-        blocks.iter().filter(crosses).map(|b| b.wire_bytes()).sum()
-    };
-    let mut sent = Vec::new();
-    for w in workers.iter_mut() {
-        sent.push(replies(w, Msg::StepGo { iter, checkpoint }));
-        shipped.cross_rank_bytes += cross_rank(w.held_blocks());
-    }
-    let mut locals = Vec::new();
-    for frames in &sent {
-        let (local, saves) = frames.split_last().expect("StepLocal comes last");
-        for save in saves {
-            let Msg::CheckpointSave(save) = decoded(save, &topo) else { panic!("not a save") };
-            assert_eq!(save.iter, iter);
-            shipped.saved.extend(save.images);
-        }
-        let Msg::StepLocal(local) = decoded(local, &topo) else { panic!("not a StepLocal") };
-        shipped.cross_rank_bytes += cross_rank(&local.blocks);
-        let largest = local.contributions.iter().map(|c| c.wire_bytes()).max();
-        shipped.mask_bytes = shipped.mask_bytes.max(largest.unwrap_or(0));
-        locals.push(Some(local));
-    }
-    let mut hosting_of = vec![usize::MAX; topo.num_gpus() as usize];
-    for (slot, w) in workers.iter().enumerate() {
-        for &flat in w.group().expect("a traversal in flight").flats() {
-            hosting_of[flat] = slot;
-        }
-    }
-    let remotes = route(&topo, &hosting_of, iter, locals).unwrap();
-    let done = workers
-        .iter_mut()
-        .zip(remotes)
-        .map(|(w, remote)| {
-            let frame = Msg::StepRemote(remote.expect("every worker is in the round")).frame();
-            stats_of(&topo, replies(w, decoded(&frame, &topo)))
-        })
-        .collect();
-    (done, shipped)
-}
-
-/// Per superstep of a traversal: the frontier total entering it, the wire
-/// bytes of its cross-rank block bodies, and those of its largest mask
-/// contribution (0 when no reduction ran).
+/// Per superstep of the committed timeline: the frontier total entering
+/// it, the wire bytes of its cross-rank block bodies (those a worker holds
+/// for itself included), and those of its largest mask contribution (0
+/// when no reduction ran).
 #[derive(Debug, Default, PartialEq)]
 struct Steps {
     frontiers: Vec<u64>,
@@ -693,65 +614,225 @@ struct Steps {
     mask_bytes: Vec<u64>,
 }
 
-/// Runs supersteps `iter..` from each worker's latest statistics until the
-/// frontier drains.
-fn run_from(
-    topo: Topology,
-    workers: &mut [WorkerRound<'_>],
-    mut stats: Vec<Stats>,
-    iter: u32,
-) -> Steps {
-    let mut steps = Steps::default();
-    for iter in iter.. {
-        let frontier: u64 = stats.iter().map(|s| s.frontier).sum();
-        if frontier == 0 && stats[0].new_delegates == 0 {
-            break;
+/// The round's [`Link`] in process: one `WorkerRound` per slot, as its
+/// `Setup` would leave it. Each slot has an inbox and an outbox, both in
+/// order, as a socket is. Unseeded, every worker handles what it was sent
+/// before the round hears any reply, in slot order, and a death is
+/// confirmed once nothing else is left to deliver. Seeded, each event —
+/// a worker handling its next frame, or the round hearing a worker's — is
+/// drawn from the seed, and every `StepRemote` is sent twice, each copy
+/// held back for a drawn number of events.
+struct InProcess<'g> {
+    dist: &'g DistributedGraph,
+    config: BfsConfig,
+    workers: Vec<Option<WorkerRound<'g>>>,
+    /// Per slot: frames for its worker, each with the events it is still
+    /// held back for.
+    inbox: Vec<VecDeque<(u32, Frame)>>,
+    /// Per slot: its worker's replies, not yet heard.
+    outbox: Vec<VecDeque<Frame>>,
+    kills: Vec<Kill>,
+    /// Deaths not yet confirmed to the round.
+    dying: VecDeque<usize>,
+    /// The schedule's generator state; `None` for the unseeded order.
+    rng: Option<u64>,
+    /// The last message sent was a `StepGo`.
+    in_go_broadcast: bool,
+    steps: Steps,
+    restores: Vec<RestoreSeen>,
+}
+
+impl<'g> InProcess<'g> {
+    /// Workers hosting `hosted[s]` of `dist` under `config`, with parents.
+    fn new(dist: &'g DistributedGraph, config: &BfsConfig, hosted: &[Vec<usize>]) -> Self {
+        let worker =
+            |flats: &Vec<usize>| Some(WorkerRound::new(dist, *config, true, flats.clone()));
+        Self {
+            dist,
+            config: *config,
+            workers: hosted.iter().map(worker).collect(),
+            inbox: vec![VecDeque::new(); hosted.len()],
+            outbox: vec![VecDeque::new(); hosted.len()],
+            kills: Vec::new(),
+            dying: VecDeque::new(),
+            rng: None,
+            in_go_broadcast: false,
+            steps: Steps::default(),
+            restores: Vec::new(),
         }
-        steps.frontiers.push(frontier);
-        let (next, shipped) = step(topo, workers, iter, false);
-        steps.cross_rank_bytes.push(shipped.cross_rank_bytes);
-        steps.mask_bytes.push(shipped.mask_bytes);
-        stats = next;
     }
-    steps
-}
 
-/// Ends every worker's traversal (`Finish`) and assembles depths and
-/// parents from the `FinalState` images, as the coordinator does.
-fn finish(
-    dist: &DistributedGraph,
-    workers: &mut [WorkerRound<'_>],
-    source: u64,
-) -> (Vec<u32>, Vec<u64>) {
-    let (topo, sep, n) = (dist.topology(), dist.separation(), dist.num_vertices());
-    let mut images = Vec::new();
-    for w in workers {
-        let frames = replies(w, Msg::Finish);
-        let [frame] = &frames[..] else { panic!("one FinalState") };
-        let Msg::FinalState { images: finals, .. } = decoded(frame, &topo) else {
-            panic!("not a FinalState")
+    fn killing(mut self, slot: usize, kind: u8, iter: Option<u32>) -> Self {
+        self.kills.push(Kill { slot, kind, iter });
+        self
+    }
+
+    fn seeded(mut self, seed: u64) -> Self {
+        self.rng = Some(seed);
+        self
+    }
+
+    /// A seeded draw below `n`.
+    fn draw(&mut self, n: usize) -> usize {
+        let state = self.rng.as_mut().expect("a seeded schedule");
+        *state = splitmix64(*state);
+        (*state % n as u64) as usize
+    }
+
+    /// `slot`'s worker handles `frame`, and its replies queue for the round.
+    fn deliver(&mut self, slot: usize, frame: &Frame) {
+        let topo = self.dist.topology();
+        let msg = Msg::decode(frame, Some(&topo)).unwrap_or_else(|e| panic!("slot {slot}: {e}"));
+        let fires = |k: &Kill| {
+            k.slot == slot && k.kind == frame.kind && k.iter.is_none_or(|i| msg.iter() == Some(i))
         };
-        images.extend(finals);
+        let dies = self.kills.iter().position(fires).map(|at| self.kills.remove(at)).is_some();
+        let mode = self.config.compression;
+        let w = self.workers[slot].as_mut().expect("only a live worker is sent frames");
+        let go = matches!(msg, Msg::StepGo { .. }).then(|| msg.iter().unwrap() as usize);
+        if let Msg::Restore(images) = &msg {
+            let reference_before = w.group().unwrap().mask_reference(mode).is_some();
+            let digests = |w: &WorkerRound<'_>| -> Vec<u64> {
+                w.group().unwrap().capture().iter().map(|img| img.digest).collect()
+            };
+            let before = digests(w);
+            let partial = Images { iter: images.iter, images: images.images[1..].to_vec() };
+            let refused = w.handle(Msg::Restore(partial), |_| Ok::<_, ProtocolError>(())).is_err();
+            self.restores.push(RestoreSeen {
+                slot,
+                frame: frame.clone(),
+                reference_before,
+                partial_refused: refused && digests(w) == before,
+                reference_after: true,
+            });
+        }
+        let mut replies = Vec::new();
+        let handled = w.handle(msg, |reply| {
+            if !dies || reply.kind() == kind::CHECKPOINT_SAVE {
+                replies.push(reply.frame());
+            }
+            Ok::<_, ProtocolError>(())
+        });
+        handled.unwrap_or_else(|e| panic!("slot {slot}: {e}"));
+        if frame.kind == kind::RESTORE {
+            let seen = self.restores.last_mut().expect("recorded above");
+            seen.reference_after = w.group().unwrap().mask_reference(mode).is_some();
+        }
+        if let Some(iter) = go {
+            let crosses = |b: &&Block| !topo.same_rank(topo.unflat(b.src), topo.unflat(b.dst));
+            let cross_rank = |blocks: &[Block]| -> u64 {
+                blocks.iter().filter(crosses).map(|b| b.wire_bytes()).sum()
+            };
+            let mut bytes = cross_rank(w.held_blocks());
+            let mut mask = 0;
+            for reply in &replies {
+                if let Ok(Msg::StepLocal(x)) = Msg::decode(reply, Some(&topo)) {
+                    bytes += cross_rank(&x.blocks);
+                    mask = x.contributions.iter().map(|c| c.wire_bytes()).max().unwrap_or(0);
+                }
+            }
+            if let Some(b) = self.steps.cross_rank_bytes.get_mut(iter) {
+                *b += bytes;
+                let m = &mut self.steps.mask_bytes[iter];
+                *m = (*m).max(mask);
+            }
+        }
+        self.outbox[slot].extend(replies);
+        if dies {
+            self.workers[slot] = None;
+            self.inbox[slot].clear();
+            self.dying.push_back(slot);
+        }
     }
-    images.sort_by_key(|img| img.gpu_flat);
-    let views: Vec<GpuStateView<'_>> = images.iter().map(|img| img.view()).collect();
-    let depths = assemble_depths(&topo, sep, n, &views);
-    let (parents, _) = assemble_parents(&topo, sep, source, n, &views, &depths);
-    (depths, parents)
 }
 
-/// Traverses from `source` with one worker per entry of `hosting`.
-/// Returns depths, parents and the per-superstep record.
-fn traverse(
-    dist: &DistributedGraph,
-    config: &BfsConfig,
+impl Link for InProcess<'_> {
+    fn send(&mut self, slot: usize, msg: &Msg<'_>) {
+        if let (Msg::StepGo { iter, .. }, false) = (msg, self.in_go_broadcast) {
+            // A superstep starts: every worker committed the last one.
+            let live = self.workers.iter().flatten().filter_map(WorkerRound::group);
+            let frontier = live.map(|g| g.frontier_counts().0).sum();
+            let steps = &mut self.steps;
+            for v in [&mut steps.frontiers, &mut steps.cross_rank_bytes, &mut steps.mask_bytes] {
+                v.truncate(*iter as usize);
+            }
+            steps.frontiers.push(frontier);
+            steps.cross_rank_bytes.push(0);
+            steps.mask_bytes.push(0);
+        }
+        self.in_go_broadcast = matches!(msg, Msg::StepGo { .. });
+        if self.workers[slot].is_none() {
+            return;
+        }
+        let seeded_remote = self.rng.is_some() && msg.kind() == kind::STEP_REMOTE;
+        for _ in 0..1 + seeded_remote as usize {
+            let hold = if seeded_remote { self.draw(4) as u32 } else { 0 };
+            self.inbox[slot].push_back((hold, msg.frame()));
+        }
+    }
+
+    fn next(&mut self, _deadline: Instant) -> Result<Option<Heard>, ProcError> {
+        let n = self.workers.len();
+        loop {
+            // Events: worker `s` handles its next frame (`s`), unless that is
+            // held back, or the round hears its next reply (`n + s`).
+            let work =
+                (0..n).filter(|&s| self.inbox[s].front().is_some_and(|(hold, _)| *hold == 0));
+            let hear = (0..n).filter(|&s| !self.outbox[s].is_empty()).map(|s| n + s);
+            let events: Vec<usize> = work.chain(hear).collect();
+            let held = self.inbox.iter().any(|q| !q.is_empty());
+            if events.is_empty() && !held {
+                // Nothing left to deliver: a death is confirmed now, or the
+                // round stalled.
+                return Ok(self.dying.pop_front().map(|slot| {
+                    self.outbox[slot].clear();
+                    Heard::Dead(Death { slot, detect_seconds: 0.0 })
+                }));
+            }
+            // One event passes, or, with only held frames left, time does.
+            for (hold, _) in self.inbox.iter_mut().flatten() {
+                *hold = hold.saturating_sub(1);
+            }
+            if events.is_empty() {
+                continue;
+            }
+            let event = events[if self.rng.is_some() { self.draw(events.len()) } else { 0 }];
+            if event < n {
+                let (_, frame) = self.inbox[event].pop_front().expect("a frame to handle");
+                self.deliver(event, &frame);
+            } else {
+                let frame = self.outbox[event - n].pop_front().expect("a reply to hear");
+                return Ok(Some(Heard::Frame(event - n, frame)));
+            }
+        }
+    }
+
+    fn replace(&mut self, slot: usize, hosted: &[usize]) -> Result<(), ProcError> {
+        self.workers[slot] = Some(WorkerRound::new(self.dist, self.config, true, hosted.to_vec()));
+        self.inbox[slot].clear();
+        self.outbox[slot].clear();
+        Ok(())
+    }
+}
+
+/// The coordinator's round from `source` over `link`, its slot `s` hosting
+/// `hosted[s]`, with parents and the link's config's recovery policy.
+fn run_round(
+    link: &mut InProcess<'_>,
+    hosted: &[Vec<usize>],
     source: u64,
-    hosting: &[Vec<usize>],
-) -> (Vec<u32>, Vec<u64>, Steps) {
-    let (mut workers, stats) = begun(dist, config, source, hosting);
-    let steps = run_from(dist.topology(), &mut workers, stats, 0);
-    let (depths, parents) = finish(dist, &mut workers, source);
-    (depths, parents, steps)
+) -> Result<ProcOutcome, ProcError> {
+    let (topo, recovery) = (link.dist.topology(), link.config.recovery);
+    let separation = Arc::new(link.dist.separation().clone());
+    let timeout = Duration::from_secs(60);
+    let mut round = Round::new(topo, separation, hosted, source, true, recovery, timeout);
+    round.begin(link)?;
+    round.traverse(link)
+}
+
+/// The highest-degree vertex: a delegate at any threshold used here.
+fn hub(graph: &EdgeList) -> u64 {
+    graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64
 }
 
 #[test]
@@ -761,8 +842,7 @@ fn hosted_groups_match_the_sim_driver_in_process() {
     let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
     for scale in 10..=12 {
         let graph = RmatConfig::graph500(scale).generate();
-        let source =
-            graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = hub(&graph);
         for adaptive in [false, true] {
             for dobfs in [true, false] {
                 let mut config = BfsConfig::new(16).with_direction_optimization(dobfs);
@@ -798,9 +878,12 @@ fn hosted_groups_match_the_sim_driver_in_process() {
                     .collect();
                 for hosting in [&whole, &rank_halves] {
                     let groups = hosting.len();
-                    let (depths, parents, steps) = traverse(&dist, &config, source, hosting);
-                    assert_eq!(depths, sim.depths, "depths, {groups} group(s), {cell}");
-                    assert_eq!(Some(&parents), sim.parents.as_ref(), "parents, {cell}");
+                    let mut link = InProcess::new(&dist, &config, hosting);
+                    let run = run_round(&mut link, hosting, source)
+                        .unwrap_or_else(|e| panic!("{groups} group(s), {cell}: {e}"));
+                    let steps = link.steps;
+                    assert_eq!(run.depths, sim.depths, "depths, {groups} group(s), {cell}");
+                    assert_eq!(run.parents, sim.parents, "parents, {cell}");
                     assert_eq!(steps.frontiers, sim_frontiers, "frontier totals, {cell}");
                     assert_eq!(
                         steps.cross_rank_bytes, sim_nn_bytes,
@@ -825,49 +908,62 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
     }
 }
 
-/// What proc recovery does, in process: save a checkpoint at superstep k
-/// (`StepGo` with the flag), run on to the end, restore — worker 1 onto a
-/// freshly begun one (the spare path) or worker 0 adopting every GPU (the
-/// spread path), each sent the committed images of the GPUs it now hosts —
-/// and replay. Under a compressing `mode` the replay only reduces if every
-/// worker dropped its mask-codec reference on restore, as the fresh one
-/// never had it.
+/// Proc recovery in process: checkpoints every second superstep, worker 1
+/// dies in superstep 3, and the round rolls back to the iteration-2 commit
+/// — onto a spare, or by worker 0 adopting every GPU — and replays. Under a
+/// compressing `mode` the replay only reduces if every worker dropped its
+/// mask-codec reference on restore, as the spare never had one.
 fn checkpoint_through_the_wire(mode: CompressionMode) {
-    let topo = Topology::new(4, 2);
     let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
     let graph = RmatConfig::graph500(9).generate();
-    let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
-    let config = BfsConfig::new(16).with_compression(mode);
-    let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
-    let (want_depths, want_parents, want) = traverse(&dist, &config, source, &rank_halves);
-    let k = 2u32;
-    assert!(want.frontiers.len() > k as usize + 1, "the checkpoint must precede real work");
-    let digests = |w: &WorkerRound<'_>| -> Vec<u64> {
-        w.group().unwrap().capture().iter().map(|img| img.digest).collect()
-    };
-
+    let source = hub(&graph);
+    let checkpoints = RecoveryConfig::default().with_checkpoint_interval(2);
+    let config = BfsConfig::new(16).with_compression(mode).with_recovery(checkpoints);
     for spread in [false, true] {
-        let (mut workers, mut stats) = begun(&dist, &config, source, &rank_halves);
-        let mut frontiers = Vec::new();
-        for iter in 0..k {
-            frontiers.push(stats.iter().map(|s| s.frontier).sum());
-            stats = step(topo, &mut workers, iter, false).0;
-        }
-        let (stats, shipped) = step(topo, &mut workers, k, true);
-        let mut cp = shipped.saved;
-        cp.sort_by_key(|img| img.gpu_flat);
-        assert_eq!(
-            cp.iter().map(|img| img.gpu_flat).collect::<Vec<_>>(),
-            (0..8).collect::<Vec<_>>()
-        );
+        let topo = Topology::new(4, 2).with_spares(u32::from(!spread));
+        let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
+        let want = dist.run_with_parents(source, &config).unwrap();
+        assert!(want.iterations() > 3, "the death must follow the checkpoint");
+        let mut link =
+            InProcess::new(&dist, &config, &rank_halves).killing(1, kind::STEP_GO, Some(3));
+        let cell = format!("spread {spread}, {mode}");
+        let run =
+            run_round(&mut link, &rank_halves, source).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        assert_eq!(run.depths, want.depths, "depths, {cell}");
+        assert_eq!(run.parents, want.parents, "parents, {cell}");
+        let frontiers: Vec<u64> = want.stats.records.iter().map(|r| r.frontier_len).collect();
+        assert_eq!(link.steps.frontiers, frontiers, "frontier totals, {cell}");
+        let rec = run.report.recovery.expect("the death is recovered");
+        let want_mode = if spread { RecoveryMode::Spread } else { RecoveryMode::Spare };
+        assert_eq!((rec.worker, rec.mode, rec.resumed_iter), (1, want_mode, 2), "{cell}");
 
-        run_from(topo, &mut workers, stats, k + 1);
-        assert_eq!(workers[0].group().unwrap().mask_reference(mode).is_some(), mode.is_on());
-        let finished = digests(&workers[0]);
+        // One `Restore` round, carrying the committed image of every GPU.
+        let decoded: Vec<Images> = link
+            .restores
+            .iter()
+            .map(|seen| match Msg::decode(&seen.frame, Some(&topo)) {
+                Ok(Msg::Restore(images)) => images,
+                other => panic!("not a Restore: {other:?}"),
+            })
+            .collect();
+        assert!(decoded.iter().all(|images| images.iter == 2), "{cell}");
+        let mut cp: Vec<GpuStateImage> = decoded.into_iter().flat_map(|l| l.images).collect();
+        cp.sort_by_key(|img| img.gpu_flat);
+        let flats: Vec<u32> = cp.iter().map(|img| img.gpu_flat).collect();
+        assert_eq!(flats, (0..8).collect::<Vec<_>>(), "{cell}");
+        for seen in &link.restores {
+            // The survivor held a codec reference; every worker restarts
+            // without one, as the spare.
+            assert_eq!(seen.reference_before, seen.slot == 0 && mode.is_on(), "{cell}");
+            assert!(!seen.reference_after, "slot {} kept its codec reference, {cell}", seen.slot);
+            // A restore that leaves a hosted GPU uncovered is refused
+            // before any image is installed.
+            assert!(seen.partial_refused, "slot {}, {cell}", seen.slot);
+        }
         // Any one flipped byte of an image list — count, any field, seal —
         // is a typed decode error, so nothing is installed. (The leading
         // iteration takes any value.)
-        let one = Msg::Restore(Images { iter: k, images: cp[..1].to_vec() }).frame();
+        let one = Msg::Restore(Images { iter: 2, images: cp[..1].to_vec() }).frame();
         for at in 4..one.payload_len() {
             let mut tampered = one.payload().to_vec();
             tampered[at] ^= 0x10;
@@ -875,34 +971,134 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
             let decoded = Msg::decode(&tampered, Some(&topo));
             assert!(decoded.is_err(), "flip at byte {at} of {} went undetected", one.payload_len());
         }
-        // A restore that leaves a hosted GPU uncovered is refused before
-        // any image is installed.
-        let partial = Msg::Restore(Images { iter: k, images: cp[..3].to_vec() });
-        assert!(workers[0].handle(partial, |_| Ok::<_, ProtocolError>(())).is_err());
-        assert_eq!(digests(&workers[0]), finished, "a refused restore installs nothing");
+    }
+}
 
-        let hosting =
-            if spread { vec![(0..8).collect::<Vec<usize>>()] } else { rank_halves.clone() };
-        if spread {
-            workers.truncate(1);
-        } else {
-            workers[1] = begun(&dist, &config, source, &rank_halves[1..]).0.remove(0);
+/// RMAT 10 on 4 × 2 GPUs at TH 16, hosted by 2 slots as a pool hosts them.
+struct DeathCell {
+    graph: EdgeList,
+    source: u64,
+    hosted: Vec<Vec<usize>>,
+}
+
+impl DeathCell {
+    fn new() -> Self {
+        let graph = RmatConfig::graph500(10).generate();
+        let source = hub(&graph);
+        Self { graph, source, hosted: hosted_flats(&Topology::new(4, 2), 2) }
+    }
+
+    /// Runs the round with `spares` spares under `config`, the deaths of
+    /// `kills` inflicted.
+    fn run(
+        &self,
+        spares: u32,
+        config: &BfsConfig,
+        kills: &[Kill],
+    ) -> Result<ProcOutcome, ProcError> {
+        let topo = Topology::new(4, 2).with_spares(spares);
+        let dist = DistributedGraph::build(&self.graph, topo, config).unwrap();
+        let mut link = InProcess::new(&dist, config, &self.hosted);
+        for k in kills {
+            link = link.killing(k.slot, k.kind, k.iter);
         }
-        let stats: Vec<Stats> = workers
-            .iter_mut()
-            .zip(&hosting)
-            .map(|(w, flats)| {
-                let images = flats.iter().map(|&f| cp[f].clone()).collect();
-                let frame = Msg::Restore(Images { iter: k, images }).frame();
-                stats_of(&topo, replies(w, decoded(&frame, &topo)))
-            })
-            .collect();
-        // Every worker restarts without a codec reference, as the spare.
-        assert!(workers.iter().all(|w| w.group().unwrap().mask_reference(mode).is_none()));
-        frontiers.extend(run_from(topo, &mut workers, stats, k).frontiers);
-        let (depths, parents) = finish(&dist, &mut workers, source);
-        assert_eq!(depths, want_depths, "depths, spread {spread}, {mode}");
-        assert_eq!(parents, want_parents, "parents, spread {spread}, {mode}");
-        assert_eq!(frontiers, want.frontiers, "frontier totals, spread {spread}, {mode}");
+        let run = run_round(&mut link, &self.hosted, self.source);
+        if run.is_ok() {
+            assert!(link.kills.is_empty(), "a death did not happen: {:?}", link.kills);
+        }
+        run
+    }
+}
+
+#[test]
+fn every_death_is_recovered_in_process_bit_exact() {
+    let cell = DeathCell::new();
+    let config = BfsConfig::new(16);
+    let topo = Topology::new(4, 2);
+    let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
+    let sim = dist.run_with_parents(cell.source, &config).unwrap();
+    for (spares, mode) in [(1, RecoveryMode::Spare), (0, RecoveryMode::Spread)] {
+        for slot in 0..2 {
+            let supersteps = (0..sim.iterations()).map(|i| (kind::STEP_GO, Some(i)));
+            for (kind, iter) in std::iter::once((kind::BEGIN, None)).chain(supersteps) {
+                let at = iter.map_or("before Ready".into(), |i| format!("in superstep {i}"));
+                let what = format!("slot {slot} dies {at}, {mode:?}");
+                let run = cell.run(spares, &config, &[Kill { slot, kind, iter }]);
+                if iter.is_none() && mode == RecoveryMode::Spread {
+                    // Nothing is committed before Ready, and a survivor
+                    // cannot begin GPUs it does not host: only a spare can.
+                    let err = run.expect_err(&what);
+                    assert!(
+                        matches!(err, ProcError::Unrecoverable { worker, iter: 0 } if worker == slot as u32),
+                        "{what}: {err}"
+                    );
+                    continue;
+                }
+                let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(run.depths, sim.depths, "depths, {what}");
+                assert_eq!(run.parents, sim.parents, "parents, {what}");
+                assert_eq!(run.report.iterations, sim.iterations(), "supersteps, {what}");
+                let rec = run.report.recovery.expect("the death is recovered");
+                // The default cadence commits every fourth superstep.
+                let resumed = iter.map_or(0, |i| i / 4 * 4);
+                assert_eq!(
+                    (rec.worker, rec.mode, rec.resumed_iter),
+                    (slot as u32, mode, resumed),
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn deaths_without_a_recovery_path_are_unrecoverable_in_process() {
+    let cell = DeathCell::new();
+    let unrecoverable = |run: Result<ProcOutcome, ProcError>, worker, iter, what: &str| match run {
+        Err(ProcError::Unrecoverable { worker: w, iter: i }) if (w, i) == (worker, iter) => {}
+        other => panic!("{what}: expected Unrecoverable {{ {worker}, {iter} }}, got {other:?}"),
+    };
+    // A second death during the `Restore` round, onto a spare or spreading.
+    let config = BfsConfig::new(16);
+    let second = [
+        Kill { slot: 1, kind: kind::STEP_GO, iter: Some(2) },
+        Kill { slot: 0, kind: kind::RESTORE, iter: None },
+    ];
+    for spares in [1, 0] {
+        unrecoverable(cell.run(spares, &config, &second), 0, 2, &format!("{spares} spare(s)"));
+    }
+    // Recovery disabled: no checkpoint is taken, and the first death is
+    // fatal, spare or not.
+    let config = BfsConfig::new(16).with_recovery(RecoveryConfig::disabled());
+    assert_eq!(cell.run(1, &config, &[]).unwrap().report.checkpoints, 0);
+    for (kind, iter) in [(kind::BEGIN, None), (kind::STEP_GO, Some(1))] {
+        let run = cell.run(1, &config, &[Kill { slot: 0, kind, iter }]);
+        unrecoverable(run, 0, iter.unwrap_or(0), "recovery disabled");
+    }
+}
+
+#[test]
+fn any_delivery_schedule_is_bit_exact_in_process() {
+    // Replies cross slots in a seeded order, and every `StepRemote` is
+    // duplicated and held back a seeded number of events; checkpoints every
+    // second superstep put saves among them.
+    let cell = DeathCell::new();
+    let checkpoints = RecoveryConfig::default().with_checkpoint_interval(2);
+    let config =
+        BfsConfig::new(16).with_compression(CompressionMode::Adaptive).with_recovery(checkpoints);
+    let topo = Topology::new(4, 2);
+    let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
+    let sim = dist.run_with_parents(cell.source, &config).unwrap();
+    for seed in 0..32 {
+        let mut link = InProcess::new(&dist, &config, &cell.hosted).seeded(seed);
+        let run = run_round(&mut link, &cell.hosted, cell.source)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(run.depths, sim.depths, "depths, seed {seed}");
+        assert_eq!(run.parents, sim.parents, "parents, seed {seed}");
+        assert_eq!(run.report.iterations, sim.iterations(), "supersteps, seed {seed}");
+        assert!(
+            run.report.duplicate_frames_ignored > 0,
+            "seed {seed}: no duplicate reached a worker"
+        );
     }
 }
