@@ -24,7 +24,7 @@
 //! own [`IntegrityError`].
 
 use crate::seal::{IntegrityError, SealedPayload};
-use std::io::Read;
+use std::io::{IoSlice, Read, Write};
 
 /// First bytes of every frame; anything else is mid-stream garbage.
 pub const FRAME_MAGIC: [u8; 4] = *b"GCBF";
@@ -167,13 +167,40 @@ impl Frame {
     /// Encodes the frame into a fresh byte vector.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&FRAME_MAGIC);
-        out.push(FRAME_VERSION);
-        out.push(self.kind);
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload.checksum().to_le_bytes());
+        out.extend_from_slice(&self.header());
         out.extend_from_slice(self.payload.bytes_unchecked());
         out
+    }
+
+    /// Writes the encoded frame to `w` without copying the payload: the
+    /// header and the payload go out in vectored writes until both are
+    /// written.
+    ///
+    /// # Errors
+    /// The writer's error, or `WriteZero` when it accepts nothing.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        let header = self.header();
+        let mut bufs = [IoSlice::new(&header), IoSlice::new(self.payload.bytes_unchecked())];
+        let mut bufs = &mut bufs[..];
+        while !bufs.is_empty() {
+            match w.write_vectored(bufs) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    fn header(&self) -> [u8; FRAME_HEADER_BYTES] {
+        let mut header = [0u8; FRAME_HEADER_BYTES];
+        header[..4].copy_from_slice(&FRAME_MAGIC);
+        header[4] = FRAME_VERSION;
+        header[5] = self.kind;
+        header[6..10].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        header[10..].copy_from_slice(&self.payload.checksum().to_le_bytes());
+        header
     }
 
     /// Reads one frame from `r`, validating the header bounds before any
@@ -274,6 +301,34 @@ fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Takes at most 3 bytes per call, so every slice boundary is split.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_to_writes_the_encoding_through_partial_writes() {
+        for payload in [Vec::new(), vec![7], (0..=255).collect()] {
+            let frame = Frame::new(0x21, payload);
+            let mut whole = Vec::new();
+            frame.write_to(&mut whole).unwrap();
+            assert_eq!(whole, frame.encode());
+            let mut trickle = Trickle(Vec::new());
+            frame.write_to(&mut trickle).unwrap();
+            assert_eq!(trickle.0, frame.encode());
+        }
+    }
 
     #[test]
     fn roundtrip_through_bytes_and_stream() {

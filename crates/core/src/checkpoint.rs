@@ -9,8 +9,8 @@
 //! FNV-1a digest of its wire encoding — the only fold over GPU state in
 //! the crate. The sim's [`Checkpoint`] holds one image per GPU and
 //! restores them after a fail-stop loss; the proc backend's coordinator
-//! keeps the committed images its workers shipped and sends each worker
-//! the ones it hosts in a single `Restore` round
+//! keeps the committed images its workers shipped and, on recovery, sends
+//! each worker the ones it hosts in its `Begin`
 //! ([`crate::procrt::protocol`] carries the wire codec).
 //!
 //! Cost accounting: a real implementation writes each GPU's state through

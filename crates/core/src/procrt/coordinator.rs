@@ -3,8 +3,10 @@
 //! [`Round`] drives them through. The round makes every protocol decision;
 //! the pool owns what exists only because workers are processes.
 //!
-//! - Spawn, the accept and `Hello` handshake, `Setup`, one reader thread
-//!   per connection and the generation guard that keeps a dead process's
+//! - Spawn, the accept and `Hello` handshake, `Setup` — the graph
+//!   serialised straight into one frame, sealed once per pool, the same
+//!   frame for every worker and any spare — one reader thread per
+//!   connection and the generation guard that keeps a dead process's
 //!   reader from speaking for its replacement.
 //! - Liveness: heartbeats, the wall clock and the phi-accrual detector,
 //!   which turns silence into a [`Death`] — never a closed socket: a worker
@@ -15,10 +17,12 @@
 //!   and duplicate.
 //! - The [`ProcReport`] traffic counts: frames, bytes, heartbeats,
 //!   suspicions and spawns.
-//! - Teardown, when a run errs or recovers, when a run needs another key,
-//!   and when the pool is dropped.
+//! - Teardown, when a run errs, when a run needs another key or finds a
+//!   worker gone (a run recovered by spreading leaves its dead slot
+//!   empty; one recovered by a spare leaves a full pool, which stays
+//!   warm), and when the pool is dropped.
 
-use super::protocol::{encode_worker_config, kind, Msg, Setup, PROTO_VERSION};
+use super::protocol::{encode_worker_config, kind, setup_frame, Msg, Setup, PROTO_VERSION};
 use super::round::{Death, Heard, Link, ProcOutcome, Round};
 use super::transport::TransportError;
 use super::{hosted_flats, ProcError, ProcOptions, ProcReport};
@@ -30,7 +34,6 @@ use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_compress::Frame;
 use gcbfs_graph::{EdgeList, VertexId};
-use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -100,7 +103,7 @@ impl ProcPool {
     /// Runs BFS from `source`: on the pool's workers when they hold this
     /// graph, topology and worker-side config under the same command and
     /// options (chaos aside), else on a freshly spawned pool. The pool is
-    /// kept for the next run unless this one erred or recovered.
+    /// kept for the next run unless this one erred.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &mut self,
@@ -134,8 +137,8 @@ impl ProcPool {
             let mut co = match warm.take() {
                 Some(co) => co,
                 None => {
-                    let th = config.degree_threshold;
-                    Coordinator::spawn(graph, topo, th, &worker_config, worker_cmd, opts, &hosted)?
+                    let (th, n) = (config.degree_threshold, hosted.len());
+                    Coordinator::spawn(graph, topo, th, &worker_config, worker_cmd, opts, n)?
                 }
             };
             let (sep, recovery) = (Arc::clone(&co.separation), config.recovery);
@@ -160,10 +163,7 @@ impl ProcPool {
             suspicions: traffic.suspicions,
             ..outcome.report
         };
-        // A recovery changed who hosts what: that pool no longer matches.
-        if outcome.report.recovery.is_none() {
-            self.0 = Some(co);
-        }
+        self.0 = Some(co);
         Ok(outcome)
     }
 }
@@ -197,8 +197,6 @@ impl RunState {
 struct Coordinator {
     // ---- What the pool holds, from spawn to teardown. ----
     topo: Topology,
-    /// The worker-side config as `Setup` ships it; the pool's key.
-    worker_config: Vec<u8>,
     /// The degree classification every worker computes too; each run's
     /// round assembles with it.
     separation: Arc<Separation>,
@@ -206,10 +204,10 @@ struct Coordinator {
     /// its own.
     opts: ProcOptions,
     worker_cmd: WorkerCommand,
-    /// The graph in its serialised `Setup` form: the pool's only copy,
-    /// what a later run's graph is compared against, and what a spare's
-    /// `Setup` ships.
-    graph_bytes: Vec<u8>,
+    /// The `Setup` frame every worker and spare is sent. Its worker-side
+    /// config and serialised graph — the pool's only copy — are what a
+    /// later run's are compared against.
+    setup: Arc<Frame>,
     socket_path: PathBuf,
     listener: UnixListener,
     slots: Vec<Slot>,
@@ -245,9 +243,8 @@ impl Drop for Coordinator {
 
 impl Coordinator {
     /// The pool's cold start, for the first run it serves (`run`): bind
-    /// the socket, spawn one worker per entry of `hosted`, take each one's
-    /// `Hello` and ship it its `Setup`. Everything counts into that run's
-    /// report.
+    /// the socket, spawn `nslots` workers, take each one's `Hello` and ship
+    /// it the `Setup`. Everything counts into that run's report.
     fn spawn(
         graph: &EdgeList,
         topo: Topology,
@@ -255,11 +252,17 @@ impl Coordinator {
         worker_config: &[u8],
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
-        hosted: &[Vec<usize>],
+        nslots: usize,
     ) -> Result<Self, ProcError> {
         let separation = Separation::from_degrees(&graph.out_degrees(), degree_threshold);
-        let mut graph_bytes = Vec::new();
-        gcbfs_graph::io::write_binary(graph, &mut graph_bytes)
+        let setup = Setup {
+            topo,
+            config: worker_config,
+            heartbeat_ms: opts.heartbeat_period.as_millis() as u64,
+            step_timeout_ms: opts.step_timeout.as_millis() as u64,
+            graph: &[],
+        };
+        let setup = setup_frame(&setup, graph)
             .map_err(|e| ProcError::Spawn(format!("graph serialization failed: {e}")))?;
 
         let dir = opts.socket_dir.clone().unwrap_or_else(std::env::temp_dir);
@@ -273,33 +276,32 @@ impl Coordinator {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut co = Self {
             topo,
-            worker_config: worker_config.to_vec(),
             separation: Arc::new(separation),
             opts: opts.clone(),
             worker_cmd: worker_cmd.clone(),
-            graph_bytes,
+            setup: Arc::new(setup),
             socket_path,
             listener,
-            slots: hosted.iter().map(|_| Slot::default()).collect(),
+            slots: (0..nslots).map(|_| Slot::default()).collect(),
             tx,
             rx,
-            run: RunState::new(hosted.len(), opts),
+            run: RunState::new(nslots, opts),
             report: ProcReport::default(),
         };
-        for slot in 0..hosted.len() {
+        for slot in 0..nslots {
             co.spawn_child(slot)?;
         }
-        co.accept_workers((0..hosted.len()).collect())?;
-        for (slot, flats) in hosted.iter().enumerate() {
-            co.send_setup(slot, flats)?;
+        co.accept_workers((0..nslots).collect())?;
+        for slot in 0..nslots {
+            co.send_setup(slot)?;
         }
         Ok(co)
     }
 
     /// True when this pool's workers hold exactly what a run with these
     /// arguments needs: the same graph (compared edge for edge against the
-    /// retained `Setup` bytes), topology, worker-side config and command,
-    /// and the same options apart from the per-run chaos.
+    /// retained `Setup`), topology, worker-side config and command, and
+    /// the same options apart from the per-run chaos.
     fn serves(
         &self,
         graph: &EdgeList,
@@ -308,11 +310,12 @@ impl Coordinator {
         worker_cmd: &WorkerCommand,
         opts: &ProcOptions,
     ) -> bool {
+        let Ok(Msg::Setup(setup)) = Msg::decode(&self.setup, None) else { return false };
         self.topo == topo
-            && self.worker_config == worker_config
+            && setup.config == worker_config
             && self.worker_cmd == *worker_cmd
             && ProcOptions { chaos: self.opts.chaos, ..opts.clone() } == self.opts
-            && gcbfs_graph::io::matches_binary(graph, &self.graph_bytes)
+            && gcbfs_graph::io::matches_binary(graph, setup.graph)
     }
 
     /// Readies an idle pool for the next run under `opts`, as fresh as a
@@ -408,29 +411,20 @@ impl Coordinator {
     }
 
     /// Ships `slot` what it keeps until `Shutdown`: topology, worker-side
-    /// config, timing, its hosted flats and the graph.
-    fn send_setup(&mut self, slot: usize, hosted: &[usize]) -> Result<(), ProcError> {
-        let setup = Msg::Setup(Setup {
-            topo: self.topo,
-            config: &self.worker_config,
-            heartbeat_ms: self.opts.heartbeat_period.as_millis() as u64,
-            step_timeout_ms: self.opts.step_timeout.as_millis() as u64,
-            hosted: hosted.to_vec(),
-            graph: &self.graph_bytes,
-        })
-        .frame();
+    /// config, timing and the graph.
+    fn send_setup(&mut self, slot: usize) -> Result<(), ProcError> {
+        let setup = Arc::clone(&self.setup);
         Ok(self.write(slot, &setup)?)
     }
 
     /// Writes one frame to a slot, counting wire traffic.
     fn write(&mut self, slot: usize, frame: &Frame) -> Result<(), TransportError> {
-        let bytes = frame.encode();
         let Some(stream) = self.slots[slot].stream.as_mut() else {
             return Err(TransportError::Io(std::io::Error::other("no connection")));
         };
-        stream.write_all(&bytes)?;
+        frame.write_to(stream)?;
         self.report.frames_sent += 1;
-        self.report.wire_bytes += bytes.len() as u64;
+        self.report.wire_bytes += frame.encoded_len() as u64;
         Ok(())
     }
 
@@ -530,12 +524,12 @@ impl Link for Coordinator {
 
     /// Spawns a spare process in `slot` under a fresh generation — events
     /// from the dead process's reader thread can no longer impersonate it —
-    /// and ships it its `Setup`.
-    fn replace(&mut self, slot: usize, hosted: &[usize]) -> Result<(), ProcError> {
+    /// and ships it the `Setup`.
+    fn replace(&mut self, slot: usize) -> Result<(), ProcError> {
         self.slots[slot].gen += 1;
         self.slots[slot].beat_seen = false;
         self.spawn_child(slot)?;
         self.accept_workers(vec![slot])?;
-        self.send_setup(slot, hosted)
+        self.send_setup(slot)
     }
 }

@@ -14,13 +14,15 @@
 //! frame body.
 //!
 //! The pool outlives a run: the first run spawns the workers and ships
-//! each one its `Setup`, from which it builds the
+//! each one the same `Setup`, from which it builds the
 //! [`DistributedGraph`](crate::driver::DistributedGraph) once and keeps
-//! it. A later run whose graph, topology, worker-side config, worker
-//! command and [`ProcOptions`] (chaos aside) all match is served by the
-//! same processes and pays only its supersteps. A run that needs anything
-//! else, a run that errs and a run that recovers tear the pool down, and
-//! the next run spawns afresh.
+//! it; each run's `Begin` names the GPUs a worker hosts. A later run whose
+//! graph, topology, worker-side config, worker command and
+//! [`ProcOptions`] (chaos aside) all match is served by the same
+//! processes and pays only its supersteps. A run that needs anything
+//! else, a run that errs and a run that finds a worker gone (as after a
+//! recovery by spreading) tear the pool down, and that run spawns afresh;
+//! a pool that recovered onto a spare is whole and stays warm.
 //!
 //! The BSP superstep is the sim driver's, verbatim: each worker's round
 //! runs the *same* [`GpuWorker::run_iteration`](crate::kernels::GpuWorker)
@@ -46,14 +48,16 @@
 //! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s:
 //! workers ship them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
 //! cadence and keep no copy, so the round's committed store is the only
-//! one. Recovery asks the sim's own decision,
+//! one; `Begin` is the run's iteration-0 checkpoint, so none is shipped
+//! there, and [`ProcReport::checkpoints`] counts image commits only.
+//! Recovery asks the sim's own decision,
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome),
 //! where the dead worker's partitions go — a freshly spawned spare process
 //! (the topology's
 //! [`num_spares`](gcbfs_cluster::topology::Topology::num_spares)) or, in
 //! degraded mode, the least-loaded survivor — then sends every live worker
-//! the committed images of the GPUs it now hosts in one `Restore` round
-//! and resumes the superstep loop.
+//! one more `Begin`, naming the GPUs it now hosts with their committed
+//! images, and resumes the superstep loop at the commit.
 
 pub mod protocol;
 pub mod round;
@@ -190,7 +194,8 @@ pub struct ProcReport {
     pub duplicate_frames_ignored: u64,
     /// Phi-accrual suspicion events that did not confirm.
     pub suspicions: u64,
-    /// Checkpoints captured (across all workers, counted once each).
+    /// Image checkpoints committed, each counted once across the workers.
+    /// `Begin`, the run's iteration-0 checkpoint, is not one.
     pub checkpoints: u64,
     /// The recovery that ran, if a worker was confirmed dead.
     pub recovery: Option<RecoveryReport>,

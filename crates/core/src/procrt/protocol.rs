@@ -16,16 +16,14 @@
 //! | kind | message | direction | body | consumer |
 //! |------|---------|-----------|------|----------|
 //! | `0x01` | [`Msg::Hello`] | W → C | version `u32`, slot `u32` | pool handshake |
-//! | `0x02` | [`Msg::Setup`] | C → W | ranks, GPUs per rank, spares (`u32` each); worker config; heartbeat and step-timeout ms (`u64` each); hosted flats (`u32` list); graph (byte string) | worker process, before its round |
-//! | `0x04` | [`Msg::Begin`] | C → W | source `u64` | [`WorkerRound`](super::worker::WorkerRound) |
-//! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin` |
+//! | `0x02` | [`Msg::Setup`] | C → W | ranks, GPUs per rank, spares (`u32` each); worker config; heartbeat and step-timeout ms (`u64` each); graph (byte string) | worker process, before its round |
+//! | `0x04` | [`Msg::Begin`] | C → W | source `u64`; hosted flats (`u32` list); resume flag `u8`, then, when 1, an image list | [`WorkerRound`](super::worker::WorkerRound) |
+//! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin_on` |
 //! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
 //! | `0x14` | [`Msg::CheckpointSave`] | W → C | image list | round `gather` (staged) |
 //! | `0x11` | [`Msg::StepLocal`] | W → C | exchange | round `route` |
 //! | `0x12` | [`Msg::StepRemote`] | C → W | exchange | `WorkerRound` |
 //! | `0x13` | [`Msg::StepDone`] | W → C | stats | round superstep barrier |
-//! | `0x20` | [`Msg::Restore`] | C → W | image list | `WorkerRound` |
-//! | `0x21` | [`Msg::Restored`] | W → C | stats | round `recover` |
 //! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
 //! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, images | round `finish` |
 //! | `0x40` | [`Msg::Heartbeat`] | W → C | slot `u32`, sequence `u64` | pool detector |
@@ -34,12 +32,16 @@
 //!
 //! A run is `Begin` → `Ready`, then per superstep `StepGo` →
 //! (`CheckpointSave`, on the checkpoint cadence) `StepLocal` →
-//! `StepRemote` → `StepDone`, then `Finish` → `FinalState`. A recovery is
-//! `Restore` → `Restored` (a spare gets `Hello`, `Setup`, `Begin` first);
-//! before the first checkpoint commit it is `Begin` → `Ready` on every
-//! worker, a spare among them.
-//! A cold pool opens with `Hello` and `Setup`; teardown is `Shutdown` →
-//! `Bye`. Heartbeats run from `Hello` to the end of each traversal.
+//! `StepRemote` → `StepDone`, then `Finish` → `FinalState`. `Begin` names
+//! the GPUs the worker hosts and is the run's iteration-0 checkpoint: the
+//! state entering superstep 0 follows from the source alone, so no image
+//! is saved there. A recovery is one more `Begin` → `Ready` round on every
+//! live worker, a spare among them (it gets `Hello` and `Setup` first);
+//! each `Begin` names the worker's GPUs from then on and, once an image
+//! checkpoint committed, resumes from it with exactly those GPUs' images.
+//! A cold pool opens with `Hello` and `Setup`, the same `Setup` for every
+//! worker; teardown is `Shutdown` → `Bye`. Heartbeats run from `Hello` to
+//! the end of each traversal.
 //!
 //! The shared bodies:
 //! - **stats**: iteration `u32`, hosted frontier `u64`, delegate frontier
@@ -69,12 +71,12 @@ use crate::kernels::KernelVariant;
 use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::{CompressionMode, Frame, FrontierCodec, MaskCodec, WireBody};
-use gcbfs_graph::VertexId;
+use gcbfs_graph::{EdgeList, VertexId};
 use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 5;
+pub const PROTO_VERSION: u32 = 6;
 
 /// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
@@ -96,10 +98,6 @@ pub mod kind {
     pub const STEP_DONE: u8 = 0x13;
     /// [`Msg::CheckpointSave`](super::Msg::CheckpointSave).
     pub const CHECKPOINT_SAVE: u8 = 0x14;
-    /// [`Msg::Restore`](super::Msg::Restore).
-    pub const RESTORE: u8 = 0x20;
-    /// [`Msg::Restored`](super::Msg::Restored).
-    pub const RESTORED: u8 = 0x21;
     /// [`Msg::Finish`](super::Msg::Finish).
     pub const FINISH: u8 = 0x30;
     /// [`Msg::FinalState`](super::Msg::FinalState).
@@ -147,13 +145,20 @@ pub enum Msg<'a> {
     },
     /// What a worker keeps until `Shutdown`.
     Setup(Setup<'a>),
-    /// A traversal was seeded (its frontier statistics, iteration 0).
+    /// A traversal began (its frontier statistics, at the iteration it
+    /// entered).
     Ready(Stats),
-    /// Start a traversal from `source`, on a fresh hosted group over the
-    /// graph kept since `Setup`.
+    /// Start a traversal from `source` on a fresh hosted group over the
+    /// graph kept since `Setup`: seeded from the source, or resumed from a
+    /// committed checkpoint.
     Begin {
         /// The BFS source.
         source: VertexId,
+        /// The flat GPUs the worker hosts.
+        hosted: Vec<usize>,
+        /// The committed checkpoint to resume at: one image per hosted GPU.
+        /// `None` seeds the source and enters superstep 0.
+        resume: Option<Images>,
     },
     /// Run one superstep's local computation.
     StepGo {
@@ -172,11 +177,6 @@ pub enum Msg<'a> {
     StepDone(Stats),
     /// Sealed state images at a checkpoint.
     CheckpointSave(Images),
-    /// Install the committed images of every GPU the worker hosts from now
-    /// on, and resume at their iteration.
-    Restore(Images),
-    /// Restore done (recomputed statistics).
-    Restored(Stats),
     /// The traversal finished: ship the final state.
     Finish,
     /// The end of a traversal; the worker then waits for the next `Begin`
@@ -212,17 +212,15 @@ pub struct Setup<'a> {
     pub heartbeat_ms: u64,
     /// Superstep deadline in milliseconds.
     pub step_timeout_ms: u64,
-    /// The flat GPUs the worker hosts.
-    pub hosted: Vec<usize>,
     /// The graph, as `gcbfs_graph::io::write_binary` wrote it.
     pub graph: &'a [u8],
 }
 
-/// The body of `Ready`, `StepDone` and `Restored`: termination counts.
+/// The body of `Ready` and `StepDone`: termination counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Stats {
-    /// The superstep the counts enter (0 for `Ready`, the checkpoint's for
-    /// `Restored`).
+    /// The superstep the counts enter (for `Ready`, the one its `Begin`
+    /// resumed at).
     pub iter: u32,
     /// The hosted normal frontier total.
     pub frontier: u64,
@@ -245,7 +243,7 @@ pub struct Exchange<'a> {
     pub blocks: Vec<Block>,
 }
 
-/// The body of `CheckpointSave` and `Restore`.
+/// The body of `CheckpointSave` and of a `Begin`'s resume.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Images {
     /// The superstep the images enter.
@@ -267,8 +265,6 @@ impl Msg<'_> {
             Self::StepRemote(_) => kind::STEP_REMOTE,
             Self::StepDone(_) => kind::STEP_DONE,
             Self::CheckpointSave(_) => kind::CHECKPOINT_SAVE,
-            Self::Restore(_) => kind::RESTORE,
-            Self::Restored(_) => kind::RESTORED,
             Self::Finish => kind::FINISH,
             Self::FinalState { .. } => kind::FINAL_STATE,
             Self::Heartbeat { .. } => kind::HEARTBEAT,
@@ -281,9 +277,9 @@ impl Msg<'_> {
     pub fn iter(&self) -> Option<u32> {
         match self {
             Self::StepGo { iter, .. } => Some(*iter),
-            Self::Ready(s) | Self::StepDone(s) | Self::Restored(s) => Some(s.iter),
+            Self::Ready(s) | Self::StepDone(s) => Some(s.iter),
             Self::StepLocal(x) | Self::StepRemote(x) => Some(x.iter),
-            Self::CheckpointSave(l) | Self::Restore(l) => Some(l.iter),
+            Self::CheckpointSave(l) => Some(l.iter),
             _ => None,
         }
     }
@@ -297,22 +293,23 @@ impl Msg<'_> {
                 w.u32(*slot);
             }
             Self::Setup(s) => {
-                w.u32(s.topo.num_ranks());
-                w.u32(s.topo.gpus_per_rank());
-                w.u32(s.topo.num_spares());
-                w.buf.extend_from_slice(s.config);
-                w.u64(s.heartbeat_ms);
-                w.u64(s.step_timeout_ms);
-                w.u32(s.hosted.len() as u32);
-                s.hosted.iter().for_each(|&f| w.u32(f as u32));
+                w.setup_head(s);
                 w.bytes(s.graph);
             }
-            Self::Begin { source } => w.u64(*source),
+            Self::Begin { source, hosted, resume } => {
+                w.u64(*source);
+                w.u32(hosted.len() as u32);
+                hosted.iter().for_each(|&f| w.u32(f as u32));
+                w.u8(resume.is_some() as u8);
+                if let Some(l) = resume {
+                    w.image_list(l);
+                }
+            }
             Self::StepGo { iter, checkpoint } => {
                 w.u32(*iter);
                 w.u8(*checkpoint as u8);
             }
-            Self::Ready(s) | Self::StepDone(s) | Self::Restored(s) => {
+            Self::Ready(s) | Self::StepDone(s) => {
                 w.u32(s.iter);
                 w.u64(s.frontier);
                 w.u64(s.new_delegates);
@@ -331,10 +328,7 @@ impl Msg<'_> {
                     w.body(&b.body, u32::to_le_bytes);
                 }
             }
-            Self::CheckpointSave(l) | Self::Restore(l) => {
-                w.u32(l.iter);
-                w.images(&l.images);
-            }
+            Self::CheckpointSave(l) => w.image_list(l),
             Self::FinalState { duplicates_ignored, images } => {
                 w.u64(*duplicates_ignored);
                 w.images(images);
@@ -376,19 +370,23 @@ impl<'a> Msg<'a> {
                     config: &r.bytes[start..r.at],
                     heartbeat_ms: r.u64()?,
                     step_timeout_ms: r.u64()?,
-                    hosted: r.list(u32::from_le_bytes)?.into_iter().map(|f| f as usize).collect(),
                     graph: r.bytes()?,
                 })
             }
             kind::READY => Self::Ready(r.stats()?),
-            kind::BEGIN => Self::Begin { source: r.u64()? },
+            kind::BEGIN => {
+                let topo = grid()?;
+                Self::Begin {
+                    source: r.u64()?,
+                    hosted: r.list(u32::from_le_bytes)?.into_iter().map(|f| f as usize).collect(),
+                    resume: if r.flag()? { Some(r.image_list(topo)?) } else { None },
+                }
+            }
             kind::STEP_GO => Self::StepGo { iter: r.u32()?, checkpoint: r.flag()? },
             kind::STEP_LOCAL => Self::StepLocal(r.exchange(grid()?)?),
             kind::STEP_REMOTE => Self::StepRemote(r.exchange(grid()?)?),
             kind::STEP_DONE => Self::StepDone(r.stats()?),
             kind::CHECKPOINT_SAVE => Self::CheckpointSave(r.image_list(grid()?)?),
-            kind::RESTORE => Self::Restore(r.image_list(grid()?)?),
-            kind::RESTORED => Self::Restored(r.stats()?),
             kind::FINISH => Self::Finish,
             kind::FINAL_STATE => {
                 let duplicates_ignored = r.u64()?;
@@ -402,6 +400,26 @@ impl<'a> Msg<'a> {
         r.expect_end()?;
         Ok(msg)
     }
+}
+
+/// The `Setup` frame of `head` with `graph` in place of `head.graph`,
+/// serialised by [`gcbfs_graph::io::write_binary`] straight into the body:
+/// it decodes as that `Setup` with those bytes, and the body is their only
+/// copy.
+///
+/// # Errors
+/// The serialisation's.
+pub(crate) fn setup_frame(head: &Setup<'_>, graph: &EdgeList) -> std::io::Result<Frame> {
+    let len = gcbfs_graph::io::binary_len(graph);
+    // The whole body — grid (12 bytes), config, timings (16), graph length
+    // (4), graph — in one allocation made before any other: a pool's only
+    // large one, so the next pool reuses the block this one frees instead
+    // of growing the heap by a graph's size.
+    let mut w = WireWriter { buf: Vec::with_capacity(32 + head.config.len() + len) };
+    w.setup_head(head);
+    w.u32(len as u32);
+    gcbfs_graph::io::write_binary(graph, &mut w.buf)?;
+    Ok(Frame::new(kind::SETUP, w.buf))
 }
 
 /// The worker-side config: the result-affecting subset of [`BfsConfig`]
@@ -535,6 +553,21 @@ impl WireWriter {
                 self.bytes(bytes);
             }
         }
+    }
+
+    /// A `Setup` body up to its graph.
+    fn setup_head(&mut self, s: &Setup<'_>) {
+        self.u32(s.topo.num_ranks());
+        self.u32(s.topo.gpus_per_rank());
+        self.u32(s.topo.num_spares());
+        self.buf.extend_from_slice(s.config);
+        self.u64(s.heartbeat_ms);
+        self.u64(s.step_timeout_ms);
+    }
+
+    fn image_list(&mut self, l: &Images) {
+        self.u32(l.iter);
+        self.images(&l.images);
     }
 
     fn images(&mut self, images: &[GpuStateImage]) {
@@ -802,7 +835,8 @@ mod tests {
         img
     }
 
-    /// One message of every kind, on a 2 × 2 grid.
+    /// One message of every kind, and `Begin` with and without a resume,
+    /// on a 2 × 2 grid.
     fn one_of_each<'a>(config: &'a [u8], graph: &'a [u8]) -> Vec<Msg<'a>> {
         let stats = Stats { iter: 3, frontier: 17, new_delegates: 2 };
         let varint = FrontierCodec::VarintDelta.encode(&[2, 4, 4, 10]).unwrap();
@@ -825,18 +859,16 @@ mod tests {
                 config,
                 heartbeat_ms: 25,
                 step_timeout_ms: 60_000,
-                hosted: vec![2, 3],
                 graph,
             }),
             Msg::Ready(Stats { iter: 0, ..stats }),
-            Msg::Begin { source: 42 },
+            Msg::Begin { source: 42, hosted: vec![2, 3], resume: None },
+            Msg::Begin { source: 42, hosted: vec![1, 3], resume: Some(images.clone()) },
             Msg::StepGo { iter: 3, checkpoint: true },
             Msg::StepLocal(exchange.clone()),
             Msg::StepRemote(Exchange { contributions: Cow::Owned(Vec::new()), ..exchange }),
             Msg::StepDone(stats),
-            Msg::CheckpointSave(images.clone()),
-            Msg::Restore(images),
-            Msg::Restored(stats),
+            Msg::CheckpointSave(images),
             Msg::Finish,
             Msg::FinalState { duplicates_ignored: 2, images: vec![sample_image(0)] },
             Msg::Heartbeat { slot: 1, seq: 9 },
@@ -851,7 +883,7 @@ mod tests {
         let config = encode_worker_config(&BfsConfig::new(16), true);
         let msgs = one_of_each(&config, b"graph bytes");
         let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(Msg::kind).collect();
-        assert_eq!(kinds.len(), 16, "one message of every kind");
+        assert_eq!(kinds.len(), 14, "one message of every kind");
         for msg in &msgs {
             let frame = msg.frame();
             assert_eq!(frame.kind, msg.kind());
@@ -867,16 +899,33 @@ mod tests {
             // A body that names GPUs or ranks needs the grid.
             let needs_grid = matches!(
                 msg,
-                Msg::StepLocal(_)
+                Msg::Begin { .. }
+                    | Msg::StepLocal(_)
                     | Msg::StepRemote(_)
                     | Msg::CheckpointSave(_)
-                    | Msg::Restore(_)
                     | Msg::FinalState { .. }
             );
             assert_eq!(Msg::decode(&frame, None).is_err(), needs_grid, "{msg:?}");
         }
         let unknown = Frame::new(0x7f, Vec::new());
         assert!(Msg::decode(&unknown, Some(&topo)).unwrap_err().detail.contains("unknown"));
+    }
+
+    #[test]
+    fn a_setup_frame_is_the_setup_with_the_graph_serialised_in_place() {
+        let graph = gcbfs_graph::builders::grid(3, 4);
+        let mut bytes = Vec::new();
+        gcbfs_graph::io::write_binary(&graph, &mut bytes).unwrap();
+        let config = encode_worker_config(&BfsConfig::new(16), false);
+        let setup = Setup {
+            topo: Topology::new(2, 2).with_spares(1),
+            config: &config,
+            heartbeat_ms: 25,
+            step_timeout_ms: 60_000,
+            graph: &bytes,
+        };
+        let frame = setup_frame(&Setup { graph: &[], ..setup.clone() }, &graph).unwrap();
+        assert_eq!(frame, Msg::Setup(setup).frame());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! sequence of the frame table in [`super::protocol`]: `Begin` → `Ready`,
 //! the superstep loop (`StepGo`, the `route` relay, `StepRemote`) and its
 //! termination, the checkpoint cadence with staging and commit, recovery
-//! (the [`RecoveryConfig::rehome`] decision, placement and the `Restore`
-//! round), and `Finish` with the assembly of depths and parents.
+//! (the [`RecoveryConfig::rehome`] decision, placement and one more
+//! `Begin` round), and `Finish` with the assembly of depths and parents.
 //!
 //! It reaches the workers only through a [`Link`]: send a typed message to
 //! a slot, hear the next worker frame or a confirmed death, and replace a
@@ -18,10 +18,16 @@
 //! in process, so this same round runs there, under any schedule the test
 //! chooses.
 //!
-//! The committed checkpoint is the run's only copy: it commits once every
-//! GPU's sealed image for its iteration arrived, so a death racing the
-//! capture falls back to the previous commit. Before the first commit a
-//! fresh `Begin` is the state to resume from.
+//! `Begin` is the run's committed iteration-0 checkpoint: the state
+//! entering superstep 0 follows from the source alone, so
+//! [`RecoveryConfig::checkpoint_due`] asks for no save there. An image
+//! checkpoint is the run's only copy: it commits once every GPU's sealed
+//! image for its iteration arrived, so a death racing the capture falls
+//! back to the previous commit. Recovery has one path, whenever the death
+//! and wherever its GPUs go: re-home them, send every live worker a `Begin`
+//! naming the GPUs it hosts from then on (with their committed images, once
+//! there are any), and resume at the commit. [`ProcReport::checkpoints`]
+//! counts image commits; `Begin` is not one.
 
 use super::protocol::{kind, Exchange, Images, Msg, ProtocolError, Stats};
 use super::{ProcError, ProcReport, RecoveryReport};
@@ -50,12 +56,12 @@ pub trait Link {
     /// A failure the link cannot carry on past.
     fn next(&mut self, deadline: Instant) -> Result<Option<Heard>, ProcError>;
 
-    /// Puts a fresh worker hosting `hosted` in the dead `slot`, set up and
-    /// waiting for `Begin` (a spare).
+    /// Puts a fresh worker in the dead `slot`, set up and waiting for
+    /// `Begin` (a spare).
     ///
     /// # Errors
     /// The replacement could not be started.
-    fn replace(&mut self, slot: usize, hosted: &[usize]) -> Result<(), ProcError>;
+    fn replace(&mut self, slot: usize) -> Result<(), ProcError>;
 }
 
 /// What a [`Link`] heard.
@@ -105,17 +111,18 @@ pub struct Round {
     /// Checkpoint cadence and the re-homing decision.
     recovery: RecoveryConfig,
     step_timeout: Duration,
-    /// Per slot, the counts of its last `Ready`, `StepDone` or `Restored`;
-    /// `None` once it died, until a spare takes its place.
+    /// Per slot, the counts of its last `Ready` or `StepDone`; `None` once
+    /// it died, until a spare takes its place.
     stats: Vec<Option<Stats>>,
     /// Flat GPU -> hosting slot.
     hosting_of: Vec<usize>,
     /// The superstep in progress, which a stall or a death is reported at;
     /// the last one while the final state is collected.
     iter: u32,
-    /// The committed checkpoint: its iteration and one sealed image per GPU,
-    /// indexed by flat.
-    cp_iter: Option<u32>,
+    /// The committed checkpoint: its iteration, and one sealed image per
+    /// GPU indexed by flat — none at iteration 0, where `Begin` seeds the
+    /// source.
+    cp_iter: u32,
     cp_store: Vec<GpuStateImage>,
     /// Uncommitted saves: iter -> gpu_flat -> image.
     staged: HashMap<u32, HashMap<u32, GpuStateImage>>,
@@ -151,7 +158,7 @@ impl Round {
             stats: vec![Some(Stats::default()); hosted.len()],
             hosting_of,
             iter: 0,
-            cp_iter: None,
+            cp_iter: 0,
             cp_store: Vec::new(),
             staged: HashMap::new(),
             spares_left: topo.num_spares(),
@@ -165,8 +172,9 @@ impl Round {
     /// # Errors
     /// As [`Self::traverse`].
     pub fn begin(&mut self, link: &mut impl Link) -> Result<(), ProcError> {
-        if let Some(death) = self.begin_on(link, self.alive_slots())? {
-            self.recover(link, death, 0)?;
+        let mut owed = Vec::new();
+        if let Some(death) = self.begin_on(link, &mut owed)? {
+            self.recover(link, death, owed)?;
         }
         Ok(())
     }
@@ -190,7 +198,7 @@ impl Round {
             }
             self.iter = iter;
             iter = match self.superstep(link, iter)? {
-                Some(death) => self.recover(link, death, iter)?,
+                Some(death) => self.recover(link, death, Vec::new())?,
                 None => iter + 1,
             };
         }
@@ -198,20 +206,34 @@ impl Round {
         self.finish(link)
     }
 
-    /// Sends `Begin{source}` to `slots` and gathers each one's `Ready`.
-    /// Returns a death confirmed instead, if any.
-    fn begin_on(&mut self, link: &mut impl Link, slots: Vec<usize>) -> Collected {
-        let begin = Msg::Begin { source: self.source };
-        slots.iter().for_each(|&slot| link.send(slot, &begin));
-        self.gather(link, slots, kind::READY, 0, Self::record_stats)
+    /// Sends every live slot its `Begin` from the committed checkpoint —
+    /// the GPUs it hosts and, past iteration 0, their images — and gathers
+    /// a `Ready` from each. `owed` lists the slots whose `Ready` to an
+    /// interrupted `Begin` round is still on its way, ahead of this one's:
+    /// those are gathered too, so the later one counts. On a death, `owed`
+    /// is left with the `Ready`s still due.
+    fn begin_on(&mut self, link: &mut impl Link, owed: &mut Vec<usize>) -> Collected {
+        let live = self.alive_slots();
+        for &slot in &live {
+            let hosted = self.hosted(slot);
+            let resume = (self.cp_iter > 0).then(|| {
+                let images = hosted.iter().map(|&f| self.cp_store[f].clone()).collect();
+                Images { iter: self.cp_iter, images }
+            });
+            link.send(slot, &Msg::Begin { source: self.source, hosted, resume });
+        }
+        owed.extend(live);
+        self.gather(link, owed, kind::READY, self.cp_iter, Self::record_stats)
     }
 
-    /// The one collection loop: waits until every slot in `pending` sent
-    /// one `accept`-kind frame of iteration `iter` (or of none, for a kind
-    /// that carries none) and hands each to `on`, within one step timeout.
-    /// On the way it stages checkpoint saves; any other frame is stale — a
-    /// survivor's from a superstep a recovery aborted, or a dead slot's —
-    /// and skipped. Returns the first death confirmed instead, if any.
+    /// The one collection loop: waits until every entry of `pending` is
+    /// matched by one `accept`-kind frame of iteration `iter` (or of none,
+    /// for a kind that carries none) from its slot, in order, and hands
+    /// each to `on`, within one step timeout. On the way it stages
+    /// checkpoint saves; any other frame is stale — a survivor's from a
+    /// superstep a recovery aborted, or a dead slot's — and skipped.
+    /// Returns the first death confirmed instead, if any, with `pending`
+    /// left holding the entries not yet matched.
     ///
     /// # Errors
     /// `StepTimeout` at the deadline, at the run's superstep; a malformed
@@ -219,7 +241,7 @@ impl Round {
     fn gather<L: Link>(
         &mut self,
         link: &mut L,
-        mut pending: Vec<usize>,
+        pending: &mut Vec<usize>,
         accept: u8,
         iter: u32,
         mut on: impl FnMut(&mut Self, usize, Msg<'_>) -> Result<(), ProcError>,
@@ -234,14 +256,14 @@ impl Round {
             if self.stats[slot].is_none() {
                 continue;
             }
+            let at = pending.iter().position(|&s| s == slot);
             match Msg::decode(&frame, Some(&self.topo))? {
                 Msg::CheckpointSave(save) => self.stage_checkpoint(slot, save)?,
-                msg if frame.kind == accept
-                    && msg.iter().is_none_or(|i| i == iter)
-                    && pending.contains(&slot) =>
-                {
-                    pending.retain(|&s| s != slot);
-                    on(self, slot, msg)?;
+                msg if frame.kind == accept && msg.iter().is_none_or(|i| i == iter) => {
+                    if let Some(at) = at {
+                        pending.remove(at);
+                        on(self, slot, msg)?;
+                    }
                 }
                 _ => {}
             }
@@ -249,10 +271,9 @@ impl Round {
         Ok(None)
     }
 
-    /// Records a slot's frontier statistics (`Ready`, `StepDone`,
-    /// `Restored`).
+    /// Records a slot's frontier statistics (`Ready`, `StepDone`).
     fn record_stats(&mut self, slot: usize, msg: Msg<'_>) -> Result<(), ProcError> {
-        if let Msg::Ready(s) | Msg::StepDone(s) | Msg::Restored(s) = msg {
+        if let Msg::Ready(s) | Msg::StepDone(s) = msg {
             self.stats[slot] = Some(s);
         }
         Ok(())
@@ -270,12 +291,12 @@ impl Round {
         let entry = self.staged.entry(save.iter).or_default();
         entry.extend(save.images.into_iter().map(|img| (img.gpu_flat, img)));
         let complete = entry.len() == p;
-        if complete && self.cp_iter.is_none_or(|c| save.iter > c) {
+        if complete && save.iter > self.cp_iter {
             let images = self.staged.remove(&save.iter).expect("staged entry exists");
             let mut images: Vec<_> = images.into_values().collect();
             images.sort_unstable_by_key(|img| img.gpu_flat);
             self.cp_store = images;
-            self.cp_iter = Some(save.iter);
+            self.cp_iter = save.iter;
             self.staged.retain(|&i, _| i > save.iter);
             self.report.checkpoints += 1;
         }
@@ -294,13 +315,13 @@ impl Round {
     /// One superstep. `Ok(None)` means it committed; `Ok(Some(death))`
     /// that a death confirmed first aborted it.
     fn superstep(&mut self, link: &mut impl Link, iter: u32) -> Collected {
-        let checkpoint = self.recovery.checkpoint_due(iter, self.cp_iter);
+        let checkpoint = self.recovery.checkpoint_due(iter, Some(self.cp_iter));
         let go = Msg::StepGo { iter, checkpoint };
         self.alive_slots().into_iter().for_each(|slot| link.send(slot, &go));
 
         let mut locals = vec![None; self.stats.len()];
         let dead =
-            self.gather(link, self.alive_slots(), kind::STEP_LOCAL, iter, |_, slot, msg| {
+            self.gather(link, &mut self.alive_slots(), kind::STEP_LOCAL, iter, |_, slot, msg| {
                 if let Msg::StepLocal(x) = msg {
                     let contributions = Cow::Owned(x.contributions.into_owned());
                     locals[slot] = Some(Exchange { iter, contributions, blocks: x.blocks });
@@ -314,34 +335,36 @@ impl Round {
         for (slot, remote) in remotes.filter_map(|(slot, x)| Some((slot, x?))) {
             link.send(slot, &Msg::StepRemote(remote));
         }
-        self.gather(link, self.alive_slots(), kind::STEP_DONE, iter, Self::record_stats)
+        self.gather(link, &mut self.alive_slots(), kind::STEP_DONE, iter, Self::record_stats)
     }
 
-    /// Recovery of a confirmed death at superstep `iter`: re-home the dead
-    /// slot's partitions where [`RecoveryConfig::rehome`] says — a spare
+    /// Recovery of a confirmed death at the run's superstep: re-home the
+    /// dead slot's GPUs where [`RecoveryConfig::rehome`] says — a spare
     /// (same slot, a fresh worker) or the least-loaded survivor — then one
-    /// `Restore` round gives every live worker the committed images of the
-    /// GPUs it hosts from now on. With nothing committed yet, every worker
-    /// begins afresh instead, which a survivor cannot do for GPUs it did not
-    /// host: only a spare can then take the dead slot's. Returns the
-    /// iteration the run resumes at.
-    fn recover(&mut self, link: &mut impl Link, death: Death, iter: u32) -> Result<u32, ProcError> {
+    /// `Begin` round ([`Self::begin_on`], with the `Ready`s still `owed`)
+    /// starts every live worker afresh from the committed checkpoint.
+    /// Returns the iteration the run resumes at.
+    fn recover(
+        &mut self,
+        link: &mut impl Link,
+        death: Death,
+        mut owed: Vec<usize>,
+    ) -> Result<u32, ProcError> {
         let confirmed_at = Instant::now();
         let dead = death.slot;
         self.stats[dead] = None;
         // Saves staged past the commit belong to the aborted timeline; the
         // replay re-captures them.
         self.staged.clear();
-        let orphaned = self.hosted(dead);
         let survivors = self.alive_slots();
-        let mode = self.recovery.rehome(self.spares_left > 0, !survivors.is_empty());
-        let Some(mode) = mode.filter(|&m| self.cp_iter.is_some() || m == RecoveryMode::Spare)
-        else {
-            return Err(ProcError::Unrecoverable { worker: dead as u32, iter });
+        let iter = self.iter;
+        let unrecoverable = |slot: usize| ProcError::Unrecoverable { worker: slot as u32, iter };
+        let Some(mode) = self.recovery.rehome(self.spares_left > 0, !survivors.is_empty()) else {
+            return Err(unrecoverable(dead));
         };
         let target = if mode == RecoveryMode::Spare {
             self.spares_left -= 1;
-            link.replace(dead, &orphaned)?;
+            link.replace(dead)?;
             self.stats[dead] = Some(Stats::default());
             dead
         } else {
@@ -350,35 +373,19 @@ impl Round {
             let load = |s: &&usize| (self.hosted(**s).len(), **s);
             *survivors.iter().min_by_key(load).expect("rehome spreads only onto a survivor")
         };
-        orphaned.iter().for_each(|&f| self.hosting_of[f] = target);
-
-        // A spare begins before it is restored.
-        let live = self.alive_slots();
-        let begin = match self.cp_iter {
-            None => live.clone(),
-            Some(_) if mode == RecoveryMode::Spare => vec![dead],
-            Some(_) => Vec::new(),
-        };
-        let mut second = self.begin_on(link, begin)?;
-        if let (None, Some(cp)) = (second, self.cp_iter) {
-            for &slot in &live {
-                let images = self.hosted(slot).into_iter().map(|f| self.cp_store[f].clone());
-                link.send(slot, &Msg::Restore(Images { iter: cp, images: images.collect() }));
-            }
-            second = self.gather(link, live, kind::RESTORED, cp, Self::record_stats)?;
+        self.hosting_of.iter_mut().filter(|h| **h == dead).for_each(|h| *h = target);
+        owed.retain(|&s| s != dead);
+        if let Some(second) = self.begin_on(link, &mut owed)? {
+            return Err(unrecoverable(second.slot));
         }
-        if let Some(second) = second {
-            return Err(ProcError::Unrecoverable { worker: second.slot as u32, iter });
-        }
-        let resumed_iter = self.cp_iter.unwrap_or(0);
         self.report.recovery = Some(RecoveryReport {
             worker: dead as u32,
             mode,
             detect_seconds: death.detect_seconds,
             recover_seconds: confirmed_at.elapsed().as_secs_f64(),
-            resumed_iter,
+            resumed_iter: self.cp_iter,
         });
-        Ok(resumed_iter)
+        Ok(self.cp_iter)
     }
 
     /// Collects final state from every live slot — each ends its traversal
@@ -388,15 +395,20 @@ impl Round {
         // Hosts partition the grid, so with every image of a GPU its sender
         // hosts, one per GPU means every GPU's.
         let mut images = Vec::new();
-        let dead =
-            self.gather(link, self.alive_slots(), kind::FINAL_STATE, 0, |round, slot, msg| {
+        let dead = self.gather(
+            link,
+            &mut self.alive_slots(),
+            kind::FINAL_STATE,
+            0,
+            |round, slot, msg| {
                 if let Msg::FinalState { duplicates_ignored, images: finals } = msg {
                     check_hosts(&round.hosting_of, slot, &finals, "sent the final state of")?;
                     round.report.duplicate_frames_ignored += duplicates_ignored;
                     images.extend(finals);
                 }
                 Ok(())
-            })?;
+            },
+        )?;
         if let Some(death) = dead {
             return Err(ProcError::Unrecoverable { worker: death.slot as u32, iter: self.iter });
         }

@@ -1,8 +1,8 @@
 //! Framed Unix-domain-socket transport for the proc backend.
 //!
 //! Every message is one [`Frame`] (magic + version + kind + length +
-//! FNV-1a seal), written with a single `write_all` so concurrent writers
-//! serialized by a mutex can never interleave frame bytes. Connection
+//! FNV-1a seal), written whole ([`Frame::write_to`]) under a mutex, so
+//! concurrent writers can never interleave frame bytes. Connection
 //! establishment retries with the deterministic seeded-jitter backoff
 //! ([`JitteredBackoff`]); established sockets carry read/write deadlines
 //! so a dead peer surfaces as a typed timeout instead of a hang.
@@ -10,7 +10,6 @@
 use super::protocol::Msg;
 use gcbfs_cluster::fault::JitteredBackoff;
 use gcbfs_compress::{Frame, FrameError};
-use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -99,8 +98,8 @@ pub fn connect_with_backoff(
 }
 
 /// A mutex-shared frame writer over one socket. Both the worker's main
-/// loop and its heartbeat thread write through this handle; the single
-/// `write_all` per frame under the lock keeps frames contiguous.
+/// loop and its heartbeat thread write through this handle; writing each
+/// whole frame under the lock keeps frames contiguous.
 #[derive(Clone)]
 pub struct SharedWriter {
     stream: Arc<Mutex<UnixStream>>,
@@ -119,9 +118,9 @@ impl SharedWriter {
 
     /// Seals `msg` into its frame and writes it atomically.
     pub fn send(&self, msg: &Msg<'_>) -> Result<(), TransportError> {
-        let bytes = msg.frame().encode();
+        let frame = msg.frame();
         let mut s = self.stream.lock().expect("writer lock poisoned");
-        Ok(s.write_all(&bytes)?)
+        Ok(frame.write_to(&mut *s)?)
     }
 }
 

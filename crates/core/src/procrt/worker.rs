@@ -1,12 +1,13 @@
 //! The worker-process side of the proc backend.
 //!
-//! One worker hosts a set of whole ranks (their flat GPUs). It rebuilds
-//! the distributed graph deterministically from the edge list its `Setup`
-//! ships — once: the worker keeps it for as long as the coordinator keeps
-//! the pool. The superstep round is [`WorkerRound`]: it takes each
-//! decoded coordinator message and hands back the replies (the frame table
-//! in [`super::protocol`] says which answers which), running the same per-GPU
-//! kernels as the sim driver on a [`HostedGroup`]. The process around it
+//! One worker hosts a set of whole ranks (their flat GPUs), which each
+//! `Begin` names. It rebuilds the distributed graph deterministically from
+//! the edge list its `Setup` ships — once: the worker keeps it for as long
+//! as the coordinator keeps the pool. The superstep round is
+//! [`WorkerRound`]: it takes each decoded coordinator message and hands
+//! back the replies (the frame table in [`super::protocol`] says which
+//! answers which), running the same per-GPU kernels as the sim driver on a
+//! [`HostedGroup`]. The process around it
 //! ([`run_worker`]) only reads and writes frames. Between traversals it
 //! waits with no deadline and no heartbeat, for as long as the pool is
 //! kept; a background thread heartbeats on the configured wall-clock
@@ -67,8 +68,8 @@ impl From<ProtocolError> for WorkerError {
 }
 
 /// One worker's side of the superstep round, without sockets: what its
-/// `Setup` left it — the graph, the worker-side config and the hosted
-/// flats — and the traversal in flight. [`Self::handle`] takes each
+/// `Setup` left it — the graph and the worker-side config — and the
+/// traversal in flight. [`Self::handle`] takes each
 /// coordinator message and hands back the replies, so the process's
 /// dispatcher only reads and writes frames, and a test's in-process link
 /// runs this same round under the coordinator's
@@ -77,8 +78,6 @@ pub struct WorkerRound<'g> {
     dist: &'g DistributedGraph,
     config: BfsConfig,
     track_parents: bool,
-    /// The flats `Setup` assigned; every `Begin` hosts exactly these.
-    flats: Vec<usize>,
     run: Option<Traversal>,
 }
 
@@ -111,40 +110,36 @@ impl Traversal {
 }
 
 impl<'g> WorkerRound<'g> {
-    /// A worker hosting `flats` of `dist` under the worker-side `config`,
-    /// with no traversal yet.
-    pub fn new(
-        dist: &'g DistributedGraph,
-        config: BfsConfig,
-        track_parents: bool,
-        flats: Vec<usize>,
-    ) -> Self {
-        Self { dist, config, track_parents, flats, run: None }
+    /// A worker over `dist` under the worker-side `config`, with no
+    /// traversal yet.
+    pub fn new(dist: &'g DistributedGraph, config: BfsConfig, track_parents: bool) -> Self {
+        Self { dist, config, track_parents, run: None }
     }
 
     /// Handles one coordinator message, handing each reply to `reply` as
     /// soon as it is formed:
-    /// - `Begin` → `Ready`: a fresh traversal from the source, built and
-    ///   seeded exactly as the sim driver does.
+    /// - `Begin` → `Ready`: a fresh traversal on the GPUs it names, built
+    ///   as the sim driver builds them, then seeded from the source or,
+    ///   with a resume, given the committed images. It replaces any
+    ///   traversal in flight (a recovery) and keeps its count of ignored
+    ///   duplicates.
     /// - `StepGo` → (`CheckpointSave`, when asked, before the kernels run;
     ///   the coordinator keeps the only copy) `StepLocal`: the local
     ///   kernels and the shared block formation. A stale superstep in
-    ///   flight (a restore raced a `StepGo`) is superseded.
+    ///   flight is superseded.
     /// - `StepRemote` → `StepDone`: reduce and consume every rank's mask
     ///   contribution, assemble deliveries in flat source order, form the
     ///   next frontiers. One with no superstep in flight — a duplicated or
     ///   stale frame — is counted and answers nothing.
-    /// - `Restore` → `Restored`: install the committed images of every GPU
-    ///   hosted from now on, adopted ones built fresh, and vacate any
-    ///   superstep in flight.
     /// - `Finish` → `FinalState`, which ends the traversal.
     ///
     /// # Errors
     /// What `reply` returns; a source outside the graph; a message the
     /// round does not expect (anything but `Begin` outside a traversal);
-    /// and the hosted group's refusals: a restore that leaves a hosted GPU
-    /// uncovered, a mask contribution or block that does not reduce or
-    /// deliver.
+    /// and the hosted group's refusals: a hosted flat outside the grid or
+    /// repeated, resume images that are not one per hosted GPU, a mask
+    /// contribution or block that does not reduce or deliver. A refused
+    /// `Begin` leaves the worker as it was.
     pub fn handle<E: From<ProtocolError>>(
         &mut self,
         msg: Msg<'_>,
@@ -153,16 +148,22 @@ impl<'g> WorkerRound<'g> {
         let kind = msg.kind();
         let unexpected =
             || ProtocolError::new(format!("unexpected frame kind {kind:#x} from coordinator"));
-        if let Msg::Begin { source } = msg {
+        if let Msg::Begin { source, hosted, resume } = msg {
             if source >= self.dist.num_vertices() {
                 return Err(ProtocolError::new(format!("source {source} out of range")).into());
             }
             // The constructor rejects out-of-range and repeated flats.
-            let mut group =
-                HostedGroup::new(self.dist, &self.config, self.track_parents, &self.flats)?;
-            group.seed_source(&self.dist.separation, source);
-            let t = self.run.insert(Traversal { group, in_flight: None, duplicates_ignored: 0 });
-            return reply(Msg::Ready(t.stats(0)));
+            let mut group = HostedGroup::new(self.dist, &self.config, self.track_parents, &hosted)?;
+            let iter = match resume {
+                Some(cp) => group.restore(&cp.images).map(|()| cp.iter)?,
+                None => {
+                    group.seed_source(&self.dist.separation, source);
+                    0
+                }
+            };
+            let duplicates_ignored = self.run.as_ref().map_or(0, |t| t.duplicates_ignored);
+            let t = self.run.insert(Traversal { group, in_flight: None, duplicates_ignored });
+            return reply(Msg::Ready(t.stats(iter)));
         }
         let Some(t) = self.run.as_mut() else { return Err(unexpected().into()) };
         let mode = self.config.compression;
@@ -194,11 +195,6 @@ impl<'g> WorkerRound<'g> {
                 let delivered = t.group.deliveries(f.held)?;
                 t.group.commit(&mut f.outputs, &delivered, next_depth);
                 reply(Msg::StepDone(t.stats(x.iter)))
-            }
-            Msg::Restore(l) => {
-                t.group.restore(self.dist, &self.config, self.track_parents, &l.images)?;
-                t.in_flight = None;
-                reply(Msg::Restored(t.stats(l.iter)))
             }
             Msg::Finish => {
                 let t = self.run.take().expect("a traversal is in flight");
@@ -310,7 +306,7 @@ fn worker_body(
     // The pool keeps this process between runs; only the distributed form
     // is needed from here on.
     drop(graph);
-    let mut round = WorkerRound::new(&dist, config, track_parents, setup.hosted);
+    let mut round = WorkerRound::new(&dist, config, track_parents);
 
     // A traversal reads under a deadline of twice the step timeout: a
     // coordinator silent for that long mid-run is dead, and the worker

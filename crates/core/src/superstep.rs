@@ -57,44 +57,21 @@ impl HostedGroup {
         track_parents: bool,
         flats: &[usize],
     ) -> Result<Self, ProtocolError> {
-        let mut group = Self {
-            topo: dist.topology,
-            num_delegates: dist.separation.num_delegates(),
-            flats: Vec::with_capacity(flats.len()),
-            workers: Vec::with_capacity(flats.len()),
-            reference_held: false,
-        };
-        for &flat in flats {
-            if group.index_of(flat).is_some() {
-                return Err(ProtocolError::new(format!("flat gpu {flat} hosted twice")));
-            }
-            group.host(dist, config, track_parents, flat)?;
-        }
-        Ok(group)
-    }
-
-    /// The worker of `flat`, built fresh if this group does not host it
-    /// yet (a proc worker adopting a dead peer's partition).
-    ///
-    /// # Errors
-    /// `flat` is outside the grid.
-    pub fn host(
-        &mut self,
-        dist: &DistributedGraph,
-        config: &BfsConfig,
-        track_parents: bool,
-        flat: usize,
-    ) -> Result<&mut GpuWorker, ProtocolError> {
-        let p = self.topo.num_gpus() as usize;
-        if flat >= p {
+        let (topo, p) = (dist.topology, dist.topology.num_gpus() as usize);
+        let mut flats = flats.to_vec();
+        flats.sort_unstable();
+        if let Some(&flat) = flats.iter().find(|&&f| f >= p) {
             return Err(ProtocolError::new(format!("flat gpu {flat} out of range (p = {p})")));
         }
-        let at = match self.flats.binary_search(&flat) {
-            Ok(at) => at,
-            Err(at) => {
-                let dir = |f| DirectionState::new(f, config.direction_optimization);
+        if let Some(pair) = flats.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(ProtocolError::new(format!("flat gpu {} hosted twice", pair[0])));
+        }
+        let dir = |f| DirectionState::new(f, config.direction_optimization);
+        let workers = flats
+            .iter()
+            .map(|&flat| {
                 let mut w = GpuWorker::new(
-                    self.topo.unflat(flat),
+                    topo.unflat(flat),
                     Arc::clone(&dist.subgraphs[flat]),
                     dir(config.dd_factors),
                     dir(config.dn_factors),
@@ -105,12 +82,11 @@ impl HostedGroup {
                 if track_parents {
                     w.enable_parent_tracking();
                 }
-                self.flats.insert(at, flat);
-                self.workers.insert(at, w);
-                at
-            }
-        };
-        Ok(&mut self.workers[at])
+                w
+            })
+            .collect();
+        let num_delegates = dist.separation.num_delegates();
+        Ok(Self { topo, num_delegates, flats, workers, reference_held: false })
     }
 
     /// Hosted flat GPU indices, ascending.
@@ -136,34 +112,24 @@ impl HostedGroup {
             .collect()
     }
 
-    /// Installs verified `images` — one for every GPU this group hosts,
-    /// plus any it adopts, which are built fresh first.
+    /// Installs verified `images`, exactly one for every GPU this group
+    /// hosts, and drops the mask codec's reference.
     ///
     /// # Errors
-    /// A hosted GPU without an image (it would keep state from an aborted
-    /// superstep), or an image for a flat outside the grid. Checked before
-    /// anything is installed.
-    pub fn restore(
-        &mut self,
-        dist: &DistributedGraph,
-        config: &BfsConfig,
-        track_parents: bool,
-        images: &[GpuStateImage],
-    ) -> Result<(), ProtocolError> {
-        let p = self.topo.num_gpus() as usize;
-        if let Some(&flat) =
-            self.flats.iter().find(|&&f| !images.iter().any(|i| i.gpu_flat as usize == f))
-        {
-            return Err(ProtocolError::new(format!("restore is missing hosted gpu {flat}")));
+    /// An image for a GPU the group does not host, or a hosted GPU without
+    /// exactly one image. Checked before anything is installed.
+    pub fn restore(&mut self, images: &[GpuStateImage]) -> Result<(), ProtocolError> {
+        if let Some(img) = images.iter().find(|i| !self.hosts(i.gpu_flat as usize)) {
+            let flat = img.gpu_flat;
+            return Err(ProtocolError::new(format!("image for gpu {flat}, which is not hosted")));
         }
-        if let Some(img) = images.iter().find(|i| i.gpu_flat as usize >= p) {
-            return Err(ProtocolError::new(format!(
-                "restore image for gpu {} out of range",
-                img.gpu_flat
-            )));
+        let covers = |f: &usize| images.iter().filter(|i| i.gpu_flat as usize == *f).count();
+        if let Some(flat) = self.flats.iter().find(|f| covers(f) != 1) {
+            return Err(ProtocolError::new(format!("not one image for hosted gpu {flat}")));
         }
         for img in images {
-            img.install(self.host(dist, config, track_parents, img.gpu_flat as usize)?);
+            let at = self.index_of(img.gpu_flat as usize).expect("checked above");
+            img.install(&mut self.workers[at]);
         }
         self.reference_held = false;
         Ok(())
@@ -341,16 +307,29 @@ mod tests {
     }
 
     #[test]
-    fn host_is_idempotent_and_keeps_flats_sorted() {
+    fn restore_installs_one_image_per_hosted_gpu_or_nothing() {
         let config = BfsConfig::new(4);
         let dist =
             DistributedGraph::build(&builders::grid(4, 4), Topology::new(2, 2), &config).unwrap();
-        let mut group = HostedGroup::new(&dist, &config, true, &[3]).unwrap();
-        group.host(&dist, &config, true, 1).unwrap().frontier.push(7);
-        assert_eq!(group.flats(), &[1, 3]);
-        assert_eq!(group.host(&dist, &config, true, 1).unwrap().frontier, vec![7]);
-        assert!(group.workers.iter().all(|w| w.track_parents));
-        assert!(group.host(&dist, &config, true, 9).is_err());
+        let mut seeded = HostedGroup::new(&dist, &config, true, &[3, 1]).unwrap();
+        seeded.seed_source(&dist.separation, 15);
+        let images = seeded.capture();
+        let foreign = HostedGroup::new(&dist, &config, true, &[2]).unwrap().capture();
+        let mut group = HostedGroup::new(&dist, &config, true, &[1, 3]).unwrap();
+        let fresh = group.capture();
+        let refused = [
+            (vec![images[0].clone()], "not one image for hosted gpu 3"),
+            ([&images[..], &images[..1]].concat(), "not one image for hosted gpu 1"),
+            ([&images[..], &foreign[..]].concat(), "gpu 2, which is not hosted"),
+            ([&images[..1], &foreign[..]].concat(), "gpu 2, which is not hosted"),
+        ];
+        for (images, detail) in refused {
+            let err = group.restore(&images).unwrap_err();
+            assert!(err.detail.contains(detail), "{err}");
+            assert_eq!(group.capture(), fresh, "a refusal installs nothing");
+        }
+        group.restore(&[images[1].clone(), images[0].clone()]).unwrap();
+        assert_eq!(group.capture(), images);
     }
 
     #[test]

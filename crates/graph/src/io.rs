@@ -67,6 +67,12 @@ pub fn read_text<R: Read>(reader: R) -> io::Result<EdgeList> {
     Ok(EdgeList { num_vertices: n, edges })
 }
 
+/// The length of [`write_binary`]'s encoding of `graph`: a 24-byte header
+/// and 16 bytes per edge.
+pub fn binary_len(graph: &EdgeList) -> usize {
+    24 + 16 * graph.edges.len()
+}
+
 /// Writes the binary edge-list format.
 pub fn write_binary<W: Write>(graph: &EdgeList, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
@@ -88,7 +94,7 @@ pub fn matches_binary(graph: &EdgeList, bytes: &[u8]) -> bool {
     header[..8] == MAGIC[..]
         && header[8..16] == graph.num_vertices.to_le_bytes()
         && header[16..] == graph.num_edges().to_le_bytes()
-        && edges.len() == graph.edges.len() * 16
+        && bytes.len() == binary_len(graph)
         && edges
             .chunks_exact(16)
             .zip(&graph.edges)

@@ -15,8 +15,8 @@
 //! `Round` drives the worker round every process runs (`WorkerRound`)
 //! through a link in this file, every message through the frame codec.
 //! They check the sharing over one worker and over two, a checkpoint
-//! saved, restored and replayed, a death of each slot at each superstep,
-//! and 32 seeded delivery schedules.
+//! saved, resumed and replayed, a death of each slot at each superstep,
+//! hostile `Begin` bodies, and 32 seeded delivery schedules.
 
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::{CompressionMode, Frame};
@@ -31,6 +31,7 @@ use gpu_cluster_bfs::core::procrt::{
     hosted_flats, ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
 };
 use gpu_cluster_bfs::core::recovery::RecoveryConfig;
+use gpu_cluster_bfs::core::superstep::HostedGroup;
 use gpu_cluster_bfs::graph::builders;
 use gpu_cluster_bfs::graph::permute::splitmix64;
 use gpu_cluster_bfs::obs::{Channel, MessageKind, ObservabilityConfig};
@@ -221,14 +222,14 @@ fn pool_traffic_is_pinned_frame_for_frame() {
     // (compression, parents, run) -> (wire bytes bar heartbeats, frames
     // sent, frames received).
     let pinned = [
-        (CompressionMode::Off, true, "cold", (1197978, 26, 30)),
-        (CompressionMode::Off, true, "warm", (153588, 24, 28)),
-        (CompressionMode::Off, false, "cold", (1097874, 26, 30)),
-        (CompressionMode::Off, false, "warm", (53484, 24, 28)),
-        (CompressionMode::Adaptive, true, "cold", (1198104, 26, 30)),
-        (CompressionMode::Adaptive, true, "warm", (153714, 24, 28)),
-        (CompressionMode::Adaptive, false, "cold", (1098000, 26, 30)),
-        (CompressionMode::Adaptive, false, "warm", (53610, 24, 28)),
+        (CompressionMode::Off, true, "cold", (1150852, 26, 28)),
+        (CompressionMode::Off, true, "warm", (106502, 24, 26)),
+        (CompressionMode::Off, false, "cold", (1081596, 26, 28)),
+        (CompressionMode::Off, false, "warm", (37246, 24, 26)),
+        (CompressionMode::Adaptive, true, "cold", (1150978, 26, 28)),
+        (CompressionMode::Adaptive, true, "warm", (106628, 24, 26)),
+        (CompressionMode::Adaptive, false, "cold", (1081722, 26, 28)),
+        (CompressionMode::Adaptive, false, "warm", (37372, 24, 26)),
     ];
     let graph = RmatConfig::graph500(10).generate();
     let topo = Topology::new(4, 2);
@@ -284,29 +285,33 @@ fn a_pool_respawns_for_another_graph_topology_threshold_or_parent_tracking() {
 }
 
 #[test]
-fn sigkill_on_a_warm_pool_recovers_then_the_next_run_is_cold() {
+fn a_spare_recovered_pool_stays_warm_and_a_spread_one_respawns() {
     let graph = RmatConfig::graph500(10).generate();
-    let topo = Topology::new(2, 2).with_spares(1);
     let config = kill_config(16);
-    let sim = SimBackend.run(&graph, topo, 1, &config, true).unwrap();
-    let mut backend = ProcBackend::new(worker_cmd(), proc_opts(2));
-    let run = |backend: &ProcBackend, cell: &str| {
-        let run = backend.run(&graph, topo, 1, &config, true).unwrap_or_else(|e| panic!("{e}"));
-        assert_matches_sim(&run, &sim, cell);
-        run.proc.unwrap()
-    };
-    assert_eq!(run(&backend, "warm-up").spawned, 2);
-    // Chaos is per run: the warm pool serves the killed run.
-    backend.opts.chaos.kill = Some(KillSpec { worker: 1, iter: 1 });
-    let killed = run(&backend, "killed");
-    let rec = killed.recovery.expect("a SIGKILL'd pooled worker must be recovered");
-    assert_eq!((rec.worker, rec.mode), (1, RecoveryMode::Spare));
-    assert_eq!(killed.spawned, 1, "only the spare is new");
-    // The recovery changed who hosts what, so the next run is cold.
-    backend.opts.chaos = ChaosSpec::default();
-    let after = run(&backend, "after recovery");
-    assert_eq!(after.spawned, 2);
-    assert!(after.recovery.is_none());
+    for (spares, mode) in [(1, RecoveryMode::Spare), (0, RecoveryMode::Spread)] {
+        let topo = Topology::new(2, 2).with_spares(spares);
+        let sim = SimBackend.run(&graph, topo, 1, &config, true).unwrap();
+        let mut backend = ProcBackend::new(worker_cmd(), proc_opts(2));
+        let run = |backend: &ProcBackend, cell: &str| {
+            let cell = format!("{cell}, {mode:?}");
+            let run = backend.run(&graph, topo, 1, &config, true).unwrap_or_else(|e| panic!("{e}"));
+            assert_matches_sim(&run, &sim, &cell);
+            run.proc.unwrap()
+        };
+        assert_eq!(run(&backend, "warm-up").spawned, 2);
+        // Chaos is per run: the warm pool serves the killed run.
+        backend.opts.chaos.kill = Some(KillSpec { worker: 1, iter: 1 });
+        let killed = run(&backend, "killed");
+        let rec = killed.recovery.expect("a SIGKILL'd pooled worker must be recovered");
+        assert_eq!((rec.worker, rec.mode), (1, mode));
+        assert_eq!(killed.spawned, spares, "only a spare is new");
+        // A spare refilled the pool, which stays warm; spreading left a
+        // slot empty, so the next run respawns the pool.
+        backend.opts.chaos = ChaosSpec::default();
+        let after = run(&backend, "after recovery");
+        assert_eq!(after.spawned, if mode == RecoveryMode::Spare { 0 } else { 2 }, "{mode:?}");
+        assert!(after.recovery.is_none());
+    }
 }
 
 #[test]
@@ -581,9 +586,9 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
 // ---------------------------------------------------------------------------
 
 /// A death the in-process link inflicts: `slot`'s worker dies on the first
-/// message of `kind` (of iteration `iter`, when given) it handles, in the
-/// middle of it — a `CheckpointSave` it formed first has left, its answer
-/// has not.
+/// message of `kind` (of iteration `iter`, when given) it handles once the
+/// deaths listed before this one happened, in the middle of it — a
+/// `CheckpointSave` it formed first has left, its answer has not.
 #[derive(Clone, Copy, Debug)]
 struct Kill {
     slot: usize,
@@ -591,8 +596,8 @@ struct Kill {
     iter: Option<u32>,
 }
 
-/// What a `Restore` found on the worker it reached, and did there.
-struct RestoreSeen {
+/// What a resuming `Begin` found on the worker it reached, and did there.
+struct ResumeSeen {
     slot: usize,
     frame: Frame,
     /// The worker held a mask-codec reference before it.
@@ -614,11 +619,12 @@ struct Steps {
     mask_bytes: Vec<u64>,
 }
 
-/// The round's [`Link`] in process: one `WorkerRound` per slot, as its
+/// The round's [`Link`] in process: one `WorkerRound` per slot, as the
 /// `Setup` would leave it. Each slot has an inbox and an outbox, both in
 /// order, as a socket is. Unseeded, every worker handles what it was sent
 /// before the round hears any reply, in slot order, and a death is
-/// confirmed once nothing else is left to deliver. Seeded, each event —
+/// confirmed once nothing else is left to deliver — or, eager, as soon as
+/// it happened, ahead of the replies other workers queued. Seeded, each event —
 /// a worker handling its next frame, or the round hearing a worker's — is
 /// drawn from the seed, and every `StepRemote` is sent twice, each copy
 /// held back for a drawn number of events.
@@ -636,34 +642,40 @@ struct InProcess<'g> {
     dying: VecDeque<usize>,
     /// The schedule's generator state; `None` for the unseeded order.
     rng: Option<u64>,
+    /// Deaths are confirmed as soon as they happen.
+    eager: bool,
     /// The last message sent was a `StepGo`.
     in_go_broadcast: bool,
     steps: Steps,
-    restores: Vec<RestoreSeen>,
+    resumes: Vec<ResumeSeen>,
 }
 
 impl<'g> InProcess<'g> {
-    /// Workers hosting `hosted[s]` of `dist` under `config`, with parents.
-    fn new(dist: &'g DistributedGraph, config: &BfsConfig, hosted: &[Vec<usize>]) -> Self {
-        let worker =
-            |flats: &Vec<usize>| Some(WorkerRound::new(dist, *config, true, flats.clone()));
+    /// `slots` workers over `dist` under `config`, with parents.
+    fn new(dist: &'g DistributedGraph, config: &BfsConfig, slots: usize) -> Self {
         Self {
             dist,
             config: *config,
-            workers: hosted.iter().map(worker).collect(),
-            inbox: vec![VecDeque::new(); hosted.len()],
-            outbox: vec![VecDeque::new(); hosted.len()],
+            workers: (0..slots).map(|_| Some(WorkerRound::new(dist, *config, true))).collect(),
+            inbox: vec![VecDeque::new(); slots],
+            outbox: vec![VecDeque::new(); slots],
             kills: Vec::new(),
             dying: VecDeque::new(),
             rng: None,
+            eager: false,
             in_go_broadcast: false,
             steps: Steps::default(),
-            restores: Vec::new(),
+            resumes: Vec::new(),
         }
     }
 
     fn killing(mut self, slot: usize, kind: u8, iter: Option<u32>) -> Self {
         self.kills.push(Kill { slot, kind, iter });
+        self
+    }
+
+    fn eager(mut self) -> Self {
+        self.eager = true;
         self
     }
 
@@ -686,19 +698,24 @@ impl<'g> InProcess<'g> {
         let fires = |k: &Kill| {
             k.slot == slot && k.kind == frame.kind && k.iter.is_none_or(|i| msg.iter() == Some(i))
         };
-        let dies = self.kills.iter().position(fires).map(|at| self.kills.remove(at)).is_some();
+        let dies = self.kills.first().is_some_and(fires);
+        if dies {
+            self.kills.remove(0);
+        }
         let mode = self.config.compression;
         let w = self.workers[slot].as_mut().expect("only a live worker is sent frames");
         let go = matches!(msg, Msg::StepGo { .. }).then(|| msg.iter().unwrap() as usize);
-        if let Msg::Restore(images) = &msg {
-            let reference_before = w.group().unwrap().mask_reference(mode).is_some();
-            let digests = |w: &WorkerRound<'_>| -> Vec<u64> {
-                w.group().unwrap().capture().iter().map(|img| img.digest).collect()
-            };
+        let reference =
+            |w: &WorkerRound<'_>| w.group().is_some_and(|g| g.mask_reference(mode).is_some());
+        let resuming = matches!(msg, Msg::Begin { resume: Some(_), .. });
+        if let Msg::Begin { source, hosted, resume: Some(cp) } = &msg {
+            let reference_before = reference(w);
             let before = digests(w);
-            let partial = Images { iter: images.iter, images: images.images[1..].to_vec() };
-            let refused = w.handle(Msg::Restore(partial), |_| Ok::<_, ProtocolError>(())).is_err();
-            self.restores.push(RestoreSeen {
+            let images = cp.images[1..].to_vec();
+            let resume = Some(Images { iter: cp.iter, images });
+            let partial = Msg::Begin { source: *source, hosted: hosted.clone(), resume };
+            let refused = w.handle(partial, |_| Ok::<_, ProtocolError>(())).is_err();
+            self.resumes.push(ResumeSeen {
                 slot,
                 frame: frame.clone(),
                 reference_before,
@@ -714,9 +731,8 @@ impl<'g> InProcess<'g> {
             Ok::<_, ProtocolError>(())
         });
         handled.unwrap_or_else(|e| panic!("slot {slot}: {e}"));
-        if frame.kind == kind::RESTORE {
-            let seen = self.restores.last_mut().expect("recorded above");
-            seen.reference_after = w.group().unwrap().mask_reference(mode).is_some();
+        if resuming {
+            self.resumes.last_mut().expect("recorded above").reference_after = reference(w);
         }
         if let Some(iter) = go {
             let crosses = |b: &&Block| !topo.same_rank(topo.unflat(b.src), topo.unflat(b.dst));
@@ -780,14 +796,17 @@ impl Link for InProcess<'_> {
                 (0..n).filter(|&s| self.inbox[s].front().is_some_and(|(hold, _)| *hold == 0));
             let hear = (0..n).filter(|&s| !self.outbox[s].is_empty()).map(|s| n + s);
             let events: Vec<usize> = work.chain(hear).collect();
-            let held = self.inbox.iter().any(|q| !q.is_empty());
-            if events.is_empty() && !held {
-                // Nothing left to deliver: a death is confirmed now, or the
-                // round stalled.
-                return Ok(self.dying.pop_front().map(|slot| {
+            let idle = events.is_empty() && !self.inbox.iter().any(|q| !q.is_empty());
+            if idle || self.eager {
+                // Nothing left to deliver, or an eager link: a death is
+                // confirmed now; else an idle round stalled.
+                if let Some(slot) = self.dying.pop_front() {
                     self.outbox[slot].clear();
-                    Heard::Dead(Death { slot, detect_seconds: 0.0 })
-                }));
+                    return Ok(Some(Heard::Dead(Death { slot, detect_seconds: 0.0 })));
+                }
+                if idle {
+                    return Ok(None);
+                }
             }
             // One event passes, or, with only held frames left, time does.
             for (hold, _) in self.inbox.iter_mut().flatten() {
@@ -807,8 +826,8 @@ impl Link for InProcess<'_> {
         }
     }
 
-    fn replace(&mut self, slot: usize, hosted: &[usize]) -> Result<(), ProcError> {
-        self.workers[slot] = Some(WorkerRound::new(self.dist, self.config, true, hosted.to_vec()));
+    fn replace(&mut self, slot: usize) -> Result<(), ProcError> {
+        self.workers[slot] = Some(WorkerRound::new(self.dist, self.config, true));
         self.inbox[slot].clear();
         self.outbox[slot].clear();
         Ok(())
@@ -828,6 +847,11 @@ fn run_round(
     let mut round = Round::new(topo, separation, hosted, source, true, recovery, timeout);
     round.begin(link)?;
     round.traverse(link)
+}
+
+/// The state digests of a worker's hosted GPUs; `None` outside a traversal.
+fn digests(w: &WorkerRound<'_>) -> Option<Vec<u64>> {
+    w.group().map(|g| g.capture().iter().map(|img| img.digest).collect())
 }
 
 /// The highest-degree vertex: a delegate at any threshold used here.
@@ -878,7 +902,7 @@ fn hosted_groups_match_the_sim_driver_in_process() {
                     .collect();
                 for hosting in [&whole, &rank_halves] {
                     let groups = hosting.len();
-                    let mut link = InProcess::new(&dist, &config, hosting);
+                    let mut link = InProcess::new(&dist, &config, groups);
                     let run = run_round(&mut link, hosting, source)
                         .unwrap_or_else(|e| panic!("{groups} group(s), {cell}: {e}"));
                     let steps = link.steps;
@@ -912,7 +936,7 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
 /// dies in superstep 3, and the round rolls back to the iteration-2 commit
 /// — onto a spare, or by worker 0 adopting every GPU — and replays. Under a
 /// compressing `mode` the replay only reduces if every worker dropped its
-/// mask-codec reference on restore, as the spare never had one.
+/// mask-codec reference on the resuming `Begin`, as the spare never had one.
 fn checkpoint_through_the_wire(mode: CompressionMode) {
     let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
     let graph = RmatConfig::graph500(9).generate();
@@ -924,8 +948,7 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
         let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
         let want = dist.run_with_parents(source, &config).unwrap();
         assert!(want.iterations() > 3, "the death must follow the checkpoint");
-        let mut link =
-            InProcess::new(&dist, &config, &rank_halves).killing(1, kind::STEP_GO, Some(3));
+        let mut link = InProcess::new(&dist, &config, 2).killing(1, kind::STEP_GO, Some(3));
         let cell = format!("spread {spread}, {mode}");
         let run =
             run_round(&mut link, &rank_halves, source).unwrap_or_else(|e| panic!("{cell}: {e}"));
@@ -937,34 +960,45 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
         let want_mode = if spread { RecoveryMode::Spread } else { RecoveryMode::Spare };
         assert_eq!((rec.worker, rec.mode, rec.resumed_iter), (1, want_mode, 2), "{cell}");
 
-        // One `Restore` round, carrying the committed image of every GPU.
-        let decoded: Vec<Images> = link
-            .restores
+        // One resuming `Begin` round, carrying the committed image of every
+        // GPU, each to the worker that hosts it from then on.
+        let decoded: Vec<(Vec<usize>, Images)> = link
+            .resumes
             .iter()
             .map(|seen| match Msg::decode(&seen.frame, Some(&topo)) {
-                Ok(Msg::Restore(images)) => images,
-                other => panic!("not a Restore: {other:?}"),
+                Ok(Msg::Begin { hosted, resume: Some(images), .. }) => (hosted, images),
+                other => panic!("not a resuming Begin: {other:?}"),
             })
             .collect();
-        assert!(decoded.iter().all(|images| images.iter == 2), "{cell}");
-        let mut cp: Vec<GpuStateImage> = decoded.into_iter().flat_map(|l| l.images).collect();
+        for (hosted, images) in &decoded {
+            assert_eq!(images.iter, 2, "{cell}");
+            let flats: Vec<usize> = images.images.iter().map(|img| img.gpu_flat as usize).collect();
+            assert_eq!(&flats, hosted, "{cell}");
+        }
+        let mut cp: Vec<GpuStateImage> = decoded.into_iter().flat_map(|(_, l)| l.images).collect();
         cp.sort_by_key(|img| img.gpu_flat);
         let flats: Vec<u32> = cp.iter().map(|img| img.gpu_flat).collect();
         assert_eq!(flats, (0..8).collect::<Vec<_>>(), "{cell}");
-        for seen in &link.restores {
+        for seen in &link.resumes {
             // The survivor held a codec reference; every worker restarts
             // without one, as the spare.
             assert_eq!(seen.reference_before, seen.slot == 0 && mode.is_on(), "{cell}");
             assert!(!seen.reference_after, "slot {} kept its codec reference, {cell}", seen.slot);
-            // A restore that leaves a hosted GPU uncovered is refused
+            // A resume that leaves a hosted GPU uncovered is refused
             // before any image is installed.
             assert!(seen.partial_refused, "slot {}, {cell}", seen.slot);
         }
-        // Any one flipped byte of an image list — count, any field, seal —
-        // is a typed decode error, so nothing is installed. (The leading
-        // iteration takes any value.)
-        let one = Msg::Restore(Images { iter: 2, images: cp[..1].to_vec() }).frame();
-        for at in 4..one.payload_len() {
+        // Any one flipped byte of a resume's image list — count, any field,
+        // seal — is a typed decode error, so nothing is installed. (The
+        // source, the hosted flats and the iteration take any value here.)
+        let begin = |images: &[GpuStateImage]| Msg::Begin {
+            source,
+            hosted: vec![0],
+            resume: Some(Images { iter: 2, images: images.to_vec() }),
+        };
+        let one = begin(&cp[..1]).frame();
+        let list_at = begin(&[]).frame().payload_len() - 4;
+        for at in list_at..one.payload_len() {
             let mut tampered = one.payload().to_vec();
             tampered[at] ^= 0x10;
             let tampered = Frame::new(one.kind, tampered);
@@ -998,7 +1032,7 @@ impl DeathCell {
     ) -> Result<ProcOutcome, ProcError> {
         let topo = Topology::new(4, 2).with_spares(spares);
         let dist = DistributedGraph::build(&self.graph, topo, config).unwrap();
-        let mut link = InProcess::new(&dist, config, &self.hosted);
+        let mut link = InProcess::new(&dist, config, self.hosted.len());
         for k in kills {
             link = link.killing(k.slot, k.kind, k.iter);
         }
@@ -1023,23 +1057,15 @@ fn every_death_is_recovered_in_process_bit_exact() {
             for (kind, iter) in std::iter::once((kind::BEGIN, None)).chain(supersteps) {
                 let at = iter.map_or("before Ready".into(), |i| format!("in superstep {i}"));
                 let what = format!("slot {slot} dies {at}, {mode:?}");
-                let run = cell.run(spares, &config, &[Kill { slot, kind, iter }]);
-                if iter.is_none() && mode == RecoveryMode::Spread {
-                    // Nothing is committed before Ready, and a survivor
-                    // cannot begin GPUs it does not host: only a spare can.
-                    let err = run.expect_err(&what);
-                    assert!(
-                        matches!(err, ProcError::Unrecoverable { worker, iter: 0 } if worker == slot as u32),
-                        "{what}: {err}"
-                    );
-                    continue;
-                }
-                let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                let run = cell
+                    .run(spares, &config, &[Kill { slot, kind, iter }])
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!(run.depths, sim.depths, "depths, {what}");
                 assert_eq!(run.parents, sim.parents, "parents, {what}");
                 assert_eq!(run.report.iterations, sim.iterations(), "supersteps, {what}");
                 let rec = run.report.recovery.expect("the death is recovered");
-                // The default cadence commits every fourth superstep.
+                // The default cadence commits images every fourth superstep
+                // past the first; `Begin` is the commit at superstep 0.
                 let resumed = iter.map_or(0, |i| i / 4 * 4);
                 assert_eq!(
                     (rec.worker, rec.mode, rec.resumed_iter),
@@ -1058,11 +1084,12 @@ fn deaths_without_a_recovery_path_are_unrecoverable_in_process() {
         Err(ProcError::Unrecoverable { worker: w, iter: i }) if (w, i) == (worker, iter) => {}
         other => panic!("{what}: expected Unrecoverable {{ {worker}, {iter} }}, got {other:?}"),
     };
-    // A second death during the `Restore` round, onto a spare or spreading.
+    // A second death during the resuming `Begin` round, onto a spare or
+    // spreading.
     let config = BfsConfig::new(16);
     let second = [
         Kill { slot: 1, kind: kind::STEP_GO, iter: Some(2) },
-        Kill { slot: 0, kind: kind::RESTORE, iter: None },
+        Kill { slot: 0, kind: kind::BEGIN, iter: None },
     ];
     for spares in [1, 0] {
         unrecoverable(cell.run(spares, &config, &second), 0, 2, &format!("{spares} spare(s)"));
@@ -1074,6 +1101,77 @@ fn deaths_without_a_recovery_path_are_unrecoverable_in_process() {
     for (kind, iter) in [(kind::BEGIN, None), (kind::STEP_GO, Some(1))] {
         let run = cell.run(1, &config, &[Kill { slot: 0, kind, iter }]);
         unrecoverable(run, 0, iter.unwrap_or(0), "recovery disabled");
+    }
+}
+
+#[test]
+fn a_death_confirmed_before_a_survivors_ready_is_recovered_bit_exact() {
+    // Slot 1 dies in its `Begin` and the death is confirmed before slot 0's
+    // `Ready` is heard. Slot 0 then begins again, hosting every GPU, and
+    // the round must count that `Ready`, not the one still on its way: with
+    // the source on a GPU of slot 1 the earlier one reports no frontier.
+    let cell = DeathCell::new();
+    let (config, topo) = (BfsConfig::new(16), Topology::new(4, 2));
+    let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
+    let degrees = cell.graph.out_degrees();
+    let source = (0..cell.graph.num_vertices)
+        .find(|&v| {
+            let slot_1 = cell.hosted[1].contains(&topo.flat(topo.vertex_owner(v)));
+            slot_1 && degrees[v as usize] > 0 && dist.separation().delegate_id(v).is_none()
+        })
+        .expect("a normal source on slot 1");
+    let sim = dist.run_with_parents(source, &config).unwrap();
+    let mut link = InProcess::new(&dist, &config, 2).killing(1, kind::BEGIN, None).eager();
+    let run = run_round(&mut link, &cell.hosted, source).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(run.depths, sim.depths);
+    assert_eq!(run.parents, sim.parents);
+    assert_eq!(run.report.iterations, sim.iterations());
+    let rec = run.report.recovery.expect("the death is recovered");
+    assert_eq!((rec.worker, rec.mode, rec.resumed_iter), (1, RecoveryMode::Spread, 0));
+}
+
+#[test]
+fn hostile_begins_are_typed_errors_that_install_nothing() {
+    let cell = DeathCell::new();
+    let config = BfsConfig::new(16);
+    let topo = Topology::new(4, 2);
+    let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
+    let sim = dist.run_with_parents(cell.source, &config).unwrap();
+    let all: Vec<usize> = (0..8).collect();
+    // Sealed images of every GPU, as a resume would carry them.
+    let mut seeded = HostedGroup::new(&dist, &config, true, &all).unwrap();
+    seeded.seed_source(dist.separation(), cell.source);
+    let images = seeded.capture();
+    let begin = |hosted: &[usize], resume: Option<&[GpuStateImage]>| {
+        let resume = resume.map(|images| Images { iter: 2, images: images.to_vec() });
+        Msg::Begin { source: cell.source, hosted: hosted.to_vec(), resume }.frame()
+    };
+    let mut broken = begin(&all, Some(&images)).payload().to_vec();
+    *broken.last_mut().unwrap() ^= 1; // the last image's seal
+    let hostile = [
+        ("a hosted flat outside the grid", begin(&[0, 1, 2, 3, 4, 5, 6, 7, 8], None)),
+        ("a hosted flat repeated", begin(&[0, 1, 2, 3, 4, 5, 6, 7, 7], None)),
+        ("a resume that misses a hosted gpu", begin(&all, Some(&images[1..]))),
+        ("a resume that exceeds the hosted gpus", begin(&all[..7], Some(&images))),
+        ("a resume foreign to the hosted gpus", begin(&all[..7], Some(&images[1..]))),
+        ("a broken seal", Frame::new(kind::BEGIN, broken)),
+    ];
+    let mut link = InProcess::new(&dist, &config, 1);
+    for (what, frame) in hostile {
+        // Mid-traversal, so there is state a refusal must leave alone.
+        let w = link.workers[0].as_mut().unwrap();
+        let fresh = Msg::Begin { source: cell.source, hosted: all.clone(), resume: None };
+        w.handle(fresh, |_| Ok::<_, ProtocolError>(())).unwrap();
+        let before = digests(w);
+        let refused = Msg::decode(&frame, Some(&topo))
+            .and_then(|msg| w.handle(msg, |_| Ok::<_, ProtocolError>(())));
+        assert!(refused.is_err(), "{what} was not refused");
+        assert_eq!(digests(w), before, "{what} installed something");
+        // The next valid `Begin` runs bit-exact.
+        let run = run_round(&mut link, std::slice::from_ref(&all), cell.source)
+            .unwrap_or_else(|e| panic!("after {what}: {e}"));
+        assert_eq!(run.depths, sim.depths, "depths after {what}");
+        assert_eq!(run.parents, sim.parents, "parents after {what}");
     }
 }
 
@@ -1090,7 +1188,7 @@ fn any_delivery_schedule_is_bit_exact_in_process() {
     let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
     let sim = dist.run_with_parents(cell.source, &config).unwrap();
     for seed in 0..32 {
-        let mut link = InProcess::new(&dist, &config, &cell.hosted).seeded(seed);
+        let mut link = InProcess::new(&dist, &config, cell.hosted.len()).seeded(seed);
         let run = run_round(&mut link, &cell.hosted, cell.source)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(run.depths, sim.depths, "depths, seed {seed}");
