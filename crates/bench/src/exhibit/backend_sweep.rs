@@ -17,13 +17,14 @@
 //!    track runtime overhead, not to flatter).
 //! 3. **Traffic**: bytes the sim *models* crossing rank boundaries vs
 //!    bytes the proc runtime *actually shipped* over sockets (frames,
-//!    headers, seals, heartbeats included), cold (with the graph's
-//!    shipping) and warm.
+//!    headers and seals included), cold (with the graph's shipping) and
+//!    warm.
 //!
-//! Plus the recovery bill: a worker is SIGKILL'd mid-sweep, confirmed
-//! dead by phi-accrual heartbeat silence, and recovered onto a spare
-//! process (and, separately, spread onto survivors); the real
-//! detect/re-home/total times are reported.
+//! Plus the recovery bill: a worker is SIGKILL'd mid-sweep, found dead
+//! when its connection closes, and recovered onto a spare process (and,
+//! separately, spread onto survivors); the real detect/re-home/total
+//! times are reported. `--smoke` fails if either detection took
+//! [`DETECT_MS_MAX`] or more, as a death waited out instead of heard would.
 //!
 //! Usage: `gcbfs-bench backend_sweep [--smoke]`. Environment knobs:
 //! `GCBFS_SCALE` (default 12; `--smoke` 10), `GCBFS_JSON_OUT=/path.json`
@@ -40,6 +41,9 @@ use gcbfs_core::recovery::RecoveryConfig;
 /// Runs per width on the pool the cold run spawned, each from another
 /// source.
 const WARM_RUNS: usize = 4;
+
+/// The smoke gate on a recovery's detection time, kill to death heard.
+const DETECT_MS_MAX: f64 = 100.0;
 
 fn proc_backend(opts: ProcOptions) -> ProcBackend {
     let exe = std::env::current_exe().expect("own path");
@@ -138,14 +142,13 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         width_json.push(format!(
             "{{\"procs\":{procs},\"iterations\":{},\"sim_gteps\":{sim_gteps},\
              \"proc_gteps\":{},\"wall_ms\":{cold_ms},\"modeled_bytes\":{modeled_bytes},\
-             \"wire_bytes\":{},\"heartbeats\":{},\"spawned\":{},\"warm_runs\":{WARM_RUNS},\
+             \"wire_bytes\":{},\"spawned\":{},\"warm_runs\":{WARM_RUNS},\
              \"warm_wall_ms\":{warm_wall_ms},\"warm_proc_gteps\":{},\
              \"warm_wire_bytes\":{warm_wire},\"warm_modeled_bytes\":{warm_modeled_bytes},\
              \"warm_spawned\":{warm_spawned},\"bit_exact\":{bit_exact}}}",
             report.iterations,
             gteps(cold_ms),
             report.wire_bytes,
-            report.heartbeats,
             report.spawned,
             gteps(warm_wall_ms),
         ));
@@ -171,19 +174,17 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     );
 
     // The recovery bill: SIGKILL a worker mid-sweep and measure the
-    // real phi-accrual detection and re-homing times, for both the
-    // spare-process and spread-onto-survivors paths.
-    println!("\nrecovery bill (SIGKILL mid-sweep, phi-accrual confirmation):");
+    // real detection and re-homing times, for both the spare-process and
+    // spread-onto-survivors paths.
+    println!("\nrecovery bill (SIGKILL mid-sweep, death heard as the connection closes):");
     let mut rec_rows = Vec::new();
     let mut rec_json = Vec::new();
+    let mut detect_ms = Vec::new();
     let kill_config = config.with_recovery(RecoveryConfig::default().with_checkpoint_interval(2));
     for (label, spares, victim) in [("spare", 1u32, 1u32), ("spread", 0, 0)] {
         let opts = ProcOptions {
             workers: 2,
-            chaos: ChaosSpec {
-                kill: Some(KillSpec { worker: victim, iter: 1 }),
-                ..ChaosSpec::default()
-            },
+            chaos: ChaosSpec { kill: Some(KillSpec { worker: victim, iter: 1 }) },
             ..ProcOptions::default()
         };
         let proc = proc_backend(opts)
@@ -195,6 +196,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         assert_eq!(rec.mode, expected, "recovery took the wrong path");
         let bit_exact = agrees(&proc, &sim);
         all_bit_exact &= bit_exact;
+        detect_ms.push(ms(rec.detect_seconds));
         rec_rows.push(vec![
             label.to_string(),
             format!("{}", rec.worker),
@@ -239,9 +241,14 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     assert!(all_bit_exact, "a proc-backend run diverged from the simulator");
     assert_eq!(warm_spawned_total, 0, "a warm run spawned a process instead of using the pool");
     if smoke {
+        assert!(
+            detect_ms.iter().all(|&d| d < DETECT_MS_MAX),
+            "a kill took {detect_ms:?} ms to detect, not under {DETECT_MS_MAX}: \
+             a death was waited out instead of heard"
+        );
         println!(
             "\nsmoke: all widths (cold and warm) and both recovery paths bit-exact against the \
-             sim; no warm run spawned"
+             sim; no warm run spawned; both deaths detected in under {DETECT_MS_MAX} ms"
         );
     }
 }

@@ -26,17 +26,13 @@
 //!   with typed detection errors surfaced at superstep boundaries.
 
 //! * [`membership`] — elastic cluster membership on top of the fault
-//!   layer: an adaptive phi-accrual failure detector (suspected vs
-//!   confirmed-dead), the member lifecycle state machine, and the
-//!   hot-spare pool that lets recovery restore *balance*, not just
-//!   liveness.
+//!   layer: the simulator's modeled phi-accrual failure detector over
+//!   per-superstep heartbeats (suspected vs confirmed-dead), the member
+//!   lifecycle state machine, and the hot-spare pool that lets recovery
+//!   restore *balance*, not just liveness. The real-process backend in
+//!   `gcbfs-core` needs no detector: its workers are child processes, and
+//!   one is dead when it exits.
 
-//! * [`clock`] — the modeled-vs-wall time seam: the failure detector
-//!   consumes beat-valued instants from a [`Clock`], so the simulator's
-//!   superstep counter and the proc backend's wall heartbeats share one
-//!   detection code path.
-
-pub mod clock;
 pub mod collectives;
 pub mod cost;
 pub mod fault;
@@ -44,7 +40,6 @@ pub mod membership;
 pub mod timing;
 pub mod topology;
 
-pub use clock::{Clock, WallClock};
 pub use cost::{CostModel, DeviceModel, NetworkModel};
 pub use fault::{FaultError, FaultInjector, FaultPlan, JitteredBackoff};
 pub use membership::{HeartbeatStatus, MemberState, Membership, MembershipConfig, MembershipEvent};

@@ -77,22 +77,6 @@ impl Default for MembershipConfig {
     }
 }
 
-impl MembershipConfig {
-    /// A profile tuned for *wall-clock* heartbeats (the proc backend):
-    /// OS scheduling can stretch a beat by several periods without the
-    /// worker being dead, so suspicion needs more evidence and more
-    /// consecutive misses than the tightly modeled sim profile.
-    pub fn wall_defaults() -> Self {
-        Self {
-            suspect_phi: 3.0,
-            confirm_phi: 10.0,
-            confirm_misses: 8,
-            window: 32,
-            ..Self::default()
-        }
-    }
-}
-
 /// What the control channel observed for one member at one superstep
 /// boundary. Produced by the ground-truth side (the fault injector),
 /// consumed by the detector.
@@ -246,12 +230,9 @@ impl Membership {
     /// detector and returns the state transitions it caused, in member
     /// order.
     ///
-    /// This is the *modeled-clock* wrapper over the timing-agnostic
-    /// primitives [`Self::record_arrival`] and [`Self::record_silence`]:
-    /// an arrival lands at the deterministically jittered modeled instant,
-    /// and a silent member is evaluated at the boundary's end
-    /// (`iteration + 1` beats). The proc backend drives the same
-    /// primitives from a wall [`Clock`](crate::clock::Clock) instead.
+    /// An arrival lands at the deterministically jittered modeled instant
+    /// (`record_arrival`), and a silent member is evaluated at the
+    /// boundary's end, `iteration + 1` beats (`record_silence`).
     ///
     /// Deterministic: arrival jitter is a pure function of
     /// `(seed, iteration, gpu)`, and replayed boundaries (same or earlier
@@ -290,13 +271,10 @@ impl Membership {
     /// returning the state transition it caused, if any. `iteration` only
     /// labels the emitted event.
     ///
-    /// Timing-agnostic core of the detector: the sim feeds modeled
-    /// arrivals (via [`Self::observe`]), the proc backend feeds wall-clock
-    /// arrivals as heartbeat frames land. An arrival not after the last
-    /// accepted one (a replayed boundary after rollback) leaves the window
-    /// statistics untouched; an arrival on a Dead member resets its
-    /// history and rejoins it.
-    pub fn record_arrival(
+    /// An arrival not after the last accepted one (a replayed boundary
+    /// after rollback) leaves the window statistics untouched; an arrival
+    /// on a Dead member resets its history and rejoins it.
+    fn record_arrival(
         &mut self,
         gpu: usize,
         arrival: f64,
@@ -347,19 +325,7 @@ impl Membership {
 
     /// Records one silent observation window on member `gpu`, evaluating
     /// suspicion at `now` beats, and returns the transition it caused.
-    ///
-    /// `now` is an *arbitrary* evaluation instant — this is the fix for
-    /// the detector's former latent assumption that silence is only ever
-    /// measured at superstep boundaries (`iteration + 1`). Under the sim
-    /// that is still the instant [`Self::observe`] passes; under the proc
-    /// backend the coordinator evaluates whenever its heartbeat ticker
-    /// fires, which is aligned with nothing.
-    pub fn record_silence(
-        &mut self,
-        gpu: usize,
-        now: f64,
-        iteration: u32,
-    ) -> Option<MembershipEvent> {
+    fn record_silence(&mut self, gpu: usize, now: f64, iteration: u32) -> Option<MembershipEvent> {
         if self.states[gpu] == MemberState::Dead {
             return None; // already confirmed; nothing new to learn
         }
@@ -598,43 +564,6 @@ mod tests {
             log
         };
         assert_eq!(run(), run());
-    }
-
-    /// The primitives accept evaluation instants that are *not* superstep
-    /// boundaries — the wall-clock path. Unaligned silence evaluations
-    /// must accrue suspicion monotonically and still confirm death, and
-    /// unaligned arrivals must feed the window like boundary arrivals do.
-    #[test]
-    fn unaligned_wall_times_drive_the_same_detector() {
-        let mut m = Membership::new(2, 0, MembershipConfig::default());
-        // Irregular but healthy beats near 1.0 apart, never on a boundary.
-        let mut t = 0.07;
-        for k in 0..12u32 {
-            for gpu in 0..2 {
-                assert!(m.record_arrival(gpu, t, k).is_none(), "beat at {t}");
-            }
-            t += if k % 3 == 0 { 0.93 } else { 1.04 };
-        }
-        // GPU 1 goes silent; evaluate at arbitrary fractional instants.
-        let mut phi_prev = 0.0;
-        let mut confirmed = false;
-        for (k, dt) in [0.41, 0.77, 1.13, 1.61, 2.3, 3.1, 4.9].iter().enumerate() {
-            let now = t + dt;
-            if let Some(e) = m.record_silence(1, now, 12 + k as u32) {
-                match e {
-                    MembershipEvent::Suspected { gpu: 1, .. } => {}
-                    MembershipEvent::ConfirmedDead { gpu: 1, .. } => confirmed = true,
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            assert!(m.phi(1) >= phi_prev, "phi must accrue with silence");
-            phi_prev = m.phi(1);
-            if confirmed {
-                break;
-            }
-        }
-        assert!(confirmed, "unaligned silence must still confirm death");
-        assert_eq!(m.state(0), MemberState::Alive, "healthy member unaffected");
     }
 
     /// `observe` is now a wrapper over the primitives; this pins the

@@ -255,7 +255,6 @@ mod tests {
         for (field, opts) in [
             ("workers", ProcOptions { workers: 0, ..ProcOptions::default() }),
             ("step_timeout", ProcOptions { step_timeout: zero, ..ProcOptions::default() }),
-            ("heartbeat_period", ProcOptions { heartbeat_period: zero, ..ProcOptions::default() }),
         ] {
             let b = ProcBackend::new(cmd.clone(), opts);
             match b.run(&graph, Topology::new(2, 1), 0, &BfsConfig::new(8), false) {
@@ -275,7 +274,7 @@ mod tests {
         let cmd = WorkerCommand::new("/bin/false", vec![]);
         for (ranks, worker) in [(4, 3), (4, 2), (1, 1)] {
             let kill = Some(crate::procrt::KillSpec { worker, iter: 1 });
-            let chaos = crate::procrt::ChaosSpec { kill, ..Default::default() };
+            let chaos = crate::procrt::ChaosSpec { kill };
             let b = ProcBackend::new(cmd.clone(), ProcOptions { chaos, ..ProcOptions::default() });
             let err = b.run(&graph, Topology::new(ranks, 1), 0, &BfsConfig::new(8), false);
             match err {

@@ -8,29 +8,25 @@
 //!   frame for every worker and any spare — one reader thread per
 //!   connection and the generation guard that keeps a dead process's
 //!   reader from speaking for its replacement.
-//! - Liveness: heartbeats, the wall clock and the phi-accrual detector,
-//!   which turns silence into a [`Death`] — never a closed socket: a worker
-//!   whose connection drops keeps its slot until heartbeat *silence*
-//!   accrues past the wall profile's confirmation threshold. The pool then
-//!   reaps the child.
-//! - The [`ChaosSpec`] perturbations: the kill, and the `StepRemote` delay
-//!   and duplicate.
-//! - The [`ProcReport`] traffic counts: frames, bytes, heartbeats,
-//!   suspicions and spawns.
+//! - The death rule: a worker is dead exactly when its connection closed
+//!   or its process exited. During a run its reader reports the close, the
+//!   pool SIGKILLs and reaps the child and the link hears a [`Death`];
+//!   `resume` finds one that left while the pool idled, and the handshake
+//!   one that exited before its `Hello`.
+//! - The [`ChaosSpec`] kill.
+//! - The [`ProcReport`] traffic counts: frames, bytes and spawns.
 //! - Teardown, when a run errs, when a run needs another key or finds a
 //!   worker gone (a run recovered by spreading leaves its dead slot
 //!   empty; one recovered by a spare leaves a full pool, which stays
 //!   warm), and when the pool is dropped.
 
-use super::protocol::{encode_worker_config, kind, setup_frame, Msg, Setup, PROTO_VERSION};
+use super::protocol::{encode_worker_config, setup_frame, Msg, Setup, PROTO_VERSION};
 use super::round::{Death, Heard, Link, ProcOutcome, Round};
 use super::transport::TransportError;
 use super::{hosted_flats, ProcError, ProcOptions, ProcReport};
 use crate::config::BfsConfig;
 use crate::driver::BuildError;
 use crate::separation::Separation;
-use gcbfs_cluster::clock::{Clock, WallClock};
-use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_compress::Frame;
 use gcbfs_graph::{EdgeList, VertexId};
@@ -82,8 +78,6 @@ struct Slot {
     child: Option<Child>,
     stream: Option<UnixStream>,
     gen: u32,
-    /// A heartbeat arrived since the last silence tick.
-    beat_seen: bool,
 }
 
 /// A pool of worker processes and the coordinator driving them, kept
@@ -159,38 +153,10 @@ impl ProcPool {
             wire_bytes: traffic.wire_bytes,
             frames_sent: traffic.frames_sent,
             frames_received: traffic.frames_received,
-            heartbeats: traffic.heartbeats,
-            suspicions: traffic.suspicions,
             ..outcome.report
         };
         self.0 = Some(co);
         Ok(outcome)
-    }
-}
-
-/// What the pool starts afresh for every run: the detector and its clock,
-/// and the chaos's progress.
-struct RunState {
-    clock: WallClock,
-    membership: Membership,
-    last_tick: Instant,
-    /// When the chaos kill fired (it fires once).
-    kill_time: Option<Instant>,
-    /// The last frame sent was a `StepRemote`, so the broadcast it belongs
-    /// to was already held back.
-    in_remote_broadcast: bool,
-}
-
-impl RunState {
-    /// The state a run on `nslots` workers starts with under `opts`.
-    fn new(nslots: usize, opts: &ProcOptions) -> Self {
-        Self {
-            clock: WallClock::new(opts.heartbeat_period.as_secs_f64()),
-            membership: Membership::new(nslots, 0, MembershipConfig::wall_defaults()),
-            last_tick: Instant::now(),
-            kill_time: None,
-            in_remote_broadcast: false,
-        }
     }
 }
 
@@ -214,7 +180,8 @@ struct Coordinator {
     tx: Sender<Event>,
     rx: Receiver<Event>,
     // ---- The current run's. ----
-    run: RunState,
+    /// When the chaos kill fired (it fires once).
+    kill_time: Option<Instant>,
     /// The run's traffic counts; taken when the run ends, so the next one
     /// counts from zero.
     report: ProcReport,
@@ -258,7 +225,6 @@ impl Coordinator {
         let setup = Setup {
             topo,
             config: worker_config,
-            heartbeat_ms: opts.heartbeat_period.as_millis() as u64,
             step_timeout_ms: opts.step_timeout.as_millis() as u64,
             graph: &[],
         };
@@ -285,7 +251,7 @@ impl Coordinator {
             slots: (0..nslots).map(|_| Slot::default()).collect(),
             tx,
             rx,
-            run: RunState::new(nslots, opts),
+            kill_time: None,
             report: ProcReport::default(),
         };
         for slot in 0..nslots {
@@ -319,9 +285,8 @@ impl Coordinator {
     }
 
     /// Readies an idle pool for the next run under `opts`, as fresh as a
-    /// spawned one. What queued while it idled (a beat that raced the last
-    /// run's end) is dropped uncounted, so no idle arrival reaches the
-    /// run's detector. False when a worker left while the pool idled.
+    /// spawned one. False when a worker left while the pool idled: its
+    /// connection closed or its process exited.
     fn resume(&mut self, opts: &ProcOptions) -> bool {
         while let Ok(event) = self.rx.try_recv() {
             if let Event::Closed { slot, gen } = event {
@@ -335,9 +300,8 @@ impl Coordinator {
         if self.slots.iter_mut().any(exited) {
             return false;
         }
-        self.slots.iter_mut().for_each(|slot| slot.beat_seen = false);
         self.opts.chaos = opts.chaos;
-        self.run = RunState::new(self.slots.len(), opts);
+        self.kill_time = None;
         true
     }
 
@@ -359,7 +323,8 @@ impl Coordinator {
 
     /// Accepts connections until every slot in `expected` said Hello with
     /// the right protocol version, then installs writers and spawns a
-    /// reader thread per connection.
+    /// reader thread per connection. A child that exits before its `Hello`
+    /// fails the spawn at once.
     fn accept_workers(&mut self, mut expected: Vec<usize>) -> Result<(), ProcError> {
         let refuse = |worker: Option<u32>, detail: String| ProcError::Handshake { worker, detail };
         let deadline = Instant::now() + self.opts.step_timeout;
@@ -370,6 +335,13 @@ impl Coordinator {
             let mut stream = match self.listener.accept() {
                 Ok((s, _)) => s,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    for &slot in &expected {
+                        let child = self.slots[slot].child.as_mut();
+                        if let Some(Ok(Some(status))) = child.map(Child::try_wait) {
+                            let exit = format!("slot {slot} exited before Hello with {status}");
+                            return Err(ProcError::Spawn(exit));
+                        }
+                    }
                     std::thread::sleep(Duration::from_millis(2));
                     continue;
                 }
@@ -427,99 +399,50 @@ impl Coordinator {
         self.report.wire_bytes += frame.encoded_len() as u64;
         Ok(())
     }
-
-    /// One silence tick per heartbeat period per quiet slot (the detector
-    /// passes over a slot it confirmed dead, until a spare's first beat
-    /// rejoins it); a slot it confirms dead now is reaped.
-    fn tick(&mut self) -> Option<Death> {
-        if self.run.last_tick.elapsed() < self.opts.heartbeat_period {
-            return None;
-        }
-        self.run.last_tick = Instant::now();
-        let t = self.run.clock.now();
-        for slot in 0..self.slots.len() {
-            if std::mem::take(&mut self.slots[slot].beat_seen) {
-                continue;
-            }
-            // Events are labelled with an iteration the pool does not track.
-            match self.run.membership.record_silence(slot, t, 0) {
-                Some(MembershipEvent::Suspected { .. }) => self.report.suspicions += 1,
-                Some(MembershipEvent::ConfirmedDead { .. }) => {
-                    if let Some(mut child) = self.slots[slot].child.take() {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
-                    let detect_seconds =
-                        self.run.kill_time.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                    return Some(Death { slot, detect_seconds });
-                }
-                _ => {}
-            }
-        }
-        None
-    }
 }
 
 impl Link for Coordinator {
-    /// Writes `msg` to `slot`, perturbed by the run's chaos: a `StepRemote`
-    /// broadcast is held back and its frames sent twice, and the victim of
-    /// the kill is SIGKILLed right after its `StepGo` — mid-sweep, as real
-    /// deaths are. A failed write (e.g. EPIPE after a SIGKILL) is left to
-    /// the detector.
+    /// Writes `msg` to `slot`; the victim of the chaos kill is SIGKILLed
+    /// right after its `StepGo` — mid-sweep, as real deaths are. A failed
+    /// write (e.g. EPIPE after a SIGKILL) is left to the death rule: the
+    /// connection closed.
     fn send(&mut self, slot: usize, msg: &Msg<'_>) {
-        let frame = msg.frame();
-        let chaos = self.opts.chaos;
-        let remote = frame.kind == kind::STEP_REMOTE;
-        if remote && !self.run.in_remote_broadcast && !chaos.delay_step_remote.is_zero() {
-            std::thread::sleep(chaos.delay_step_remote);
-        }
-        self.run.in_remote_broadcast = remote;
-        if remote && chaos.duplicate_step_remote {
-            let _ = self.write(slot, &frame);
-        }
-        let _ = self.write(slot, &frame);
-        let Some(kill) = chaos.kill else { return };
+        let _ = self.write(slot, &msg.frame());
+        let Some(kill) = self.opts.chaos.kill else { return };
         let go = matches!(msg, Msg::StepGo { iter, .. } if *iter == kill.iter);
-        if go && kill.worker as usize == slot && self.run.kill_time.is_none() {
-            self.run.kill_time = Some(Instant::now());
+        if go && kill.worker as usize == slot && self.kill_time.is_none() {
+            self.kill_time = Some(Instant::now());
             if let Some(child) = self.slots[slot].child.as_mut() {
                 let _ = child.kill(); // SIGKILL: no cleanup, no goodbye
             }
         }
     }
 
-    /// Feeds heartbeat arrivals and silences to the detector and counts
-    /// every frame until a data frame or a death comes up.
+    /// Waits for the next event of a current connection: a data frame,
+    /// counted, or its close — a death, whose process the pool SIGKILLs
+    /// and reaps. A stale pre-recovery connection's events are skipped.
     fn next(&mut self, deadline: Instant) -> Result<Option<Heard>, ProcError> {
-        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-            if let Some(death) = self.tick() {
-                return Ok(Some(Heard::Dead(death)));
-            }
-            let wait = left.min(self.opts.heartbeat_period).min(Duration::from_millis(20));
-            // Skipped: nothing yet, a stale pre-recovery connection's frame,
-            // and a closed socket, which is evidence only — the detector
-            // confirms a death from heartbeat silence.
-            let Ok(Event::Frame { slot, gen, frame }) = self.rx.recv_timeout(wait) else {
-                continue;
-            };
-            if gen != self.slots[slot].gen {
-                continue;
-            }
-            self.report.wire_bytes += frame.encoded_len() as u64;
-            if frame.kind != kind::HEARTBEAT {
-                self.report.frames_received += 1;
-                return Ok(Some(Heard::Frame(slot, frame)));
-            }
-            self.report.heartbeats += 1;
-            self.slots[slot].beat_seen = true;
-            let t = self.run.clock.now();
-            if let Some(MembershipEvent::Suspected { .. }) =
-                self.run.membership.record_arrival(slot, t, 0)
-            {
-                self.report.suspicions += 1;
+        loop {
+            // The pool holds a sender, so only the deadline ends the wait.
+            let left = deadline.saturating_duration_since(Instant::now());
+            let Ok(event) = self.rx.recv_timeout(left) else { return Ok(None) };
+            match event {
+                Event::Frame { slot, gen, frame } if gen == self.slots[slot].gen => {
+                    self.report.wire_bytes += frame.encoded_len() as u64;
+                    self.report.frames_received += 1;
+                    return Ok(Some(Heard::Frame(slot, frame)));
+                }
+                Event::Closed { slot, gen } if gen == self.slots[slot].gen => {
+                    if let Some(mut child) = self.slots[slot].child.take() {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                    }
+                    let detect_seconds = self.kill_time.map_or(0.0, |t| t.elapsed().as_secs_f64());
+                    return Ok(Some(Heard::Dead(Death { slot, detect_seconds })));
+                }
+                _ => {}
             }
         }
-        Ok(None)
     }
 
     /// Spawns a spare process in `slot` under a fresh generation — events
@@ -527,7 +450,6 @@ impl Link for Coordinator {
     /// and ships it the `Setup`.
     fn replace(&mut self, slot: usize) -> Result<(), ProcError> {
         self.slots[slot].gen += 1;
-        self.slots[slot].beat_seen = false;
         self.spawn_child(slot)?;
         self.accept_workers(vec![slot])?;
         self.send_setup(slot)

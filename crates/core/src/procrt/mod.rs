@@ -6,8 +6,8 @@
 //! protocol decision of a run without sockets — supersteps, checkpoints,
 //! recovery, assembly — and reaches the workers only through a
 //! [`Link`](round::Link). The process pool (`coordinator.rs`) is the link
-//! of a real run: processes, sockets, heartbeats and the death detector,
-//! chaos and traffic counts. A worker's half, [`worker::WorkerRound`], is
+//! of a real run: processes, sockets, the death rule, the chaos kill and
+//! traffic counts. A worker's half, [`worker::WorkerRound`], is
 //! socket-free too, so a test drives the real round over in-process
 //! workers under any schedule. The messages, who sends each and who
 //! consumes it are the frame table in [`protocol`], the one owner of every
@@ -35,15 +35,16 @@
 //! ([`crate::assemble`]) shared as well, depths and parents are
 //! bit-exact across backends by construction.
 //!
-//! Liveness is real: workers heartbeat on a wall-clock period, the pool
-//! feeds arrivals and silences into the phi-accrual
-//! [`Membership`](gcbfs_cluster::membership::Membership) detector on a
-//! [`WallClock`](gcbfs_cluster::WallClock) started afresh by every run,
-//! and a SIGKILL'd worker is *confirmed* dead from heartbeat silence —
-//! not from its socket closing. A worker beats only from `Hello` to the
-//! end of each traversal and waits between runs without a deadline, so a
-//! pool stays warm however long it idles; a beat that raced a run's end is
-//! dropped uncounted, and a worker that left while idle is found when the
+//! Deaths are real, and the OS reports them: the workers are the
+//! coordinator's own children, so a worker is dead exactly when its
+//! connection closed or its process exited — the rule the pool applies
+//! during a run, when the next run starts, and at the handshake. A
+//! SIGKILL'd worker's socket closes at once, and the pool reaps it and
+//! reports the death with nothing waited out; no worker sends a frame to
+//! say it lives. A worker frozen whole with its socket open ends the run
+//! with [`ProcError::StepTimeout`], as one whose main thread hangs does.
+//! Idle workers wait between runs without a deadline, so a pool stays warm
+//! however long it idles; a worker that left while idle is found when the
 //! next run starts, which then runs on a fresh pool. Checkpoints are the
 //! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s:
 //! workers ship them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
@@ -86,16 +87,12 @@ pub struct KillSpec {
     pub iter: u32,
 }
 
-/// Real-process fault modes for the chaos harness. They apply per run:
-/// a pool serves runs with different chaos alike.
+/// The real-process fault for the chaos harness. It applies per run: a
+/// pool serves runs with different chaos alike.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaosSpec {
     /// SIGKILL one worker at one superstep.
     pub kill: Option<KillSpec>,
-    /// Hold every `StepRemote` broadcast back by this long (frame delay).
-    pub delay_step_remote: Duration,
-    /// Send every `StepRemote` twice (duplicate-frame tolerance check).
-    pub duplicate_step_remote: bool,
 }
 
 /// Tuning of the multi-process runtime.
@@ -106,10 +103,7 @@ pub struct ProcOptions {
     pub workers: u32,
     /// Deadline for one superstep's collective message round; positive.
     pub step_timeout: Duration,
-    /// Worker heartbeat period (the wall clock's beat unit); at least
-    /// 1 ms, the unit `Setup` ships it in.
-    pub heartbeat_period: Duration,
-    /// Fault-mode switches.
+    /// The chaos kill, if any.
     pub chaos: ChaosSpec,
     /// Directory for the coordinator socket (default: the OS temp dir).
     pub socket_dir: Option<PathBuf>,
@@ -120,15 +114,13 @@ impl ProcOptions {
     /// fail every run, naming it. Checked before anything spawns.
     ///
     /// # Errors
-    /// [`ProcError::InvalidOption`] for `workers == 0`, a zero
-    /// `step_timeout`, or a `heartbeat_period` under 1 ms.
+    /// [`ProcError::InvalidOption`] for `workers == 0` or a zero
+    /// `step_timeout`.
     pub fn validate(&self) -> Result<(), ProcError> {
         let (field, requirement) = if self.workers == 0 {
             ("workers", "at least one worker process")
         } else if self.step_timeout.is_zero() {
             ("step_timeout", "a positive deadline")
-        } else if self.heartbeat_period < Duration::from_millis(1) {
-            ("heartbeat_period", "at least 1 ms")
         } else {
             return Ok(());
         };
@@ -141,7 +133,6 @@ impl Default for ProcOptions {
         Self {
             workers: 2,
             step_timeout: Duration::from_secs(60),
-            heartbeat_period: Duration::from_millis(25),
             chaos: ChaosSpec::default(),
             socket_dir: None,
         }
@@ -155,7 +146,8 @@ pub struct RecoveryReport {
     pub worker: u32,
     /// How the partitions were re-homed.
     pub mode: RecoveryMode,
-    /// Kill (or last heartbeat) to phi-accrual confirmation.
+    /// The chaos kill to the pool hearing the worker's connection close
+    /// (0 for a death no kill caused).
     pub detect_seconds: f64,
     /// Confirmation to the superstep loop resuming.
     pub recover_seconds: f64,
@@ -182,18 +174,18 @@ pub struct ProcReport {
     /// are inside.
     pub wall_seconds: f64,
     /// Frame bytes actually shipped over sockets, both directions
-    /// (headers + sealed payloads; heartbeats included).
+    /// (headers + sealed payloads): every frame of the run, each a function
+    /// of the graph, the topology, the config and the recovery taken.
     pub wire_bytes: u64,
     /// Data frames the coordinator sent.
     pub frames_sent: u64,
     /// Data frames the coordinator received.
     pub frames_received: u64,
-    /// Heartbeat frames received during the run.
+    /// Always 0: no worker sends heartbeats. Kept while readers of the
+    /// report still name it.
     pub heartbeats: u64,
-    /// Duplicate frames workers ignored (chaos duplicate mode).
+    /// Duplicate `StepRemote` frames workers ignored.
     pub duplicate_frames_ignored: u64,
-    /// Phi-accrual suspicion events that did not confirm.
-    pub suspicions: u64,
     /// Image checkpoints committed, each counted once across the workers.
     /// `Begin`, the run's iteration-0 checkpoint, is not one.
     pub checkpoints: u64,
@@ -333,17 +325,6 @@ mod tests {
             (
                 "step_timeout",
                 ProcOptions { step_timeout: Duration::ZERO, ..ProcOptions::default() },
-            ),
-            (
-                "heartbeat_period",
-                ProcOptions { heartbeat_period: Duration::ZERO, ..ProcOptions::default() },
-            ),
-            (
-                "heartbeat_period",
-                ProcOptions {
-                    heartbeat_period: Duration::from_micros(500),
-                    ..ProcOptions::default()
-                },
             ),
         ];
         for (name, opts) in cases {

@@ -16,7 +16,7 @@
 //! | kind | message | direction | body | consumer |
 //! |------|---------|-----------|------|----------|
 //! | `0x01` | [`Msg::Hello`] | W → C | version `u32`, slot `u32` | pool handshake |
-//! | `0x02` | [`Msg::Setup`] | C → W | ranks, GPUs per rank, spares (`u32` each); worker config; heartbeat and step-timeout ms (`u64` each); graph (byte string) | worker process, before its round |
+//! | `0x02` | [`Msg::Setup`] | C → W | ranks, GPUs per rank, spares (`u32` each); worker config; step-timeout ms `u64`; graph (byte string) | worker process, before its round |
 //! | `0x04` | [`Msg::Begin`] | C → W | source `u64`; hosted flats (`u32` list); resume flag `u8`, then, when 1, an image list | [`WorkerRound`](super::worker::WorkerRound) |
 //! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin_on` |
 //! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
@@ -26,7 +26,6 @@
 //! | `0x13` | [`Msg::StepDone`] | W → C | stats | round superstep barrier |
 //! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
 //! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, images | round `finish` |
-//! | `0x40` | [`Msg::Heartbeat`] | W → C | slot `u32`, sequence `u64` | pool detector |
 //! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process |
 //! | `0x42` | [`Msg::Bye`] | W → C | empty | none: teardown waits for the exit |
 //!
@@ -40,8 +39,8 @@
 //! each `Begin` names the worker's GPUs from then on and, once an image
 //! checkpoint committed, resumes from it with exactly those GPUs' images.
 //! A cold pool opens with `Hello` and `Setup`, the same `Setup` for every
-//! worker; teardown is `Shutdown` → `Bye`. Heartbeats run from `Hello` to
-//! the end of each traversal.
+//! worker; teardown is `Shutdown` → `Bye`. No frame reports liveness: a
+//! worker is dead when its connection closes (the pool's death rule).
 //!
 //! The shared bodies:
 //! - **stats**: iteration `u32`, hosted frontier `u64`, delegate frontier
@@ -76,7 +75,7 @@ use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 6;
+pub const PROTO_VERSION: u32 = 7;
 
 /// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
@@ -102,8 +101,6 @@ pub mod kind {
     pub const FINISH: u8 = 0x30;
     /// [`Msg::FinalState`](super::Msg::FinalState).
     pub const FINAL_STATE: u8 = 0x31;
-    /// [`Msg::Heartbeat`](super::Msg::Heartbeat).
-    pub const HEARTBEAT: u8 = 0x40;
     /// [`Msg::Shutdown`](super::Msg::Shutdown).
     pub const SHUTDOWN: u8 = 0x41;
     /// [`Msg::Bye`](super::Msg::Bye).
@@ -187,13 +184,6 @@ pub enum Msg<'a> {
         /// The final sealed image of every hosted GPU.
         images: Vec<GpuStateImage>,
     },
-    /// Liveness beat (feeds the phi detector).
-    Heartbeat {
-        /// The beating worker's slot.
-        slot: u32,
-        /// Beats sent before this one.
-        seq: u64,
-    },
     /// Drain and exit.
     Shutdown,
     /// Acknowledged shutdown, about to exit.
@@ -208,8 +198,6 @@ pub struct Setup<'a> {
     /// The worker-side config bytes: the result-affecting subset of
     /// [`BfsConfig`] and the parent flag, laid out as the module docs say.
     pub config: &'a [u8],
-    /// Heartbeat period in milliseconds.
-    pub heartbeat_ms: u64,
     /// Superstep deadline in milliseconds.
     pub step_timeout_ms: u64,
     /// The graph, as `gcbfs_graph::io::write_binary` wrote it.
@@ -267,7 +255,6 @@ impl Msg<'_> {
             Self::CheckpointSave(_) => kind::CHECKPOINT_SAVE,
             Self::Finish => kind::FINISH,
             Self::FinalState { .. } => kind::FINAL_STATE,
-            Self::Heartbeat { .. } => kind::HEARTBEAT,
             Self::Shutdown => kind::SHUTDOWN,
             Self::Bye => kind::BYE,
         }
@@ -333,10 +320,6 @@ impl Msg<'_> {
                 w.u64(*duplicates_ignored);
                 w.images(images);
             }
-            Self::Heartbeat { slot, seq } => {
-                w.u32(*slot);
-                w.u64(*seq);
-            }
             Self::Finish | Self::Shutdown | Self::Bye => {}
         }
         Frame::new(self.kind(), w.buf)
@@ -368,7 +351,6 @@ impl<'a> Msg<'a> {
                 Self::Setup(Setup {
                     topo,
                     config: &r.bytes[start..r.at],
-                    heartbeat_ms: r.u64()?,
                     step_timeout_ms: r.u64()?,
                     graph: r.bytes()?,
                 })
@@ -392,7 +374,6 @@ impl<'a> Msg<'a> {
                 let duplicates_ignored = r.u64()?;
                 Self::FinalState { duplicates_ignored, images: r.images(grid()?)? }
             }
-            kind::HEARTBEAT => Self::Heartbeat { slot: r.u32()?, seq: r.u64()? },
             kind::SHUTDOWN => Self::Shutdown,
             kind::BYE => Self::Bye,
             k => return Err(ProtocolError::new(format!("unknown frame kind {k:#x}"))),
@@ -411,11 +392,11 @@ impl<'a> Msg<'a> {
 /// The serialisation's.
 pub(crate) fn setup_frame(head: &Setup<'_>, graph: &EdgeList) -> std::io::Result<Frame> {
     let len = gcbfs_graph::io::binary_len(graph);
-    // The whole body — grid (12 bytes), config, timings (16), graph length
-    // (4), graph — in one allocation made before any other: a pool's only
-    // large one, so the next pool reuses the block this one frees instead
-    // of growing the heap by a graph's size.
-    let mut w = WireWriter { buf: Vec::with_capacity(32 + head.config.len() + len) };
+    // The whole body — grid (12 bytes), config, step timeout (8), graph
+    // length (4), graph — in one allocation made before any other: a pool's
+    // only large one, so the next pool reuses the block this one frees
+    // instead of growing the heap by a graph's size.
+    let mut w = WireWriter { buf: Vec::with_capacity(24 + head.config.len() + len) };
     w.setup_head(head);
     w.u32(len as u32);
     gcbfs_graph::io::write_binary(graph, &mut w.buf)?;
@@ -561,7 +542,6 @@ impl WireWriter {
         self.u32(s.topo.gpus_per_rank());
         self.u32(s.topo.num_spares());
         self.buf.extend_from_slice(s.config);
-        self.u64(s.heartbeat_ms);
         self.u64(s.step_timeout_ms);
     }
 
@@ -857,7 +837,6 @@ mod tests {
             Msg::Setup(Setup {
                 topo: Topology::new(2, 2).with_spares(1),
                 config,
-                heartbeat_ms: 25,
                 step_timeout_ms: 60_000,
                 graph,
             }),
@@ -871,7 +850,6 @@ mod tests {
             Msg::CheckpointSave(images),
             Msg::Finish,
             Msg::FinalState { duplicates_ignored: 2, images: vec![sample_image(0)] },
-            Msg::Heartbeat { slot: 1, seq: 9 },
             Msg::Shutdown,
             Msg::Bye,
         ]
@@ -883,7 +861,7 @@ mod tests {
         let config = encode_worker_config(&BfsConfig::new(16), true);
         let msgs = one_of_each(&config, b"graph bytes");
         let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(Msg::kind).collect();
-        assert_eq!(kinds.len(), 14, "one message of every kind");
+        assert_eq!(kinds.len(), 13, "one message of every kind");
         for msg in &msgs {
             let frame = msg.frame();
             assert_eq!(frame.kind, msg.kind());
@@ -907,8 +885,12 @@ mod tests {
             );
             assert_eq!(Msg::decode(&frame, None).is_err(), needs_grid, "{msg:?}");
         }
-        let unknown = Frame::new(0x7f, Vec::new());
-        assert!(Msg::decode(&unknown, Some(&topo)).unwrap_err().detail.contains("unknown"));
+        // 0x40, the retired heartbeat's kind, is as unknown as any other.
+        for k in [0x40, 0x7f] {
+            let unknown = Frame::new(k, Vec::new());
+            let err = Msg::decode(&unknown, Some(&topo)).unwrap_err();
+            assert_eq!(err.detail, format!("unknown frame kind {k:#x}"));
+        }
     }
 
     #[test]
@@ -920,7 +902,6 @@ mod tests {
         let setup = Setup {
             topo: Topology::new(2, 2).with_spares(1),
             config: &config,
-            heartbeat_ms: 25,
             step_timeout_ms: 60_000,
             graph: &bytes,
         };

@@ -12,10 +12,10 @@
 //! It reaches the workers only through a [`Link`]: send a typed message to
 //! a slot, hear the next worker frame or a confirmed death, and replace a
 //! dead slot's worker. The socket pool in `coordinator.rs` is the link of a
-//! real run; it owns the processes,
-//! heartbeats, the death detector, the chaos perturbations and the traffic
-//! counts. A test's link runs [`WorkerRound`](super::worker::WorkerRound)s
-//! in process, so this same round runs there, under any schedule the test
+//! real run; it owns the processes, the death rule (a worker whose
+//! connection closed is dead), the chaos kill and the traffic counts. A
+//! test's link runs [`WorkerRound`](super::worker::WorkerRound)s in
+//! process, so this same round runs there, under any schedule the test
 //! chooses.
 //!
 //! `Begin` is the run's committed iteration-0 checkpoint: the state

@@ -1,9 +1,9 @@
 //! Framed Unix-domain-socket transport for the proc backend.
 //!
 //! Every message is one [`Frame`] (magic + version + kind + length +
-//! FNV-1a seal), written whole ([`Frame::write_to`]) under a mutex, so
-//! concurrent writers can never interleave frame bytes. Connection
-//! establishment retries with the deterministic seeded-jitter backoff
+//! FNV-1a seal), written whole ([`Frame::write_to`]) by the one writer of
+//! its socket, so frames never interleave. Connection establishment
+//! retries with the deterministic seeded-jitter backoff
 //! ([`JitteredBackoff`]); established sockets carry read/write deadlines
 //! so a dead peer surfaces as a typed timeout instead of a hang.
 
@@ -12,7 +12,6 @@ use gcbfs_cluster::fault::JitteredBackoff;
 use gcbfs_compress::{Frame, FrameError};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Why a transport operation failed.
@@ -97,31 +96,10 @@ pub fn connect_with_backoff(
     unreachable!("the backoff gives out first")
 }
 
-/// A mutex-shared frame writer over one socket. Both the worker's main
-/// loop and its heartbeat thread write through this handle; writing each
-/// whole frame under the lock keeps frames contiguous.
-#[derive(Clone)]
-pub struct SharedWriter {
-    stream: Arc<Mutex<UnixStream>>,
-}
-
-impl SharedWriter {
-    /// Wraps a connected stream.
-    pub fn new(stream: UnixStream) -> Self {
-        Self { stream: Arc::new(Mutex::new(stream)) }
-    }
-
-    /// Sets the write deadline for all subsequent sends.
-    pub fn set_write_deadline(&self, d: Option<Duration>) -> Result<(), TransportError> {
-        Ok(self.stream.lock().expect("writer lock poisoned").set_write_timeout(d)?)
-    }
-
-    /// Seals `msg` into its frame and writes it atomically.
-    pub fn send(&self, msg: &Msg<'_>) -> Result<(), TransportError> {
-        let frame = msg.frame();
-        let mut s = self.stream.lock().expect("writer lock poisoned");
-        Ok(frame.write_to(&mut *s)?)
-    }
+/// Seals `msg` into its frame and writes it whole to `stream` (blocking
+/// until the configured write deadline).
+pub fn send(stream: &mut UnixStream, msg: &Msg<'_>) -> Result<(), TransportError> {
+    Ok(msg.frame().write_to(stream)?)
 }
 
 /// Reads one frame from `stream` (blocking until the configured read
@@ -137,43 +115,14 @@ mod tests {
 
     #[test]
     fn send_recv_over_socketpair() {
-        let (a, mut b) = UnixStream::pair().unwrap();
-        let w = SharedWriter::new(a);
-        let beat = Msg::Heartbeat { slot: 1, seq: 2 };
-        w.send(&beat).unwrap();
-        let f = recv_frame(&mut b).unwrap();
-        assert_eq!(Msg::decode(&f, None).unwrap(), beat);
-    }
-
-    #[test]
-    fn concurrent_writers_never_interleave_frames() {
-        let (a, mut b) = UnixStream::pair().unwrap();
-        let w = SharedWriter::new(a);
-        let w2 = w.clone();
-        let t = std::thread::spawn(move || {
-            for i in 0..50u64 {
-                w2.send(&Msg::Heartbeat { slot: 0, seq: i }).unwrap();
-            }
-        });
-        for i in 0..50u32 {
-            w.send(&Msg::StepDone(Stats { iter: i, ..Stats::default() })).unwrap();
-        }
-        t.join().unwrap();
-        drop(w);
-        let mut beats = 0;
-        let mut dones = 0;
-        loop {
-            match recv_frame(&mut b) {
-                Ok(f) => match f.kind {
-                    kind::HEARTBEAT => beats += 1,
-                    kind::STEP_DONE => dones += 1,
-                    k => panic!("unexpected kind {k}"),
-                },
-                Err(TransportError::Frame(FrameError::Closed)) => break,
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert_eq!((beats, dones), (50, 50));
+        let (mut a, mut b) = UnixStream::pair().unwrap();
+        let done = Msg::StepDone(Stats { iter: 2, frontier: 5, new_delegates: 1 });
+        send(&mut a, &done).unwrap();
+        send(&mut a, &Msg::Bye).unwrap();
+        drop(a);
+        assert_eq!(Msg::decode(&recv_frame(&mut b).unwrap(), None).unwrap(), done);
+        assert_eq!(recv_frame(&mut b).unwrap().kind, kind::BYE);
+        assert!(matches!(recv_frame(&mut b), Err(TransportError::Frame(FrameError::Closed))));
     }
 
     #[test]

@@ -8,17 +8,17 @@
 //! back the replies (the frame table in [`super::protocol`] says which
 //! answers which), running the same per-GPU kernels as the sim driver on a
 //! [`HostedGroup`]. The process around it
-//! ([`run_worker`]) only reads and writes frames. Between traversals it
-//! waits with no deadline and no heartbeat, for as long as the pool is
-//! kept; a background thread heartbeats on the configured wall-clock
-//! period from `Hello` to the end of each traversal. A worker killed with
-//! SIGKILL at *any* point leaves no protocol state behind — the
-//! coordinator's detector and checkpoints own all recovery.
+//! ([`run_worker`]) only reads and writes frames, on one thread and one
+//! socket; it sends nothing to say it is alive. Between traversals it
+//! waits with no deadline, for as long as the pool is kept. A worker
+//! killed with SIGKILL at *any* point leaves no protocol state behind: its
+//! exit closes the connection, which is how the coordinator learns of the
+//! death, and the coordinator's checkpoints own all recovery.
 
 use super::protocol::{
     decode_worker_config, Exchange, Images, Msg, ProtocolError, Stats, PROTO_VERSION,
 };
-use super::transport::{connect_with_backoff, recv_frame, SharedWriter, TransportError};
+use super::transport::{connect_with_backoff, recv_frame, send, TransportError};
 use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::driver::DistributedGraph;
@@ -28,8 +28,6 @@ use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::fault::JitteredBackoff;
 use std::borrow::Cow;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Why the worker process exited abnormally.
@@ -217,87 +215,26 @@ impl<'g> WorkerRound<'g> {
     }
 }
 
-/// The background heartbeat's controls. It beats from `Hello` to the end
-/// of each traversal and is quiet while the worker idles between runs:
-/// nobody listens then, and every run starts a fresh detector anyway.
-struct Heartbeat {
-    /// Provisional until `Setup` ships the configured period.
-    period_ms: AtomicU64,
-    quiet: AtomicBool,
-    stop: AtomicBool,
-}
-
 /// Runs the worker protocol to completion. `socket` is the coordinator's
-/// listening path, `worker_id` this process's slot. Returns when the
-/// coordinator sends `Shutdown`, or fails with a typed error when the
-/// coordinator vanishes — its socket closing ends an idle wait, and a
-/// read deadline ends a traversal it abandoned (the orphan path).
+/// listening path, `worker_id` this process's slot: `Hello`, the `Setup`,
+/// then the dispatcher that feeds the [`WorkerRound`] decoded frames and
+/// writes back its replies. Returns when the coordinator sends `Shutdown`,
+/// or fails with a typed error when the coordinator vanishes — its socket
+/// closing ends an idle wait, and a read deadline ends a traversal it
+/// abandoned (the orphan path).
 pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
     let backoff = JitteredBackoff::new(0x70726f63, worker_id as u64).with_envelope(0.005, 0.25, 12);
-    let stream = connect_with_backoff(socket, &backoff)?;
-    let mut reader = stream.try_clone().map_err(TransportError::Io)?;
-    let writer = SharedWriter::new(stream);
-    writer.set_write_deadline(Some(Duration::from_secs(30)))?;
+    let mut stream = connect_with_backoff(socket, &backoff)?;
+    stream.set_write_timeout(Some(Duration::from_secs(30))).map_err(TransportError::from)?;
+    send(&mut stream, &Msg::Hello { version: PROTO_VERSION, slot: worker_id })?;
 
-    writer.send(&Msg::Hello { version: PROTO_VERSION, slot: worker_id })?;
-
-    // Heartbeats start NOW, before setup: decoding and building a large
-    // graph takes real wall-clock time, and a silent worker would be
-    // confirmed dead by the phi-accrual detector before it ever sent
-    // Ready. The mutex-serialized writer keeps beat frames from tearing
-    // data frames. The thread parks between beats rather than sleeping,
-    // so an unpark makes it beat (or stop) at once: a `Begin` is heard
-    // from without a period's delay, and the worker's exit does not wait
-    // out a beat period.
-    let beat = Arc::new(Heartbeat {
-        period_ms: AtomicU64::new(25),
-        quiet: AtomicBool::new(false),
-        stop: AtomicBool::new(false),
-    });
-    let hb = {
-        let hb_writer = writer.clone();
-        let beat = Arc::clone(&beat);
-        std::thread::spawn(move || {
-            let mut seq = 0u64;
-            while !beat.stop.load(Ordering::Relaxed) {
-                if beat.quiet.load(Ordering::Relaxed) {
-                    std::thread::park(); // until a `Begin` or the stop
-                    continue;
-                }
-                if hb_writer.send(&Msg::Heartbeat { slot: worker_id, seq }).is_err() {
-                    break; // coordinator gone; main loop will notice too
-                }
-                seq += 1;
-                std::thread::park_timeout(Duration::from_millis(
-                    beat.period_ms.load(Ordering::Relaxed).max(1),
-                ));
-            }
-        })
-    };
-    let result = worker_body(&mut reader, &writer, &beat, hb.thread());
-    beat.stop.store(true, Ordering::Relaxed);
-    hb.thread().unpark();
-    let _ = hb.join();
-    result
-}
-
-/// Everything after Hello: setup, then the dispatcher that feeds the
-/// [`WorkerRound`] decoded frames and writes back its replies. Split out so
-/// `run_worker` can stop the heartbeat thread on any exit path.
-fn worker_body(
-    reader: &mut std::os::unix::net::UnixStream,
-    writer: &SharedWriter,
-    beat: &Heartbeat,
-    beat_thread: &std::thread::Thread,
-) -> Result<(), WorkerError> {
-    reader.set_read_timeout(Some(Duration::from_secs(120))).map_err(TransportError::from)?;
-    let frame = recv_frame(reader)?;
+    stream.set_read_timeout(Some(Duration::from_secs(120))).map_err(TransportError::from)?;
+    let frame = recv_frame(&mut stream)?;
     let Msg::Setup(setup) = Msg::decode(&frame, None)? else {
         return Err(
             ProtocolError::new(format!("expected Setup, got kind {:#x}", frame.kind)).into()
         );
     };
-    beat.period_ms.store(setup.heartbeat_ms.max(1), Ordering::Relaxed);
     let (config, track_parents) = decode_worker_config(setup.config)?;
     let graph =
         gcbfs_graph::io::read_binary(setup.graph).map_err(|e| WorkerError::Graph(e.to_string()))?;
@@ -313,27 +250,21 @@ fn worker_body(
     // exits instead of lingering as an orphan. Between runs it waits
     // without one, for as long as the pool is kept.
     let in_flight = Some(Duration::from_millis((setup.step_timeout_ms * 2).max(10_000)));
-    reader.set_read_timeout(None).map_err(TransportError::from)?;
+    stream.set_read_timeout(None).map_err(TransportError::from)?;
     loop {
-        let frame = recv_frame(reader)?;
+        let frame = recv_frame(&mut stream)?;
         let msg = Msg::decode(&frame, Some(&dist.topology))?;
         let finish = matches!(msg, Msg::Finish);
         match msg {
-            Msg::Shutdown => {
-                writer.send(&Msg::Bye)?;
-                return Ok(());
-            }
+            Msg::Shutdown => return Ok(send(&mut stream, &Msg::Bye)?),
             Msg::Begin { .. } => {
-                reader.set_read_timeout(in_flight).map_err(TransportError::from)?;
-                beat.quiet.store(false, Ordering::Relaxed);
-                beat_thread.unpark();
+                stream.set_read_timeout(in_flight).map_err(TransportError::from)?;
             }
             _ => {}
         }
-        round.handle(msg, |reply| writer.send(&reply).map_err(WorkerError::from))?;
+        round.handle(msg, |reply| send(&mut stream, &reply).map_err(WorkerError::from))?;
         if finish {
-            reader.set_read_timeout(None).map_err(TransportError::from)?;
-            beat.quiet.store(true, Ordering::Relaxed);
+            stream.set_read_timeout(None).map_err(TransportError::from)?;
         }
     }
 }

@@ -551,13 +551,12 @@ fn bfs_proc(
     );
     println!(
         "wall {:.1} ms -> {:.3} GTEPS (Graph500 m/2 convention); {} wire bytes, \
-         {} frames out / {} in, {} heartbeats, {} checkpoints",
+         {} frames out / {} in, {} checkpoints",
         report.wall_seconds * 1e3,
         (graph.num_edges() / 2) as f64 / report.wall_seconds.max(1e-12) / 1e9,
         report.wire_bytes,
         report.frames_sent,
         report.frames_received,
-        report.heartbeats,
         report.checkpoints
     );
     if let Some(r) = &report.recovery {
