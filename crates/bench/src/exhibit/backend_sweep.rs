@@ -18,7 +18,8 @@
 //! 3. **Traffic**: bytes the sim *models* crossing rank boundaries vs
 //!    bytes the proc runtime *actually shipped* over sockets (frames,
 //!    headers and seals included), cold (with the graph's shipping) and
-//!    warm.
+//!    warm, and the part of them that moved GPU state (checkpoint deltas,
+//!    final states and resuming `Begin`s, `ProcReport::state_bytes`).
 //!
 //! Plus the recovery bill: a worker is SIGKILL'd mid-sweep, found dead
 //! when its connection closes, and recovered onto a spare process (and,
@@ -109,13 +110,14 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         let report = cold.proc.as_ref().expect("proc report");
         let mut bit_exact = agrees(&cold, &sim);
         let mut warm_ms = Vec::new();
-        let (mut warm_wire, mut warm_spawned) = (0u64, 0u32);
+        let (mut warm_wire, mut warm_state, mut warm_spawned) = (0u64, 0u64, 0u32);
         for (&s, want) in warm_sources.iter().zip(&warm_sims) {
             let warm = run(s);
             bit_exact &= agrees(&warm, want);
             let r = warm.proc.as_ref().expect("proc report");
             warm_ms.push(ms(r.wall_seconds));
             warm_wire += r.wire_bytes;
+            warm_state += r.state_bytes;
             warm_spawned += r.spawned;
         }
         all_bit_exact &= bit_exact;
@@ -124,6 +126,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         let cold_ms = ms(report.wall_seconds);
         let warm_wall_ms = median(warm_ms);
         let warm_wire = warm_wire as f64 / WARM_RUNS as f64;
+        let warm_state = warm_state as f64 / WARM_RUNS as f64;
         rows.push(vec![
             format!("{procs}"),
             format!("{}", report.iterations),
@@ -135,6 +138,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             format!("{modeled_bytes}"),
             format!("{}", report.wire_bytes),
             format!("{warm_wire:.0}"),
+            format!("{warm_state:.0}"),
             f2(warm_wire / warm_modeled_bytes.max(1.0)),
             format!("{warm_spawned}"),
             if bit_exact { "yes".into() } else { "NO".into() },
@@ -142,13 +146,15 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         width_json.push(format!(
             "{{\"procs\":{procs},\"iterations\":{},\"sim_gteps\":{sim_gteps},\
              \"proc_gteps\":{},\"wall_ms\":{cold_ms},\"modeled_bytes\":{modeled_bytes},\
-             \"wire_bytes\":{},\"spawned\":{},\"warm_runs\":{WARM_RUNS},\
+             \"wire_bytes\":{},\"state_bytes\":{},\"spawned\":{},\"warm_runs\":{WARM_RUNS},\
              \"warm_wall_ms\":{warm_wall_ms},\"warm_proc_gteps\":{},\
-             \"warm_wire_bytes\":{warm_wire},\"warm_modeled_bytes\":{warm_modeled_bytes},\
+             \"warm_wire_bytes\":{warm_wire},\"warm_state_bytes\":{warm_state},\
+             \"warm_modeled_bytes\":{warm_modeled_bytes},\
              \"warm_spawned\":{warm_spawned},\"bit_exact\":{bit_exact}}}",
             report.iterations,
             gteps(cold_ms),
             report.wire_bytes,
+            report.state_bytes,
             report.spawned,
             gteps(warm_wall_ms),
         ));
@@ -166,6 +172,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             "modeled B",
             "cold wire B",
             "warm wire B",
+            "warm state B",
             "warm wire/modeled",
             "warm spawned",
             "bit-exact",
@@ -203,16 +210,19 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             f2(ms(rec.detect_seconds)),
             f2(ms(rec.recover_seconds)),
             format!("{}", rec.resumed_iter),
+            format!("{}", report.state_bytes),
             f2(ms(report.wall_seconds)),
             if bit_exact { "yes".into() } else { "NO".into() },
         ]);
         rec_json.push(format!(
             "{{\"mode\":\"{label}\",\"worker\":{},\"detect_ms\":{},\"recover_ms\":{},\
-             \"resumed_iter\":{},\"total_wall_ms\":{},\"bit_exact\":{bit_exact}}}",
+             \"resumed_iter\":{},\"state_bytes\":{},\"total_wall_ms\":{},\
+             \"bit_exact\":{bit_exact}}}",
             rec.worker,
             ms(rec.detect_seconds),
             ms(rec.recover_seconds),
             rec.resumed_iter,
+            report.state_bytes,
             ms(report.wall_seconds)
         ));
     }
@@ -224,6 +234,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             "detect ms",
             "re-home ms",
             "resumed iter",
+            "state B",
             "total wall ms",
             "bit-exact",
         ],

@@ -1,5 +1,5 @@
 //! Checkpoint/restart: one sealed image of one GPU's mutable BFS state,
-//! used by both backends.
+//! used by both backends, and the delta that ships it.
 //!
 //! The BSP structure makes consistent snapshots cheap: at a superstep
 //! boundary no messages are in flight, so the per-GPU worker state (local
@@ -8,10 +8,19 @@
 //! state. [`GpuStateImage`] is that state for one GPU, sealed with an
 //! FNV-1a digest of its wire encoding — the only fold over GPU state in
 //! the crate. The sim's [`Checkpoint`] holds one image per GPU and
-//! restores them after a fail-stop loss; the proc backend's coordinator
-//! keeps the committed images its workers shipped and, on recovery, sends
-//! each worker the ones it hosts in its `Begin`
+//! restores them after a fail-stop loss. The proc backend's coordinator
+//! keeps the same whole images as its committed store and, on recovery,
+//! sends each worker the ones it hosts in its `Begin`
 //! ([`crate::procrt::protocol`] carries the wire codec).
+//!
+//! What crosses the wire at a proc checkpoint and at the end of a run is
+//! a [`StateDelta`] instead: BFS state only grows (a depth is written
+//! once, a visited bit only ever set), so the state entering iteration
+//! `k` is the state at the last commit plus the vertices settled since,
+//! the direction bytes and the frontier. [`StateDelta::fold`] rebuilds
+//! the whole images from the committed ones and checks each against the
+//! seal the worker took of its own state, so the store holds exactly what
+//! a whole-image checkpoint would have.
 //!
 //! Cost accounting: a real implementation writes each GPU's state through
 //! the CPU staging buffers to host memory (Ray has no NIC–GPU RDMA, so
@@ -21,13 +30,15 @@
 //! concurrently). The charge lands in
 //! [`FaultStats::checkpoint_seconds`](crate::stats::FaultStats), which
 //! [`RunStats::modeled_elapsed`](crate::stats::RunStats) includes, so
-//! resilience is never free in reported numbers.
+//! resilience is never free in reported numbers. The sim keeps whole
+//! images and this charge; deltas are the proc wire's alone.
 
 use crate::assemble::GpuStateView;
 use crate::direction::Direction;
-use crate::kernels::GpuWorker;
+use crate::kernels::{GpuWorker, NO_PARENT};
 use crate::masks::DelegateMask;
-use crate::procrt::protocol::WireWriter;
+use crate::procrt::protocol::{ProtocolError, WireWriter};
+use crate::UNREACHED;
 use gcbfs_cluster::cost::CostModel;
 use gcbfs_cluster::topology::GpuId;
 use gcbfs_compress::fnv1a;
@@ -116,6 +127,36 @@ impl GpuStateImage {
         img
     }
 
+    /// The state of GPU `gpu_flat` with nothing reached — what a fresh
+    /// worker with `num_local` slots over `num_delegates` delegates holds —
+    /// as the proc round's store entering iteration 0. Left unsealed
+    /// (digest 0): that store is never shipped, only folded onto, and a
+    /// fold seals what it builds.
+    pub(crate) fn unreached(
+        gpu_flat: u32,
+        num_local: u32,
+        num_delegates: u32,
+        parents: bool,
+    ) -> Self {
+        let (n, d) = (num_local as usize, num_delegates as usize);
+        let untracked = |len| if parents { vec![NO_PARENT; len] } else { Vec::new() };
+        Self {
+            gpu_flat,
+            track_parents: parents,
+            depths_local: vec![UNREACHED; n],
+            delegate_depths: vec![UNREACHED; d],
+            visited_bits: num_delegates,
+            visited_words: vec![0; d.div_ceil(64)],
+            frontier: Vec::new(),
+            new_delegates: Vec::new(),
+            directions: [Direction::Forward; 3],
+            parents_local: untracked(n),
+            delegate_parent_candidate: untracked(d),
+            remote_parent_log: Vec::new(),
+            digest: 0,
+        }
+    }
+
     /// FNV-1a over the image's canonical wire encoding (every field but
     /// the digest), so any byte flipped at rest or on a socket changes it.
     pub fn seal(&self) -> u64 {
@@ -160,6 +201,196 @@ impl GpuStateImage {
             parents_local: &self.parents_local,
             remote_parent_log: &self.remote_parent_log,
         }
+    }
+}
+
+/// The slots of one GPU, or the delegates, that settled at one depth.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Level {
+    /// The BFS depth they settled at.
+    pub depth: u32,
+    /// Slot or delegate ids, strictly ascending.
+    pub ids: Vec<u32>,
+}
+
+impl Level {
+    /// The ids whose depth in `depths` lies in `first..=last`, one level
+    /// per depth, empty levels left out.
+    pub(crate) fn of(depths: &[u32], first: u32, last: u32) -> Vec<Self> {
+        let mut levels: Vec<Self> =
+            (first..=last).map(|depth| Self { depth, ids: Vec::new() }).collect();
+        for (id, &d) in depths.iter().enumerate() {
+            if (first..=last).contains(&d) {
+                levels[(d - first) as usize].ids.push(id as u32);
+            }
+        }
+        levels.retain(|l| !l.ids.is_empty());
+        levels
+    }
+}
+
+/// One hosted GPU's part of a [`StateDelta`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct GpuDelta {
+    /// Flat GPU index in the topology.
+    pub gpu_flat: u32,
+    /// `dd`/`dn`/`nd` direction state entering the delta's iteration.
+    pub directions: [Direction; 3],
+    /// Normal slots settled in the window, by level, ascending.
+    pub levels: Vec<Level>,
+    /// The normal frontier in its exact order: it decides which parent
+    /// wins in the next superstep.
+    pub frontier: Vec<u32>,
+    /// When parents are tracked: the parent of every slot in `levels`, in
+    /// their order.
+    pub parents: Vec<u64>,
+    /// When parents are tracked: this GPU's parent candidate for each
+    /// delegate settled in the window that it proposed one for, in the
+    /// order of the delta's delegate levels.
+    pub candidates: Vec<(u32, u64)>,
+    /// When parents are tracked: the remote `nn` proposals logged in the
+    /// window (the suffix of the image's log).
+    pub remote_parent_log: Vec<(GpuId, u32, u64, u32)>,
+    /// The [`GpuStateImage::seal`] of the whole state the delta folds to.
+    pub digest: u64,
+}
+
+/// What one worker's hosted GPUs settled since its last `Begin` or save —
+/// the form a proc checkpoint and final state cross the wire in.
+///
+/// The visited words and the delegate frontier are not shipped: they
+/// follow from the delegate depths, which every GPU holds identically
+/// after each reduction, so the worker sends its newly settled delegates
+/// once, not per GPU.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StateDelta {
+    /// The iteration it folds from: the worker's last `Begin` or save.
+    pub base: u32,
+    /// The iteration the folded images enter.
+    pub iter: u32,
+    /// Whether parent records ride along.
+    pub track_parents: bool,
+    /// Delegates settled in the window, by level.
+    pub delegates: Vec<Level>,
+    /// One entry per hosted GPU, none repeated.
+    pub gpus: Vec<GpuDelta>,
+}
+
+impl StateDelta {
+    /// The shallowest level a delta from `base` carries. The store
+    /// entering iteration 0 is all-unreached (`Begin` seeds the source), so
+    /// a delta from there starts at depth 0; past it, the image entering
+    /// `base` already holds every depth up to `base`.
+    pub(crate) fn first_level(base: u32) -> u32 {
+        if base == 0 {
+            0
+        } else {
+            base + 1
+        }
+    }
+
+    /// Folds the delta onto `store`, the committed images entering
+    /// iteration `committed` indexed by flat GPU (the base images' digests
+    /// are not read), and returns the whole sealed image of every GPU it
+    /// covers, in its order. `store` is not touched.
+    ///
+    /// # Errors
+    /// A base other than `committed`; an iteration before the base; a
+    /// parent flag other than the store's; a level outside the window
+    /// (past the base, or from 0 when the base is 0, through `iter`) or
+    /// out of order; a slot or delegate outside the grid or already
+    /// settled; parents that do not match the settled slots; a candidate
+    /// for a delegate that did not settle in the window; a frontier entry
+    /// not at depth `iter`; a fold that does not reproduce the worker's
+    /// seal.
+    pub fn fold(
+        &self,
+        committed: u32,
+        store: &[GpuStateImage],
+    ) -> Result<Vec<GpuStateImage>, ProtocolError> {
+        if self.base != committed {
+            let (base, iter) = (self.base, self.iter);
+            return Err(ProtocolError::new(format!(
+                "delta from iteration {base} to {iter}, but the commit is at {committed}"
+            )));
+        }
+        if self.iter < self.base {
+            let (base, iter) = (self.base, self.iter);
+            return Err(ProtocolError::new(format!("delta to iteration {iter} from {base}")));
+        }
+        self.gpus.iter().map(|gpu| self.fold_gpu(gpu, store)).collect()
+    }
+
+    fn fold_gpu(
+        &self,
+        gpu: &GpuDelta,
+        store: &[GpuStateImage],
+    ) -> Result<GpuStateImage, ProtocolError> {
+        let flat = gpu.gpu_flat;
+        let err = |detail: String| ProtocolError::new(format!("gpu {flat}: {detail}"));
+        let Some(mut img) = store.get(flat as usize).cloned() else {
+            return Err(err("no committed image".into()));
+        };
+        if img.track_parents != self.track_parents {
+            return Err(err("parent tracking differs from the committed image's".into()));
+        }
+        let window = Self::first_level(self.base)..=self.iter;
+        let settle = |what: &str, depths: &mut [u32], levels: &[Level]| {
+            let mut last = None;
+            for level in levels {
+                let d = level.depth;
+                if !window.contains(&d) || last >= Some(d) {
+                    return Err(format!("{what} level {d} outside or out of order in {window:?}"));
+                }
+                last = Some(d);
+                let n = depths.len();
+                for &id in &level.ids {
+                    match depths.get_mut(id as usize) {
+                        None => return Err(format!("{what} {id} outside the grid's {n}")),
+                        Some(at) if *at != UNREACHED => {
+                            return Err(format!("{what} {id} is already settled"))
+                        }
+                        Some(at) => *at = d,
+                    }
+                }
+            }
+            Ok(())
+        };
+        settle("delegate", &mut img.delegate_depths, &self.delegates).map_err(err)?;
+        settle("slot", &mut img.depths_local, &gpu.levels).map_err(err)?;
+        for x in self.delegates.iter().flat_map(|l| &l.ids) {
+            img.visited_words[*x as usize / 64] |= 1 << (x % 64);
+        }
+        if self.track_parents {
+            let slots = gpu.levels.iter().flat_map(|l| &l.ids);
+            if slots.clone().count() != gpu.parents.len() {
+                return Err(err(format!("{} parents for the settled slots", gpu.parents.len())));
+            }
+            for (&slot, &parent) in slots.zip(&gpu.parents) {
+                img.parents_local[slot as usize] = parent;
+            }
+            for &(x, candidate) in &gpu.candidates {
+                if !img.delegate_depths.get(x as usize).is_some_and(|d| window.contains(d)) {
+                    return Err(err(format!(
+                        "candidate for delegate {x}, not settled in the window"
+                    )));
+                }
+                img.delegate_parent_candidate[x as usize] = candidate;
+            }
+            img.remote_parent_log.extend_from_slice(&gpu.remote_parent_log);
+        }
+        let at_iter = |s: &&u32| img.depths_local.get(**s as usize) == Some(&self.iter);
+        if let Some(s) = gpu.frontier.iter().find(|s| !at_iter(s)) {
+            return Err(err(format!("frontier entry {s} is not at depth {}", self.iter)));
+        }
+        img.frontier.clone_from(&gpu.frontier);
+        img.new_delegates = (0..img.delegate_depths.len() as u32)
+            .filter(|&x| img.delegate_depths[x as usize] == self.iter)
+            .collect();
+        img.directions = gpu.directions;
+        img.digest = gpu.digest;
+        img.verify().map_err(|e| err(format!("fold: {e}")))?;
+        Ok(img)
     }
 }
 

@@ -14,13 +14,14 @@
 //!   `resume` finds one that left while the pool idled, and the handshake
 //!   one that exited before its `Hello`.
 //! - The [`ChaosSpec`] kill.
-//! - The [`ProcReport`] traffic counts: frames, bytes and spawns.
+//! - The [`ProcReport`] traffic counts: frames, bytes, the state bytes
+//!   among them, and spawns.
 //! - Teardown, when a run errs, when a run needs another key or finds a
 //!   worker gone (a run recovered by spreading leaves its dead slot
 //!   empty; one recovered by a spare leaves a full pool, which stays
 //!   warm), and when the pool is dropped.
 
-use super::protocol::{encode_worker_config, setup_frame, Msg, Setup, PROTO_VERSION};
+use super::protocol::{encode_worker_config, kind, setup_frame, Msg, Setup, PROTO_VERSION};
 use super::round::{Death, Heard, Link, ProcOutcome, Round};
 use super::transport::TransportError;
 use super::{hosted_flats, ProcError, ProcOptions, ProcReport};
@@ -151,6 +152,7 @@ impl ProcPool {
             spawned: traffic.spawned,
             wall_seconds: started.elapsed().as_secs_f64(),
             wire_bytes: traffic.wire_bytes,
+            state_bytes: traffic.state_bytes,
             frames_sent: traffic.frames_sent,
             frames_received: traffic.frames_received,
             ..outcome.report
@@ -407,7 +409,11 @@ impl Link for Coordinator {
     /// write (e.g. EPIPE after a SIGKILL) is left to the death rule: the
     /// connection closed.
     fn send(&mut self, slot: usize, msg: &Msg<'_>) {
-        let _ = self.write(slot, &msg.frame());
+        let frame = msg.frame();
+        let resuming = matches!(msg, Msg::Begin { resume: Some(_), .. });
+        if self.write(slot, &frame).is_ok() && resuming {
+            self.report.state_bytes += frame.encoded_len() as u64;
+        }
         let Some(kill) = self.opts.chaos.kill else { return };
         let go = matches!(msg, Msg::StepGo { iter, .. } if *iter == kill.iter);
         if go && kill.worker as usize == slot && self.kill_time.is_none() {
@@ -429,6 +435,9 @@ impl Link for Coordinator {
             match event {
                 Event::Frame { slot, gen, frame } if gen == self.slots[slot].gen => {
                     self.report.wire_bytes += frame.encoded_len() as u64;
+                    if matches!(frame.kind, kind::CHECKPOINT_SAVE | kind::FINAL_STATE) {
+                        self.report.state_bytes += frame.encoded_len() as u64;
+                    }
                     self.report.frames_received += 1;
                     return Ok(Some(Heard::Frame(slot, frame)));
                 }

@@ -47,10 +47,14 @@
 //! however long it idles; a worker that left while idle is found when the
 //! next run starts, which then runs on a fresh pool. Checkpoints are the
 //! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s:
-//! workers ship them on the [`RecoveryConfig`](crate::recovery::RecoveryConfig)
-//! cadence and keep no copy, so the round's committed store is the only
-//! one; `Begin` is the run's iteration-0 checkpoint, so none is shipped
-//! there, and [`ProcReport::checkpoints`] counts image commits only.
+//! workers ship each as a [`StateDelta`](crate::checkpoint::StateDelta)
+//! since their last `Begin` or save, on the
+//! [`RecoveryConfig`](crate::recovery::RecoveryConfig) cadence, and keep
+//! no copy; the round folds the deltas into whole images, checked against
+//! the workers' seals, so its committed store is the only copy. `Begin` is
+//! the run's iteration-0 checkpoint, so none is shipped there, and
+//! [`ProcReport::checkpoints`] counts image commits only. The final state
+//! comes home as a delta from the same base.
 //! Recovery asks the sim's own decision,
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome),
 //! where the dead worker's partitions go — a freshly spawned spare process
@@ -177,6 +181,10 @@ pub struct ProcReport {
     /// (headers + sealed payloads): every frame of the run, each a function
     /// of the graph, the topology, the config and the recovery taken.
     pub wire_bytes: u64,
+    /// The part of [`Self::wire_bytes`] that moved GPU state rather than a
+    /// superstep: the `CheckpointSave` and `FinalState` frames, whole, and
+    /// every `Begin` that resumed from committed images.
+    pub state_bytes: u64,
     /// Data frames the coordinator sent.
     pub frames_sent: u64,
     /// Data frames the coordinator received.

@@ -3,9 +3,10 @@
 //!
 //! Every message rides one [`Frame`], so payloads inherit the frame
 //! layer's FNV-1a seal and bounded-allocation decoding. Each state image
-//! carries its own [`GpuStateImage::seal`] as well, so state is verified
-//! with the identical primitive whether it sat in the coordinator's
-//! checkpoint store or crossed a socket.
+//! carries its own [`GpuStateImage::seal`] as well, and each state delta
+//! the seal of the image it folds to, so state is verified with the
+//! identical primitive whether it sat in the coordinator's checkpoint
+//! store or crossed a socket.
 //!
 //! # Frames
 //!
@@ -20,12 +21,12 @@
 //! | `0x04` | [`Msg::Begin`] | C → W | source `u64`; hosted flats (`u32` list); resume flag `u8`, then, when 1, an image list | [`WorkerRound`](super::worker::WorkerRound) |
 //! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin_on` |
 //! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
-//! | `0x14` | [`Msg::CheckpointSave`] | W → C | image list | round `gather` (staged) |
+//! | `0x14` | [`Msg::CheckpointSave`] | W → C | delta | round `gather` (folded, staged) |
 //! | `0x11` | [`Msg::StepLocal`] | W → C | exchange | round `route` |
 //! | `0x12` | [`Msg::StepRemote`] | C → W | exchange | `WorkerRound` |
 //! | `0x13` | [`Msg::StepDone`] | W → C | stats | round superstep barrier |
 //! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
-//! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, images | round `finish` |
+//! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, delta | round `finish` (folded) |
 //! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process |
 //! | `0x42` | [`Msg::Bye`] | W → C | empty | none: teardown waits for the exit |
 //!
@@ -52,8 +53,25 @@
 //! - **wire body**: a flag `u8` (0 raw, 1 encoded), then a byte string —
 //!   raw elements little-endian, or the codec's bytes, decoded only by
 //!   their consumer.
-//! - **images**: count `u32`, then per image its fields and seal; the
-//!   **image list** is iteration `u32`, then images ([`Images`]).
+//! - **image list**: iteration `u32`, then a count `u32` and per image its
+//!   fields and seal ([`Images`]): the committed store's whole images,
+//!   which only a resuming `Begin` carries.
+//! - **delta** ([`StateDelta`]): base iteration `u32` (the worker's last
+//!   `Begin` or save), iteration `u32`, parent flag `u8`, the delegates
+//!   settled since the base as levels, then a count `u32` and per hosted
+//!   GPU: flat `u32`; the `dd`, `dn` and `nd` directions (`u8` each, 0
+//!   forward, 1 backward); its settled slots as levels; the frontier in
+//!   order (`u32` list); when the flag is 1, the parents of the settled
+//!   slots in level order (`u64` list), the delegate parent candidates it
+//!   wrote (count `u32`, then delegate `u32` and candidate `u64` each) and
+//!   its new remote parent proposals (count `u32`, then destination rank,
+//!   GPU and slot `u32` each, parent `u64`, depth `u32`); then the seal
+//!   `u64` of the image the delta folds to. The visited words and the
+//!   delegate frontier are not shipped: they follow from the delegate
+//!   depths.
+//! - **levels**: count `u32`, then per level its depth `u32` and its ids,
+//!   strictly ascending, as one frontier-codec body in a byte string —
+//!   the codec [`select_frontier_codec`] picks for them.
 //! - **worker config**: `TH` `u64`; a flag byte (DO, local all2all,
 //!   uniquify, per-kernel direction, parents — bits 0–4); the `dd`, `dn`
 //!   and `nd` switch-factor pairs (`f64` each); compression (0 off, 1 fixed
@@ -62,20 +80,23 @@
 //!
 //! A byte string and a list are a `u32` count, then the items.
 
-use crate::checkpoint::GpuStateImage;
+use crate::checkpoint::{GpuDelta, GpuStateImage, Level, StateDelta};
 use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::direction::Direction;
 use crate::kernels::KernelVariant;
 use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::topology::{GpuId, Topology};
-use gcbfs_compress::{CompressionMode, Frame, FrontierCodec, MaskCodec, WireBody};
+use gcbfs_compress::{
+    decode_frontier, select_frontier_codec, CompressionMode, Frame, FrontierCodec, MaskCodec,
+    WireBody,
+};
 use gcbfs_graph::{EdgeList, VertexId};
 use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 7;
+pub const PROTO_VERSION: u32 = 8;
 
 /// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
@@ -172,8 +193,9 @@ pub enum Msg<'a> {
     StepRemote(Exchange<'a>),
     /// The superstep barrier (the next frontier's statistics).
     StepDone(Stats),
-    /// Sealed state images at a checkpoint.
-    CheckpointSave(Images),
+    /// The hosted GPUs' state at a checkpoint, as a delta since the
+    /// worker's last `Begin` or save.
+    CheckpointSave(StateDelta),
     /// The traversal finished: ship the final state.
     Finish,
     /// The end of a traversal; the worker then waits for the next `Begin`
@@ -181,8 +203,9 @@ pub enum Msg<'a> {
     FinalState {
         /// Duplicate `StepRemote` frames this traversal ignored.
         duplicates_ignored: u64,
-        /// The final sealed image of every hosted GPU.
-        images: Vec<GpuStateImage>,
+        /// Every hosted GPU's final state, as a delta since the worker's
+        /// last `Begin` or save.
+        state: StateDelta,
     },
     /// Drain and exit.
     Shutdown,
@@ -231,7 +254,7 @@ pub struct Exchange<'a> {
     pub blocks: Vec<Block>,
 }
 
-/// The body of `CheckpointSave` and of a `Begin`'s resume.
+/// The body of a `Begin`'s resume.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Images {
     /// The superstep the images enter.
@@ -266,7 +289,7 @@ impl Msg<'_> {
             Self::StepGo { iter, .. } => Some(*iter),
             Self::Ready(s) | Self::StepDone(s) => Some(s.iter),
             Self::StepLocal(x) | Self::StepRemote(x) => Some(x.iter),
-            Self::CheckpointSave(l) => Some(l.iter),
+            Self::CheckpointSave(d) => Some(d.iter),
             _ => None,
         }
     }
@@ -315,10 +338,10 @@ impl Msg<'_> {
                     w.body(&b.body, u32::to_le_bytes);
                 }
             }
-            Self::CheckpointSave(l) => w.image_list(l),
-            Self::FinalState { duplicates_ignored, images } => {
+            Self::CheckpointSave(d) => w.delta(d),
+            Self::FinalState { duplicates_ignored, state } => {
                 w.u64(*duplicates_ignored);
-                w.images(images);
+                w.delta(state);
             }
             Self::Finish | Self::Shutdown | Self::Bye => {}
         }
@@ -336,7 +359,9 @@ impl<'a> Msg<'a> {
     /// than the grid allows; a block endpoint outside the grid; a wire-body
     /// flag other than 0 or 1 or a raw body that is not whole elements; an
     /// image that fails its seal, or one outside the grid or repeated; an
-    /// unknown tag in a worker config.
+    /// unknown tag in a worker config; a delta's GPU outside the grid or
+    /// repeated, or a level that does not decode or is not strictly
+    /// ascending. What a delta settles is checked by its fold.
     pub fn decode(frame: &'a Frame, topo: Option<&Topology>) -> Result<Self, ProtocolError> {
         let mut r = WireReader { bytes: frame.payload(), at: 0 };
         let grid = || {
@@ -368,11 +393,11 @@ impl<'a> Msg<'a> {
             kind::STEP_LOCAL => Self::StepLocal(r.exchange(grid()?)?),
             kind::STEP_REMOTE => Self::StepRemote(r.exchange(grid()?)?),
             kind::STEP_DONE => Self::StepDone(r.stats()?),
-            kind::CHECKPOINT_SAVE => Self::CheckpointSave(r.image_list(grid()?)?),
+            kind::CHECKPOINT_SAVE => Self::CheckpointSave(r.delta(grid()?)?),
             kind::FINISH => Self::Finish,
             kind::FINAL_STATE => {
                 let duplicates_ignored = r.u64()?;
-                Self::FinalState { duplicates_ignored, images: r.images(grid()?)? }
+                Self::FinalState { duplicates_ignored, state: r.delta(grid()?)? }
             }
             kind::SHUTDOWN => Self::Shutdown,
             kind::BYE => Self::Bye,
@@ -547,14 +572,65 @@ impl WireWriter {
 
     fn image_list(&mut self, l: &Images) {
         self.u32(l.iter);
-        self.images(&l.images);
-    }
-
-    fn images(&mut self, images: &[GpuStateImage]) {
-        self.u32(images.len() as u32);
-        for img in images {
+        self.u32(l.images.len() as u32);
+        for img in &l.images {
             img.encode_fields(self);
             self.u64(img.digest);
+        }
+    }
+
+    fn direction(&mut self, d: Direction) {
+        self.u8(match d {
+            Direction::Forward => 0,
+            Direction::Backward => 1,
+        });
+    }
+
+    fn parent_log(&mut self, log: &[(GpuId, u32, u64, u32)]) {
+        self.u32(log.len() as u32);
+        for &(owner, local, parent, depth) in log {
+            self.u32(owner.rank);
+            self.u32(owner.gpu);
+            self.u32(local);
+            self.u64(parent);
+            self.u32(depth);
+        }
+    }
+
+    fn levels(&mut self, levels: &[Level]) {
+        self.u32(levels.len() as u32);
+        for l in levels {
+            self.u32(l.depth);
+            let at = self.buf.len();
+            self.u32(0);
+            let codec = select_frontier_codec(&l.ids);
+            codec.encode_into(&l.ids, &mut self.buf).expect("a level is strictly ascending");
+            let len = (self.buf.len() - at - 4) as u32;
+            self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        }
+    }
+
+    fn delta(&mut self, d: &StateDelta) {
+        self.u32(d.base);
+        self.u32(d.iter);
+        self.u8(d.track_parents as u8);
+        self.levels(&d.delegates);
+        self.u32(d.gpus.len() as u32);
+        for g in &d.gpus {
+            self.u32(g.gpu_flat);
+            g.directions.iter().for_each(|&dir| self.direction(dir));
+            self.levels(&g.levels);
+            self.list(&g.frontier, u32::to_le_bytes);
+            if d.track_parents {
+                self.list(&g.parents, u64::to_le_bytes);
+                self.u32(g.candidates.len() as u32);
+                for &(x, candidate) in &g.candidates {
+                    self.u32(x);
+                    self.u64(candidate);
+                }
+                self.parent_log(&g.remote_parent_log);
+            }
+            self.u64(g.digest);
         }
     }
 }
@@ -682,28 +758,84 @@ impl<'a> WireReader<'a> {
         Ok(Exchange { iter, contributions: Cow::Owned(contributions), blocks })
     }
 
+    /// An image list for a grid of `topo`'s GPUs, every seal verified. A
+    /// GPU outside the grid or listed twice is a typed error.
     fn image_list(&mut self, topo: &Topology) -> Result<Images, ProtocolError> {
-        Ok(Images { iter: self.u32()?, images: self.images(topo)? })
-    }
-
-    /// Images for a grid of `topo`'s GPUs, every seal verified. A GPU
-    /// outside the grid or listed twice is a typed error.
-    fn images(&mut self, topo: &Topology) -> Result<Vec<GpuStateImage>, ProtocolError> {
-        let p = topo.num_gpus() as usize;
+        let iter = self.u32()?;
         let n = self.u32()? as usize;
-        if n > p {
-            return Err(ProtocolError::new(format!("{n} state images for {p} gpus")));
-        }
-        let mut images: Vec<GpuStateImage> = Vec::with_capacity(n);
+        let mut images: Vec<GpuStateImage> =
+            Vec::with_capacity(gpu_count(n, topo, "state images")?);
         for _ in 0..n {
             let img = self.image()?;
-            let flat = img.gpu_flat;
-            if flat as usize >= p || images.iter().any(|i| i.gpu_flat == flat) {
-                return Err(ProtocolError::new(format!("state image for gpu {flat} out of place")));
-            }
+            gpu_in_place(img.gpu_flat, topo, images.iter().map(|i| i.gpu_flat), "state image")?;
             images.push(img);
         }
-        Ok(images)
+        Ok(Images { iter, images })
+    }
+
+    /// A delta for a grid of `topo`'s GPUs: each GPU inside it and listed
+    /// once, every level decoded.
+    fn delta(&mut self, topo: &Topology) -> Result<StateDelta, ProtocolError> {
+        let (base, iter, track_parents) = (self.u32()?, self.u32()?, self.flag()?);
+        let delegates = self.levels()?;
+        let n = self.u32()? as usize;
+        let mut gpus: Vec<GpuDelta> = Vec::with_capacity(gpu_count(n, topo, "gpu deltas")?);
+        for _ in 0..n {
+            let gpu_flat = self.u32()?;
+            gpu_in_place(gpu_flat, topo, gpus.iter().map(|g| g.gpu_flat), "delta")?;
+            let directions = [self.direction()?, self.direction()?, self.direction()?];
+            let levels = self.levels()?;
+            let frontier = self.list(u32::from_le_bytes)?;
+            let (mut parents, mut candidates, mut remote_parent_log) = Default::default();
+            if track_parents {
+                parents = self.list(u64::from_le_bytes)?;
+                let n = self.u32()? as usize;
+                candidates = Vec::with_capacity(n.min(1 << 20));
+                for _ in 0..n {
+                    candidates.push((self.u32()?, self.u64()?));
+                }
+                remote_parent_log = self.parent_log()?;
+            }
+            let digest = self.u64()?;
+            gpus.push(GpuDelta {
+                gpu_flat,
+                directions,
+                levels,
+                frontier,
+                parents,
+                candidates,
+                remote_parent_log,
+                digest,
+            });
+        }
+        Ok(StateDelta { base, iter, track_parents, delegates, gpus })
+    }
+
+    /// Levels, each decoded; one that does not decode or is not strictly
+    /// ascending is a typed error.
+    fn levels(&mut self) -> Result<Vec<Level>, ProtocolError> {
+        let n = self.u32()?;
+        let mut levels = Vec::new();
+        for _ in 0..n {
+            let depth = self.u32()?;
+            let (ids, _) = decode_frontier(self.bytes()?)
+                .map_err(|e| ProtocolError::new(format!("level {depth}: {e}")))?;
+            if ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(ProtocolError::new(format!("level {depth} is not strictly ascending")));
+            }
+            levels.push(Level { depth, ids });
+        }
+        Ok(levels)
+    }
+
+    fn parent_log(&mut self) -> Result<Vec<(GpuId, u32, u64, u32)>, ProtocolError> {
+        let n = self.u32()? as usize;
+        let mut log = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            let owner = GpuId { rank: self.u32()?, gpu: self.u32()? };
+            log.push((owner, self.u32()?, self.u64()?, self.u32()?));
+        }
+        Ok(log)
     }
 
     /// One image; a digest mismatch is a typed error, never a silent
@@ -723,12 +855,7 @@ impl<'a> WireReader<'a> {
         let directions = [self.direction()?, self.direction()?, self.direction()?];
         let parents_local = self.list(u64::from_le_bytes)?;
         let delegate_parent_candidate = self.list(u64::from_le_bytes)?;
-        let n = self.u32()? as usize;
-        let mut remote_parent_log = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let owner = GpuId { rank: self.u32()?, gpu: self.u32()? };
-            remote_parent_log.push((owner, self.u32()?, self.u64()?, self.u32()?));
-        }
+        let remote_parent_log = self.parent_log()?;
         let img = GpuStateImage {
             gpu_flat,
             track_parents,
@@ -771,23 +898,33 @@ impl GpuStateImage {
         w.list(&self.visited_words, u64::to_le_bytes);
         w.list(&self.frontier, u32::to_le_bytes);
         w.list(&self.new_delegates, u32::to_le_bytes);
-        for d in self.directions {
-            w.u8(match d {
-                Direction::Forward => 0,
-                Direction::Backward => 1,
-            });
-        }
+        self.directions.iter().for_each(|&d| w.direction(d));
         w.list(&self.parents_local, u64::to_le_bytes);
         w.list(&self.delegate_parent_candidate, u64::to_le_bytes);
-        w.u32(self.remote_parent_log.len() as u32);
-        for &(owner, local, parent, depth) in &self.remote_parent_log {
-            w.u32(owner.rank);
-            w.u32(owner.gpu);
-            w.u32(local);
-            w.u64(parent);
-            w.u32(depth);
-        }
+        w.parent_log(&self.remote_parent_log);
     }
+}
+
+/// `n` GPU entries, refused when the grid has fewer GPUs.
+fn gpu_count(n: usize, topo: &Topology, what: &str) -> Result<usize, ProtocolError> {
+    let p = topo.num_gpus() as usize;
+    if n > p {
+        return Err(ProtocolError::new(format!("{n} {what} for {p} gpus")));
+    }
+    Ok(n)
+}
+
+/// Refuses `flat` outside the grid or among the flats already `seen`.
+fn gpu_in_place(
+    flat: u32,
+    topo: &Topology,
+    mut seen: impl Iterator<Item = u32>,
+    what: &str,
+) -> Result<(), ProtocolError> {
+    if flat >= topo.num_gpus() || seen.any(|f| f == flat) {
+        return Err(ProtocolError::new(format!("{what} for gpu {flat} out of place")));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -813,6 +950,31 @@ mod tests {
         };
         img.digest = img.seal();
         img
+    }
+
+    fn sample_delta(parents: bool) -> StateDelta {
+        let level = |depth, ids: &[u32]| Level { depth, ids: ids.to_vec() };
+        let gpu = |gpu_flat| GpuDelta {
+            gpu_flat,
+            directions: [Direction::Forward, Direction::Backward, Direction::Forward],
+            levels: vec![level(3, &[1, 4, 5, 6, 7, 8, 9]), level(5, &[2, 900])],
+            frontier: vec![900, 2],
+            parents: if parents { (0..9).collect() } else { Vec::new() },
+            candidates: if parents { vec![(1, 6), (0, 1 << 63)] } else { Vec::new() },
+            remote_parent_log: if parents {
+                vec![(GpuId { rank: 1, gpu: 0 }, 9, 77, 3)]
+            } else {
+                Vec::new()
+            },
+            digest: 0xfeed,
+        };
+        StateDelta {
+            base: 2,
+            iter: 5,
+            track_parents: parents,
+            delegates: vec![level(4, &[0]), level(5, &[1])],
+            gpus: vec![gpu(3), gpu(1)],
+        }
     }
 
     /// One message of every kind, and `Begin` with and without a resume,
@@ -842,14 +1004,15 @@ mod tests {
             }),
             Msg::Ready(Stats { iter: 0, ..stats }),
             Msg::Begin { source: 42, hosted: vec![2, 3], resume: None },
-            Msg::Begin { source: 42, hosted: vec![1, 3], resume: Some(images.clone()) },
+            Msg::Begin { source: 42, hosted: vec![1, 3], resume: Some(images) },
             Msg::StepGo { iter: 3, checkpoint: true },
             Msg::StepLocal(exchange.clone()),
             Msg::StepRemote(Exchange { contributions: Cow::Owned(Vec::new()), ..exchange }),
             Msg::StepDone(stats),
-            Msg::CheckpointSave(images),
+            Msg::CheckpointSave(sample_delta(true)),
+            Msg::CheckpointSave(sample_delta(false)),
             Msg::Finish,
-            Msg::FinalState { duplicates_ignored: 2, images: vec![sample_image(0)] },
+            Msg::FinalState { duplicates_ignored: 2, state: sample_delta(true) },
             Msg::Shutdown,
             Msg::Bye,
         ]
@@ -947,18 +1110,19 @@ mod tests {
         }
     }
 
-    /// `images`' body in a `FinalState`, past its leading count of
-    /// duplicates.
+    /// `images`' list in a resuming `Begin` that hosts no GPU, past its
+    /// source (8), hosted count (4) and resume flag (1).
     fn image_list(images: &[GpuStateImage]) -> Vec<u8> {
-        let frame = Msg::FinalState { duplicates_ignored: 0, images: images.to_vec() }.frame();
-        frame.payload()[8..].to_vec()
+        let resume = Some(Images { iter: 2, images: images.to_vec() });
+        let frame = Msg::Begin { source: 0, hosted: Vec::new(), resume }.frame();
+        frame.payload()[13..].to_vec()
     }
 
     fn read_images(body: &[u8], gpus: u32) -> Result<Vec<GpuStateImage>, ProtocolError> {
         let mut r = WireReader { bytes: body, at: 0 };
-        let images = r.images(&Topology::new(1, gpus))?;
+        let images = r.image_list(&Topology::new(1, gpus))?;
         r.expect_end()?;
-        Ok(images)
+        Ok(images.images)
     }
 
     #[test]
@@ -966,15 +1130,61 @@ mod tests {
         let body = image_list(&[sample_image(3)]);
         assert_eq!(read_images(&body, 4).unwrap(), vec![sample_image(3)]);
         // Flip one depth bit: the seal check must reject the image. The
-        // depths start after count (4), gpu_flat (4), flag (1), length (4).
+        // depths start after iteration (4), count (4), gpu_flat (4), flag
+        // (1), length (4).
         let mut tampered = body.clone();
-        tampered[13] ^= 1;
+        tampered[17] ^= 1;
         assert!(read_images(&tampered, 4).unwrap_err().detail.contains("seal"));
         // A non-canonical flag byte would re-encode as 1 and slip past
         // the seal, so it is rejected outright.
         let mut flag = body.clone();
-        flag[8] = 3;
+        flag[12] = 3;
         assert!(read_images(&flag, 4).is_err());
+    }
+
+    /// A `CheckpointSave` frame of `delta` on a 2 × 2 grid, decoded.
+    fn read_delta(frame: &Frame) -> Result<StateDelta, ProtocolError> {
+        match Msg::decode(frame, Some(&Topology::new(2, 2)))? {
+            Msg::CheckpointSave(d) => Ok(d),
+            other => panic!("not a save: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deltas_refuse_foreign_repeated_or_surplus_gpus_and_broken_levels() {
+        let good = sample_delta(false);
+        assert_eq!(read_delta(&Msg::CheckpointSave(good.clone()).frame()).unwrap(), good);
+        let with = |gpus: Vec<u32>| {
+            let mut d = good.clone();
+            d.gpus = gpus
+                .into_iter()
+                .map(|f| GpuDelta { gpu_flat: f, ..good.gpus[0].clone() })
+                .collect();
+            Msg::CheckpointSave(d).frame()
+        };
+        for (gpus, detail) in [
+            (vec![4], "delta for gpu 4 out of place"),
+            (vec![1, 1], "delta for gpu 1 out of place"),
+            (vec![0, 1, 2, 3, 0], "5 gpu deltas for 4 gpus"),
+        ] {
+            assert_eq!(read_delta(&with(gpus)).unwrap_err().detail, detail);
+        }
+        // The first delegate level's body starts after base, iteration,
+        // flag, level count, depth and length (4 + 4 + 1 + 4 + 4 + 4): a
+        // one-id Raw32 body, header (5) then the id.
+        let frame = Msg::CheckpointSave(good.clone()).frame();
+        let mut unknown = frame.payload().to_vec();
+        unknown[21] = 0x7f;
+        let err = read_delta(&Frame::new(kind::CHECKPOINT_SAVE, unknown)).unwrap_err();
+        assert!(err.detail.starts_with("level 4: unknown codec tag"), "{err}");
+        let mut unsorted = frame.payload().to_vec();
+        // Raw32 over [3, 1]: a two-id body replaces the one-id one.
+        let mut body = Vec::new();
+        FrontierCodec::Raw32.encode_into(&[3, 1], &mut body).unwrap();
+        unsorted
+            .splice(17..17 + 4 + 9, [(body.len() as u32).to_le_bytes().to_vec(), body].concat());
+        let err = read_delta(&Frame::new(kind::CHECKPOINT_SAVE, unsorted)).unwrap_err();
+        assert_eq!(err.detail, "level 4 is not strictly ascending");
     }
 
     #[test]

@@ -20,10 +20,15 @@
 //!
 //! `Begin` is the run's committed iteration-0 checkpoint: the state
 //! entering superstep 0 follows from the source alone, so
-//! [`RecoveryConfig::checkpoint_due`] asks for no save there. An image
-//! checkpoint is the run's only copy: it commits once every GPU's sealed
-//! image for its iteration arrived, so a death racing the capture falls
-//! back to the previous commit. Recovery has one path, whenever the death
+//! [`RecoveryConfig::checkpoint_due`] asks for no save there; the store
+//! entering it holds an all-unreached (unsealed) image per GPU. A worker's
+//! save is a [`StateDelta`] since its last `Begin` or save, whose base must
+//! be the commit: the round folds it onto the committed images, the fold
+//! must reproduce the seal the worker took, and the whole images are
+//! staged. An image checkpoint is the run's only copy: it commits once
+//! every GPU's image for its iteration was staged, so a death racing the
+//! capture falls back to the previous commit. The final state folds the
+//! same way before assembly. Recovery has one path, whenever the death
 //! and wherever its GPUs go: re-home them, send every live worker a `Begin`
 //! naming the GPUs it hosts from then on (with their committed images, once
 //! there are any), and resume at the commit. [`ProcReport::checkpoints`]
@@ -32,7 +37,7 @@
 use super::protocol::{kind, Exchange, Images, Msg, ProtocolError, Stats};
 use super::{ProcError, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
-use crate::checkpoint::GpuStateImage;
+use crate::checkpoint::{GpuStateImage, StateDelta};
 use crate::recovery::{RecoveryConfig, RecoveryMode};
 use crate::separation::Separation;
 use gcbfs_cluster::topology::{GpuId, Topology};
@@ -120,8 +125,9 @@ pub struct Round {
     /// the last one while the final state is collected.
     iter: u32,
     /// The committed checkpoint: its iteration, and one sealed image per
-    /// GPU indexed by flat — none at iteration 0, where `Begin` seeds the
-    /// source.
+    /// GPU indexed by flat — at iteration 0, where `Begin` seeds the
+    /// source, an all-unreached one, never shipped and left unsealed.
+    /// Deltas fold onto it.
     cp_iter: u32,
     cp_store: Vec<GpuStateImage>,
     /// Uncommitted saves: iter -> gpu_flat -> image.
@@ -148,6 +154,13 @@ impl Round {
             flats.iter().for_each(|&f| hosting_of[f] = slot);
         }
         let report = ProcReport { workers: hosted.len() as u32, ..ProcReport::default() };
+        let (n, d) = (separation.num_vertices(), separation.num_delegates());
+        let cp_store = (0..topo.num_gpus())
+            .map(|f| {
+                let num_local = topo.owned_count(topo.unflat(f as usize), n);
+                GpuStateImage::unreached(f, num_local, d, track_parents)
+            })
+            .collect();
         Self {
             topo,
             separation,
@@ -159,7 +172,7 @@ impl Round {
             hosting_of,
             iter: 0,
             cp_iter: 0,
-            cp_store: Vec::new(),
+            cp_store,
             staged: HashMap::new(),
             spares_left: topo.num_spares(),
             report,
@@ -258,7 +271,7 @@ impl Round {
             }
             let at = pending.iter().position(|&s| s == slot);
             match Msg::decode(&frame, Some(&self.topo))? {
-                Msg::CheckpointSave(save) => self.stage_checkpoint(slot, save)?,
+                Msg::CheckpointSave(delta) => self.stage_checkpoint(slot, &delta)?,
                 msg if frame.kind == accept && msg.iter().is_none_or(|i| i == iter) => {
                     if let Some(at) = at {
                         pending.remove(at);
@@ -279,25 +292,28 @@ impl Round {
         Ok(())
     }
 
-    /// Stages one worker's checkpoint images; commits the checkpoint once
-    /// every flat GPU's image for that iteration arrived. A stale save
-    /// from an aborted superstep covers a subset of the sender's GPUs.
+    /// Folds one worker's checkpoint delta onto the committed store and
+    /// stages the images; commits the checkpoint once every flat GPU's
+    /// image for that iteration was staged. A stale save from an aborted
+    /// superstep covers a subset of the sender's GPUs.
     ///
     /// # Errors
-    /// An image of a GPU the sender does not host.
-    fn stage_checkpoint(&mut self, slot: usize, save: Images) -> Result<(), ProcError> {
-        check_hosts(&self.hosting_of, slot, &save.images, "saved")?;
+    /// A delta of a GPU the sender does not host, or one that does not
+    /// fold ([`StateDelta::fold`]); nothing is staged then.
+    fn stage_checkpoint(&mut self, slot: usize, delta: &StateDelta) -> Result<(), ProcError> {
+        check_hosts(&self.hosting_of, slot, delta.gpus.iter().map(|g| g.gpu_flat), "saved")?;
+        let images = delta.fold(self.cp_iter, &self.cp_store)?;
         let p = self.topo.num_gpus() as usize;
-        let entry = self.staged.entry(save.iter).or_default();
-        entry.extend(save.images.into_iter().map(|img| (img.gpu_flat, img)));
+        let entry = self.staged.entry(delta.iter).or_default();
+        entry.extend(images.into_iter().map(|img| (img.gpu_flat, img)));
         let complete = entry.len() == p;
-        if complete && save.iter > self.cp_iter {
-            let images = self.staged.remove(&save.iter).expect("staged entry exists");
+        if complete && delta.iter > self.cp_iter {
+            let images = self.staged.remove(&delta.iter).expect("staged entry exists");
             let mut images: Vec<_> = images.into_values().collect();
             images.sort_unstable_by_key(|img| img.gpu_flat);
             self.cp_store = images;
-            self.cp_iter = save.iter;
-            self.staged.retain(|&i, _| i > save.iter);
+            self.cp_iter = delta.iter;
+            self.staged.retain(|&i, _| i > delta.iter);
             self.report.checkpoints += 1;
         }
         Ok(())
@@ -389,11 +405,13 @@ impl Round {
     }
 
     /// Collects final state from every live slot — each ends its traversal
-    /// there — and assembles global depths (and parents, when tracked).
+    /// there — folds it onto the committed store and assembles global
+    /// depths (and parents, when tracked).
     fn finish(mut self, link: &mut impl Link) -> Result<ProcOutcome, ProcError> {
         self.alive_slots().into_iter().for_each(|slot| link.send(slot, &Msg::Finish));
         // Hosts partition the grid, so with every image of a GPU its sender
         // hosts, one per GPU means every GPU's.
+        let iterations = self.report.iterations;
         let mut images = Vec::new();
         let dead = self.gather(
             link,
@@ -401,10 +419,18 @@ impl Round {
             kind::FINAL_STATE,
             0,
             |round, slot, msg| {
-                if let Msg::FinalState { duplicates_ignored, images: finals } = msg {
-                    check_hosts(&round.hosting_of, slot, &finals, "sent the final state of")?;
+                if let Msg::FinalState { duplicates_ignored, state } = msg {
+                    let flats = state.gpus.iter().map(|g| g.gpu_flat);
+                    check_hosts(&round.hosting_of, slot, flats, "sent the final state of")?;
+                    if state.iter != iterations {
+                        let detail = format!(
+                            "worker {slot} sent the state entering iteration {}, not {iterations}",
+                            state.iter
+                        );
+                        return Err(ProtocolError::new(detail).into());
+                    }
                     round.report.duplicate_frames_ignored += duplicates_ignored;
-                    images.extend(finals);
+                    images.extend(state.fold(round.cp_iter, &round.cp_store)?);
                 }
                 Ok(())
             },
@@ -428,18 +454,17 @@ impl Round {
     }
 }
 
-/// Refuses images from `slot` (`what` it did with them) of a GPU that
-/// `hosting_of` does not map to it.
+/// Refuses state from `slot` (`what` it did with it) of a GPU among
+/// `flats` that `hosting_of` does not map to it.
 fn check_hosts(
     hosting_of: &[usize],
     slot: usize,
-    images: &[GpuStateImage],
+    mut flats: impl Iterator<Item = u32>,
     what: &str,
 ) -> Result<(), ProtocolError> {
-    match images.iter().find(|img| hosting_of.get(img.gpu_flat as usize) != Some(&slot)) {
-        Some(img) => Err(ProtocolError::new(format!(
-            "worker {slot} {what} gpu {}, which it does not host",
-            img.gpu_flat
+    match flats.find(|&f| hosting_of.get(f as usize) != Some(&slot)) {
+        Some(flat) => Err(ProtocolError::new(format!(
+            "worker {slot} {what} gpu {flat}, which it does not host"
         ))),
         None => Ok(()),
     }
@@ -539,26 +564,11 @@ mod tests {
     }
 
     #[test]
-    fn images_of_a_gpu_the_sender_does_not_host_are_refused() {
-        let image = |gpu_flat| GpuStateImage {
-            gpu_flat,
-            track_parents: false,
-            depths_local: Vec::new(),
-            delegate_depths: Vec::new(),
-            visited_bits: 0,
-            visited_words: Vec::new(),
-            frontier: Vec::new(),
-            new_delegates: Vec::new(),
-            directions: [crate::direction::Direction::Forward; 3],
-            parents_local: Vec::new(),
-            delegate_parent_candidate: Vec::new(),
-            remote_parent_log: Vec::new(),
-            digest: 0,
-        };
+    fn state_of_a_gpu_the_sender_does_not_host_is_refused() {
         // A stale save from an aborted superstep covers a subset.
-        assert!(check_hosts(&HOSTING_OF, 1, &[image(3)], "saved").is_ok());
+        assert!(check_hosts(&HOSTING_OF, 1, [3].into_iter(), "saved").is_ok());
         for what in ["saved", "sent the final state of"] {
-            let err = check_hosts(&HOSTING_OF, 1, &[image(2), image(1)], what).unwrap_err();
+            let err = check_hosts(&HOSTING_OF, 1, [2, 1].into_iter(), what).unwrap_err();
             assert_eq!(err.detail, format!("worker 1 {what} gpu 1, which it does not host"));
         }
     }

@@ -15,9 +15,7 @@
 //! exit closes the connection, which is how the coordinator learns of the
 //! death, and the coordinator's checkpoints own all recovery.
 
-use super::protocol::{
-    decode_worker_config, Exchange, Images, Msg, ProtocolError, Stats, PROTO_VERSION,
-};
+use super::protocol::{decode_worker_config, Exchange, Msg, ProtocolError, Stats, PROTO_VERSION};
 use super::transport::{connect_with_backoff, recv_frame, send, TransportError};
 use crate::comm::Block;
 use crate::config::BfsConfig;
@@ -87,6 +85,8 @@ struct Traversal {
     /// `StepRemote` finds nothing to do).
     in_flight: Option<InFlight>,
     duplicates_ignored: u64,
+    /// The iteration the hosted state enters.
+    iter: u32,
 }
 
 /// A superstep between `StepGo` and `StepRemote`.
@@ -121,15 +121,17 @@ impl<'g> WorkerRound<'g> {
     ///   with a resume, given the committed images. It replaces any
     ///   traversal in flight (a recovery) and keeps its count of ignored
     ///   duplicates.
-    /// - `StepGo` → (`CheckpointSave`, when asked, before the kernels run;
-    ///   the coordinator keeps the only copy) `StepLocal`: the local
+    /// - `StepGo` → (`CheckpointSave`, when asked, before the kernels run:
+    ///   the state settled since the last `Begin` or save, which the
+    ///   coordinator folds into the only copy) `StepLocal`: the local
     ///   kernels and the shared block formation. A stale superstep in
     ///   flight is superseded.
     /// - `StepRemote` → `StepDone`: reduce and consume every rank's mask
     ///   contribution, assemble deliveries in flat source order, form the
     ///   next frontiers. One with no superstep in flight — a duplicated or
     ///   stale frame — is counted and answers nothing.
-    /// - `Finish` → `FinalState`, which ends the traversal.
+    /// - `Finish` → `FinalState`, the state settled since the last `Begin`
+    ///   or save, which ends the traversal.
     ///
     /// # Errors
     /// What `reply` returns; a source outside the graph; a message the
@@ -153,14 +155,14 @@ impl<'g> WorkerRound<'g> {
             // The constructor rejects out-of-range and repeated flats.
             let mut group = HostedGroup::new(self.dist, &self.config, self.track_parents, &hosted)?;
             let iter = match resume {
-                Some(cp) => group.restore(&cp.images).map(|()| cp.iter)?,
+                Some(cp) => group.restore(&cp.images, cp.iter).map(|()| cp.iter)?,
                 None => {
                     group.seed_source(&self.dist.separation, source);
                     0
                 }
             };
             let duplicates_ignored = self.run.as_ref().map_or(0, |t| t.duplicates_ignored);
-            let t = self.run.insert(Traversal { group, in_flight: None, duplicates_ignored });
+            let t = self.run.insert(Traversal { group, in_flight: None, duplicates_ignored, iter });
             return reply(Msg::Ready(t.stats(iter)));
         }
         let Some(t) = self.run.as_mut() else { return Err(unexpected().into()) };
@@ -168,7 +170,7 @@ impl<'g> WorkerRound<'g> {
         match msg {
             Msg::StepGo { iter, checkpoint } => {
                 if checkpoint {
-                    reply(Msg::CheckpointSave(Images { iter, images: t.group.capture() }))?;
+                    reply(Msg::CheckpointSave(t.group.delta(iter)))?;
                 }
                 let mut outputs = t.group.compute(iter);
                 let contributions = t.group.mask_contributions(&outputs, mode);
@@ -192,12 +194,13 @@ impl<'g> WorkerRound<'g> {
                 t.group.consume_contributions(&f.contributions, mode, next_depth)?;
                 let delivered = t.group.deliveries(f.held)?;
                 t.group.commit(&mut f.outputs, &delivered, next_depth);
+                t.iter = next_depth;
                 reply(Msg::StepDone(t.stats(x.iter)))
             }
             Msg::Finish => {
-                let t = self.run.take().expect("a traversal is in flight");
-                let images = t.group.capture();
-                reply(Msg::FinalState { duplicates_ignored: t.duplicates_ignored, images })
+                let mut t = self.run.take().expect("a traversal is in flight");
+                let state = t.group.delta(t.iter);
+                reply(Msg::FinalState { duplicates_ignored: t.duplicates_ignored, state })
             }
             _ => Err(unexpected().into()),
         }

@@ -13,12 +13,12 @@
 //! ([`rank_contributions`] / [`reduce_contributions`], [`form_blocks`] /
 //! [`deliver_blocks`]).
 
-use crate::checkpoint::GpuStateImage;
+use crate::checkpoint::{GpuDelta, GpuStateImage, Level, StateDelta};
 use crate::comm::{deliver_blocks, form_blocks, prepare_sends, Block};
 use crate::config::BfsConfig;
 use crate::direction::DirectionState;
 use crate::driver::DistributedGraph;
-use crate::kernels::{GpuWorker, LocalIterationOutput};
+use crate::kernels::{GpuWorker, LocalIterationOutput, NO_PARENT};
 use crate::masks::DelegateMask;
 use crate::procrt::protocol::ProtocolError;
 use crate::separation::Separation;
@@ -43,6 +43,12 @@ pub struct HostedGroup {
     /// was last restored: from then on every visited mask equals the last
     /// reduced mask, which every rank holds — the mask codec's reference.
     pub(crate) reference_held: bool,
+    track_parents: bool,
+    /// The iteration the next [`Self::delta`] folds from (0 when seeded,
+    /// else the last restore or delta), and each hosted GPU's remote
+    /// parent-log length there.
+    base: u32,
+    base_logs: Vec<usize>,
 }
 
 impl HostedGroup {
@@ -86,7 +92,17 @@ impl HostedGroup {
             })
             .collect();
         let num_delegates = dist.separation.num_delegates();
-        Ok(Self { topo, num_delegates, flats, workers, reference_held: false })
+        let base_logs = vec![0; flats.len()];
+        Ok(Self {
+            topo,
+            num_delegates,
+            flats,
+            workers,
+            reference_held: false,
+            track_parents,
+            base: 0,
+            base_logs,
+        })
     }
 
     /// Hosted flat GPU indices, ascending.
@@ -112,13 +128,62 @@ impl HostedGroup {
             .collect()
     }
 
-    /// Installs verified `images`, exactly one for every GPU this group
-    /// hosts, and drops the mask codec's reference.
+    /// What the hosted GPUs settled since the base — the last restore, the
+    /// seed, or the last delta — as the state entering `iter`; `iter`
+    /// becomes the next delta's base. Each GPU's entry carries the seal of
+    /// its whole state, which the delta's fold must reproduce.
+    pub fn delta(&mut self, iter: u32) -> StateDelta {
+        let base = self.base;
+        let first = StateDelta::first_level(base);
+        let delegates = self
+            .workers
+            .first()
+            .map_or_else(Vec::new, |w| Level::of(&w.delegate_depths, first, iter));
+        let gpus = self
+            .workers
+            .par_iter()
+            .enumerate()
+            .map(|(at, w)| {
+                let flat = self.flats[at] as u32;
+                let levels = Level::of(&w.depths_local, first, iter);
+                let (mut parents, mut candidates, mut remote_parent_log) = Default::default();
+                if self.track_parents {
+                    let slots = levels.iter().flat_map(|l| &l.ids);
+                    parents = slots.map(|&s| w.parents_local[s as usize]).collect();
+                    let settled = delegates.iter().flat_map(|l| &l.ids);
+                    let candidate = |&x: &u32| (x, w.delegate_parent_candidate[x as usize]);
+                    candidates = settled.map(candidate).filter(|&(_, c)| c != NO_PARENT).collect();
+                    remote_parent_log = w.remote_parent_log[self.base_logs[at]..].to_vec();
+                }
+                GpuDelta {
+                    gpu_flat: flat,
+                    directions: [w.dir_dd.current(), w.dir_dn.current(), w.dir_nd.current()],
+                    levels,
+                    frontier: w.frontier.clone(),
+                    parents,
+                    candidates,
+                    remote_parent_log,
+                    digest: GpuStateImage::capture(flat, w).digest,
+                }
+            })
+            .collect();
+        self.rebase(iter);
+        StateDelta { base, iter, track_parents: self.track_parents, delegates, gpus }
+    }
+
+    fn rebase(&mut self, iter: u32) {
+        self.base = iter;
+        self.base_logs = self.workers.iter().map(|w| w.remote_parent_log.len()).collect();
+    }
+
+    /// Installs verified `images` entering iteration `iter`, exactly one
+    /// for every GPU this group hosts, and drops the mask codec's
+    /// reference; `iter` becomes the next delta's base.
     ///
     /// # Errors
     /// An image for a GPU the group does not host, or a hosted GPU without
     /// exactly one image. Checked before anything is installed.
-    pub fn restore(&mut self, images: &[GpuStateImage]) -> Result<(), ProtocolError> {
+    pub fn restore(&mut self, images: &[GpuStateImage], iter: u32) -> Result<(), ProtocolError> {
         if let Some(img) = images.iter().find(|i| !self.hosts(i.gpu_flat as usize)) {
             let flat = img.gpu_flat;
             return Err(ProtocolError::new(format!("image for gpu {flat}, which is not hosted")));
@@ -132,6 +197,7 @@ impl HostedGroup {
             img.install(&mut self.workers[at]);
         }
         self.reference_held = false;
+        self.rebase(iter);
         Ok(())
     }
 
@@ -324,11 +390,11 @@ mod tests {
             ([&images[..1], &foreign[..]].concat(), "gpu 2, which is not hosted"),
         ];
         for (images, detail) in refused {
-            let err = group.restore(&images).unwrap_err();
+            let err = group.restore(&images, 2).unwrap_err();
             assert!(err.detail.contains(detail), "{err}");
             assert_eq!(group.capture(), fresh, "a refusal installs nothing");
         }
-        group.restore(&[images[1].clone(), images[0].clone()]).unwrap();
+        group.restore(&[images[1].clone(), images[0].clone()], 2).unwrap();
         assert_eq!(group.capture(), images);
     }
 

@@ -550,11 +550,12 @@ fn bfs_proc(
         report.iterations
     );
     println!(
-        "wall {:.1} ms -> {:.3} GTEPS (Graph500 m/2 convention); {} wire bytes, \
-         {} frames out / {} in, {} checkpoints",
+        "wall {:.1} ms -> {:.3} GTEPS (Graph500 m/2 convention); {} wire bytes \
+         ({} of GPU state), {} frames out / {} in, {} checkpoints",
         report.wall_seconds * 1e3,
         (graph.num_edges() / 2) as f64 / report.wall_seconds.max(1e-12) / 1e9,
         report.wire_bytes,
+        report.state_bytes,
         report.frames_sent,
         report.frames_received,
         report.checkpoints

@@ -22,10 +22,10 @@
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::{CompressionMode, Frame};
 use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBackend, SimBackend};
-use gpu_cluster_bfs::core::checkpoint::GpuStateImage;
+use gpu_cluster_bfs::core::checkpoint::{GpuStateImage, Level, StateDelta};
 use gpu_cluster_bfs::core::comm::Block;
 use gpu_cluster_bfs::core::driver::RunError;
-use gpu_cluster_bfs::core::procrt::protocol::{kind, Images, Msg, ProtocolError};
+use gpu_cluster_bfs::core::procrt::protocol::{kind, Exchange, Images, Msg, ProtocolError, Stats};
 use gpu_cluster_bfs::core::procrt::round::{Death, Heard, Link, ProcOutcome, Round};
 use gpu_cluster_bfs::core::procrt::worker::WorkerRound;
 use gpu_cluster_bfs::core::procrt::{
@@ -33,10 +33,12 @@ use gpu_cluster_bfs::core::procrt::{
 };
 use gpu_cluster_bfs::core::recovery::RecoveryConfig;
 use gpu_cluster_bfs::core::superstep::HostedGroup;
+use gpu_cluster_bfs::core::UNREACHED;
 use gpu_cluster_bfs::graph::builders;
 use gpu_cluster_bfs::graph::permute::splitmix64;
 use gpu_cluster_bfs::obs::{Channel, MessageKind, ObservabilityConfig};
 use gpu_cluster_bfs::prelude::*;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -213,17 +215,19 @@ fn one_pool_serves_many_sources_bit_exact() {
 fn pool_traffic_is_pinned_frame_for_frame() {
     // Every frame's size and count is a function of the graph, the
     // topology and the config: no traffic depends on timing.
-    // (compression, parents, run) -> (wire bytes, frames sent, frames
-    // received).
+    // (compression, parents, run) -> (wire bytes, state bytes, frames
+    // sent, frames received). The state bytes are the `CheckpointSave` and
+    // `FinalState` frames (one save at superstep 4 and one final state per
+    // worker); CHANGES.md derives the table from frame sizes.
     let pinned = [
-        (CompressionMode::Off, true, "cold", (1150836, 26, 28)),
-        (CompressionMode::Off, true, "warm", (106502, 24, 26)),
-        (CompressionMode::Off, false, "cold", (1081580, 26, 28)),
-        (CompressionMode::Off, false, "warm", (37246, 24, 26)),
-        (CompressionMode::Adaptive, true, "cold", (1150962, 26, 28)),
-        (CompressionMode::Adaptive, true, "warm", (106628, 24, 26)),
-        (CompressionMode::Adaptive, false, "cold", (1081706, 26, 28)),
-        (CompressionMode::Adaptive, false, "warm", (37372, 24, 26)),
+        (CompressionMode::Off, true, "cold", (1065597, 16633, 26, 28)),
+        (CompressionMode::Off, true, "warm", (21263, 16633, 24, 26)),
+        (CompressionMode::Off, false, "cold", (1050457, 1493, 26, 28)),
+        (CompressionMode::Off, false, "warm", (6123, 1493, 24, 26)),
+        (CompressionMode::Adaptive, true, "cold", (1065723, 16633, 26, 28)),
+        (CompressionMode::Adaptive, true, "warm", (21389, 16633, 24, 26)),
+        (CompressionMode::Adaptive, false, "cold", (1050583, 1493, 26, 28)),
+        (CompressionMode::Adaptive, false, "warm", (6249, 1493, 24, 26)),
     ];
     let graph = RmatConfig::graph500(10).generate();
     let topo = Topology::new(4, 2);
@@ -237,7 +241,8 @@ fn pool_traffic_is_pinned_frame_for_frame() {
             .proc
             .expect("proc report");
         assert_eq!(report.spawned > 0, run == "cold", "{cell}");
-        let got = (report.wire_bytes, report.frames_sent, report.frames_received);
+        let got =
+            (report.wire_bytes, report.state_bytes, report.frames_sent, report.frames_received);
         assert_eq!(got, want, "{cell}");
     }
 }
@@ -615,6 +620,8 @@ struct InProcess<'g> {
     in_go_broadcast: bool,
     steps: Steps,
     resumes: Vec<ResumeSeen>,
+    /// A slot whose next save is forged: its first GPU's seal flipped.
+    forging: Option<usize>,
 }
 
 impl<'g> InProcess<'g> {
@@ -633,6 +640,7 @@ impl<'g> InProcess<'g> {
             in_go_broadcast: false,
             steps: Steps::default(),
             resumes: Vec::new(),
+            forging: None,
         }
     }
 
@@ -698,6 +706,16 @@ impl<'g> InProcess<'g> {
             Ok::<_, ProtocolError>(())
         });
         handled.unwrap_or_else(|e| panic!("slot {slot}: {e}"));
+        if self.forging == Some(slot) {
+            for reply in replies.iter_mut().filter(|r| r.kind == kind::CHECKPOINT_SAVE) {
+                let Ok(Msg::CheckpointSave(mut delta)) = Msg::decode(reply, Some(&topo)) else {
+                    unreachable!("a save")
+                };
+                delta.gpus[0].digest ^= 1;
+                *reply = Msg::CheckpointSave(delta).frame();
+                self.forging = None;
+            }
+        }
         if resuming {
             self.resumes.last_mut().expect("recorded above").reference_after = reference(w);
         }
@@ -826,6 +844,16 @@ fn hub(graph: &EdgeList) -> u64 {
     graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64
 }
 
+/// The first vertex farthest from the hub: a traversal from it runs two
+/// more supersteps than one from the hub on the RMAT graphs here (6, not
+/// 4), so image checkpoints commit past superstep 2 and 4.
+fn far(graph: &EdgeList) -> u64 {
+    let csr = Csr::from_edge_list(graph);
+    let depths = gpu_cluster_bfs::graph::reference::bfs_depths(&csr, hub(graph));
+    let deepest = depths.iter().filter(|&&d| d != UNREACHED).max().copied().unwrap();
+    depths.iter().position(|&d| d == deepest).unwrap() as u64
+}
+
 #[test]
 fn hosted_groups_match_the_sim_driver_in_process() {
     let topo = Topology::new(4, 2);
@@ -901,21 +929,30 @@ fn checkpoint_through_the_wire_restores_and_replays_bit_exact() {
 
 /// Proc recovery in process: checkpoints every second superstep, worker 1
 /// dies in superstep 3, and the round rolls back to the iteration-2 commit
-/// — onto a spare, or by worker 0 adopting every GPU — and replays. Under a
-/// compressing `mode` the replay only reduces if every worker dropped its
-/// mask-codec reference on the resuming `Begin`, as the spare never had one.
+/// — onto a spare, or by worker 0 adopting every GPU — and replays. Every
+/// commit is folded from the workers' deltas; the replay's save at 4 is a
+/// delta from the resumed base, and on the spare path a second death in
+/// superstep 5 resumes from that commit. Under a compressing `mode` the
+/// replay only reduces if every worker dropped its mask-codec reference on
+/// the resuming `Begin`, as the spare never had one.
 fn checkpoint_through_the_wire(mode: CompressionMode) {
     let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
     let graph = RmatConfig::graph500(9).generate();
-    let source = hub(&graph);
+    let source = far(&graph);
     let checkpoints = RecoveryConfig::default().with_checkpoint_interval(2);
     let config = BfsConfig::new(16).with_compression(mode).with_recovery(checkpoints);
     for spread in [false, true] {
-        let topo = Topology::new(4, 2).with_spares(u32::from(!spread));
+        let topo = Topology::new(4, 2).with_spares(if spread { 0 } else { 2 });
         let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
         let want = dist.run_with_parents(source, &config).unwrap();
-        assert!(want.iterations() > 3, "the death must follow the checkpoint");
+        assert!(want.iterations() > 5, "the deaths must follow the checkpoints");
+        // Whole images of the uninterrupted traversal, entering each
+        // superstep: what every committed store must equal.
+        let (captures, _) = solo(&dist, &config, true, source, &[]);
         let mut link = InProcess::new(&dist, &config, 2).killing(1, kind::STEP_GO, Some(3));
+        if !spread {
+            link = link.killing(1, kind::STEP_GO, Some(5));
+        }
         let cell = format!("spread {spread}, {mode}");
         let run =
             run_round(&mut link, &rank_halves, source).unwrap_or_else(|e| panic!("{cell}: {e}"));
@@ -924,11 +961,17 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
         let frontiers: Vec<u64> = want.stats.records.iter().map(|r| r.frontier_len).collect();
         assert_eq!(link.steps.frontiers, frontiers, "frontier totals, {cell}");
         let rec = run.report.recovery.expect("the death is recovered");
-        let want_mode = if spread { RecoveryMode::Spread } else { RecoveryMode::Spare };
-        assert_eq!((rec.worker, rec.mode, rec.resumed_iter), (1, want_mode, 2), "{cell}");
+        let (want_mode, resumed) =
+            if spread { (RecoveryMode::Spread, 2) } else { (RecoveryMode::Spare, 4) };
+        assert_eq!((rec.worker, rec.mode, rec.resumed_iter), (1, want_mode, resumed), "{cell}");
+        // Saves at 2 and every second superstep after; a resume at a
+        // commit does not save it again.
+        let commits = (2..want.iterations()).step_by(2).count() as u64;
+        assert_eq!(run.report.checkpoints, commits, "{cell}");
 
-        // One resuming `Begin` round, carrying the committed image of every
-        // GPU, each to the worker that hosts it from then on.
+        // Each resuming `Begin` round carries the committed image of every
+        // GPU, each to the worker that hosts it from then on, and the
+        // folded store equals the uninterrupted traversal's whole images.
         let decoded: Vec<(Vec<usize>, Images)> = link
             .resumes
             .iter()
@@ -937,15 +980,20 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
                 other => panic!("not a resuming Begin: {other:?}"),
             })
             .collect();
+        let mut rounds: Vec<u32> = decoded.iter().map(|(_, l)| l.iter).collect();
+        rounds.dedup();
+        assert_eq!(rounds, if spread { vec![2] } else { vec![2, 4] }, "{cell}");
         for (hosted, images) in &decoded {
-            assert_eq!(images.iter, 2, "{cell}");
             let flats: Vec<usize> = images.images.iter().map(|img| img.gpu_flat as usize).collect();
             assert_eq!(&flats, hosted, "{cell}");
         }
-        let mut cp: Vec<GpuStateImage> = decoded.into_iter().flat_map(|(_, l)| l.images).collect();
-        cp.sort_by_key(|img| img.gpu_flat);
-        let flats: Vec<u32> = cp.iter().map(|img| img.gpu_flat).collect();
-        assert_eq!(flats, (0..8).collect::<Vec<_>>(), "{cell}");
+        for &iter in &rounds {
+            let round = decoded.iter().filter(|(_, l)| l.iter == iter);
+            let mut cp: Vec<GpuStateImage> =
+                round.flat_map(|(_, l)| l.images.iter().cloned()).collect();
+            cp.sort_by_key(|img| img.gpu_flat);
+            assert_eq!(cp, captures[iter as usize], "the store committed at {iter}, {cell}");
+        }
         for seen in &link.resumes {
             // The survivor held a codec reference; every worker restarts
             // without one, as the spare.
@@ -963,7 +1011,7 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
             hosted: vec![0],
             resume: Some(Images { iter: 2, images: images.to_vec() }),
         };
-        let one = begin(&cp[..1]).frame();
+        let one = begin(&captures[2][..1]).frame();
         let list_at = begin(&[]).frame().payload_len() - 4;
         for at in list_at..one.payload_len() {
             let mut tampered = one.payload().to_vec();
@@ -975,7 +1023,193 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
     }
 }
 
-/// RMAT 10 on 4 × 2 GPUs at TH 16, hosted by 2 slots as a pool hosts them.
+/// What `w`'s replies to `msg` carried, read back through the frame codec
+/// on `topo`: the counts of a `Ready` or `StepDone`, and the delta of a save
+/// or of the final state.
+fn handle(
+    w: &mut WorkerRound<'_>,
+    msg: Msg<'_>,
+    topo: &Topology,
+) -> (Option<Stats>, Option<StateDelta>) {
+    let mut frames = Vec::new();
+    let collect = |reply: Msg<'_>| {
+        frames.push(reply.frame());
+        Ok::<_, ProtocolError>(())
+    };
+    w.handle(msg, collect).unwrap_or_else(|e| panic!("{e}"));
+    let (mut stats, mut delta) = (None, None);
+    for frame in &frames {
+        match Msg::decode(frame, Some(topo)).unwrap_or_else(|e| panic!("{e}")) {
+            Msg::Ready(s) | Msg::StepDone(s) => stats = Some(s),
+            Msg::CheckpointSave(d) | Msg::FinalState { state: d, .. } => delta = Some(d),
+            _ => {}
+        }
+    }
+    (stats, delta)
+}
+
+/// One worker hosting every GPU, driven message by message from `source`
+/// until the frontier drains, saving entering each superstep of `saves`:
+/// the capture entering every iteration, and the deltas of the saves and
+/// of the final state, in order.
+fn solo(
+    dist: &DistributedGraph,
+    config: &BfsConfig,
+    parents: bool,
+    source: u64,
+    saves: &[u32],
+) -> (Vec<Vec<GpuStateImage>>, Vec<StateDelta>) {
+    let topo = dist.topology();
+    let mut w = WorkerRound::new(dist, *config, parents);
+    let hosted = (0..topo.num_gpus() as usize).collect();
+    let (mut stats, _) = handle(&mut w, Msg::Begin { source, hosted, resume: None }, &topo);
+    let mut captures = vec![w.group().unwrap().capture()];
+    let mut deltas = Vec::new();
+    let mut iter = 0;
+    while stats.is_some_and(|s| s.frontier + s.new_delegates > 0) {
+        let go = Msg::StepGo { iter, checkpoint: saves.contains(&iter) };
+        deltas.extend(handle(&mut w, go, &topo).1);
+        let remote = Exchange { iter, contributions: Cow::Owned(Vec::new()), blocks: Vec::new() };
+        stats = handle(&mut w, Msg::StepRemote(remote), &topo).0;
+        captures.push(w.group().unwrap().capture());
+        iter += 1;
+    }
+    deltas.extend(handle(&mut w, Msg::Finish, &topo).1);
+    (captures, deltas)
+}
+
+/// A grid at TH 3 (its inner vertices are delegates) and RMAT 10 at TH 16,
+/// each with its source, on 4 × 2 GPUs.
+fn fold_cells() -> Vec<(&'static str, DistributedGraph, BfsConfig, u64)> {
+    let topo = Topology::new(4, 2);
+    let rmat = RmatConfig::graph500(10).generate();
+    let cells = [("grid", builders::grid(8, 8), 3, 0), ("RMAT 10", rmat.clone(), 16, hub(&rmat))];
+    cells
+        .into_iter()
+        .map(|(name, graph, th, source)| {
+            let config = BfsConfig::new(th);
+            (name, DistributedGraph::build(&graph, topo, &config).unwrap(), config, source)
+        })
+        .collect()
+}
+
+#[test]
+fn a_delta_folds_onto_its_base_into_the_capture_at_its_iteration() {
+    for (name, dist, config, source) in fold_cells() {
+        let all: Vec<usize> = (0..8).collect();
+        for parents in [false, true] {
+            let (captures, _) = solo(&dist, &config, parents, source, &[]);
+            let last = captures.len() as u32 - 1;
+            assert!(last >= 4 && dist.separation().num_delegates() > 0, "{name}: too small");
+            // The round's store entering iteration 0: nothing reached.
+            let unreached = HostedGroup::new(&dist, &config, parents, &all).unwrap().capture();
+            for base in 0..last {
+                // A save at `base` (none at 0, where `Begin` is the base)
+                // and one at `k`, or the final state when `k` is the last;
+                // a save at 0 is a delta from the unreached store too.
+                for k in (base + u32::from(base > 0))..=last {
+                    let cell = format!("{name}, parents {parents}, delta {base} -> {k}");
+                    let saves = [(base > 0).then_some(base), (k < last).then_some(k)];
+                    let saves: Vec<u32> = saves.into_iter().flatten().collect();
+                    let (_, deltas) = solo(&dist, &config, parents, source, &saves);
+                    let delta = deltas.iter().find(|d| (d.base, d.iter) == (base, k));
+                    let delta = delta.unwrap_or_else(|| panic!("{cell}: no such delta"));
+                    let store = if base == 0 { &unreached } else { &captures[base as usize] };
+                    let folded = delta.fold(base, store).unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    assert_eq!(folded, captures[k as usize], "{cell}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn hostile_deltas_are_typed_errors_that_fold_nothing() {
+    let (_, dist, config, source) = fold_cells().remove(1);
+    let (captures, deltas) = solo(&dist, &config, true, source, &[1, 3]);
+    let (store, good) = (&captures[1], &deltas[1]);
+    assert_eq!((good.base, good.iter), (1, 3));
+    assert_eq!(good.fold(1, store).unwrap(), captures[3]);
+    let d = store[0].delegate_depths.len() as u32;
+    // Slots of GPU 0: one past its grid, one settled at the base, one
+    // settled at 2 (so not in the frontier entering 3).
+    let depths = &captures[3][0].depths_local;
+    let slot_at = |depth| depths.iter().position(|&x| x == depth).expect("such a slot") as u32;
+    let (outside, early, at_2) = (depths.len() as u32, slot_at(1), slot_at(2));
+    let edit = |f: &dyn Fn(&mut StateDelta)| {
+        let mut d = good.clone();
+        f(&mut d);
+        d
+    };
+    let hostile = [
+        ("but the commit is at 1", edit(&|d| d.base = 0)),
+        ("gpu 0: slot level 1 outside", edit(&|d| d.gpus[0].levels[0].depth = 1)),
+        ("gpu 0: slot level 4 outside", edit(&|d| d.gpus[0].levels.last_mut().unwrap().depth = 4)),
+        ("gpu 0: slot level 2 outside or out of order", {
+            edit(&|d| {
+                let levels = &mut d.gpus[0].levels;
+                levels.insert(0, levels[0].clone());
+            })
+        }),
+        (&*format!("gpu 0: slot {outside} outside"), {
+            edit(&|d| d.gpus[0].levels[0].ids.push(outside))
+        }),
+        (&*format!("gpu 0: delegate {d} outside"), {
+            edit(&|x| x.delegates = vec![Level { depth: 2, ids: vec![d] }])
+        }),
+        (&*format!("gpu 0: slot {early} is already settled"), {
+            edit(&|d| {
+                let ids = &mut d.gpus[0].levels[0].ids;
+                ids.insert(ids.partition_point(|&x| x < early), early);
+            })
+        }),
+        (&*format!("gpu 0: frontier entry {at_2} is not at depth 3"), {
+            edit(&|d| d.gpus[0].frontier.push(at_2))
+        }),
+        ("gpu 0: 0 parents for the settled slots", edit(&|d| d.gpus[0].parents.clear())),
+        ("gpu 7: fold: checkpoint snapshot of GPU 7 failed its integrity seal", {
+            edit(&|d| d.gpus[7].digest ^= 1)
+        }),
+    ];
+    for (detail, delta) in hostile {
+        let before = store.clone();
+        // Through the wire first: the frame layout holds, the fold refuses.
+        let frame = Msg::CheckpointSave(delta).frame();
+        let Ok(Msg::CheckpointSave(delta)) = Msg::decode(&frame, Some(&dist.topology())) else {
+            panic!("{detail}: the frame does not decode");
+        };
+        let err = delta.fold(1, store).unwrap_err();
+        assert!(err.detail.contains(detail), "{detail}: {err}");
+        assert_eq!(store, &before, "{detail}: the fold touched the store");
+    }
+    // Every strict prefix and one trailing byte of a save and of a final
+    // state are typed decode errors.
+    let topo = dist.topology();
+    for msg in [
+        Msg::CheckpointSave(good.clone()),
+        Msg::FinalState { duplicates_ignored: 1, state: deltas[2].clone() },
+    ] {
+        let frame = msg.frame();
+        let body = frame.payload();
+        for len in 0..body.len() {
+            let cut = Frame::new(frame.kind, body[..len].to_vec());
+            assert!(Msg::decode(&cut, Some(&topo)).is_err(), "cut to {len} of {}", body.len());
+        }
+        let long = Frame::new(frame.kind, [body, &[0]].concat());
+        assert!(Msg::decode(&long, Some(&topo)).unwrap_err().detail.contains("1 trailing bytes"));
+    }
+    // A round fails the run on a save that does not fold, naming it, and
+    // commits nothing from it.
+    let checkpoints = config.with_recovery(RecoveryConfig::default().with_checkpoint_interval(2));
+    let mut link = InProcess::new(&dist, &checkpoints, 2);
+    link.forging = Some(1);
+    let err = run_round(&mut link, &hosted_flats(&topo, 2), source).unwrap_err();
+    let sealed = |e: &ProcError| matches!(e, ProcError::Protocol(p) if p.detail.contains("seal"));
+    assert!(sealed(&err), "{err}");
+}
+
+/// RMAT 10 on 4 × 2 GPUs at TH 16 from a vertex far from the hub (6
+/// supersteps), hosted by 2 slots as a pool hosts them.
 struct DeathCell {
     graph: EdgeList,
     source: u64,
@@ -985,7 +1219,7 @@ struct DeathCell {
 impl DeathCell {
     fn new() -> Self {
         let graph = RmatConfig::graph500(10).generate();
-        let source = hub(&graph);
+        let source = far(&graph);
         Self { graph, source, hosted: hosted_flats(&Topology::new(4, 2), 2) }
     }
 
@@ -1018,6 +1252,9 @@ fn every_death_is_recovered_in_process_bit_exact() {
     let topo = Topology::new(4, 2);
     let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
     let sim = dist.run_with_parents(cell.source, &config).unwrap();
+    // Deaths in supersteps 4 and 5 resume from the store the workers'
+    // deltas folded into at 4.
+    assert_eq!(sim.iterations(), 6);
     for (spares, mode) in [(1, RecoveryMode::Spare), (0, RecoveryMode::Spread)] {
         for slot in 0..2 {
             let supersteps = (0..sim.iterations()).map(|i| (kind::STEP_GO, Some(i)));
