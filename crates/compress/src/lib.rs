@@ -58,7 +58,7 @@ pub use frame::{
 };
 pub use frontier::{decode_frontier, decode_frontier_into, frontier_header, FrontierCodec};
 pub use mask::{decode_mask, decode_mask_into, mask_header, MaskCodec, MAX_UNTRUSTED_WORDS};
-pub use seal::{fnv1a, IntegrityError, SealedPayload};
+pub use seal::{fnv1a, Fnv1a, IntegrityError, SealedPayload};
 pub use select::{select_frontier_codec, select_mask_codec, CodecCounts, CompressionMode};
 
 /// Fixed per-payload header: one mode-tag byte plus a little-endian `u32`

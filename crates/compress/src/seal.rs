@@ -21,12 +21,37 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// snapshots at rest (one integrity primitive across wire and disk).
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// FNV-1a fed piece by piece: [`fnv1a`] of the concatenated pieces, for a
+/// value hashed as it is encoded, with no buffer between.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Folds the next `bytes` in.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of everything folded in so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// A compressed payload failed its integrity check on delivery.
@@ -131,6 +156,15 @@ mod tests {
         assert_eq!(sealed.open().unwrap(), &[1, 2, 3, 250]);
         assert_eq!(sealed.len(), 4);
         assert!(!sealed.is_empty());
+    }
+
+    #[test]
+    fn piecewise_hash_matches_the_whole() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let mut h = Fnv1a::default();
+        bytes.chunks(7).for_each(|c| h.update(c));
+        assert_eq!(h.finish(), fnv1a(&bytes));
+        assert_eq!(Fnv1a::default().finish(), fnv1a(&[]));
     }
 
     #[test]

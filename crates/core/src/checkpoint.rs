@@ -37,11 +37,11 @@ use crate::assemble::GpuStateView;
 use crate::direction::Direction;
 use crate::kernels::{GpuWorker, NO_PARENT};
 use crate::masks::DelegateMask;
-use crate::procrt::protocol::{ProtocolError, WireWriter};
+use crate::procrt::protocol::ProtocolError;
 use crate::UNREACHED;
 use gcbfs_cluster::cost::CostModel;
 use gcbfs_cluster::topology::GpuId;
-use gcbfs_compress::fnv1a;
+use gcbfs_compress::Fnv1a;
 
 /// A snapshot failed its integrity seal: the state at rest (or as
 /// decoded off a socket) no longer matches the FNV-1a digest taken at
@@ -108,7 +108,7 @@ pub struct GpuStateImage {
 impl GpuStateImage {
     /// Snapshots and seals one worker's state as GPU `gpu_flat`.
     pub fn capture(gpu_flat: u32, w: &GpuWorker) -> Self {
-        let mut img = Self {
+        Self {
             gpu_flat,
             track_parents: w.track_parents,
             depths_local: w.depths_local.clone(),
@@ -121,10 +121,28 @@ impl GpuStateImage {
             parents_local: w.parents_local.clone(),
             delegate_parent_candidate: w.delegate_parent_candidate.clone(),
             remote_parent_log: w.remote_parent_log.clone(),
-            digest: 0,
-        };
-        img.digest = img.seal();
-        img
+            digest: Self::seal_of(gpu_flat, w),
+        }
+    }
+
+    /// The seal of worker `w`'s state as GPU `gpu_flat` — its capture's
+    /// digest, hashed straight off the worker with no image copied.
+    pub fn seal_of(gpu_flat: u32, w: &GpuWorker) -> u64 {
+        StateFields {
+            gpu_flat,
+            track_parents: w.track_parents,
+            depths_local: &w.depths_local,
+            delegate_depths: &w.delegate_depths,
+            visited_bits: w.visited_mask.num_bits(),
+            visited_words: w.visited_mask.words(),
+            frontier: &w.frontier,
+            new_delegates: &w.new_delegates,
+            directions: [w.dir_dd.current(), w.dir_dn.current(), w.dir_nd.current()],
+            parents_local: &w.parents_local,
+            delegate_parent_candidate: &w.delegate_parent_candidate,
+            remote_parent_log: &w.remote_parent_log,
+        }
+        .seal()
     }
 
     /// The state of GPU `gpu_flat` with nothing reached — what a fresh
@@ -160,9 +178,25 @@ impl GpuStateImage {
     /// FNV-1a over the image's canonical wire encoding (every field but
     /// the digest), so any byte flipped at rest or on a socket changes it.
     pub fn seal(&self) -> u64 {
-        let mut w = WireWriter::default();
-        self.encode_fields(&mut w);
-        fnv1a(&w.buf)
+        self.fields().seal()
+    }
+
+    /// The image's fields but the digest, borrowed.
+    pub(crate) fn fields(&self) -> StateFields<'_> {
+        StateFields {
+            gpu_flat: self.gpu_flat,
+            track_parents: self.track_parents,
+            depths_local: &self.depths_local,
+            delegate_depths: &self.delegate_depths,
+            visited_bits: self.visited_bits,
+            visited_words: &self.visited_words,
+            frontier: &self.frontier,
+            new_delegates: &self.new_delegates,
+            directions: self.directions,
+            parents_local: &self.parents_local,
+            delegate_parent_candidate: &self.delegate_parent_candidate,
+            remote_parent_log: &self.remote_parent_log,
+        }
     }
 
     /// Recomputes the seal and compares it with the capture-time digest.
@@ -201,6 +235,34 @@ impl GpuStateImage {
             parents_local: &self.parents_local,
             remote_parent_log: &self.remote_parent_log,
         }
+    }
+}
+
+/// One GPU's state as [`GpuStateImage`] lays it out, every field but the
+/// digest, borrowed from an image or straight from a worker: what the
+/// image's wire encoding writes and its seal folds.
+pub(crate) struct StateFields<'a> {
+    pub(crate) gpu_flat: u32,
+    pub(crate) track_parents: bool,
+    pub(crate) depths_local: &'a [u32],
+    pub(crate) delegate_depths: &'a [u32],
+    pub(crate) visited_bits: u32,
+    pub(crate) visited_words: &'a [u64],
+    pub(crate) frontier: &'a [u32],
+    pub(crate) new_delegates: &'a [u32],
+    pub(crate) directions: [Direction; 3],
+    pub(crate) parents_local: &'a [u64],
+    pub(crate) delegate_parent_candidate: &'a [u64],
+    pub(crate) remote_parent_log: &'a [(GpuId, u32, u64, u32)],
+}
+
+impl StateFields<'_> {
+    /// FNV-1a over the fields' canonical wire encoding, hashed as it is
+    /// written.
+    fn seal(&self) -> u64 {
+        let mut h = Fnv1a::default();
+        self.encode(&mut h);
+        h.finish()
     }
 }
 
@@ -629,5 +691,10 @@ mod tests {
         let mut e = worker();
         e.dir_dd.restore_current(Direction::Backward);
         assert_ne!(seal(&worker()), seal(&e), "direction state is sealed too");
+        // The seal taken off a worker is its image's, re-sealed.
+        for w in [worker(), c, d, e] {
+            let img = GpuStateImage::capture(3, &w);
+            assert_eq!(img.seal(), GpuStateImage::seal_of(3, &w));
+        }
     }
 }

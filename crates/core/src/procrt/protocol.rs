@@ -80,7 +80,7 @@
 //!
 //! A byte string and a list are a `u32` count, then the items.
 
-use crate::checkpoint::{GpuDelta, GpuStateImage, Level, StateDelta};
+use crate::checkpoint::{GpuDelta, GpuStateImage, Level, StateDelta, StateFields};
 use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::direction::Direction;
@@ -88,8 +88,8 @@ use crate::kernels::KernelVariant;
 use gcbfs_cluster::collectives::MaskContribution;
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::{
-    decode_frontier, select_frontier_codec, CompressionMode, Frame, FrontierCodec, MaskCodec,
-    WireBody,
+    decode_frontier, select_frontier_codec, CompressionMode, Fnv1a, Frame, FrontierCodec,
+    MaskCodec, WireBody,
 };
 use gcbfs_graph::{EdgeList, VertexId};
 use std::borrow::Cow;
@@ -510,26 +510,67 @@ fn read_worker_config(r: &mut WireReader<'_>) -> Result<(BfsConfig, bool), Proto
     Ok((c, flags & 16 != 0))
 }
 
-/// Little-endian body writer. The image seal is its one user outside the
-/// message codec.
-#[derive(Debug, Default)]
-pub(crate) struct WireWriter {
-    pub(crate) buf: Vec<u8>,
-}
+/// Where little-endian wire bytes go: a frame body ([`WireWriter`]) or,
+/// for the image seal, straight into an FNV-1a hash.
+pub(crate) trait WireSink {
+    fn put(&mut self, bytes: &[u8]);
 
-impl WireWriter {
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
+    /// A list of `N`-byte little-endian elements.
+    fn list<T: Copy, const N: usize>(&mut self, v: &[T], le: fn(T) -> [u8; N]) {
+        self.u32(v.len() as u32);
+        v.iter().for_each(|&x| self.put(&le(x)));
+    }
+
+    fn direction(&mut self, d: Direction) {
+        self.u8(match d {
+            Direction::Forward => 0,
+            Direction::Backward => 1,
+        });
+    }
+
+    fn parent_log(&mut self, log: &[(GpuId, u32, u64, u32)]) {
+        self.u32(log.len() as u32);
+        for &(owner, local, parent, depth) in log {
+            self.u32(owner.rank);
+            self.u32(owner.gpu);
+            self.u32(local);
+            self.u64(parent);
+            self.u32(depth);
+        }
+    }
+}
+
+impl WireSink for Fnv1a {
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// Little-endian body writer.
+#[derive(Debug, Default)]
+struct WireWriter {
+    buf: Vec<u8>,
+}
+
+impl WireSink for WireWriter {
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+}
+
+impl WireWriter {
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -537,12 +578,6 @@ impl WireWriter {
     fn bytes(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.buf.extend_from_slice(v);
-    }
-
-    /// A list of `N`-byte little-endian elements.
-    fn list<T: Copy, const N: usize>(&mut self, v: &[T], le: fn(T) -> [u8; N]) {
-        self.u32(v.len() as u32);
-        v.iter().for_each(|&x| self.buf.extend_from_slice(&le(x)));
     }
 
     /// A [`WireBody`]: the flag, then the body as a byte string — raw
@@ -574,26 +609,8 @@ impl WireWriter {
         self.u32(l.iter);
         self.u32(l.images.len() as u32);
         for img in &l.images {
-            img.encode_fields(self);
+            img.fields().encode(self);
             self.u64(img.digest);
-        }
-    }
-
-    fn direction(&mut self, d: Direction) {
-        self.u8(match d {
-            Direction::Forward => 0,
-            Direction::Backward => 1,
-        });
-    }
-
-    fn parent_log(&mut self, log: &[(GpuId, u32, u64, u32)]) {
-        self.u32(log.len() as u32);
-        for &(owner, local, parent, depth) in log {
-            self.u32(owner.rank);
-            self.u32(owner.gpu);
-            self.u32(local);
-            self.u64(parent);
-            self.u32(depth);
         }
     }
 
@@ -684,7 +701,7 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
-    /// A [`WireWriter::list`].
+    /// A [`WireSink::list`].
     fn list<T, const N: usize>(
         &mut self,
         from_le: fn([u8; N]) -> T,
@@ -884,24 +901,24 @@ impl<'a> WireReader<'a> {
     }
 }
 
-impl GpuStateImage {
-    /// Writes every field but the digest — the bytes
+impl StateFields<'_> {
+    /// Writes every field of an image but the digest — the bytes
     /// [`GpuStateImage::seal`] folds. Canonical: the image decoder accepts
     /// exactly one encoding per value, so a flipped byte that still parses
     /// always changes the fold.
-    pub(crate) fn encode_fields(&self, w: &mut WireWriter) {
+    pub(crate) fn encode(&self, w: &mut impl WireSink) {
         w.u32(self.gpu_flat);
         w.u8(self.track_parents as u8);
-        w.list(&self.depths_local, u32::to_le_bytes);
-        w.list(&self.delegate_depths, u32::to_le_bytes);
+        w.list(self.depths_local, u32::to_le_bytes);
+        w.list(self.delegate_depths, u32::to_le_bytes);
         w.u32(self.visited_bits);
-        w.list(&self.visited_words, u64::to_le_bytes);
-        w.list(&self.frontier, u32::to_le_bytes);
-        w.list(&self.new_delegates, u32::to_le_bytes);
+        w.list(self.visited_words, u64::to_le_bytes);
+        w.list(self.frontier, u32::to_le_bytes);
+        w.list(self.new_delegates, u32::to_le_bytes);
         self.directions.iter().for_each(|&d| w.direction(d));
-        w.list(&self.parents_local, u64::to_le_bytes);
-        w.list(&self.delegate_parent_candidate, u64::to_le_bytes);
-        w.parent_log(&self.remote_parent_log);
+        w.list(self.parents_local, u64::to_le_bytes);
+        w.list(self.delegate_parent_candidate, u64::to_le_bytes);
+        w.parent_log(self.remote_parent_log);
     }
 }
 

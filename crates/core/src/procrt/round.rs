@@ -295,19 +295,24 @@ impl Round {
     /// Folds one worker's checkpoint delta onto the committed store and
     /// stages the images; commits the checkpoint once every flat GPU's
     /// image for that iteration was staged. A stale save from an aborted
-    /// superstep covers a subset of the sender's GPUs.
+    /// superstep covers a subset of the sender's GPUs, and may be heard
+    /// after the recovery began: its images are the replay's, so it stages
+    /// like any other. A save at or before the commit is skipped — a stale
+    /// save's images and the replayed ones may have committed it already.
     ///
     /// # Errors
-    /// A delta of a GPU the sender does not host, or one that does not
-    /// fold ([`StateDelta::fold`]); nothing is staged then.
+    /// A delta of a GPU the sender does not host, or one past the commit
+    /// that does not fold ([`StateDelta::fold`]); nothing is staged then.
     fn stage_checkpoint(&mut self, slot: usize, delta: &StateDelta) -> Result<(), ProcError> {
         check_hosts(&self.hosting_of, slot, delta.gpus.iter().map(|g| g.gpu_flat), "saved")?;
+        if delta.iter <= self.cp_iter {
+            return Ok(());
+        }
         let images = delta.fold(self.cp_iter, &self.cp_store)?;
         let p = self.topo.num_gpus() as usize;
         let entry = self.staged.entry(delta.iter).or_default();
         entry.extend(images.into_iter().map(|img| (img.gpu_flat, img)));
-        let complete = entry.len() == p;
-        if complete && delta.iter > self.cp_iter {
+        if entry.len() == p {
             let images = self.staged.remove(&delta.iter).expect("staged entry exists");
             let mut images: Vec<_> = images.into_values().collect();
             images.sort_unstable_by_key(|img| img.gpu_flat);

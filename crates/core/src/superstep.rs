@@ -163,7 +163,7 @@ impl HostedGroup {
                     parents,
                     candidates,
                     remote_parent_log,
-                    digest: GpuStateImage::capture(flat, w).digest,
+                    digest: GpuStateImage::seal_of(flat, w),
                 }
             })
             .collect();

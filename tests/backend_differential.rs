@@ -591,6 +591,9 @@ struct Steps {
     mask_bytes: Vec<u64>,
 }
 
+/// A save as the round heard it: (slot, base, iteration).
+type SaveHeard = (usize, u32, u32);
+
 /// The round's [`Link`] in process: one `WorkerRound` per slot, as the
 /// `Setup` would leave it. Each slot has an inbox and an outbox, both in
 /// order, as a socket is. Unseeded, every worker handles what it was sent
@@ -622,6 +625,10 @@ struct InProcess<'g> {
     resumes: Vec<ResumeSeen>,
     /// A slot whose next save is forged: its first GPU's seal flipped.
     forging: Option<usize>,
+    /// Every save the round heard, in order.
+    saves_heard: Vec<SaveHeard>,
+    /// How many saves the round had heard when it was told of a death.
+    saves_before_death: Option<usize>,
 }
 
 impl<'g> InProcess<'g> {
@@ -641,6 +648,8 @@ impl<'g> InProcess<'g> {
             steps: Steps::default(),
             resumes: Vec::new(),
             forging: None,
+            saves_heard: Vec::new(),
+            saves_before_death: None,
         }
     }
 
@@ -787,6 +796,7 @@ impl Link for InProcess<'_> {
                 // confirmed now; else an idle round stalled.
                 if let Some(slot) = self.dying.pop_front() {
                     self.outbox[slot].clear();
+                    self.saves_before_death.get_or_insert(self.saves_heard.len());
                     return Ok(Some(Heard::Dead(Death { slot, detect_seconds: 0.0 })));
                 }
                 if idle {
@@ -806,6 +816,10 @@ impl Link for InProcess<'_> {
                 self.deliver(event, &frame);
             } else {
                 let frame = self.outbox[event - n].pop_front().expect("a reply to hear");
+                let topo = self.dist.topology();
+                if let Ok(Msg::CheckpointSave(d)) = Msg::decode(&frame, Some(&topo)) {
+                    self.saves_heard.push((event - n, d.base, d.iter));
+                }
                 return Ok(Some(Heard::Frame(event - n, frame)));
             }
         }
@@ -1224,16 +1238,31 @@ impl DeathCell {
     }
 
     /// Runs the round with `spares` spares under `config`, the deaths of
-    /// `kills` inflicted.
+    /// `kills` inflicted, on the unseeded link.
     fn run(
         &self,
         spares: u32,
         config: &BfsConfig,
         kills: &[Kill],
     ) -> Result<ProcOutcome, ProcError> {
+        self.run_on(spares, config, kills, false, None).0
+    }
+
+    /// [`Self::run`] on a link that may be eager and may be seeded; also
+    /// returns the saves the round heard after it was told of a death.
+    fn run_on(
+        &self,
+        spares: u32,
+        config: &BfsConfig,
+        kills: &[Kill],
+        eager: bool,
+        seed: Option<u64>,
+    ) -> (Result<ProcOutcome, ProcError>, Vec<SaveHeard>) {
         let topo = Topology::new(4, 2).with_spares(spares);
         let dist = DistributedGraph::build(&self.graph, topo, config).unwrap();
         let mut link = InProcess::new(&dist, config, self.hosted.len());
+        link.eager = eager;
+        link.rng = seed;
         for k in kills {
             link = link.killing(k.slot, k.kind, k.iter);
         }
@@ -1241,7 +1270,8 @@ impl DeathCell {
         if run.is_ok() {
             assert!(link.kills.is_empty(), "a death did not happen: {:?}", link.kills);
         }
-        run
+        let death = link.saves_before_death.unwrap_or(link.saves_heard.len());
+        (run, link.saves_heard.split_off(death))
     }
 }
 
@@ -1276,6 +1306,52 @@ fn every_death_is_recovered_in_process_bit_exact() {
                     (slot as u32, mode, resumed),
                     "{what}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_death_confirmed_at_once_is_recovered_in_process_bit_exact() {
+    // An eager link tells the round of a death before the replies other
+    // workers queued, so a survivor's save from the aborted superstep is
+    // heard after the recovery began; seeded, in any order besides. The
+    // victim's own save is never heard, so a death in the checkpoint's
+    // superstep resumes from the commit before it.
+    let cell = DeathCell::new();
+    let config = BfsConfig::new(16);
+    let topo = Topology::new(4, 2);
+    let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
+    let sim = dist.run_with_parents(cell.source, &config).unwrap();
+    assert_eq!(sim.iterations(), 6);
+    for seed in [None, Some(0), Some(1), Some(2), Some(3)] {
+        for (spares, mode) in [(1, RecoveryMode::Spare), (0, RecoveryMode::Spread)] {
+            for slot in 0..2 {
+                let supersteps = (0..sim.iterations()).map(|i| (kind::STEP_GO, Some(i)));
+                for (kind, iter) in std::iter::once((kind::BEGIN, None)).chain(supersteps) {
+                    let at = iter.map_or("before Ready".into(), |i| format!("in superstep {i}"));
+                    let what = format!("slot {slot} dies {at}, {mode:?}, seed {seed:?}");
+                    let kills = [Kill { slot, kind, iter }];
+                    let (run, saves) = cell.run_on(spares, &config, &kills, true, seed);
+                    let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(run.depths, sim.depths, "depths, {what}");
+                    assert_eq!(run.parents, sim.parents, "parents, {what}");
+                    assert_eq!(run.report.iterations, sim.iterations(), "supersteps, {what}");
+                    let rec = run.report.recovery.expect("the death is recovered");
+                    let resumed = iter.map_or(0, |i| i.saturating_sub(1) / 4 * 4);
+                    assert_eq!(
+                        (rec.worker, rec.mode, rec.resumed_iter),
+                        (slot as u32, mode, resumed),
+                        "{what}"
+                    );
+                    if (seed, slot, mode, iter) == (None, 0, RecoveryMode::Spare, Some(4)) {
+                        // Slot 1's save from the aborted superstep 4 is heard
+                        // after the death, then the spare's replayed one
+                        // commits 4 with it, then slot 1's replayed one.
+                        assert_eq!(saves, [(1, 0, 4), (0, 0, 4), (1, 0, 4)], "{what}");
+                        assert_eq!(run.report.checkpoints, 1, "{what}");
+                    }
+                }
             }
         }
     }
