@@ -13,20 +13,22 @@
 //! 3. **Random chaos plans**: seeded mixed plans ([`FaultPlan::random`])
 //!    as a smoke-level reproduction of the recovery property test.
 //! 4. **Chaos with compression on** (bit-exact under retransmission).
-//! 5. **Availability vs MTTF**: periodic fail-stop/rejoin churn at a
-//!    given mean-time-to-failure (in iterations); reports the surviving
-//!    GTEPS, recovery bill, and availability fraction.
+//! 5. **Availability vs MTTF**: periodic fail-stops at a given
+//!    mean-time-to-failure (in iterations), round-robin victims until
+//!    `p - 1` have died; reports the surviving GTEPS, recovery bill, and
+//!    availability fraction.
 //!
-//! Usage: `gcbfs-bench fault_sweep [--smoke [all|spread|spare|rejoin|sdc]]`.
+//! Usage: `gcbfs-bench fault_sweep [--smoke [all|spread|spare|sdc]]`.
 //! The full run takes `GCBFS_SCALE` (default 13) and ten random plans
 //! in sweep 3.
 //!
-//! `--smoke [spread|spare|rejoin|all]` (bare `--smoke`: `all`) instead
-//! runs the elastic membership acceptance checks at scale `GCBFS_SCALE`
-//! (default 20) on a 16-GPU grid: spare absorption must keep the
-//! post-recovery per-iteration time within 5% of fault-free, and
-//! spreading must keep the degraded per-iteration time within the
-//! analytic `(p+1)/p` bound (plus 10% for the comm-lane reassignment).
+//! `--smoke [spread|spare|all]` (bare `--smoke`: `all`) instead runs the
+//! fail-stop acceptance checks at scale `GCBFS_SCALE` (default 20) on a
+//! 16-GPU grid: each death must be recovered by exactly one rollback,
+//! spare absorption must keep the post-recovery per-iteration time
+//! within 5% of fault-free, and spreading must keep the degraded
+//! per-iteration time within the analytic `(p+1)/p` bound (plus 10% for
+//! the comm-lane reassignment).
 //! `--smoke sdc` instead runs the correctness-armor acceptance gate: ten
 //! seeded random silent-data-corruption plans at scale `GCBFS_SCALE`
 //! (default 18) on the same 16-GPU grid, under `Full` online
@@ -51,8 +53,8 @@ fn per_iteration_seconds(r: &BfsResult) -> f64 {
     sum / r.stats.records.len().max(1) as f64
 }
 
-/// The `--smoke` mode: elastic-membership acceptance checks on a 16-GPU
-/// grid, one recovery trajectory per invocation (or `all`).
+/// The `--smoke` mode: fail-stop acceptance checks on a 16-GPU grid, one
+/// recovery trajectory per invocation (or `all`).
 fn smoke(k: &Knobs, mode: &str) {
     let scale = k.scale.unwrap_or(20);
     let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
@@ -61,7 +63,7 @@ fn smoke(k: &Knobs, mode: &str) {
     let graph = RmatConfig::graph500(scale).generate();
     let source = hub_source(&graph);
     println!(
-        "Elastic membership smoke [{mode}]: RMAT scale {scale}, TH {th}, {} GPUs, source {source}",
+        "Fail-stop smoke [{mode}]: RMAT scale {scale}, TH {th}, {} GPUs, source {source}",
         topo.num_gpus()
     );
 
@@ -77,15 +79,14 @@ fn smoke(k: &Knobs, mode: &str) {
     let fail_iter = (clean.iterations() / 3).max(1);
     let p = topo.num_gpus() as usize;
 
-    let run_mode = |spares: u32, rejoin_at: Option<u32>| {
+    let run_mode = |spares: u32| {
         let topo = Topology::new(8, 2).with_spares(spares);
         let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
-        let mut plan = FaultPlan::new(0xe1a5).with_fail_stop(5, fail_iter);
-        if let Some(at) = rejoin_at {
-            plan = plan.with_rejoin(5, at);
-        }
+        let plan = FaultPlan::new(0xe1a5).with_fail_stop(5, fail_iter);
         let r = dist.run_with_faults(source, &config, &plan).expect("recovered");
         assert_eq!(r.depths, clean.depths, "recovery must be bit-exact");
+        let f = &r.stats.fault;
+        assert_eq!((f.fail_stops, f.rollbacks), (1, 1), "one death, one rollback");
         r
     };
 
@@ -98,7 +99,6 @@ fn smoke(k: &Knobs, mode: &str) {
             name.into(),
             f.spare_absorptions.to_string(),
             f.spread_hostings.to_string(),
-            f.rejoins.to_string(),
             f.degraded_iterations.to_string(),
             f2(ms(iter_s)),
             format!("{:.3}", iter_s / clean_iter_s),
@@ -117,7 +117,7 @@ fn smoke(k: &Knobs, mode: &str) {
 
     let all = mode == "all";
     if all || mode == "spread" {
-        let r = run_mode(0, None);
+        let r = run_mode(0);
         assert_eq!(r.stats.fault.spread_hostings, 1);
         let s = record("spread", &r);
         // The water-filled plan must stay within the analytic bound
@@ -130,7 +130,7 @@ fn smoke(k: &Knobs, mode: &str) {
         );
     }
     if all || mode == "spare" {
-        let r = run_mode(1, None);
+        let r = run_mode(1);
         let f = &r.stats.fault;
         assert_eq!(f.spare_absorptions, 1, "the free spare absorbs the death");
         assert_eq!(f.degraded_iterations, 0, "spare absorption never degrades");
@@ -142,19 +142,10 @@ fn smoke(k: &Knobs, mode: &str) {
             ms(clean_iter_s)
         );
     }
-    if all || mode == "rejoin" {
-        let rejoin_at = (fail_iter + 3).min(clean.iterations().saturating_sub(1));
-        let r = run_mode(0, Some(rejoin_at));
-        assert_eq!(r.stats.fault.rejoins, 1, "the rejoin is detected and applied");
-        record("rejoin", &r);
-    }
 
     print_table(
-        &format!("elastic membership smoke (fail GPU 5 at iteration {fail_iter})"),
-        &[
-            "mode", "spares", "spread", "rejoins", "degraded", "ms/iter", "vs clean", "rec ms",
-            "depths",
-        ],
+        &format!("fail-stop smoke (fail GPU 5 at iteration {fail_iter})"),
+        &["mode", "spares", "spread", "degraded", "ms/iter", "vs clean", "rec ms", "depths"],
         &rows,
     );
     k.emit_json(&format!(
@@ -162,7 +153,7 @@ fn smoke(k: &Knobs, mode: &str) {
         ms(clean_iter_s),
         json.join(",")
     ));
-    println!("\nall membership trajectories recovered to bit-exact depths");
+    println!("\nall fail-stop trajectories recovered to bit-exact depths");
 }
 
 /// The `--smoke sdc` mode: the correctness-armor acceptance gate. Seeded
@@ -360,29 +351,24 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
     );
 
     // ---- Sweep 5: availability vs MTTF. ----
-    // Periodic fail-stop churn: one GPU dies every `mttf` iterations
-    // (round-robin victims) and rejoins two beats later, so the cluster
-    // oscillates between full strength and degraded spreading. Reports
-    // the GTEPS that survives the churn and the availability fraction
-    // (time not spent checkpointing or recovering).
-    let horizon = clean.iterations();
+    // Periodic fail-stops: one GPU dies every `mttf` iterations
+    // (round-robin victims) until `p - 1` have died, each spread over the
+    // survivors. Reports the GTEPS that survives the losses and the
+    // availability fraction (time not spent checkpointing or recovering).
+    let (horizon, p) = (clean.iterations(), topo.num_gpus() as usize);
     let mut rows = Vec::new();
     for mttf in [0u32, 3, 2, 1] {
         let mut plan = FaultPlan::new(0xa11ce);
         if mttf > 0 {
-            let mut victim = 1usize;
             // First loss after one clean iteration, then every `mttf`:
             // BFS horizons are short, so an iteration-scale MTTF is the
-            // regime where churn actually lands inside the run.
+            // regime where losses actually land inside the run.
             let mut t = 1;
-            while t < horizon {
-                plan = plan.with_fail_stop(victim, t);
-                if t + 2 < horizon {
-                    // Only schedule rejoins the run can still observe;
-                    // later losses stay spread until the run ends.
-                    plan = plan.with_rejoin(victim, t + 2);
+            for victim in 1..p {
+                if t >= horizon {
+                    break;
                 }
-                victim = (victim + 1) % topo.num_gpus() as usize;
+                plan = plan.with_fail_stop(victim, t);
                 t += mttf;
             }
         }
@@ -395,7 +381,6 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
         rows.push(vec![
             if mttf == 0 { "inf".into() } else { format!("{mttf} iters") },
             f.fail_stops.to_string(),
-            f.rejoins.to_string(),
             f.degraded_iterations.to_string(),
             format!("{gteps:.3}"),
             f2(ms(f.recovery_seconds)),
@@ -404,8 +389,8 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
         ]);
     }
     print_table(
-        "availability vs MTTF (round-robin fail-stops, rejoin after 2 iterations)",
-        &["MTTF", "fails", "rejoins", "degraded", "GTEPS", "rec ms", "avail", "depths"],
+        "availability vs MTTF (round-robin fail-stops until p - 1 have died)",
+        &["MTTF", "fails", "degraded", "GTEPS", "rec ms", "avail", "depths"],
         &rows,
     );
     println!("\nall plans recovered to bit-exact depths (raw and compressed wire)");

@@ -67,7 +67,7 @@ fn no_arguments_lists_every_exhibit() {
     for name in EXHIBITS {
         assert!(listing.lines().any(|l| l.trim().starts_with(name)), "{name} missing");
     }
-    assert!(listing.contains("fault_sweep [--smoke [all|spread|spare|rejoin|sdc]]"));
+    assert!(listing.contains("fault_sweep [--smoke [all|spread|spare|sdc]]"));
     assert!(listing.contains("kernel_sweep [--smoke]\n"));
     assert!(listing.contains("net_sweep\n"));
 }

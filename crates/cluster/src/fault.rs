@@ -17,23 +17,25 @@
 //!   rollback-and-replay after recovery does not re-trigger them: recovery
 //!   always terminates.
 //! * [`FaultError`] — the typed detection results surfaced at superstep
-//!   boundaries: heartbeat loss (fail-stop), per-peer ack count mismatch
+//!   boundaries: a missed barrier (fail-stop), per-peer ack count mismatch
 //!   (dropped/duplicated/delayed messages), and mask checksum mismatch
 //!   (corruption in the reduction).
 //!
-//! Detection model: the BSP driver already runs a tiny per-iteration
-//! blocking allreduce (the termination flag). The fault model treats that
-//! collective as the *control channel*: heartbeats and per-peer ack counts
-//! piggyback on it, so detection happens at superstep granularity and is
-//! charged no extra modeled time beyond retries and rollbacks themselves.
+//! Detection model: every superstep ends in a blocking collective (the
+//! delegate-mask reduction and the termination flag), so a GPU that
+//! fail-stops during superstep `i` is known dead at the first barrier it
+//! misses, boundary `i` itself — the rule the real-process backend
+//! applies to a worker whose connection closed. Per-peer ack counts
+//! piggyback on the same collective, so every detection happens at
+//! superstep granularity.
 
-use crate::membership::HeartbeatStatus;
 use crate::topology::Topology;
 
 /// A typed fault detected at a superstep boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultError {
-    /// A GPU missed its heartbeat: fail-stop loss detected.
+    /// A GPU missed a superstep barrier and its loss could not be
+    /// recovered.
     GpuFailed {
         /// Flat index of the failed GPU.
         gpu: usize,
@@ -86,7 +88,7 @@ impl std::fmt::Display for FaultError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::GpuFailed { gpu, iteration } => {
-                write!(f, "GPU {gpu} failed (heartbeat lost at iteration {iteration})")
+                write!(f, "GPU {gpu} failed (missed the barrier of iteration {iteration})")
             }
             Self::ExchangeMismatch { iteration, attempts } => write!(
                 f,
@@ -116,12 +118,34 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
+/// A fault plan names a GPU the run does not have
+/// ([`FaultPlan::check_gpus`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlanError {
+    /// The kind of the offending event (`"fail-stop"`, `"SDC event"`, ...).
+    pub event: &'static str,
+    /// The GPU it names.
+    pub gpu: usize,
+    /// The GPUs the run has.
+    pub num_gpus: usize,
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Self { event, gpu, num_gpus } = self;
+        write!(f, "{event} names GPU {gpu}, but the run has {num_gpus} GPUs")
+    }
+}
+
+impl std::error::Error for PlanError {}
+
 /// A scheduled fail-stop loss of one GPU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FailStop {
     /// Flat index of the GPU that dies.
     pub gpu: usize,
-    /// The superstep boundary at which its heartbeat goes missing.
+    /// The superstep during which it dies; it misses that superstep's
+    /// barrier.
     pub iteration: u32,
 }
 
@@ -136,32 +160,6 @@ pub struct MaskCorruption {
     pub word: usize,
     /// Bits to flip (must be non-zero to have an effect).
     pub xor: u64,
-}
-
-/// A scheduled *rejoin* of a previously failed GPU: from `iteration` on,
-/// its heartbeats resume (the device was rebooted, or the partition was
-/// only transiently unreachable) and the membership layer can re-admit it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Rejoin {
-    /// Flat index of the GPU that comes back.
-    pub gpu: usize,
-    /// First superstep boundary at which its heartbeat reappears.
-    pub iteration: u32,
-}
-
-/// A window during which one GPU straggles: its heartbeats still arrive
-/// but late (latency multiplied by `slowdown`). Exercises the *suspected*
-/// branch of the membership state machine without ever losing the device.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Straggler {
-    /// Flat index of the straggling GPU.
-    pub gpu: usize,
-    /// First affected iteration (inclusive).
-    pub from_iteration: u32,
-    /// First unaffected iteration (exclusive).
-    pub until_iteration: u32,
-    /// Heartbeat-latency multiplier (`>= 1`).
-    pub slowdown: f64,
 }
 
 /// A scheduled corruption of checkpointed state at rest: the snapshot
@@ -284,10 +282,6 @@ pub struct FaultPlan {
     pub max_delay: u32,
     /// Scheduled fail-stop GPU losses.
     pub fail_stops: Vec<FailStop>,
-    /// Scheduled rejoins of previously failed GPUs.
-    pub rejoins: Vec<Rejoin>,
-    /// Scheduled straggler windows (late heartbeats, device alive).
-    pub stragglers: Vec<Straggler>,
     /// Scheduled delegate-mask corruptions.
     pub mask_corruptions: Vec<MaskCorruption>,
     /// Scheduled at-rest checkpoint corruptions.
@@ -308,8 +302,6 @@ impl FaultPlan {
             delay_prob: 0.0,
             max_delay: 1,
             fail_stops: Vec::new(),
-            rejoins: Vec::new(),
-            stragglers: Vec::new(),
             mask_corruptions: Vec::new(),
             checkpoint_corruptions: Vec::new(),
             nic_degradations: Vec::new(),
@@ -337,25 +329,6 @@ impl FaultPlan {
     /// Schedules a fail-stop loss of `gpu` at `iteration`.
     pub fn with_fail_stop(mut self, gpu: usize, iteration: u32) -> Self {
         self.fail_stops.push(FailStop { gpu, iteration });
-        self
-    }
-
-    /// Schedules a rejoin of a previously failed `gpu` at `iteration`.
-    pub fn with_rejoin(mut self, gpu: usize, iteration: u32) -> Self {
-        self.rejoins.push(Rejoin { gpu, iteration });
-        self
-    }
-
-    /// Adds a straggler window on `gpu` (`slowdown >= 1` multiplies its
-    /// heartbeat latency; the device stays alive).
-    pub fn with_straggler(mut self, gpu: usize, from: u32, until: u32, slowdown: f64) -> Self {
-        assert!(slowdown >= 1.0, "straggler slowdown must be >= 1");
-        self.stragglers.push(Straggler {
-            gpu,
-            from_iteration: from,
-            until_iteration: until,
-            slowdown,
-        });
         self
     }
 
@@ -448,56 +421,44 @@ impl FaultPlan {
     }
 
     /// Generates a random-but-deterministic *elastic* plan for property
-    /// tests: multi-fail-stop schedules across the device grid, optional
-    /// rejoins of the lost devices, straggler windows, and occasional
-    /// checkpoint corruption — the full membership lifecycle. The caller
-    /// is responsible for checking survivability against a topology with
-    /// `spares` standby slots (see [`plan_is_survivable`]).
+    /// tests: up to three fail-stops (never all `num_gpus`) on distinct
+    /// GPUs in the first `horizon` supersteps, so deaths cascade across
+    /// the device grid. The caller checks survivability against a
+    /// topology with `spares` standby slots (see [`plan_is_survivable`]).
     pub fn random_elastic(seed: u64, num_gpus: usize, horizon: u32) -> Self {
         let mut s = seed ^ 0x5e1a_571c_e1a5_71c5; // salt: distinct stream from `random`
         let mut next = || splitmix64(&mut s);
-        let unit = |x: u64| (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let horizon = horizon.max(4);
-        let mut plan = Self::new(next())
-            .with_message_faults(unit(next()) * 0.2, unit(next()) * 0.2, unit(next()) * 0.2)
-            .with_max_delay(1 + (next() % 2) as u32);
-        // 0..=3 fail-stops on distinct GPUs, each optionally rejoining.
-        let max_fails = (num_gpus.saturating_sub(1)).min(3) as u64;
+        let horizon = horizon.max(1);
+        let mut plan = Self::new(next());
+        let max_fails = num_gpus.saturating_sub(1).min(3) as u64;
         let fails = if max_fails == 0 { 0 } else { next() % (max_fails + 1) };
-        let mut victims: Vec<usize> = Vec::new();
         for _ in 0..fails {
             let gpu = (next() % num_gpus as u64) as usize;
-            if victims.contains(&gpu) {
-                continue;
+            if plan.fail_stops.iter().all(|f| f.gpu != gpu) {
+                plan = plan.with_fail_stop(gpu, (next() % horizon as u64) as u32);
             }
-            victims.push(gpu);
-            let fail_at = (next() % (horizon as u64 - 2)) as u32;
-            plan = plan.with_fail_stop(gpu, fail_at);
-            if next() % 2 == 0 {
-                // Rejoin strictly after death can be confirmed (+2 beats).
-                let back = fail_at + 2 + (next() % 4) as u32;
-                plan = plan.with_rejoin(gpu, back);
-            }
-        }
-        if next() % 2 == 0 {
-            let gpu = (next() % num_gpus as u64) as usize;
-            let from = (next() % horizon as u64) as u32;
-            plan = plan.with_straggler(
-                gpu,
-                from,
-                from + 1 + (next() % 3) as u32,
-                2.0 + unit(next()) * 8.0,
-            );
-        }
-        if next() % 4 == 0 {
-            plan = plan.with_checkpoint_corruption(
-                (next() % num_gpus as u64) as usize,
-                (next() % horizon as u64) as u32,
-                (next() % 64) as usize,
-                next() | 1,
-            );
         }
         plan
+    }
+
+    /// Refuses a plan whose fail-stops, corruptions or SDC events name a
+    /// GPU outside a run of `num_gpus` GPUs: such an event could never
+    /// fire, and a run that silently skipped it would report a clean
+    /// bill for a fault that was asked for.
+    pub fn check_gpus(&self, num_gpus: usize) -> Result<(), PlanError> {
+        let named = self
+            .fail_stops
+            .iter()
+            .map(|f| ("fail-stop", f.gpu))
+            .chain(self.mask_corruptions.iter().map(|c| ("mask corruption", c.gpu)))
+            .chain(self.checkpoint_corruptions.iter().map(|c| ("checkpoint corruption", c.gpu)))
+            .chain(self.sdc_events.iter().map(|e| ("SDC event", e.gpu)));
+        for (event, gpu) in named {
+            if gpu >= num_gpus {
+                return Err(PlanError { event, gpu, num_gpus });
+            }
+        }
+        Ok(())
     }
 
     /// Generates a random-but-deterministic *compute-SDC* plan for
@@ -541,8 +502,6 @@ pub struct FaultCounters {
     pub corruptions: u64,
     /// Fail-stop losses fired.
     pub fail_stops: u64,
-    /// Rejoins of previously failed GPUs.
-    pub rejoins: u64,
     /// Checkpoint-at-rest corruptions applied.
     pub checkpoint_corruptions: u64,
     /// In-device silent-data-corruption events fired.
@@ -559,8 +518,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Hashes a message coordinate into 64 uniform bits, independent of any
-/// other coordinate — the basis of thread-count-independent fault streams
-/// (and of the membership detector's reproducible heartbeat jitter).
+/// other coordinate — the basis of thread-count-independent fault streams.
 ///
 /// Public because the proc backend's [`JitteredBackoff`] derives its
 /// retry jitter from the same stream family, keeping socket retry
@@ -651,15 +609,11 @@ impl JitteredBackoff {
 pub struct FaultInjector {
     plan: FaultPlan,
     fired_fail_stops: Vec<bool>,
-    fired_rejoins: Vec<bool>,
     fired_corruptions: Vec<bool>,
     fired_checkpoint_corruptions: Vec<bool>,
     /// Per-event fire counts for SDC events (an event disarms once its
     /// count reaches its `persistence`).
     sdc_fire_counts: Vec<u32>,
-    /// Ground-truth liveness: `Some(iter)` if the GPU went silent at
-    /// `iter` and has not rejoined. Grown lazily by `heartbeat_arrivals`.
-    silent_since: Vec<Option<u32>>,
     counters: FaultCounters,
 }
 
@@ -667,18 +621,15 @@ impl FaultInjector {
     /// Creates an injector executing `plan`.
     pub fn new(plan: FaultPlan) -> Self {
         let fired_fail_stops = vec![false; plan.fail_stops.len()];
-        let fired_rejoins = vec![false; plan.rejoins.len()];
         let fired_corruptions = vec![false; plan.mask_corruptions.len()];
         let fired_checkpoint_corruptions = vec![false; plan.checkpoint_corruptions.len()];
         let sdc_fire_counts = vec![0; plan.sdc_events.len()];
         Self {
             plan,
             fired_fail_stops,
-            fired_rejoins,
             fired_corruptions,
             fired_checkpoint_corruptions,
             sdc_fire_counts,
-            silent_since: Vec::new(),
             counters: FaultCounters::default(),
         }
     }
@@ -688,65 +639,22 @@ impl FaultInjector {
         self.counters
     }
 
-    /// Ground-truth heartbeat observations for one superstep boundary:
-    /// one [`HeartbeatStatus`] per primary GPU. Fires not-yet-fired
-    /// fail-stops with `iteration <= current` (the GPU goes *silent*) and
-    /// rejoins (its heartbeats resume). This never returns an error —
-    /// deciding what silence *means* is the membership detector's job, not
-    /// the injector's.
-    ///
-    /// Idempotent under rollback-and-replay: silence and rejoins are
-    /// persistent ground truth, so replaying earlier boundaries reproduces
-    /// the same statuses.
-    pub fn heartbeat_arrivals(&mut self, iteration: u32, num_gpus: usize) -> Vec<HeartbeatStatus> {
-        if self.silent_since.len() < num_gpus {
-            self.silent_since.resize(num_gpus, None);
-        }
+    /// The GPUs that die at superstep boundary `iteration`: every
+    /// not-yet-fired fail-stop with `iteration <= current` fires now, and
+    /// its GPU is returned once, in flat order. One-shot: a replay of the
+    /// same boundary after rollback finds nothing due.
+    pub fn deaths_due(&mut self, iteration: u32) -> Vec<usize> {
+        let mut dead = Vec::new();
         for (i, fs) in self.plan.fail_stops.iter().enumerate() {
-            if !self.fired_fail_stops[i] && fs.iteration <= iteration && fs.gpu < num_gpus {
+            if !self.fired_fail_stops[i] && fs.iteration <= iteration {
                 self.fired_fail_stops[i] = true;
                 self.counters.fail_stops += 1;
-                self.silent_since[fs.gpu] = Some(iteration);
+                dead.push(fs.gpu);
             }
         }
-        for (i, rj) in self.plan.rejoins.iter().enumerate() {
-            if !self.fired_rejoins[i]
-                && rj.iteration <= iteration
-                && rj.gpu < num_gpus
-                && self.silent_since[rj.gpu].is_some()
-            {
-                self.fired_rejoins[i] = true;
-                self.counters.rejoins += 1;
-                self.silent_since[rj.gpu] = None;
-            }
-        }
-        (0..num_gpus)
-            .map(|gpu| {
-                if self.silent_since[gpu].is_some() {
-                    HeartbeatStatus::Missing
-                } else {
-                    HeartbeatStatus::Arrived { slowdown: self.straggler_slowdown(gpu, iteration) }
-                }
-            })
-            .collect()
-    }
-
-    /// The heartbeat-latency multiplier active for `gpu` at `iteration`
-    /// (`>= 1`; overlapping straggler windows take the worst factor).
-    pub fn straggler_slowdown(&self, gpu: usize, iteration: u32) -> f64 {
-        self.plan
-            .stragglers
-            .iter()
-            .filter(|s| {
-                s.gpu == gpu && s.from_iteration <= iteration && iteration < s.until_iteration
-            })
-            .map(|s| s.slowdown)
-            .fold(1.0, f64::max)
-    }
-
-    /// Iteration at which `gpu` went silent, if it is currently silent.
-    pub fn silent_since(&self, gpu: usize) -> Option<u32> {
-        self.silent_since.get(gpu).copied().flatten()
+        dead.sort_unstable();
+        dead.dedup();
+        dead
     }
 
     /// One-shot at-rest checkpoint corruption: the first not-yet-fired
@@ -869,52 +777,26 @@ pub fn failure_is_survivable(alive: &[bool]) -> bool {
 }
 
 /// A plan-level sanity check used by tests and the sweep harness: replays
-/// the plan's fail-stop/rejoin schedule in iteration order against
-/// `topology` (including its hot-spare pool) and reports whether every
-/// confirmed death can be absorbed — either by promoting a free spare, or
-/// by spreading onto at least one surviving primary
-/// ([`failure_is_survivable`]). Rejoins revive the member and release any
-/// spare that was covering its partition.
+/// the plan's fail-stops in iteration order against `topology`
+/// (including its hot-spare pool) and reports whether every death can be
+/// absorbed — either by promoting a free spare, or by spreading onto at
+/// least one surviving primary ([`failure_is_survivable`]).
 pub fn plan_is_survivable(plan: &FaultPlan, topology: Topology) -> bool {
     let p = topology.num_gpus() as usize;
     let mut alive = vec![true; p];
     let mut spares_free = topology.num_spares() as usize;
-    let mut covered_by_spare = vec![false; p];
-    // (iteration, kind, gpu): deaths (kind 0) before rejoins (kind 1) at
-    // the same boundary — a rejoin only applies to an already-dead member.
-    let mut events: Vec<(u32, u8, usize)> = Vec::new();
-    for fs in &plan.fail_stops {
-        if fs.gpu < p {
-            events.push((fs.iteration, 0, fs.gpu));
+    let mut deaths: Vec<(u32, usize)> =
+        plan.fail_stops.iter().filter(|fs| fs.gpu < p).map(|fs| (fs.iteration, fs.gpu)).collect();
+    deaths.sort_unstable();
+    for (_, gpu) in deaths {
+        if !alive[gpu] {
+            continue; // duplicate fail-stop on an already-dead member
         }
-    }
-    for rj in &plan.rejoins {
-        if rj.gpu < p {
-            events.push((rj.iteration, 1, rj.gpu));
-        }
-    }
-    events.sort_unstable();
-    for (_, kind, gpu) in events {
-        if kind == 0 {
-            if !alive[gpu] {
-                continue; // duplicate fail-stop on an already-dead member
-            }
-            alive[gpu] = false;
-            if spares_free > 0 {
-                spares_free -= 1;
-                covered_by_spare[gpu] = true;
-            } else if !failure_is_survivable(&alive) {
-                return false;
-            }
-        } else {
-            if alive[gpu] {
-                continue; // rejoin of a member that never died
-            }
-            alive[gpu] = true;
-            if covered_by_spare[gpu] {
-                covered_by_spare[gpu] = false;
-                spares_free += 1;
-            }
+        alive[gpu] = false;
+        if spares_free > 0 {
+            spares_free -= 1;
+        } else if !failure_is_survivable(&alive) {
+            return false;
         }
     }
     true
@@ -952,7 +834,7 @@ mod tests {
     #[test]
     fn benign_plan_does_nothing() {
         let mut inj = FaultInjector::new(FaultPlan::new(7));
-        assert!(inj.heartbeat_arrivals(0, 4).iter().all(|s| *s != HeartbeatStatus::Missing));
+        assert!(inj.deaths_due(0).is_empty());
         for i in 0..100 {
             assert_eq!(inj.message_fate(0, 0, 0, i), MessageFate::Deliver);
         }
@@ -1000,8 +882,7 @@ mod tests {
     fn late_detection_still_fires() {
         // A fail-stop scheduled for iteration 2 first observed at 5.
         let mut inj = FaultInjector::new(FaultPlan::new(1).with_fail_stop(0, 2));
-        assert_eq!(inj.heartbeat_arrivals(5, 1), vec![HeartbeatStatus::Missing]);
-        assert_eq!(inj.silent_since(0), Some(5));
+        assert_eq!(inj.deaths_due(5), vec![0]);
     }
 
     #[test]
@@ -1066,7 +947,7 @@ mod tests {
     }
 
     #[test]
-    fn spares_and_rejoins_extend_survivability() {
+    fn spares_extend_survivability() {
         let both_die = FaultPlan::new(0).with_fail_stop(0, 1).with_fail_stop(1, 3);
         // Spreading needs a live primary: losing both members of a 1×2
         // grid is fatal with one spare (the second death finds neither a
@@ -1074,59 +955,46 @@ mod tests {
         assert!(!plan_is_survivable(&both_die, Topology::new(1, 2)));
         assert!(!plan_is_survivable(&both_die, Topology::new(1, 2).with_spares(1)));
         assert!(plan_is_survivable(&both_die, Topology::new(1, 2).with_spares(2)));
-        let with_rejoin = both_die.clone().with_rejoin(0, 2);
-        assert!(plan_is_survivable(&with_rejoin, Topology::new(1, 2)), "rejoin revives the host");
-        // A rejoin releases the spare for reuse: the same single spare
-        // covers two sequential deaths of GPU 0.
-        let churn = FaultPlan::new(0).with_fail_stop(0, 1).with_rejoin(0, 3).with_fail_stop(0, 5);
-        assert!(plan_is_survivable(&churn, Topology::new(1, 1).with_spares(1)));
-        assert!(!plan_is_survivable(&churn, Topology::new(1, 1)));
+        // A second fail-stop of a dead member is no second death.
+        let twice = FaultPlan::new(0).with_fail_stop(0, 1).with_fail_stop(0, 3);
+        assert!(plan_is_survivable(&twice, Topology::new(1, 2)));
     }
 
     #[test]
-    fn heartbeat_arrivals_track_silence_and_rejoin() {
-        let plan = FaultPlan::new(0).with_fail_stop(1, 2).with_rejoin(1, 5);
+    fn deaths_are_due_once_at_the_boundary_they_miss() {
+        let plan = FaultPlan::new(0).with_fail_stop(2, 2).with_fail_stop(1, 2).with_fail_stop(1, 4);
         let mut inj = FaultInjector::new(plan);
-        use HeartbeatStatus::{Arrived, Missing};
-        let healthy = vec![Arrived { slowdown: 1.0 }; 3];
-        assert_eq!(inj.heartbeat_arrivals(0, 3), healthy);
-        assert_eq!(inj.heartbeat_arrivals(1, 3), healthy);
-        let at2 = inj.heartbeat_arrivals(2, 3);
-        assert_eq!(at2[1], Missing);
-        assert_eq!(inj.silent_since(1), Some(2));
-        assert_eq!(inj.counters().fail_stops, 1);
-        // Replay after rollback: ground truth is stable.
-        assert_eq!(inj.heartbeat_arrivals(2, 3)[1], Missing);
-        assert_eq!(inj.counters().fail_stops, 1, "silence is not re-fired");
-        assert_eq!(inj.heartbeat_arrivals(4, 3)[1], Missing);
-        // Rejoin restores the heartbeat.
-        assert_eq!(inj.heartbeat_arrivals(5, 3), healthy);
-        assert_eq!(inj.silent_since(1), None);
-        assert_eq!(inj.counters().rejoins, 1);
+        assert!(inj.deaths_due(0).is_empty());
+        assert!(inj.deaths_due(1).is_empty());
+        assert_eq!(inj.deaths_due(2), vec![1, 2], "flat order");
+        assert_eq!(inj.counters().fail_stops, 2);
+        // Replay after rollback: nothing is due twice.
+        assert!(inj.deaths_due(2).is_empty());
+        assert!(inj.deaths_due(3).is_empty());
+        assert_eq!(inj.deaths_due(4), vec![1]);
+        assert_eq!(inj.counters().fail_stops, 3);
     }
 
     #[test]
-    fn rejoin_without_silence_is_ignored() {
-        let mut inj = FaultInjector::new(FaultPlan::new(0).with_rejoin(0, 1));
-        let statuses = inj.heartbeat_arrivals(3, 2);
-        assert!(statuses.iter().all(|s| matches!(s, HeartbeatStatus::Arrived { .. })));
-        assert_eq!(inj.counters().rejoins, 0);
-    }
-
-    #[test]
-    fn straggler_windows_shape_arrival_slowdown() {
-        let plan = FaultPlan::new(0).with_straggler(1, 2, 4, 3.0).with_straggler(1, 3, 5, 5.0);
-        let mut inj = FaultInjector::new(plan);
-        assert_eq!(inj.straggler_slowdown(1, 1), 1.0);
-        assert_eq!(inj.straggler_slowdown(1, 2), 3.0);
-        assert_eq!(inj.straggler_slowdown(1, 3), 5.0, "overlap takes the worst");
-        assert_eq!(inj.straggler_slowdown(1, 4), 5.0);
-        assert_eq!(inj.straggler_slowdown(1, 5), 1.0);
-        assert_eq!(inj.straggler_slowdown(0, 3), 1.0, "other GPUs unaffected");
-        match inj.heartbeat_arrivals(3, 2)[1] {
-            HeartbeatStatus::Arrived { slowdown } => assert_eq!(slowdown, 5.0),
-            other => panic!("straggler must still arrive, got {other:?}"),
+    fn plans_naming_missing_gpus_are_refused() {
+        let named = [
+            ("fail-stop", FaultPlan::new(0).with_fail_stop(4, 1)),
+            ("mask corruption", FaultPlan::new(0).with_mask_corruption(9, 0, 0, 1)),
+            ("checkpoint corruption", FaultPlan::new(0).with_checkpoint_corruption(4, 0, 0, 1)),
+            (
+                "SDC event",
+                FaultPlan::new(0).with_sdc_event(SdcEvent::flip(7, 0, SdcSite::ReducedMask, 0, 1)),
+            ),
+        ];
+        for (event, plan) in named {
+            let err = plan.check_gpus(4).unwrap_err();
+            assert_eq!(err.event, event);
+            assert_eq!(err.num_gpus, 4);
+            assert!(plan.check_gpus(err.gpu + 1).is_ok(), "{event}");
         }
+        assert!(FaultPlan::random(3, 4, 8).check_gpus(4).is_ok());
+        let err = FaultPlan::new(0).with_fail_stop(99, 1).check_gpus(4).unwrap_err();
+        assert_eq!(err.to_string(), "fail-stop names GPU 99, but the run has 4 GPUs");
     }
 
     #[test]
@@ -1199,31 +1067,25 @@ mod tests {
                 assert!(ev.gpu < 16 && ev.iteration < 8);
                 assert_ne!(ev.site, SdcSite::RestoreBuffer, "restore hits need a rollback");
             }
-            // Message/membership faults stay off: the stream is pure SDC.
+            // Message faults and fail-stops stay off: the stream is pure SDC.
             assert!(a.drop_prob == 0.0 && a.fail_stops.is_empty());
         }
         assert_ne!(FaultPlan::random_sdc(0, 16, 8), FaultPlan::random_sdc(1, 16, 8));
     }
 
     #[test]
-    fn random_elastic_plans_are_deterministic_and_confirmable() {
+    fn random_elastic_plans_are_deterministic_fail_stops() {
         for seed in 0..64u64 {
             let a = FaultPlan::random_elastic(seed, 8, 12);
             let b = FaultPlan::random_elastic(seed, 8, 12);
             assert_eq!(a, b);
-            // Distinct victims, and every rejoin leaves room for the
-            // death to be confirmed first (2 consecutive misses).
+            // Distinct victims inside the horizon, and nothing else.
             let mut victims: Vec<usize> = a.fail_stops.iter().map(|f| f.gpu).collect();
             victims.sort_unstable();
             victims.dedup();
             assert_eq!(victims.len(), a.fail_stops.len());
-            for rj in &a.rejoins {
-                let fs = a.fail_stops.iter().find(|f| f.gpu == rj.gpu).expect("rejoin has a death");
-                assert!(rj.iteration >= fs.iteration + 2);
-            }
-            for s in &a.stragglers {
-                assert!(s.slowdown >= 1.0);
-            }
+            assert!(victims.len() <= 3 && a.fail_stops.iter().all(|f| f.iteration < 12));
+            assert_eq!(a, FaultPlan { fail_stops: a.fail_stops.clone(), ..FaultPlan::new(a.seed) });
         }
         assert_ne!(FaultPlan::random_elastic(0, 8, 12), FaultPlan::random_elastic(1, 8, 12));
         assert_ne!(

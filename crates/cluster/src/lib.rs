@@ -23,25 +23,18 @@
 //! * [`fault`] — the deterministic fault-injection layer (the "chaos
 //!   fabric"): seeded message drop/duplication/delay, scheduled fail-stop
 //!   GPU losses, delegate-mask corruption, and NIC degradation windows,
-//!   with typed detection errors surfaced at superstep boundaries.
-
-//! * [`membership`] — elastic cluster membership on top of the fault
-//!   layer: the simulator's modeled phi-accrual failure detector over
-//!   per-superstep heartbeats (suspected vs confirmed-dead), the member
-//!   lifecycle state machine, and the hot-spare pool that lets recovery
-//!   restore *balance*, not just liveness. The real-process backend in
-//!   `gcbfs-core` needs no detector: its workers are child processes, and
-//!   one is dead when it exits.
+//!   with typed detection errors surfaced at superstep boundaries. A
+//!   fail-stopped GPU is dead at the first superstep barrier it misses,
+//!   the same rule the real-process backend in `gcbfs-core` applies to a
+//!   worker whose connection closed.
 
 pub mod collectives;
 pub mod cost;
 pub mod fault;
-pub mod membership;
 pub mod timing;
 pub mod topology;
 
 pub use cost::{CostModel, DeviceModel, NetworkModel};
 pub use fault::{FaultError, FaultInjector, FaultPlan, JitteredBackoff};
-pub use membership::{HeartbeatStatus, MemberState, Membership, MembershipConfig, MembershipEvent};
 pub use timing::{IterationTiming, Phase, PhaseTimes};
 pub use topology::{GpuId, Topology};

@@ -156,7 +156,7 @@ impl IterationTiming {
 /// spreading: a dead member's load split evenly across `survivors` live
 /// members inflates the slowest lane by at most `(p+1)/p` (with `p`
 /// survivors) — `2×` in the degenerate one-survivor case.
-/// This is the factor the elastic membership tier is designed to hit.
+/// This is the factor spare-less recovery is designed to hit.
 pub fn degraded_bound(survivors: usize) -> f64 {
     assert!(survivors > 0, "need at least one survivor");
     (survivors as f64 + 1.0) / survivors as f64

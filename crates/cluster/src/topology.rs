@@ -18,8 +18,8 @@ pub struct GpuId {
 }
 
 /// A `prank × pgpu` device grid, plus an optional pool of hot-spare
-/// devices that hold no partition until the membership layer promotes one
-/// to replace a confirmed-dead primary.
+/// devices that hold no partition until recovery promotes one to replace
+/// a dead primary.
 ///
 /// Spares are deliberately *outside* the `p = prank · pgpu` grid: all
 /// vertex-ownership arithmetic (`P(v)`, `G(v)`, local indices) is a
@@ -46,7 +46,7 @@ impl Topology {
 
     /// Adds `spares` hot-spare devices to the pool. Spares are not part
     /// of the primary grid: they own no vertices and carry no partition
-    /// until promoted by the membership layer.
+    /// until recovery promotes one.
     pub fn with_spares(mut self, spares: u32) -> Self {
         self.spares = spares;
         self

@@ -1,8 +1,8 @@
 //! The fault layer of the sim superstep loop: everything that exists only
 //! because a [`FaultPlan`] is being injected.
 //!
-//! [`Chaos`] owns the injector, the checkpoint cadence, membership and
-//! re-homing (where a dead partition goes is the shared
+//! [`Chaos`] owns the injector, the checkpoint cadence, death detection
+//! and re-homing (where a dead partition goes is the shared
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome)
 //! decision the proc coordinator also asks), the transient-fault retries
 //! of the two collectives, delayed message copies, and the SDC
@@ -19,14 +19,15 @@ use crate::comm::{reassign_lane_times, ExchangeResult};
 use crate::config::BfsConfig;
 use crate::driver::{DistributedGraph, RunError, Traversal};
 use crate::kernels::{GpuWorker, LocalIterationOutput};
-use crate::recovery::{retry_backoff, Assignment, ElasticMap, RecoveryMode, MAX_RETRIES};
+use crate::recovery::{
+    retry_backoff, Assignment, ElasticMap, RecoveryMode, DETECTION_SECONDS, MAX_RETRIES,
+};
 use crate::stats::FaultStats;
 use crate::verify::VerifyState;
 use gcbfs_cluster::collectives::{allreduce_or_compressed, AllreduceOutcome};
 use gcbfs_cluster::fault::{
     FaultError, FaultInjector, FaultPlan, MessageFate, SdcEvent, SdcMode, SdcSite,
 };
-use gcbfs_cluster::membership::{Membership, MembershipConfig, MembershipEvent};
 use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_trace::{FaultKind, SinkMark};
 
@@ -56,11 +57,8 @@ pub(crate) struct Chaos<'a> {
     /// A rollback rewinds the sink to here: iteration events after this
     /// mark are vacated, fault spans are kept.
     sink_mark: Option<SinkMark>,
-    /// The phi-accrual detector interprets heartbeat arrival statistics
-    /// (ground-truth silence comes from the injector) ...
-    membership: Membership,
-    /// ... and the elastic map tracks how each confirmed-dead member's
-    /// partition is re-homed (hot spare or spread).
+    /// How each dead member's partition is re-homed (hot spare or
+    /// spread), and the spares still free.
     elastic: ElasticMap,
     /// `(dead, hosts)` of every spread-hosted partition this superstep;
     /// empty while nobody is degraded.
@@ -68,7 +66,7 @@ pub(crate) struct Chaos<'a> {
     /// Static per-partition edge loads — the weights of the
     /// edge-balanced spreading plan.
     loads: Vec<u64>,
-    /// Delegate-mask wire size — what spare absorption and rejoin pay to
+    /// Delegate-mask wire size — what spare absorption pays to
     /// re-replicate visited state.
     mask_bytes: u64,
     /// Messages delayed in flight by the injector: `(due_iter, gpu, slot)`.
@@ -118,8 +116,7 @@ impl<'a> Chaos<'a> {
         plan: &FaultPlan,
         mask_bytes: u64,
     ) -> Self {
-        let p = dist.topology.num_gpus() as usize;
-        let spares = dist.topology.num_spares() as usize;
+        let topo = dist.topology;
         Self {
             dist,
             config,
@@ -128,8 +125,7 @@ impl<'a> Chaos<'a> {
             checkpoint: None,
             cp_verify: None,
             sink_mark: None,
-            membership: Membership::new(p, spares, MembershipConfig::default()),
-            elastic: ElasticMap::new(p),
+            elastic: ElasticMap::new(topo.num_gpus() as usize, topo.num_spares() as usize),
             hosted: Vec::new(),
             loads: dist.subgraphs.iter().map(|sg| sg.num_edges().max(1)).collect(),
             mask_bytes,
@@ -148,23 +144,26 @@ impl<'a> Chaos<'a> {
         }
     }
 
-    /// The superstep boundary: checkpoint cadence, then heartbeats and
-    /// membership, then — for deaths confirmed here — the re-homing of
-    /// every dead partition and one rollback. Returns true when the
+    /// The superstep boundary: checkpoint cadence, then the deaths due
+    /// here — every GPU that fail-stopped misses this barrier and is
+    /// confirmed dead at it, as a proc worker whose connection closed is.
+    /// They are re-homed, then one rollback (billed one
+    /// [`DETECTION_SECONDS`]) covers them all. Returns true when the
     /// traversal was rewound and the loop must re-enter at `t.iter`.
     pub fn boundary(&mut self, t: &mut Traversal) -> Result<bool, RunError> {
         self.checkpoint_if_due(t);
-        let confirmed = self.observe_heartbeats(t);
-        if !confirmed.is_empty() {
+        let at = t.iter;
+        let mut dead = self.injector.deaths_due(at);
+        dead.retain(|&gpu| !self.elastic.is_failed(gpu));
+        if !dead.is_empty() {
             // Decide every death first (a fatal one rewinds nothing), then
             // one rollback covers them all, then each move is billed
             // against the restored state.
-            let at = t.iter;
-            let homes = confirmed
+            let homes = dead
                 .into_iter()
                 .map(|gpu| self.rehome(gpu, at).map(|home| (gpu, home)))
                 .collect::<Result<Vec<_>, _>>()?;
-            self.rollback(t, 0.0)?;
+            self.rollback(t, DETECTION_SECONDS)?;
             for (gpu, home) in homes {
                 self.charge_rehome(t, gpu, &home, at);
             }
@@ -181,9 +180,9 @@ impl<'a> Chaos<'a> {
         Ok(false)
     }
 
-    /// Checkpoint cadence (before the heartbeat, so an iteration-0
-    /// fail-stop always has a rollback target). A re-entered iteration
-    /// after rollback is not re-captured.
+    /// Checkpoint cadence (before the deaths, so an iteration-0 fail-stop
+    /// always has a rollback target). A re-entered iteration after
+    /// rollback is not re-captured.
     fn checkpoint_if_due(&mut self, t: &mut Traversal) {
         let iter = t.iter;
         if !self.config.recovery.checkpoint_due(iter, self.checkpoint.as_ref().map(|c| c.iter)) {
@@ -208,60 +207,16 @@ impl<'a> Chaos<'a> {
         }
     }
 
-    /// Heartbeat + membership: one status per member at the superstep
-    /// boundary (piggybacked on the termination allreduce). The injector
-    /// reports ground-truth silence; the phi-accrual detector decides what
-    /// it *means* — suspicion, confirmed death, or a live rejoin. Returns
-    /// the members confirmed dead at this boundary.
-    fn observe_heartbeats(&mut self, t: &mut Traversal) -> Vec<usize> {
-        let topo = self.dist.topology;
-        let net = self.config.cost.network;
-        let iter = t.iter;
-        let statuses = self.injector.heartbeat_arrivals(iter, topo.num_gpus() as usize);
-        let mut confirmed = Vec::new();
-        for ev in self.membership.observe(iter, &statuses) {
-            match ev {
-                MembershipEvent::Suspected { .. } => {
-                    // Suspicion is not failure: routing continues
-                    // unchanged; only the targeted liveness probe (a tiny
-                    // blocking collective) is charged.
-                    let probe = net.allreduce_time(16, topo.num_ranks(), true);
-                    self.fault.suspicions += 1;
-                    self.charge(t, FaultKind::Suspicion, iter, probe);
-                }
-                MembershipEvent::Cleared { .. } => {}
-                MembershipEvent::ConfirmedDead { gpu, .. } => confirmed.push(gpu),
-                MembershipEvent::Rejoined { gpu, .. } => {
-                    // Live rejoin: the survivors' state is authoritative,
-                    // so no rollback — the member re-syncs from the
-                    // current checkpoint image and the delegate reduction,
-                    // then reclaims its partition (releasing any spare).
-                    let resync = net
-                        .p2p_time(Checkpoint::worker_bytes(&t.group.workers[gpu]), false)
-                        + net.allreduce_time(self.mask_bytes, topo.num_ranks(), true);
-                    self.fault.rejoins += 1;
-                    self.charge(t, FaultKind::Rejoin, iter, resync);
-                    if self.elastic.is_failed(gpu) {
-                        if let Assignment::Spare(slot) = self.elastic.rejoin(gpu, &self.loads) {
-                            self.membership.release_spare(slot);
-                        }
-                    }
-                }
-            }
-        }
-        confirmed
-    }
-
     /// Rolls the traversal back to the checkpoint — the one recipe behind
     /// both a confirmed fail-stop and rung 2 of the SDC ladder. Charges
-    /// the work wasted since the checkpoint (`aborted` adds the superstep
-    /// in flight, which has no record yet) plus restoring every GPU from
-    /// host memory, and verifies the snapshot seals before replaying
-    /// anything.
-    fn rollback(&mut self, t: &mut Traversal, aborted: f64) -> Result<(), RunError> {
+    /// the work wasted since the checkpoint (`extra` adds time no record
+    /// holds: the aborted superstep of an SDC rollback, or the detection
+    /// of a death) plus restoring every GPU from host memory, and verifies
+    /// the snapshot seals before replaying anything.
+    fn rollback(&mut self, t: &mut Traversal, extra: f64) -> Result<(), RunError> {
         let cp = self.checkpoint.as_ref().expect("implicit iteration-0 checkpoint");
         let wasted: f64 =
-            t.records[cp.records_len..].iter().map(|r| r.timing.elapsed()).sum::<f64>() + aborted;
+            t.records[cp.records_len..].iter().map(|r| r.timing.elapsed()).sum::<f64>() + extra;
         let spent = wasted + cp.modeled_seconds(&self.config.cost);
         self.fault.rollbacks += 1;
         t.records.truncate(cp.records_len);
@@ -284,25 +239,21 @@ impl<'a> Chaos<'a> {
         // the next reduction encodes from scratch, as a restored proc
         // worker does.
         t.group.reference_held = false;
-        // In-flight stragglers are superseded by the restored state
+        // In-flight delayed copies are superseded by the restored state
         // (checkpoints sit at message-free boundaries).
         self.delayed.clear();
         Ok(())
     }
 
-    /// Re-homes one confirmed-dead partition where the shared
+    /// Re-homes one dead partition where the shared
     /// [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome)
     /// decision says, returning its new assignment for billing. "A
     /// survivor remains" is the same predicate `plan_is_survivable`
     /// replays.
     fn rehome(&mut self, gpu: usize, at: u32) -> Result<Assignment, RunError> {
-        let spare_free = self.membership.available_spares() > 0;
         let survivor = self.elastic.next_failure_is_survivable(gpu);
-        match self.config.recovery.rehome(spare_free, survivor) {
-            Some(RecoveryMode::Spare) => {
-                let slot = self.membership.take_spare().expect("a spare is free");
-                self.elastic.fail_to_spare(gpu, slot);
-            }
+        match self.config.recovery.rehome(self.elastic.spare_free(), survivor) {
+            Some(RecoveryMode::Spare) => self.elastic.fail_to_spare(gpu),
             Some(RecoveryMode::Spread) => self.elastic.fail_to_spread(gpu, &self.loads),
             None => return Err(FaultError::GpuFailed { gpu, iteration: at }.into()),
         }
@@ -318,7 +269,7 @@ impl<'a> Chaos<'a> {
         let net = self.config.cost.network;
         let bytes = Checkpoint::worker_bytes(&t.group.workers[gpu]);
         match home {
-            Assignment::Spare(_) => {
+            Assignment::Spare => {
                 let absorb = self.dist.subgraphs[gpu].memory_usage().total() as f64
                     / net.staging_bandwidth
                     + net.p2p_time(bytes, false)

@@ -76,8 +76,8 @@ pub struct BfsConfig {
     pub compression: CompressionMode,
     /// Recovery policy for fault-injected runs: on/off, checkpoint cadence,
     /// and degraded mode (whether a loss with no free spare spreads onto
-    /// the survivors or is fatal). Inert on fault-free runs: no checkpoints are taken, no heartbeats
-    /// are interpreted, and no retries happen unless a
+    /// the survivors or is fatal). Inert on fault-free runs: no
+    /// checkpoints are taken and no retries happen unless a
     /// [`FaultPlan`](gcbfs_cluster::fault::FaultPlan) is supplied.
     pub recovery: RecoveryConfig,
     /// Structured observability: when `Full`, the driver threads a

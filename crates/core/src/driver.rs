@@ -25,7 +25,7 @@ use crate::superstep::HostedGroup;
 use crate::verify::{self, VerifyState};
 use crate::UNREACHED;
 use gcbfs_cluster::collectives::allreduce_or_compressed;
-use gcbfs_cluster::fault::{FaultError, FaultPlan};
+use gcbfs_cluster::fault::{FaultError, FaultPlan, PlanError};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::{EdgeList, VertexId};
 use gcbfs_trace::{SpanSink, TraceLog};
@@ -70,8 +70,9 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Why a run could not complete: either construction failed, or a detected
-/// fault could not be recovered under the configured
+/// Why a run could not complete: construction failed, the fault plan names
+/// a GPU the run lacks, or a detected fault could not be recovered under
+/// the configured
 /// [`RecoveryConfig`](crate::recovery::RecoveryConfig) (recovery disabled,
 /// retry budget exhausted without the reliable path, or an unsurvivable
 /// fail-stop pattern).
@@ -79,6 +80,8 @@ impl std::error::Error for BuildError {}
 pub enum RunError {
     /// Graph or run construction failed.
     Build(BuildError),
+    /// The fault plan was refused before superstep 0.
+    Plan(PlanError),
     /// A detected fault was surfaced instead of recovered.
     Fault(FaultError),
 }
@@ -87,6 +90,7 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Build(e) => write!(f, "{e}"),
+            Self::Plan(e) => write!(f, "invalid fault plan: {e}"),
             Self::Fault(e) => write!(f, "unrecovered fault: {e}"),
         }
     }
@@ -96,6 +100,7 @@ impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Build(e) => Some(e),
+            Self::Plan(e) => Some(e),
             Self::Fault(e) => Some(e),
         }
     }
@@ -104,6 +109,12 @@ impl std::error::Error for RunError {
 impl From<BuildError> for RunError {
     fn from(e: BuildError) -> Self {
         Self::Build(e)
+    }
+}
+
+impl From<PlanError> for RunError {
+    fn from(e: PlanError) -> Self {
+        Self::Plan(e)
     }
 }
 
@@ -274,12 +285,12 @@ impl DistributedGraph {
     pub fn run(&self, source: VertexId, config: &BfsConfig) -> Result<BfsResult, BuildError> {
         self.traverse(source, config, false, None).map_err(|e| match e {
             RunError::Build(b) => b,
-            RunError::Fault(f) => unreachable!("fault error without a fault plan: {f}"),
+            other => unreachable!("fault error without a fault plan: {other}"),
         })
     }
 
     /// Runs (DO)BFS from `source` while `plan`'s faults are injected into
-    /// the exchanges, the mask reduction, and the heartbeat stream.
+    /// the exchanges, the mask reduction, and the superstep barriers.
     ///
     /// With recovery enabled (the default), transient faults are retried
     /// with backoff (escalating to the reliable verified path after
@@ -292,14 +303,16 @@ impl DistributedGraph {
     /// the first detected fault surfaces as [`RunError::Fault`].
     ///
     /// # Errors
-    /// [`RunError::Build`] for an invalid source; [`RunError::Fault`] when
-    /// a detected fault is not recovered under the configured policy.
+    /// [`RunError::Build`] for an invalid source; [`RunError::Plan`] when
+    /// an event of `plan` names a GPU the run lacks; [`RunError::Fault`]
+    /// when a detected fault is not recovered under the configured policy.
     pub fn run_with_faults(
         &self,
         source: VertexId,
         config: &BfsConfig,
         plan: &FaultPlan,
     ) -> Result<BfsResult, RunError> {
+        plan.check_gpus(self.topology.num_gpus() as usize)?;
         self.traverse(source, config, false, Some(plan))
     }
 
@@ -315,7 +328,7 @@ impl DistributedGraph {
     ) -> Result<BfsResult, BuildError> {
         self.traverse(source, config, true, None).map_err(|e| match e {
             RunError::Build(b) => b,
-            RunError::Fault(f) => unreachable!("fault error without a fault plan: {f}"),
+            other => unreachable!("fault error without a fault plan: {other}"),
         })
     }
 
@@ -343,8 +356,8 @@ impl DistributedGraph {
         let mut chaos = plan.map(|pl| Chaos::new(self, config, pl, pricer.mask_bytes));
 
         loop {
-            // ---- Boundary: terminate, or let the fault layer checkpoint,
-            // read heartbeats and (on a confirmed death) rewind. ----
+            // ---- Boundary: terminate, or let the fault layer checkpoint
+            // and (on a death at this barrier) rewind. ----
             let counts = t.group.frontier_counts();
             if counts == (0, 0) {
                 break;
@@ -914,7 +927,7 @@ mod tests {
             dist.run_with_faults(source, &off, &drops),
             Err(RunError::Fault(FaultError::ExchangeMismatch { attempts: 1, .. }))
         ));
-        // Fail-stop: heartbeat loss.
+        // Fail-stop: a missed barrier.
         let dead = FaultPlan::new(1).with_fail_stop(0, 1);
         assert!(matches!(
             dist.run_with_faults(source, &off, &dead),

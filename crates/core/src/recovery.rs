@@ -1,9 +1,8 @@
 //! Recovery policy: bounded retry-with-backoff for transient faults and
 //! elastic re-homing of failed GPUs' partitions.
 //!
-//! Three recovery tiers, matching the fault classes of
-//! [`gcbfs_cluster::fault`] and the membership states of
-//! [`gcbfs_cluster::membership`]:
+//! Two recovery tiers, matching the fault classes of
+//! [`gcbfs_cluster::fault`]:
 //!
 //! 1. **Transient faults** (dropped/duplicated/delayed updates detected by
 //!    per-peer ack counts; corrupted mask words detected by checksums) are
@@ -14,12 +13,11 @@
 //!    link-level loss), so a recovering run always makes progress. Every
 //!    retry's transfer time and backoff wait is charged to
 //!    [`FaultStats::recovery_seconds`](crate::stats::FaultStats).
-//! 2. **Suspected members** (late heartbeats scored by the phi-accrual
-//!    detector) are *not* failures: routing continues unchanged and only
-//!    probe time is charged. Suspicion either clears or escalates.
-//! 3. **Confirmed fail-stop losses** roll back to the latest checkpoint
-//!    and re-home the dead GPU's partition. Where it goes is one decision,
-//!    [`RecoveryConfig::rehome`], which both backends call:
+//! 2. **Fail-stop losses** are confirmed at the first superstep barrier
+//!    the GPU misses, after [`DETECTION_SECONDS`]; the run rolls back to
+//!    the latest checkpoint and re-homes the dead GPU's partition. Where
+//!    it goes is one decision, [`RecoveryConfig::rehome`], which both
+//!    backends call:
 //!    * with recovery off the loss is fatal;
 //!    * a free **hot spare** absorbs the whole partition at full speed
 //!      (graph reload + state ship + mask re-replication, then no
@@ -30,10 +28,7 @@
 //!      `(p+1)/p` ([`gcbfs_cluster::timing::degraded_bound`]);
 //!    * otherwise the loss is fatal.
 //!
-//!    A later **rejoin** re-syncs the member from the current checkpoint
-//!    and reclaims its partition, releasing any spare it was using.
-//!
-//! All tiers preserve the bit-exactness contract: recovery replays the
+//! Both tiers preserve the bit-exactness contract: recovery replays the
 //! same deterministic computation, so depths match the fault-free run.
 
 use gcbfs_cluster::fault::failure_is_survivable;
@@ -45,6 +40,13 @@ pub const MAX_RETRIES: u32 = 3;
 /// Base backoff before the first retry, doubling per attempt; charged as
 /// modeled time to `recovery_seconds`.
 const RETRY_BACKOFF_SECONDS: f64 = 50e-6;
+
+/// Modeled time from a fail-stop to its confirmation at the barrier the
+/// GPU misses: 1 ms, the real-process backend's measured detection of a
+/// worker whose connection closed (`detect_ms` of 0.92–1.02 ms in
+/// `results/BENCH_backend.json`). Charged once per boundary that
+/// confirms deaths, inside the rollback's `Recovery` span.
+pub const DETECTION_SECONDS: f64 = 1e-3;
 
 /// Where a confirmed-dead member's partition is re-homed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,24 +148,35 @@ pub enum Assignment {
     /// The member is alive and runs its own partition.
     SelfHosted,
     /// A promoted hot spare runs the whole partition at full speed.
-    Spare(usize),
+    Spare,
     /// Survivors run shares of the partition: `(host, share)` with shares
     /// summing to 1.
     Hosted(Vec<(usize, f64)>),
 }
 
 /// The elastic ownership map: which compute unit runs each partition and
-/// at what share.
+/// at what share, and how many hot spares are still free.
 #[derive(Clone, Debug)]
 pub struct ElasticMap {
     alive: Vec<bool>,
     assignment: Vec<Assignment>,
+    spares_free: usize,
 }
 
 impl ElasticMap {
-    /// An all-alive map over `num_gpus` members.
-    pub fn new(num_gpus: usize) -> Self {
-        Self { alive: vec![true; num_gpus], assignment: vec![Assignment::SelfHosted; num_gpus] }
+    /// An all-alive map over `num_gpus` members and `spares` free hot
+    /// spares.
+    pub fn new(num_gpus: usize, spares: usize) -> Self {
+        Self {
+            alive: vec![true; num_gpus],
+            assignment: vec![Assignment::SelfHosted; num_gpus],
+            spares_free: spares,
+        }
+    }
+
+    /// True if a hot spare is still free.
+    pub fn spare_free(&self) -> bool {
+        self.spares_free > 0
     }
 
     /// True if `gpu` is confirmed dead (its partition is re-homed).
@@ -192,17 +205,23 @@ impl ElasticMap {
         failure_is_survivable(&alive)
     }
 
-    /// Marks `gpu` dead with its partition absorbed by spare slot `slot`.
-    pub fn fail_to_spare(&mut self, gpu: usize, slot: usize) {
+    /// Marks `gpu` dead with its partition absorbed by a free spare.
+    ///
+    /// # Panics
+    /// Panics if no spare is free.
+    pub fn fail_to_spare(&mut self, gpu: usize) {
         assert!(self.alive[gpu], "GPU {gpu} already failed");
+        assert!(self.spare_free(), "no spare is free for GPU {gpu}");
         self.alive[gpu] = false;
-        self.assignment[gpu] = Assignment::Spare(slot);
+        self.assignment[gpu] = Assignment::Spare;
+        self.spares_free -= 1;
     }
 
     /// Marks `gpu` dead and recomputes the edge-balanced spreading plan
-    /// for *every* spread-hosted partition from scratch. `loads[g]` is the static edge load of
-    /// member `g`'s partition. Deterministic: dead members are processed
-    /// in flat order against the survivors' running loads.
+    /// for *every* spread-hosted partition from scratch. `loads[g]` is the
+    /// static edge load of member `g`'s partition. Deterministic: dead
+    /// members are processed in flat order against the survivors' running
+    /// loads.
     ///
     /// # Panics
     /// Panics if no member survives.
@@ -213,27 +232,11 @@ impl ElasticMap {
             failure_is_survivable(&self.alive),
             "at least one GPU must survive the failure of {gpu}"
         );
-        self.respread(loads);
-    }
-
-    /// Marks a rejoined `gpu` alive, returning its previous assignment so
-    /// the caller can release a spare slot. The plans of other dead
-    /// members are recomputed to include the returning member.
-    pub fn rejoin(&mut self, gpu: usize, loads: &[u64]) -> Assignment {
-        assert!(!self.alive[gpu], "GPU {gpu} is not failed");
-        self.alive[gpu] = true;
-        let old = std::mem::replace(&mut self.assignment[gpu], Assignment::SelfHosted);
-        self.respread(loads);
-        old
-    }
-
-    /// Recomputes all spread plans from scratch against current liveness.
-    fn respread(&mut self, loads: &[u64]) {
         let p = self.alive.len();
         let mut base: Vec<f64> =
             (0..p).map(|g| if self.alive[g] { loads[g] as f64 } else { 0.0 }).collect();
         for (g, &load) in loads.iter().enumerate().take(p) {
-            if self.alive[g] || matches!(self.assignment[g], Assignment::Spare(_)) {
+            if self.alive[g] || self.assignment[g] == Assignment::Spare {
                 continue;
             }
             let shares = spread_shares(&self.alive, &base, load as f64);
@@ -390,12 +393,12 @@ mod tests {
     #[test]
     fn elastic_map_lifecycle() {
         let loads = [100u64, 100, 100, 100];
-        let mut map = ElasticMap::new(4);
-        assert!(!map.any_failed());
+        let mut map = ElasticMap::new(4, 1);
+        assert!(!map.any_failed() && map.spare_free());
         // Spare absorption first.
-        map.fail_to_spare(1, 0);
-        assert!(map.is_failed(1));
-        assert_eq!(map.assignment(1), &Assignment::Spare(0));
+        map.fail_to_spare(1);
+        assert!(map.is_failed(1) && !map.spare_free());
+        assert_eq!(map.assignment(1), &Assignment::Spare);
         // Then a spread failure across the 2 remaining survivors + nothing
         // of the spare (spares don't take spread shares).
         map.fail_to_spread(2, &loads);
@@ -408,24 +411,29 @@ mod tests {
             }
             other => panic!("expected spread hosting, got {other:?}"),
         }
-        // Rejoin of the spare-absorbed member releases the slot and
-        // re-spreads the remaining dead partition over 3 survivors.
-        let old = map.rejoin(1, &loads);
-        assert_eq!(old, Assignment::Spare(0));
-        match map.assignment(2) {
-            Assignment::Hosted(hosts) => assert_eq!(hosts.len(), 3, "{hosts:?}"),
-            other => panic!("expected spread hosting, got {other:?}"),
-        }
-        assert!(!map.is_failed(1) && map.is_failed(2));
-        // Survivability delegation.
-        assert!(map.next_failure_is_survivable(0));
+        // A second spread death re-plans both partitions over the one
+        // survivor left.
+        map.fail_to_spread(3, &loads);
+        let pairs: Vec<_> = map.hosted_pairs().map(|(g, h)| (g, h.to_vec())).collect();
+        assert_eq!(pairs, [(2, vec![(0, 1.0)]), (3, vec![(0, 1.0)])]);
+        assert_eq!(map.assignment(1), &Assignment::Spare, "the spare keeps its partition");
+        // Survivability delegation: GPU 0 is the last primary.
+        assert!(!map.next_failure_is_survivable(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "no spare is free")]
+    fn a_spare_is_taken_once() {
+        let mut map = ElasticMap::new(2, 1);
+        map.fail_to_spare(0);
+        map.fail_to_spare(1);
     }
 
     #[test]
     #[should_panic(expected = "survive")]
     fn elastic_total_loss_is_unrecoverable() {
         let loads = [10u64, 10];
-        let mut map = ElasticMap::new(2);
+        let mut map = ElasticMap::new(2, 0);
         map.fail_to_spread(0, &loads);
         map.fail_to_spread(1, &loads);
     }

@@ -56,27 +56,22 @@ pub struct FaultStats {
     pub injected_delays: u64,
     /// Delegate-mask words corrupted in the reduction.
     pub injected_corruptions: u64,
-    /// Fail-stop GPU losses injected (heartbeats went silent).
+    /// Fail-stop GPU losses injected (each misses a superstep barrier).
     pub fail_stops: u64,
     /// Checkpoint snapshots corrupted at rest by the injector (detected —
     /// if at all — by the integrity seals at restore time).
     pub injected_checkpoint_corruptions: u64,
-    /// Members put under suspicion by the phi-accrual detector (probe
-    /// charges; suspicion either clears or escalates to confirmed death).
-    pub suspicions: u64,
-    /// Presumed-dead members that resumed heartbeating, re-synced from
-    /// the current checkpoint, and reclaimed their partition.
-    pub rejoins: u64,
-    /// Confirmed-dead partitions absorbed whole by hot spares (full-speed
+    /// Dead partitions absorbed whole by hot spares (full-speed
     /// continuation, no degraded iterations from these).
     pub spare_absorptions: u64,
-    /// Confirmed-dead partitions spread across multiple survivors by the
+    /// Dead partitions spread across multiple survivors by the
     /// edge-balanced plan (`(p+1)/p` degraded bound).
     pub spread_hostings: u64,
     /// Transient-fault retries performed (exchange re-runs and mask
     /// reduction re-runs).
     pub retries: u64,
-    /// Rollbacks to a checkpoint after a fail-stop.
+    /// Rollbacks to a checkpoint (after a fail-stop, or on the SDC
+    /// ladder).
     pub rollbacks: u64,
     /// Checkpoints captured.
     pub checkpoints_taken: u64,

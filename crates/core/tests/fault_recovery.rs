@@ -1,8 +1,8 @@
 //! Property tests of the chaos fabric: any survivable seeded fault plan
 //! must recover to depths bit-identical to the fault-free reference, with
-//! deterministic fault accounting — across the whole elastic-membership
-//! lifecycle (cascading fail-stops, hot-spare absorption, multi-survivor
-//! spreading, live rejoin, and checkpoint corruption at rest).
+//! deterministic fault accounting — across cascading fail-stops, hot-spare
+//! absorption, multi-survivor spreading, and checkpoint corruption at
+//! rest.
 
 use gcbfs_cluster::fault::{plan_is_survivable, FaultError, FaultPlan};
 use gcbfs_cluster::topology::Topology;
@@ -79,12 +79,11 @@ proptest! {
         prop_assert_eq!(a.stats.iterations(), b.stats.iterations());
     }
 
-    /// Elastic lifecycle, spare-less grid: cascading fail-stops spread
-    /// across survivors, optional rejoins reclaim partitions, checkpoint
-    /// corruption at rest surfaces as a typed error. Whatever the
-    /// membership trajectory, a successful run's depths are bit-exact.
+    /// Spare-less grid: cascading fail-stops spread across survivors, each
+    /// death confirmed at the barrier it misses. Whatever the trajectory,
+    /// a successful run's depths are bit-exact.
     #[test]
-    fn elastic_plans_spread_and_rejoin_bit_exact(seed in 0u64..u64::MAX / 2) {
+    fn elastic_plans_spread_bit_exact(seed in 0u64..u64::MAX / 2) {
         let fx = fixture();
         let plan = FaultPlan::random_elastic(seed, 4, 8);
         let survivable = plan_is_survivable(&plan, fx.dist.topology());
@@ -92,12 +91,15 @@ proptest! {
             Ok(r) => {
                 prop_assert_eq!(&r.depths, &fx.reference);
                 let f = &r.stats.fault;
-                // Every re-homing and rejoin is billed, never free.
-                if f.rollbacks > 0 || f.rejoins > 0 || f.suspicions > 0 {
+                // Every re-homing is billed, never free.
+                if f.rollbacks > 0 {
                     prop_assert!(f.recovery_seconds > 0.0);
                 }
-                // No spares on this topology: confirmed deaths spread.
+                // No spares on this topology: every death spreads, and a
+                // death that fired is never left unrecovered.
                 prop_assert_eq!(f.spare_absorptions, 0);
+                prop_assert_eq!(f.spread_hostings, f.fail_stops);
+                prop_assert_eq!(f.rollbacks > 0, f.fail_stops > 0);
                 prop_assert!(r.modeled_seconds().is_finite() && r.modeled_seconds() > 0.0);
             }
             Err(RunError::Fault(FaultError::CheckpointCorrupt { .. })) => {
@@ -124,11 +126,12 @@ proptest! {
             Ok(r) => {
                 prop_assert_eq!(&r.depths, &fx.reference);
                 let f = &r.stats.fault;
-                // Two spares cover the first two confirmed deaths; only a
-                // third concurrent death can spill into spreading.
+                // Two spares cover the first two deaths; only a third can
+                // spill into spreading.
                 if f.spread_hostings > 0 {
                     prop_assert!(f.spare_absorptions == 2);
                 }
+                prop_assert_eq!(f.spare_absorptions + f.spread_hostings, f.fail_stops);
                 // A run whose every death was absorbed never degrades.
                 if f.rollbacks > 0 && f.spread_hostings == 0 {
                     prop_assert_eq!(f.degraded_iterations, 0);
@@ -173,8 +176,7 @@ proptest! {
                 }
                 prop_assert_eq!(cp_sum.to_bits(), f.checkpoint_seconds.to_bits());
                 prop_assert_eq!(rec_sum.to_bits(), f.recovery_seconds.to_bits());
-                prop_assert_eq!(count(FaultKind::Suspicion), f.suspicions);
-                prop_assert_eq!(count(FaultKind::Rejoin), f.rejoins);
+                prop_assert_eq!(count(FaultKind::Recovery), f.rollbacks);
                 prop_assert_eq!(count(FaultKind::SpareAbsorb), f.spare_absorptions);
                 prop_assert_eq!(count(FaultKind::Spread), f.spread_hostings);
             }
@@ -203,20 +205,44 @@ fn spare_absorption_restores_full_speed() {
     assert!(f.recovery_seconds > 0.0, "absorption (restore + re-replicate) is billed");
 }
 
-/// Rejoin after spreading: the dead GPU's shares are reclaimed from the
-/// survivors, degraded mode ends, and depths stay bit-exact.
+/// A fail-stop in any superstep, the last one included, is confirmed at
+/// that superstep's barrier: exactly one rollback and one re-home, onto
+/// the spare when one is free, bit-exact.
 #[test]
-fn rejoin_after_spread_reclaims_partition() {
+fn a_fail_stop_in_every_superstep_is_one_rollback_and_one_rehome() {
+    let supersteps = fixture().dist.run(fixture().source, &fixture().config).unwrap().iterations();
+    assert!(supersteps >= 3, "the fixture runs {supersteps} supersteps");
+    for (fx, spare) in [(fixture(), false), (spared_fixture(), true)] {
+        for iter in 0..supersteps {
+            let plan = FaultPlan::new(13).with_fail_stop(1, iter);
+            let r = fx.dist.run_with_faults(fx.source, &fx.config, &plan).unwrap();
+            let what = format!("GPU 1 dies in superstep {iter}, spare {spare}");
+            assert_eq!(&r.depths, &fx.reference, "{what}");
+            let f = &r.stats.fault;
+            assert_eq!((f.fail_stops, f.rollbacks), (1, 1), "{what}");
+            let homes = (f.spare_absorptions, f.spread_hostings);
+            assert_eq!(homes, if spare { (1, 0) } else { (0, 1) }, "{what}");
+            assert_eq!(r.stats.iterations(), supersteps, "{what}");
+        }
+    }
+    // A second fail-stop of a dead GPU is no second death.
     let fx = fixture();
-    // This graph's BFS runs 3 supersteps: a failure at 0 is confirmed at
-    // 1 (two missed heartbeats), the partition is hosted on survivors
-    // through the replay, and the rejoin lands on the final superstep.
-    let plan = FaultPlan::new(13).with_fail_stop(1, 0).with_rejoin(1, 2);
-    let r = fx.dist.run_with_faults(fx.source, &fx.config, &plan).unwrap();
-    assert_eq!(&r.depths, &fx.reference, "bit-exact depths under spread + rejoin");
+    let twice = FaultPlan::new(13).with_fail_stop(1, 0).with_fail_stop(1, 2);
+    let r = fx.dist.run_with_faults(fx.source, &fx.config, &twice).unwrap();
+    assert_eq!(&r.depths, &fx.reference);
     let f = &r.stats.fault;
-    assert_eq!(f.fail_stops, 1);
-    assert_eq!(f.rejoins, 1, "the scheduled rejoin is detected and applied");
-    assert!(f.degraded_iterations > 0, "the gap between death and rejoin is degraded");
-    assert_eq!(f.spread_hostings, 1);
+    assert_eq!((f.rollbacks, f.spread_hostings), (1, 1));
+}
+
+/// A checkpoint corrupted at rest fails its seal when the rollback after
+/// a death restores it: a typed error, never wrong depths.
+#[test]
+fn a_corrupted_checkpoint_fails_the_rollback_typed() {
+    let fx = fixture();
+    let plan = FaultPlan::new(17).with_checkpoint_corruption(0, 0, 0, 1).with_fail_stop(1, 1);
+    let run = fx.dist.run_with_faults(fx.source, &fx.config, &plan);
+    assert!(
+        matches!(run, Err(RunError::Fault(FaultError::CheckpointCorrupt { gpu: 0, iteration: 1 }))),
+        "{run:?}"
+    );
 }

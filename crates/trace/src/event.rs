@@ -354,21 +354,15 @@ pub enum FaultKind {
     Checkpoint,
     /// A retried collective or exchange after injected corruption.
     Retry,
-    /// A rollback to the last checkpoint after a confirmed fail-stop.
+    /// A rollback to the last checkpoint (after a fail-stop, including its
+    /// detection, or on the SDC ladder).
     Recovery,
-    /// Probe traffic while a member is *suspected* (late heartbeats,
-    /// straggling device): routing continues, only the probe delay is
-    /// charged.
-    Suspicion,
     /// Promotion of a hot spare: graph partition reload plus checkpoint
     /// state ship plus delegate-mask re-replication.
     SpareAbsorb,
     /// Installation of a multi-survivor spreading plan for a dead
     /// member's partition (the one-time state ship to the hosts).
     Spread,
-    /// Re-sync of a rejoining member from the current checkpoint and
-    /// delegate reduction, reclaiming its partition.
-    Rejoin,
     /// An online verification check caught silent data corruption (the
     /// detection itself; zero-duration — the scan cost is charged to the
     /// superstep's computation phase, not to recovery).
@@ -385,10 +379,8 @@ impl FaultKind {
             FaultKind::Checkpoint => "checkpoint",
             FaultKind::Retry => "retry",
             FaultKind::Recovery => "recovery",
-            FaultKind::Suspicion => "suspicion",
             FaultKind::SpareAbsorb => "spare_absorb",
             FaultKind::Spread => "spread",
-            FaultKind::Rejoin => "rejoin",
             FaultKind::SdcDetect => "sdc_detect",
             FaultKind::SdcReexecute => "sdc_reexecute",
         }

@@ -66,7 +66,7 @@ impl TraceLog {
             if f.kind == FaultKind::Checkpoint {
                 checkpoint_seconds += f.dur;
             } else {
-                // Retry, Recovery, Suspicion, SpareAbsorb, Spread, Rejoin:
+                // Retry, Recovery, SpareAbsorb, Spread, SDC re-execution:
                 // everything that is not a checkpoint is recovery-side time.
                 recovery_seconds += f.dur;
             }
@@ -145,7 +145,7 @@ impl SpanSink {
     /// rewinds the cursor past it. Fault spans are kept: the time they
     /// represent has already been charged to the run, so the cursor lands
     /// at the mark *plus* the durations of fault spans recorded since it
-    /// (e.g. suspicion probes between the checkpoint and the rollback).
+    /// (e.g. retries between the checkpoint and the rollback).
     /// The driver records the rollback's `Recovery` span immediately
     /// after, which re-covers only the vacated iteration timeline.
     pub fn truncate(&mut self, mark: &SinkMark) {

@@ -41,7 +41,7 @@ const USAGE: &str = "usage:
             [--nonblocking] [--parents] [--validate]
             [--verify off|checksums|full] [--backend sim|proc]
       sim only: [--trace] [--profile OUT.json]
-            [--fail GPU:ITER] [--rejoin GPU:ITER] [--chaos SEED] [--sdc SEED]
+            [--fail GPU:ITER] [--chaos SEED] [--sdc SEED]
             [--mutate N] [--mutate-ops K] [--mutate-locality F]
             [--mutate-seed S] [--compact-every N]
       proc only: [--procs N] [--kill WORKER:ITER]
@@ -79,7 +79,6 @@ const BFS_SIM: &[&str] = &[
     "trace",
     "profile=",
     "fail=",
-    "rejoin=",
     "chaos=",
     "sdc=",
     "mutate=",
@@ -339,8 +338,8 @@ fn bfs(args: &Args) -> Result<(), String> {
         return bfs_proc(args, &graph, topo, config, path);
     }
 
-    // Optional fault injection: a deterministic fail/rejoin pair, or a
-    // seeded elastic chaos plan over the whole membership lifecycle.
+    // Optional fault injection: a deterministic fail-stop, or a seeded
+    // plan of fail-stops cascading across the grid.
     let mut plan = None;
     if let Some((_, v)) = args.options.iter().find(|(k, _)| *k == "chaos") {
         let seed: u64 = v.parse().map_err(|_| format!("invalid --chaos seed: {v}"))?;
@@ -354,11 +353,6 @@ fn bfs(args: &Args) -> Result<(), String> {
         let (gpu, iter) = gpu_at_iter(v, "fail")?;
         let p = plan.unwrap_or_else(|| gpu_cluster_bfs::cluster::fault::FaultPlan::new(0xfa11));
         plan = Some(p.with_fail_stop(gpu, iter));
-    }
-    if let Some((_, v)) = args.options.iter().find(|(k, _)| *k == "rejoin") {
-        let (gpu, iter) = gpu_at_iter(v, "rejoin")?;
-        let p = plan.ok_or("--rejoin needs --fail (or --chaos) to schedule the loss first")?;
-        plan = Some(p.with_rejoin(gpu, iter));
     }
     if let Some((_, v)) = args.options.iter().find(|(k, _)| *k == "sdc") {
         let seed: u64 = v.parse().map_err(|_| format!("invalid --sdc seed: {v}"))?;
@@ -419,14 +413,9 @@ fn bfs(args: &Args) -> Result<(), String> {
     if plan.is_some() {
         let f = &result.stats.fault;
         println!(
-            "resilience: {} fail-stop(s), {} suspicion(s), {} spare absorption(s), \
-             {} spreading(s), {} rejoin(s), {} rollback(s)",
-            f.fail_stops,
-            f.suspicions,
-            f.spare_absorptions,
-            f.spread_hostings,
-            f.rejoins,
-            f.rollbacks
+            "resilience: {} fail-stop(s), {} spare absorption(s), {} spreading(s), \
+             {} rollback(s)",
+            f.fail_stops, f.spare_absorptions, f.spread_hostings, f.rollbacks
         );
         println!(
             "            {} degraded iteration(s); checkpoint {:.3} ms, recovery {:.3} ms",

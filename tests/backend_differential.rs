@@ -16,8 +16,9 @@
 //! `Round` drives the worker round every process runs (`WorkerRound`)
 //! through a link in this file, every message through the frame codec.
 //! They check the sharing over one worker and over two, a checkpoint
-//! saved, resumed and replayed, a death of each slot at each superstep,
-//! hostile `Begin` bodies, and 32 seeded delivery schedules.
+//! saved, resumed and replayed, a death of each slot at each superstep
+//! (and the sim's fail-stop of the same GPUs, which must resume from the
+//! same superstep), hostile `Begin` bodies, and 32 seeded delivery schedules.
 
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::{CompressionMode, Frame};
@@ -36,7 +37,7 @@ use gpu_cluster_bfs::core::superstep::HostedGroup;
 use gpu_cluster_bfs::core::UNREACHED;
 use gpu_cluster_bfs::graph::builders;
 use gpu_cluster_bfs::graph::permute::splitmix64;
-use gpu_cluster_bfs::obs::{Channel, MessageKind, ObservabilityConfig};
+use gpu_cluster_bfs::obs::{Channel, FaultKind, MessageKind, ObservabilityConfig, TraceLog};
 use gpu_cluster_bfs::prelude::*;
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -1353,6 +1354,60 @@ fn every_death_confirmed_at_once_is_recovered_in_process_bit_exact() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The superstep a sim run resumed at after its one rollback: the first
+/// iteration its observed trace lays out after the `Recovery` span.
+fn resumed_iter(log: &TraceLog) -> u32 {
+    let [rec] = log.faults.iter().filter(|f| f.kind == FaultKind::Recovery).collect::<Vec<_>>()[..]
+    else {
+        panic!("one rollback: {:?}", log.faults);
+    };
+    let after = log.iterations.iter().find(|i| i.start >= rec.start + rec.dur);
+    after.expect("an iteration after the rollback").iter
+}
+
+#[test]
+fn the_sim_confirms_a_death_where_the_proc_round_does() {
+    // Slot 1 dies at `StepGo i` on the unseeded link; the sim fail-stops
+    // every GPU slot 1 hosts in superstep `i`. Both confirm the death at
+    // the barrier it misses, so they pick the same re-homing, resume from
+    // the same commit and agree on the depths, whichever superstep.
+    let cell = DeathCell::new();
+    let config = BfsConfig::new(16);
+    let observed = config.with_observability(ObservabilityConfig::Full);
+    let victims = &cell.hosted[1];
+    let supersteps = 6;
+    for (mode, proc_spares, sim_spares) in
+        [(RecoveryMode::Spare, 1, victims.len() as u32), (RecoveryMode::Spread, 0, 0)]
+    {
+        let topo = Topology::new(4, 2).with_spares(sim_spares);
+        let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
+        assert_eq!(dist.run(cell.source, &config).unwrap().iterations(), supersteps);
+        for i in 0..supersteps {
+            let what = format!("slot 1 dies in superstep {i}, {mode:?}");
+            let kill = Kill { slot: 1, kind: kind::STEP_GO, iter: Some(i) };
+            let proc =
+                cell.run(proc_spares, &config, &[kill]).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let rec = proc.report.recovery.expect("the proc death is recovered");
+            let plan = victims
+                .iter()
+                .fold(FaultPlan::new(0xdead), |plan, &gpu| plan.with_fail_stop(gpu, i));
+            let sim = dist
+                .run_with_faults(cell.source, &observed, &plan)
+                .unwrap_or_else(|e| panic!("{what}: sim: {e}"));
+            assert_eq!(sim.depths, proc.depths, "depths, {what}");
+            let f = &sim.stats.fault;
+            assert_eq!((f.fail_stops, f.rollbacks), (victims.len() as u64, 1), "{what}");
+            let homes = match rec.mode {
+                RecoveryMode::Spare => (f.spare_absorptions, f.spread_hostings),
+                RecoveryMode::Spread => (f.spread_hostings, f.spare_absorptions),
+            };
+            assert_eq!((rec.mode, homes), (mode, (victims.len() as u64, 0)), "{what}");
+            let log = sim.observed.as_ref().expect("the sim run is observed");
+            assert_eq!(resumed_iter(log), rec.resumed_iter, "resumed superstep, {what}");
         }
     }
 }

@@ -199,7 +199,32 @@ fn options_a_command_does_not_read_are_rejected() {
     rejected(&["bfs", path, "--backend", "proc", "--fail", "0:1"], "fail");
     // Single-buddy hosting is gone, flag included.
     rejected(&["bfs", path, "--hosting", "buddy"], "hosting");
+    // So is live rejoin.
+    rejected(&["bfs", path, "--rejoin", "1:2"], "rejoin");
     rejected(&["pagerank", path, "--source", "3"], "source");
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
+fn fault_plans_naming_gpus_the_run_lacks_are_refused() {
+    let file = tmp("nogpu.bin");
+    let path = file.to_str().unwrap();
+    assert!(gcbfs(&["generate", "rmat", "--scale", "8", "--out", path]).status.success());
+    let out = gcbfs(&["bfs", path, "--ranks", "2", "--gpus", "2", "--fail", "99:1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a fail-stop of GPU 99 on 4 GPUs must not run clean");
+    assert!(stderr.contains("fail-stop names GPU 99, but the run has 4 GPUs"), "{stderr}");
+    assert!(out.stdout.is_empty(), "it ran before failing");
+    // The last GPU the run has dies and is recovered.
+    let out = gcbfs(&["bfs", path, "--ranks", "2", "--gpus", "2", "--fail", "3:1", "--validate"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        stdout.contains(
+            "resilience: 1 fail-stop(s), 0 spare absorption(s), 1 spreading(s), 1 rollback(s)"
+        ),
+        "{stdout}"
+    );
     std::fs::remove_file(&file).ok();
 }
 

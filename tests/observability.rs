@@ -194,8 +194,8 @@ fn check_invariants(label: &str, r: &BfsResult, degraded: bool) {
         .filter(|f| f.kind == FaultKind::Checkpoint)
         .map(|f| f.dur)
         .fold(0.0, |a, b| a + b);
-    // Every non-checkpoint kind (retry, recovery, suspicion, spare
-    // absorption, spreading, rejoin) charges `recovery_seconds`.
+    // Every non-checkpoint kind (retry, recovery, spare absorption,
+    // spreading, SDC re-execution) charges `recovery_seconds`.
     let rec_sum: f64 = log
         .faults
         .iter()
