@@ -6,21 +6,24 @@
 //! and delegate depths, the visited-delegate mask, both frontiers,
 //! direction-optimization state, and parent records) *is* the global
 //! state. [`GpuStateImage`] is that state for one GPU, sealed with an
-//! FNV-1a digest of its wire encoding — the only fold over GPU state in
-//! the crate. The sim's [`Checkpoint`] holds one image per GPU and
+//! FNV-1a digest of a fixed little-endian encoding of its fields — the
+//! only fold over GPU state in the crate. The sim's [`Checkpoint`] holds one image per GPU and
 //! restores them after a fail-stop loss. The proc backend's coordinator
-//! keeps the same whole images as its committed store and, on recovery,
-//! sends each worker the ones it hosts in its `Begin`
-//! ([`crate::procrt::protocol`] carries the wire codec).
+//! keeps the same whole images as its committed store.
 //!
-//! What crosses the wire at a proc checkpoint and at the end of a run is
-//! a [`StateDelta`] instead: BFS state only grows (a depth is written
-//! once, a visited bit only ever set), so the state entering iteration
-//! `k` is the state at the last commit plus the vertices settled since,
-//! the direction bytes and the frontier. [`StateDelta::fold`] rebuilds
-//! the whole images from the committed ones and checks each against the
-//! seal the worker took of its own state, so the store holds exactly what
-//! a whole-image checkpoint would have.
+//! What crosses the wire is only ever a [`StateDelta`]
+//! ([`crate::procrt::protocol`] carries its codec): BFS state only grows
+//! (a depth is written once, a visited bit only ever set), so the state
+//! entering iteration `k` is the state at some earlier iteration plus the
+//! vertices settled since, the direction bytes and the frontier. A worker
+//! ships its checkpoints and final state as deltas since its last `Begin`
+//! or save; the coordinator resumes a worker with a delta from iteration
+//! 0, whose base is the all-unreached state. `StateDelta::of` is the one
+//! builder, over a worker's state or a committed image alike, and
+//! [`StateDelta::fold`] the one way back: it rebuilds the whole images
+//! from the base ones and checks each against the seal taken of the state
+//! the delta was built from, so a folded store holds exactly what a
+//! whole-image checkpoint would have.
 //!
 //! Cost accounting: a real implementation writes each GPU's state through
 //! the CPU staging buffers to host memory (Ray has no NIC–GPU RDMA, so
@@ -42,6 +45,7 @@ use crate::UNREACHED;
 use gcbfs_cluster::cost::CostModel;
 use gcbfs_cluster::topology::GpuId;
 use gcbfs_compress::Fnv1a;
+use rayon::prelude::*;
 
 /// A snapshot failed its integrity seal: the state at rest (or as
 /// decoded off a socket) no longer matches the FNV-1a digest taken at
@@ -128,28 +132,15 @@ impl GpuStateImage {
     /// The seal of worker `w`'s state as GPU `gpu_flat` — its capture's
     /// digest, hashed straight off the worker with no image copied.
     pub fn seal_of(gpu_flat: u32, w: &GpuWorker) -> u64 {
-        StateFields {
-            gpu_flat,
-            track_parents: w.track_parents,
-            depths_local: &w.depths_local,
-            delegate_depths: &w.delegate_depths,
-            visited_bits: w.visited_mask.num_bits(),
-            visited_words: w.visited_mask.words(),
-            frontier: &w.frontier,
-            new_delegates: &w.new_delegates,
-            directions: [w.dir_dd.current(), w.dir_dn.current(), w.dir_nd.current()],
-            parents_local: &w.parents_local,
-            delegate_parent_candidate: &w.delegate_parent_candidate,
-            remote_parent_log: &w.remote_parent_log,
-        }
-        .seal()
+        StateFields::of(gpu_flat, w).seal()
     }
 
     /// The state of GPU `gpu_flat` with nothing reached — what a fresh
-    /// worker with `num_local` slots over `num_delegates` delegates holds —
-    /// as the proc round's store entering iteration 0. Left unsealed
-    /// (digest 0): that store is never shipped, only folded onto, and a
-    /// fold seals what it builds.
+    /// worker with `num_local` slots over `num_delegates` delegates holds:
+    /// the base of a delta from iteration 0, as the proc round's store
+    /// entering iteration 0 and a resuming worker's. Left unsealed (digest
+    /// 0): it is never shipped, only folded onto, and a fold seals what it
+    /// builds.
     pub(crate) fn unreached(
         gpu_flat: u32,
         num_local: u32,
@@ -175,8 +166,8 @@ impl GpuStateImage {
         }
     }
 
-    /// FNV-1a over the image's canonical wire encoding (every field but
-    /// the digest), so any byte flipped at rest or on a socket changes it.
+    /// FNV-1a over the image's encoding (every field but the digest), so
+    /// any byte flipped at rest or on a socket changes it.
     pub fn seal(&self) -> u64 {
         self.fields().seal()
     }
@@ -240,7 +231,7 @@ impl GpuStateImage {
 
 /// One GPU's state as [`GpuStateImage`] lays it out, every field but the
 /// digest, borrowed from an image or straight from a worker: what the
-/// image's wire encoding writes and its seal folds.
+/// seal folds and a delta is built from.
 pub(crate) struct StateFields<'a> {
     pub(crate) gpu_flat: u32,
     pub(crate) track_parents: bool,
@@ -256,13 +247,56 @@ pub(crate) struct StateFields<'a> {
     pub(crate) remote_parent_log: &'a [(GpuId, u32, u64, u32)],
 }
 
-impl StateFields<'_> {
-    /// FNV-1a over the fields' canonical wire encoding, hashed as it is
-    /// written.
+impl<'a> StateFields<'a> {
+    /// Worker `w`'s state as GPU `gpu_flat`.
+    pub(crate) fn of(gpu_flat: u32, w: &'a GpuWorker) -> Self {
+        Self {
+            gpu_flat,
+            track_parents: w.track_parents,
+            depths_local: &w.depths_local,
+            delegate_depths: &w.delegate_depths,
+            visited_bits: w.visited_mask.num_bits(),
+            visited_words: w.visited_mask.words(),
+            frontier: &w.frontier,
+            new_delegates: &w.new_delegates,
+            directions: [w.dir_dd.current(), w.dir_dn.current(), w.dir_nd.current()],
+            parents_local: &w.parents_local,
+            delegate_parent_candidate: &w.delegate_parent_candidate,
+            remote_parent_log: &w.remote_parent_log,
+        }
+    }
+
+    /// FNV-1a over the fields' encoding, hashed as it is written.
     fn seal(&self) -> u64 {
         let mut h = Fnv1a::default();
         self.encode(&mut h);
         h.finish()
+    }
+
+    /// This GPU's part of a delta entering `iter` whose levels start at
+    /// `first`, beside the settled `delegates`: its remote parent proposals
+    /// from entry `log_from` on, and the seal of the whole state.
+    fn delta(&self, first: u32, iter: u32, delegates: &[Level], log_from: usize) -> GpuDelta {
+        let levels = Level::of(self.depths_local, first, iter);
+        let (mut parents, mut candidates, mut remote_parent_log) = Default::default();
+        if self.track_parents {
+            let slots = levels.iter().flat_map(|l| &l.ids);
+            parents = slots.map(|&s| self.parents_local[s as usize]).collect();
+            let settled = delegates.iter().flat_map(|l| &l.ids);
+            let candidate = |&x: &u32| (x, self.delegate_parent_candidate[x as usize]);
+            candidates = settled.map(candidate).filter(|&(_, c)| c != NO_PARENT).collect();
+            remote_parent_log = self.remote_parent_log[log_from..].to_vec();
+        }
+        GpuDelta {
+            gpu_flat: self.gpu_flat,
+            directions: self.directions,
+            levels,
+            frontier: self.frontier.to_vec(),
+            parents,
+            candidates,
+            remote_parent_log,
+            digest: self.seal(),
+        }
     }
 }
 
@@ -317,8 +351,9 @@ pub struct GpuDelta {
     pub digest: u64,
 }
 
-/// What one worker's hosted GPUs settled since its last `Begin` or save —
-/// the form a proc checkpoint and final state cross the wire in.
+/// What a set of GPUs settled between two iterations — the one form GPU
+/// state crosses the proc wire in: a worker's checkpoint and final state
+/// (since its last `Begin` or save), and a resume (since iteration 0).
 ///
 /// The visited words and the delegate frontier are not shipped: they
 /// follow from the delegate depths, which every GPU holds identically
@@ -326,7 +361,8 @@ pub struct GpuDelta {
 /// once, not per GPU.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StateDelta {
-    /// The iteration it folds from: the worker's last `Begin` or save.
+    /// The iteration it folds from: the worker's last `Begin` or save, or
+    /// 0 for a resume.
     pub base: u32,
     /// The iteration the folded images enter.
     pub iter: u32,
@@ -334,11 +370,31 @@ pub struct StateDelta {
     pub track_parents: bool,
     /// Delegates settled in the window, by level.
     pub delegates: Vec<Level>,
-    /// One entry per hosted GPU, none repeated.
+    /// One entry per GPU it covers, none repeated.
     pub gpus: Vec<GpuDelta>,
 }
 
 impl StateDelta {
+    /// The delta from `base` to `iter` of each GPU's state in `gpus`,
+    /// given with the length of its remote parent log at the base. The
+    /// delegates are read off the first GPU: every GPU holds them
+    /// identically.
+    pub(crate) fn of(
+        base: u32,
+        iter: u32,
+        track_parents: bool,
+        gpus: &[(StateFields<'_>, usize)],
+    ) -> Self {
+        let first = Self::first_level(base);
+        let delegates =
+            gpus.first().map_or_else(Vec::new, |(g, _)| Level::of(g.delegate_depths, first, iter));
+        let gpus = gpus
+            .par_iter()
+            .map(|(g, log_from)| g.delta(first, iter, &delegates, *log_from))
+            .collect();
+        Self { base, iter, track_parents, delegates, gpus }
+    }
+
     /// The shallowest level a delta from `base` carries. The store
     /// entering iteration 0 is all-unreached (`Begin` seeds the source), so
     /// a delta from there starts at depth 0; past it, the image entering
@@ -351,14 +407,15 @@ impl StateDelta {
         }
     }
 
-    /// Folds the delta onto `store`, the committed images entering
-    /// iteration `committed` indexed by flat GPU (the base images' digests
-    /// are not read), and returns the whole sealed image of every GPU it
-    /// covers, in its order. `store` is not touched.
+    /// Folds the delta onto `store`, the images entering iteration
+    /// `committed` of the GPUs it covers and maybe more, found by flat (the
+    /// base images' digests are not read), and returns the whole sealed
+    /// image of every GPU it covers, in its order. `store` is not touched.
     ///
     /// # Errors
-    /// A base other than `committed`; an iteration before the base; a
-    /// parent flag other than the store's; a level outside the window
+    /// A base other than `committed`; an iteration before the base; a GPU
+    /// without a base image; a parent flag other than the base image's; a
+    /// level outside the window
     /// (past the base, or from 0 when the base is 0, through `iter`) or
     /// out of order; a slot or delegate outside the grid or already
     /// settled; parents that do not match the settled slots; a candidate
@@ -390,11 +447,11 @@ impl StateDelta {
     ) -> Result<GpuStateImage, ProtocolError> {
         let flat = gpu.gpu_flat;
         let err = |detail: String| ProtocolError::new(format!("gpu {flat}: {detail}"));
-        let Some(mut img) = store.get(flat as usize).cloned() else {
-            return Err(err("no committed image".into()));
+        let Some(mut img) = store.iter().find(|img| img.gpu_flat == flat).cloned() else {
+            return Err(err("no base image".into()));
         };
         if img.track_parents != self.track_parents {
-            return Err(err("parent tracking differs from the committed image's".into()));
+            return Err(err("parent tracking differs from the base image's".into()));
         }
         let window = Self::first_level(self.base)..=self.iter;
         let settle = |what: &str, depths: &mut [u32], levels: &[Level]| {

@@ -46,9 +46,10 @@
 //! Idle workers wait between runs without a deadline, so a pool stays warm
 //! however long it idles; a worker that left while idle is found when the
 //! next run starts, which then runs on a fresh pool. Checkpoints are the
-//! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s:
-//! workers ship each as a [`StateDelta`](crate::checkpoint::StateDelta)
-//! since their last `Begin` or save, on the
+//! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s, but
+//! GPU state crosses the wire only as a
+//! [`StateDelta`](crate::checkpoint::StateDelta): workers ship each
+//! checkpoint as a delta since their last `Begin` or save, on the
 //! [`RecoveryConfig`](crate::recovery::RecoveryConfig) cadence, and keep
 //! no copy; the round folds the deltas into whole images, checked against
 //! the workers' seals, so its committed store is the only copy. `Begin` is
@@ -62,7 +63,9 @@
 //! [`num_spares`](gcbfs_cluster::topology::Topology::num_spares)) or, in
 //! degraded mode, the least-loaded survivor — then sends every live worker
 //! one more `Begin`, naming the GPUs it now hosts with their committed
-//! images, and resumes the superstep loop at the commit.
+//! images as a delta from iteration 0, which the worker folds onto its
+//! all-unreached state with the same fold, and resumes the superstep loop
+//! at the commit.
 
 pub mod protocol;
 pub mod round;
@@ -183,7 +186,7 @@ pub struct ProcReport {
     pub wire_bytes: u64,
     /// The part of [`Self::wire_bytes`] that moved GPU state rather than a
     /// superstep: the `CheckpointSave` and `FinalState` frames, whole, and
-    /// every `Begin` that resumed from committed images.
+    /// every `Begin` that carried a resume (its delta from iteration 0).
     pub state_bytes: u64,
     /// Data frames the coordinator sent.
     pub frames_sent: u64,

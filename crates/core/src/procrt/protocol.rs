@@ -2,11 +2,11 @@
 //! and the only code that writes or reads a frame body.
 //!
 //! Every message rides one [`Frame`], so payloads inherit the frame
-//! layer's FNV-1a seal and bounded-allocation decoding. Each state image
-//! carries its own [`GpuStateImage::seal`] as well, and each state delta
-//! the seal of the image it folds to, so state is verified with the
-//! identical primitive whether it sat in the coordinator's checkpoint
-//! store or crossed a socket.
+//! layer's FNV-1a seal and bounded-allocation decoding. GPU state crosses
+//! only as a [`StateDelta`], each GPU's entry carrying the
+//! [`seal`](crate::checkpoint::GpuStateImage::seal) of the image it folds
+//! to, so state is verified with the identical primitive whether it sat in
+//! the coordinator's checkpoint store or crossed a socket.
 //!
 //! # Frames
 //!
@@ -18,7 +18,7 @@
 //! |------|---------|-----------|------|----------|
 //! | `0x01` | [`Msg::Hello`] | W → C | version `u32`, slot `u32` | pool handshake |
 //! | `0x02` | [`Msg::Setup`] | C → W | ranks, GPUs per rank, spares (`u32` each); worker config; step-timeout ms `u64`; graph (byte string) | worker process, before its round |
-//! | `0x04` | [`Msg::Begin`] | C → W | source `u64`; hosted flats (`u32` list); resume flag `u8`, then, when 1, an image list | [`WorkerRound`](super::worker::WorkerRound) |
+//! | `0x04` | [`Msg::Begin`] | C → W | source `u64`; hosted flats (`u32` list); resume flag `u8`, then, when 1, a delta from iteration 0 | [`WorkerRound`](super::worker::WorkerRound) |
 //! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin_on` |
 //! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
 //! | `0x14` | [`Msg::CheckpointSave`] | W → C | delta | round `gather` (folded, staged) |
@@ -38,7 +38,9 @@
 //! is saved there. A recovery is one more `Begin` → `Ready` round on every
 //! live worker, a spare among them (it gets `Hello` and `Setup` first);
 //! each `Begin` names the worker's GPUs from then on and, once an image
-//! checkpoint committed, resumes from it with exactly those GPUs' images.
+//! checkpoint committed, resumes from it with a delta from iteration 0 of
+//! exactly those GPUs' committed images, which the worker folds onto its
+//! all-unreached state.
 //! A cold pool opens with `Hello` and `Setup`, the same `Setup` for every
 //! worker; teardown is `Shutdown` → `Bye`. No frame reports liveness: a
 //! worker is dead when its connection closes (the pool's death rule).
@@ -53,25 +55,23 @@
 //! - **wire body**: a flag `u8` (0 raw, 1 encoded), then a byte string —
 //!   raw elements little-endian, or the codec's bytes, decoded only by
 //!   their consumer.
-//! - **image list**: iteration `u32`, then a count `u32` and per image its
-//!   fields and seal ([`Images`]): the committed store's whole images,
-//!   which only a resuming `Begin` carries.
 //! - **delta** ([`StateDelta`]): base iteration `u32` (the worker's last
-//!   `Begin` or save), iteration `u32`, parent flag `u8`, the delegates
-//!   settled since the base as levels, then a count `u32` and per hosted
-//!   GPU: flat `u32`; the `dd`, `dn` and `nd` directions (`u8` each, 0
-//!   forward, 1 backward); its settled slots as levels; the frontier in
-//!   order (`u32` list); when the flag is 1, the parents of the settled
-//!   slots in level order (`u64` list), the delegate parent candidates it
-//!   wrote (count `u32`, then delegate `u32` and candidate `u64` each) and
-//!   its new remote parent proposals (count `u32`, then destination rank,
-//!   GPU and slot `u32` each, parent `u64`, depth `u32`); then the seal
-//!   `u64` of the image the delta folds to. The visited words and the
-//!   delegate frontier are not shipped: they follow from the delegate
-//!   depths.
+//!   `Begin` or save; 0 in a resume), iteration `u32`, parent flag `u8`,
+//!   the delegates settled since the base as levels, then a count `u32`
+//!   and per GPU: flat `u32`; the `dd`, `dn` and `nd` directions (`u8`
+//!   each, 0 forward, 1 backward); its settled slots as levels; the
+//!   frontier in order (`u32` list); when the flag is 1, the parents of the
+//!   settled slots in level order (`u64` list), the delegate parent
+//!   candidates it wrote (count `u32`, then delegate `u32` and candidate
+//!   `u64` each) and its remote parent proposals since the base (count
+//!   `u32`, then destination rank, GPU and slot `u32` each, parent `u64`,
+//!   depth `u32`); then the seal `u64` of the image the delta folds to. The
+//!   visited words and the delegate frontier are not shipped: they follow
+//!   from the delegate depths.
 //! - **levels**: count `u32`, then per level its depth `u32` and its ids,
 //!   strictly ascending, as one frontier-codec body in a byte string —
-//!   the codec [`select_frontier_codec`] picks for them.
+//!   exactly the body the codec [`select_frontier_codec`] picks for them
+//!   writes, so no other bytes decode to the same level.
 //! - **worker config**: `TH` `u64`; a flag byte (DO, local all2all,
 //!   uniquify, per-kernel direction, parents — bits 0–4); the `dd`, `dn`
 //!   and `nd` switch-factor pairs (`f64` each); compression (0 off, 1 fixed
@@ -80,7 +80,7 @@
 //!
 //! A byte string and a list are a `u32` count, then the items.
 
-use crate::checkpoint::{GpuDelta, GpuStateImage, Level, StateDelta, StateFields};
+use crate::checkpoint::{GpuDelta, Level, StateDelta, StateFields};
 use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::direction::Direction;
@@ -96,7 +96,7 @@ use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 8;
+pub const PROTO_VERSION: u32 = 9;
 
 /// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
@@ -174,9 +174,10 @@ pub enum Msg<'a> {
         source: VertexId,
         /// The flat GPUs the worker hosts.
         hosted: Vec<usize>,
-        /// The committed checkpoint to resume at: one image per hosted GPU.
-        /// `None` seeds the source and enters superstep 0.
-        resume: Option<Images>,
+        /// The committed checkpoint to resume at: a delta from iteration 0
+        /// with one entry per hosted GPU, entering its iteration. `None`
+        /// seeds the source and enters superstep 0.
+        resume: Option<StateDelta>,
     },
     /// Run one superstep's local computation.
     StepGo {
@@ -254,15 +255,6 @@ pub struct Exchange<'a> {
     pub blocks: Vec<Block>,
 }
 
-/// The body of a `Begin`'s resume.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Images {
-    /// The superstep the images enter.
-    pub iter: u32,
-    /// One sealed image per GPU, none repeated.
-    pub images: Vec<GpuStateImage>,
-}
-
 impl Msg<'_> {
     /// The frame kind byte ([`kind`]).
     pub fn kind(&self) -> u8 {
@@ -311,8 +303,8 @@ impl Msg<'_> {
                 w.u32(hosted.len() as u32);
                 hosted.iter().for_each(|&f| w.u32(f as u32));
                 w.u8(resume.is_some() as u8);
-                if let Some(l) = resume {
-                    w.image_list(l);
+                if let Some(d) = resume {
+                    w.delta(d);
                 }
             }
             Self::StepGo { iter, checkpoint } => {
@@ -358,7 +350,6 @@ impl<'a> Msg<'a> {
     /// An unknown kind; a truncated body or trailing bytes; a list longer
     /// than the grid allows; a block endpoint outside the grid; a wire-body
     /// flag other than 0 or 1 or a raw body that is not whole elements; an
-    /// image that fails its seal, or one outside the grid or repeated; an
     /// unknown tag in a worker config; a delta's GPU outside the grid or
     /// repeated, or a level that does not decode or is not strictly
     /// ascending. What a delta settles is checked by its fold.
@@ -386,7 +377,7 @@ impl<'a> Msg<'a> {
                 Self::Begin {
                     source: r.u64()?,
                     hosted: r.list(u32::from_le_bytes)?.into_iter().map(|f| f as usize).collect(),
-                    resume: if r.flag()? { Some(r.image_list(topo)?) } else { None },
+                    resume: if r.flag()? { Some(r.delta(topo)?) } else { None },
                 }
             }
             kind::STEP_GO => Self::StepGo { iter: r.u32()?, checkpoint: r.flag()? },
@@ -605,23 +596,13 @@ impl WireWriter {
         self.u64(s.step_timeout_ms);
     }
 
-    fn image_list(&mut self, l: &Images) {
-        self.u32(l.iter);
-        self.u32(l.images.len() as u32);
-        for img in &l.images {
-            img.fields().encode(self);
-            self.u64(img.digest);
-        }
-    }
-
     fn levels(&mut self, levels: &[Level]) {
         self.u32(levels.len() as u32);
         for l in levels {
             self.u32(l.depth);
             let at = self.buf.len();
             self.u32(0);
-            let codec = select_frontier_codec(&l.ids);
-            codec.encode_into(&l.ids, &mut self.buf).expect("a level is strictly ascending");
+            encode_level(&l.ids, &mut self.buf);
             let len = (self.buf.len() - at - 4) as u32;
             self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
         }
@@ -706,10 +687,21 @@ impl<'a> WireReader<'a> {
         &mut self,
         from_le: fn([u8; N]) -> T,
     ) -> Result<Vec<T>, ProtocolError> {
+        self.records(N, |r| Ok(from_le(r.take(N)?.try_into().expect("an N-byte slice"))))
+    }
+
+    /// A count `u32`, then that many `size`-byte records, each read by
+    /// `read`. All their bytes are taken before anything is allocated.
+    fn records<T>(
+        &mut self,
+        size: usize,
+        read: impl Fn(&mut Self) -> Result<T, ProtocolError>,
+    ) -> Result<Vec<T>, ProtocolError> {
         let n = self.u32()? as usize;
-        let raw =
-            self.take(n.checked_mul(N).ok_or_else(|| ProtocolError::new("list overflow"))?)?;
-        Ok(raw.chunks_exact(N).map(|c| from_le(c.try_into().expect("an N-byte chunk"))).collect())
+        let bytes =
+            self.take(n.checked_mul(size).ok_or_else(|| ProtocolError::new("list overflow"))?)?;
+        let mut r = WireReader { bytes, at: 0 };
+        (0..n).map(|_| read(&mut r)).collect()
     }
 
     fn expect_end(&self) -> Result<(), ProtocolError> {
@@ -775,21 +767,6 @@ impl<'a> WireReader<'a> {
         Ok(Exchange { iter, contributions: Cow::Owned(contributions), blocks })
     }
 
-    /// An image list for a grid of `topo`'s GPUs, every seal verified. A
-    /// GPU outside the grid or listed twice is a typed error.
-    fn image_list(&mut self, topo: &Topology) -> Result<Images, ProtocolError> {
-        let iter = self.u32()?;
-        let n = self.u32()? as usize;
-        let mut images: Vec<GpuStateImage> =
-            Vec::with_capacity(gpu_count(n, topo, "state images")?);
-        for _ in 0..n {
-            let img = self.image()?;
-            gpu_in_place(img.gpu_flat, topo, images.iter().map(|i| i.gpu_flat), "state image")?;
-            images.push(img);
-        }
-        Ok(Images { iter, images })
-    }
-
     /// A delta for a grid of `topo`'s GPUs: each GPU inside it and listed
     /// once, every level decoded.
     fn delta(&mut self, topo: &Topology) -> Result<StateDelta, ProtocolError> {
@@ -806,12 +783,11 @@ impl<'a> WireReader<'a> {
             let (mut parents, mut candidates, mut remote_parent_log) = Default::default();
             if track_parents {
                 parents = self.list(u64::from_le_bytes)?;
-                let n = self.u32()? as usize;
-                candidates = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    candidates.push((self.u32()?, self.u64()?));
-                }
-                remote_parent_log = self.parent_log()?;
+                candidates = self.records(12, |r| Ok((r.u32()?, r.u64()?)))?;
+                remote_parent_log = self.records(24, |r| {
+                    let owner = GpuId { rank: r.u32()?, gpu: r.u32()? };
+                    Ok((owner, r.u32()?, r.u64()?, r.u32()?))
+                })?;
             }
             let digest = self.u64()?;
             gpus.push(GpuDelta {
@@ -828,68 +804,28 @@ impl<'a> WireReader<'a> {
         Ok(StateDelta { base, iter, track_parents, delegates, gpus })
     }
 
-    /// Levels, each decoded; one that does not decode or is not strictly
-    /// ascending is a typed error.
+    /// Levels, each decoded; one that does not decode, is not strictly
+    /// ascending, or is not the one body [`encode_level`] makes of its ids
+    /// (so no changed byte decodes to the same level) is a typed error.
     fn levels(&mut self) -> Result<Vec<Level>, ProtocolError> {
         let n = self.u32()?;
         let mut levels = Vec::new();
         for _ in 0..n {
             let depth = self.u32()?;
-            let (ids, _) = decode_frontier(self.bytes()?)
+            let body = self.bytes()?;
+            let (ids, _) = decode_frontier(body)
                 .map_err(|e| ProtocolError::new(format!("level {depth}: {e}")))?;
             if ids.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(ProtocolError::new(format!("level {depth} is not strictly ascending")));
             }
+            let mut canonical = Vec::with_capacity(body.len());
+            encode_level(&ids, &mut canonical);
+            if canonical != body {
+                return Err(ProtocolError::new(format!("level {depth} is not canonical")));
+            }
             levels.push(Level { depth, ids });
         }
         Ok(levels)
-    }
-
-    fn parent_log(&mut self) -> Result<Vec<(GpuId, u32, u64, u32)>, ProtocolError> {
-        let n = self.u32()? as usize;
-        let mut log = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let owner = GpuId { rank: self.u32()?, gpu: self.u32()? };
-            log.push((owner, self.u32()?, self.u64()?, self.u32()?));
-        }
-        Ok(log)
-    }
-
-    /// One image; a digest mismatch is a typed error, never a silent
-    /// install of corrupted state.
-    fn image(&mut self) -> Result<GpuStateImage, ProtocolError> {
-        let gpu_flat = self.u32()?;
-        let track_parents = self.flag()?;
-        let depths_local = self.list(u32::from_le_bytes)?;
-        let delegate_depths = self.list(u32::from_le_bytes)?;
-        let visited_bits = self.u32()?;
-        let visited_words = self.list(u64::from_le_bytes)?;
-        if visited_words.len() != (visited_bits as usize).div_ceil(64) {
-            return Err(ProtocolError::new("visited mask word count mismatch"));
-        }
-        let frontier = self.list(u32::from_le_bytes)?;
-        let new_delegates = self.list(u32::from_le_bytes)?;
-        let directions = [self.direction()?, self.direction()?, self.direction()?];
-        let parents_local = self.list(u64::from_le_bytes)?;
-        let delegate_parent_candidate = self.list(u64::from_le_bytes)?;
-        let remote_parent_log = self.parent_log()?;
-        let img = GpuStateImage {
-            gpu_flat,
-            track_parents,
-            depths_local,
-            delegate_depths,
-            visited_bits,
-            visited_words,
-            frontier,
-            new_delegates,
-            directions,
-            parents_local,
-            delegate_parent_candidate,
-            remote_parent_log,
-            digest: self.u64()?,
-        };
-        img.verify().map_err(|e| ProtocolError::new(e.to_string()))?;
-        Ok(img)
     }
 
     fn direction(&mut self) -> Result<Direction, ProtocolError> {
@@ -903,9 +839,7 @@ impl<'a> WireReader<'a> {
 
 impl StateFields<'_> {
     /// Writes every field of an image but the digest — the bytes
-    /// [`GpuStateImage::seal`] folds. Canonical: the image decoder accepts
-    /// exactly one encoding per value, so a flipped byte that still parses
-    /// always changes the fold.
+    /// [`GpuStateImage::seal`] folds.
     pub(crate) fn encode(&self, w: &mut impl WireSink) {
         w.u32(self.gpu_flat);
         w.u8(self.track_parents as u8);
@@ -920,6 +854,12 @@ impl StateFields<'_> {
         w.list(self.delegate_parent_candidate, u64::to_le_bytes);
         w.parent_log(self.remote_parent_log);
     }
+}
+
+/// A level's ids as the frontier codec [`select_frontier_codec`] picks
+/// for them encodes them.
+fn encode_level(ids: &[u32], out: &mut Vec<u8>) {
+    select_frontier_codec(ids).encode_into(ids, out).expect("a level is strictly ascending");
 }
 
 /// `n` GPU entries, refused when the grid has fewer GPUs.
@@ -949,26 +889,6 @@ mod tests {
     use super::*;
     use gcbfs_cluster::collectives::{contribute, reduce_contributions, ReduceError};
 
-    fn sample_image(gpu_flat: u32) -> GpuStateImage {
-        let mut img = GpuStateImage {
-            gpu_flat,
-            track_parents: true,
-            depths_local: vec![0, 7, u32::MAX],
-            delegate_depths: vec![1, u32::MAX],
-            visited_bits: 2,
-            visited_words: vec![0b01],
-            frontier: vec![1],
-            new_delegates: vec![0],
-            directions: [Direction::Backward, Direction::Forward, Direction::Backward],
-            parents_local: vec![5, u64::MAX, u64::MAX],
-            delegate_parent_candidate: vec![u64::MAX, 4],
-            remote_parent_log: vec![(GpuId { rank: 1, gpu: 0 }, 9, 77, 3)],
-            digest: 0,
-        };
-        img.digest = img.seal();
-        img
-    }
-
     fn sample_delta(parents: bool) -> StateDelta {
         let level = |depth, ids: &[u32]| Level { depth, ids: ids.to_vec() };
         let gpu = |gpu_flat| GpuDelta {
@@ -994,8 +914,8 @@ mod tests {
         }
     }
 
-    /// One message of every kind, and `Begin` with and without a resume,
-    /// on a 2 × 2 grid.
+    /// One message of every kind, and `Begin` with and without a resume (a
+    /// delta from iteration 0), on a 2 × 2 grid.
     fn one_of_each<'a>(config: &'a [u8], graph: &'a [u8]) -> Vec<Msg<'a>> {
         let stats = Stats { iter: 3, frontier: 17, new_delegates: 2 };
         let varint = FrontierCodec::VarintDelta.encode(&[2, 4, 4, 10]).unwrap();
@@ -1010,7 +930,7 @@ mod tests {
                 Block { src: 0, dst: 3, body: WireBody::Encoded(varint) },
             ],
         };
-        let images = Images { iter: 2, images: vec![sample_image(3), sample_image(1)] };
+        let resume = StateDelta { base: 0, ..sample_delta(true) };
         vec![
             Msg::Hello { version: PROTO_VERSION, slot: 1 },
             Msg::Setup(Setup {
@@ -1021,7 +941,7 @@ mod tests {
             }),
             Msg::Ready(Stats { iter: 0, ..stats }),
             Msg::Begin { source: 42, hosted: vec![2, 3], resume: None },
-            Msg::Begin { source: 42, hosted: vec![1, 3], resume: Some(images) },
+            Msg::Begin { source: 42, hosted: vec![1, 3], resume: Some(resume) },
             Msg::StepGo { iter: 3, checkpoint: true },
             Msg::StepLocal(exchange.clone()),
             Msg::StepRemote(Exchange { contributions: Cow::Owned(Vec::new()), ..exchange }),
@@ -1127,38 +1047,6 @@ mod tests {
         }
     }
 
-    /// `images`' list in a resuming `Begin` that hosts no GPU, past its
-    /// source (8), hosted count (4) and resume flag (1).
-    fn image_list(images: &[GpuStateImage]) -> Vec<u8> {
-        let resume = Some(Images { iter: 2, images: images.to_vec() });
-        let frame = Msg::Begin { source: 0, hosted: Vec::new(), resume }.frame();
-        frame.payload()[13..].to_vec()
-    }
-
-    fn read_images(body: &[u8], gpus: u32) -> Result<Vec<GpuStateImage>, ProtocolError> {
-        let mut r = WireReader { bytes: body, at: 0 };
-        let images = r.image_list(&Topology::new(1, gpus))?;
-        r.expect_end()?;
-        Ok(images.images)
-    }
-
-    #[test]
-    fn state_images_are_sealed_and_canonical() {
-        let body = image_list(&[sample_image(3)]);
-        assert_eq!(read_images(&body, 4).unwrap(), vec![sample_image(3)]);
-        // Flip one depth bit: the seal check must reject the image. The
-        // depths start after iteration (4), count (4), gpu_flat (4), flag
-        // (1), length (4).
-        let mut tampered = body.clone();
-        tampered[17] ^= 1;
-        assert!(read_images(&tampered, 4).unwrap_err().detail.contains("seal"));
-        // A non-canonical flag byte would re-encode as 1 and slip past
-        // the seal, so it is rejected outright.
-        let mut flag = body.clone();
-        flag[12] = 3;
-        assert!(read_images(&flag, 4).is_err());
-    }
-
     /// A `CheckpointSave` frame of `delta` on a 2 × 2 grid, decoded.
     fn read_delta(frame: &Frame) -> Result<StateDelta, ProtocolError> {
         match Msg::decode(frame, Some(&Topology::new(2, 2)))? {
@@ -1194,6 +1082,12 @@ mod tests {
         unknown[21] = 0x7f;
         let err = read_delta(&Frame::new(kind::CHECKPOINT_SAVE, unknown)).unwrap_err();
         assert!(err.detail.starts_with("level 4: unknown codec tag"), "{err}");
+        // The same id under the raw-fallback flag decodes alike, but is not
+        // the body the writer makes.
+        let mut fallback = frame.payload().to_vec();
+        fallback[21] |= 0x80;
+        let err = read_delta(&Frame::new(kind::CHECKPOINT_SAVE, fallback)).unwrap_err();
+        assert_eq!(err.detail, "level 4 is not canonical");
         let mut unsorted = frame.payload().to_vec();
         // Raw32 over [3, 1]: a two-id body replaces the one-id one.
         let mut body = Vec::new();
@@ -1205,15 +1099,26 @@ mod tests {
     }
 
     #[test]
-    fn image_lists_reject_foreign_repeated_and_surplus_gpus() {
-        let good = image_list(&[sample_image(3), sample_image(1)]);
-        let back = read_images(&good, 4).unwrap();
-        assert_eq!(back.iter().map(|i| i.gpu_flat).collect::<Vec<_>>(), vec![3, 1]);
-        // GPU 3 is outside a 2-GPU grid, and 2 images overflow a 1-GPU one.
-        assert!(read_images(&good, 2).is_err());
-        assert!(read_images(&good, 1).is_err());
-        let repeated = image_list(&[sample_image(3), sample_image(3)]);
-        assert!(read_images(&repeated, 4).is_err());
+    fn a_hostile_record_count_is_refused_before_anything_is_allocated() {
+        // One candidate (12 bytes) and one parent proposal (24), each count
+        // set to u32::MAX with the body cut after it: the need named is the
+        // whole list's, not the next field's.
+        let mut state = StateDelta { delegates: Vec::new(), ..sample_delta(true) };
+        state.gpus.truncate(1);
+        state.gpus[0].candidates.truncate(1);
+        let frame = Msg::FinalState { duplicates_ignored: 0, state }.frame();
+        let body = frame.payload();
+        // Back from the end: the seal (8), the proposal (24) and its count
+        // (4), the candidate (12) and its count (4).
+        for (at, size) in [(body.len() - 52, 12), (body.len() - 36, 24)] {
+            let mut hostile = body[..at + 4].to_vec();
+            hostile[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+            let err =
+                Msg::decode(&Frame::new(kind::FINAL_STATE, hostile), Some(&Topology::new(2, 2)))
+                    .unwrap_err();
+            let need = u64::from(u32::MAX) * size;
+            assert_eq!(err.detail, format!("truncated body: need {need} more bytes"));
+        }
     }
 
     /// A `StepLocal` body on a 2 × 2 grid and its decode.

@@ -30,11 +30,11 @@
 //! capture falls back to the previous commit. The final state folds the
 //! same way before assembly. Recovery has one path, whenever the death
 //! and wherever its GPUs go: re-home them, send every live worker a `Begin`
-//! naming the GPUs it hosts from then on (with their committed images, once
-//! there are any), and resume at the commit. [`ProcReport::checkpoints`]
-//! counts image commits; `Begin` is not one.
+//! naming the GPUs it hosts from then on (with their committed images as a
+//! delta from iteration 0, once there are any), and resume at the commit.
+//! [`ProcReport::checkpoints`] counts image commits; `Begin` is not one.
 
-use super::protocol::{kind, Exchange, Images, Msg, ProtocolError, Stats};
+use super::protocol::{kind, Exchange, Msg, ProtocolError, Stats};
 use super::{ProcError, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use crate::checkpoint::{GpuStateImage, StateDelta};
@@ -220,7 +220,8 @@ impl Round {
     }
 
     /// Sends every live slot its `Begin` from the committed checkpoint —
-    /// the GPUs it hosts and, past iteration 0, their images — and gathers
+    /// the GPUs it hosts and, past iteration 0, their images as a delta
+    /// from iteration 0 — and gathers
     /// a `Ready` from each. `owed` lists the slots whose `Ready` to an
     /// interrupted `Begin` round is still on its way, ahead of this one's:
     /// those are gathered too, so the later one counts. On a death, `owed`
@@ -230,8 +231,8 @@ impl Round {
         for &slot in &live {
             let hosted = self.hosted(slot);
             let resume = (self.cp_iter > 0).then(|| {
-                let images = hosted.iter().map(|&f| self.cp_store[f].clone()).collect();
-                Images { iter: self.cp_iter, images }
+                let gpus: Vec<_> = hosted.iter().map(|&f| (self.cp_store[f].fields(), 0)).collect();
+                StateDelta::of(0, self.cp_iter, self.track_parents, &gpus)
             });
             link.send(slot, &Msg::Begin { source: self.source, hosted, resume });
         }

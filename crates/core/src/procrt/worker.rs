@@ -118,7 +118,8 @@ impl<'g> WorkerRound<'g> {
     /// soon as it is formed:
     /// - `Begin` → `Ready`: a fresh traversal on the GPUs it names, built
     ///   as the sim driver builds them, then seeded from the source or,
-    ///   with a resume, given the committed images. It replaces any
+    ///   with a resume, given the committed images it folds from the
+    ///   resume's delta ([`HostedGroup::resume`]). It replaces any
     ///   traversal in flight (a recovery) and keeps its count of ignored
     ///   duplicates.
     /// - `StepGo` → (`CheckpointSave`, when asked, before the kernels run:
@@ -137,7 +138,8 @@ impl<'g> WorkerRound<'g> {
     /// What `reply` returns; a source outside the graph; a message the
     /// round does not expect (anything but `Begin` outside a traversal);
     /// and the hosted group's refusals: a hosted flat outside the grid or
-    /// repeated, resume images that are not one per hosted GPU, a mask
+    /// repeated, a resume that is not one entry per hosted GPU or does not
+    /// fold from iteration 0, a mask
     /// contribution or block that does not reduce or deliver. A refused
     /// `Begin` leaves the worker as it was.
     pub fn handle<E: From<ProtocolError>>(
@@ -155,7 +157,7 @@ impl<'g> WorkerRound<'g> {
             // The constructor rejects out-of-range and repeated flats.
             let mut group = HostedGroup::new(self.dist, &self.config, self.track_parents, &hosted)?;
             let iter = match resume {
-                Some(cp) => group.restore(&cp.images, cp.iter).map(|()| cp.iter)?,
+                Some(delta) => group.resume(&delta).map(|()| delta.iter)?,
                 None => {
                     group.seed_source(&self.dist.separation, source);
                     0

@@ -13,12 +13,12 @@
 //! ([`rank_contributions`] / [`reduce_contributions`], [`form_blocks`] /
 //! [`deliver_blocks`]).
 
-use crate::checkpoint::{GpuDelta, GpuStateImage, Level, StateDelta};
+use crate::checkpoint::{GpuStateImage, StateDelta, StateFields};
 use crate::comm::{deliver_blocks, form_blocks, prepare_sends, Block};
 use crate::config::BfsConfig;
 use crate::direction::DirectionState;
 use crate::driver::DistributedGraph;
-use crate::kernels::{GpuWorker, LocalIterationOutput, NO_PARENT};
+use crate::kernels::{GpuWorker, LocalIterationOutput};
 use crate::masks::DelegateMask;
 use crate::procrt::protocol::ProtocolError;
 use crate::separation::Separation;
@@ -40,12 +40,12 @@ pub struct HostedGroup {
     /// `p` GPUs is indexed by flat directly.
     pub workers: Vec<GpuWorker>,
     /// True once a reduction was consumed since the traversal started or
-    /// was last restored: from then on every visited mask equals the last
+    /// resumed: from then on every visited mask equals the last
     /// reduced mask, which every rank holds — the mask codec's reference.
     pub(crate) reference_held: bool,
     track_parents: bool,
     /// The iteration the next [`Self::delta`] folds from (0 when seeded,
-    /// else the last restore or delta), and each hosted GPU's remote
+    /// else the last resume or delta), and each hosted GPU's remote
     /// parent-log length there.
     base: u32,
     base_logs: Vec<usize>,
@@ -128,47 +128,17 @@ impl HostedGroup {
             .collect()
     }
 
-    /// What the hosted GPUs settled since the base — the last restore, the
+    /// What the hosted GPUs settled since the base — the last resume, the
     /// seed, or the last delta — as the state entering `iter`; `iter`
     /// becomes the next delta's base. Each GPU's entry carries the seal of
     /// its whole state, which the delta's fold must reproduce.
     pub fn delta(&mut self, iter: u32) -> StateDelta {
-        let base = self.base;
-        let first = StateDelta::first_level(base);
-        let delegates = self
-            .workers
-            .first()
-            .map_or_else(Vec::new, |w| Level::of(&w.delegate_depths, first, iter));
-        let gpus = self
-            .workers
-            .par_iter()
-            .enumerate()
-            .map(|(at, w)| {
-                let flat = self.flats[at] as u32;
-                let levels = Level::of(&w.depths_local, first, iter);
-                let (mut parents, mut candidates, mut remote_parent_log) = Default::default();
-                if self.track_parents {
-                    let slots = levels.iter().flat_map(|l| &l.ids);
-                    parents = slots.map(|&s| w.parents_local[s as usize]).collect();
-                    let settled = delegates.iter().flat_map(|l| &l.ids);
-                    let candidate = |&x: &u32| (x, w.delegate_parent_candidate[x as usize]);
-                    candidates = settled.map(candidate).filter(|&(_, c)| c != NO_PARENT).collect();
-                    remote_parent_log = w.remote_parent_log[self.base_logs[at]..].to_vec();
-                }
-                GpuDelta {
-                    gpu_flat: flat,
-                    directions: [w.dir_dd.current(), w.dir_dn.current(), w.dir_nd.current()],
-                    levels,
-                    frontier: w.frontier.clone(),
-                    parents,
-                    candidates,
-                    remote_parent_log,
-                    digest: GpuStateImage::seal_of(flat, w),
-                }
-            })
-            .collect();
+        let hosted = self.flats.iter().zip(&self.workers).zip(&self.base_logs);
+        let gpus: Vec<_> =
+            hosted.map(|((&f, w), &log)| (StateFields::of(f as u32, w), log)).collect();
+        let delta = StateDelta::of(self.base, iter, self.track_parents, &gpus);
         self.rebase(iter);
-        StateDelta { base, iter, track_parents: self.track_parents, delegates, gpus }
+        delta
     }
 
     fn rebase(&mut self, iter: u32) {
@@ -176,28 +146,39 @@ impl HostedGroup {
         self.base_logs = self.workers.iter().map(|w| w.remote_parent_log.len()).collect();
     }
 
-    /// Installs verified `images` entering iteration `iter`, exactly one
-    /// for every GPU this group hosts, and drops the mask codec's
-    /// reference; `iter` becomes the next delta's base.
+    /// Resumes the fresh group from `resume`, a delta from iteration 0 with
+    /// exactly one entry for every GPU it hosts: folds it onto their
+    /// all-unreached images, installs them and drops the mask codec's
+    /// reference; the delta's iteration becomes the next delta's base.
     ///
     /// # Errors
-    /// An image for a GPU the group does not host, or a hosted GPU without
-    /// exactly one image. Checked before anything is installed.
-    pub fn restore(&mut self, images: &[GpuStateImage], iter: u32) -> Result<(), ProtocolError> {
-        if let Some(img) = images.iter().find(|i| !self.hosts(i.gpu_flat as usize)) {
-            let flat = img.gpu_flat;
-            return Err(ProtocolError::new(format!("image for gpu {flat}, which is not hosted")));
+    /// An entry for a GPU the group does not host, or a hosted GPU without
+    /// exactly one; a delta that does not fold from 0
+    /// ([`StateDelta::fold`]). Checked before anything is installed.
+    pub fn resume(&mut self, resume: &StateDelta) -> Result<(), ProtocolError> {
+        if let Some(g) = resume.gpus.iter().find(|g| !self.hosts(g.gpu_flat as usize)) {
+            let flat = g.gpu_flat;
+            return Err(ProtocolError::new(format!("resume of gpu {flat}, which is not hosted")));
         }
-        let covers = |f: &usize| images.iter().filter(|i| i.gpu_flat as usize == *f).count();
+        let covers = |f: &usize| resume.gpus.iter().filter(|g| g.gpu_flat as usize == *f).count();
         if let Some(flat) = self.flats.iter().find(|f| covers(f) != 1) {
-            return Err(ProtocolError::new(format!("not one image for hosted gpu {flat}")));
+            return Err(ProtocolError::new(format!("not one resume of hosted gpu {flat}")));
         }
-        for img in images {
+        let unreached: Vec<_> = self
+            .flats
+            .iter()
+            .zip(&self.workers)
+            .map(|(&f, w)| {
+                let n = w.depths_local.len() as u32;
+                GpuStateImage::unreached(f as u32, n, self.num_delegates, self.track_parents)
+            })
+            .collect();
+        for img in resume.fold(0, &unreached)? {
             let at = self.index_of(img.gpu_flat as usize).expect("checked above");
             img.install(&mut self.workers[at]);
         }
         self.reference_held = false;
-        self.rebase(iter);
+        self.rebase(resume.iter);
         Ok(())
     }
 
@@ -373,28 +354,32 @@ mod tests {
     }
 
     #[test]
-    fn restore_installs_one_image_per_hosted_gpu_or_nothing() {
+    fn a_resume_covers_each_hosted_gpu_exactly_once_or_installs_nothing() {
         let config = BfsConfig::new(4);
         let dist =
             DistributedGraph::build(&builders::grid(4, 4), Topology::new(2, 2), &config).unwrap();
         let mut seeded = HostedGroup::new(&dist, &config, true, &[3, 1]).unwrap();
         seeded.seed_source(&dist.separation, 15);
         let images = seeded.capture();
-        let foreign = HostedGroup::new(&dist, &config, true, &[2]).unwrap().capture();
+        let good = seeded.delta(0);
+        let foreign = HostedGroup::new(&dist, &config, true, &[2]).unwrap().delta(0).gpus;
+        let with = |gpus: Vec<_>| StateDelta { gpus, ..good.clone() };
+        let (one, three) = (good.gpus[0].clone(), good.gpus[1].clone());
         let mut group = HostedGroup::new(&dist, &config, true, &[1, 3]).unwrap();
         let fresh = group.capture();
         let refused = [
-            (vec![images[0].clone()], "not one image for hosted gpu 3"),
-            ([&images[..], &images[..1]].concat(), "not one image for hosted gpu 1"),
-            ([&images[..], &foreign[..]].concat(), "gpu 2, which is not hosted"),
-            ([&images[..1], &foreign[..]].concat(), "gpu 2, which is not hosted"),
+            (with(vec![one.clone()]), "not one resume of hosted gpu 3"),
+            (with(vec![one.clone(), three.clone(), one.clone()]), "not one resume of hosted gpu 1"),
+            (with([&good.gpus[..], &foreign[..]].concat()), "gpu 2, which is not hosted"),
+            (with([&good.gpus[..1], &foreign[..]].concat()), "gpu 2, which is not hosted"),
+            (StateDelta { base: 1, ..good.clone() }, "but the commit is at 0"),
         ];
-        for (images, detail) in refused {
-            let err = group.restore(&images, 2).unwrap_err();
+        for (resume, detail) in refused {
+            let err = group.resume(&resume).unwrap_err();
             assert!(err.detail.contains(detail), "{err}");
             assert_eq!(group.capture(), fresh, "a refusal installs nothing");
         }
-        group.restore(&[images[1].clone(), images[0].clone()], 2).unwrap();
+        group.resume(&with(vec![three, one])).unwrap();
         assert_eq!(group.capture(), images);
     }
 

@@ -26,7 +26,7 @@ use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBack
 use gpu_cluster_bfs::core::checkpoint::{GpuStateImage, Level, StateDelta};
 use gpu_cluster_bfs::core::comm::Block;
 use gpu_cluster_bfs::core::driver::RunError;
-use gpu_cluster_bfs::core::procrt::protocol::{kind, Exchange, Images, Msg, ProtocolError, Stats};
+use gpu_cluster_bfs::core::procrt::protocol::{kind, Exchange, Msg, ProtocolError, Stats};
 use gpu_cluster_bfs::core::procrt::round::{Death, Heard, Link, ProcOutcome, Round};
 use gpu_cluster_bfs::core::procrt::worker::WorkerRound;
 use gpu_cluster_bfs::core::procrt::{
@@ -575,7 +575,7 @@ struct ResumeSeen {
     frame: Frame,
     /// The worker held a mask-codec reference before it.
     reference_before: bool,
-    /// A copy short of one image was refused, with nothing installed.
+    /// A copy short of one GPU was refused, with nothing installed.
     partial_refused: bool,
     /// The worker holds none after it.
     reference_after: bool,
@@ -693,11 +693,10 @@ impl<'g> InProcess<'g> {
         let reference =
             |w: &WorkerRound<'_>| w.group().is_some_and(|g| g.mask_reference(mode).is_some());
         let resuming = matches!(msg, Msg::Begin { resume: Some(_), .. });
-        if let Msg::Begin { source, hosted, resume: Some(cp) } = &msg {
+        if let Msg::Begin { source, hosted, resume: Some(delta) } = &msg {
             let reference_before = reference(w);
             let before = digests(w);
-            let images = cp.images[1..].to_vec();
-            let resume = Some(Images { iter: cp.iter, images });
+            let resume = Some(StateDelta { gpus: delta.gpus[1..].to_vec(), ..delta.clone() });
             let partial = Msg::Begin { source: *source, hosted: hosted.clone(), resume };
             let refused = w.handle(partial, |_| Ok::<_, ProtocolError>(())).is_err();
             self.resumes.push(ResumeSeen {
@@ -984,57 +983,80 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
         let commits = (2..want.iterations()).step_by(2).count() as u64;
         assert_eq!(run.report.checkpoints, commits, "{cell}");
 
-        // Each resuming `Begin` round carries the committed image of every
-        // GPU, each to the worker that hosts it from then on, and the
-        // folded store equals the uninterrupted traversal's whole images.
-        let decoded: Vec<(Vec<usize>, Images)> = link
+        // Each resuming `Begin` carries, to every worker, a delta from
+        // iteration 0 of exactly the GPUs it hosts from then on, and each
+        // folds onto the unreached state into the uninterrupted traversal's
+        // whole images at the commit.
+        let decoded: Vec<(Vec<usize>, StateDelta)> = link
             .resumes
             .iter()
             .map(|seen| match Msg::decode(&seen.frame, Some(&topo)) {
-                Ok(Msg::Begin { hosted, resume: Some(images), .. }) => (hosted, images),
+                Ok(Msg::Begin { hosted, resume: Some(delta), .. }) => (hosted, delta),
                 other => panic!("not a resuming Begin: {other:?}"),
             })
             .collect();
-        let mut rounds: Vec<u32> = decoded.iter().map(|(_, l)| l.iter).collect();
+        let mut rounds: Vec<u32> = decoded.iter().map(|(_, d)| d.iter).collect();
         rounds.dedup();
         assert_eq!(rounds, if spread { vec![2] } else { vec![2, 4] }, "{cell}");
-        for (hosted, images) in &decoded {
-            let flats: Vec<usize> = images.images.iter().map(|img| img.gpu_flat as usize).collect();
-            assert_eq!(&flats, hosted, "{cell}");
-        }
+        let all: Vec<usize> = (0..8).collect();
+        let unreached = HostedGroup::new(&dist, &config, true, &all).unwrap().capture();
         for &iter in &rounds {
-            let round = decoded.iter().filter(|(_, l)| l.iter == iter);
-            let mut cp: Vec<GpuStateImage> =
-                round.flat_map(|(_, l)| l.images.iter().cloned()).collect();
+            let mut cp = Vec::new();
+            for (hosted, delta) in decoded.iter().filter(|(_, d)| d.iter == iter) {
+                let flats: Vec<usize> = delta.gpus.iter().map(|g| g.gpu_flat as usize).collect();
+                assert_eq!((delta.base, &flats), (0, hosted), "{cell}");
+                cp.extend(delta.fold(0, &unreached).unwrap_or_else(|e| panic!("{cell}: {e}")));
+            }
             cp.sort_by_key(|img| img.gpu_flat);
             assert_eq!(cp, captures[iter as usize], "the store committed at {iter}, {cell}");
         }
+        // The resuming `Begin` frames, pinned byte for byte under either
+        // mode (the state does not depend on it): the commit at 2 to both
+        // workers, or to the one adopting every GPU when spreading, then, on
+        // the spare path, the commit at 4. CHANGES.md has the whole-image
+        // lists they replaced.
+        let resume_bytes: Vec<usize> = link.resumes.iter().map(|r| r.frame.encoded_len()).collect();
+        let pinned: &[usize] = if spread { &[684] } else { &[323, 450, 4985, 4792] };
+        assert_eq!(resume_bytes, pinned, "{cell}");
         for seen in &link.resumes {
             // The survivor held a codec reference; every worker restarts
             // without one, as the spare.
             assert_eq!(seen.reference_before, seen.slot == 0 && mode.is_on(), "{cell}");
             assert!(!seen.reference_after, "slot {} kept its codec reference, {cell}", seen.slot);
             // A resume that leaves a hosted GPU uncovered is refused
-            // before any image is installed.
+            // before anything is installed.
             assert!(seen.partial_refused, "slot {}, {cell}", seen.slot);
         }
-        // Any one flipped byte of a resume's image list — count, any field,
-        // seal — is a typed decode error, so nothing is installed. (The
-        // source, the hosted flats and the iteration take any value here.)
-        let begin = |images: &[GpuStateImage]| Msg::Begin {
-            source,
-            hosted: vec![0],
-            resume: Some(Images { iter: 2, images: images.to_vec() }),
+        // Any one changed byte of a resume's delta is refused by the
+        // worker's `Begin` — at decode, or at the fold's seal check — before
+        // anything is installed: its lowest bit, its highest or all of it
+        // flipped.
+        let (hosted, _) = &decoded[0];
+        let resume = &link.resumes[0].frame;
+        let fresh = Msg::Begin { source, hosted: hosted.clone(), resume: None }.frame();
+        let begin = |w: &mut WorkerRound<'_>, frame: &Frame| {
+            let msg = Msg::decode(frame, Some(&topo))?;
+            w.handle(msg, |_| Ok::<_, ProtocolError>(()))
         };
-        let one = begin(&captures[2][..1]).frame();
-        let list_at = begin(&[]).frame().payload_len() - 4;
-        for at in list_at..one.payload_len() {
-            let mut tampered = one.payload().to_vec();
-            tampered[at] ^= 0x10;
-            let tampered = Frame::new(one.kind, tampered);
-            let decoded = Msg::decode(&tampered, Some(&topo));
-            assert!(decoded.is_err(), "flip at byte {at} of {} went undetected", one.payload_len());
+        let mut w = WorkerRound::new(&dist, config, true);
+        begin(&mut w, &fresh).unwrap();
+        let before = digests(&w);
+        for (at, flip) in (fresh.payload_len()..resume.payload_len())
+            .flat_map(|at| [0x01, 0x80, 0xff].map(|flip| (at, flip)))
+        {
+            let mut tampered = resume.payload().to_vec();
+            tampered[at] ^= flip;
+            let refused = begin(&mut w, &Frame::new(kind::BEGIN, tampered)).is_err();
+            assert!(
+                refused && digests(&w) == before,
+                "flip {flip:#x} at byte {at} of {} went through, {cell}",
+                resume.payload_len()
+            );
         }
+        begin(&mut w, resume).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let hosts = |img: &&GpuStateImage| hosted.contains(&(img.gpu_flat as usize));
+        let want: Vec<_> = captures[2].iter().filter(hosts).cloned().collect();
+        assert_eq!(w.group().unwrap().capture(), want, "{cell}");
     }
 }
 
@@ -1473,23 +1495,25 @@ fn hostile_begins_are_typed_errors_that_install_nothing() {
     let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
     let sim = dist.run_with_parents(cell.source, &config).unwrap();
     let all: Vec<usize> = (0..8).collect();
-    // Sealed images of every GPU, as a resume would carry them.
-    let mut seeded = HostedGroup::new(&dist, &config, true, &all).unwrap();
-    seeded.seed_source(dist.separation(), cell.source);
-    let images = seeded.capture();
-    let begin = |hosted: &[usize], resume: Option<&[GpuStateImage]>| {
-        let resume = resume.map(|images| Images { iter: 2, images: images.to_vec() });
+    // A delta from 0 of every GPU entering superstep 2, as a resume would
+    // carry it.
+    let (_, deltas) = solo(&dist, &config, true, cell.source, &[2]);
+    let good = &deltas[0];
+    assert_eq!((good.base, good.iter, good.gpus.len()), (0, 2, 8));
+    let begin = |hosted: &[usize], resume: Option<StateDelta>| {
         Msg::Begin { source: cell.source, hosted: hosted.to_vec(), resume }.frame()
     };
-    let mut broken = begin(&all, Some(&images)).payload().to_vec();
-    *broken.last_mut().unwrap() ^= 1; // the last image's seal
+    let with = |gpus: &[_]| Some(StateDelta { gpus: gpus.to_vec(), ..good.clone() });
+    let mut broken = begin(&all, Some(good.clone())).payload().to_vec();
+    *broken.last_mut().unwrap() ^= 1; // the last GPU's seal
     let hostile = [
         ("a hosted flat outside the grid", begin(&[0, 1, 2, 3, 4, 5, 6, 7, 8], None)),
         ("a hosted flat repeated", begin(&[0, 1, 2, 3, 4, 5, 6, 7, 7], None)),
-        ("a resume that misses a hosted gpu", begin(&all, Some(&images[1..]))),
-        ("a resume that exceeds the hosted gpus", begin(&all[..7], Some(&images))),
-        ("a resume foreign to the hosted gpus", begin(&all[..7], Some(&images[1..]))),
+        ("a resume that misses a hosted gpu", begin(&all, with(&good.gpus[1..]))),
+        ("a resume that exceeds the hosted gpus", begin(&all[..7], with(&good.gpus))),
+        ("a resume foreign to the hosted gpus", begin(&all[..7], with(&good.gpus[1..]))),
         ("a broken seal", Frame::new(kind::BEGIN, broken)),
+        ("a resume from a base past 0", begin(&all, Some(StateDelta { base: 1, ..good.clone() }))),
     ];
     let mut link = InProcess::new(&dist, &config, 1);
     for (what, frame) in hostile {
