@@ -21,7 +21,7 @@
 //!   empty; one recovered by a spare leaves a full pool, which stays
 //!   warm), and when the pool is dropped.
 
-use super::protocol::{encode_worker_config, kind, setup_frame, Msg, Setup, PROTO_VERSION};
+use super::protocol::{self, encode_worker_config, setup_frame, Msg, Setup, PROTO_VERSION};
 use super::round::{Death, Heard, Link, ProcOutcome, Round};
 use super::transport::TransportError;
 use super::{hosted_flats, ProcError, ProcOptions, ProcReport};
@@ -410,8 +410,7 @@ impl Link for Coordinator {
     /// connection closed.
     fn send(&mut self, slot: usize, msg: &Msg<'_>) {
         let frame = msg.frame();
-        let resuming = matches!(msg, Msg::Begin { resume: Some(_), .. });
-        if self.write(slot, &frame).is_ok() && resuming {
+        if self.write(slot, &frame).is_ok() && protocol::carries_state(&frame) {
             self.report.state_bytes += frame.encoded_len() as u64;
         }
         let Some(kill) = self.opts.chaos.kill else { return };
@@ -435,7 +434,7 @@ impl Link for Coordinator {
             match event {
                 Event::Frame { slot, gen, frame } if gen == self.slots[slot].gen => {
                     self.report.wire_bytes += frame.encoded_len() as u64;
-                    if matches!(frame.kind, kind::CHECKPOINT_SAVE | kind::FINAL_STATE) {
+                    if protocol::carries_state(&frame) {
                         self.report.state_bytes += frame.encoded_len() as u64;
                     }
                     self.report.frames_received += 1;

@@ -45,27 +45,21 @@
 //! with [`ProcError::StepTimeout`], as one whose main thread hangs does.
 //! Idle workers wait between runs without a deadline, so a pool stays warm
 //! however long it idles; a worker that left while idle is found when the
-//! next run starts, which then runs on a fresh pool. Checkpoints are the
-//! sim's sealed [`GpuStateImage`](crate::checkpoint::GpuStateImage)s, but
-//! GPU state crosses the wire only as a
-//! [`StateDelta`](crate::checkpoint::StateDelta): workers ship each
-//! checkpoint as a delta since their last `Begin` or save, on the
-//! [`RecoveryConfig`](crate::recovery::RecoveryConfig) cadence, and keep
-//! no copy; the round folds the deltas into whole images, checked against
-//! the workers' seals, so its committed store is the only copy. `Begin` is
-//! the run's iteration-0 checkpoint, so none is shipped there, and
-//! [`ProcReport::checkpoints`] counts image commits only. The final state
-//! comes home as a delta from the same base.
-//! Recovery asks the sim's own decision,
+//! next run starts, which then runs on a fresh pool.
+//!
+//! Checkpoints are the sim's sealed
+//! [`GpuStateImage`](crate::checkpoint::GpuStateImage)s, taken where the
+//! sim takes them, at a superstep's barrier, on the
+//! [`RecoveryConfig`](crate::recovery::RecoveryConfig) cadence: each
+//! worker's `StepDone` carries its GPUs' state as a
+//! [`StateDelta`](crate::checkpoint::StateDelta) since its last `Begin` or
+//! save, which the round folds into the run's only copy. Recovery asks the
+//! sim's own decision,
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome),
 //! where the dead worker's partitions go — a freshly spawned spare process
-//! (the topology's
-//! [`num_spares`](gcbfs_cluster::topology::Topology::num_spares)) or, in
-//! degraded mode, the least-loaded survivor — then sends every live worker
-//! one more `Begin`, naming the GPUs it now hosts with their committed
-//! images as a delta from iteration 0, which the worker folds onto its
-//! all-unreached state with the same fold, and resumes the superstep loop
-//! at the commit.
+//! or, in degraded mode, the least-loaded survivor — then sends every live
+//! worker one more `Begin` naming the GPUs it now hosts, with their
+//! committed images as a delta from iteration 0, and resumes at the commit.
 
 pub mod protocol;
 pub mod round;
@@ -185,8 +179,9 @@ pub struct ProcReport {
     /// of the graph, the topology, the config and the recovery taken.
     pub wire_bytes: u64,
     /// The part of [`Self::wire_bytes`] that moved GPU state rather than a
-    /// superstep: the `CheckpointSave` and `FinalState` frames, whole, and
-    /// every `Begin` that carried a resume (its delta from iteration 0).
+    /// superstep: the frames [`protocol::carries_state`] names, whole —
+    /// every `StepDone` that carried a save, every `FinalState`, and every
+    /// `Begin` that carried a resume (its delta from iteration 0).
     pub state_bytes: u64,
     /// Data frames the coordinator sent.
     pub frames_sent: u64,

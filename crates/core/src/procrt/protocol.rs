@@ -21,18 +21,18 @@
 //! | `0x04` | [`Msg::Begin`] | C → W | source `u64`; hosted flats (`u32` list); resume flag `u8`, then, when 1, a delta from iteration 0 | [`WorkerRound`](super::worker::WorkerRound) |
 //! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin_on` |
 //! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
-//! | `0x14` | [`Msg::CheckpointSave`] | W → C | delta | round `gather` (folded, staged) |
 //! | `0x11` | [`Msg::StepLocal`] | W → C | exchange | round `route` |
 //! | `0x12` | [`Msg::StepRemote`] | C → W | exchange | `WorkerRound` |
-//! | `0x13` | [`Msg::StepDone`] | W → C | stats | round superstep barrier |
+//! | `0x13` | [`Msg::StepDone`] | W → C | stats; save flag `u8`, then, when 1, a delta since the last `Begin` or save | round superstep barrier (saves folded, committed) |
 //! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
 //! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, delta | round `finish` (folded) |
 //! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process |
 //! | `0x42` | [`Msg::Bye`] | W → C | empty | none: teardown waits for the exit |
 //!
-//! A run is `Begin` → `Ready`, then per superstep `StepGo` →
-//! (`CheckpointSave`, on the checkpoint cadence) `StepLocal` →
-//! `StepRemote` → `StepDone`, then `Finish` → `FinalState`. `Begin` names
+//! A run is `Begin` → `Ready`, then per superstep `StepGo` → `StepLocal`
+//! → `StepRemote` → `StepDone`, then `Finish` → `FinalState`. On the
+//! checkpoint cadence `StepGo k` asks for the state entering `k + 1`, which
+//! `StepDone k` carries: a checkpoint is taken at the barrier. `Begin` names
 //! the GPUs the worker hosts and is the run's iteration-0 checkpoint: the
 //! state entering superstep 0 follows from the source alone, so no image
 //! is saved there. A recovery is one more `Begin` → `Ready` round on every
@@ -96,7 +96,7 @@ use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 9;
+pub const PROTO_VERSION: u32 = 10;
 
 /// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
@@ -116,8 +116,6 @@ pub mod kind {
     pub const STEP_REMOTE: u8 = 0x12;
     /// [`Msg::StepDone`](super::Msg::StepDone).
     pub const STEP_DONE: u8 = 0x13;
-    /// [`Msg::CheckpointSave`](super::Msg::CheckpointSave).
-    pub const CHECKPOINT_SAVE: u8 = 0x14;
     /// [`Msg::Finish`](super::Msg::Finish).
     pub const FINISH: u8 = 0x30;
     /// [`Msg::FinalState`](super::Msg::FinalState).
@@ -183,7 +181,8 @@ pub enum Msg<'a> {
     StepGo {
         /// The superstep.
         iter: u32,
-        /// Save the hosted GPUs' state first (`CheckpointSave`).
+        /// Save the hosted GPUs' state entering the next superstep in this
+        /// one's `StepDone`.
         checkpoint: bool,
     },
     /// The hosted ranks' mask contributions (none when no hosted bit
@@ -192,11 +191,15 @@ pub enum Msg<'a> {
     /// The other workers' mask contributions, relayed unopened, and the
     /// blocks for the worker's GPUs.
     StepRemote(Exchange<'a>),
-    /// The superstep barrier (the next frontier's statistics).
-    StepDone(Stats),
-    /// The hosted GPUs' state at a checkpoint, as a delta since the
-    /// worker's last `Begin` or save.
-    CheckpointSave(StateDelta),
+    /// The superstep barrier.
+    StepDone {
+        /// The next frontier's statistics.
+        stats: Stats,
+        /// When its `StepGo` asked for a checkpoint, the hosted GPUs'
+        /// state entering the next superstep, as a delta since the
+        /// worker's last `Begin` or save.
+        save: Option<StateDelta>,
+    },
     /// The traversal finished: ship the final state.
     Finish,
     /// The end of a traversal; the worker then waits for the next `Begin`
@@ -266,8 +269,7 @@ impl Msg<'_> {
             Self::StepGo { .. } => kind::STEP_GO,
             Self::StepLocal(_) => kind::STEP_LOCAL,
             Self::StepRemote(_) => kind::STEP_REMOTE,
-            Self::StepDone(_) => kind::STEP_DONE,
-            Self::CheckpointSave(_) => kind::CHECKPOINT_SAVE,
+            Self::StepDone { .. } => kind::STEP_DONE,
             Self::Finish => kind::FINISH,
             Self::FinalState { .. } => kind::FINAL_STATE,
             Self::Shutdown => kind::SHUTDOWN,
@@ -279,9 +281,8 @@ impl Msg<'_> {
     pub fn iter(&self) -> Option<u32> {
         match self {
             Self::StepGo { iter, .. } => Some(*iter),
-            Self::Ready(s) | Self::StepDone(s) => Some(s.iter),
+            Self::Ready(s) | Self::StepDone { stats: s, .. } => Some(s.iter),
             Self::StepLocal(x) | Self::StepRemote(x) => Some(x.iter),
-            Self::CheckpointSave(d) => Some(d.iter),
             _ => None,
         }
     }
@@ -302,19 +303,19 @@ impl Msg<'_> {
                 w.u64(*source);
                 w.u32(hosted.len() as u32);
                 hosted.iter().for_each(|&f| w.u32(f as u32));
-                w.u8(resume.is_some() as u8);
-                if let Some(d) = resume {
-                    w.delta(d);
-                }
+                w.optional_delta(resume.as_ref());
             }
             Self::StepGo { iter, checkpoint } => {
                 w.u32(*iter);
                 w.u8(*checkpoint as u8);
             }
-            Self::Ready(s) | Self::StepDone(s) => {
+            Self::Ready(s) | Self::StepDone { stats: s, .. } => {
                 w.u32(s.iter);
                 w.u64(s.frontier);
                 w.u64(s.new_delegates);
+                if let Self::StepDone { save, .. } = self {
+                    w.optional_delta(save.as_ref());
+                }
             }
             Self::StepLocal(x) | Self::StepRemote(x) => {
                 w.u32(x.iter);
@@ -330,7 +331,6 @@ impl Msg<'_> {
                     w.body(&b.body, u32::to_le_bytes);
                 }
             }
-            Self::CheckpointSave(d) => w.delta(d),
             Self::FinalState { duplicates_ignored, state } => {
                 w.u64(*duplicates_ignored);
                 w.delta(state);
@@ -377,14 +377,15 @@ impl<'a> Msg<'a> {
                 Self::Begin {
                     source: r.u64()?,
                     hosted: r.list(u32::from_le_bytes)?.into_iter().map(|f| f as usize).collect(),
-                    resume: if r.flag()? { Some(r.delta(topo)?) } else { None },
+                    resume: r.optional_delta(topo)?,
                 }
             }
             kind::STEP_GO => Self::StepGo { iter: r.u32()?, checkpoint: r.flag()? },
             kind::STEP_LOCAL => Self::StepLocal(r.exchange(grid()?)?),
             kind::STEP_REMOTE => Self::StepRemote(r.exchange(grid()?)?),
-            kind::STEP_DONE => Self::StepDone(r.stats()?),
-            kind::CHECKPOINT_SAVE => Self::CheckpointSave(r.delta(grid()?)?),
+            kind::STEP_DONE => {
+                Self::StepDone { stats: r.stats()?, save: r.optional_delta(grid()?)? }
+            }
             kind::FINISH => Self::Finish,
             kind::FINAL_STATE => {
                 let duplicates_ignored = r.u64()?;
@@ -397,6 +398,20 @@ impl<'a> Msg<'a> {
         r.expect_end()?;
         Ok(msg)
     }
+}
+
+/// Whether `frame` moves GPU state rather than a superstep: a `StepDone`
+/// with a save, a `FinalState`, or a `Begin` with a resume. Reads the
+/// body only up to the flag; a body too short to hold it carries none.
+pub fn carries_state(frame: &Frame) -> bool {
+    let mut r = WireReader { bytes: frame.payload(), at: 0 };
+    let before_flag = match frame.kind {
+        kind::FINAL_STATE => return true,
+        kind::STEP_DONE => r.stats().map(drop),
+        kind::BEGIN => r.u64().and_then(|_| r.list(u32::from_le_bytes)).map(drop),
+        _ => return false,
+    };
+    before_flag.and_then(|()| r.flag()).unwrap_or(false)
 }
 
 /// The `Setup` frame of `head` with `graph` in place of `head.graph`,
@@ -587,6 +602,14 @@ impl WireWriter {
         }
     }
 
+    /// A flag, then, when 1, the delta.
+    fn optional_delta(&mut self, d: Option<&StateDelta>) {
+        self.u8(d.is_some() as u8);
+        if let Some(d) = d {
+            self.delta(d);
+        }
+    }
+
     /// A `Setup` body up to its graph.
     fn setup_head(&mut self, s: &Setup<'_>) {
         self.u32(s.topo.num_ranks());
@@ -767,16 +790,26 @@ impl<'a> WireReader<'a> {
         Ok(Exchange { iter, contributions: Cow::Owned(contributions), blocks })
     }
 
+    /// A [`WireWriter::optional_delta`] on `topo`.
+    fn optional_delta(&mut self, topo: &Topology) -> Result<Option<StateDelta>, ProtocolError> {
+        self.flag()?.then(|| self.delta(topo)).transpose()
+    }
+
     /// A delta for a grid of `topo`'s GPUs: each GPU inside it and listed
     /// once, every level decoded.
     fn delta(&mut self, topo: &Topology) -> Result<StateDelta, ProtocolError> {
         let (base, iter, track_parents) = (self.u32()?, self.u32()?, self.flag()?);
         let delegates = self.levels()?;
-        let n = self.u32()? as usize;
-        let mut gpus: Vec<GpuDelta> = Vec::with_capacity(gpu_count(n, topo, "gpu deltas")?);
+        let (n, p) = (self.u32()?, topo.num_gpus());
+        if n > p {
+            return Err(ProtocolError::new(format!("{n} gpu deltas for {p} gpus")));
+        }
+        let mut gpus: Vec<GpuDelta> = Vec::with_capacity(n as usize);
         for _ in 0..n {
             let gpu_flat = self.u32()?;
-            gpu_in_place(gpu_flat, topo, gpus.iter().map(|g| g.gpu_flat), "delta")?;
+            if gpu_flat >= p || gpus.iter().any(|g| g.gpu_flat == gpu_flat) {
+                return Err(ProtocolError::new(format!("delta for gpu {gpu_flat} out of place")));
+            }
             let directions = [self.direction()?, self.direction()?, self.direction()?];
             let levels = self.levels()?;
             let frontier = self.list(u32::from_le_bytes)?;
@@ -862,28 +895,6 @@ fn encode_level(ids: &[u32], out: &mut Vec<u8>) {
     select_frontier_codec(ids).encode_into(ids, out).expect("a level is strictly ascending");
 }
 
-/// `n` GPU entries, refused when the grid has fewer GPUs.
-fn gpu_count(n: usize, topo: &Topology, what: &str) -> Result<usize, ProtocolError> {
-    let p = topo.num_gpus() as usize;
-    if n > p {
-        return Err(ProtocolError::new(format!("{n} {what} for {p} gpus")));
-    }
-    Ok(n)
-}
-
-/// Refuses `flat` outside the grid or among the flats already `seen`.
-fn gpu_in_place(
-    flat: u32,
-    topo: &Topology,
-    mut seen: impl Iterator<Item = u32>,
-    what: &str,
-) -> Result<(), ProtocolError> {
-    if flat >= topo.num_gpus() || seen.any(|f| f == flat) {
-        return Err(ProtocolError::new(format!("{what} for gpu {flat} out of place")));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,8 +925,9 @@ mod tests {
         }
     }
 
-    /// One message of every kind, and `Begin` with and without a resume (a
-    /// delta from iteration 0), on a 2 × 2 grid.
+    /// One message of every kind, `Begin` with and without a resume (a
+    /// delta from iteration 0) and `StepDone` with and without a save, on a
+    /// 2 × 2 grid.
     fn one_of_each<'a>(config: &'a [u8], graph: &'a [u8]) -> Vec<Msg<'a>> {
         let stats = Stats { iter: 3, frontier: 17, new_delegates: 2 };
         let varint = FrontierCodec::VarintDelta.encode(&[2, 4, 4, 10]).unwrap();
@@ -945,9 +957,9 @@ mod tests {
             Msg::StepGo { iter: 3, checkpoint: true },
             Msg::StepLocal(exchange.clone()),
             Msg::StepRemote(Exchange { contributions: Cow::Owned(Vec::new()), ..exchange }),
-            Msg::StepDone(stats),
-            Msg::CheckpointSave(sample_delta(true)),
-            Msg::CheckpointSave(sample_delta(false)),
+            Msg::StepDone { stats, save: None },
+            Msg::StepDone { stats, save: Some(sample_delta(true)) },
+            Msg::StepDone { stats, save: Some(sample_delta(false)) },
             Msg::Finish,
             Msg::FinalState { duplicates_ignored: 2, state: sample_delta(true) },
             Msg::Shutdown,
@@ -961,7 +973,7 @@ mod tests {
         let config = encode_worker_config(&BfsConfig::new(16), true);
         let msgs = one_of_each(&config, b"graph bytes");
         let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(Msg::kind).collect();
-        assert_eq!(kinds.len(), 13, "one message of every kind");
+        assert_eq!(kinds.len(), 12, "one message of every kind");
         for msg in &msgs {
             let frame = msg.frame();
             assert_eq!(frame.kind, msg.kind());
@@ -974,17 +986,31 @@ mod tests {
             let long = Frame::new(frame.kind, [body, &[0]].concat());
             let err = Msg::decode(&long, Some(&topo)).unwrap_err();
             assert!(err.detail.contains("1 trailing bytes"), "{msg:?}: {err}");
-            // A body that names GPUs or ranks needs the grid.
+            // A body that names GPUs or ranks, or may (a `StepDone`, by its
+            // save), needs the grid.
             let needs_grid = matches!(
                 msg,
                 Msg::Begin { .. }
                     | Msg::StepLocal(_)
                     | Msg::StepRemote(_)
-                    | Msg::CheckpointSave(_)
+                    | Msg::StepDone { .. }
                     | Msg::FinalState { .. }
             );
             assert_eq!(Msg::decode(&frame, None).is_err(), needs_grid, "{msg:?}");
+            let state = matches!(
+                msg,
+                Msg::Begin { resume: Some(_), .. }
+                    | Msg::StepDone { save: Some(_), .. }
+                    | Msg::FinalState { .. }
+            );
+            assert_eq!(carries_state(&frame), state, "{msg:?}");
         }
+        // A save flag other than 0 or 1 is typed.
+        let done = Msg::StepDone { stats: Stats::default(), save: None }.frame();
+        let mut bad = done.payload().to_vec();
+        bad[20] = 2;
+        let err = Msg::decode(&Frame::new(kind::STEP_DONE, bad), Some(&topo)).unwrap_err();
+        assert_eq!(err.detail, "flag byte 2 is not 0 or 1");
         // 0x40, the retired heartbeat's kind, is as unknown as any other.
         for k in [0x40, 0x7f] {
             let unknown = Frame::new(k, Vec::new());
@@ -1047,10 +1073,15 @@ mod tests {
         }
     }
 
-    /// A `CheckpointSave` frame of `delta` on a 2 × 2 grid, decoded.
-    fn read_delta(frame: &Frame) -> Result<StateDelta, ProtocolError> {
-        match Msg::decode(frame, Some(&Topology::new(2, 2)))? {
-            Msg::CheckpointSave(d) => Ok(d),
+    /// A `StepDone` frame saving `delta`.
+    fn save(delta: StateDelta) -> Frame {
+        Msg::StepDone { stats: Stats::default(), save: Some(delta) }.frame()
+    }
+
+    /// A `StepDone` body with a save on a 2 × 2 grid, decoded to its save.
+    fn read_delta(body: Vec<u8>) -> Result<StateDelta, ProtocolError> {
+        match Msg::decode(&Frame::new(kind::STEP_DONE, body), Some(&Topology::new(2, 2)))? {
+            Msg::StepDone { save: Some(d), .. } => Ok(d),
             other => panic!("not a save: {other:?}"),
         }
     }
@@ -1058,44 +1089,46 @@ mod tests {
     #[test]
     fn deltas_refuse_foreign_repeated_or_surplus_gpus_and_broken_levels() {
         let good = sample_delta(false);
-        assert_eq!(read_delta(&Msg::CheckpointSave(good.clone()).frame()).unwrap(), good);
+        assert_eq!(read_delta(save(good.clone()).payload().to_vec()).unwrap(), good);
         let with = |gpus: Vec<u32>| {
             let mut d = good.clone();
             d.gpus = gpus
                 .into_iter()
                 .map(|f| GpuDelta { gpu_flat: f, ..good.gpus[0].clone() })
                 .collect();
-            Msg::CheckpointSave(d).frame()
+            save(d).payload().to_vec()
         };
         for (gpus, detail) in [
             (vec![4], "delta for gpu 4 out of place"),
             (vec![1, 1], "delta for gpu 1 out of place"),
             (vec![0, 1, 2, 3, 0], "5 gpu deltas for 4 gpus"),
         ] {
-            assert_eq!(read_delta(&with(gpus)).unwrap_err().detail, detail);
+            assert_eq!(read_delta(with(gpus)).unwrap_err().detail, detail);
         }
-        // The first delegate level's body starts after base, iteration,
-        // flag, level count, depth and length (4 + 4 + 1 + 4 + 4 + 4): a
-        // one-id Raw32 body, header (5) then the id.
-        let frame = Msg::CheckpointSave(good.clone()).frame();
+        // The delta starts after the stats (20) and the save flag (1). Its
+        // first delegate level's length sits after base, iteration, flag,
+        // level count and depth (4 + 4 + 1 + 4 + 4), then comes a one-id
+        // Raw32 body, header (5) then the id.
+        let (len_at, body_at) = (21 + 17, 21 + 21);
+        let frame = save(good.clone());
         let mut unknown = frame.payload().to_vec();
-        unknown[21] = 0x7f;
-        let err = read_delta(&Frame::new(kind::CHECKPOINT_SAVE, unknown)).unwrap_err();
+        unknown[body_at] = 0x7f;
+        let err = read_delta(unknown).unwrap_err();
         assert!(err.detail.starts_with("level 4: unknown codec tag"), "{err}");
         // The same id under the raw-fallback flag decodes alike, but is not
         // the body the writer makes.
         let mut fallback = frame.payload().to_vec();
-        fallback[21] |= 0x80;
-        let err = read_delta(&Frame::new(kind::CHECKPOINT_SAVE, fallback)).unwrap_err();
-        assert_eq!(err.detail, "level 4 is not canonical");
+        fallback[body_at] |= 0x80;
+        assert_eq!(read_delta(fallback).unwrap_err().detail, "level 4 is not canonical");
         let mut unsorted = frame.payload().to_vec();
         // Raw32 over [3, 1]: a two-id body replaces the one-id one.
         let mut body = Vec::new();
         FrontierCodec::Raw32.encode_into(&[3, 1], &mut body).unwrap();
-        unsorted
-            .splice(17..17 + 4 + 9, [(body.len() as u32).to_le_bytes().to_vec(), body].concat());
-        let err = read_delta(&Frame::new(kind::CHECKPOINT_SAVE, unsorted)).unwrap_err();
-        assert_eq!(err.detail, "level 4 is not strictly ascending");
+        unsorted.splice(
+            len_at..len_at + 4 + 9,
+            [(body.len() as u32).to_le_bytes().to_vec(), body].concat(),
+        );
+        assert_eq!(read_delta(unsorted).unwrap_err().detail, "level 4 is not strictly ascending");
     }
 
     #[test]

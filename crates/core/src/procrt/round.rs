@@ -5,7 +5,7 @@
 //! latest frontier counts, the checkpoint store — and drives the run
 //! sequence of the frame table in [`super::protocol`]: `Begin` → `Ready`,
 //! the superstep loop (`StepGo`, the `route` relay, `StepRemote`) and its
-//! termination, the checkpoint cadence with staging and commit, recovery
+//! termination, the checkpoint cadence and commit, recovery
 //! (the [`RecoveryConfig::rehome`] decision, placement and one more
 //! `Begin` round), and `Finish` with the assembly of depths and parents.
 //!
@@ -19,16 +19,18 @@
 //! chooses.
 //!
 //! `Begin` is the run's committed iteration-0 checkpoint: the state
-//! entering superstep 0 follows from the source alone, so
-//! [`RecoveryConfig::checkpoint_due`] asks for no save there; the store
-//! entering it holds an all-unreached (unsealed) image per GPU. A worker's
-//! save is a [`StateDelta`] since its last `Begin` or save, whose base must
-//! be the commit: the round folds it onto the committed images, the fold
-//! must reproduce the seal the worker took, and the whole images are
-//! staged. An image checkpoint is the run's only copy: it commits once
-//! every GPU's image for its iteration was staged, so a death racing the
-//! capture falls back to the previous commit. The final state folds the
-//! same way before assembly. Recovery has one path, whenever the death
+//! entering superstep 0 follows from the source alone, so no save is asked
+//! for there; the store entering it holds an all-unreached (unsealed)
+//! image per GPU. Every other checkpoint is taken at a superstep's barrier,
+//! when [`RecoveryConfig::checkpoint_due`] holds for the next superstep:
+//! each `StepDone` carries a save, a [`StateDelta`] since the worker's last
+//! `Begin` or save whose base must be the commit. The round folds each onto
+//! the committed images as it gathers the barrier (the fold must reproduce
+//! the worker's seal) and commits once the barrier completes; a death
+//! aborts the superstep and its saves together. So the store is the run's
+//! only copy, and where a death resumes depends only on the superstep it
+//! happens in. The final state folds and collects the same way before
+//! assembly. Recovery has one path, whenever the death
 //! and wherever its GPUs go: re-home them, send every live worker a `Begin`
 //! naming the GPUs it hosts from then on (with their committed images as a
 //! delta from iteration 0, once there are any), and resume at the commit.
@@ -37,14 +39,13 @@
 use super::protocol::{kind, Exchange, Msg, ProtocolError, Stats};
 use super::{ProcError, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
-use crate::checkpoint::{GpuStateImage, StateDelta};
+use crate::checkpoint::{GpuDelta, GpuStateImage, StateDelta};
 use crate::recovery::{RecoveryConfig, RecoveryMode};
 use crate::separation::Separation;
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::Frame;
 use gcbfs_graph::VertexId;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -130,8 +131,6 @@ pub struct Round {
     /// Deltas fold onto it.
     cp_iter: u32,
     cp_store: Vec<GpuStateImage>,
-    /// Uncommitted saves: iter -> gpu_flat -> image.
-    staged: HashMap<u32, HashMap<u32, GpuStateImage>>,
     spares_left: u32,
     report: ProcReport,
 }
@@ -173,7 +172,6 @@ impl Round {
             iter: 0,
             cp_iter: 0,
             cp_store,
-            staged: HashMap::new(),
             spares_left: topo.num_spares(),
             report,
         }
@@ -237,17 +235,17 @@ impl Round {
             link.send(slot, &Msg::Begin { source: self.source, hosted, resume });
         }
         owed.extend(live);
-        self.gather(link, owed, kind::READY, self.cp_iter, Self::record_stats)
+        self.gather(link, owed, kind::READY, self.cp_iter, |_, _, _| Ok(()))
     }
 
     /// The one collection loop: waits until every entry of `pending` is
     /// matched by one `accept`-kind frame of iteration `iter` (or of none,
-    /// for a kind that carries none) from its slot, in order, and hands
-    /// each to `on`, within one step timeout. On the way it stages
-    /// checkpoint saves; any other frame is stale — a survivor's from a
-    /// superstep a recovery aborted, or a dead slot's — and skipped.
-    /// Returns the first death confirmed instead, if any, with `pending`
-    /// left holding the entries not yet matched.
+    /// for a kind that carries none) from its slot, in order, records the
+    /// frontier counts of a `Ready` or `StepDone`, and hands each to `on`,
+    /// within one step timeout. Any other frame is stale — a
+    /// survivor's from a superstep a recovery aborted, or a dead slot's —
+    /// and skipped. Returns the first death confirmed instead, if any, with
+    /// `pending` left holding the entries not yet matched.
     ///
     /// # Errors
     /// `StepTimeout` at the deadline, at the run's superstep; a malformed
@@ -270,59 +268,69 @@ impl Round {
             if self.stats[slot].is_none() {
                 continue;
             }
-            let at = pending.iter().position(|&s| s == slot);
-            match Msg::decode(&frame, Some(&self.topo))? {
-                Msg::CheckpointSave(delta) => self.stage_checkpoint(slot, &delta)?,
-                msg if frame.kind == accept && msg.iter().is_none_or(|i| i == iter) => {
-                    if let Some(at) = at {
-                        pending.remove(at);
-                        on(self, slot, msg)?;
-                    }
+            let msg = Msg::decode(&frame, Some(&self.topo))?;
+            if frame.kind != accept || msg.iter().is_some_and(|i| i != iter) {
+                continue;
+            }
+            if let Some(at) = pending.iter().position(|&s| s == slot) {
+                pending.remove(at);
+                if let Msg::Ready(s) | Msg::StepDone { stats: s, .. } = msg {
+                    self.stats[slot] = Some(s);
                 }
-                _ => {}
+                on(self, slot, msg)?;
             }
         }
         Ok(None)
     }
 
-    /// Records a slot's frontier statistics (`Ready`, `StepDone`).
-    fn record_stats(&mut self, slot: usize, msg: Msg<'_>) -> Result<(), ProcError> {
-        if let Msg::Ready(s) | Msg::StepDone(s) = msg {
-            self.stats[slot] = Some(s);
+    /// Folds the `state` `slot` sent — of GPUs it hosts, as a delta since
+    /// the commit entering `due`, or none when `due` is `None` — onto the
+    /// committed store, adding the whole images to `folded`. Nothing is
+    /// committed here.
+    ///
+    /// # Errors
+    /// State where none was due or none where some was, another
+    /// iteration, a GPU the sender does not host, or a delta that does not
+    /// fold ([`StateDelta::fold`]).
+    fn fold(
+        &self,
+        slot: usize,
+        state: Option<StateDelta>,
+        due: Option<u32>,
+        folded: &mut Vec<GpuStateImage>,
+    ) -> Result<(), ProtocolError> {
+        let refuse = |what| Err(ProtocolError::new(format!("worker {slot} sent {what}")));
+        let state = match (state, due) {
+            (None, None) => return Ok(()),
+            (Some(state), Some(iter)) if state.iter == iter => state,
+            (state, due) => {
+                let [sent, due] = [state.map(|d| d.iter), due].map(|i| {
+                    i.map_or("no state".into(), |i| format!("the state entering iteration {i}"))
+                });
+                return refuse(format!("{sent} where {due} was due"));
+            }
+        };
+        let foreign = |g: &&GpuDelta| self.hosting_of.get(g.gpu_flat as usize) != Some(&slot);
+        if let Some(g) = state.gpus.iter().find(foreign) {
+            return refuse(format!("the state of gpu {}, which it does not host", g.gpu_flat));
         }
+        folded.extend(state.fold(self.cp_iter, &self.cp_store)?);
         Ok(())
     }
 
-    /// Folds one worker's checkpoint delta onto the committed store and
-    /// stages the images; commits the checkpoint once every flat GPU's
-    /// image for that iteration was staged. A stale save from an aborted
-    /// superstep covers a subset of the sender's GPUs, and may be heard
-    /// after the recovery began: its images are the replay's, so it stages
-    /// like any other. A save at or before the commit is skipped — a stale
-    /// save's images and the replayed ones may have committed it already.
+    /// The whole grid's images out of the workers' folds of one barrier,
+    /// by flat. Hosts partition the grid, so with every image of a GPU its
+    /// sender hosts, one per GPU means every GPU's.
     ///
     /// # Errors
-    /// A delta of a GPU the sender does not host, or one past the commit
-    /// that does not fold ([`StateDelta::fold`]); nothing is staged then.
-    fn stage_checkpoint(&mut self, slot: usize, delta: &StateDelta) -> Result<(), ProcError> {
-        check_hosts(&self.hosting_of, slot, delta.gpus.iter().map(|g| g.gpu_flat), "saved")?;
-        if delta.iter <= self.cp_iter {
-            return Ok(());
-        }
-        let images = delta.fold(self.cp_iter, &self.cp_store)?;
+    /// Not one image per GPU.
+    fn collect(&self, mut folded: Vec<GpuStateImage>) -> Result<Vec<GpuStateImage>, ProtocolError> {
         let p = self.topo.num_gpus() as usize;
-        let entry = self.staged.entry(delta.iter).or_default();
-        entry.extend(images.into_iter().map(|img| (img.gpu_flat, img)));
-        if entry.len() == p {
-            let images = self.staged.remove(&delta.iter).expect("staged entry exists");
-            let mut images: Vec<_> = images.into_values().collect();
-            images.sort_unstable_by_key(|img| img.gpu_flat);
-            self.cp_store = images;
-            self.cp_iter = delta.iter;
-            self.staged.retain(|&i, _| i > delta.iter);
-            self.report.checkpoints += 1;
+        if folded.len() != p {
+            return Err(ProtocolError::new(format!("state of {} of {p} gpus", folded.len())));
         }
-        Ok(())
+        folded.sort_unstable_by_key(|img| img.gpu_flat);
+        Ok(folded)
     }
 
     fn alive_slots(&self) -> Vec<usize> {
@@ -334,10 +342,15 @@ impl Round {
         (0..self.hosting_of.len()).filter(|&f| self.hosting_of[f] == slot).collect()
     }
 
-    /// One superstep. `Ok(None)` means it committed; `Ok(Some(death))`
-    /// that a death confirmed first aborted it.
+    /// One superstep, and the checkpoint entering the next when one is
+    /// due. `Ok(None)` means it committed; `Ok(Some(death))` that a death
+    /// confirmed first aborted it, saves and all.
+    ///
+    /// # Errors
+    /// As [`Self::gather`]; a save that was not due or does not fold
+    /// ([`Self::fold`]). Nothing is committed then.
     fn superstep(&mut self, link: &mut impl Link, iter: u32) -> Collected {
-        let checkpoint = self.recovery.checkpoint_due(iter, Some(self.cp_iter));
+        let checkpoint = self.recovery.checkpoint_due(iter + 1, Some(self.cp_iter));
         let go = Msg::StepGo { iter, checkpoint };
         self.alive_slots().into_iter().for_each(|slot| link.send(slot, &go));
 
@@ -357,7 +370,18 @@ impl Round {
         for (slot, remote) in remotes.filter_map(|(slot, x)| Some((slot, x?))) {
             link.send(slot, &Msg::StepRemote(remote));
         }
-        self.gather(link, &mut self.alive_slots(), kind::STEP_DONE, iter, Self::record_stats)
+        let mut saved = Vec::new();
+        let on_done = |round: &mut Self, slot: usize, msg: Msg<'_>| {
+            let Msg::StepDone { save, .. } = msg else { return Ok(()) };
+            Ok(round.fold(slot, save, checkpoint.then_some(iter + 1), &mut saved)?)
+        };
+        let dead = self.gather(link, &mut self.alive_slots(), kind::STEP_DONE, iter, on_done)?;
+        if dead.is_none() && checkpoint {
+            self.cp_store = self.collect(saved)?;
+            self.cp_iter = iter + 1;
+            self.report.checkpoints += 1;
+        }
+        Ok(dead)
     }
 
     /// Recovery of a confirmed death at the run's superstep: re-home the
@@ -375,9 +399,6 @@ impl Round {
         let confirmed_at = Instant::now();
         let dead = death.slot;
         self.stats[dead] = None;
-        // Saves staged past the commit belong to the aborted timeline; the
-        // replay re-captures them.
-        self.staged.clear();
         let survivors = self.alive_slots();
         let iter = self.iter;
         let unrecoverable = |slot: usize| ProcError::Unrecoverable { worker: slot as u32, iter };
@@ -415,10 +436,8 @@ impl Round {
     /// depths (and parents, when tracked).
     fn finish(mut self, link: &mut impl Link) -> Result<ProcOutcome, ProcError> {
         self.alive_slots().into_iter().for_each(|slot| link.send(slot, &Msg::Finish));
-        // Hosts partition the grid, so with every image of a GPU its sender
-        // hosts, one per GPU means every GPU's.
         let iterations = self.report.iterations;
-        let mut images = Vec::new();
+        let mut folded = Vec::new();
         let dead = self.gather(
             link,
             &mut self.alive_slots(),
@@ -426,17 +445,8 @@ impl Round {
             0,
             |round, slot, msg| {
                 if let Msg::FinalState { duplicates_ignored, state } = msg {
-                    let flats = state.gpus.iter().map(|g| g.gpu_flat);
-                    check_hosts(&round.hosting_of, slot, flats, "sent the final state of")?;
-                    if state.iter != iterations {
-                        let detail = format!(
-                            "worker {slot} sent the state entering iteration {}, not {iterations}",
-                            state.iter
-                        );
-                        return Err(ProtocolError::new(detail).into());
-                    }
                     round.report.duplicate_frames_ignored += duplicates_ignored;
-                    images.extend(state.fold(round.cp_iter, &round.cp_store)?);
+                    round.fold(slot, Some(state), Some(iterations), &mut folded)?;
                 }
                 Ok(())
             },
@@ -444,12 +454,7 @@ impl Round {
         if let Some(death) = dead {
             return Err(ProcError::Unrecoverable { worker: death.slot as u32, iter: self.iter });
         }
-        let p = self.topo.num_gpus() as usize;
-        if images.len() != p {
-            let detail = format!("final state of {} of {p} gpus", images.len());
-            return Err(ProtocolError::new(detail).into());
-        }
-        images.sort_unstable_by_key(|img| img.gpu_flat);
+        let images = self.collect(folded)?;
         let views: Vec<GpuStateView<'_>> = images.iter().map(|img| img.view()).collect();
         let (topo, sep) = (&self.topo, &*self.separation);
         let depths = assemble_depths(topo, sep, sep.num_vertices(), &views);
@@ -457,22 +462,6 @@ impl Round {
             assemble_parents(topo, sep, self.source, sep.num_vertices(), &views, &depths).0
         });
         Ok(ProcOutcome { depths, parents, report: self.report })
-    }
-}
-
-/// Refuses state from `slot` (`what` it did with it) of a GPU among
-/// `flats` that `hosting_of` does not map to it.
-fn check_hosts(
-    hosting_of: &[usize],
-    slot: usize,
-    mut flats: impl Iterator<Item = u32>,
-    what: &str,
-) -> Result<(), ProtocolError> {
-    match flats.find(|&f| hosting_of.get(f as usize) != Some(&slot)) {
-        Some(flat) => Err(ProtocolError::new(format!(
-            "worker {slot} {what} gpu {flat}, which it does not host"
-        ))),
-        None => Ok(()),
     }
 }
 
@@ -527,6 +516,7 @@ mod tests {
     use crate::comm::Block;
     use gcbfs_cluster::collectives::MaskContribution;
     use gcbfs_compress::WireBody;
+    use std::collections::VecDeque;
 
     /// 2 × 2 grid, one rank per slot.
     const HOSTING_OF: [usize; 4] = [0, 0, 1, 1];
@@ -569,13 +559,143 @@ mod tests {
         }
     }
 
+    /// A link whose worker frames are scripted: `next` hears them in
+    /// order, then nothing; what the round sends is dropped.
+    struct Script(VecDeque<Heard>);
+
+    impl Link for Script {
+        fn send(&mut self, _: usize, _: &Msg<'_>) {}
+
+        fn next(&mut self, _: Instant) -> Result<Option<Heard>, ProcError> {
+            Ok(self.0.pop_front())
+        }
+
+        fn replace(&mut self, _: usize) -> Result<(), ProcError> {
+            unreachable!("no death is recovered here")
+        }
+    }
+
+    /// A fresh round on a 2 × 2 grid of 16 isolated vertices, slot `s`
+    /// hosting rank `s`, checkpointing every fourth superstep.
+    fn round() -> Round {
+        let separation = Arc::new(Separation::from_degrees(&[0; 16], 4));
+        let hosted = [vec![0, 1], vec![2, 3]];
+        let recovery = RecoveryConfig::default();
+        Round::new(Topology::new(2, 2), separation, &hosted, 0, false, recovery, Duration::ZERO)
+    }
+
+    /// A save of `flats` from the committed store at 0, entering `iter`.
+    fn save(round: &Round, flats: &[usize], iter: u32) -> StateDelta {
+        let gpus: Vec<_> = flats.iter().map(|&f| (round.cp_store[f].fields(), 0)).collect();
+        StateDelta::of(0, iter, false, &gpus)
+    }
+
+    /// Superstep `iter` of `round` over the script: both slots' empty
+    /// `StepLocal`s, then `done`.
+    fn superstep(round: &mut Round, iter: u32, done: Vec<Heard>) -> Collected {
+        let local = |slot| {
+            let x = Exchange { iter, contributions: Cow::Owned(Vec::new()), blocks: Vec::new() };
+            Heard::Frame(slot, Msg::StepLocal(x).frame())
+        };
+        let mut script = Script([local(0), local(1)].into_iter().chain(done).collect());
+        round.superstep(&mut script, iter)
+    }
+
+    fn done(slot: usize, iter: u32, save: Option<StateDelta>) -> Heard {
+        let stats = Stats { iter, ..Stats::default() };
+        Heard::Frame(slot, Msg::StepDone { stats, save }.frame())
+    }
+
     #[test]
-    fn state_of_a_gpu_the_sender_does_not_host_is_refused() {
-        // A stale save from an aborted superstep covers a subset.
-        assert!(check_hosts(&HOSTING_OF, 1, [3].into_iter(), "saved").is_ok());
-        for what in ["saved", "sent the final state of"] {
-            let err = check_hosts(&HOSTING_OF, 1, [2, 1].into_iter(), what).unwrap_err();
-            assert_eq!(err.detail, format!("worker 1 {what} gpu 1, which it does not host"));
+    fn a_checkpoint_commits_with_its_barrier_and_nothing_else_commits() {
+        // Superstep 3's barrier carries the saves entering 4.
+        let base = round();
+        let [s0, s1] = [save(&base, &[0, 1], 4), save(&base, &[2, 3], 4)];
+        let mut good = round();
+        let both = vec![done(0, 3, Some(s0.clone())), done(1, 3, Some(s1.clone()))];
+        let dead = superstep(&mut good, 3, both);
+        assert!(matches!(dead, Ok(None)), "{dead:?}");
+        assert_eq!((good.cp_iter, good.report.checkpoints), (4, 1));
+        assert!(good.cp_store.iter().all(|img| img.digest != 0), "the commit is sealed");
+
+        let flipped = |mut d: StateDelta| {
+            d.gpus[0].digest ^= 1;
+            d
+        };
+        let mut bad_flag =
+            Msg::StepDone { stats: Stats { iter: 3, ..Stats::default() }, save: None }
+                .frame()
+                .payload()
+                .to_vec();
+        bad_flag[20] = 2;
+        // (case, superstep, slot 1's `StepDone` after slot 0's good one, or
+        // its death, and the error named; none for the death, which aborts
+        // the superstep).
+        let cases: [(&str, u32, Heard, &str); 9] = [
+            (
+                "a save flag byte other than 0 or 1",
+                3,
+                Heard::Frame(1, Frame::new(kind::STEP_DONE, bad_flag)),
+                "flag byte 2 is not 0 or 1",
+            ),
+            (
+                "a save of a gpu the sender does not host",
+                3,
+                done(1, 3, Some(save(&base, &[1, 2, 3], 4))),
+                "worker 1 sent the state of gpu 1, which it does not host",
+            ),
+            (
+                "a save short of a hosted gpu",
+                3,
+                done(1, 3, Some(save(&base, &[3], 4))),
+                "state of 3 of 4 gpus",
+            ),
+            (
+                "a save entering another iteration",
+                3,
+                done(1, 3, Some(save(&base, &[2, 3], 5))),
+                "iteration 5 where the state entering iteration 4 was due",
+            ),
+            (
+                "a save from a base other than the commit",
+                3,
+                done(1, 3, Some(StateDelta { base: 2, ..s1.clone() })),
+                "delta from iteration 2 to 4, but the commit is at 0",
+            ),
+            (
+                "a missing save",
+                3,
+                done(1, 3, None),
+                "worker 1 sent no state where the state entering iteration 4 was due",
+            ),
+            (
+                "a save none was asked for",
+                2,
+                done(1, 2, Some(save(&base, &[2, 3], 3))),
+                "worker 1 sent the state entering iteration 3 where no state was due",
+            ),
+            (
+                "a forged seal",
+                3,
+                done(1, 3, Some(flipped(s1.clone()))),
+                "failed its integrity seal",
+            ),
+            ("a death", 3, Heard::Dead(Death { slot: 1, detect_seconds: 0.0 }), ""),
+        ];
+        for (what, iter, heard, detail) in cases {
+            let mut round = round();
+            let before = round.cp_store.clone();
+            let first = done(0, iter, (iter == 3).then(|| s0.clone()));
+            let got = superstep(&mut round, iter, vec![first, heard]);
+            match (&got, detail) {
+                (Ok(Some(death)), "") => assert_eq!(death.slot, 1, "{what}"),
+                (Err(ProcError::Protocol(e)), d) if !d.is_empty() => {
+                    assert!(e.detail.contains(d), "{what}: {e}")
+                }
+                _ => panic!("{what}: {got:?}"),
+            }
+            assert_eq!((round.cp_iter, round.report.checkpoints), (0, 0), "{what}");
+            assert!(round.cp_store == before, "{what} touched the store");
         }
     }
 }

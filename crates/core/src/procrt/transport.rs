@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn send_recv_over_socketpair() {
         let (mut a, mut b) = UnixStream::pair().unwrap();
-        let done = Msg::StepDone(Stats { iter: 2, frontier: 5, new_delegates: 1 });
+        let done = Msg::Ready(Stats { iter: 2, frontier: 5, new_delegates: 1 });
         send(&mut a, &done).unwrap();
         send(&mut a, &Msg::Bye).unwrap();
         drop(a);

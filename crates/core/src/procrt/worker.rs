@@ -13,7 +13,9 @@
 //! waits with no deadline, for as long as the pool is kept. A worker
 //! killed with SIGKILL at *any* point leaves no protocol state behind: its
 //! exit closes the connection, which is how the coordinator learns of the
-//! death, and the coordinator's checkpoints own all recovery.
+//! death, and the coordinator's checkpoints own all recovery. A save
+//! leaves only inside its `StepDone`, so a worker that dies in a barrier
+//! takes its save with it and the checkpoint is not committed.
 
 use super::protocol::{decode_worker_config, Exchange, Msg, ProtocolError, Stats, PROTO_VERSION};
 use super::transport::{connect_with_backoff, recv_frame, send, TransportError};
@@ -92,6 +94,8 @@ struct Traversal {
 /// A superstep between `StepGo` and `StepRemote`.
 struct InFlight {
     iter: u32,
+    /// Its `StepDone` saves the state entering the next superstep.
+    save: bool,
     /// Parallel to the hosted flats.
     outputs: Vec<LocalIterationOutput>,
     /// The blocks for hosted destinations, which never leave the worker.
@@ -122,14 +126,14 @@ impl<'g> WorkerRound<'g> {
     ///   resume's delta ([`HostedGroup::resume`]). It replaces any
     ///   traversal in flight (a recovery) and keeps its count of ignored
     ///   duplicates.
-    /// - `StepGo` → (`CheckpointSave`, when asked, before the kernels run:
-    ///   the state settled since the last `Begin` or save, which the
-    ///   coordinator folds into the only copy) `StepLocal`: the local
-    ///   kernels and the shared block formation. A stale superstep in
-    ///   flight is superseded.
+    /// - `StepGo` → `StepLocal`: the local kernels and the shared block
+    ///   formation. A stale superstep in flight is superseded.
     /// - `StepRemote` → `StepDone`: reduce and consume every rank's mask
     ///   contribution, assemble deliveries in flat source order, form the
-    ///   next frontiers. One with no superstep in flight — a duplicated or
+    ///   next frontiers; when the `StepGo` asked for a checkpoint, the
+    ///   `StepDone` carries the state entering the next superstep, settled
+    ///   since the last `Begin` or save, which the coordinator folds into
+    ///   the only copy. One with no superstep in flight — a duplicated or
     ///   stale frame — is counted and answers nothing.
     /// - `Finish` → `FinalState`, the state settled since the last `Begin`
     ///   or save, which ends the traversal.
@@ -170,10 +174,7 @@ impl<'g> WorkerRound<'g> {
         let Some(t) = self.run.as_mut() else { return Err(unexpected().into()) };
         let mode = self.config.compression;
         match msg {
-            Msg::StepGo { iter, checkpoint } => {
-                if checkpoint {
-                    reply(Msg::CheckpointSave(t.group.delta(iter)))?;
-                }
+            Msg::StepGo { iter, checkpoint: save } => {
                 let mut outputs = t.group.compute(iter);
                 let contributions = t.group.mask_contributions(&outputs, mode);
                 let (held, blocks): (Vec<Block>, Vec<Block>) = t
@@ -181,7 +182,7 @@ impl<'g> WorkerRound<'g> {
                     .outgoing_blocks(&mut outputs, &self.config)
                     .into_iter()
                     .partition(|b| t.group.hosts(b.dst));
-                let f = t.in_flight.insert(InFlight { iter, outputs, held, contributions });
+                let f = t.in_flight.insert(InFlight { iter, save, outputs, held, contributions });
                 let contributions = Cow::Borrowed(&f.contributions[..]);
                 reply(Msg::StepLocal(Exchange { iter, contributions, blocks }))
             }
@@ -197,7 +198,8 @@ impl<'g> WorkerRound<'g> {
                 let delivered = t.group.deliveries(f.held)?;
                 t.group.commit(&mut f.outputs, &delivered, next_depth);
                 t.iter = next_depth;
-                reply(Msg::StepDone(t.stats(x.iter)))
+                let save = f.save.then(|| t.group.delta(next_depth));
+                reply(Msg::StepDone { stats: t.stats(x.iter), save })
             }
             Msg::Finish => {
                 let mut t = self.run.take().expect("a traversal is in flight");

@@ -16,9 +16,10 @@
 //! `Round` drives the worker round every process runs (`WorkerRound`)
 //! through a link in this file, every message through the frame codec.
 //! They check the sharing over one worker and over two, a checkpoint
-//! saved, resumed and replayed, a death of each slot at each superstep
-//! (and the sim's fail-stop of the same GPUs, which must resume from the
-//! same superstep), hostile `Begin` bodies, and 32 seeded delivery schedules.
+//! saved, resumed and replayed, a death of each slot at each superstep on
+//! every delivery schedule (and the sim's fail-stop of the same GPUs,
+//! which must resume from the same superstep), hostile `Begin` bodies and
+//! deltas, and 32 seeded delivery schedules.
 
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::{CompressionMode, Frame};
@@ -217,18 +218,19 @@ fn pool_traffic_is_pinned_frame_for_frame() {
     // Every frame's size and count is a function of the graph, the
     // topology and the config: no traffic depends on timing.
     // (compression, parents, run) -> (wire bytes, state bytes, frames
-    // sent, frames received). The state bytes are the `CheckpointSave` and
-    // `FinalState` frames (one save at superstep 4 and one final state per
-    // worker); CHANGES.md derives the table from frame sizes.
+    // sent, frames received). The state bytes are the `StepDone` frames
+    // that carry a save and the `FinalState` frames (per worker, one save
+    // entering superstep 4 and one final state); CHANGES.md derives the
+    // table from frame sizes.
     let pinned = [
-        (CompressionMode::Off, true, "cold", (1065597, 16633, 26, 28)),
-        (CompressionMode::Off, true, "warm", (21263, 16633, 24, 26)),
-        (CompressionMode::Off, false, "cold", (1050457, 1493, 26, 28)),
-        (CompressionMode::Off, false, "warm", (6123, 1493, 24, 26)),
-        (CompressionMode::Adaptive, true, "cold", (1065723, 16633, 26, 28)),
-        (CompressionMode::Adaptive, true, "warm", (21389, 16633, 24, 26)),
-        (CompressionMode::Adaptive, false, "cold", (1050583, 1493, 26, 28)),
-        (CompressionMode::Adaptive, false, "warm", (6249, 1493, 24, 26)),
+        (CompressionMode::Off, true, "cold", (1065571, 16675, 26, 26)),
+        (CompressionMode::Off, true, "warm", (21237, 16675, 24, 24)),
+        (CompressionMode::Off, false, "cold", (1050431, 1535, 26, 26)),
+        (CompressionMode::Off, false, "warm", (6097, 1535, 24, 24)),
+        (CompressionMode::Adaptive, true, "cold", (1065697, 16675, 26, 26)),
+        (CompressionMode::Adaptive, true, "warm", (21363, 16675, 24, 24)),
+        (CompressionMode::Adaptive, false, "cold", (1050557, 1535, 26, 26)),
+        (CompressionMode::Adaptive, false, "warm", (6223, 1535, 24, 24)),
     ];
     let graph = RmatConfig::graph500(10).generate();
     let topo = Topology::new(4, 2);
@@ -560,8 +562,9 @@ fn acceptance_rmat14_adaptive_compression_procs_4() {
 
 /// A death the in-process link inflicts: `slot`'s worker dies on the first
 /// message of `kind` (of iteration `iter`, when given) it handles once the
-/// deaths listed before this one happened, in the middle of it — a
-/// `CheckpointSave` it formed first has left, its answer has not.
+/// deaths listed before this one happened, in the middle of it: nothing it
+/// answers to that message leaves — on `StepRemote`, neither its
+/// `StepDone` nor the save that rides it.
 #[derive(Clone, Copy, Debug)]
 struct Kill {
     slot: usize,
@@ -595,6 +598,17 @@ struct Steps {
 /// A save as the round heard it: (slot, base, iteration).
 type SaveHeard = (usize, u32, u32);
 
+/// The delivery schedules every death is checked under: (eager, seed) —
+/// unseeded, eager, and eager on four seeds.
+const SCHEDULES: [(bool, Option<u64>); 6] = [
+    (false, None),
+    (true, None),
+    (true, Some(0)),
+    (true, Some(1)),
+    (true, Some(2)),
+    (true, Some(3)),
+];
+
 /// The round's [`Link`] in process: one `WorkerRound` per slot, as the
 /// `Setup` would leave it. Each slot has an inbox and an outbox, both in
 /// order, as a socket is. Unseeded, every worker handles what it was sent
@@ -626,10 +640,11 @@ struct InProcess<'g> {
     resumes: Vec<ResumeSeen>,
     /// A slot whose next save is forged: its first GPU's seal flipped.
     forging: Option<usize>,
-    /// Every save the round heard, in order.
-    saves_heard: Vec<SaveHeard>,
-    /// How many saves the round had heard when it was told of a death.
-    saves_before_death: Option<usize>,
+    /// The round was told of a death and has sent nothing but `Begin`
+    /// since: its resuming `Ready`s are not all in.
+    recovering: bool,
+    /// The saves the round heard while recovering.
+    saves_while_recovering: Vec<SaveHeard>,
 }
 
 impl<'g> InProcess<'g> {
@@ -649,8 +664,8 @@ impl<'g> InProcess<'g> {
             steps: Steps::default(),
             resumes: Vec::new(),
             forging: None,
-            saves_heard: Vec::new(),
-            saves_before_death: None,
+            recovering: false,
+            saves_while_recovering: Vec::new(),
         }
     }
 
@@ -709,20 +724,21 @@ impl<'g> InProcess<'g> {
         }
         let mut replies = Vec::new();
         let handled = w.handle(msg, |reply| {
-            if !dies || reply.kind() == kind::CHECKPOINT_SAVE {
+            if !dies {
                 replies.push(reply.frame());
             }
             Ok::<_, ProtocolError>(())
         });
         handled.unwrap_or_else(|e| panic!("slot {slot}: {e}"));
         if self.forging == Some(slot) {
-            for reply in replies.iter_mut().filter(|r| r.kind == kind::CHECKPOINT_SAVE) {
-                let Ok(Msg::CheckpointSave(mut delta)) = Msg::decode(reply, Some(&topo)) else {
-                    unreachable!("a save")
-                };
-                delta.gpus[0].digest ^= 1;
-                *reply = Msg::CheckpointSave(delta).frame();
-                self.forging = None;
+            for reply in &mut replies {
+                if let Ok(Msg::StepDone { stats, save: Some(mut delta) }) =
+                    Msg::decode(reply, Some(&topo))
+                {
+                    delta.gpus[0].digest ^= 1;
+                    *reply = Msg::StepDone { stats, save: Some(delta) }.frame();
+                    self.forging = None;
+                }
             }
         }
         if resuming {
@@ -771,6 +787,8 @@ impl Link for InProcess<'_> {
             steps.mask_bytes.push(0);
         }
         self.in_go_broadcast = matches!(msg, Msg::StepGo { .. });
+        // Past the resuming `Begin` round, every `Ready` is in.
+        self.recovering &= msg.kind() == kind::BEGIN;
         if self.workers[slot].is_none() {
             return;
         }
@@ -796,7 +814,7 @@ impl Link for InProcess<'_> {
                 // confirmed now; else an idle round stalled.
                 if let Some(slot) = self.dying.pop_front() {
                     self.outbox[slot].clear();
-                    self.saves_before_death.get_or_insert(self.saves_heard.len());
+                    self.recovering = true;
                     return Ok(Some(Heard::Dead(Death { slot, detect_seconds: 0.0 })));
                 }
                 if idle {
@@ -817,8 +835,10 @@ impl Link for InProcess<'_> {
             } else {
                 let frame = self.outbox[event - n].pop_front().expect("a reply to hear");
                 let topo = self.dist.topology();
-                if let Ok(Msg::CheckpointSave(d)) = Msg::decode(&frame, Some(&topo)) {
-                    self.saves_heard.push((event - n, d.base, d.iter));
+                if let Ok(Msg::StepDone { save: Some(d), .. }) = Msg::decode(&frame, Some(&topo)) {
+                    if self.recovering {
+                        self.saves_while_recovering.push((event - n, d.base, d.iter));
+                    }
                 }
                 return Ok(Some(Heard::Frame(event - n, frame)));
             }
@@ -978,9 +998,10 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
         let (want_mode, resumed) =
             if spread { (RecoveryMode::Spread, 2) } else { (RecoveryMode::Spare, 4) };
         assert_eq!((rec.worker, rec.mode, rec.resumed_iter), (1, want_mode, resumed), "{cell}");
-        // Saves at 2 and every second superstep after; a resume at a
-        // commit does not save it again.
-        let commits = (2..want.iterations()).step_by(2).count() as u64;
+        // Commits entering 2 and every second superstep after, up to the
+        // one the last superstep's barrier enters; a resume at a commit
+        // does not save it again.
+        let commits = (2..=want.iterations()).step_by(2).count() as u64;
         assert_eq!(run.report.checkpoints, commits, "{cell}");
 
         // Each resuming `Begin` carries, to every worker, a delta from
@@ -1061,8 +1082,8 @@ fn checkpoint_through_the_wire(mode: CompressionMode) {
 }
 
 /// What `w`'s replies to `msg` carried, read back through the frame codec
-/// on `topo`: the counts of a `Ready` or `StepDone`, and the delta of a save
-/// or of the final state.
+/// on `topo`: the counts of a `Ready` or `StepDone`, and the delta of a
+/// `StepDone`'s save or of the final state.
 fn handle(
     w: &mut WorkerRound<'_>,
     msg: Msg<'_>,
@@ -1077,8 +1098,9 @@ fn handle(
     let (mut stats, mut delta) = (None, None);
     for frame in &frames {
         match Msg::decode(frame, Some(topo)).unwrap_or_else(|e| panic!("{e}")) {
-            Msg::Ready(s) | Msg::StepDone(s) => stats = Some(s),
-            Msg::CheckpointSave(d) | Msg::FinalState { state: d, .. } => delta = Some(d),
+            Msg::Ready(s) => stats = Some(s),
+            Msg::StepDone { stats: s, save } => (stats, delta) = (Some(s), save),
+            Msg::FinalState { state, .. } => delta = Some(state),
             _ => {}
         }
     }
@@ -1086,9 +1108,10 @@ fn handle(
 }
 
 /// One worker hosting every GPU, driven message by message from `source`
-/// until the frontier drains, saving entering each superstep of `saves`:
-/// the capture entering every iteration, and the deltas of the saves and
-/// of the final state, in order.
+/// until the frontier drains, saving entering each iteration of `saves`
+/// (at the barrier of the superstep before it): the capture entering every
+/// iteration, and the deltas of the saves and of the final state, in
+/// order.
 fn solo(
     dist: &DistributedGraph,
     config: &BfsConfig,
@@ -1104,10 +1127,12 @@ fn solo(
     let mut deltas = Vec::new();
     let mut iter = 0;
     while stats.is_some_and(|s| s.frontier + s.new_delegates > 0) {
-        let go = Msg::StepGo { iter, checkpoint: saves.contains(&iter) };
-        deltas.extend(handle(&mut w, go, &topo).1);
+        let go = Msg::StepGo { iter, checkpoint: saves.contains(&(iter + 1)) };
+        handle(&mut w, go, &topo);
         let remote = Exchange { iter, contributions: Cow::Owned(Vec::new()), blocks: Vec::new() };
-        stats = handle(&mut w, Msg::StepRemote(remote), &topo).0;
+        let save;
+        (stats, save) = handle(&mut w, Msg::StepRemote(remote), &topo);
+        deltas.extend(save);
         captures.push(w.group().unwrap().capture());
         iter += 1;
     }
@@ -1142,9 +1167,8 @@ fn a_delta_folds_onto_its_base_into_the_capture_at_its_iteration() {
             let unreached = HostedGroup::new(&dist, &config, parents, &all).unwrap().capture();
             for base in 0..last {
                 // A save at `base` (none at 0, where `Begin` is the base)
-                // and one at `k`, or the final state when `k` is the last;
-                // a save at 0 is a delta from the unreached store too.
-                for k in (base + u32::from(base > 0))..=last {
+                // and one at `k`, or the final state when `k` is the last.
+                for k in base + 1..=last {
                     let cell = format!("{name}, parents {parents}, delta {base} -> {k}");
                     let saves = [(base > 0).then_some(base), (k < last).then_some(k)];
                     let saves: Vec<u32> = saves.into_iter().flatten().collect();
@@ -1208,11 +1232,14 @@ fn hostile_deltas_are_typed_errors_that_fold_nothing() {
             edit(&|d| d.gpus[7].digest ^= 1)
         }),
     ];
+    let stats = Stats::default();
     for (detail, delta) in hostile {
         let before = store.clone();
         // Through the wire first: the frame layout holds, the fold refuses.
-        let frame = Msg::CheckpointSave(delta).frame();
-        let Ok(Msg::CheckpointSave(delta)) = Msg::decode(&frame, Some(&dist.topology())) else {
+        let frame = Msg::StepDone { stats, save: Some(delta) }.frame();
+        let Ok(Msg::StepDone { save: Some(delta), .. }) =
+            Msg::decode(&frame, Some(&dist.topology()))
+        else {
             panic!("{detail}: the frame does not decode");
         };
         let err = delta.fold(1, store).unwrap_err();
@@ -1223,7 +1250,7 @@ fn hostile_deltas_are_typed_errors_that_fold_nothing() {
     // state are typed decode errors.
     let topo = dist.topology();
     for msg in [
-        Msg::CheckpointSave(good.clone()),
+        Msg::StepDone { stats, save: Some(good.clone()) },
         Msg::FinalState { duplicates_ignored: 1, state: deltas[2].clone() },
     ] {
         let frame = msg.frame();
@@ -1235,8 +1262,8 @@ fn hostile_deltas_are_typed_errors_that_fold_nothing() {
         let long = Frame::new(frame.kind, [body, &[0]].concat());
         assert!(Msg::decode(&long, Some(&topo)).unwrap_err().detail.contains("1 trailing bytes"));
     }
-    // A round fails the run on a save that does not fold, naming it, and
-    // commits nothing from it.
+    // A round fails the run on a `StepDone` whose save does not fold,
+    // naming it.
     let checkpoints = config.with_recovery(RecoveryConfig::default().with_checkpoint_interval(2));
     let mut link = InProcess::new(&dist, &checkpoints, 2);
     link.forging = Some(1);
@@ -1268,18 +1295,17 @@ impl DeathCell {
         config: &BfsConfig,
         kills: &[Kill],
     ) -> Result<ProcOutcome, ProcError> {
-        self.run_on(spares, config, kills, false, None).0
+        self.run_on(spares, config, kills, (false, None)).0
     }
 
-    /// [`Self::run`] on a link that may be eager and may be seeded; also
-    /// returns the saves the round heard after it was told of a death.
+    /// [`Self::run`] on one of the [`SCHEDULES`]; also returns the saves
+    /// the round heard while it recovered from a death.
     fn run_on(
         &self,
         spares: u32,
         config: &BfsConfig,
         kills: &[Kill],
-        eager: bool,
-        seed: Option<u64>,
+        (eager, seed): (bool, Option<u64>),
     ) -> (Result<ProcOutcome, ProcError>, Vec<SaveHeard>) {
         let topo = Topology::new(4, 2).with_spares(spares);
         let dist = DistributedGraph::build(&self.graph, topo, config).unwrap();
@@ -1293,13 +1319,18 @@ impl DeathCell {
         if run.is_ok() {
             assert!(link.kills.is_empty(), "a death did not happen: {:?}", link.kills);
         }
-        let death = link.saves_before_death.unwrap_or(link.saves_heard.len());
-        (run, link.saves_heard.split_off(death))
+        (run, link.saves_while_recovering)
     }
 }
 
 #[test]
 fn every_death_is_recovered_in_process_bit_exact() {
+    // A death of each slot before `Ready` and in each superstep, onto a
+    // spare or spreading, on every schedule: unseeded, an eager link that
+    // tells the round of a death before the replies other workers queued,
+    // and eager on four seeds that reorder the rest. A checkpoint commits
+    // with the barrier of the superstep before it, so a death in a
+    // superstep resumes from the commit entering it, whatever the order.
     let cell = DeathCell::new();
     let config = BfsConfig::new(16);
     let topo = Topology::new(4, 2);
@@ -1308,72 +1339,34 @@ fn every_death_is_recovered_in_process_bit_exact() {
     // Deaths in supersteps 4 and 5 resume from the store the workers'
     // deltas folded into at 4.
     assert_eq!(sim.iterations(), 6);
-    for (spares, mode) in [(1, RecoveryMode::Spare), (0, RecoveryMode::Spread)] {
-        for slot in 0..2 {
-            let supersteps = (0..sim.iterations()).map(|i| (kind::STEP_GO, Some(i)));
-            for (kind, iter) in std::iter::once((kind::BEGIN, None)).chain(supersteps) {
-                let at = iter.map_or("before Ready".into(), |i| format!("in superstep {i}"));
-                let what = format!("slot {slot} dies {at}, {mode:?}");
-                let run = cell
-                    .run(spares, &config, &[Kill { slot, kind, iter }])
-                    .unwrap_or_else(|e| panic!("{what}: {e}"));
-                assert_eq!(run.depths, sim.depths, "depths, {what}");
-                assert_eq!(run.parents, sim.parents, "parents, {what}");
-                assert_eq!(run.report.iterations, sim.iterations(), "supersteps, {what}");
-                let rec = run.report.recovery.expect("the death is recovered");
-                // The default cadence commits images every fourth superstep
-                // past the first; `Begin` is the commit at superstep 0.
-                let resumed = iter.map_or(0, |i| i / 4 * 4);
-                assert_eq!(
-                    (rec.worker, rec.mode, rec.resumed_iter),
-                    (slot as u32, mode, resumed),
-                    "{what}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn every_death_confirmed_at_once_is_recovered_in_process_bit_exact() {
-    // An eager link tells the round of a death before the replies other
-    // workers queued, so a survivor's save from the aborted superstep is
-    // heard after the recovery began; seeded, in any order besides. The
-    // victim's own save is never heard, so a death in the checkpoint's
-    // superstep resumes from the commit before it.
-    let cell = DeathCell::new();
-    let config = BfsConfig::new(16);
-    let topo = Topology::new(4, 2);
-    let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
-    let sim = dist.run_with_parents(cell.source, &config).unwrap();
-    assert_eq!(sim.iterations(), 6);
-    for seed in [None, Some(0), Some(1), Some(2), Some(3)] {
+    for schedule in SCHEDULES {
         for (spares, mode) in [(1, RecoveryMode::Spare), (0, RecoveryMode::Spread)] {
             for slot in 0..2 {
                 let supersteps = (0..sim.iterations()).map(|i| (kind::STEP_GO, Some(i)));
                 for (kind, iter) in std::iter::once((kind::BEGIN, None)).chain(supersteps) {
                     let at = iter.map_or("before Ready".into(), |i| format!("in superstep {i}"));
-                    let what = format!("slot {slot} dies {at}, {mode:?}, seed {seed:?}");
+                    let what = format!("slot {slot} dies {at}, {mode:?}, schedule {schedule:?}");
                     let kills = [Kill { slot, kind, iter }];
-                    let (run, saves) = cell.run_on(spares, &config, &kills, true, seed);
+                    let (run, saves) = cell.run_on(spares, &config, &kills, schedule);
                     let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert_eq!(run.depths, sim.depths, "depths, {what}");
                     assert_eq!(run.parents, sim.parents, "parents, {what}");
                     assert_eq!(run.report.iterations, sim.iterations(), "supersteps, {what}");
                     let rec = run.report.recovery.expect("the death is recovered");
-                    let resumed = iter.map_or(0, |i| i.saturating_sub(1) / 4 * 4);
+                    // The default cadence commits images every fourth
+                    // superstep past the first; `Begin` is the commit at 0.
+                    let resumed = iter.map_or(0, |i| i / 4 * 4);
                     assert_eq!(
                         (rec.worker, rec.mode, rec.resumed_iter),
                         (slot as u32, mode, resumed),
                         "{what}"
                     );
-                    if (seed, slot, mode, iter) == (None, 0, RecoveryMode::Spare, Some(4)) {
-                        // Slot 1's save from the aborted superstep 4 is heard
-                        // after the death, then the spare's replayed one
-                        // commits 4 with it, then slot 1's replayed one.
-                        assert_eq!(saves, [(1, 0, 4), (0, 0, 4), (1, 0, 4)], "{what}");
-                        assert_eq!(run.report.checkpoints, 1, "{what}");
-                    }
+                    // A death at a `StepGo` comes after the last barrier's
+                    // saves were all gathered and before the next's were
+                    // formed: none is in flight, so none is heard while the
+                    // round recovers. The commit at 4 is taken once.
+                    assert_eq!(saves, [], "{what}");
+                    assert_eq!(run.report.checkpoints, 1, "{what}");
                 }
             }
         }
@@ -1393,45 +1386,65 @@ fn resumed_iter(log: &TraceLog) -> u32 {
 
 #[test]
 fn the_sim_confirms_a_death_where_the_proc_round_does() {
-    // Slot 1 dies at `StepGo i` on the unseeded link; the sim fail-stops
+    // Slot 1 dies at `StepGo i`, on every schedule; the sim fail-stops
     // every GPU slot 1 hosts in superstep `i`. Both confirm the death at
     // the barrier it misses, so they pick the same re-homing, resume from
-    // the same commit and agree on the depths, whichever superstep.
+    // the same commit and agree on the depths, whichever superstep. Slot 1
+    // also dies at `StepRemote 3`, in the barrier whose `StepDone`s carry
+    // the saves entering 4: its own never leaves, so the run resumes from
+    // the commit before, as the sim does for a fail-stop in superstep 3.
     let cell = DeathCell::new();
     let config = BfsConfig::new(16);
     let observed = config.with_observability(ObservabilityConfig::Full);
     let victims = &cell.hosted[1];
     let supersteps = 6;
+    let kills = (0..supersteps)
+        .map(|i| (kind::STEP_GO, i))
+        .chain([(kind::STEP_REMOTE, 3)])
+        .collect::<Vec<_>>();
+    let mut stale_saves = 0;
     for (mode, proc_spares, sim_spares) in
         [(RecoveryMode::Spare, 1, victims.len() as u32), (RecoveryMode::Spread, 0, 0)]
     {
         let topo = Topology::new(4, 2).with_spares(sim_spares);
         let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
-        assert_eq!(dist.run(cell.source, &config).unwrap().iterations(), supersteps);
-        for i in 0..supersteps {
-            let what = format!("slot 1 dies in superstep {i}, {mode:?}");
-            let kill = Kill { slot: 1, kind: kind::STEP_GO, iter: Some(i) };
-            let proc =
-                cell.run(proc_spares, &config, &[kill]).unwrap_or_else(|e| panic!("{what}: {e}"));
-            let rec = proc.report.recovery.expect("the proc death is recovered");
+        let clean = dist.run_with_parents(cell.source, &config).unwrap();
+        assert_eq!(clean.iterations(), supersteps);
+        for &(kind, i) in &kills {
             let plan = victims
                 .iter()
                 .fold(FaultPlan::new(0xdead), |plan, &gpu| plan.with_fail_stop(gpu, i));
             let sim = dist
                 .run_with_faults(cell.source, &observed, &plan)
-                .unwrap_or_else(|e| panic!("{what}: sim: {e}"));
-            assert_eq!(sim.depths, proc.depths, "depths, {what}");
+                .unwrap_or_else(|e| panic!("superstep {i}, {mode:?}: sim: {e}"));
             let f = &sim.stats.fault;
-            assert_eq!((f.fail_stops, f.rollbacks), (victims.len() as u64, 1), "{what}");
-            let homes = match rec.mode {
-                RecoveryMode::Spare => (f.spare_absorptions, f.spread_hostings),
-                RecoveryMode::Spread => (f.spread_hostings, f.spare_absorptions),
-            };
-            assert_eq!((rec.mode, homes), (mode, (victims.len() as u64, 0)), "{what}");
             let log = sim.observed.as_ref().expect("the sim run is observed");
-            assert_eq!(resumed_iter(log), rec.resumed_iter, "resumed superstep, {what}");
+            assert_eq!(resumed_iter(log), i / 4 * 4, "superstep {i}, {mode:?}");
+            for schedule in SCHEDULES {
+                let what = format!("slot 1 dies at {kind:#x} {i}, {mode:?}, schedule {schedule:?}");
+                let kill = Kill { slot: 1, kind, iter: Some(i) };
+                let (proc, saves) = cell.run_on(proc_spares, &config, &[kill], schedule);
+                stale_saves += saves.len();
+                let proc = proc.unwrap_or_else(|e| panic!("{what}: {e}"));
+                let rec = proc.report.recovery.expect("the proc death is recovered");
+                assert_eq!(sim.depths, proc.depths, "depths, {what}");
+                assert_eq!(proc.parents, clean.parents, "parents, {what}");
+                assert_eq!((f.fail_stops, f.rollbacks), (victims.len() as u64, 1), "{what}");
+                let homes = match rec.mode {
+                    RecoveryMode::Spare => (f.spare_absorptions, f.spread_hostings),
+                    RecoveryMode::Spread => (f.spread_hostings, f.spare_absorptions),
+                };
+                assert_eq!((rec.mode, homes), (mode, (victims.len() as u64, 0)), "{what}");
+                assert_eq!(resumed_iter(log), rec.resumed_iter, "resumed superstep, {what}");
+                // A save heard after the death, from the aborted barrier,
+                // commits nothing: the one commit is at 4.
+                assert_eq!(proc.report.checkpoints, 1, "{what}");
+            }
         }
     }
+    // On the eager schedules, slot 0's save entering 4 is heard after slot
+    // 1's death at `StepRemote 3`.
+    assert!(stale_saves > 0, "no save was heard while the round recovered");
 }
 
 #[test]
@@ -1538,7 +1551,7 @@ fn hostile_begins_are_typed_errors_that_install_nothing() {
 fn any_delivery_schedule_is_bit_exact_in_process() {
     // Replies cross slots in a seeded order, and every `StepRemote` is
     // duplicated and held back a seeded number of events; checkpoints every
-    // second superstep put saves among them.
+    // second superstep put saves in every second barrier.
     let cell = DeathCell::new();
     let checkpoints = RecoveryConfig::default().with_checkpoint_interval(2);
     let config =
