@@ -1325,12 +1325,22 @@ impl DeathCell {
 
 #[test]
 fn every_death_is_recovered_in_process_bit_exact() {
-    // A death of each slot before `Ready` and in each superstep, onto a
-    // spare or spreading, on every schedule: unseeded, an eager link that
-    // tells the round of a death before the replies other workers queued,
-    // and eager on four seeds that reorder the rest. A checkpoint commits
-    // with the barrier of the superstep before it, so a death in a
-    // superstep resumes from the commit entering it, whatever the order.
+    // On the unseeded link, every worker handles what it was sent in order.
+    every_death_is_recovered_on(&SCHEDULES[..1]);
+}
+
+#[test]
+fn every_death_confirmed_at_once_is_recovered_in_process_bit_exact() {
+    // An eager link tells the round of a death before the replies other
+    // workers queued; seeded, in any order besides.
+    every_death_is_recovered_on(&SCHEDULES[1..]);
+}
+
+/// A death of each slot before `Ready` and in each superstep, onto a spare
+/// or spreading, on each of `schedules`. A checkpoint commits with the
+/// barrier of the superstep before it, so a death in a superstep resumes
+/// from the commit entering it, whatever the order.
+fn every_death_is_recovered_on(schedules: &[(bool, Option<u64>)]) {
     let cell = DeathCell::new();
     let config = BfsConfig::new(16);
     let topo = Topology::new(4, 2);
@@ -1339,7 +1349,7 @@ fn every_death_is_recovered_in_process_bit_exact() {
     // Deaths in supersteps 4 and 5 resume from the store the workers'
     // deltas folded into at 4.
     assert_eq!(sim.iterations(), 6);
-    for schedule in SCHEDULES {
+    for &schedule in schedules {
         for (spares, mode) in [(1, RecoveryMode::Spare), (0, RecoveryMode::Spread)] {
             for slot in 0..2 {
                 let supersteps = (0..sim.iterations()).map(|i| (kind::STEP_GO, Some(i)));
