@@ -5,8 +5,9 @@
 //! the cluster misbehaves? Three sweeps, all verified bit-exact against
 //! the fault-free depths:
 //!
-//! 1. **Message-fault intensity**: drop/duplicate/delay probabilities from
-//!    0 to 20% per in-flight update; overhead comes from exchange
+//! 1. **Message-loss intensity**: drop probabilities from 0 to 20% per
+//!    in-flight update. An update is delivered once or lost, and a loss
+//!    retries the whole exchange, so the overhead is exchange
 //!    retransmissions with exponential backoff.
 //! 2. **Checkpoint cadence vs fail-stop**: a GPU dies mid-run; sparser
 //!    checkpoints are cheaper up front but waste more work at rollback.
@@ -18,7 +19,7 @@
 //!    `p - 1` have died; reports the surviving GTEPS, recovery bill, and
 //!    availability fraction.
 //!
-//! Usage: `gcbfs-bench fault_sweep [--smoke [all|spread|spare|sdc]]`.
+//! Usage: `gcbfs-bench fault_sweep [--smoke [all|spread|spare|sdc|loss]]`.
 //! The full run takes `GCBFS_SCALE` (default 13) and ten random plans
 //! in sweep 3.
 //!
@@ -34,12 +35,17 @@
 //! (default 18) on the same 16-GPU grid, under `Full` online
 //! verification — every plan whose events fire must be detected and
 //! recover to bit-exact fault-free depths.
+//! `--smoke loss` instead runs the message-loss gate at scale
+//! `GCBFS_SCALE` (default 18) on the same 16-GPU grid: depths must be
+//! bit-exact at drop probabilities 0.05, 0.2 and 1.0, and at 1.0 every
+//! superstep whose exchange delivered any update must retry exactly
+//! [`MAX_RETRIES`] times before the reliable path takes it.
 //! `GCBFS_JSON_OUT=/path.json` writes the smoke measurements as JSON.
 
 use gcbfs_bench::prelude::*;
 use gcbfs_cluster::fault::FaultPlan;
 use gcbfs_cluster::timing::degraded_bound;
-use gcbfs_core::recovery::RecoveryConfig;
+use gcbfs_core::recovery::{RecoveryConfig, MAX_RETRIES};
 use gcbfs_core::stats::FaultStats;
 use gcbfs_core::verify::VerificationMode;
 
@@ -218,9 +224,72 @@ fn smoke_sdc(k: &Knobs) {
     println!("\nall fired SDC plans detected under Full and recovered to bit-exact depths");
 }
 
+/// The `--smoke loss` mode: the message-loss gate. Drop-only plans on a
+/// 16-GPU grid must recover bit-exact depths; at drop probability 1 every
+/// attempt of an exchange that carries an update loses one, so each such
+/// superstep retries [`MAX_RETRIES`] times and then takes the reliable
+/// path.
+fn smoke_loss(k: &Knobs) {
+    let scale = k.scale.unwrap_or(18);
+    let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
+    let topo = Topology::new(8, 2);
+    let p = topo.num_gpus() as usize;
+    let config = BfsConfig::new(th);
+    let graph = RmatConfig::graph500(scale).generate();
+    let source = hub_source(&graph);
+    println!("Message-loss smoke: RMAT scale {scale}, TH {th}, {p} GPUs, source {source}");
+
+    let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
+    let clean = dist.run(source, &config).expect("fault-free run");
+    let base_s = clean.modeled_seconds();
+    let mut rows = Vec::new();
+    let mut json = Vec::new();
+    for drop in [0.05, 0.2, 1.0] {
+        let plan = FaultPlan::new(0x1055).with_message_drops(drop);
+        let r = dist.run_with_faults(source, &config, &plan).expect("recovered");
+        assert_eq!(r.depths, clean.depths, "drop {drop}: recovery must be bit-exact");
+        let f = &r.stats.fault;
+        let exchanging = r.stats.records.iter().filter(|rec| rec.nn_updates_sent > 0).count();
+        if drop == 1.0 {
+            assert_eq!(
+                f.retries,
+                MAX_RETRIES as u64 * exchanging as u64,
+                "drop 1: every exchange that delivers an update retries {MAX_RETRIES} times"
+            );
+        }
+        let overhead = 100.0 * f.overhead_seconds() / base_s;
+        rows.push(vec![
+            format!("{drop}"),
+            f.injected_drops.to_string(),
+            exchanging.to_string(),
+            f.retries.to_string(),
+            f2(ms(f.recovery_seconds)),
+            pct(overhead),
+            "ok".into(),
+        ]);
+        json.push(format!(
+            "{{\"drop\":{drop},\"drops\":{},\"exchanging_supersteps\":{exchanging},\"retries\":{},\"recovery_ms\":{},\"overhead_pct\":{overhead}}}",
+            f.injected_drops,
+            f.retries,
+            ms(f.recovery_seconds)
+        ));
+    }
+    print_table(
+        "message-loss smoke (drop-only plans)",
+        &["drop p", "drops", "exchanging", "retries", "rec ms", "overhead", "depths"],
+        &rows,
+    );
+    k.emit_json(&format!(
+        "{{\"scale\":{scale},\"gpus\":{p},\"max_retries\":{MAX_RETRIES},\"plans\":[{}]}}",
+        json.join(",")
+    ));
+    println!("\nall message-loss plans recovered to bit-exact depths");
+}
+
 pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
     match smoke_mode {
         Some("sdc") => return smoke_sdc(k),
+        Some("loss") => return smoke_loss(k),
         Some(mode) => return smoke(k, mode),
         None => {}
     }
@@ -239,20 +308,16 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
 
     let overhead = |f: &FaultStats| 100.0 * f.overhead_seconds() / base_s;
 
-    // ---- Sweep 1: message-fault intensity. ----
+    // ---- Sweep 1: message-loss intensity. ----
     let mut rows = Vec::new();
     for intensity in [0.0, 0.01, 0.05, 0.10, 0.20] {
-        let plan = FaultPlan::new(0xc0ffee)
-            .with_message_faults(intensity, intensity / 2.0, intensity / 2.0)
-            .with_max_delay(2);
+        let plan = FaultPlan::new(0xc0ffee).with_message_drops(intensity);
         let r = dist.run_with_faults(source, &config, &plan).expect("recovered");
         assert_eq!(r.depths, clean.depths, "recovery must be bit-exact");
         let f = &r.stats.fault;
         rows.push(vec![
             pct(intensity * 100.0),
             f.injected_drops.to_string(),
-            f.injected_duplicates.to_string(),
-            f.injected_delays.to_string(),
             f.retries.to_string(),
             f2(ms(f.recovery_seconds)),
             f2(ms(f.checkpoint_seconds)),
@@ -261,8 +326,8 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
         ]);
     }
     print_table(
-        "message-fault intensity (drop p, dup p/2, delay p/2)",
-        &["p", "drops", "dups", "delays", "retries", "rec ms", "ckpt ms", "overhead", "depths"],
+        "message-loss intensity (drop p)",
+        &["p", "drops", "retries", "rec ms", "ckpt ms", "overhead", "depths"],
         &rows,
     );
 
@@ -302,14 +367,7 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
         let f = &r.stats.fault;
         rows.push(vec![
             seed.to_string(),
-            format!(
-                "{}d/{}u/{}l/{}c/{}f",
-                f.injected_drops,
-                f.injected_duplicates,
-                f.injected_delays,
-                f.injected_corruptions,
-                f.fail_stops
-            ),
+            format!("{}d/{}c/{}f", f.injected_drops, f.injected_corruptions, f.fail_stops),
             f.retries.to_string(),
             f.rollbacks.to_string(),
             pct(overhead(f)),
@@ -317,7 +375,7 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
         ]);
     }
     print_table(
-        "random chaos plans (faults = drops/dups/delays/corruptions/fail-stops)",
+        "random chaos plans (faults = drops/corruptions/fail-stops)",
         &["seed", "faults", "retries", "rollbacks", "overhead", "depths"],
         &rows,
     );

@@ -61,7 +61,7 @@ pub const EXHIBITS: &[(&str, &[&str], Run)] = &[
     ("ext_pagerank_scaling", &[], ext_pagerank_scaling::run),
     ("ext_async_comparison", &[], ext_async_comparison::run),
     ("graph500_run", &[], graph500_run::run),
-    ("fault_sweep", &["all", "spread", "spare", "sdc"], fault_sweep::run),
+    ("fault_sweep", &["all", "spread", "spare", "sdc", "loss"], fault_sweep::run),
     ("compression_sweep", SMOKE, compression_sweep::run),
     ("parallel_speedup", SMOKE, parallel_speedup::run),
     ("profile_trace", SMOKE, profile_trace::run),

@@ -37,12 +37,12 @@ fn cases() -> Vec<Case> {
         Case {
             label: "raw+chaos",
             compression: CompressionMode::Off,
-            faults: Some(FaultPlan::new(99).with_message_faults(0.2, 0.1, 0.1).with_max_delay(2)),
+            faults: Some(FaultPlan::new(99).with_message_drops(0.2)),
         },
         Case {
             label: "adaptive+chaos",
             compression: CompressionMode::Adaptive,
-            faults: Some(FaultPlan::new(99).with_message_faults(0.2, 0.1, 0.1).with_max_delay(2)),
+            faults: Some(FaultPlan::new(99).with_message_drops(0.2)),
         },
     ]
 }

@@ -1,6 +1,7 @@
 //! Drives the `gcbfs-bench` binary: two cheap exhibits still print their
-//! committed `results/*.txt` byte for byte, and every malformed
-//! invocation exits with status 2 before running anything.
+//! committed `results/*.txt` byte for byte, the message-loss gate passes
+//! at a small scale, and every malformed invocation exits with status 2
+//! before running anything.
 
 use std::process::{Command, Output};
 
@@ -60,6 +61,14 @@ fn cheap_exhibits_reproduce_their_committed_results() {
 }
 
 #[test]
+fn the_message_loss_gate_passes_at_a_small_scale() {
+    let out = bench(&["fault_sweep", "--smoke", "loss"], &[("GCBFS_SCALE", "10")]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("all message-loss plans recovered to bit-exact depths"), "{stdout}");
+}
+
+#[test]
 fn no_arguments_lists_every_exhibit() {
     let out = bench(&[], &[]);
     assert!(out.status.success());
@@ -67,7 +76,7 @@ fn no_arguments_lists_every_exhibit() {
     for name in EXHIBITS {
         assert!(listing.lines().any(|l| l.trim().starts_with(name)), "{name} missing");
     }
-    assert!(listing.contains("fault_sweep [--smoke [all|spread|spare|sdc]]"));
+    assert!(listing.contains("fault_sweep [--smoke [all|spread|spare|sdc|loss]]"));
     assert!(listing.contains("kernel_sweep [--smoke]\n"));
     assert!(listing.contains("net_sweep\n"));
 }

@@ -8,9 +8,9 @@
 //! the recovery machinery in `gcbfs-core` can be tested exhaustively:
 //!
 //! * [`FaultPlan`] — a declarative, serializable-in-spirit schedule of
-//!   faults: per-message drop/duplication/delay probabilities, scheduled
-//!   fail-stop GPU losses, delegate-mask word corruptions, and NIC
-//!   bandwidth degradation windows. The same plan + seed always produces
+//!   faults: a per-message drop probability, scheduled fail-stop GPU
+//!   losses, delegate-mask word corruptions, and NIC bandwidth degradation
+//!   windows. The same plan + seed always produces
 //!   the same fault sequence, independent of host thread count.
 //! * [`FaultInjector`] — the stateful interpreter of a plan. One-shot
 //!   events (fail-stops, corruptions) remember that they fired, so a
@@ -18,8 +18,14 @@
 //!   always terminates.
 //! * [`FaultError`] — the typed detection results surfaced at superstep
 //!   boundaries: a missed barrier (fail-stop), per-peer ack count mismatch
-//!   (dropped/duplicated/delayed messages), and mask checksum mismatch
-//!   (corruption in the reduction).
+//!   (dropped messages), and mask checksum mismatch (corruption in the
+//!   reduction).
+//!
+//! Message model: the exchange is bulk-synchronous, so an update is either
+//! delivered once in the superstep it was sent or lost, and a loss leaves
+//! the ack counts short and the whole exchange is retried. A copy that
+//! arrived twice or late would change nothing the model prices, so there
+//! are no such fates.
 //!
 //! Detection model: every superstep ends in a blocking collective (the
 //! delegate-mask reduction and the termination flag), so a GPU that
@@ -43,7 +49,7 @@ pub enum FaultError {
         iteration: u32,
     },
     /// Per-peer ack counts of the normal-vertex exchange disagree with the
-    /// received updates (drop, duplication, or delay in flight).
+    /// received updates (an update was dropped in flight).
     ExchangeMismatch {
         /// Iteration of the mismatching exchange.
         iteration: u32,
@@ -191,14 +197,10 @@ pub struct NicDegradation {
 /// The fate the injector assigns to one in-flight message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MessageFate {
-    /// Delivered normally.
+    /// Delivered once.
     Deliver,
     /// Silently dropped.
     Drop,
-    /// Delivered twice.
-    Duplicate,
-    /// Delivered `1..=n` supersteps late.
-    Delay(u32),
 }
 
 /// Where a compute-SDC event lands. Unlike the wire corruptions above,
@@ -274,12 +276,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability an in-flight normal-vertex update is dropped.
     pub drop_prob: f64,
-    /// Probability an update is duplicated.
-    pub duplicate_prob: f64,
-    /// Probability an update is delayed to a later superstep.
-    pub delay_prob: f64,
-    /// Maximum delay in supersteps (delays are uniform in `1..=max_delay`).
-    pub max_delay: u32,
     /// Scheduled fail-stop GPU losses.
     pub fail_stops: Vec<FailStop>,
     /// Scheduled delegate-mask corruptions.
@@ -298,9 +294,6 @@ impl FaultPlan {
         Self {
             seed,
             drop_prob: 0.0,
-            duplicate_prob: 0.0,
-            delay_prob: 0.0,
-            max_delay: 1,
             fail_stops: Vec::new(),
             mask_corruptions: Vec::new(),
             checkpoint_corruptions: Vec::new(),
@@ -309,20 +302,10 @@ impl FaultPlan {
         }
     }
 
-    /// Sets per-message drop/duplicate/delay probabilities.
-    pub fn with_message_faults(mut self, drop: f64, duplicate: f64, delay: f64) -> Self {
-        assert!((0.0..=1.0).contains(&drop), "drop_prob must be a probability");
-        assert!((0.0..=1.0).contains(&duplicate), "duplicate_prob must be a probability");
-        assert!((0.0..=1.0).contains(&delay), "delay_prob must be a probability");
-        self.drop_prob = drop;
-        self.duplicate_prob = duplicate;
-        self.delay_prob = delay;
-        self
-    }
-
-    /// Sets the maximum message delay in supersteps.
-    pub fn with_max_delay(mut self, supersteps: u32) -> Self {
-        self.max_delay = supersteps.max(1);
+    /// Sets the probability that each in-flight update is dropped.
+    pub fn with_message_drops(mut self, p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "drop_prob must be a probability");
+        self.drop_prob = p;
         self
     }
 
@@ -382,7 +365,7 @@ impl FaultPlan {
     }
 
     /// Generates a random-but-deterministic plan for property tests: mixes
-    /// message-level faults, possibly one fail-stop, a couple of mask
+    /// message drops, possibly one fail-stop, a couple of mask
     /// corruptions, and a degradation window, all derived from `seed`.
     ///
     /// `num_gpus` bounds fault targets; `horizon` bounds fault iterations
@@ -390,11 +373,8 @@ impl FaultPlan {
     pub fn random(seed: u64, num_gpus: usize, horizon: u32) -> Self {
         let mut s = seed;
         let mut next = || splitmix64(&mut s);
-        let unit = |x: u64| (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let horizon = horizon.max(1);
-        let mut plan = Self::new(next())
-            .with_message_faults(unit(next()) * 0.4, unit(next()) * 0.3, unit(next()) * 0.3)
-            .with_max_delay(1 + (next() % 3) as u32);
+        let mut plan = Self::new(next()).with_message_drops(unit_f64(next()) * 0.4);
         if num_gpus > 1 && next() % 2 == 0 {
             plan = plan.with_fail_stop(
                 (next() % num_gpus as u64) as usize,
@@ -414,7 +394,7 @@ impl FaultPlan {
             plan = plan.with_nic_degradation(
                 from,
                 from + 1 + (next() % 4) as u32,
-                1.0 + unit(next()) * 3.0,
+                1.0 + unit_f64(next()) * 3.0,
             );
         }
         plan
@@ -494,10 +474,6 @@ impl FaultPlan {
 pub struct FaultCounters {
     /// Messages dropped.
     pub drops: u64,
-    /// Messages duplicated.
-    pub duplicates: u64,
-    /// Messages delayed.
-    pub delays: u64,
     /// Mask words corrupted.
     pub corruptions: u64,
     /// Fail-stop losses fired.
@@ -672,8 +648,9 @@ impl FaultInjector {
     }
 
     /// Decides the fate of message `index` on `channel` (any stable id for
-    /// a (from, to) pair or destination) at `(iteration, attempt)`.
-    /// Deterministic and stateless apart from counters.
+    /// a (from, to) pair or destination) at `(iteration, attempt)`: it is
+    /// dropped when its coordinate hash falls under the plan's drop
+    /// probability. Deterministic and stateless apart from counters.
     pub fn message_fate(
         &mut self,
         iteration: u32,
@@ -682,21 +659,12 @@ impl FaultInjector {
         index: u64,
     ) -> MessageFate {
         let p = &self.plan;
-        if p.drop_prob == 0.0 && p.duplicate_prob == 0.0 && p.delay_prob == 0.0 {
+        if p.drop_prob == 0.0 {
             return MessageFate::Deliver;
         }
-        let h = coordinate_hash(p.seed, iteration, attempt, channel, index);
-        let u = unit_f64(h);
-        if u < p.drop_prob {
+        if unit_f64(coordinate_hash(p.seed, iteration, attempt, channel, index)) < p.drop_prob {
             self.counters.drops += 1;
             MessageFate::Drop
-        } else if u < p.drop_prob + p.duplicate_prob {
-            self.counters.duplicates += 1;
-            MessageFate::Duplicate
-        } else if u < p.drop_prob + p.duplicate_prob + p.delay_prob {
-            self.counters.delays += 1;
-            let extra = coordinate_hash(p.seed ^ 0xdead_beef, iteration, attempt, channel, index);
-            MessageFate::Delay(1 + (extra % self.plan.max_delay.max(1) as u64) as u32)
         } else {
             MessageFate::Deliver
         }
@@ -843,39 +811,28 @@ mod tests {
     }
 
     #[test]
-    fn message_fates_are_deterministic_and_mixed() {
-        let plan = FaultPlan::new(42).with_message_faults(0.2, 0.1, 0.1);
+    fn message_drops_are_deterministic_and_counted() {
+        let plan = FaultPlan::new(42).with_message_drops(0.2);
         let mut a = FaultInjector::new(plan.clone());
         let mut b = FaultInjector::new(plan);
         let fa: Vec<_> = (0..500).map(|i| a.message_fate(3, 0, 1, i)).collect();
         let fb: Vec<_> = (0..500).map(|i| b.message_fate(3, 0, 1, i)).collect();
         assert_eq!(fa, fb, "same plan, same stream");
         let drops = fa.iter().filter(|f| **f == MessageFate::Drop).count();
-        let dups = fa.iter().filter(|f| **f == MessageFate::Duplicate).count();
         assert!(drops > 50 && drops < 150, "~20% drops, got {drops}");
-        assert!(dups > 20 && dups < 100, "~10% duplicates, got {dups}");
-        assert!(a.counters().drops == drops as u64);
+        assert_eq!(a.counters().drops, drops as u64);
+        // At probability 1 every message is lost.
+        let mut all = FaultInjector::new(FaultPlan::new(42).with_message_drops(1.0));
+        assert!((0..100).all(|i| all.message_fate(0, 0, 0, i) == MessageFate::Drop));
     }
 
     #[test]
     fn retries_resample_independently() {
-        let plan = FaultPlan::new(9).with_message_faults(0.5, 0.0, 0.0);
+        let plan = FaultPlan::new(9).with_message_drops(0.5);
         let mut inj = FaultInjector::new(plan);
         let f0: Vec<_> = (0..64).map(|i| inj.message_fate(1, 0, 0, i)).collect();
         let f1: Vec<_> = (0..64).map(|i| inj.message_fate(1, 1, 0, i)).collect();
         assert_ne!(f0, f1, "attempt must salt the stream");
-    }
-
-    #[test]
-    fn delays_are_bounded() {
-        let plan = FaultPlan::new(5).with_message_faults(0.0, 0.0, 1.0).with_max_delay(3);
-        let mut inj = FaultInjector::new(plan);
-        for i in 0..200 {
-            match inj.message_fate(0, 0, 0, i) {
-                MessageFate::Delay(k) => assert!((1..=3).contains(&k)),
-                other => panic!("expected delay, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -928,7 +885,7 @@ mod tests {
             let b = FaultPlan::random(seed, 4, 8);
             assert_eq!(a, b);
             assert!(plan_is_survivable(&a, Topology::new(2, 2)));
-            assert!(a.drop_prob <= 0.4 && a.delay_prob <= 0.3);
+            assert!(a.drop_prob <= 0.4);
             for c in &a.mask_corruptions {
                 assert_ne!(c.xor, 0);
             }

@@ -21,9 +21,9 @@
 //!   stream-overlap rule of Fig. 3.
 
 //! * [`fault`] — the deterministic fault-injection layer (the "chaos
-//!   fabric"): seeded message drop/duplication/delay, scheduled fail-stop
-//!   GPU losses, delegate-mask corruption, and NIC degradation windows,
-//!   with typed detection errors surfaced at superstep boundaries. A
+//!   fabric"): seeded message drops, scheduled fail-stop GPU losses,
+//!   delegate-mask corruption, and NIC degradation windows, with typed
+//!   detection errors surfaced at superstep boundaries. A
 //!   fail-stopped GPU is dead at the first superstep barrier it misses,
 //!   the same rule the real-process backend in `gcbfs-core` applies to a
 //!   worker whose connection closed.

@@ -5,8 +5,8 @@
 //! and re-homing (where a dead partition goes is the shared
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome)
 //! decision the proc coordinator also asks), the transient-fault retries
-//! of the two collectives, delayed message copies, and the SDC
-//! re-execute → rollback → typed-error ladder. Every snapshot it restores
+//! of the exchange and the mask reduction, and the SDC re-execute →
+//! rollback → typed-error ladder. Every snapshot it restores
 //! — the SDC shadow and the rollback checkpoint — is a sealed
 //! [`Checkpoint`], installed through the same verified restore.
 //! The driver holds it as an `Option`: without a plan none of this code
@@ -40,7 +40,6 @@ use gcbfs_trace::{FaultKind, SinkMark};
 /// time.
 struct SdcShadow {
     state: Checkpoint,
-    delayed: Vec<(u32, usize, u32)>,
     reference_held: bool,
     verify: VerifyState,
 }
@@ -69,8 +68,6 @@ pub(crate) struct Chaos<'a> {
     /// Delegate-mask wire size — what spare absorption pays to
     /// re-replicate visited state.
     mask_bytes: u64,
-    /// Messages delayed in flight by the injector: `(due_iter, gpu, slot)`.
-    delayed: Vec<(u32, usize, u32)>,
     shadow: Option<SdcShadow>,
     /// SDC escalation ladder: failed-verification supersteps re-execute
     /// from the device shadow up to [`MAX_RETRIES`] times (persistent upsets
@@ -129,7 +126,6 @@ impl<'a> Chaos<'a> {
             hosted: Vec::new(),
             loads: dist.subgraphs.iter().map(|sg| sg.num_edges().max(1)).collect(),
             mask_bytes,
-            delayed: Vec::new(),
             shadow: None,
             sdc_reexec_attempts: 0,
             sdc_rollbacks: 0,
@@ -173,7 +169,6 @@ impl<'a> Chaos<'a> {
         // point the superstep inputs are known-clean.
         self.shadow = t.verify.as_ref().map(|vs| SdcShadow {
             state: Checkpoint::capture(t.iter, &t.group.workers, t.records.len()),
-            delayed: self.delayed.clone(),
             reference_held: t.group.reference_held,
             verify: vs.clone(),
         });
@@ -239,9 +234,6 @@ impl<'a> Chaos<'a> {
         // the next reduction encodes from scratch, as a restored proc
         // worker does.
         t.group.reference_held = false;
-        // In-flight delayed copies are superseded by the restored state
-        // (checkpoints sit at message-free boundaries).
-        self.delayed.clear();
         Ok(())
     }
 
@@ -428,51 +420,37 @@ impl<'a> Chaos<'a> {
         Ok(outcome)
     }
 
-    /// Perturbs the exchange's delivery with the injector's message fates.
-    /// Drops and delays leave the per-peer ack counts short, so the whole
-    /// exchange is retransmitted (resampling the fault stream); after
-    /// [`MAX_RETRIES`] failed attempts the transport escalates to the
-    /// verified reliable path, which always succeeds. Duplicates are
-    /// delivered — the depth update is idempotent — and delayed copies
-    /// surface in a later superstep as no-ops. Each failed attempt's
-    /// transfer time plus its exponential backoff is charged to recovery
-    /// time.
+    /// Runs the exchange's delivery through the injector: every message of
+    /// an attempt is sampled, and a drop leaves the per-peer ack counts
+    /// short, so the whole exchange is retransmitted (resampling the fault
+    /// stream); after [`MAX_RETRIES`] failed attempts the transport
+    /// escalates to the verified reliable path, which always succeeds.
+    /// Each failed attempt's transfer time plus its exponential backoff is
+    /// charged to recovery time. On `Ok`, every update of `ex` is
+    /// delivered once.
     pub fn deliver(
         &mut self,
         t: &mut Traversal,
         ex: &ExchangeResult,
         bw: f64,
-    ) -> Result<Vec<Vec<u32>>, RunError> {
+    ) -> Result<(), RunError> {
         let enabled = self.config.recovery.enabled;
         let iter = t.iter;
         let worst_remote = ex.remote_time.iter().cloned().fold(0.0, f64::max) * bw;
         let mut attempt = 0u32;
         loop {
             if enabled && attempt >= MAX_RETRIES {
-                return Ok(ex.delivered.clone()); // reliable-path escalation
+                return Ok(()); // reliable-path escalation
             }
-            let mut tampered = false;
-            let mut perturbed: Vec<Vec<u32>> = Vec::with_capacity(ex.delivered.len());
+            let mut lost = false;
             for (g, list) in ex.delivered.iter().enumerate() {
-                let mut out = Vec::with_capacity(list.len());
-                for (i, &slot) in list.iter().enumerate() {
-                    match self.injector.message_fate(iter, attempt, g as u64, i as u64) {
-                        MessageFate::Deliver => out.push(slot),
-                        MessageFate::Duplicate => {
-                            out.push(slot);
-                            out.push(slot);
-                        }
-                        MessageFate::Drop => tampered = true,
-                        MessageFate::Delay(k) => {
-                            tampered = true;
-                            self.delayed.push((iter + k, g, slot));
-                        }
-                    }
+                for i in 0..list.len() as u64 {
+                    let fate = self.injector.message_fate(iter, attempt, g as u64, i);
+                    lost |= fate == MessageFate::Drop;
                 }
-                perturbed.push(out);
             }
-            if !tampered {
-                return Ok(perturbed);
+            if !lost {
+                return Ok(());
             }
             if !enabled {
                 return Err(FaultError::ExchangeMismatch {
@@ -486,22 +464,6 @@ impl<'a> Chaos<'a> {
             self.charge(t, FaultKind::Retry, iter, spent);
             attempt += 1;
         }
-    }
-
-    /// Late-arriving copies from failed attempts land now; the accepted
-    /// retransmission already applied every update, so these are
-    /// idempotent no-ops (kept for model fidelity).
-    pub fn drain_delayed(&mut self, iter: u32, workers: &mut [GpuWorker]) {
-        self.delayed.retain(|&(due, g, slot)| {
-            if due > iter {
-                return true;
-            }
-            let w = &mut workers[g];
-            if let Some(s) = w.apply_remote_update(slot, iter + 1) {
-                w.frontier.push(s);
-            }
-            false
-        });
     }
 
     /// A verification check fired on the fully formed superstep: vacate
@@ -534,7 +496,6 @@ impl<'a> Chaos<'a> {
             self.charge(t, FaultKind::SdcReexecute, iter, spent);
             let snap = self.shadow.take().expect("shadow captured when verification is armed");
             restore(&snap.state, &mut t.group.workers, iter)?;
-            self.delayed = snap.delayed;
             t.group.reference_held = snap.reference_held;
             t.verify = Some(snap.verify);
             return Ok(());
@@ -560,8 +521,6 @@ impl<'a> Chaos<'a> {
     pub fn finish(mut self) -> FaultStats {
         let c = self.injector.counters();
         self.fault.injected_drops = c.drops;
-        self.fault.injected_duplicates = c.duplicates;
-        self.fault.injected_delays = c.delays;
         self.fault.injected_corruptions = c.corruptions;
         self.fault.fail_stops = c.fail_stops;
         self.fault.injected_checkpoint_corruptions = c.checkpoint_corruptions;

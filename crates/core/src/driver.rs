@@ -425,20 +425,15 @@ impl DistributedGraph {
                 config.uniquify,
                 config.compression,
             );
-            let delivered = match chaos.as_mut() {
-                Some(c) => {
-                    c.degrade_exchange(&mut ex);
-                    c.deliver(&mut t, &ex, bw)?
-                }
-                None => std::mem::take(&mut ex.delivered),
-            };
+            if let Some(c) = chaos.as_mut() {
+                c.degrade_exchange(&mut ex);
+                c.deliver(&mut t, &ex, bw)?;
+            }
+            let delivered = std::mem::take(&mut ex.delivered);
 
             // ---- Commit: local discoveries + applied remote updates
             // form the next frontiers. ----
             t.group.commit(&mut outputs, &delivered, next_depth);
-            if let Some(c) = chaos.as_mut() {
-                c.drain_delayed(iter, &mut t.group.workers);
-            }
 
             // ---- Verify: detect on the fully formed superstep (all
             // settles and frontier lists final); a violation vacates it
@@ -864,7 +859,7 @@ mod tests {
     fn message_faults_recover_to_reference_depths() {
         let (graph, dist, config, source) = rmat_fixture();
         let expect = bfs_depths(&Csr::from_edge_list(&graph), source);
-        let plan = FaultPlan::new(99).with_message_faults(0.2, 0.1, 0.1).with_max_delay(2);
+        let plan = FaultPlan::new(99).with_message_drops(0.2);
         let r = dist.run_with_faults(source, &config, &plan).unwrap();
         assert_eq!(r.depths, expect, "recovery must be bit-exact");
         let f = &r.stats.fault;
@@ -922,7 +917,7 @@ mod tests {
         let (_, dist, config, source) = rmat_fixture();
         let off = config.with_recovery(RecoveryConfig::disabled());
         // Dropped updates: ack mismatch.
-        let drops = FaultPlan::new(11).with_message_faults(1.0, 0.0, 0.0);
+        let drops = FaultPlan::new(11).with_message_drops(1.0);
         assert!(matches!(
             dist.run_with_faults(source, &off, &drops),
             Err(RunError::Fault(FaultError::ExchangeMismatch { attempts: 1, .. }))
@@ -960,9 +955,9 @@ mod tests {
 
     #[test]
     fn compression_survives_chaos_bit_exactly() {
-        // Satellite f: compressed messages cross the fault injector, get
-        // dropped/duplicated/delayed, and the deterministic re-encode on
-        // retransmit still recovers the reference depths. Scale 12 so the
+        // Compressed messages cross the fault injector, get dropped, and
+        // the deterministic re-encode on retransmit still recovers the
+        // reference depths. Scale 12 so the
         // traversal has iterations whose messages genuinely compress.
         let graph = RmatConfig::graph500(12).generate();
         let config = BfsConfig::new(8);
@@ -971,7 +966,7 @@ mod tests {
         let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
         let expect = bfs_depths(&Csr::from_edge_list(&graph), source);
         let config = config.with_compression(CompressionMode::Adaptive);
-        let plan = FaultPlan::new(99).with_message_faults(0.2, 0.1, 0.1).with_max_delay(2);
+        let plan = FaultPlan::new(99).with_message_drops(0.2);
         let r = dist.run_with_faults(source, &config, &plan).unwrap();
         assert_eq!(r.depths, expect, "compressed recovery must be bit-exact");
         let f = &r.stats.fault;

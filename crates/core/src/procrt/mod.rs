@@ -190,8 +190,6 @@ pub struct ProcReport {
     /// Always 0: no worker sends heartbeats. Kept while readers of the
     /// report still name it.
     pub heartbeats: u64,
-    /// Duplicate `StepRemote` frames workers ignored.
-    pub duplicate_frames_ignored: u64,
     /// Image checkpoints committed, each counted once across the workers.
     /// `Begin`, the run's iteration-0 checkpoint, is not one.
     pub checkpoints: u64,

@@ -22,10 +22,10 @@
 //! | `0x03` | [`Msg::Ready`] | W → C | stats | round `begin_on` |
 //! | `0x10` | [`Msg::StepGo`] | C → W | iteration `u32`, checkpoint flag `u8` | `WorkerRound` |
 //! | `0x11` | [`Msg::StepLocal`] | W → C | exchange | round `route` |
-//! | `0x12` | [`Msg::StepRemote`] | C → W | exchange | `WorkerRound` |
+//! | `0x12` | [`Msg::StepRemote`] | C → W | exchange | `WorkerRound` (exactly once per `StepGo`: any other is refused) |
 //! | `0x13` | [`Msg::StepDone`] | W → C | stats; save flag `u8`, then, when 1, a delta since the last `Begin` or save | round superstep barrier (saves folded, committed) |
 //! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
-//! | `0x31` | [`Msg::FinalState`] | W → C | duplicates ignored `u64`, delta | round `finish` (folded) |
+//! | `0x31` | [`Msg::FinalState`] | W → C | delta | round `finish` (folded) |
 //! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process |
 //! | `0x42` | [`Msg::Bye`] | W → C | empty | none: teardown waits for the exit |
 //!
@@ -96,7 +96,7 @@ use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 10;
+pub const PROTO_VERSION: u32 = 11;
 
 /// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
@@ -202,15 +202,10 @@ pub enum Msg<'a> {
     },
     /// The traversal finished: ship the final state.
     Finish,
-    /// The end of a traversal; the worker then waits for the next `Begin`
-    /// or for `Shutdown`.
-    FinalState {
-        /// Duplicate `StepRemote` frames this traversal ignored.
-        duplicates_ignored: u64,
-        /// Every hosted GPU's final state, as a delta since the worker's
-        /// last `Begin` or save.
-        state: StateDelta,
-    },
+    /// The end of a traversal: every hosted GPU's final state, as a delta
+    /// since the worker's last `Begin` or save. The worker then waits for
+    /// the next `Begin` or for `Shutdown`.
+    FinalState(StateDelta),
     /// Drain and exit.
     Shutdown,
     /// Acknowledged shutdown, about to exit.
@@ -271,19 +266,9 @@ impl Msg<'_> {
             Self::StepRemote(_) => kind::STEP_REMOTE,
             Self::StepDone { .. } => kind::STEP_DONE,
             Self::Finish => kind::FINISH,
-            Self::FinalState { .. } => kind::FINAL_STATE,
+            Self::FinalState(_) => kind::FINAL_STATE,
             Self::Shutdown => kind::SHUTDOWN,
             Self::Bye => kind::BYE,
-        }
-    }
-
-    /// The superstep a message belongs to, for the kinds that carry one.
-    pub fn iter(&self) -> Option<u32> {
-        match self {
-            Self::StepGo { iter, .. } => Some(*iter),
-            Self::Ready(s) | Self::StepDone { stats: s, .. } => Some(s.iter),
-            Self::StepLocal(x) | Self::StepRemote(x) => Some(x.iter),
-            _ => None,
         }
     }
 
@@ -331,10 +316,7 @@ impl Msg<'_> {
                     w.body(&b.body, u32::to_le_bytes);
                 }
             }
-            Self::FinalState { duplicates_ignored, state } => {
-                w.u64(*duplicates_ignored);
-                w.delta(state);
-            }
+            Self::FinalState(state) => w.delta(state),
             Self::Finish | Self::Shutdown | Self::Bye => {}
         }
         Frame::new(self.kind(), w.buf)
@@ -387,16 +369,27 @@ impl<'a> Msg<'a> {
                 Self::StepDone { stats: r.stats()?, save: r.optional_delta(grid()?)? }
             }
             kind::FINISH => Self::Finish,
-            kind::FINAL_STATE => {
-                let duplicates_ignored = r.u64()?;
-                Self::FinalState { duplicates_ignored, state: r.delta(grid()?)? }
-            }
+            kind::FINAL_STATE => Self::FinalState(r.delta(grid()?)?),
             kind::SHUTDOWN => Self::Shutdown,
             kind::BYE => Self::Bye,
             k => return Err(ProtocolError::new(format!("unknown frame kind {k:#x}"))),
         };
         r.expect_end()?;
         Ok(msg)
+    }
+}
+
+/// The superstep a `Ready`, `StepGo`, `StepLocal`, `StepRemote` or
+/// `StepDone` frame belongs to, read from the first `u32` of its body
+/// without decoding the rest; `None` for another kind or a body too short
+/// to hold one.
+pub fn frame_iter(frame: &Frame) -> Option<u32> {
+    let mut r = WireReader { bytes: frame.payload(), at: 0 };
+    match frame.kind {
+        kind::READY | kind::STEP_GO | kind::STEP_LOCAL | kind::STEP_REMOTE | kind::STEP_DONE => {
+            r.u32().ok()
+        }
+        _ => None,
     }
 }
 
@@ -961,7 +954,7 @@ mod tests {
             Msg::StepDone { stats, save: Some(sample_delta(true)) },
             Msg::StepDone { stats, save: Some(sample_delta(false)) },
             Msg::Finish,
-            Msg::FinalState { duplicates_ignored: 2, state: sample_delta(true) },
+            Msg::FinalState(sample_delta(true)),
             Msg::Shutdown,
             Msg::Bye,
         ]
@@ -994,16 +987,27 @@ mod tests {
                     | Msg::StepLocal(_)
                     | Msg::StepRemote(_)
                     | Msg::StepDone { .. }
-                    | Msg::FinalState { .. }
+                    | Msg::FinalState(_)
             );
             assert_eq!(Msg::decode(&frame, None).is_err(), needs_grid, "{msg:?}");
             let state = matches!(
                 msg,
                 Msg::Begin { resume: Some(_), .. }
                     | Msg::StepDone { save: Some(_), .. }
-                    | Msg::FinalState { .. }
+                    | Msg::FinalState(_)
             );
             assert_eq!(carries_state(&frame), state, "{msg:?}");
+            // The header's iteration is the decoded one; a body too short
+            // to hold it has none.
+            let iter = match msg {
+                Msg::StepGo { iter, .. } => Some(*iter),
+                Msg::Ready(s) | Msg::StepDone { stats: s, .. } => Some(s.iter),
+                Msg::StepLocal(x) | Msg::StepRemote(x) => Some(x.iter),
+                _ => None,
+            };
+            assert_eq!(frame_iter(&frame), iter, "{msg:?}");
+            let short = Frame::new(frame.kind, body[..body.len().min(3)].to_vec());
+            assert_eq!(frame_iter(&short), None, "{msg:?}");
         }
         // A save flag other than 0 or 1 is typed.
         let done = Msg::StepDone { stats: Stats::default(), save: None }.frame();
@@ -1139,7 +1143,7 @@ mod tests {
         let mut state = StateDelta { delegates: Vec::new(), ..sample_delta(true) };
         state.gpus.truncate(1);
         state.gpus[0].candidates.truncate(1);
-        let frame = Msg::FinalState { duplicates_ignored: 0, state }.frame();
+        let frame = Msg::FinalState(state).frame();
         let body = frame.payload();
         // Back from the end: the seal (8), the proposal (24) and its count
         // (4), the candidate (12) and its count (4).

@@ -36,7 +36,7 @@
 //! delta from iteration 0, once there are any), and resume at the commit.
 //! [`ProcReport::checkpoints`] counts image commits; `Begin` is not one.
 
-use super::protocol::{kind, Exchange, Msg, ProtocolError, Stats};
+use super::protocol::{frame_iter, kind, Exchange, Msg, ProtocolError, Stats};
 use super::{ProcError, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use crate::checkpoint::{GpuDelta, GpuStateImage, StateDelta};
@@ -97,7 +97,7 @@ pub struct ProcOutcome {
     /// The Graph500 parent tree, when requested.
     pub parents: Option<Vec<u64>>,
     /// The run's telemetry; a [`Round`] fills the workers, supersteps,
-    /// duplicates, checkpoints and the recovery, its link the rest.
+    /// checkpoints and the recovery, its link the rest.
     pub report: ProcReport,
 }
 
@@ -244,12 +244,13 @@ impl Round {
     /// frontier counts of a `Ready` or `StepDone`, and hands each to `on`,
     /// within one step timeout. Any other frame is stale — a
     /// survivor's from a superstep a recovery aborted, or a dead slot's —
-    /// and skipped. Returns the first death confirmed instead, if any, with
+    /// and skipped on its kind and header iteration ([`frame_iter`]),
+    /// undecoded. Returns the first death confirmed instead, if any, with
     /// `pending` left holding the entries not yet matched.
     ///
     /// # Errors
     /// `StepTimeout` at the deadline, at the run's superstep; a malformed
-    /// or out-of-contract frame; what `on` returns.
+    /// or out-of-contract frame the round consumes; what `on` returns.
     fn gather<L: Link>(
         &mut self,
         link: &mut L,
@@ -265,20 +266,17 @@ impl Round {
                 Some(Heard::Dead(death)) => return Ok(Some(death)),
                 Some(Heard::Frame(slot, frame)) => (slot, frame),
             };
-            if self.stats[slot].is_none() {
+            let stale = frame.kind != accept || frame_iter(&frame).is_some_and(|i| i != iter);
+            if self.stats[slot].is_none() || stale {
                 continue;
             }
+            let Some(at) = pending.iter().position(|&s| s == slot) else { continue };
+            pending.remove(at);
             let msg = Msg::decode(&frame, Some(&self.topo))?;
-            if frame.kind != accept || msg.iter().is_some_and(|i| i != iter) {
-                continue;
+            if let Msg::Ready(s) | Msg::StepDone { stats: s, .. } = msg {
+                self.stats[slot] = Some(s);
             }
-            if let Some(at) = pending.iter().position(|&s| s == slot) {
-                pending.remove(at);
-                if let Msg::Ready(s) | Msg::StepDone { stats: s, .. } = msg {
-                    self.stats[slot] = Some(s);
-                }
-                on(self, slot, msg)?;
-            }
+            on(self, slot, msg)?;
         }
         Ok(None)
     }
@@ -444,8 +442,7 @@ impl Round {
             kind::FINAL_STATE,
             0,
             |round, slot, msg| {
-                if let Msg::FinalState { duplicates_ignored, state } = msg {
-                    round.report.duplicate_frames_ignored += duplicates_ignored;
+                if let Msg::FinalState(state) = msg {
                     round.fold(slot, Some(state), Some(iterations), &mut folded)?;
                 }
                 Ok(())
@@ -697,5 +694,28 @@ mod tests {
             assert_eq!((round.cp_iter, round.report.checkpoints), (0, 0), "{what}");
             assert!(round.cp_store == before, "{what} touched the store");
         }
+    }
+
+    #[test]
+    fn a_stale_frame_is_skipped_on_its_header_undecoded() {
+        // Slot 1 dies in superstep 3's barrier, before either `StepDone`.
+        let mut round = round();
+        let death = Heard::Dead(Death { slot: 1, detect_seconds: 0.0 });
+        let dead = superstep(&mut round, 3, vec![death]);
+        let Ok(Some(death)) = dead else { panic!("{dead:?}") };
+        // Slot 0's `StepDone` from the aborted barrier arrives during the
+        // recovery's `Ready` gather with its save cut short: stale, so it
+        // is skipped on its header, and its body is never decoded.
+        let stats = Stats { iter: 3, ..Stats::default() };
+        let body = Msg::StepDone { stats, save: Some(save(&round, &[0, 1], 4)) }.frame();
+        let cut = Frame::new(kind::STEP_DONE, body.payload()[..body.payload().len() - 9].to_vec());
+        assert!(Msg::decode(&cut, Some(&round.topo)).is_err(), "the cut body does not decode");
+        let ready = Msg::Ready(Stats::default()).frame();
+        let mut script = Script([Heard::Frame(0, cut), Heard::Frame(0, ready)].into());
+        let resumed = round.recover(&mut script, death, Vec::new());
+        assert!(matches!(resumed, Ok(0)), "{resumed:?}");
+        let rec = round.report.recovery.expect("the death is recovered");
+        assert_eq!((rec.worker, rec.mode, rec.resumed_iter), (1, RecoveryMode::Spread, 0));
+        assert_eq!(round.hosted(0), [0, 1, 2, 3]);
     }
 }

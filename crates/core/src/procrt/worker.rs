@@ -83,10 +83,9 @@ pub struct WorkerRound<'g> {
 struct Traversal {
     /// The hosted GPUs and the traversal steps the sim driver also runs.
     group: HostedGroup,
-    /// `None` outside a superstep (the duplicate-frame guard: a second
-    /// `StepRemote` finds nothing to do).
+    /// `None` outside a superstep: a `StepRemote` then has nothing to
+    /// complete and is refused.
     in_flight: Option<InFlight>,
-    duplicates_ignored: u64,
     /// The iteration the hosted state enters.
     iter: u32,
 }
@@ -124,8 +123,7 @@ impl<'g> WorkerRound<'g> {
     ///   as the sim driver builds them, then seeded from the source or,
     ///   with a resume, given the committed images it folds from the
     ///   resume's delta ([`HostedGroup::resume`]). It replaces any
-    ///   traversal in flight (a recovery) and keeps its count of ignored
-    ///   duplicates.
+    ///   traversal in flight (a recovery).
     /// - `StepGo` → `StepLocal`: the local kernels and the shared block
     ///   formation. A stale superstep in flight is superseded.
     /// - `StepRemote` → `StepDone`: reduce and consume every rank's mask
@@ -133,19 +131,22 @@ impl<'g> WorkerRound<'g> {
     ///   next frontiers; when the `StepGo` asked for a checkpoint, the
     ///   `StepDone` carries the state entering the next superstep, settled
     ///   since the last `Begin` or save, which the coordinator folds into
-    ///   the only copy. One with no superstep in flight — a duplicated or
-    ///   stale frame — is counted and answers nothing.
+    ///   the only copy. Each `StepGo` is answered by exactly one
+    ///   `StepRemote`: one for a superstep not in flight — a second copy,
+    ///   or another superstep's — is refused.
     /// - `Finish` → `FinalState`, the state settled since the last `Begin`
     ///   or save, which ends the traversal.
     ///
     /// # Errors
     /// What `reply` returns; a source outside the graph; a message the
-    /// round does not expect (anything but `Begin` outside a traversal);
+    /// round does not expect (anything but `Begin` outside a traversal, a
+    /// `StepRemote` for a superstep not in flight);
     /// and the hosted group's refusals: a hosted flat outside the grid or
     /// repeated, a resume that is not one entry per hosted GPU or does not
     /// fold from iteration 0, a mask
     /// contribution or block that does not reduce or deliver. A refused
-    /// `Begin` leaves the worker as it was.
+    /// `Begin`, or a `StepRemote` for a superstep not in flight, leaves the
+    /// worker as it was.
     pub fn handle<E: From<ProtocolError>>(
         &mut self,
         msg: Msg<'_>,
@@ -167,8 +168,7 @@ impl<'g> WorkerRound<'g> {
                     0
                 }
             };
-            let duplicates_ignored = self.run.as_ref().map_or(0, |t| t.duplicates_ignored);
-            let t = self.run.insert(Traversal { group, in_flight: None, duplicates_ignored, iter });
+            let t = self.run.insert(Traversal { group, in_flight: None, iter });
             return reply(Msg::Ready(t.stats(iter)));
         }
         let Some(t) = self.run.as_mut() else { return Err(unexpected().into()) };
@@ -188,8 +188,8 @@ impl<'g> WorkerRound<'g> {
             }
             Msg::StepRemote(x) => {
                 let Some(mut f) = t.in_flight.take_if(|f| f.iter == x.iter) else {
-                    t.duplicates_ignored += 1;
-                    return Ok(());
+                    let detail = format!("StepRemote {} with no such superstep in flight", x.iter);
+                    return Err(ProtocolError::new(detail).into());
                 };
                 f.contributions.extend(x.contributions.into_owned());
                 f.held.extend(x.blocks);
@@ -204,7 +204,7 @@ impl<'g> WorkerRound<'g> {
             Msg::Finish => {
                 let mut t = self.run.take().expect("a traversal is in flight");
                 let state = t.group.delta(t.iter);
-                reply(Msg::FinalState { duplicates_ignored: t.duplicates_ignored, state })
+                reply(Msg::FinalState(state))
             }
             _ => Err(unexpected().into()),
         }

@@ -4,11 +4,11 @@
 //! Two recovery tiers, matching the fault classes of
 //! [`gcbfs_cluster::fault`]:
 //!
-//! 1. **Transient faults** (dropped/duplicated/delayed updates detected by
-//!    per-peer ack counts; corrupted mask words detected by checksums) are
-//!    handled *within* the iteration: the affected exchange or reduction
-//!    is re-run with exponential backoff, up to [`MAX_RETRIES`] resampled
-//!    attempts. The transport then escalates to a verified reliable path
+//! 1. **Transient faults** (dropped updates detected by per-peer ack
+//!    counts; corrupted mask words detected by checksums) are handled
+//!    *within* the iteration: the affected exchange or reduction is re-run
+//!    with exponential backoff, up to [`MAX_RETRIES`] resampled attempts.
+//!    The transport then escalates to a verified reliable path
 //!    (retransmission with per-message acks — the way MPI itself survives
 //!    link-level loss), so a recovering run always makes progress. Every
 //!    retry's transfer time and backoff wait is charged to

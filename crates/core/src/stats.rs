@@ -50,10 +50,6 @@ pub struct IterationRecord {
 pub struct FaultStats {
     /// Normal-vertex updates dropped in flight by the injector.
     pub injected_drops: u64,
-    /// Updates duplicated in flight.
-    pub injected_duplicates: u64,
-    /// Updates delayed to a later superstep.
-    pub injected_delays: u64,
     /// Delegate-mask words corrupted in the reduction.
     pub injected_corruptions: u64,
     /// Fail-stop GPU losses injected (each misses a superstep barrier).
@@ -106,8 +102,6 @@ impl FaultStats {
     /// True if any fault was injected or any recovery action taken.
     pub fn any_faults(&self) -> bool {
         self.injected_drops
-            + self.injected_duplicates
-            + self.injected_delays
             + self.injected_corruptions
             + self.fail_stops
             + self.injected_checkpoint_corruptions

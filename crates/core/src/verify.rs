@@ -126,7 +126,7 @@ fn settle_hash(slot: u32, depth: u32) -> u64 {
 
 /// The driver-side shadow of every settle event, updated on each
 /// legitimate settle path (seeding, kernel discovery, remote update,
-/// delayed delivery, delegate-mask consumption). Models the redundant
+/// delegate-mask consumption). Models the redundant
 /// device-side accumulator an ABFT kernel would maintain; checkpoints
 /// snapshot it alongside the state it shadows so rollback rewinds both.
 #[derive(Clone, Debug)]
@@ -158,9 +158,9 @@ impl VerifyState {
 
     /// Folds the normal settles of one superstep: every path that settled
     /// a local vertex pushed it onto the owner's frontier exactly once
-    /// (local discovery, applied remote update, or a drained delayed
-    /// copy), so folding the next-frontier lists at `depth` mirrors the
-    /// settled state by construction.
+    /// (local discovery or applied remote update), so folding the
+    /// next-frontier lists at `depth` mirrors the settled state by
+    /// construction.
     pub fn fold_frontiers(&mut self, workers: &[GpuWorker], depth: u32) {
         for (g, w) in workers.iter().enumerate() {
             for &slot in &w.frontier {

@@ -47,9 +47,8 @@ fn spared_fixture() -> &'static Fixture {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline acceptance property: a random mix of drops,
-    /// duplicates, delays, a possible fail-stop, mask corruptions, and a
-    /// NIC degradation window never changes the answer — only the bill.
+    /// The headline acceptance property: a random mix of message drops, a
+    /// possible fail-stop, mask corruptions, and a NIC degradation window never changes the answer — only the bill.
     #[test]
     fn random_fault_plans_recover_reference_depths(seed in 0u64..u64::MAX / 2) {
         let fx = fixture();

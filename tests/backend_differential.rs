@@ -18,8 +18,8 @@
 //! They check the sharing over one worker and over two, a checkpoint
 //! saved, resumed and replayed, a death of each slot at each superstep on
 //! every delivery schedule (and the sim's fail-stop of the same GPUs,
-//! which must resume from the same superstep), hostile `Begin` bodies and
-//! deltas, and 32 seeded delivery schedules.
+//! which must resume from the same superstep), hostile `Begin` bodies,
+//! `StepRemote`s and deltas, and 32 seeded delivery schedules.
 
 use gpu_cluster_bfs::cluster::fault::{FaultError, FaultPlan};
 use gpu_cluster_bfs::compress::{CompressionMode, Frame};
@@ -27,7 +27,9 @@ use gpu_cluster_bfs::core::backend::{Backend, BackendError, BackendRun, ProcBack
 use gpu_cluster_bfs::core::checkpoint::{GpuStateImage, Level, StateDelta};
 use gpu_cluster_bfs::core::comm::Block;
 use gpu_cluster_bfs::core::driver::RunError;
-use gpu_cluster_bfs::core::procrt::protocol::{kind, Exchange, Msg, ProtocolError, Stats};
+use gpu_cluster_bfs::core::procrt::protocol::{
+    frame_iter, kind, Exchange, Msg, ProtocolError, Stats,
+};
 use gpu_cluster_bfs::core::procrt::round::{Death, Heard, Link, ProcOutcome, Round};
 use gpu_cluster_bfs::core::procrt::worker::WorkerRound;
 use gpu_cluster_bfs::core::procrt::{
@@ -223,14 +225,14 @@ fn pool_traffic_is_pinned_frame_for_frame() {
     // entering superstep 4 and one final state); CHANGES.md derives the
     // table from frame sizes.
     let pinned = [
-        (CompressionMode::Off, true, "cold", (1065571, 16675, 26, 26)),
-        (CompressionMode::Off, true, "warm", (21237, 16675, 24, 24)),
-        (CompressionMode::Off, false, "cold", (1050431, 1535, 26, 26)),
-        (CompressionMode::Off, false, "warm", (6097, 1535, 24, 24)),
-        (CompressionMode::Adaptive, true, "cold", (1065697, 16675, 26, 26)),
-        (CompressionMode::Adaptive, true, "warm", (21363, 16675, 24, 24)),
-        (CompressionMode::Adaptive, false, "cold", (1050557, 1535, 26, 26)),
-        (CompressionMode::Adaptive, false, "warm", (6223, 1535, 24, 24)),
+        (CompressionMode::Off, true, "cold", (1065555, 16659, 26, 26)),
+        (CompressionMode::Off, true, "warm", (21221, 16659, 24, 24)),
+        (CompressionMode::Off, false, "cold", (1050415, 1519, 26, 26)),
+        (CompressionMode::Off, false, "warm", (6081, 1519, 24, 24)),
+        (CompressionMode::Adaptive, true, "cold", (1065681, 16659, 26, 26)),
+        (CompressionMode::Adaptive, true, "warm", (21347, 16659, 24, 24)),
+        (CompressionMode::Adaptive, false, "cold", (1050541, 1519, 26, 26)),
+        (CompressionMode::Adaptive, false, "warm", (6207, 1519, 24, 24)),
     ];
     let graph = RmatConfig::graph500(10).generate();
     let topo = Topology::new(4, 2);
@@ -616,8 +618,8 @@ const SCHEDULES: [(bool, Option<u64>); 6] = [
 /// confirmed once nothing else is left to deliver — or, eager, as soon as
 /// it happened, ahead of the replies other workers queued. Seeded, each event —
 /// a worker handling its next frame, or the round hearing a worker's — is
-/// drawn from the seed, and every `StepRemote` is sent twice, each copy
-/// held back for a drawn number of events.
+/// drawn from the seed, and every `StepRemote` is held back for a drawn
+/// number of events. Every frame is delivered once, as on a socket.
 struct InProcess<'g> {
     dist: &'g DistributedGraph,
     config: BfsConfig,
@@ -696,7 +698,9 @@ impl<'g> InProcess<'g> {
         let topo = self.dist.topology();
         let msg = Msg::decode(frame, Some(&topo)).unwrap_or_else(|e| panic!("slot {slot}: {e}"));
         let fires = |k: &Kill| {
-            k.slot == slot && k.kind == frame.kind && k.iter.is_none_or(|i| msg.iter() == Some(i))
+            k.slot == slot
+                && k.kind == frame.kind
+                && k.iter.is_none_or(|i| frame_iter(frame) == Some(i))
         };
         let dies = self.kills.first().is_some_and(fires);
         if dies {
@@ -704,7 +708,10 @@ impl<'g> InProcess<'g> {
         }
         let mode = self.config.compression;
         let w = self.workers[slot].as_mut().expect("only a live worker is sent frames");
-        let go = matches!(msg, Msg::StepGo { .. }).then(|| msg.iter().unwrap() as usize);
+        let go = match msg {
+            Msg::StepGo { iter, .. } => Some(iter as usize),
+            _ => None,
+        };
         let reference =
             |w: &WorkerRound<'_>| w.group().is_some_and(|g| g.mask_reference(mode).is_some());
         let resuming = matches!(msg, Msg::Begin { resume: Some(_), .. });
@@ -793,10 +800,8 @@ impl Link for InProcess<'_> {
             return;
         }
         let seeded_remote = self.rng.is_some() && msg.kind() == kind::STEP_REMOTE;
-        for _ in 0..1 + seeded_remote as usize {
-            let hold = if seeded_remote { self.draw(4) as u32 } else { 0 };
-            self.inbox[slot].push_back((hold, msg.frame()));
-        }
+        let hold = if seeded_remote { self.draw(4) as u32 } else { 0 };
+        self.inbox[slot].push_back((hold, msg.frame()));
     }
 
     fn next(&mut self, _deadline: Instant) -> Result<Option<Heard>, ProcError> {
@@ -1100,7 +1105,7 @@ fn handle(
         match Msg::decode(frame, Some(topo)).unwrap_or_else(|e| panic!("{e}")) {
             Msg::Ready(s) => stats = Some(s),
             Msg::StepDone { stats: s, save } => (stats, delta) = (Some(s), save),
-            Msg::FinalState { state, .. } => delta = Some(state),
+            Msg::FinalState(state) => delta = Some(state),
             _ => {}
         }
     }
@@ -1249,10 +1254,9 @@ fn hostile_deltas_are_typed_errors_that_fold_nothing() {
     // Every strict prefix and one trailing byte of a save and of a final
     // state are typed decode errors.
     let topo = dist.topology();
-    for msg in [
-        Msg::StepDone { stats, save: Some(good.clone()) },
-        Msg::FinalState { duplicates_ignored: 1, state: deltas[2].clone() },
-    ] {
+    for msg in
+        [Msg::StepDone { stats, save: Some(good.clone()) }, Msg::FinalState(deltas[2].clone())]
+    {
         let frame = msg.frame();
         let body = frame.payload();
         for len in 0..body.len() {
@@ -1558,10 +1562,55 @@ fn hostile_begins_are_typed_errors_that_install_nothing() {
 }
 
 #[test]
+fn hostile_step_remotes_are_typed_errors_that_install_nothing() {
+    let cell = DeathCell::new();
+    let config = BfsConfig::new(16);
+    let topo = Topology::new(4, 2);
+    let dist = DistributedGraph::build(&cell.graph, topo, &config).unwrap();
+    // The capture entering each superstep of the same run, undisturbed.
+    let (captures, _) = solo(&dist, &config, true, cell.source, &[]);
+    // One worker hosting every GPU holds every block, so its `StepRemote`s
+    // are empty.
+    let remote = |iter| {
+        let x = Exchange { iter, contributions: Cow::Owned(Vec::new()), blocks: Vec::new() };
+        Msg::StepRemote(x).frame()
+    };
+    let mut w = WorkerRound::new(&dist, config, true);
+    let hosted = (0..8).collect();
+    handle(&mut w, Msg::Begin { source: cell.source, hosted, resume: None }, &topo);
+    handle(&mut w, Msg::StepGo { iter: 0, checkpoint: false }, &topo);
+    handle(&mut w, Msg::decode(&remote(0), Some(&topo)).unwrap(), &topo);
+    // Superstep 0 committed and none in flight; then superstep 1 in flight.
+    let hostile = [
+        ("a second StepRemote for the superstep just committed", false, 0),
+        ("a StepRemote for the superstep after it, before its StepGo", false, 1),
+        ("a second StepRemote for the committed superstep, with 1 in flight", true, 0),
+        ("a StepRemote for another superstep than the one in flight", true, 2),
+    ];
+    let mut going = false;
+    for (what, in_flight, iter) in hostile {
+        if in_flight && !going {
+            handle(&mut w, Msg::StepGo { iter: 1, checkpoint: false }, &topo);
+            going = true;
+        }
+        let before = digests(&w);
+        let refused = Msg::decode(&remote(iter), Some(&topo))
+            .and_then(|msg| w.handle(msg, |_| Ok::<_, ProtocolError>(())))
+            .expect_err(what);
+        let detail = format!("StepRemote {iter} with no such superstep in flight");
+        assert!(refused.detail.contains(&detail), "{what}: {refused}");
+        assert_eq!(digests(&w), before, "{what} installed something");
+    }
+    // The superstep in flight still completes, bit-exact.
+    handle(&mut w, Msg::decode(&remote(1), Some(&topo)).unwrap(), &topo);
+    assert_eq!(w.group().unwrap().capture(), captures[2]);
+}
+
+#[test]
 fn any_delivery_schedule_is_bit_exact_in_process() {
-    // Replies cross slots in a seeded order, and every `StepRemote` is
-    // duplicated and held back a seeded number of events; checkpoints every
-    // second superstep put saves in every second barrier.
+    // Replies cross slots in a seeded order, and every `StepRemote` is held
+    // back a seeded number of events; checkpoints every second superstep
+    // put saves in every second barrier.
     let cell = DeathCell::new();
     let checkpoints = RecoveryConfig::default().with_checkpoint_interval(2);
     let config =
@@ -1576,9 +1625,5 @@ fn any_delivery_schedule_is_bit_exact_in_process() {
         assert_eq!(run.depths, sim.depths, "depths, seed {seed}");
         assert_eq!(run.parents, sim.parents, "parents, seed {seed}");
         assert_eq!(run.report.iterations, sim.iterations(), "supersteps, seed {seed}");
-        assert!(
-            run.report.duplicate_frames_ignored > 0,
-            "seed {seed}: no duplicate reached a worker"
-        );
     }
 }

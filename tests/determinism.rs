@@ -236,3 +236,38 @@ fn sssp_width_matrix_bitwise() {
         (r.distances, r.rounds, r.edges_relaxed, r.modeled_seconds.to_bits())
     });
 }
+
+/// A message-loss plan's accounting, pinned on RMAT 10 (2 × 2 GPUs, TH 8)
+/// from its hub: depths, retries, drops, and the bits of the recovery and
+/// modeled seconds, under both wire formats. Each sampled loss is counted
+/// and each attempt with one is retried, up to the reliable path; a change
+/// to how a loss is sampled, retried or charged moves one of these.
+#[test]
+fn message_loss_accounting_is_pinned() {
+    use gpu_cluster_bfs::cluster::fault::FaultPlan;
+    use gpu_cluster_bfs::compress::CompressionMode;
+    let graph = RmatConfig::graph500(10).generate();
+    let src = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    assert_eq!(src, 1014);
+    // (mode, recovery seconds bits, modeled seconds bits).
+    let pinned = [
+        (CompressionMode::Off, 0x3f47_d2b8_899b_e563u64, 0x3f4c_d0c1_6869_395au64),
+        (CompressionMode::Adaptive, 0x3f47_d3e2_25cb_37c2, 0x3f4e_652a_f253_3e53),
+    ];
+    for (mode, recovery_bits, modeled_bits) in pinned {
+        let config = BfsConfig::new(8).with_compression(mode);
+        let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
+        let clean = dist.run(src, &config).unwrap();
+        let r = dist.run_with_faults(src, &config, &FaultPlan::new(99).with_message_drops(0.2));
+        let r = r.unwrap();
+        assert_eq!(r.depths, clean.depths, "{mode:?}: depths");
+        let fnv = |h: u64, &d: &u32| (h ^ d as u64).wrapping_mul(0x100_0000_01b3);
+        let depth_hash = r.depths.iter().fold(0xcbf2_9ce4_8422_2325, fnv);
+        assert_eq!((r.iterations(), depth_hash), (4, 0x728f_be26_36d4_0e5b), "{mode:?}: depths");
+        let f = &r.stats.fault;
+        assert_eq!((f.retries, f.injected_drops), (6, 23), "{mode:?}: retries and drops");
+        assert_eq!((f.rollbacks, f.checkpoints_taken), (0, 1), "{mode:?}");
+        assert_eq!(f.recovery_seconds.to_bits(), recovery_bits, "{mode:?}: recovery seconds");
+        assert_eq!(r.modeled_seconds().to_bits(), modeled_bits, "{mode:?}: modeled seconds");
+    }
+}

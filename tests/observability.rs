@@ -43,7 +43,7 @@ fn modes() -> [CompressionMode; 3] {
 }
 
 fn chaos_plan() -> FaultPlan {
-    FaultPlan::new(99).with_message_faults(0.2, 0.1, 0.1).with_max_delay(2)
+    FaultPlan::new(99).with_message_drops(0.2)
 }
 
 /// Max-combine of the recorded per-lane spans for one (iteration, phase),
