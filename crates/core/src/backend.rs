@@ -233,16 +233,17 @@ mod tests {
         let cmd = WorkerCommand::new("/bin/false", vec![]);
         let b = ProcBackend::new(cmd, ProcOptions::default());
         assert_eq!(b.label(), "proc");
-        let cfg = BfsConfig::new(8).with_verification(VerificationMode::Checksums);
-        match b.run(&graph, Topology::new(1, 1), 0, &cfg, false) {
-            Err(BackendError::Unsupported(_)) => {}
-            other => panic!("expected Unsupported, got {other:?}"),
+        let base = BfsConfig::new(8);
+        for (cfg, feature) in [
+            (base.with_verification(VerificationMode::Checksums), "online verification"),
+            (base.with_observability(gcbfs_trace::ObservabilityConfig::Full), "tracing"),
+            (base.with_overlap(true), "overlap"),
+        ] {
+            match b.run(&graph, Topology::new(1, 1), 0, &cfg, false) {
+                Err(BackendError::Unsupported(what)) => assert!(what.contains(feature), "{what}"),
+                other => panic!("{feature}: expected Unsupported, got {other:?}"),
+            }
         }
-        let cfg = BfsConfig::new(8).with_observability(gcbfs_trace::ObservabilityConfig::Full);
-        assert!(matches!(
-            b.run(&graph, Topology::new(1, 1), 0, &cfg, false),
-            Err(BackendError::Unsupported(_))
-        ));
     }
 
     #[test]

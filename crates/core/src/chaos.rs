@@ -6,15 +6,16 @@
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome)
 //! decision the proc coordinator also asks), the transient-fault retries
 //! of the exchange and the mask reduction, and the SDC re-execute →
-//! rollback → typed-error ladder. Every snapshot it restores
-//! — the SDC shadow and the rollback checkpoint — is a sealed
-//! [`Checkpoint`], installed through the same verified restore.
+//! rollback → typed-error ladder. It commits as the proc round does, by
+//! folding the group's delta onto a [`Store`]; every snapshot it restores
+//! — the SDC shadow and the rollback checkpoint — is a sealed `Store`,
+//! installed through the same verified [`Store::install`].
 //! The driver holds it as an `Option`: without a plan none of this code
 //! runs and nothing here is allocated. Every charge lands in
 //! [`FaultStats`] and — with the *same* `f64`, at the same site, in the
 //! same order — in the observability sink's fault spans.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{self, CheckpointCorrupt, Store};
 use crate::comm::{reassign_lane_times, ExchangeResult};
 use crate::config::BfsConfig;
 use crate::driver::{DistributedGraph, RunError, Traversal};
@@ -39,7 +40,7 @@ use gcbfs_trace::{FaultKind, SinkMark};
 /// the kernels already traverse); only a *detected* fault charges recovery
 /// time.
 struct SdcShadow {
-    state: Checkpoint,
+    state: Store,
     reference_held: bool,
     verify: VerifyState,
 }
@@ -50,7 +51,12 @@ pub(crate) struct Chaos<'a> {
     config: &'a BfsConfig,
     injector: FaultInjector,
     fault: FaultStats,
-    checkpoint: Option<Checkpoint>,
+    /// The committed checkpoint, the rollback target; `None` until the
+    /// commit entering iteration 0, which folds onto an all-unreached one.
+    store: Option<Store>,
+    /// Records committed with it, and its modeled restore time.
+    cp_records: usize,
+    cp_seconds: f64,
     /// Verification digests as of the checkpoint, restored with it.
     cp_verify: Option<VerifyState>,
     /// A rollback rewinds the sink to here: iteration events after this
@@ -79,11 +85,9 @@ pub(crate) struct Chaos<'a> {
     sdc_rollbacks: u32,
 }
 
-/// Verifies `cp`'s seals and installs it into `workers`; a broken seal is
-/// a typed error at `iter` and installs nothing.
-fn restore(cp: &Checkpoint, workers: &mut [GpuWorker], iter: u32) -> Result<(), RunError> {
-    cp.restore(workers)
-        .map_err(|e| FaultError::CheckpointCorrupt { iteration: iter, gpu: e.gpu }.into())
+/// A broken seal of a stored image, as a typed error at `iter`.
+fn corrupt(iter: u32) -> impl Fn(CheckpointCorrupt) -> RunError {
+    move |e| FaultError::CheckpointCorrupt { iteration: iter, gpu: e.gpu }.into()
 }
 
 /// Applies one depth-word SDC event to a GPU's local depth array (kernel
@@ -119,7 +123,9 @@ impl<'a> Chaos<'a> {
             config,
             injector: FaultInjector::new(plan.clone()),
             fault: FaultStats::default(),
-            checkpoint: None,
+            store: None,
+            cp_records: 0,
+            cp_seconds: 0.0,
             cp_verify: None,
             sink_mark: None,
             elastic: ElasticMap::new(topo.num_gpus() as usize, topo.num_spares() as usize),
@@ -168,7 +174,7 @@ impl<'a> Chaos<'a> {
         // Device shadow for verified re-execution: captured at the last
         // point the superstep inputs are known-clean.
         self.shadow = t.verify.as_ref().map(|vs| SdcShadow {
-            state: Checkpoint::capture(t.iter, &t.group.workers, t.records.len()),
+            state: Store::sealed(t.iter, t.group.capture()),
             reference_held: t.group.reference_held,
             verify: vs.clone(),
         });
@@ -176,25 +182,39 @@ impl<'a> Chaos<'a> {
     }
 
     /// Checkpoint cadence (before the deaths, so an iteration-0 fail-stop
-    /// always has a rollback target). A re-entered iteration after
-    /// rollback is not re-captured.
+    /// always has a rollback target): the group's delta since the last
+    /// commit (or the seed) folds onto the store and commits, as a proc
+    /// round commits saves. A re-entered iteration is not re-committed.
     fn checkpoint_if_due(&mut self, t: &mut Traversal) {
         let iter = t.iter;
-        if !self.config.recovery.checkpoint_due(iter, self.checkpoint.as_ref().map(|c| c.iter)) {
+        if !self.config.recovery.checkpoint_due(iter, self.store.as_ref().map(Store::iter)) {
             return;
         }
-        let mut cp = Checkpoint::capture(iter, &t.group.workers, t.records.len());
-        let cp_seconds = cp.modeled_seconds(&self.config.cost);
+        let delta = t.group.delta(iter);
+        let store = self.store.get_or_insert_with(|| {
+            Store::unreached(&self.dist.topology, &self.dist.separation, delta.track_parents)
+        });
+        // The fold re-checks every GPU's seal. Only injected corruption (an
+        // upset no online check caught, or a tampered store) leaves state
+        // that is not the commit plus what settled since; a whole-image
+        // copy writes that as it is.
+        let images = delta.fold(store.iter(), store.images()).unwrap_or_else(|e| {
+            let c = self.injector.counters();
+            assert!(c.sdc_injected + c.checkpoint_corruptions > 0, "no fold at {iter}: {e}");
+            t.group.capture()
+        });
+        store.commit(iter, images).expect("a group over the whole grid images every GPU");
+        let cp_seconds = checkpoint::modeled_seconds(&t.group.workers, &self.config.cost);
         self.fault.checkpoint_seconds += cp_seconds;
         self.fault.checkpoints_taken += 1;
-        // At-rest tamper hook: flip bits in the snapshot *after* its
+        // At-rest tamper hook: flip bits in the stored image *after* its
         // integrity seal is taken, so a later rollback's verification
         // catches the corruption instead of silently replaying poisoned
         // state.
         if let Some(cc) = self.injector.checkpoint_corruption(iter) {
-            cp.corrupt_mask_word(cc.gpu, cc.word, cc.xor);
+            store.corrupt_mask_word(cc.gpu, cc.word, cc.xor);
         }
-        self.checkpoint = Some(cp);
+        (self.cp_records, self.cp_seconds) = (t.records.len(), cp_seconds);
         self.cp_verify = t.verify.clone();
         if let Some(s) = t.sink.as_mut() {
             s.record_fault(FaultKind::Checkpoint, iter, cp_seconds);
@@ -207,16 +227,16 @@ impl<'a> Chaos<'a> {
     /// the work wasted since the checkpoint (`extra` adds time no record
     /// holds: the aborted superstep of an SDC rollback, or the detection
     /// of a death) plus restoring every GPU from host memory, and verifies
-    /// the snapshot seals before replaying anything.
+    /// the stored seals before replaying anything.
     fn rollback(&mut self, t: &mut Traversal, extra: f64) -> Result<(), RunError> {
-        let cp = self.checkpoint.as_ref().expect("implicit iteration-0 checkpoint");
         let wasted: f64 =
-            t.records[cp.records_len..].iter().map(|r| r.timing.elapsed()).sum::<f64>() + extra;
-        let spent = wasted + cp.modeled_seconds(&self.config.cost);
+            t.records[self.cp_records..].iter().map(|r| r.timing.elapsed()).sum::<f64>() + extra;
+        let spent = wasted + self.cp_seconds;
         self.fault.rollbacks += 1;
-        t.records.truncate(cp.records_len);
-        restore(cp, &mut t.group.workers, t.iter)?;
-        let resume_at = cp.iter;
+        t.records.truncate(self.cp_records);
+        let store = self.store.as_ref().expect("committed entering iteration 0");
+        t.group.restore(store).map_err(corrupt(t.iter))?;
+        let resume_at = store.iter();
         // Restore-path SDC hook: strike the restored depth buffers *after*
         // the seal check passed, so online verification (not the seal)
         // must catch it on replay.
@@ -230,10 +250,6 @@ impl<'a> Chaos<'a> {
             s.record_fault(FaultKind::Recovery, t.iter, spent);
         }
         t.iter = resume_at;
-        // The codec reference is ahead of the restored state; drop it so
-        // the next reduction encodes from scratch, as a restored proc
-        // worker does.
-        t.group.reference_held = false;
         Ok(())
     }
 
@@ -259,7 +275,7 @@ impl<'a> Chaos<'a> {
     fn charge_rehome(&mut self, t: &mut Traversal, gpu: usize, home: &Assignment, at: u32) {
         let topo = self.dist.topology;
         let net = self.config.cost.network;
-        let bytes = Checkpoint::worker_bytes(&t.group.workers[gpu]);
+        let bytes = checkpoint::worker_bytes(&t.group.workers[gpu]);
         match home {
             Assignment::Spare => {
                 let absorb = self.dist.subgraphs[gpu].memory_usage().total() as f64
@@ -495,7 +511,7 @@ impl<'a> Chaos<'a> {
             self.fault.sdc_reexecutions += 1;
             self.charge(t, FaultKind::SdcReexecute, iter, spent);
             let snap = self.shadow.take().expect("shadow captured when verification is armed");
-            restore(&snap.state, &mut t.group.workers, iter)?;
+            snap.state.install(&mut t.group.workers).map_err(corrupt(iter))?;
             t.group.reference_held = snap.reference_held;
             t.verify = Some(snap.verify);
             return Ok(());
@@ -526,5 +542,52 @@ impl<'a> Chaos<'a> {
         self.fault.injected_checkpoint_corruptions = c.checkpoint_corruptions;
         self.fault.injected_sdc = c.sdc_injected;
         self.fault
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recovery::RecoveryConfig;
+    use gcbfs_cluster::topology::Topology;
+    use gcbfs_graph::rmat::RmatConfig;
+
+    #[test]
+    fn every_commit_of_a_fault_armed_run_is_the_capture_of_its_boundary() {
+        // A checkpoint entering every superstep and a death in superstep 2,
+        // so commits fold from the seed, from each commit, and from the
+        // restore the rollback makes.
+        let graph = RmatConfig::graph500(8).generate();
+        let recovery = RecoveryConfig::default().with_checkpoint_interval(1);
+        let config = BfsConfig::new(8).with_recovery(recovery);
+        let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
+        let (sep, degrees) = (&dist.separation, graph.out_degrees());
+        let by_degree = |delegate: bool| {
+            let of_kind = |v: &u64| sep.delegate_id(*v).is_some() == delegate;
+            (0..sep.num_vertices()).filter(of_kind).max_by_key(|&v| degrees[v as usize]).unwrap()
+        };
+        let plan = FaultPlan::new(0).with_fail_stop(1, 2);
+        for source in [by_degree(true), by_degree(false)] {
+            let mut t = Traversal::start(&dist, source, &config, false);
+            let mut chaos = Chaos::new(&dist, &config, &plan, 0);
+            let mut commits = Vec::new();
+            while t.group.frontier_counts() != (0, 0) {
+                let taken = chaos.fault.checkpoints_taken;
+                let rolled_back = chaos.boundary(&mut t).unwrap();
+                let store = chaos.store.as_ref().expect("committed entering iteration 0");
+                if chaos.fault.checkpoints_taken > taken {
+                    let at = store.iter();
+                    assert_eq!(store.images(), t.group.capture(), "source {source}, commit {at}");
+                    commits.push(at);
+                }
+                if rolled_back {
+                    continue;
+                }
+                t.group.step(t.iter, &config);
+                t.iter += 1;
+            }
+            assert_eq!(chaos.fault.rollbacks, 1, "source {source}");
+            assert_eq!(commits, (0..t.iter).collect::<Vec<_>>(), "source {source}");
+        }
     }
 }

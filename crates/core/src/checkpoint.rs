@@ -1,5 +1,6 @@
 //! Checkpoint/restart: one sealed image of one GPU's mutable BFS state,
-//! used by both backends, and the delta that ships it.
+//! the one store of them both backends commit to, and the delta a commit
+//! is made of.
 //!
 //! The BSP structure makes consistent snapshots cheap: at a superstep
 //! boundary no messages are in flight, so the per-GPU worker state (local
@@ -7,43 +8,42 @@
 //! direction-optimization state, and parent records) *is* the global
 //! state. [`GpuStateImage`] is that state for one GPU, sealed with an
 //! FNV-1a digest of a fixed little-endian encoding of its fields — the
-//! only fold over GPU state in the crate. The sim's [`Checkpoint`] holds one image per GPU and
-//! restores them after a fail-stop loss. The proc backend's coordinator
-//! keeps the same whole images as its committed store.
+//! only fold over GPU state in the crate. A [`Store`] holds the committed
+//! iteration and one image per GPU: the sim's fault layer rolls back from
+//! it, the proc round resumes workers from it, both once its seals verify.
 //!
-//! What crosses the wire is only ever a [`StateDelta`]
-//! ([`crate::procrt::protocol`] carries its codec): BFS state only grows
-//! (a depth is written once, a visited bit only ever set), so the state
-//! entering iteration `k` is the state at some earlier iteration plus the
-//! vertices settled since, the direction bytes and the frontier. A worker
-//! ships its checkpoints and final state as deltas since its last `Begin`
-//! or save; the coordinator resumes a worker with a delta from iteration
-//! 0, whose base is the all-unreached state. `StateDelta::of` is the one
-//! builder, over a worker's state or a committed image alike, and
-//! [`StateDelta::fold`] the one way back: it rebuilds the whole images
-//! from the base ones and checks each against the seal taken of the state
-//! the delta was built from, so a folded store holds exactly what a
-//! whole-image checkpoint would have.
+//! A commit is a [`StateDelta`] folded onto the store: BFS state only
+//! grows (a depth is written once, a visited bit only ever set), so the
+//! state entering iteration `k` is the state at the commit plus the
+//! vertices settled since, the direction bytes and the frontier. A proc
+//! worker ships its saves and final state as deltas since its last `Begin`
+//! or save ([`crate::procrt::protocol`] carries the codec); the sim folds
+//! its group's delta in process; the coordinator resumes a worker with a
+//! delta from iteration 0, whose base is the all-unreached state.
+//! `StateDelta::of` is the one builder, over a worker's state or a
+//! committed image alike, and [`StateDelta::fold`] the one way back: it
+//! rebuilds the whole images from the base ones and checks each against
+//! the seal taken of the state the delta was built from, so a folded
+//! store holds exactly what a whole-image checkpoint would have.
 //!
 //! Cost accounting: a real implementation writes each GPU's state through
 //! the CPU staging buffers to host memory (Ray has no NIC–GPU RDMA, so
 //! this is the same `cudaMemcpyAsync` path every inter-node byte already
-//! takes — §VI-A2). [`Checkpoint::modeled_seconds`] charges exactly that:
-//! the largest per-GPU snapshot over the staging bandwidth (all GPUs copy
-//! concurrently). The charge lands in
+//! takes — §VI-A2). [`modeled_seconds`] charges exactly that: the largest
+//! per-GPU image ([`worker_bytes`]) over the staging bandwidth (all GPUs
+//! copy concurrently), whatever the delta carried. The charge lands in
 //! [`FaultStats::checkpoint_seconds`](crate::stats::FaultStats), which
-//! [`RunStats::modeled_elapsed`](crate::stats::RunStats) includes, so
-//! resilience is never free in reported numbers. The sim keeps whole
-//! images and this charge; deltas are the proc wire's alone.
+//! [`RunStats::modeled_elapsed`](crate::stats::RunStats) includes.
 
 use crate::assemble::GpuStateView;
 use crate::direction::Direction;
 use crate::kernels::{GpuWorker, NO_PARENT};
 use crate::masks::DelegateMask;
 use crate::procrt::protocol::ProtocolError;
+use crate::separation::Separation;
 use crate::UNREACHED;
 use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::topology::GpuId;
+use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::Fnv1a;
 use rayon::prelude::*;
 
@@ -125,44 +125,7 @@ impl GpuStateImage {
             parents_local: w.parents_local.clone(),
             delegate_parent_candidate: w.delegate_parent_candidate.clone(),
             remote_parent_log: w.remote_parent_log.clone(),
-            digest: Self::seal_of(gpu_flat, w),
-        }
-    }
-
-    /// The seal of worker `w`'s state as GPU `gpu_flat` — its capture's
-    /// digest, hashed straight off the worker with no image copied.
-    pub fn seal_of(gpu_flat: u32, w: &GpuWorker) -> u64 {
-        StateFields::of(gpu_flat, w).seal()
-    }
-
-    /// The state of GPU `gpu_flat` with nothing reached — what a fresh
-    /// worker with `num_local` slots over `num_delegates` delegates holds:
-    /// the base of a delta from iteration 0, as the proc round's store
-    /// entering iteration 0 and a resuming worker's. Left unsealed (digest
-    /// 0): it is never shipped, only folded onto, and a fold seals what it
-    /// builds.
-    pub(crate) fn unreached(
-        gpu_flat: u32,
-        num_local: u32,
-        num_delegates: u32,
-        parents: bool,
-    ) -> Self {
-        let (n, d) = (num_local as usize, num_delegates as usize);
-        let untracked = |len| if parents { vec![NO_PARENT; len] } else { Vec::new() };
-        Self {
-            gpu_flat,
-            track_parents: parents,
-            depths_local: vec![UNREACHED; n],
-            delegate_depths: vec![UNREACHED; d],
-            visited_bits: num_delegates,
-            visited_words: vec![0; d.div_ceil(64)],
-            frontier: Vec::new(),
-            new_delegates: Vec::new(),
-            directions: [Direction::Forward; 3],
-            parents_local: untracked(n),
-            delegate_parent_candidate: untracked(d),
-            remote_parent_log: Vec::new(),
-            digest: 0,
+            digest: StateFields::of(gpu_flat, w).seal(),
         }
     }
 
@@ -376,16 +339,17 @@ pub struct StateDelta {
 
 impl StateDelta {
     /// The delta from `base` to `iter` of each GPU's state in `gpus`,
-    /// given with the length of its remote parent log at the base. The
-    /// delegates are read off the first GPU: every GPU holds them
-    /// identically.
+    /// given with the length of its remote parent log at the base, whose
+    /// levels start at `first`: 0 when the base folded onto is
+    /// all-unreached, else `base + 1`. The delegates are read off the first
+    /// GPU: every GPU holds them identically.
     pub(crate) fn of(
         base: u32,
+        first: u32,
         iter: u32,
         track_parents: bool,
         gpus: &[(StateFields<'_>, usize)],
     ) -> Self {
-        let first = Self::first_level(base);
         let delegates =
             gpus.first().map_or_else(Vec::new, |(g, _)| Level::of(g.delegate_depths, first, iter));
         let gpus = gpus
@@ -393,18 +357,6 @@ impl StateDelta {
             .map(|(g, log_from)| g.delta(first, iter, &delegates, *log_from))
             .collect();
         Self { base, iter, track_parents, delegates, gpus }
-    }
-
-    /// The shallowest level a delta from `base` carries. The store
-    /// entering iteration 0 is all-unreached (`Begin` seeds the source), so
-    /// a delta from there starts at depth 0; past it, the image entering
-    /// `base` already holds every depth up to `base`.
-    pub(crate) fn first_level(base: u32) -> u32 {
-        if base == 0 {
-            0
-        } else {
-            base + 1
-        }
     }
 
     /// Folds the delta onto `store`, the images entering iteration
@@ -453,7 +405,11 @@ impl StateDelta {
         if img.track_parents != self.track_parents {
             return Err(err("parent tracking differs from the base image's".into()));
         }
-        let window = Self::first_level(self.base)..=self.iter;
+        // A store entering iteration 0 may be all-unreached (`Begin` seeds
+        // the source), so a delta from there may start at depth 0; past
+        // it, the image entering the base holds every depth up to it.
+        let first = if self.base == 0 { 0 } else { self.base + 1 };
+        let window = first..=self.iter;
         let settle = |what: &str, depths: &mut [u32], levels: &[Level]| {
             let mut last = None;
             for level in levels {
@@ -513,74 +469,117 @@ impl StateDelta {
     }
 }
 
-/// A consistent snapshot of the whole cluster's BFS state at one superstep
-/// boundary, plus the bookkeeping needed to roll the statistics back.
-///
-/// [`restore`](Checkpoint::restore) verifies every image's seal and
-/// refuses to replay corrupted state.
-#[derive(Clone, Debug)]
-pub struct Checkpoint {
-    /// The iteration the snapshot was taken *before* (restoring resumes at
-    /// this iteration).
-    pub iter: u32,
-    /// Number of committed [`IterationRecord`](crate::stats::IterationRecord)s
-    /// at capture time; rollback truncates the record list to this length.
-    pub records_len: usize,
-    /// One sealed image per GPU, in flat order.
+/// The committed checkpoint of a run, the one both backends keep: the
+/// iteration it enters and one sealed image per GPU, by flat. It moves
+/// only by a commit of the images deltas fold to on it
+/// ([`StateDelta::fold`]), and is replayed only after its seals verify
+/// ([`Self::install`], [`Self::resume`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Store {
+    iter: u32,
     images: Vec<GpuStateImage>,
-    /// [`Self::worker_bytes`] of the largest snapshot — what gates the
-    /// boundary.
-    worst_bytes: u64,
 }
 
-impl Checkpoint {
-    /// Captures the state of all workers (indexed by flat GPU) entering
-    /// iteration `iter`. The graph itself (the four subgraphs) is
-    /// immutable during a run and is not part of the snapshot.
-    pub fn capture(iter: u32, workers: &[GpuWorker], records_len: usize) -> Self {
-        Self {
-            iter,
-            records_len,
-            images: workers
-                .iter()
-                .enumerate()
-                .map(|(flat, w)| GpuStateImage::capture(flat as u32, w))
-                .collect(),
-            worst_bytes: workers.iter().map(Self::worker_bytes).max().unwrap_or(0),
-        }
+impl Store {
+    /// The store entering iteration 0 with nothing reached, as fresh
+    /// workers hold it: the base of the first delta. Unsealed (digest 0):
+    /// it is never replayed, and a fold seals what it builds.
+    pub(crate) fn unreached(topo: &Topology, separation: &Separation, parents: bool) -> Self {
+        let d = separation.num_delegates() as usize;
+        let untracked = |len| if parents { vec![NO_PARENT; len] } else { Vec::new() };
+        let image = |gpu_flat: u32| {
+            let owner = topo.unflat(gpu_flat as usize);
+            let n = topo.owned_count(owner, separation.num_vertices()) as usize;
+            GpuStateImage {
+                gpu_flat,
+                track_parents: parents,
+                depths_local: vec![UNREACHED; n],
+                delegate_depths: vec![UNREACHED; d],
+                visited_bits: d as u32,
+                visited_words: vec![0; d.div_ceil(64)],
+                frontier: Vec::new(),
+                new_delegates: Vec::new(),
+                directions: [Direction::Forward; 3],
+                parents_local: untracked(n),
+                delegate_parent_candidate: untracked(d),
+                remote_parent_log: Vec::new(),
+                digest: 0,
+            }
+        };
+        Self { iter: 0, images: (0..topo.num_gpus()).map(image).collect() }
     }
 
-    /// Verifies every image's seal and installs each into its worker. On a
-    /// seal mismatch *no* worker is modified and the typed
-    /// [`CheckpointCorrupt`] error identifies the bad snapshot.
-    ///
-    /// # Panics
-    /// Panics if the worker count changed since capture.
-    pub fn restore(&self, workers: &mut [GpuWorker]) -> Result<(), CheckpointCorrupt> {
-        assert_eq!(workers.len(), self.images.len(), "worker count must not change");
-        self.verify()?;
-        for (img, w) in self.images.iter().zip(workers) {
-            img.install(w);
-        }
-        Ok(())
+    /// Sealed images of the whole grid, by flat, entering `iter`.
+    pub(crate) fn sealed(iter: u32, images: Vec<GpuStateImage>) -> Self {
+        Self { iter, images }
     }
 
-    /// Re-seals every stored image and compares against the digests taken
-    /// at capture.
-    pub fn verify(&self) -> Result<(), CheckpointCorrupt> {
-        self.images.iter().try_for_each(GpuStateImage::verify)
+    /// The iteration the committed images enter.
+    pub fn iter(&self) -> u32 {
+        self.iter
     }
 
-    /// The sealed per-GPU images, in flat order.
+    /// The committed images, by flat.
     pub fn images(&self) -> &[GpuStateImage] {
         &self.images
     }
 
+    /// Commits `folded` as the state entering `iter`: the folds of one
+    /// barrier, whose senders host disjoint GPUs, so one image per GPU
+    /// means every GPU's.
+    ///
+    /// # Errors
+    /// Not one image per GPU; nothing is committed then.
+    pub(crate) fn commit(
+        &mut self,
+        iter: u32,
+        mut folded: Vec<GpuStateImage>,
+    ) -> Result<(), ProtocolError> {
+        let p = self.images.len();
+        if folded.len() != p {
+            return Err(ProtocolError::new(format!("state of {} of {p} gpus", folded.len())));
+        }
+        folded.sort_unstable_by_key(|img| img.gpu_flat);
+        (self.iter, self.images) = (iter, folded);
+        Ok(())
+    }
+
+    /// Re-seals every image and compares it with its digest.
+    pub fn verify(&self) -> Result<(), CheckpointCorrupt> {
+        self.images.iter().try_for_each(GpuStateImage::verify)
+    }
+
+    /// Verifies every seal, then installs each image into `workers`, by
+    /// flat; on a broken seal no worker is modified.
+    ///
+    /// # Panics
+    /// If `workers` is not one per stored GPU.
+    pub fn install(&self, workers: &mut [GpuWorker]) -> Result<(), CheckpointCorrupt> {
+        assert_eq!(workers.len(), self.images.len(), "worker count must not change");
+        self.verify()?;
+        self.images.iter().zip(workers).for_each(|(img, w)| img.install(w));
+        Ok(())
+    }
+
+    /// The committed images of the GPUs `flats`, once their seals verify,
+    /// as a delta from iteration 0: a resuming worker folds it onto its
+    /// all-unreached images.
+    ///
+    /// # Errors
+    /// A stored image of those GPUs that fails its seal.
+    pub fn resume(&self, flats: &[usize]) -> Result<StateDelta, CheckpointCorrupt> {
+        let images: Vec<_> = flats.iter().map(|&f| &self.images[f]).collect();
+        images.iter().try_for_each(|img| img.verify())?;
+        let parents = images.first().is_some_and(|img| img.track_parents);
+        let gpus: Vec<_> = images.iter().map(|img| (img.fields(), 0)).collect();
+        Ok(StateDelta::of(0, 0, self.iter, parents, &gpus))
+    }
+
     /// At-rest tamper hook for fault injection: XORs `xor` into visited
     /// mask word `word % len` of GPU `gpu`'s image *without* updating the
-    /// seal, so the damage is exactly what [`Self::restore`] must detect.
+    /// seal, so the damage is exactly what [`Self::verify`] must detect.
     /// Returns true if any bits actually flipped.
-    pub fn corrupt_mask_word(&mut self, gpu: usize, word: usize, xor: u64) -> bool {
+    pub(crate) fn corrupt_mask_word(&mut self, gpu: usize, word: usize, xor: u64) -> bool {
         let Some(words) = self.images.get_mut(gpu).map(|img| &mut img.visited_words) else {
             return false;
         };
@@ -591,33 +590,34 @@ impl Checkpoint {
         words[word % len] ^= xor;
         true
     }
+}
 
-    /// Bytes of mutable BFS state in one worker's snapshot (what a real
-    /// checkpoint would serialize to host memory).
-    pub fn worker_bytes(w: &GpuWorker) -> u64 {
-        let depths = (w.depths_local.len() + w.delegate_depths.len()) as u64 * 4;
-        let mask = w.visited_mask.byte_size();
-        let frontiers = (w.frontier.len() + w.new_delegates.len()) as u64 * 4;
-        let parents = if w.track_parents {
-            (w.parents_local.len() + w.delegate_parent_candidate.len()) as u64 * 8
-                + w.remote_parent_log.len() as u64 * 24
-        } else {
-            0
-        };
-        // Direction state: a handful of scalars per kernel.
-        let direction = 3 * 32;
-        depths + mask + frontiers + parents + direction
-    }
+/// Bytes of mutable BFS state in one worker's image (what a real
+/// checkpoint would serialize to host memory).
+pub fn worker_bytes(w: &GpuWorker) -> u64 {
+    let depths = (w.depths_local.len() + w.delegate_depths.len()) as u64 * 4;
+    let mask = w.visited_mask.byte_size();
+    let frontiers = (w.frontier.len() + w.new_delegates.len()) as u64 * 4;
+    let parents = if w.track_parents {
+        (w.parents_local.len() + w.delegate_parent_candidate.len()) as u64 * 8
+            + w.remote_parent_log.len() as u64 * 24
+    } else {
+        0
+    };
+    // Direction state: a handful of scalars per kernel.
+    let direction = 3 * 32;
+    depths + mask + frontiers + parents + direction
+}
 
-    /// Modeled time to take (or restore) this checkpoint: every GPU copies
-    /// its state through the CPU staging path concurrently, so the slowest
-    /// (largest) snapshot gates the boundary.
-    pub fn modeled_seconds(&self, cost: &CostModel) -> f64 {
-        if self.worst_bytes == 0 {
-            return 0.0;
-        }
-        self.worst_bytes as f64 / cost.network.staging_bandwidth + cost.network.intranode_latency
+/// Modeled time to take (or restore) a checkpoint of `workers`: every GPU
+/// copies its state through the CPU staging path concurrently, so the
+/// slowest (largest) image gates the boundary.
+pub fn modeled_seconds(workers: &[GpuWorker], cost: &CostModel) -> f64 {
+    let worst = workers.iter().map(worker_bytes).max().unwrap_or(0);
+    if worst == 0 {
+        return 0.0;
     }
+    worst as f64 / cost.network.staging_bandwidth + cost.network.intranode_latency
 }
 
 #[cfg(test)]
@@ -640,17 +640,20 @@ mod tests {
         )
     }
 
+    fn store(iter: u32, workers: &[GpuWorker]) -> Store {
+        let images = workers.iter().enumerate();
+        Store::sealed(iter, images.map(|(f, w)| GpuStateImage::capture(f as u32, w)).collect())
+    }
+
     #[test]
-    fn capture_restore_roundtrip() {
+    fn install_roundtrip() {
         let mut workers = vec![worker(), worker()];
         workers[0].depths_local[3] = 2;
         workers[0].frontier.push(3);
         workers[0].dir_dn.restore_current(Direction::Backward);
         workers[1].visited_mask.set(1);
-        let cp = Checkpoint::capture(5, &workers, 4);
-        assert_eq!(cp.iter, 5);
-        assert_eq!(cp.records_len, 4);
-        assert_eq!(cp.images().len(), 2);
+        let cp = store(5, &workers);
+        assert_eq!(cp.iter(), 5);
         assert_eq!(cp.images()[1].gpu_flat, 1);
 
         // Mutate past the checkpoint, then roll back.
@@ -658,7 +661,7 @@ mod tests {
         workers[0].frontier.clear();
         workers[0].dir_dn.restore_current(Direction::Forward);
         workers[1].visited_mask.set(0);
-        cp.restore(&mut workers).expect("intact checkpoint restores");
+        cp.install(&mut workers).expect("an intact store installs");
         assert_eq!(workers[0].depths_local[3], 2);
         assert_eq!(workers[0].frontier, vec![3]);
         assert_eq!(workers[0].dir_dn.current(), Direction::Backward);
@@ -667,17 +670,33 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_is_one_image_per_gpu_by_flat_or_nothing() {
+        let workers = [worker(), worker(), worker()];
+        let mut cp = store(0, &workers);
+        let before = cp.clone();
+        let images = |flats: &[u32]| {
+            flats.iter().map(|&f| GpuStateImage::capture(f, &workers[0])).collect::<Vec<_>>()
+        };
+        let err = cp.commit(4, images(&[0, 2])).unwrap_err();
+        assert!(err.detail.contains("state of 2 of 3 gpus"), "{err}");
+        assert_eq!(cp, before, "a refused commit commits nothing");
+        cp.commit(4, images(&[2, 0, 1])).unwrap();
+        assert_eq!(cp.iter(), 4);
+        assert_eq!(cp.images(), &images(&[0, 1, 2])[..], "committed by flat");
+    }
+
+    #[test]
     fn snapshot_bytes_scale_with_state() {
         let w = worker();
-        let small = Checkpoint::worker_bytes(&w);
+        let small = worker_bytes(&w);
         assert!(small > 0);
         let mut big = worker();
         big.frontier.extend(0..1000);
-        assert!(Checkpoint::worker_bytes(&big) >= small + 4000);
+        assert!(worker_bytes(&big) >= small + 4000);
         // Parent tracking inflates the snapshot.
         let mut tracked = worker();
         tracked.enable_parent_tracking();
-        assert!(Checkpoint::worker_bytes(&tracked) > small);
+        assert!(worker_bytes(&tracked) > small);
     }
 
     #[test]
@@ -686,50 +705,49 @@ mod tests {
         let mut a = worker();
         a.frontier.extend(0..10_000);
         let b = worker();
-        let cp_big = Checkpoint::capture(0, &[a.clone(), b.clone()], 0);
-        let cp_small = Checkpoint::capture(0, &[b.clone(), b], 0);
-        assert!(cp_big.modeled_seconds(&cost) > cp_small.modeled_seconds(&cost));
-        assert!(cp_small.modeled_seconds(&cost) > 0.0);
+        let big = modeled_seconds(&[a.clone(), b.clone()], &cost);
+        let small = modeled_seconds(&[b.clone(), b], &cost);
+        assert!(big > small);
+        assert!(small > 0.0);
         // Adding an equally-sized second GPU does not slow the boundary:
         // copies are concurrent.
-        let cp_two_big = Checkpoint::capture(0, &[a.clone(), a], 0);
-        assert!((cp_two_big.modeled_seconds(&cost) - cp_big.modeled_seconds(&cost)).abs() < 1e-12);
+        assert!((modeled_seconds(&[a.clone(), a], &cost) - big).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "worker count")]
-    fn restore_rejects_changed_cluster() {
-        let workers = vec![worker(), worker()];
-        let cp = Checkpoint::capture(0, &workers, 0);
-        let mut one = vec![worker()];
-        let _ = cp.restore(&mut one);
+    fn install_rejects_changed_cluster() {
+        let cp = store(0, &[worker(), worker()]);
+        let _ = cp.install(&mut [worker()]);
     }
 
     #[test]
     fn tampered_snapshot_is_detected_and_leaves_workers_untouched() {
         let mut workers = vec![worker(), worker()];
         workers[1].visited_mask.set(1);
-        let mut cp = Checkpoint::capture(2, &workers, 1);
+        let mut cp = store(2, &workers);
         assert!(cp.verify().is_ok());
+        assert!(cp.resume(&[0, 1]).is_ok());
         // Word indices wrap into the mask.
         assert!(cp.corrupt_mask_word(1, 7, 0b100));
         let err = cp.verify().expect_err("tamper must break the seal");
         assert_eq!(err.gpu, 1);
         assert_ne!(err.expected, err.actual);
-        // restore must refuse and must not half-apply state.
+        // Install and resume must refuse and must not half-apply state.
         workers[0].depths_local[3] = 7;
         let before = workers[0].depths_local.clone();
-        let err2 = cp.restore(&mut workers).expect_err("corrupt checkpoint must not restore");
+        let err2 = cp.install(&mut workers).expect_err("corrupt checkpoint must not restore");
         assert_eq!(err2, err);
         assert_eq!(workers[0].depths_local, before, "no partial restore");
+        assert_eq!(cp.resume(&[1]).unwrap_err(), err);
+        assert!(cp.resume(&[0]).is_ok(), "GPU 0's image is intact");
         let msg = err.to_string();
         assert!(msg.contains("GPU 1") && msg.contains("integrity"), "{msg}");
     }
 
     #[test]
     fn zero_xor_or_bad_gpu_does_not_tamper() {
-        let workers = vec![worker()];
-        let mut cp = Checkpoint::capture(0, &workers, 0);
+        let mut cp = store(0, &[worker()]);
         assert!(!cp.corrupt_mask_word(0, 0, 0), "zero xor flips nothing");
         assert!(!cp.corrupt_mask_word(9, 0, 1), "out-of-range gpu ignored");
         assert!(cp.verify().is_ok());
@@ -751,7 +769,7 @@ mod tests {
         // The seal taken off a worker is its image's, re-sealed.
         for w in [worker(), c, d, e] {
             let img = GpuStateImage::capture(3, &w);
-            assert_eq!(img.seal(), GpuStateImage::seal_of(3, &w));
+            assert_eq!(img.seal(), StateFields::of(3, &w).seal());
         }
     }
 }

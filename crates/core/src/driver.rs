@@ -144,7 +144,7 @@ impl Traversal {
     /// config-armed layers constructed. Verification `Off` keeps no
     /// state, runs no check and adds no modeled time; the sink only
     /// *records* the very f64 values the pricing step computes.
-    fn start(
+    pub(crate) fn start(
         dist: &DistributedGraph,
         source: VertexId,
         config: &BfsConfig,

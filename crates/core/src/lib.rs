@@ -65,7 +65,6 @@ pub mod superstep;
 pub mod trace;
 pub mod verify;
 
-pub use checkpoint::Checkpoint;
 pub use config::BfsConfig;
 pub use driver::{BfsResult, BuildError, DistributedGraph, RunError};
 pub use incremental::{EvolvingGraph, RepairReport};

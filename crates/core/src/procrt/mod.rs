@@ -47,13 +47,14 @@
 //! however long it idles; a worker that left while idle is found when the
 //! next run starts, which then runs on a fresh pool.
 //!
-//! Checkpoints are the sim's sealed
-//! [`GpuStateImage`](crate::checkpoint::GpuStateImage)s, taken where the
-//! sim takes them, at a superstep's barrier, on the
-//! [`RecoveryConfig`](crate::recovery::RecoveryConfig) cadence: each
-//! worker's `StepDone` carries its GPUs' state as a
-//! [`StateDelta`](crate::checkpoint::StateDelta) since its last `Begin` or
-//! save, which the round folds into the run's only copy. Recovery asks the
+//! Checkpoints are the sim's: one
+//! [`checkpoint::Store`](crate::checkpoint::Store) of sealed per-GPU
+//! images, taken where the sim takes them, at a superstep's barrier, on
+//! the [`RecoveryConfig`](crate::recovery::RecoveryConfig) cadence, and
+//! committed the sim's way: each worker's `StepDone` carries its GPUs'
+//! state as a [`StateDelta`](crate::checkpoint::StateDelta) since its last
+//! `Begin` or save, which the round folds into the store, the run's only
+//! copy. Recovery asks the
 //! sim's own decision,
 //! [`RecoveryConfig::rehome`](crate::recovery::RecoveryConfig::rehome),
 //! where the dead worker's partitions go — a freshly spawned spare process

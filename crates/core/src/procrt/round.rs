@@ -18,28 +18,31 @@
 //! process, so this same round runs there, under any schedule the test
 //! chooses.
 //!
-//! `Begin` is the run's committed iteration-0 checkpoint: the state
+//! The commit lives in a [`Store`], the one the sim's fault layer keeps
+//! too. `Begin` is the run's committed iteration-0 checkpoint: the state
 //! entering superstep 0 follows from the source alone, so no save is asked
 //! for there; the store entering it holds an all-unreached (unsealed)
 //! image per GPU. Every other checkpoint is taken at a superstep's barrier,
 //! when [`RecoveryConfig::checkpoint_due`] holds for the next superstep:
 //! each `StepDone` carries a save, a [`StateDelta`] since the worker's last
 //! `Begin` or save whose base must be the commit. The round folds each onto
-//! the committed images as it gathers the barrier (the fold must reproduce
-//! the worker's seal) and commits once the barrier completes; a death
+//! the store as it gathers the barrier ([`StateDelta::fold`]: the fold must
+//! reproduce the worker's seal) and commits once the barrier completes
+//! (`Store::commit`), as the sim commits its own group's delta; a death
 //! aborts the superstep and its saves together. So the store is the run's
 //! only copy, and where a death resumes depends only on the superstep it
-//! happens in. The final state folds and collects the same way before
+//! happens in. The final state folds and commits the same way before
 //! assembly. Recovery has one path, whenever the death
 //! and wherever its GPUs go: re-home them, send every live worker a `Begin`
 //! naming the GPUs it hosts from then on (with their committed images as a
-//! delta from iteration 0, once there are any), and resume at the commit.
+//! delta from iteration 0 once there are any, shipped only after their
+//! seals verify: [`Store::resume`]), and resume at the commit.
 //! [`ProcReport::checkpoints`] counts image commits; `Begin` is not one.
 
 use super::protocol::{frame_iter, kind, Exchange, Msg, ProtocolError, Stats};
 use super::{ProcError, ProcReport, RecoveryReport};
 use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
-use crate::checkpoint::{GpuDelta, GpuStateImage, StateDelta};
+use crate::checkpoint::{GpuDelta, GpuStateImage, StateDelta, Store};
 use crate::recovery::{RecoveryConfig, RecoveryMode};
 use crate::separation::Separation;
 use gcbfs_cluster::topology::{GpuId, Topology};
@@ -125,12 +128,10 @@ pub struct Round {
     /// The superstep in progress, which a stall or a death is reported at;
     /// the last one while the final state is collected.
     iter: u32,
-    /// The committed checkpoint: its iteration, and one sealed image per
-    /// GPU indexed by flat — at iteration 0, where `Begin` seeds the
-    /// source, an all-unreached one, never shipped and left unsealed.
-    /// Deltas fold onto it.
-    cp_iter: u32,
-    cp_store: Vec<GpuStateImage>,
+    /// The committed checkpoint, which deltas fold onto — at iteration 0,
+    /// where `Begin` seeds the source, all-unreached, never shipped and
+    /// left unsealed.
+    store: Store,
     spares_left: u32,
     report: ProcReport,
 }
@@ -153,13 +154,7 @@ impl Round {
             flats.iter().for_each(|&f| hosting_of[f] = slot);
         }
         let report = ProcReport { workers: hosted.len() as u32, ..ProcReport::default() };
-        let (n, d) = (separation.num_vertices(), separation.num_delegates());
-        let cp_store = (0..topo.num_gpus())
-            .map(|f| {
-                let num_local = topo.owned_count(topo.unflat(f as usize), n);
-                GpuStateImage::unreached(f, num_local, d, track_parents)
-            })
-            .collect();
+        let store = Store::unreached(&topo, &separation, track_parents);
         Self {
             topo,
             separation,
@@ -170,8 +165,7 @@ impl Round {
             stats: vec![Some(Stats::default()); hosted.len()],
             hosting_of,
             iter: 0,
-            cp_iter: 0,
-            cp_store,
+            store,
             spares_left: topo.num_spares(),
             report,
         }
@@ -219,8 +213,8 @@ impl Round {
 
     /// Sends every live slot its `Begin` from the committed checkpoint —
     /// the GPUs it hosts and, past iteration 0, their images as a delta
-    /// from iteration 0 — and gathers
-    /// a `Ready` from each. `owed` lists the slots whose `Ready` to an
+    /// from iteration 0, once their seals verify ([`Store::resume`]) — and
+    /// gathers a `Ready` from each. `owed` lists the slots whose `Ready` to an
     /// interrupted `Begin` round is still on its way, ahead of this one's:
     /// those are gathered too, so the later one counts. On a death, `owed`
     /// is left with the `Ready`s still due.
@@ -228,14 +222,12 @@ impl Round {
         let live = self.alive_slots();
         for &slot in &live {
             let hosted = self.hosted(slot);
-            let resume = (self.cp_iter > 0).then(|| {
-                let gpus: Vec<_> = hosted.iter().map(|&f| (self.cp_store[f].fields(), 0)).collect();
-                StateDelta::of(0, self.cp_iter, self.track_parents, &gpus)
-            });
+            let resume = (self.store.iter() > 0).then(|| self.store.resume(&hosted)).transpose();
+            let resume = resume.map_err(|e| ProtocolError::new(e.to_string()))?;
             link.send(slot, &Msg::Begin { source: self.source, hosted, resume });
         }
         owed.extend(live);
-        self.gather(link, owed, kind::READY, self.cp_iter, |_, _, _| Ok(()))
+        self.gather(link, owed, kind::READY, self.store.iter(), |_, _, _| Ok(()))
     }
 
     /// The one collection loop: waits until every entry of `pending` is
@@ -281,16 +273,15 @@ impl Round {
         Ok(None)
     }
 
-    /// Folds the `state` `slot` sent — of GPUs it hosts, as a delta since
-    /// the commit entering `due`, or none when `due` is `None` — onto the
-    /// committed store, adding the whole images to `folded`. Nothing is
-    /// committed here.
+    /// Accepts the `state` `slot` sent if it is what was due — a delta into
+    /// iteration `due` of GPUs it hosts, or none when `due` is `None` — and
+    /// adds the whole images it folds to on the store to `folded`.
     ///
     /// # Errors
     /// State where none was due or none where some was, another
     /// iteration, a GPU the sender does not host, or a delta that does not
     /// fold ([`StateDelta::fold`]).
-    fn fold(
+    fn accept_state(
         &self,
         slot: usize,
         state: Option<StateDelta>,
@@ -312,23 +303,8 @@ impl Round {
         if let Some(g) = state.gpus.iter().find(foreign) {
             return refuse(format!("the state of gpu {}, which it does not host", g.gpu_flat));
         }
-        folded.extend(state.fold(self.cp_iter, &self.cp_store)?);
+        folded.extend(state.fold(self.store.iter(), self.store.images())?);
         Ok(())
-    }
-
-    /// The whole grid's images out of the workers' folds of one barrier,
-    /// by flat. Hosts partition the grid, so with every image of a GPU its
-    /// sender hosts, one per GPU means every GPU's.
-    ///
-    /// # Errors
-    /// Not one image per GPU.
-    fn collect(&self, mut folded: Vec<GpuStateImage>) -> Result<Vec<GpuStateImage>, ProtocolError> {
-        let p = self.topo.num_gpus() as usize;
-        if folded.len() != p {
-            return Err(ProtocolError::new(format!("state of {} of {p} gpus", folded.len())));
-        }
-        folded.sort_unstable_by_key(|img| img.gpu_flat);
-        Ok(folded)
     }
 
     fn alive_slots(&self) -> Vec<usize> {
@@ -346,9 +322,9 @@ impl Round {
     ///
     /// # Errors
     /// As [`Self::gather`]; a save that was not due or does not fold
-    /// ([`Self::fold`]). Nothing is committed then.
+    /// ([`Self::accept_state`]). Nothing is committed then.
     fn superstep(&mut self, link: &mut impl Link, iter: u32) -> Collected {
-        let checkpoint = self.recovery.checkpoint_due(iter + 1, Some(self.cp_iter));
+        let checkpoint = self.recovery.checkpoint_due(iter + 1, Some(self.store.iter()));
         let go = Msg::StepGo { iter, checkpoint };
         self.alive_slots().into_iter().for_each(|slot| link.send(slot, &go));
 
@@ -371,12 +347,11 @@ impl Round {
         let mut saved = Vec::new();
         let on_done = |round: &mut Self, slot: usize, msg: Msg<'_>| {
             let Msg::StepDone { save, .. } = msg else { return Ok(()) };
-            Ok(round.fold(slot, save, checkpoint.then_some(iter + 1), &mut saved)?)
+            Ok(round.accept_state(slot, save, checkpoint.then_some(iter + 1), &mut saved)?)
         };
         let dead = self.gather(link, &mut self.alive_slots(), kind::STEP_DONE, iter, on_done)?;
         if dead.is_none() && checkpoint {
-            self.cp_store = self.collect(saved)?;
-            self.cp_iter = iter + 1;
+            self.store.commit(iter + 1, saved)?;
             self.report.checkpoints += 1;
         }
         Ok(dead)
@@ -424,14 +399,14 @@ impl Round {
             mode,
             detect_seconds: death.detect_seconds,
             recover_seconds: confirmed_at.elapsed().as_secs_f64(),
-            resumed_iter: self.cp_iter,
+            resumed_iter: self.store.iter(),
         });
-        Ok(self.cp_iter)
+        Ok(self.store.iter())
     }
 
     /// Collects final state from every live slot — each ends its traversal
-    /// there — folds it onto the committed store and assembles global
-    /// depths (and parents, when tracked).
+    /// there — folds it onto the committed store, commits it and assembles
+    /// global depths (and parents, when tracked) from the store.
     fn finish(mut self, link: &mut impl Link) -> Result<ProcOutcome, ProcError> {
         self.alive_slots().into_iter().for_each(|slot| link.send(slot, &Msg::Finish));
         let iterations = self.report.iterations;
@@ -443,7 +418,7 @@ impl Round {
             0,
             |round, slot, msg| {
                 if let Msg::FinalState(state) = msg {
-                    round.fold(slot, Some(state), Some(iterations), &mut folded)?;
+                    round.accept_state(slot, Some(state), Some(iterations), &mut folded)?;
                 }
                 Ok(())
             },
@@ -451,8 +426,9 @@ impl Round {
         if let Some(death) = dead {
             return Err(ProcError::Unrecoverable { worker: death.slot as u32, iter: self.iter });
         }
-        let images = self.collect(folded)?;
-        let views: Vec<GpuStateView<'_>> = images.iter().map(|img| img.view()).collect();
+        self.store.commit(iterations, folded)?;
+        let views: Vec<GpuStateView<'_>> =
+            self.store.images().iter().map(|img| img.view()).collect();
         let (topo, sep) = (&self.topo, &*self.separation);
         let depths = assemble_depths(topo, sep, sep.num_vertices(), &views);
         let parents = self.track_parents.then(|| {
@@ -583,8 +559,8 @@ mod tests {
 
     /// A save of `flats` from the committed store at 0, entering `iter`.
     fn save(round: &Round, flats: &[usize], iter: u32) -> StateDelta {
-        let gpus: Vec<_> = flats.iter().map(|&f| (round.cp_store[f].fields(), 0)).collect();
-        StateDelta::of(0, iter, false, &gpus)
+        let gpus: Vec<_> = flats.iter().map(|&f| (round.store.images()[f].fields(), 0)).collect();
+        StateDelta::of(0, 0, iter, false, &gpus)
     }
 
     /// Superstep `iter` of `round` over the script: both slots' empty
@@ -612,8 +588,8 @@ mod tests {
         let both = vec![done(0, 3, Some(s0.clone())), done(1, 3, Some(s1.clone()))];
         let dead = superstep(&mut good, 3, both);
         assert!(matches!(dead, Ok(None)), "{dead:?}");
-        assert_eq!((good.cp_iter, good.report.checkpoints), (4, 1));
-        assert!(good.cp_store.iter().all(|img| img.digest != 0), "the commit is sealed");
+        assert_eq!((good.store.iter(), good.report.checkpoints), (4, 1));
+        assert!(good.store.verify().is_ok(), "the commit is sealed");
 
         let flipped = |mut d: StateDelta| {
             d.gpus[0].digest ^= 1;
@@ -681,7 +657,7 @@ mod tests {
         ];
         for (what, iter, heard, detail) in cases {
             let mut round = round();
-            let before = round.cp_store.clone();
+            let before = round.store.clone();
             let first = done(0, iter, (iter == 3).then(|| s0.clone()));
             let got = superstep(&mut round, iter, vec![first, heard]);
             match (&got, detail) {
@@ -691,8 +667,8 @@ mod tests {
                 }
                 _ => panic!("{what}: {got:?}"),
             }
-            assert_eq!((round.cp_iter, round.report.checkpoints), (0, 0), "{what}");
-            assert!(round.cp_store == before, "{what} touched the store");
+            assert_eq!(round.report.checkpoints, 0, "{what}");
+            assert!(round.store == before, "{what} touched the store");
         }
     }
 

@@ -13,7 +13,7 @@
 //! ([`rank_contributions`] / [`reduce_contributions`], [`form_blocks`] /
 //! [`deliver_blocks`]).
 
-use crate::checkpoint::{GpuStateImage, StateDelta, StateFields};
+use crate::checkpoint::{CheckpointCorrupt, GpuStateImage, StateDelta, StateFields, Store};
 use crate::comm::{deliver_blocks, form_blocks, prepare_sends, Block};
 use crate::config::BfsConfig;
 use crate::direction::DirectionState;
@@ -45,9 +45,11 @@ pub struct HostedGroup {
     pub(crate) reference_held: bool,
     track_parents: bool,
     /// The iteration the next [`Self::delta`] folds from (0 when seeded,
-    /// else the last resume or delta), and each hosted GPU's remote
+    /// else the last restore, resume or delta), the level it ships from (0
+    /// when seeded, else one past the base) and each hosted GPU's remote
     /// parent-log length there.
     base: u32,
+    next_level: u32,
     base_logs: Vec<usize>,
 }
 
@@ -101,6 +103,7 @@ impl HostedGroup {
             reference_held: false,
             track_parents,
             base: 0,
+            next_level: 0,
             base_logs,
         })
     }
@@ -128,22 +131,34 @@ impl HostedGroup {
             .collect()
     }
 
-    /// What the hosted GPUs settled since the base — the last resume, the
-    /// seed, or the last delta — as the state entering `iter`; `iter`
-    /// becomes the next delta's base. Each GPU's entry carries the seal of
-    /// its whole state, which the delta's fold must reproduce.
+    /// What the hosted GPUs settled since the base — the seed, the last
+    /// restore or resume, or the last delta — as the state entering `iter`;
+    /// `iter` becomes the next delta's base. Both backends commit it onto a
+    /// [`Store`]: the proc workers over the wire, the sim in process. Each
+    /// GPU's entry carries the seal of its whole state, which the delta's
+    /// fold must reproduce.
     pub fn delta(&mut self, iter: u32) -> StateDelta {
         let hosted = self.flats.iter().zip(&self.workers).zip(&self.base_logs);
         let gpus: Vec<_> =
             hosted.map(|((&f, w), &log)| (StateFields::of(f as u32, w), log)).collect();
-        let delta = StateDelta::of(self.base, iter, self.track_parents, &gpus);
+        let delta = StateDelta::of(self.base, self.next_level, iter, self.track_parents, &gpus);
         self.rebase(iter);
         delta
     }
 
     fn rebase(&mut self, iter: u32) {
-        self.base = iter;
+        (self.base, self.next_level) = (iter, iter + 1);
         self.base_logs = self.workers.iter().map(|w| w.remote_parent_log.len()).collect();
+    }
+
+    /// Rolls a group over the whole grid back to `store` once its seals
+    /// verify ([`Store::install`]) and drops the mask codec's reference;
+    /// the commit becomes the next delta's base.
+    pub(crate) fn restore(&mut self, store: &Store) -> Result<(), CheckpointCorrupt> {
+        store.install(&mut self.workers)?;
+        self.reference_held = false;
+        self.rebase(store.iter());
+        Ok(())
     }
 
     /// Resumes the fresh group from `resume`, a delta from iteration 0 with
@@ -164,16 +179,7 @@ impl HostedGroup {
         if let Some(flat) = self.flats.iter().find(|f| covers(f) != 1) {
             return Err(ProtocolError::new(format!("not one resume of hosted gpu {flat}")));
         }
-        let unreached: Vec<_> = self
-            .flats
-            .iter()
-            .zip(&self.workers)
-            .map(|(&f, w)| {
-                let n = w.depths_local.len() as u32;
-                GpuStateImage::unreached(f as u32, n, self.num_delegates, self.track_parents)
-            })
-            .collect();
-        for img in resume.fold(0, &unreached)? {
+        for img in resume.fold(0, &self.capture())? {
             let at = self.index_of(img.gpu_flat as usize).expect("checked above");
             img.install(&mut self.workers[at]);
         }
@@ -335,10 +341,59 @@ impl HostedGroup {
 }
 
 #[cfg(test)]
+impl HostedGroup {
+    /// Superstep `iter` of a group hosting every GPU, driven in process the
+    /// way a proc worker drives its share.
+    pub(crate) fn step(&mut self, iter: u32, config: &BfsConfig) {
+        let mode = config.compression;
+        let mut outputs = self.compute(iter);
+        let contributions = self.mask_contributions(&outputs, mode);
+        let blocks = self.outgoing_blocks(&mut outputs, config);
+        self.consume_contributions(&contributions, mode, iter + 1).unwrap();
+        let delivered = self.deliveries(blocks).unwrap();
+        self.commit(&mut outputs, &delivered, iter + 1);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::BlockBody;
     use gcbfs_graph::builders;
+    use gcbfs_graph::rmat::RmatConfig;
+
+    #[test]
+    fn every_commit_folded_from_the_groups_deltas_is_its_capture() {
+        // Parents tracked (the sim's fault runs never track them): every
+        // superstep commits, then runs, rolls back to the commit and runs
+        // again, so every delta after the first folds from a restore.
+        let graph = RmatConfig::graph500(8).generate();
+        let (topo, config) = (Topology::new(2, 2), BfsConfig::new(8));
+        let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
+        let (sep, degrees) = (&dist.separation, graph.out_degrees());
+        let by_degree = |delegate: bool| {
+            let of_kind = |v: &u64| sep.delegate_id(*v).is_some() == delegate;
+            (0..sep.num_vertices()).filter(of_kind).max_by_key(|&v| degrees[v as usize]).unwrap()
+        };
+        for source in [by_degree(true), by_degree(false)] {
+            let mut group = HostedGroup::new(&dist, &config, true, &[0, 1, 2, 3]).unwrap();
+            group.seed_source(sep, source);
+            let mut store = Store::unreached(&topo, sep, true);
+            let mut iter = 0;
+            while group.frontier_counts() != (0, 0) {
+                let folded = group.delta(iter).fold(store.iter(), store.images()).unwrap();
+                store.commit(iter, folded).unwrap();
+                assert_eq!(store.images(), group.capture(), "source {source}, commit {iter}");
+                group.step(iter, &config);
+                group.restore(&store).unwrap();
+                assert_eq!(store.images(), group.capture(), "source {source}, restore {iter}");
+                group.step(iter, &config);
+                iter += 1;
+            }
+            let logged = store.images().iter().any(|img| !img.remote_parent_log.is_empty());
+            assert!(iter > 2 && logged, "source {source}: {iter} supersteps, no remote parent");
+        }
+    }
 
     #[test]
     fn constructor_rejects_out_of_range_and_repeated_flats() {
