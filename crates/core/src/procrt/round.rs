@@ -275,7 +275,7 @@ impl Round {
 
     /// Accepts the `state` `slot` sent if it is what was due — a delta into
     /// iteration `due` of GPUs it hosts, or none when `due` is `None` — and
-    /// adds the whole images it folds to on the store to `folded`.
+    /// folds it onto the store, adding the whole images to `folded`.
     ///
     /// # Errors
     /// State where none was due or none where some was, another
