@@ -139,9 +139,9 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     }
 
     // The headline assertion: ≥2.1× at 4 threads on the largest scale —
-    // raised from 2.0× after the word-parallel/sliding-queue overhaul
-    // (less per-vertex bookkeeping leaves proportionally more
-    // parallelizable work). Only meaningful when the host actually has
+    // raised from 2.0× after the word-parallel kernel overhaul (less
+    // per-vertex bookkeeping leaves proportionally more parallelizable
+    // work). Only meaningful when the host actually has
     // the cores. A 1-core CI runner still verifies determinism above;
     // it cannot prove scaling.
     if !smoke && cores >= 4 {

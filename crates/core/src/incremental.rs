@@ -717,10 +717,6 @@ impl EvolvingGraph {
             work.nd_edges += nd;
             work.dn_edges += dn;
             work.dd_edges += dd;
-            work.normal_launches +=
-                evs.iter().filter(|e| e.stream == StreamTag::Normal).count() as u32;
-            work.delegate_launches +=
-                evs.iter().filter(|e| e.stream == StreamTag::Delegate).count() as u32;
             kernels[g] = evs;
         }
 

@@ -9,10 +9,9 @@
 //! On the real machine these are CUDA kernels with merge-based (`dd`) or
 //! thread-warp-block (`nn`/`nd`/`dn`) load balancing; here they are
 //! sequential loops whose *workload counters* (edges examined, vertices
-//! previsited, kernels launched) feed the device cost model.
+//! previsited) feed the device cost model.
 
 use crate::direction::{backward_workload, Direction, DirectionState};
-use crate::frontier::{Lane, SlidingQueue};
 use crate::masks::DelegateMask;
 use crate::subgraph::GpuSubgraphs;
 use crate::UNREACHED;
@@ -30,11 +29,9 @@ pub const NO_PARENT: u64 = u64::MAX;
 pub const DELEGATE_PARENT_TAG: u64 = 1 << 63;
 
 /// Throughput factor the scalar kernel variant pays on the visit and
-/// previsit paths: per-bit mask probes and unblocked frontier access
-/// reach a fifth of the word-parallel kernels' effective bandwidth —
-/// uncoalesced single-bit loads serialize a 64-lane popcount word into
-/// dependent byte transactions, and the per-candidate row walk loses the
-/// cache-blocked reuse the sliding-queue chunks buy.
+/// previsit paths: per-bit mask probes reach a fifth of the word-parallel
+/// kernels' effective bandwidth — uncoalesced single-bit loads serialize
+/// a 64-lane popcount word into dependent byte transactions.
 pub const SCALAR_DERATE: f64 = 0.2;
 
 /// Which bottom-up / previsit kernel implementation a worker runs.
@@ -93,10 +90,6 @@ pub struct KernelWork {
     pub dn_edges: u64,
     /// Edges examined by the `dd` visit (either direction).
     pub dd_edges: u64,
-    /// Kernel launches on the normal stream.
-    pub normal_launches: u32,
-    /// Kernel launches on the delegate stream.
-    pub delegate_launches: u32,
 }
 
 impl KernelWork {
@@ -145,20 +138,21 @@ fn dir_tag(dir: Direction) -> DirTag {
 }
 
 impl LocalIterationOutput {
-    /// Typed kernel-span events for this GPU's iteration, priced with the
-    /// same [`DeviceModel::kernel_time`] terms — in the same order — the
-    /// driver sums into the computation phase. Six events per iteration
-    /// (previsit + two visits per stream): the observability sink lays
-    /// them out sequentially per stream, so each stream's end lands
-    /// exactly on the driver's per-stream computation sum.
+    /// This GPU's six kernels for the iteration, each priced once with
+    /// [`DeviceModel::kernel_time`]: the normal stream's previsit, `nn`
+    /// and `nd` visits, then the delegate stream's previsit, `dd` and `dn`
+    /// visits. The driver sums each stream's three `seconds` in this order
+    /// into the computation phase, and the observability sink lays the
+    /// same events out sequentially per stream, so each stream's end
+    /// lands exactly on that sum.
     ///
     /// The sum of `work` over the `visit_*` events is exactly
     /// [`KernelWork::total_edges`] — the invariant `tests/observability.rs`
     /// checks against the per-iteration records.
-    pub fn kernel_events(&self, dev: &DeviceModel) -> Vec<KernelEvent> {
+    pub fn kernel_events(&self, dev: &DeviceModel) -> [KernelEvent; 6] {
         let w = &self.work;
         let d = self.directions;
-        vec![
+        [
             KernelEvent {
                 tag: KernelTag::PrevisitNormal,
                 dir: DirTag::NotApplicable,
@@ -264,10 +258,10 @@ pub struct GpuWorker {
 /// contents to the (nondeterministic) task-to-thread assignment.
 #[derive(Clone, Debug, Default)]
 pub struct KernelScratch {
-    /// Sliding previsit queue: the four former per-`Vec` lanes (`nn`/`nd`
-    /// on the normal stream, `dd`/`dn` on the delegate stream) as sealed
-    /// windows of one grow-only buffer, re-windowed every epoch.
-    queues: SlidingQueue,
+    /// The second of the two frontier buffers that alternate: each
+    /// iteration fills it as `next_frontier` and parks the consumed input
+    /// frontier's buffer here in its place.
+    spare_frontier: Vec<u32>,
     /// Recycled backing store for the iteration output mask (returned by the
     /// driver after the reduction consumed it).
     spare_mask: Option<DelegateMask>,
@@ -329,66 +323,27 @@ impl GpuWorker {
         let mut remote_nn: Vec<(GpuId, u32)> = Vec::new();
         let next_depth = iter + 1;
 
-        // ---- Previsit: sliding-queue lanes and forward workloads (FV). ----
-        // One pass per lane keeps each window contiguous in the shared
-        // buffer; the per-lane vertex order is exactly what the former
-        // per-`Vec` queues produced.
-        let sg = Arc::clone(&self.subgraphs);
-        let scratch = &mut self.scratch;
-        scratch.queues.begin_epoch();
-        for &u in &self.frontier {
-            if sg.nn.degree(u) > 0 {
-                scratch.queues.push(u);
-            }
-        }
-        scratch.queues.seal(Lane::Nn);
+        // ---- Previsit: forward workloads (FV). ----
         // nn never direction-optimizes, so only nd's forward workload is
         // tracked on the normal stream.
-        let mut fv_nd = 0u64;
-        for &u in &self.frontier {
-            let deg_nd = sg.nd.degree(u);
-            if deg_nd > 0 {
-                scratch.queues.push(u);
-                fv_nd += deg_nd as u64;
-            }
-        }
-        scratch.queues.seal(Lane::Nd);
-        if !self.frontier.is_empty() {
-            work.normal_previsit_vertices += self.frontier.len() as u64;
-            work.normal_launches += 1;
-        }
-        let mut fv_dd = 0u64;
+        let sg = &*self.subgraphs;
+        let fv_nd: u64 = self.frontier.iter().map(|&u| sg.nd.degree(u) as u64).sum();
+        let (mut fv_dd, mut fv_dn) = (0u64, 0u64);
         for &x in &self.new_delegates {
-            let deg_dd = sg.dd.degree(x);
-            if deg_dd > 0 {
-                scratch.queues.push(x);
-                fv_dd += deg_dd as u64;
-            }
+            fv_dd += sg.dd.degree(x) as u64;
+            fv_dn += sg.dn.degree(x) as u64;
         }
-        scratch.queues.seal(Lane::Dd);
-        let mut fv_dn = 0u64;
-        for &x in &self.new_delegates {
-            let deg_dn = sg.dn.degree(x);
-            if deg_dn > 0 {
-                scratch.queues.push(x);
-                fv_dn += deg_dn as u64;
-            }
-        }
-        scratch.queues.seal(Lane::Dn);
-        if !self.new_delegates.is_empty() {
-            work.delegate_previsit_vertices += self.new_delegates.len() as u64;
-            work.delegate_launches += 1;
-        }
-
-        // ---- Direction decisions (only scanned when DO is on). ----
         let q_norm = self.frontier.len() as u64;
         let q_del = self.new_delegates.len() as u64;
+        work.normal_previsit_vertices += q_norm;
+        work.delegate_previsit_vertices += q_del;
+
+        // ---- Direction decisions (only scanned when DO is on). ----
         let directions = if self.dir_dd.enabled() || self.dir_dn.enabled() || self.dir_nd.enabled()
         {
-            let unvisited_dd = count_unvisited(&self.subgraphs.dd_source_mask, &self.visited_mask);
-            let unvisited_dn = count_unvisited(&self.subgraphs.dn_source_mask, &self.visited_mask);
-            let unvisited_nd_sources = self
-                .subgraphs
+            let unvisited_dd = sg.dd_source_mask.andnot_count(&self.visited_mask);
+            let unvisited_dn = sg.dn_source_mask.andnot_count(&self.visited_mask);
+            let unvisited_nd_sources = sg
                 .nd_sources
                 .iter()
                 .filter(|&&u| self.depths_local[u as usize] == UNREACHED)
@@ -398,17 +353,17 @@ impl GpuWorker {
             // word-parallel variant pays one popcount per 64-delegate word;
             // the scalar reference probes every delegate bit individually.
             work.delegate_previsit_vertices += match self.kernel_variant {
-                KernelVariant::WordParallel => (self.subgraphs.num_delegates as u64).div_ceil(64),
-                KernelVariant::Scalar => self.subgraphs.num_delegates as u64,
+                KernelVariant::WordParallel => (sg.num_delegates as u64).div_ceil(64),
+                KernelVariant::Scalar => sg.num_delegates as u64,
             };
-            work.normal_previsit_vertices += self.subgraphs.nd_sources.len() as u64;
+            work.normal_previsit_vertices += sg.nd_sources.len() as u64;
 
             let bv_dd = backward_workload(unvisited_dd, q_del, unvisited_dd);
             let bv_dn = backward_workload(unvisited_nd_sources, q_del, unvisited_dn);
             let bv_nd = backward_workload(unvisited_dn, q_norm, unvisited_nd_sources);
             if self.per_kernel_direction {
-                // A kernel with an empty input frontier neither launches
-                // nor re-decides: there is no workload to compare.
+                // A kernel with an empty input frontier neither runs nor
+                // re-decides: there is no workload to compare.
                 ChosenDirections {
                     dd: if q_del > 0 {
                         self.dir_dd.decide(fv_dd as f64, bv_dd)
@@ -443,55 +398,44 @@ impl GpuWorker {
             }
         };
 
-        // The consumed input frontier's buffer becomes the next frontier's
-        // backing store directly (the driver installs `next_frontier` as
-        // the new frontier, completing a zero-allocation cycle). Safe to
-        // take here: previsit copied what the visits need into the lanes,
-        // and `q_norm` snapshots the length for the launch guards below.
-        let mut next_frontier: Vec<u32> = std::mem::take(&mut self.frontier);
+        // The visits read `frontier` and `new_delegates` in place and fill
+        // the spare buffer; the input buffer becomes the next spare once
+        // they are done (the driver installs `next_frontier` as the new
+        // frontier, so the two buffers alternate without allocating).
+        let mut next_frontier = std::mem::take(&mut self.scratch.spare_frontier);
         next_frontier.clear();
 
         // ---- Normal stream visits: nn (forward only), then nd. ----
-        if !self.scratch.queues.window(Lane::Nn).is_empty() {
-            work.normal_launches += 1;
-            for chunk in self.scratch.queues.lane_chunks(Lane::Nn) {
-                for &u in chunk {
-                    let u_global = topo.global_id(self.gpu, u);
-                    for &v_global in sg.nn.row(u) {
-                        work.nn_edges += 1;
-                        let owner = topo.vertex_owner(v_global);
-                        let slot = topo.local_index(v_global);
-                        if owner == self.gpu {
-                            if self.depths_local[slot as usize] == UNREACHED {
-                                self.depths_local[slot as usize] = next_depth;
-                                next_frontier.push(slot);
-                                if self.track_parents {
-                                    self.parents_local[slot as usize] = u_global;
-                                }
-                            }
-                        } else {
-                            remote_nn.push((owner, slot));
-                            if self.track_parents {
-                                self.remote_parent_log.push((owner, slot, u_global, next_depth));
-                            }
+        for &u in &self.frontier {
+            let u_global = topo.global_id(self.gpu, u);
+            for &v_global in sg.nn.row(u) {
+                work.nn_edges += 1;
+                let owner = topo.vertex_owner(v_global);
+                let slot = topo.local_index(v_global);
+                if owner == self.gpu {
+                    if self.depths_local[slot as usize] == UNREACHED {
+                        self.depths_local[slot as usize] = next_depth;
+                        next_frontier.push(slot);
+                        if self.track_parents {
+                            self.parents_local[slot as usize] = u_global;
                         }
+                    }
+                } else {
+                    remote_nn.push((owner, slot));
+                    if self.track_parents {
+                        self.remote_parent_log.push((owner, slot, u_global, next_depth));
                     }
                 }
             }
         }
         match directions.nd {
             Direction::Forward => {
-                if !self.scratch.queues.window(Lane::Nd).is_empty() {
-                    work.normal_launches += 1;
-                    for chunk in self.scratch.queues.lane_chunks(Lane::Nd) {
-                        for &u in chunk {
-                            for &x in sg.nd.row(u) {
-                                work.nd_edges += 1;
-                                if output_mask.set(x) && self.track_parents {
-                                    self.delegate_parent_candidate[x as usize] =
-                                        topo.global_id(self.gpu, u);
-                                }
-                            }
+                for &u in &self.frontier {
+                    for &x in sg.nd.row(u) {
+                        work.nd_edges += 1;
+                        if output_mask.set(x) && self.track_parents {
+                            self.delegate_parent_candidate[x as usize] =
+                                topo.global_id(self.gpu, u);
                         }
                     }
                 }
@@ -500,8 +444,8 @@ impl GpuWorker {
                 // Unvisited delegates with local dn edges pull from normal
                 // parents (the dn subgraph holds the parent lists, §IV-B).
                 // With no newly visited normals there are no parents to
-                // find and the kernel does not launch.
-                work.normal_launches += 1;
+                // find, and the guard keeps the empty pull from counting
+                // the edges it would scan.
                 // The scalar pricing charges a per-bit probe of every delegate.
                 if self.kernel_variant == KernelVariant::Scalar {
                     work.normal_previsit_vertices += sg.num_delegates as u64;
@@ -527,30 +471,24 @@ impl GpuWorker {
                     }
                 }
             }
-            // Empty parent frontier: nothing to pull, no launch.
+            // Empty parent frontier: nothing to pull.
             Direction::Backward => {}
         }
 
         // ---- Delegate stream visits: dd, then dn. ----
         match directions.dd {
             Direction::Forward => {
-                if !self.scratch.queues.window(Lane::Dd).is_empty() {
-                    work.delegate_launches += 1;
-                    for chunk in self.scratch.queues.lane_chunks(Lane::Dd) {
-                        for &x in chunk {
-                            for &y in sg.dd.row(x) {
-                                work.dd_edges += 1;
-                                if output_mask.set(y) && self.track_parents {
-                                    self.delegate_parent_candidate[y as usize] =
-                                        DELEGATE_PARENT_TAG | x as u64;
-                                }
-                            }
+                for &x in &self.new_delegates {
+                    for &y in sg.dd.row(x) {
+                        work.dd_edges += 1;
+                        if output_mask.set(y) && self.track_parents {
+                            self.delegate_parent_candidate[y as usize] =
+                                DELEGATE_PARENT_TAG | x as u64;
                         }
                     }
                 }
             }
             Direction::Backward if q_del > 0 => {
-                work.delegate_launches += 1;
                 if self.kernel_variant == KernelVariant::Scalar {
                     work.delegate_previsit_vertices += sg.num_delegates as u64;
                 }
@@ -576,20 +514,14 @@ impl GpuWorker {
         }
         match directions.dn {
             Direction::Forward => {
-                if !self.scratch.queues.window(Lane::Dn).is_empty() {
-                    work.delegate_launches += 1;
-                    for chunk in self.scratch.queues.lane_chunks(Lane::Dn) {
-                        for &x in chunk {
-                            for &u in sg.dn.row(x) {
-                                work.dn_edges += 1;
-                                if self.depths_local[u as usize] == UNREACHED {
-                                    self.depths_local[u as usize] = next_depth;
-                                    next_frontier.push(u);
-                                    if self.track_parents {
-                                        self.parents_local[u as usize] =
-                                            DELEGATE_PARENT_TAG | x as u64;
-                                    }
-                                }
+                for &x in &self.new_delegates {
+                    for &u in sg.dn.row(x) {
+                        work.dn_edges += 1;
+                        if self.depths_local[u as usize] == UNREACHED {
+                            self.depths_local[u as usize] = next_depth;
+                            next_frontier.push(u);
+                            if self.track_parents {
+                                self.parents_local[u as usize] = DELEGATE_PARENT_TAG | x as u64;
                             }
                         }
                     }
@@ -598,8 +530,7 @@ impl GpuWorker {
             Direction::Backward if q_del > 0 => {
                 // Unvisited nd-sources pull from delegate parents via their
                 // own nd rows (§IV-B). With no newly visited delegates there
-                // are no parents to find and the kernel does not launch.
-                work.delegate_launches += 1;
+                // are no parents to find.
                 for &u in &sg.nd_sources {
                     if self.depths_local[u as usize] != UNREACHED {
                         continue;
@@ -620,6 +551,8 @@ impl GpuWorker {
             Direction::Backward => {}
         }
 
+        self.frontier.clear();
+        std::mem::swap(&mut self.frontier, &mut self.scratch.spare_frontier);
         self.new_delegates.clear();
         LocalIterationOutput { next_frontier, remote_nn, output_mask, work, directions }
     }
@@ -659,12 +592,6 @@ impl GpuWorker {
             self.visited_mask = reduced.clone();
         }
     }
-}
-
-/// Population count of `source_mask AND NOT visited`, via the word-level
-/// mask API (one intersection + popcount per 64 delegates).
-fn count_unvisited(source_mask: &DelegateMask, visited: &DelegateMask) -> u64 {
-    source_mask.andnot_count(visited)
 }
 
 #[cfg(test)]
@@ -833,7 +760,6 @@ mod tests {
         assert!(out.next_frontier.is_empty());
         assert!(out.remote_nn.is_empty());
         assert_eq!(out.work.total_edges(), 0);
-        assert_eq!(out.work.normal_launches + out.work.delegate_launches, 0);
     }
 
     #[test]
@@ -949,19 +875,29 @@ mod tests {
 
     #[test]
     fn next_frontier_recycles_the_input_frontier_buffer() {
-        // The consumed input frontier's allocation must flow into the
-        // iteration output (zero steady-state frontier allocations).
+        // Two frontier buffers alternate: after one warm-up superstep, each
+        // superstep's output lands in the previous superstep's input
+        // buffer, so no superstep allocates a frontier.
         let (mut w, topo, _sep) = single_gpu_worker();
         let slot = topo.local_index(2);
         w.depths_local[slot as usize] = 0;
         w.frontier.reserve(64);
         w.frontier.push(slot);
-        let ptr = w.frontier.as_ptr();
-        let cap = w.frontier.capacity();
-        let out = w.run_iteration(0, &topo);
+        let mut input = (w.frontier.as_ptr(), w.frontier.capacity());
+        let mut out = w.run_iteration(0, &topo);
         assert!(w.frontier.is_empty());
-        assert_eq!(out.next_frontier.as_ptr(), ptr);
-        assert_eq!(out.next_frontier.capacity(), cap);
+        for iter in 1..4 {
+            // Keep the frontier non-empty so every superstep walks one.
+            let mut next = std::mem::take(&mut out.next_frontier);
+            next.clear();
+            next.push(slot);
+            w.frontier = next;
+            let this_input = (w.frontier.as_ptr(), w.frontier.capacity());
+            out = w.run_iteration(iter, &topo);
+            assert!(w.frontier.is_empty());
+            assert_eq!((out.next_frontier.as_ptr(), out.next_frontier.capacity()), input);
+            input = this_input;
+        }
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! * §VI-D generalization: one value-carrying superstep (`propagate`)
 //!   under [`msbfs`], [`sssp`], [`components`], [`pagerank`],
 //!   [`betweenness`] and [`async_bfs`];
-//! * delegate visited bitmasks → [`masks`]; sliding previsit queues →
-//!   [`frontier`]; run options → [`config`];
+//! * delegate visited bitmasks → [`masks`]; run options → [`config`];
 //! * resilience: checkpoint/restart → [`checkpoint`], retry and
 //!   degraded-mode policy → [`recovery`], and the loop's optional fault
 //!   layer that drives both → `chaos` (fault injection itself lives in
@@ -46,7 +45,6 @@ pub mod config;
 pub mod direction;
 pub mod distributor;
 pub mod driver;
-pub mod frontier;
 pub mod incremental;
 pub mod kernels;
 pub mod masks;

@@ -86,33 +86,26 @@ impl<'a> Pricer<'a> {
         }
     }
 
-    /// Per-GPU computation time: the two streams run concurrently. The
-    /// kernel spans are built from the same work counters and priced with
-    /// the same device-model calls, so per-stream span sums equal the
-    /// stream times bit-for-bit.
+    /// Per-GPU computation time: the two streams run concurrently. Each
+    /// stream's time is the sum of its three kernel spans, so per-stream
+    /// span sums equal the stream times bit-for-bit.
     pub fn compute(&self, outputs: &[LocalIterationOutput], bw: f64, observing: bool) -> StepPrice {
-        let dev = &self.vdev;
+        let mut kernel_events = Vec::new();
         let phases = outputs
             .iter()
             .map(|o| {
-                let w = &o.work;
-                let normal = dev.kernel_time(KernelKind::Previsit, w.normal_previsit_vertices)
-                    + dev.kernel_time(KernelKind::DynamicVisit, w.nn_edges)
-                    + dev.kernel_time(KernelKind::DynamicVisit, w.nd_edges);
-                let delegate = dev.kernel_time(KernelKind::Previsit, w.delegate_previsit_vertices)
-                    + dev.kernel_time(KernelKind::MergeVisit, w.dd_edges)
-                    + dev.kernel_time(KernelKind::DynamicVisit, w.dn_edges);
+                let evs = o.kernel_events(&self.vdev);
+                let normal = evs[0].seconds + evs[1].seconds + evs[2].seconds;
+                let delegate = evs[3].seconds + evs[4].seconds + evs[5].seconds;
+                if observing {
+                    kernel_events.push(evs.to_vec());
+                }
                 PhaseTimes {
                     computation: normal.max(delegate) + self.do_overhead,
                     ..PhaseTimes::zero()
                 }
             })
             .collect();
-        let kernel_events = if observing {
-            outputs.iter().map(|o| o.kernel_events(dev)).collect()
-        } else {
-            Vec::new()
-        };
         StepPrice {
             phases,
             observing,
@@ -270,8 +263,6 @@ impl<'a> Pricer<'a> {
             acc.nd_edges += o.work.nd_edges;
             acc.dn_edges += o.work.dn_edges;
             acc.dd_edges += o.work.dd_edges;
-            acc.normal_launches += o.work.normal_launches;
-            acc.delegate_launches += o.work.delegate_launches;
             acc
         });
         let backward_gpus = outputs.iter().fold((0u32, 0u32, 0u32), |acc, o| {

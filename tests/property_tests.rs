@@ -258,7 +258,7 @@ proptest! {
 }
 
 /// The raw-speed overhaul's contract, swept deterministically: the
-/// word-parallel bottom-up kernels and the sliding-queue frontiers must
+/// word-parallel bottom-up kernels and the in-place frontier walks must
 /// reproduce the scalar reference's depths and parents bit-for-bit at
 /// every host thread width, at every compression mode, and through a
 /// fail-stop rollback.
