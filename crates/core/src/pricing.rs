@@ -90,22 +90,20 @@ impl<'a> Pricer<'a> {
     /// stream's time is the sum of its three kernel spans, so per-stream
     /// span sums equal the stream times bit-for-bit.
     pub fn compute(&self, outputs: &[LocalIterationOutput], bw: f64, observing: bool) -> StepPrice {
+        let mut phases = Vec::with_capacity(outputs.len());
         let mut kernel_events = Vec::new();
-        let phases = outputs
-            .iter()
-            .map(|o| {
-                let evs = o.kernel_events(&self.vdev);
-                let normal = evs[0].seconds + evs[1].seconds + evs[2].seconds;
-                let delegate = evs[3].seconds + evs[4].seconds + evs[5].seconds;
-                if observing {
-                    kernel_events.push(evs.to_vec());
-                }
-                PhaseTimes {
-                    computation: normal.max(delegate) + self.do_overhead,
-                    ..PhaseTimes::zero()
-                }
-            })
-            .collect();
+        for o in outputs {
+            let evs = o.kernel_events(&self.vdev);
+            let normal = evs[0].seconds + evs[1].seconds + evs[2].seconds;
+            let delegate = evs[3].seconds + evs[4].seconds + evs[5].seconds;
+            phases.push(PhaseTimes {
+                computation: normal.max(delegate) + self.do_overhead,
+                ..PhaseTimes::zero()
+            });
+            if observing {
+                kernel_events.push(evs.to_vec());
+            }
+        }
         StepPrice {
             phases,
             observing,
