@@ -36,7 +36,7 @@
 
 use gcbfs_bench::prelude::*;
 use gcbfs_core::backend::{Backend, BackendRun, ProcBackend, SimBackend};
-use gcbfs_core::procrt::{ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand};
+use gcbfs_core::procrt::{KillSpec, ProcOptions, RecoveryMode, WorkerCommand};
 use gcbfs_core::recovery::RecoveryConfig;
 
 /// Runs per width on the pool the cold run spawned, each from another
@@ -191,7 +191,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     for (label, spares, victim) in [("spare", 1u32, 1u32), ("spread", 0, 0)] {
         let opts = ProcOptions {
             workers: 2,
-            chaos: ChaosSpec { kill: Some(KillSpec { worker: victim, iter: 1 }) },
+            kill: Some(KillSpec { worker: victim, iter: 1 }),
             ..ProcOptions::default()
         };
         let proc = proc_backend(opts)

@@ -194,15 +194,6 @@ pub struct NicDegradation {
     pub factor: f64,
 }
 
-/// The fate the injector assigns to one in-flight message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MessageFate {
-    /// Delivered once.
-    Deliver,
-    /// Silently dropped.
-    Drop,
-}
-
 /// Where a compute-SDC event lands. Unlike the wire corruptions above,
 /// these strike *inside* a device: the bytes were never on a sealed
 /// channel, so no transport checksum can catch them — only the online
@@ -647,27 +638,19 @@ impl FaultInjector {
         None
     }
 
-    /// Decides the fate of message `index` on `channel` (any stable id for
-    /// a (from, to) pair or destination) at `(iteration, attempt)`: it is
-    /// dropped when its coordinate hash falls under the plan's drop
-    /// probability. Deterministic and stateless apart from counters.
-    pub fn message_fate(
-        &mut self,
-        iteration: u32,
-        attempt: u32,
-        channel: u64,
-        index: u64,
-    ) -> MessageFate {
+    /// True when message `index` on `channel` (any stable id for a (from,
+    /// to) pair or destination) at `(iteration, attempt)` is dropped: when
+    /// its coordinate hash falls under the plan's drop probability. Each
+    /// drop is counted. Deterministic and stateless apart from counters.
+    pub fn drops(&mut self, iteration: u32, attempt: u32, channel: u64, index: u64) -> bool {
         let p = &self.plan;
         if p.drop_prob == 0.0 {
-            return MessageFate::Deliver;
+            return false;
         }
-        if unit_f64(coordinate_hash(p.seed, iteration, attempt, channel, index)) < p.drop_prob {
-            self.counters.drops += 1;
-            MessageFate::Drop
-        } else {
-            MessageFate::Deliver
-        }
+        let dropped =
+            unit_f64(coordinate_hash(p.seed, iteration, attempt, channel, index)) < p.drop_prob;
+        self.counters.drops += u64::from(dropped);
+        dropped
     }
 
     /// Applies every matching not-yet-fired mask corruption for
@@ -804,7 +787,7 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::new(7));
         assert!(inj.deaths_due(0).is_empty());
         for i in 0..100 {
-            assert_eq!(inj.message_fate(0, 0, 0, i), MessageFate::Deliver);
+            assert!(!inj.drops(0, 0, 0, i));
         }
         assert_eq!(inj.bandwidth_factor(3), 1.0);
         assert_eq!(inj.counters(), FaultCounters::default());
@@ -815,23 +798,23 @@ mod tests {
         let plan = FaultPlan::new(42).with_message_drops(0.2);
         let mut a = FaultInjector::new(plan.clone());
         let mut b = FaultInjector::new(plan);
-        let fa: Vec<_> = (0..500).map(|i| a.message_fate(3, 0, 1, i)).collect();
-        let fb: Vec<_> = (0..500).map(|i| b.message_fate(3, 0, 1, i)).collect();
+        let fa: Vec<bool> = (0..500).map(|i| a.drops(3, 0, 1, i)).collect();
+        let fb: Vec<bool> = (0..500).map(|i| b.drops(3, 0, 1, i)).collect();
         assert_eq!(fa, fb, "same plan, same stream");
-        let drops = fa.iter().filter(|f| **f == MessageFate::Drop).count();
+        let drops = fa.iter().filter(|&&dropped| dropped).count();
         assert!(drops > 50 && drops < 150, "~20% drops, got {drops}");
         assert_eq!(a.counters().drops, drops as u64);
         // At probability 1 every message is lost.
         let mut all = FaultInjector::new(FaultPlan::new(42).with_message_drops(1.0));
-        assert!((0..100).all(|i| all.message_fate(0, 0, 0, i) == MessageFate::Drop));
+        assert!((0..100).all(|i| all.drops(0, 0, 0, i)));
     }
 
     #[test]
     fn retries_resample_independently() {
         let plan = FaultPlan::new(9).with_message_drops(0.5);
         let mut inj = FaultInjector::new(plan);
-        let f0: Vec<_> = (0..64).map(|i| inj.message_fate(1, 0, 0, i)).collect();
-        let f1: Vec<_> = (0..64).map(|i| inj.message_fate(1, 1, 0, i)).collect();
+        let f0: Vec<bool> = (0..64).map(|i| inj.drops(1, 0, 0, i)).collect();
+        let f1: Vec<bool> = (0..64).map(|i| inj.drops(1, 1, 0, i)).collect();
         assert_ne!(f0, f1, "attempt must salt the stream");
     }
 

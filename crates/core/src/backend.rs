@@ -142,7 +142,7 @@ impl Backend for SimBackend {
 ///
 /// The first run spawns the workers and ships them the graph. A later run
 /// on the same graph, topology, worker-side config, `worker_cmd` and
-/// `opts` (chaos aside) is served by the same processes, however long the
+/// `opts` (the kill aside) is served by the same processes, however long the
 /// backend idled in between; one that needs anything else, or follows a
 /// run that erred or recovered, replaces the pool. Dropping the backend
 /// shuts every worker down and reaps it; cloning yields a backend with no
@@ -151,7 +151,7 @@ impl Backend for SimBackend {
 pub struct ProcBackend {
     /// How to launch worker processes.
     pub worker_cmd: WorkerCommand,
-    /// Runtime tuning (worker count, timeouts, chaos).
+    /// Runtime tuning (worker count, timeouts, the chaos kill).
     pub opts: ProcOptions,
     pool: Mutex<ProcPool>,
 }
@@ -275,14 +275,11 @@ mod tests {
         let cmd = WorkerCommand::new("/bin/false", vec![]);
         for (ranks, worker) in [(4, 3), (4, 2), (1, 1)] {
             let kill = Some(crate::procrt::KillSpec { worker, iter: 1 });
-            let chaos = crate::procrt::ChaosSpec { kill };
-            let b = ProcBackend::new(cmd.clone(), ProcOptions { chaos, ..ProcOptions::default() });
+            let b = ProcBackend::new(cmd.clone(), ProcOptions { kill, ..ProcOptions::default() });
             let err = b.run(&graph, Topology::new(ranks, 1), 0, &BfsConfig::new(8), false);
             match err {
-                Err(BackendError::Proc(
-                    e @ ProcError::InvalidOption { field: "chaos.kill", .. },
-                )) => {
-                    assert!(e.to_string().contains("chaos.kill"), "{e}")
+                Err(BackendError::Proc(e @ ProcError::InvalidOption { field: "kill", .. })) => {
+                    assert!(e.to_string().contains("ProcOptions::kill"), "{e}")
                 }
                 other => {
                     panic!("kill {worker} on {ranks} ranks: expected InvalidOption, got {other:?}")

@@ -26,9 +26,7 @@ use crate::recovery::{
 use crate::stats::FaultStats;
 use crate::verify::VerifyState;
 use gcbfs_cluster::collectives::{allreduce_or_compressed, AllreduceOutcome};
-use gcbfs_cluster::fault::{
-    FaultError, FaultInjector, FaultPlan, MessageFate, SdcEvent, SdcMode, SdcSite,
-};
+use gcbfs_cluster::fault::{FaultError, FaultInjector, FaultPlan, SdcEvent, SdcMode, SdcSite};
 use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_trace::{FaultKind, SinkMark};
 
@@ -461,8 +459,7 @@ impl<'a> Chaos<'a> {
             let mut lost = false;
             for (g, list) in ex.delivered.iter().enumerate() {
                 for i in 0..list.len() as u64 {
-                    let fate = self.injector.message_fate(iter, attempt, g as u64, i);
-                    lost |= fate == MessageFate::Drop;
+                    lost |= self.injector.drops(iter, attempt, g as u64, i);
                 }
             }
             if !lost {

@@ -116,14 +116,6 @@ impl DelegateMask {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// ORs `other` into `self`.
-    pub fn or_assign(&mut self, other: &Self) {
-        debug_assert_eq!(self.num_bits, other.num_bits);
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
@@ -169,17 +161,6 @@ mod tests {
         assert_eq!(DelegateMask::new(64).byte_size(), 8);
         assert_eq!(DelegateMask::new(65).byte_size(), 16);
         assert_eq!(DelegateMask::new(0).byte_size(), 0);
-    }
-
-    #[test]
-    fn or_assign_unions() {
-        let mut a = DelegateMask::new(70);
-        let mut b = DelegateMask::new(70);
-        a.set(3);
-        b.set(69);
-        a.or_assign(&b);
-        assert!(a.get(3) && a.get(69));
-        assert_eq!(a.count_ones(), 2);
     }
 
     #[test]

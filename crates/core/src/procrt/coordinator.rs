@@ -13,7 +13,7 @@
 //!   pool SIGKILLs and reaps the child and the link hears a [`Death`];
 //!   `resume` finds one that left while the pool idled, and the handshake
 //!   one that exited before its `Hello`.
-//! - The [`ChaosSpec`] kill.
+//! - The chaos kill, [`ProcOptions::kill`].
 //! - The [`ProcReport`] traffic counts: frames, bytes, the state bytes
 //!   among them, and spawns.
 //! - Teardown, when a run errs, when a run needs another key or finds a
@@ -97,7 +97,7 @@ impl std::fmt::Debug for ProcPool {
 impl ProcPool {
     /// Runs BFS from `source`: on the pool's workers when they hold this
     /// graph, topology and worker-side config under the same command and
-    /// options (chaos aside), else on a freshly spawned pool. The pool is
+    /// options (the kill aside), else on a freshly spawned pool. The pool is
     /// kept for the next run unless this one erred.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
@@ -112,9 +112,9 @@ impl ProcPool {
     ) -> Result<ProcOutcome, ProcError> {
         opts.validate()?;
         let hosted = hosted_flats(&topo, opts.workers);
-        if opts.chaos.kill.is_some_and(|kill| kill.worker as usize >= hosted.len()) {
+        if opts.kill.is_some_and(|kill| kill.worker as usize >= hosted.len()) {
             let requirement = "a worker slot the run has, below min(workers, ranks)";
-            return Err(ProcError::InvalidOption { field: "chaos.kill", requirement });
+            return Err(ProcError::InvalidOption { field: "kill", requirement });
         }
         let num_vertices = graph.num_vertices;
         if source >= num_vertices {
@@ -168,7 +168,7 @@ struct Coordinator {
     /// The degree classification every worker computes too; each run's
     /// round assembles with it.
     separation: Arc<Separation>,
-    /// The options the pool was spawned with, bar `chaos`: each run brings
+    /// The options the pool was spawned with, bar `kill`: each run brings
     /// its own.
     opts: ProcOptions,
     worker_cmd: WorkerCommand,
@@ -269,7 +269,7 @@ impl Coordinator {
     /// True when this pool's workers hold exactly what a run with these
     /// arguments needs: the same graph (compared edge for edge against the
     /// retained `Setup`), topology, worker-side config and command, and
-    /// the same options apart from the per-run chaos.
+    /// the same options apart from the per-run kill.
     fn serves(
         &self,
         graph: &EdgeList,
@@ -282,7 +282,7 @@ impl Coordinator {
         self.topo == topo
             && setup.config == worker_config
             && self.worker_cmd == *worker_cmd
-            && ProcOptions { chaos: self.opts.chaos, ..opts.clone() } == self.opts
+            && ProcOptions { kill: self.opts.kill, ..opts.clone() } == self.opts
             && gcbfs_graph::io::matches_binary(graph, setup.graph)
     }
 
@@ -302,7 +302,7 @@ impl Coordinator {
         if self.slots.iter_mut().any(exited) {
             return false;
         }
-        self.opts.chaos = opts.chaos;
+        self.opts.kill = opts.kill;
         self.kill_time = None;
         true
     }
@@ -413,7 +413,7 @@ impl Link for Coordinator {
         if self.write(slot, &frame).is_ok() && protocol::carries_state(&frame) {
             self.report.state_bytes += frame.encoded_len() as u64;
         }
-        let Some(kill) = self.opts.chaos.kill else { return };
+        let Some(kill) = self.opts.kill else { return };
         let go = matches!(msg, Msg::StepGo { iter, .. } if *iter == kill.iter);
         if go && kill.worker as usize == slot && self.kill_time.is_none() {
             self.kill_time = Some(Instant::now());

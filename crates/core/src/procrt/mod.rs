@@ -18,7 +18,7 @@
 //! [`DistributedGraph`](crate::driver::DistributedGraph) once and keeps
 //! it; each run's `Begin` names the GPUs a worker hosts. A later run whose
 //! graph, topology, worker-side config, worker command and
-//! [`ProcOptions`] (chaos aside) all match is served by the same
+//! [`ProcOptions`] (the kill aside) all match is served by the same
 //! processes and pays only its supersteps. A run that needs anything
 //! else, a run that errs and a run that finds a worker gone (as after a
 //! recovery by spreading) tear the pool down, and that run spawns afresh;
@@ -89,14 +89,6 @@ pub struct KillSpec {
     pub iter: u32,
 }
 
-/// The real-process fault for the chaos harness. It applies per run: a
-/// pool serves runs with different chaos alike.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChaosSpec {
-    /// SIGKILL one worker at one superstep.
-    pub kill: Option<KillSpec>,
-}
-
 /// Tuning of the multi-process runtime.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProcOptions {
@@ -105,8 +97,9 @@ pub struct ProcOptions {
     pub workers: u32,
     /// Deadline for one superstep's collective message round; positive.
     pub step_timeout: Duration,
-    /// The chaos kill, if any.
-    pub chaos: ChaosSpec,
+    /// The chaos kill, if any: SIGKILL one worker at one superstep. It
+    /// applies per run: a pool serves runs with different kills alike.
+    pub kill: Option<KillSpec>,
     /// Directory for the coordinator socket (default: the OS temp dir).
     pub socket_dir: Option<PathBuf>,
 }
@@ -132,12 +125,7 @@ impl ProcOptions {
 
 impl Default for ProcOptions {
     fn default() -> Self {
-        Self {
-            workers: 2,
-            step_timeout: Duration::from_secs(60),
-            chaos: ChaosSpec::default(),
-            socket_dir: None,
-        }
+        Self { workers: 2, step_timeout: Duration::from_secs(60), kill: None, socket_dir: None }
     }
 }
 

@@ -501,19 +501,19 @@ fn bfs_proc(
     path: &str,
 ) -> Result<(), String> {
     use gpu_cluster_bfs::core::backend::{Backend, ProcBackend};
-    use gpu_cluster_bfs::core::procrt::{ChaosSpec, KillSpec, ProcOptions, WorkerCommand};
+    use gpu_cluster_bfs::core::procrt::{KillSpec, ProcOptions, WorkerCommand};
     use gpu_cluster_bfs::core::UNREACHED;
 
     let procs: u32 = args.opt("procs", 2)?;
     if procs == 0 {
         return Err("--procs must be positive".into());
     }
-    let mut chaos = ChaosSpec::default();
+    let mut kill = None;
     if let Some((_, v)) = args.options.iter().find(|(k, _)| *k == "kill") {
         let (w, i) = gpu_at_iter(v, "kill")?;
-        chaos.kill = Some(KillSpec { worker: w as u32, iter: i });
+        kill = Some(KillSpec { worker: w as u32, iter: i });
     }
-    let opts = ProcOptions { workers: procs, chaos, ..ProcOptions::default() };
+    let opts = ProcOptions { workers: procs, kill, ..ProcOptions::default() };
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let backend = ProcBackend::new(WorkerCommand::new(exe, vec!["backend-worker".into()]), opts);
     let source = pick_source(graph, args)?;

@@ -33,7 +33,7 @@ use gpu_cluster_bfs::core::procrt::protocol::{
 use gpu_cluster_bfs::core::procrt::round::{Death, Heard, Link, ProcOutcome, Round};
 use gpu_cluster_bfs::core::procrt::worker::WorkerRound;
 use gpu_cluster_bfs::core::procrt::{
-    hosted_flats, ChaosSpec, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
+    hosted_flats, KillSpec, ProcError, ProcOptions, RecoveryMode, WorkerCommand,
 };
 use gpu_cluster_bfs::core::recovery::RecoveryConfig;
 use gpu_cluster_bfs::core::superstep::HostedGroup;
@@ -299,15 +299,15 @@ fn a_spare_recovered_pool_stays_warm_and_a_spread_one_respawns() {
             run.proc.unwrap()
         };
         assert_eq!(run(&backend, "warm-up").spawned, 2);
-        // Chaos is per run: the warm pool serves the killed run.
-        backend.opts.chaos.kill = Some(KillSpec { worker: 1, iter: 1 });
+        // The kill is per run: the warm pool serves the killed run.
+        backend.opts.kill = Some(KillSpec { worker: 1, iter: 1 });
         let killed = run(&backend, "killed");
         let rec = killed.recovery.expect("a SIGKILL'd pooled worker must be recovered");
         assert_eq!((rec.worker, rec.mode), (1, mode));
         assert_eq!(killed.spawned, spares, "only a spare is new");
         // A spare refilled the pool, which stays warm; spreading left a
         // slot empty, so the next run respawns the pool.
-        backend.opts.chaos = ChaosSpec::default();
+        backend.opts.kill = None;
         let after = run(&backend, "after recovery");
         assert_eq!(after.spawned, if mode == RecoveryMode::Spare { 0 } else { 2 }, "{mode:?}");
         assert!(after.recovery.is_none());
@@ -354,7 +354,7 @@ fn an_idle_pool_outlasts_the_traversal_read_deadline() {
 fn kill_opts(procs: u32, victim: u32, iter: u32) -> ProcOptions {
     ProcOptions {
         workers: procs,
-        chaos: ChaosSpec { kill: Some(KillSpec { worker: victim, iter }) },
+        kill: Some(KillSpec { worker: victim, iter }),
         ..ProcOptions::default()
     }
 }

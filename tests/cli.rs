@@ -229,6 +229,34 @@ fn fault_plans_naming_gpus_the_run_lacks_are_refused() {
 }
 
 #[test]
+fn a_kill_of_a_slot_the_proc_run_lacks_is_refused() {
+    let file = tmp("noslot.bin");
+    let path = file.to_str().unwrap();
+    assert!(gcbfs(&["generate", "rmat", "--scale", "8", "--out", path]).status.success());
+    // Two worker slots; slot 3 does not exist, and the refusal comes before
+    // anything spawns.
+    let out = gcbfs(&[
+        "bfs",
+        path,
+        "--ranks",
+        "2",
+        "--gpus",
+        "2",
+        "--backend",
+        "proc",
+        "--procs",
+        "2",
+        "--kill",
+        "3:1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a kill of slot 3 on 2 slots must not run");
+    assert!(stderr.contains("ProcOptions::kill"), "{stderr}");
+    assert!(out.stdout.is_empty(), "it ran before failing");
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn malformed_options_are_rejected() {
     let file = tmp("malformed.bin");
     let path = file.to_str().unwrap();

@@ -4,9 +4,7 @@
 //! running cell's workers.
 
 use gpu_cluster_bfs::core::backend::{Backend, ProcBackend, SimBackend};
-use gpu_cluster_bfs::core::procrt::{
-    ChaosSpec, KillSpec, ProcOptions, RecoveryMode, WorkerCommand,
-};
+use gpu_cluster_bfs::core::procrt::{KillSpec, ProcOptions, RecoveryMode, WorkerCommand};
 use gpu_cluster_bfs::core::recovery::RecoveryConfig;
 use gpu_cluster_bfs::prelude::*;
 use std::sync::{Mutex, PoisonError};
@@ -101,7 +99,7 @@ fn a_worker_killed_mid_run_is_reaped_before_its_spare_serves() {
     let victim = before.iter().map(|&(pid, _)| pid).find(|&pid| slot_of(pid) == Some(1));
     let victim = victim.expect("slot 1 has a worker");
 
-    backend.opts.chaos = ChaosSpec { kill: Some(KillSpec { worker: 1, iter: 1 }) };
+    backend.opts.kill = Some(KillSpec { worker: 1, iter: 1 });
     let run = backend.run(&graph, topo, 1, &config, false).unwrap();
     assert_eq!(run.depths, want);
     let rec = run.proc.unwrap().recovery.expect("the kill is recovered");
