@@ -103,3 +103,41 @@ fn bounded_local_ids_hold() {
         assert!(u64::from(topo.owned_count(gpu, graph.num_vertices)) <= bound);
     }
 }
+
+#[test]
+fn table_1_bytes_are_pinned_exactly_on_rmat_12() {
+    // Every GPU's eight Table I fields on RMAT 12, 4x2 GPUs, TH 32: the
+    // storage types decide these widths, so a change to them moves a pin.
+    // Columns: nn offsets, nn cols, nd offsets, nd cols, dn offsets,
+    // dn cols, dd offsets, dd cols.
+    let expected: [[u64; 8]; 8] = [
+        [2052, 2016, 2052, 7360, 3152, 7360, 3152, 50064],
+        [2052, 2264, 2052, 7944, 3152, 7944, 3152, 44252],
+        [2052, 2160, 2052, 7596, 3152, 7596, 3152, 53924],
+        [2052, 2480, 2052, 8624, 3152, 8624, 3152, 43300],
+        [2052, 2096, 2052, 7228, 3152, 7228, 3152, 49304],
+        [2052, 2216, 2052, 8076, 3152, 8076, 3152, 49060],
+        [2052, 2464, 2052, 8796, 3152, 8796, 3152, 41968],
+        [2052, 1992, 2052, 8132, 3152, 8132, 3152, 55252],
+    ];
+    let graph = RmatConfig::graph500(12).generate();
+    let dist = DistributedGraph::build(&graph, Topology::new(4, 2), &BfsConfig::new(32)).unwrap();
+    let measured: Vec<[u64; 8]> = dist
+        .memory_usage()
+        .iter()
+        .map(|m| {
+            [
+                m.nn_offsets,
+                m.nn_cols,
+                m.nd_offsets,
+                m.nd_cols,
+                m.dn_offsets,
+                m.dn_cols,
+                m.dd_offsets,
+                m.dd_cols,
+            ]
+        })
+        .collect();
+    assert_eq!(measured, expected);
+    assert_eq!(dist.total_graph_bytes(), 615_588);
+}
