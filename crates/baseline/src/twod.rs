@@ -66,13 +66,6 @@ pub struct TwoDBfs {
     pub cost: CostModel,
 }
 
-/// Per-processor block CSR: local source index (within part `j`) → local
-/// destination indices (within part `i`).
-struct Block {
-    offsets: Vec<u32>,
-    cols: Vec<u32>,
-}
-
 impl TwoDBfs {
     /// An `r × r`-grid 2D BFS with the Ray cost model.
     pub fn new(r: u32, direction_optimization: bool) -> Self {
@@ -89,8 +82,8 @@ impl TwoDBfs {
         let local = |v: u64| (v % part_size) as u32;
         let global = |p: usize, l: u32| p as u64 * part_size + l as u64;
 
-        // Build the r x r blocks: block[i][j] holds edges part(u) = j (as
-        // rows) -> part(v) = i.
+        // The r x r blocks: block[i][j] is the CSR of the edges part(u) = j
+        // -> part(v) = i, from local source to local destination ids.
         let r_us = self.r as usize;
         let mut block_edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); r_us * r_us];
         for u in 0..n {
@@ -98,25 +91,9 @@ impl TwoDBfs {
                 block_edges[part(v) * r_us + part(u)].push((local(u), local(v)));
             }
         }
-        let blocks: Vec<Block> = block_edges
+        let blocks: Vec<Csr<u32, u32>> = block_edges
             .into_iter()
-            .map(|edges| {
-                let mut offsets = vec![0u32; part_size as usize + 1];
-                for &(s, _) in &edges {
-                    offsets[s as usize + 1] += 1;
-                }
-                for k in 0..part_size as usize {
-                    offsets[k + 1] += offsets[k];
-                }
-                let mut cursor = offsets[..part_size as usize].to_vec();
-                let mut cols = vec![0u32; edges.len()];
-                for &(s, d) in &edges {
-                    let c = &mut cursor[s as usize];
-                    cols[*c as usize] = d;
-                    *c += 1;
-                }
-                Block { offsets, cols }
-            })
+            .map(|edges| Csr::build(part_size as u32, edges.into_iter()))
             .collect();
 
         let net: &NetworkModel = &self.cost.network;
@@ -188,9 +165,7 @@ impl TwoDBfs {
                             // neighbors in part j.
                             let bt = &blocks[j * r_us + i];
                             let pe = &mut proc_edges[i * r_us + j];
-                            let lo = bt.offsets[lv as usize] as usize;
-                            let hi = bt.offsets[lv as usize + 1] as usize;
-                            for &lu in &bt.cols[lo..hi] {
+                            for &lu in bt.neighbors(lv) {
                                 *pe += 1;
                                 let u = global(j, lu);
                                 if depths[u as usize] == depth {
@@ -227,9 +202,7 @@ impl TwoDBfs {
                         let b = &blocks[i * r_us + j];
                         let pe = &mut proc_edges[i * r_us + j];
                         for &lu in seg {
-                            let lo = b.offsets[lu as usize] as usize;
-                            let hi = b.offsets[lu as usize + 1] as usize;
-                            for &lv in &b.cols[lo..hi] {
+                            for &lv in b.neighbors(lu) {
                                 *pe += 1;
                                 let v = global(i, lv);
                                 if depths[v as usize] == UNREACHED {

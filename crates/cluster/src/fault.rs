@@ -486,12 +486,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Hashes a message coordinate into 64 uniform bits, independent of any
 /// other coordinate — the basis of thread-count-independent fault streams.
-///
-/// Public because the proc backend's [`JitteredBackoff`] derives its
-/// retry jitter from the same stream family, keeping socket retry
-/// schedules reproducible from a seed.
 #[inline]
-pub fn coordinate_hash(seed: u64, iteration: u32, attempt: u32, channel: u64, index: u64) -> u64 {
+fn coordinate_hash(seed: u64, iteration: u32, attempt: u32, channel: u64, index: u64) -> u64 {
     let mut s = seed
         ^ (iteration as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ (attempt as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9)
@@ -502,66 +498,8 @@ pub fn coordinate_hash(seed: u64, iteration: u32, attempt: u32, channel: u64, in
 
 /// Maps 64 uniform bits onto `[0, 1)` (53-bit mantissa precision).
 #[inline]
-pub fn unit_f64(bits: u64) -> f64 {
+fn unit_f64(bits: u64) -> f64 {
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Seeded-jitter bounded exponential backoff for retryable transport
-/// operations (socket connects, framed sends that hit a deadline).
-///
-/// The schedule is a pure function of `(seed, channel, attempt)`:
-/// deterministic under the sim backend (the acceptance gates replay it
-/// bit-for-bit) and de-synchronized across channels under the proc
-/// backend (two workers retrying the same coordinator never stampede in
-/// lockstep). Delay for attempt `k` is
-///
-/// ```text
-/// min(base * 2^k, cap) * (1 - jitter * u)    u ~ U[0, 1)
-/// ```
-///
-/// and `None` once `k >= max_attempts` — the caller must surface its
-/// typed error instead of retrying forever.
-#[derive(Clone, Copy, Debug)]
-pub struct JitteredBackoff {
-    seed: u64,
-    channel: u64,
-    /// First-attempt delay in seconds.
-    pub base_secs: f64,
-    /// Ceiling on any single delay in seconds.
-    pub cap_secs: f64,
-    /// Relative jitter amplitude (`0.5` = delays shrink by up to 50%).
-    pub jitter: f64,
-    /// Attempts allowed before the operation's typed error is final.
-    pub max_attempts: u32,
-}
-
-impl JitteredBackoff {
-    /// A backoff schedule for one logical channel (e.g. one worker's
-    /// socket) under `seed`.
-    pub fn new(seed: u64, channel: u64) -> Self {
-        Self { seed, channel, base_secs: 0.01, cap_secs: 1.0, jitter: 0.5, max_attempts: 5 }
-    }
-
-    /// Overrides the delay envelope.
-    pub fn with_envelope(mut self, base_secs: f64, cap_secs: f64, max_attempts: u32) -> Self {
-        assert!(base_secs > 0.0 && cap_secs >= base_secs, "envelope must be ordered");
-        self.base_secs = base_secs;
-        self.cap_secs = cap_secs;
-        self.max_attempts = max_attempts;
-        self
-    }
-
-    /// Delay before retry number `attempt` (0-based), or `None` when the
-    /// attempt budget is exhausted and the caller must fail with its
-    /// typed error.
-    pub fn delay_secs(&self, attempt: u32) -> Option<f64> {
-        if attempt >= self.max_attempts {
-            return None;
-        }
-        let ceiling = (self.base_secs * 2f64.powi(attempt.min(16) as i32)).min(self.cap_secs);
-        let u = unit_f64(coordinate_hash(self.seed, 0, attempt, self.channel, 0));
-        Some(ceiling * (1.0 - self.jitter * u))
-    }
 }
 
 /// The stateful interpreter of a [`FaultPlan`].
@@ -756,31 +694,6 @@ pub fn plan_is_survivable(plan: &FaultPlan, topology: Topology) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_desynchronized() {
-        let a = JitteredBackoff::new(0xb0ff, 3);
-        let b = JitteredBackoff::new(0xb0ff, 3);
-        let other_channel = JitteredBackoff::new(0xb0ff, 4);
-        let mut prev_ceiling = 0.0f64;
-        for attempt in 0..a.max_attempts {
-            let d = a.delay_secs(attempt).unwrap();
-            // Same seed + channel → identical schedule (sim determinism).
-            assert_eq!(Some(d), b.delay_secs(attempt));
-            // Bounded: within (0, cap], under the un-jittered ceiling,
-            // and the ceiling itself grows (until the cap).
-            let ceiling = (a.base_secs * 2f64.powi(attempt as i32)).min(a.cap_secs);
-            assert!(d > 0.0 && d <= ceiling, "attempt {attempt}: {d} vs ceiling {ceiling}");
-            assert!(ceiling >= prev_ceiling);
-            prev_ceiling = ceiling;
-        }
-        // Exhausted budget is a typed refusal, not an infinite loop.
-        assert_eq!(a.delay_secs(a.max_attempts), None);
-        // Different channels must not retry in lockstep.
-        let same: Vec<bool> =
-            (0..a.max_attempts).map(|k| a.delay_secs(k) == other_channel.delay_secs(k)).collect();
-        assert!(same.iter().any(|&s| !s), "channels 3 and 4 share an entire schedule");
-    }
 
     #[test]
     fn benign_plan_does_nothing() {

@@ -35,6 +35,6 @@ pub mod timing;
 pub mod topology;
 
 pub use cost::{CostModel, DeviceModel, NetworkModel};
-pub use fault::{FaultError, FaultInjector, FaultPlan, JitteredBackoff};
+pub use fault::{FaultError, FaultInjector, FaultPlan};
 pub use timing::{IterationTiming, Phase, PhaseTimes};
 pub use topology::{GpuId, Topology};

@@ -101,22 +101,24 @@ impl EdgeClassCounts {
     }
 }
 
-/// The edges owned by one GPU, already in local coordinates.
+/// The edges owned by one GPU, already in local coordinates: each a row
+/// and an entry of the [`GpuSubgraphs`](crate::subgraph::GpuSubgraphs) it
+/// builds (a bare destination, or a `(destination, weight)` pair for SSSP).
 #[derive(Clone, Debug, Default)]
-pub struct GpuEdgeSet {
+pub struct GpuEdgeSet<N = u64, L = u32> {
     /// normal → normal: (local source, **global** destination). The only
     /// class whose destinations are unbounded, hence 64-bit (§III-C).
-    pub nn: Vec<(u32, u64)>,
+    pub nn: Vec<(u32, N)>,
     /// normal → delegate: (local source, delegate id).
-    pub nd: Vec<(u32, u32)>,
+    pub nd: Vec<(u32, L)>,
     /// delegate → normal: (delegate id, local destination).
-    pub dn: Vec<(u32, u32)>,
+    pub dn: Vec<(u32, L)>,
     /// delegate → delegate: (delegate id, delegate id).
-    pub dd: Vec<(u32, u32)>,
+    pub dd: Vec<(u32, L)>,
 }
 
-impl GpuEdgeSet {
-    fn merge(&mut self, other: GpuEdgeSet) {
+impl<N, L> GpuEdgeSet<N, L> {
+    fn merge(&mut self, other: Self) {
         self.nn.extend(other.nn);
         self.nd.extend(other.nd);
         self.dn.extend(other.dn);

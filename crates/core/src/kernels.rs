@@ -327,11 +327,11 @@ impl GpuWorker {
         // nn never direction-optimizes, so only nd's forward workload is
         // tracked on the normal stream.
         let sg = &*self.subgraphs;
-        let fv_nd: u64 = self.frontier.iter().map(|&u| sg.nd.degree(u) as u64).sum();
+        let fv_nd: u64 = self.frontier.iter().map(|&u| sg.nd.out_degree(u) as u64).sum();
         let (mut fv_dd, mut fv_dn) = (0u64, 0u64);
         for &x in &self.new_delegates {
-            fv_dd += sg.dd.degree(x) as u64;
-            fv_dn += sg.dn.degree(x) as u64;
+            fv_dd += sg.dd.out_degree(x) as u64;
+            fv_dn += sg.dn.out_degree(x) as u64;
         }
         let q_norm = self.frontier.len() as u64;
         let q_del = self.new_delegates.len() as u64;
@@ -408,7 +408,7 @@ impl GpuWorker {
         // ---- Normal stream visits: nn (forward only), then nd. ----
         for &u in &self.frontier {
             let u_global = topo.global_id(self.gpu, u);
-            for &v_global in sg.nn.row(u) {
+            for &v_global in sg.nn.neighbors(u) {
                 work.nn_edges += 1;
                 let owner = topo.vertex_owner(v_global);
                 let slot = topo.local_index(v_global);
@@ -431,7 +431,7 @@ impl GpuWorker {
         match directions.nd {
             Direction::Forward => {
                 for &u in &self.frontier {
-                    for &x in sg.nd.row(u) {
+                    for &x in sg.nd.neighbors(u) {
                         work.nd_edges += 1;
                         if output_mask.set(x) && self.track_parents {
                             self.delegate_parent_candidate[x as usize] =
@@ -458,7 +458,7 @@ impl GpuWorker {
                 for wi in 0..output_mask.num_words() {
                     let cand = sg.dn_source_mask.word(wi) & !output_mask.word(wi);
                     for x in DelegateMask::word_bits(wi, cand) {
-                        for &u in sg.dn.row(x) {
+                        for &u in sg.dn.neighbors(x) {
                             work.nd_edges += 1;
                             if self.depths_local[u as usize] == iter {
                                 if output_mask.set(x) && self.track_parents {
@@ -479,7 +479,7 @@ impl GpuWorker {
         match directions.dd {
             Direction::Forward => {
                 for &x in &self.new_delegates {
-                    for &y in sg.dd.row(x) {
+                    for &y in sg.dd.neighbors(x) {
                         work.dd_edges += 1;
                         if output_mask.set(y) && self.track_parents {
                             self.delegate_parent_candidate[y as usize] =
@@ -497,7 +497,7 @@ impl GpuWorker {
                 for wi in 0..output_mask.num_words() {
                     let cand = sg.dd_source_mask.word(wi) & !output_mask.word(wi);
                     for y in DelegateMask::word_bits(wi, cand) {
-                        for &x in sg.dd.row(y) {
+                        for &x in sg.dd.neighbors(y) {
                             work.dd_edges += 1;
                             if self.delegate_depths[x as usize] == iter {
                                 if output_mask.set(y) && self.track_parents {
@@ -515,7 +515,7 @@ impl GpuWorker {
         match directions.dn {
             Direction::Forward => {
                 for &x in &self.new_delegates {
-                    for &u in sg.dn.row(x) {
+                    for &u in sg.dn.neighbors(x) {
                         work.dn_edges += 1;
                         if self.depths_local[u as usize] == UNREACHED {
                             self.depths_local[u as usize] = next_depth;
@@ -535,7 +535,7 @@ impl GpuWorker {
                     if self.depths_local[u as usize] != UNREACHED {
                         continue;
                     }
-                    for &x in sg.nd.row(u) {
+                    for &x in sg.nd.neighbors(u) {
                         work.dn_edges += 1;
                         if self.delegate_depths[x as usize] == iter {
                             self.depths_local[u as usize] = next_depth;

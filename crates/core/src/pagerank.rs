@@ -140,7 +140,7 @@ impl DistributedGraph {
                 PrState {
                     scores: vec![0f64; sg.num_local as usize],
                     degrees: (0..sg.num_local)
-                        .map(|slot| sg.nn.degree(slot) + sg.nd.degree(slot))
+                        .map(|slot| sg.nn.out_degree(slot) + sg.nd.out_degree(slot))
                         .collect(),
                     unused: (0..sg.num_local).map(is_delegate).collect(),
                     dangling: 0.0,
@@ -153,7 +153,7 @@ impl DistributedGraph {
         let degree_partials: Vec<Vec<f64>> = self
             .subgraphs
             .iter()
-            .map(|sg| (0..d).map(|x| (sg.dn.degree(x) + sg.dd.degree(x)) as f64).collect())
+            .map(|sg| (0..d).map(|x| (sg.dn.out_degree(x) + sg.dd.out_degree(x)) as f64).collect())
             .collect();
         let delegate_outdeg = if d > 0 {
             allreduce_sum(topo, cost, &degree_partials, config.blocking_reduce).reduced

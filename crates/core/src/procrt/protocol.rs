@@ -26,8 +26,7 @@
 //! | `0x13` | [`Msg::StepDone`] | W → C | stats; save flag `u8`, then, when 1, a delta since the last `Begin` or save | round superstep barrier (saves folded, committed) |
 //! | `0x30` | [`Msg::Finish`] | C → W | empty | `WorkerRound` |
 //! | `0x31` | [`Msg::FinalState`] | W → C | delta | round `finish` (folded) |
-//! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process |
-//! | `0x42` | [`Msg::Bye`] | W → C | empty | none: teardown waits for the exit |
+//! | `0x41` | [`Msg::Shutdown`] | C → W | empty | worker process, which exits |
 //!
 //! A run is `Begin` → `Ready`, then per superstep `StepGo` → `StepLocal`
 //! → `StepRemote` → `StepDone`, then `Finish` → `FinalState`. On the
@@ -42,7 +41,8 @@
 //! exactly those GPUs' committed images, which the worker folds onto its
 //! all-unreached state.
 //! A cold pool opens with `Hello` and `Setup`, the same `Setup` for every
-//! worker; teardown is `Shutdown` → `Bye`. No frame reports liveness: a
+//! worker; teardown is `Shutdown`, then the worker's exit, which the pool
+//! waits for. No frame reports liveness: a
 //! worker is dead when its connection closes (the pool's death rule).
 //!
 //! The shared bodies:
@@ -96,7 +96,7 @@ use std::borrow::Cow;
 
 /// Protocol version carried in `Hello`; a coordinator rejects any worker
 /// that was built against a different framing or message layout.
-pub const PROTO_VERSION: u32 = 11;
+pub const PROTO_VERSION: u32 = 12;
 
 /// Frame kind bytes, one per message type ([`Msg::kind`]).
 pub mod kind {
@@ -122,8 +122,6 @@ pub mod kind {
     pub const FINAL_STATE: u8 = 0x31;
     /// [`Msg::Shutdown`](super::Msg::Shutdown).
     pub const SHUTDOWN: u8 = 0x41;
-    /// [`Msg::Bye`](super::Msg::Bye).
-    pub const BYE: u8 = 0x42;
 }
 
 /// A malformed or out-of-contract message body.
@@ -208,8 +206,6 @@ pub enum Msg<'a> {
     FinalState(StateDelta),
     /// Drain and exit.
     Shutdown,
-    /// Acknowledged shutdown, about to exit.
-    Bye,
 }
 
 /// The body of [`Msg::Setup`].
@@ -268,7 +264,6 @@ impl Msg<'_> {
             Self::Finish => kind::FINISH,
             Self::FinalState(_) => kind::FINAL_STATE,
             Self::Shutdown => kind::SHUTDOWN,
-            Self::Bye => kind::BYE,
         }
     }
 
@@ -317,7 +312,7 @@ impl Msg<'_> {
                 }
             }
             Self::FinalState(state) => w.delta(state),
-            Self::Finish | Self::Shutdown | Self::Bye => {}
+            Self::Finish | Self::Shutdown => {}
         }
         Frame::new(self.kind(), w.buf)
     }
@@ -371,7 +366,6 @@ impl<'a> Msg<'a> {
             kind::FINISH => Self::Finish,
             kind::FINAL_STATE => Self::FinalState(r.delta(grid()?)?),
             kind::SHUTDOWN => Self::Shutdown,
-            kind::BYE => Self::Bye,
             k => return Err(ProtocolError::new(format!("unknown frame kind {k:#x}"))),
         };
         r.expect_end()?;
@@ -956,7 +950,6 @@ mod tests {
             Msg::Finish,
             Msg::FinalState(sample_delta(true)),
             Msg::Shutdown,
-            Msg::Bye,
         ]
     }
 
@@ -966,7 +959,7 @@ mod tests {
         let config = encode_worker_config(&BfsConfig::new(16), true);
         let msgs = one_of_each(&config, b"graph bytes");
         let kinds: std::collections::BTreeSet<u8> = msgs.iter().map(Msg::kind).collect();
-        assert_eq!(kinds.len(), 12, "one message of every kind");
+        assert_eq!(kinds.len(), 11, "one message of every kind");
         for msg in &msgs {
             let frame = msg.frame();
             assert_eq!(frame.kind, msg.kind());

@@ -18,15 +18,15 @@
 //! takes its save with it and the checkpoint is not committed.
 
 use super::protocol::{decode_worker_config, Exchange, Msg, ProtocolError, Stats, PROTO_VERSION};
-use super::transport::{connect_with_backoff, recv_frame, send, TransportError};
+use super::transport::{recv_frame, send, TransportError};
 use crate::comm::Block;
 use crate::config::BfsConfig;
 use crate::driver::DistributedGraph;
 use crate::kernels::LocalIterationOutput;
 use crate::superstep::HostedGroup;
 use gcbfs_cluster::collectives::MaskContribution;
-use gcbfs_cluster::fault::JitteredBackoff;
 use std::borrow::Cow;
+use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
@@ -230,8 +230,9 @@ impl<'g> WorkerRound<'g> {
 /// closing ends an idle wait, and a read deadline ends a traversal it
 /// abandoned (the orphan path).
 pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
-    let backoff = JitteredBackoff::new(0x70726f63, worker_id as u64).with_envelope(0.005, 0.25, 12);
-    let mut stream = connect_with_backoff(socket, &backoff)?;
+    // The coordinator bound `socket` before spawning this process, so one
+    // connect succeeds or no retry would.
+    let mut stream = UnixStream::connect(socket).map_err(TransportError::from)?;
     stream.set_write_timeout(Some(Duration::from_secs(30))).map_err(TransportError::from)?;
     send(&mut stream, &Msg::Hello { version: PROTO_VERSION, slot: worker_id })?;
 
@@ -263,7 +264,7 @@ pub fn run_worker(socket: &Path, worker_id: u32) -> Result<(), WorkerError> {
         let msg = Msg::decode(&frame, Some(&dist.topology))?;
         let finish = matches!(msg, Msg::Finish);
         match msg {
-            Msg::Shutdown => return Ok(send(&mut stream, &Msg::Bye)?),
+            Msg::Shutdown => return Ok(()),
             Msg::Begin { .. } => {
                 stream.set_read_timeout(in_flight).map_err(TransportError::from)?;
             }

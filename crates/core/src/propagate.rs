@@ -39,39 +39,39 @@ use std::sync::Arc;
 /// Wire size of one remote `nn` proposal: a 4-byte slot and an 8-byte value.
 pub(crate) const UPDATE_BYTES: u64 = 12;
 
-/// Row access to one GPU's four subgraphs; `Edge` is the per-edge payload
-/// (`()` for the BFS subgraphs, a weight for SSSP).
-pub(crate) trait Rows: Send + Sync {
-    /// Per-edge payload handed to the engine's `along`.
+/// A [`GpuSubgraphs`] entry split into its column and the payload its edge
+/// hands the engine's `along`: `()` for a bare destination (BFS's
+/// subgraphs), the weight of a `(destination, weight)` pair (SSSP's).
+pub(crate) trait Entry: Copy + Send + Sync {
+    /// The column id.
+    type Col;
+    /// The per-edge payload.
     type Edge: Copy;
-    /// `nn` row of a local slot: global destinations.
-    fn nn(&self, slot: u32) -> impl Iterator<Item = (u64, Self::Edge)> + '_;
-    /// `nd` row of a local slot: delegate ids.
-    fn nd(&self, slot: u32) -> impl Iterator<Item = (u32, Self::Edge)> + '_;
-    /// `dn` row of a delegate: local slots.
-    fn dn(&self, x: u32) -> impl Iterator<Item = (u32, Self::Edge)> + '_;
-    /// `dd` row of a delegate: delegate ids.
-    fn dd(&self, x: u32) -> impl Iterator<Item = (u32, Self::Edge)> + '_;
-    /// Owned local slots.
-    fn num_local(&self) -> u32;
+    /// Column and payload.
+    fn split(&self) -> (Self::Col, Self::Edge);
 }
 
-impl Rows for GpuSubgraphs {
+impl Entry for u32 {
+    type Col = u32;
     type Edge = ();
-    fn nn(&self, slot: u32) -> impl Iterator<Item = (u64, ())> + '_ {
-        self.nn.row(slot).iter().map(|&v| (v, ()))
+    fn split(&self) -> (u32, ()) {
+        (*self, ())
     }
-    fn nd(&self, slot: u32) -> impl Iterator<Item = (u32, ())> + '_ {
-        self.nd.row(slot).iter().map(|&x| (x, ()))
+}
+
+impl Entry for u64 {
+    type Col = u64;
+    type Edge = ();
+    fn split(&self) -> (u64, ()) {
+        (*self, ())
     }
-    fn dn(&self, x: u32) -> impl Iterator<Item = (u32, ())> + '_ {
-        self.dn.row(x).iter().map(|&u| (u, ()))
-    }
-    fn dd(&self, x: u32) -> impl Iterator<Item = (u32, ())> + '_ {
-        self.dd.row(x).iter().map(|&y| (y, ()))
-    }
-    fn num_local(&self) -> u32 {
-        self.num_local
+}
+
+impl<C: Copy + Send + Sync, W: Copy + Send + Sync> Entry for (C, W) {
+    type Col = C;
+    type Edge = W;
+    fn split(&self) -> (C, W) {
+        *self
     }
 }
 
@@ -174,9 +174,9 @@ impl<V: Copy> Inbox<'_, V> {
 }
 
 /// The engine: frontiers in, combined values and a priced ledger out.
-pub(crate) struct Superstep<'g, V, G, C, A> {
+pub(crate) struct Superstep<'g, V, N, L, C, A> {
     topo: Topology,
-    rows: &'g [Arc<G>],
+    rows: &'g [Arc<GpuSubgraphs<N, L>>],
     identity: V,
     combine: C,
     along: A,
@@ -198,19 +198,20 @@ pub(crate) struct Superstep<'g, V, G, C, A> {
     pub ledger: Ledger,
 }
 
-impl<'g, V, G, C, A> Superstep<'g, V, G, C, A>
+impl<'g, V, N, L, C, A> Superstep<'g, V, N, L, C, A>
 where
     V: Copy + PartialEq + Send + Sync,
-    G: Rows,
+    N: Entry<Col = u64>,
+    L: Entry<Col = u32, Edge = N::Edge>,
     C: Fn(V, V) -> V + Sync,
-    A: Fn(V, G::Edge) -> V + Sync,
+    A: Fn(V, N::Edge) -> V + Sync,
 {
     /// An idle engine over `rows` (one per GPU, flat order). `combine`
     /// must be associative with `identity` neutral; `along` carries a
     /// pushed value across one edge.
     pub fn new(
         topo: Topology,
-        rows: &'g [Arc<G>],
+        rows: &'g [Arc<GpuSubgraphs<N, L>>],
         num_delegates: u32,
         identity: V,
         combine: C,
@@ -228,7 +229,7 @@ where
             lanes: rows
                 .iter()
                 .map(|g| Lane {
-                    acc: vec![identity; g.num_local() as usize],
+                    acc: vec![identity; g.num_local as usize],
                     touched: Vec::new(),
                     edges: 0,
                 })
@@ -281,7 +282,7 @@ where
                 dacc.fill(identity);
                 let mut edges = 0u64;
                 for &(u, value) in &normal[flat] {
-                    for (v_global, e) in g.nn(u) {
+                    for (v_global, e) in g.nn.neighbors(u).iter().map(Entry::split) {
                         edges += 1;
                         let pushed = along(value, e);
                         let owner = topo.vertex_owner(v_global);
@@ -292,19 +293,19 @@ where
                             outbox[topo.flat(owner)].push((slot, pushed));
                         }
                     }
-                    for (x, e) in g.nd(u) {
+                    for (x, e) in g.nd.neighbors(u).iter().map(Entry::split) {
                         edges += 1;
                         let a = &mut dacc[x as usize];
                         *a = combine(*a, along(value, e));
                     }
                 }
                 for &(x, value) in delegates {
-                    for (y, e) in g.dd(x) {
+                    for (y, e) in g.dd.neighbors(x).iter().map(Entry::split) {
                         edges += 1;
                         let a = &mut dacc[y as usize];
                         *a = combine(*a, along(value, e));
                     }
-                    for (u, e) in g.dn(x) {
+                    for (u, e) in g.dn.neighbors(x).iter().map(Entry::split) {
                         edges += 1;
                         lane.fold(u, along(value, e), identity, combine);
                     }

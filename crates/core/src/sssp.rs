@@ -5,95 +5,34 @@
 //! Level-synchronous Bellman–Ford with active sets: every round, vertices
 //! whose tentative distance improved relax their out-edges. Delegate
 //! distances are 64-bit values merged by a **min** allreduce; remote `nn`
-//! relaxations carry `(slot, distance)` pairs. The four-subgraph edge
-//! placement (Algorithm 1) is reused verbatim — only the per-edge payload
-//! (a weight) is new, stored in weight arrays parallel to the subgraph
-//! CSRs.
+//! relaxations carry `(slot, distance)` pairs. Algorithm 1's placement
+//! rule (`classify`, `owner`) is reused verbatim; only the per-edge payload
+//! (a weight) is new. The subgraphs are BFS's own [`GpuSubgraphs`] with
+//! `(destination, weight)` entries, each row sorted by destination, then
+//! weight; relaxations combine by `min`, so no distance depends on that
+//! order.
 
 use crate::config::BfsConfig;
-use crate::distributor::{classify, owner, EdgeClass};
+use crate::distributor::{classify, owner, EdgeClass, GpuEdgeSet};
 use crate::driver::BuildError;
-use crate::propagate::{assemble, check_sources, Pricing, Reduce, Rows, Superstep};
+use crate::propagate::{assemble, check_sources, Pricing, Reduce, Superstep};
 use crate::separation::Separation;
+use crate::subgraph::GpuSubgraphs;
 use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::weighted::{WeightedEdgeList, UNREACHABLE};
 use gcbfs_graph::VertexId;
 use std::sync::Arc;
 
-/// A weighted CSR over 32-bit rows: columns of type `C` (32-bit local ids,
-/// or 64-bit global ids for `nn`) with the weights parallel.
-#[derive(Clone, Debug)]
-struct WCsr<C> {
-    offsets: Vec<u32>,
-    cols: Vec<C>,
-    weights: Vec<u32>,
-}
-
-impl<C: Copy + Default> WCsr<C> {
-    fn build(rows: u32, edges: &[(u32, C, u32)]) -> Self {
-        let mut offsets = vec![0u32; rows as usize + 1];
-        for &(r, _, _) in edges {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 0..rows as usize {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets[..rows as usize].to_vec();
-        let mut cols = vec![C::default(); edges.len()];
-        let mut weights = vec![0u32; edges.len()];
-        for &(r, c, w) in edges {
-            let pos = &mut cursor[r as usize];
-            cols[*pos as usize] = c;
-            weights[*pos as usize] = w;
-            *pos += 1;
-        }
-        Self { offsets, cols, weights }
-    }
-
-    #[inline]
-    fn row(&self, r: u32) -> impl Iterator<Item = (C, u32)> + '_ {
-        let lo = self.offsets[r as usize] as usize;
-        let hi = self.offsets[r as usize + 1] as usize;
-        self.cols[lo..hi].iter().copied().zip(self.weights[lo..hi].iter().copied())
-    }
-}
-
-/// One GPU's weighted subgraphs.
-#[derive(Clone, Debug)]
-struct WGpuSubgraphs {
-    num_local: u32,
-    nn: WCsr<u64>,
-    nd: WCsr<u32>,
-    dn: WCsr<u32>,
-    dd: WCsr<u32>,
-}
-
-impl Rows for WGpuSubgraphs {
-    type Edge = u32;
-    fn nn(&self, slot: u32) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.nn.row(slot)
-    }
-    fn nd(&self, slot: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.nd.row(slot)
-    }
-    fn dn(&self, x: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.dn.row(x)
-    }
-    fn dd(&self, x: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.dd.row(x)
-    }
-    fn num_local(&self) -> u32 {
-        self.num_local
-    }
-}
+/// One GPU's weighted subgraphs: `(destination, weight)` entries.
+type Weighted = GpuSubgraphs<(u64, u32), (u32, u32)>;
 
 /// A weighted graph distributed across the simulated cluster for SSSP.
 #[derive(Clone, Debug)]
 pub struct DistributedSssp {
     topology: Topology,
     separation: Arc<Separation>,
-    subgraphs: Vec<Arc<WGpuSubgraphs>>,
+    subgraphs: Vec<Arc<Weighted>>,
     num_vertices: u64,
 }
 
@@ -123,41 +62,26 @@ impl DistributedSssp {
         let topo_list = graph.topology();
         let degrees = topo_list.out_degrees();
         let separation = Separation::from_degrees(&degrees, config.degree_threshold);
-        let p = topology.num_gpus() as usize;
-        let mut nn: Vec<Vec<(u32, u64, u32)>> = vec![Vec::new(); p];
-        let mut nd: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); p];
-        let mut dn: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); p];
-        let mut dd: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); p];
+        let mut sets: Vec<GpuEdgeSet<(u64, u32), (u32, u32)>> =
+            (0..topology.num_gpus()).map(|_| GpuEdgeSet::default()).collect();
         for &(u, v, w) in &graph.edges {
             let class = classify(u, v, &separation);
-            let flat = topology.flat(owner(u, v, class, &degrees, &topology));
+            let set = &mut sets[topology.flat(owner(u, v, class, &degrees, &topology))];
+            let delegate = |x| separation.delegate_id(x).unwrap();
             match class {
-                EdgeClass::Nn => nn[flat].push((topology.local_index(u), v, w)),
-                EdgeClass::Nd => {
-                    nd[flat].push((topology.local_index(u), separation.delegate_id(v).unwrap(), w))
-                }
-                EdgeClass::Dn => {
-                    dn[flat].push((separation.delegate_id(u).unwrap(), topology.local_index(v), w))
-                }
-                EdgeClass::Dd => dd[flat].push((
-                    separation.delegate_id(u).unwrap(),
-                    separation.delegate_id(v).unwrap(),
-                    w,
-                )),
+                EdgeClass::Nn => set.nn.push((topology.local_index(u), (v, w))),
+                EdgeClass::Nd => set.nd.push((topology.local_index(u), (delegate(v), w))),
+                EdgeClass::Dn => set.dn.push((delegate(u), (topology.local_index(v), w))),
+                EdgeClass::Dd => set.dd.push((delegate(u), (delegate(v), w))),
             }
         }
         let d = separation.num_delegates();
-        let subgraphs: Vec<Arc<WGpuSubgraphs>> = (0..p)
-            .map(|flat| {
-                let gpu = topology.unflat(flat);
-                let num_local = topology.owned_count(gpu, graph.num_vertices);
-                Arc::new(WGpuSubgraphs {
-                    num_local,
-                    nn: WCsr::build(num_local, &nn[flat]),
-                    nd: WCsr::build(num_local, &nd[flat]),
-                    dn: WCsr::build(d, &dn[flat]),
-                    dd: WCsr::build(d, &dd[flat]),
-                })
+        let subgraphs = sets
+            .iter()
+            .enumerate()
+            .map(|(flat, set)| {
+                let num_local = topology.owned_count(topology.unflat(flat), graph.num_vertices);
+                Arc::new(GpuSubgraphs::build(num_local, d, set))
             })
             .collect();
         Self {
@@ -226,12 +150,12 @@ mod tests {
     use super::*;
     use gcbfs_graph::builders;
     use gcbfs_graph::rmat::RmatConfig;
-    use gcbfs_graph::weighted::{dijkstra, WeightedCsr};
+    use gcbfs_graph::weighted::dijkstra;
 
     fn check(graph: &WeightedEdgeList, topo: Topology, th: u64, sources: &[u64]) {
         let config = BfsConfig::new(th);
         let dist = DistributedSssp::build(graph, topo, &config);
-        let csr = WeightedCsr::from_edge_list(graph);
+        let csr = graph.csr();
         for &s in sources {
             let r = dist.run(s, &config).unwrap();
             assert_eq!(r.distances, dijkstra(&csr, s), "source {s}, topo {topo:?}, th {th}");

@@ -1,138 +1,24 @@
 //! Per-GPU four-subgraph storage with 32-bit local ids (§III-C, Table I).
 //!
-//! Each GPU stores CSRs for its `nn`, `nd`, `dn`, `dd` edges. Thanks to the
-//! bounded destination ranges of the edge distributor, all ids are 32-bit
-//! except `nn` destinations (global 64-bit). Alongside the CSRs we keep the
+//! Each GPU stores a CSR (the one [`Csr`], at 32-bit offsets) for each of
+//! its `nn`, `nd`, `dn`, `dd` edge classes. Thanks to the bounded
+//! destination ranges of the edge distributor, all ids are 32-bit except
+//! `nn` destinations (global 64-bit). Alongside the CSRs we keep the
 //! reverse-traversal aids of §IV-B: the source list of the `nd` subgraph
 //! (used by backward `dn` visits) and source masks for `dd` and `dn` (used
 //! by backward `dd`/`nd` visits).
 
 use crate::distributor::GpuEdgeSet;
 use crate::masks::DelegateMask;
+use gcbfs_graph::Csr;
 
-/// A CSR whose rows and columns are both 32-bit local ids.
-#[derive(Clone, Debug, Default)]
-pub struct LocalCsr {
-    /// `rows + 1` offsets (4 bytes each, per Table I).
-    pub offsets: Vec<u32>,
-    /// Destination local ids (4 bytes each).
-    pub cols: Vec<u32>,
-}
+/// A CSR whose rows are 32-bit local ids; its entries are 32-bit local
+/// ids too for BFS, `(id, weight)` pairs for SSSP.
+pub type LocalCsr<L = u32> = Csr<L, u32>;
 
-impl LocalCsr {
-    /// Builds from `(row, col)` pairs over `rows` rows, sorting each
-    /// neighbor list.
-    pub fn build(rows: u32, edges: &[(u32, u32)]) -> Self {
-        let mut offsets = vec![0u32; rows as usize + 1];
-        for &(r, _) in edges {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 0..rows as usize {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u32> = offsets[..rows as usize].to_vec();
-        let mut cols = vec![0u32; edges.len()];
-        for &(r, c) in edges {
-            let pos = &mut cursor[r as usize];
-            cols[*pos as usize] = c;
-            *pos += 1;
-        }
-        let mut out = Self { offsets, cols };
-        out.sort_rows();
-        out
-    }
-
-    fn sort_rows(&mut self) {
-        for r in 0..self.num_rows() as usize {
-            let (lo, hi) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
-            self.cols[lo..hi].sort_unstable();
-        }
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> u32 {
-        (self.offsets.len() - 1) as u32
-    }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> u64 {
-        self.cols.len() as u64
-    }
-
-    /// Neighbor list of row `r`.
-    #[inline]
-    pub fn row(&self, r: u32) -> &[u32] {
-        &self.cols[self.offsets[r as usize] as usize..self.offsets[r as usize + 1] as usize]
-    }
-
-    /// Out-degree of row `r`.
-    #[inline]
-    pub fn degree(&self, r: u32) -> u32 {
-        self.offsets[r as usize + 1] - self.offsets[r as usize]
-    }
-
-    /// Row indices with at least one edge, ascending.
-    pub fn non_empty_rows(&self) -> Vec<u32> {
-        (0..self.num_rows()).filter(|&r| self.degree(r) > 0).collect()
-    }
-}
-
-/// The `nn` CSR: 32-bit local sources, 64-bit global destinations.
-#[derive(Clone, Debug, Default)]
-pub struct NnCsr {
-    /// `rows + 1` offsets (4 bytes each).
-    pub offsets: Vec<u32>,
-    /// Global destination vertex ids (8 bytes each, per Table I).
-    pub cols: Vec<u64>,
-}
-
-impl NnCsr {
-    /// Builds from `(local row, global col)` pairs.
-    pub fn build(rows: u32, edges: &[(u32, u64)]) -> Self {
-        let mut offsets = vec![0u32; rows as usize + 1];
-        for &(r, _) in edges {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 0..rows as usize {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u32> = offsets[..rows as usize].to_vec();
-        let mut cols = vec![0u64; edges.len()];
-        for &(r, c) in edges {
-            let pos = &mut cursor[r as usize];
-            cols[*pos as usize] = c;
-            *pos += 1;
-        }
-        let mut out = Self { offsets, cols };
-        for r in 0..rows as usize {
-            let (lo, hi) = (out.offsets[r] as usize, out.offsets[r + 1] as usize);
-            out.cols[lo..hi].sort_unstable();
-        }
-        out
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> u32 {
-        (self.offsets.len() - 1) as u32
-    }
-
-    /// Number of edges.
-    pub fn num_edges(&self) -> u64 {
-        self.cols.len() as u64
-    }
-
-    /// Neighbor list of row `r` (global ids).
-    #[inline]
-    pub fn row(&self, r: u32) -> &[u64] {
-        &self.cols[self.offsets[r as usize] as usize..self.offsets[r as usize + 1] as usize]
-    }
-
-    /// Out-degree of row `r`.
-    #[inline]
-    pub fn degree(&self, r: u32) -> u32 {
-        self.offsets[r as usize + 1] - self.offsets[r as usize]
-    }
-}
+/// The `nn` CSR: 32-bit local rows, 64-bit global destinations (with a
+/// weight for SSSP).
+pub type NnCsr<N = u64> = Csr<N, u32>;
 
 /// Memory usage of one GPU's subgraphs, following Table I exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -169,22 +55,24 @@ impl MemoryUsage {
     }
 }
 
-/// All subgraphs and traversal aids of one GPU.
+/// All subgraphs and traversal aids of one GPU. `N` is an `nn` entry and
+/// `L` an entry of the other three: the bare destination for BFS, or a
+/// `(destination, weight)` pair for SSSP.
 #[derive(Clone, Debug)]
-pub struct GpuSubgraphs {
+pub struct GpuSubgraphs<N = u64, L = u32> {
     /// Owned local vertex slots (≈ `n/p`; includes the unused slots of
     /// delegate-owned ids, which simply stay empty).
     pub num_local: u32,
     /// Global delegate count `d` (rows of `dn`/`dd`).
     pub num_delegates: u32,
     /// normal → normal edges (64-bit global destinations).
-    pub nn: NnCsr,
+    pub nn: NnCsr<N>,
     /// normal → delegate edges.
-    pub nd: LocalCsr,
+    pub nd: LocalCsr<L>,
     /// delegate → normal edges.
-    pub dn: LocalCsr,
+    pub dn: LocalCsr<L>,
     /// delegate → delegate edges.
-    pub dd: LocalCsr,
+    pub dd: LocalCsr<L>,
     /// Local normal vertices with at least one `nd` edge — "a source list
     /// of the normal-to-delegate subgraph", the candidates of the backward
     /// `dn` visit (§IV-B).
@@ -195,52 +83,58 @@ pub struct GpuSubgraphs {
     pub dd_source_mask: DelegateMask,
 }
 
-impl GpuSubgraphs {
+impl<N: Copy + Default + Ord + Send, L: Copy + Default + Ord + Send> GpuSubgraphs<N, L> {
     /// Builds the four CSRs and reverse aids from the distributed edges.
-    pub fn build(num_local: u32, num_delegates: u32, edges: &GpuEdgeSet) -> Self {
-        let nn = NnCsr::build(num_local, &edges.nn);
-        let nd = LocalCsr::build(num_local, &edges.nd);
-        let dn = LocalCsr::build(num_delegates, &edges.dn);
-        let dd = LocalCsr::build(num_delegates, &edges.dd);
-        let nd_sources = nd.non_empty_rows();
-        let mut dn_source_mask = DelegateMask::new(num_delegates);
-        for r in dn.non_empty_rows() {
-            dn_source_mask.set(r);
-        }
-        let mut dd_source_mask = DelegateMask::new(num_delegates);
-        for r in dd.non_empty_rows() {
-            dd_source_mask.set(r);
-        }
+    pub fn build(num_local: u32, num_delegates: u32, edges: &GpuEdgeSet<N, L>) -> Self {
+        let nn = Csr::build(num_local, edges.nn.iter().copied());
+        let nd = Csr::build(num_local, edges.nd.iter().copied());
+        let dn = Csr::build(num_delegates, edges.dn.iter().copied());
+        let dd = Csr::build(num_delegates, edges.dd.iter().copied());
+        let nd_sources = (0..num_local).filter(|&r| nd.out_degree(r) > 0).collect();
+        let source_mask = |csr: &LocalCsr<L>| {
+            let mut mask = DelegateMask::new(num_delegates);
+            for x in (0..num_delegates).filter(|&x| csr.out_degree(x) > 0) {
+                mask.set(x);
+            }
+            mask
+        };
         Self {
             num_local,
             num_delegates,
+            dn_source_mask: source_mask(&dn),
+            dd_source_mask: source_mask(&dd),
             nn,
             nd,
             dn,
             dd,
             nd_sources,
-            dn_source_mask,
-            dd_source_mask,
         }
     }
+}
 
+impl<N, L> GpuSubgraphs<N, L> {
     /// Total edges stored on this GPU.
     pub fn num_edges(&self) -> u64 {
         self.nn.num_edges() + self.nd.num_edges() + self.dn.num_edges() + self.dd.num_edges()
     }
 
-    /// Memory usage per Table I: 4-byte offsets everywhere, 4-byte columns
-    /// except the 8-byte global `nn` destinations.
+    /// Memory usage per Table I, each byte count from the stored element
+    /// widths: 4-byte offsets everywhere, 4-byte columns except the 8-byte
+    /// global `nn` destinations.
     pub fn memory_usage(&self) -> MemoryUsage {
+        let (nn_offsets, nn_cols) = self.nn.bytes();
+        let (nd_offsets, nd_cols) = self.nd.bytes();
+        let (dn_offsets, dn_cols) = self.dn.bytes();
+        let (dd_offsets, dd_cols) = self.dd.bytes();
         MemoryUsage {
-            nn_offsets: self.nn.offsets.len() as u64 * 4,
-            nn_cols: self.nn.cols.len() as u64 * 8,
-            nd_offsets: self.nd.offsets.len() as u64 * 4,
-            nd_cols: self.nd.cols.len() as u64 * 4,
-            dn_offsets: self.dn.offsets.len() as u64 * 4,
-            dn_cols: self.dn.cols.len() as u64 * 4,
-            dd_offsets: self.dd.offsets.len() as u64 * 4,
-            dd_cols: self.dd.cols.len() as u64 * 4,
+            nn_offsets,
+            nn_cols,
+            nd_offsets,
+            nd_cols,
+            dn_offsets,
+            dn_cols,
+            dd_offsets,
+            dd_cols,
         }
     }
 }
@@ -265,20 +159,13 @@ mod tests {
     }
 
     #[test]
-    fn local_csr_rows_sorted() {
-        let csr = LocalCsr::build(3, &[(1, 9), (1, 2), (0, 5), (1, 4)]);
-        assert_eq!(csr.row(0), &[5]);
-        assert_eq!(csr.row(1), &[2, 4, 9]);
-        assert_eq!(csr.row(2), &[] as &[u32]);
-        assert_eq!(csr.degree(1), 3);
-        assert_eq!(csr.non_empty_rows(), vec![0, 1]);
-    }
-
-    #[test]
-    fn nn_csr_keeps_global_ids() {
-        let csr = NnCsr::build(2, &[(0, 1u64 << 40), (0, 3)]);
-        assert_eq!(csr.row(0), &[3, 1u64 << 40]);
-        assert_eq!(csr.num_edges(), 2);
+    fn rows_are_sorted_and_nn_keeps_global_ids() {
+        let g = GpuSubgraphs::build(3, 2, &sample_edges());
+        assert_eq!(g.nn.neighbors(0), &[7, 100]);
+        assert_eq!(g.nd.neighbors(1), &[0, 1]);
+        assert_eq!(g.dn.out_degree(1), 2);
+        let far: GpuEdgeSet = GpuEdgeSet { nn: vec![(0, 1 << 40), (0, 3)], ..Default::default() };
+        assert_eq!(GpuSubgraphs::build(2, 0, &far).nn.neighbors(0), &[3, 1 << 40]);
     }
 
     #[test]
@@ -313,7 +200,7 @@ mod tests {
 
     #[test]
     fn empty_subgraphs() {
-        let g = GpuSubgraphs::build(0, 0, &GpuEdgeSet::default());
+        let g = GpuSubgraphs::build(0, 0, &GpuEdgeSet::<u64, u32>::default());
         assert_eq!(g.num_edges(), 0);
         assert!(g.nd_sources.is_empty());
         assert_eq!(g.memory_usage().total(), 4 * 4); // four 1-entry offset arrays

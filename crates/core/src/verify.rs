@@ -412,7 +412,7 @@ impl DistributedGraph {
                 }
                 let du = depths[u as usize];
                 let mut has_parent = du == 0;
-                for &v in sg.nn.row(slot) {
+                for &v in sg.nn.neighbors(slot) {
                     edges_g += 1;
                     if topo.flat(topo.vertex_owner(v)) != g {
                         remote_g += 1;
@@ -421,7 +421,7 @@ impl DistributedGraph {
                     check_edge(&mut out, u, du, v, dv);
                     has_parent |= du != UNREACHED && dv != UNREACHED && dv + 1 == du;
                 }
-                for &x in sg.nd.row(slot) {
+                for &x in sg.nd.neighbors(slot) {
                     edges_g += 1;
                     let dx = ddepth[x as usize];
                     check_edge(&mut out, u, du, self.separation.original(x), dx);
@@ -439,7 +439,7 @@ impl DistributedGraph {
             for x in 0..d {
                 let dx = ddepth[x as usize];
                 let vx = self.separation.original(x);
-                for &slot in sg.dn.row(x) {
+                for &slot in sg.dn.neighbors(x) {
                     edges_g += 1;
                     let u = topo.global_id(gpu, slot);
                     let du = depths[u as usize];
@@ -448,7 +448,7 @@ impl DistributedGraph {
                         evidence[x as usize] = true;
                     }
                 }
-                for &y in sg.dd.row(x) {
+                for &y in sg.dd.neighbors(x) {
                     edges_g += 1;
                     let dy = ddepth[y as usize];
                     check_edge(&mut out, vx, dx, self.separation.original(y), dy);

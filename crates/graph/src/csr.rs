@@ -1,83 +1,136 @@
-//! Compressed sparse row (CSR) representation.
+//! Compressed sparse row (CSR): the one adjacency type of the workspace.
 //!
 //! The paper deliberately keeps the *standard* CSR format (§II-D) so that
-//! BFS can sit inside larger workflows without format conversion. This CSR
-//! is the one used by the reference BFS, the single-node baselines, and the
-//! per-GPU subgraphs in `gcbfs-core` (there with 32-bit column indices).
+//! BFS can sit inside larger workflows without format conversion. One type,
+//! [`Csr<C, O>`](Csr), and one builder, [`Csr::build`], hold every
+//! adjacency: the reference graph ([`Csr`] at its defaults, 64-bit offsets
+//! and columns), the weighted reference (`(column, weight)` entries), the
+//! 2D baseline's blocks, and a GPU's four subgraphs in `gcbfs-core` (SSSP's
+//! weighted ones too). A subgraph's type parameters are where Table I's
+//! widths are decided: 32-bit offsets, 32-bit local columns and 64-bit
+//! global `nn` columns; its byte counts are [`Csr::bytes`].
 
 use crate::edgelist::{EdgeList, VertexId};
 use rayon::prelude::*;
+use std::mem::size_of_val;
+use std::ops::Sub;
 
-/// A CSR graph: `row_offsets[v]..row_offsets[v+1]` indexes the neighbor
-/// list of vertex `v` inside `col_indices`.
+/// An offset width: the unsigned integer that indexes a CSR's entries.
+/// A row id has the same width. `u64` is the reference graph's, `u32` a
+/// GPU subgraph's (Table I), and `u8` keeps an overflow testable.
+pub trait Offset: Copy + Ord + Send + Sync + Sub<Output = Self> {
+    /// `i` at this width, or `None` if it does not fit.
+    fn from_usize(i: usize) -> Option<Self>;
+    /// This offset as an index.
+    fn index(self) -> usize;
+}
+
+macro_rules! offset {
+    ($($t:ty),*) => {$(
+        impl Offset for $t {
+            fn from_usize(i: usize) -> Option<Self> {
+                Self::try_from(i).ok()
+            }
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+offset!(u8, u32, u64);
+
+/// A CSR: `offsets[r]..offsets[r + 1]` indexes row `r`'s entries inside
+/// `cols`, each row sorted. `C` is an entry (a column id, or a `(column,
+/// weight)` pair) and `O` the offset width. The defaults are the reference
+/// graph's: 64-bit vertex ids and 64-bit offsets.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Csr {
-    /// `n + 1` offsets into `col_indices`.
-    pub row_offsets: Vec<u64>,
-    /// Destination vertex of every edge, grouped by source.
-    pub col_indices: Vec<VertexId>,
+pub struct Csr<C = VertexId, O = u64> {
+    /// `rows + 1` offsets into `cols`.
+    pub offsets: Vec<O>,
+    /// Every row's entries, grouped by row.
+    pub cols: Vec<C>,
+}
+
+impl<C: Copy + Default + Ord + Send, O: Offset> Csr<C, O> {
+    /// Builds the CSR of `rows` rows from `(row, entry)` pairs by a
+    /// counting sort: count, prefix-sum, fill, then sort each row (in
+    /// parallel, or inline inside a pool worker). Duplicates are kept.
+    ///
+    /// # Panics
+    /// If the number of entries does not fit `O` (an offset would wrap),
+    /// or an entry's row is not below `rows`.
+    pub fn build<I>(rows: O, entries: I) -> Self
+    where
+        I: Iterator<Item = (O, C)> + Clone,
+    {
+        let rows = rows.index();
+        let mut start = vec![0usize; rows + 1];
+        for (r, _) in entries.clone() {
+            start[r.index() + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let m = start[rows];
+        if O::from_usize(m).is_none() {
+            panic!("{m} CSR entries overflow {}-bit offsets", 8 * std::mem::size_of::<O>());
+        }
+        let offsets: Vec<O> = start.iter().map(|&s| O::from_usize(s).unwrap()).collect();
+        let mut cols = vec![C::default(); m];
+        for (r, c) in entries {
+            let at = &mut start[r.index()];
+            cols[*at] = c;
+            *at += 1;
+        }
+        // Sorted rows keep the representation canonical and make a
+        // backward pull's early exit deterministic.
+        let mut row_slices: Vec<&mut [C]> = Vec::with_capacity(rows);
+        let mut rest = cols.as_mut_slice();
+        for w in offsets.windows(2) {
+            let (row, tail) = rest.split_at_mut((w[1] - w[0]).index());
+            row_slices.push(row);
+            rest = tail;
+        }
+        row_slices.par_iter_mut().for_each(|row| row.sort_unstable());
+        Self { offsets, cols }
+    }
+}
+
+impl<C, O: Offset> Csr<C, O> {
+    /// Number of rows (vertices).
+    pub fn num_vertices(&self) -> O {
+        O::from_usize(self.offsets.len() - 1).expect("built rows fit their width")
+    }
+
+    /// Number of entries (directed edges).
+    pub fn num_edges(&self) -> u64 {
+        self.cols.len() as u64
+    }
+
+    /// The entries of row `v`.
+    #[inline]
+    pub fn neighbors(&self, v: O) -> &[C] {
+        &self.cols[self.offsets[v.index()].index()..self.offsets[v.index() + 1].index()]
+    }
+
+    /// Out-degree of row `v`.
+    #[inline]
+    pub fn out_degree(&self, v: O) -> O {
+        self.offsets[v.index() + 1] - self.offsets[v.index()]
+    }
+
+    /// Bytes held by the offsets and by the entries, from their element
+    /// widths (Table I's accounting).
+    pub fn bytes(&self) -> (u64, u64) {
+        (size_of_val(self.offsets.as_slice()) as u64, size_of_val(self.cols.as_slice()) as u64)
+    }
 }
 
 impl Csr {
-    /// Builds a CSR from an edge list using a parallel counting sort.
-    /// Neighbor lists come out sorted by destination.
+    /// The reference graph of an edge list; neighbor lists come out sorted.
     pub fn from_edge_list(list: &EdgeList) -> Self {
-        let n = list.num_vertices as usize;
-        let mut row_offsets = vec![0u64; n + 1];
-        for &(u, _) in &list.edges {
-            row_offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            row_offsets[i + 1] += row_offsets[i];
-        }
-        let mut cursor = row_offsets[..n].to_vec();
-        let mut col_indices = vec![0u64; list.edges.len()];
-        for &(u, v) in &list.edges {
-            let c = &mut cursor[u as usize];
-            col_indices[*c as usize] = v;
-            *c += 1;
-        }
-        // Sorting each neighbor list keeps the representation canonical and
-        // makes backward-pull early exit deterministic.
-        {
-            let offsets = &row_offsets;
-            let cols = &mut col_indices;
-            // Split into per-vertex slices in parallel.
-            let mut slices: Vec<&mut [u64]> = Vec::with_capacity(n);
-            let mut rest: &mut [u64] = cols;
-            let mut prev = 0u64;
-            for v in 0..n {
-                let len = (offsets[v + 1] - prev) as usize;
-                let (head, tail) = rest.split_at_mut(len);
-                slices.push(head);
-                rest = tail;
-                prev = offsets[v + 1];
-            }
-            slices.par_iter_mut().for_each(|s| s.sort_unstable());
-        }
-        Self { row_offsets, col_indices }
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> u64 {
-        (self.row_offsets.len() - 1) as u64
-    }
-
-    /// Number of directed edges.
-    pub fn num_edges(&self) -> u64 {
-        self.col_indices.len() as u64
-    }
-
-    /// Neighbor list of `v`.
-    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.row_offsets[v as usize] as usize;
-        let hi = self.row_offsets[v as usize + 1] as usize;
-        &self.col_indices[lo..hi]
-    }
-
-    /// Out-degree of `v`.
-    pub fn out_degree(&self, v: VertexId) -> u64 {
-        self.row_offsets[v as usize + 1] - self.row_offsets[v as usize]
+        Self::build(list.num_vertices, list.edges.iter().copied())
     }
 
     /// Memory footprint in bytes of the conventional single-graph CSR with

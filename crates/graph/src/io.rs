@@ -113,8 +113,14 @@ pub fn read_binary<R: Read>(mut reader: R) -> io::Result<EdgeList> {
     let n = u64::from_le_bytes(word);
     reader.read_exact(&mut word)?;
     let m = u64::from_le_bytes(word);
-    let mut edges = Vec::with_capacity(m as usize);
+    // The header is untrusted: the edges grow as their bytes arrive, at
+    // most doubling what was read and never past the claimed count.
+    let mut edges: Vec<(u64, u64)> = Vec::new();
     for _ in 0..m {
+        if edges.len() == edges.capacity() {
+            let read = edges.len() as u64;
+            edges.reserve_exact((m - read).min(read.max(4096)) as usize);
+        }
         reader.read_exact(&mut word)?;
         let u = u64::from_le_bytes(word);
         reader.read_exact(&mut word)?;
@@ -204,6 +210,20 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn binary_header_claiming_more_edges_than_follow_is_a_typed_eof() {
+        let g = builders::path(3);
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        // Claims the largest counts a header can: reading them must not
+        // reserve memory for them first.
+        for m in [u64::MAX, 1 << 40] {
+            buf[16..24].copy_from_slice(&m.to_le_bytes());
+            let err = read_binary(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "m = {m}");
+        }
     }
 
     #[test]

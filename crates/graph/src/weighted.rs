@@ -4,10 +4,12 @@
 //! and edges than a single label"; edge weights are the canonical case,
 //! and SSSP its canonical traversal. This module supplies the substrate:
 //! a weighted edge list (deterministic symmetric weights layered over any
-//! unweighted topology), a weighted CSR, and a Dijkstra reference used to
-//! validate the distributed Bellman–Ford in `gcbfs-core`.
+//! unweighted topology), its CSR of `(neighbor, weight)` entries, and a
+//! Dijkstra reference used to validate the distributed Bellman–Ford in
+//! `gcbfs-core`.
 
-use crate::edgelist::EdgeList;
+use crate::csr::Csr;
+use crate::edgelist::{EdgeList, VertexId};
 use crate::permute::splitmix64;
 use std::collections::BinaryHeap;
 
@@ -47,6 +49,11 @@ impl WeightedEdgeList {
         self.edges.len() as u64
     }
 
+    /// The weighted CSR of this list.
+    pub fn csr(&self) -> WeightedCsr {
+        Csr::build(self.num_vertices, self.edges.iter().map(|&(u, v, w)| (u, (v, w))))
+    }
+
     /// The unweighted topology (for building the unweighted machinery).
     pub fn topology(&self) -> EdgeList {
         EdgeList {
@@ -56,52 +63,9 @@ impl WeightedEdgeList {
     }
 }
 
-/// A weighted CSR.
-#[derive(Clone, Debug, Default)]
-pub struct WeightedCsr {
-    /// `n + 1` offsets.
-    pub offsets: Vec<u64>,
-    /// Destination of every edge.
-    pub cols: Vec<u64>,
-    /// Weight of every edge, parallel to `cols`.
-    pub weights: Vec<u32>,
-}
-
-impl WeightedCsr {
-    /// Builds from a weighted edge list.
-    pub fn from_edge_list(list: &WeightedEdgeList) -> Self {
-        let n = list.num_vertices as usize;
-        let mut offsets = vec![0u64; n + 1];
-        for &(u, _, _) in &list.edges {
-            offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets[..n].to_vec();
-        let mut cols = vec![0u64; list.edges.len()];
-        let mut weights = vec![0u32; list.edges.len()];
-        for &(u, v, w) in &list.edges {
-            let c = &mut cursor[u as usize];
-            cols[*c as usize] = v;
-            weights[*c as usize] = w;
-            *c += 1;
-        }
-        Self { offsets, cols, weights }
-    }
-
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> u64 {
-        (self.offsets.len() - 1) as u64
-    }
-
-    /// The `(neighbor, weight)` list of `v`.
-    pub fn neighbors(&self, v: u64) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        self.cols[lo..hi].iter().copied().zip(self.weights[lo..hi].iter().copied())
-    }
-}
+/// A weighted CSR: each row's entries are `(neighbor, weight)` pairs,
+/// sorted by neighbor, then weight.
+pub type WeightedCsr = Csr<(VertexId, u32)>;
 
 /// Reference Dijkstra returning distances from `source`.
 pub fn dijkstra(graph: &WeightedCsr, source: u64) -> Vec<u64> {
@@ -114,7 +78,7 @@ pub fn dijkstra(graph: &WeightedCsr, source: u64) -> Vec<u64> {
         if du > dist[u as usize] {
             continue;
         }
-        for (v, w) in graph.neighbors(u) {
+        for &(v, w) in graph.neighbors(u) {
             let cand = du + w as u64;
             if cand < dist[v as usize] {
                 dist[v as usize] = cand;
@@ -155,7 +119,7 @@ mod tests {
     fn dijkstra_on_uniform_weights_is_scaled_bfs() {
         let g = builders::cycle(8);
         let w = WeightedEdgeList::from_topology(&g, 1, 0); // all weights 1
-        let csr = WeightedCsr::from_edge_list(&w);
+        let csr = w.csr();
         let dist = dijkstra(&csr, 0);
         assert_eq!(dist, vec![0, 1, 2, 3, 4, 3, 2, 1]);
     }
@@ -167,7 +131,7 @@ mod tests {
             num_vertices: 3,
             edges: vec![(0, 1, 10), (1, 0, 10), (0, 2, 1), (2, 0, 1), (2, 1, 1), (1, 2, 1)],
         };
-        let csr = WeightedCsr::from_edge_list(&w);
+        let csr = w.csr();
         assert_eq!(dijkstra(&csr, 0), vec![0, 2, 1]);
     }
 
@@ -176,7 +140,7 @@ mod tests {
         let mut g = builders::path(3);
         g.num_vertices = 5;
         let w = WeightedEdgeList::from_topology(&g, 4, 1);
-        let csr = WeightedCsr::from_edge_list(&w);
+        let csr = w.csr();
         let dist = dijkstra(&csr, 0);
         assert_eq!(dist[3], UNREACHABLE);
         assert_eq!(dist[4], UNREACHABLE);

@@ -179,6 +179,23 @@ fn errors_are_reported() {
 }
 
 #[test]
+fn a_binary_header_claiming_more_edges_than_the_file_holds_is_refused() {
+    // Magic, n = 4, m = u64::MAX, and no edge: the reader must not reserve
+    // memory for the claimed count before any edge arrives.
+    let file = tmp("hostile.bin");
+    let mut bytes = b"GCBFSEL1".to_vec();
+    bytes.extend_from_slice(&4u64.to_le_bytes());
+    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+    std::fs::write(&file, &bytes).unwrap();
+    let out = gcbfs(&["info", file.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot parse"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn options_a_command_does_not_read_are_rejected() {
     let file = tmp("unread.bin");
     let path = file.to_str().unwrap();

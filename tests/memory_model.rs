@@ -141,3 +141,25 @@ fn table_1_bytes_are_pinned_exactly_on_rmat_12() {
     assert_eq!(measured, expected);
     assert_eq!(dist.total_graph_bytes(), 615_588);
 }
+
+#[test]
+fn the_one_csr_builder_keeps_empty_rows_and_duplicates_and_sorts_entries() {
+    // Rows 0 and 4 are empty; (2, 7) is a duplicate and stays one.
+    let csr: Csr<u32, u32> = Csr::build(5, [(2, 7), (1, 3), (2, 1), (2, 7), (3, 0)].into_iter());
+    assert_eq!(csr.offsets, vec![0, 0, 1, 4, 5, 5]);
+    assert_eq!(csr.neighbors(0), &[] as &[u32]);
+    assert_eq!(csr.neighbors(2), &[1, 7, 7]);
+    assert_eq!(csr.neighbors(4), &[] as &[u32]);
+    assert_eq!((csr.num_vertices(), csr.num_edges(), csr.out_degree(2)), (5, 5, 3));
+    assert_eq!(csr.bytes(), (6 * 4, 5 * 4));
+    // Weighted rows sort by (column, weight).
+    let w: Csr<(u64, u32), u32> =
+        Csr::build(1, [(0, (9, 1)), (0, (2, 8)), (0, (9, 0)), (0, (2, 3))].into_iter());
+    assert_eq!(w.neighbors(0), &[(2, 3), (2, 8), (9, 0), (9, 1)]);
+}
+
+#[test]
+#[should_panic(expected = "256 CSR entries overflow 8-bit offsets")]
+fn the_one_csr_builder_refuses_an_offset_that_would_wrap() {
+    let _: Csr<u32, u8> = Csr::build(2, std::iter::repeat_n((1, 0), 256));
+}
