@@ -12,6 +12,7 @@
 //!   *low*-degree endpoint.
 
 use crate::separation::Separation;
+use crate::subgraph::Entry;
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_graph::{EdgeList, VertexId};
 use rayon::prelude::*;
@@ -41,7 +42,8 @@ pub fn classify(u: VertexId, v: VertexId, sep: &Separation) -> EdgeClass {
 }
 
 /// The owning GPU of an edge per Algorithm 1. `degrees` are global
-/// out-degrees (used only for the `dd` tie-break rules).
+/// out-degrees (used only for the `dd` tie-break rules: the lower-degree
+/// endpoint, on a tie the lower id).
 #[inline]
 pub fn owner(
     u: VertexId,
@@ -50,20 +52,13 @@ pub fn owner(
     degrees: &[u64],
     topo: &Topology,
 ) -> GpuId {
-    match class {
-        EdgeClass::Nn | EdgeClass::Nd => topo.vertex_owner(u),
-        EdgeClass::Dn => topo.vertex_owner(v),
-        EdgeClass::Dd => {
-            let (du, dv) = (degrees[u as usize], degrees[v as usize]);
-            if du < dv {
-                topo.vertex_owner(u)
-            } else if du > dv {
-                topo.vertex_owner(v)
-            } else {
-                topo.vertex_owner(u.min(v))
-            }
-        }
-    }
+    let by = match class {
+        EdgeClass::Nn | EdgeClass::Nd => u,
+        EdgeClass::Dn => v,
+        EdgeClass::Dd if (degrees[u as usize], u) < (degrees[v as usize], v) => u,
+        EdgeClass::Dd => v,
+    };
+    topo.vertex_owner(by)
 }
 
 /// Global edge counts per class (`|Enn|`, `|End|`, `|Edn|`, `|Edd|`).
@@ -118,13 +113,6 @@ pub struct GpuEdgeSet<N = u64, L = u32> {
 }
 
 impl<N, L> GpuEdgeSet<N, L> {
-    fn merge(&mut self, other: Self) {
-        self.nn.extend(other.nn);
-        self.nd.extend(other.nd);
-        self.dn.extend(other.dn);
-        self.dd.extend(other.dd);
-    }
-
     /// Total edges on this GPU.
     pub fn total(&self) -> u64 {
         (self.nn.len() + self.nd.len() + self.dn.len() + self.dd.len()) as u64
@@ -133,9 +121,9 @@ impl<N, L> GpuEdgeSet<N, L> {
 
 /// Result of distributing a graph's edges across the device grid.
 #[derive(Clone, Debug)]
-pub struct DistributedEdges {
+pub struct DistributedEdges<N = u64, L = u32> {
     /// Local-coordinate edges per GPU, in flat order.
-    pub per_gpu: Vec<GpuEdgeSet>,
+    pub per_gpu: Vec<GpuEdgeSet<N, L>>,
     /// Global per-class totals.
     pub class_counts: EdgeClassCounts,
 }
@@ -148,61 +136,65 @@ pub struct DistributedEdges {
 /// accident of a particular pool size.
 const DISTRIBUTE_CHUNK_EDGES: usize = 1 << 16;
 
-/// Distributes all edges of `graph` per Algorithm 1.
+/// Distributes all edges of `graph` per Algorithm 1, with no payload.
 pub fn distribute(
     graph: &EdgeList,
     sep: &Separation,
     degrees: &[u64],
     topo: &Topology,
 ) -> DistributedEdges {
+    distribute_with(graph, sep, degrees, topo, |_, _| ())
+}
+
+/// Distributes all edges of `graph` per Algorithm 1, each entry carrying
+/// `payload(u, v)` of its edge `u -> v` (an SSSP weight, say).
+pub(crate) fn distribute_with<N: Entry<Col = u64>, L: Entry<Col = u32, Edge = N::Edge>>(
+    graph: &EdgeList,
+    sep: &Separation,
+    degrees: &[u64],
+    topo: &Topology,
+    payload: impl Fn(VertexId, VertexId) -> N::Edge + Sync,
+) -> DistributedEdges<N, L> {
     let p = topo.num_gpus() as usize;
-    let chunk_len = DISTRIBUTE_CHUNK_EDGES;
+    let delegate = |x| sep.delegate_id(x).unwrap();
     // Each chunk fills its own per-GPU sets; chunks are then merged in
     // order, keeping the result deterministic under any thread count.
-    let chunk_results: Vec<(Vec<GpuEdgeSet>, EdgeClassCounts)> = graph
+    let chunk_results: Vec<Vec<GpuEdgeSet<N, L>>> = graph
         .edges
-        .par_chunks(chunk_len)
+        .par_chunks(DISTRIBUTE_CHUNK_EDGES)
         .map(|chunk| {
-            let mut sets: Vec<GpuEdgeSet> = (0..p).map(|_| GpuEdgeSet::default()).collect();
-            let mut counts = EdgeClassCounts::default();
+            let mut sets: Vec<GpuEdgeSet<N, L>> = (0..p).map(|_| GpuEdgeSet::default()).collect();
             for &(u, v) in chunk {
                 let class = classify(u, v, sep);
-                let gpu = owner(u, v, class, degrees, topo);
-                let set = &mut sets[topo.flat(gpu)];
+                let set = &mut sets[topo.flat(owner(u, v, class, degrees, topo))];
+                let w = payload(u, v);
                 match class {
-                    EdgeClass::Nn => {
-                        counts.nn += 1;
-                        set.nn.push((topo.local_index(u), v));
-                    }
-                    EdgeClass::Nd => {
-                        counts.nd += 1;
-                        set.nd.push((topo.local_index(u), sep.delegate_id(v).unwrap()));
-                    }
-                    EdgeClass::Dn => {
-                        counts.dn += 1;
-                        set.dn.push((sep.delegate_id(u).unwrap(), topo.local_index(v)));
-                    }
-                    EdgeClass::Dd => {
-                        counts.dd += 1;
-                        set.dd.push((sep.delegate_id(u).unwrap(), sep.delegate_id(v).unwrap()));
-                    }
+                    EdgeClass::Nn => set.nn.push((topo.local_index(u), N::join(v, w))),
+                    EdgeClass::Nd => set.nd.push((topo.local_index(u), L::join(delegate(v), w))),
+                    EdgeClass::Dn => set.dn.push((delegate(u), L::join(topo.local_index(v), w))),
+                    EdgeClass::Dd => set.dd.push((delegate(u), L::join(delegate(v), w))),
                 }
             }
-            (sets, counts)
+            sets
         })
         .collect();
 
-    let mut per_gpu: Vec<GpuEdgeSet> = (0..p).map(|_| GpuEdgeSet::default()).collect();
-    let mut class_counts = EdgeClassCounts::default();
-    for (sets, counts) in chunk_results {
+    let mut per_gpu: Vec<GpuEdgeSet<N, L>> = (0..p).map(|_| GpuEdgeSet::default()).collect();
+    for sets in chunk_results {
         for (acc, set) in per_gpu.iter_mut().zip(sets) {
-            acc.merge(set);
+            acc.nn.extend(set.nn);
+            acc.nd.extend(set.nd);
+            acc.dn.extend(set.dn);
+            acc.dd.extend(set.dd);
         }
-        class_counts.nn += counts.nn;
-        class_counts.nd += counts.nd;
-        class_counts.dn += counts.dn;
-        class_counts.dd += counts.dd;
     }
+    let count = |class: fn(&GpuEdgeSet<N, L>) -> usize| per_gpu.iter().map(class).sum::<usize>();
+    let class_counts = EdgeClassCounts {
+        nn: count(|s| s.nn.len()) as u64,
+        nd: count(|s| s.nd.len()) as u64,
+        dn: count(|s| s.dn.len()) as u64,
+        dd: count(|s| s.dd.len()) as u64,
+    };
     DistributedEdges { per_gpu, class_counts }
 }
 
@@ -211,6 +203,7 @@ mod tests {
     use super::*;
     use gcbfs_graph::builders;
     use gcbfs_graph::rmat::RmatConfig;
+    use gcbfs_graph::weighted::Weights;
 
     fn setup(graph: &EdgeList, th: u64, _topo: &Topology) -> (Separation, Vec<u64>) {
         let degrees = graph.out_degrees();
@@ -311,17 +304,44 @@ mod tests {
         let g = RmatConfig::graph500(8).generate();
         let topo = Topology::new(2, 2);
         let (sep, degrees) = setup(&g, 8, &topo);
-        let par = distribute(&g, &sep, &degrees, &topo);
-        let seq = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| distribute(&g, &sep, &degrees, &topo));
+        let weights = Weights::new(12, 5).unwrap();
+        let both = || {
+            let weighted: DistributedEdges<(u64, u32), (u32, u32)> =
+                distribute_with(&g, &sep, &degrees, &topo, |u, v| weights.of(u, v));
+            (distribute(&g, &sep, &degrees, &topo), weighted)
+        };
+        let (par, wpar) = both();
+        let (seq, wseq) =
+            rayon::ThreadPoolBuilder::new().num_threads(1).build().unwrap().install(both);
         for (a, b) in par.per_gpu.iter().zip(&seq.per_gpu) {
             assert_eq!(a.nn, b.nn);
             assert_eq!(a.nd, b.nd);
             assert_eq!(a.dn, b.dn);
             assert_eq!(a.dd, b.dd);
+        }
+        // The weighted payload rides the same placement in the same order,
+        // each entry carrying its own edge's weight, under any pool.
+        fn strip<C: Copy>(
+            set: &[(u32, (C, u32))],
+            weight: impl Fn(u32, C) -> u32,
+        ) -> Vec<(u32, C)> {
+            set.iter()
+                .map(|&(r, (c, w))| {
+                    assert_eq!(w, weight(r, c));
+                    (r, c)
+                })
+                .collect()
+        }
+        let hub = |id: u32| sep.delegates()[id as usize];
+        for (flat, ((a, b), bare)) in
+            wpar.per_gpu.iter().zip(&wseq.per_gpu).zip(&par.per_gpu).enumerate()
+        {
+            assert_eq!((&a.nn, &a.nd, &a.dn, &a.dd), (&b.nn, &b.nd, &b.dn, &b.dd));
+            let normal = |local| topo.global_id(topo.unflat(flat), local);
+            assert_eq!(strip(&a.nn, |r, v| weights.of(normal(r), v)), bare.nn);
+            assert_eq!(strip(&a.nd, |r, y| weights.of(normal(r), hub(y))), bare.nd);
+            assert_eq!(strip(&a.dn, |x, c| weights.of(hub(x), normal(c))), bare.dn);
+            assert_eq!(strip(&a.dd, |x, y| weights.of(hub(x), hub(y))), bare.dd);
         }
     }
 }

@@ -14,13 +14,13 @@ use crate::assemble::{assemble_depths, assemble_parents, GpuStateView};
 use crate::chaos::Chaos;
 use crate::comm::exchange_normals_with;
 use crate::config::BfsConfig;
-use crate::distributor::{distribute, EdgeClassCounts};
+use crate::distributor::{distribute_with, EdgeClassCounts};
 use crate::kernels::GpuWorker;
 use crate::masks::DelegateMask;
 use crate::pricing::Pricer;
 use crate::separation::Separation;
 use crate::stats::{FaultStats, IterationRecord, RunStats};
-use crate::subgraph::{GpuSubgraphs, MemoryUsage};
+use crate::subgraph::{Entry, GpuSubgraphs, MemoryUsage};
 use crate::superstep::HostedGroup;
 use crate::verify::{self, VerifyState};
 use crate::UNREACHED;
@@ -172,24 +172,31 @@ impl Traversal {
 }
 
 /// A graph distributed across the simulated cluster, ready to run BFS from
-/// any source. Building once serves any number of runs.
+/// any source. Building once serves any number of runs. `N` and `L` are
+/// its subgraphs' entries: bare destinations for BFS, `(destination,
+/// weight)` pairs for SSSP ([`DistributedSssp`](crate::sssp::DistributedSssp)).
 #[derive(Clone, Debug)]
-pub struct DistributedGraph {
+pub struct DistributedGraph<N = u64, L = u32> {
     pub(crate) topology: Topology,
     pub(crate) separation: Arc<Separation>,
-    pub(crate) subgraphs: Vec<Arc<GpuSubgraphs>>,
+    pub(crate) subgraphs: Vec<Arc<GpuSubgraphs<N, L>>>,
     pub(crate) class_counts: EdgeClassCounts,
     pub(crate) num_vertices: u64,
     pub(crate) num_edges: u64,
 }
 
-impl DistributedGraph {
-    /// Distributes `graph` over `topology` with the separation threshold
-    /// and device model from `config`.
-    pub fn build(
+impl<N: Entry<Col = u64>, L: Entry<Col = u32, Edge = N::Edge>> DistributedGraph<N, L> {
+    /// Kernel 1 for every program: distributes `graph` over `topology`
+    /// with the separation threshold and device model from `config`, each
+    /// entry carrying `payload(u, v)` of its edge. Refuses a per-GPU
+    /// vertex count beyond 32-bit local ids before allocating anything,
+    /// then places every edge by Algorithm 1, builds each GPU's CSRs in
+    /// parallel and refuses subgraphs that exceed device memory.
+    pub(crate) fn partition(
         graph: &EdgeList,
         topology: Topology,
         config: &BfsConfig,
+        payload: impl Fn(VertexId, VertexId) -> N::Edge + Sync,
     ) -> Result<Self, BuildError> {
         let p = topology.num_gpus() as u64;
         let per_gpu_vertices = graph.num_vertices.div_ceil(p.max(1));
@@ -198,9 +205,9 @@ impl DistributedGraph {
         }
         let degrees = graph.out_degrees();
         let separation = Separation::from_degrees(&degrees, config.degree_threshold);
-        let dist = distribute(graph, &separation, &degrees, &topology);
+        let dist = distribute_with(graph, &separation, &degrees, &topology, payload);
         let d = separation.num_delegates();
-        let subgraphs: Vec<Arc<GpuSubgraphs>> = topology
+        let subgraphs: Vec<Arc<GpuSubgraphs<N, L>>> = topology
             .gpus()
             .collect::<Vec<_>>()
             .into_par_iter()
@@ -263,6 +270,18 @@ impl DistributedGraph {
     /// Total graph storage across the cluster in bytes.
     pub fn total_graph_bytes(&self) -> u64 {
         self.memory_usage().iter().map(MemoryUsage::total).sum()
+    }
+}
+
+impl DistributedGraph {
+    /// Distributes `graph` over `topology` with the separation threshold
+    /// and device model from `config`.
+    pub fn build(
+        graph: &EdgeList,
+        topology: Topology,
+        config: &BfsConfig,
+    ) -> Result<Self, BuildError> {
+        Self::partition(graph, topology, config, |_, _| ())
     }
 
     /// Runs (DO)BFS from `source`, returning depths, statistics, and

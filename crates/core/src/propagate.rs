@@ -27,7 +27,7 @@
 
 use crate::driver::BuildError;
 use crate::separation::Separation;
-use crate::subgraph::GpuSubgraphs;
+use crate::subgraph::{Entry, GpuSubgraphs};
 use gcbfs_cluster::collectives::{allreduce_with, AllreduceValueOutcome};
 use gcbfs_cluster::cost::{CostModel, KernelKind, NetworkModel};
 use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
@@ -38,42 +38,6 @@ use std::sync::Arc;
 
 /// Wire size of one remote `nn` proposal: a 4-byte slot and an 8-byte value.
 pub(crate) const UPDATE_BYTES: u64 = 12;
-
-/// A [`GpuSubgraphs`] entry split into its column and the payload its edge
-/// hands the engine's `along`: `()` for a bare destination (BFS's
-/// subgraphs), the weight of a `(destination, weight)` pair (SSSP's).
-pub(crate) trait Entry: Copy + Send + Sync {
-    /// The column id.
-    type Col;
-    /// The per-edge payload.
-    type Edge: Copy;
-    /// Column and payload.
-    fn split(&self) -> (Self::Col, Self::Edge);
-}
-
-impl Entry for u32 {
-    type Col = u32;
-    type Edge = ();
-    fn split(&self) -> (u32, ()) {
-        (*self, ())
-    }
-}
-
-impl Entry for u64 {
-    type Col = u64;
-    type Edge = ();
-    fn split(&self) -> (u64, ()) {
-        (*self, ())
-    }
-}
-
-impl<C: Copy + Send + Sync, W: Copy + Send + Sync> Entry for (C, W) {
-    type Col = C;
-    type Edge = W;
-    fn split(&self) -> (C, W) {
-        *self
-    }
-}
 
 /// The pricing facts that differ between programs, named at the call site.
 #[derive(Clone, Copy)]

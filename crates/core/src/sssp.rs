@@ -5,36 +5,26 @@
 //! Level-synchronous Bellman–Ford with active sets: every round, vertices
 //! whose tentative distance improved relax their out-edges. Delegate
 //! distances are 64-bit values merged by a **min** allreduce; remote `nn`
-//! relaxations carry `(slot, distance)` pairs. Algorithm 1's placement
-//! rule (`classify`, `owner`) is reused verbatim; only the per-edge payload
-//! (a weight) is new. The subgraphs are BFS's own [`GpuSubgraphs`] with
-//! `(destination, weight)` entries, each row sorted by destination, then
-//! weight; relaxations combine by `min`, so no distance depends on that
-//! order.
+//! relaxations carry `(slot, distance)` pairs. The graph is built by
+//! BFS's own Kernel 1 — the one Algorithm 1 placement and per-GPU build
+//! behind [`DistributedGraph::build`], with its refusals — and the only
+//! new thing is the per-edge payload: the weight rule
+//! ([`Weights::of`]) is applied as each edge is placed, so no weighted
+//! edge list is ever stored. The subgraphs hold `(destination, weight)`
+//! entries, each row sorted by destination, then weight; relaxations
+//! combine by `min`, so no distance depends on that order.
 
 use crate::config::BfsConfig;
-use crate::distributor::{classify, owner, EdgeClass, GpuEdgeSet};
-use crate::driver::BuildError;
+use crate::driver::{BuildError, DistributedGraph};
 use crate::propagate::{assemble, check_sources, Pricing, Reduce, Superstep};
-use crate::separation::Separation;
-use crate::subgraph::GpuSubgraphs;
 use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_cluster::topology::Topology;
-use gcbfs_graph::weighted::{WeightedEdgeList, UNREACHABLE};
-use gcbfs_graph::VertexId;
-use std::sync::Arc;
+use gcbfs_graph::weighted::{Weights, UNREACHABLE};
+use gcbfs_graph::{EdgeList, VertexId};
 
-/// One GPU's weighted subgraphs: `(destination, weight)` entries.
-type Weighted = GpuSubgraphs<(u64, u32), (u32, u32)>;
-
-/// A weighted graph distributed across the simulated cluster for SSSP.
-#[derive(Clone, Debug)]
-pub struct DistributedSssp {
-    topology: Topology,
-    separation: Arc<Separation>,
-    subgraphs: Vec<Arc<Weighted>>,
-    num_vertices: u64,
-}
+/// A weighted graph distributed across the simulated cluster for SSSP:
+/// the one partition type with `(destination, weight)` entries.
+pub type DistributedSssp = DistributedGraph<(u64, u32), (u32, u32)>;
 
 /// Result of a distributed SSSP run.
 #[derive(Clone, Debug)]
@@ -56,40 +46,20 @@ pub struct SsspResult {
 }
 
 impl DistributedSssp {
-    /// Distributes `graph` with Algorithm 1 (degrees and threshold as for
-    /// BFS) and attaches the edge weights.
-    pub fn build(graph: &WeightedEdgeList, topology: Topology, config: &BfsConfig) -> Self {
-        let topo_list = graph.topology();
-        let degrees = topo_list.out_degrees();
-        let separation = Separation::from_degrees(&degrees, config.degree_threshold);
-        let mut sets: Vec<GpuEdgeSet<(u64, u32), (u32, u32)>> =
-            (0..topology.num_gpus()).map(|_| GpuEdgeSet::default()).collect();
-        for &(u, v, w) in &graph.edges {
-            let class = classify(u, v, &separation);
-            let set = &mut sets[topology.flat(owner(u, v, class, &degrees, &topology))];
-            let delegate = |x| separation.delegate_id(x).unwrap();
-            match class {
-                EdgeClass::Nn => set.nn.push((topology.local_index(u), (v, w))),
-                EdgeClass::Nd => set.nd.push((topology.local_index(u), (delegate(v), w))),
-                EdgeClass::Dn => set.dn.push((delegate(u), (topology.local_index(v), w))),
-                EdgeClass::Dd => set.dd.push((delegate(u), (delegate(v), w))),
-            }
-        }
-        let d = separation.num_delegates();
-        let subgraphs = sets
-            .iter()
-            .enumerate()
-            .map(|(flat, set)| {
-                let num_local = topology.owned_count(topology.unflat(flat), graph.num_vertices);
-                Arc::new(GpuSubgraphs::build(num_local, d, set))
-            })
-            .collect();
-        Self {
-            topology,
-            separation: Arc::new(separation),
-            subgraphs,
-            num_vertices: graph.num_vertices,
-        }
+    /// Distributes `graph` by Kernel 1 (degrees and threshold as for BFS),
+    /// each edge's entry carrying its weight under `weights`.
+    ///
+    /// # Errors
+    /// The refusals of [`DistributedGraph::build`]:
+    /// [`BuildError::LocalIdsOverflow`] before anything is allocated, and
+    /// [`BuildError::DeviceMemoryExceeded`].
+    pub fn weighted(
+        graph: &EdgeList,
+        weights: Weights,
+        topology: Topology,
+        config: &BfsConfig,
+    ) -> Result<Self, BuildError> {
+        Self::partition(graph, topology, config, |u, v| weights.of(u, v))
     }
 
     /// Runs Bellman–Ford from `source` to convergence.
@@ -138,11 +108,6 @@ impl DistributedSssp {
             remote_bytes: ledger.remote_bytes,
         })
     }
-
-    /// Number of delegates in the separation.
-    pub fn num_delegates(&self) -> u32 {
-        self.separation.num_delegates()
-    }
 }
 
 #[cfg(test)]
@@ -152,10 +117,14 @@ mod tests {
     use gcbfs_graph::rmat::RmatConfig;
     use gcbfs_graph::weighted::dijkstra;
 
-    fn check(graph: &WeightedEdgeList, topo: Topology, th: u64, sources: &[u64]) {
+    fn weighted(graph: &EdgeList, weights: Weights, topo: Topology, th: u64) -> DistributedSssp {
+        DistributedSssp::weighted(graph, weights, topo, &BfsConfig::new(th)).unwrap()
+    }
+
+    fn check(graph: &EdgeList, weights: Weights, topo: Topology, th: u64, sources: &[u64]) {
         let config = BfsConfig::new(th);
-        let dist = DistributedSssp::build(graph, topo, &config);
-        let csr = graph.csr();
+        let dist = weighted(graph, weights, topo, th);
+        let csr = weights.csr(graph);
         for &s in sources {
             let r = dist.run(s, &config).unwrap();
             assert_eq!(r.distances, dijkstra(&csr, s), "source {s}, topo {topo:?}, th {th}");
@@ -164,29 +133,28 @@ mod tests {
 
     #[test]
     fn matches_dijkstra_on_rmat() {
-        let topo_list = RmatConfig::graph500(9).generate();
-        let graph = WeightedEdgeList::from_topology(&topo_list, 16, 7);
-        let degrees = topo_list.out_degrees();
+        let graph = RmatConfig::graph500(9).generate();
+        let weights = Weights::new(16, 7).unwrap();
+        let degrees = graph.out_degrees();
         let sources: Vec<u64> =
-            (0..topo_list.num_vertices).filter(|&v| degrees[v as usize] > 0).take(4).collect();
-        check(&graph, Topology::new(2, 2), 8, &sources);
-        check(&graph, Topology::new(3, 1), 32, &sources);
+            (0..graph.num_vertices).filter(|&v| degrees[v as usize] > 0).take(4).collect();
+        check(&graph, weights, Topology::new(2, 2), 8, &sources);
+        check(&graph, weights, Topology::new(3, 1), 32, &sources);
     }
 
     #[test]
     fn matches_dijkstra_on_structured_graphs() {
         for base in [builders::grid(5, 6), builders::double_star(7), builders::cycle(17)] {
-            let graph = WeightedEdgeList::from_topology(&base, 9, 3);
-            check(&graph, Topology::new(2, 2), 3, &[0, base.num_vertices / 2]);
+            let weights = Weights::new(9, 3).unwrap();
+            check(&base, weights, Topology::new(2, 2), 3, &[0, base.num_vertices / 2]);
         }
     }
 
     #[test]
     fn uniform_weights_reduce_to_bfs_depths() {
         let base = RmatConfig::graph500(8).generate();
-        let graph = WeightedEdgeList::from_topology(&base, 1, 0);
         let config = BfsConfig::new(8);
-        let dist = DistributedSssp::build(&graph, Topology::new(2, 2), &config);
+        let dist = weighted(&base, Weights::new(1, 0).unwrap(), Topology::new(2, 2), 8);
         let src =
             base.out_degrees().iter().enumerate().max_by_key(|&(_, deg)| *deg).unwrap().0 as u64;
         let r = dist.run(src, &config).unwrap();
@@ -203,9 +171,8 @@ mod tests {
         // Bellman–Ford revisits vertices when cheaper paths arrive later;
         // rounds >= the unweighted diameter.
         let base = builders::grid(6, 6);
-        let graph = WeightedEdgeList::from_topology(&base, 10, 1);
         let config = BfsConfig::new(3);
-        let dist = DistributedSssp::build(&graph, Topology::new(2, 2), &config);
+        let dist = weighted(&base, Weights::new(10, 1).unwrap(), Topology::new(2, 2), 3);
         let r = dist.run(0, &config).unwrap();
         assert!(r.rounds >= 10, "rounds {}", r.rounds);
         assert!(r.edges_relaxed > base.num_edges());
@@ -214,9 +181,32 @@ mod tests {
     #[test]
     fn source_out_of_range() {
         let base = builders::path(4);
-        let graph = WeightedEdgeList::from_topology(&base, 4, 0);
         let config = BfsConfig::new(4);
-        let dist = DistributedSssp::build(&graph, Topology::new(1, 1), &config);
+        let dist = weighted(&base, Weights::new(4, 0).unwrap(), Topology::new(1, 1), 4);
         assert!(matches!(dist.run(44, &config), Err(BuildError::SourceOutOfRange { .. })));
+    }
+
+    #[test]
+    fn local_ids_overflow_is_detected_before_allocation() {
+        // Out-degrees alone would be a 34 GB allocation here.
+        let graph = EdgeList { num_vertices: u32::MAX as u64 + 2, edges: Vec::new() };
+        let weights = Weights::new(4, 0).unwrap();
+        let err =
+            DistributedSssp::weighted(&graph, weights, Topology::new(1, 1), &BfsConfig::new(4))
+                .unwrap_err();
+        assert!(
+            matches!(err, BuildError::LocalIdsOverflow { per_gpu_vertices } if per_gpu_vertices > u32::MAX as u64)
+        );
+    }
+
+    #[test]
+    fn device_memory_limit_enforced() {
+        let mut config = BfsConfig::new(4);
+        config.cost.device.memory_bytes = 16; // absurdly small device
+        let graph = builders::grid(10, 10);
+        let weights = Weights::new(4, 0).unwrap();
+        let err =
+            DistributedSssp::weighted(&graph, weights, Topology::new(1, 1), &config).unwrap_err();
+        assert!(matches!(err, BuildError::DeviceMemoryExceeded { gpu: 0, available: 16, .. }));
     }
 }

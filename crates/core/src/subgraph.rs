@@ -20,6 +20,50 @@ pub type LocalCsr<L = u32> = Csr<L, u32>;
 /// weight for SSSP).
 pub type NnCsr<N = u64> = Csr<N, u32>;
 
+/// A subgraph entry: a column id and its edge's payload, `()` for a bare
+/// destination (BFS's subgraphs), the weight of a `(destination, weight)`
+/// pair (SSSP's). Algorithm 1 joins each placed edge into one; the value
+/// engine splits it to hand the payload to its `along`.
+pub trait Entry: Copy + Default + Ord + Send + Sync {
+    /// The column id.
+    type Col;
+    /// The per-edge payload.
+    type Edge: Copy;
+    /// The entry of column `col` carrying `edge`.
+    fn join(col: Self::Col, edge: Self::Edge) -> Self;
+    /// Column and payload.
+    fn split(&self) -> (Self::Col, Self::Edge);
+}
+
+macro_rules! bare_entry {
+    ($($t:ty),*) => {$(
+        impl Entry for $t {
+            type Col = $t;
+            type Edge = ();
+            fn join(col: $t, _: ()) -> $t {
+                col
+            }
+            fn split(&self) -> ($t, ()) {
+                (*self, ())
+            }
+        }
+    )*};
+}
+bare_entry!(u32, u64);
+
+impl<C: Copy + Default + Ord + Send + Sync, W: Copy + Default + Ord + Send + Sync> Entry
+    for (C, W)
+{
+    type Col = C;
+    type Edge = W;
+    fn join(col: C, edge: W) -> (C, W) {
+        (col, edge)
+    }
+    fn split(&self) -> (C, W) {
+        *self
+    }
+}
+
 /// Memory usage of one GPU's subgraphs, following Table I exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoryUsage {

@@ -55,12 +55,19 @@ impl EdgeList {
     /// Returns true if for every `(u, v)` the edge `(v, u)` is also present
     /// (with matching multiplicity).
     pub fn is_symmetric(&self) -> bool {
-        let mut sorted: Vec<(VertexId, VertexId)> = self.edges.clone();
-        sorted.par_sort_unstable();
-        let mut reversed: Vec<(VertexId, VertexId)> =
-            self.edges.par_iter().map(|&(u, v)| (v, u)).collect();
-        reversed.par_sort_unstable();
-        sorted == reversed
+        // The edges going up (`u < v`) must be those going down, flipped:
+        // two sorts of half the edges each, not two of all of them.
+        let half = |up: bool| {
+            let mut half: Vec<(VertexId, VertexId)> = self
+                .edges
+                .par_iter()
+                .filter(|&&(u, v)| u != v && (u < v) == up)
+                .map(|&(u, v)| (u.min(v), u.max(v)))
+                .collect();
+            half.par_sort_unstable();
+            half
+        };
+        half(true) == half(false)
     }
 
     /// Removes duplicate edges and self-loops, in place.
@@ -139,6 +146,11 @@ mod tests {
     #[test]
     fn asymmetric_graph_detected() {
         assert!(!small().is_symmetric());
+        // Multiplicity counts, in either direction; self-loops pair with
+        // themselves.
+        assert!(!EdgeList::new(2, vec![(0, 1), (0, 1), (1, 0)]).is_symmetric());
+        assert!(!EdgeList::new(2, vec![(1, 0), (1, 0), (0, 1)]).is_symmetric());
+        assert!(EdgeList::new(2, vec![(1, 0), (1, 1), (0, 1), (1, 1), (0, 0)]).is_symmetric());
     }
 
     #[test]

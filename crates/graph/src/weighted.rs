@@ -1,12 +1,14 @@
-//! Weighted graphs and a reference single-source shortest paths.
+//! Edge weights and a reference single-source shortest paths.
 //!
 //! The paper's future work (§VII) calls for "more attributes on vertices
 //! and edges than a single label"; edge weights are the canonical case,
-//! and SSSP its canonical traversal. This module supplies the substrate:
-//! a weighted edge list (deterministic symmetric weights layered over any
-//! unweighted topology), its CSR of `(neighbor, weight)` entries, and a
-//! Dijkstra reference used to validate the distributed Bellman–Ford in
-//! `gcbfs-core`.
+//! and SSSP its canonical traversal. A weight is a rule, not a stored
+//! list: [`Weights::of`] hashes an edge's unordered endpoint pair with a
+//! seed, so both directions of an undirected pair weigh the same and any
+//! edge's weight follows from the edge alone. The distributed build in
+//! `gcbfs-core` applies the rule as Algorithm 1 places each edge;
+//! [`Weights::csr`] applies it to build the reference CSR that
+//! [`dijkstra`] reads to validate the distributed Bellman–Ford.
 
 use crate::csr::Csr;
 use crate::edgelist::{EdgeList, VertexId};
@@ -16,50 +18,48 @@ use std::collections::BinaryHeap;
 /// Distance marker for unreachable vertices.
 pub const UNREACHABLE: u64 = u64::MAX;
 
-/// A weighted directed edge list (symmetric pairs carry equal weights).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WeightedEdgeList {
-    /// Number of vertices.
-    pub num_vertices: u64,
-    /// `(source, destination, weight)` triples.
-    pub edges: Vec<(u64, u64, u32)>,
+/// Deterministic symmetric edge weights in `1..=max_weight`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Weights {
+    max_weight: u32,
+    seed: u64,
 }
 
-impl WeightedEdgeList {
-    /// Layers deterministic weights in `1..=max_weight` over an existing
-    /// (symmetric) topology: both directions of an undirected pair receive
-    /// the same weight (hashed from the unordered endpoint pair and the
-    /// seed).
-    pub fn from_topology(graph: &EdgeList, max_weight: u32, seed: u64) -> Self {
-        assert!(max_weight >= 1, "weights start at 1");
-        let edges = graph
-            .edges
-            .iter()
-            .map(|&(u, v)| {
-                let (a, b) = (u.min(v), u.max(v));
-                let h = splitmix64(seed ^ splitmix64(a.wrapping_mul(0x9e37).wrapping_add(b)));
-                (u, v, 1 + (h % max_weight as u64) as u32)
-            })
-            .collect();
-        Self { num_vertices: graph.num_vertices, edges }
-    }
+/// A weight rule was asked for a largest weight of 0; weights start at 1.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ZeroMaxWeight;
 
-    /// Number of directed edges.
-    pub fn num_edges(&self) -> u64 {
-        self.edges.len() as u64
+impl std::fmt::Display for ZeroMaxWeight {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "the largest weight must be at least 1 (weights start at 1)")
     }
+}
 
-    /// The weighted CSR of this list.
-    pub fn csr(&self) -> WeightedCsr {
-        Csr::build(self.num_vertices, self.edges.iter().map(|&(u, v, w)| (u, (v, w))))
-    }
+impl std::error::Error for ZeroMaxWeight {}
 
-    /// The unweighted topology (for building the unweighted machinery).
-    pub fn topology(&self) -> EdgeList {
-        EdgeList {
-            num_vertices: self.num_vertices,
-            edges: self.edges.iter().map(|&(u, v, _)| (u, v)).collect(),
+impl Weights {
+    /// The rule drawing weights in `1..=max_weight` from `seed`.
+    ///
+    /// # Errors
+    /// [`ZeroMaxWeight`] when `max_weight` is 0.
+    pub fn new(max_weight: u32, seed: u64) -> Result<Self, ZeroMaxWeight> {
+        if max_weight == 0 {
+            return Err(ZeroMaxWeight);
         }
+        Ok(Self { max_weight, seed })
+    }
+
+    /// The weight of edge `u -> v`, equal to that of `v -> u`.
+    #[inline]
+    pub fn of(&self, u: VertexId, v: VertexId) -> u32 {
+        let (a, b) = (u.min(v), u.max(v));
+        let h = splitmix64(self.seed ^ splitmix64(a.wrapping_mul(0x9e37).wrapping_add(b)));
+        1 + (h % self.max_weight as u64) as u32
+    }
+
+    /// The weighted CSR of `graph` under this rule.
+    pub fn csr(&self, graph: &EdgeList) -> WeightedCsr {
+        Csr::build(graph.num_vertices, graph.edges.iter().map(|&(u, v)| (u, (v, self.of(u, v)))))
     }
 }
 
@@ -97,29 +97,29 @@ mod tests {
     #[test]
     fn weights_are_symmetric_and_deterministic() {
         let g = builders::grid(4, 4);
-        let a = WeightedEdgeList::from_topology(&g, 10, 7);
-        let b = WeightedEdgeList::from_topology(&g, 10, 7);
-        assert_eq!(a, b);
-        // Same pair, both directions, same weight.
-        let mut weights = std::collections::HashMap::new();
-        for &(u, v, w) in &a.edges {
-            let key = (u.min(v), u.max(v));
-            let prev = weights.insert(key, w);
-            if let Some(p) = prev {
-                assert_eq!(p, w, "asymmetric weight on {key:?}");
-            }
-            assert!((1..=10).contains(&w));
+        let a = Weights::new(10, 7).unwrap();
+        let b = Weights::new(10, 7).unwrap();
+        let c = Weights::new(10, 8).unwrap();
+        for &(u, v) in &g.edges {
+            // Same pair, both directions, same weight, every time.
+            assert_eq!(a.of(u, v), a.of(v, u), "asymmetric weight on {u}-{v}");
+            assert_eq!(a.of(u, v), b.of(u, v));
+            assert!((1..=10).contains(&a.of(u, v)));
         }
         // Different seeds differ.
-        let c = WeightedEdgeList::from_topology(&g, 10, 8);
-        assert_ne!(a, c);
+        assert!(g.edges.iter().any(|&(u, v)| a.of(u, v) != c.of(u, v)));
+    }
+
+    #[test]
+    fn a_zero_max_weight_is_refused() {
+        assert_eq!(Weights::new(0, 7), Err(ZeroMaxWeight));
+        assert_eq!(Weights::new(1, 7).unwrap().of(3, 9), 1);
     }
 
     #[test]
     fn dijkstra_on_uniform_weights_is_scaled_bfs() {
         let g = builders::cycle(8);
-        let w = WeightedEdgeList::from_topology(&g, 1, 0); // all weights 1
-        let csr = w.csr();
+        let csr = Weights::new(1, 0).unwrap().csr(&g); // all weights 1
         let dist = dijkstra(&csr, 0);
         assert_eq!(dist, vec![0, 1, 2, 3, 4, 3, 2, 1]);
     }
@@ -127,11 +127,8 @@ mod tests {
     #[test]
     fn dijkstra_prefers_cheap_detours() {
         // 0 -10- 1, 0 -1- 2 -1- 1: the detour is cheaper.
-        let w = WeightedEdgeList {
-            num_vertices: 3,
-            edges: vec![(0, 1, 10), (1, 0, 10), (0, 2, 1), (2, 0, 1), (2, 1, 1), (1, 2, 1)],
-        };
-        let csr = w.csr();
+        let edges = [(0, 1, 10), (1, 0, 10), (0, 2, 1), (2, 0, 1), (2, 1, 1), (1, 2, 1)];
+        let csr = Csr::build(3, edges.iter().map(|&(u, v, w)| (u, (v, w))));
         assert_eq!(dijkstra(&csr, 0), vec![0, 2, 1]);
     }
 
@@ -139,18 +136,9 @@ mod tests {
     fn unreachable_stay_unreachable() {
         let mut g = builders::path(3);
         g.num_vertices = 5;
-        let w = WeightedEdgeList::from_topology(&g, 4, 1);
-        let csr = w.csr();
+        let csr = Weights::new(4, 1).unwrap().csr(&g);
         let dist = dijkstra(&csr, 0);
         assert_eq!(dist[3], UNREACHABLE);
         assert_eq!(dist[4], UNREACHABLE);
-    }
-
-    #[test]
-    fn topology_roundtrip() {
-        let g = builders::double_star(4);
-        let w = WeightedEdgeList::from_topology(&g, 6, 3);
-        assert_eq!(w.topology(), g);
-        assert_eq!(w.num_edges(), g.num_edges());
     }
 }

@@ -18,6 +18,7 @@ use gpu_cluster_bfs::core::pagerank::PageRankConfig;
 use gpu_cluster_bfs::graph::{io, EdgeList};
 use gpu_cluster_bfs::prelude::*;
 use std::fs::File;
+use std::io::BufReader;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -206,7 +207,8 @@ fn load(path: &str) -> Result<EdgeList, String> {
     if path.ends_with(".txt") {
         io::read_text(file).map_err(|e| format!("cannot parse {path}: {e}"))
     } else {
-        io::read_binary(file).map_err(|e| format!("cannot parse {path}: {e}"))
+        // Buffered: the decoder reads 8 bytes at a time.
+        io::read_binary(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
     }
 }
 
@@ -698,16 +700,18 @@ fn bfs_evolving(
 
 fn sssp_cmd(args: &Args) -> Result<(), String> {
     use gpu_cluster_bfs::core::sssp::DistributedSssp;
-    use gpu_cluster_bfs::graph::weighted::{WeightedEdgeList, UNREACHABLE};
+    use gpu_cluster_bfs::graph::weighted::{Weights, UNREACHABLE};
     let path = args.positional.get(1).ok_or("sssp needs a file")?;
+    let max_weight: u32 = args.opt("max-weight", 16)?;
+    let weight_seed: u64 = args.opt("weight-seed", 7)?;
+    let weights = Weights::new(max_weight, weight_seed)
+        .map_err(|e| format!("--max-weight {max_weight}: {e}"))?;
     let graph = load(path)?;
     let topo = topology(args)?;
     let th: u64 = args.opt("threshold", 32)?;
-    let max_weight: u32 = args.opt("max-weight", 16)?;
-    let weight_seed: u64 = args.opt("weight-seed", 7)?;
-    let weighted = WeightedEdgeList::from_topology(&graph, max_weight, weight_seed);
     let config = BfsConfig::new(th);
-    let dist = DistributedSssp::build(&weighted, topo, &config);
+    let dist =
+        DistributedSssp::weighted(&graph, weights, topo, &config).map_err(|e| e.to_string())?;
     let source = pick_source(&graph, args)?;
     let r = dist.run(source, &config).map_err(|e| e.to_string())?;
     let reached = r.distances.iter().filter(|&&x| x != UNREACHABLE).count();
@@ -725,7 +729,7 @@ fn sssp_cmd(args: &Args) -> Result<(), String> {
 fn serve_cmd(args: &Args) -> Result<(), String> {
     use gpu_cluster_bfs::core::sssp::DistributedSssp;
     use gpu_cluster_bfs::graph::permute::splitmix64;
-    use gpu_cluster_bfs::graph::weighted::WeightedEdgeList;
+    use gpu_cluster_bfs::graph::weighted::Weights;
     use gpu_cluster_bfs::serve::generate;
 
     let path = args.positional.get(1).ok_or("serve needs a file")?;
@@ -782,8 +786,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         (0..num_tenants).map(|i| TenantSpec::new(i, &format!("tenant-{i}"))).collect();
     let policy = BatchPolicy::new(batch, window_ms / 1e3).with_queue_limit(queue);
     let backend = if sssp_permille > 0 {
-        let weighted = WeightedEdgeList::from_topology(&graph, 16, 7);
-        Some(DistributedSssp::build(&weighted, topo, &config))
+        let weights = Weights::new(16, 7).expect("weights up to 16 start at 1");
+        Some(DistributedSssp::weighted(&graph, weights, topo, &config).map_err(|e| e.to_string())?)
     } else {
         None
     };

@@ -19,7 +19,7 @@
 use gpu_cluster_bfs::cluster::timing::PhaseTimes;
 use gpu_cluster_bfs::core::msbfs::batch_sharing_factor;
 use gpu_cluster_bfs::core::sssp::DistributedSssp;
-use gpu_cluster_bfs::graph::weighted::WeightedEdgeList;
+use gpu_cluster_bfs::graph::weighted::Weights;
 use gpu_cluster_bfs::prelude::*;
 use std::fmt::Write as _;
 
@@ -75,8 +75,8 @@ fn cell_lines(name: &str, graph: &EdgeList, topo: Topology, th: u64, out: &mut S
     )
     .unwrap();
 
-    let weighted = WeightedEdgeList::from_topology(graph, 12, 5);
-    let wdist = DistributedSssp::build(&weighted, topo, &config);
+    let weights = Weights::new(12, 5).unwrap();
+    let wdist = DistributedSssp::weighted(graph, weights, topo, &config).unwrap();
     for (tag, s) in [("first", sources[0]), ("hub", hub)] {
         let r = wdist.run(s, &config).unwrap();
         writeln!(

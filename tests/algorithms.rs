@@ -57,10 +57,10 @@ fn full_suite(graph: &gpu_cluster_bfs::graph::EdgeList, topo: Topology, th: u64)
 
     // SSSP on the same topology with synthetic weights.
     use gpu_cluster_bfs::core::sssp::DistributedSssp;
-    use gpu_cluster_bfs::graph::weighted::{dijkstra, WeightedEdgeList};
-    let weighted = WeightedEdgeList::from_topology(graph, 12, 5);
-    let wdist = DistributedSssp::build(&weighted, topo, &config);
-    let wcsr = weighted.csr();
+    use gpu_cluster_bfs::graph::weighted::{dijkstra, Weights};
+    let weights = Weights::new(12, 5).unwrap();
+    let wdist = DistributedSssp::weighted(graph, weights, topo, &config).unwrap();
+    let wcsr = weights.csr(graph);
     let r = wdist.run(sources[0], &config).unwrap();
     assert_eq!(r.distances, dijkstra(&wcsr, sources[0]));
 }

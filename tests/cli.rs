@@ -196,6 +196,22 @@ fn a_binary_header_claiming_more_edges_than_the_file_holds_is_refused() {
 }
 
 #[test]
+fn a_zero_max_weight_is_refused() {
+    // Weights start at 1: `--max-weight 0` is a typed refusal naming the
+    // option, not a panic.
+    let file = tmp("zero-weight.bin");
+    let path = file.to_str().unwrap();
+    assert!(gcbfs(&["generate", "rmat", "--scale", "8", "--out", path]).status.success());
+    let out = gcbfs(&["sssp", path, "--max-weight", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--max-weight"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn options_a_command_does_not_read_are_rejected() {
     let file = tmp("unread.bin");
     let path = file.to_str().unwrap();

@@ -227,11 +227,12 @@ fn serving_width_matrix_bitwise() {
 #[test]
 fn sssp_width_matrix_bitwise() {
     use gpu_cluster_bfs::core::sssp::DistributedSssp;
-    use gpu_cluster_bfs::graph::weighted::WeightedEdgeList;
+    use gpu_cluster_bfs::graph::weighted::Weights;
     let (graph, config, src) = setup();
-    let weighted = WeightedEdgeList::from_topology(&graph, 12, 5);
+    let weights = Weights::new(12, 5).unwrap();
     width_matrix(|| {
-        let dist = DistributedSssp::build(&weighted, Topology::new(2, 2), &config);
+        let dist =
+            DistributedSssp::weighted(&graph, weights, Topology::new(2, 2), &config).unwrap();
         let r = dist.run(src, &config).unwrap();
         (r.distances, r.rounds, r.edges_relaxed, r.modeled_seconds.to_bits())
     });
