@@ -19,7 +19,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
     println!("Ablation: per-kernel vs global direction decisions (RMAT scale {scale}, 16 GPUs)");
     let graph = cfg.generate();
     let topo = Topology::new(8, 2);
-    let sources = pick_sources(&graph, k.sources, 0xab1);
+    let sources = graph.source_pool(k.sources, 0xab1);
     let factor = ray_factor(per_gpu_scale(scale, topo.num_gpus()));
     let cost = CostModel::ray_scaled(factor);
 

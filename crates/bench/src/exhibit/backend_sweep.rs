@@ -72,8 +72,9 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     let topo = Topology::new(4, 2);
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let source = hub_source(&graph);
-    let warm_sources: Vec<u64> = pick_sources(&graph, WARM_RUNS + 1, 7)
+    let source = graph.hub().expect("graph has vertices");
+    let warm_sources: Vec<u64> = graph
+        .source_pool(WARM_RUNS + 1, 7)
         .into_iter()
         .filter(|&s| s != source)
         .take(WARM_RUNS)

@@ -29,7 +29,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
         let graph = cfg.generate();
         let csr = Csr::from_edge_list(&graph);
         let m = graph.num_edges();
-        let src = pick_sources(&graph, 1, 0xc0)[0];
+        let src = graph.source_pool(1, 0xc0)[0];
 
         // All three strategies charged to the same workload-scaled machine.
         let cost = CostModel::ray_scaled(ray_factor(per_gpu_scale));

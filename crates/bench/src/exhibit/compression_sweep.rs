@@ -56,7 +56,7 @@ fn sweep_scale(scale: u32) -> (u64, u64) {
     let topo = Topology::new(2, 2);
     let base = BfsConfig::new(th).with_local_all2all(true).with_uniquify(true);
     let graph = RmatConfig::graph500(scale).generate();
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
     let dist = DistributedGraph::build(&graph, topo, &base).expect("build");
 
     let reference = dist.run(source, &base).expect("off-mode run");

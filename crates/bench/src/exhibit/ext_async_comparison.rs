@@ -39,7 +39,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
     {
         let config = BfsConfig::new(th).with_direction_optimization(false).with_cost_model(cost);
         let dist = DistributedGraph::build(graph, topo, &config).expect("build");
-        let sources = pick_sources(graph, k.sources, 0xa57c);
+        let sources = graph.source_pool(k.sources, 0xa57c);
         let mut bsp_ms = Vec::new();
         let mut async_ms = Vec::new();
         let mut iters = 0.0;

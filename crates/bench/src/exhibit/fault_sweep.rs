@@ -67,7 +67,7 @@ fn smoke(k: &Knobs, mode: &str) {
     let topo = Topology::new(8, 2);
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
     println!(
         "Fail-stop smoke [{mode}]: RMAT scale {scale}, TH {th}, {} GPUs, source {source}",
         topo.num_gpus()
@@ -173,7 +173,7 @@ fn smoke_sdc(k: &Knobs) {
     let p = topo.num_gpus() as usize;
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
     println!("SDC smoke: RMAT scale {scale}, TH {th}, {p} GPUs, {SEEDS} seeded plans");
 
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
@@ -236,7 +236,7 @@ fn smoke_loss(k: &Knobs) {
     let p = topo.num_gpus() as usize;
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
     println!("Message-loss smoke: RMAT scale {scale}, TH {th}, {p} GPUs, source {source}");
 
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
@@ -298,7 +298,7 @@ pub fn run(k: &Knobs, smoke_mode: Option<&str>) {
     let topo = Topology::new(2, 2);
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
 
     println!("Fault sweep: RMAT scale {scale}, TH {th}, {} GPUs, source {source}", topo.num_gpus());
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");

@@ -42,7 +42,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
     println!("Fig. 6 reproduction: RMAT scale {scale}, 4x1x4 GPUs (paper: scale 30)");
     let graph = cfg.generate();
     let topo = Topology::from_paper_notation(4, 1, 4);
-    let sources = pick_sources(&graph, k.sources, 0xf16);
+    let sources = graph.source_pool(k.sources, 0xf16);
     let factor = ray_factor(per_gpu_scale(scale, topo.num_gpus()));
     let ths = [8, 16, 24, 32, 48, 64, 96, 128, 192, 256];
     print_table(

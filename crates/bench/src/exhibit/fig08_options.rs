@@ -24,7 +24,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
          (paper: scale 32, TH 128, 64 GPUs)"
     );
     let graph = cfg.generate();
-    let sources = pick_sources(&graph, k.sources, 0xf18);
+    let sources = graph.source_pool(k.sources, 0xf18);
     let cost = CostModel::ray_scaled(ray_factor(per_gpu_scale(scale, 64)));
 
     // Option sets in the paper's presentation order.

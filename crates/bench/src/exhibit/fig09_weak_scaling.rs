@@ -64,7 +64,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         let cfg = RmatConfig::graph500(scale);
         let graph = cfg.generate();
         let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
-        let sources = pick_sources(&graph, sources_per_point, 0xf19 + gpus as u64);
+        let sources = graph.source_pool(sources_per_point, 0xf19 + gpus as u64);
         let topos = [topology_2x2(gpus), topology_1x4(gpus)];
         let factor = ray_factor(per_gpu_scale);
         let mut row = vec![gpus.to_string(), scale.to_string(), th.to_string()];

@@ -41,7 +41,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
                 .with_overlap(true)
                 .with_cost_model(CostModel::ray_scaled(ray_factor(per_gpu_scale)));
             let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
-            let sources = pick_sources(&graph, k.sources, 0xf10 + gpus as u64);
+            let sources = graph.source_pool(k.sources, 0xf10 + gpus as u64);
             let s = run_many(&dist, &config, &sources, cfg.graph500_edges());
             let hidden = s.phases_ms.sum() - s.elapsed_ms;
             let comm = s.phases_ms.sum() - s.phases_ms.computation;

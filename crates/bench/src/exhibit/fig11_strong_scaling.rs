@@ -20,7 +20,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
     println!("Fig. 11 reproduction: strong scaling, RMAT scale {scale} (paper: scale 30)");
     let graph = cfg.generate();
     let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
-    let sources = pick_sources(&graph, k.sources, 0xf11);
+    let sources = graph.source_pool(k.sources, 0xf11);
 
     let mut rows = Vec::new();
     let mut gpus = 4u32;

@@ -19,7 +19,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
     // Graph500-style TEPS denominator: undirected edge count.
     let g500_edges = graph.num_edges() / 2;
     let topo = Topology::from_paper_notation(1, 2, 2);
-    let sources = pick_sources(&graph, k.sources, 0xf13);
+    let sources = graph.source_pool(k.sources, 0xf13);
     // Friendster on 4 GPUs is ~1.3 G directed edges per GPU; ours is the
     // same graph shrunk, so scale the machine by the edge ratio.
     let paper_edges_per_gpu = 10.34e9 / 4.0; // doubled Friendster edges / 4

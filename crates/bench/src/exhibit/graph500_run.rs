@@ -38,7 +38,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
     );
 
     // Kernel 1: 64 BFS runs with validation.
-    let sources = pick_sources(&graph, 64, 0x6500);
+    let sources = graph.source_pool(64, 0x6500);
     let csr = Csr::from_edge_list(&graph);
     let mut rates = Vec::new();
     let mut validated = 0usize;

@@ -30,7 +30,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
     let undirected_edges = graph.num_edges() / 2;
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
     println!("Incremental sweep: RMAT scale {scale}, TH {th}, {p} GPUs, source {source}");
 
     let mut base = EvolvingGraph::new(&graph, topo, &config);

@@ -66,7 +66,7 @@ fn sweep_scale(scale: u32, threads: &[usize], reps: usize) -> Vec<Cell> {
     let config = BfsConfig::new(th).with_local_all2all(true).with_uniquify(true);
     let graph = RmatConfig::graph500(scale).generate();
     let m_half = graph.num_edges() / 2;
-    let sources = pick_sources(&graph, 2, 0x5eed + scale as u64);
+    let sources = graph.source_pool(2, 0x5eed + scale as u64);
 
     let mut cells = Vec::new();
     let mut reference: Option<Vec<u32>> = None;

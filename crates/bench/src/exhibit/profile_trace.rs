@@ -101,7 +101,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     let topo = Topology::new(2, 2);
     let th = BfsConfig::suggested_rmat_threshold(scale + 13).max(8);
     let graph = RmatConfig::graph500(scale).generate();
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
 
     let mut rows = Vec::new();
     let mut artifact: Option<(String, String)> = None;

@@ -132,7 +132,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
 
     let graph = RmatConfig::graph500(scale).generate();
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
-    let pool = pick_sources(&graph, pool_size, seed);
+    let pool = graph.source_pool(pool_size, seed);
 
     // Calibrate the ramp on the two capacity anchors: one single-source
     // sweep (batch-1 service time) and one full-width sweep.

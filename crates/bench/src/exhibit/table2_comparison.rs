@@ -85,7 +85,7 @@ pub fn repro_gteps(scale: u32, gpus: u32, count: usize, seed: u64) -> f64 {
         .with_blocking_reduce(gpus >= 32)
         .with_cost_model(CostModel::ray_scaled(factor));
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
-    let sources = pick_sources(&graph, count, seed);
+    let sources = graph.source_pool(count, seed);
     run_many(&dist, &config, &sources, cfg.graph500_edges()).gteps * factor
 }
 

@@ -28,7 +28,7 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     let config = BfsConfig::new(th);
     let graph = RmatConfig::graph500(scale).generate();
     let m_half = graph.num_edges() / 2;
-    let source = hub_source(&graph);
+    let source = graph.hub().expect("graph has vertices");
     println!("Verification sweep: RMAT scale {scale}, TH {th}, {p} GPUs, source {source}");
 
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");

@@ -24,7 +24,7 @@ pub fn run(k: &Knobs, _smoke: Option<&str>) {
     let g500_edges = graph.num_edges() / 2;
     let topo = Topology::from_paper_notation(4, 2, 2);
     let th = 256;
-    let sources = pick_sources(&graph, k.sources, 0x3dc);
+    let sources = graph.source_pool(k.sources, 0x3dc);
 
     let mut rows = Vec::new();
     let mut results = Vec::new();

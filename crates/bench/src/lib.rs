@@ -4,9 +4,9 @@
 //! every table and figure of the paper plus the repo's acceptance sweeps
 //! (`gcbfs-bench <exhibit>`; see `src/exhibit/` and DESIGN.md's
 //! per-experiment index). Exhibits share this harness: the `GCBFS_*`
-//! knobs parsed once, deterministic source selection, the
-//! geometric-mean-over-sources protocol of §VI-A3, and plain-text table
-//! and JSON output.
+//! knobs parsed once, the geometric-mean-over-sources protocol of
+//! §VI-A3, and plain-text table and JSON output. Sources come from the
+//! graph's own picker, `EdgeList::hub` and `EdgeList::source_pool`.
 //!
 //! Environment knobs (all optional; one that is set but does not parse
 //! is an error naming it, never a silent default):
@@ -22,16 +22,11 @@ use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_core::config::BfsConfig;
 use gcbfs_core::driver::DistributedGraph;
 use gcbfs_core::stats::geometric_mean;
-use gcbfs_graph::permute::splitmix64;
-use gcbfs_graph::EdgeList;
 
 /// What every exhibit imports: this harness and the workspace types the
 /// exhibits have in common.
 pub mod prelude {
-    pub use crate::{
-        f2, hub_source, ms, pct, per_gpu_scale, pick_sources, print_table, ray_factor, run_many,
-        Knobs,
-    };
+    pub use crate::{f2, ms, pct, per_gpu_scale, print_table, ray_factor, run_many, Knobs};
     pub use gcbfs_cluster::cost::CostModel;
     pub use gcbfs_cluster::topology::Topology;
     pub use gcbfs_core::config::BfsConfig;
@@ -111,34 +106,6 @@ pub fn ray_factor(per_gpu_scale: u32) -> f64 {
 /// Per-GPU scale of a run: total scale minus log2 of the GPU count.
 pub fn per_gpu_scale(total_scale: u32, gpus: u32) -> u32 {
     total_scale.saturating_sub(gpus.ilog2())
-}
-
-/// The highest-out-degree vertex (the last one on ties): the one source
-/// of the sweeps that compare configurations on a single traversal.
-pub fn hub_source(graph: &EdgeList) -> u64 {
-    let degrees = graph.out_degrees();
-    degrees.iter().enumerate().max_by_key(|&(_, d)| d).expect("graph has vertices").0 as u64
-}
-
-/// Deterministically picks `count` distinct non-isolated source vertices,
-/// mimicking the paper's "randomly generated sources; only the ones that
-/// executed for more than 1 iteration are considered".
-pub fn pick_sources(graph: &EdgeList, count: usize, seed: u64) -> Vec<u64> {
-    let degrees = graph.out_degrees();
-    let n = graph.num_vertices;
-    let mut sources = Vec::with_capacity(count);
-    let mut state = seed;
-    let mut attempts = 0u64;
-    while sources.len() < count && attempts < n * 4 + 1000 {
-        state = splitmix64(state);
-        let v = state % n;
-        attempts += 1;
-        if degrees[v as usize] > 0 && !sources.contains(&v) {
-            sources.push(v);
-        }
-    }
-    assert!(!sources.is_empty(), "no connected source found");
-    sources
 }
 
 /// Aggregated outcome of running BFS from several sources.
@@ -233,25 +200,12 @@ mod tests {
     use gcbfs_graph::rmat::RmatConfig;
 
     #[test]
-    fn sources_are_connected_and_distinct() {
-        let g = RmatConfig::graph500(8).generate();
-        let s = pick_sources(&g, 5, 42);
-        assert_eq!(s.len(), 5);
-        let degrees = g.out_degrees();
-        assert!(s.iter().all(|&v| degrees[v as usize] > 0));
-        let mut dedup = s.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 5);
-    }
-
-    #[test]
     fn run_many_aggregates() {
         let cfg = RmatConfig::graph500(8);
         let g = cfg.generate();
         let config = BfsConfig::new(8);
         let dist = DistributedGraph::build(&g, Topology::new(2, 1), &config).unwrap();
-        let sources = pick_sources(&g, 4, 7);
+        let sources = g.source_pool(4, 7);
         let summary = run_many(&dist, &config, &sources, cfg.graph500_edges());
         assert!(summary.gteps > 0.0);
         assert!(summary.iterations > 1.0);

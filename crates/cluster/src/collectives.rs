@@ -4,7 +4,7 @@
 //! the delegate bitmasks: GPUs of one MPI rank push their masks to GPU0
 //! over NVLink and GPU0 reduces in parallel (local phase), then the GPU0
 //! host threads run an `MPI_(I)Allreduce` across ranks (global phase), and
-//! every GPU in the rank consumes the result. [`allreduce_or`] performs
+//! every GPU in the rank consumes the result. [`allreduce_or_compressed`] performs
 //! exactly that dataflow on the simulated cluster and reports the modeled
 //! time of both phases separately (they land in different phases of the
 //! Fig. 8/10 breakdown).
@@ -91,28 +91,14 @@ pub fn mask_reduce_hops(num_ranks: u32, outcome: &AllreduceOutcome) -> Vec<Colle
     hops
 }
 
-/// Two-phase bit-or allreduce of one `u64` mask word vector per GPU.
+/// Two-phase bit-or allreduce of one `u64` mask word vector per GPU,
+/// with an optional compression mode on the global (InfiniBand) phase —
+/// the §V-A `d/8`-byte messages are this simulator's second remote-byte
+/// producer. The *local* NVLink phase always moves raw masks.
 ///
 /// `blocking` selects `MPI_Allreduce` (true) vs `MPI_Iallreduce` (false)
 /// for the global phase; the flavors reduce identically but cost
 /// differently (§VI-B).
-///
-/// # Panics
-/// Panics if mask lengths differ or the GPU count does not match the
-/// topology.
-pub fn allreduce_or(
-    topology: Topology,
-    cost: &CostModel,
-    masks: &[Vec<u64>],
-    blocking: bool,
-) -> AllreduceOutcome {
-    allreduce_or_compressed(topology, cost, masks, blocking, CompressionMode::Off, None)
-}
-
-/// [`allreduce_or`] with an optional compression mode on the global
-/// (InfiniBand) phase — the §V-A `d/8`-byte messages are this simulator's
-/// second remote-byte producer. The *local* NVLink phase always moves raw
-/// masks.
 ///
 /// The global phase is the one the proc backend ships: the
 /// [`rank_contributions`] encoded against `reference`, reduced by
@@ -361,17 +347,6 @@ pub fn allreduce_sum(
     allreduce_with(topology, cost, values, blocking, |a, b| a + b)
 }
 
-/// Two-phase **min** allreduce of one `u64` vector per GPU (component
-/// labels in label-propagation connected components).
-pub fn allreduce_min(
-    topology: Topology,
-    cost: &CostModel,
-    values: &[Vec<u64>],
-    blocking: bool,
-) -> AllreduceValueOutcome<u64> {
-    allreduce_with(topology, cost, values, blocking, u64::min)
-}
-
 /// Result of a two-phase value allreduce.
 #[derive(Clone, Debug)]
 pub struct AllreduceValueOutcome<T> {
@@ -443,7 +418,7 @@ mod tests {
         let topo = Topology::new(2, 2);
         let cost = CostModel::ray();
         let masks = vec![vec![0b0001u64], vec![0b0010], vec![0b0100], vec![0b1000]];
-        let out = allreduce_or(topo, &cost, &masks, true);
+        let out = allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, None);
         assert_eq!(out.reduced, vec![0b1111]);
         assert!(out.local_time > 0.0);
         assert!(out.global_time > 0.0);
@@ -454,7 +429,8 @@ mod tests {
     fn allreduce_single_gpu_is_identity_and_free() {
         let topo = Topology::new(1, 1);
         let cost = CostModel::ray();
-        let out = allreduce_or(topo, &cost, &[vec![42, 7]], false);
+        let out =
+            allreduce_or_compressed(topo, &cost, &[vec![42, 7]], false, CompressionMode::Off, None);
         assert_eq!(out.reduced, vec![42, 7]);
         assert_eq!(out.local_time, 0.0);
         assert_eq!(out.global_time, 0.0);
@@ -464,7 +440,14 @@ mod tests {
     fn allreduce_multi_word() {
         let topo = Topology::new(2, 1);
         let cost = CostModel::ray();
-        let out = allreduce_or(topo, &cost, &[vec![1, 0, u64::MAX], vec![2, 4, 0]], true);
+        let out = allreduce_or_compressed(
+            topo,
+            &cost,
+            &[vec![1, 0, u64::MAX], vec![2, 4, 0]],
+            true,
+            CompressionMode::Off,
+            None,
+        );
         assert_eq!(out.reduced, vec![3, 4, u64::MAX]);
     }
 
@@ -473,7 +456,14 @@ mod tests {
     fn allreduce_rejects_ragged_masks() {
         let topo = Topology::new(2, 1);
         let cost = CostModel::ray();
-        let _ = allreduce_or(topo, &cost, &[vec![1], vec![1, 2]], true);
+        let _ = allreduce_or_compressed(
+            topo,
+            &cost,
+            &[vec![1], vec![1, 2]],
+            true,
+            CompressionMode::Off,
+            None,
+        );
     }
 
     #[test]
@@ -492,7 +482,7 @@ mod tests {
         let topo = Topology::new(3, 1);
         let cost = CostModel::ray();
         let values = vec![vec![5u64, 9, 1], vec![3, 9, 2], vec![7, 8, 0]];
-        let out = allreduce_min(topo, &cost, &values, true);
+        let out = allreduce_with(topo, &cost, &values, true, u64::min);
         assert_eq!(out.reduced, vec![3, 8, 0]);
         assert_eq!(out.bytes_per_message, 24);
     }
@@ -502,8 +492,8 @@ mod tests {
         let cost = CostModel::ray();
         let values: Vec<Vec<u64>> =
             (0..8).map(|g| (0..5).map(|i| (g * 7 + i * 3) % 11).collect()).collect();
-        let flat = allreduce_min(Topology::new(8, 1), &cost, &values, true).reduced;
-        let square = allreduce_min(Topology::new(2, 4), &cost, &values, true).reduced;
+        let flat = allreduce_with(Topology::new(8, 1), &cost, &values, true, u64::min).reduced;
+        let square = allreduce_with(Topology::new(2, 4), &cost, &values, true, u64::min).reduced;
         assert_eq!(flat, square);
     }
 
@@ -525,7 +515,7 @@ mod tests {
         let cost = CostModel::ray();
         let masks = vec![vec![0u64; 128]; 4]; // 128 words = 8192 delegates
         let scores = vec![vec![0f64; 8192]; 4]; // same delegates as f64
-        let or = allreduce_or(topo, &cost, &masks, true);
+        let or = allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, None);
         let sum = allreduce_sum(topo, &cost, &scores, true);
         assert_eq!(sum.bytes_per_message, 64 * or.bytes_per_message);
         assert!(sum.global_time > or.global_time);
@@ -537,7 +527,8 @@ mod tests {
         let cost = CostModel::ray();
         let masks: Vec<Vec<u64>> =
             (0..8).map(|g| (0..64).map(|w| ((g + w) % 7 == 0) as u64).collect()).collect();
-        let reference = allreduce_or(topo, &cost, &masks, true);
+        let reference =
+            allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, None);
         for mode in [
             CompressionMode::Adaptive,
             CompressionMode::Fixed(
@@ -565,7 +556,7 @@ mod tests {
         for (g, m) in masks.iter_mut().enumerate() {
             m[g * 7] = 1 << (g * 3);
         }
-        let raw = allreduce_or(topo, &cost, &masks, true);
+        let raw = allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, None);
         let out =
             allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Adaptive, None);
         assert!(
@@ -610,7 +601,7 @@ mod tests {
         let masks = vec![vec![0b0001u64], vec![0b0010], vec![0b0100], vec![0b1000]];
         let out =
             allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, Some(&[0]));
-        let base = allreduce_or(topo, &cost, &masks, true);
+        let base = allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, None);
         assert_eq!(out.reduced, base.reduced);
         assert_eq!(out.global_time, base.global_time);
         assert_eq!(out.bytes_per_message, base.bytes_per_message);
@@ -682,7 +673,7 @@ mod tests {
         let topo = Topology::new(4, 2);
         let cost = CostModel::ray();
         let masks: Vec<Vec<u64>> = (0..8).map(|g| vec![1u64 << g; 16]).collect();
-        let out = allreduce_or(topo, &cost, &masks, true);
+        let out = allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, None);
         let hops = mask_reduce_hops(topo.num_ranks(), &out);
         // Ring allreduce: reduce pass + broadcast pass, one hop per rank each.
         assert_eq!(hops.len(), 2 * topo.num_ranks() as usize);
@@ -698,7 +689,7 @@ mod tests {
         let topo = Topology::new(1, 4);
         let cost = CostModel::ray();
         let masks = vec![vec![1u64]; 4];
-        let out = allreduce_or(topo, &cost, &masks, true);
+        let out = allreduce_or_compressed(topo, &cost, &masks, true, CompressionMode::Off, None);
         assert!(mask_reduce_hops(1, &out).is_empty());
     }
 

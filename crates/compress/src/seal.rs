@@ -117,11 +117,6 @@ impl SealedPayload {
         }
     }
 
-    /// True when the payload still matches its seal.
-    pub fn is_intact(&self) -> bool {
-        fnv1a(&self.bytes) == self.checksum
-    }
-
     /// Payload length in bytes (what the cost model charges the wire).
     pub fn len(&self) -> usize {
         self.bytes.len()
@@ -152,7 +147,6 @@ mod tests {
     #[test]
     fn seal_roundtrip() {
         let sealed = SealedPayload::seal(vec![1, 2, 3, 250]);
-        assert!(sealed.is_intact());
         assert_eq!(sealed.open().unwrap(), &[1, 2, 3, 250]);
         assert_eq!(sealed.len(), 4);
         assert!(!sealed.is_empty());
@@ -170,7 +164,6 @@ mod tests {
     #[test]
     fn empty_payload_is_valid() {
         let sealed = SealedPayload::seal(Vec::new());
-        assert!(sealed.is_intact());
         assert!(sealed.is_empty());
         assert_eq!(sealed.open().unwrap(), &[] as &[u8]);
     }
@@ -179,7 +172,6 @@ mod tests {
     fn corruption_is_detected() {
         let mut sealed = SealedPayload::seal(vec![0u8; 64]);
         sealed.bytes_mut()[17] ^= 0x40;
-        assert!(!sealed.is_intact());
         let err = sealed.open().unwrap_err();
         assert_ne!(err.expected, err.actual);
     }

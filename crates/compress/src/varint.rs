@@ -25,13 +25,6 @@ pub fn write_u32(out: &mut Vec<u8>, v: u32) {
     write_u64(out, v as u64);
 }
 
-/// Encoded length of `v` without writing it (used by size-bound tests).
-#[cfg_attr(not(test), allow(dead_code))]
-#[inline]
-pub fn len_u64(v: u64) -> usize {
-    (64 - v.leading_zeros()).div_ceil(7).max(1) as usize
-}
-
 /// Reads one LEB128 `u64` from `bytes` at `*pos`, advancing `*pos`.
 #[inline]
 pub fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
@@ -64,6 +57,8 @@ mod tests {
 
     #[test]
     fn roundtrip_edges() {
+        // Seven payload bits per byte, at least one byte.
+        let len_u64 = |v: u64| (64 - v.leading_zeros()).div_ceil(7).max(1) as usize;
         let mut buf = Vec::new();
         let values = [0u64, 1, 127, 128, 16383, 16384, u32::MAX as u64, u64::MAX];
         for &v in &values {

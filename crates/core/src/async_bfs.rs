@@ -159,10 +159,6 @@ mod tests {
     use gcbfs_graph::rmat::RmatConfig;
     use gcbfs_graph::{builders, Csr, WebGraphConfig};
 
-    fn hub(graph: &gcbfs_graph::EdgeList) -> u64 {
-        graph.out_degrees().iter().enumerate().max_by_key(|&(_, deg)| *deg).unwrap().0 as u64
-    }
-
     #[test]
     fn matches_reference_on_rmat() {
         let graph = RmatConfig::graph500(9).generate();
@@ -170,8 +166,8 @@ mod tests {
         let config = BfsConfig::new(8);
         for topo in [Topology::new(1, 1), Topology::new(2, 2), Topology::new(3, 2)] {
             let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
-            let r = dist.run_async(hub(&graph), &config).unwrap();
-            assert_eq!(r.depths, bfs_depths(&csr, hub(&graph)));
+            let r = dist.run_async(graph.hub().unwrap(), &config).unwrap();
+            assert_eq!(r.depths, bfs_depths(&csr, graph.hub().unwrap()));
         }
     }
 
@@ -195,7 +191,7 @@ mod tests {
         let graph = WebGraphConfig::wdc_like(9).generate();
         let config = BfsConfig::new(64).with_direction_optimization(false);
         let dist = DistributedGraph::build(&graph, Topology::new(4, 2), &config).unwrap();
-        let src = hub(&graph);
+        let src = graph.hub().unwrap();
         let bsp = dist.run(src, &config).unwrap();
         let asy = dist.run_async(src, &config).unwrap();
         assert_eq!(asy.depths, bsp.depths);
@@ -213,7 +209,7 @@ mod tests {
         let graph = RmatConfig::graph500(9).generate();
         let config = BfsConfig::new(8).with_direction_optimization(false);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-        let src = hub(&graph);
+        let src = graph.hub().unwrap();
         let bsp = dist.run(src, &config).unwrap();
         let asy = dist.run_async(src, &config).unwrap();
         assert_eq!(asy.waves, bsp.iterations());

@@ -672,8 +672,7 @@ mod tests {
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
         // Pick a well-connected source (vertex 0 may be isolated after the
         // id randomization).
-        let degrees = graph.out_degrees();
-        let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let r = dist.run(source, &config).unwrap();
         assert!(r.iterations() >= 2);
         assert!(r.modeled_seconds() > 0.0);
@@ -728,7 +727,7 @@ mod tests {
         let config = BfsConfig::new(8);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
         let degrees = graph.out_degrees();
-        let hub = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let hub = graph.hub().unwrap();
         let leaf = (0..graph.num_vertices).find(|&v| degrees[v as usize] == 1).unwrap();
         for src in [hub, leaf] {
             let r = dist.run_with_parents(src, &config).unwrap();
@@ -745,7 +744,7 @@ mod tests {
         let graph = RmatConfig::graph500(8).generate();
         let csr = Csr::from_edge_list(&graph);
         let topo = Topology::new(3, 2);
-        let src = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let src = graph.hub().unwrap();
         for (doo, l, u) in [(true, false, false), (false, true, true), (true, true, true)] {
             let config = BfsConfig::new(8)
                 .with_direction_optimization(doo)
@@ -789,8 +788,7 @@ mod tests {
         let base = BfsConfig::new(8).with_local_all2all(true).with_uniquify(true);
         let topo = Topology::new(2, 2);
         let dist = DistributedGraph::build(&graph, topo, &base).unwrap();
-        let degrees = graph.out_degrees();
-        let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let reference = dist.run(source, &base).unwrap();
         assert_eq!(reference.stats.total_bytes_saved(), 0, "Off mode charges raw bytes");
         for mode in [
@@ -820,8 +818,7 @@ mod tests {
         let base = BfsConfig::new(8);
         let topo = Topology::new(2, 2);
         let dist = DistributedGraph::build(&graph, topo, &base).unwrap();
-        let degrees = graph.out_degrees();
-        let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let raw = dist.run(source, &base).unwrap();
         let config = base.with_compression(CompressionMode::Adaptive);
         let r = dist.run(source, &config).unwrap();
@@ -851,8 +848,7 @@ mod tests {
         let graph = RmatConfig::graph500(8).generate();
         let config = BfsConfig::new(8);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-        let degrees = graph.out_degrees();
-        let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         (graph, dist, config, source)
     }
 
@@ -981,8 +977,7 @@ mod tests {
         let graph = RmatConfig::graph500(12).generate();
         let config = BfsConfig::new(8);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-        let degrees = graph.out_degrees();
-        let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let expect = bfs_depths(&Csr::from_edge_list(&graph), source);
         let config = config.with_compression(CompressionMode::Adaptive);
         let plan = FaultPlan::new(99).with_message_drops(0.2);
@@ -1004,8 +999,7 @@ mod tests {
         let graph = RmatConfig::graph500(12).generate();
         let config = BfsConfig::new(8);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-        let degrees = graph.out_degrees();
-        let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let expect = bfs_depths(&Csr::from_edge_list(&graph), source);
         let config = config.with_compression(CompressionMode::Adaptive);
         let plan = FaultPlan::new(1).with_fail_stop(2, 1);

@@ -45,10 +45,10 @@
 //! §V-A when the dirty set is wide. Maintenance —
 //! overlay application, delta compaction, `TH` reclassification, and
 //! the seed scan — lands in `FaultStats::checkpoint_seconds` (the
-//! "state upkeep" bucket both `RunStats::modeled_elapsed` and the
-//! critical-path builders already pass through), so the PR 4 invariant
-//! `critical_path().total_seconds() == modeled_elapsed()` holds
-//! bitwise with mutations on.
+//! "state upkeep" bucket both `RunStats::modeled_elapsed` and
+//! `TraceLog::critical_path` already pass through), so a repair's
+//! traced critical path totals its `modeled_elapsed()` bitwise, as a
+//! full run's does.
 
 use crate::config::BfsConfig;
 use crate::driver::{BfsResult, BuildError, DistributedGraph};
@@ -100,9 +100,9 @@ pub struct RepairReport {
     pub compaction_seconds: f64,
     /// Whether this batch triggered overlay compaction.
     pub compacted: bool,
-    /// Per-wave records and the maintenance charges; satisfies
-    /// `stats.critical_path().total_seconds() == stats.modeled_elapsed()`
-    /// bitwise, like a full run's stats.
+    /// Per-wave records and the maintenance charges; with observability
+    /// on, the trace's critical path totals `stats.modeled_elapsed()`
+    /// bitwise, like a full run's.
     pub stats: RunStats,
     /// The finished trace when the config ran with observability on.
     pub observed: Option<TraceLog>,
@@ -157,6 +157,18 @@ impl WaveAcc {
     fn is_empty(&self) -> bool {
         self.vertices.iter().all(|&(n, d)| n + d == 0)
     }
+
+    /// Books one scanned edge on GPU `g`, classed nn/nd/dn/dd by the
+    /// delegate flags of its ends.
+    fn scan(&mut self, g: usize, from_delegate: bool, to_delegate: bool) {
+        let e = &mut self.edges[g];
+        match (from_delegate, to_delegate) {
+            (false, false) => e.0 += 1,
+            (false, true) => e.1 += 1,
+            (true, false) => e.2 += 1,
+            (true, true) => e.3 += 1,
+        }
+    }
 }
 
 /// A distributed graph under streaming edge mutations, carrying the last
@@ -164,7 +176,6 @@ impl WaveAcc {
 #[derive(Clone, Debug)]
 pub struct EvolvingGraph {
     graph: CsrDelta,
-    degrees: Vec<u64>,
     delegate: Vec<bool>,
     num_delegates: u64,
     topology: Topology,
@@ -183,13 +194,12 @@ impl EvolvingGraph {
     /// Wraps `graph` (assumed symmetric, like everything in this
     /// workspace) for incremental traversal over `topology`.
     pub fn new(graph: &EdgeList, topology: Topology, config: &BfsConfig) -> Self {
-        let degrees = graph.out_degrees();
-        let delegate: Vec<bool> = degrees.iter().map(|&d| d > config.degree_threshold).collect();
+        let delegate: Vec<bool> =
+            graph.out_degrees().iter().map(|&d| d > config.degree_threshold).collect();
         let num_delegates = delegate.iter().filter(|&&d| d).count() as u64;
         let n = graph.num_vertices as usize;
         Self {
             graph: CsrDelta::from_edge_list(graph),
-            degrees,
             delegate,
             num_delegates,
             topology,
@@ -232,7 +242,7 @@ impl EvolvingGraph {
 
     /// Current out-degree of `v`.
     pub fn degree(&self, v: u64) -> u64 {
-        self.degrees[v as usize]
+        self.graph.degree(v)
     }
 
     /// The source of the maintained traversal, if one ran.
@@ -328,7 +338,6 @@ impl EvolvingGraph {
             match *op {
                 MutationOp::Add { u, v } => {
                     self.graph.add_edge(u, v);
-                    self.degrees[u as usize] += 1;
                     applied_adds += 1;
                     touched.insert(u);
                     touched.insert(v);
@@ -336,7 +345,6 @@ impl EvolvingGraph {
                 }
                 MutationOp::Delete { u, v } => {
                     if self.graph.delete_edge(u, v) {
-                        self.degrees[u as usize] -= 1;
                         applied_deletes += 1;
                         touched.insert(u);
                         touched.insert(v);
@@ -364,12 +372,13 @@ impl EvolvingGraph {
         let th = self.config.degree_threshold;
         let mut promo_bytes = 0u64;
         for &v in &touched {
-            let now = self.degrees[v as usize] > th;
+            let degree = self.graph.degree(v);
+            let now = degree > th;
             if now == self.delegate[v as usize] {
                 continue;
             }
             self.delegate[v as usize] = now;
-            let adjacency_bytes = 4 * self.degrees[v as usize].max(1);
+            let adjacency_bytes = 4 * degree.max(1);
             if now {
                 // Promotion: replicate the adjacency on every GPU.
                 promotions += 1;
@@ -405,16 +414,7 @@ impl EvolvingGraph {
                 if self.depths[v as usize] != d {
                     continue; // already invalidated via another path
                 }
-                let g = topo.flat(topo.vertex_owner(v));
-                let v_del = self.delegate[v as usize];
-                if v_del {
-                    acc.vertices[g].1 += 1;
-                    acc.settled_delegates += 1;
-                    acc.mask_touched = true;
-                    acc.dirty_delegates.insert(v);
-                } else {
-                    acc.vertices[g].0 += 1;
-                }
+                let (g, v_del) = self.account_vertex(&mut acc, v);
                 // A suspect survives iff a neighbor still sits one level
                 // up; neighbors come sorted, so the first hit is the
                 // smallest valid parent. The scan stops there, and only
@@ -426,13 +426,7 @@ impl EvolvingGraph {
                     if support.is_some() {
                         return;
                     }
-                    let e = &mut acc.edges[g];
-                    match (v_del, self.delegate[w as usize]) {
-                        (false, false) => e.0 += 1,
-                        (false, true) => e.1 += 1,
-                        (true, false) => e.2 += 1,
-                        (true, true) => e.3 += 1,
-                    }
+                    acc.scan(g, v_del, self.delegate[w as usize]);
                     if self.depths[w as usize] == d - 1 {
                         support = Some(w);
                     }
@@ -478,9 +472,6 @@ impl EvolvingGraph {
         // pass costs what the busiest lane does.
         let mut seed_scan = vec![(0u64, 0u64); p];
         for &v in &invalidated {
-            if self.depths[v as usize] != UNREACHED {
-                continue; // re-settled by an earlier seed? (not possible yet, kept for clarity)
-            }
             let lane = &mut seed_scan[topo.flat(topo.vertex_owner(v))];
             lane.0 += 1;
             let mut best: Option<(u32, u64)> = None;
@@ -517,7 +508,8 @@ impl EvolvingGraph {
                 self.depths[v as usize] = d;
                 self.parents[v as usize] = parent;
                 resettled += 1;
-                self.account_vertex(&mut acc, v);
+                let (g, v_del) = self.account_vertex(&mut acc, v);
+                self.graph.for_neighbors(v, |w| acc.scan(g, v_del, self.delegate[w as usize]));
             }
             for &(v, _) in &settled {
                 self.graph.for_neighbors(v, |w| {
@@ -586,9 +578,9 @@ impl EvolvingGraph {
         }
     }
 
-    /// Books the full neighbor scan of `v` (one processed vertex) into
-    /// the wave accumulator, classed by the delegate flags of both ends.
-    fn account_vertex(&self, acc: &mut WaveAcc, v: u64) {
+    /// Books `v` as one vertex processed this wave on its owner GPU;
+    /// returns that GPU and `v`'s delegate flag for the edge tally.
+    fn account_vertex(&self, acc: &mut WaveAcc, v: u64) -> (usize, bool) {
         let g = self.topology.flat(self.topology.vertex_owner(v));
         let v_del = self.delegate[v as usize];
         if v_del {
@@ -599,13 +591,7 @@ impl EvolvingGraph {
         } else {
             acc.vertices[g].0 += 1;
         }
-        let e = &mut acc.edges[g];
-        self.graph.for_neighbors(v, |w| match (v_del, self.delegate[w as usize]) {
-            (false, false) => e.0 += 1,
-            (false, true) => e.1 += 1,
-            (true, false) => e.2 += 1,
-            (true, true) => e.3 += 1,
-        });
+        (g, v_del)
     }
 
     /// Books one accepted proposal/notification `v → w` into the wave
@@ -985,11 +971,6 @@ mod tests {
         let log = crate::mutation::MutationLog::random(3, &g, 2, 24, 0.5);
         for batch in &log.batches {
             let rep = ev.apply_batch(batch);
-            // PR 4 invariant, bitwise, with mutations on.
-            assert_eq!(
-                rep.stats.critical_path().total_seconds().to_bits(),
-                rep.stats.modeled_elapsed().to_bits()
-            );
             let trace = rep.observed.expect("observability on");
             assert_eq!(trace.iterations.len() as u32, rep.waves);
             assert_eq!(

@@ -268,8 +268,7 @@ mod tests {
         let topo = Topology::new(2, 2);
         let bfs_config = BfsConfig::new(8);
         let dist = DistributedGraph::build(&graph, topo, &bfs_config).unwrap();
-        let src =
-            graph.out_degrees().iter().enumerate().max_by_key(|&(_, deg)| *deg).unwrap().0 as u64;
+        let src = graph.hub().unwrap();
         let bfs = dist.run(src, &bfs_config).unwrap();
         let pr = dist.pagerank(&PageRankConfig {
             max_iterations: bfs.iterations(),

@@ -155,8 +155,7 @@ mod tests {
         let base = RmatConfig::graph500(8).generate();
         let config = BfsConfig::new(8);
         let dist = weighted(&base, Weights::new(1, 0).unwrap(), Topology::new(2, 2), 8);
-        let src =
-            base.out_degrees().iter().enumerate().max_by_key(|&(_, deg)| *deg).unwrap().0 as u64;
+        let src = base.hub().unwrap();
         let r = dist.run(src, &config).unwrap();
         let depths =
             gcbfs_graph::reference::bfs_depths(&gcbfs_graph::Csr::from_edge_list(&base), src);

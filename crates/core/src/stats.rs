@@ -9,7 +9,6 @@
 use crate::kernels::KernelWork;
 use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
 use gcbfs_compress::CodecCounts;
-use gcbfs_trace::{CriticalPath, IterationPath, PathSegment, PhaseTag};
 
 /// One BFS iteration's cluster-wide record.
 #[derive(Clone, Debug)]
@@ -182,54 +181,6 @@ impl RunStats {
         total
     }
 
-    /// The run's critical path, derived from the per-iteration records
-    /// and the fault accounting.
-    ///
-    /// The returned path's
-    /// [`total_seconds`](gcbfs_trace::CriticalPath::total_seconds) is
-    /// bit-identical to [`RunStats::modeled_elapsed`]: the iteration
-    /// elapsed times are summed in the same order with the same overlap
-    /// expression, and the checkpoint/recovery buckets are passed through
-    /// unchanged. Segment lane attribution (`gpu`) is `None` here because
-    /// the records only keep cluster-wide phase maxima; a
-    /// [`TraceLog`](gcbfs_trace::TraceLog) from an observed run carries
-    /// per-lane attribution as well.
-    pub fn critical_path(&self) -> CriticalPath {
-        let mut iterations = Vec::with_capacity(self.records.len());
-        let mut cursor = 0.0f64;
-        for r in &self.records {
-            let p = r.timing.phases;
-            let elapsed = r.timing.elapsed();
-            iterations.push(IterationPath {
-                iter: r.iter,
-                start: cursor,
-                elapsed,
-                blocking: r.timing.blocking_reduce,
-                overlap: r.timing.overlap,
-                segments: [
-                    PathSegment { phase: PhaseTag::Computation, seconds: p.computation, gpu: None },
-                    PathSegment { phase: PhaseTag::LocalComm, seconds: p.local_comm, gpu: None },
-                    PathSegment {
-                        phase: PhaseTag::RemoteNormal,
-                        seconds: p.remote_normal,
-                        gpu: None,
-                    },
-                    PathSegment {
-                        phase: PhaseTag::RemoteDelegate,
-                        seconds: p.remote_delegate,
-                        gpu: None,
-                    },
-                ],
-            });
-            cursor += elapsed;
-        }
-        CriticalPath {
-            iterations,
-            checkpoint_seconds: self.fault.checkpoint_seconds,
-            recovery_seconds: self.fault.recovery_seconds,
-        }
-    }
-
     /// Compression ratio of the run's remote traffic: raw bytes over wire
     /// bytes (1.0 when compression is off or nothing was sent).
     pub fn compression_ratio(&self) -> f64 {
@@ -321,29 +272,5 @@ mod tests {
         let stats = RunStats::default();
         assert_eq!(stats.iterations(), 0);
         assert_eq!(stats.modeled_elapsed(), 0.0);
-        assert_eq!(stats.critical_path().total_seconds(), 0.0);
-    }
-
-    #[test]
-    fn critical_path_total_equals_modeled_elapsed() {
-        let fault = FaultStats {
-            checkpoint_seconds: 0.125,
-            recovery_seconds: 0.375,
-            ..FaultStats::default()
-        };
-        let stats = RunStats {
-            records: vec![record(0, true, 4.0), record(1, false, 6.0)],
-            wall_seconds: 0.1,
-            fault,
-            num_gpus: 4,
-        };
-        let cp = stats.critical_path();
-        assert_eq!(cp.total_seconds(), stats.modeled_elapsed());
-        assert_eq!(cp.iterations.len(), 2);
-        // Starts are cumulative elapsed times; segments mirror the phases.
-        assert_eq!(cp.iterations[0].start, 0.0);
-        assert_eq!(cp.iterations[1].start, stats.records[0].timing.elapsed());
-        assert_eq!(cp.iterations[0].segments[0].seconds, 4.0);
-        assert!(cp.iterations.iter().all(|i| i.segments.iter().all(|s| s.gpu.is_none())));
     }
 }

@@ -47,14 +47,11 @@ impl fmt::Display for Row<'_> {
 ///
 /// With per-kernel, per-GPU direction decisions the GPUs of one iteration
 /// can legitimately disagree; collapsing any nonzero backward count to `B`
-/// (the old rendering) hid that. `total_gpus == 0` — hand-built
-/// [`RunStats`](crate::stats::RunStats) values predating the
-/// [`num_gpus`](crate::stats::RunStats::num_gpus) field — falls back to
-/// the old nonzero→`B` behavior.
+/// (the old rendering) hid that.
 fn dir_char(backward_gpus: u32, total_gpus: u32) -> char {
     if backward_gpus == 0 {
         'F'
-    } else if total_gpus == 0 || backward_gpus >= total_gpus {
+    } else if backward_gpus >= total_gpus {
         'B'
     } else {
         'm'
@@ -170,7 +167,7 @@ mod tests {
         let graph = RmatConfig::graph500(9).generate();
         let config = BfsConfig::new(8);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-        let src = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let src = graph.hub().unwrap();
         dist.run(src, &config).unwrap()
     }
 
@@ -190,7 +187,7 @@ mod tests {
         let graph = RmatConfig::graph500(9).generate();
         let config = BfsConfig::new(8).with_compression(CompressionMode::Adaptive);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-        let src = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let src = graph.hub().unwrap();
         let r = dist.run(src, &config).unwrap();
         let text = format!("{}", RunTrace(&r));
         assert_eq!(text.lines().count(), 3 + r.iterations() as usize);

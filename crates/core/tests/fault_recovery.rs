@@ -26,8 +26,7 @@ fn build_fixture(topo: Topology) -> Fixture {
     let graph = RmatConfig::graph500(8).generate();
     let config = BfsConfig::new(8);
     let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = graph.hub().unwrap();
     let reference = bfs_depths(&Csr::from_edge_list(&graph), source);
     Fixture { dist, config, reference, source }
 }

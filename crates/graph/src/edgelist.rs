@@ -5,6 +5,7 @@
 //! conventional-format memory comparison of Table I is computed against it
 //! (16 bytes per directed edge).
 
+use crate::permute::splitmix64;
 use rayon::prelude::*;
 
 /// A global vertex identifier. The paper uses 64-bit global ids and converts
@@ -96,6 +97,37 @@ impl EdgeList {
         degrees.into_iter().map(AtomicU64::into_inner).collect()
     }
 
+    /// The hub: the highest out-degree vertex, the last one on ties (the
+    /// rule of `Iterator::max_by_key`), or `None` with no vertices. Every
+    /// harness starts one traversal from it.
+    pub fn hub(&self) -> Option<VertexId> {
+        self.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).map(|(v, _)| v as VertexId)
+    }
+
+    /// Up to `count` distinct sources with at least one edge, drawn in
+    /// order by a splitmix64 chain from `seed`: the paper's random sources
+    /// that run past one level (§VI-A3). It stops after `4n + 1000` draws,
+    /// and returns no source when no vertex has an edge.
+    pub fn source_pool(&self, count: usize, seed: u64) -> Vec<VertexId> {
+        let mut sources = Vec::new();
+        if self.edges.is_empty() {
+            return sources;
+        }
+        let degrees = self.out_degrees();
+        let n = self.num_vertices;
+        let mut state = seed;
+        let mut attempts = 0u64;
+        while sources.len() < count && attempts < n * 4 + 1000 {
+            state = splitmix64(state);
+            let v = state % n;
+            attempts += 1;
+            if degrees[v as usize] > 0 && !sources.contains(&v) {
+                sources.push(v);
+            }
+        }
+        sources
+    }
+
     /// Applies a vertex renumbering `f` to every endpoint.
     ///
     /// `f` must be a bijection on `0..num_vertices`; this is how the
@@ -178,6 +210,54 @@ mod tests {
     fn zero_degree_count() {
         let g = small();
         assert_eq!(g.count_zero_degree(), 1);
+    }
+
+    #[test]
+    fn hub_is_the_last_highest_degree_vertex() {
+        // Vertices 0 and 2 tie at degree 2: the later one wins.
+        let g = EdgeList::new(4, vec![(0, 1), (0, 3), (2, 1), (2, 3), (1, 0)]);
+        assert_eq!(g.hub(), Some(2));
+        assert_eq!(small().hub(), Some(0));
+        // No edges: every vertex ties at 0, so the last is the hub.
+        assert_eq!(EdgeList::new(3, vec![]).hub(), Some(2));
+        assert_eq!(EdgeList::new(0, vec![]).hub(), None);
+    }
+
+    #[test]
+    fn source_pool_draws_distinct_vertices_with_edges() {
+        let g = crate::rmat::RmatConfig::graph500(8).generate();
+        let degrees = g.out_degrees();
+        let pool = g.source_pool(64, 9);
+        assert_eq!(pool.len(), 64);
+        assert!(pool.iter().all(|&v| degrees[v as usize] > 0));
+        let mut distinct = pool.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), pool.len());
+        assert_eq!(g.source_pool(64, 9), pool, "one seed, one pool");
+        assert_ne!(g.source_pool(64, 10), pool);
+        // A pool asks for no more sources than the graph has.
+        let star = crate::builders::star(3);
+        assert_eq!(star.source_pool(10, 1).len(), 4);
+    }
+
+    #[test]
+    fn source_pool_is_empty_without_edges() {
+        assert!(EdgeList::new(5, vec![]).source_pool(4, 1).is_empty());
+        assert!(EdgeList::new(0, vec![]).source_pool(4, 1).is_empty());
+    }
+
+    #[test]
+    fn source_pool_keeps_the_bench_harness_draw() {
+        // Every committed exhibit's sources come from this draw, so it
+        // must not move.
+        let g = crate::rmat::RmatConfig::graph500(8).generate();
+        assert_eq!(g.source_pool(5, 42), vec![149, 4, 70, 147, 198]);
+        assert_eq!(
+            g.source_pool(16, 0xf10),
+            vec![39, 176, 144, 96, 180, 78, 45, 187, 225, 143, 20, 156, 249, 212, 4, 241]
+        );
+        assert_eq!(g.hub(), Some(80));
     }
 
     #[test]

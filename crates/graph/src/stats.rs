@@ -57,22 +57,6 @@ impl DegreeStats {
     pub fn from_graph(graph: &EdgeList) -> Self {
         Self::from_degrees(&graph.out_degrees())
     }
-
-    /// Number of vertices with degree strictly greater than `threshold` —
-    /// the delegate count `d` the separation in `gcbfs-core` will produce.
-    pub fn count_above(degrees: &[u64], threshold: u64) -> u64 {
-        degrees.iter().filter(|&&d| d > threshold).count() as u64
-    }
-
-    /// Fraction of edges whose *source* has degree above `threshold`.
-    pub fn edge_fraction_from_high(degrees: &[u64], threshold: u64) -> f64 {
-        let total: u64 = degrees.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let high: u64 = degrees.iter().filter(|&&d| d > threshold).sum();
-        high as f64 / total as f64
-    }
 }
 
 /// Bit length of `d` (0 for 0).
@@ -99,25 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn count_above_threshold() {
-        let degrees = vec![0, 1, 5, 64, 64, 100];
-        assert_eq!(DegreeStats::count_above(&degrees, 5), 3);
-        assert_eq!(DegreeStats::count_above(&degrees, 64), 1);
-        assert_eq!(DegreeStats::count_above(&degrees, 0), 5);
-    }
-
-    #[test]
-    fn edge_fraction() {
-        let degrees = vec![10, 10, 80];
-        let f = DegreeStats::edge_fraction_from_high(&degrees, 10);
-        assert!((f - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_distribution() {
         let s = DegreeStats::from_degrees(&[]);
         assert_eq!(s.num_vertices, 0);
         assert_eq!(s.mean_degree, 0.0);
-        assert_eq!(DegreeStats::edge_fraction_from_high(&[], 3), 0.0);
     }
 }

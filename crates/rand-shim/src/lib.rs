@@ -161,9 +161,6 @@ pub mod rngs {
             result
         }
     }
-
-    /// Alias: the small generator is the same construction in the shim.
-    pub type SmallRng = StdRng;
 }
 
 #[cfg(test)]

@@ -40,8 +40,7 @@ fn main() {
     );
 
     // Pick a well-connected source and run.
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = graph.hub().expect("graph has vertices");
     let result = dist.run(source, &config).expect("source in range");
     println!(
         "BFS from {source}: {} iterations, {} of {} vertices reached, max depth {}",

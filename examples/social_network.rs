@@ -24,7 +24,7 @@ fn main() {
     let g500_edges = graph.num_edges() / 2;
 
     // Sweep the degree threshold like Fig. 13 and keep the best.
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = graph.hub().expect("graph has vertices");
     let mut best: Option<(u64, f64)> = None;
     println!("\nTH sweep (DOBFS, 4 simulated GPUs):");
     for th in [8u64, 16, 32, 64, 128] {

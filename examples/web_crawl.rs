@@ -20,8 +20,7 @@ fn main() {
     );
     let topology = Topology::from_paper_notation(2, 2, 2);
     let g500_edges = graph.num_edges() / 2;
-    let degrees = graph.out_degrees();
-    let source = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = graph.hub().expect("graph has vertices");
 
     let mut summaries = Vec::new();
     for use_do in [false, true] {

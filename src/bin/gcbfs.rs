@@ -290,10 +290,7 @@ fn pick_source(graph: &EdgeList, args: &Args) -> Result<u64, String> {
             }
             Ok(s)
         }
-        None => {
-            let degrees = graph.out_degrees();
-            Ok(degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64)
-        }
+        None => graph.hub().ok_or_else(|| "the graph has no vertices to start from".into()),
     }
 }
 
@@ -728,7 +725,6 @@ fn sssp_cmd(args: &Args) -> Result<(), String> {
 
 fn serve_cmd(args: &Args) -> Result<(), String> {
     use gpu_cluster_bfs::core::sssp::DistributedSssp;
-    use gpu_cluster_bfs::graph::permute::splitmix64;
     use gpu_cluster_bfs::graph::weighted::Weights;
     use gpu_cluster_bfs::serve::generate;
 
@@ -765,19 +761,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     let config = BfsConfig::new(th).with_direction_optimization(false);
     let dist = DistributedGraph::build(&graph, topo, &config).map_err(|e| e.to_string())?;
 
-    // Deterministic non-isolated source pool, as in the bench harness.
-    let degrees = graph.out_degrees();
-    let mut sources: Vec<u64> = Vec::with_capacity(pool);
-    let mut state = seed;
-    let mut attempts = 0u64;
-    while sources.len() < pool && attempts < graph.num_vertices * 4 + 1000 {
-        state = splitmix64(state);
-        let v = state % graph.num_vertices;
-        attempts += 1;
-        if degrees[v as usize] > 0 && !sources.contains(&v) {
-            sources.push(v);
-        }
-    }
+    let sources = graph.source_pool(pool, seed);
     if sources.is_empty() {
         return Err("no connected source vertex found".into());
     }

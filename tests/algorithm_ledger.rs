@@ -60,7 +60,7 @@ fn cell_lines(name: &str, graph: &EdgeList, topo: Topology, th: u64, out: &mut S
     let degrees = graph.out_degrees();
     let sources: Vec<u64> =
         (0..graph.num_vertices).filter(|&v| degrees[v as usize] > 0).take(8).collect();
-    let hub = degrees.iter().enumerate().max_by_key(|&(_, d)| *d).unwrap().0 as u64;
+    let hub = graph.hub().unwrap();
 
     let ms = dist.run_multi_source(&sources, &config).unwrap();
     let separate: Vec<BfsResult> = sources.iter().map(|&s| dist.run(s, &config).unwrap()).collect();

@@ -878,17 +878,12 @@ fn digests(w: &WorkerRound<'_>) -> Option<Vec<u64>> {
     w.group().map(|g| g.capture().iter().map(|img| img.digest).collect())
 }
 
-/// The highest-degree vertex: a delegate at any threshold used here.
-fn hub(graph: &EdgeList) -> u64 {
-    graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64
-}
-
 /// The first vertex farthest from the hub: a traversal from it runs two
 /// more supersteps than one from the hub on the RMAT graphs here (6, not
 /// 4), so image checkpoints commit past superstep 2 and 4.
 fn far(graph: &EdgeList) -> u64 {
     let csr = Csr::from_edge_list(graph);
-    let depths = gpu_cluster_bfs::graph::reference::bfs_depths(&csr, hub(graph));
+    let depths = gpu_cluster_bfs::graph::reference::bfs_depths(&csr, graph.hub().unwrap());
     let deepest = depths.iter().filter(|&&d| d != UNREACHED).max().copied().unwrap();
     depths.iter().position(|&d| d == deepest).unwrap() as u64
 }
@@ -900,7 +895,7 @@ fn hosted_groups_match_the_sim_driver_in_process() {
     let rank_halves = vec![(0..4).collect::<Vec<usize>>(), (4..8).collect()];
     for scale in 10..=12 {
         let graph = RmatConfig::graph500(scale).generate();
-        let source = hub(&graph);
+        let source = graph.hub().unwrap();
         for adaptive in [false, true] {
             for dobfs in [true, false] {
                 let mut config = BfsConfig::new(16).with_direction_optimization(dobfs);
@@ -1150,7 +1145,8 @@ fn solo(
 fn fold_cells() -> Vec<(&'static str, DistributedGraph, BfsConfig, u64)> {
     let topo = Topology::new(4, 2);
     let rmat = RmatConfig::graph500(10).generate();
-    let cells = [("grid", builders::grid(8, 8), 3, 0), ("RMAT 10", rmat.clone(), 16, hub(&rmat))];
+    let cells =
+        [("grid", builders::grid(8, 8), 3, 0), ("RMAT 10", rmat.clone(), 16, rmat.hub().unwrap())];
     cells
         .into_iter()
         .map(|(name, graph, th, source)| {

@@ -32,7 +32,7 @@ fn agree_on(graph: &EdgeList, source: u64) {
 fn all_implementations_agree_on_rmat() {
     let graph = RmatConfig::graph500(10).generate();
     let degrees = graph.out_degrees();
-    let hub = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let hub = graph.hub().unwrap();
     let leaf = (0..graph.num_vertices).find(|&v| degrees[v as usize] == 1).unwrap();
     agree_on(&graph, hub);
     agree_on(&graph, leaf);
@@ -41,8 +41,7 @@ fn all_implementations_agree_on_rmat() {
 #[test]
 fn all_implementations_agree_on_powerlaw() {
     let graph = PowerLawConfig::friendster_like(10).generate();
-    let degrees = graph.out_degrees();
-    let src = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let src = graph.hub().unwrap();
     agree_on(&graph, src);
 }
 
@@ -68,8 +67,7 @@ fn dobfs_saves_edges_everywhere_on_rmat() {
     // below plain BFS's ~m.
     let graph = RmatConfig::graph500(11).generate();
     let csr = Csr::from_edge_list(&graph);
-    let degrees = graph.out_degrees();
-    let src = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let src = graph.hub().unwrap();
 
     let plain = SingleNodeBfs::plain().run(&csr, src);
     let single_do = SingleNodeBfs::direction_optimizing().run(&csr, src);
@@ -98,8 +96,7 @@ fn twod_do_workload_exceeds_oned() {
     // per vertex, so its workload must exceed the 1D/single workload.
     let graph = RmatConfig::graph500(10).generate();
     let csr = Csr::from_edge_list(&graph);
-    let degrees = graph.out_degrees();
-    let src = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let src = graph.hub().unwrap();
     let single = SingleNodeBfs::direction_optimizing().run(&csr, src);
     let twod = TwoDBfs::new(4, true).run(&csr, src);
     assert!(twod.edges_examined > single.edges_examined);

@@ -196,6 +196,30 @@ fn a_binary_header_claiming_more_edges_than_the_file_holds_is_refused() {
 }
 
 #[test]
+fn runs_on_a_graph_with_no_vertices_are_refused() {
+    // No vertex means no hub and no source pool: each run is a typed
+    // refusal, not a panic on an empty degree list or a `% 0`.
+    let file = tmp("no-vertices.txt");
+    std::fs::write(&file, "# vertices 0\n").unwrap();
+    let path = file.to_str().unwrap();
+    for run in [
+        &["bfs", path][..],
+        &["bfs", path, "--backend", "proc", "--procs", "1"],
+        &["bfs", path, "--mutate", "1"],
+        &["sssp", path],
+        &["serve", path],
+    ] {
+        let out = gcbfs(run);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{run:?}: {stderr}");
+        assert_eq!(stderr.lines().filter(|l| l.starts_with("error:")).count(), 1, "{stderr}");
+        assert!(!stderr.contains("panicked"), "{run:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{run:?}");
+    }
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn a_zero_max_weight_is_refused() {
     // Weights start at 1: `--max-weight 0` is a typed refusal naming the
     // option, not a panic.

@@ -1,9 +1,12 @@
 //! Property-based tests on the cluster substrate: cost-model sanity
 //! (monotonicity, scaling equivalences) and collective laws.
 
-use gpu_cluster_bfs::cluster::collectives::{allreduce_min, allreduce_or, allreduce_sum};
+use gpu_cluster_bfs::cluster::collectives::{
+    allreduce_or_compressed, allreduce_sum, allreduce_with,
+};
 use gpu_cluster_bfs::cluster::cost::{CostModel, KernelKind, NetworkModel};
 use gpu_cluster_bfs::cluster::topology::Topology;
+use gpu_cluster_bfs::compress::CompressionMode;
 use proptest::prelude::*;
 
 proptest! {
@@ -67,7 +70,7 @@ proptest! {
         let p = vals.len() as u32;
         let topo = Topology::new(p, 1);
         let cost = CostModel::ray();
-        let out = allreduce_or(topo, &cost, &vals, true);
+        let out = allreduce_or_compressed(topo, &cost, &vals, true, CompressionMode::Off, None);
         for i in 0..3 {
             let expect = vals.iter().fold(0u64, |acc, v| acc | v[i]);
             prop_assert_eq!(out.reduced[i], expect);
@@ -81,7 +84,7 @@ proptest! {
         let p = vals.len() as u32;
         let topo = Topology::new(p, 1);
         let cost = CostModel::ray();
-        let out = allreduce_min(topo, &cost, &vals, false);
+        let out = allreduce_with(topo, &cost, &vals, false, u64::min);
         for i in 0..4 {
             let expect = vals.iter().map(|v| v[i]).min().unwrap();
             prop_assert_eq!(out.reduced[i], expect);

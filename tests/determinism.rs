@@ -30,7 +30,7 @@ fn width_matrix<T: PartialEq + std::fmt::Debug + Send>(f: impl Fn() -> T + Sync)
 fn setup() -> (gpu_cluster_bfs::graph::EdgeList, BfsConfig, u64) {
     let graph = RmatConfig::graph500(9).generate();
     let config = BfsConfig::new(8);
-    let src = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let src = graph.hub().unwrap();
     (graph, config, src)
 }
 
@@ -248,7 +248,7 @@ fn message_loss_accounting_is_pinned() {
     use gpu_cluster_bfs::cluster::fault::FaultPlan;
     use gpu_cluster_bfs::compress::CompressionMode;
     let graph = RmatConfig::graph500(10).generate();
-    let src = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let src = graph.hub().unwrap();
     assert_eq!(src, 1014);
     // (mode, recovery seconds bits, modeled seconds bits).
     let pinned = [

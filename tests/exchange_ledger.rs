@@ -62,7 +62,7 @@ fn row(graph: &EdgeList, source: u64, topo: Topology, config: BfsConfig, name: &
 
 fn ledger() -> String {
     let graph = RmatConfig::graph500(10).generate();
-    let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = graph.hub().unwrap();
     let modes = [
         ("off", CompressionMode::Off),
         ("adaptive", CompressionMode::Adaptive),

@@ -9,10 +9,6 @@ use gpu_cluster_bfs::graph::reference::{bfs_depths, validate_parents};
 use gpu_cluster_bfs::graph::{builders, io};
 use gpu_cluster_bfs::prelude::*;
 
-fn hub(graph: &gpu_cluster_bfs::graph::EdgeList) -> u64 {
-    graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64
-}
-
 #[test]
 fn parent_trees_validate_across_graph_families() {
     let config = BfsConfig::new(12);
@@ -24,7 +20,7 @@ fn parent_trees_validate_across_graph_families() {
         let csr = Csr::from_edge_list(&graph);
         for topo in [Topology::new(1, 1), Topology::new(2, 2), Topology::new(3, 2)] {
             let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
-            let src = hub(&graph);
+            let src = graph.hub().unwrap();
             let r = dist.run_with_parents(src, &config).unwrap();
             assert_eq!(r.depths, bfs_depths(&csr, src));
             validate_parents(&csr, src, &r.depths, r.parents.as_ref().unwrap()).unwrap();
@@ -39,7 +35,7 @@ fn parent_exchange_cost_is_small() {
     let graph = RmatConfig::graph500(11).generate();
     let config = BfsConfig::new(16);
     let dist = DistributedGraph::build(&graph, Topology::new(4, 2), &config).unwrap();
-    let r = dist.run_with_parents(hub(&graph), &config).unwrap();
+    let r = dist.run_with_parents(graph.hub().unwrap(), &config).unwrap();
     assert!(r.parent_exchange_seconds < 0.1 * r.modeled_seconds());
 }
 
@@ -94,7 +90,7 @@ fn global_direction_ablation_still_correct() {
     // The ablation changes performance, never results.
     let graph = RmatConfig::graph500(10).generate();
     let csr = Csr::from_edge_list(&graph);
-    let src = hub(&graph);
+    let src = graph.hub().unwrap();
     for per_kernel in [true, false] {
         let config = BfsConfig::new(16).with_per_kernel_direction(per_kernel);
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
@@ -107,7 +103,7 @@ fn global_direction_ablation_still_correct() {
 fn paper_factors_remain_supported_and_correct() {
     let graph = RmatConfig::graph500(10).generate();
     let csr = Csr::from_edge_list(&graph);
-    let src = hub(&graph);
+    let src = graph.hub().unwrap();
     let config = BfsConfig::new(16).with_paper_factors();
     let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
     let r = dist.run(src, &config).unwrap();

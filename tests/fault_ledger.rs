@@ -95,8 +95,7 @@ fn ledger() -> String {
         let graph = RmatConfig::graph500(scale).generate();
         // The hub (a delegate) on RMAT 10, a normal vertex of the giant
         // component on RMAT 12.
-        let degrees = graph.out_degrees();
-        let hub = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let hub = graph.hub().unwrap();
         let source = if scale == 10 { hub } else { 297 };
         for spares in [0, 2] {
             for ((label, mode), verify) in

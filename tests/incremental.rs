@@ -171,7 +171,7 @@ fn rmat_cell(scale: u32, gpus: u32, batches: usize, ops: usize, locality: f64) {
     let graph = RmatConfig::graph500(scale).generate();
     let topo = width(gpus);
     let cfg = BfsConfig::new(BfsConfig::suggested_rmat_threshold(scale));
-    let source = graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+    let source = graph.hub().unwrap();
     let mut ev = EvolvingGraph::new(&graph, topo, &cfg);
     ev.initial_run(source).unwrap();
     let log =
@@ -358,11 +358,6 @@ fn repair_waves_emit_spans_and_balance_bitwise() {
             trace.critical_path().total_seconds().to_bits(),
             r.stats.modeled_elapsed().to_bits(),
             "trace critical path must equal modeled elapsed bitwise"
-        );
-        assert_eq!(
-            r.stats.critical_path().total_seconds().to_bits(),
-            r.stats.modeled_elapsed().to_bits(),
-            "records critical path must equal modeled elapsed bitwise"
         );
     }
     assert_oracle(&ev, topo, &cfg);

@@ -72,7 +72,7 @@ fn ledger() -> String {
     for scale in [10, 12] {
         let graph = RmatConfig::graph500(scale).generate();
         let degrees = graph.out_degrees();
-        let hub = degrees.iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let hub = graph.hub().unwrap();
         let normal = degrees.iter().position(|&d| d > 0 && d <= THRESHOLD).unwrap() as u64;
         for (ranks, gpus) in [(2, 2), (4, 2)] {
             let topo = Topology::new(ranks, gpus);

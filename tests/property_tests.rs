@@ -272,8 +272,7 @@ fn word_parallel_is_bit_identical_across_widths_modes_and_rollback() {
     ];
     for scale in [9u32, 11] {
         let graph = RmatConfig::graph500(scale).generate();
-        let source =
-            graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         for mode in modes {
             let base = BfsConfig::new(8).with_compression(mode);
             let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &base).unwrap();

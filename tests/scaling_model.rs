@@ -7,15 +7,11 @@ use gpu_cluster_bfs::cluster::cost::CostModel;
 use gpu_cluster_bfs::core::driver::DistributedGraph;
 use gpu_cluster_bfs::prelude::*;
 
-fn hub(graph: &gpu_cluster_bfs::graph::EdgeList) -> u64 {
-    graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64
-}
-
 #[test]
 fn dobfs_beats_bfs_on_rmat_at_suitable_threshold() {
     let scale = 13;
     let graph = RmatConfig::graph500(scale).generate();
-    let src = hub(&graph);
+    let src = graph.hub().unwrap();
     let cost = CostModel::ray_scaled(2f64.powi(26 - scale as i32 + 2));
     let th = 16;
     let topo = Topology::new(2, 2);
@@ -46,7 +42,7 @@ fn weak_scaling_is_close_to_linear() {
         let th = BfsConfig::suggested_rmat_threshold(scale + 16).max(4);
         let config = BfsConfig::new(th).with_cost_model(CostModel::ray_scaled(factor));
         let dist = DistributedGraph::build(&graph, topo, &config).unwrap();
-        let r = dist.run(hub(&graph), &config).unwrap();
+        let r = dist.run(graph.hub().unwrap(), &config).unwrap();
         rates.push(r.gteps(rmat.graph500_edges()) * factor);
     }
     // 16x the GPUs should give several times the throughput. (The paper's
@@ -68,7 +64,7 @@ fn communication_grows_slower_than_baselines() {
         let scale = per_proc_scale + exp;
         let graph = RmatConfig::graph500(scale).generate();
         let csr = Csr::from_edge_list(&graph);
-        let src = hub(&graph);
+        let src = graph.hub().unwrap();
         let m = graph.num_edges() as f64;
 
         let config = BfsConfig::new(16);
@@ -92,7 +88,7 @@ fn communication_grows_slower_than_baselines() {
 fn twod_communication_grows_with_grid() {
     let graph = RmatConfig::graph500(11).generate();
     let csr = Csr::from_edge_list(&graph);
-    let src = hub(&graph);
+    let src = graph.hub().unwrap();
     let c2 = TwoDBfs::new(2, true).run(&csr, src);
     let c8 = TwoDBfs::new(8, true).run(&csr, src);
     // 4x the grid side: volume grows several-fold (the sqrt(p) pattern on
@@ -104,7 +100,7 @@ fn twod_communication_grows_with_grid() {
 fn blocking_reduce_wins_at_high_rank_counts() {
     let scale = 13;
     let graph = RmatConfig::graph500(scale).generate();
-    let src = hub(&graph);
+    let src = graph.hub().unwrap();
     let cost = CostModel::ray_scaled(2f64.powi(26 - scale as i32 + 5));
     let topo = Topology::new(32, 2); // 32 ranks: well past the crossover
     let br = BfsConfig::new(16).with_blocking_reduce(true).with_cost_model(cost);
@@ -124,7 +120,7 @@ fn overlap_reduces_elapsed_below_sum_of_parts() {
     let cost = CostModel::ray_scaled(2f64.powi(26 - scale as i32 + 2));
     let config = BfsConfig::new(16).with_blocking_reduce(false).with_cost_model(cost);
     let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-    let r = dist.run(hub(&graph), &config).unwrap();
+    let r = dist.run(graph.hub().unwrap(), &config).unwrap();
     let elapsed = r.modeled_seconds();
     let sum: f64 = r.stats.records.iter().map(|rec| rec.timing.sum_of_parts()).sum();
     assert!(elapsed < sum, "overlap must save something: {elapsed} vs {sum}");
@@ -138,7 +134,7 @@ fn mask_reductions_stop_before_the_tail() {
     let graph = WebGraphConfig::wdc_like(9).generate();
     let config = BfsConfig::new(64);
     let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-    let src = hub(&graph);
+    let src = graph.hub().unwrap();
     let r = dist.run(src, &config).unwrap();
     assert!(r.iterations() > 50, "long tail expected");
     assert!(

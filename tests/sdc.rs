@@ -33,8 +33,7 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let graph = RmatConfig::graph500(9).generate();
         let config = BfsConfig::new(8);
-        let source =
-            graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
         let clean = dist.run(source, &config).unwrap();
         assert_eq!(clean.depths, bfs_depths(&Csr::from_edge_list(&graph), source));
@@ -127,8 +126,7 @@ fn off_tier_is_bit_identical_across_thread_widths() {
     let run = || {
         let graph = RmatConfig::graph500(9).generate();
         let config = BfsConfig::new(8).with_verification(VerificationMode::Off);
-        let source =
-            graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
         let r = dist.run(source, &config).unwrap();
         let (bits, iters) = (r.modeled_seconds().to_bits(), r.iterations());
@@ -147,8 +145,7 @@ fn sdc_recovery_is_bit_identical_across_thread_widths() {
     let run = || {
         let graph = RmatConfig::graph500(9).generate();
         let config = BfsConfig::new(8).with_verification(VerificationMode::Full);
-        let source =
-            graph.out_degrees().iter().enumerate().max_by_key(|&(_, d)| d).unwrap().0 as u64;
+        let source = graph.hub().unwrap();
         let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
         let plan = FaultPlan::random_sdc(7, 4, 6);
         let r = dist.run_with_faults(source, &config, &plan).unwrap();
