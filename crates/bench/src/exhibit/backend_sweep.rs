@@ -27,9 +27,10 @@
 //! times are reported. `--smoke` fails if either detection took
 //! [`DETECT_MS_MAX`] or more, as a death waited out instead of heard would.
 //!
-//! Usage: `gcbfs-bench backend_sweep [--smoke]`. Environment knobs:
-//! `GCBFS_SCALE` (default 12; `--smoke` 10), `GCBFS_JSON_OUT=/path.json`
-//! (writes the measurements; `results/BENCH_backend.json` in CI).
+//! Usage: `gcbfs-bench backend_sweep [--smoke]`. Environment knob:
+//! `GCBFS_SCALE` (default 12; `--smoke` 10). Its wall-clock columns move
+//! from run to run, so no results file is committed; EXPERIMENTS.md's
+//! backend section records a measured recovery bill.
 //!
 //! The coordinator spawns the workers from this same binary, through its
 //! hidden `worker --socket PATH --worker N` entry.
@@ -101,7 +102,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         / WARM_RUNS as f64;
 
     let mut rows = Vec::new();
-    let mut width_json = Vec::new();
     let mut all_bit_exact = true;
     let mut warm_spawned_total = 0;
     for procs in [1u32, 2, 4] {
@@ -144,21 +144,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             format!("{warm_spawned}"),
             if bit_exact { "yes".into() } else { "NO".into() },
         ]);
-        width_json.push(format!(
-            "{{\"procs\":{procs},\"iterations\":{},\"sim_gteps\":{sim_gteps},\
-             \"proc_gteps\":{},\"wall_ms\":{cold_ms},\"modeled_bytes\":{modeled_bytes},\
-             \"wire_bytes\":{},\"state_bytes\":{},\"spawned\":{},\"warm_runs\":{WARM_RUNS},\
-             \"warm_wall_ms\":{warm_wall_ms},\"warm_proc_gteps\":{},\
-             \"warm_wire_bytes\":{warm_wire},\"warm_state_bytes\":{warm_state},\
-             \"warm_modeled_bytes\":{warm_modeled_bytes},\
-             \"warm_spawned\":{warm_spawned},\"bit_exact\":{bit_exact}}}",
-            report.iterations,
-            gteps(cold_ms),
-            report.wire_bytes,
-            report.state_bytes,
-            report.spawned,
-            gteps(warm_wall_ms),
-        ));
     }
     print_table(
         "sim vs proc backend: 1 cold run, then warm runs on its pool (bit-exact required)",
@@ -186,7 +171,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     // spread-onto-survivors paths.
     println!("\nrecovery bill (SIGKILL mid-sweep, death heard as the connection closes):");
     let mut rec_rows = Vec::new();
-    let mut rec_json = Vec::new();
     let mut detect_ms = Vec::new();
     let kill_config = config.with_recovery(RecoveryConfig::default().with_checkpoint_interval(2));
     for (label, spares, victim) in [("spare", 1u32, 1u32), ("spread", 0, 0)] {
@@ -215,17 +199,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             f2(ms(report.wall_seconds)),
             if bit_exact { "yes".into() } else { "NO".into() },
         ]);
-        rec_json.push(format!(
-            "{{\"mode\":\"{label}\",\"worker\":{},\"detect_ms\":{},\"recover_ms\":{},\
-             \"resumed_iter\":{},\"state_bytes\":{},\"total_wall_ms\":{},\
-             \"bit_exact\":{bit_exact}}}",
-            rec.worker,
-            ms(rec.detect_seconds),
-            ms(rec.recover_seconds),
-            rec.resumed_iter,
-            report.state_bytes,
-            ms(report.wall_seconds)
-        ));
     }
     print_table(
         "recovery after a real kill",
@@ -242,14 +215,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         &rec_rows,
     );
 
-    k.emit_json(&format!(
-        "{{\"bench\":\"backend\",\"scale\":{scale},\"gpus\":{},\"th\":{th},\
-         \"sim_gteps\":{sim_gteps},\"modeled_bytes\":{modeled_bytes},\
-         \"widths\":[{}],\"recovery\":[{}],\"bit_exact\":{all_bit_exact}}}",
-        topo.num_gpus(),
-        width_json.join(","),
-        rec_json.join(",")
-    ));
     assert!(all_bit_exact, "a proc-backend run diverged from the simulator");
     assert_eq!(warm_spawned_total, 0, "a warm run spawned a process instead of using the pool");
     if smoke {

@@ -40,7 +40,6 @@
 //! bit-exact at drop probabilities 0.05, 0.2 and 1.0, and at 1.0 every
 //! superstep whose exchange delivered any update must retry exactly
 //! [`MAX_RETRIES`] times before the reliable path takes it.
-//! `GCBFS_JSON_OUT=/path.json` writes the smoke measurements as JSON.
 
 use gcbfs_bench::prelude::*;
 use gcbfs_cluster::fault::FaultPlan;
@@ -97,7 +96,6 @@ fn smoke(k: &Knobs, mode: &str) {
     };
 
     let mut rows = Vec::new();
-    let mut json = Vec::new();
     let mut record = |name: &str, r: &BfsResult| {
         let iter_s = per_iteration_seconds(r);
         let f = &r.stats.fault;
@@ -111,13 +109,6 @@ fn smoke(k: &Knobs, mode: &str) {
             f2(ms(f.recovery_seconds)),
             "ok".into(),
         ]);
-        json.push(format!(
-            "{{\"mode\":\"{name}\",\"per_iter_ms\":{},\"ratio\":{},\"recovery_ms\":{},\"degraded_iterations\":{}}}",
-            ms(iter_s),
-            iter_s / clean_iter_s,
-            ms(f.recovery_seconds),
-            f.degraded_iterations
-        ));
         iter_s
     };
 
@@ -154,11 +145,6 @@ fn smoke(k: &Knobs, mode: &str) {
         &["mode", "spares", "spread", "degraded", "ms/iter", "vs clean", "rec ms", "depths"],
         &rows,
     );
-    k.emit_json(&format!(
-        "{{\"scale\":{scale},\"gpus\":{p},\"clean_per_iter_ms\":{},\"modes\":[{}]}}",
-        ms(clean_iter_s),
-        json.join(",")
-    ));
     println!("\nall fail-stop trajectories recovered to bit-exact depths");
 }
 
@@ -184,7 +170,6 @@ fn smoke_sdc(k: &Knobs) {
 
     let mut rows = Vec::new();
     let mut fired_plans = 0u64;
-    let (mut injected, mut detected, mut reexecs, mut rollbacks) = (0u64, 0u64, 0u64, 0u64);
     for seed in 0..SEEDS {
         let plan = FaultPlan::random_sdc(seed, p, horizon);
         let r = dist.run_with_faults(source, &full, &plan).expect("verified recovery");
@@ -196,10 +181,6 @@ fn smoke_sdc(k: &Knobs) {
         } else {
             assert_eq!(f.sdc_detections, 0, "seed {seed}: detection without any fired event");
         }
-        injected += f.injected_sdc;
-        detected += f.sdc_detections;
-        reexecs += f.sdc_reexecutions;
-        rollbacks += f.rollbacks;
         rows.push(vec![
             seed.to_string(),
             f.injected_sdc.to_string(),
@@ -216,11 +197,6 @@ fn smoke_sdc(k: &Knobs) {
         &["seed", "injected", "detected", "reexec", "rollbacks", "rec ms", "depths"],
         &rows,
     );
-    k.emit_json(&format!(
-        "{{\"scale\":{scale},\"gpus\":{p},\"plans\":{SEEDS},\"fired_plans\":{fired_plans},\
-         \"injected\":{injected},\"detected\":{detected},\"reexecutions\":{reexecs},\
-         \"rollbacks\":{rollbacks},\"detection_rate\":1.0}}"
-    ));
     println!("\nall fired SDC plans detected under Full and recovered to bit-exact depths");
 }
 
@@ -243,7 +219,6 @@ fn smoke_loss(k: &Knobs) {
     let clean = dist.run(source, &config).expect("fault-free run");
     let base_s = clean.modeled_seconds();
     let mut rows = Vec::new();
-    let mut json = Vec::new();
     for drop in [0.05, 0.2, 1.0] {
         let plan = FaultPlan::new(0x1055).with_message_drops(drop);
         let r = dist.run_with_faults(source, &config, &plan).expect("recovered");
@@ -267,22 +242,12 @@ fn smoke_loss(k: &Knobs) {
             pct(overhead),
             "ok".into(),
         ]);
-        json.push(format!(
-            "{{\"drop\":{drop},\"drops\":{},\"exchanging_supersteps\":{exchanging},\"retries\":{},\"recovery_ms\":{},\"overhead_pct\":{overhead}}}",
-            f.injected_drops,
-            f.retries,
-            ms(f.recovery_seconds)
-        ));
     }
     print_table(
         "message-loss smoke (drop-only plans)",
         &["drop p", "drops", "exchanging", "retries", "rec ms", "overhead", "depths"],
         &rows,
     );
-    k.emit_json(&format!(
-        "{{\"scale\":{scale},\"gpus\":{p},\"max_retries\":{MAX_RETRIES},\"plans\":[{}]}}",
-        json.join(",")
-    ));
     println!("\nall message-loss plans recovered to bit-exact depths");
 }
 

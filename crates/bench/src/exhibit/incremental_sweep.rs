@@ -5,13 +5,13 @@
 //! mutation batch to a converged BFS answer and compares the modeled
 //! cost of the depth-repair waves (plus overlay maintenance) against a
 //! from-scratch recompute of the mutated graph, asserting the repaired
-//! depths are bit-exact either way. Emits the `BENCH_incremental.json`
-//! trajectory future PRs regress against.
+//! depths are bit-exact either way. The full run's output is the
+//! committed `results/incremental_sweep.txt`, which the exhibit drift
+//! gate compares byte for byte.
 //!
 //! Usage: `gcbfs-bench incremental_sweep [--smoke]` — 16 GPUs at the
-//! scale's suggested threshold. Environment knobs: `GCBFS_SCALE`
-//! (default 20), `GCBFS_JSON_OUT=/path.json` (writes the JSON document
-//! to a file).
+//! scale's suggested threshold. Environment knob: `GCBFS_SCALE`
+//! (default 20).
 //!
 //! `--smoke` additionally asserts the acceptance gates: every cell
 //! bit-exact, and repair at least 3x cheaper than recompute on every
@@ -46,7 +46,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     let fractions = [1e-4f64, 1e-3, 1e-2];
     let localities = [0.0f64, 0.9];
     let mut rows = Vec::new();
-    let mut cell_json = Vec::new();
     let mut small_batch_speedup = f64::INFINITY;
     let mut all_bit_exact = true;
     for (i, &frac) in fractions.iter().enumerate() {
@@ -79,15 +78,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
                 f2(speedup),
                 if bit_exact { "yes".into() } else { "NO".into() },
             ]);
-            cell_json.push(format!(
-                "{{\"batch_frac\":{frac},\"locality\":{locality},\"ops\":{ops},\
-                 \"waves\":{},\"touched\":{},\"repair_ms\":{},\"recompute_ms\":{},\
-                 \"speedup\":{speedup},\"bit_exact\":{bit_exact}}}",
-                report.waves,
-                report.invalidated + report.resettled,
-                repair_seconds * 1e3,
-                recompute_seconds * 1e3
-            ));
         }
     }
     print_table(
@@ -110,13 +100,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         f2(small_batch_speedup)
     );
 
-    k.emit_json(&format!(
-        "{{\"bench\":\"incremental\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\
-         \"full_recompute_ms\":{},\"cells\":[{}],\
-         \"small_batch_speedup\":{small_batch_speedup},\"bit_exact\":{all_bit_exact}}}",
-        full_seconds * 1e3,
-        cell_json.join(",")
-    ));
     if smoke {
         assert!(all_bit_exact, "a repaired cell diverged from its recompute");
         assert!(

@@ -2,14 +2,13 @@
 //!
 //! Runs the same traversal under the {scalar, word-parallel} kernel
 //! variants with the compute/comm overlap pipeline off and on, and
-//! reports GTEPS plus modeled elapsed per cell — the
-//! `BENCH_kernels.json` trajectory future PRs regress against. The
-//! scalar variant prices per-bit mask probing on a derated device; the
+//! reports GTEPS plus modeled elapsed per cell; the full run's output is
+//! the committed `results/kernel_sweep.txt`, which the exhibit drift gate
+//! compares byte for byte. The scalar variant prices per-bit mask probing on a derated device; the
 //! word-parallel default is the seed's charge model bit-for-bit.
 //!
 //! Usage: `gcbfs-bench kernel_sweep [--smoke]` — 16 GPUs at the scale's
-//! suggested threshold. Environment knobs: `GCBFS_SCALE` (default 20),
-//! `GCBFS_JSON_OUT=/path.json` (writes the JSON document to a file).
+//! suggested threshold. Environment knob: `GCBFS_SCALE` (default 20).
 //!
 //! `--smoke` additionally asserts the acceptance gates: word-parallel
 //! must be at least 1.5x the scalar GTEPS, the overlap pipeline must
@@ -35,7 +34,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
 
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
     let mut rows = Vec::new();
-    let mut cell_json = Vec::new();
     let mut baseline_depths = Vec::new();
     // Per (variant, overlap) cell: modeled seconds, plus the word-parallel
     // runs' wire seconds for the overlap gate.
@@ -68,12 +66,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
                 f2(r.gteps(m_half)),
                 f2(s * 1e3),
             ]);
-            cell_json.push(format!(
-                "{{\"variant\":\"{}\",\"overlap\":{overlap},\"gteps\":{},\"modeled_ms\":{}}}",
-                variant.label(),
-                r.gteps(m_half),
-                s * 1e3
-            ));
             modeled.push(s);
         }
     }
@@ -95,13 +87,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         f2(word_wire_seconds * 1e3)
     );
 
-    k.emit_json(&format!(
-        "{{\"bench\":\"kernels\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\
-         \"cells\":[{}],\"word_speedup\":{speedup},\"wire_seconds\":{word_wire_seconds},\
-         \"wire_hidden_frac\":{hidden_frac},\"dd_trajectory\":\"{trajectory}\",\
-         \"depths_bit_exact\":true}}",
-        cell_json.join(",")
-    ));
     if smoke {
         assert!(
             speedup >= 1.5,

@@ -16,9 +16,8 @@
 //!    measured — oversubscription must not break determinism — but prove
 //!    nothing about scaling).
 //!
-//! Output: a fixed-width table per scale plus a single JSON document on
-//! stdout (machine-readable results for CI trend tracking). Set
-//! `GCBFS_JSON_OUT=/path.json` to also write the JSON to a file.
+//! Output: a fixed-width table per scale. Its wall-clock columns move
+//! from run to run, so no results file is committed.
 //!
 //! Usage: `gcbfs-bench parallel_speedup [--smoke]` — scales 18 and 20 at
 //! 1, 2, 4 and 8 threads, best of 3 repetitions; `--smoke` shrinks to
@@ -104,7 +103,7 @@ fn sweep_scale(scale: u32, threads: &[usize], reps: usize) -> Vec<Cell> {
     cells
 }
 
-pub fn run(k: &Knobs, smoke: Option<&str>) {
+pub fn run(_: &Knobs, smoke: Option<&str>) {
     let smoke = smoke.is_some();
     let (scales, threads, reps): (&[u32], &[usize], usize) =
         if smoke { (&[12], &[1, 2, 4], 1) } else { (&[18, 20], &[1, 2, 4, 8], 3) };
@@ -160,22 +159,4 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     } else {
         println!("\nspeedup assertion skipped (smoke={smoke}, cores={cores}); determinism checked");
     }
-
-    // JSON results — hand-rolled (the workspace is dependency-free by
-    // design), shape kept flat for easy jq/CI consumption.
-    let cells_json: Vec<String> = all
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"scale\":{},\"threads\":{},\"wall_ms\":{:.3},\"gteps\":{:.3},\
-                 \"speedup\":{:.3},\"depths_bit_exact\":true}}",
-                c.scale, c.threads, c.wall_ms, c.gteps, c.speedup,
-            )
-        })
-        .collect();
-    k.emit_json(&format!(
-        "{{\"bench\":\"parallel_speedup\",\"smoke\":{smoke},\"host_cores\":{cores},\
-         \"gpus\":16,\"reps\":{reps},\"results\":[{}]}}",
-        cells_json.join(","),
-    ));
 }

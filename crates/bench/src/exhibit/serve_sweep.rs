@@ -7,14 +7,15 @@
 //! * `batch64` — MS-BFS coalescing up to 64 distinct sources per sweep;
 //! * `batch1` — the no-batching baseline (one sweep per query).
 //!
-//! Reports per-QPS p50/p95/p99 latency, queue wait, goodput (on-time
-//! completions per modeled second), shed rate and sharing factor, and
-//! emits the `results/BENCH_serve.json` trajectory document.
+//! Reports per-QPS p50/p95/p99 latency, p99 queue wait, goodput (on-time
+//! completions per modeled second), shed rate and sharing factor. The
+//! full run's output is the committed `results/serve_sweep.txt`, which
+//! the exhibit drift gate compares byte for byte.
 //!
 //! Usage: `gcbfs-bench serve_sweep [--smoke]` — 16 GPUs at the scale's
 //! suggested threshold, seed 42, 256 arrivals per QPS point, a pool of 64
-//! distinct sources, an admission queue bound of 96. Environment knobs:
-//! `GCBFS_SCALE` (default 20), `GCBFS_JSON_OUT=/path.json`.
+//! distinct sources, an admission queue bound of 96. Environment knob:
+//! `GCBFS_SCALE` (default 20).
 //!
 //! `--smoke` additionally asserts the acceptance gates: sharing factor
 //! at least 8x at the saturated batch-64 point, batched peak goodput at
@@ -57,26 +58,6 @@ fn run_ramp(svc: &mut TraversalService<'_>, policy: BatchPolicy, ramp: &Ramp<'_>
     ramp.qps_list.iter().map(|&qps| Point { qps, report: svc.run(&ramp.workload(qps)) }).collect()
 }
 
-fn point_json(p: &Point) -> String {
-    let r = &p.report;
-    format!(
-        "{{\"qps\":{:.3},\"offered\":{},\"completed\":{},\"shed_rate\":{:.6},\
-         \"p50_ms\":{:.6},\"p95_ms\":{:.6},\"p99_ms\":{:.6},\"queue_wait_p99_ms\":{:.6},\
-         \"goodput_qps\":{:.6},\"mean_batch\":{:.3},\"sharing\":{:.4}}}",
-        p.qps,
-        r.offered,
-        r.completed,
-        r.shed_rate,
-        r.latency.p50 * 1e3,
-        r.latency.p95 * 1e3,
-        r.latency.p99 * 1e3,
-        r.queue_wait.p99 * 1e3,
-        r.goodput_qps,
-        r.mean_batch,
-        r.sharing_factor
-    )
-}
-
 fn print_ramp(title: &str, points: &[Point]) {
     let rows: Vec<Vec<String>> = points
         .iter()
@@ -88,6 +69,7 @@ fn print_ramp(title: &str, points: &[Point]) {
                 f2(r.latency.p50 * 1e3),
                 f2(r.latency.p95 * 1e3),
                 f2(r.latency.p99 * 1e3),
+                f2(r.queue_wait.p99 * 1e3),
                 f2(r.goodput_qps),
                 pct(r.shed_rate * 100.0),
                 f2(r.mean_batch),
@@ -103,6 +85,7 @@ fn print_ramp(title: &str, points: &[Point]) {
             "p50 ms",
             "p95 ms",
             "p99 ms",
+            "wait p99 ms",
             "goodput",
             "shed",
             "batch",
@@ -214,37 +197,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
         &["tenant", "offered", "completed", "p50 ms", "p99 ms"],
         &tenant_rows,
     );
-
-    let tenant_json: Vec<String> = knee_point
-        .report
-        .tenants
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"tenant\":\"{}\",\"offered\":{},\"completed\":{},\"p99_ms\":{:.6}}}",
-                t.name,
-                t.offered,
-                t.completed,
-                t.latency.p99 * 1e3
-            )
-        })
-        .collect();
-    k.emit_json(&format!(
-        "{{\"bench\":\"serve\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\"seed\":{seed},\
-         \"arrivals\":{arrivals},\"pool\":{},\"queue_limit\":{queue_limit},\
-         \"deadline_ms\":{:.4},\"window_ms\":{:.4},\
-         \"batched\":[{}],\"baseline\":[{}],\
-         \"batched_peak_goodput\":{batched_peak:.6},\"baseline_peak_goodput\":{baseline_peak:.6},\
-         \"goodput_ratio\":{ratio:.4},\"knee_qps\":{knee_qps:.3},\
-         \"saturated_sharing\":{:.4},\"tenants_at_knee\":[{}]}}",
-        pool.len(),
-        deadline * 1e3,
-        window * 1e3,
-        batched.iter().map(point_json).collect::<Vec<_>>().join(","),
-        baseline.iter().map(point_json).collect::<Vec<_>>().join(","),
-        saturated.report.sharing_factor,
-        tenant_json.join(",")
-    ));
 
     if smoke {
         assert!(

@@ -3,13 +3,13 @@
 //! Runs the same traversal under online verification `Off`, `Checksums`,
 //! and `Full` and reports GTEPS plus modeled elapsed per tier, then runs
 //! seeded silent-data-corruption plans under `Full` and reports the
-//! detection counts — the `BENCH_verify.json` trajectory future PRs
-//! regress against.
+//! detection counts. The full run's output is the committed
+//! `results/verify_sweep.txt`, which the exhibit drift gate compares byte
+//! for byte.
 //!
 //! Usage: `gcbfs-bench verify_sweep [--smoke]` — 16 GPUs at the scale's
-//! suggested threshold, five SDC plans. Environment knobs: `GCBFS_SCALE`
-//! (default 20), `GCBFS_JSON_OUT=/path.json` (writes the JSON document
-//! to a file).
+//! suggested threshold, five SDC plans. Environment knob: `GCBFS_SCALE`
+//! (default 20).
 //!
 //! `--smoke` additionally asserts the acceptance bound: `Full`-tier
 //! overhead must stay within 10% of the `Off`-tier modeled elapsed.
@@ -34,7 +34,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
     let dist = DistributedGraph::build(&graph, topo, &config).expect("build");
     let tiers = [VerificationMode::Off, VerificationMode::Checksums, VerificationMode::Full];
     let mut rows = Vec::new();
-    let mut tier_json = Vec::new();
     let mut elapsed = Vec::new();
     let mut off_depths = Vec::new();
     for mode in tiers {
@@ -51,12 +50,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
             f2(s * 1e3),
             pct((s / elapsed.first().copied().unwrap_or(s) - 1.0) * 100.0),
         ]);
-        tier_json.push(format!(
-            "{{\"mode\":\"{}\",\"gteps\":{},\"modeled_ms\":{}}}",
-            mode.label(),
-            r.gteps(m_half),
-            s * 1e3
-        ));
         elapsed.push(s);
     }
     let overhead = elapsed[2] / elapsed[0] - 1.0;
@@ -89,14 +82,6 @@ pub fn run(k: &Knobs, smoke: Option<&str>) {
          {reexecs} re-execution(s), all depths bit-exact"
     );
 
-    k.emit_json(&format!(
-        "{{\"bench\":\"verify\",\"scale\":{scale},\"gpus\":{p},\"th\":{th},\
-         \"tiers\":[{}],\"full_overhead_pct\":{},\
-         \"sdc\":{{\"plans\":{seeds},\"injected\":{injected},\"detected\":{detected},\
-         \"reexecutions\":{reexecs},\"recovered_bit_exact\":true}}}}",
-        tier_json.join(","),
-        overhead * 100.0
-    ));
     if smoke {
         assert!(
             overhead <= 0.10,

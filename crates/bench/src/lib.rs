@@ -5,16 +5,15 @@
 //! (`gcbfs-bench <exhibit>`; see `src/exhibit/` and DESIGN.md's
 //! per-experiment index). Exhibits share this harness: the `GCBFS_*`
 //! knobs parsed once, the geometric-mean-over-sources protocol of
-//! §VI-A3, and plain-text table and JSON output. Sources come from the
-//! graph's own picker, `EdgeList::hub` and `EdgeList::source_pool`.
+//! §VI-A3, and plain-text table output. Sources come from the graph's
+//! own picker, `EdgeList::hub` and `EdgeList::source_pool`.
 //!
-//! Environment knobs (all optional; one that is set but does not parse
-//! is an error naming it, never a silent default):
+//! Environment knobs (all optional; a numeric one that is set but is not
+//! a positive integer is an error naming it, never a silent default):
 //!
 //! * `GCBFS_SOURCES` — BFS sources per data point (default 8; paper: 140);
 //! * `GCBFS_SCALE` — base RMAT scale override for the per-exhibit defaults;
 //! * `GCBFS_MAX_GPUS` — cap on simulated GPUs in scaling sweeps;
-//! * `GCBFS_JSON_OUT` — file a sweep's JSON document is also written to;
 //! * `GCBFS_PROFILE_OUT` / `GCBFS_JSONL_OUT` — files `profile_trace`
 //!   writes its Chrome trace / JSON-lines trace to.
 
@@ -43,8 +42,6 @@ pub struct Knobs {
     pub scale: Option<u32>,
     /// `GCBFS_MAX_GPUS`: replaces each scaling sweep's largest GPU count.
     pub max_gpus: Option<u32>,
-    /// `GCBFS_JSON_OUT`: where [`Knobs::emit_json`] also writes.
-    pub json_out: Option<String>,
     /// `GCBFS_PROFILE_OUT`: where `profile_trace` writes its Chrome trace.
     pub profile_out: Option<String>,
     /// `GCBFS_JSONL_OUT`: where `profile_trace` writes its JSON-lines trace.
@@ -59,36 +56,27 @@ impl Knobs {
 
     /// Reads the knobs through `var`, which returns a variable's value if
     /// it is set. An unset knob keeps its default; a numeric knob that is
-    /// set but does not parse is an error naming the variable and value.
+    /// set but is not a positive integer is an error naming the variable
+    /// and value.
     pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         Ok(Self {
-            sources: knob(&var, "GCBFS_SOURCES")?.unwrap_or(8),
+            sources: knob(&var, "GCBFS_SOURCES")?.map_or(8, |n| n as usize),
             scale: knob(&var, "GCBFS_SCALE")?,
             max_gpus: knob(&var, "GCBFS_MAX_GPUS")?,
-            json_out: var("GCBFS_JSON_OUT"),
             profile_out: var("GCBFS_PROFILE_OUT"),
             jsonl_out: var("GCBFS_JSONL_OUT"),
         })
     }
-
-    /// Prints a sweep's JSON document after a blank line and, when
-    /// `GCBFS_JSON_OUT` is set, writes it to that file too.
-    pub fn emit_json(&self, doc: &str) {
-        println!("\n{doc}");
-        if let Some(path) = &self.json_out {
-            std::fs::write(path, doc).expect("write GCBFS_JSON_OUT");
-            println!("json written to {path}");
-        }
-    }
 }
 
-/// Parses the numeric knob `name`, if `var` has it set.
-fn knob<T: std::str::FromStr>(
-    var: &impl Fn(&str) -> Option<String>,
-    name: &str,
-) -> Result<Option<T>, String> {
+/// Parses the numeric knob `name`, if `var` has it set: zero sources, a
+/// scale-0 graph or a cap of zero GPUs leaves an exhibit nothing to run.
+fn knob(var: &impl Fn(&str) -> Option<String>, name: &str) -> Result<Option<u32>, String> {
     var(name)
-        .map(|v| v.parse().map_err(|_| format!("{name} must be a non-negative integer, got {v:?}")))
+        .map(|v| match v.parse::<std::num::NonZeroU32>() {
+            Ok(n) => Ok(n.get()),
+            Err(_) => Err(format!("{name} must be a positive integer, got {v:?}")),
+        })
         .transpose()
 }
 
@@ -220,7 +208,7 @@ mod tests {
     fn unset_knobs_keep_their_defaults() {
         let k = parse(&[]).unwrap();
         assert_eq!((k.sources, k.scale, k.max_gpus), (8, None, None));
-        assert_eq!((k.json_out, k.profile_out, k.jsonl_out), (None, None, None));
+        assert_eq!((k.profile_out, k.jsonl_out), (None, None));
     }
 
     #[test]
@@ -229,13 +217,11 @@ mod tests {
             ("GCBFS_SOURCES", "6"),
             ("GCBFS_SCALE", "12"),
             ("GCBFS_MAX_GPUS", "128"),
-            ("GCBFS_JSON_OUT", "out.json"),
             ("GCBFS_PROFILE_OUT", "p.json"),
             ("GCBFS_JSONL_OUT", "t.jsonl"),
         ])
         .unwrap();
         assert_eq!((k.sources, k.scale, k.max_gpus), (6, Some(12), Some(128)));
-        assert_eq!(k.json_out.as_deref(), Some("out.json"));
         assert_eq!(k.profile_out.as_deref(), Some("p.json"));
         assert_eq!(k.jsonl_out.as_deref(), Some("t.jsonl"));
     }
@@ -243,6 +229,9 @@ mod tests {
     #[test]
     fn a_set_knob_that_does_not_parse_is_an_error_naming_it() {
         for (name, value) in [
+            ("GCBFS_SOURCES", "0"),
+            ("GCBFS_SCALE", "0"),
+            ("GCBFS_MAX_GPUS", "0"),
             ("GCBFS_SCALE", "abc"),
             ("GCBFS_SOURCES", "2.5"),
             ("GCBFS_SOURCES", ""),

@@ -1,7 +1,7 @@
-//! Drives the `gcbfs-bench` binary: two cheap exhibits still print their
-//! committed `results/*.txt` byte for byte, the message-loss gate passes
-//! at a small scale, and every malformed invocation exits with status 2
-//! before running anything.
+//! Drives the `gcbfs-bench` binary: every committed `results/*.txt` is
+//! named after an exhibit it lists, two cheap exhibits still print their
+//! files byte for byte, the message-loss gate passes at a small scale, and
+//! every malformed invocation exits with status 2 before running anything.
 
 use std::process::{Command, Output};
 
@@ -46,6 +46,30 @@ fn bench(args: &[&str], knobs: &[(&str, &str)]) -> Output {
         }
     }
     cmd.args(args).envs(knobs.iter().copied()).output().expect("spawn gcbfs-bench")
+}
+
+#[test]
+fn every_committed_result_is_an_exhibit_the_binary_lists() {
+    // `run_all_figures.sh` regenerates whatever `results/*.txt` holds, so
+    // a stray or misnamed file would otherwise fail only there.
+    let listing = String::from_utf8_lossy(&bench(&[], &[]).stdout).into_owned();
+    let listed: Vec<&str> =
+        listing.lines().filter_map(|l| l.strip_prefix("  ")?.split(' ').next()).collect();
+    let dir = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("results directory")
+        .map(|e| e.expect("directory entry").file_name().into_string().expect("UTF-8"))
+        .filter(|name| name != "README.md")
+        .collect();
+    for name in &files {
+        let stem = name.strip_suffix(".txt").unwrap_or_else(|| panic!("results/{name}"));
+        assert!(listed.contains(&stem), "results/{name} names no exhibit gcbfs-bench lists");
+    }
+    // The modeled sweeps are committed beside the paper's exhibits, so the
+    // drift gate checks their numbers too.
+    for sweep in ["kernel_sweep", "verify_sweep", "serve_sweep", "incremental_sweep"] {
+        assert!(files.contains(&format!("{sweep}.txt")), "results/{sweep}.txt is not committed");
+    }
 }
 
 #[test]
@@ -107,9 +131,17 @@ fn malformed_invocations_exit_2_without_running() {
 
 #[test]
 fn a_knob_that_does_not_parse_exits_2_naming_it() {
-    for (name, value) in [("GCBFS_SCALE", "abc"), ("GCBFS_SOURCES", "2.5"), ("GCBFS_MAX_GPUS", "")]
-    {
-        let out = bench(&["net_sweep"], &[(name, value)]);
+    // A zero count leaves an exhibit nothing to run: each of these once
+    // panicked mid-run or printed an empty table.
+    for (exhibit, name, value) in [
+        ("net_sweep", "GCBFS_SCALE", "abc"),
+        ("net_sweep", "GCBFS_SOURCES", "2.5"),
+        ("net_sweep", "GCBFS_MAX_GPUS", ""),
+        ("table2_comparison", "GCBFS_SOURCES", "0"),
+        ("fig06_threshold_sweep", "GCBFS_SCALE", "0"),
+        ("fig09_weak_scaling", "GCBFS_MAX_GPUS", "0"),
+    ] {
+        let out = bench(&[exhibit], &[(name, value)]);
         assert_eq!(out.status.code(), Some(2), "{name}={value:?}");
         assert!(out.stdout.is_empty(), "{name}={value:?} still ran");
         let err = String::from_utf8_lossy(&out.stderr);

@@ -3,8 +3,8 @@
 //!
 //! The proc backend measures wall time instead, so nothing here runs
 //! there. Every `f64` below is combined in a fixed order — the golden
-//! trace, the `BENCH_*.json` ledgers and the observability sink's
-//! bit-exact replay of these folds all depend on it.
+//! trace, the committed `results/*.txt` exhibits and the observability
+//! sink's bit-exact replay of these folds all depend on it.
 
 use crate::comm::ExchangeResult;
 use crate::config::BfsConfig;

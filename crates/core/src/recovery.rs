@@ -43,8 +43,8 @@ const RETRY_BACKOFF_SECONDS: f64 = 50e-6;
 
 /// Modeled time from a fail-stop to its confirmation at the barrier the
 /// GPU misses: 1 ms, the real-process backend's measured detection of a
-/// worker whose connection closed (`detect_ms` of 0.92–1.02 ms in
-/// `results/BENCH_backend.json`). Charged once per boundary that
+/// worker whose connection closed (0.92–1.02 ms in EXPERIMENTS.md's
+/// `backend_sweep` section). Charged once per boundary that
 /// confirms deaths, inside the rollback's `Recovery` span.
 pub const DETECTION_SECONDS: f64 = 1e-3;
 

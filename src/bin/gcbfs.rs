@@ -371,8 +371,15 @@ fn bfs(args: &Args) -> Result<(), String> {
 
     let mutate_batches: usize = args.opt("mutate", 0)?;
     if mutate_batches > 0 {
-        if plan.is_some() {
-            return Err("--mutate cannot be combined with fault injection".into());
+        // The repair path runs no fault plan, prints no per-superstep
+        // trace and verifies none of its waves: refuse rather than ignore.
+        let refused = [
+            (plan.is_some(), "fault injection"),
+            (args.switch("trace"), "--trace"),
+            (verify.is_on(), "--verify checksums|full"),
+        ];
+        if let Some((_, what)) = refused.iter().find(|(given, _)| *given) {
+            return Err(format!("--mutate cannot be combined with {what}"));
         }
         return bfs_evolving(args, &graph, topo, config, mutate_batches);
     }

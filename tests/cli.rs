@@ -220,6 +220,34 @@ fn runs_on_a_graph_with_no_vertices_are_refused() {
 }
 
 #[test]
+fn a_mutating_run_refuses_what_its_repair_path_would_ignore() {
+    // The repair batches run untraced and unverified, so `--trace` and
+    // online verification are refused like fault injection, before any run.
+    let file = tmp("mutate-refusals.bin");
+    let path = file.to_str().unwrap();
+    assert!(gcbfs(&["generate", "rmat", "--scale", "8", "--out", path]).status.success());
+    for (flags, what) in [
+        (&["--trace"][..], "--trace"),
+        (&["--verify", "checksums"], "--verify checksums|full"),
+        (&["--verify", "full"], "--verify checksums|full"),
+        (&["--fail", "1:1"], "fault injection"),
+    ] {
+        let mut run = vec!["bfs", path, "--mutate", "1"];
+        run.extend_from_slice(flags);
+        let out = gcbfs(&run);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{run:?}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors, [format!("error: --mutate cannot be combined with {what}")], "{run:?}");
+        assert!(out.stdout.is_empty(), "{run:?} ran before failing");
+    }
+    // `--verify off` is the default and stays accepted.
+    let out = gcbfs(&["bfs", path, "--mutate", "1", "--verify", "off"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn a_zero_max_weight_is_refused() {
     // Weights start at 1: `--max-weight 0` is a typed refusal naming the
     // option, not a panic.
