@@ -489,3 +489,51 @@ fn metrics_registry_snapshots_the_run() {
     let text = snap.render_text();
     assert!(text.contains("trace.iterations"));
 }
+
+// ---- Attribution pin: the critical path's per-phase attribution of
+// three fixed-seed runs, bit for bit. The attribution's sum is checked
+// above against the modeled total; this pins how it is split, so a
+// changed attribution rule (which phase wins a non-blocking overlap,
+// which side of a pipelined superstep is charged) cannot pass
+// unnoticed. ----
+
+fn attribution_bits(config: BfsConfig, scale: u32) -> [u64; 4] {
+    let (graph, src) = fixture(scale);
+    let config = config.with_observability(ObservabilityConfig::Full);
+    let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
+    let r = dist.run(src, &config).unwrap();
+    r.observed.unwrap().critical_path().phase_attribution().map(f64::to_bits)
+}
+
+#[test]
+fn phase_attribution_is_pinned() {
+    let runs: [(&str, BfsConfig, u32, [u64; 4]); 3] = [
+        (
+            "golden",
+            BfsConfig::new(8),
+            8,
+            [4542809033431616668, 4533202887089502988, 4529882252037799077, 4542507984908176877],
+        ),
+        // Non-blocking as well, so both sides of the pipelined max win
+        // some supersteps.
+        (
+            "overlap",
+            BfsConfig::new(8).with_overlap(true).with_blocking_reduce(false),
+            10,
+            [4541052660390690921, 4530840729859981074, 0, 4536526166609423309],
+        ),
+        (
+            "non-blocking",
+            BfsConfig::new(8).with_blocking_reduce(false),
+            10,
+            [4544365790042914240, 4535345760954691690, 0, 4541960000373765263],
+        ),
+    ];
+    for width in [1usize, 4] {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+        for (label, config, scale, pin) in &runs {
+            let got = pool.install(|| attribution_bits(*config, *scale));
+            assert_eq!(got, *pin, "{label}: phase attribution drifted at {width} threads");
+        }
+    }
+}
