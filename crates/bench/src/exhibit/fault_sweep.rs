@@ -42,8 +42,7 @@
 //! [`MAX_RETRIES`] times before the reliable path takes it.
 
 use gcbfs_bench::prelude::*;
-use gcbfs_cluster::fault::FaultPlan;
-use gcbfs_cluster::timing::degraded_bound;
+use gcbfs_cluster::fault::{degraded_bound, FaultPlan};
 use gcbfs_core::recovery::{RecoveryConfig, MAX_RETRIES};
 use gcbfs_core::stats::FaultStats;
 use gcbfs_core::verify::VerificationMode;

@@ -17,10 +17,10 @@
 //! * `GCBFS_PROFILE_OUT` / `GCBFS_JSONL_OUT` — files `profile_trace`
 //!   writes its Chrome trace / JSON-lines trace to.
 
-use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_core::config::BfsConfig;
 use gcbfs_core::driver::DistributedGraph;
 use gcbfs_core::stats::geometric_mean;
+use gcbfs_trace::PhaseTimes;
 
 /// What every exhibit imports: this harness and the workspace types the
 /// exhibits have in common.

@@ -665,6 +665,16 @@ pub fn failure_is_survivable(alive: &[bool]) -> bool {
     alive.iter().any(|&a| a)
 }
 
+/// The degraded critical-path bound of edge-balanced multi-survivor
+/// spreading: a dead member's load split evenly across `survivors` live
+/// members inflates the slowest lane by at most `(p+1)/p` (with `p`
+/// survivors) — `2×` in the degenerate one-survivor case.
+/// This is the factor spare-less recovery is designed to hit.
+pub fn degraded_bound(survivors: usize) -> f64 {
+    assert!(survivors > 0, "need at least one survivor");
+    (survivors as f64 + 1.0) / survivors as f64
+}
+
 /// A plan-level sanity check used by tests and the sweep harness: replays
 /// the plan's fail-stops in iteration order against `topology`
 /// (including its hot-spare pool) and reports whether every death can be
@@ -694,6 +704,13 @@ pub fn plan_is_survivable(plan: &FaultPlan, topology: Topology) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn degraded_bound_beats_buddy_hosting() {
+        assert_eq!(degraded_bound(1), 2.0, "one survivor degenerates to buddy hosting");
+        assert_eq!(degraded_bound(15), 16.0 / 15.0);
+        assert!(degraded_bound(15) < 2.0);
+    }
 
     #[test]
     fn benign_plan_does_nothing() {

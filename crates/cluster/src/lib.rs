@@ -16,10 +16,6 @@
 //!   *measured byte volumes and edge workloads* of a run into modeled Ray
 //!   time. All scaling figures in the paper are regenerated against this
 //!   model; real wall-clock of the Rust execution is reported separately.
-//! * [`timing`] — phase accounting (computation / local communication /
-//!   remote normal exchange / remote delegate reduce) with the
-//!   stream-overlap rule of Fig. 3.
-
 //! * [`fault`] — the deterministic fault-injection layer (the "chaos
 //!   fabric"): seeded message drops, scheduled fail-stop GPU losses,
 //!   delegate-mask corruption, and NIC degradation windows, with typed
@@ -27,14 +23,17 @@
 //!   fail-stopped GPU is dead at the first superstep barrier it misses,
 //!   the same rule the real-process backend in `gcbfs-core` applies to a
 //!   worker whose connection closed.
+//!
+//! The four runtime phases and the one fold of a superstep's per-GPU
+//! phase times into its cluster timing (`PhaseTag`, `PhaseTimes`,
+//! `IterationTiming::from_lanes`) are not here: they live in
+//! `gcbfs-trace`, the dependency-free leaf crate this one builds on.
 
 pub mod collectives;
 pub mod cost;
 pub mod fault;
-pub mod timing;
 pub mod topology;
 
 pub use cost::{CostModel, DeviceModel, NetworkModel};
 pub use fault::{FaultError, FaultInjector, FaultPlan};
-pub use timing::{IterationTiming, Phase, PhaseTimes};
 pub use topology::{GpuId, Topology};

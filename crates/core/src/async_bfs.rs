@@ -28,8 +28,8 @@ use crate::driver::{BuildError, DistributedGraph};
 use crate::propagate::{assemble, check_sources, Superstep};
 use crate::UNREACHED;
 use gcbfs_cluster::cost::NetworkModel;
-use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_graph::VertexId;
+use gcbfs_trace::PhaseTimes;
 
 /// Result of an asynchronous BFS run.
 #[derive(Clone, Debug)]

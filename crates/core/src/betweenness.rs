@@ -17,8 +17,8 @@ use crate::config::BfsConfig;
 use crate::driver::{BuildError, DistributedGraph};
 use crate::propagate::{assemble, check_sources, Inbox, Pricing, Reduce, Superstep};
 use crate::UNREACHED;
-use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_graph::VertexId;
+use gcbfs_trace::PhaseTimes;
 
 /// Result of a distributed betweenness run.
 #[derive(Clone, Debug)]

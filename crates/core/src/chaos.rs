@@ -27,8 +27,7 @@ use crate::stats::FaultStats;
 use crate::verify::VerifyState;
 use gcbfs_cluster::collectives::{allreduce_or_compressed, AllreduceOutcome};
 use gcbfs_cluster::fault::{FaultError, FaultInjector, FaultPlan, SdcEvent, SdcMode, SdcSite};
-use gcbfs_cluster::timing::PhaseTimes;
-use gcbfs_trace::{FaultKind, SinkMark};
+use gcbfs_trace::{FaultKind, PhaseTimes, SinkMark};
 
 /// Device-side shadow of the mutable superstep inputs, captured before
 /// local computation when online verification is armed. Re-execution of a

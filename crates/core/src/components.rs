@@ -17,7 +17,7 @@
 use crate::config::BfsConfig;
 use crate::driver::DistributedGraph;
 use crate::propagate::{assemble, Pricing, Reduce, Superstep};
-use gcbfs_cluster::timing::PhaseTimes;
+use gcbfs_trace::PhaseTimes;
 
 /// Result of a distributed connected-components run.
 #[derive(Clone, Debug)]

@@ -481,7 +481,7 @@ impl DistributedGraph {
 
             // ---- Record. ----
             if let Some(s) = t.sink.as_mut() {
-                pricer.record_spans(&price, s, iter, &ex);
+                pricer.record_spans(&price, s, iter, &ex, &timing);
             }
             t.records.push(pricer.record(price, iter, counts, &outputs, &ex, timing));
             t.iter += 1;

@@ -57,13 +57,12 @@ use crate::mutation::{MutationBatch, MutationOp};
 use crate::stats::{FaultStats, IterationRecord, RunStats};
 use crate::UNREACHED;
 use gcbfs_cluster::cost::KernelKind;
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
 use gcbfs_cluster::topology::{GpuId, Topology};
 use gcbfs_compress::CodecCounts;
 use gcbfs_graph::{CsrDelta, EdgeList};
 use gcbfs_trace::{
-    CollectiveHop, DirTag, FaultKind, KernelEvent, KernelTag, LanePhases, MessageRecord, SpanSink,
-    StreamTag, TraceLog,
+    CollectiveHop, DirTag, FaultKind, IterationTiming, KernelEvent, KernelTag, MessageRecord,
+    PhaseTimes, SpanSink, StreamTag, TraceLog,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -638,7 +637,7 @@ impl EvolvingGraph {
             0
         };
 
-        let mut lanes = vec![LanePhases::default(); p];
+        let mut lanes = vec![PhaseTimes::zero(); p];
         let mut kernels: Vec<Vec<KernelEvent>> = vec![Vec::new(); p];
         let mut work = KernelWork::default();
         let kernel =
@@ -792,28 +791,9 @@ impl EvolvingGraph {
             }
         }
 
-        // Cluster phase maxima: the same left fold from zero the sink
-        // and the driver use, so the trace totals match bitwise.
-        let mut phases = PhaseTimes::zero();
-        for lane in &lanes {
-            phases.computation = phases.computation.max(lane.computation);
-            phases.local_comm = phases.local_comm.max(lane.local_comm);
-            phases.remote_normal = phases.remote_normal.max(lane.remote_normal);
-        }
-        phases.remote_delegate = remote_delegate;
-
+        let timing = IterationTiming::from_lanes(&lanes, remote_delegate, blocking, false);
         if let Some(sink) = sink {
-            sink.record_iteration(
-                iter,
-                &lanes,
-                remote_delegate,
-                blocking,
-                false,
-                &[],
-                &kernels,
-                &messages,
-                &mask_hops,
-            );
+            sink.record_iteration(iter, &lanes, &timing, &[], &kernels, &messages, &mask_hops);
         }
 
         records.push(IterationRecord {
@@ -828,7 +808,7 @@ impl EvolvingGraph {
             codec_seconds: 0.0,
             codec_counts: CodecCounts::default(),
             mask_reduced: acc.mask_touched,
-            timing: IterationTiming { phases, blocking_reduce: blocking, overlap: false },
+            timing,
         });
     }
 }

@@ -20,8 +20,8 @@ use crate::config::BfsConfig;
 use crate::driver::{BfsResult, BuildError, DistributedGraph};
 use crate::propagate::{assemble, check_sources, Pricing, Reduce, Superstep};
 use crate::UNREACHED;
-use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_graph::VertexId;
+use gcbfs_trace::PhaseTimes;
 
 /// Result of one multi-source batch.
 #[derive(Clone, Debug)]

@@ -22,7 +22,7 @@ use crate::driver::DistributedGraph;
 use crate::propagate::{assemble, Pricing, Reduce, Superstep};
 use gcbfs_cluster::collectives::allreduce_sum;
 use gcbfs_cluster::cost::CostModel;
-use gcbfs_cluster::timing::PhaseTimes;
+use gcbfs_trace::PhaseTimes;
 
 /// Configuration of a distributed PageRank run.
 #[derive(Clone, Copy, Debug)]

@@ -3,8 +3,9 @@
 //!
 //! The proc backend measures wall time instead, so nothing here runs
 //! there. Every `f64` below is combined in a fixed order — the golden
-//! trace, the committed `results/*.txt` exhibits and the observability
-//! sink's bit-exact replay of these folds all depend on it.
+//! trace and the committed `results/*.txt` exhibits depend on it. A
+//! superstep's cluster timing is built once (`Pricer::timing`) and
+//! handed as is to the record and to the span sink.
 
 use crate::comm::ExchangeResult;
 use crate::config::BfsConfig;
@@ -14,11 +15,11 @@ use crate::stats::IterationRecord;
 use crate::verify;
 use gcbfs_cluster::collectives::{mask_reduce_hops, AllreduceOutcome};
 use gcbfs_cluster::cost::{DeviceModel, KernelKind};
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_compress::CodecCounts;
 use gcbfs_trace::{
-    CollectiveHop, DirTag, KernelEvent, KernelTag, LanePhases, LaneStages, SpanSink, StreamTag,
+    CollectiveHop, DirTag, IterationTiming, KernelEvent, KernelTag, LaneStages, PhaseTimes,
+    SpanSink, StreamTag,
 };
 
 /// The run-constant inputs of the pricing step.
@@ -180,44 +181,34 @@ impl<'a> Pricer<'a> {
         }
     }
 
-    /// Folds the exchange in and assembles the cluster-wide timing.
+    /// Folds the exchange into every lane and builds the superstep's
+    /// cluster timing from them, once.
     pub fn timing(&self, price: &mut StepPrice, ex: &ExchangeResult) -> IterationTiming {
         price.bytes_saved += ex.bytes_saved();
         price.codec_seconds += ex.codec_seconds;
         price.codec_counts.merge(&ex.codec_counts);
-        let mut cluster = PhaseTimes::zero();
         for (g, ph) in price.phases.iter_mut().enumerate() {
             ph.local_comm = ex.local_time[g] + price.local_mask_time;
             ph.remote_normal = ex.remote_time[g] * price.bw;
-            cluster = cluster.max(ph);
         }
-        cluster.remote_delegate = price.remote_delegate;
-        IterationTiming {
-            phases: cluster,
-            blocking_reduce: self.config.blocking_reduce,
-            overlap: self.config.overlap,
-        }
+        IterationTiming::from_lanes(
+            &price.phases,
+            price.remote_delegate,
+            self.config.blocking_reduce,
+            self.config.overlap,
+        )
     }
 
-    /// Hands the sink one lane per GPU, carrying the very values
-    /// [`Self::timing`] combined — the sink re-runs the same fold to
-    /// place spans.
+    /// Hands the sink the lanes [`Self::timing`] folded and the timing it
+    /// built from them.
     pub fn record_spans(
         &self,
         price: &StepPrice,
         sink: &mut SpanSink,
         iter: u32,
         ex: &ExchangeResult,
+        timing: &IterationTiming,
     ) {
-        let lanes: Vec<LanePhases> = price
-            .phases
-            .iter()
-            .map(|ph| LanePhases {
-                computation: ph.computation,
-                local_comm: ph.local_comm,
-                remote_normal: ph.remote_normal,
-            })
-            .collect();
         // Stage split of each lane's local_comm: the local mask work
         // gates the wire like the encode stage does, so it rides the
         // encode side; decode is pure codec time.
@@ -233,10 +224,8 @@ impl<'a> Pricer<'a> {
         };
         sink.record_iteration(
             iter,
-            &lanes,
-            price.remote_delegate,
-            self.config.blocking_reduce,
-            self.config.overlap,
+            &price.phases,
+            timing,
             &stages,
             &price.kernel_events,
             &ex.messages,

@@ -30,9 +30,9 @@ use crate::separation::Separation;
 use crate::subgraph::{Entry, GpuSubgraphs};
 use gcbfs_cluster::collectives::{allreduce_with, AllreduceValueOutcome};
 use gcbfs_cluster::cost::{CostModel, KernelKind, NetworkModel};
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
 use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::VertexId;
+use gcbfs_trace::{IterationTiming, PhaseTimes};
 use rayon::prelude::*;
 use std::sync::Arc;
 

@@ -25,7 +25,7 @@
 //!    * otherwise, in degraded mode with a survivor left, the partition is
 //!      **spread** across all survivors by a deterministic edge-balanced
 //!      plan ([`spread_shares`]), bounding the degraded critical path near
-//!      `(p+1)/p` ([`gcbfs_cluster::timing::degraded_bound`]);
+//!      `(p+1)/p` ([`gcbfs_cluster::fault::degraded_bound`]);
 //!    * otherwise the loss is fatal.
 //!
 //! Both tiers preserve the bit-exactness contract: recovery replays the
@@ -386,7 +386,7 @@ mod tests {
         let base = vec![1000.0; p + 1];
         let shares = spread_shares(&alive, &base[..], 1000.0);
         let worst = base[0] + shares.iter().map(|&(_, s)| s * 1000.0).fold(0.0, f64::max);
-        let bound = gcbfs_cluster::timing::degraded_bound(p);
+        let bound = gcbfs_cluster::fault::degraded_bound(p);
         assert!((worst / base[0] - bound).abs() < 1e-9, "worst {worst}, bound {bound}");
     }
 

@@ -17,10 +17,10 @@
 use crate::config::BfsConfig;
 use crate::driver::{BuildError, DistributedGraph};
 use crate::propagate::{assemble, check_sources, Pricing, Reduce, Superstep};
-use gcbfs_cluster::timing::PhaseTimes;
 use gcbfs_cluster::topology::Topology;
 use gcbfs_graph::weighted::{Weights, UNREACHABLE};
 use gcbfs_graph::{EdgeList, VertexId};
+use gcbfs_trace::PhaseTimes;
 
 /// A weighted graph distributed across the simulated cluster for SSSP:
 /// the one partition type with `(destination, weight)` entries.

@@ -7,8 +7,8 @@
 //! and the Graph500 TEPS metric.
 
 use crate::kernels::KernelWork;
-use gcbfs_cluster::timing::{IterationTiming, PhaseTimes};
 use gcbfs_compress::CodecCounts;
+use gcbfs_trace::{IterationTiming, PhaseTimes};
 
 /// One BFS iteration's cluster-wide record.
 #[derive(Clone, Debug)]
@@ -206,7 +206,7 @@ pub fn geometric_mean(samples: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcbfs_cluster::timing::PhaseTimes;
+    use gcbfs_trace::PhaseTimes;
 
     fn record(iter: u32, mask_reduced: bool, comp: f64) -> IterationRecord {
         IterationRecord {

@@ -200,12 +200,6 @@ pub struct TraversalService<'a> {
     batch_cache: BTreeMap<Vec<u64>, BatchProfile>,
     sssp_cache: BTreeMap<u64, f64>,
     pagerank_cache: BTreeMap<u32, f64>,
-    /// Graph mutation epoch: bumped by [`TraversalService::graph_mutated`];
-    /// every cached profile is stamped with the epoch it was computed in,
-    /// and serving asserts the stamp matches — a stale completion level
-    /// can never leave the cache silently.
-    epoch: u64,
-    profile_epochs: BTreeMap<Vec<u64>, u64>,
 }
 
 impl<'a> TraversalService<'a> {
@@ -226,33 +220,7 @@ impl<'a> TraversalService<'a> {
             batch_cache: BTreeMap::new(),
             sssp_cache: BTreeMap::new(),
             pagerank_cache: BTreeMap::new(),
-            epoch: 0,
-            profile_epochs: BTreeMap::new(),
         }
-    }
-
-    /// Must be called whenever the underlying graph changed between
-    /// sweeps (a mutation batch was applied): drops every memoized
-    /// [`BatchProfile`] — completion levels, SSSP times, and PageRank
-    /// times were all computed against the pre-mutation adjacency and
-    /// would otherwise be served stale — and advances the mutation epoch.
-    pub fn graph_mutated(&mut self) {
-        self.batch_cache.clear();
-        self.sssp_cache.clear();
-        self.pagerank_cache.clear();
-        self.profile_epochs.clear();
-        self.epoch += 1;
-    }
-
-    /// The current graph-mutation epoch (0 until the first mutation).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Memoized batch profiles currently held (tests use this to prove
-    /// invalidation actually happened).
-    pub fn cached_profiles(&self) -> usize {
-        self.batch_cache.len()
     }
 
     /// Attaches a weighted-graph backend so SSSP queries are servable.
@@ -275,14 +243,6 @@ impl<'a> TraversalService<'a> {
     /// The sweep profile for a distinct-source batch, memoized.
     fn profile(&mut self, sources: &[u64]) -> BatchProfile {
         if let Some(p) = self.batch_cache.get(sources) {
-            let stamp = self.profile_epochs.get(sources).copied();
-            assert_eq!(
-                stamp,
-                Some(self.epoch),
-                "stale BatchProfile: cached in epoch {stamp:?} but the graph is at epoch {}; \
-                 graph_mutated() must run between mutation and the next sweep",
-                self.epoch
-            );
             return p.clone();
         }
         let r = self.dist.run_multi_source(sources, &self.config).expect("validated sources");
@@ -299,7 +259,6 @@ impl<'a> TraversalService<'a> {
             edges: r.edges_examined,
         };
         self.batch_cache.insert(sources.to_vec(), profile.clone());
-        self.profile_epochs.insert(sources.to_vec(), self.epoch);
         profile
     }
 
@@ -632,29 +591,6 @@ mod tests {
         assert_eq!(a.goodput_qps.to_bits(), b.goodput_qps.to_bits());
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.completed, b.completed);
-    }
-
-    #[test]
-    fn graph_mutation_invalidates_memoized_profiles() {
-        let (graph, config) = setup();
-        let dist = DistributedGraph::build(&graph, Topology::new(2, 2), &config).unwrap();
-        let tenants = vec![TenantSpec::new(0, "a")];
-        let spec = WorkloadSpec::bfs_only(2000.0, 48, 13, pool(&graph, 8)).with_deadline(1.0);
-        let arrivals = generate(&spec, &tenants);
-        let mut svc = TraversalService::new(&dist, config, tenants, BatchPolicy::new(64, 0.05));
-        let a = svc.run(&arrivals);
-        assert!(a.completed > 0);
-        assert!(svc.cached_profiles() > 0, "the sweep must memoize at least one BatchProfile");
-        assert_eq!(svc.epoch(), 0);
-        // A mutation between sweeps must drop every memoized profile so the
-        // next sweep re-simulates against the mutated graph instead of
-        // serving stale completion levels.
-        svc.graph_mutated();
-        assert_eq!(svc.cached_profiles(), 0, "stale BatchProfiles survived the mutation");
-        assert_eq!(svc.epoch(), 1);
-        let b = svc.run(&arrivals);
-        assert_eq!(b.completed, a.completed);
-        assert!(svc.cached_profiles() > 0, "post-mutation sweep must repopulate the cache");
     }
 
     #[test]

@@ -172,26 +172,46 @@ pub fn export_chrome(log: &TraceLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{LanePhases, MessageRecord};
+    use crate::event::MessageRecord;
     use crate::json::{validate_chrome_trace, Json};
     use crate::sink::SpanSink;
+    use crate::timing::{IterationTiming, PhaseTimes};
 
     fn sample_log() -> TraceLog {
         let mut sink = SpanSink::new(2, 2);
         let lanes = [
-            LanePhases { computation: 1e-4, local_comm: 2e-5, remote_normal: 3e-5 },
-            LanePhases { computation: 2e-4, local_comm: 1e-5, remote_normal: 0.0 },
-            LanePhases { computation: 5e-5, local_comm: 0.0, remote_normal: 4e-5 },
-            LanePhases { computation: 1e-4, local_comm: 3e-5, remote_normal: 1e-5 },
+            PhaseTimes {
+                computation: 1e-4,
+                local_comm: 2e-5,
+                remote_normal: 3e-5,
+                remote_delegate: 0.0,
+            },
+            PhaseTimes {
+                computation: 2e-4,
+                local_comm: 1e-5,
+                remote_normal: 0.0,
+                remote_delegate: 0.0,
+            },
+            PhaseTimes {
+                computation: 5e-5,
+                local_comm: 0.0,
+                remote_normal: 4e-5,
+                remote_delegate: 0.0,
+            },
+            PhaseTimes {
+                computation: 1e-4,
+                local_comm: 3e-5,
+                remote_normal: 1e-5,
+                remote_delegate: 0.0,
+            },
         ];
         let msgs =
             [MessageRecord { src: 1, dst: 2, raw_bytes: 640, wire_bytes: 200, intra: false }];
+        let timing = IterationTiming::from_lanes(&lanes, 6e-5, false, false);
         sink.record_iteration(
             0,
             &lanes,
-            6e-5,
-            false,
-            false,
+            &timing,
             &[],
             &[vec![], vec![], vec![], vec![]],
             &msgs,

@@ -3,27 +3,15 @@
 //! Each superstep's elapsed time is gated, phase by phase, by the
 //! slowest lane (and by the collective for the delegate reduction). The
 //! analyzer attributes every modeled second of the run to exactly one
-//! segment: the winning lane of each phase, the collective, or a
-//! resilience charge. The attribution is *exact*: segment durations are
-//! the very `f64` values the driver folded into its `IterationTiming`,
-//! combined with the same overlap expression, so
+//! phase or to a resilience charge. The attribution is *exact*: each
+//! [`IterationPath`] carries the very [`IterationTiming`] the driver
+//! built and recorded (the one fold, `IterationTiming::from_lanes`), so
 //! [`CriticalPath::total_seconds`] reproduces `RunStats::modeled_elapsed()`
-//! bit-for-bit.
+//! bit-for-bit through the one overlap rule, `IterationTiming::elapsed`.
+//! Which lane gated a phase is read from `TraceLog::phase_spans`.
 
 use crate::event::PhaseTag;
-
-/// One phase's contribution to an iteration's critical path.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PathSegment {
-    /// Which phase.
-    pub phase: PhaseTag,
-    /// The cluster-gating duration of the phase (max over lanes, or the
-    /// collective time for the delegate reduction).
-    pub seconds: f64,
-    /// The lane (global GPU index) that gated the phase; `None` for the
-    /// delegate reduction, which is a rank-level collective.
-    pub gpu: Option<u32>,
-}
+use crate::timing::IterationTiming;
 
 /// The critical path of one BFS iteration (superstep).
 #[derive(Clone, Debug, PartialEq)]
@@ -32,22 +20,13 @@ pub struct IterationPath {
     pub iter: u32,
     /// Modeled start time of the iteration.
     pub start: f64,
-    /// Elapsed modeled time after stream overlap — bit-identical to the
-    /// iteration's `IterationTiming::elapsed()`.
-    pub elapsed: f64,
-    /// Whether the delegate reduction was blocking this iteration.
-    pub blocking: bool,
-    /// Whether the communication pipeline overlapped kernel execution
-    /// this iteration (`elapsed = max(computation, pipeline)`).
-    pub overlap: bool,
-    /// Per-phase gating segments in reporting order
-    /// (computation, local, remote normal, remote delegate).
-    pub segments: [PathSegment; 4],
+    /// The iteration's cluster timing, exactly as the run recorded it.
+    pub timing: IterationTiming,
 }
 
 impl IterationPath {
     /// Seconds of `elapsed` attributed to each phase, in reporting
-    /// order. Under a blocking reduction all four segments contribute
+    /// order. Under a blocking reduction all four phases contribute
     /// fully; under a non-blocking one the two remote phases overlap and
     /// only the longer contributes (the shorter is attributed zero).
     /// With pipelined compute/comm overlap only the winning side of
@@ -57,18 +36,16 @@ impl IterationPath {
     /// `elapsed` (bit-for-bit without overlap; overlap introduces one
     /// extra addition whose rounding the observability suite bounds).
     pub fn attributed(&self) -> [f64; 4] {
-        let c = self.segments[0].seconds;
-        let l = self.segments[1].seconds;
-        let rn = self.segments[2].seconds;
-        let rd = self.segments[3].seconds;
-        let (arn, ard) = if self.blocking {
+        let p = &self.timing.phases;
+        let (c, l, rn, rd) = (p.computation, p.local_comm, p.remote_normal, p.remote_delegate);
+        let (arn, ard) = if self.timing.blocking_reduce {
             (rn, rd)
         } else if rn.max(rd) == rn {
             (rn, 0.0)
         } else {
             (0.0, rd)
         };
-        if self.overlap {
+        if self.timing.overlap {
             let pipeline = l + (arn + ard);
             if c >= pipeline {
                 [c, 0.0, 0.0, 0.0]
@@ -78,18 +55,6 @@ impl IterationPath {
         } else {
             [c, l, arn, ard]
         }
-    }
-
-    /// The phase contributing the most attributed time this iteration.
-    pub fn dominant(&self) -> PhaseTag {
-        let a = self.attributed();
-        let mut best = 0usize;
-        for (i, v) in a.iter().enumerate() {
-            if *v > a[best] {
-                best = i;
-            }
-        }
-        PhaseTag::ALL[best]
     }
 }
 
@@ -112,7 +77,7 @@ impl CriticalPath {
     /// the same expression `RunStats::modeled_elapsed()` evaluates, so
     /// the two agree bit-for-bit.
     pub fn total_seconds(&self) -> f64 {
-        self.iterations.iter().map(|i| i.elapsed).sum::<f64>()
+        self.iterations.iter().map(|i| i.timing.elapsed()).sum::<f64>()
             + (self.checkpoint_seconds + self.recovery_seconds)
     }
 
@@ -130,8 +95,8 @@ impl CriticalPath {
     }
 
     /// Human-readable multi-line summary for CLI output: total, phase
-    /// attribution with percentages, resilience overhead, and the most
-    /// frequent dominant phase.
+    /// attribution with percentages, and the resilience overhead when
+    /// there is any.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let total = self.total_seconds();
@@ -159,33 +124,28 @@ impl CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn seg(phase: PhaseTag, seconds: f64, gpu: Option<u32>) -> PathSegment {
-        PathSegment { phase, seconds, gpu }
-    }
+    use crate::timing::PhaseTimes;
 
     fn iteration(blocking: bool, c: f64, l: f64, rn: f64, rd: f64) -> IterationPath {
-        let remote = if blocking { rn + rd } else { rn.max(rd) };
         IterationPath {
             iter: 0,
             start: 0.0,
-            elapsed: c + l + remote,
-            blocking,
-            overlap: false,
-            segments: [
-                seg(PhaseTag::Computation, c, Some(0)),
-                seg(PhaseTag::LocalComm, l, Some(1)),
-                seg(PhaseTag::RemoteNormal, rn, Some(2)),
-                seg(PhaseTag::RemoteDelegate, rd, None),
-            ],
+            timing: IterationTiming {
+                phases: PhaseTimes {
+                    computation: c,
+                    local_comm: l,
+                    remote_normal: rn,
+                    remote_delegate: rd,
+                },
+                blocking_reduce: blocking,
+                overlap: false,
+            },
         }
     }
 
     fn overlapped(blocking: bool, c: f64, l: f64, rn: f64, rd: f64) -> IterationPath {
-        let remote = if blocking { rn + rd } else { rn.max(rd) };
         let mut it = iteration(blocking, c, l, rn, rd);
-        it.overlap = true;
-        it.elapsed = c.max(l + remote);
+        it.timing.overlap = true;
         it
     }
 
@@ -194,36 +154,30 @@ mod tests {
         for blocking in [false, true] {
             let it = iteration(blocking, 4.0, 1.0, 2.0, 3.0);
             let a = it.attributed();
-            assert_eq!(a.iter().sum::<f64>(), it.elapsed);
+            assert_eq!(a.iter().sum::<f64>(), it.timing.elapsed());
         }
     }
 
     #[test]
     fn nonblocking_overlap_attributes_winner_only() {
         let it = iteration(false, 4.0, 1.0, 2.0, 3.0);
-        let a = it.attributed();
-        assert_eq!(a[2], 0.0);
-        assert_eq!(a[3], 3.0);
-        assert_eq!(it.dominant(), PhaseTag::Computation);
+        assert_eq!(it.attributed(), [4.0, 1.0, 0.0, 3.0]);
     }
 
     #[test]
     fn overlap_attributes_the_winning_side_only() {
         // Compute-bound: elapsed == computation, everything else hidden.
         let it = overlapped(false, 4.0, 1.0, 2.0, 3.0);
-        assert_eq!(it.elapsed, 4.0);
+        assert_eq!(it.timing.elapsed(), 4.0);
         assert_eq!(it.attributed(), [4.0, 0.0, 0.0, 0.0]);
-        assert_eq!(it.attributed().iter().sum::<f64>(), it.elapsed);
-        assert_eq!(it.dominant(), PhaseTag::Computation);
         // Comm-bound: computation hides instead; the nonblocking remote
         // rule still zeroes the losing remote phase.
         let it = overlapped(false, 1.0, 2.0, 5.0, 3.0);
-        assert_eq!(it.elapsed, 7.0);
+        assert_eq!(it.timing.elapsed(), 7.0);
         assert_eq!(it.attributed(), [0.0, 2.0, 5.0, 0.0]);
-        assert_eq!(it.attributed().iter().sum::<f64>(), it.elapsed);
         // Blocking comm-bound sums both remote phases inside the pipeline.
         let it = overlapped(true, 1.0, 2.0, 5.0, 3.0);
-        assert_eq!(it.elapsed, 10.0);
+        assert_eq!(it.timing.elapsed(), 10.0);
         assert_eq!(it.attributed(), [0.0, 2.0, 5.0, 3.0]);
     }
 

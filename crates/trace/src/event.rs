@@ -5,11 +5,9 @@
 //! index `g` in `0..num_ranks * gpus_per_rank`; the owning rank is
 //! `g / gpus_per_rank`.
 
-/// One of the paper's four runtime phases, as seen by the tracer.
-///
-/// Mirrors the cluster crate's `Phase` enum; redefined here so the trace
-/// crate stays dependency-free (it sits *below* `gcbfs-cluster` in the
-/// dependency graph).
+/// One of the paper's four runtime phases — the workspace's one phase
+/// vocabulary. [`PhaseTimes`](crate::PhaseTimes) holds one field per
+/// phase, in this order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseTag {
     /// Local kernel execution (both streams).
@@ -192,19 +190,6 @@ pub struct KernelEvent {
     pub seconds: f64,
 }
 
-/// Per-lane phase seconds handed to the sink for one iteration — the
-/// *final* per-GPU values whose element-wise maximum is the cluster's
-/// `IterationTiming` for that iteration.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct LanePhases {
-    /// Seconds of local kernel execution on this GPU.
-    pub computation: f64,
-    /// Seconds of intra-rank staging attributed to this GPU.
-    pub local_comm: f64,
-    /// Seconds of cross-rank normal exchange attributed to this GPU.
-    pub remote_normal: f64,
-}
-
 /// A stage of the pipelined nn-exchange (encode → transfer → decode);
 /// recorded only when compute/comm overlap is on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -230,10 +215,10 @@ impl StageTag {
 }
 
 /// Per-lane stage seconds of the pipelined nn-exchange for one
-/// iteration, handed to the sink alongside [`LanePhases`] when overlap
-/// is on. Encode and decode partition this lane's `local_comm` (up to
-/// float association); the transfer stage duration is the lane's
-/// `remote_normal`.
+/// iteration, handed to the sink alongside the lane
+/// [`PhaseTimes`](crate::PhaseTimes) when overlap is on. Encode and
+/// decode partition this lane's `local_comm` (up to float association);
+/// the transfer stage duration is the lane's `remote_normal`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LaneStages {
     /// Seconds of sender-side staging (binning/all2all/uniquify/encode).

@@ -189,16 +189,25 @@ pub fn summarize(text: &str) -> Result<JsonlSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{
-        DirTag, FaultKind, KernelEvent, KernelTag, LanePhases, MessageRecord, StreamTag,
-    };
+    use crate::event::{DirTag, FaultKind, KernelEvent, KernelTag, MessageRecord, StreamTag};
     use crate::sink::SpanSink;
+    use crate::timing::{IterationTiming, PhaseTimes};
 
     fn sample_log() -> TraceLog {
         let mut sink = SpanSink::new(1, 2);
         let lanes = [
-            LanePhases { computation: 1e-4, local_comm: 2e-5, remote_normal: 0.0 },
-            LanePhases { computation: 3e-4, local_comm: 1e-5, remote_normal: 0.0 },
+            PhaseTimes {
+                computation: 1e-4,
+                local_comm: 2e-5,
+                remote_normal: 0.0,
+                remote_delegate: 0.0,
+            },
+            PhaseTimes {
+                computation: 3e-4,
+                local_comm: 1e-5,
+                remote_normal: 0.0,
+                remote_delegate: 0.0,
+            },
         ];
         let kernels = vec![
             vec![KernelEvent {
@@ -217,7 +226,8 @@ mod tests {
             }],
         ];
         let msgs = [MessageRecord { src: 0, dst: 1, raw_bytes: 96, wire_bytes: 96, intra: true }];
-        sink.record_iteration(0, &lanes, 0.0, true, false, &[], &kernels, &msgs, &[]);
+        let timing = IterationTiming::from_lanes(&lanes, 0.0, true, false);
+        sink.record_iteration(0, &lanes, &timing, &[], &kernels, &msgs, &[]);
         sink.record_fault(FaultKind::Retry, 0, 2e-5);
         sink.finish()
     }
@@ -249,9 +259,15 @@ mod tests {
     fn stage_lines_round_trip_in_overlap_runs() {
         use crate::event::LaneStages;
         let mut sink = SpanSink::new(1, 1);
-        let lanes = [LanePhases { computation: 1e-4, local_comm: 2e-5, remote_normal: 3e-5 }];
+        let lanes = [PhaseTimes {
+            computation: 1e-4,
+            local_comm: 2e-5,
+            remote_normal: 3e-5,
+            remote_delegate: 0.0,
+        }];
         let stages = [LaneStages { encode: 1.5e-5, decode: 0.5e-5 }];
-        sink.record_iteration(0, &lanes, 0.0, false, true, &stages, &[vec![]], &[], &[]);
+        let timing = IterationTiming::from_lanes(&lanes, 0.0, false, true);
+        sink.record_iteration(0, &lanes, &timing, &stages, &[vec![]], &[], &[]);
         let log = sink.finish();
         let text = export_jsonl(&log);
         assert!(text.contains("\"type\":\"stage\""));

@@ -19,10 +19,16 @@
 //! JSON-lines files at `GCBFS_THREADS=1`, `2` or `4`.
 //!
 //! The crate is dependency-free so that both `gcbfs-cluster` and
-//! `gcbfs-core` can use it without a dependency cycle.
+//! `gcbfs-core` can use it without a dependency cycle. It is also where
+//! the workspace's one phase vocabulary lives ([`PhaseTag`] and
+//! [`PhaseTimes`]) and its one superstep fold: a superstep's cluster
+//! [`IterationTiming`] is built once, by [`IterationTiming::from_lanes`],
+//! and recorded as given — the sink derives no time of its own.
 //!
 //! Sub-modules:
 //!
+//! * [`timing`] — [`PhaseTimes`] and [`IterationTiming`]: the fold from
+//!   per-GPU lanes to cluster maxima and the overlap rule.
 //! * [`event`] — the typed event vocabulary.
 //! * [`sink`] — [`SpanSink`], the per-run recorder with a monotone
 //!   modeled-time cursor, and [`TraceLog`], the finished log.
@@ -44,15 +50,17 @@ pub mod json;
 pub mod jsonl;
 pub mod metrics;
 pub mod sink;
+pub mod timing;
 
-pub use critical_path::{CriticalPath, IterationPath, PathSegment};
+pub use critical_path::{CriticalPath, IterationPath};
 pub use event::{
     Channel, CollectiveHop, DirTag, FaultKind, FaultSpan, KernelEvent, KernelSpan, KernelTag,
-    LanePhases, LaneStages, MessageEvent, MessageKind, MessageRecord, PhaseSpan, PhaseTag,
-    StageSpan, StageTag, StreamTag,
+    LaneStages, MessageEvent, MessageKind, MessageRecord, PhaseSpan, PhaseTag, StageSpan, StageTag,
+    StreamTag,
 };
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use sink::{SinkMark, SpanSink, TraceLog};
+pub use timing::{IterationTiming, PhaseTimes};
 
 /// Controls whether the observability subsystem records anything.
 ///

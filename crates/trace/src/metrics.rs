@@ -119,24 +119,6 @@ impl MetricsSnapshot {
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
-
-    /// Renders the snapshot as stable `name value` lines (counters, then
-    /// gauges, then histogram count/sum pairs).
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        for (n, v) in &self.counters {
-            let _ = writeln!(s, "{n} {v}");
-        }
-        for (n, v) in &self.gauges {
-            let _ = writeln!(s, "{n} {v}");
-        }
-        for (n, h) in &self.histograms {
-            let _ = writeln!(s, "{n}.count {}", h.count);
-            let _ = writeln!(s, "{n}.sum {}", h.sum);
-        }
-        s
-    }
 }
 
 /// Mutable counters/gauges/histograms keyed by name.
@@ -232,8 +214,9 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{LanePhases, MessageRecord};
+    use crate::event::MessageRecord;
     use crate::sink::SpanSink;
+    use crate::timing::{IterationTiming, PhaseTimes};
 
     #[test]
     fn histogram_buckets_by_power_of_two() {
@@ -339,26 +322,28 @@ mod tests {
     }
 
     #[test]
-    fn render_text_is_stable() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("b", 2);
-        reg.gauge_set("a", 1.5);
-        reg.histogram_observe("h", 7);
-        assert_eq!(reg.snapshot().render_text(), "b 2\na 1.5\nh.count 1\nh.sum 7\n");
-    }
-
-    #[test]
     fn from_log_aggregates_messages_and_phases() {
         let mut sink = SpanSink::new(2, 1);
         let lanes = [
-            LanePhases { computation: 1.0, local_comm: 0.5, remote_normal: 0.25 },
-            LanePhases { computation: 2.0, local_comm: 0.25, remote_normal: 0.5 },
+            PhaseTimes {
+                computation: 1.0,
+                local_comm: 0.5,
+                remote_normal: 0.25,
+                remote_delegate: 0.0,
+            },
+            PhaseTimes {
+                computation: 2.0,
+                local_comm: 0.25,
+                remote_normal: 0.5,
+                remote_delegate: 0.0,
+            },
         ];
         let msgs = [
             MessageRecord { src: 0, dst: 1, raw_bytes: 100, wire_bytes: 40, intra: false },
             MessageRecord { src: 1, dst: 0, raw_bytes: 60, wire_bytes: 60, intra: false },
         ];
-        sink.record_iteration(0, &lanes, 0.125, true, false, &[], &[vec![], vec![]], &msgs, &[]);
+        let timing = IterationTiming::from_lanes(&lanes, 0.125, true, false);
+        sink.record_iteration(0, &lanes, &timing, &[], &[vec![], vec![]], &msgs, &[]);
         let log = sink.finish();
         let snap = MetricsRegistry::from_log(&log).snapshot();
         assert_eq!(snap.counter("message.cross_rank.count"), Some(2));

@@ -3,10 +3,13 @@
 //! [`SpanSink`] maintains a *monotone modeled-time cursor*. The BFS
 //! driver calls it at exactly the sites where it charges modeled time
 //! (`record_fault` wherever `FaultStats` accumulates, `record_iteration`
-//! where an `IterationRecord` is pushed), passing the *same* `f64`
-//! values it charges. The sink re-derives cluster phase maxima with the
-//! same left fold the driver uses, so every quantity it stores is
-//! bit-identical to the run's own accounting — the invariants enforced
+//! where an `IterationRecord` is pushed), passing the *same* values it
+//! charges: a superstep arrives as its per-GPU lane [`PhaseTimes`] plus
+//! the [`IterationTiming`] the caller built from them once, with
+//! [`IterationTiming::from_lanes`]. The sink derives no time of its own —
+//! it lays the given spans out on the timeline and advances the cursor
+//! by [`IterationTiming::elapsed`] — so every quantity it stores is
+//! bit-identical to the run's own accounting, and the invariants enforced
 //! by `tests/observability.rs` hold exactly, not approximately.
 //!
 //! Rollback semantics: a checkpoint takes a [`SinkMark`]; a rollback
@@ -18,11 +21,12 @@
 //! iterations and the log's total extent still equals the run's modeled
 //! elapsed time.
 
-use crate::critical_path::{CriticalPath, IterationPath, PathSegment};
+use crate::critical_path::{CriticalPath, IterationPath};
 use crate::event::{
-    Channel, CollectiveHop, FaultKind, FaultSpan, KernelEvent, KernelSpan, LanePhases, LaneStages,
+    Channel, CollectiveHop, FaultKind, FaultSpan, KernelEvent, KernelSpan, LaneStages,
     MessageEvent, MessageKind, MessageRecord, PhaseSpan, PhaseTag, StageSpan, StageTag,
 };
+use crate::timing::{IterationTiming, PhaseTimes};
 
 /// The finished, immutable record of one observed run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -168,75 +172,46 @@ impl SpanSink {
 
     /// Records one BSP superstep.
     ///
-    /// * `lanes[g]` carries the final per-GPU phase seconds — the values
-    ///   the driver max-folds into the cluster `IterationTiming`.
-    /// * `remote_delegate` is the cluster-wide delegate-reduction time
-    ///   (a collective: identical on every lane).
+    /// * `lanes[g]` carries GPU `g`'s final phase seconds and `timing`
+    ///   the cluster timing the caller built from them
+    ///   ([`IterationTiming::from_lanes`]); each lane's delegate span
+    ///   lasts the collective's `timing.phases.remote_delegate`.
     /// * `kernels[g]` lists the kernels GPU `g` ran; they are laid out
     ///   sequentially per stream from the computation phase start.
     /// * `messages` are the exchange's point-to-point transfers and
     ///   `mask_hops` the reduction's rank-level hops; both are stamped
     ///   with the start of the phase that pays for them.
-    /// * `overlap` pipelines the communication against the computation:
-    ///   the comm phases start at the iteration start instead of after the
-    ///   compute barrier, and the cursor advances by
-    ///   `max(computation, pipeline)`.
+    /// * Under `timing.overlap` the communication is pipelined against
+    ///   the computation: the comm phases start at the iteration start
+    ///   instead of after the compute barrier.
     /// * `stages[g]` splits lane `g`'s nn-exchange into encode/decode
-    ///   seconds; stage spans are emitted only when `overlap` is on, so an
+    ///   seconds; stage spans are emitted only under overlap, so an
     ///   overlap-off run's log is byte-identical to the pre-overlap one.
     ///
-    /// The cursor advances by the iteration's elapsed time, computed with
-    /// the same overlap expression as `IterationTiming::elapsed`.
+    /// The cursor advances by `timing.elapsed()`.
     #[allow(clippy::too_many_arguments)]
     pub fn record_iteration(
         &mut self,
         iter: u32,
-        lanes: &[LanePhases],
-        remote_delegate: f64,
-        blocking: bool,
-        overlap: bool,
+        lanes: &[PhaseTimes],
+        timing: &IterationTiming,
         stages: &[LaneStages],
         kernels: &[Vec<KernelEvent>],
         messages: &[MessageRecord],
         mask_hops: &[CollectiveHop],
     ) {
         debug_assert_eq!(lanes.len(), kernels.len());
-        // Cluster maxima: the same left fold (starting from zero) the
-        // driver uses to build the cluster PhaseTimes, so the results
-        // are bit-identical to the recorded IterationTiming.
-        let mut comp_max = 0.0f64;
-        let mut local_max = 0.0f64;
-        let mut rn_max = 0.0f64;
-        let mut comp_arg = 0u32;
-        let mut local_arg = 0u32;
-        let mut rn_arg = 0u32;
-        for (g, lane) in lanes.iter().enumerate() {
-            if lane.computation > comp_max {
-                comp_arg = g as u32;
-            }
-            if lane.local_comm > local_max {
-                local_arg = g as u32;
-            }
-            if lane.remote_normal > rn_max {
-                rn_arg = g as u32;
-            }
-            comp_max = comp_max.max(lane.computation);
-            local_max = local_max.max(lane.local_comm);
-            rn_max = rn_max.max(lane.remote_normal);
-        }
-        let remote = if blocking { rn_max + remote_delegate } else { rn_max.max(remote_delegate) };
-        let elapsed =
-            if overlap { comp_max.max(local_max + remote) } else { comp_max + local_max + remote };
-
+        let cluster = &timing.phases;
+        let overlap = timing.overlap;
         // Common phase boundaries: the BSP barrier after each phase
         // means every lane's next phase starts at the slowest lane's end.
         // Under overlap the comm pipeline runs on the copy engines
         // concurrently with the kernels, so it starts at the iteration
         // start rather than after the compute barrier.
         let c0 = self.cursor;
-        let l0 = if overlap { c0 } else { c0 + comp_max };
-        let rn0 = l0 + local_max;
-        let rd0 = if blocking { rn0 + rn_max } else { rn0 };
+        let l0 = if overlap { c0 } else { c0 + cluster.computation };
+        let rn0 = l0 + cluster.local_comm;
+        let rd0 = if timing.blocking_reduce { rn0 + cluster.remote_normal } else { rn0 };
 
         for (g, lane) in lanes.iter().enumerate() {
             let gpu = g as u32;
@@ -266,7 +241,7 @@ impl SpanSink {
                 iter,
                 phase: PhaseTag::RemoteDelegate,
                 start: rd0,
-                dur: remote_delegate,
+                dur: cluster.remote_delegate,
             });
         }
 
@@ -343,32 +318,8 @@ impl SpanSink {
             });
         }
 
-        self.log.iterations.push(IterationPath {
-            iter,
-            start: c0,
-            elapsed,
-            blocking,
-            overlap,
-            segments: [
-                PathSegment {
-                    phase: PhaseTag::Computation,
-                    seconds: comp_max,
-                    gpu: Some(comp_arg),
-                },
-                PathSegment {
-                    phase: PhaseTag::LocalComm,
-                    seconds: local_max,
-                    gpu: Some(local_arg),
-                },
-                PathSegment { phase: PhaseTag::RemoteNormal, seconds: rn_max, gpu: Some(rn_arg) },
-                PathSegment {
-                    phase: PhaseTag::RemoteDelegate,
-                    seconds: remote_delegate,
-                    gpu: None,
-                },
-            ],
-        });
-        self.cursor = c0 + elapsed;
+        self.log.iterations.push(IterationPath { iter, start: c0, timing: *timing });
+        self.cursor = c0 + timing.elapsed();
     }
 
     /// Consumes the sink and returns the finished log.
@@ -382,15 +333,16 @@ mod tests {
     use super::*;
     use crate::event::{DirTag, KernelTag, StreamTag};
 
-    fn lane(c: f64, l: f64, rn: f64) -> LanePhases {
-        LanePhases { computation: c, local_comm: l, remote_normal: rn }
+    fn lane(c: f64, l: f64, rn: f64) -> PhaseTimes {
+        PhaseTimes { computation: c, local_comm: l, remote_normal: rn, remote_delegate: 0.0 }
     }
 
     #[test]
     fn phase_layout_and_elapsed_nonblocking() {
         let mut sink = SpanSink::new(1, 2);
         let lanes = [lane(4.0, 1.0, 2.0), lane(3.0, 1.5, 0.5)];
-        sink.record_iteration(0, &lanes, 3.0, false, false, &[], &[vec![], vec![]], &[], &[]);
+        let timing = IterationTiming::from_lanes(&lanes, 3.0, false, false);
+        sink.record_iteration(0, &lanes, &timing, &[], &[vec![], vec![]], &[], &[]);
         // elapsed = 4.0 + 1.5 + max(2.0, 3.0)
         assert_eq!(sink.cursor(), 8.5);
         let log = sink.finish();
@@ -414,20 +366,28 @@ mod tests {
     }
 
     #[test]
-    fn blocking_serializes_remote_and_attributes_lanes() {
+    fn blocking_serializes_remote_and_records_the_given_timing() {
         let mut sink = SpanSink::new(2, 1);
         let lanes = [lane(1.0, 0.5, 2.0), lane(6.0, 0.25, 1.0)];
-        sink.record_iteration(3, &lanes, 0.5, true, false, &[], &[vec![], vec![]], &[], &[]);
+        let timing = IterationTiming::from_lanes(&lanes, 0.5, true, false);
+        sink.record_iteration(3, &lanes, &timing, &[], &[vec![], vec![]], &[], &[]);
         assert_eq!(sink.cursor(), 6.0 + 0.5 + 2.0 + 0.5);
         let log = sink.finish();
         let rd = log.phase_spans.iter().find(|s| s.phase == PhaseTag::RemoteDelegate).unwrap();
         assert_eq!(rd.start, 6.0 + 0.5 + 2.0);
-        let it = &log.iterations[0];
-        assert_eq!(it.segments[0].gpu, Some(1)); // computation critical on lane 1
-        assert_eq!(it.segments[1].gpu, Some(0));
-        assert_eq!(it.segments[2].gpu, Some(0));
-        assert_eq!(it.segments[3].gpu, None); // collective
-        assert_eq!(it.elapsed, 9.0);
+        // The path records the given timing; the gating lane of each
+        // phase is read from the lane spans.
+        assert_eq!(log.iterations[0].timing, timing);
+        assert_eq!(log.iterations[0].timing.elapsed(), 9.0);
+        let gating = |p: PhaseTag| {
+            let spans = log.phase_spans.iter().filter(|s| s.phase == p);
+            spans
+                .fold((0.0f64, 0u32), |(d, g), s| if s.dur > d { (s.dur, s.gpu) } else { (d, g) })
+                .1
+        };
+        assert_eq!(gating(PhaseTag::Computation), 1);
+        assert_eq!(gating(PhaseTag::LocalComm), 0);
+        assert_eq!(gating(PhaseTag::RemoteNormal), 0);
     }
 
     #[test]
@@ -456,7 +416,9 @@ mod tests {
                 seconds: 0.5,
             },
         ];
-        sink.record_iteration(0, &[lane(2.5, 0.0, 0.0)], 0.0, true, false, &[], &[evs], &[], &[]);
+        let lanes = [lane(2.5, 0.0, 0.0)];
+        let timing = IterationTiming::from_lanes(&lanes, 0.0, true, false);
+        sink.record_iteration(0, &lanes, &timing, &[], &[evs], &[], &[]);
         let log = sink.finish();
         assert_eq!(log.kernel_spans.len(), 3);
         // Normal stream: previsit at 0.0, visit_nn follows at 1.0.
@@ -476,12 +438,11 @@ mod tests {
             MessageRecord { src: 0, dst: 2, raw_bytes: 64, wire_bytes: 20, intra: false },
         ];
         let hops = [CollectiveHop { src_rank: 0, dst_rank: 1, raw_bytes: 128, wire_bytes: 32 }];
+        let timing = IterationTiming::from_lanes(&lanes, 0.125, false, false);
         sink.record_iteration(
             0,
             &lanes,
-            0.125,
-            false,
-            false,
+            &timing,
             &[],
             &[vec![], vec![], vec![], vec![]],
             &msgs,
@@ -504,28 +465,12 @@ mod tests {
         let mut sink = SpanSink::new(1, 1);
         sink.record_fault(FaultKind::Checkpoint, 0, 0.25);
         let mark = sink.mark();
-        sink.record_iteration(
-            0,
-            &[lane(1.0, 0.0, 0.0)],
-            0.0,
-            true,
-            false,
-            &[],
-            &[vec![]],
-            &[],
-            &[],
-        );
-        sink.record_iteration(
-            1,
-            &[lane(2.0, 0.0, 0.0)],
-            0.0,
-            true,
-            false,
-            &[],
-            &[vec![]],
-            &[],
-            &[],
-        );
+        let lanes = [lane(1.0, 0.0, 0.0)];
+        let timing = IterationTiming::from_lanes(&lanes, 0.0, true, false);
+        sink.record_iteration(0, &lanes, &timing, &[], &[vec![]], &[], &[]);
+        let lanes = [lane(2.0, 0.0, 0.0)];
+        let timing = IterationTiming::from_lanes(&lanes, 0.0, true, false);
+        sink.record_iteration(1, &lanes, &timing, &[], &[vec![]], &[], &[]);
         assert_eq!(sink.cursor(), 3.25);
         sink.truncate(&mark);
         assert_eq!(sink.cursor(), 0.25);
@@ -548,7 +493,8 @@ mod tests {
         let lanes = [lane(4.0, 1.0, 2.0), lane(3.0, 1.5, 0.5)];
         let stages =
             [LaneStages { encode: 0.75, decode: 0.25 }, LaneStages { encode: 1.0, decode: 0.5 }];
-        sink.record_iteration(0, &lanes, 3.0, false, true, &stages, &[vec![], vec![]], &[], &[]);
+        let timing = IterationTiming::from_lanes(&lanes, 3.0, false, true);
+        sink.record_iteration(0, &lanes, &timing, &stages, &[vec![], vec![]], &[], &[]);
         // elapsed = max(comp 4.0, pipeline 1.5 + max(2.0, 3.0) = 4.5):
         // the comm side wins by half a second.
         assert_eq!(sink.cursor(), 4.5);
@@ -570,28 +516,20 @@ mod tests {
         // The iteration path carries the overlap flag and its elapsed
         // matches the pipelined expression.
         let it = &log.iterations[0];
-        assert!(it.overlap);
-        assert_eq!(it.elapsed, 4.5);
+        assert!(it.timing.overlap);
+        assert_eq!(it.timing.elapsed(), 4.5);
         assert_eq!(log.critical_path().total_seconds(), 4.5);
     }
 
     #[test]
     fn overlap_off_records_no_stage_spans() {
         let mut sink = SpanSink::new(1, 1);
-        sink.record_iteration(
-            0,
-            &[lane(1.0, 0.5, 0.25)],
-            0.0,
-            false,
-            false,
-            &[],
-            &[vec![]],
-            &[],
-            &[],
-        );
+        let lanes = [lane(1.0, 0.5, 0.25)];
+        let timing = IterationTiming::from_lanes(&lanes, 0.0, false, false);
+        sink.record_iteration(0, &lanes, &timing, &[], &[vec![]], &[], &[]);
         let log = sink.finish();
         assert!(log.stage_spans.is_empty());
-        assert!(!log.iterations[0].overlap);
+        assert!(!log.iterations[0].timing.overlap);
     }
 
     #[test]
@@ -599,17 +537,9 @@ mod tests {
         let mut sink = SpanSink::new(1, 1);
         let mark = sink.mark();
         let stages = [LaneStages { encode: 0.1, decode: 0.1 }];
-        sink.record_iteration(
-            0,
-            &[lane(1.0, 0.5, 0.25)],
-            0.0,
-            false,
-            true,
-            &stages,
-            &[vec![]],
-            &[],
-            &[],
-        );
+        let lanes = [lane(1.0, 0.5, 0.25)];
+        let timing = IterationTiming::from_lanes(&lanes, 0.0, false, true);
+        sink.record_iteration(0, &lanes, &timing, &stages, &[vec![]], &[], &[]);
         assert_eq!(sink.log.stage_spans.len(), 3);
         sink.truncate(&mark);
         assert_eq!(sink.log.stage_spans.len(), 0);
@@ -620,20 +550,11 @@ mod tests {
     fn critical_path_total_matches_cursor() {
         let mut sink = SpanSink::new(2, 2);
         for iter in 0..5u32 {
-            let lanes: Vec<LanePhases> =
+            let lanes: Vec<PhaseTimes> =
                 (0..4).map(|g| lane(0.1 * (g + 1) as f64, 0.01, 0.002 * iter as f64)).collect();
             let kernels = vec![vec![]; 4];
-            sink.record_iteration(
-                iter,
-                &lanes,
-                0.003,
-                iter % 2 == 0,
-                false,
-                &[],
-                &kernels,
-                &[],
-                &[],
-            );
+            let timing = IterationTiming::from_lanes(&lanes, 0.003, iter % 2 == 0, false);
+            sink.record_iteration(iter, &lanes, &timing, &[], &kernels, &[], &[]);
         }
         sink.record_fault(FaultKind::Retry, 2, 0.5);
         let cursor = sink.cursor();

@@ -1,54 +1,30 @@
 //! Phase timing and the stream-overlap accounting of Figs. 3, 8 and 10.
 //!
 //! The paper breaks BFS runtime into four parts — *Computation*, *Local
-//! Communication*, *Remote Normal Exchange*, and *Remote Delegate Reduce* —
-//! and notes that "the sum of all parts in one column is more than the
-//! elapsed time of BFS, because different parts may overlap" (§VI-B).
-//! [`IterationTiming::elapsed`] encodes the overlap rule: with non-blocking
-//! reduction the two remote phases proceed concurrently (the delegate
-//! stream can start as soon as masks arrive, without waiting for normal
-//! vertices), so the iteration pays `max` of the two; a blocking reduction
-//! serializes them.
-
-/// One of the paper's four runtime phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Local kernel execution (both streams).
-    Computation,
-    /// Intra-rank staging: binning, local all2all, local mask reduce.
-    LocalComm,
-    /// Point-to-point normal-vertex exchange over the network.
-    RemoteNormal,
-    /// Global delegate mask reduction across ranks.
-    RemoteDelegate,
-}
-
-impl Phase {
-    /// All phases, in the paper's reporting order.
-    pub const ALL: [Phase; 4] =
-        [Phase::Computation, Phase::LocalComm, Phase::RemoteNormal, Phase::RemoteDelegate];
-
-    /// Label used in figure output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Computation => "Computation",
-            Phase::LocalComm => "Local Communication",
-            Phase::RemoteNormal => "Remote Normal Exchange",
-            Phase::RemoteDelegate => "Remote Delegate Reduce",
-        }
-    }
-}
+//! Communication*, *Remote Normal Exchange*, and *Remote Delegate Reduce*
+//! ([`PhaseTag`](crate::PhaseTag), the one phase vocabulary) — and notes
+//! that "the sum of all parts in one column is more than the elapsed time
+//! of BFS, because different parts may overlap" (§VI-B).
+//!
+//! A superstep's cluster timing is built once, by
+//! [`IterationTiming::from_lanes`]: the slowest lane gates each phase, and
+//! the delegate reduction is a collective. [`IterationTiming::elapsed`] is
+//! the one overlap rule: with non-blocking reduction the two remote phases
+//! proceed concurrently (the delegate stream can start as soon as masks
+//! arrive, without waiting for normal vertices), so the iteration pays
+//! `max` of the two; a blocking reduction serializes them. The driver's
+//! records, the span sink and the critical path all read these two.
 
 /// Modeled seconds spent in each phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimes {
-    /// Seconds in [`Phase::Computation`].
+    /// Seconds in [`PhaseTag::Computation`](crate::PhaseTag::Computation).
     pub computation: f64,
-    /// Seconds in [`Phase::LocalComm`].
+    /// Seconds in [`PhaseTag::LocalComm`](crate::PhaseTag::LocalComm).
     pub local_comm: f64,
-    /// Seconds in [`Phase::RemoteNormal`].
+    /// Seconds in [`PhaseTag::RemoteNormal`](crate::PhaseTag::RemoteNormal).
     pub remote_normal: f64,
-    /// Seconds in [`Phase::RemoteDelegate`].
+    /// Seconds in [`PhaseTag::RemoteDelegate`](crate::PhaseTag::RemoteDelegate).
     pub remote_delegate: f64,
 }
 
@@ -56,31 +32,6 @@ impl PhaseTimes {
     /// Zero times.
     pub fn zero() -> Self {
         Self::default()
-    }
-
-    /// Time of one phase.
-    pub fn get(&self, phase: Phase) -> f64 {
-        match phase {
-            Phase::Computation => self.computation,
-            Phase::LocalComm => self.local_comm,
-            Phase::RemoteNormal => self.remote_normal,
-            Phase::RemoteDelegate => self.remote_delegate,
-        }
-    }
-
-    /// Mutable access to one phase.
-    pub fn get_mut(&mut self, phase: Phase) -> &mut f64 {
-        match phase {
-            Phase::Computation => &mut self.computation,
-            Phase::LocalComm => &mut self.local_comm,
-            Phase::RemoteNormal => &mut self.remote_normal,
-            Phase::RemoteDelegate => &mut self.remote_delegate,
-        }
-    }
-
-    /// Adds `seconds` to a phase.
-    pub fn add(&mut self, phase: Phase, seconds: f64) {
-        *self.get_mut(phase) += seconds;
     }
 
     /// Sum of all phases — the "sum of parts" that exceeds elapsed time.
@@ -95,17 +46,6 @@ impl PhaseTimes {
             local_comm: self.local_comm + other.local_comm,
             remote_normal: self.remote_normal + other.remote_normal,
             remote_delegate: self.remote_delegate + other.remote_delegate,
-        }
-    }
-
-    /// Element-wise maximum — used to aggregate phases across GPUs of a
-    /// superstep (the slowest GPU gates each phase).
-    pub fn max(&self, other: &Self) -> Self {
-        Self {
-            computation: self.computation.max(other.computation),
-            local_comm: self.local_comm.max(other.local_comm),
-            remote_normal: self.remote_normal.max(other.remote_normal),
-            remote_delegate: self.remote_delegate.max(other.remote_delegate),
         }
     }
 }
@@ -125,6 +65,26 @@ pub struct IterationTiming {
 }
 
 impl IterationTiming {
+    /// The cluster timing of one superstep from its per-GPU lanes: each
+    /// of the three per-lane phases is the left `f64::max` fold of the
+    /// lanes from zero (the slowest GPU gates the phase), and the
+    /// delegate reduction is the collective's `remote_delegate` (the
+    /// lanes' own `remote_delegate` is not read).
+    pub fn from_lanes(
+        lanes: &[PhaseTimes],
+        remote_delegate: f64,
+        blocking_reduce: bool,
+        overlap: bool,
+    ) -> Self {
+        let mut phases = PhaseTimes { remote_delegate, ..PhaseTimes::zero() };
+        for lane in lanes {
+            phases.computation = phases.computation.max(lane.computation);
+            phases.local_comm = phases.local_comm.max(lane.local_comm);
+            phases.remote_normal = phases.remote_normal.max(lane.remote_normal);
+        }
+        Self { phases, blocking_reduce, overlap }
+    }
+
     /// Elapsed modeled time of the iteration after overlap:
     /// computation and local staging are serial; the two remote phases
     /// overlap under non-blocking reduction and serialize under blocking.
@@ -152,16 +112,6 @@ impl IterationTiming {
     }
 }
 
-/// The degraded critical-path bound of edge-balanced multi-survivor
-/// spreading: a dead member's load split evenly across `survivors` live
-/// members inflates the slowest lane by at most `(p+1)/p` (with `p`
-/// survivors) — `2×` in the degenerate one-survivor case.
-/// This is the factor spare-less recovery is designed to hit.
-pub fn degraded_bound(survivors: usize) -> f64 {
-    assert!(survivors > 0, "need at least one survivor");
-    (survivors as f64 + 1.0) / survivors as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,23 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn sum_and_get() {
-        let p = sample();
-        assert_eq!(p.sum(), 10.0);
-        assert_eq!(p.get(Phase::RemoteDelegate), 3.0);
-    }
-
-    #[test]
-    fn add_accumulates() {
-        let mut p = PhaseTimes::zero();
-        p.add(Phase::Computation, 1.5);
-        p.add(Phase::Computation, 0.5);
-        assert_eq!(p.computation, 2.0);
-    }
-
-    #[test]
-    fn combine_and_max() {
+    fn sum_and_combine() {
         let a = sample();
+        assert_eq!(a.sum(), 10.0);
         let b = PhaseTimes {
             computation: 1.0,
             local_comm: 5.0,
@@ -197,9 +133,40 @@ mod tests {
         let c = a.combine(&b);
         assert_eq!(c.computation, 5.0);
         assert_eq!(c.local_comm, 6.0);
-        let m = a.max(&b);
-        assert_eq!(m.computation, 4.0);
-        assert_eq!(m.remote_delegate, 9.0);
+        assert_eq!(c.remote_delegate, 12.0);
+    }
+
+    #[test]
+    fn from_lanes_takes_the_slowest_lane_and_the_collective() {
+        let lanes = [
+            PhaseTimes {
+                computation: 4.0,
+                local_comm: 1.0,
+                remote_normal: 0.5,
+                remote_delegate: 7.0,
+            },
+            PhaseTimes {
+                computation: 3.0,
+                local_comm: 1.5,
+                remote_normal: 2.0,
+                remote_delegate: 0.0,
+            },
+        ];
+        let it = IterationTiming::from_lanes(&lanes, 3.0, false, true);
+        assert_eq!(
+            it.phases,
+            PhaseTimes {
+                computation: 4.0,
+                local_comm: 1.5,
+                remote_normal: 2.0,
+                remote_delegate: 3.0
+            }
+        );
+        assert!(!it.blocking_reduce);
+        assert!(it.overlap);
+        // No lanes: every lane phase folds to zero.
+        let empty = IterationTiming::from_lanes(&[], 0.25, true, false);
+        assert_eq!(empty.phases, PhaseTimes { remote_delegate: 0.25, ..PhaseTimes::zero() });
     }
 
     #[test]
@@ -260,12 +227,5 @@ mod tests {
                 assert!(on.elapsed() >= phases.computation);
             }
         }
-    }
-
-    #[test]
-    fn degraded_bound_beats_buddy_hosting() {
-        assert_eq!(degraded_bound(1), 2.0, "one survivor degenerates to buddy hosting");
-        assert_eq!(degraded_bound(15), 16.0 / 15.0);
-        assert!(degraded_bound(15) < 2.0);
     }
 }

@@ -372,10 +372,12 @@ fn bfs(args: &Args) -> Result<(), String> {
     let mutate_batches: usize = args.opt("mutate", 0)?;
     if mutate_batches > 0 {
         // The repair path runs no fault plan, prints no per-superstep
-        // trace and verifies none of its waves: refuse rather than ignore.
+        // trace or parent tree and verifies none of its waves: refuse
+        // rather than ignore.
         let refused = [
             (plan.is_some(), "fault injection"),
             (args.switch("trace"), "--trace"),
+            (args.switch("parents"), "--parents"),
             (verify.is_on(), "--verify checksums|full"),
         ];
         if let Some((_, what)) = refused.iter().find(|(given, _)| *given) {

@@ -16,10 +16,10 @@
 //! Regenerate with `GCBFS_BLESS=1` only after an intentional model
 //! change.
 
-use gpu_cluster_bfs::cluster::timing::PhaseTimes;
 use gpu_cluster_bfs::core::msbfs::batch_sharing_factor;
 use gpu_cluster_bfs::core::sssp::DistributedSssp;
 use gpu_cluster_bfs::graph::weighted::Weights;
+use gpu_cluster_bfs::obs::PhaseTimes;
 use gpu_cluster_bfs::prelude::*;
 use std::fmt::Write as _;
 

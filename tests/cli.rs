@@ -221,13 +221,15 @@ fn runs_on_a_graph_with_no_vertices_are_refused() {
 
 #[test]
 fn a_mutating_run_refuses_what_its_repair_path_would_ignore() {
-    // The repair batches run untraced and unverified, so `--trace` and
-    // online verification are refused like fault injection, before any run.
+    // The repair batches run untraced and unverified and report no parent
+    // tree, so `--trace`, `--parents` and online verification are refused
+    // like fault injection, before any run.
     let file = tmp("mutate-refusals.bin");
     let path = file.to_str().unwrap();
     assert!(gcbfs(&["generate", "rmat", "--scale", "8", "--out", path]).status.success());
     for (flags, what) in [
         (&["--trace"][..], "--trace"),
+        (&["--parents"], "--parents"),
         (&["--verify", "checksums"], "--verify checksums|full"),
         (&["--verify", "full"], "--verify checksums|full"),
         (&["--fail", "1:1"], "fault injection"),
